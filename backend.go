@@ -3,7 +3,6 @@ package asha
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/backend"
@@ -236,81 +235,4 @@ func (s Simulation) build(_ context.Context, t *Tuner, sched core.Scheduler) (ba
 // log streams, deterministic noise.
 func TrialIDFromContext(ctx context.Context) (int, bool) {
 	return exec.TrialIDFromContext(ctx)
-}
-
-// tunerControl is the single-experiment ControlPlane a Tuner attaches
-// to its embedded lease server: pause/resume/abort map onto the
-// scheduler's live-control gate, and status combines the gate's state
-// with the backend's running tally. A Tuner run has exactly one,
-// unnamed experiment, so any non-empty experiment name is refused.
-type tunerControl struct {
-	gate *core.Gate
-	be   *remote.Backend
-
-	mu     sync.Mutex
-	budget int
-}
-
-func (c *tunerControl) checkExperiment(name string) error {
-	if name != "" {
-		return fmt.Errorf("asha: single-experiment run has no experiment %q", name)
-	}
-	return nil
-}
-
-func (c *tunerControl) Status() (remote.Status, error) {
-	exp := c.be.LiveStatus()
-	exp.State = c.gate.State()
-	c.mu.Lock()
-	budget := c.budget
-	c.mu.Unlock()
-	return remote.Status{Experiments: []remote.ExpStatus{exp}, Workers: budget}, nil
-}
-
-func (c *tunerControl) Pause(name string) error {
-	if err := c.checkExperiment(name); err != nil {
-		return err
-	}
-	c.gate.Pause()
-	return nil
-}
-
-func (c *tunerControl) Resume(name string) error {
-	if err := c.checkExperiment(name); err != nil {
-		return err
-	}
-	c.gate.Resume()
-	return nil
-}
-
-func (c *tunerControl) Abort(name string) error {
-	if err := c.checkExperiment(name); err != nil {
-		return err
-	}
-	c.gate.Abort()
-	return nil
-}
-
-// Adopt is a Manager-only operation: a Tuner runs exactly one
-// experiment and owns it from the start, so there is nothing to adopt.
-func (c *tunerControl) Adopt(name string) error {
-	return fmt.Errorf("asha: single-experiment run cannot adopt %q", name)
-}
-
-// Drop is likewise Manager-only: a Tuner cannot hand its one
-// experiment to another node, so fencing it off makes no sense.
-func (c *tunerControl) Drop(name string) error {
-	return fmt.Errorf("asha: single-experiment run cannot drop %q", name)
-}
-
-// SetWorkers records the new budget for status reporting; the actual
-// throttle is the server's lease cap, which the admin handler adjusts
-// alongside this call. The engine's in-flight cap stays at the run's
-// configured capacity — lowering the lease cap below it idles the
-// excess, which is the operational intent of "fewer workers".
-func (c *tunerControl) SetWorkers(n int) error {
-	c.mu.Lock()
-	c.budget = n
-	c.mu.Unlock()
-	return nil
 }

@@ -46,8 +46,9 @@
 // seed and a deterministic objective.
 //
 // Manager runs many named tuning experiments concurrently on a shared
-// global worker budget with fair-share scheduling; cmd/ashad is its
-// command-line front end, driven by a JSON manifest. With
+// global worker budget with fair-share scheduling — each experiment is
+// one more scheduler on the same engine a Tuner runs on; cmd/ashad is
+// its command-line front end, driven by a JSON manifest. With
 // WithManagerRemote the manager serves all of its experiments to one
 // worker fleet.
 //

@@ -1,9 +1,10 @@
 // Package backend defines the pluggable execution layer that separates
 // *what* to run (a core.Scheduler deciding jobs and promotions) from
 // *where* to run it (a Backend executing training jobs). One
-// single-threaded engine, Drive, owns the scheduler, the trial
-// bookkeeping common to every substrate, and the metrics/result path;
-// backends only execute jobs and deliver completions.
+// single-threaded Engine (engine.go) owns the schedulers — one per lane;
+// Drive is its one-lane case, asha.Manager its many-lane one — the
+// bookkeeping common to every substrate, and the journal/metrics/event
+// path; backends only execute jobs and deliver completions.
 //
 // Four backends implement the interface today:
 //
@@ -40,6 +41,9 @@ import (
 type Completion struct {
 	// Job is the job handed to Launch.
 	Job core.Job
+	// Lane is the id of the lane view the job was launched through
+	// (zero on executors that serve a single scheduler).
+	Lane int
 	// Loss is the observed validation loss at Resource; TrueLoss is the
 	// noiseless loss when the backend knows it (real backends set it
 	// equal to Loss).
@@ -54,7 +58,8 @@ type Completion struct {
 	// Failed marks a dropped job: the backend rolled the trial back and
 	// the scheduler may retry it. Loss is meaningless.
 	Failed bool
-	// Err is a fatal objective error; it aborts the run.
+	// Err is a fatal objective error; it fails the job's lane (with one
+	// lane, the run).
 	Err error
 }
 
@@ -161,10 +166,11 @@ type Options struct {
 	// run clock continues from the journal's maximum time.
 	Resume *ResumeState
 	// Gate, when non-nil, is the live-control gate wrapped around the
-	// scheduler being driven. The engine consults it at the drain point:
-	// a pause that empties the in-flight set parks the engine in
-	// WaitResume instead of ending the run, so an operator can pause a
-	// run to zero activity and later resume it.
+	// scheduler being driven; Lane.Pause/Resume/Abort flip it. The engine
+	// consults it at the drain point: a pause that empties the in-flight
+	// set parks the engine on its control queue instead of ending the
+	// run, so an operator can pause a run to zero activity and later
+	// resume it.
 	Gate *core.Gate
 	// Events, when non-nil, receives the run's lifecycle events
 	// (trial issued/completed/failed/promoted, rung advances, new
@@ -178,144 +184,16 @@ type Options struct {
 
 // Drive runs sched on b until the context is cancelled, budgets are
 // exhausted, the scheduler finishes, or the backend can complete nothing
-// more. It is the single execution engine shared by all backends: fill
-// free capacity from the scheduler, await a batch of completions, ingest
-// the batch (one pass, no per-result locking), repeat. The returned run
-// is always non-nil.
+// more: the one-lane case of the Engine, where b is both the executor
+// and the lane's view of it. The returned run is always non-nil.
 func Drive(ctx context.Context, sched core.Scheduler, b Backend, opt Options) (*metrics.Run, error) {
-	run := &metrics.Run{FirstRTime: math.Inf(1)}
-	jw := newJournalWriter(opt.Journal, opt.SnapshotEvery)
-	if opt.Journal != nil {
-		// Backends holding in-memory state objects (the goroutine pool)
-		// must encode checkpoints at commit time rather than at snapshot
-		// time, when a worker may still be mutating them.
-		if cp, ok := b.(interface{ EnableCheckpointSnapshots() }); ok {
-			cp.EnableCheckpointSnapshots()
-		}
+	e := NewEngine(b, nil)
+	l := e.AddLane(sched, b, opt, 0, "")
+	err := e.Run(ctx)
+	if l.err != nil {
+		err = l.err
 	}
-	var relaunch []core.Job
-	var clockOff float64
-	if opt.Resume != nil {
-		run = opt.Resume.Run
-		relaunch = append(relaunch, opt.Resume.Relaunch...)
-		clockOff = opt.Resume.TimeOffset
-		jw.prime(opt.Resume)
-		if tc, ok := b.(TrialCheckpointer); ok {
-			for _, t := range opt.Resume.Trials {
-				tc.RestoreTrial(t.Trial, t.Resource, t.State)
-			}
-		}
-	}
-	em := &emitter{bus: opt.Events, exp: opt.Experiment, maxRung: -1}
-	inflight := 0
-	budgetExhausted := func() bool {
-		if opt.MaxJobs > 0 && run.IssuedJobs >= opt.MaxJobs {
-			return true
-		}
-		if opt.MaxTime > 0 && b.Now()+clockOff >= opt.MaxTime {
-			return true
-		}
-		return false
-	}
-	var firstErr error
-loop:
-	for {
-		// Fill every free slot until the scheduler declines (synchronous
-		// barrier), budgets run out, or capacity is reached. Journaled
-		// in-flight jobs from a resumed run go first: they were already
-		// issued (and counted, and journaled) before the crash, so they
-		// relaunch without new issue records — a second crash and resume
-		// still sees exactly one issue per attempt.
-		for inflight < b.Capacity() && ctx.Err() == nil {
-			if len(relaunch) > 0 {
-				job := relaunch[0]
-				relaunch = relaunch[1:]
-				b.Launch(job)
-				inflight++
-				continue
-			}
-			if budgetExhausted() || sched.Done() {
-				break
-			}
-			job, ok := sched.Next()
-			if !ok {
-				break
-			}
-			// Write-ahead: a job whose issue record is not durable must
-			// never launch, or recovery could double-issue it.
-			if err := jw.issue(job); err != nil {
-				firstErr = err
-				break loop
-			}
-			b.Launch(job)
-			run.IssuedJobs++
-			inflight++
-			em.launched(job)
-		}
-		if inflight == 0 {
-			if opt.Gate != nil && opt.Gate.Paused() && ctx.Err() == nil &&
-				!budgetExhausted() && !sched.Done() {
-				// Paused with nothing in flight: the scheduler is declining
-				// by operator order, not because the run is over. Park until
-				// resume (or abort/cancellation) instead of draining out.
-				opt.Gate.WaitResume(ctx)
-				continue
-			}
-			break // nothing running, nothing schedulable: drained
-		}
-		batch, err := b.Await(ctx)
-		if err != nil {
-			if ctx.Err() == nil {
-				firstErr = err
-			}
-			break
-		}
-		if len(batch) == 0 {
-			break // backend clock expired
-		}
-		for _, c := range batch {
-			inflight--
-			if c.Err != nil {
-				if ctx.Err() == nil {
-					firstErr = c.Err
-				}
-				break loop
-			}
-			c.Time += clockOff
-			// Write-ahead: the journal is always a superset of scheduler
-			// state, so replay can only over-approximate — never lose — a
-			// delivered result.
-			if err := jw.report(c); err != nil {
-				firstErr = err
-				break loop
-			}
-			ingest(sched, run, opt, em, c)
-		}
-		if err := jw.maybeSnapshot(run, b, b.Now()+clockOff); err != nil {
-			firstErr = err
-			break
-		}
-		if opt.StopAtFirstR && !math.IsInf(run.FirstRTime, 1) {
-			break
-		}
-	}
-	closeErr := b.Close()
-	if firstErr == nil && closeErr != nil && ctx.Err() == nil {
-		firstErr = closeErr
-	}
-	// A clean end gets a final snapshot (after Close, which commits any
-	// in-flight results to the backend's trial table).
-	if firstErr == nil && ctx.Err() == nil {
-		if err := jw.finalSnapshot(run, b, b.Now()+clockOff); err != nil {
-			firstErr = err
-		}
-	}
-	st := b.Stats()
-	run.EndTime = b.Now() + clockOff
-	run.Trials = st.Trials
-	run.TotalResource = st.TotalResource
-	run.ConfigsToR = st.ConfigsToR
-	return run, firstErr
+	return l.run, err
 }
 
 // emitter publishes the engine's lifecycle events to an obs.Bus. All
@@ -395,12 +273,13 @@ func (em *emitter) reported(c Completion, best core.Best, ok bool) {
 	}
 }
 
-// ingest delivers one completion to the scheduler and records metrics —
-// the single result path shared by simulated and real runs.
-func ingest(sched core.Scheduler, run *metrics.Run, opt Options, em *emitter, c Completion) {
+// ingest delivers one completion to its lane's scheduler and records
+// metrics — the single result path shared by simulated and real runs,
+// live and replayed.
+func ingest(l *Lane, c Completion) {
 	if c.Failed {
-		run.FailedJobs++
-		sched.Report(core.Result{
+		l.run.FailedJobs++
+		l.sched.Report(core.Result{
 			TrialID:  c.Job.TrialID,
 			Rung:     c.Job.Rung,
 			Config:   c.Job.Config,
@@ -410,12 +289,16 @@ func ingest(sched core.Scheduler, run *metrics.Run, opt Options, em *emitter, c 
 			Failed:   true,
 			Time:     c.Time,
 		})
-		em.reported(c, core.Best{}, false)
+		l.em.reported(c, core.Best{}, false)
 		return
 	}
-	run.CompletedJobs++
-	if opt.MaxResource > 0 && c.Resource >= opt.MaxResource-1e-9 && c.Time < run.FirstRTime {
-		run.FirstRTime = c.Time
+	l.run.CompletedJobs++
+	for len(l.rungCompleted) <= c.Job.Rung {
+		l.rungCompleted = append(l.rungCompleted, 0)
+	}
+	l.rungCompleted[c.Job.Rung]++
+	if l.opt.MaxResource > 0 && c.Resource >= l.opt.MaxResource-1e-9 && c.Time < l.run.FirstRTime {
+		l.run.FirstRTime = c.Time
 	}
 	res := core.Result{
 		TrialID:  c.Job.TrialID,
@@ -426,17 +309,17 @@ func ingest(sched core.Scheduler, run *metrics.Run, opt Options, em *emitter, c 
 		Resource: c.Resource,
 		Time:     c.Time,
 	}
-	sched.Report(res)
-	best, ok := sched.Best()
+	l.sched.Report(res)
+	best, ok := l.sched.Best()
 	if ok {
 		test := best.TrueLoss
-		if opt.Evaluator != nil {
-			test = opt.Evaluator(best.Config)
+		if l.opt.Evaluator != nil {
+			test = l.opt.Evaluator(best.Config)
 		}
-		run.Record(c.Time, best.Loss, test)
+		l.run.Record(c.Time, best.Loss, test)
 	}
-	em.reported(c, best, ok)
-	if opt.OnResult != nil {
-		opt.OnResult(res, best, ok)
+	l.em.reported(c, best, ok)
+	if l.opt.OnResult != nil {
+		l.opt.OnResult(res, best, ok)
 	}
 }

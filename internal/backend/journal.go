@@ -11,14 +11,13 @@ import (
 
 // SeenKey packs a (trial, rung) pair into one map key for the issue-kind
 // annotation. Rungs are tiny; 16 bits is orders of magnitude of
-// headroom. Shared with the manager's journaling twin.
+// headroom.
 func SeenKey(trial, rung int) int64 { return int64(trial)<<16 | int64(rung&0xffff) }
 
-// AnnotateIssue builds the journal record for one scheduler decision,
+// annotateIssue builds the journal record for one scheduler decision,
 // classifying it as a fresh sample, a promotion, or a retry against the
-// set of (trial, rung) pairs already issued — which it updates. Shared
-// by the engine's journal writer and the manager's.
-func AnnotateIssue(seen map[int64]struct{}, job core.Job) state.Issue {
+// set of (trial, rung) pairs already issued — which it updates.
+func annotateIssue(seen map[int64]struct{}, job core.Job) state.Issue {
 	key := SeenKey(job.TrialID, job.Rung)
 	kind := state.KindSample
 	if _, dup := seen[key]; dup {
@@ -37,10 +36,10 @@ func AnnotateIssue(seen map[int64]struct{}, job core.Job) state.Issue {
 	}
 }
 
-// journalWriter adapts a state.Journal to the engine: it annotates issue
-// records with their decision kind, paces snapshots, and is a no-op when
-// journaling is off (the zero value), keeping Drive's hot loop free of
-// journal branches beyond one nil check.
+// journalWriter adapts a state.Journal to one engine lane: it annotates
+// issue records with their decision kind, paces snapshots, and is a
+// no-op when journaling is off (the zero value), keeping the engine's
+// hot loop free of journal branches beyond one nil check.
 type journalWriter struct {
 	j          *state.Journal
 	snapEvery  int
@@ -75,7 +74,7 @@ func (w *journalWriter) issue(job core.Job) error {
 	if w.j == nil {
 		return nil
 	}
-	return w.j.AppendIssue(AnnotateIssue(w.seen, job))
+	return w.j.AppendIssue(annotateIssue(w.seen, job))
 }
 
 // report journals one completion, write-ahead of its scheduler delivery.
@@ -94,28 +93,20 @@ func (w *journalWriter) report(c Completion) error {
 	return w.j.AppendReport(rep)
 }
 
-// maybeSnapshot writes a periodic snapshot once enough completions have
-// accumulated since the last one. The cadence adapts to the trial-table
-// size (at least a quarter of it must complete between snapshots), so
-// total snapshot volume stays linear in the journal's report volume
-// instead of quadratic on runs with very wide bottom rungs.
-func (w *journalWriter) maybeSnapshot(run *metrics.Run, b Backend, now float64) error {
-	if w.j == nil || w.sinceSnap < w.snapEvery || 4*w.sinceSnap < w.lastTrials {
-		return nil
-	}
-	w.sinceSnap = 0
-	return w.snapshot(run, b, now, false)
+// due reports whether enough completions have accumulated since the
+// last snapshot for a periodic one. The cadence adapts to the
+// trial-table size (at least a quarter of it must complete between
+// snapshots), so total snapshot volume stays linear in the journal's
+// report volume instead of quadratic on runs with very wide bottom
+// rungs.
+func (w *journalWriter) due() bool {
+	return w.j != nil && w.sinceSnap >= w.snapEvery && 4*w.sinceSnap >= w.lastTrials
 }
 
-// finalSnapshot marks a clean end of run.
-func (w *journalWriter) finalSnapshot(run *metrics.Run, b Backend, now float64) error {
-	if w.j == nil {
-		return nil
-	}
-	return w.snapshot(run, b, now, true)
-}
-
+// snapshot journals the lane's counters and its executor view's trial
+// table; final marks a clean end of run.
 func (w *journalWriter) snapshot(run *metrics.Run, b Backend, now float64, final bool) error {
+	w.sinceSnap = 0
 	snap := state.Snapshot{
 		Issued:    run.IssuedJobs,
 		Completed: run.CompletedJobs,

@@ -20,80 +20,66 @@ type ResumeState struct {
 	// in issue order. Drive relaunches them before consulting the
 	// scheduler, without new issue records.
 	Relaunch []core.Job
-	// Trials is the restored trial table (see ReplayResult.Trials).
+	// Trials is the restored trial table: the latest snapshot's entries,
+	// plus a zero-resource entry for every trial that first appeared
+	// after that snapshot.
 	Trials []state.TrialSnap
 	// TimeOffset is the journal's maximum recorded time; the resumed
 	// run's clock continues from it so the incumbent series stays
 	// monotone.
 	TimeOffset float64
 
-	issued map[int64]struct{} // (trial, rung) pairs issued, for retry annotation
+	issued        map[int64]struct{} // (trial, rung) pairs issued, for retry annotation
+	rungCompleted []int              // successful completions per rung, for status
 }
 
-// ReplayHooks receives each validated journal record during ReplayStream.
-// The hooks own delivery to the scheduler (Report is NOT forwarded to
-// sched by the stream itself), so callers keep their own counters,
-// metrics and history bookkeeping while sharing one validation loop.
-type ReplayHooks struct {
-	// Issue runs after the scheduler's regenerated decision validated
-	// against the journal record.
-	Issue func(job core.Job)
-	// Report runs with the journaled report paired to its issued job.
-	// The hook must deliver the result to the scheduler.
-	Report func(job core.Job, rep *state.Report)
-}
-
-// ReplayResult is what a replayed record stream reconstructs beyond the
-// scheduler state itself.
-type ReplayResult struct {
-	// Inflight are the issued-but-unreported jobs, in issue order.
-	Inflight []core.Job
-	// Trials is the restored trial table: the latest snapshot's entries,
-	// plus a zero-resource entry for every trial that first appeared
-	// after that snapshot — so Stats/Trials accounting stays faithful
-	// while the trial's training state rolls back to scratch, exactly
-	// the rollback semantics of a worker crash.
-	Trials []state.TrialSnap
-	// MaxTime is the maximum time recorded by any report or snapshot.
-	MaxTime float64
-}
-
-// ReplayStream feeds a recovered journal's records through a freshly
-// constructed scheduler, reproducing its state bit for bit: every issue
-// record pulls the scheduler's own Next decision and validates it
-// against the journal (trial, rung, target resource, inherit donor, and
-// every configuration value, all bit-exact), and every report record is
-// paired with its oldest outstanding issue and handed to the Report
-// hook for delivery. It is the single replay loop shared by the engine
-// (Replay, below) and asha.Manager's per-experiment resume.
+// Replay reconstructs a full engine ResumeState from a recovered
+// journal by feeding its records through a freshly constructed
+// scheduler, reproducing its state bit for bit: every issue record pulls
+// the scheduler's own Next decision and validates it against the journal
+// (trial, rung, target resource, inherit donor, and every configuration
+// value, all bit-exact), and every report record is paired with its
+// oldest outstanding issue and flows through the same ingest path live
+// completions use, so counters, incumbent series and first-R accounting
+// are rebuilt identically. It is the one replay path: Tuner.Resume,
+// Manager.Resume and a federated adopt all call it.
 //
 // The scheduler must be deterministic and seeded exactly as the
 // journaled run was — any divergence (wrong seed, changed algorithm or
 // space, edited journal) is detected and returned as an error rather
 // than silently corrupting the run.
-func ReplayStream(records []state.Record, sched core.Scheduler, h ReplayHooks) (*ReplayResult, error) {
-	res := &ReplayResult{}
-	var inflight []core.Job
+//
+// opt should match the original run's Evaluator/MaxResource settings;
+// OnResult is typically nil during replay so progress callbacks do not
+// re-fire for jobs that completed before the crash.
+func Replay(rec *state.Recovered, sched core.Scheduler, opt Options) (*ResumeState, error) {
+	rs := &ResumeState{
+		Run:    &metrics.Run{FirstRTime: math.Inf(1)},
+		issued: make(map[int64]struct{}),
+	}
+	// Replayed completions never re-emit events (the emitter has no bus),
+	// mirroring the OnResult convention above — consumers of /v1/events
+	// see each pre-crash event at most once.
+	l := &Lane{sched: sched, opt: opt, run: rs.Run, em: emitter{maxRung: -1}}
 	var lastSnap []state.TrialSnap
 	seenTrials := make(map[int]struct{})
-	for i, r := range records {
+	for i, r := range rec.Records {
 		switch {
 		case r.Issue != nil:
 			job, ok := sched.Next()
 			if !ok {
 				return nil, fmt.Errorf("backend: replay record %d: journal holds an issued job but the scheduler declined — journal does not match this scheduler configuration", i)
 			}
-			if err := MatchIssue(job, r.Issue); err != nil {
+			if err := matchIssue(job, r.Issue); err != nil {
 				return nil, fmt.Errorf("backend: replay record %d: %w", i, err)
 			}
 			seenTrials[job.TrialID] = struct{}{}
-			inflight = append(inflight, job)
-			if h.Issue != nil {
-				h.Issue(job)
-			}
+			rs.Relaunch = append(rs.Relaunch, job)
+			rs.Run.IssuedJobs++
+			rs.issued[SeenKey(job.TrialID, job.Rung)] = struct{}{}
 		case r.Report != nil:
 			idx := -1
-			for k, j := range inflight {
+			for k, j := range rs.Relaunch {
 				if j.TrialID == r.Report.Trial && j.Rung == r.Report.Rung {
 					idx = k
 					break
@@ -102,28 +88,35 @@ func ReplayStream(records []state.Record, sched core.Scheduler, h ReplayHooks) (
 			if idx < 0 {
 				return nil, fmt.Errorf("backend: replay record %d: report for trial %d rung %d has no outstanding issue — corrupt journal", i, r.Report.Trial, r.Report.Rung)
 			}
-			job := inflight[idx]
-			inflight = append(inflight[:idx], inflight[idx+1:]...)
-			if h.Report != nil {
-				h.Report(job, r.Report)
-			}
-			if r.Report.Time > res.MaxTime {
-				res.MaxTime = r.Report.Time
+			job := rs.Relaunch[idx]
+			rs.Relaunch = append(rs.Relaunch[:idx], rs.Relaunch[idx+1:]...)
+			loss, trueLoss := r.Report.Losses()
+			ingest(l, Completion{
+				Job:      job,
+				Loss:     loss,
+				TrueLoss: trueLoss,
+				Resource: r.Report.Resource,
+				Time:     r.Report.Time,
+				Failed:   r.Report.Failed,
+			})
+			if r.Report.Time > rs.TimeOffset {
+				rs.TimeOffset = r.Report.Time
 			}
 		case r.Snap != nil:
 			lastSnap = r.Snap.Trials
-			if r.Snap.Time > res.MaxTime {
-				res.MaxTime = r.Snap.Time
+			if r.Snap.Time > rs.TimeOffset {
+				rs.TimeOffset = r.Snap.Time
 			}
 		}
 	}
-	res.Inflight = inflight
+	rs.rungCompleted = l.rungCompleted
 	// Restore the trial table: the latest snapshot's checkpoints, plus
 	// zero-resource entries for trials the snapshot predates. Those
 	// trials' observations replayed into the scheduler above; only their
 	// training state is lost, and a zero entry makes them retrain from
-	// scratch if relaunched instead of vanishing from trial accounting.
-	res.Trials = append(res.Trials, lastSnap...)
+	// scratch if relaunched instead of vanishing from trial accounting —
+	// exactly the rollback semantics of a worker crash.
+	rs.Trials = append(rs.Trials, lastSnap...)
 	inSnap := make(map[int]struct{}, len(lastSnap))
 	for _, ts := range lastSnap {
 		inSnap[ts.Trial] = struct{}{}
@@ -136,56 +129,14 @@ func ReplayStream(records []state.Record, sched core.Scheduler, h ReplayHooks) (
 	}
 	sort.Ints(missing)
 	for _, trial := range missing {
-		res.Trials = append(res.Trials, state.TrialSnap{Trial: trial})
+		rs.Trials = append(rs.Trials, state.TrialSnap{Trial: trial})
 	}
-	return res, nil
-}
-
-// Replay reconstructs a full engine ResumeState from a recovered
-// journal: scheduler state via ReplayStream, with every report flowing
-// through the same ingest path live completions use, so counters,
-// incumbent series and first-R accounting are rebuilt identically.
-//
-// opt should match the original run's Evaluator/MaxResource settings;
-// OnResult is typically nil during replay so progress callbacks do not
-// re-fire for jobs that completed before the crash.
-func Replay(rec *state.Recovered, sched core.Scheduler, opt Options) (*ResumeState, error) {
-	rs := &ResumeState{
-		Run:    &metrics.Run{FirstRTime: math.Inf(1)},
-		issued: make(map[int64]struct{}),
-	}
-	res, err := ReplayStream(rec.Records, sched, ReplayHooks{
-		Issue: func(job core.Job) {
-			rs.Run.IssuedJobs++
-			rs.issued[SeenKey(job.TrialID, job.Rung)] = struct{}{}
-		},
-		Report: func(job core.Job, rep *state.Report) {
-			loss, trueLoss := rep.Losses()
-			// Replayed completions never re-emit events (&emitter{}: no
-			// bus), mirroring the OnResult convention above — consumers of
-			// /v1/events see each pre-crash event at most once.
-			ingest(sched, rs.Run, opt, &emitter{maxRung: -1}, Completion{
-				Job:      job,
-				Loss:     loss,
-				TrueLoss: trueLoss,
-				Resource: rep.Resource,
-				Time:     rep.Time,
-				Failed:   rep.Failed,
-			})
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	rs.Relaunch = res.Inflight
-	rs.Trials = res.Trials
-	rs.TimeOffset = res.MaxTime
 	return rs, nil
 }
 
-// MatchIssue validates that the scheduler's regenerated decision is the
+// matchIssue validates that the scheduler's regenerated decision is the
 // journaled one, bit for bit.
-func MatchIssue(job core.Job, is *state.Issue) error {
+func matchIssue(job core.Job, is *state.Issue) error {
 	if job.TrialID != is.Trial || job.Rung != is.Rung || job.InheritFrom != is.Inherit ||
 		math.Float64bits(job.TargetResource) != math.Float64bits(is.Target) {
 		return fmt.Errorf("backend: journal/scheduler divergence: journal issued trial %d rung %d target %v inherit %d, scheduler produced trial %d rung %d target %v inherit %d (wrong seed, algorithm, or edited journal?)",

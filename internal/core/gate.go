@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"sync"
-)
+import "sync"
 
 // Gate state names, as reported by Gate.State and the admin API.
 const (
@@ -23,20 +20,18 @@ const (
 //     resources remain monotone across a resume);
 //   - after Abort, Next grants nothing, Done reports true, and late
 //     results are swallowed — no work after abort;
-//   - Abort is terminal: a paused gate that is aborted unblocks any
-//     engine waiting in WaitResume.
+//   - Abort is terminal, and lifts a pause on its way.
 //
-// Next/Report/Best/Done run on the engine goroutine; Pause/Resume/Abort
-// arrive from HTTP handler goroutines. The mutex makes the state flips
-// safe; the inner scheduler itself is still only ever called from the
-// engine goroutine.
+// The engine parks on its own control queue when a pause drains it (see
+// backend.Engine), so the gate holds state only. The mutex makes flips
+// from other goroutines safe; the inner scheduler itself is only ever
+// called from the engine goroutine.
 type Gate struct {
 	inner Scheduler
 
 	mu      sync.Mutex
 	paused  bool
 	aborted bool
-	resume  chan struct{} // non-nil while paused; closed on resume/abort
 }
 
 // NewGate wraps a scheduler. The zero state is running: a gate nobody
@@ -88,37 +83,25 @@ func (g *Gate) Done() bool {
 // already-paused gate is a no-op.
 func (g *Gate) Pause() {
 	g.mu.Lock()
-	if !g.paused && !g.aborted {
+	if !g.aborted {
 		g.paused = true
-		g.resume = make(chan struct{})
 	}
 	g.mu.Unlock()
 }
 
-// Resume lifts a pause and unblocks any engine waiting in WaitResume.
+// Resume lifts a pause.
 func (g *Gate) Resume() {
 	g.mu.Lock()
-	if g.paused {
-		g.paused = false
-		close(g.resume)
-		g.resume = nil
-	}
+	g.paused = false
 	g.mu.Unlock()
 }
 
 // Abort ends the run: Next declines forever, Done is true, late results
-// are swallowed, and a paused engine is unblocked so it can drain and
-// exit. Abort is idempotent and terminal.
+// are swallowed, and a pause is lifted so the run can drain and exit.
+// Abort is idempotent and terminal.
 func (g *Gate) Abort() {
 	g.mu.Lock()
-	if !g.aborted {
-		g.aborted = true
-		if g.paused {
-			g.paused = false
-			close(g.resume)
-			g.resume = nil
-		}
-	}
+	g.aborted, g.paused = true, false
 	g.mu.Unlock()
 }
 
@@ -148,26 +131,5 @@ func (g *Gate) State() string {
 		return GatePaused
 	default:
 		return GateRunning
-	}
-}
-
-// WaitResume blocks while the gate is paused, returning when the gate
-// resumes, aborts, or ctx ends. The engine calls it when a pause has
-// drained all in-flight work: instead of spinning on a declining Next,
-// it sleeps until an operator acts.
-func (g *Gate) WaitResume(ctx context.Context) {
-	for {
-		g.mu.Lock()
-		if !g.paused {
-			g.mu.Unlock()
-			return
-		}
-		resume := g.resume
-		g.mu.Unlock()
-		select {
-		case <-resume:
-		case <-ctx.Done():
-			return
-		}
 	}
 }

@@ -105,14 +105,16 @@ func Run(ctx context.Context, sched core.Scheduler, obj Objective, opt Options) 
 // poolTask is one job dispatched to a worker goroutine with its trial
 // state resolved.
 type poolTask struct {
+	lane     *Pool
 	job      core.Job
 	from, to float64
 	state    interface{}
 }
 
-// poolResult is a worker's raw answer, applied to the trial table by the
-// engine goroutine when the batch is drained.
+// poolResult is a worker's raw answer, applied to its lane's trial table
+// by the engine goroutine when the batch is drained.
 type poolResult struct {
+	lane  *Pool
 	job   core.Job
 	loss  float64
 	state interface{}
@@ -135,25 +137,37 @@ type poolTrial struct {
 // owned by the engine goroutine: workers only execute objectives and
 // send raw results over a channel, which the engine drains in batches —
 // there is no shared mutable state and no per-result lock.
+//
+// A Pool value is one lane's view of the pool: its own objective and
+// trial table over the shared worker goroutines (see Lane). The pool
+// NewPool returns is lane 0 and, like every view, awaits and closes the
+// whole pool.
 type Pool struct {
-	obj     Objective
+	*poolShared
+	lane   int
+	obj    Objective
+	trials map[int]*poolTrial
+	// checkpoint enables commit-time JSON encoding of trial states for
+	// journal snapshots (set by the engine when the lane is journaled).
+	checkpoint bool
+}
+
+// poolShared is what a pool's lane views share: the goroutines, their
+// channels and the clock.
+type poolShared struct {
 	workers int
 	ctx     context.Context
 	tasks   chan poolTask
 	results chan poolResult
-	trials  map[int]*poolTrial
 	start   time.Time
 	wg      sync.WaitGroup
 	stopped atomic.Bool
 	closed  bool
-	// checkpoint enables commit-time JSON encoding of trial states for
-	// journal snapshots (set by the engine when the run is journaled).
-	checkpoint bool
 }
 
 // EnableCheckpointSnapshots turns on commit-time encoding of trial
-// checkpoints. The engine calls it before any Launch when the run has a
-// journal; unjournaled runs skip the per-completion marshal entirely.
+// checkpoints. The engine calls it before any Launch when the lane has a
+// journal; unjournaled lanes skip the per-completion marshal entirely.
 func (p *Pool) EnableCheckpointSnapshots() { p.checkpoint = true }
 
 // NewPool starts workers goroutines executing obj. The context is passed
@@ -162,37 +176,43 @@ func NewPool(ctx context.Context, obj Objective, workers int) *Pool {
 	if workers < 1 {
 		panic("exec: pool needs at least one worker")
 	}
-	p := &Pool{
-		obj:     obj,
+	s := &poolShared{
 		workers: workers,
 		ctx:     ctx,
 		// Buffers sized to capacity: with at most `workers` jobs in
 		// flight, neither Launch nor a worker's result send can block.
 		tasks:   make(chan poolTask, workers),
 		results: make(chan poolResult, workers),
-		trials:  make(map[int]*poolTrial),
 		start:   time.Now(),
 	}
-	p.wg.Add(workers)
+	s.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			defer p.wg.Done()
-			p.workerLoop()
+			defer s.wg.Done()
+			s.workerLoop()
 		}()
 	}
-	return p
+	return &Pool{poolShared: s, obj: obj, trials: make(map[int]*poolTrial)}
 }
 
-func (p *Pool) workerLoop() {
-	for task := range p.tasks {
-		if p.stopped.Load() {
+// Lane returns another view of the pool for a multi-scheduler engine:
+// jobs launched through it run obj on the shared goroutines, keep their
+// trial state in the view's own table, and complete — out of any view's
+// Await — stamped with lane id.
+func (p *Pool) Lane(id int, obj Objective) *Pool {
+	return &Pool{poolShared: p.poolShared, lane: id, obj: obj, trials: make(map[int]*poolTrial)}
+}
+
+func (s *poolShared) workerLoop() {
+	for task := range s.tasks {
+		if s.stopped.Load() {
 			continue // drain queued tasks without running them
 		}
-		ctx := WithTrialID(p.ctx, task.job.TrialID)
+		ctx := WithTrialID(s.ctx, task.job.TrialID)
 		// The name-keyed copy is made on the worker goroutine, keeping
 		// the engine goroutine's dispatch path allocation-free.
-		loss, newState, err := p.obj(ctx, task.job.Config.Map(), task.from, task.to, task.state)
-		p.results <- poolResult{job: task.job, loss: loss, state: newState, err: err}
+		loss, newState, err := task.lane.obj(ctx, task.job.Config.Map(), task.from, task.to, task.state)
+		s.results <- poolResult{lane: task.lane, job: task.job, loss: loss, state: newState, err: err}
 	}
 }
 
@@ -215,33 +235,33 @@ func (p *Pool) Launch(job core.Job) {
 		}
 	}
 	t.config = job.Config.Clone()
-	p.tasks <- poolTask{job: job, from: t.resource, to: job.TargetResource, state: t.state}
+	p.tasks <- poolTask{lane: p, job: job, from: t.resource, to: job.TargetResource, state: t.state}
 }
 
-// Await blocks for one result then drains every other pending result, so
-// the engine ingests completions in batches.
+// Await blocks for one result of any lane then drains every other
+// pending result, so the engine ingests completions in batches.
 func (p *Pool) Await(ctx context.Context) ([]backend.Completion, error) {
 	var batch []backend.Completion
 	select {
 	case r := <-p.results:
-		batch = append(batch, p.apply(r))
+		batch = append(batch, r.lane.apply(r))
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 	for {
 		select {
 		case r := <-p.results:
-			batch = append(batch, p.apply(r))
+			batch = append(batch, r.lane.apply(r))
 		default:
 			return batch, nil
 		}
 	}
 }
 
-// apply commits a worker result to the trial table and converts it to a
-// Completion. Runs on the engine goroutine.
+// apply commits a worker result to the lane's trial table and converts
+// it to a Completion. Runs on the engine goroutine.
 func (p *Pool) apply(r poolResult) backend.Completion {
-	c := backend.Completion{Job: r.job, Time: p.Now()}
+	c := backend.Completion{Job: r.job, Lane: p.lane, Time: p.Now()}
 	if r.err != nil {
 		c.Err = fmt.Errorf("exec: objective failed for trial %d: %w", r.job.TrialID, r.err)
 		return c
@@ -286,7 +306,7 @@ func (p *Pool) Close() error {
 		select {
 		case r := <-p.results:
 			if r.err == nil {
-				p.apply(r)
+				r.lane.apply(r)
 			}
 		default:
 			return nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -23,8 +22,9 @@ type trialState struct {
 
 // result is one settled job delivered to the engine goroutine.
 type result struct {
-	job core.Job
-	out Outcome
+	lane *Backend
+	job  core.Job
+	out  Outcome
 }
 
 // Backend drives the shared execution engine over a worker fleet
@@ -32,31 +32,37 @@ type result struct {
 // from a single goroutine; job outcomes arrive asynchronously from the
 // server's HTTP handler and sweeper goroutines into a double-buffered
 // queue (an append under a mutex is several times cheaper than a
-// channel send on the per-job path, and can never block a handler).
+// channel send on the per-job path, and can never block a handler —
+// however many jobs a shutdown flushes at once).
+//
+// A Backend value is one lane's view of the fleet: its own trial table
+// and experiment name over the shared server and queue (see Lane). The
+// backend NewBackend returns is lane 0 and, like every view, awaits and
+// closes the whole fleet.
 type Backend struct {
-	srv      *Server
-	capacity int
+	*fleet
+	lane       int
+	experiment string // stamped on every job, for worker-side objective routing
 	// trials is indexed by trial ID — ASHA issues dense IDs, so a slice
 	// beats a map on the per-job lookup path.
 	trials []*trialState
-	start  time.Time
-	closed bool
+}
+
+// fleet is what a backend's lane views share: the server, the clock and
+// the completion queue.
+type fleet struct {
+	srv      *Server
+	capacity int
+	start    time.Time
+	closed   bool
 
 	resMu   sync.Mutex
 	results []result      // settled jobs awaiting the engine
 	resCh   chan struct{} // signaled (cap 1) when results goes non-empty
-
-	// live is the backend's own running tally of the run, kept for
-	// LiveStatus: the admin API and /metrics read it from HTTP handler
-	// goroutines while the engine mutates it, hence the small mutex (the
-	// engine's own metrics.Run is single-goroutine and off limits).
-	live struct {
-		sync.Mutex
-		issued, completed, failed, running int
-		rungCompleted                      []int
-		best                               float64
-		hasBest                            bool
-	}
+	// batch is Await's return buffer, reused call to call as the Backend
+	// contract allows: the engine has ingested a batch before it awaits
+	// the next.
+	batch []backend.Completion
 }
 
 // NewBackend wraps a lease server as a backend.Backend with the given
@@ -66,12 +72,20 @@ func NewBackend(srv *Server, capacity int) *Backend {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Backend{
+	return &Backend{fleet: &fleet{
 		srv:      srv,
 		capacity: capacity,
 		resCh:    make(chan struct{}, 1),
 		start:    time.Now(),
-	}
+	}}
+}
+
+// Lane returns another view of the fleet for a multi-scheduler engine:
+// jobs launched through it carry the experiment name, keep their trial
+// state in the view's own table, and complete — out of any view's
+// Await — stamped with lane id.
+func (b *Backend) Lane(id int, experiment string) *Backend {
+	return &Backend{fleet: b.fleet, lane: id, experiment: experiment}
 }
 
 // trial returns the trial's state record, creating it on first use.
@@ -91,12 +105,12 @@ func (b *Backend) trial(id int) *trialState {
 
 // deliver queues one settled job for the engine. Called from server
 // goroutines; never blocks.
-func (b *Backend) deliver(r result) {
-	b.resMu.Lock()
-	b.results = append(b.results, r)
-	b.resMu.Unlock()
+func (f *fleet) deliver(r result) {
+	f.resMu.Lock()
+	f.results = append(f.results, r)
+	f.resMu.Unlock()
 	select {
-	case b.resCh <- struct{}{}:
+	case f.resCh <- struct{}{}:
 	default:
 	}
 }
@@ -111,10 +125,6 @@ func (b *Backend) Capacity() int { return b.capacity }
 
 // Launch resolves the job's trial state and submits it to the fleet.
 func (b *Backend) Launch(job core.Job) {
-	b.live.Lock()
-	b.live.issued++
-	b.live.running++
-	b.live.Unlock()
 	t := b.trial(job.TrialID)
 	if job.InheritFrom >= 0 && job.InheritFrom < len(b.trials) {
 		if donor := b.trials[job.InheritFrom]; donor != nil {
@@ -123,8 +133,9 @@ func (b *Backend) Launch(job core.Job) {
 		}
 	}
 	b.srv.Submit(JobPayload{
-		Trial: job.TrialID,
-		Rung:  job.Rung,
+		Experiment: b.experiment,
+		Trial:      job.TrialID,
+		Rung:       job.Rung,
 		// The dense Names/Vec form: the searchspace's live slices, so
 		// every job of one space shares a backing array and the binary
 		// wire's table dedup is a pointer compare. The server rebuilds
@@ -135,11 +146,12 @@ func (b *Backend) Launch(job core.Job) {
 		To:    job.TargetResource,
 		State: t.state,
 	}, func(out Outcome) {
-		b.deliver(result{job: job, out: out})
+		b.deliver(result{lane: b, job: job, out: out})
 	})
 }
 
-// Await blocks for one settled job then drains every other pending one.
+// Await blocks for one settled job of any lane then drains every other
+// pending one.
 func (b *Backend) Await(ctx context.Context) ([]backend.Completion, error) {
 	for {
 		b.resMu.Lock()
@@ -147,9 +159,9 @@ func (b *Backend) Await(ctx context.Context) ([]backend.Completion, error) {
 		b.results = nil
 		b.resMu.Unlock()
 		if len(drained) > 0 {
-			batch := make([]backend.Completion, len(drained))
-			for i, r := range drained {
-				batch[i] = b.apply(r)
+			b.batch = b.batch[:0]
+			for _, r := range drained {
+				b.batch = append(b.batch, r.lane.apply(r))
 			}
 			// Hand the drained buffer back for reuse if no new results
 			// raced in (the common case on the hot path).
@@ -158,7 +170,7 @@ func (b *Backend) Await(ctx context.Context) ([]backend.Completion, error) {
 				b.results = drained[:0]
 			}
 			b.resMu.Unlock()
-			return batch, nil
+			return b.batch, nil
 		}
 		select {
 		case <-b.resCh:
@@ -168,10 +180,10 @@ func (b *Backend) Await(ctx context.Context) ([]backend.Completion, error) {
 	}
 }
 
-// apply commits a settled job to the trial table. Runs on the engine
-// goroutine.
+// apply commits a settled job to the lane's trial table. Runs on the
+// engine goroutine.
 func (b *Backend) apply(r result) backend.Completion {
-	c := backend.Completion{Job: r.job, Time: b.Now()}
+	c := backend.Completion{Job: r.job, Lane: b.lane, Time: b.Now()}
 	switch {
 	case r.out.Failed:
 		// Lease expired (worker died or went silent): the trial keeps its
@@ -188,41 +200,7 @@ func (b *Backend) apply(r result) backend.Completion {
 		c.TrueLoss = r.out.Loss
 		c.Resource = t.resource
 	}
-	b.live.Lock()
-	b.live.running--
-	switch {
-	case c.Failed, c.Err != nil:
-		b.live.failed++
-	default:
-		b.live.completed++
-		for len(b.live.rungCompleted) <= r.job.Rung {
-			b.live.rungCompleted = append(b.live.rungCompleted, 0)
-		}
-		b.live.rungCompleted[r.job.Rung]++
-		if !math.IsNaN(c.Loss) && (!b.live.hasBest || c.Loss < b.live.best) {
-			b.live.hasBest, b.live.best = true, c.Loss
-		}
-	}
-	b.live.Unlock()
 	return c
-}
-
-// LiveStatus snapshots the backend's running tally of the fleet run as
-// an ExpStatus (State left blank — the control plane stamps it from its
-// gate). Safe to call from any goroutine.
-func (b *Backend) LiveStatus() ExpStatus {
-	b.live.Lock()
-	defer b.live.Unlock()
-	st := ExpStatus{
-		Issued:        b.live.issued,
-		Completed:     b.live.completed,
-		Failed:        b.live.failed,
-		Running:       b.live.running,
-		BestLoss:      b.live.best,
-		HasBest:       b.live.hasBest,
-		RungCompleted: append([]int(nil), b.live.rungCompleted...),
-	}
-	return st
 }
 
 // Now implements backend.Backend on the wall clock.

@@ -59,12 +59,13 @@ type Status struct {
 	TenantWeights map[string]int `json:"tenantWeights,omitempty"`
 }
 
-// ControlPlane is the scheduler-side surface the admin API drives. The
-// Tuner attaches a core.Gate adapter; the Manager attaches its dispatch
-// loop. All methods must be safe to call from HTTP handler goroutines
-// and should return promptly — a status call sits on the /metrics
-// scrape path. An empty experiment name addresses every experiment
-// (single-experiment runs only have the empty name).
+// ControlPlane is the scheduler-side surface the admin API drives.
+// Tuner and Manager attach the same implementation, which runs each
+// call on the engine goroutine between batches (backend.Engine.Do). All
+// methods must be safe to call from HTTP handler goroutines; a status
+// call sits on the /metrics scrape path, so a wedged engine must answer
+// with an error rather than hang. An empty experiment name addresses
+// every experiment (single-experiment runs only have the empty name).
 type ControlPlane interface {
 	Status() (Status, error)
 	Pause(experiment string) error

@@ -2,13 +2,10 @@ package asha
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/backend"
@@ -51,8 +48,7 @@ type ManagerOption func(*Manager)
 func WithManagerWorkers(n int) ManagerOption { return func(m *Manager) { m.workers = n } }
 
 // WithManagerProgress installs a callback invoked after every completed
-// job of any experiment. It runs on the manager's dispatch goroutine;
-// keep it fast.
+// job of any experiment. It runs on the engine goroutine; keep it fast.
 func WithManagerProgress(fn func(p ExperimentProgress)) ManagerOption {
 	return func(m *Manager) { m.onProgress = fn }
 }
@@ -79,15 +75,15 @@ func WithManagerRemote(r Remote) ManagerOption {
 	return func(m *Manager) { m.remote = &r }
 }
 
-// WithManagerTenantQuotas turns the dispatch loop's fair share
-// two-level: free worker slots are first balanced across tenant
-// namespaces (the prefix before '/' in experiment names) proportionally
-// to the given weights, then within the chosen tenant by the usual
-// fewest-running rule. Tenants absent from the map get weight 1;
-// weights below 1 are treated as 1. A tenant with nothing running
-// always wins its next slot, so no tenant can be starved however wide
-// the others are. Without this option the dispatch loop is exactly the
-// single-tenant fair share it always was.
+// WithManagerTenantQuotas turns the engine's fair share two-level: free
+// worker slots are first balanced across tenant namespaces (the prefix
+// before '/' in experiment names) proportionally to the given weights,
+// then within the chosen tenant by the usual fewest-running rule.
+// Tenants absent from the map get weight 1; weights below 1 are treated
+// as 1. A tenant with nothing running always wins its next slot, so no
+// tenant can be starved however wide the others are. Without this
+// option slot allocation is exactly the single-tenant fair share it
+// always was.
 func WithManagerTenantQuotas(weights map[string]int) ManagerOption {
 	return func(m *Manager) {
 		m.tenantQuotas = make(map[string]int, len(weights))
@@ -113,11 +109,11 @@ func WithManagerActive(active func(experiment string) bool) ManagerOption {
 // Manager runs many named tuning experiments concurrently against one
 // shared global worker budget. Free workers are assigned fair-share:
 // each slot goes to the runnable experiment with the fewest jobs in
-// flight, so a wide experiment cannot starve a narrow one. All
-// experiment and trial bookkeeping is owned by the single dispatch
-// goroutine; workers only execute objectives and deliver raw results
-// over a channel, which the dispatcher drains in batches — one critical
-// section per batch rather than a lock acquisition per result.
+// flight, so a wide experiment cannot starve a narrow one. The Manager
+// itself owns only what is multi-experiment — validation, journal files,
+// the admin control plane and result assembly; every experiment is one
+// lane of the same engine a Tuner runs on (internal/backend), which does
+// all scheduling, journaling and event publishing.
 type Manager struct {
 	workers      int
 	onProgress   func(ExperimentProgress)
@@ -164,98 +160,33 @@ func (m *Manager) Add(e Experiment) error {
 	return nil
 }
 
-// mgrTrial is the manager-side record of one trial of one experiment.
-// stateJSON is the checkpoint's journal encoding, computed at commit
-// time on the dispatch goroutine (journaled runs only): encoding at
-// snapshot time instead would read a live state object that an
-// objective may still be mutating from a worker goroutine.
-type mgrTrial struct {
-	resource  float64
-	state     interface{}
-	stateJSON json.RawMessage
-}
-
-// mgrExp is the live state of one experiment.
+// mgrExp is one experiment of a run as the Manager and the control plane
+// see it: its spec and, while this node schedules it, its engine lane.
 type mgrExp struct {
-	spec       Experiment
-	sched      core.Scheduler
-	trials     map[int]*mgrTrial
-	issued     int
-	completed  int
-	failedJobs int
-	running    int
-	barrier    bool // scheduler declined while jobs were in flight
-	done       bool
-	failed     error
-	history    []HistoryPoint
-	// Live-control state, flipped only on the dispatch goroutine by
-	// admin requests arriving over mgrRun.control: a paused experiment
-	// issues no new jobs (in-flight ones finish and report normally); an
-	// aborted experiment is done and its late results are swallowed.
-	paused  bool
+	spec   Experiment
+	rank   int    // registration order: the slot policy's tie-break of last resort
+	tenant string // namespace prefix of the name, for the quota fair share
+	// lane is nil while the experiment is dormant: known to this node but
+	// not run by it — no jobs issued, no journal open — until an admin
+	// adopt (coordinator failover) activates it. sched is the lane's
+	// gated scheduler, journal its open journal (nil without a state dir).
+	lane    *backend.Lane
+	sched   *core.Gate
+	journal *state.Journal
+	// aborted marks an experiment aborted while dormant, when there is no
+	// gate to remember it.
 	aborted bool
-	// dormant marks an experiment this shard knows but does not run:
-	// no jobs are issued and no journal is opened until an admin adopt
-	// (coordinator failover) activates it. tenant caches the namespace
-	// prefix of the experiment name for the quota fair share.
-	dormant bool
-	tenant  string
-	// epoch counts ownership fences: a drop bumps it (and zeroes
-	// running), so in-flight results launched under an earlier epoch
-	// are discarded on arrival instead of being applied — or journaled —
-	// after a re-adoption has already replayed those jobs.
-	epoch int
-	// rungCompleted and maxRung feed the status/metrics surface: rung
-	// occupancy and the high-water rung for rung-advance events.
-	rungCompleted []int
-	maxRung       int
-
-	// Durable-state fields (nil/zero without WithManagerStateDir).
-	journal  *state.Journal
-	jseen    map[int64]struct{} // (trial, rung) pairs issued, for retry annotation
-	relaunch []core.Job         // journaled in-flight jobs to re-run first on resume
-	snapGap  int                // completions since the last snapshot
-	clockOff float64            // journal's max recorded time; the resumed clock continues it
-}
-
-// exhausted reports whether the experiment may issue no further jobs.
-func (e *mgrExp) exhausted() bool {
-	return e.spec.MaxJobs > 0 && e.issued >= e.spec.MaxJobs
-}
-
-// mgrResult is a worker's raw answer for one job of one experiment.
-type mgrResult struct {
-	exp   *mgrExp
-	job   core.Job
-	loss  float64
-	state interface{}
-	// epoch is the experiment's ownership epoch at launch time; a drop
-	// bumps it, so results of jobs launched before the drop are
-	// recognized as another owner's work and discarded even if the
-	// experiment has been re-adopted since.
-	epoch int
-	// failed marks a retryable loss of the job (a remote worker died or
-	// its lease expired): the scheduler is told and requeues it.
-	failed bool
-	err    error
 }
 
 // mgrRun is the transient state of one Manager.Run call.
 type mgrRun struct {
-	m       *Manager
-	ctx     context.Context
-	exps    []*mgrExp
-	tasks   chan func()
-	results chan mgrResult
-	fleet   *remote.Server // non-nil when jobs go to a remote fleet
-	start   time.Time
-	// budget is the live worker budget — WithManagerWorkers until an
-	// admin workers command adjusts it. control delivers admin requests
-	// to the dispatch goroutine, which alone touches experiment state;
-	// bus receives lifecycle events in fleet mode (nil otherwise).
-	budget  int
-	control chan func(*mgrRun)
-	bus     *obs.Bus
+	m    *Manager
+	eng  *backend.Engine
+	exps []*mgrExp
+	// view builds an experiment's lane view of the shared executor: its
+	// own trial table over the pool's goroutines or the fleet's server.
+	view func(lane int, spec Experiment) backend.Backend
+	bus  *obs.Bus // lifecycle events in fleet mode (nil otherwise)
 }
 
 // Run executes every added experiment to completion of its budget (or
@@ -290,598 +221,129 @@ func (m *Manager) run(ctx context.Context, resume bool) (map[string]*Result, err
 	if m.workers < 1 {
 		return nil, fmt.Errorf("asha: manager requires at least one worker")
 	}
-	for _, e := range m.experiments {
-		if e.MaxJobs == 0 && ctx.Done() == nil {
-			return nil, fmt.Errorf("asha: experiment %q is unbounded; set MaxJobs or pass a cancellable context", e.Name)
+	r := &mgrRun{m: m}
+	for i, spec := range m.experiments {
+		if spec.MaxJobs == 0 && ctx.Done() == nil {
+			return nil, fmt.Errorf("asha: experiment %q is unbounded; set MaxJobs or pass a cancellable context", spec.Name)
 		}
-	}
-
-	r := &mgrRun{
-		m:   m,
-		ctx: ctx,
-		// Buffer sized past the worker budget: at most budget jobs are in
-		// flight, so a result send never blocks — with headroom for an
-		// admin command raising the budget mid-run.
-		results: make(chan mgrResult, 4*m.workers+16),
-		start:   time.Now(),
-		budget:  m.workers,
-		control: make(chan func(*mgrRun), 16),
-	}
-	for _, spec := range m.experiments {
-		r.exps = append(r.exps, &mgrExp{
-			spec:    spec,
-			sched:   spec.Algorithm.newScheduler(spec.Space, xrand.New(spec.Seed)),
-			trials:  make(map[int]*mgrTrial),
-			maxRung: -1,
-			dormant: m.active != nil && !m.active(spec.Name),
-			tenant:  remote.TenantOf(spec.Name),
-		})
+		r.exps = append(r.exps, &mgrExp{spec: spec, rank: i, tenant: remote.TenantOf(spec.Name)})
 	}
 	if m.stateDir != "" {
-		if err := m.openJournals(r.exps, resume); err != nil {
+		if err := m.prepareStateDir(); err != nil {
 			return nil, err
 		}
 	}
-	poolDone := make(chan struct{})
+	// One executor serves every experiment. Fleet mode: one embedded
+	// lease server runs the jobs on remote workers and no local pool is
+	// started.
+	var root backend.Backend
+	var srv *remote.Server
 	if m.remote != nil {
-		// Fleet mode: one embedded lease server executes every
-		// experiment's jobs on remote workers; no local pool is started.
-		srv, _, err := m.remote.newServer(m.workers)
-		if err != nil {
-			for _, e := range r.exps {
-				if e.journal != nil {
-					_ = e.journal.Close()
-				}
-			}
+		var err error
+		if srv, _, err = m.remote.newServer(m.workers); err != nil {
 			return nil, err
 		}
-		defer srv.Close()
-		r.fleet = srv
-		r.bus = srv.EventBus()
-		// Attach the admin API's scheduler-side control plane. ctl.done
-		// makes admin calls fail fast once this run returns instead of
-		// timing out against a dispatch loop that no longer exists.
-		ctl := &mgrControl{ctl: r.control, done: make(chan struct{})}
-		defer close(ctl.done)
-		srv.SetControl(ctl)
+		fleet := remote.NewBackend(srv, m.workers)
+		root, r.bus = fleet, srv.EventBus()
+		r.view = func(lane int, spec Experiment) backend.Backend { return fleet.Lane(lane, spec.Name) }
 	} else {
-		// Task buffer sized like results: dispatch never blocks.
-		r.tasks = make(chan func(), m.workers)
-		for w := 0; w < m.workers; w++ {
-			go func() {
-				for task := range r.tasks {
-					task()
-				}
-				poolDone <- struct{}{}
-			}()
+		pool := exec.NewPool(ctx, nil, m.workers)
+		root = pool
+		r.view = func(lane int, spec Experiment) backend.Backend {
+			return pool.Lane(lane, exec.Objective(spec.Objective))
 		}
 	}
-
-	inflight := 0
-	stopped := false
-	for {
-		if !stopped {
-			inflight += r.fill(ctx, r.budget-inflight)
-		}
-		live := false
-		for _, e := range r.exps {
-			if !e.done {
-				live = true
-				break
-			}
-		}
-		if (!live || stopped) && inflight == 0 {
-			break
-		}
-		if !live && inflight > 0 {
-			// Only stray jobs of failed experiments remain; collect them.
-			stopped = true
-		}
-		if inflight == 0 {
-			paused := false
-			for _, e := range r.exps {
-				if !e.done && (e.paused || e.dormant) {
-					paused = true
-					break
-				}
-			}
-			if paused && ctx.Err() == nil {
-				// A pause (or a dormant experiment awaiting adoption)
-				// drained the run to zero activity: those experiments still
-				// have work, so park on the control channel until an
-				// operator resumes, adopts or aborts (or the context ends)
-				// instead of declaring the run drained.
-				select {
-				case fn := <-r.control:
-					fn(r)
-				case <-ctx.Done():
-				}
-				continue
-			}
-			// Every live experiment is at a barrier with nothing running:
-			// their schedulers are drained.
-			for _, e := range r.exps {
-				e.done = true
-			}
-			break
-		}
-		if stopped {
-			// Draining stray results; admin requests (a status probe, an
-			// abort racing the shutdown) are still answered.
-			select {
-			case res := <-r.results:
-				inflight -= r.ingest([]mgrResult{res})
-			case fn := <-r.control:
-				fn(r)
-			}
-			continue
-		}
-		select {
-		case res := <-r.results:
-			// Batched ingestion: everything already delivered is applied
-			// in one pass on this goroutine — no per-result locking.
-			batch := []mgrResult{res}
-			batch = r.drainInto(batch)
-			inflight -= r.ingest(batch)
-		case fn := <-r.control:
-			fn(r)
-		case <-ctx.Done():
-			stopped = true
-			if r.fleet != nil {
-				// Flush the fleet: queued and leased jobs settle as failed
-				// results immediately, so the in-flight drain below cannot
-				// wait on workers that will never answer.
-				_ = r.fleet.Close()
-			}
-		}
-	}
-
-	if r.fleet == nil {
-		close(r.tasks)
-		for w := 0; w < m.workers; w++ {
-			<-poolDone
-		}
-	}
-
-	// Seal the journals: experiments that ended cleanly get a final
-	// snapshot; every journal is synced and closed.
+	r.eng = backend.NewEngine(root, m.tenantQuotas)
 	for _, e := range r.exps {
-		if e.journal == nil {
+		if m.active != nil && !m.active(e.spec.Name) {
+			r.eng.Dormant++
 			continue
 		}
-		if e.failed == nil && ctx.Err() == nil {
-			if err := r.snapshotExp(e, time.Since(r.start).Seconds()+e.clockOff, true); err != nil {
-				e.failed = err
+		if err := r.activate(e, resume); err != nil {
+			for _, opened := range r.exps {
+				if opened.journal != nil {
+					_ = opened.journal.Close()
+				}
 			}
-		}
-		if err := e.journal.Close(); err != nil && e.failed == nil {
-			e.failed = fmt.Errorf("state journal: %w", err)
+			_ = root.Close()
+			return nil, err
 		}
 	}
+	if srv != nil {
+		srv.SetControl(&controlPlane{eng: r.eng, exps: r.exps, run: r})
+	}
 
-	out := make(map[string]*Result, len(r.exps))
+	start := time.Now()
 	var errs []error
+	if err := r.eng.Run(ctx); err != nil {
+		errs = append(errs, err)
+	}
+	out := make(map[string]*Result, len(r.exps))
 	for _, e := range r.exps {
-		if e.failed != nil {
-			errs = append(errs, fmt.Errorf("experiment %q: %w", e.spec.Name, e.failed))
+		if e.lane == nil {
+			continue // dormant to the end: no journal open, no result
+		}
+		run, err := e.lane.Result()
+		if e.journal != nil {
+			// A failed close means the journal tail (including the final
+			// snapshot) may never have reached disk.
+			if cerr := e.journal.Close(); cerr != nil && err == nil {
+				err = fmt.Errorf("state journal: %w", cerr)
+			}
+		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("experiment %q: %w", e.spec.Name, err))
 			continue
 		}
-		if res := r.result(e); res != nil {
+		if res := newResult(run, e.sched, time.Since(start)); res != nil {
 			out[e.spec.Name] = res
 		}
 	}
 	return out, errors.Join(errs...)
 }
 
-// drainInto appends every result already sitting in the channel.
-func (r *mgrRun) drainInto(batch []mgrResult) []mgrResult {
-	for {
-		select {
-		case res := <-r.results:
-			batch = append(batch, res)
-		default:
-			return batch
-		}
-	}
-}
-
-// fill assigns up to free worker slots fair-share: each slot goes to the
-// runnable experiment with the fewest jobs in flight (ties: fewest
-// issued, then registration order). With tenant quotas the selection is
-// two-level: first the tenant with the lowest running/weight ratio, then
-// the fewest-running experiment within it. Journaled in-flight jobs of a
-// resumed experiment go first and bypass the budget check — they were
-// issued (and counted, and journaled) before the crash. Returns the
-// number of jobs launched.
-func (r *mgrRun) fill(ctx context.Context, free int) int {
-	launched := 0
-	quotas := r.m.tenantQuotas
-	for free > 0 && ctx.Err() == nil {
-		var tenantRunning map[string]int
-		if len(quotas) > 0 {
-			tenantRunning = make(map[string]int, len(quotas))
-			for _, e := range r.exps {
-				tenantRunning[e.tenant] += e.running
-			}
-		}
-		var pick *mgrExp
-		pickTR := 0 // pick's tenant running count (quota mode only)
-		for _, e := range r.exps {
-			if e.done || e.paused || e.dormant {
-				continue
-			}
-			if len(e.relaunch) == 0 {
-				if e.exhausted() || e.sched.Done() {
-					if e.running == 0 {
-						e.done = true
-					}
-					continue
-				}
-				if e.barrier {
-					continue
-				}
-			}
-			if len(quotas) == 0 {
-				if pick == nil || e.running < pick.running ||
-					(e.running == pick.running && e.issued < pick.issued) {
-					pick = e
-				}
-				continue
-			}
-			etr := tenantRunning[e.tenant]
-			if pick == nil {
-				pick, pickTR = e, etr
-				continue
-			}
-			if e.tenant == pick.tenant {
-				if e.running < pick.running ||
-					(e.running == pick.running && e.issued < pick.issued) {
-					pick = e
-				}
-				continue
-			}
-			// Cross-tenant: compare running/weight ratios without
-			// division — e wins when etr/ew < pickTR/pw, i.e. the tenant
-			// furthest below its fair share gets the slot. A tenant with
-			// nothing running has ratio zero and can never lose to one
-			// with work in flight, so no tenant starves. Ties break to
-			// the lexicographically smaller tenant for determinism.
-			ew, pw := tenantWeight(quotas, e.tenant), tenantWeight(quotas, pick.tenant)
-			if etr*pw < pickTR*ew || (etr*pw == pickTR*ew && e.tenant < pick.tenant) {
-				pick, pickTR = e, etr
-			}
-		}
-		if pick == nil {
-			return launched
-		}
-		var job core.Job
-		fresh := true
-		if len(pick.relaunch) > 0 {
-			job = pick.relaunch[0]
-			pick.relaunch = pick.relaunch[1:]
-			fresh = false
-		} else {
-			var ok bool
-			job, ok = pick.sched.Next()
-			if !ok {
-				if pick.running == 0 {
-					pick.done = true // drained: barrier with nothing in flight
-				} else {
-					pick.barrier = true // retry after this experiment's next completion
-				}
-				continue
-			}
-		}
-		if !r.launch(ctx, pick, job, fresh) {
-			continue
-		}
-		free--
-		launched++
-	}
-	return launched
-}
-
-// tenantWeight resolves a tenant's quota weight; absent tenants
-// (including the empty namespace) weigh 1.
-func tenantWeight(quotas map[string]int, tenant string) int {
-	if w, ok := quotas[tenant]; ok && w > 0 {
-		return w
-	}
-	return 1
-}
-
-// launch journals the decision (write-ahead, fresh jobs only), resolves
-// the job's trial state and hands a closure to the pool. It returns
-// false when the journal refused the record — the experiment fails
-// rather than run work the journal cannot replay.
-func (r *mgrRun) launch(ctx context.Context, e *mgrExp, job core.Job, fresh bool) bool {
-	if fresh && e.journal != nil {
-		if err := r.journalIssue(e, job); err != nil {
-			e.failed = err
-			e.done = true
-			return false
-		}
-	}
-	t := e.trials[job.TrialID]
-	if t == nil {
-		t = &mgrTrial{}
-		e.trials[job.TrialID] = t
-	}
-	if job.InheritFrom >= 0 {
-		if donor := e.trials[job.InheritFrom]; donor != nil {
-			t.resource = donor.resource
-			t.state = donor.state
-			t.stateJSON = donor.stateJSON
-		}
-	}
-	if fresh {
-		e.issued++
-	}
-	e.running++
-	r.emitLaunch(e, job)
-	from, state := t.resource, t.state
-	results := r.results
-	exp := e
-	epoch := e.epoch
-	if r.fleet != nil {
-		// Fleet mode: the job travels to whichever worker leases it, with
-		// its experiment's name for objective routing and its checkpoint
-		// as the JSON the worker produced last time.
-		raw, _ := state.(json.RawMessage)
-		r.fleet.Submit(remote.JobPayload{
+// activate puts an experiment on the engine: a fresh gated scheduler, a
+// lane view of the executor and — with a state dir — its journal, which
+// on resume is recovered and replayed first if it exists. Run, Resume
+// and an admin adopt all activate through here.
+func (r *mgrRun) activate(e *mgrExp, resume bool) error {
+	e.sched = core.NewGate(e.spec.Algorithm.newScheduler(e.spec.Space, xrand.New(e.spec.Seed)))
+	opt := backend.Options{MaxJobs: e.spec.MaxJobs, Gate: e.sched, Events: r.bus, Experiment: e.spec.Name}
+	if dir := r.m.stateDir; dir != "" {
+		journal, rs, err := openJournal(filepath.Join(dir, journalFileName(e.spec.Name)), state.Meta{
 			Experiment: e.spec.Name,
-			Trial:      job.TrialID,
-			Rung:       job.Rung,
-			// Dense config form: the searchspace's live name/value
-			// slices, shared across the experiment's jobs so the binary
-			// wire dedups its per-connection table by pointer.
-			Names: job.Config.Names(),
-			Vec:   job.Config.Values(),
-			From:  from,
-			To:    job.TargetResource,
-			State: raw,
-		}, func(out remote.Outcome) {
-			res := mgrResult{exp: exp, job: job, epoch: epoch}
-			switch {
-			case out.Failed:
-				res.failed = true
-			case out.Err != "":
-				res.err = errors.New(out.Err)
-			default:
-				res.loss = out.Loss
-				if len(out.State) > 0 {
-					res.state = out.State
-				}
-			}
-			results <- res
-		})
-		return true
-	}
-	obj := e.spec.Objective
-	r.tasks <- func() {
-		jctx := exec.WithTrialID(ctx, job.TrialID)
-		loss, newState, err := obj(jctx, job.Config.Map(), from, job.TargetResource, state)
-		results <- mgrResult{exp: exp, job: job, epoch: epoch, loss: loss, state: newState, err: err}
-	}
-	return true
-}
-
-// ingest applies one batch of worker results to manager state. It runs
-// on the dispatch goroutine — the only goroutine touching experiment and
-// trial state — so a whole batch costs one pass with no locking. Returns
-// the number of results consumed.
-func (r *mgrRun) ingest(batch []mgrResult) int {
-	for _, res := range batch {
-		e := res.exp
-		if res.epoch != e.epoch {
-			// Result of a job launched before a drop fenced this
-			// experiment: ownership — and the running tally — was
-			// surrendered with the drop, so the result is discarded
-			// without touching the journal or the scheduler, even if
-			// this node has re-adopted the experiment since (the replay
-			// relaunches that job and the rerun's result counts).
-			continue
-		}
-		e.running--
-		if e.failed != nil {
-			continue // stray result of an already-failed experiment
-		}
-		if e.aborted {
-			// Late result of an aborted experiment: the abort already
-			// settled its fate, so neither the journal nor the scheduler
-			// hears about it — no work after abort.
-			continue
-		}
-		if res.failed {
-			// A remote worker died or its lease expired: the trial keeps
-			// its last committed checkpoint, and the scheduler requeues
-			// the job for whichever worker leases it next.
-			if r.ctx.Err() == nil {
-				now := time.Since(r.start).Seconds() + e.clockOff
-				if e.journal != nil {
-					if err := e.journal.AppendReport(state.Report{
-						Trial: res.job.TrialID, Rung: res.job.Rung, Failed: true, Time: now,
-					}); err != nil {
-						e.failed = err
-						e.done = true
-						continue
-					}
-				}
-				e.barrier = false
-				e.failedJobs++
-				e.sched.Report(core.Result{
-					TrialID:  res.job.TrialID,
-					Rung:     res.job.Rung,
-					Config:   res.job.Config,
-					Loss:     math.NaN(),
-					TrueLoss: math.NaN(),
-					Failed:   true,
-					Time:     now,
-				})
-				if r.bus != nil {
-					r.bus.Publish(obs.Event{
-						Type:       obs.EventFailed,
-						Experiment: e.spec.Name,
-						Trial:      res.job.TrialID,
-						Rung:       res.job.Rung,
-					})
-				}
-			}
-			if (e.exhausted() || e.sched.Done()) && e.running == 0 {
-				e.done = true
-			}
-			continue
-		}
-		if res.err != nil {
-			if r.ctx.Err() == nil {
-				e.failed = fmt.Errorf("objective failed for trial %d: %w", res.job.TrialID, res.err)
-				e.done = true
-			}
-			continue
-		}
-		now := time.Since(r.start).Seconds() + e.clockOff
-		if e.journal != nil {
-			// Write-ahead of the scheduler delivery, so the journal is
-			// always a superset of scheduler state. Non-finite losses
-			// travel through the bit-exact fallback fields.
-			rep := state.Report{Trial: res.job.TrialID, Rung: res.job.Rung,
-				Resource: res.job.TargetResource, Time: now}
-			rep.SetLosses(res.loss, res.loss)
-			if err := e.journal.AppendReport(rep); err != nil {
-				e.failed = err
-				e.done = true
-				continue
-			}
-		}
-		t := e.trials[res.job.TrialID]
-		t.resource = res.job.TargetResource
-		t.state = res.state
-		if e.journal != nil {
-			// Commit-time encoding: the worker that produced res.state has
-			// finished, and no new job of this trial can be running, so the
-			// marshal cannot race a concurrent mutation. (A PBT donor whose
-			// state object is shared by reference with a live inheritor is
-			// the user-contract hazard tuner objectives already carry.)
-			t.stateJSON = rawCheckpoint(res.state)
-		}
-		e.completed++
-		for len(e.rungCompleted) <= res.job.Rung {
-			e.rungCompleted = append(e.rungCompleted, 0)
-		}
-		e.rungCompleted[res.job.Rung]++
-		e.barrier = false // a completion may unblock a synchronous rung
-		e.sched.Report(core.Result{
-			TrialID:  res.job.TrialID,
-			Rung:     res.job.Rung,
-			Config:   res.job.Config,
-			Loss:     res.loss,
-			TrueLoss: res.loss,
-			Resource: res.job.TargetResource,
-			Time:     now,
-		})
-		if r.bus != nil {
-			r.bus.Publish(obs.Event{
-				Type:       obs.EventCompleted,
-				Experiment: e.spec.Name,
-				Trial:      res.job.TrialID,
-				Rung:       res.job.Rung,
-				Loss:       res.loss,
-				Resource:   res.job.TargetResource,
-			})
-		}
-		best, ok := e.sched.Best()
-		if ok {
-			if n := len(e.history); n == 0 || best.Loss < e.history[n-1].Loss {
-				e.history = append(e.history, HistoryPoint{Seconds: now, Loss: best.Loss})
-				if r.bus != nil {
-					r.bus.Publish(obs.Event{
-						Type:       obs.EventIncumbent,
-						Experiment: e.spec.Name,
-						Trial:      best.TrialID,
-						Loss:       best.Loss,
-						Resource:   best.Resource,
-					})
-				}
-			}
-		}
-		if r.m.onProgress != nil {
-			p := ExperimentProgress{Experiment: e.spec.Name}
-			p.Completed = e.completed
-			p.TrialID = res.job.TrialID
-			p.Rung = res.job.Rung
-			p.Loss = res.loss
-			p.Resource = res.job.TargetResource
-			p.HasBest = ok
-			if ok {
-				p.BestConfig = best.Config.Map()
-				p.BestLoss = best.Loss
-			}
-			r.m.onProgress(p)
-		}
-		if e.journal != nil {
-			// Adaptive cadence: at least DefaultSnapshotEvery completions
-			// AND a quarter of the trial table between snapshots, keeping
-			// total snapshot volume linear in the report volume.
-			e.snapGap++
-			if e.snapGap >= backend.DefaultSnapshotEvery && 4*e.snapGap >= len(e.trials) {
-				e.snapGap = 0
-				if err := r.snapshotExp(e, now, false); err != nil {
-					e.failed = err
-					e.done = true
-					continue
-				}
-			}
-		}
-		if (e.exhausted() || e.sched.Done()) && e.running == 0 {
-			e.done = true
-		}
-	}
-	return len(batch)
-}
-
-// journalIssue appends one issue record, annotated with its decision
-// kind, write-ahead of the job's dispatch.
-func (r *mgrRun) journalIssue(e *mgrExp, job core.Job) error {
-	return e.journal.AppendIssue(backend.AnnotateIssue(e.jseen, job))
-}
-
-// snapshotExp journals a snapshot of the experiment's counters and trial
-// table. Checkpoints were encoded at commit time (mgrTrial.stateJSON);
-// a state that did not marshal is recorded without a checkpoint and
-// restarts from zero on resume.
-func (r *mgrRun) snapshotExp(e *mgrExp, now float64, final bool) error {
-	snap := state.Snapshot{Issued: e.issued, Completed: e.completed, Time: now, Final: final}
-	ids := make([]int, 0, len(e.trials))
-	for id := range e.trials {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		t := e.trials[id]
-		snap.Trials = append(snap.Trials, state.TrialSnap{
-			Trial:    id,
-			Resource: t.resource,
-			State:    t.stateJSON,
-		})
-	}
-	return e.journal.AppendSnapshot(snap)
-}
-
-// rawCheckpoint converts a trial's in-memory state to the journal's
-// opaque JSON form.
-func rawCheckpoint(v interface{}) json.RawMessage {
-	switch s := v.(type) {
-	case nil:
-		return nil
-	case json.RawMessage:
-		return s
-	default:
-		blob, err := json.Marshal(v)
+			Algo:       fmt.Sprintf("%T", e.spec.Algorithm),
+			Seed:       e.spec.Seed,
+			Params:     spaceParamNames(e.spec.Space),
+		}, resume, e.sched, opt)
 		if err != nil {
-			return nil
+			return fmt.Errorf("experiment %q: %w", e.spec.Name, err)
 		}
-		return blob
+		e.journal, opt.Journal, opt.Resume = journal, journal, rs
 	}
+	if fn := r.m.onProgress; fn != nil {
+		name := e.spec.Name
+		opt.OnResult = progressHook(opt.Resume, func(p Progress) {
+			fn(ExperimentProgress{Experiment: name, Progress: p})
+		})
+	}
+	e.lane = r.eng.AddLane(e.sched, r.view(r.eng.NextLane(), e.spec), opt, e.rank, e.tenant)
+	return nil
+}
+
+// deactivate is activate's inverse — the fencing half of failover. The
+// lane is retired, so results of its in-flight jobs are discarded on
+// arrival instead of being applied (or journaled) after a re-adoption
+// has replayed those jobs; the journal closes, because the adopting
+// survivor now owns the file; and the scheduler is forgotten, so a
+// later re-adoption replays the journal into a fresh one instead of
+// double-applying decisions.
+func (r *mgrRun) deactivate(e *mgrExp) {
+	r.eng.Retire(e.lane)
+	if e.journal != nil {
+		_ = e.journal.Close()
+	}
+	e.lane, e.sched, e.journal = nil, nil, nil
 }
 
 // journalFileName maps an experiment name to its journal file,
@@ -900,454 +362,21 @@ func journalFileName(name string) string {
 	return string(out) + ".journal"
 }
 
-// openJournals creates (or, on resume, recovers and replays) one journal
-// per experiment. On any error every journal opened so far is closed and
-// nothing runs.
-func (m *Manager) openJournals(exps []*mgrExp, resume bool) (err error) {
+// prepareStateDir creates the state directory and refuses experiment
+// names that sanitize onto one journal file ("exp/1" and "exp_1"): two
+// journals sharing a file would silently corrupt each other. Dormant
+// experiments are checked too — an adopt opens theirs later.
+func (m *Manager) prepareStateDir() error {
 	if err := os.MkdirAll(m.stateDir, 0o755); err != nil {
 		return fmt.Errorf("asha: state dir: %w", err)
 	}
-	defer func() {
-		if err != nil {
-			for _, e := range exps {
-				if e.journal != nil {
-					_ = e.journal.Close()
-					e.journal = nil
-				}
-			}
-		}
-	}()
-	// Sanitization can collapse distinct experiment names ("exp/1" and
-	// "exp_1") onto one file; two journals sharing a file would silently
-	// corrupt each other, so refuse up front.
-	files := make(map[string]string, len(exps))
-	for _, e := range exps {
-		name := journalFileName(e.spec.Name)
+	files := make(map[string]string, len(m.experiments))
+	for _, e := range m.experiments {
+		name := journalFileName(e.Name)
 		if prev, dup := files[name]; dup {
-			return fmt.Errorf("asha: experiments %q and %q map to the same journal file %s; rename one", prev, e.spec.Name, name)
+			return fmt.Errorf("asha: experiments %q and %q map to the same journal file %s; rename one", prev, e.Name, name)
 		}
-		files[name] = e.spec.Name
-	}
-	for _, e := range exps {
-		if e.dormant {
-			// Dormant experiments open no journal; an adopt opens (or
-			// recovers) it on activation. The duplicate-file check above
-			// still covered them.
-			continue
-		}
-		if err := m.openJournalFor(e, resume); err != nil {
-			return err
-		}
+		files[name] = e.Name
 	}
 	return nil
-}
-
-// openJournalFor opens one experiment's journal: on resume an existing
-// journal is recovered, verified against the experiment spec and
-// replayed into its scheduler; otherwise (or when no journal exists yet)
-// a fresh one is created.
-func (m *Manager) openJournalFor(e *mgrExp, resume bool) error {
-	e.jseen = make(map[int64]struct{})
-	path := filepath.Join(m.stateDir, journalFileName(e.spec.Name))
-	meta := state.Meta{
-		Experiment: e.spec.Name,
-		Algo:       fmt.Sprintf("%T", e.spec.Algorithm),
-		Seed:       e.spec.Seed,
-		Params:     spaceParamNames(e.spec.Space),
-	}
-	if resume {
-		if _, statErr := os.Stat(path); statErr == nil {
-			rec, journal, recErr := state.RecoverFile(path)
-			if recErr != nil {
-				return recErr
-			}
-			if metaErr := checkJournalMeta(rec.Meta, meta); metaErr != nil {
-				_ = journal.Close()
-				return fmt.Errorf("experiment %q: %w", e.spec.Name, metaErr)
-			}
-			if repErr := m.replayExperiment(e, rec); repErr != nil {
-				_ = journal.Close()
-				return fmt.Errorf("experiment %q: %w", e.spec.Name, repErr)
-			}
-			e.journal = journal
-			return nil
-		}
-	}
-	journal, createErr := state.Create(path, meta)
-	if createErr != nil {
-		return createErr
-	}
-	e.journal = journal
-	return nil
-}
-
-// replayExperiment feeds a recovered journal through the experiment's
-// freshly built scheduler — the manager twin of backend.Replay, sharing
-// backend.ReplayStream's validation/pairing loop while keeping the
-// manager's own ingestion bookkeeping (issued/completed counters,
-// history, trial table) so the resumed experiment is bit-identical to
-// the one that died.
-func (m *Manager) replayExperiment(e *mgrExp, rec *state.Recovered) error {
-	res, err := backend.ReplayStream(rec.Records, e.sched, backend.ReplayHooks{
-		Issue: func(job core.Job) {
-			e.issued++
-			e.jseen[backend.SeenKey(job.TrialID, job.Rung)] = struct{}{}
-		},
-		Report: func(job core.Job, rep *state.Report) {
-			if rep.Failed {
-				e.sched.Report(core.Result{
-					TrialID:  job.TrialID,
-					Rung:     job.Rung,
-					Config:   job.Config,
-					Loss:     math.NaN(),
-					TrueLoss: math.NaN(),
-					Failed:   true,
-					Time:     rep.Time,
-				})
-				return
-			}
-			e.completed++
-			loss, trueLoss := rep.Losses()
-			e.sched.Report(core.Result{
-				TrialID:  job.TrialID,
-				Rung:     job.Rung,
-				Config:   job.Config,
-				Loss:     loss,
-				TrueLoss: trueLoss,
-				Resource: rep.Resource,
-				Time:     rep.Time,
-			})
-			if best, ok := e.sched.Best(); ok {
-				if n := len(e.history); n == 0 || best.Loss < e.history[n-1].Loss {
-					e.history = append(e.history, HistoryPoint{Seconds: rep.Time, Loss: best.Loss})
-				}
-			}
-		},
-	})
-	if err != nil {
-		return err
-	}
-	// Trial checkpoints restore from the latest snapshot; trials that
-	// progressed after it roll back to it (or to scratch), exactly as
-	// after a worker crash. Fleet experiments keep the raw JSON (it
-	// travels back to workers verbatim); in-process experiments get the
-	// decoded form their objectives already accept from subprocess-style
-	// resume.
-	for _, ts := range res.Trials {
-		t := &mgrTrial{resource: ts.Resource, stateJSON: ts.State}
-		if len(ts.State) > 0 {
-			if m.remote != nil {
-				t.state = json.RawMessage(ts.State)
-			} else {
-				var v interface{}
-				if err := json.Unmarshal(ts.State, &v); err == nil {
-					t.state = v
-				}
-			}
-		}
-		e.trials[ts.Trial] = t
-	}
-	e.relaunch = res.Inflight
-	e.clockOff = res.MaxTime
-	return nil
-}
-
-// emitLaunch publishes the lifecycle events of one issued job: the
-// issue itself, a promotion when it inherits another trial's state, and
-// a rung-advance the first time the experiment reaches a new rung. Runs
-// on the dispatch goroutine; no-op without a fleet event bus.
-func (r *mgrRun) emitLaunch(e *mgrExp, job core.Job) {
-	if job.Rung > e.maxRung {
-		advanced := e.maxRung >= 0 // the first rung is a start, not an advance
-		e.maxRung = job.Rung
-		if r.bus != nil && advanced {
-			r.bus.Publish(obs.Event{
-				Type:       obs.EventRungAdvance,
-				Experiment: e.spec.Name,
-				Rung:       job.Rung,
-			})
-		}
-	}
-	if r.bus == nil {
-		return
-	}
-	r.bus.Publish(obs.Event{
-		Type:       obs.EventIssued,
-		Experiment: e.spec.Name,
-		Trial:      job.TrialID,
-		Rung:       job.Rung,
-		Resource:   job.TargetResource,
-	})
-	if job.InheritFrom >= 0 {
-		r.bus.Publish(obs.Event{
-			Type:       obs.EventPromoted,
-			Experiment: e.spec.Name,
-			Trial:      job.TrialID,
-			Rung:       job.Rung,
-		})
-	}
-}
-
-// status snapshots every experiment for the admin API and /metrics.
-// Runs on the dispatch goroutine.
-func (r *mgrRun) status() remote.Status {
-	st := remote.Status{Workers: r.budget}
-	if len(r.m.tenantQuotas) > 0 {
-		st.TenantWeights = make(map[string]int, len(r.m.tenantQuotas))
-		for t, w := range r.m.tenantQuotas {
-			st.TenantWeights[t] = w
-		}
-	}
-	for _, e := range r.exps {
-		es := remote.ExpStatus{
-			Experiment:    e.spec.Name,
-			State:         e.state(),
-			Issued:        e.issued,
-			Completed:     e.completed,
-			Failed:        e.failedJobs,
-			Running:       e.running,
-			RungCompleted: append([]int(nil), e.rungCompleted...),
-		}
-		if best, ok := e.sched.Best(); ok {
-			es.BestLoss = best.Loss
-			es.HasBest = true
-		}
-		st.Experiments = append(st.Experiments, es)
-	}
-	return st
-}
-
-// state names the experiment's lifecycle state for status reporting.
-func (e *mgrExp) state() string {
-	switch {
-	case e.aborted:
-		return core.GateAborted
-	case e.failed != nil:
-		return "failed"
-	case e.done:
-		return "done"
-	case e.dormant:
-		return "dormant"
-	case e.paused:
-		return core.GatePaused
-	default:
-		return core.GateRunning
-	}
-}
-
-// match returns the experiments an admin command addresses: the named
-// one, or — for the empty name — all of them.
-func (r *mgrRun) match(name string) ([]*mgrExp, error) {
-	if name == "" {
-		return r.exps, nil
-	}
-	for _, e := range r.exps {
-		if e.spec.Name == name {
-			return []*mgrExp{e}, nil
-		}
-	}
-	return nil, fmt.Errorf("asha: no experiment %q", name)
-}
-
-// mgrControl is the manager's remote.ControlPlane: every admin request
-// is shipped to the dispatch goroutine over the control channel — the
-// only goroutine allowed to touch experiment state — and answered over
-// a reply channel. done is closed when the run returns, so requests
-// against a finished run fail fast instead of timing out.
-type mgrControl struct {
-	ctl  chan func(*mgrRun)
-	done chan struct{}
-}
-
-// mgrControlTimeout bounds how long an admin request waits for the
-// dispatch goroutine. The loop services control between result batches,
-// so this only trips when dispatch is wedged — better a told-you-so
-// error than an admin API that hangs with it.
-const mgrControlTimeout = 5 * time.Second
-
-func (c *mgrControl) do(fn func(*mgrRun) error) error {
-	reply := make(chan error, 1)
-	timeout := time.NewTimer(mgrControlTimeout)
-	defer timeout.Stop()
-	select {
-	case c.ctl <- func(r *mgrRun) { reply <- fn(r) }:
-	case <-c.done:
-		return errors.New("asha: the run has ended")
-	case <-timeout.C:
-		return errors.New("asha: manager control timed out")
-	}
-	select {
-	case err := <-reply:
-		return err
-	case <-c.done:
-		return errors.New("asha: the run has ended")
-	}
-}
-
-func (c *mgrControl) Status() (remote.Status, error) {
-	var st remote.Status
-	err := c.do(func(r *mgrRun) error {
-		st = r.status()
-		return nil
-	})
-	return st, err
-}
-
-func (c *mgrControl) Pause(name string) error {
-	return c.do(func(r *mgrRun) error {
-		exps, err := r.match(name)
-		if err != nil {
-			return err
-		}
-		for _, e := range exps {
-			if !e.done {
-				e.paused = true
-			}
-		}
-		return nil
-	})
-}
-
-func (c *mgrControl) Resume(name string) error {
-	return c.do(func(r *mgrRun) error {
-		exps, err := r.match(name)
-		if err != nil {
-			return err
-		}
-		for _, e := range exps {
-			e.paused = false
-		}
-		return nil
-	})
-}
-
-func (c *mgrControl) Abort(name string) error {
-	return c.do(func(r *mgrRun) error {
-		exps, err := r.match(name)
-		if err != nil {
-			return err
-		}
-		for _, e := range exps {
-			if e.done && !e.aborted {
-				continue // finished experiments keep their result
-			}
-			e.aborted = true
-			e.paused = false
-			e.done = true
-		}
-		return nil
-	})
-}
-
-// Adopt activates a dormant experiment on this node — the coordinator's
-// failover path. With a state dir the experiment's journal is recovered
-// (and replayed) if the dead owner left one, or created fresh; either
-// way the dispatch loop starts issuing its jobs on the next pass.
-// Stale leases the dead owner granted are already fenced: this node's
-// lease-ID generation is seeded past the old one, so pre-failover
-// reports are rejected and delivery stays exactly-once.
-func (c *mgrControl) Adopt(name string) error {
-	return c.do(func(r *mgrRun) error {
-		exps, err := r.match(name)
-		if err != nil {
-			return err
-		}
-		if name == "" {
-			return errors.New("asha: adopt requires an experiment name")
-		}
-		e := exps[0]
-		if !e.dormant {
-			return fmt.Errorf("asha: experiment %q is already active on this node", name)
-		}
-		if r.m.stateDir != "" {
-			if err := r.m.openJournalFor(e, true); err != nil {
-				return fmt.Errorf("asha: adopt %q: %w", name, err)
-			}
-		}
-		e.dormant = false
-		if r.bus != nil {
-			r.bus.Publish(obs.Event{Type: obs.EventAdopted, Experiment: name})
-		}
-		return nil
-	})
-}
-
-// Drop deactivates experiments this node no longer owns — the fencing
-// half of failover, Adopt's inverse. The experiment's journal closes
-// (the adopting survivor now owns the file), its scheduler and
-// bookkeeping reset to the pristine dormant state Run starts with —
-// so a later re-adoption replays the journal into a fresh scheduler
-// instead of double-applying decisions — and ingest discards its
-// in-flight results, which the new owner will re-issue from their
-// journaled issue records. "" drops every active experiment
-// (self-fencing after losing coordinator contact). Already-dormant and
-// terminal experiments are skipped: fencing must be safe to repeat.
-func (c *mgrControl) Drop(name string) error {
-	return c.do(func(r *mgrRun) error {
-		exps, err := r.match(name)
-		if err != nil {
-			return err
-		}
-		for _, e := range exps {
-			if e.dormant || e.done || e.aborted || e.failed != nil {
-				continue
-			}
-			if e.journal != nil {
-				_ = e.journal.Close()
-				e.journal = nil
-			}
-			e.sched = e.spec.Algorithm.newScheduler(e.spec.Space, xrand.New(e.spec.Seed))
-			e.trials = make(map[int]*mgrTrial)
-			e.issued, e.completed, e.failedJobs = 0, 0, 0
-			e.barrier, e.paused = false, false
-			e.history = nil
-			e.rungCompleted, e.maxRung = nil, -1
-			e.jseen, e.relaunch = nil, nil
-			e.snapGap, e.clockOff = 0, 0
-			// In-flight jobs now belong to whoever adopts the journal:
-			// bump the epoch so their results are discarded on arrival
-			// and forget them in the running tally.
-			e.epoch++
-			e.running = 0
-			e.dormant = true
-			if r.bus != nil {
-				r.bus.Publish(obs.Event{Type: obs.EventExpDropped, Experiment: e.spec.Name})
-			}
-		}
-		return nil
-	})
-}
-
-func (c *mgrControl) SetWorkers(n int) error {
-	return c.do(func(r *mgrRun) error {
-		if r.fleet == nil && n > r.m.workers {
-			// The local pool's goroutines are fixed at start; the budget
-			// can shrink below them but more slots would just queue.
-			n = r.m.workers
-		}
-		r.budget = n
-		return nil
-	})
-}
-
-// result builds the public Result for a finished experiment, or nil if
-// it never completed a trial.
-func (r *mgrRun) result(e *mgrExp) *Result {
-	best, ok := e.sched.Best()
-	if !ok {
-		return nil
-	}
-	res := &Result{
-		BestConfig:    best.Config.Map(),
-		BestLoss:      best.Loss,
-		BestResource:  best.Resource,
-		CompletedJobs: e.completed,
-		Trials:        len(e.trials),
-		Elapsed:       time.Since(r.start),
-		History:       e.history,
-	}
-	for _, t := range e.trials {
-		res.TotalResource += t.resource
-	}
-	return res
 }

@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"math"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/state"
 )
 
 func managerSpace() *Space {
@@ -253,5 +257,173 @@ func TestManagerRemoteFleet(t *testing.T) {
 		if res.BestLoss > 1 {
 			t.Fatalf("%s found only %v", name, res.BestLoss)
 		}
+	}
+}
+
+// TestManagerRaisedBudgetShutdown raises the worker budget far past its
+// starting value through the admin API and then cancels the run. The
+// shutdown flushes every queued job back as a failed outcome at once;
+// the completion queue must take them all without blocking, however
+// small the budget the run started with. A second run checks that a
+// raise with a worker attached still completes the full budget.
+func TestManagerRaisedBudgetShutdown(t *testing.T) {
+	const token = "raise-admin"
+	start := func(ctx context.Context, maxJobs int, worker bool) (string, chan error, *map[string]*Result) {
+		urls := make(chan string, 1)
+		m := NewManager(WithManagerWorkers(1), WithManagerRemote(Remote{
+			AdminToken: token,
+			LeaseTTL:   60 * time.Second,
+			OnListen: func(url string) {
+				urls <- url
+				if worker {
+					go func() {
+						_ = ServeRemoteWorker(ctx, RemoteWorker{Server: url, Slots: 8, Objective: managerObjective(0)})
+					}()
+				}
+			},
+		}))
+		if err := m.Add(Experiment{
+			Name: "wide", Space: managerSpace(),
+			Algorithm: RandomSearch{MaxResource: 4}, MaxJobs: maxJobs,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		results := new(map[string]*Result)
+		go func() {
+			res, err := m.Run(ctx)
+			*results = res
+			done <- err
+		}()
+		return <-urls, done, results
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	url, done, _ := start(ctx, 1000, false)
+	if status, _ := fleetAdmin(t, url, token, "workers", `{"workers":64}`); status != 200 {
+		t.Fatalf("admin workers raise: HTTP %d", status)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		st := fleetStatus(t, url, token)
+		if len(st.Experiments) == 1 && st.Experiments[0].Running >= 64 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("budget raise never filled 64 slots: %+v", st.Experiments)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("cancelled run: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return within 5s of cancellation after the budget raise")
+	}
+
+	wctx, stopWorker := context.WithCancel(context.Background())
+	defer stopWorker()
+	url, done, results := start(wctx, 600, true)
+	if status, _ := fleetAdmin(t, url, token, "workers", `{"workers":64}`); status != 200 {
+		t.Fatalf("admin workers raise: HTTP %d", status)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("run with a raised budget did not finish")
+	}
+	if got := (*results)["wide"]; got == nil || got.CompletedJobs != 600 {
+		t.Fatalf("raised-budget run result %+v, want 600 completed jobs", got)
+	}
+}
+
+// journalRecords recovers a journal file's full record stream.
+func journalRecords(t *testing.T, path string) *state.Recovered {
+	t.Helper()
+	rec, journal, err := state.RecoverFile(path)
+	if err != nil {
+		t.Fatalf("recover %s: %v", path, err)
+	}
+	_ = journal.Close()
+	if rec.Truncated {
+		t.Fatalf("journal %s has a torn tail", path)
+	}
+	return rec
+}
+
+// TestManagerIsTunerAtN1 pins "one engine": a one-experiment Manager and
+// a Tuner with the same space, algorithm, seed and budget write the same
+// record stream — identical issues, identical reports, snapshots at the
+// same offsets with the same counters and trial tables. Only the
+// journal's experiment name and the wall-clock times may differ.
+func TestManagerIsTunerAtN1(t *testing.T) {
+	const jobs, seed = 900, 17
+	algo := ASHA{Eta: 4, MinResource: 1, MaxResource: 256}
+	objective := func(_ context.Context, cfg Config, _, to float64, _ interface{}) (float64, interface{}, error) {
+		loss := math.Hypot(cfg["x"]-0.7, cfg["y"]-0.2) + math.Exp(-to/8)
+		if cfg["x"] > 0.97 {
+			loss = math.Inf(1) // a diverged trial travels the non-finite fields
+		}
+		return loss, loss, nil
+	}
+
+	tunerDir, mgrDir := t.TempDir(), t.TempDir()
+	if _, err := New(managerSpace(), objective, algo, WithWorkers(1), WithSeed(seed),
+		WithMaxJobs(jobs), WithStateDir(tunerDir)).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(WithManagerWorkers(1), WithManagerStateDir(mgrDir))
+	if err := m.Add(Experiment{Name: "solo", Space: managerSpace(), Objective: objective,
+		Algorithm: algo, Seed: seed, MaxJobs: jobs}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	want := journalRecords(t, filepath.Join(tunerDir, tunerJournalName))
+	got := journalRecords(t, filepath.Join(mgrDir, journalFileName("solo")))
+	if want.Meta.Seed != got.Meta.Seed || want.Meta.Algo != got.Meta.Algo ||
+		!reflect.DeepEqual(want.Meta.Params, got.Meta.Params) {
+		t.Fatalf("journal identities differ beyond the name: tuner %+v, manager %+v", want.Meta, got.Meta)
+	}
+	if len(got.Records) != len(want.Records) {
+		t.Fatalf("manager journaled %d records, tuner %d", len(got.Records), len(want.Records))
+	}
+	snapshots := 0
+	for i := range want.Records {
+		w, g := want.Records[i], got.Records[i]
+		switch {
+		case w.Issue != nil && g.Issue != nil:
+			if !reflect.DeepEqual(*w.Issue, *g.Issue) {
+				t.Fatalf("record %d: issue differs: tuner %+v, manager %+v", i, *w.Issue, *g.Issue)
+			}
+		case w.Report != nil && g.Report != nil:
+			wr, gr := *w.Report, *g.Report
+			wr.Time, gr.Time = 0, 0
+			if !reflect.DeepEqual(wr, gr) {
+				t.Fatalf("record %d: report differs: tuner %+v, manager %+v", i, wr, gr)
+			}
+		case w.Snap != nil && g.Snap != nil:
+			snapshots++
+			ws, gs := *w.Snap, *g.Snap
+			ws.Time, gs.Time = 0, 0
+			if !reflect.DeepEqual(ws, gs) {
+				t.Fatalf("record %d: snapshot differs: tuner issued/completed/failed %d/%d/%d with %d trials, manager %d/%d/%d with %d",
+					i, ws.Issued, ws.Completed, ws.Failed, len(ws.Trials), gs.Issued, gs.Completed, gs.Failed, len(gs.Trials))
+			}
+		default:
+			t.Fatalf("record %d: tuner and manager journaled different record kinds: %+v vs %+v", i, w, g)
+		}
+	}
+	if snapshots < 3 {
+		t.Fatalf("only %d snapshots compared; the run is too short to pin the cadence", snapshots)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/remote"
 	"repro/internal/state"
 	"repro/internal/xrand"
@@ -168,19 +169,28 @@ func (t *Tuner) run(ctx context.Context, resume bool) (result *Result, err error
 	}
 	opt.MaxJobs = t.maxJobs
 	opt.Gate = sched
-	if rb, ok := be.(*remote.Backend); ok {
+	rb, fleet := be.(*remote.Backend)
+	if fleet {
 		// Fleet runs get the full observability plane: events flow to the
-		// server's /v1/events ring (when enabled) and the admin API is
-		// given its scheduler-side control plane.
+		// server's /v1/events ring (when enabled), and below the admin API
+		// is given its scheduler-side control plane.
 		opt.Events = rb.Server().EventBus()
-		rb.Server().SetControl(&tunerControl{gate: sched, be: rb, budget: t.workers})
 	}
 	if opt.MaxJobs == 0 && opt.MaxTime == 0 && ctx.Done() == nil {
 		_ = be.Close()
 		return nil, fmt.Errorf("asha: unbounded run; set WithMaxJobs, WithMaxDuration, or a cancellable context")
 	}
 	if t.stateDir != "" {
-		journal, rs, serr := t.openState(sched, opt, resume)
+		if err := os.MkdirAll(t.stateDir, 0o755); err != nil {
+			_ = be.Close()
+			return nil, fmt.Errorf("asha: state dir: %w", err)
+		}
+		journal, rs, serr := openJournal(filepath.Join(t.stateDir, tunerJournalName), state.Meta{
+			Experiment: "tuner",
+			Algo:       fmt.Sprintf("%T", t.algorithm),
+			Seed:       t.seed,
+			Params:     spaceParamNames(t.space),
+		}, resume, sched, opt)
 		if serr != nil {
 			_ = be.Close()
 			return nil, serr
@@ -197,72 +207,92 @@ func (t *Tuner) run(ctx context.Context, resume bool) (result *Result, err error
 		opt.Resume = rs
 	}
 	if t.onProgress != nil {
-		// Progress resumes its job count where the journal left off;
-		// replayed completions never re-fire the callback.
-		completed := 0
-		if opt.Resume != nil {
-			completed = opt.Resume.Run.CompletedJobs
-		}
-		opt.OnResult = func(res core.Result, best core.Best, ok bool) {
-			completed++
-			p := Progress{
-				Completed: completed,
-				TrialID:   res.TrialID,
-				Rung:      res.Rung,
-				Loss:      res.Loss,
-				Resource:  res.Resource,
-				HasBest:   ok,
-			}
-			if ok {
-				p.BestConfig = best.Config.Map()
-				p.BestLoss = best.Loss
-			}
-			t.onProgress(p)
-		}
+		opt.OnResult = progressHook(opt.Resume, t.onProgress)
+	}
+	// A Tuner is the engine's one-lane case: the backend is both the
+	// executor and the lane's view of it.
+	eng := backend.NewEngine(be, nil)
+	lane := eng.AddLane(sched, be, opt, 0, "")
+	if fleet {
+		rb.Server().SetControl(&controlPlane{eng: eng, exps: []*mgrExp{{lane: lane, sched: sched}}})
 	}
 	start := time.Now()
-	run, err := backend.Drive(ctx, sched, be, opt)
+	err = eng.Run(ctx)
+	run, laneErr := lane.Result()
+	if laneErr != nil {
+		err = laneErr
+	}
 	if err != nil {
 		return nil, err
 	}
+	res := newResult(run, sched, time.Since(start))
+	if res == nil {
+		return nil, fmt.Errorf("asha: run completed no trials (budget too small?)")
+	}
+	return res, nil
+}
+
+// newResult builds the public Result of a finished run, or nil if it
+// never completed a trial.
+func newResult(run *metrics.Run, sched core.Scheduler, elapsed time.Duration) *Result {
+	best, ok := sched.Best()
+	if !ok {
+		return nil
+	}
 	res := &Result{
+		BestConfig:    best.Config.Map(),
+		BestLoss:      best.Loss,
+		BestResource:  best.Resource,
 		CompletedJobs: run.CompletedJobs,
 		Trials:        run.Trials,
 		TotalResource: run.TotalResource,
-		Elapsed:       time.Since(start),
+		Elapsed:       elapsed,
 	}
 	for _, p := range run.Series {
 		res.History = append(res.History, HistoryPoint{Seconds: p.Time, Loss: p.ValLoss})
 	}
-	if best, ok := sched.Best(); ok {
-		res.BestConfig = best.Config.Map()
-		res.BestLoss = best.Loss
-		res.BestResource = best.Resource
-	} else {
-		return nil, fmt.Errorf("asha: run completed no trials (budget too small?)")
+	return res
+}
+
+// progressHook adapts a progress callback to the engine's per-result
+// hook. The job count resumes where the journal left off; replayed
+// completions never re-fire the callback.
+func progressHook(rs *backend.ResumeState, fn func(Progress)) func(core.Result, core.Best, bool) {
+	completed := 0
+	if rs != nil {
+		completed = rs.Run.CompletedJobs
 	}
-	return res, nil
+	return func(res core.Result, best core.Best, ok bool) {
+		completed++
+		p := Progress{
+			Completed: completed,
+			TrialID:   res.TrialID,
+			Rung:      res.Rung,
+			Loss:      res.Loss,
+			Resource:  res.Resource,
+			HasBest:   ok,
+		}
+		if ok {
+			p.BestConfig = best.Config.Map()
+			p.BestLoss = best.Loss
+		}
+		fn(p)
+	}
 }
 
 // tunerJournalName is the journal file a single Tuner keeps in its state
 // directory (Manager experiments use <name>.journal instead).
 const tunerJournalName = "tuner.journal"
 
-// openState opens the run's journal: fresh (truncating) for Run, or
-// recovered and replayed into sched for Resume. A Resume without an
-// existing journal falls through to a fresh start, which gives CLIs
-// resume-on-restart semantics with a single call.
-func (t *Tuner) openState(sched core.Scheduler, opt backend.Options, resume bool) (*state.Journal, *backend.ResumeState, error) {
-	if err := os.MkdirAll(t.stateDir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("asha: state dir: %w", err)
-	}
-	path := filepath.Join(t.stateDir, tunerJournalName)
-	meta := state.Meta{
-		Experiment: "tuner",
-		Algo:       fmt.Sprintf("%T", t.algorithm),
-		Seed:       t.seed,
-		Params:     spaceParamNames(t.space),
-	}
+// openJournal opens one experiment's journal at path: fresh (truncating)
+// for Run, or — on resume, when the file exists — recovered, verified
+// against meta and replayed into sched. A resume without an existing
+// journal falls through to a fresh start, which gives CLIs
+// resume-on-restart semantics with a single call. Tuner.Resume,
+// Manager.Resume and an admin adopt all open journals here; opt must
+// not carry OnResult yet, so progress callbacks do not re-fire for work
+// that completed before the crash.
+func openJournal(path string, meta state.Meta, resume bool, sched core.Scheduler, opt backend.Options) (*state.Journal, *backend.ResumeState, error) {
 	if resume {
 		if _, err := os.Stat(path); err == nil {
 			rec, journal, err := state.RecoverFile(path)
@@ -273,11 +303,7 @@ func (t *Tuner) openState(sched core.Scheduler, opt backend.Options, resume bool
 				_ = journal.Close()
 				return nil, nil, err
 			}
-			// Replay without OnResult: progress callbacks must not re-fire
-			// for work that completed before the crash.
-			ropt := opt
-			ropt.OnResult = nil
-			rs, err := backend.Replay(rec, sched, ropt)
+			rs, err := backend.Replay(rec, sched, opt)
 			if err != nil {
 				_ = journal.Close()
 				return nil, nil, err
