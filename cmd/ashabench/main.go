@@ -453,11 +453,13 @@ func benches(quick bool) []bench {
 					fmt.Fprintf(os.Stderr, "ashabench: journal create: %v\n", err)
 					os.Exit(2)
 				}
-				cfg := map[string]float64{"lr": 0.003, "momentum": 0.9, "width": 256}
+				// The engine's path: the space's shared name table and a
+				// dense value vector, no per-job map.
+				names, vals := []string{"lr", "momentum", "width"}, []float64{0.003, 0.9, 256}
 				for i := 0; i < ops/2; i++ {
 					if err := j.AppendIssue(state.Issue{
-						Trial: i, Rung: 0, Target: 1, Inherit: -1, Kind: state.KindSample, Config: cfg,
-					}); err != nil {
+						Trial: i, Rung: 0, Target: 1, Inherit: -1, Kind: state.KindSample, Names: names,
+					}, vals); err != nil {
 						fmt.Fprintf(os.Stderr, "ashabench: journal append: %v\n", err)
 						os.Exit(2)
 					}
@@ -549,8 +551,8 @@ var resumeReplayJournal = sync.OnceValue(func() []byte {
 		job, _ := sched.Next()
 		if err := j.AppendIssue(state.Issue{
 			Trial: job.TrialID, Rung: job.Rung, Target: job.TargetResource,
-			Inherit: job.InheritFrom, Config: job.Config.Map(),
-		}); err != nil {
+			Inherit: job.InheritFrom, Names: job.Config.Names(),
+		}, job.Config.Values()); err != nil {
 			fmt.Fprintf(os.Stderr, "ashabench: replay journal: %v\n", err)
 			os.Exit(2)
 		}

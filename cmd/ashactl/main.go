@@ -39,6 +39,10 @@
 //	                     experiment, close its journal and go dormant —
 //	                     fencing a shard off an experiment another
 //	                     shard now owns
+//	journal FILE         print a state journal (tuner.journal,
+//	                     <experiment>.journal) as one JSON object per
+//	                     record, for jq and grep; reads the file, needs
+//	                     no server
 //
 // -token carries the admin secret (AdminToken server-side) — a separate
 // credential from the worker token. Pause freezes both the scheduler's
@@ -66,6 +70,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/remote"
+	"repro/internal/state"
 )
 
 func main() {
@@ -83,7 +88,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		timeout = fs.Duration("timeout", 10*time.Second, "per-request timeout (tail streams are exempt)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: ashactl -server URL -token SECRET <status|top|pause|resume|abort|workers|drain|tail|metrics|latency|trace|shards|tenants|adopt|drop> [args]")
+		fmt.Fprintln(stderr, "usage: ashactl -server URL -token SECRET <status|top|pause|resume|abort|workers|drain|tail|metrics|latency|trace|shards|tenants|adopt|drop|journal> [args]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -249,9 +254,70 @@ func dispatch(ctx context.Context, c *client, cmd string, args []string, stdout 
 		}
 		fmt.Fprintf(stdout, "dropped %s: this shard no longer schedules it (%d queued jobs canceled)\n", args[0], resp.Canceled)
 		return nil
+	case "journal":
+		if len(args) != 1 {
+			return fmt.Errorf("usage: journal FILE")
+		}
+		return dumpJournal(args[0], stdout)
 	default:
-		return fmt.Errorf("unknown command %q (want status, top, pause, resume, abort, workers, drain, tail, metrics, latency, trace, shards, tenants, adopt, or drop)", cmd)
+		return fmt.Errorf("unknown command %q (want status, top, pause, resume, abort, workers, drain, tail, metrics, latency, trace, shards, tenants, adopt, drop, or journal)", cmd)
 	}
+}
+
+// dumpJournal prints the committed records of a journal file, head
+// record first, one JSON object per line in the shape of state's struct
+// tags. A torn or corrupt tail is reported after the records before it.
+func dumpJournal(path string, stdout io.Writer) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	rec, err := state.Recover(data)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	enc := json.NewEncoder(stdout)
+	if err := enc.Encode(state.Record{V: state.Version, Meta: &rec.Meta}); err != nil {
+		return err
+	}
+	for _, r := range rec.Records {
+		line := jsonRecord{Record: r}
+		if r.Report != nil {
+			line.Report = &jsonReport{*r.Report, jsonFloat(r.Report.Loss), jsonFloat(r.Report.TrueLoss)}
+		}
+		if err := enc.Encode(line); err != nil {
+			return err
+		}
+	}
+	if rec.Truncated {
+		return fmt.Errorf("%s: the %d bytes past offset %d are not committed records (torn or corrupt tail)",
+			path, int64(len(data))-rec.CleanOffset, rec.CleanOffset)
+	}
+	return nil
+}
+
+// jsonRecord is state.Record with a report's losses overridden: a JSON
+// number cannot carry the NaN or ±Inf a diverged objective reports, so
+// those print as strings.
+type jsonRecord struct {
+	state.Record
+	Report *jsonReport `json:"report,omitempty"`
+}
+
+type jsonReport struct {
+	state.Report
+	Loss     interface{} `json:"loss,omitempty"`
+	TrueLoss interface{} `json:"true,omitempty"`
+}
+
+func jsonFloat(v float64) interface{} {
+	switch {
+	case v == 0:
+		return nil // omitted, as the struct tag would
+	case math.IsNaN(v) || math.IsInf(v, 0):
+		return fmt.Sprint(v) // "NaN", "+Inf", "-Inf"
+	}
+	return v
 }
 
 // client speaks the admin and observability endpoints.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/remote"
+	"repro/internal/state"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -275,5 +277,61 @@ func TestTailStreamsEvents(t *testing.T) {
 	out := <-done
 	if !strings.Contains(out, "completed trial 1") {
 		t.Fatalf("tail never printed a completion event; output:\n%q", out)
+	}
+}
+
+// The journal command is the readable view of the binary journal: the
+// old JSON-lines shape, one object per record, non-finite losses as
+// strings, and a torn tail reported after the committed records.
+func TestJournalDump(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tuner.journal")
+	j, err := state.Create(path, state.Meta{Experiment: "tuner", Algo: "asha.ASHA", Seed: 7, Params: []string{"lr", "momentum"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []state.Record{
+		{Issue: &state.Issue{Trial: 3, Rung: 1, Target: 4, Inherit: -1, Kind: state.KindPromote,
+			Names: []string{"lr", "momentum"}, Config: map[string]float64{"lr": 0.01, "momentum": 0.9}}},
+		{Report: &state.Report{Trial: 3, Rung: 1, Loss: 0.5, TrueLoss: 0.25, Resource: 4, Time: 1.5}},
+		{Report: &state.Report{Trial: 4, Loss: math.Inf(1), TrueLoss: math.NaN(), Resource: 1, Time: 2}},
+		{Report: &state.Report{Trial: 5, Failed: true, Time: 2.5}},
+		{Snap: &state.Snapshot{Issued: 3, Completed: 2, Failed: 1, Time: 2.5, Final: true,
+			Trials: []state.TrialSnap{{Trial: 3, Resource: 4, State: []byte(`{"w":[1,2]}`)}}}},
+	} {
+		r.V = state.Version
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	if code := run(context.Background(), []string{"journal", path}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	checkGolden(t, "journal.golden", out.String())
+
+	// A torn tail: the committed records still print, the exit says so.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = f.Write([]byte{40, 0, 0, 0, 1, 2, 3})
+	_ = f.Close()
+	var torn bytes.Buffer
+	errOut.Reset()
+	if code := run(context.Background(), []string{"journal", path}, &torn, &errOut); code != 1 ||
+		torn.String() != out.String() || !strings.Contains(errOut.String(), "7 bytes past offset") {
+		t.Fatalf("torn journal: exit %d, stderr %q, same records %v", code, errOut.String(), torn.String() == out.String())
+	}
+	// A v1 JSON-lines file is refused by name.
+	old := filepath.Join(t.TempDir(), "old.journal")
+	if err := os.WriteFile(old, []byte("{\"v\":1,\"meta\":{\"experiment\":\"x\",\"seed\":1}}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	errOut.Reset()
+	if code := run(context.Background(), []string{"journal", old}, &torn, &errOut); code != 1 || !strings.Contains(errOut.String(), "format-1 (JSON-lines)") {
+		t.Fatalf("v1 journal: exit %d, stderr %q", code, errOut.String())
 	}
 }

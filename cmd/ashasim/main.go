@@ -80,7 +80,7 @@ func analyze(rec *state.Recovered) (*model, error) {
 			targets[is.Target] = true
 		}
 		if rp := rec.Records[i].Report; rp != nil && !rp.Failed {
-			loss, _ := rp.Losses()
+			loss := rp.Loss
 			if math.IsNaN(loss) || math.IsInf(loss, 0) {
 				continue
 			}

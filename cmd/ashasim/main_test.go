@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -15,19 +14,22 @@ import (
 func synthJournal(t *testing.T, nTrials int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	write := func(rec state.Record) {
-		rec.V = state.Version
-		if err := enc.Encode(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write(state.Record{Meta: &state.Meta{
+	params := []string{"lr", "width"}
+	journal, err := state.NewWriter(&buf, state.Meta{
 		Experiment: "synth",
 		Algo:       "asha(eta=4,r=1,R=64)",
 		Seed:       7,
-		Params:     []string{"lr", "width"},
-	}})
+		Params:     params,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(rec state.Record) {
+		rec.V = state.Version
+		if err := journal.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
 	rungs := []float64{1, 4, 16, 64}
 	now := 0.0
 	for id := 0; id < nTrials; id++ {
@@ -41,15 +43,14 @@ func synthJournal(t *testing.T, nTrials int) []byte {
 			write(state.Record{Issue: &state.Issue{
 				Trial: id, Rung: rung, Target: target, Inherit: -1,
 				Kind:   state.KindSample,
+				Names:  params,
 				Config: map[string]float64{"lr": lr, "width": width},
 			}})
 			now += 0.01
 			// Loss decays from 7.0 toward a quality-dependent asymptote.
 			asym := 4.0 + 2.0*quality
 			loss := asym + (7.0-asym)*decay(target/64.0)
-			rep := &state.Report{Trial: id, Rung: rung, Resource: target, Time: now}
-			rep.SetLosses(loss, loss)
-			write(state.Record{Report: rep})
+			write(state.Record{Report: &state.Report{Trial: id, Rung: rung, Loss: loss, TrueLoss: loss, Resource: target, Time: now}})
 		}
 	}
 	return buf.Bytes()
@@ -165,8 +166,7 @@ func TestReplayAcrossFleetSizes(t *testing.T) {
 
 func TestAnalyzeRejectsEmptyJournal(t *testing.T) {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(state.Record{V: state.Version, Meta: &state.Meta{Experiment: "x"}}); err != nil {
+	if _, err := state.NewWriter(&buf, state.Meta{Experiment: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := state.Recover(buf.Bytes())

@@ -131,9 +131,8 @@ func digestJournal(t *testing.T, dir string) uint64 {
 			fmt.Fprint(h, "|")
 		case r.Report != nil:
 			rep := r.Report
-			loss, trueLoss := rep.Losses()
 			fmt.Fprintf(h, "R %d %d %v %x %x %x|", rep.Trial, rep.Rung, rep.Failed,
-				math.Float64bits(loss), math.Float64bits(trueLoss), math.Float64bits(rep.Resource))
+				math.Float64bits(rep.Loss), math.Float64bits(rep.TrueLoss), math.Float64bits(rep.Resource))
 		}
 	}
 	return h.Sum64()
@@ -257,7 +256,7 @@ func TestFederatedFailoverParity(t *testing.T) {
 	t.Logf("killed shard at %d/%d completions", completed, parityJobs)
 
 	// Failover: a second node adopts the experiment by resuming from
-	// the dead shard's journal (exactly what mgrControl.Adopt drives on
+	// the dead shard's journal (exactly what controlPlane.Adopt drives on
 	// a survivor shard) and runs it to completion.
 	survivor := NewManager(WithManagerWorkers(1), WithManagerStateDir(stateDir))
 	if err := survivor.Add(parityExperimentSpec(parityObjective(0))); err != nil {

@@ -16,7 +16,8 @@ func SeenKey(trial, rung int) int64 { return int64(trial)<<16 | int64(rung&0xfff
 
 // annotateIssue builds the journal record for one scheduler decision,
 // classifying it as a fresh sample, a promotion, or a retry against the
-// set of (trial, rung) pairs already issued — which it updates.
+// set of (trial, rung) pairs already issued — which it updates. It names
+// the configuration's shared name table; the values travel beside it.
 func annotateIssue(seen map[int64]struct{}, job core.Job) state.Issue {
 	key := SeenKey(job.TrialID, job.Rung)
 	kind := state.KindSample
@@ -32,7 +33,7 @@ func annotateIssue(seen map[int64]struct{}, job core.Job) state.Issue {
 		Target:  job.TargetResource,
 		Inherit: job.InheritFrom,
 		Kind:    kind,
-		Config:  job.Config.Map(),
+		Names:   job.Config.Names(),
 	}
 }
 
@@ -74,7 +75,7 @@ func (w *journalWriter) issue(job core.Job) error {
 	if w.j == nil {
 		return nil
 	}
-	return w.j.AppendIssue(annotateIssue(w.seen, job))
+	return w.j.AppendIssue(annotateIssue(w.seen, job), job.Config.Values())
 }
 
 // report journals one completion, write-ahead of its scheduler delivery.
@@ -83,11 +84,8 @@ func (w *journalWriter) report(c Completion) error {
 		return nil
 	}
 	rep := state.Report{Trial: c.Job.TrialID, Rung: c.Job.Rung, Failed: c.Failed, Time: c.Time}
-	if !c.Failed {
-		// Failed completions carry no observation; successful ones route
-		// non-finite losses through the bit-exact fallback fields.
-		rep.SetLosses(c.Loss, c.TrueLoss)
-		rep.Resource = c.Resource
+	if !c.Failed { // failed completions carry no observation
+		rep.Loss, rep.TrueLoss, rep.Resource = c.Loss, c.TrueLoss, c.Resource
 	}
 	w.sinceSnap++
 	return w.j.AppendReport(rep)

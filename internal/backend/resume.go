@@ -90,11 +90,10 @@ func Replay(rec *state.Recovered, sched core.Scheduler, opt Options) (*ResumeSta
 			}
 			job := rs.Relaunch[idx]
 			rs.Relaunch = append(rs.Relaunch[:idx], rs.Relaunch[idx+1:]...)
-			loss, trueLoss := r.Report.Losses()
 			ingest(l, Completion{
 				Job:      job,
-				Loss:     loss,
-				TrueLoss: trueLoss,
+				Loss:     r.Report.Loss,
+				TrueLoss: r.Report.TrueLoss,
 				Resource: r.Report.Resource,
 				Time:     r.Report.Time,
 				Failed:   r.Report.Failed,

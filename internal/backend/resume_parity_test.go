@@ -117,12 +117,26 @@ func (d *digestSched) Done() bool              { return d.inner.Done() }
 
 func (d *digestSched) digest() string { return fmt.Sprintf("%016x", d.h.Sum64()) }
 
+// boundaryWriter keeps a journal image and the offset just past each
+// Write: the journal commits one record per Write, so these are the
+// record boundaries, whatever the byte format.
+type boundaryWriter struct {
+	bytes.Buffer
+	bounds []int
+}
+
+func (w *boundaryWriter) Write(p []byte) (int, error) {
+	n, err := w.Buffer.Write(p)
+	w.bounds = append(w.bounds, w.Len())
+	return n, err
+}
+
 // runUninterrupted journals a full fixed-seed run and returns its
-// decision digest plus the journal image.
-func runUninterrupted(t *testing.T) (*digestSched, []byte) {
+// decision digest, the journal image and its record boundaries.
+func runUninterrupted(t *testing.T) (*digestSched, []byte, []int) {
 	t.Helper()
 	space := paritySpace()
-	var buf bytes.Buffer
+	var buf boundaryWriter
 	journal, err := state.NewWriter(&buf, state.Meta{Experiment: "parity", Seed: paritySeed})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +149,7 @@ func runUninterrupted(t *testing.T) (*digestSched, []byte) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return ds, buf.Bytes()
+	return ds, buf.Bytes(), buf.bounds
 }
 
 // resumeFrom kills the run at the given byte offset of its journal
@@ -172,19 +186,8 @@ type parityGolden struct {
 	Reports int    `json:"reports"`
 }
 
-// recordBoundaries returns the byte offset just past each journal line.
-func recordBoundaries(data []byte) []int {
-	var out []int
-	for i, b := range data {
-		if b == '\n' {
-			out = append(out, i+1)
-		}
-	}
-	return out
-}
-
 func TestResumeParity(t *testing.T) {
-	full, journal := runUninterrupted(t)
+	full, journal, bounds := runUninterrupted(t)
 	got := parityGolden{Digest: full.digest(), Nexts: full.nexts, Reports: full.reports}
 
 	path := filepath.Join("testdata", "resume_parity.json")
@@ -218,7 +221,6 @@ func TestResumeParity(t *testing.T) {
 	// meta, early, mid-run, late, and on the final record. Odd/even body
 	// indices alternate issue/report records, so both "killed with a job
 	// in flight" and "killed at rest" are exercised.
-	bounds := recordBoundaries(journal)
 	if len(bounds) < 20 {
 		t.Fatalf("journal has only %d records", len(bounds))
 	}
@@ -248,7 +250,7 @@ func TestResumeParity(t *testing.T) {
 		t.Error("no kill point left a job in flight; the relaunch path went untested")
 	}
 
-	// Torn cuts mid-record: recovery must discard the partial line and
+	// Torn cuts mid-record: recovery must discard the partial frame and
 	// resume from the previous boundary with identical decisions.
 	for _, cut := range []int{bounds[3] + 7, bounds[len(bounds)/2] + 19, len(journal) - 3} {
 		ds, _ := resumeFrom(t, journal, cut)
@@ -262,8 +264,7 @@ func TestResumeParity(t *testing.T) {
 // continuation journal appends to the recovered prefix, and a second
 // resume must still converge on the same stream.
 func TestResumeParityDoubleKill(t *testing.T) {
-	full, journal := runUninterrupted(t)
-	bounds := recordBoundaries(journal)
+	full, journal, bounds := runUninterrupted(t)
 
 	// First kill: keep a prefix, resume with journaling ON into the same
 	// buffer (as RecoverFile's append does), but stop again early by

@@ -124,7 +124,7 @@ func TestDriveJournalWriteFailureAbortsAndResumesExactlyOnce(t *testing.T) {
 	const jobs = 150
 	// Size the failure budget from a clean run of the same seed so the
 	// crash lands mid-run, mid-record.
-	_, clean := runUninterrupted(t)
+	_, clean, _ := runUninterrupted(t)
 	w := &brokenWriter{budget: len(clean) * 40 / 100 * jobs / parityJobs}
 	journal, err := state.NewWriter(w, state.Meta{Experiment: "parity", Seed: paritySeed})
 	if err != nil {

@@ -11,18 +11,15 @@ package exec
 // with no base64 or quoting. Integers are unsigned LEB128 varints
 // (encoding/binary), floats are their IEEE-754 bits little-endian —
 // bit-exact round trips, so a loss or config value is never perturbed
-// by a decimal representation.
-//
-// WireReader is the shared bounds-checked decode cursor: it latches
-// the first error and returns zero values after it, so decoders are
-// written straight-line and check Err once at the end. Nothing here
-// panics on arbitrary input (see the fuzzers in internal/remote).
+// by a decimal representation. The primitives are internal/wire's,
+// shared with the journal codec; nothing here panics on arbitrary
+// input (see the fuzzers in internal/remote).
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // BinWireVersion is the version of the binary job *payload* encoding —
@@ -43,181 +40,30 @@ func DurationUs(d time.Duration) int64 {
 	return int64(d / time.Microsecond)
 }
 
-// --- append-style encoders ---
+// --- codec primitives ---
+//
+// The encoders and the decode cursor live in internal/wire, the leaf
+// package the journal codec (internal/state) shares them through; these
+// forwarders keep the exec-qualified names the remote wire is written
+// against.
 
-// AppendUvarint appends v as an unsigned LEB128 varint.
-func AppendUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
-
-// AppendFloat64 appends v's IEEE-754 bits little-endian.
-func AppendFloat64(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-// AppendBytes appends a length-prefixed byte string.
-func AppendBytes(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-// AppendString appends a length-prefixed string.
-func AppendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// --- decode cursor ---
-
-// WireReader is a bounds-checked decode cursor over one message body.
-// The first malformed read latches an error; every later read returns
-// a zero value, so a decoder runs straight through and checks Err()
-// once. Bytes/String/Float64s alias or derive from the underlying
-// buffer — callers that outlive the buffer must copy.
-type WireReader struct {
-	buf  []byte
-	off  int
-	err  error
-	slab []float64
-}
-
-// SetFloatSlab arms the cursor with a shared backing array for
-// Float64s results: vectors are carved out of slab as capped subslices
-// while capacity lasts, so a batch decode pays one float allocation per
-// frame instead of one per job. Vectors that overflow the slab fall
-// back to their own allocation — never a reallocation that would move
-// earlier vectors.
-func (r *WireReader) SetFloatSlab(slab []float64) { r.slab = slab[:0] }
-
-// FloatSlabUsed reports how many slab elements Float64s consumed —
-// the caller's sizing signal for the next frame's slab.
-func (r *WireReader) FloatSlabUsed() int { return len(r.slab) }
+// WireReader is the shared bounds-checked decode cursor.
+type WireReader = wire.Reader
 
 // NewWireReader returns a cursor over b.
-func NewWireReader(b []byte) *WireReader { return &WireReader{buf: b} }
+func NewWireReader(b []byte) *WireReader { return wire.NewReader(b) }
 
-// Err returns the first decode error, or nil.
-func (r *WireReader) Err() error { return r.err }
+// AppendUvarint appends v as an unsigned LEB128 varint.
+func AppendUvarint(dst []byte, v uint64) []byte { return wire.AppendUvarint(dst, v) }
 
-// Remaining reports how many bytes are left unread.
-func (r *WireReader) Remaining() int { return len(r.buf) - r.off }
+// AppendFloat64 appends v's IEEE-754 bits little-endian.
+func AppendFloat64(dst []byte, v float64) []byte { return wire.AppendFloat64(dst, v) }
 
-func (r *WireReader) fail(format string, args ...interface{}) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
+// AppendBytes appends a length-prefixed byte string.
+func AppendBytes(dst, b []byte) []byte { return wire.AppendBytes(dst, b) }
 
-// Byte reads one byte.
-func (r *WireReader) Byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.buf) {
-		r.fail("exec: binary wire truncated (byte at offset %d)", r.off)
-		return 0
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b
-}
-
-// Uvarint reads one unsigned LEB128 varint.
-func (r *WireReader) Uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail("exec: binary wire truncated or overlong varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// Int reads a varint and rejects values that do not fit a non-negative
-// int (trial numbers, counts).
-func (r *WireReader) Int() int {
-	v := r.Uvarint()
-	if v > math.MaxInt32 {
-		r.fail("exec: binary wire value %d out of range", v)
-		return 0
-	}
-	return int(v)
-}
-
-// Float64 reads one little-endian IEEE-754 float.
-func (r *WireReader) Float64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.Remaining() < 8 {
-		r.fail("exec: binary wire truncated (float64 at offset %d)", r.off)
-		return 0
-	}
-	bits := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return math.Float64frombits(bits)
-}
-
-// Bytes reads a length-prefixed byte string. The result aliases the
-// underlying buffer; an empty string decodes as nil.
-func (r *WireReader) Bytes() []byte {
-	n := r.Uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(r.Remaining()) {
-		r.fail("exec: binary wire byte string of %d bytes exceeds the %d remaining", n, r.Remaining())
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	b := r.buf[r.off : r.off+int(n) : r.off+int(n)]
-	r.off += int(n)
-	return b
-}
-
-// String reads a length-prefixed string (copies out of the buffer).
-func (r *WireReader) String() string { return string(r.Bytes()) }
-
-// Float64s reads a count-prefixed dense float vector; nil when empty.
-func (r *WireReader) Float64s() []float64 {
-	n := r.Uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n*8 > uint64(r.Remaining()) {
-		r.fail("exec: binary wire float vector of %d values exceeds the %d bytes remaining", n, r.Remaining())
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	var out []float64
-	if start := len(r.slab); r.slab != nil && cap(r.slab)-start >= int(n) {
-		r.slab = r.slab[:start+int(n)]
-		out = r.slab[start : start+int(n) : start+int(n)]
-	} else {
-		out = make([]float64, n)
-	}
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
-		r.off += 8
-	}
-	return out
-}
-
-// ExpectEOF latches an error unless the cursor consumed the whole
-// buffer — a frame with trailing garbage is rejected whole, never
-// half-applied.
-func (r *WireReader) ExpectEOF() {
-	if r.err == nil && r.off != len(r.buf) {
-		r.fail("exec: binary wire message has %d trailing bytes", len(r.buf)-r.off)
-	}
-}
+// AppendString appends a length-prefixed string.
+func AppendString(dst []byte, s string) []byte { return wire.AppendString(dst, s) }
 
 // --- the job payload ---
 
@@ -344,7 +190,7 @@ func DecodeBinResponse(r *WireReader) BinResponse {
 		p.IsErr = true
 		p.Err = r.String()
 	default:
-		r.fail("exec: binary response kind %d unknown", k)
+		r.Failf("exec: binary response kind %d unknown", k)
 	}
 	return p
 }

@@ -1,0 +1,249 @@
+package state
+
+// The journal's byte format: a magic, then frames.
+//
+//	magic  "ASHAJNL" + byte(Version)
+//	frame  body length uint32 LE | CRC32C(body) uint32 LE | body
+//	body   type byte | fields (internal/wire: varints, float bits,
+//	       length-prefixed strings)
+//
+//	'M' meta    experiment, algo strings; seed; params count + strings
+//	'N' names   count + strings: the table later issue vectors follow
+//	'I' issue   trial, rung, inherit+1, kind; target; one float per name
+//	'R' report  trial, rung, failed; loss, true loss, resource, time
+//	'S' snap    issued, completed, failed, final, trial count; time; per
+//	            trial: trial; resource; checkpoint bytes (JSON, or none)
+//
+// Every value has one encoding (the shortest varint, 0 or 1 for a flag),
+// so a decoded record re-encodes to the bytes it was read from.
+
+import (
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"slices"
+
+	"repro/internal/wire"
+)
+
+const (
+	magicPrefix  = "ASHAJNL"
+	frameHeader  = 8       // length + CRC32C
+	MaxFrame     = 1 << 28 // bound on a body; a longer one is corruption, not a record
+	minTrialSnap = 10      // the least a snapshot trial occupies: two one-byte varints and a float
+
+	typeMeta, typeNames, typeIssue, typeReport, typeSnap = 'M', 'N', 'I', 'R', 'S'
+)
+
+var (
+	magic      = append([]byte(magicPrefix), Version)
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+	kinds      = [...]string{"", KindSample, KindPromote, KindRetry} // by an issue frame's kind field
+	bit        = map[bool]int{true: 1}                               // a flag as a field
+)
+
+// The encode side: Journal methods that build one record's frames in
+// j.buf. A field the decoder would refuse latches j.bad instead: the
+// record is the caller's bug and nothing of it reaches the file.
+
+func (j *Journal) failf(format string, args ...interface{}) {
+	if j.bad == nil {
+		j.bad = fmt.Errorf(format, args...)
+	}
+}
+
+// frame appends one frame of the given type; fill appends its fields.
+func (j *Journal) frame(typ byte, fill func()) {
+	at := len(j.buf)
+	j.buf = append(j.buf, 0, 0, 0, 0, 0, 0, 0, 0, typ)
+	fill()
+	body := j.buf[at+frameHeader:]
+	if len(body) > MaxFrame {
+		j.failf("state: a %d-byte record exceeds the %d-byte frame limit", len(body), MaxFrame)
+	}
+	binary.LittleEndian.PutUint32(j.buf[at:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(j.buf[at+4:], crc32.Checksum(body, castagnoli))
+}
+
+func (j *Journal) ints(vs ...int) {
+	for _, v := range vs {
+		if v < 0 || v > math.MaxInt32 {
+			j.failf("state: record field %d outside [0, %d]", v, math.MaxInt32)
+		}
+		j.buf = wire.AppendUvarint(j.buf, uint64(v))
+	}
+}
+
+func (j *Journal) floats(vs ...float64) {
+	for _, v := range vs {
+		j.buf = wire.AppendFloat64(j.buf, v)
+	}
+}
+
+// strings appends a count and that many strings.
+func (j *Journal) strings(ss []string) {
+	j.ints(len(ss))
+	for _, s := range ss {
+		j.buf = wire.AppendString(j.buf, s)
+	}
+}
+
+// meta opens the file: the magic, then the head record.
+func (j *Journal) meta(m *Meta) {
+	j.buf = append(j.buf, magic...)
+	j.frame(typeMeta, func() {
+		j.buf = wire.AppendUvarint(wire.AppendString(wire.AppendString(j.buf, m.Experiment), m.Algo), m.Seed)
+		j.strings(m.Params)
+	})
+}
+
+// issue encodes one issue record with vals as its configuration, one per
+// name of is.Names; without vals, is.Config laid out against them. A
+// names frame goes first when is.Names is not the slice the file last
+// declared — identity, not content: it is what keeps the names frames of
+// a recovered file where they were when its records are appended again.
+func (j *Journal) issue(is *Issue, vals []float64) {
+	if vals == nil {
+		vals = j.vals[:0]
+		for _, name := range is.Names {
+			if v, ok := is.Config[name]; ok {
+				vals = append(vals, v)
+			}
+		}
+		if j.vals = vals; len(is.Config) != len(vals) {
+			j.failf("state: issue configuration %v has names its table %q lacks", is.Config, is.Names)
+		}
+	}
+	if len(vals) != len(is.Names) {
+		j.failf("state: issue has %d configuration values for the %d names of %q", len(vals), len(is.Names), is.Names)
+	}
+	if n := len(is.Names); n != len(j.names) || (n > 0 && &is.Names[0] != &j.names[0]) {
+		j.frame(typeNames, func() { j.strings(is.Names) })
+	}
+	j.frame(typeIssue, func() {
+		j.ints(is.Trial, is.Rung, is.Inherit+1, slices.Index(kinds[:], is.Kind)) // -1, out of range, for no known kind
+		j.floats(is.Target)
+		j.floats(vals...)
+	})
+	if j.bad == nil {
+		j.names = is.Names
+	}
+}
+
+func (j *Journal) report(r *Report) {
+	j.frame(typeReport, func() {
+		j.ints(r.Trial, r.Rung, bit[r.Failed])
+		j.floats(r.Loss, r.TrueLoss, r.Resource, r.Time)
+	})
+}
+
+func (j *Journal) snapshot(s *Snapshot) {
+	j.frame(typeSnap, func() {
+		j.ints(s.Issued, s.Completed, s.Failed, bit[s.Final], len(s.Trials))
+		j.floats(s.Time)
+		for i := range s.Trials {
+			t := &s.Trials[i]
+			if len(t.State) > 0 && !json.Valid(t.State) {
+				j.failf("state: trial %d's checkpoint is not valid JSON", t.Trial)
+			}
+			j.ints(t.Trial)
+			j.floats(t.Resource)
+			j.buf = wire.AppendBytes(j.buf, t.State)
+		}
+	})
+}
+
+// frameAt returns the body of the frame at off, or false when the bytes
+// there are not one whole frame whose checksum matches: a torn header or
+// body, a length beyond the file or MaxFrame, a flipped bit.
+func frameAt(data []byte, off int) ([]byte, bool) {
+	if len(data)-off < frameHeader {
+		return nil, false
+	}
+	n := int(binary.LittleEndian.Uint32(data[off:]))
+	if n == 0 || n > MaxFrame || n > len(data)-off-frameHeader {
+		return nil, false
+	}
+	body := data[off+frameHeader : off+frameHeader+n]
+	return body, crc32.Checksum(body, castagnoli) == binary.LittleEndian.Uint32(data[off+4:])
+}
+
+// decoder reads frame bodies into records. Issue and Report payloads are
+// carved from slabs: beyond the config maps, records cost few allocations.
+type decoder struct {
+	r       wire.Reader
+	names   []string // the table the last names frame declared
+	issues  []Issue
+	reports []Report
+}
+
+// carve returns the next element of a slab, or of a new one when full.
+func carve[T any](slab *[]T) *T {
+	if len(*slab) == cap(*slab) {
+		*slab = make([]T, 0, 1024)
+	}
+	*slab = (*slab)[:len(*slab)+1]
+	return &(*slab)[len(*slab)-1]
+}
+
+// upto reads a varint field that may not exceed max: a flag, a kind.
+func (d *decoder) upto(max int) int {
+	v := d.r.Int()
+	if v > max {
+		d.r.Failf("state: field %d exceeds %d", v, max)
+		return 0
+	}
+	return v
+}
+
+// strings reads a count and that many strings. The count is not trusted
+// with an allocation: a lie runs the cursor off the frame first.
+func (d *decoder) strings() (ss []string) {
+	for n := d.r.Int(); n > 0 && d.r.Err() == nil; n-- {
+		ss = append(ss, d.r.String())
+	}
+	return ss
+}
+
+func (d *decoder) issue() *Issue {
+	r, is := &d.r, carve(&d.issues)
+	*is = Issue{Trial: r.Int(), Rung: r.Int(), Inherit: r.Int() - 1, Kind: kinds[d.upto(len(kinds)-1)], Target: r.Float64()}
+	if r.Remaining() != 8*len(d.names) {
+		r.Failf("state: issue carries %d bytes of configuration for a %d-name table", r.Remaining(), len(d.names))
+	} else if len(d.names) > 0 {
+		is.Names, is.Config = d.names, make(map[string]float64, len(d.names))
+		for _, name := range d.names {
+			is.Config[name] = r.Float64()
+		}
+		if len(is.Config) != len(d.names) {
+			r.Failf("state: names table %q repeats a name", d.names)
+		}
+	}
+	return is
+}
+
+func (d *decoder) report() *Report {
+	r, rep := &d.r, carve(&d.reports)
+	*rep = Report{Trial: r.Int(), Rung: r.Int(), Failed: d.upto(1) == 1,
+		Loss: r.Float64(), TrueLoss: r.Float64(), Resource: r.Float64(), Time: r.Float64()}
+	return rep
+}
+
+// snapshot reads a snap frame. Checkpoints alias the cursor's buffer:
+// Recover hands it a copy, so that records never pin the journal image.
+func (d *decoder) snapshot() *Snapshot {
+	r := &d.r
+	s := &Snapshot{Issued: r.Int(), Completed: r.Int(), Failed: r.Int(), Final: d.upto(1) == 1}
+	n := r.Int()
+	s.Time, s.Trials = r.Float64(), make([]TrialSnap, 0, min(n, r.Remaining()/minTrialSnap))
+	for ; n > 0 && r.Err() == nil; n-- {
+		t := TrialSnap{Trial: r.Int(), Resource: r.Float64(), State: r.Bytes()}
+		if t.State != nil && !json.Valid(t.State) {
+			r.Failf("state: trial %d's checkpoint is not valid JSON", t.Trial)
+		}
+		s.Trials = append(s.Trials, t)
+	}
+	return s
+}

@@ -1,129 +1,258 @@
 package state
 
-// Native fuzz targets for the journal decoder: Recover must never panic
-// on arbitrary bytes, must treat any torn or corrupt tail as a clean
-// recovery point (never an error beyond ErrNoMeta), and its committed
-// prefix must re-encode and re-decode to the identical record stream.
+// Native fuzz targets for the journal decoder. On arbitrary bytes
+// Recover must never panic and never fail with anything but ErrFormat or
+// ErrNoMeta; its recovery point must be a frame boundary inside the
+// input; the prefix up to it must recover to the same records with no
+// truncation; and re-appending those records must reproduce that prefix
+// byte for byte — the encoding is canonical.
 //
-// Seed corpora live in testdata/fuzz/<FuzzName>/ (committed) plus the
-// f.Add calls below. Run with:
+// FuzzRecover mutates whole images. FuzzRecordFrame seals its inputs as
+// frames with a correct length and checksum behind a valid head, so the
+// mutator reaches the field decoders instead of dying at the CRC.
 //
-//	go test ./internal/state -fuzz FuzzRecover -fuzztime 30s
+// The seeds below are also committed under testdata/fuzz/ (regenerate
+// with `go test ./internal/state -run TestFuzzCorpus -update-corpus`).
+// Run with:
+//
+//	go test ./internal/state -run '^$' -fuzz FuzzRecover -fuzztime 30s
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// fuzzSeedJournal builds a small valid journal image for the corpus.
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz from the seeds in fuzz_test.go")
+
+// fuzzSeedJournal builds a small valid journal image for the corpus,
+// with a names-table switch in the middle.
 func fuzzSeedJournal() []byte {
 	var buf bytes.Buffer
 	j, err := NewWriter(&buf, Meta{Experiment: "fuzz", Algo: "asha.ASHA", Seed: 3, Params: []string{"lr"}})
 	if err != nil {
 		panic(err)
 	}
-	_ = j.AppendIssue(Issue{Trial: 0, Rung: 0, Target: 1, Inherit: -1, Kind: KindSample, Config: map[string]float64{"lr": 0.25}})
+	lr, wide := []string{"lr"}, []string{"width", "lr"}
+	_ = j.Append(Record{V: Version, Issue: &Issue{Trial: 0, Rung: 0, Target: 1, Inherit: -1, Kind: KindSample, Names: lr, Config: map[string]float64{"lr": 0.25}}})
 	_ = j.AppendReport(Report{Trial: 0, Rung: 0, Loss: 1.5, TrueLoss: 1.5, Resource: 1, Time: 0.5})
-	_ = j.AppendIssue(Issue{Trial: 0, Rung: 1, Target: 4, Inherit: -1, Kind: KindPromote, Config: map[string]float64{"lr": 0.25}})
+	_ = j.Append(Record{V: Version, Issue: &Issue{Trial: 0, Rung: 1, Target: 4, Inherit: -1, Kind: KindPromote, Names: lr, Config: map[string]float64{"lr": 0.25}}})
 	_ = j.AppendReport(Report{Trial: 0, Rung: 1, Failed: true, Time: 0.75})
-	_ = j.AppendSnapshot(Snapshot{Issued: 2, Completed: 1, Failed: 1, Time: 0.75,
-		Trials: []TrialSnap{{Trial: 0, Resource: 1, State: json.RawMessage(`{"w":[1,2]}`)}}})
+	_ = j.Append(Record{V: Version, Issue: &Issue{Trial: 1, Rung: 0, Target: 1, Inherit: 0, Kind: KindSample, Names: wide, Config: map[string]float64{"lr": 0.5, "width": 64}}})
+	_ = j.AppendSnapshot(Snapshot{Issued: 3, Completed: 1, Failed: 1, Time: 0.75, Final: true,
+		Trials: []TrialSnap{{Trial: 0, Resource: 1, State: json.RawMessage(`{"w":[1,2]}`)}, {Trial: 1}}})
+	if j.Err() != nil {
+		panic(j.Err())
+	}
 	return buf.Bytes()
 }
 
-func FuzzRecover(f *testing.F) {
+// fuzzHead is what FuzzRecordFrame puts in front of its frames: magic,
+// meta, a one-name table and an issue that commits it.
+func fuzzHead() []byte {
+	var buf bytes.Buffer
+	j, err := NewWriter(&buf, Meta{Experiment: "fuzz", Seed: 3})
+	if err == nil {
+		err = j.Append(Record{V: Version, Issue: &Issue{Inherit: -1, Names: []string{"lr"}, Config: map[string]float64{"lr": 0.25}}})
+	}
+	if err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// fl spells floats as the wire does; cat joins the pieces of a body.
+func fl(vs ...float64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+// hostileFrames are frame bodies for the decoder to refuse — or, the
+// first three, to accept — without trusting a count or a length inside
+// them. FuzzRecordFrame decodes them under a one-name table.
+func hostileFrames() map[string][]byte {
+	losses := fl(0.125, 0.125, 16, 9.5)
+	snap := []byte{typeSnap, 4, 3, 0, 0} // up to the trial count
+	return map[string][]byte{
+		"report":          cat([]byte{typeReport, 7, 1, 0}, losses),
+		"issue":           cat([]byte{typeIssue, 3, 1, 0, 2}, fl(16, 0.5)),
+		"snapshot":        cat(snap, []byte{1}, fl(2.5), []byte{0}, fl(4), []byte{7}, []byte(`{"x":1}`)),
+		"names-switch":    {typeNames, 2, 1, 'a', 1, 'b'},
+		"names-repeat":    {typeNames, 2, 1, 'a', 1, 'a'},
+		"names-count":     {typeNames, 0xff, 0xff, 0xff, 0x7f, 1, 'a'},
+		"second-meta":     {typeMeta, 1, 'e', 0, 1, 0},
+		"unknown-type":    {'X', 1, 2, 3},
+		"trailing-byte":   cat([]byte{typeReport, 7, 1, 0}, losses, []byte{0}),
+		"short-report":    cat([]byte{typeReport, 7, 1, 0}, losses[:31]),
+		"flag-2":          cat([]byte{typeReport, 7, 1, 2}, losses),
+		"padded-varint":   cat([]byte{typeReport, 0x87, 0, 1, 0}, losses),
+		"huge-trial":      cat([]byte{typeReport, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 0}, losses),
+		"trial-count":     cat(snap, []byte{0xff, 0xff, 0xff, 0x7f}, fl(2.5)),
+		"checkpoint-len":  cat(snap, []byte{1}, fl(2.5), []byte{0}, fl(4), []byte{0xff, 0x7f, '1'}),
+		"checkpoint-json": cat(snap, []byte{1}, fl(2.5), []byte{0}, fl(4), []byte{2, '{', 'x'}),
+		"issue-kind":      cat([]byte{typeIssue, 3, 1, 0, 9}, fl(16, 0.5)),
+		"issue-no-vector": cat([]byte{typeIssue, 3, 1, 0, 2}, fl(16)),
+	}
+}
+
+// hostileImages are whole-file seeds for FuzzRecover.
+func hostileImages() map[string][]byte {
 	seed := fuzzSeedJournal()
-	f.Add(seed)
-	f.Add(seed[:len(seed)-9])                                                                            // torn tail
-	f.Add(seed[:len(seed)/2])                                                                            // torn mid-file
-	f.Add([]byte(nil))                                                                                   // empty
-	f.Add([]byte("not a journal\n"))                                                                     // garbage line
-	f.Add(append(seed, seed...))                                                                         // doubled journal (second meta mid-file)
-	f.Add(bytes.Replace(seed, []byte(`"v":1`), []byte(`"v":9`), 2))                                      // version skew
-	f.Add(append(append([]byte{}, seed...), []byte("{\"v\":1,\"report\":{\"trial\":7,\"rung\":1}}")...)) // unterminated tail record
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, err := Recover(data)
-		if err != nil {
-			// The only legal failure is "nothing committed"; anything else
-			// (and any panic) is a decoder bug.
-			if !errors.Is(err, ErrNoMeta) {
-				t.Fatalf("Recover returned unexpected error %v", err)
-			}
-			return
+	head := fuzzHead()
+	with := func(tail ...[]byte) []byte { return bytes.Join(append([][]byte{head}, tail...), nil) }
+	flipped := append([]byte{}, seed...)
+	flipped[len(seed)/2] ^= 0x10
+	images := map[string][]byte{
+		"clean":        seed,
+		"torn-body":    seed[:len(seed)-9],
+		"torn-header":  seed[:len(head)+5],
+		"torn-meta":    seed[:len(magic)+11],
+		"half":         seed[:len(seed)/2],
+		"bad-crc":      flipped,
+		"empty":        nil,
+		"magic-only":   magic,
+		"doubled":      append(append([]byte{}, seed...), seed...),
+		"v1-json":      []byte("{\"v\":1,\"meta\":{\"experiment\":\"fuzz\",\"seed\":3}}\n"),
+		"garbage":      []byte("not a journal\n"),
+		"next-version": append(append([]byte(magicPrefix), Version+1), seed[len(magic):]...),
+		"length-past":  with(binary.LittleEndian.AppendUint32(nil, 1<<16), []byte{0, 0, 0, 0, typeReport}),
+		"length-cap":   with(binary.LittleEndian.AppendUint32(nil, math.MaxUint32), make([]byte, 64)),
+		"length-zero":  with(make([]byte, frameHeader), seed[len(head):]),
+	}
+	for name, body := range hostileFrames() {
+		// An intact record behind the frame: refused means not reached.
+		images["frame-"+name] = with(frame(body), frame(hostileFrames()["report"]))
+	}
+	return images
+}
+
+// checkRecover asserts the decoder's contract on one image and returns
+// what it recovered (nil when the image has no committed head).
+func checkRecover(t *testing.T, data []byte) *Recovered {
+	t.Helper()
+	rec, err := Recover(data)
+	if err != nil {
+		if !errors.Is(err, ErrNoMeta) && !errors.Is(err, ErrFormat) {
+			t.Fatalf("Recover returned unexpected error %v", err)
 		}
-		if rec.CleanOffset < 0 || rec.CleanOffset > int64(len(data)) {
-			t.Fatalf("clean offset %d outside [0,%d]", rec.CleanOffset, len(data))
+		return nil
+	}
+	if rec.CleanOffset < int64(len(magic)) || rec.CleanOffset > int64(len(data)) {
+		t.Fatalf("clean offset %d outside [%d,%d]", rec.CleanOffset, len(magic), len(data))
+	}
+	if rec.Truncated != (rec.CleanOffset != int64(len(data))) {
+		t.Fatalf("truncated=%v with clean offset %d of %d", rec.Truncated, rec.CleanOffset, len(data))
+	}
+	clean := data[:rec.CleanOffset]
+	for off := len(magic); off != len(clean); {
+		body, ok := frameAt(clean, off)
+		if !ok {
+			t.Fatalf("clean offset %d is not a frame boundary (walk stopped at %d)", rec.CleanOffset, off)
 		}
-		if rec.CleanOffset > 0 && data[rec.CleanOffset-1] != '\n' {
-			t.Fatalf("clean offset %d is not a record boundary", rec.CleanOffset)
+		off += frameHeader + len(body)
+	}
+	again, err := Recover(clean)
+	if err != nil || again.Truncated || len(again.Records) != len(rec.Records) {
+		t.Fatalf("the committed prefix recovers differently: %v, %+v", err, again)
+	}
+	// Canonical: re-appending the records reproduces the prefix exactly,
+	// which also shows every field round-trips.
+	var buf bytes.Buffer
+	j, err := NewWriter(&buf, rec.Meta)
+	if err != nil {
+		t.Fatalf("re-encoding recovered meta: %v", err)
+	}
+	for i, r := range rec.Records {
+		if err := j.Append(r); err != nil {
+			t.Fatalf("re-encoding recovered record %d: %v", i, err)
 		}
-		if !rec.Truncated && rec.CleanOffset != int64(len(data)) {
-			t.Fatalf("untruncated journal with clean offset %d != len %d", rec.CleanOffset, len(data))
-		}
-		// Decode-encode round trip: appending the recovered prefix to a
-		// fresh journal and recovering again must yield the same stream.
-		var buf bytes.Buffer
-		j, err := NewWriter(&buf, rec.Meta)
-		if err != nil {
-			t.Fatalf("re-encoding recovered meta: %v", err)
-		}
-		for i, r := range rec.Records {
-			if err := j.Append(r); err != nil {
-				t.Fatalf("re-encoding recovered record %d: %v", i, err)
-			}
-		}
-		again, err := Recover(buf.Bytes())
-		if err != nil {
-			t.Fatalf("recovering re-encoded journal: %v", err)
-		}
-		if again.Truncated {
-			t.Fatal("re-encoded journal reports truncation")
-		}
-		if len(again.Records) != len(rec.Records) {
-			t.Fatalf("round trip lost records: %d -> %d", len(rec.Records), len(again.Records))
-		}
-		for i := range rec.Records {
-			a, _ := json.Marshal(&rec.Records[i])
-			b, _ := json.Marshal(&again.Records[i])
-			if !bytes.Equal(a, b) {
-				t.Fatalf("record %d did not round trip:\n %s\n %s", i, a, b)
-			}
+	}
+	if !bytes.Equal(buf.Bytes(), clean) {
+		t.Fatalf("re-appending %d recovered records gives\n %x\nnot the committed prefix\n %x", len(rec.Records), buf.Bytes(), clean)
+	}
+	return rec
+}
+
+func FuzzRecover(f *testing.F) {
+	for _, image := range hostileImages() {
+		f.Add(image)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkRecover(t, data) })
+}
+
+func FuzzRecordFrame(f *testing.F) {
+	head := fuzzHead()
+	for _, body := range hostileFrames() {
+		f.Add(body, []byte(nil))
+		f.Add([]byte{typeNames, 2, 1, 'a', 1, 'b'}, body)
+	}
+	f.Fuzz(func(t *testing.T, first, second []byte) {
+		data := append(append(append([]byte{}, head...), frame(first)...), frame(second)...)
+		rec := checkRecover(t, data)
+		if rec == nil || len(rec.Records) == 0 {
+			t.Fatal("the committed head was not recovered")
 		}
 	})
 }
 
-func FuzzRecordLine(f *testing.F) {
-	f.Add([]byte(`{"v":1,"issue":{"trial":3,"rung":1,"target":16,"inherit":-1,"kind":"promote","config":{"lr":0.5}}}`))
-	f.Add([]byte(`{"v":1,"report":{"trial":3,"rung":1,"loss":0.125,"true":0.125,"resource":16,"time":9.5}}`))
-	f.Add([]byte(`{"v":1,"snap":{"issued":4,"completed":3,"trials":[{"trial":0,"resource":4,"state":{"x":1}}]}}`))
-	f.Add([]byte(`{"v":1,"meta":{"experiment":"e","seed":18446744073709551615}}`))
-	f.Add([]byte(`{"v":1}`))
-	f.Fuzz(func(t *testing.T, line []byte) {
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
-			return
+// TestHostileFrames pins what the seeds are seeds of: the first three
+// bodies decode, every other one is the recovery point.
+func TestHostileFrames(t *testing.T) {
+	for name, image := range hostileImages() {
+		if !bytes.HasPrefix([]byte(name), []byte("frame-")) {
+			continue
 		}
-		if err := r.Validate(); err != nil {
-			return
+		rec := checkRecover(t, image)
+		want := 1 // the head's issue
+		if name == "frame-report" || name == "frame-issue" || name == "frame-snapshot" {
+			want = 3
 		}
-		// A valid record must re-encode and re-decode to an equivalent
-		// record, and the re-encoding must be stable (canonical).
-		blob, err := json.Marshal(&r)
-		if err != nil {
-			t.Fatalf("valid record failed to encode: %v", err)
+		if len(rec.Records) != want || rec.Truncated != (want == 1) {
+			t.Errorf("%s: %d records, truncated=%v; want %d", name, len(rec.Records), rec.Truncated, want)
 		}
-		var back Record
-		if err := json.Unmarshal(blob, &back); err != nil {
-			t.Fatalf("re-encoded record failed to decode: %v", err)
-		}
-		blob2, err := json.Marshal(&back)
-		if err != nil {
+	}
+}
+
+// TestFuzzCorpus keeps testdata/fuzz in step with the seeds above, so a
+// format change cannot leave the committed corpus describing the old one.
+func TestFuzzCorpus(t *testing.T) {
+	corpus := map[string]string{}
+	for name, image := range hostileImages() {
+		corpus[filepath.Join("FuzzRecover", "seed-"+name)] = fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", image)
+	}
+	for name, body := range hostileFrames() {
+		corpus[filepath.Join("FuzzRecordFrame", "seed-"+name)] = fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n[]byte(%q)\n", body, "")
+	}
+	root := filepath.Join("testdata", "fuzz")
+	if *updateCorpus {
+		if err := os.RemoveAll(root); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(blob, blob2) {
-			t.Fatalf("encoding not stable:\n %s\n %s", blob, blob2)
+		for name, content := range corpus {
+			if err := os.MkdirAll(filepath.Dir(filepath.Join(root, name)), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(root, name), []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
+	}
+	for name, content := range corpus {
+		got, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil || string(got) != content {
+			t.Errorf("%s is stale (run with -update-corpus): %v", name, err)
+		}
+	}
 }

@@ -1,26 +1,26 @@
 package state
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"sync"
 )
 
-// syncer is the optional durability hook of a journal's writer. *os.File
-// implements it; fault-injection tests implement it to simulate fsync
-// failures.
+// syncer is the optional durability hook of a journal's writer: *os.File,
+// or a fault-injection test simulating fsync failures.
 type syncer interface {
 	Sync() error
 }
 
-// Journal is a write-ahead appender. Records are written one per line
-// with a single Write call each, so a crash can tear at most the final
-// line — which Recover discards as the recovery point. A failed append
-// (error, short write, or failed sync) is sticky: every later append
-// returns the same error, forcing the caller to abort instead of
-// continuing with a hole in the log.
+// Journal is a write-ahead appender. Each record is encoded into a
+// buffer the journal owns and written with a single Write call (an
+// issue's names frame, when its table changed, rides in the same call),
+// so a crash can tear at most the final record — which Recover discards
+// as the recovery point. A failed append (error, short write, or failed
+// sync) is sticky: every later append returns the same error, forcing
+// the caller to abort instead of continuing with a hole in the log.
 //
 // Appends are serialized by an internal mutex, but the write-ahead
 // ordering contract is the caller's: append the issue before launching,
@@ -31,6 +31,10 @@ type Journal struct {
 	f       *os.File
 	err     error
 	records int
+	buf     []byte    // the record being encoded (codec.go)
+	bad     error     // what makes it a record the format cannot carry
+	names   []string  // the table the last names frame declared
+	vals    []float64 // scratch: an issue's Config laid out against its table
 
 	// SyncEach, when set before use, syncs the underlying writer after
 	// every append, making records durable against machine crashes, not
@@ -74,56 +78,69 @@ func ReopenWriter(w io.Writer, records int) *Journal {
 	return &Journal{w: w, records: records}
 }
 
-// Append writes one record. The first error is sticky.
+// Append writes one record. The first write or sync error is sticky; a
+// record the format cannot carry (Validate, the encoder's range checks)
+// is the caller's bug and is refused without poisoning the journal.
 func (j *Journal) Append(rec Record) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
 	if err := rec.Validate(); err != nil {
-		// A malformed record is a caller bug, not a journal failure: report
-		// it without poisoning the journal.
 		return err
 	}
-	line, err := json.Marshal(&rec)
-	if err != nil {
-		j.err = fmt.Errorf("state: journal encode: %w", err)
-		return j.err
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.buf, j.bad = j.buf[:0], nil
+	switch {
+	case rec.Meta != nil:
+		j.meta(rec.Meta)
+	case rec.Issue != nil:
+		j.issue(rec.Issue, nil)
+	case rec.Report != nil:
+		j.report(rec.Report)
+	default:
+		j.snapshot(rec.Snap)
 	}
-	line = append(line, '\n')
-	n, err := j.w.Write(line)
-	if err == nil && n < len(line) {
-		err = io.ErrShortWrite
-	}
-	if err != nil {
-		j.err = fmt.Errorf("state: journal append: %w", err)
-		return j.err
-	}
-	if j.SyncEach {
-		if s, ok := j.w.(syncer); ok {
-			if err := s.Sync(); err != nil {
-				j.err = fmt.Errorf("state: journal sync: %w", err)
-				return j.err
-			}
-		}
-	}
-	j.records++
-	return nil
+	return j.commit()
 }
 
-// AppendIssue, AppendReport and AppendSnapshot wrap Append for the three
-// body record types.
-func (j *Journal) AppendIssue(is Issue) error {
-	return j.Append(Record{V: Version, Issue: &is})
-}
-
+// AppendReport and AppendSnapshot wrap Append.
 func (j *Journal) AppendReport(rep Report) error {
 	return j.Append(Record{V: Version, Report: &rep})
 }
 
 func (j *Journal) AppendSnapshot(snap Snapshot) error {
 	return j.Append(Record{V: Version, Snap: &snap})
+}
+
+// AppendIssue appends an issue whose configuration the caller holds as a
+// dense vector against is.Names — the engine's path: no map is built
+// (is.Config stands in only for a nil vals).
+func (j *Journal) AppendIssue(is Issue, vals []float64) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.buf, j.bad = j.buf[:0], nil
+	j.issue(&is, vals)
+	return j.commit()
+}
+
+// commit writes the encoded record with one Write call.
+func (j *Journal) commit() error {
+	if err := cmp.Or(j.err, j.bad); err != nil {
+		return err
+	}
+	n, err := j.w.Write(j.buf)
+	if err == nil && n < len(j.buf) {
+		err = io.ErrShortWrite
+	}
+	if s, ok := j.w.(syncer); err != nil {
+		j.err = fmt.Errorf("state: journal append: %w", err)
+	} else if ok && j.SyncEach {
+		if err := s.Sync(); err != nil {
+			j.err = fmt.Errorf("state: journal sync: %w", err)
+		}
+	}
+	if j.err == nil {
+		j.records++
+	}
+	return j.err
 }
 
 // Err returns the journal's sticky error, if any.

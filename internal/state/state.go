@@ -3,17 +3,17 @@
 // snapshots of the executor's trial table, stored as a single append-only
 // file per experiment.
 //
-// The file is JSON Lines: one Record per '\n'-terminated line, each
-// carrying exactly one payload (meta, issue, report, or snap) and a
-// format version. The encoding deliberately reuses the conventions of the
-// exec wire protocol (internal/exec.Request / Response): configurations
-// are name-keyed JSON objects, checkpoints are opaque json.RawMessage
-// blobs produced by workers, and every record is versioned with a "v"
-// field so a reader can reject journals written by an incompatible
-// future format instead of silently misinterpreting them.
+// The file is a magic followed by one binary frame per record (codec.go
+// has the layout): a length, a CRC32C, a type byte and the record's
+// fields in the job wire's encoding (internal/wire). A configuration is
+// its dense value vector against a names-table frame written when the
+// table changes; checkpoints are the opaque JSON blobs workers produced;
+// the format version is in the magic, so a reader refuses another
+// format's file by name instead of misreading it. `ashactl journal`
+// prints a journal as one JSON object per record.
 //
 // Durability contract (write-ahead discipline, enforced by the engine in
-// internal/backend and by asha.Manager):
+// internal/backend):
 //
 //   - an issue record is appended (and optionally fsynced) BEFORE the job
 //     is handed to the execution backend, so a job can never run without
@@ -24,28 +24,25 @@
 //     and the caller must abort the run rather than continue with a hole
 //     in the log.
 //
-// Recovery (Recover / RecoverFile) scans the file and stops at the first
-// torn or undecodable line: a crash mid-write leaves a truncated tail,
-// which is a clean recovery point — everything before it is replayable,
-// everything after it never affected scheduler state (the write-ahead
-// ordering guarantees the corresponding Launch/Report never happened).
-// Replaying the committed records through a freshly constructed scheduler
-// of the same seed and configuration reproduces its state bit for bit;
-// that semantic replay lives in internal/backend.Replay (and the
-// manager's twin in the public package), while this package stays purely
-// syntactic so the decoder can be fuzzed in isolation.
+// Recovery (Recover / RecoverFile) stops at the first torn,
+// checksum-failing or undecodable frame: a crash mid-write leaves a
+// truncated tail, which is a clean recovery point — everything before it
+// is replayable, everything after it never affected scheduler state (the
+// write-ahead ordering guarantees the corresponding Launch/Report never
+// happened). Replaying the committed records into a scheduler of the
+// same seed and configuration reproduces its state bit for bit; that
+// semantic replay is internal/backend.Replay, while this package stays
+// purely syntactic so the decoder can be fuzzed in isolation.
 package state
 
 import (
 	"encoding/json"
 	"fmt"
-	"math"
-	"strconv"
 )
 
-// Version is the journal format version. Every record carries it; a
-// reader rejects records written by any other version.
-const Version = 1
+// Version is the journal format version, the last byte of the file's
+// magic. A reader refuses files of any other version (ErrFormat).
+const Version = 2
 
 // Meta is the journal's head record: enough identity to refuse resuming
 // a run under a different experiment, seed, algorithm, or search space.
@@ -78,10 +75,15 @@ type Issue struct {
 	// after a failure). Derivable from the stream, recorded for
 	// inspectability.
 	Kind string `json:"kind,omitempty"`
-	// Config is the name-keyed hyperparameter assignment, exactly as the
-	// exec wire encodes it. Replay validates it bit-for-bit against the
-	// scheduler's regenerated decision.
+	// Config is the name-keyed hyperparameter assignment. Replay
+	// validates it bit-for-bit against the scheduler's regenerated
+	// decision.
 	Config map[string]float64 `json:"config,omitempty"`
+	// Names is the table of distinct names the file lays Config's values
+	// out against. Issues recovered from under one names frame share one
+	// slice, and an append writes a names frame exactly when the slice
+	// changes, so re-appending recovered records reproduces the file.
+	Names []string `json:"-"`
 }
 
 // Issue kinds.
@@ -98,58 +100,20 @@ type Report struct {
 	Rung   int  `json:"rung"`
 	Failed bool `json:"failed,omitempty"`
 	// Loss and TrueLoss are the observed and noiseless validation losses
-	// at Resource (absent on failed reports). JSON numbers cannot carry
-	// NaN or ±Inf, which diverged objectives legitimately report: those
-	// values travel bit-exact in LossBits/TrueLossBits instead (hex of
-	// math.Float64bits). Use SetLosses/Losses rather than the fields.
-	Loss         float64 `json:"loss,omitempty"`
-	TrueLoss     float64 `json:"true,omitempty"`
-	LossBits     string  `json:"lossb,omitempty"`
-	TrueLossBits string  `json:"trueb,omitempty"`
-	Resource     float64 `json:"resource,omitempty"`
+	// at Resource (zero on failed reports). They travel as IEEE-754 bits,
+	// so the NaN or ±Inf a diverged objective reports replays bit-exact.
+	Loss     float64 `json:"loss,omitempty"`
+	TrueLoss float64 `json:"true,omitempty"`
+	Resource float64 `json:"resource,omitempty"`
 	// Time is the completion time on the run's clock; resumed runs
 	// continue the clock from the journal's maximum.
 	Time float64 `json:"time,omitempty"`
 }
 
-// SetLosses records the observed and noiseless losses, routing
-// non-finite values through the bit-exact hex fields so the record
-// stays encodable and replay stays bit-identical.
-func (r *Report) SetLosses(loss, trueLoss float64) {
-	if isFinite(loss) {
-		r.Loss = loss
-	} else {
-		r.LossBits = strconv.FormatUint(math.Float64bits(loss), 16)
-	}
-	if isFinite(trueLoss) {
-		r.TrueLoss = trueLoss
-	} else {
-		r.TrueLossBits = strconv.FormatUint(math.Float64bits(trueLoss), 16)
-	}
-}
-
-// Losses returns the recorded losses, decoding the non-finite fallback
-// fields when present.
-func (r *Report) Losses() (loss, trueLoss float64) {
-	loss, trueLoss = r.Loss, r.TrueLoss
-	if r.LossBits != "" {
-		if bits, err := strconv.ParseUint(r.LossBits, 16, 64); err == nil {
-			loss = math.Float64frombits(bits)
-		}
-	}
-	if r.TrueLossBits != "" {
-		if bits, err := strconv.ParseUint(r.TrueLossBits, 16, 64); err == nil {
-			trueLoss = math.Float64frombits(bits)
-		}
-	}
-	return loss, trueLoss
-}
-
-func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
 // TrialSnap is one trial's committed executor state inside a snapshot:
 // the cumulative resource it reached and the opaque JSON checkpoint to
-// resume it from (the same blob the exec wire's Response.State carries).
+// resume it from (the same blob the exec wire's Response.State carries);
+// append and recovery both refuse one that is not valid JSON.
 type TrialSnap struct {
 	Trial    int             `json:"trial"`
 	Resource float64         `json:"resource"`
@@ -172,7 +136,7 @@ type Snapshot struct {
 	Trials []TrialSnap `json:"trials,omitempty"`
 }
 
-// Record is one journal line: a version plus exactly one payload.
+// Record is one journal record: a version plus exactly one payload.
 type Record struct {
 	V      int       `json:"v"`
 	Meta   *Meta     `json:"meta,omitempty"`
@@ -187,19 +151,7 @@ func (r *Record) Validate() error {
 	if r.V != Version {
 		return fmt.Errorf("state: record version %d, this reader speaks %d", r.V, Version)
 	}
-	n := 0
-	if r.Meta != nil {
-		n++
-	}
-	if r.Issue != nil {
-		n++
-	}
-	if r.Report != nil {
-		n++
-	}
-	if r.Snap != nil {
-		n++
-	}
+	n := bit[r.Meta != nil] + bit[r.Issue != nil] + bit[r.Report != nil] + bit[r.Snap != nil]
 	if n != 1 {
 		return fmt.Errorf("state: record carries %d payloads, want exactly 1", n)
 	}

@@ -1,0 +1,196 @@
+// Package wire holds the binary codec primitives the job wire
+// (internal/exec, internal/remote) and the journal (internal/state)
+// share: append-style encoders and one bounds-checked decode cursor.
+// Integers are unsigned LEB128 varints, floats are their IEEE-754 bits
+// little-endian — bit-exact round trips, so a loss or config value is
+// never perturbed by a decimal representation — and byte strings are
+// length-prefixed. It is a leaf package: state sits below backend and
+// exec in the import graph, so the primitives cannot live in either.
+package wire
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+)
+
+// AppendUvarint appends v as an unsigned LEB128 varint.
+func AppendUvarint(dst []byte, v uint64) []byte {
+	return binary.AppendUvarint(dst, v)
+}
+
+// AppendFloat64 appends v's IEEE-754 bits little-endian.
+func AppendFloat64(dst []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+}
+
+// AppendBytes appends a length-prefixed byte string.
+func AppendBytes(dst, b []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	return append(dst, b...)
+}
+
+// AppendString appends a length-prefixed string.
+func AppendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// Reader is a bounds-checked decode cursor over one message body. The
+// first malformed read latches an error; every later read returns a zero
+// value, so a decoder runs straight through and checks Err() once.
+// Bytes/Float64s alias or derive from the underlying buffer — callers
+// that outlive the buffer must copy. Nothing here panics on arbitrary
+// input.
+type Reader struct {
+	buf  []byte
+	off  int
+	err  error
+	slab []float64
+}
+
+// NewReader returns a cursor over b.
+func NewReader(b []byte) *Reader { return &Reader{buf: b} }
+
+// Reset points the cursor at b, clearing any latched error; the float
+// slab, if armed, keeps filling.
+func (r *Reader) Reset(b []byte) { r.buf, r.off, r.err = b, 0, nil }
+
+// SetFloatSlab arms the cursor with a shared backing array for
+// Float64s results: vectors are carved out of slab as capped subslices
+// while capacity lasts, so a batch decode pays one float allocation per
+// frame instead of one per job. Vectors that overflow the slab fall
+// back to their own allocation — never a reallocation that would move
+// earlier vectors.
+func (r *Reader) SetFloatSlab(slab []float64) { r.slab = slab[:0] }
+
+// FloatSlabUsed reports how many slab elements Float64s consumed —
+// the caller's sizing signal for the next frame's slab.
+func (r *Reader) FloatSlabUsed() int { return len(r.slab) }
+
+// Err returns the first decode error, or nil.
+func (r *Reader) Err() error { return r.err }
+
+// Remaining reports how many bytes are left unread.
+func (r *Reader) Remaining() int { return len(r.buf) - r.off }
+
+// Failf latches a decode error, unless one is latched already: decoders
+// built on the cursor report their own violations (an unknown kind byte)
+// through the same single Err() check.
+func (r *Reader) Failf(format string, args ...interface{}) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+}
+
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
+	if r.err != nil {
+		return 0
+	}
+	if r.off >= len(r.buf) {
+		r.Failf("wire: truncated (byte at offset %d)", r.off)
+		return 0
+	}
+	b := r.buf[r.off]
+	r.off++
+	return b
+}
+
+// Uvarint reads one unsigned LEB128 varint. Only the shortest encoding
+// of a value is accepted, so every message has exactly one byte form.
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.buf[r.off:])
+	if n <= 0 || (n > 1 && r.buf[r.off+n-1] == 0) {
+		r.Failf("wire: truncated, overlong or padded varint at offset %d", r.off)
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// Int reads a varint and rejects values that do not fit a non-negative
+// int (trial numbers, counts).
+func (r *Reader) Int() int {
+	v := r.Uvarint()
+	if v > math.MaxInt32 {
+		r.Failf("wire: value %d out of range", v)
+		return 0
+	}
+	return int(v)
+}
+
+// Float64 reads one little-endian IEEE-754 float.
+func (r *Reader) Float64() float64 {
+	if r.err != nil {
+		return 0
+	}
+	if r.Remaining() < 8 {
+		r.Failf("wire: truncated (float64 at offset %d)", r.off)
+		return 0
+	}
+	bits := binary.LittleEndian.Uint64(r.buf[r.off:])
+	r.off += 8
+	return math.Float64frombits(bits)
+}
+
+// Bytes reads a length-prefixed byte string. The result aliases the
+// underlying buffer; an empty string decodes as nil.
+func (r *Reader) Bytes() []byte {
+	n := r.Uvarint()
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(r.Remaining()) {
+		r.Failf("wire: byte string of %d bytes exceeds the %d remaining", n, r.Remaining())
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	b := r.buf[r.off : r.off+int(n) : r.off+int(n)]
+	r.off += int(n)
+	return b
+}
+
+// String reads a length-prefixed string (copies out of the buffer).
+func (r *Reader) String() string { return string(r.Bytes()) }
+
+// Float64s reads a count-prefixed dense float vector; nil when empty.
+func (r *Reader) Float64s() []float64 {
+	n := r.Uvarint()
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(r.Remaining())/8 {
+		r.Failf("wire: float vector of %d values exceeds the %d bytes remaining", n, r.Remaining())
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	var out []float64
+	if start := len(r.slab); r.slab != nil && cap(r.slab)-start >= int(n) {
+		r.slab = r.slab[:start+int(n)]
+		out = r.slab[start : start+int(n) : start+int(n)]
+	} else {
+		out = make([]float64, n)
+	}
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
+		r.off += 8
+	}
+	return out
+}
+
+// ExpectEOF latches an error unless the cursor consumed the whole
+// buffer — a frame with trailing garbage is rejected whole, never
+// half-applied.
+func (r *Reader) ExpectEOF() {
+	if r.err == nil && r.off != len(r.buf) {
+		r.Failf("wire: message has %d trailing bytes", len(r.buf)-r.off)
+	}
+}

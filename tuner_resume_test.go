@@ -1,12 +1,17 @@
 package asha
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"math"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/state"
 )
 
 // resumeObjective is deterministic and memoryless: the loss at `to`
@@ -260,4 +265,71 @@ func TestManagerResumeWithoutJournalsStartsFresh(t *testing.T) {
 			t.Errorf("%s: completed %d jobs, want 40", name, r.CompletedJobs)
 		}
 	}
+}
+
+// A journal of another format — here the JSON lines format 1 wrote — is
+// refused by name and left exactly as it was: Tuner.Resume, Manager.Resume
+// and an admin adopt neither truncate it, append to it nor start a fresh
+// journal over it.
+func TestResumeRefusesForeignJournalAndLeavesItAlone(t *testing.T) {
+	old := []byte("{\"v\":1,\"meta\":{\"experiment\":\"tuner\",\"seed\":21}}\n{\"v\":1,\"issue\":{\"tri")
+	plant := func(t *testing.T, name string) (dir, path string) {
+		dir = t.TempDir()
+		path = filepath.Join(dir, name)
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir, path
+	}
+	check := func(t *testing.T, err error, path string) {
+		t.Helper()
+		if !errors.Is(err, state.ErrFormat) || !strings.Contains(err.Error(), "format-1 (JSON-lines)") ||
+			!strings.Contains(err.Error(), "writes format 2") {
+			t.Errorf("err = %v, want state.ErrFormat naming both formats", err)
+		}
+		if got, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(got, old) {
+			t.Errorf("the refused journal changed: %q (%v)", got, rerr)
+		}
+	}
+	t.Run("Tuner.Resume", func(t *testing.T) {
+		dir, path := plant(t, tunerJournalName)
+		_, err := resumeTuner(dir, 50).Resume(context.Background())
+		check(t, err, path)
+	})
+	t.Run("Manager.Resume", func(t *testing.T) {
+		dir, path := plant(t, journalFileName("exp-b"))
+		_, err := managerForResume(dir, 50).Resume(context.Background())
+		check(t, err, path)
+	})
+	t.Run("adopt", func(t *testing.T) {
+		dir, path := plant(t, journalFileName("exp-b"))
+		const token = "mgr-admin"
+		urlCh := make(chan string, 1)
+		m := managerForResume(dir, 50,
+			WithManagerActive(func(name string) bool { return false }),
+			WithManagerRemote(Remote{AdminToken: token, OnListen: func(url string) { urlCh <- url }}))
+		done := make(chan error, 1)
+		go func() {
+			_, err := m.Run(context.Background())
+			done <- err
+		}()
+		url := <-urlCh
+		status, body := fleetAdmin(t, url, token, "adopt", `{"experiment":"exp-b"}`)
+		msg, _ := body["error"].(string)
+		if status == http.StatusOK || !strings.Contains(msg, "format-1 (JSON-lines)") {
+			t.Errorf("adopt over a format-1 journal: status %d, body %v", status, body)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+			t.Errorf("the refused journal changed: %q (%v)", got, err)
+		}
+		if st := fleetStatus(t, url, token); len(st.Experiments) != 2 || st.Experiments[1].State != "dormant" {
+			t.Errorf("after the refused adopt: %+v, want exp-b still dormant", st.Experiments)
+		}
+		if status, _ := fleetAdmin(t, url, token, "abort", `{}`); status != http.StatusOK {
+			t.Fatalf("abort: status %d", status)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("manager run: %v", err)
+		}
+	})
 }
