@@ -114,12 +114,15 @@ type Backend interface {
 // implement it — surrogate trials have no state worth persisting.
 // Both methods are called from the engine goroutine only.
 type TrialCheckpointer interface {
-	// SnapshotTrials streams every trial's last committed cumulative
-	// resource and checkpoint to fn. State may be nil when a trial's
-	// checkpoint is not serializable; the trial then restarts from zero
-	// on resume, like a crashed worker's.
+	// SnapshotTrials streams to fn the last committed cumulative resource
+	// and checkpoint of every trial for which either changed since the
+	// previous call — by a completion, by the Close that commits in-flight
+	// results, or by inheriting a donor's at Launch — each trial once.
+	// State may be nil when a trial's checkpoint is not serializable; the
+	// trial then restarts from zero on resume, like a crashed worker's.
 	SnapshotTrials(fn func(trial int, resource float64, state json.RawMessage))
 	// RestoreTrial seeds one trial's committed state before any Launch.
+	// It does not count as a change: the state came out of the journal.
 	RestoreTrial(trial int, resource float64, state json.RawMessage)
 }
 
@@ -149,10 +152,11 @@ type Options struct {
 	// the scheduler's current incumbent. It runs on the engine goroutine.
 	OnResult func(res core.Result, best core.Best, ok bool)
 	// Journal, when non-nil, receives a write-ahead record of every
-	// scheduler decision: each issued job is journaled before it is
-	// launched, each result before it is reported to the scheduler, and
-	// the backend's trial table is snapshotted every SnapshotEvery
-	// completions plus once at a clean end of run. A journal append
+	// scheduler decision: each fill's issued jobs are flushed to it before
+	// the first of them launches, each batch's results before the first
+	// of them is reported to the scheduler, and what changed in the
+	// backend's trial table is snapshotted every SnapshotEvery
+	// completions plus once at a clean end of run. A journal flush
 	// failure aborts the run — continuing would leave scheduler state the
 	// journal cannot replay.
 	Journal *state.Journal

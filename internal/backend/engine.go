@@ -13,12 +13,15 @@ import (
 
 // Engine is the single execution engine: it drives any number of
 // schedulers ("lanes") over one executor. Each pass fills free slots one
-// at a time from the lane the pick policy names, awaits one batch of
-// completions, ingests each into the lane that launched it (one pass, no
-// per-result locking), snapshots the journaled lanes the batch touched,
-// and runs queued control commands. Everything a lane owns — scheduler,
-// budgets, metrics, journal writer, event emitter — is touched by the
-// engine goroutine only.
+// at a time from the lane the pick policy names, launches the fill once
+// each lane's issue records are flushed, awaits one batch of completions,
+// journals it, ingests each completion into the lane that launched it
+// once that lane's reports are flushed (no per-result locking), snapshots
+// the journaled lanes the batch touched, and runs queued control
+// commands. A journaled lane thus writes once per fill and once per
+// batch, however many records either holds. Everything a lane owns —
+// scheduler, budgets, metrics, journal writer, event emitter — is touched
+// by the engine goroutine only.
 type Engine struct {
 	// Dormant counts schedulers that may still join the run (a federated
 	// shard's unadopted experiments): while it is non-zero an idle engine
@@ -33,9 +36,11 @@ type Engine struct {
 	root     Backend            // Capacity, Await, Now, Close; lanes Launch through their views
 	tenants  map[string]*tenant // nil without quota weights
 	quotas   map[string]int
-	order    []*Lane // live lanes in rank order: what pick sees
-	byID     []*Lane // lane id -> lane, nil once retired; ids are never reused
-	dirty    []*Lane // lanes the current batch touched
+	order    []*Lane      // live lanes in rank order: what pick sees
+	byID     []*Lane      // lane id -> lane, nil once retired; ids are never reused
+	dirty    []*Lane      // lanes the current batch touched
+	launches []launch     // the current fill, in issue order: launched once journaled
+	settled  []Completion // the current batch's completions to ingest once journaled
 	inflight int
 	live     int // lanes in order that have not ended
 
@@ -64,6 +69,13 @@ func NewEngine(root Backend, quotas map[string]int) *Engine {
 		e.tenants = make(map[string]*tenant)
 	}
 	return e
+}
+
+// launch is one job of a fill, holding its slot until the fill ends.
+type launch struct {
+	lane  *Lane
+	job   core.Job
+	fresh bool // issued in this fill, not a resumed lane's relaunch
 }
 
 // Lane is one scheduler's share of an engine run: everything the engine
@@ -258,6 +270,9 @@ func (e *Engine) Run(ctx context.Context) error {
 			}
 			e.issue(l)
 		}
+		if !e.launch() {
+			continue // a lane's flush failed and gave its slots back: fill again
+		}
 		if e.live == 0 && e.Dormant == 0 {
 			break // every lane failed or stopped; Close rolls their strays back
 		}
@@ -294,9 +309,11 @@ func (e *Engine) Run(ctx context.Context) error {
 		if len(batch) == 0 {
 			break // backend clock expired
 		}
+		e.settled = e.settled[:0]
 		for _, c := range batch {
 			e.settle(ctx, c)
 		}
+		e.deliver()
 		for _, l := range e.dirty {
 			l.dirty = false
 			if l.ended {
@@ -336,11 +353,11 @@ func (e *Engine) Run(ctx context.Context) error {
 }
 
 // issue gives one slot to l, or clears l.runnable when it has nothing
-// to launch.
+// to launch. The job joins the fill; launch starts it.
 func (e *Engine) issue(l *Lane) {
-	var job core.Job
-	if len(l.relaunch) > 0 {
-		job = l.relaunch[0]
+	p := launch{lane: l, fresh: len(l.relaunch) == 0}
+	if !p.fresh {
+		p.job = l.relaunch[0]
 		l.relaunch = l.relaunch[1:]
 	} else {
 		if e.exhausted(l) || l.sched.Done() {
@@ -348,20 +365,17 @@ func (e *Engine) issue(l *Lane) {
 			return
 		}
 		var ok bool
-		if job, ok = l.sched.Next(); !ok {
+		if p.job, ok = l.sched.Next(); !ok {
 			l.runnable = false // retry after the lane's next completion
 			return
 		}
-		// Write-ahead: a job whose issue record is not durable must
-		// never launch, or recovery could double-issue it.
-		if err := l.jw.issue(job); err != nil {
+		if err := l.jw.issue(p.job); err != nil {
 			e.end(l, err)
 			return
 		}
 		l.run.IssuedJobs++
-		l.em.launched(job)
 	}
-	l.exec.Launch(job)
+	e.launches = append(e.launches, p)
 	l.running++
 	e.inflight++
 	if l.tenant != nil {
@@ -369,7 +383,42 @@ func (e *Engine) issue(l *Lane) {
 	}
 }
 
-// settle routes one completion to the lane that launched it.
+// launch starts the fill's jobs in issue order, each lane's behind one
+// flush of all its issue records. Write-ahead: a job whose issue record
+// is not durable must never launch, or recovery could double-issue it —
+// so a lane whose flush fails ends, and its jobs give their slots back
+// instead of launching. launch reports whether every job launched.
+func (e *Engine) launch() bool {
+	all := true
+	for i := range e.launches {
+		p := &e.launches[i]
+		l := p.lane
+		if err := l.jw.flush(); err != nil {
+			e.end(l, err)
+		}
+		if l.ended {
+			all = false
+			l.running--
+			e.inflight--
+			if l.tenant != nil {
+				l.tenant.running--
+			}
+			if p.fresh {
+				l.run.IssuedJobs--
+			}
+			continue
+		}
+		if p.fresh {
+			l.em.launched(p.job)
+		}
+		l.exec.Launch(p.job)
+	}
+	e.launches = e.launches[:0]
+	return all
+}
+
+// settle routes one completion to the lane that launched it and stages
+// its report; deliver ingests it.
 func (e *Engine) settle(ctx context.Context, c Completion) {
 	e.inflight--
 	l := e.byID[c.Lane]
@@ -391,18 +440,35 @@ func (e *Engine) settle(ctx context.Context, c Completion) {
 		return
 	}
 	c.Time += l.clockOff
-	// Write-ahead: the journal is always a superset of scheduler state,
-	// so replay can only over-approximate — never lose — a delivered
-	// result.
 	if err := l.jw.report(c); err != nil {
 		e.end(l, err)
 		return
 	}
-	ingest(l, c)
-	l.runnable = true // a completion may lift a barrier or finish a rung
-	if !l.dirty {
-		l.dirty = true
-		e.dirty = append(e.dirty, l)
+	e.settled = append(e.settled, c)
+}
+
+// deliver ingests the batch's completions in arrival order, each lane's
+// behind one flush of all its report records. Write-ahead: the journal is
+// always a superset of scheduler state, so replay can only
+// over-approximate — never lose — a delivered result. A lane that ended
+// while the batch was journaled, or whose flush fails, ingests none of it.
+func (e *Engine) deliver() {
+	for i := range e.settled {
+		c := &e.settled[i]
+		l := e.byID[c.Lane]
+		if l.ended {
+			continue
+		}
+		if err := l.jw.flush(); err != nil {
+			e.end(l, err)
+			continue
+		}
+		ingest(l, *c)
+		l.runnable = true // a completion may lift a barrier or finish a rung
+		if !l.dirty {
+			l.dirty = true
+			e.dirty = append(e.dirty, l)
+		}
 	}
 }
 

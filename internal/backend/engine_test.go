@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/searchspace"
+	"repro/internal/state"
 	"repro/internal/xrand"
 )
 
@@ -78,7 +80,9 @@ type stubExec struct {
 	queue    []Completion
 	hold     map[int]bool
 	held     []Completion
-	failLane int // jobs of this lane complete with an objective error
+	failLane int                          // jobs of this lane complete with an objective error
+	onLaunch func(lane int, job core.Job) // when set, sees every launch first
+	awaits   int
 }
 
 type stubView struct {
@@ -89,6 +93,9 @@ type stubView struct {
 func (s *stubExec) view(lane int) stubView { return stubView{s, lane} }
 
 func (v stubView) Launch(job core.Job) {
+	if v.onLaunch != nil {
+		v.onLaunch(v.lane, job)
+	}
 	c := Completion{Job: job, Lane: v.lane, Loss: float64(job.TrialID), Resource: job.TargetResource}
 	switch {
 	case v.lane == v.failLane:
@@ -114,6 +121,7 @@ func (s *stubExec) Await(ctx context.Context) ([]Completion, error) {
 	}
 	batch := s.queue
 	s.queue = nil
+	s.awaits++
 	return batch, nil
 }
 func (s *stubExec) Now() float64 { return 0 }
@@ -246,5 +254,175 @@ func TestEngineDoNeverLosesAWakeup(t *testing.T) {
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// journalSink is the writer under a test lane's journal: it keeps the
+// image, counts calls, and can fail its k-th Write — wholly, or by
+// taking half the bytes with a nil error — or its k-th Sync.
+type journalSink struct {
+	image                           []byte
+	writes, syncs                   int
+	failWrite, shortWrite, failSync int // which call fails; 0 = none
+
+	at               int // the image length committed was built at
+	issued, reported map[[2]int]bool
+	snaps            int
+}
+
+func (w *journalSink) Write(p []byte) (int, error) {
+	switch w.writes++; w.writes {
+	case w.failWrite:
+		return 0, errors.New("injected write failure")
+	case w.shortWrite:
+		w.image = append(w.image, p[:len(p)/2]...)
+		return len(p) / 2, nil
+	}
+	w.image = append(w.image, p...)
+	return len(p), nil
+}
+
+func (w *journalSink) Sync() error {
+	if w.syncs++; w.syncs == w.failSync {
+		return errors.New("injected sync failure")
+	}
+	return nil
+}
+
+// committed recovers the image, once per growth, into the sets of
+// (trial, rung) pairs whose issue and report records are in the file.
+func (w *journalSink) committed(t *testing.T) {
+	if w.at == len(w.image) {
+		return
+	}
+	rec, err := state.Recover(w.image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.at, w.issued, w.reported, w.snaps = len(w.image), map[[2]int]bool{}, map[[2]int]bool{}, 0
+	for _, r := range rec.Records {
+		switch {
+		case r.Issue != nil:
+			w.issued[[2]int{r.Issue.Trial, r.Issue.Rung}] = true
+		case r.Report != nil:
+			w.reported[[2]int{r.Report.Trial, r.Report.Rung}] = true
+		case r.Snap != nil:
+			w.snaps++
+		}
+	}
+}
+
+// journaledLanes adds n journaled random-search lanes of the given
+// budget to an engine over ex, each syncing every flush to its own sink,
+// and has the test fail on any launch or delivery whose record is not
+// yet in the file.
+func journaledLanes(t *testing.T, e *Engine, ex *stubExec, n, jobs int) ([]*Lane, []*journalSink) {
+	t.Helper()
+	sinks := make([]*journalSink, n)
+	lanes := make([]*Lane, n)
+	ex.onLaunch = func(lane int, job core.Job) {
+		if sinks[lane].committed(t); !sinks[lane].issued[[2]int{job.TrialID, job.Rung}] {
+			t.Errorf("lane %d: trial %d rung %d launched before its issue record was written", lane, job.TrialID, job.Rung)
+		}
+	}
+	for i := range lanes {
+		sink := &journalSink{}
+		j, err := state.NewWriter(sink, state.Meta{Experiment: fmt.Sprint("lane", i), Seed: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.SyncEach = true
+		g := randomSched(uint64(i + 1))
+		sinks[i] = sink
+		lanes[i] = e.AddLane(g, ex.view(e.NextLane()), Options{MaxJobs: jobs, Gate: g, Journal: j, SnapshotEvery: 8,
+			OnResult: func(res core.Result, _ core.Best, _ bool) {
+				if sink.committed(t); !sink.reported[[2]int{res.TrialID, res.Rung}] {
+					t.Errorf("trial %d rung %d delivered before its report record was written", res.TrialID, res.Rung)
+				}
+			}}, i, "a")
+	}
+	return lanes, sinks
+}
+
+// TestEngineGroupCommit runs 64 journaled lanes over one executor: no
+// job launches and no result is delivered before the Write holding its
+// record returned, and each lane writes at most once per fill, once per
+// batch and once per snapshot — under one Write per job where a record
+// per Write made it two.
+func TestEngineGroupCommit(t *testing.T) {
+	const lanes, jobs = 64, 100
+	ex := &stubExec{capacity: 4 * lanes, failLane: -1}
+	e := NewEngine(ex, nil)
+	ls, sinks := journaledLanes(t, e, ex, lanes, jobs)
+	if err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	writes := 0
+	for i, l := range ls {
+		if run, err := l.Result(); err != nil || run.CompletedJobs != jobs {
+			t.Fatalf("lane %d: completed %d jobs, error %v", i, run.CompletedJobs, err)
+		}
+		sink := sinks[i]
+		sink.committed(t)
+		if len(sink.issued) != jobs || len(sink.reported) != jobs {
+			t.Errorf("lane %d: journal holds %d issues and %d reports, want %d of each", i, len(sink.issued), len(sink.reported), jobs)
+		}
+		if most := 1 + (ex.awaits + 1) + ex.awaits + sink.snaps; sink.writes > most || sink.syncs != sink.writes-1 { // the meta went out before SyncEach was set
+			t.Errorf("lane %d: %d writes and %d syncs over %d batches and %d snapshots; want at most %d, a sync each past the meta",
+				i, sink.writes, sink.syncs, ex.awaits, sink.snaps, most)
+		}
+		writes += sink.writes
+	}
+	if writes >= lanes*jobs {
+		t.Errorf("%d writes for %d jobs; want fewer than one per job", writes, lanes*jobs)
+	}
+}
+
+// TestEngineFlushFailureEndsItsLaneOnly fails the first lane's journal
+// at each of its first writes — issue flushes, report flushes and
+// snapshots alike — in each of three ways. The lane ends with the
+// journal's error, every job it counted was launched and every slot it
+// held is given back, and the second lane spends its whole budget.
+func TestEngineFlushFailureEndsItsLaneOnly(t *testing.T) {
+	const jobs = 40
+	for _, mode := range []string{"write error", "short write", "sync error"} {
+		for k := 2; k <= 9; k++ { // call 1 wrote the meta
+			// With one slot, the failed lane's rollback empties the engine
+			// while the other lane still has everything to do.
+			ex := &stubExec{capacity: 1 + 5*(k%2), failLane: -1}
+			e := NewEngine(ex, map[string]int{"a": 1})
+			ls, sinks := journaledLanes(t, e, ex, 2, jobs)
+			switch mode {
+			case "write error":
+				sinks[0].failWrite = k
+			case "short write":
+				sinks[0].shortWrite = k
+			default:
+				sinks[0].failSync = k
+			}
+			launched := 0
+			check := ex.onLaunch
+			ex.onLaunch = func(lane int, job core.Job) {
+				if check(lane, job); lane == 0 {
+					launched++
+				}
+			}
+			if err := e.Run(context.Background()); err != nil {
+				t.Fatalf("%s at call %d: run: %v", mode, k, err)
+			}
+			run, err := ls[0].Result()
+			if err == nil || !strings.Contains(err.Error(), "journal") {
+				t.Errorf("%s at call %d: failed lane's error is %v", mode, k, err)
+			}
+			if run.IssuedJobs != launched || run.IssuedJobs >= jobs || ls[0].running != 0 {
+				t.Errorf("%s at call %d: failed lane counts %d issued, %d running; %d launched", mode, k, run.IssuedJobs, ls[0].running, launched)
+			}
+			if run, err := ls[1].Result(); err != nil || run.CompletedJobs != jobs {
+				t.Errorf("%s at call %d: the other lane completed %d of %d jobs, error %v", mode, k, run.CompletedJobs, jobs, err)
+			}
+			if e.inflight != 0 || e.tenants["a"].running != 0 {
+				t.Errorf("%s at call %d: run ends with %d in flight, tenant running %d", mode, k, e.inflight, e.tenants["a"].running)
+			}
+		}
 	}
 }

@@ -2,7 +2,7 @@ package backend
 
 import (
 	"encoding/json"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -38,15 +38,16 @@ func annotateIssue(seen map[int64]struct{}, job core.Job) state.Issue {
 }
 
 // journalWriter adapts a state.Journal to one engine lane: it annotates
-// issue records with their decision kind, paces snapshots, and is a
-// no-op when journaling is off (the zero value), keeping the engine's
-// hot loop free of journal branches beyond one nil check.
+// issue records with their decision kind, stages records for the engine's
+// two flush points, paces snapshots, and is a no-op when journaling is
+// off (the zero value), keeping the engine's hot loop free of journal
+// branches beyond one nil check.
 type journalWriter struct {
-	j          *state.Journal
-	snapEvery  int
-	sinceSnap  int
-	lastTrials int                // trial-table size at the last snapshot
-	seen       map[int64]struct{} // (trial, rung) pairs already issued
+	j         *state.Journal
+	snapEvery int
+	sinceSnap int
+	seen      map[int64]struct{} // (trial, rung) pairs already issued
+	trials    []state.TrialSnap  // scratch: a snapshot's trial list
 }
 
 func newJournalWriter(j *state.Journal, every int) *journalWriter {
@@ -70,15 +71,17 @@ func (w *journalWriter) prime(rs *ResumeState) {
 	}
 }
 
-// issue journals one scheduler decision, write-ahead of its launch.
+// issue stages one scheduler decision; flush commits it, write-ahead of
+// the job's launch.
 func (w *journalWriter) issue(job core.Job) error {
 	if w.j == nil {
 		return nil
 	}
-	return w.j.AppendIssue(annotateIssue(w.seen, job), job.Config.Values())
+	return w.j.StageIssue(annotateIssue(w.seen, job), job.Config.Values())
 }
 
-// report journals one completion, write-ahead of its scheduler delivery.
+// report stages one completion; flush commits it, write-ahead of its
+// scheduler delivery.
 func (w *journalWriter) report(c Completion) error {
 	if w.j == nil {
 		return nil
@@ -88,21 +91,29 @@ func (w *journalWriter) report(c Completion) error {
 		rep.Loss, rep.TrueLoss, rep.Resource = c.Loss, c.TrueLoss, c.Resource
 	}
 	w.sinceSnap++
-	return w.j.AppendReport(rep)
+	return w.j.Stage(state.Record{V: state.Version, Report: &rep})
+}
+
+// flush commits the staged records with one Write; without any it does
+// nothing, so the engine may call it before every launch and ingest.
+func (w *journalWriter) flush() error {
+	if w.j == nil {
+		return nil
+	}
+	return w.j.Flush()
 }
 
 // due reports whether enough completions have accumulated since the
-// last snapshot for a periodic one. The cadence adapts to the
-// trial-table size (at least a quarter of it must complete between
-// snapshots), so total snapshot volume stays linear in the journal's
-// report volume instead of quadratic on runs with very wide bottom
-// rungs.
+// last snapshot for a periodic one. A snapshot carries at most one trial
+// per completion since the previous one, so snapshot volume is linear in
+// the journal's report volume at any cadence.
 func (w *journalWriter) due() bool {
-	return w.j != nil && w.sinceSnap >= w.snapEvery && 4*w.sinceSnap >= w.lastTrials
+	return w.j != nil && w.sinceSnap >= w.snapEvery
 }
 
-// snapshot journals the lane's counters and its executor view's trial
-// table; final marks a clean end of run.
+// snapshot journals the lane's counters and the trials of its executor
+// view whose committed state changed since the previous snapshot; final
+// marks a clean end of run.
 func (w *journalWriter) snapshot(run *metrics.Run, b Backend, now float64, final bool) error {
 	w.sinceSnap = 0
 	snap := state.Snapshot{
@@ -113,13 +124,14 @@ func (w *journalWriter) snapshot(run *metrics.Run, b Backend, now float64, final
 		Final:     final,
 	}
 	if tc, ok := b.(TrialCheckpointer); ok {
+		w.trials = w.trials[:0]
 		tc.SnapshotTrials(func(trial int, resource float64, st json.RawMessage) {
-			snap.Trials = append(snap.Trials, state.TrialSnap{Trial: trial, Resource: resource, State: st})
+			w.trials = append(w.trials, state.TrialSnap{Trial: trial, Resource: resource, State: st})
 		})
-		// Backends iterate map-ordered trial tables; sort so identical
+		// Backends stream in the order trials changed; sort so identical
 		// state always journals identical bytes.
-		sort.Slice(snap.Trials, func(i, k int) bool { return snap.Trials[i].Trial < snap.Trials[k].Trial })
+		slices.SortFunc(w.trials, func(a, b state.TrialSnap) int { return a.Trial - b.Trial })
+		snap.Trials = w.trials
 	}
-	w.lastTrials = len(snap.Trials)
 	return w.j.AppendSnapshot(snap)
 }

@@ -3,7 +3,7 @@ package backend
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -20,9 +20,9 @@ type ResumeState struct {
 	// in issue order. Drive relaunches them before consulting the
 	// scheduler, without new issue records.
 	Relaunch []core.Job
-	// Trials is the restored trial table: the latest snapshot's entries,
-	// plus a zero-resource entry for every trial that first appeared
-	// after that snapshot.
+	// Trials is the restored trial table, by trial: the union of the
+	// journal's snapshots, later over earlier, plus a zero-resource entry
+	// for every issued trial no snapshot names.
 	Trials []state.TrialSnap
 	// TimeOffset is the journal's maximum recorded time; the resumed
 	// run's clock continues from it so the incumbent series stays
@@ -61,8 +61,9 @@ func Replay(rec *state.Recovered, sched core.Scheduler, opt Options) (*ResumeSta
 	// mirroring the OnResult convention above — consumers of /v1/events
 	// see each pre-crash event at most once.
 	l := &Lane{sched: sched, opt: opt, run: rs.Run, em: emitter{maxRung: -1}}
-	var lastSnap []state.TrialSnap
-	seenTrials := make(map[int]struct{})
+	// The trial table, indexed by trial id; Trial is -1 where the journal
+	// has not issued that trial (yet).
+	var table []state.TrialSnap
 	for i, r := range rec.Records {
 		switch {
 		case r.Issue != nil:
@@ -73,7 +74,10 @@ func Replay(rec *state.Recovered, sched core.Scheduler, opt Options) (*ResumeSta
 			if err := matchIssue(job, r.Issue); err != nil {
 				return nil, fmt.Errorf("backend: replay record %d: %w", i, err)
 			}
-			seenTrials[job.TrialID] = struct{}{}
+			for len(table) <= job.TrialID {
+				table = append(table, state.TrialSnap{Trial: -1})
+			}
+			table[job.TrialID].Trial = job.TrialID
 			rs.Relaunch = append(rs.Relaunch, job)
 			rs.Run.IssuedJobs++
 			rs.issued[SeenKey(job.TrialID, job.Rung)] = struct{}{}
@@ -102,34 +106,25 @@ func Replay(rec *state.Recovered, sched core.Scheduler, opt Options) (*ResumeSta
 				rs.TimeOffset = r.Report.Time
 			}
 		case r.Snap != nil:
-			lastSnap = r.Snap.Trials
+			for _, ts := range r.Snap.Trials {
+				if ts.Trial >= len(table) || table[ts.Trial].Trial < 0 {
+					return nil, fmt.Errorf("backend: replay record %d: snapshot of trial %d, which the journal never issued — corrupt journal", i, ts.Trial)
+				}
+				table[ts.Trial] = ts
+			}
 			if r.Snap.Time > rs.TimeOffset {
 				rs.TimeOffset = r.Snap.Time
 			}
 		}
 	}
 	rs.rungCompleted = l.rungCompleted
-	// Restore the trial table: the latest snapshot's checkpoints, plus
-	// zero-resource entries for trials the snapshot predates. Those
-	// trials' observations replayed into the scheduler above; only their
-	// training state is lost, and a zero entry makes them retrain from
-	// scratch if relaunched instead of vanishing from trial accounting —
-	// exactly the rollback semantics of a worker crash.
-	rs.Trials = append(rs.Trials, lastSnap...)
-	inSnap := make(map[int]struct{}, len(lastSnap))
-	for _, ts := range lastSnap {
-		inSnap[ts.Trial] = struct{}{}
-	}
-	missing := make([]int, 0)
-	for trial := range seenTrials {
-		if _, ok := inSnap[trial]; !ok {
-			missing = append(missing, trial)
-		}
-	}
-	sort.Ints(missing)
-	for _, trial := range missing {
-		rs.Trials = append(rs.Trials, state.TrialSnap{Trial: trial})
-	}
+	// Restore the trial table: the checkpoints last snapshotted, and zero
+	// entries for trials no snapshot reached. Those trials' observations
+	// replayed into the scheduler above; only their training state is
+	// lost, and a zero entry makes them retrain from scratch if relaunched
+	// instead of vanishing from trial accounting — exactly the rollback
+	// semantics of a worker crash.
+	rs.Trials = slices.DeleteFunc(table, func(ts state.TrialSnap) bool { return ts.Trial < 0 })
 	return rs, nil
 }
 

@@ -7,7 +7,9 @@ package backend_test
 // replays the kill at a spread of record boundaries (and at torn,
 // mid-record byte offsets, which recovery must snap back to the previous
 // boundary) and compares FNV digests of the full decision stream against
-// a golden file, following the internal/cluster parity machinery.
+// a golden file, following the internal/cluster parity machinery. A
+// second case runs four workers in lockstep, so that a flush carries
+// several records, and kills at every boundary and torn byte inside one.
 //
 // Regenerate (only for an intentional, understood behaviour change):
 //
@@ -16,6 +18,7 @@ package backend_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -23,6 +26,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/backend"
@@ -70,21 +75,22 @@ func parityObjective(_ context.Context, cfg map[string]float64, _, to float64, _
 	return loss, map[string]interface{}{"loss": loss, "to": to}, nil
 }
 
-// digestSched wraps a scheduler and hashes every decision — replayed and
+// digestSched wraps a scheduler and records every decision — replayed and
 // live alike — so an interrupted-and-resumed run produces one stream
 // directly comparable to an uninterrupted run's.
 type digestSched struct {
 	inner   core.Scheduler
 	space   *searchspace.Space
-	h       interface{ Sum64() uint64 }
-	write   func([]byte)
+	lines   []string
 	nexts   int
 	reports int
+	// unordered digests the decisions as a set, without the incumbent a
+	// report left: what a run keeps when a kill reorders its completions.
+	unordered bool
 }
 
 func newDigestSched(inner core.Scheduler, space *searchspace.Space) *digestSched {
-	h := fnv.New64a()
-	return &digestSched{inner: inner, space: space, h: h, write: func(b []byte) { _, _ = h.Write(b) }}
+	return &digestSched{inner: inner, space: space}
 }
 
 func (d *digestSched) Next() (core.Job, bool) {
@@ -98,7 +104,7 @@ func (d *digestSched) Next() (core.Job, bool) {
 		v, _ := job.Config.Lookup(p.Name)
 		line += fmt.Sprintf("%x,", math.Float64bits(v))
 	}
-	d.write([]byte(line))
+	d.lines = append(d.lines, line)
 	return job, true
 }
 
@@ -106,89 +112,187 @@ func (d *digestSched) Report(res core.Result) {
 	d.reports++
 	d.inner.Report(res)
 	line := fmt.Sprintf("R t=%d r=%d loss=%x fail=%v", res.TrialID, res.Rung, math.Float64bits(res.Loss), res.Failed)
-	if best, ok := d.inner.Best(); ok {
+	if best, ok := d.inner.Best(); ok && !d.unordered {
 		line += fmt.Sprintf(" inc=%d/%x", best.TrialID, math.Float64bits(best.Loss))
 	}
-	d.write([]byte(line))
+	d.lines = append(d.lines, line)
 }
 
 func (d *digestSched) Best() (core.Best, bool) { return d.inner.Best() }
 func (d *digestSched) Done() bool              { return d.inner.Done() }
 
-func (d *digestSched) digest() string { return fmt.Sprintf("%016x", d.h.Sum64()) }
+func (d *digestSched) digest() string {
+	lines := d.lines
+	if d.unordered {
+		lines = slices.Clone(lines)
+		sort.Strings(lines)
+	}
+	h := fnv.New64a()
+	for _, line := range lines {
+		_, _ = h.Write([]byte(line))
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
 
 // boundaryWriter keeps a journal image and the offset just past each
-// Write: the journal commits one record per Write, so these are the
-// record boundaries, whatever the byte format.
+// Write: the journal commits one flush per Write, so these are the flush
+// boundaries.
 type boundaryWriter struct {
 	bytes.Buffer
-	bounds []int
+	flushes []int
 }
 
 func (w *boundaryWriter) Write(p []byte) (int, error) {
 	n, err := w.Buffer.Write(p)
-	w.bounds = append(w.bounds, w.Len())
+	w.flushes = append(w.flushes, w.Len())
 	return n, err
 }
 
-// runUninterrupted journals a full fixed-seed run and returns its
-// decision digest, the journal image and its record boundaries.
-func runUninterrupted(t *testing.T) (*digestSched, []byte, []int) {
-	t.Helper()
+// recordBounds walks the frame headers of a journal image and returns the
+// offset just past each record: past the meta, and past every later frame
+// but a names frame, which commits with the issue behind it.
+func recordBounds(image []byte) []int {
+	const magic, header = 8, 8 // "ASHAJNL" + version; body length + CRC32C
+	var bounds []int
+	for off := magic; off < len(image); {
+		body := off + header
+		off = body + int(binary.LittleEndian.Uint32(image[off:]))
+		if image[body] != 'N' {
+			bounds = append(bounds, off)
+		}
+	}
+	return bounds
+}
+
+// parityRun is one fixed-seed journaled run and the way to resume it.
+type parityRun struct {
+	jobs      int
+	sched     func(*searchspace.Space) core.Scheduler
+	exec      func(context.Context) backend.Backend
+	unordered bool // see digestSched
+}
+
+// oneWorker is the sequential ASHA run the golden stream belongs to.
+var oneWorker = parityRun{jobs: parityJobs, sched: parityScheduler,
+	exec: func(ctx context.Context) backend.Backend { return exec.NewPool(ctx, parityObjective, 1) }}
+
+func (p parityRun) newSched() *digestSched {
 	space := paritySpace()
-	var buf boundaryWriter
-	journal, err := state.NewWriter(&buf, state.Meta{Experiment: "parity", Seed: paritySeed})
+	ds := newDigestSched(p.sched(space), space)
+	ds.unordered = p.unordered
+	return ds
+}
+
+// uninterrupted journals the full run and returns its decisions and the
+// journal's writer.
+func (p parityRun) uninterrupted(t *testing.T) (*digestSched, *boundaryWriter) {
+	t.Helper()
+	buf := &boundaryWriter{}
+	journal, err := state.NewWriter(buf, state.Meta{Experiment: "parity", Seed: paritySeed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := newDigestSched(parityScheduler(space), space)
+	ds := p.newSched()
 	ctx := context.Background()
-	pool := exec.NewPool(ctx, parityObjective, 1)
-	if _, err := backend.Drive(ctx, ds, pool, backend.Options{
-		MaxJobs: parityJobs, Journal: journal, SnapshotEvery: paritySnapEvery,
+	if _, err := backend.Drive(ctx, ds, p.exec(ctx), backend.Options{
+		MaxJobs: p.jobs, Journal: journal, SnapshotEvery: paritySnapEvery,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return ds, buf.Bytes(), buf.bounds
+	return ds, buf
 }
 
 // resumeFrom kills the run at the given byte offset of its journal
 // (recovery snaps torn cuts back to the previous record boundary),
-// resumes it, and returns the digest of the combined replayed+continued
-// decision stream.
-func resumeFrom(t *testing.T, journal []byte, cut int) (*digestSched, int) {
+// resumes it, and returns the combined replayed+continued decisions.
+func (p parityRun) resumeFrom(t *testing.T, journal []byte, cut int) (*digestSched, int) {
 	t.Helper()
 	rec, err := state.Recover(journal[:cut])
 	if err != nil {
 		t.Fatalf("recover at offset %d: %v", cut, err)
 	}
-	space := paritySpace()
-	ds := newDigestSched(parityScheduler(space), space)
+	ds := p.newSched()
 	rs, err := backend.Replay(rec, ds, backend.Options{})
 	if err != nil {
 		t.Fatalf("replay at offset %d: %v", cut, err)
 	}
 	relaunched := len(rs.Relaunch)
 	ctx := context.Background()
-	pool := exec.NewPool(ctx, parityObjective, 1)
-	if _, err := backend.Drive(ctx, ds, pool, backend.Options{
-		MaxJobs: parityJobs, Resume: rs,
+	if _, err := backend.Drive(ctx, ds, p.exec(ctx), backend.Options{
+		MaxJobs: p.jobs, Resume: rs,
 	}); err != nil {
 		t.Fatalf("resumed drive at offset %d: %v", cut, err)
 	}
 	return ds, relaunched
 }
 
+// runUninterrupted journals the one-worker run and returns its decision
+// digest, the journal image and its record boundaries.
+func runUninterrupted(t *testing.T) (*digestSched, []byte, []int) {
+	t.Helper()
+	ds, buf := oneWorker.uninterrupted(t)
+	return ds, buf.Bytes(), recordBounds(buf.Bytes())
+}
+
+func resumeFrom(t *testing.T, journal []byte, cut int) (*digestSched, int) {
+	t.Helper()
+	return oneWorker.resumeFrom(t, journal, cut)
+}
+
+// lockstep makes a pool of several workers deterministic: Await waits
+// for every job launched and returns their completions by trial, so a
+// fill and a batch are as wide as the pool whatever the goroutines do.
+type lockstep struct {
+	*exec.Pool
+	out   int
+	batch []backend.Completion
+}
+
+func (b *lockstep) Launch(job core.Job) {
+	b.out++
+	b.Pool.Launch(job)
+}
+
+func (b *lockstep) Await(ctx context.Context) ([]backend.Completion, error) {
+	b.batch = b.batch[:0]
+	for b.out > 0 {
+		got, err := b.Pool.Await(ctx)
+		if err != nil {
+			return nil, err
+		}
+		b.batch = append(b.batch, got...)
+		b.out -= len(got)
+	}
+	sort.Slice(b.batch, func(i, k int) bool { return b.batch[i].Job.TrialID < b.batch[k].Job.TrialID })
+	return b.batch, nil
+}
+
+// fourWorkers is one synchronous-halving bracket over four workers in
+// lockstep. A kill inside a batch's reports leaves some of them replayed
+// before the rest are relaunched, an order no uninterrupted run has — so
+// the decisions are compared as a set, which a rung barrier keeps the
+// same under any completion order.
+var fourWorkers = parityRun{jobs: 85, unordered: true,
+	sched: func(space *searchspace.Space) core.Scheduler {
+		return core.NewSHA(core.SHAConfig{Space: space, RNG: xrand.New(paritySeed), N: 64, Eta: 4, MinResource: 1, MaxResource: 64})
+	},
+	exec: func(ctx context.Context) backend.Backend {
+		return &lockstep{Pool: exec.NewPool(ctx, parityObjective, 4)}
+	}}
+
 // parityGolden is the golden record of the uninterrupted run.
 type parityGolden struct {
 	Digest  string `json:"digest"`
 	Nexts   int    `json:"nexts"`
 	Reports int    `json:"reports"`
+	// FourWorkers digests the fourWorkers run's decisions as a set.
+	FourWorkers string `json:"fourWorkers"`
 }
 
 func TestResumeParity(t *testing.T) {
 	full, journal, bounds := runUninterrupted(t)
-	got := parityGolden{Digest: full.digest(), Nexts: full.nexts, Reports: full.reports}
+	wide, wideJournal := fourWorkers.uninterrupted(t)
+	got := parityGolden{Digest: full.digest(), Nexts: full.nexts, Reports: full.reports, FourWorkers: wide.digest()}
 
 	path := filepath.Join("testdata", "resume_parity.json")
 	if *updateParity {
@@ -257,6 +361,32 @@ func TestResumeParity(t *testing.T) {
 		if d := ds.digest(); d != want.Digest {
 			t.Errorf("torn kill at byte %d: resumed decision stream diverged: digest %s, want %s", cut, d, want.Digest)
 		}
+	}
+
+	// Kills inside a flush that carries several records: at every record
+	// boundary within it — a committed prefix of a fill's issues, none of
+	// them launched, or of a batch's reports, none of them ingested — and
+	// at torn bytes in the header and in the body of the frame behind each.
+	image, start, inside := wideJournal.Bytes(), 0, 0
+	records := recordBounds(image)
+	for _, end := range wideJournal.flushes {
+		for _, b := range records {
+			if b <= start || b >= end {
+				continue
+			}
+			inside++
+			for _, cut := range []int{b, b + 3, b + 17} {
+				ds, _ := fourWorkers.resumeFrom(t, image, cut)
+				if d := ds.digest(); d != want.FourWorkers {
+					t.Errorf("kill at byte %d, inside the flush %d-%d: resumed decisions diverged: digest %s, want %s (nexts %d vs %d, reports %d vs %d)",
+						cut, start, end, d, want.FourWorkers, ds.nexts, wide.nexts, ds.reports, wide.reports)
+				}
+			}
+		}
+		start = end
+	}
+	if inside < fourWorkers.jobs {
+		t.Errorf("only %d record boundaries fall inside a flush; the four-worker run did not group its records", inside)
 	}
 }
 

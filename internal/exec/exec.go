@@ -131,6 +131,21 @@ type poolTrial struct {
 	state     interface{}
 	stateJSON json.RawMessage
 	config    searchspace.Config
+	restored  bool // state is still to be decoded from stateJSON (RestoreTrial)
+	changed   bool // listed in the lane's changed ids
+}
+
+// live returns the trial's state object, decoding a restored checkpoint
+// on first use: most trials of a resumed run never launch again.
+func (t *poolTrial) live() interface{} {
+	if t.restored {
+		t.restored = false
+		var v interface{}
+		if err := json.Unmarshal(t.stateJSON, &v); err == nil {
+			t.state = v
+		}
+	}
+	return t.state
 }
 
 // Pool is the goroutine worker-pool backend. All trial bookkeeping is
@@ -150,6 +165,17 @@ type Pool struct {
 	// checkpoint enables commit-time JSON encoding of trial states for
 	// journal snapshots (set by the engine when the lane is journaled).
 	checkpoint bool
+	changed    []int // trials whose committed state changed since SnapshotTrials last ran
+}
+
+// mark lists a trial whose committed (resource, checkpoint) just changed
+// for the next snapshot. Every writer of that pair calls it, except
+// RestoreTrial: what it restores is in the journal already.
+func (p *Pool) mark(id int, t *poolTrial) {
+	if p.checkpoint && !t.changed {
+		t.changed = true
+		p.changed = append(p.changed, id)
+	}
 }
 
 // poolShared is what a pool's lane views share: the goroutines, their
@@ -230,12 +256,13 @@ func (p *Pool) Launch(job core.Job) {
 	if job.InheritFrom >= 0 {
 		if donor := p.trials[job.InheritFrom]; donor != nil {
 			t.resource = donor.resource
-			t.state = donor.state
+			t.state, t.restored = donor.live(), false
 			t.stateJSON = donor.stateJSON
+			p.mark(job.TrialID, t)
 		}
 	}
 	t.config = job.Config.Clone()
-	p.tasks <- poolTask{lane: p, job: job, from: t.resource, to: job.TargetResource, state: t.state}
+	p.tasks <- poolTask{lane: p, job: job, from: t.resource, to: job.TargetResource, state: t.live()}
 }
 
 // Await blocks for one result of any lane then drains every other
@@ -269,6 +296,7 @@ func (p *Pool) apply(r poolResult) backend.Completion {
 	t := p.trials[r.job.TrialID]
 	t.resource = r.job.TargetResource
 	t.state = r.state
+	p.mark(r.job.TrialID, t)
 	if p.checkpoint {
 		// Commit-time encoding: the worker that produced r.state has
 		// finished and no new job of this trial can be running, so the
@@ -326,9 +354,12 @@ func (p *Pool) Stats() backend.Stats {
 // SnapshotTrials implements backend.TrialCheckpointer, streaming the
 // commit-time encodings (see EnableCheckpointSnapshots).
 func (p *Pool) SnapshotTrials(fn func(trial int, resource float64, state json.RawMessage)) {
-	for id, t := range p.trials {
+	for _, id := range p.changed {
+		t := p.trials[id]
+		t.changed = false
 		fn(id, t.resource, t.stateJSON)
 	}
+	p.changed = p.changed[:0]
 }
 
 // RestoreTrial implements backend.TrialCheckpointer. The checkpoint is
@@ -337,12 +368,5 @@ func (p *Pool) SnapshotTrials(fn func(trial int, resource float64, state json.Ra
 // subprocess and remote objectives already receive, so objectives used
 // with resume must accept it.
 func (p *Pool) RestoreTrial(trial int, resource float64, state json.RawMessage) {
-	t := &poolTrial{resource: resource, stateJSON: state}
-	if len(state) > 0 {
-		var v interface{}
-		if err := json.Unmarshal(state, &v); err == nil {
-			t.state = v
-		}
-	}
-	p.trials[trial] = t
+	p.trials[trial] = &poolTrial{resource: resource, stateJSON: state, restored: len(state) > 0}
 }

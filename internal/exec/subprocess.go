@@ -187,6 +187,7 @@ func Serve(ctx context.Context, r io.Reader, w io.Writer, obj Objective) error {
 type procTrial struct {
 	resource float64
 	state    json.RawMessage
+	changed  bool // listed in Subprocess.changed
 }
 
 // procWorker is one managed worker process.
@@ -222,6 +223,7 @@ type Subprocess struct {
 	idle    chan *procWorker
 	results chan procResult
 	trials  map[int]*procTrial
+	changed []int // trials committed to since SnapshotTrials last ran
 	start   time.Time
 	all     []*procWorker // every process ever spawned, for cancel-kill
 	live    int           // worker seats in existence (idle + busy)
@@ -288,6 +290,17 @@ func (s *Subprocess) spawn() (*procWorker, error) {
 // Capacity implements backend.Backend.
 func (s *Subprocess) Capacity() int { return s.workers }
 
+// commit sets a trial's committed state and lists the trial for the next
+// snapshot. Every writer of that state goes through it, except
+// RestoreTrial: what it restores is in the journal already.
+func (s *Subprocess) commit(id int, t *procTrial, resource float64, state json.RawMessage) {
+	t.resource, t.state = resource, state
+	if !t.changed {
+		t.changed = true
+		s.changed = append(s.changed, id)
+	}
+}
+
 // Launch resolves the job's trial state and hands it to an idle worker.
 // The engine guarantees at most Capacity jobs in flight, so an idle
 // worker is always available without blocking.
@@ -299,8 +312,7 @@ func (s *Subprocess) Launch(job core.Job) {
 	}
 	if job.InheritFrom >= 0 {
 		if donor := s.trials[job.InheritFrom]; donor != nil {
-			t.resource = donor.resource
-			t.state = donor.state
+			s.commit(job.TrialID, t, donor.resource, donor.state)
 		}
 	}
 	w := <-s.idle
@@ -377,8 +389,7 @@ func (s *Subprocess) apply(r procResult) backend.Completion {
 	default:
 		s.idle <- r.worker
 		t := s.trials[r.job.TrialID]
-		t.resource = r.job.TargetResource
-		t.state = r.resp.State
+		s.commit(r.job.TrialID, t, r.job.TargetResource, r.resp.State)
 		c.Loss = r.resp.Loss
 		c.TrueLoss = r.resp.Loss
 		c.Resource = t.resource
@@ -425,8 +436,7 @@ func (s *Subprocess) Close() error {
 		case r := <-s.results:
 			if !r.crashed && !r.badVersion && r.resp.Error == "" {
 				if t := s.trials[r.job.TrialID]; t != nil {
-					t.resource = r.job.TargetResource
-					t.state = r.resp.State
+					s.commit(r.job.TrialID, t, r.job.TargetResource, r.resp.State)
 				}
 			}
 			r.worker.shutdown()
@@ -448,9 +458,12 @@ func (s *Subprocess) Stats() backend.Stats {
 // SnapshotTrials implements backend.TrialCheckpointer: subprocess
 // checkpoints are already the opaque JSON the wire carries.
 func (s *Subprocess) SnapshotTrials(fn func(trial int, resource float64, state json.RawMessage)) {
-	for id, t := range s.trials {
+	for _, id := range s.changed {
+		t := s.trials[id]
+		t.changed = false
 		fn(id, t.resource, t.state)
 	}
+	s.changed = s.changed[:0]
 }
 
 // RestoreTrial implements backend.TrialCheckpointer.

@@ -18,6 +18,7 @@ import (
 type trialState struct {
 	resource float64
 	state    json.RawMessage
+	changed  bool // listed in Backend.changed
 }
 
 // result is one settled job delivered to the engine goroutine.
@@ -45,7 +46,8 @@ type Backend struct {
 	experiment string // stamped on every job, for worker-side objective routing
 	// trials is indexed by trial ID — ASHA issues dense IDs, so a slice
 	// beats a map on the per-job lookup path.
-	trials []*trialState
+	trials  []*trialState
+	changed []int // trials committed to since SnapshotTrials last ran
 }
 
 // fleet is what a backend's lane views share: the server, the clock and
@@ -103,6 +105,17 @@ func (b *Backend) trial(id int) *trialState {
 	return t
 }
 
+// commit sets a trial's committed state and lists the trial for the next
+// snapshot. Every writer of that state goes through it, except
+// RestoreTrial: what it restores is in the journal already.
+func (b *Backend) commit(id int, t *trialState, resource float64, state json.RawMessage) {
+	t.resource, t.state = resource, state
+	if !t.changed {
+		t.changed = true
+		b.changed = append(b.changed, id)
+	}
+}
+
 // deliver queues one settled job for the engine. Called from server
 // goroutines; never blocks.
 func (f *fleet) deliver(r result) {
@@ -128,8 +141,7 @@ func (b *Backend) Launch(job core.Job) {
 	t := b.trial(job.TrialID)
 	if job.InheritFrom >= 0 && job.InheritFrom < len(b.trials) {
 		if donor := b.trials[job.InheritFrom]; donor != nil {
-			t.resource = donor.resource
-			t.state = donor.state
+			b.commit(job.TrialID, t, donor.resource, donor.state)
 		}
 	}
 	b.srv.Submit(JobPayload{
@@ -194,8 +206,7 @@ func (b *Backend) apply(r result) backend.Completion {
 		c.Err = fmt.Errorf("remote: objective failed for trial %d: %s", r.job.TrialID, r.out.Err)
 	default:
 		t := b.trial(r.job.TrialID)
-		t.resource = r.job.TargetResource
-		t.state = r.out.State
+		b.commit(r.job.TrialID, t, r.job.TargetResource, r.out.State)
 		c.Loss = r.out.Loss
 		c.TrueLoss = r.out.Loss
 		c.Resource = t.resource
@@ -232,11 +243,12 @@ func (b *Backend) Stats() backend.Stats {
 // SnapshotTrials implements backend.TrialCheckpointer: fleet checkpoints
 // are already the opaque JSON workers report.
 func (b *Backend) SnapshotTrials(fn func(trial int, resource float64, state json.RawMessage)) {
-	for id, t := range b.trials {
-		if t != nil {
-			fn(id, t.resource, t.state)
-		}
+	for _, id := range b.changed {
+		t := b.trials[id]
+		t.changed = false
+		fn(id, t.resource, t.state)
 	}
+	b.changed = b.changed[:0]
 }
 
 // RestoreTrial implements backend.TrialCheckpointer. On resume the lease

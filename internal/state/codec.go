@@ -12,7 +12,8 @@ package state
 //	'I' issue   trial, rung, inherit+1, kind; target; one float per name
 //	'R' report  trial, rung, failed; loss, true loss, resource, time
 //	'S' snap    issued, completed, failed, final, trial count; time; per
-//	            trial: trial; resource; checkpoint bytes (JSON, or none)
+//	            trial changed since the previous snap: trial; resource;
+//	            checkpoint bytes (JSON, or none)
 //
 // Every value has one encoding (the shortest varint, 0 or 1 for a flag),
 // so a decoded record re-encodes to the bytes it was read from.
@@ -44,7 +45,7 @@ var (
 	bit        = map[bool]int{true: 1}                               // a flag as a field
 )
 
-// The encode side: Journal methods that build one record's frames in
+// The encode side: Journal methods that append one record's frames to
 // j.buf. A field the decoder would refuse latches j.bad instead: the
 // record is the caller's bug and nothing of it reaches the file.
 

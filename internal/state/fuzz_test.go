@@ -127,6 +127,7 @@ func hostileImages() map[string][]byte {
 		"v1-json":      []byte("{\"v\":1,\"meta\":{\"experiment\":\"fuzz\",\"seed\":3}}\n"),
 		"garbage":      []byte("not a journal\n"),
 		"next-version": append(append([]byte(magicPrefix), Version+1), seed[len(magic):]...),
+		"format-2":     append(append([]byte(magicPrefix), 2), seed[len(magic):]...),
 		"length-past":  with(binary.LittleEndian.AppendUint32(nil, 1<<16), []byte{0, 0, 0, 0, typeReport}),
 		"length-cap":   with(binary.LittleEndian.AppendUint32(nil, math.MaxUint32), make([]byte, 64)),
 		"length-zero":  with(make([]byte, frameHeader), seed[len(head):]),

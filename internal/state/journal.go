@@ -14,33 +14,35 @@ type syncer interface {
 	Sync() error
 }
 
-// Journal is a write-ahead appender. Each record is encoded into a
-// buffer the journal owns and written with a single Write call (an
-// issue's names frame, when its table changed, rides in the same call),
-// so a crash can tear at most the final record — which Recover discards
-// as the recovery point. A failed append (error, short write, or failed
-// sync) is sticky: every later append returns the same error, forcing
-// the caller to abort instead of continuing with a hole in the log.
+// Journal is a write-ahead appender with group commit. A record is
+// encoded into a buffer the journal owns (an issue's names frame, when
+// its table changed, goes in with it); Flush writes everything encoded
+// since the previous flush with a single Write call, so a crash can tear
+// at most the last frame of the last flush — which Recover discards,
+// keeping the committed prefix of that flush. The Append methods encode
+// one record and flush it. A failed flush (error, short write, or failed
+// sync) is sticky: every later call returns the same error, forcing the
+// caller to abort instead of continuing with a hole in the log.
 //
-// Appends are serialized by an internal mutex, but the write-ahead
-// ordering contract is the caller's: append the issue before launching,
-// append the report before delivering it to the scheduler.
+// Calls are serialized by an internal mutex, but the write-ahead
+// ordering contract is the caller's: flush the issue before launching,
+// flush the report before delivering it to the scheduler.
 type Journal struct {
 	mu      sync.Mutex
 	w       io.Writer
 	f       *os.File
 	err     error
-	records int
-	buf     []byte    // the record being encoded (codec.go)
-	bad     error     // what makes it a record the format cannot carry
+	records int       // committed: written by a flush that succeeded
+	staged  int       // encoded in buf, waiting for the next flush
+	buf     []byte    // the staged records' frames (codec.go)
+	bad     error     // what makes the record being encoded one the format cannot carry
 	names   []string  // the table the last names frame declared
 	vals    []float64 // scratch: an issue's Config laid out against its table
 
 	// SyncEach, when set before use, syncs the underlying writer after
-	// every append, making records durable against machine crashes, not
-	// just process crashes. Off by default: the per-record Write already
-	// survives process death, and fsync-per-record costs ~1ms on most
-	// filesystems.
+	// every flush, making records durable against machine crashes, not
+	// just process crashes. Off by default: a flushed record already
+	// survives process death, and an fsync costs ~1ms on most filesystems.
 	SyncEach bool
 }
 
@@ -78,16 +80,41 @@ func ReopenWriter(w io.Writer, records int) *Journal {
 	return &Journal{w: w, records: records}
 }
 
-// Append writes one record. The first write or sync error is sticky; a
-// record the format cannot carry (Validate, the encoder's range checks)
-// is the caller's bug and is refused without poisoning the journal.
+// Append stages one record and flushes it (with anything staged before
+// it).
 func (j *Journal) Append(rec Record) error {
+	if err := j.Stage(rec); err != nil {
+		return err
+	}
+	return j.Flush()
+}
+
+// AppendReport and AppendSnapshot wrap Append, AppendIssue StageIssue.
+func (j *Journal) AppendReport(rep Report) error {
+	return j.Append(Record{V: Version, Report: &rep})
+}
+
+func (j *Journal) AppendSnapshot(snap Snapshot) error {
+	return j.Append(Record{V: Version, Snap: &snap})
+}
+
+func (j *Journal) AppendIssue(is Issue, vals []float64) error {
+	if err := j.StageIssue(is, vals); err != nil {
+		return err
+	}
+	return j.Flush()
+}
+
+// Stage encodes one record for the next Flush. A record the format
+// cannot carry (Validate, the encoder's range checks) is the caller's bug
+// and is refused without poisoning the journal.
+func (j *Journal) Stage(rec Record) error {
 	if err := rec.Validate(); err != nil {
 		return err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.buf, j.bad = j.buf[:0], nil
+	at := len(j.buf)
 	switch {
 	case rec.Meta != nil:
 		j.meta(rec.Meta)
@@ -98,33 +125,44 @@ func (j *Journal) Append(rec Record) error {
 	default:
 		j.snapshot(rec.Snap)
 	}
-	return j.commit()
+	return j.stage(at)
 }
 
-// AppendReport and AppendSnapshot wrap Append.
-func (j *Journal) AppendReport(rep Report) error {
-	return j.Append(Record{V: Version, Report: &rep})
-}
-
-func (j *Journal) AppendSnapshot(snap Snapshot) error {
-	return j.Append(Record{V: Version, Snap: &snap})
-}
-
-// AppendIssue appends an issue whose configuration the caller holds as a
+// StageIssue stages an issue whose configuration the caller holds as a
 // dense vector against is.Names — the engine's path: no map is built
 // (is.Config stands in only for a nil vals).
-func (j *Journal) AppendIssue(is Issue, vals []float64) error {
+func (j *Journal) StageIssue(is Issue, vals []float64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.buf, j.bad = j.buf[:0], nil
+	at := len(j.buf)
 	j.issue(&is, vals)
-	return j.commit()
+	return j.stage(at)
 }
 
-// commit writes the encoded record with one Write call.
-func (j *Journal) commit() error {
+// stage counts the record encoded from offset at of the buffer as
+// staged, or, when the journal has failed or the format cannot carry the
+// record, drops its bytes: nothing of a refused record reaches the file.
+func (j *Journal) stage(at int) error {
 	if err := cmp.Or(j.err, j.bad); err != nil {
+		j.buf, j.bad = j.buf[:at], nil
 		return err
+	}
+	j.staged++
+	return nil
+}
+
+// Flush commits the staged records with one Write call, and one sync
+// under SyncEach. The first write or sync error is sticky; with nothing
+// staged Flush only returns it.
+func (j *Journal) Flush() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.flush()
+}
+
+func (j *Journal) flush() error {
+	if j.err != nil || j.staged == 0 {
+		return j.err
 	}
 	n, err := j.w.Write(j.buf)
 	if err == nil && n < len(j.buf) {
@@ -138,8 +176,9 @@ func (j *Journal) commit() error {
 		}
 	}
 	if j.err == nil {
-		j.records++
+		j.records += j.staged
 	}
+	j.buf, j.staged = j.buf[:0], 0
 	return j.err
 }
 
@@ -150,21 +189,23 @@ func (j *Journal) Err() error {
 	return j.err
 }
 
-// Records returns the number of records successfully appended (including
-// the meta record, and including records replayed from disk when the
-// journal was opened by RecoverFile).
+// Records returns the number of records committed — staged records count
+// once their flush succeeded — including the meta record, and including
+// records replayed from disk when the journal was opened by RecoverFile.
 func (j *Journal) Records() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.records
 }
 
-// Close syncs and closes the underlying file, if any. It returns the
-// sticky append error in preference to a close error, so callers that
-// only check Close still observe append failures.
+// Close flushes what is still staged, then syncs and closes the
+// underlying file, if any. It returns the sticky error in preference to a
+// close error, so callers that only check Close still observe append
+// failures — a journal that has failed refuses its staged records too.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	_ = j.flush() // a failure is sticky: returned below
 	var closeErr error
 	if j.f != nil {
 		if err := j.f.Sync(); err != nil && j.err == nil {

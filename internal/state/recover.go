@@ -71,7 +71,10 @@ func Recover(data []byte) (*Recovered, error) {
 		return nil, ErrNoMeta
 	}
 	d.r.Reset(body[1:])
-	rec := &Recovered{Records: make([]Record, 0, len(data)/64), // a record with its share of snapshot is ~100 bytes
+	// Sized not to regrow: the leanest run's records — two parameters
+	// (issue 39 bytes, report 45) and a bare number for a checkpoint (its
+	// snapshot entry ~25 a job) — average 60 bytes; wider ones only fewer.
+	rec := &Recovered{Records: make([]Record, 0, len(data)/56),
 		Meta: Meta{Experiment: d.r.String(), Algo: d.r.String(), Seed: d.r.Uvarint(), Params: d.strings()}}
 	if d.r.ExpectEOF(); d.r.Err() != nil {
 		return nil, ErrNoMeta

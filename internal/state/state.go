@@ -1,7 +1,7 @@
 // Package state implements the durable run state underneath checkpoint/
 // resume: a write-ahead journal of every scheduler decision plus periodic
-// snapshots of the executor's trial table, stored as a single append-only
-// file per experiment.
+// snapshots of what changed in the executor's trial table, stored as a
+// single append-only file per experiment.
 //
 // The file is a magic followed by one binary frame per record (codec.go
 // has the layout): a length, a CRC32C, a type byte and the record's
@@ -15,12 +15,14 @@
 // Durability contract (write-ahead discipline, enforced by the engine in
 // internal/backend):
 //
-//   - an issue record is appended (and optionally fsynced) BEFORE the job
-//     is handed to the execution backend, so a job can never run without
-//     a durable record of its issuance;
-//   - a report record is appended BEFORE the result is delivered to the
-//     scheduler, so the journal is always a superset of scheduler state;
-//   - a failed append is sticky: the journal refuses all further records,
+//   - the flush holding a job's issue record returns (written, and
+//     optionally fsynced) BEFORE the job is handed to the execution
+//     backend, so a job can never run without a durable record of its
+//     issuance;
+//   - the flush holding a report record returns BEFORE the result is
+//     delivered to the scheduler, so the journal is always a superset of
+//     scheduler state;
+//   - a failed flush is sticky: the journal refuses all further records,
 //     and the caller must abort the run rather than continue with a hole
 //     in the log.
 //
@@ -42,7 +44,7 @@ import (
 
 // Version is the journal format version, the last byte of the file's
 // magic. A reader refuses files of any other version (ErrFormat).
-const Version = 2
+const Version = 3
 
 // Meta is the journal's head record: enough identity to refuse resuming
 // a run under a different experiment, seed, algorithm, or search space.
@@ -120,9 +122,11 @@ type TrialSnap struct {
 	State    json.RawMessage `json:"state,omitempty"`
 }
 
-// Snapshot is a periodic full capture of run counters and the executor's
-// trial table. Trials that progressed after the latest snapshot resume
-// from the snapshot's checkpoint — the same rollback semantics as a
+// Snapshot is a periodic capture of the run counters and of the trials
+// whose committed state changed since the previous snapshot record: the
+// executor's trial table is the union of every snapshot's Trials, later
+// over earlier. Trials that progressed after the latest snapshot resume
+// from the checkpoint last snapshotted — the same rollback semantics as a
 // worker crash — so snapshot cadence bounds recomputation, not
 // correctness.
 type Snapshot struct {

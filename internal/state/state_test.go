@@ -173,7 +173,10 @@ func TestRecoverNamesForeignFormats(t *testing.T) {
 	}{
 		{[]byte("{\"v\":1,\"meta\":{\"experiment\":\"x\",\"seed\":1}}\n"), "format-1 (JSON-lines)"},
 		{[]byte("{"), "format-1 (JSON-lines)"},
-		{append(future, buildJournal(t, nil)[len(magic):]...), "format-3 journal"},
+		{append(future, buildJournal(t, nil)[len(magic):]...), "format-4 journal"},
+		// Format 2 framed the same records but meant the full trial table
+		// by a snapshot's list: its files are not read as deltas.
+		{hostileImages()["format-2"], "format-2 journal"},
 		{[]byte("not a journal\n"), "no journal magic"},
 		{[]byte("ASHA"[:3] + "x"), "no journal magic"},
 	} {
@@ -182,7 +185,7 @@ func TestRecoverNamesForeignFormats(t *testing.T) {
 			t.Errorf("Recover(%q) err = %v, want ErrFormat", c.data, err)
 			continue
 		}
-		if !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "writes format 2") {
+		if !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "writes format 3") {
 			t.Errorf("Recover(%q) err = %q, want it to name %q and the format this build writes", c.data, err, c.want)
 		}
 	}
@@ -231,7 +234,13 @@ func TestRecoverStopsAtForeignFrames(t *testing.T) {
 // an error or a strict prefix of the original records, never a record
 // that differs from what was appended.
 func TestRecoverNeverReturnsAnAlteredRecord(t *testing.T) {
-	data := buildJournal(t, sampleRecords())
+	// Three delta snapshots: trial 0, then trial 1 beside trial 0 again,
+	// then a final one that names nothing.
+	data := buildJournal(t, append(sampleRecords(),
+		Record{V: Version, Report: &Report{Trial: 1, Rung: 0, Loss: 0.75, TrueLoss: 0.75, Resource: 1, Time: 3}},
+		Record{V: Version, Snap: &Snapshot{Issued: 3, Completed: 2, Failed: 1, Time: 3, Trials: []TrialSnap{
+			{Trial: 0, Resource: 4, State: json.RawMessage(`{"loss":0.4}`)}, {Trial: 1, Resource: 1}}}},
+		Record{V: Version, Snap: &Snapshot{Issued: 3, Completed: 2, Failed: 1, Time: 3, Final: true}}))
 	want, err := Recover(data)
 	if err != nil {
 		t.Fatal(err)
@@ -557,6 +566,93 @@ func TestJournalSyncFailureIsSticky(t *testing.T) {
 	}
 	if err := j.Append(sampleRecords()[0]); err == nil {
 		t.Fatal("append after sync failure succeeded")
+	}
+}
+
+// countingWriter counts Write and Sync calls over a buffer.
+type countingWriter struct {
+	bytes.Buffer
+	writes, syncs int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) { w.writes++; return w.Buffer.Write(p) }
+func (w *countingWriter) Sync() error                 { w.syncs++; return nil }
+
+// Staged records reach the writer on Flush, all of them with one Write
+// and one sync; until then they are neither in the file nor counted. A
+// record the format refuses drops out of the group without disturbing
+// it, and Close flushes what is still staged.
+func TestJournalGroupCommit(t *testing.T) {
+	w := &countingWriter{}
+	j, err := NewWriter(w, testMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.SyncEach = true
+	head, names := w.Len(), testMeta().Params
+	for trial := 0; trial < 3; trial++ {
+		if err := j.StageIssue(Issue{Trial: trial, Inherit: -1, Kind: KindSample, Names: names}, []float64{0.1, 0.9}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Stage(Record{V: Version, Report: &Report{Trial: -1}}); err == nil {
+		t.Fatal("a negative trial was staged")
+	}
+	if err := j.Stage(Record{V: Version, Report: &Report{Trial: 0, Loss: 0.5, Resource: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if w.Len() != head || w.writes != 1 || j.Records() != 1 {
+		t.Fatalf("before the flush: %d bytes past the head, %d writes, %d records; want 0, 1, 1", w.Len()-head, w.writes, j.Records())
+	}
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Flush(); err != nil || w.writes != 2 || w.syncs != 1 || j.Records() != 5 {
+		t.Fatalf("after the flush (and an empty one): err %v, %d writes, %d syncs, %d records; want nil, 2, 1, 5", err, w.writes, w.syncs, j.Records())
+	}
+	if err := j.Stage(Record{V: Version, Report: &Report{Trial: 1, Loss: 0.25, Resource: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil || w.writes != 3 {
+		t.Fatalf("Close: err %v, %d writes; want it to flush the staged report", err, w.writes)
+	}
+	rec, err := Recover(w.Bytes())
+	if err != nil || rec.Truncated || len(rec.Records) != 5 || rec.Records[3].Report == nil || rec.Records[4].Report.Trial != 1 {
+		t.Fatalf("recovered %+v, %v; want three issues and two reports", rec, err)
+	}
+}
+
+// A failed flush loses the whole group — what of it reached the file is
+// a committed prefix recovery keeps — and the journal refuses everything
+// after, staged or appended, Close included.
+func TestJournalFlushFailureIsSticky(t *testing.T) {
+	ends := recordEnds(t, buildJournal(t, sampleRecords()))
+	w := &brokenWriter{budget: ends[2] + 5} // tears the third of the four records below
+	j, err := NewWriter(w, testMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range sampleRecords()[:4] {
+		if err := j.Stage(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Flush(); err == nil {
+		t.Fatal("flush through a broken writer succeeded")
+	}
+	if j.Records() != 1 {
+		t.Fatalf("Records() = %d after a failed flush, want the meta alone", j.Records())
+	}
+	before := w.buf.Len()
+	if j.Stage(Record{V: Version, Report: &Report{}}) == nil || j.Flush() == nil || j.Append(sampleRecords()[0]) == nil || j.Close() == nil {
+		t.Fatal("the journal took a record, a flush or a clean close after its flush failed")
+	}
+	if w.buf.Len() != before {
+		t.Fatal("a failed journal wrote bytes")
+	}
+	rec, err := Recover(w.buf.Bytes())
+	if err != nil || !rec.Truncated || len(rec.Records) != 2 {
+		t.Fatalf("recovered %+v, %v; want the two whole records of the torn flush", rec, err)
 	}
 }
 

@@ -204,7 +204,7 @@ func (m *Manager) Run(ctx context.Context) (map[string]*Result, error) {
 // directory: every added experiment whose journal exists is replayed to
 // the exact scheduler state it died with (completed work is not re-run,
 // in-flight jobs are relaunched, trial checkpoints restore from the
-// latest snapshot), and experiments without a journal start fresh. The
+// snapshots), and experiments without a journal start fresh. The
 // manager must be configured with the same experiments — same names,
 // spaces, algorithms, seeds — which Resume verifies per journal. In
 // fleet mode the lease table restarts empty: journaled in-flight jobs

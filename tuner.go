@@ -141,7 +141,7 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) { return t.run(ctx, fa
 // seed and budgets — which Resume verifies against the journal before
 // replaying it: the scheduler is rebuilt to the exact state it died
 // with, completed work is not re-run, in-flight jobs are relaunched, and
-// trial checkpoints are restored from the latest journal snapshot.
+// trial checkpoints are restored from the journal's snapshots.
 func (t *Tuner) Resume(ctx context.Context) (*Result, error) { return t.run(ctx, true) }
 
 func (t *Tuner) run(ctx context.Context, resume bool) (result *Result, err error) {

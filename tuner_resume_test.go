@@ -284,7 +284,7 @@ func TestResumeRefusesForeignJournalAndLeavesItAlone(t *testing.T) {
 	check := func(t *testing.T, err error, path string) {
 		t.Helper()
 		if !errors.Is(err, state.ErrFormat) || !strings.Contains(err.Error(), "format-1 (JSON-lines)") ||
-			!strings.Contains(err.Error(), "writes format 2") {
+			!strings.Contains(err.Error(), "writes format 3") {
 			t.Errorf("err = %v, want state.ErrFormat naming both formats", err)
 		}
 		if got, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(got, old) {
