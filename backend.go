@@ -88,10 +88,9 @@ type Remote struct {
 	MaxLeases int
 	// BatchSize caps the jobs granted per worker lease poll and is the
 	// fleet-wide default lease/report batch size advertised to workers
-	// at registration (default 1: one job per HTTP round trip). Raising
-	// it amortizes the round trip over many jobs — the difference
-	// between ~12k and >100k jobs/sec over loopback (see ashabench's
-	// batched-lease-throughput).
+	// at registration (default 1: one job per round trip). Raising it
+	// amortizes the round trip over many jobs — the difference between
+	// ~12k and >100k jobs/sec over loopback.
 	BatchSize int
 	// Prefetch is the fleet-wide default worker lookahead advertised at
 	// registration: each worker keeps up to Prefetch leased jobs queued

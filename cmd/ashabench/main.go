@@ -25,7 +25,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -46,7 +45,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/remote"
 	"repro/internal/searchspace"
-	"repro/internal/state"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
@@ -109,26 +107,6 @@ func benches(quick bool) []bench {
 					})
 				}
 				return int64(ops)
-			},
-		},
-		{
-			// The paper's largest scale: 500 simulated workers on PTB.
-			name: "sim-500-workers",
-			ops:  scale(5),
-			run: func(ops int) int64 {
-				benchW := workload.PTBLSTM()
-				var jobs int64
-				for i := 0; i < ops; i++ {
-					sched := core.NewASHA(core.ASHAConfig{
-						Space: benchW.Space(), RNG: xrand.New(uint64(i) + 1), Eta: 4,
-						MinResource: 1, MaxResource: benchW.MaxResource(),
-					})
-					run := cluster.Run(sched, benchW.WithNoiseSeed(uint64(i)), cluster.Options{
-						Workers: 500, MaxTime: 6, Seed: uint64(i),
-					})
-					jobs += int64(run.CompletedJobs)
-				}
-				return jobs
 			},
 		},
 		{
@@ -201,132 +179,16 @@ func benches(quick bool) []bench {
 		},
 		{
 			// One training job's full distributed round trip — lease
-			// grant, JSON checkpoint transport, report — over real
-			// loopback HTTP with an in-process 8-slot worker agent
-			// driving the shared engine. JSONWire pins the agent to the
-			// legacy JSON protocol so this keeps measuring the
-			// single-job JSON path after the binary wire became the
-			// default.
-			name: "remote-loopback-throughput",
-			ops:  scale(2000),
-			run: func(ops int) int64 {
-				space := searchspace.New(
-					searchspace.Param{Name: "lr", Type: searchspace.LogUniform, Lo: 1e-4, Hi: 1},
-					searchspace.Param{Name: "momentum", Type: searchspace.Uniform, Lo: 0, Hi: 1},
-				)
-				sched := core.NewASHA(core.ASHAConfig{
-					Space: space, RNG: xrand.New(9), Eta: 4, MinResource: 1, MaxResource: 256,
-				})
-				srv, err := remote.NewServer(remote.Options{})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ashabench: remote server: %v\n", err)
-					os.Exit(2)
-				}
-				obj := func(_ context.Context, cfg map[string]float64, from, to float64, state interface{}) (float64, interface{}, error) {
-					loss := 3.0
-					if s, ok := state.(float64); ok {
-						loss = s
-					}
-					floor := 0.1 + 0.2*cfg["momentum"]
-					loss = floor + (loss-floor)*0.8
-					return loss, loss, nil
-				}
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				agentDone := make(chan struct{})
-				go func() {
-					defer close(agentDone)
-					_ = remote.ServeAgent(ctx, remote.AgentOptions{
-						Server: srv.URL(), Slots: 8, JSONWire: true,
-						Resolve: func(string) (exec.Objective, error) { return obj, nil },
-					})
-				}()
-				run, err := backend.Drive(ctx, sched, remote.NewBackend(srv, 8),
-					backend.Options{MaxJobs: ops})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ashabench: remote loopback run: %v\n", err)
-					os.Exit(2)
-				}
-				cancel()
-				<-agentDone
-				return int64(run.CompletedJobs)
-			},
-		},
-		{
-			// The same distributed round trip with the batched protocol:
-			// LeaseBatch grants of 128, a 4-slot agent prefetching 256
-			// jobs ahead, and ReportBatch flushes — the amortization
-			// that lifts the fleet wire from one job per HTTP round
-			// trip (remote-loopback-throughput, ~84µs/job) to
-			// encode-limited batch throughput. The op count is sized
-			// past the startup transient (connection setup, heap
-			// growth) so the number reflects the pipeline's steady
-			// state. The acceptance bar is ≥5x the committed
-			// remote-loopback-throughput jobs/sec baseline. JSONWire
-			// pins the agent to the JSON batch protocol so this keeps
-			// guarding the legacy-fleet path after the binary wire
-			// became the default.
-			name: "batched-lease-throughput",
-			ops:  scale(100000),
-			run: func(ops int) int64 {
-				space := searchspace.New(
-					searchspace.Param{Name: "lr", Type: searchspace.LogUniform, Lo: 1e-4, Hi: 1},
-					searchspace.Param{Name: "momentum", Type: searchspace.Uniform, Lo: 0, Hi: 1},
-				)
-				sched := core.NewASHA(core.ASHAConfig{
-					Space: space, RNG: xrand.New(9), Eta: 4, MinResource: 1, MaxResource: 256,
-				})
-				// Metrics on: the counter path is atomics-only, and running
-				// the hot benchmark with the scrape surface enabled keeps
-				// the "observability is free" claim regression-gated.
-				srv, err := remote.NewServer(remote.Options{
-					BatchSize: 128, Prefetch: 256, FlushInterval: 5 * time.Millisecond,
-					Metrics: true,
-				})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ashabench: remote server: %v\n", err)
-					os.Exit(2)
-				}
-				obj := func(_ context.Context, cfg map[string]float64, from, to float64, state interface{}) (float64, interface{}, error) {
-					loss := 3.0
-					if s, ok := state.(float64); ok {
-						loss = s
-					}
-					floor := 0.1 + 0.2*cfg["momentum"]
-					loss = floor + (loss-floor)*0.8
-					return loss, loss, nil
-				}
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				agentDone := make(chan struct{})
-				go func() {
-					defer close(agentDone)
-					_ = remote.ServeAgent(ctx, remote.AgentOptions{
-						Server: srv.URL(), Slots: 2, JSONWire: true,
-						Resolve: func(string) (exec.Objective, error) { return obj, nil },
-					})
-				}()
-				run, err := backend.Drive(ctx, sched, remote.NewBackend(srv, 512),
-					backend.Options{MaxJobs: ops})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ashabench: batched loopback run: %v\n", err)
-					os.Exit(2)
-				}
-				cancel()
-				<-agentDone
-				return int64(run.CompletedJobs)
-			},
-		},
-		{
-			// The same distributed round trip on the binary streaming
-			// wire: one persistent connection per worker, length-prefixed
-			// frames carrying dense config vectors and raw checkpoint
-			// bytes, grants of 256 prefetched 512 deep with 2ms report
-			// flushes. This is the default fleet wire; the comparison
-			// against batched-lease-throughput (same pipeline, JSON
-			// encoding) isolates what the codec and the persistent
-			// connection buy. The acceptance bar is ≥10x the committed
-			// batched-lease-throughput jobs/sec baseline.
+			// grant, checkpoint transport, report — over real loopback
+			// with an in-process 4-slot worker agent driving the shared
+			// engine on the binary streaming wire: one persistent
+			// connection, length-prefixed frames carrying dense config
+			// vectors and raw checkpoint bytes, grants of up to 512
+			// prefetched 1024 deep with 2ms report flushes. Metrics on:
+			// the counter path is atomics-only, and running the hot wire
+			// with the scrape surface enabled keeps the "observability
+			// is free" claim alloc-gated (bench/'s ashad-fleet runs it
+			// with metrics off and owns the jobs/sec number).
 			name: "binary-lease-throughput",
 			ops:  scale(300000),
 			run: func(ops int) int64 {
@@ -430,82 +292,6 @@ func benches(quick bool) []bench {
 			},
 		},
 		{
-			// Write-ahead journal append rate to a real file (no fsync):
-			// one issue + one report record per training job. Journaling
-			// sits on the engine's per-job path, never the scheduler's
-			// get_job path, so this bounds the overhead a durable run adds
-			// per job — it must stay orders of magnitude below any real
-			// training time and must not perturb asha-scheduler-throughput,
-			// which runs without a journal.
-			name: "journal-append-throughput",
-			ops:  scale(200000),
-			run: func(ops int) int64 {
-				dir, err := os.MkdirTemp("", "ashabench-journal-")
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ashabench: journal dir: %v\n", err)
-					os.Exit(2)
-				}
-				defer os.RemoveAll(dir)
-				j, err := state.Create(filepath.Join(dir, "bench.journal"), state.Meta{
-					Experiment: "bench", Algo: "asha.ASHA", Seed: 1, Params: []string{"lr", "momentum", "width"},
-				})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ashabench: journal create: %v\n", err)
-					os.Exit(2)
-				}
-				// The engine's path: the space's shared name table and a
-				// dense value vector, no per-job map.
-				names, vals := []string{"lr", "momentum", "width"}, []float64{0.003, 0.9, 256}
-				for i := 0; i < ops/2; i++ {
-					if err := j.AppendIssue(state.Issue{
-						Trial: i, Rung: 0, Target: 1, Inherit: -1, Kind: state.KindSample, Names: names,
-					}, vals); err != nil {
-						fmt.Fprintf(os.Stderr, "ashabench: journal append: %v\n", err)
-						os.Exit(2)
-					}
-					if err := j.AppendReport(state.Report{
-						Trial: i, Rung: 0, Loss: 0.5, TrueLoss: 0.5, Resource: 1, Time: float64(i),
-					}); err != nil {
-						fmt.Fprintf(os.Stderr, "ashabench: journal append: %v\n", err)
-						os.Exit(2)
-					}
-				}
-				if err := j.Close(); err != nil {
-					fmt.Fprintf(os.Stderr, "ashabench: journal close: %v\n", err)
-					os.Exit(2)
-				}
-				return int64(ops) // jobs/sec reports records/sec
-			},
-		},
-		{
-			// Crash-recovery speed: Recover + Replay of a 20k-job journal
-			// into a freshly built scheduler — the work a resumed tuner
-			// performs before its first new job.
-			name: "resume-replay",
-			ops:  scale(10),
-			run: func(ops int) int64 {
-				data := resumeReplayJournal()
-				var jobs int64
-				for i := 0; i < ops; i++ {
-					rec, err := state.Recover(data)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "ashabench: recover: %v\n", err)
-						os.Exit(2)
-					}
-					sched := core.NewASHA(core.ASHAConfig{
-						Space: replaySpace(), RNG: xrand.New(31), Eta: 4, MinResource: 1, MaxResource: 256,
-					})
-					rs, err := backend.Replay(rec, sched, backend.Options{})
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "ashabench: replay: %v\n", err)
-						os.Exit(2)
-					}
-					jobs += int64(rs.Run.CompletedJobs)
-				}
-				return jobs
-			},
-		},
-		{
 			name: "fig1-promotion-table",
 			ops:  scale(50),
 			run:  experimentRunner("fig1"),
@@ -523,54 +309,6 @@ func benches(quick bool) []bench {
 	}
 	return list
 }
-
-func replaySpace() *searchspace.Space {
-	return searchspace.New(
-		searchspace.Param{Name: "lr", Type: searchspace.LogUniform, Lo: 1e-5, Hi: 1},
-		searchspace.Param{Name: "momentum", Type: searchspace.Uniform, Lo: 0, Hi: 1},
-	)
-}
-
-// resumeReplayJournal builds (once) the 20k-job journal image the
-// resume-replay benchmark recovers, by driving a real ASHA scheduler and
-// journaling its decision stream — so Replay's validation path sees
-// exactly what a production journal holds.
-var resumeReplayJournal = sync.OnceValue(func() []byte {
-	const n = 20000
-	sched := core.NewASHA(core.ASHAConfig{
-		Space: replaySpace(), RNG: xrand.New(31), Eta: 4, MinResource: 1, MaxResource: 256,
-	})
-	var buf bytes.Buffer
-	j, err := state.NewWriter(&buf, state.Meta{Experiment: "bench", Seed: 31})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ashabench: replay journal: %v\n", err)
-		os.Exit(2)
-	}
-	rng := xrand.New(32)
-	for i := 0; i < n; i++ {
-		job, _ := sched.Next()
-		if err := j.AppendIssue(state.Issue{
-			Trial: job.TrialID, Rung: job.Rung, Target: job.TargetResource,
-			Inherit: job.InheritFrom, Names: job.Config.Names(),
-		}, job.Config.Values()); err != nil {
-			fmt.Fprintf(os.Stderr, "ashabench: replay journal: %v\n", err)
-			os.Exit(2)
-		}
-		loss := rng.Float64()
-		if err := j.AppendReport(state.Report{
-			Trial: job.TrialID, Rung: job.Rung, Loss: loss, TrueLoss: loss,
-			Resource: job.TargetResource, Time: float64(i),
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "ashabench: replay journal: %v\n", err)
-			os.Exit(2)
-		}
-		sched.Report(core.Result{
-			TrialID: job.TrialID, Rung: job.Rung, Config: job.Config,
-			Loss: loss, TrueLoss: loss, Resource: job.TargetResource, Time: float64(i),
-		})
-	}
-	return buf.Bytes()
-})
 
 func experimentRunner(id string) func(int) int64 {
 	return func(ops int) int64 {
@@ -593,7 +331,6 @@ func experimentRunner(id string) func(int) int64 {
 func warmup() {
 	workload.PTBLSTM()
 	workload.CudaConvnet()
-	resumeReplayJournal() // the resume-replay benchmark's fixed journal image
 	for _, id := range []string{"fig1", "fig2", "speedup"} {
 		if _, err := experiments.Run(id, experiments.Options{}); err != nil {
 			fmt.Fprintf(os.Stderr, "ashabench: warmup %s: %v\n", id, err)

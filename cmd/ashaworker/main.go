@@ -24,18 +24,16 @@
 // server advertises at registration (asha.Remote{BatchSize, Prefetch,
 // FlushInterval}, or ashad's "remote" manifest block).
 //
-// Against a server that offers it, the worker automatically upgrades to
-// the binary streaming wire (one persistent connection multiplexing
-// lease grants, report batches and heartbeats as dense binary frames);
-// -json-wire pins it to the batched JSON protocol instead, which every
-// server keeps serving.
+// The worker speaks the binary streaming wire: one persistent
+// connection multiplexing lease grants, report batches and heartbeats
+// as dense binary frames. Server and worker must be built from the same
+// protocol version; a mismatch is refused by name at registration.
 //
-// On either wire the worker stage-times every job on its monotonic
-// clock — dequeue dwell, execution, report-buffer wait — and ships the
-// durations with each report (plus measured heartbeat round trips), so
-// a metrics-enabled server can attribute latency per stage (ashactl
-// latency / trace). Against an older server that does not negotiate
-// the timed frames, the worker sends the exact pre-timing wire format.
+// The worker stage-times every job on its monotonic clock — dequeue
+// dwell, execution, report-buffer wait — and ships the durations with
+// each report (plus measured heartbeat round trips), so a
+// metrics-enabled server can attribute latency per stage (ashactl
+// latency / trace).
 package main
 
 import (
@@ -122,7 +120,6 @@ func main() {
 		batch       = flag.Int("batch", 0, "jobs per lease poll and report flush (0 = server default)")
 		prefetch    = flag.Int("prefetch", 0, "local job-queue lookahead depth (0 = server default, <0 = none)")
 		flush       = flag.Duration("flush", 0, "report-flush deadline, e.g. 25ms (0 = server default, <0 = immediate)")
-		jsonWire    = flag.Bool("json-wire", false, "stay on the batched JSON protocol even when the server offers the binary streaming wire")
 		delay       = flag.Duration("delay", 0, "sleep per job before training, pacing surrogate benchmarks like real work")
 		benchName   = flag.String("benchmark", "", "default surrogate benchmark objective (see -list)")
 		experiments = flag.String("experiments", "", "per-experiment objectives as name=benchmark[,name=benchmark...]")
@@ -143,7 +140,6 @@ func main() {
 	w := asha.RemoteWorker{
 		Server: *server, Token: *token, Name: *name, Slots: *slots,
 		Batch: *batch, Prefetch: *prefetch, FlushInterval: *flush,
-		JSONWire: *jsonWire,
 	}
 	if *benchName != "" {
 		bench, err := asha.NamedBenchmark(*benchName)

@@ -73,12 +73,11 @@
 //
 // With Metrics on, every settled job is stage-timed end to end: queue
 // wait on the server, then worker-measured dwell/exec/report-buffer
-// durations shipped back over both wire generations, then the settle
-// residual. /metrics exports the stages as Prometheus histograms,
-// GET /v1/trace serves recent per-job spans (ashactl latency / trace
-// render both), GET /v1/dashboard is a live chart page, and jobs
-// slower than Remote.StragglerK × their rung's rolling p95 surface as
-// straggler events on /v1/events.
+// durations shipped back with each report, then the settle residual.
+// /metrics exports the stages as Prometheus histograms, GET /v1/trace
+// serves recent per-job spans (ashactl latency / trace render both),
+// and jobs slower than Remote.StragglerK × their rung's rolling p95
+// surface as straggler events on /v1/events.
 //
 // The repository also contains the paper's full experimental harness:
 // every table and figure of the evaluation section can be regenerated

@@ -220,11 +220,20 @@ func TestDriveJournalFsyncFailureAborts(t *testing.T) {
 func TestRemoteResumeWithHalfFlushedReportBatch(t *testing.T) {
 	const jobs = 80
 	space := paritySpace()
-	// A small per-job delay spreads completions out, so at any kill
-	// instant the worker's report buffer is mid-fill: the one-second
-	// flush deadline guarantees buffered completions have not been
-	// delivered when the cancel lands ~50ms after the kill decision.
+	// A small per-job delay spreads completions out, so at the kill
+	// decision the worker's report buffer is mid-fill, and the one-second
+	// flush deadline keeps buffered completions undelivered. Jobs that
+	// start after the decision stall until their worker is stopped — the
+	// kill delay is wall clock, and without the stall a stretched Sleep
+	// under load let all 80 jobs finish before the kill landed.
+	var killing atomic.Bool
 	slowObjective := func(ctx context.Context, cfg map[string]float64, from, to float64, st interface{}) (float64, interface{}, error) {
+		if killing.Load() {
+			select {
+			case <-ctx.Done():
+			case <-time.After(10 * time.Second):
+			}
+		}
 		time.Sleep(2 * time.Millisecond)
 		return parityObjective(ctx, cfg, from, to, st)
 	}
@@ -262,6 +271,7 @@ func TestRemoteResumeWithHalfFlushedReportBatch(t *testing.T) {
 		MaxJobs: jobs, Journal: journal, SnapshotEvery: 8,
 		OnResult: func(core.Result, core.Best, bool) {
 			if completed.Add(1) == 24 {
+				killing.Store(true)
 				go func() {
 					time.Sleep(50 * time.Millisecond)
 					kill()
@@ -275,6 +285,8 @@ func TestRemoteResumeWithHalfFlushedReportBatch(t *testing.T) {
 	kill()
 	stopAgent1()
 	<-agent1Done
+
+	killing.Store(false) // resume-phase jobs run at full speed again
 
 	rec, err := state.Recover(buf.Bytes())
 	if err != nil {

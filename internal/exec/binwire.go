@@ -24,8 +24,8 @@ import (
 
 // BinWireVersion is the version of the binary job *payload* encoding —
 // BinRequest/BinResponse bodies. The stream protocol wrapping these
-// payloads (frame types, optional timing fields) versions separately as
-// remote.BinProtocolVersion and is negotiated once per connection (not
+// payloads (frame types, timing fields) versions separately as
+// remote.ProtocolVersion and is checked once, at registration (not
 // stamped per job, unlike the JSON wire's per-message "v" field), so
 // version checks cost nothing on the per-job path.
 const BinWireVersion = 1
@@ -40,30 +40,12 @@ func DurationUs(d time.Duration) int64 {
 	return int64(d / time.Microsecond)
 }
 
-// --- codec primitives ---
-//
-// The encoders and the decode cursor live in internal/wire, the leaf
-// package the journal codec (internal/state) shares them through; these
-// forwarders keep the exec-qualified names the remote wire is written
-// against.
-
-// WireReader is the shared bounds-checked decode cursor.
+// WireReader is internal/wire's bounds-checked decode cursor under the
+// exec-qualified name the frozen bench/ module compiles against.
 type WireReader = wire.Reader
 
 // NewWireReader returns a cursor over b.
 func NewWireReader(b []byte) *WireReader { return wire.NewReader(b) }
-
-// AppendUvarint appends v as an unsigned LEB128 varint.
-func AppendUvarint(dst []byte, v uint64) []byte { return wire.AppendUvarint(dst, v) }
-
-// AppendFloat64 appends v's IEEE-754 bits little-endian.
-func AppendFloat64(dst []byte, v float64) []byte { return wire.AppendFloat64(dst, v) }
-
-// AppendBytes appends a length-prefixed byte string.
-func AppendBytes(dst, b []byte) []byte { return wire.AppendBytes(dst, b) }
-
-// AppendString appends a length-prefixed string.
-func AppendString(dst []byte, s string) []byte { return wire.AppendString(dst, s) }
 
 // --- the job payload ---
 
@@ -82,15 +64,15 @@ type BinRequest struct {
 
 // AppendBinRequest appends the request's binary encoding.
 func AppendBinRequest(dst []byte, q BinRequest) []byte {
-	dst = AppendUvarint(dst, q.ID)
-	dst = AppendUvarint(dst, uint64(q.Trial))
-	dst = AppendFloat64(dst, q.From)
-	dst = AppendFloat64(dst, q.To)
-	dst = AppendUvarint(dst, uint64(len(q.Vec)))
+	dst = wire.AppendUvarint(dst, q.ID)
+	dst = wire.AppendUvarint(dst, uint64(q.Trial))
+	dst = wire.AppendFloat64(dst, q.From)
+	dst = wire.AppendFloat64(dst, q.To)
+	dst = wire.AppendUvarint(dst, uint64(len(q.Vec)))
 	for _, v := range q.Vec {
-		dst = AppendFloat64(dst, v)
+		dst = wire.AppendFloat64(dst, v)
 	}
-	return AppendBytes(dst, q.State)
+	return wire.AppendBytes(dst, q.State)
 }
 
 // DecodeBinRequest reads one BinRequest at the cursor. Vec and State
@@ -167,14 +149,14 @@ func BinResponseOf(leaseID uint64, resp Response) BinResponse {
 
 // AppendBinResponse appends the response's binary encoding.
 func AppendBinResponse(dst []byte, p BinResponse) []byte {
-	dst = AppendUvarint(dst, p.ID)
+	dst = wire.AppendUvarint(dst, p.ID)
 	if p.IsErr {
 		dst = append(dst, 1)
-		return AppendString(dst, p.Err)
+		return wire.AppendString(dst, p.Err)
 	}
 	dst = append(dst, 0)
-	dst = AppendFloat64(dst, p.Loss)
-	return AppendBytes(dst, p.State)
+	dst = wire.AppendFloat64(dst, p.Loss)
+	return wire.AppendBytes(dst, p.State)
 }
 
 // DecodeBinResponse reads one BinResponse at the cursor. State aliases

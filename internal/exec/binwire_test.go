@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // TestBinRequestRoundTrip pins the dense job encoding: every field
@@ -85,7 +87,7 @@ func TestBinResponseRoundTrip(t *testing.T) {
 // or allocating, and reads after an error return zero values.
 func TestWireReaderRejects(t *testing.T) {
 	// A float vector claiming more elements than bytes remain.
-	blob := AppendUvarint(nil, 1<<40)
+	blob := wire.AppendUvarint(nil, 1<<40)
 	r := NewWireReader(blob)
 	if v := r.Float64s(); v != nil || r.Err() == nil {
 		t.Fatalf("hostile vector count accepted: %v, err %v", v, r.Err())
@@ -96,7 +98,7 @@ func TestWireReaderRejects(t *testing.T) {
 		t.Fatal("error did not latch")
 	}
 	// A byte string running past the end.
-	r = NewWireReader(AppendUvarint(nil, 100))
+	r = NewWireReader(wire.AppendUvarint(nil, 100))
 	if b := r.Bytes(); b != nil || r.Err() == nil {
 		t.Fatal("truncated byte string accepted")
 	}

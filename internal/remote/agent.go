@@ -29,8 +29,7 @@ type AgentOptions struct {
 	// Batch is the number of jobs requested per lease poll and the
 	// report-flush size: up to Batch completed responses travel in one
 	// /v1/report request. 0 adopts the server-advertised fleet default;
-	// values below 1 are clamped to 1 (one job per round trip, the
-	// pre-batching behavior).
+	// values below 1 are clamped to 1 (one job per round trip).
 	Batch int
 	// Prefetch is the depth of the local job queue: jobs leased ahead
 	// of the ones the slots are training, so objective execution
@@ -59,11 +58,6 @@ type AgentOptions struct {
 	// while the server is still coming up, and lease polls during a
 	// network partition before the agent concludes the run is over.
 	RegisterTimeout time.Duration
-	// JSONWire keeps the agent on the batched JSON wire even when the
-	// server advertises the binary streaming wire — a debugging escape
-	// hatch, and the knob benchmarks use to keep measuring the JSON
-	// path.
-	JSONWire bool
 }
 
 // heldLease tracks one lease this worker currently owns, from grant to
@@ -106,7 +100,7 @@ type pendingReport struct {
 // lease polls, Slots executor goroutines drain it, and a reporter
 // goroutine flushes completed responses in batches — so objective
 // execution, the next lease poll, and result delivery all overlap
-// instead of serializing one HTTP round trip per job.
+// instead of serializing one round trip per job.
 type agent struct {
 	o      AgentOptions
 	client *http.Client
@@ -127,15 +121,10 @@ type agent struct {
 	batch    int
 	prefetch int
 	flushInt time.Duration
-	// Server-advertised defaults, recorded at registration. A server
-	// that advertises no batch size at all predates the batched
-	// protocol: legacy makes the agent speak the single-job wire it
-	// understands (one job per poll, one response per report).
+	// Server-advertised defaults, recorded at registration.
 	advBatch    int
 	advPrefetch int
 	advFlush    time.Duration
-	advBin      int
-	legacy      bool
 	// runOver is set when the server reports the run is over or a
 	// deterministic rejection dooms the worker, so every pipeline stage
 	// unwinds instead of waiting out the partition-tolerance window.
@@ -252,19 +241,10 @@ func ServeAgent(ctx context.Context, o AgentOptions) error {
 
 // resolveBatching fixes the pipeline's batch, prefetch and flush
 // parameters: an explicit option wins, else the server-advertised fleet
-// default, else the conservative pre-batching behavior (one job per
-// poll, no lookahead).
+// default, else one job per poll with no lookahead.
 func (a *agent) resolveBatching() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.legacy {
-		// A pre-batching server would silently ignore ReportBatch
-		// deliveries (and answer polls with single grants whatever we
-		// ask for): run the pipeline in single-job mode so every
-		// message stays within the wire the server speaks.
-		a.batch, a.prefetch, a.flushInt = 1, 0, 0
-		return
-	}
 	a.batch = a.o.Batch
 	if a.batch == 0 {
 		a.batch = a.advBatch
@@ -311,38 +291,6 @@ func (a *agent) leaseTTL() time.Duration {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.ttl
-}
-
-// legacyServer reports whether the current registration is with a
-// pre-batching server (no batch advert).
-func (a *agent) legacyServer() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.legacy
-}
-
-// binWire reports whether this agent should speak the binary streaming
-// wire to the current registration: the server advertised it, the
-// option didn't veto it, and the server isn't so old it only speaks
-// the single-job shapes.
-func (a *agent) binWire() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return !a.o.JSONWire && a.advBin >= 1 && !a.legacy
-}
-
-// binVersion is the stream protocol version this agent speaks to the
-// current registration: the server's advert capped at its own — so a
-// new worker downgrades to an old server's frames, and an old worker's
-// lower ask makes a new server hold back timed frames.
-func (a *agent) binVersion() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	v := a.advBin
-	if v > BinProtocolVersion {
-		v = BinProtocolVersion
-	}
-	return v
 }
 
 // curStream returns the live binary stream, or nil if there is none
@@ -456,8 +404,6 @@ func (a *agent) register(ctx context.Context, staleID string) error {
 			a.advBatch = resp.BatchSize
 			a.advPrefetch = resp.Prefetch
 			a.advFlush = time.Duration(resp.FlushMillis) * time.Millisecond
-			a.advBin = resp.Bin
-			a.legacy = resp.BatchSize == 0
 			a.mu.Unlock()
 			return nil
 		}
@@ -489,7 +435,7 @@ func (a *agent) register(ctx context.Context, staleID string) error {
 	}
 }
 
-// fetchLoop is the pipeline's lease stage: it long-polls /v1/lease for
+// fetchLoop is the pipeline's lease stage: it long-polls the stream for
 // up to Batch jobs at a time whenever the pipeline has free capacity
 // (Slots+Prefetch unsettled jobs), registers each grant's lease, and
 // queues the jobs for the executor slots — so while the slots train,
@@ -536,27 +482,8 @@ func (a *agent) fetchLoop(ctx context.Context) error {
 			max = a.batch
 		}
 		wid := a.workerID()
-		// The reply decodes as a union of the LeaseBatch shape and the
-		// legacy single-grant shape: a pre-batching server ignores the
-		// unknown "max" field and answers {"grant": ...}, and dropping
-		// that grant on the floor would lease-expire and requeue the
-		// same job forever — a silent livelock, not the fail-fast the
-		// versioning promises. Folding it into the batch keeps a
-		// new worker fully functional against an old tuner.
-		var lb struct {
-			LeaseBatch
-			Grant *LeaseGrant `json:"grant"`
-		}
-		var status int
-		var err error
-		if a.binWire() {
-			status, err = a.binPoll(ctx, wid, max, &lb.LeaseBatch)
-		} else {
-			status, err = a.post(ctx, "/v1/lease",
-				leaseReq{Version: ProtocolVersion, Token: a.o.Token, WorkerID: wid,
-					WaitMillis: 15000, Max: max, Experiments: a.o.Experiments},
-				&lb, 25*time.Second)
-		}
+		var lb LeaseBatch
+		status, err := a.binPoll(ctx, wid, max, &lb)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
@@ -616,9 +543,6 @@ func (a *agent) fetchLoop(ctx context.Context) error {
 			a.runOver.Store(true)
 			return nil
 		}
-		if lb.Grant != nil && len(lb.Grants) == 0 {
-			lb.Grants = []LeaseGrant{*lb.Grant}
-		}
 		clear(granted)
 		accepted = accepted[:0]
 		recv := time.Now()
@@ -662,11 +586,10 @@ func (a *agent) fetchLoop(ctx context.Context) error {
 }
 
 // binPoll answers one lease poll over the binary stream, dialing (or
-// redialing) it first when none is live. Its outcomes map exactly onto
-// the JSON poll's: grants or Done fill lb, a 410 handshake surfaces as
-// its status so the caller re-registers, transport failures return a
-// plain error the caller backs off on — the stream is an optimization,
-// never a new failure mode.
+// redialing) it first when none is live: grants or Done fill lb, a
+// refused handshake surfaces its HTTP status (410 makes the caller
+// re-register), transport failures return a plain error the caller
+// backs off on.
 func (a *agent) binPoll(ctx context.Context, wid string, max int, lb *LeaseBatch) (int, error) {
 	bs := a.curStream()
 	if bs == nil {
@@ -922,9 +845,8 @@ func (a *agent) flushReports(ctx context.Context, pending []pendingReport) []pen
 	}
 	a.mu.Unlock()
 	// The Timing pointers alias the slab, taken only after it stopped
-	// growing; legacy servers never see them (the single-report shape
-	// has no timing field) and the binary path carries timings as a
-	// parallel slice instead.
+	// growing; the binary path carries timings as a parallel slice
+	// instead.
 	for i := range entries {
 		entries[i].Timing = &timings[i]
 	}
@@ -944,25 +866,12 @@ func (a *agent) flushReports(ctx context.Context, pending []pendingReport) []pen
 			}
 		}
 	}
-	switch {
-	case len(entries) == 0:
-		// Everything in the buffer was stale; nothing to deliver.
-	case a.legacyServer():
-		// A pre-batching server would drop a ReportBatch on the floor
-		// (unknown field, lease 0): deliver each response in the
-		// single-report shape it speaks. The pipeline runs with
-		// batch=1 in legacy mode, so this loop is one entry long.
-		for _, e := range entries {
-			var rr reportResp
-			deliver(reportReq{Version: ProtocolVersion, Token: a.o.Token, WorkerID: wid,
-				LeaseID: e.LeaseID, Response: e.Response}, &rr)
-		}
-	default:
+	// An empty entries means everything in the buffer was stale.
+	if len(entries) > 0 {
 		// Prefer the binary stream when one is live; fall back to the
-		// JSON batch endpoint (which binary servers keep serving) when
-		// it is down or mid-flush failure leaves delivery uncertain —
-		// a double delivery is harmless, the server rejects the
-		// already-settled leases.
+		// JSON batch endpoint when it is down or mid-flush failure
+		// leaves delivery uncertain — a double delivery is harmless,
+		// the server rejects the already-settled leases.
 		delivered := false
 		if bs := a.curStream(); bs != nil {
 			delivered = a.binFlush(ctx, bs, entries, timings)
@@ -1013,20 +922,9 @@ func (a *agent) binFlush(ctx context.Context, bs *binStream, entries []ReportEnt
 		reports = append(reports, exec.BinResponseOf(e.LeaseID, e.Response))
 	}
 	a.repBin = reports
-	var ok bool
-	if bs.ver >= 2 {
-		ok = bs.send(func(dst []byte) []byte {
-			return appendTimedReports(dst, binTimedReports{
-				binReports: binReports{Seq: seq, Reports: reports},
-				Timings:    timings,
-			})
-		})
-	} else {
-		ok = bs.send(func(dst []byte) []byte {
-			return appendReports(dst, binReports{Seq: seq, Reports: reports})
-		})
-	}
-	if !ok {
+	if !bs.send(func(dst []byte) []byte {
+		return appendReports(dst, binReports{Seq: seq, Reports: reports, Timings: timings})
+	}) {
 		return false
 	}
 	timer := time.NewTimer(10 * time.Second)
@@ -1076,23 +974,15 @@ func (a *agent) heartbeatLoop(ctx context.Context, stop, done chan struct{}) {
 			}
 			// Over a live binary stream the heartbeat is one frame,
 			// fire-and-forget: its ack applies asynchronously through
-			// the reader (markExpired). A v2 stream sends the timed
-			// shape, carrying the previous beat's measured RTT and
-			// arming the next sample; the ack's arrival closes it in
-			// the reader. A dead or absent stream falls back to JSON.
+			// the reader (markExpired). It carries the previous beat's
+			// measured RTT and arms the next sample; the ack's arrival
+			// closes it in the reader. A dead or absent stream falls
+			// back to JSON.
 			if bs := a.curStream(); bs != nil {
-				var sent bool
-				if bs.ver >= 2 {
-					bs.hbSentNs.Store(time.Since(bs.born).Nanoseconds())
-					sent = bs.send(func(dst []byte) []byte {
-						return appendTimedHeartbeat(dst, binTimedHeartbeat{RttUs: bs.rttUs.Load(), Leases: leases})
-					})
-				} else {
-					sent = bs.send(func(dst []byte) []byte {
-						return appendLeaseIDFrame(dst, frameHeartbeat, leases)
-					})
-				}
-				if sent {
+				bs.hbSentNs.Store(time.Since(bs.born).Nanoseconds())
+				if bs.send(func(dst []byte) []byte {
+					return appendHeartbeat(dst, binHeartbeat{RttUs: bs.rttUs.Load(), Leases: leases})
+				}) {
 					continue
 				}
 			}

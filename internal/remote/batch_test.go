@@ -3,10 +3,12 @@ package remote
 // Tests for the batched lease/report protocol: multi-grant polls capped
 // by the server's BatchSize, batched reports settled with per-entry
 // acceptance (a lease that expires mid-flight rejects only its own
-// entry), duplicate batches rejected at the door, and a full engine
-// drive over a prefetching, batching agent with nothing lost.
+// entry), duplicate batches rejected at the door, stale prefetched work
+// purged on re-registration, and a full engine drive over a
+// prefetching, batching agent with nothing lost.
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -19,6 +21,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/wire"
 	"repro/internal/xrand"
 )
 
@@ -50,18 +53,15 @@ func TestLeaseBatchGrantsUpToBatchSize(t *testing.T) {
 	if !ok || len(grants) != 3 {
 		t.Fatalf("batched poll granted %v, want 3 grants", lease)
 	}
-	if lease["grant"] != nil {
-		t.Fatalf("batched reply also carried a legacy single grant: %v", lease)
-	}
 	if n := srv.BatchedGrants(); n != 3 {
 		t.Fatalf("BatchedGrants = %d, want 3", n)
 	}
 
-	// A legacy poll (no max) still gets the single-grant shape.
+	// A poll asking for one job gets the same shape: a batch of one.
 	status, lease = rawPost(t, srv.URL(), "/v1/lease",
-		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000})
-	if status != http.StatusOK || lease["grant"] == nil || lease["grants"] != nil {
-		t.Fatalf("legacy poll got %v, want a single grant", lease)
+		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 1})
+	if grants, _ := lease["grants"].([]interface{}); status != http.StatusOK || len(grants) != 1 {
+		t.Fatalf("single-job poll got %v, want a batch of one", lease)
 	}
 }
 
@@ -194,255 +194,127 @@ func TestBatchReportRejectsMalformedBatches(t *testing.T) {
 	}
 }
 
-// TestAgentFallsBackToLegacyServer pins the new-worker/old-tuner
-// direction of mixed-version fleets: a pre-batching server advertises
-// no batch size, ignores the poll's "max" field, replies with
-// single-grant leases, and understands only single-response reports. A
-// batching-configured agent must detect that at registration and fall
-// back to the single-job wire — dropping grants or POSTing ReportBatch
-// shapes the server ignores would lease-expire and requeue every job
-// forever.
-func TestAgentFallsBackToLegacyServer(t *testing.T) {
-	const jobs = 6
-	type legacyState struct {
+// TestReregistrationPurgesStalePrefetchedWork pins the server-restart
+// semantics of the prefetch pipeline: when the stream handshake answers
+// 410 (the server lost this worker's identity — it restarted), every
+// lease the agent still holds belongs to the dead server generation.
+// Queued prefetched jobs must be dropped, not executed, and their
+// buffered reports must never be posted — a restarted server may
+// reissue the same lease numbers to different jobs.
+//
+// The stub speaks the real handshake and frames: the first dial
+// upgrades and grants three jobs, then drops the connection on the
+// next poll, as a server does for a worker it no longer knows; the
+// second dial is the restarted server's 410; later dials answer that
+// the run is over.
+func TestReregistrationPurgesStalePrefetchedWork(t *testing.T) {
+	type stubState struct {
 		mu        sync.Mutex
-		leased    int
-		settled   map[uint64]float64
-		batchReq  int
-		streamReq int
+		dials     int
+		reported  []uint64 // leases reported after the restart
+		restarted bool
 	}
-	st := &legacyState{settled: make(map[uint64]float64)}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/register", func(w http.ResponseWriter, r *http.Request) {
-		// PR 3 reply shape: no batch/prefetch/flush advert (and no
-		// binary-wire advert either).
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"v":1,"worker":"w1","leaseTTLms":60000}`))
-	})
-	mux.HandleFunc("/v1/stream", func(w http.ResponseWriter, r *http.Request) {
-		// A pre-binary server has no such endpoint; the stub records the
-		// hit so the test fails loudly if the agent ever dials it.
-		st.mu.Lock()
-		st.streamReq++
-		st.mu.Unlock()
-		http.NotFound(w, r)
-	})
-	mux.HandleFunc("/v1/lease", func(w http.ResponseWriter, r *http.Request) {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		if st.leased >= jobs {
-			_, _ = w.Write([]byte(`{"v":1,"done":true}`))
-			return
+	st := &stubState{}
+	serveStream := func(conn net.Conn, br *bufio.Reader) {
+		defer conn.Close()
+		polls := 0
+		for {
+			body, err := readFrame(br, nil)
+			if err != nil {
+				return
+			}
+			r := wire.NewReader(body[1:])
+			var answer []byte
+			switch body[0] {
+			case frameLease:
+				q, err := decodeLeaseReq(r)
+				if polls++; err != nil || polls > 1 {
+					return
+				}
+				// One batch of three jobs: one will run, two will sit in the
+				// prefetch queue when the "restart" hits.
+				g := binGrants{Seq: q.Seq, Tables: []binTable{{Params: []string{"momentum"}}}}
+				for id := uint64(1); id <= 3; id++ {
+					g.Grants = append(g.Grants, binGrant{
+						Job: exec.BinRequest{ID: id, Trial: int(id), To: 2, Vec: []float64{0.5}}})
+				}
+				answer = appendGrants(nil, g)
+			case frameReports:
+				rb, err := decodeReports(r)
+				if err != nil {
+					return
+				}
+				accepted := make([]bool, len(rb.Reports))
+				for i := range accepted {
+					accepted[i] = true
+				}
+				answer = appendReportAck(nil, binReportAck{Seq: rb.Seq, Accepted: accepted})
+			case frameHeartbeat:
+				if _, err := decodeHeartbeat(r); err != nil {
+					return
+				}
+				answer = appendHeartbeatAck(nil, nil)
+			default:
+				return
+			}
+			if _, err := conn.Write(framed(answer)); err != nil {
+				return
+			}
 		}
-		st.leased++
-		// Legacy single-grant reply, "max" ignored.
-		fmt.Fprintf(w, `{"v":1,"grant":{"lease":%d,"job":{"v":1,"id":%d,"trial":%d,"config":{"momentum":0.5},"from":0,"to":2}}}`,
-			st.leased, st.leased, st.leased)
-	})
-	mux.HandleFunc("/v1/report", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			LeaseID  uint64          `json:"lease"`
-			Response exec.Response   `json:"response"`
-			Reports  json.RawMessage `json:"reports"`
-		}
-		_ = json.NewDecoder(r.Body).Decode(&req)
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		if req.Reports != nil {
-			// A real PR 3 server would silently misparse this; the stub
-			// records it so the test fails loudly instead.
-			st.batchReq++
-			_, _ = w.Write([]byte(`{"v":1,"accepted":false}`))
-			return
-		}
-		st.settled[req.LeaseID] = req.Response.Loss
-		_, _ = w.Write([]byte(`{"v":1,"accepted":true}`))
-	})
-	mux.HandleFunc("/v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"v":1}`))
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
 	}
-	hs := &http.Server{Handler: mux}
-	go func() { _ = hs.Serve(ln) }()
-	defer hs.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	err = ServeAgent(ctx, AgentOptions{
-		Server: "http://" + ln.Addr().String(),
-		Slots:  2, Batch: 8, Prefetch: 4, FlushInterval: time.Second,
-		Resolve: func(string) (exec.Objective, error) { return pureObjective, nil },
-	})
-	if err != nil {
-		t.Fatalf("agent against legacy server: %v", err)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.batchReq != 0 {
-		t.Fatalf("agent sent %d ReportBatch requests to a pre-batching server", st.batchReq)
-	}
-	if st.streamReq != 0 {
-		t.Fatalf("agent dialed /v1/stream %d times on a pre-binary server", st.streamReq)
-	}
-	if len(st.settled) != jobs {
-		t.Fatalf("legacy server settled %d of %d jobs: %v", len(st.settled), jobs, st.settled)
-	}
-}
-
-// TestBinaryAgentFallsBackToBatchedJSONServer pins the other
-// new-worker/old-tuner shade: a PR 5-era server advertises batching
-// but not the binary wire ("bin" absent). A binary-capable agent must
-// stay on the batched JSON wire — and never dial /v1/stream — while
-// moving every job.
-func TestBinaryAgentFallsBackToBatchedJSONServer(t *testing.T) {
-	const jobs = 6
-	type batchedState struct {
-		mu        sync.Mutex
-		leased    int
-		settled   map[uint64]float64
-		streamReq int
-	}
-	st := &batchedState{settled: make(map[uint64]float64)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/register", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"v":1,"worker":"w1","leaseTTLms":60000,"batch":3,"prefetch":4,"flushMs":20}`))
+		fmt.Fprintf(w, `{"v":%d,"worker":"w1","leaseTTLms":60000,"batch":3,"prefetch":4,"flushMs":20}`, ProtocolVersion)
 	})
 	mux.HandleFunc("/v1/stream", func(w http.ResponseWriter, r *http.Request) {
 		st.mu.Lock()
-		st.streamReq++
-		st.mu.Unlock()
-		http.NotFound(w, r)
-	})
-	mux.HandleFunc("/v1/lease", func(w http.ResponseWriter, r *http.Request) {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		if st.leased >= jobs {
-			_, _ = w.Write([]byte(`{"v":1,"done":true}`))
-			return
+		st.dials++
+		dial := st.dials
+		if dial == 2 {
+			st.restarted = true
 		}
-		st.leased++
-		fmt.Fprintf(w, `{"v":1,"grants":[{"lease":%d,"job":{"v":1,"id":%d,"trial":%d,"config":{"momentum":0.5},"from":0,"to":2}}]}`,
-			st.leased, st.leased, st.leased)
+		st.mu.Unlock()
+		switch dial {
+		case 1:
+			// The handshake body must be consumed before the takeover:
+			// what follows it on the connection is frames.
+			var req streamReq
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Version != ProtocolVersion {
+				t.Errorf("stream handshake %+v: %v", req, err)
+			}
+			conn, rw, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Errorf("hijack: %v", err)
+				return
+			}
+			_, _ = rw.WriteString(streamUpgrade)
+			_ = rw.Flush()
+			go serveStream(conn, rw.Reader)
+		case 2:
+			w.WriteHeader(http.StatusGone)
+			_, _ = w.Write([]byte(`{"error":"unknown worker; register again"}`))
+		default:
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprintf(w, `{"v":%d,"done":true}`, ProtocolVersion)
+		}
 	})
 	mux.HandleFunc("/v1/report", func(w http.ResponseWriter, r *http.Request) {
 		var rb ReportBatch
 		_ = json.NewDecoder(r.Body).Decode(&rb)
 		st.mu.Lock()
-		defer st.mu.Unlock()
-		accepted := make([]bool, len(rb.Reports))
-		for i, e := range rb.Reports {
-			st.settled[e.LeaseID] = e.Response.Loss
-			accepted[i] = true
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(ReportBatchResult{Version: ProtocolVersion, Accepted: accepted})
-	})
-	mux.HandleFunc("/v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"v":1}`))
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := &http.Server{Handler: mux}
-	go func() { _ = hs.Serve(ln) }()
-	defer hs.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	err = ServeAgent(ctx, AgentOptions{
-		Server: "http://" + ln.Addr().String(),
-		Slots:  2,
-		Resolve: func(string) (exec.Objective, error) {
-			return pureObjective, nil
-		},
-	})
-	if err != nil {
-		t.Fatalf("agent against batched JSON server: %v", err)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.streamReq != 0 {
-		t.Fatalf("agent dialed /v1/stream %d times against a server that never advertised it", st.streamReq)
-	}
-	if len(st.settled) != jobs {
-		t.Fatalf("batched JSON server settled %d of %d jobs: %v", len(st.settled), jobs, st.settled)
-	}
-}
-
-// TestReregistrationPurgesStalePrefetchedWork pins the server-restart
-// semantics of the prefetch pipeline: when a poll answers 410 (the
-// server lost this worker's identity — it restarted), every lease the
-// agent still holds belongs to the dead server generation. Queued
-// prefetched jobs must be dropped, not executed, and their buffered
-// reports must never be posted — a restarted server may reissue the
-// same lease numbers to different jobs.
-func TestReregistrationPurgesStalePrefetchedWork(t *testing.T) {
-	type stubState struct {
-		mu        sync.Mutex
-		polls     int
-		reported  []uint64
-		restarted bool
-	}
-	st := &stubState{}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/register", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"v":1,"worker":"w1","leaseTTLms":60000,"batch":3,"prefetch":4,"flushMs":20}`))
-	})
-	mux.HandleFunc("/v1/lease", func(w http.ResponseWriter, r *http.Request) {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		st.polls++
-		w.Header().Set("Content-Type", "application/json")
-		switch {
-		case st.polls == 1:
-			// One batch of three jobs: one will run, two will sit in the
-			// prefetch queue when the "restart" hits.
-			_, _ = w.Write([]byte(`{"v":1,"grants":[` +
-				`{"lease":1,"job":{"v":1,"id":1,"trial":1,"config":{"momentum":0.5},"from":0,"to":2}},` +
-				`{"lease":2,"job":{"v":1,"id":2,"trial":2,"config":{"momentum":0.5},"from":0,"to":2}},` +
-				`{"lease":3,"job":{"v":1,"id":3,"trial":3,"config":{"momentum":0.5},"from":0,"to":2}}]}`))
-		case !st.restarted:
-			st.restarted = true
-			w.WriteHeader(http.StatusGone)
-			_, _ = w.Write([]byte(`{"error":"unknown worker; register again"}`))
-		default:
-			_, _ = w.Write([]byte(`{"v":1,"done":true}`))
-		}
-	})
-	mux.HandleFunc("/v1/report", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Reports []ReportEntry `json:"reports"`
-			LeaseID uint64        `json:"lease"`
-		}
-		_ = json.NewDecoder(r.Body).Decode(&req)
-		st.mu.Lock()
-		restarted := st.restarted
-		for _, e := range req.Reports {
-			if restarted {
+		if st.restarted {
+			for _, e := range rb.Reports {
 				st.reported = append(st.reported, e.LeaseID)
 			}
 		}
-		if req.Reports == nil && restarted {
-			st.reported = append(st.reported, req.LeaseID)
-		}
 		st.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"v":1,"accepted":[true,true,true]}`))
+		fmt.Fprintf(w, `{"v":%d,"accepted":[true,true,true]}`, ProtocolVersion)
 	})
 	mux.HandleFunc("/v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"v":1}`))
+		fmt.Fprintf(w, `{"v":%d}`, ProtocolVersion)
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -455,7 +327,7 @@ func TestReregistrationPurgesStalePrefetchedWork(t *testing.T) {
 	var execMu sync.Mutex
 	executed := make(map[int]int)
 	// Trial 1 finishes quickly; its completion frees enough capacity for
-	// the next poll, which answers 410. Any later trial that reaches the
+	// the next poll, which meets the restart. Any later trial that reaches the
 	// objective blocks until its job context is cancelled — so a stale
 	// job the purge misses would run its full (5s) course, execute its
 	// successor, and fail the assertions below.
@@ -491,6 +363,9 @@ func TestReregistrationPurgesStalePrefetchedWork(t *testing.T) {
 	// was noticed — the purge must then cancel it (it blocks until
 	// cancelled). Trial 3 was still in the prefetch queue and must be
 	// dropped on dequeue, never executed.
+	if executed[1] != 1 {
+		t.Fatalf("the first granted job never ran (executed %v): the restart was not exercised", executed)
+	}
 	if executed[3] != 0 {
 		t.Fatalf("stale queued job executed after re-registration: %v", executed)
 	}
@@ -503,60 +378,11 @@ func TestReregistrationPurgesStalePrefetchedWork(t *testing.T) {
 	}
 }
 
-// TestDriveWithBatchedPrefetchingAgent drives a real ASHA run through
-// the full pipeline — batched grants, prefetch queue, batched report
+// TestDriveWithBinaryStreamAgent drives a real ASHA run through the
+// full pipeline — batched grants, prefetch queue, batched report
 // flushes — and checks nothing is lost, duplicated, or failed, and that
-// the batch paths actually carried the traffic.
-func TestDriveWithBatchedPrefetchingAgent(t *testing.T) {
-	const maxJobs = 120
-	srv, err := NewServer(Options{LeaseTTL: 10 * time.Second, BatchSize: 4, Prefetch: 8,
-		FlushInterval: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	be := NewBackend(srv, 12)
-	space := testSpace()
-	sched := core.NewASHA(core.ASHAConfig{
-		Space: space, RNG: xrand.New(17), Eta: 2, MinResource: 1, MaxResource: 16,
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	agentDone := make(chan error, 1)
-	go func() {
-		agentDone <- ServeAgent(ctx, AgentOptions{
-			Server: srv.URL(), Slots: 2, // Batch/Prefetch/Flush adopt the server's advert
-			Resolve:  func(string) (exec.Objective, error) { return pureObjective, nil },
-			JSONWire: true, // this test measures the JSON batch path specifically
-		})
-	}()
-	run, err := backend.Drive(ctx, sched, be, backend.Options{MaxJobs: maxJobs})
-	if err != nil {
-		t.Fatalf("drive failed: %v", err)
-	}
-	if run.CompletedJobs != maxJobs || run.FailedJobs != 0 {
-		t.Fatalf("completed %d / failed %d of %d jobs", run.CompletedJobs, run.FailedJobs, maxJobs)
-	}
-	if n := srv.ExpiredLeases(); n != 0 {
-		t.Fatalf("%d leases expired during a healthy batched run", n)
-	}
-	if n := srv.BatchedGrants(); n == 0 {
-		t.Fatal("no jobs traveled through batched grants")
-	}
-	if n := srv.BatchedReports(); n == 0 {
-		t.Fatal("no results traveled through batched reports")
-	}
-	if n := srv.BinaryGrants(); n != 0 {
-		t.Fatalf("%d jobs traveled through the binary wire despite JSONWire", n)
-	}
-	if err := <-agentDone; err != nil {
-		t.Fatalf("agent: %v", err)
-	}
-}
-
-// TestDriveWithBinaryStreamAgent is the binary-wire twin: a default
-// agent against a default server negotiates the binary stream, and the
-// whole run's grants and reports travel as frames — none through the
-// JSON batch endpoints.
+// the whole run's grants and reports traveled as frames — none through
+// the JSON batch endpoints.
 func TestDriveWithBinaryStreamAgent(t *testing.T) {
 	const maxJobs = 120
 	srv, err := NewServer(Options{LeaseTTL: 10 * time.Second, BatchSize: 4, Prefetch: 8,

@@ -1,19 +1,18 @@
 package remote
 
-// Agent side of the binary streaming wire. After a registration reply
-// advertises "bin", the agent's fetcher dials /v1/stream, upgrades the
-// connection, and the whole pipeline — lease polls, report flushes,
-// heartbeats — multiplexes over the one socket as binary frames. A
-// single reader goroutine dispatches the server's answers: grant
-// batches to the fetcher, report acks to the reporter (each over a
-// capacity-one channel, matching the single-outstanding-per-type
-// protocol), heartbeat acks applied directly via a callback.
+// Agent side of the binary streaming wire. Once registered, the
+// agent's fetcher dials /v1/stream, upgrades the connection, and the
+// whole pipeline — lease polls, report flushes, heartbeats —
+// multiplexes over the one socket as binary frames. A single reader
+// goroutine dispatches the server's answers: grant batches to the
+// fetcher, report acks to the reporter (each over a capacity-one
+// channel, matching the single-outstanding-per-type protocol),
+// heartbeat acks applied directly via a callback.
 //
-// The stream is an optimization, never a dependency: if it dies, the
-// fetcher redials it on the next poll while reports and heartbeats
-// fall back to the JSON endpoints a binary server still serves — and a
-// handshake answered 410 routes through the agent's normal
-// re-registration path, exactly as a JSON lease poll would.
+// Jobs are leased over the stream only. If it dies, the fetcher redials
+// it on the next poll while reports and heartbeats already owed fall
+// back to the JSON endpoints — and a handshake answered 410 routes
+// through the agent's normal re-registration path.
 
 import (
 	"bufio"
@@ -29,7 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/exec"
+	"repro/internal/wire"
 )
 
 // clientTable is the agent's record of one server-defined experiment
@@ -52,10 +51,6 @@ type streamBatch struct {
 type binStream struct {
 	c  net.Conn
 	br *bufio.Reader
-	// ver is the negotiated stream protocol version:
-	// min(server-advertised, BinProtocolVersion). Timed frames (stage
-	// timings, grant timestamps, heartbeat RTT) flow only at >= 2.
-	ver int
 	// born anchors the stream's monotonic clock: heartbeat RTT is
 	// measured as the difference of two time.Since(born) readings (send
 	// in the heartbeat sender, ack arrival in the reader), exchanged
@@ -63,7 +58,7 @@ type binStream struct {
 	born time.Time
 	// hbSentNs is the send time (nanos since born) of the heartbeat
 	// whose ack is outstanding (0 = none); rttUs is the last measured
-	// round trip, shipped on the next timed heartbeat.
+	// round trip, shipped on the next heartbeat.
 	hbSentNs atomic.Int64
 	rttUs    atomic.Int64
 
@@ -89,8 +84,8 @@ type binStream struct {
 // dialStream performs the /v1/stream handshake for worker wid. On
 // upgrade it returns the live stream; done reports a server answering
 // "the run is over" instead of upgrading; any other rejection returns
-// its HTTP status (0 for transport errors) so the caller can reuse the
-// JSON poll's status handling (410 -> re-register).
+// its HTTP status (0 for transport errors) so the caller can tell a
+// lost registration (410 -> re-register) from a deterministic refusal.
 func (a *agent) dialStream(ctx context.Context, wid string) (bs *binStream, done bool, status int, err error) {
 	srv := a.serverURL()
 	u, err := url.Parse(srv)
@@ -106,8 +101,7 @@ func (a *agent) dialStream(ctx context.Context, wid string) (bs *binStream, done
 	if err != nil {
 		return nil, false, 0, err
 	}
-	ver := a.binVersion()
-	body, err := json.Marshal(streamReq{Version: ProtocolVersion, Bin: ver, Token: a.o.Token, WorkerID: wid})
+	body, err := json.Marshal(streamReq{Version: ProtocolVersion, Token: a.o.Token, WorkerID: wid})
 	if err != nil {
 		_ = conn.Close()
 		return nil, false, 0, err
@@ -137,7 +131,6 @@ func (a *agent) dialStream(ctx context.Context, wid string) (bs *binStream, done
 		bs := &binStream{
 			c:      conn,
 			br:     br,
-			ver:    ver,
 			born:   time.Now(),
 			bw:     bufio.NewWriter(conn),
 			grants: make(chan streamBatch, 1),
@@ -241,14 +234,14 @@ func (bs *binStream) reader() {
 			return
 		}
 		buf = body[:0]
-		r := exec.NewWireReader(body[1:])
+		r := wire.NewReader(body[1:])
 		switch body[0] {
-		case frameGrants, frameTimedGrants:
+		case frameGrants:
 			// One fresh slab per frame backs every grant's config vector
 			// (the vectors outlive the frame, so the slab is handed over,
 			// not reused).
 			r.SetFloatSlab(make([]float64, 0, vecTotal))
-			g, grantMs, err := decodeGrantsCore(r, bs.tableLen, body[0] == frameTimedGrants)
+			g, err := decodeGrants(r, bs.tableLen)
 			if err != nil {
 				return
 			}
@@ -268,21 +261,18 @@ func (bs *binStream) reader() {
 				// checkpoint copy per job.
 				buf = nil
 			}
-			for i, gr := range g.Grants {
+			for _, gr := range g.Grants {
 				ct := bs.tables[gr.Table]
 				job, err := gr.Job.RequestShared(ct.params)
 				if err != nil {
 					return
 				}
-				lg := LeaseGrant{
-					LeaseID:    gr.Job.ID,
-					Experiment: ct.experiment,
-					Job:        job,
-				}
-				if grantMs != nil {
-					lg.GrantUnixMs = grantMs[i]
-				}
-				sb.grants = append(sb.grants, lg)
+				sb.grants = append(sb.grants, LeaseGrant{
+					LeaseID:     gr.Job.ID,
+					Experiment:  ct.experiment,
+					Job:         job,
+					GrantUnixMs: gr.GrantMs,
+				})
 			}
 			select {
 			case bs.grants <- sb:

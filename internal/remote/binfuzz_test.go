@@ -21,63 +21,62 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/wire"
 )
 
-// reencodeFrame re-encodes a decodeAnyFrame result; typ disambiguates
-// the two lease-ID frame shapes, which decode identically.
-func reencodeFrame(typ byte, v interface{}) []byte {
+// reencodeFrame re-encodes a decodeAnyFrame result.
+func reencodeFrame(v interface{}) []byte {
 	switch m := v.(type) {
 	case binLeaseReq:
 		return appendLeaseReq(nil, m)
 	case binGrants:
 		return appendGrants(nil, m)
-	case binTimedGrants:
-		return appendTimedGrants(nil, m)
 	case binReports:
 		return appendReports(nil, m)
-	case binTimedReports:
-		return appendTimedReports(nil, m)
 	case binReportAck:
 		return appendReportAck(nil, m)
-	case binTimedHeartbeat:
-		return appendTimedHeartbeat(nil, m)
+	case binHeartbeat:
+		return appendHeartbeat(nil, m)
 	case []uint64:
-		return appendLeaseIDFrame(nil, typ, m)
+		return appendHeartbeatAck(nil, m)
 	}
 	return nil
 }
 
-// seedFrames builds one valid frame of every type.
+// retiredFrames is one frame of each type byte protocol version 1
+// spoke and version 2 retired (untimed reports 0x02, heartbeat 0x03,
+// grants 0x81), bodies exactly as a version-1 peer encoded them.
+func retiredFrames() [][]byte {
+	return [][]byte{
+		append([]byte{0x02, 0x03, 0x01}, exec.AppendBinResponse(nil, exec.BinResponse{ID: 101, Loss: 0.25})...),
+		{0x03, 0x02, 0x65, 0x66},
+		{0x81, 0x09, 0x01, 0x00, 0x00},
+	}
+}
+
+// seedFrames builds valid frames of every type.
 func seedFrames() [][]byte {
-	grants := binGrants{Seq: 7, Tables: []binTable{
-		{Index: 0, Experiment: "cifar-asha", Params: []string{"lr", "momentum"}},
-		{Index: 1, Params: nil}, // the anonymous single-experiment run
-	}, Grants: []binGrant{
-		{Table: 0, Job: exec.BinRequest{ID: 101, Trial: 3, From: 0, To: 4, Vec: []float64{1e-3, 0.9}}},
-		{Table: 0, Job: exec.BinRequest{ID: 102, Trial: 9, From: 4, To: 16, Vec: []float64{3e-4, 0.99},
-			State: []byte(`{"loss":0.5,"w":[1,2,3]}`)}},
-		{Table: 1, Job: exec.BinRequest{ID: 103, Trial: 1, To: 2}},
-	}}
-	reports := binReports{Seq: 3, Reports: []exec.BinResponse{
-		{ID: 101, Loss: 0.25, State: []byte(`{"epoch":4}`)},
-		{ID: 102, IsErr: true, Err: "objective exploded"},
-	}}
 	return [][]byte{
 		appendLeaseReq(nil, binLeaseReq{Seq: 1, Max: 8, WaitMillis: 15000}),
 		appendLeaseReq(nil, binLeaseReq{Seq: 2, Max: 1, Experiments: []string{"cifar-asha", "ptb"}}),
-		appendGrants(nil, grants),
+		appendGrants(nil, binGrants{Seq: 7, Tables: []binTable{
+			{Index: 0, Experiment: "cifar-asha", Params: []string{"lr", "momentum"}},
+			{Index: 1, Params: nil}, // the anonymous single-experiment run
+		}, Grants: []binGrant{
+			{Table: 0, Job: exec.BinRequest{ID: 101, Trial: 3, From: 0, To: 4, Vec: []float64{1e-3, 0.9}},
+				GrantMs: 1754560000000},
+			{Table: 0, Job: exec.BinRequest{ID: 102, Trial: 9, From: 4, To: 16, Vec: []float64{3e-4, 0.99},
+				State: []byte(`{"loss":0.5,"w":[1,2,3]}`)}, GrantMs: 1754560000120},
+			{Table: 1, Job: exec.BinRequest{ID: 103, Trial: 1, To: 2}, GrantMs: 1754560000250},
+		}}),
 		appendGrants(nil, binGrants{Seq: 9, Done: true}),
-		appendReports(nil, reports),
+		appendReports(nil, binReports{Seq: 3, Reports: []exec.BinResponse{
+			{ID: 101, Loss: 0.25, State: []byte(`{"epoch":4}`)},
+			{ID: 102, IsErr: true, Err: "objective exploded"},
+		}, Timings: []JobTiming{{DwellUs: 120, ExecUs: 480000, BufUs: 900}, {DwellUs: 3, ExecUs: 75}}}),
 		appendReportAck(nil, binReportAck{Seq: 3, Accepted: []bool{true, false, true, true, true, false, true, true, true}}),
-		appendLeaseIDFrame(nil, frameHeartbeat, []uint64{101, 102, 1 << 40}),
-		appendLeaseIDFrame(nil, frameHeartbeatAck, []uint64{102}),
-		// The timed v2 shapes: grants with per-grant timestamps, reports
-		// with per-entry stage timings, heartbeats with a measured RTT.
-		appendTimedGrants(nil, binTimedGrants{binGrants: grants,
-			GrantMs: []int64{1754560000000, 1754560000120, 1754560000250}}),
-		appendTimedReports(nil, binTimedReports{binReports: reports,
-			Timings: []JobTiming{{DwellUs: 120, ExecUs: 480000, BufUs: 900}, {DwellUs: 3, ExecUs: 75, BufUs: 0}}}),
-		appendTimedHeartbeat(nil, binTimedHeartbeat{RttUs: 1500, Leases: []uint64{101, 102}}),
+		appendHeartbeat(nil, binHeartbeat{RttUs: 1500, Leases: []uint64{101, 102, 1 << 40}}),
+		appendHeartbeatAck(nil, []uint64{102}),
 	}
 }
 
@@ -86,19 +85,26 @@ func FuzzBinaryFrame(f *testing.F) {
 		f.Add(b)
 	}
 	// Corrupted variants: truncation, duplication, a hostile count, an
-	// unknown type, trailing garbage.
+	// unknown type, trailing garbage — and the retired version-1 types.
 	valid := seedFrames()
 	f.Add(valid[2][:len(valid[2])-3])
 	f.Add(append(append([]byte(nil), valid[4]...), valid[4][1:]...))
 	f.Add([]byte{frameReports, 0x01, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{0x7f, 0x00})
 	f.Add(append(append([]byte(nil), valid[0]...), 0xde, 0xad))
+	for _, b := range retiredFrames() {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := decodeAnyFrame(data)
 		if err != nil {
 			return
 		}
-		enc := reencodeFrame(data[0], v)
+		switch data[0] {
+		case 0x02, 0x03, 0x81:
+			t.Fatalf("retired frame type 0x%02x decoded as %T", data[0], v)
+		}
+		enc := reencodeFrame(v)
 		if enc == nil {
 			t.Fatalf("decoder returned unexpected type %T", v)
 		}
@@ -110,7 +116,7 @@ func FuzzBinaryFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
 		}
-		enc2 := reencodeFrame(enc[0], back)
+		enc2 := reencodeFrame(back)
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("frame encoding not stable:\n % x\n % x", enc, enc2)
 		}
@@ -130,7 +136,7 @@ func FuzzBinaryLeaseBatch(f *testing.F) {
 	}
 	add := func(g binGrants) { f.Add(appendGrants(nil, g)[1:]) } // body after the type byte
 	add(binGrants{Seq: 1, Grants: []binGrant{
-		{Table: 2, Job: exec.BinRequest{ID: 11, Trial: 4, To: 8, Vec: []float64{0.5, 2}}},
+		{Table: 2, Job: exec.BinRequest{ID: 11, Trial: 4, To: 8, Vec: []float64{0.5, 2}}, GrantMs: 1754560000000},
 		{Table: 0, Job: exec.BinRequest{ID: 12, Trial: 5, To: 8}},
 	}})
 	add(binGrants{Seq: 2, Tables: []binTable{{Index: 7, Experiment: "ptb", Params: []string{"dropout"}}},
@@ -140,15 +146,9 @@ func FuzzBinaryLeaseBatch(f *testing.F) {
 			{Table: 3, Job: exec.BinRequest{ID: 22, Trial: 2, To: 2, Vec: []float64{1, 2, 3}}},
 		}})
 	add(binGrants{Seq: 3, Done: true})
-	// Timed bodies share the corpus: the fuzz body also runs each input
-	// through the timed decoder, so v2 grant timestamps get the same
-	// structural scrutiny.
-	f.Add(appendTimedGrants(nil, binTimedGrants{
-		binGrants: binGrants{Seq: 4, Grants: []binGrant{
-			{Table: 1, Job: exec.BinRequest{ID: 31, Trial: 6, To: 4, Vec: []float64{0.1}}},
-		}},
-		GrantMs: []int64{1754560000000},
-	})[1:])
+	add(binGrants{Seq: 4, Grants: []binGrant{
+		{Table: 1, Job: exec.BinRequest{ID: 31, Trial: 6, To: 4, Vec: []float64{0.1}}, GrantMs: 1<<63 - 1},
+	}})
 	// Structural violations the decoder must reject whole: a duplicated
 	// lease, an undefined table, a vector/table length mismatch.
 	f.Add(appendGrants(nil, binGrants{Grants: []binGrant{
@@ -159,21 +159,7 @@ func FuzzBinaryLeaseBatch(f *testing.F) {
 		{Table: 1, Job: exec.BinRequest{ID: 5, Vec: []float64{1, 2, 3}}},
 	}})[1:])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The same body through the timed decoder first (it has its own
-		// error paths): whatever decodes must round-trip stably with its
-		// grant timestamps.
-		if tg, err := decodeTimedGrants(exec.NewWireReader(data), ambient); err == nil {
-			tenc := appendTimedGrants(nil, tg)[1:]
-			tback, err := decodeTimedGrants(exec.NewWireReader(tenc), ambient)
-			if err != nil {
-				t.Fatalf("re-encoded timed grants failed to decode: %v", err)
-			}
-			tenc2 := appendTimedGrants(nil, tback)[1:]
-			if !bytes.Equal(tenc, tenc2) {
-				t.Fatalf("timed grants encoding not stable:\n % x\n % x", tenc, tenc2)
-			}
-		}
-		g, err := decodeGrants(exec.NewWireReader(data), ambient)
+		g, err := decodeGrants(wire.NewReader(data), ambient)
 		if err != nil {
 			return
 		}
@@ -202,7 +188,7 @@ func FuzzBinaryLeaseBatch(f *testing.F) {
 			}
 		}
 		enc := appendGrants(nil, g)[1:]
-		back, err := decodeGrants(exec.NewWireReader(enc), ambient)
+		back, err := decodeGrants(wire.NewReader(enc), ambient)
 		if err != nil {
 			t.Fatalf("re-encoded grants failed to decode: %v", err)
 		}

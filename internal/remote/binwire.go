@@ -1,16 +1,16 @@
 package remote
 
-// The binary streaming lease wire (PR 7). The batched JSON wire
-// (wire.go) amortizes the HTTP round trip but still pays JSON encode/
-// decode, name-keyed configs and base64 checkpoints on every job —
-// ~33 allocations and ~4KB of wire per job, capping the fleet path at
-// ~61k jobs/sec while the scheduler core sustains ~1.18M decisions/sec.
-// This file is the dense replacement: length-prefixed binary frames
-// spoken over one persistent connection per worker (stream.go server
-// side, binclient.go agent side), multiplexing lease polls, report
-// batches and heartbeats. Job configs travel as bare []float64 vectors
-// aligned with a per-connection parameter-name table (sent once per
-// experiment, never per job), checkpoints as raw bytes.
+// The binary streaming lease wire: the only path jobs take to a worker.
+// The JSON shapes (wire.go) pay JSON encode/decode, name-keyed configs
+// and base64 checkpoints on every job — ~33 allocations and ~4KB of
+// wire per job — so they are kept for curl and for the agent's
+// report/heartbeat fallback, not for throughput. This file is the dense
+// form: length-prefixed binary frames spoken over one persistent
+// connection per worker (stream.go server side, binclient.go agent
+// side), multiplexing lease polls, report batches and heartbeats. Job
+// configs travel as bare []float64 vectors aligned with a
+// per-connection parameter-name table (sent once per experiment, never
+// per job), checkpoints as raw bytes.
 //
 // A frame is `uvarint(len(body)) || body`, body[0] the frame type.
 // Worker-to-server types sit below 0x80, server-to-worker types at or
@@ -18,6 +18,10 @@ package remote
 // answering frame echoes, so the single-outstanding-per-type client can
 // assert it never pairs an answer with the wrong request. Heartbeats
 // are fire-and-forget: the ack applies asynchronously.
+//
+// There is one frame per role and no per-connection negotiation: both
+// ends speak ProtocolVersion or the worker was refused at
+// /v1/register.
 //
 // The decoders are the hardening surface (see fuzz_test.go): arbitrary
 // bytes never panic, truncated/duplicated/oversized frames are
@@ -33,49 +37,26 @@ import (
 	"io"
 
 	"repro/internal/exec"
+	"repro/internal/wire"
 )
-
-// BinProtocolVersion is the newest version of the binary streaming
-// wire a server speaks, advertised in its registration reply ("bin");
-// 0 — the field absent — means the server predates the binary wire and
-// the agent stays on JSON. The version is negotiated per connection:
-// the agent opens the stream at min(advertised, own), the server
-// accepts any handshake in [1, BinProtocolVersion], so mixed-generation
-// fleets interoperate in both directions. It versions the *stream*
-// framing and is decoupled from exec.BinWireVersion (the per-job
-// payload encoding, unchanged since v1).
-//
-// v2 adds the timed frame types (0x04/0x05/0x84) carrying per-job
-// stage timings and grant timestamps; the v1 frames encode
-// byte-identically on both versions.
-const BinProtocolVersion = 2
 
 // maxFrameBody bounds one frame's body: far above any sane batch
 // (checkpoints are small JSON blobs), far below anything that could
 // exhaust memory on a hostile length prefix.
 const maxFrameBody = 16 << 20
 
-// Frame types.
+// Frame types. 0x02, 0x03 and 0x81 belonged to protocol version 1 and
+// stay unassigned: a frame carrying one is rejected like any unknown
+// type.
 const (
 	frameLease     = 0x01 // worker→server: lease poll
-	frameReports   = 0x02 // worker→server: report batch
-	frameHeartbeat = 0x03 // worker→server: extend held leases
+	frameReports   = 0x04 // worker→server: report batch with per-entry stage timings
+	frameHeartbeat = 0x05 // worker→server: extend held leases; carries the last observed RTT
 
-	frameGrants       = 0x81 // server→worker: grant batch (answers frameLease; Done ends the run)
 	frameReportAck    = 0x82 // server→worker: per-entry acceptance (answers frameReports)
 	frameHeartbeatAck = 0x83 // server→worker: leases the worker no longer holds
-
-	// v2 timed twins (only spoken on connections negotiated at >= 2):
-	frameTimedReports   = 0x04 // worker→server: frameReports + per-entry stage timings
-	frameTimedHeartbeat = 0x05 // worker→server: frameHeartbeat + last observed heartbeat RTT
-	frameTimedGrants    = 0x84 // server→worker: frameGrants + per-grant grant timestamp
+	frameGrants       = 0x84 // server→worker: grant batch (answers frameLease; Done ends the run)
 )
-
-// appendFrame wraps body (type byte included) in its length prefix.
-func appendFrame(dst, body []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(body)))
-	return append(dst, body...)
-}
 
 // readFrame reads one length-prefixed frame body into buf (grown as
 // needed) and returns the filled prefix. Oversized frames are a
@@ -116,17 +97,17 @@ type binLeaseReq struct {
 
 func appendLeaseReq(dst []byte, q binLeaseReq) []byte {
 	dst = append(dst, frameLease)
-	dst = exec.AppendUvarint(dst, q.Seq)
-	dst = exec.AppendUvarint(dst, uint64(q.Max))
-	dst = exec.AppendUvarint(dst, uint64(q.WaitMillis))
-	dst = exec.AppendUvarint(dst, uint64(len(q.Experiments)))
+	dst = wire.AppendUvarint(dst, q.Seq)
+	dst = wire.AppendUvarint(dst, uint64(q.Max))
+	dst = wire.AppendUvarint(dst, uint64(q.WaitMillis))
+	dst = wire.AppendUvarint(dst, uint64(len(q.Experiments)))
 	for _, e := range q.Experiments {
-		dst = exec.AppendString(dst, e)
+		dst = wire.AppendString(dst, e)
 	}
 	return dst
 }
 
-func decodeLeaseReq(r *exec.WireReader) (binLeaseReq, error) {
+func decodeLeaseReq(r *wire.Reader) (binLeaseReq, error) {
 	var q binLeaseReq
 	q.Seq = r.Uvarint()
 	q.Max = r.Int()
@@ -157,14 +138,19 @@ type binTable struct {
 }
 
 // binGrant is one leased job in a grants frame, referencing a table
-// entry already defined on this connection (or in this frame).
+// entry already defined on this connection (or in this frame). GrantMs
+// is the server's grant wall-clock time in Unix milliseconds —
+// informational (span timelines), never differenced against the
+// worker's clock for a stage duration.
 type binGrant struct {
-	Table uint64
-	Job   exec.BinRequest // Job.ID is the lease ID
+	Table   uint64
+	Job     exec.BinRequest // Job.ID is the lease ID
+	GrantMs int64
 }
 
 // binGrants answers one lease poll: new table entries first, then the
-// grants. Done tells the worker the run is over.
+// grants. No grants means the long poll timed out with nothing to hand
+// out; Done tells the worker the run is over.
 type binGrants struct {
 	Seq    uint64
 	Done   bool
@@ -172,58 +158,28 @@ type binGrants struct {
 	Grants []binGrant
 }
 
-// binTimedGrants is the v2 grants frame: the same batch plus one grant
-// wall-clock timestamp (Unix milliseconds) per grant, aligned with
-// Grants. The timestamp is informational (span timelines), never
-// differenced against the worker's clock for a stage duration.
-type binTimedGrants struct {
-	binGrants
-	GrantMs []int64
-}
-
 func appendGrants(dst []byte, g binGrants) []byte {
-	return appendGrantsCore(dst, g, nil)
-}
-
-func appendTimedGrants(dst []byte, g binTimedGrants) []byte {
-	if g.GrantMs == nil {
-		g.GrantMs = make([]int64, len(g.Grants))
-	}
-	return appendGrantsCore(dst, g.binGrants, g.GrantMs)
-}
-
-// appendGrantsCore encodes a grants frame; a non-nil grantMs (aligned
-// with g.Grants) selects the timed v2 frame type and interleaves one
-// timestamp after each grant. With grantMs nil the output is
-// byte-identical to the v1 encoding.
-func appendGrantsCore(dst []byte, g binGrants, grantMs []int64) []byte {
-	if grantMs == nil {
-		dst = append(dst, frameGrants)
-	} else {
-		dst = append(dst, frameTimedGrants)
-	}
-	dst = exec.AppendUvarint(dst, g.Seq)
+	dst = append(dst, frameGrants)
+	dst = wire.AppendUvarint(dst, g.Seq)
 	if g.Done {
 		dst = append(dst, 1)
 	} else {
 		dst = append(dst, 0)
 	}
-	dst = exec.AppendUvarint(dst, uint64(len(g.Tables)))
+	dst = wire.AppendUvarint(dst, uint64(len(g.Tables)))
 	for _, t := range g.Tables {
-		dst = exec.AppendUvarint(dst, t.Index)
-		dst = exec.AppendString(dst, t.Experiment)
-		dst = exec.AppendUvarint(dst, uint64(len(t.Params)))
+		dst = wire.AppendUvarint(dst, t.Index)
+		dst = wire.AppendString(dst, t.Experiment)
+		dst = wire.AppendUvarint(dst, uint64(len(t.Params)))
 		for _, p := range t.Params {
-			dst = exec.AppendString(dst, p)
+			dst = wire.AppendString(dst, p)
 		}
 	}
-	dst = exec.AppendUvarint(dst, uint64(len(g.Grants)))
-	for i, gr := range g.Grants {
-		dst = exec.AppendUvarint(dst, gr.Table)
+	dst = wire.AppendUvarint(dst, uint64(len(g.Grants)))
+	for _, gr := range g.Grants {
+		dst = wire.AppendUvarint(dst, gr.Table)
 		dst = exec.AppendBinRequest(dst, gr.Job)
-		if grantMs != nil {
-			dst = exec.AppendUvarint(dst, uint64(grantMs[i]))
-		}
+		dst = wire.AppendUvarint(dst, uint64(gr.GrantMs))
 	}
 	return dst
 }
@@ -235,26 +191,13 @@ func appendGrantsCore(dst []byte, g binGrants, grantMs []int64) []byte {
 // wire's structural checks: no lease granted twice, no grant against
 // an undefined table, every vector exactly as long as its table — a
 // frame failing any check is rejected whole.
-func decodeGrants(r *exec.WireReader, tableLen func(idx uint64) (int, bool)) (binGrants, error) {
-	g, _, err := decodeGrantsCore(r, tableLen, false)
-	return g, err
-}
-
-// decodeTimedGrants parses the v2 twin, returning the per-grant
-// timestamps alongside the batch.
-func decodeTimedGrants(r *exec.WireReader, tableLen func(idx uint64) (int, bool)) (binTimedGrants, error) {
-	g, ms, err := decodeGrantsCore(r, tableLen, true)
-	return binTimedGrants{binGrants: g, GrantMs: ms}, err
-}
-
-func decodeGrantsCore(r *exec.WireReader, tableLen func(idx uint64) (int, bool), timed bool) (binGrants, []int64, error) {
+func decodeGrants(r *wire.Reader, tableLen func(idx uint64) (int, bool)) (binGrants, error) {
 	var g binGrants
-	var grantMs []int64
 	g.Seq = r.Uvarint()
 	g.Done = r.Byte() != 0
 	nt := r.Int()
 	if r.Err() == nil && nt > r.Remaining() {
-		return g, grantMs, fmt.Errorf("remote: grants frame declares %d tables in %d bytes", nt, r.Remaining())
+		return g, fmt.Errorf("remote: grants frame declares %d tables in %d bytes", nt, r.Remaining())
 	}
 	frameTables := make(map[uint64]int, nt)
 	for i := 0; i < nt && r.Err() == nil; i++ {
@@ -263,20 +206,20 @@ func decodeGrantsCore(r *exec.WireReader, tableLen func(idx uint64) (int, bool),
 		t.Experiment = r.String()
 		np := r.Int()
 		if r.Err() == nil && np > r.Remaining() {
-			return g, grantMs, fmt.Errorf("remote: table %d declares %d params in %d bytes", t.Index, np, r.Remaining())
+			return g, fmt.Errorf("remote: table %d declares %d params in %d bytes", t.Index, np, r.Remaining())
 		}
 		for j := 0; j < np && r.Err() == nil; j++ {
 			t.Params = append(t.Params, r.String())
 		}
 		if _, dup := frameTables[t.Index]; dup {
-			return g, grantMs, fmt.Errorf("remote: grants frame defines table %d twice", t.Index)
+			return g, fmt.Errorf("remote: grants frame defines table %d twice", t.Index)
 		}
 		frameTables[t.Index] = len(t.Params)
 		g.Tables = append(g.Tables, t)
 	}
 	ng := r.Int()
 	if r.Err() == nil && ng > r.Remaining() {
-		return g, grantMs, fmt.Errorf("remote: grants frame declares %d grants in %d bytes", ng, r.Remaining())
+		return g, fmt.Errorf("remote: grants frame declares %d grants in %d bytes", ng, r.Remaining())
 	}
 	// Presize for the declared count, capped: the count is validated
 	// against bytes present only loosely (>= 1 byte per grant), so a
@@ -286,19 +229,13 @@ func decodeGrantsCore(r *exec.WireReader, tableLen func(idx uint64) (int, bool),
 			hint = 4096
 		}
 		g.Grants = make([]binGrant, 0, hint)
-		if timed {
-			grantMs = make([]int64, 0, hint)
-		}
 	}
 	seen := make(map[uint64]struct{}, ng)
 	for i := 0; i < ng && r.Err() == nil; i++ {
 		var gr binGrant
 		gr.Table = r.Uvarint()
 		gr.Job = exec.DecodeBinRequest(r)
-		var ms int64
-		if timed {
-			ms = int64(r.Uvarint())
-		}
+		gr.GrantMs = int64(r.Uvarint())
 		if r.Err() != nil {
 			break
 		}
@@ -307,111 +244,56 @@ func decodeGrantsCore(r *exec.WireReader, tableLen func(idx uint64) (int, bool),
 			want, ok = tableLen(gr.Table)
 		}
 		if !ok {
-			return g, grantMs, fmt.Errorf("remote: grant %d references undefined table %d", i, gr.Table)
+			return g, fmt.Errorf("remote: grant %d references undefined table %d", i, gr.Table)
 		}
 		if len(gr.Job.Vec) != want {
-			return g, grantMs, fmt.Errorf("remote: grant of lease %d carries %d config values for a %d-parameter table", gr.Job.ID, len(gr.Job.Vec), want)
+			return g, fmt.Errorf("remote: grant of lease %d carries %d config values for a %d-parameter table", gr.Job.ID, len(gr.Job.Vec), want)
 		}
 		if _, dup := seen[gr.Job.ID]; dup {
-			return g, grantMs, fmt.Errorf("remote: grants frame grants lease %d twice", gr.Job.ID)
+			return g, fmt.Errorf("remote: grants frame grants lease %d twice", gr.Job.ID)
 		}
 		seen[gr.Job.ID] = struct{}{}
 		g.Grants = append(g.Grants, gr)
-		if timed {
-			grantMs = append(grantMs, ms)
-		}
 	}
 	r.ExpectEOF()
 	if err := r.Err(); err != nil {
-		return g, grantMs, err
+		return g, err
 	}
-	return g, grantMs, nil
+	return g, nil
 }
 
 // binReports delivers a batch of finished jobs (the stream twin of
-// ReportBatch); each entry's BinResponse.ID is its lease ID.
+// ReportBatch) with one JobTiming per entry, aligned with Reports. Each
+// entry's BinResponse.ID is its lease ID, and it encodes as the
+// BinResponse followed by three uvarints (dwell, exec, buffer — all
+// microseconds of the worker's monotonic clock).
 type binReports struct {
 	Seq     uint64
 	Reports []exec.BinResponse
+	Timings []JobTiming
 }
 
 func appendReports(dst []byte, rb binReports) []byte {
 	dst = append(dst, frameReports)
-	dst = exec.AppendUvarint(dst, rb.Seq)
-	dst = exec.AppendUvarint(dst, uint64(len(rb.Reports)))
-	for _, e := range rb.Reports {
-		dst = exec.AppendBinResponse(dst, e)
-	}
-	return dst
-}
-
-// decodeReports parses and validates one reports frame body: non-empty
-// and no lease settled twice, exactly as DecodeReportBatch.
-func decodeReports(r *exec.WireReader) (binReports, error) {
-	var rb binReports
-	rb.Seq = r.Uvarint()
-	n := r.Int()
-	if r.Err() == nil && n > r.Remaining() {
-		return rb, fmt.Errorf("remote: reports frame declares %d entries in %d bytes", n, r.Remaining())
-	}
-	if hint := n; hint > 0 && r.Err() == nil {
-		if hint > 4096 {
-			hint = 4096
-		}
-		rb.Reports = make([]exec.BinResponse, 0, hint)
-	}
-	seen := make(map[uint64]struct{}, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		e := exec.DecodeBinResponse(r)
-		if r.Err() != nil {
-			break
-		}
-		if _, dup := seen[e.ID]; dup {
-			return rb, fmt.Errorf("remote: reports frame settles lease %d twice", e.ID)
-		}
-		seen[e.ID] = struct{}{}
-		rb.Reports = append(rb.Reports, e)
-	}
-	r.ExpectEOF()
-	if err := r.Err(); err != nil {
-		return rb, err
-	}
-	if len(rb.Reports) == 0 {
-		return rb, fmt.Errorf("remote: reports frame carries no reports")
-	}
-	return rb, nil
-}
-
-// binTimedReports is the v2 reports frame: the same batch plus one
-// JobTiming per entry, aligned with Reports. Each entry encodes as its
-// BinResponse followed by three uvarints (dwell, exec, buffer — all
-// microseconds of the worker's monotonic clock).
-type binTimedReports struct {
-	binReports
-	Timings []JobTiming
-}
-
-func appendTimedReports(dst []byte, rb binTimedReports) []byte {
-	dst = append(dst, frameTimedReports)
-	dst = exec.AppendUvarint(dst, rb.Seq)
-	dst = exec.AppendUvarint(dst, uint64(len(rb.Reports)))
+	dst = wire.AppendUvarint(dst, rb.Seq)
+	dst = wire.AppendUvarint(dst, uint64(len(rb.Reports)))
 	for i, e := range rb.Reports {
 		dst = exec.AppendBinResponse(dst, e)
 		var tm JobTiming
 		if i < len(rb.Timings) {
 			tm = rb.Timings[i]
 		}
-		dst = exec.AppendUvarint(dst, uint64(tm.DwellUs))
-		dst = exec.AppendUvarint(dst, uint64(tm.ExecUs))
-		dst = exec.AppendUvarint(dst, uint64(tm.BufUs))
+		dst = wire.AppendUvarint(dst, uint64(tm.DwellUs))
+		dst = wire.AppendUvarint(dst, uint64(tm.ExecUs))
+		dst = wire.AppendUvarint(dst, uint64(tm.BufUs))
 	}
 	return dst
 }
 
-// decodeTimedReports parses and validates one timed reports frame body
-// under the same structural rules as decodeReports.
-func decodeTimedReports(r *exec.WireReader) (binTimedReports, error) {
-	var rb binTimedReports
+// decodeReports parses and validates one reports frame body: non-empty
+// and no lease settled twice, exactly as DecodeReportBatch.
+func decodeReports(r *wire.Reader) (binReports, error) {
+	var rb binReports
 	rb.Seq = r.Uvarint()
 	n := r.Int()
 	if r.Err() == nil && n > r.Remaining() {
@@ -451,27 +333,23 @@ func decodeTimedReports(r *exec.WireReader) (binTimedReports, error) {
 	return rb, nil
 }
 
-// binTimedHeartbeat is the v2 heartbeat: the held-lease list plus the
-// round-trip time the worker measured for its previous heartbeat (0 =
-// none measured yet). Shipping the previous beat's RTT keeps the
-// heartbeat fire-and-forget — no wait for the ack on the send path.
-type binTimedHeartbeat struct {
+// binHeartbeat extends the listed leases and carries the round-trip
+// time the worker measured for its previous heartbeat (0 = none
+// measured yet). Shipping the previous beat's RTT keeps the heartbeat
+// fire-and-forget — no wait for the ack on the send path.
+type binHeartbeat struct {
 	RttUs  int64
 	Leases []uint64
 }
 
-func appendTimedHeartbeat(dst []byte, hb binTimedHeartbeat) []byte {
-	dst = append(dst, frameTimedHeartbeat)
-	dst = exec.AppendUvarint(dst, uint64(hb.RttUs))
-	dst = exec.AppendUvarint(dst, uint64(len(hb.Leases)))
-	for _, id := range hb.Leases {
-		dst = exec.AppendUvarint(dst, id)
-	}
-	return dst
+func appendHeartbeat(dst []byte, hb binHeartbeat) []byte {
+	dst = append(dst, frameHeartbeat)
+	dst = wire.AppendUvarint(dst, uint64(hb.RttUs))
+	return appendLeaseIDs(dst, hb.Leases)
 }
 
-func decodeTimedHeartbeat(r *exec.WireReader) (binTimedHeartbeat, error) {
-	var hb binTimedHeartbeat
+func decodeHeartbeat(r *wire.Reader) (binHeartbeat, error) {
+	var hb binHeartbeat
 	hb.RttUs = int64(r.Uvarint())
 	ids, err := decodeLeaseIDs(r)
 	if err != nil {
@@ -490,8 +368,8 @@ type binReportAck struct {
 
 func appendReportAck(dst []byte, a binReportAck) []byte {
 	dst = append(dst, frameReportAck)
-	dst = exec.AppendUvarint(dst, a.Seq)
-	dst = exec.AppendUvarint(dst, uint64(len(a.Accepted)))
+	dst = wire.AppendUvarint(dst, a.Seq)
+	dst = wire.AppendUvarint(dst, uint64(len(a.Accepted)))
 	var cur byte
 	for i, ok := range a.Accepted {
 		if ok {
@@ -508,7 +386,7 @@ func appendReportAck(dst []byte, a binReportAck) []byte {
 	return dst
 }
 
-func decodeReportAck(r *exec.WireReader) (binReportAck, error) {
+func decodeReportAck(r *wire.Reader) (binReportAck, error) {
 	var a binReportAck
 	a.Seq = r.Uvarint()
 	n := r.Int()
@@ -532,22 +410,23 @@ func decodeReportAck(r *exec.WireReader) (binReportAck, error) {
 	return a, nil
 }
 
-// binHeartbeat extends the listed leases; binHeartbeatAck returns the
-// subset the worker no longer holds (expired and requeued).
-type binHeartbeat struct {
-	Leases []uint64
+// appendHeartbeatAck answers a heartbeat with the subset of its leases
+// the worker no longer holds (expired and requeued).
+func appendHeartbeatAck(dst []byte, expired []uint64) []byte {
+	return appendLeaseIDs(append(dst, frameHeartbeatAck), expired)
 }
 
-func appendLeaseIDFrame(dst []byte, typ byte, ids []uint64) []byte {
-	dst = append(dst, typ)
-	dst = exec.AppendUvarint(dst, uint64(len(ids)))
+// appendLeaseIDs and decodeLeaseIDs are the counted lease-ID list that
+// ends a heartbeat frame and is the whole of its ack.
+func appendLeaseIDs(dst []byte, ids []uint64) []byte {
+	dst = wire.AppendUvarint(dst, uint64(len(ids)))
 	for _, id := range ids {
-		dst = exec.AppendUvarint(dst, id)
+		dst = wire.AppendUvarint(dst, id)
 	}
 	return dst
 }
 
-func decodeLeaseIDs(r *exec.WireReader) ([]uint64, error) {
+func decodeLeaseIDs(r *wire.Reader) ([]uint64, error) {
 	n := r.Int()
 	if r.Err() == nil && n > r.Remaining() {
 		return nil, fmt.Errorf("remote: heartbeat frame declares %d leases in %d bytes", n, r.Remaining())
@@ -572,24 +451,20 @@ func decodeAnyFrame(body []byte) (interface{}, error) {
 	if len(body) == 0 {
 		return nil, fmt.Errorf("remote: binary frame with empty body")
 	}
-	r := exec.NewWireReader(body[1:])
+	r := wire.NewReader(body[1:])
 	switch body[0] {
 	case frameLease:
 		return decodeLeaseReq(r)
 	case frameGrants:
 		return decodeGrants(r, nil)
-	case frameTimedGrants:
-		return decodeTimedGrants(r, nil)
 	case frameReports:
 		return decodeReports(r)
-	case frameTimedReports:
-		return decodeTimedReports(r)
 	case frameReportAck:
 		return decodeReportAck(r)
-	case frameHeartbeat, frameHeartbeatAck:
+	case frameHeartbeat:
+		return decodeHeartbeat(r)
+	case frameHeartbeatAck:
 		return decodeLeaseIDs(r)
-	case frameTimedHeartbeat:
-		return decodeTimedHeartbeat(r)
 	default:
 		return nil, fmt.Errorf("remote: unknown binary frame type 0x%02x", body[0])
 	}

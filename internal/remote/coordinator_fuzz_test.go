@@ -19,16 +19,16 @@ func FuzzCoordinatorWire(f *testing.F) {
 	// Seeds: one well-formed request per endpoint, then the malformed
 	// shapes the handlers must reject — wrong version, truncated JSON,
 	// unknown shard, cross-tenant experiments, schemeless shard URLs.
-	f.Add("/v1/register", []byte(`{"v":1,"token":"fleet-token","experiments":["team-a/cifar"]}`))
-	f.Add("/v1/register", []byte(`{"v":1,"token":"a-token","experiments":["team-b/lm"]}`))
+	f.Add("/v1/register", []byte(`{"v":2,"token":"fleet-token","experiments":["team-a/cifar"]}`))
+	f.Add("/v1/register", []byte(`{"v":2,"token":"a-token","experiments":["team-b/lm"]}`))
 	f.Add("/v1/register", []byte(`{"v":99,"token":"fleet-token"}`))
-	f.Add("/v1/register", []byte(`{"v":1,"token":`))
-	f.Add("/v1/shard/register", []byte(`{"v":1,"token":"fed-secret","id":"s1","url":"http://127.0.0.1:9"}`))
-	f.Add("/v1/shard/register", []byte(`{"v":1,"token":"fed-secret","id":"rogue","url":"http://127.0.0.1:9"}`))
-	f.Add("/v1/shard/register", []byte(`{"v":1,"token":"fed-secret","id":"s1","url":"not a url"}`))
-	f.Add("/v1/shard/register", []byte(`{"v":1,"token":"wrong","id":"s1","url":"http://127.0.0.1:9"}`))
-	f.Add("/v1/shard/heartbeat", []byte(`{"v":1,"token":"fed-secret","id":"s1"}`))
-	f.Add("/v1/shard/heartbeat", []byte(`{"v":1,"token":"fed-secret","id":"s9"}`))
+	f.Add("/v1/register", []byte(`{"v":2,"token":`))
+	f.Add("/v1/shard/register", []byte(`{"v":2,"token":"fed-secret","id":"s1","url":"http://127.0.0.1:9"}`))
+	f.Add("/v1/shard/register", []byte(`{"v":2,"token":"fed-secret","id":"rogue","url":"http://127.0.0.1:9"}`))
+	f.Add("/v1/shard/register", []byte(`{"v":2,"token":"fed-secret","id":"s1","url":"not a url"}`))
+	f.Add("/v1/shard/register", []byte(`{"v":2,"token":"wrong","id":"s1","url":"http://127.0.0.1:9"}`))
+	f.Add("/v1/shard/heartbeat", []byte(`{"v":2,"token":"fed-secret","id":"s1"}`))
+	f.Add("/v1/shard/heartbeat", []byte(`{"v":2,"token":"fed-secret","id":"s9"}`))
 	f.Add("/v1/shards", []byte(``))
 	f.Add("/metrics", []byte(``))
 	f.Add("/v1/register", []byte("\x00\xff\xfe"))

@@ -39,8 +39,8 @@ func FuzzLeaseBatch(f *testing.F) {
 	}})
 	add(LeaseBatch{Version: ProtocolVersion, Done: true})
 	add(LeaseBatch{Version: ProtocolVersion + 3})
-	f.Add([]byte(`{"v":1,"grants":[{"lease":5,"job":{"v":1,"id":5}},{"lease":5,"job":{"v":1,"id":5}}]}`)) // duplicated lease
-	f.Add([]byte(`{"v":1,"grants":[{"lease":1,"job":{"v":1,`))                                            // truncated
+	f.Add([]byte(`{"v":2,"grants":[{"lease":5,"job":{"v":1,"id":5}},{"lease":5,"job":{"v":1,"id":5}}]}`)) // duplicated lease
+	f.Add([]byte(`{"v":2,"grants":[{"lease":1,"job":{"v":1,`))                                            // truncated
 	f.Add([]byte(`garbage`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lb, err := DecodeLeaseBatch(data)
@@ -93,9 +93,9 @@ func FuzzReportBatch(f *testing.F) {
 		{LeaseID: 9, Response: exec.Response{Version: exec.WireVersion, ID: 9, Loss: 0.125}},
 	}})
 	add(ReportBatch{Version: ProtocolVersion + 1, WorkerID: "w3"})
-	f.Add([]byte(`{"v":1,"worker":"w1","reports":[]}`))                                                                            // empty batch: rejected
-	f.Add([]byte(`{"v":1,"worker":"w1","reports":[{"lease":4,"response":{"v":1,"id":4}},{"lease":4,"response":{"v":1,"id":4}}]}`)) // duplicated lease
-	f.Add([]byte(`{"v":1,"worker":"w1","reports":[{"lease":4,"response":{"v":1,`))                                                 // truncated
+	f.Add([]byte(`{"v":2,"worker":"w1","reports":[]}`))                                                                            // empty batch: rejected
+	f.Add([]byte(`{"v":2,"worker":"w1","reports":[{"lease":4,"response":{"v":1,"id":4}},{"lease":4,"response":{"v":1,"id":4}}]}`)) // duplicated lease
+	f.Add([]byte(`{"v":2,"worker":"w1","reports":[{"lease":4,"response":{"v":1,`))                                                 // truncated
 	f.Add([]byte(`[]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rb, err := DecodeReportBatch(data)

@@ -6,7 +6,7 @@ package remote
 // residual — assembled from two clocks that are never mixed: the
 // server stamps submit/grant/settle on its own monotonic clock, and
 // the worker ships its three stage durations as monotonic deltas
-// (JobTiming over the JSON batch wire, the timed v2 frames over the
+// (JobTiming over the JSON batch wire, the reports frame over the
 // binary stream). Cross-machine wall-clock differencing never enters a
 // histogram, so clock skew between fleet hosts cannot fabricate
 // latencies; as defense in depth every worker-reported stage is also
@@ -16,16 +16,13 @@ package remote
 // per-experiment and per-(experiment, rung) exec-time breakdown; the
 // per-rung distributions drive straggler detection (exec time beyond
 // StragglerK × the rung's rolling p95 publishes an EventStraggler).
-// A bounded ring of recent spans serves GET /v1/trace, and the sweeper
-// tick samples throughput and exec quantiles into bounded series for
-// GET /v1/dashboard (dashboard.go). Everything on the settle path is
-// either lock-free (obs.Histogram) or a short critical section on
-// lat.mu with zero steady-state allocation, keeping the "observability
-// is free" property the ashabench gates pin.
+// A bounded ring of recent spans serves GET /v1/trace. Everything on
+// the settle path is either lock-free (obs.Histogram) or a short
+// critical section on lat.mu with zero steady-state allocation, keeping
+// the "observability is free" property the ashabench gates pin.
 
 import (
 	"encoding/json"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -46,9 +43,6 @@ const (
 	defaultStragglerK = 3.0
 	// spanRingCap bounds the /v1/trace span ring.
 	spanRingCap = 2048
-	// dashPointsCap bounds each /v1/dashboard time series; when full the
-	// series is decimated 2:1, halving its resolution instead of growing.
-	dashPointsCap = 512
 	// maxRungBuckets bounds the per-rung histogram list per experiment.
 	maxRungBuckets = 64
 )
@@ -56,8 +50,8 @@ const (
 // JobSpan is one settled job's span timeline as GET /v1/trace reports
 // it. Stage durations are microseconds; DwellUs/ExecUs/BufUs are the
 // worker's monotonic measurements when Timed, and ExecUs degrades to
-// the server-side grant→settle elapsed when the worker reported no
-// timing (pre-tracing workers).
+// the server-side grant→settle elapsed when the report carried no
+// timing (a hand-written JSON report).
 type JobSpan struct {
 	Experiment   string `json:"experiment,omitempty"`
 	Trial        int    `json:"trial"`
@@ -89,12 +83,9 @@ type expLatency struct {
 
 // latencyTracker owns every latency-tracing data structure hanging off
 // a Server. The four top-level histograms are written lock-free from
-// the settle/grant/heartbeat paths; the map, span ring and dashboard
-// series sit behind mu with short, allocation-free steady-state
-// critical sections.
+// the settle/grant/heartbeat paths; the map and span ring sit behind mu
+// with short, allocation-free steady-state critical sections.
 type latencyTracker struct {
-	start time.Time
-
 	queueWait  obs.Histogram // submitted → granted
 	execTime   obs.Histogram // worker exec (or grant→settle fallback)
 	settleTime obs.Histogram // grant→settle minus worker stages
@@ -107,25 +98,10 @@ type latencyTracker struct {
 	spans     [spanRingCap]JobSpan
 	spanNext  int   // next ring slot to overwrite
 	spanCount int64 // total spans recorded
-
-	// Dashboard series, sampled by the sweeper tick: wall-clock seconds
-	// since start, cumulative accepted reports, and exec p50/p95.
-	dashX        []float64
-	dashAccepted []float64
-	dashP50      []float64
-	dashP95      []float64
-
-	// Incumbent trajectory: best loss so far over time.
-	incX, incY []float64
-	best       float64
-	hasBest    bool
 }
 
 func newLatencyTracker() *latencyTracker {
-	return &latencyTracker{
-		start: time.Now(),
-		exps:  make(map[string]*expLatency),
-	}
+	return &latencyTracker{exps: make(map[string]*expLatency)}
 }
 
 // clampStage converts one worker-reported stage (microseconds) to a
@@ -172,11 +148,11 @@ func (el *expLatency) rungLocked(rung int) *obs.Histogram {
 }
 
 // observeSettle records one accepted settle into the latency plane:
-// every report path (single JSON, batched JSON, binary stream, timed or
-// not) calls it exactly once per accepted entry, which is what keeps
-// sum(asha_exec_seconds_count) == accepted at quiescence. tm is the
-// worker's stage timing or nil; out is the outcome about to be
-// delivered. No-op unless Options.Metrics.
+// both report paths (JSON batch, binary stream) call it exactly once
+// per accepted entry, which is what keeps sum(asha_exec_seconds_count)
+// == accepted at quiescence. tm is the worker's stage timing or nil;
+// out is the outcome about to be delivered. No-op unless
+// Options.Metrics.
 func (s *Server) observeSettle(t *task, tm *JobTiming, out *Outcome) {
 	lat := s.lat
 	if lat == nil {
@@ -251,13 +227,6 @@ func (s *Server) observeSettle(t *task, tm *JobTiming, out *Outcome) {
 	lat.spans[lat.spanNext] = span
 	lat.spanNext = (lat.spanNext + 1) % spanRingCap
 	lat.spanCount++
-	if out.Err == "" && !math.IsNaN(out.Loss) && !math.IsInf(out.Loss, 0) {
-		if !lat.hasBest || out.Loss < lat.best {
-			lat.best, lat.hasBest = out.Loss, true
-			lat.incX = appendDecimated(lat.incX, time.Since(lat.start).Seconds())
-			lat.incY = appendDecimated(lat.incY, out.Loss)
-		}
-	}
 	lat.mu.Unlock()
 
 	if straggler && s.bus != nil {
@@ -273,42 +242,12 @@ func (s *Server) observeSettle(t *task, tm *JobTiming, out *Outcome) {
 
 // observeHeartbeatRTT records one worker-measured heartbeat round trip
 // (microseconds; 0 means the worker has none yet). Both heartbeat
-// handlers — JSON and the timed binary frame — funnel here.
+// handlers — JSON and the binary frame — funnel here.
 func (s *Server) observeHeartbeatRTT(rttUs int64) {
 	if s.lat == nil || rttUs <= 0 {
 		return
 	}
 	s.lat.hbRTT.Observe(clampStage(rttUs))
-}
-
-// sample records one dashboard tick: cumulative accepted reports and
-// the current exec-time quantiles. Called from the sweeper so the
-// series advance even while no jobs settle.
-func (lat *latencyTracker) sample(accepted int64) {
-	x := time.Since(lat.start).Seconds()
-	p50 := lat.execTime.Quantile(0.5).Seconds()
-	p95 := lat.execTime.Quantile(0.95).Seconds()
-	lat.mu.Lock()
-	lat.dashX = appendDecimated(lat.dashX, x)
-	lat.dashAccepted = appendDecimated(lat.dashAccepted, float64(accepted))
-	lat.dashP50 = appendDecimated(lat.dashP50, p50)
-	lat.dashP95 = appendDecimated(lat.dashP95, p95)
-	lat.mu.Unlock()
-}
-
-// appendDecimated appends to a dashboard series, halving its resolution
-// (keeping every second point) once it reaches dashPointsCap — bounded
-// memory over arbitrarily long runs, full time range preserved.
-func appendDecimated(s []float64, v float64) []float64 {
-	if len(s) >= dashPointsCap {
-		keep := 0
-		for i := 0; i < len(s); i += 2 {
-			s[keep] = s[i]
-			keep++
-		}
-		s = s[:keep]
-	}
-	return append(s, v)
 }
 
 // traceResp is GET /v1/trace's reply.

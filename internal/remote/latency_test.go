@@ -2,9 +2,8 @@ package remote
 
 // Tests for the per-job latency tracing plane: straggler detection
 // visible on the event bus and in /v1/trace, clock-skew-proof stage
-// clamping, version-negotiated interop (a v1 worker on a v2 server
-// sees only timing-free frames), timing propagation end to end over
-// both wires, and the dashboard/pprof HTTP surfaces.
+// clamping, timing propagation end to end over the stream, and the
+// pprof HTTP surface.
 
 import (
 	"bufio"
@@ -172,49 +171,16 @@ func TestClockSkewCannotCorruptStages(t *testing.T) {
 	}
 }
 
-// TestLegacyFramesBitIdentical pins the v1 encodings: a v2 build's
-// untimed frames must stay byte-for-byte what a v1 build produced
-// (appendGrantsCore with nil timestamps IS the v1 grants encoding),
-// and timing-free legacy frames must keep decoding.
-func TestLegacyFramesBitIdentical(t *testing.T) {
-	g := binGrants{Seq: 5, Tables: []binTable{{Index: 0, Experiment: "e", Params: []string{"lr"}}},
-		Grants: []binGrant{{Table: 0, Job: exec.BinRequest{ID: 9, Trial: 2, To: 4, Vec: []float64{0.5}}}}}
-	legacy := appendGrants(nil, g)
-	if legacy[0] != frameGrants {
-		t.Fatalf("untimed grants frame type 0x%02x, want 0x%02x", legacy[0], frameGrants)
-	}
-	if core := appendGrantsCore(nil, g, nil); !bytes.Equal(core, legacy) {
-		t.Fatalf("appendGrantsCore(nil timestamps) diverged from the v1 encoding:\n % x\n % x", core, legacy)
-	}
-	timed := appendTimedGrants(nil, binTimedGrants{binGrants: g, GrantMs: []int64{1754560000000}})
-	if timed[0] != frameTimedGrants {
-		t.Fatalf("timed grants frame type 0x%02x, want 0x%02x", timed[0], frameTimedGrants)
-	}
-	// Every legacy frame shape still decodes on a v2 build.
-	for _, frame := range [][]byte{
-		legacy,
-		appendLeaseReq(nil, binLeaseReq{Seq: 1, Max: 4}),
-		appendReports(nil, binReports{Seq: 2, Reports: []exec.BinResponse{{ID: 9, Loss: 0.25}}}),
-		appendReportAck(nil, binReportAck{Seq: 2, Accepted: []bool{true}}),
-		appendLeaseIDFrame(nil, frameHeartbeat, []uint64{9}),
-		appendLeaseIDFrame(nil, frameHeartbeatAck, nil),
-	} {
-		if _, err := decodeAnyFrame(frame); err != nil {
-			t.Errorf("legacy frame 0x%02x no longer decodes: %v", frame[0], err)
-		}
-	}
-}
-
-// streamDial performs a manual /v1/stream handshake at the given
-// protocol version and returns the raw connection.
-func streamDial(t *testing.T, base, worker string, bin int) (net.Conn, *bufio.Reader) {
+// streamDial performs a manual /v1/stream handshake and returns the raw
+// connection.
+func streamDial(t *testing.T, base, worker string) (net.Conn, *bufio.Reader) {
 	t.Helper()
 	addr := strings.TrimPrefix(base, "http://")
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := json.Marshal(streamReq{Version: ProtocolVersion, Bin: bin, WorkerID: worker})
+	body, _ := json.Marshal(streamReq{Version: ProtocolVersion, WorkerID: worker})
 	req, err := http.NewRequest(http.MethodPost, base+"/v1/stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -233,211 +199,154 @@ func streamDial(t *testing.T, base, worker string, bin int) (net.Conn, *bufio.Re
 	if resp.StatusCode != http.StatusSwitchingProtocols {
 		blob, _ := io.ReadAll(resp.Body)
 		conn.Close()
-		t.Fatalf("handshake at bin=%d: status %d (%s)", bin, resp.StatusCode, blob)
+		t.Fatalf("handshake: status %d (%s)", resp.StatusCode, blob)
 	}
 	return conn, br
+}
+
+// framed wraps a frame body (type byte included) in its length prefix.
+func framed(body []byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
 }
 
 // sendFrame writes one length-prefixed frame.
 func sendFrame(t *testing.T, conn net.Conn, body []byte) {
 	t.Helper()
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(body)))
-	if _, err := conn.Write(append(hdr[:n], body...)); err != nil {
+	if _, err := conn.Write(framed(body)); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestV1WorkerOnV2Server pins mixed-generation interop: a worker that
-// handshakes at bin=1 must receive only the timing-free v1 frames —
-// grants as 0x81, never 0x84 — while its legacy reports and heartbeats
-// settle normally; and an over-version handshake is rejected outright.
-func TestV1WorkerOnV2Server(t *testing.T) {
-	srv, err := NewServer(Options{Metrics: true, LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	outcomes := make(chan Outcome, 1)
-	srv.Submit(JobPayload{Experiment: "e", Trial: 7, Config: map[string]float64{"lr": 0.1}, To: 2},
-		func(o Outcome) { outcomes <- o })
-
-	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion, "name": "old"})
-	if adv := reg["bin"]; adv != float64(BinProtocolVersion) {
-		t.Fatalf("registration advertised bin %v, want %d", adv, BinProtocolVersion)
-	}
-	worker := reg["worker"].(string)
-
-	conn, br := streamDial(t, srv.URL(), worker, 1)
-	defer conn.Close()
-	sendFrame(t, conn, appendLeaseReq(nil, binLeaseReq{Seq: 1, Max: 1, WaitMillis: 5000}))
-	frame, err := readFrame(br, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frame[0] != frameGrants {
-		t.Fatalf("v1 connection got frame type 0x%02x, want the untimed 0x%02x", frame[0], frameGrants)
-	}
-	g, err := decodeGrants(exec.NewWireReader(frame[1:]), nil)
-	if err != nil || len(g.Grants) != 1 {
-		t.Fatalf("v1 grants decode: %v (%d grants)", err, len(g.Grants))
-	}
-	lease := g.Grants[0].Job.ID
-
-	// Legacy heartbeat and report frames settle as always.
-	sendFrame(t, conn, appendLeaseIDFrame(nil, frameHeartbeat, []uint64{lease}))
-	if frame, err = readFrame(br, nil); err != nil || frame[0] != frameHeartbeatAck {
-		t.Fatalf("heartbeat ack: %v (type 0x%02x)", err, frame[0])
-	}
-	sendFrame(t, conn, appendReports(nil, binReports{Seq: 1,
-		Reports: []exec.BinResponse{{ID: lease, Loss: 0.5, State: []byte(`1`)}}}))
-	if frame, err = readFrame(br, nil); err != nil || frame[0] != frameReportAck {
-		t.Fatalf("report ack: %v (type 0x%02x)", err, frame[0])
-	}
-	select {
-	case o := <-outcomes:
-		if o.Failed || o.Err != "" || o.Loss != 0.5 {
-			t.Fatalf("outcome %+v", o)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("v1 report never settled")
-	}
-	// The untimed settle still counts into the exec histogram (server-
-	// side fallback), preserving exec_count == accepted.
-	if n := srv.lat.execTime.Count(); n != 1 {
-		t.Fatalf("exec histogram count = %d after one untimed settle, want 1", n)
-	}
-	if n := srv.lat.settleTime.Count(); n != 0 {
-		t.Fatalf("settle histogram count = %d for an untimed worker, want 0", n)
-	}
-
-	// A handshake above the server's version must be refused.
-	addr := strings.TrimPrefix(srv.URL(), "http://")
-	c2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	body, _ := json.Marshal(streamReq{Version: ProtocolVersion, Bin: BinProtocolVersion + 1, WorkerID: worker})
-	req, _ := http.NewRequest(http.MethodPost, srv.URL()+"/v1/stream", bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	if err := req.Write(c2); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.ReadResponse(bufio.NewReader(c2), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("over-version handshake: status %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestTimedWireEndToEnd runs a real agent against a real server on
-// each wire and proves worker-measured timings arrive: settled spans
-// are Timed, the report-settle histogram fills (it only fills from
-// worker timings), and exec_count reconciles with accepted reports.
+// TestTimedWireEndToEnd runs a real agent against a real server and
+// proves worker-measured timings arrive: settled spans are Timed, the
+// report-settle histogram fills (it only fills from worker timings),
+// and exec_count reconciles with accepted reports.
 func TestTimedWireEndToEnd(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		jsonWire bool
-	}{
-		{"binary", false},
-		{"json", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			srv, err := NewServer(Options{Metrics: true, BatchSize: 4, LeaseTTL: time.Minute,
-				FlushInterval: 5 * time.Millisecond})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			const jobs = 12
-			outcomes := make(chan Outcome, jobs)
-			for i := 0; i < jobs; i++ {
-				srv.Submit(JobPayload{Trial: i, Rung: i % 2, Config: map[string]float64{"lr": 0.1, "momentum": 0.5}, To: 2},
-					func(o Outcome) { outcomes <- o })
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			// pureObjective finishes in under a microsecond, which truncates
-			// to ExecUs == 0 on the wire; a short sleep makes every stage
-			// measurable.
-			slowObjective := func(ctx context.Context, cfg map[string]float64, from, to float64, state interface{}) (float64, interface{}, error) {
-				time.Sleep(2 * time.Millisecond)
-				return pureObjective(ctx, cfg, from, to, state)
-			}
-			agentDone := make(chan error, 1)
-			go func() {
-				agentDone <- ServeAgent(ctx, AgentOptions{
-					Server: srv.URL(), Slots: 2, JSONWire: tc.jsonWire,
-					Resolve: func(string) (exec.Objective, error) { return slowObjective, nil },
-				})
-			}()
-			for i := 0; i < jobs; i++ {
-				select {
-				case o := <-outcomes:
-					if o.Failed || o.Err != "" {
-						t.Fatalf("job failed: %+v", o)
-					}
-				case <-time.After(30 * time.Second):
-					t.Fatal("jobs never settled")
+	t.Run("binary", func(t *testing.T) {
+		srv, err := NewServer(Options{Metrics: true, BatchSize: 4, LeaseTTL: time.Minute,
+			FlushInterval: 5 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		const jobs = 12
+		outcomes := make(chan Outcome, jobs)
+		for i := 0; i < jobs; i++ {
+			srv.Submit(JobPayload{Trial: i, Rung: i % 2, Config: map[string]float64{"lr": 0.1, "momentum": 0.5}, To: 2},
+				func(o Outcome) { outcomes <- o })
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		// pureObjective finishes in under a microsecond, which truncates
+		// to ExecUs == 0 on the wire; a short sleep makes every stage
+		// measurable.
+		slowObjective := func(ctx context.Context, cfg map[string]float64, from, to float64, state interface{}) (float64, interface{}, error) {
+			time.Sleep(2 * time.Millisecond)
+			return pureObjective(ctx, cfg, from, to, state)
+		}
+		agentDone := make(chan error, 1)
+		go func() {
+			agentDone <- ServeAgent(ctx, AgentOptions{
+				Server: srv.URL(), Slots: 2,
+				Resolve: func(string) (exec.Objective, error) { return slowObjective, nil },
+			})
+		}()
+		for i := 0; i < jobs; i++ {
+			select {
+			case o := <-outcomes:
+				if o.Failed || o.Err != "" {
+					t.Fatalf("job failed: %+v", o)
 				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("jobs never settled")
 			}
-			cancel()
-			<-agentDone
+		}
+		cancel()
+		<-agentDone
 
-			if n := srv.lat.execTime.Count(); n != srv.accepted.Load() {
-				t.Fatalf("exec histogram count %d != accepted reports %d", n, srv.accepted.Load())
+		if n := srv.lat.execTime.Count(); n != srv.accepted.Load() {
+			t.Fatalf("exec histogram count %d != accepted reports %d", n, srv.accepted.Load())
+		}
+		if n := srv.lat.settleTime.Count(); n != jobs {
+			t.Fatalf("settle histogram count = %d, want %d timed settles", n, jobs)
+		}
+		if n := srv.lat.queueWait.Count(); n == 0 {
+			t.Fatal("queue-wait histogram empty")
+		}
+		_, spans := traceSpans(t, srv.URL(), "?n=100")
+		if len(spans) != jobs {
+			t.Fatalf("got %d spans, want %d", len(spans), jobs)
+		}
+		for _, sp := range spans {
+			if !sp.Timed {
+				t.Fatalf("span %+v not timed", sp)
 			}
-			if n := srv.lat.settleTime.Count(); n != jobs {
-				t.Fatalf("settle histogram count = %d, want %d timed settles", n, jobs)
+			if sp.ExecUs <= 0 {
+				t.Fatalf("span %+v has no exec time", sp)
 			}
-			if n := srv.lat.queueWait.Count(); n == 0 {
-				t.Fatal("queue-wait histogram empty")
-			}
-			_, spans := traceSpans(t, srv.URL(), "?n=100")
-			if len(spans) != jobs {
-				t.Fatalf("got %d spans, want %d", len(spans), jobs)
-			}
-			for _, sp := range spans {
-				if !sp.Timed {
-					t.Fatalf("span %+v not timed on the %s wire", sp, tc.name)
-				}
-				if sp.ExecUs <= 0 {
-					t.Fatalf("span %+v has no exec time", sp)
-				}
-			}
+		}
+	})
+	// The JSON report shape — the agent's fallback when its stream is
+	// down — carries the same timings, and one without them still
+	// settles, untimed.
+	t.Run("json", func(t *testing.T) {
+		srv, err := NewServer(Options{Metrics: true, BatchSize: 2, LeaseTTL: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		for i := 0; i < 2; i++ {
+			srv.Submit(JobPayload{Trial: i, To: 2}, func(Outcome) {})
+		}
+		_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion})
+		worker := reg["worker"].(string)
+		_, lease := rawPost(t, srv.URL(), "/v1/lease",
+			map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 2})
+		grants, _ := lease["grants"].([]interface{})
+		if len(grants) != 2 {
+			t.Fatalf("leased %v, want two grants", lease)
+		}
+		id0 := uint64(grants[0].(map[string]interface{})["lease"].(float64))
+		id1 := uint64(grants[1].(map[string]interface{})["lease"].(float64))
+		status, rep := rawPost(t, srv.URL(), "/v1/report", map[string]interface{}{
+			"v": ProtocolVersion, "worker": worker, "reports": []map[string]interface{}{
+				{"lease": id0, "response": map[string]interface{}{"v": exec.WireVersion, "id": id0, "loss": 0.5},
+					"timing": map[string]interface{}{"dwellUs": 10, "execUs": 2000, "bufUs": 5}},
+				{"lease": id1, "response": map[string]interface{}{"v": exec.WireVersion, "id": id1, "loss": 0.25}},
+			},
 		})
-	}
+		if status != http.StatusOK {
+			t.Fatalf("report refused: %d %v", status, rep)
+		}
+		if n := srv.lat.execTime.Count(); n != 2 {
+			t.Fatalf("exec histogram count = %d, want 2", n)
+		}
+		if n := srv.lat.settleTime.Count(); n != 1 {
+			t.Fatalf("settle histogram count = %d, want the one timed settle", n)
+		}
+		_, spans := traceSpans(t, srv.URL(), "?trial=0")
+		if len(spans) != 1 || !spans[0].Timed || spans[0].ExecUs != 2000 {
+			t.Fatalf("timed entry's span = %+v, want timed with execUs 2000", spans)
+		}
+		_, spans = traceSpans(t, srv.URL(), "?trial=1")
+		if len(spans) != 1 || spans[0].Timed {
+			t.Fatalf("untimed entry's span = %+v, want untimed", spans)
+		}
+	})
 }
 
-// TestDashboardAndPprof probes the HTML dashboard and the token-gated
-// pprof mount.
+// TestDashboardAndPprof probes the token-gated pprof mount. (The HTML
+// dashboard it once also fetched is gone; the name is kept so the
+// test's history stays continuous.)
 func TestDashboardAndPprof(t *testing.T) {
 	srv, err := NewServer(Options{Metrics: true, AdminToken: "tok"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.observeSettle(mkTask(1), &JobTiming{ExecUs: 1000}, &Outcome{Loss: 0.5})
-
-	resp, err := http.Get(srv.URL() + "/v1/dashboard")
-	if err != nil {
-		t.Fatal(err)
-	}
-	page, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(page), "asha live dashboard") {
-		t.Fatalf("dashboard: status %d, body %.80s", resp.StatusCode, page)
-	}
-	if !strings.Contains(string(page), "exec") {
-		t.Fatalf("dashboard missing the quantile table:\n%.400s", page)
-	}
 
 	// pprof: 401 without the admin token, 200 with it.
-	resp, err = http.Get(srv.URL() + "/debug/pprof/cmdline")
+	resp, err := http.Get(srv.URL() + "/debug/pprof/cmdline")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -555,6 +556,33 @@ func (s *Server) adminAuth(w http.ResponseWriter, r *http.Request) (tenant strin
 	}
 	s.reject(w, http.StatusUnauthorized, "bad or missing admin token")
 	return "", false, false
+}
+
+// mountPprof registers the net/http/pprof handlers under /debug/pprof/
+// on the server's own mux (never http.DefaultServeMux), each gated by
+// adminAuth, so profiling a live tuner needs the operator credential
+// but no restart. Called from NewServer when an admin token is set.
+func (s *Server) mountPprof(mux *http.ServeMux) {
+	gate := func(h http.HandlerFunc) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			_, scoped, ok := s.adminAuth(w, r)
+			if !ok {
+				return
+			}
+			if scoped {
+				// Profiles expose the whole process; tenant admins stay
+				// scoped to their experiments.
+				s.reject(w, http.StatusForbidden, "pprof requires the fleet admin token")
+				return
+			}
+			h(w, r)
+		}
+	}
+	mux.HandleFunc("/debug/pprof/", gate(pprof.Index))
+	mux.HandleFunc("/debug/pprof/cmdline", gate(pprof.Cmdline))
+	mux.HandleFunc("/debug/pprof/profile", gate(pprof.Profile))
+	mux.HandleFunc("/debug/pprof/symbol", gate(pprof.Symbol))
+	mux.HandleFunc("/debug/pprof/trace", gate(pprof.Trace))
 }
 
 // decodeAdmin parses an admin request body (empty bodies mean the zero

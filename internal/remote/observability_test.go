@@ -410,28 +410,28 @@ func TestAdminPauseFreezesLeaseGrants(t *testing.T) {
 	worker := reg["worker"].(string)
 	lease := func(waitMs int) map[string]interface{} {
 		_, body := rawPost(t, srv.URL(), "/v1/lease",
-			map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": waitMs})
+			map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": waitMs, "max": 1})
 		return body
 	}
 
 	// The grant must skip the paused experiment's job.
-	g, ok := lease(2000)["grant"].(map[string]interface{})
-	if !ok {
+	g := firstGrant(lease(2000))
+	if g == nil {
 		t.Fatal("no grant while exp-b had a queued job")
 	}
 	if trial := int(g["job"].(map[string]interface{})["trial"].(float64)); trial != 2 {
 		t.Fatalf("granted trial %d, want exp-b's trial 2", trial)
 	}
 	// Only exp-a's job remains: the queue is frozen for this worker.
-	if g := lease(150)["grant"]; g != nil {
+	if g := firstGrant(lease(150)); g != nil {
 		t.Fatalf("paused experiment's job was granted: %v", g)
 	}
 
 	if status, _ := adminPost(t, srv.URL(), "tok", "resume", `{"experiment":"exp-a"}`); status != http.StatusOK {
 		t.Fatalf("resume exp-a: status %d", status)
 	}
-	g, ok = lease(2000)["grant"].(map[string]interface{})
-	if !ok {
+	g = firstGrant(lease(2000))
+	if g == nil {
 		t.Fatal("no grant after resume")
 	}
 	if trial := int(g["job"].(map[string]interface{})["trial"].(float64)); trial != 1 {
@@ -499,7 +499,7 @@ func TestAbortAfterGrantsSkipsConsumedQueue(t *testing.T) {
 	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion, "name": "w"})
 	worker := reg["worker"].(string)
 	if _, body := rawPost(t, srv.URL(), "/v1/lease",
-		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000}); body["grant"] == nil {
+		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 1}); firstGrant(body) == nil {
 		t.Fatal("no grant for the first queued job")
 	}
 	// The two still-queued jobs cancel; the leased one is untouched.
@@ -536,8 +536,8 @@ func TestAdminDrainAnswersWorkersDone(t *testing.T) {
 	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion, "name": "w"})
 	worker := reg["worker"].(string)
 	_, body := rawPost(t, srv.URL(), "/v1/lease",
-		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 1000})
-	if body["done"] != true || body["grant"] != nil {
+		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 1000, "max": 1})
+	if body["done"] != true || firstGrant(body) != nil {
 		t.Fatalf("draining lease poll = %v, want done with no grant", body)
 	}
 
@@ -545,8 +545,8 @@ func TestAdminDrainAnswersWorkersDone(t *testing.T) {
 		t.Fatalf("drain off: status %d", status)
 	}
 	_, body = rawPost(t, srv.URL(), "/v1/lease",
-		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000})
-	if body["grant"] == nil {
+		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 1})
+	if firstGrant(body) == nil {
 		t.Fatalf("queued job not granted after the drain lifted: %v", body)
 	}
 }
@@ -620,6 +620,11 @@ func FuzzAdminRequest(f *testing.F) {
 	h := srv.Handler()
 
 	f.Fuzz(func(t *testing.T, cmd, auth string, body []byte) {
+		if cmd == "." || cmd == ".." {
+			// http.ServeMux answers a dot segment with its own 301 to the
+			// cleaned path; the admin handler never sees the request.
+			t.Skip()
+		}
 		req := httptest.NewRequest(http.MethodPost, "/v1/admin/"+url.PathEscape(cmd), bytes.NewReader(body))
 		if auth != "" {
 			req.Header.Set("Authorization", auth)

@@ -4,30 +4,28 @@
 // agent.go), and a backend.Backend adapter driving the shared engine
 // over a fleet (Backend, in backend.go).
 //
-// The control protocol is JSON POST endpoints:
+// The control protocol is JSON POST endpoints, every request stamped
+// with ProtocolVersion and refused by name on a mismatch:
 //
-//	/v1/register  — a worker announces itself and learns its lease TTL,
-//	              	the fleet's batching defaults, and whether the server
-//	              	speaks the binary streaming wire ("bin")
-//	/v1/lease     — long-poll for jobs; each grant carries a lease ID
-//	              	and the job payload (an internal/exec.Request, so the
-//	              	wire reuses the subprocess protocol's name-keyed,
-//	              	versioned job encoding). A poll asking for Max jobs
-//	              	is answered with a LeaseBatch of up to
-//	              	min(Max, BatchSize) grants in one round trip.
-//	/v1/report    — deliver finished jobs' exec.Responses under their
-//	              	leases, singly or as a ReportBatch settled with
-//	              	per-entry acceptance
-//	/v1/heartbeat — extend the leases a worker still holds
-//	/v1/stream    — upgrade to the binary streaming wire: one
-//	              	long-lived connection per worker multiplexing lease
-//	              	grants, report batches and heartbeats as dense
-//	              	length-prefixed frames (binwire.go, stream.go).
-//	              	Workers negotiate it at registration and fall back
-//	              	to the JSON endpoints against older servers; older
-//	              	workers never see it — every JSON shape above keeps
-//	              	working, so mixed-generation fleets interoperate in
-//	              	both directions.
+//	/v1/register  — a worker announces itself and learns its lease TTL
+//	              	and the fleet's batching defaults
+//	/v1/stream    — upgrade to the binary streaming wire, the path every
+//	              	agent leases over: one long-lived connection per
+//	              	worker multiplexing lease grants, report batches and
+//	              	heartbeats as dense length-prefixed frames
+//	              	(binwire.go, stream.go)
+//	/v1/lease     — the curl/debug view of a lease poll: each grant
+//	              	carries a lease ID and the job payload (an
+//	              	internal/exec.Request, so the wire reuses the
+//	              	subprocess protocol's name-keyed job encoding). The
+//	              	answer is a LeaseBatch of up to min(Max, BatchSize)
+//	              	grants; a single job is a batch of one.
+//	/v1/report    — deliver a ReportBatch of finished jobs'
+//	              	exec.Responses under their leases, settled with
+//	              	per-entry acceptance; the agent's fallback when its
+//	              	stream is down
+//	/v1/heartbeat — extend the leases a worker still holds; the same
+//	              	fallback
 //
 // Workers are elastic: they may register at any time — including long
 // after the run started — and immediately lease queued jobs. Failure
@@ -55,9 +53,12 @@ import (
 	"repro/internal/obs"
 )
 
-// ProtocolVersion is the lease protocol's wire version — the same
-// version as the job payload it transports.
-const ProtocolVersion = exec.WireVersion
+// ProtocolVersion is the one version of the worker protocol: the JSON
+// endpoints and the frames on /v1/stream. Server and workers are built
+// from one commit, so any other number is refused by name at
+// /v1/register (see check). The job payload inside a grant versions
+// separately as exec.WireVersion.
+const ProtocolVersion = 2
 
 // JobPayload is one training job submitted to the fleet. The
 // hyperparameter assignment may be given either name-keyed (Config) or
@@ -177,8 +178,8 @@ type Options struct {
 	MaxLeases int
 	// BatchSize caps the jobs granted per lease poll and is advertised
 	// to workers at registration as the fleet-wide default lease/report
-	// batch size (default 1: one job per round trip, the pre-batching
-	// behavior). Workers may ask for less; they never receive more.
+	// batch size (default 1: one job per round trip). Workers may ask
+	// for less; they never receive more.
 	BatchSize int
 	// Prefetch is advertised to workers at registration as the default
 	// depth of their local job queue: jobs leased ahead of the ones
@@ -302,7 +303,7 @@ type Server struct {
 	// grant path never pays for the scrape. expired/batchedGrants/
 	// batchedReports predate /metrics (the batch parity tests assert on
 	// them); the rest exist for the scrape.
-	granted        atomic.Int64 // leases granted, single + batched + binary
+	granted        atomic.Int64 // leases granted, JSON + binary
 	expired        atomic.Int64 // leases expired by the sweeper
 	accepted       atomic.Int64 // report entries accepted
 	rejected       atomic.Int64 // report entries rejected (late/mispaired)
@@ -318,7 +319,7 @@ type Server struct {
 	activeLeases   atomic.Int64 // gauge: leases currently live
 
 	// lat is the per-job latency tracker behind the /metrics histogram
-	// families, /v1/trace and /v1/dashboard (latency.go); nil unless
+	// families and /v1/trace (latency.go); nil unless
 	// Options.Metrics, and every hot-path hook checks for nil first.
 	lat *latencyTracker
 
@@ -409,7 +410,6 @@ func NewServer(opts Options) (*Server, error) {
 		s.lat = newLatencyTracker()
 		mux.HandleFunc("/metrics", s.handleMetrics)
 		mux.HandleFunc("/v1/trace", s.handleTrace)
-		mux.HandleFunc("/v1/dashboard", s.handleDashboard)
 	}
 	if opts.Events {
 		mux.HandleFunc("/v1/events", s.handleEvents)
@@ -627,9 +627,6 @@ func (s *Server) sweep() {
 			// saw sweeps advance past a lease's TTL may rely on that
 			// lease's expiry having been counted too.
 			s.sweeps.Add(1)
-			if s.lat != nil {
-				s.lat.sample(s.accepted.Load())
-			}
 			for _, t := range dead {
 				t.done(Outcome{Failed: true})
 			}
@@ -670,10 +667,6 @@ type registerResp struct {
 	BatchSize   int   `json:"batch,omitempty"`
 	Prefetch    int   `json:"prefetch,omitempty"`
 	FlushMillis int64 `json:"flushMs,omitempty"`
-	// Bin advertises the binary streaming wire version the server
-	// speaks on /v1/stream (absent on pre-binary servers: the worker
-	// stays on the JSON wire).
-	Bin int `json:"bin,omitempty"`
 }
 
 type leaseReq struct {
@@ -681,44 +674,14 @@ type leaseReq struct {
 	Token      string `json:"token,omitempty"`
 	WorkerID   string `json:"worker"`
 	WaitMillis int64  `json:"waitMs,omitempty"`
-	// Max is the largest number of jobs the worker wants in one reply.
-	// 0 — the field absent, a pre-batching worker — selects the legacy
-	// single-grant reply shape; >= 1 selects the LeaseBatch reply,
-	// carrying up to min(Max, server BatchSize) jobs.
+	// Max is the largest number of jobs the worker wants in the reply's
+	// LeaseBatch: up to min(Max, server BatchSize) are granted. Absent
+	// or below 1 means 1.
 	Max int `json:"max,omitempty"`
 	// Experiments, when non-empty, restricts the grant to jobs of the
 	// named experiments — a partially-configured worker never receives
 	// (and so never fails) jobs it has no objective for.
 	Experiments []string `json:"experiments,omitempty"`
-}
-
-// leaseResp is the legacy single-grant reply shape, kept for
-// pre-batching workers (leaseReq.Max == 0). Batched polls are answered
-// with a LeaseBatch (wire.go).
-type leaseResp struct {
-	Version int         `json:"v"`
-	Grant   *LeaseGrant `json:"grant,omitempty"`
-	// Done tells the worker the run is over and it should exit.
-	Done bool `json:"done,omitempty"`
-}
-
-// reportReq is the legacy single-response report shape, kept for
-// pre-batching workers. Batched deliveries POST a ReportBatch (wire.go)
-// to the same endpoint; the handler distinguishes them by the presence
-// of the "reports" field.
-type reportReq struct {
-	Version  int           `json:"v"`
-	Token    string        `json:"token,omitempty"`
-	WorkerID string        `json:"worker"`
-	LeaseID  uint64        `json:"lease"`
-	Response exec.Response `json:"response"`
-}
-
-type reportResp struct {
-	Version int `json:"v"`
-	// Accepted is false when the lease had already expired: the job was
-	// requeued and this result is discarded to keep delivery exactly-once.
-	Accepted bool `json:"accepted"`
 }
 
 type heartbeatReq struct {
@@ -847,7 +810,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		BatchSize:      s.opts.BatchSize,
 		Prefetch:       s.opts.Prefetch,
 		FlushMillis:    s.opts.FlushInterval.Milliseconds(),
-		Bin:            BinProtocolVersion,
 	})
 }
 
@@ -864,10 +826,6 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	if wait > 30*time.Second {
 		wait = 30 * time.Second
 	}
-	// A request naming Max selects the batched reply shape and receives
-	// up to min(Max, BatchSize) jobs; a pre-batching request (Max == 0)
-	// keeps the legacy single-grant shape.
-	batched := req.Max > 0
 	max := req.Max
 	if max > s.opts.BatchSize {
 		max = s.opts.BatchSize
@@ -883,38 +841,24 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			// Draining reads as "the run is over" to this worker: it
 			// exits cleanly while queued jobs stay queued for whichever
 			// workers join after the drain is lifted.
-			if batched {
-				s.reply(w, LeaseBatch{Version: ProtocolVersion, Done: true})
-			} else {
-				s.reply(w, leaseResp{Version: ProtocolVersion, Done: true})
-			}
+			s.reply(w, LeaseBatch{Version: ProtocolVersion, Done: true})
 			return
 		case grantGone:
 			s.reject(w, http.StatusGone, "unknown worker; register again")
 			return
 		}
 		if len(tasks) > 0 {
-			if batched {
-				s.batchedGrants.Add(int64(len(tasks)))
-			}
+			s.batchedGrants.Add(int64(len(tasks)))
 			grants := make([]LeaseGrant, len(tasks))
 			for i, t := range tasks {
 				grants[i] = t.grant()
 			}
-			if batched {
-				s.reply(w, LeaseBatch{Version: ProtocolVersion, Grants: grants})
-			} else {
-				s.reply(w, leaseResp{Version: ProtocolVersion, Grant: &grants[0]})
-			}
+			s.reply(w, LeaseBatch{Version: ProtocolVersion, Grants: grants})
 			return
 		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			if batched {
-				s.reply(w, LeaseBatch{Version: ProtocolVersion})
-			} else {
-				s.reply(w, leaseResp{Version: ProtocolVersion})
-			}
+			s.reply(w, LeaseBatch{Version: ProtocolVersion})
 			return
 		}
 		timer := time.NewTimer(remaining)
@@ -1067,85 +1011,22 @@ func (s *Server) matchLocked(experiments []string, wi workerInfo) int {
 	return -1
 }
 
-// reportWire is the union of /v1/report's two delivery shapes, decoded
-// in one pass: the presence of the "reports" field selects the batched
-// path, so pre-batching workers keep working unchanged and a genuine
-// version skew still fails fast on the "v" check rather than on shape.
-type reportWire struct {
-	reportReq
-	Reports []ReportEntry `json:"reports"`
-}
-
+// handleReport settles a ReportBatch in one pass under one lock.
+// Entries are validated independently — a lease that expired mid-flight
+// (its job already requeued by the sweeper) rejects only its own entry,
+// never the whole batch — and the settled tasks' done callbacks run
+// back to back, so the engine's Await drains the whole request as one
+// completion batch: one HTTP request, one scheduler wakeup.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.reject(w, http.StatusMethodNotAllowed, "POST only")
+	var rb ReportBatch
+	if !s.decode(w, r, &rb.Version, &rb.Token, &rb) {
 		return
 	}
-	var wire reportWire
-	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-		s.reject(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	if wire.Reports != nil {
-		s.handleReportBatch(w, ReportBatch{
-			Version:  wire.Version,
-			Token:    wire.Token,
-			WorkerID: wire.WorkerID,
-			Reports:  wire.Reports,
-		})
-		return
-	}
-	req := wire.reportReq
-	if !s.check(w, req.Version, req.Token) {
-		return
-	}
-	if tenant, scoped, _ := s.tokenScope(req.Token); !s.scopeOK(req.WorkerID, tenant, scoped) {
-		s.reject(w, http.StatusUnauthorized, "token scope does not match worker registration")
-		return
-	}
-	t := s.takeLease(req.LeaseID, req.WorkerID, req.Response.ID)
-	if t == nil {
-		// The lease expired (or never existed): the job has already been
-		// requeued, so this late result is dropped — never double-counted.
-		s.rejected.Add(1)
-		s.reply(w, reportResp{Version: ProtocolVersion, Accepted: false})
-		return
-	}
-	s.activeLeases.Add(-1)
-	// The freed lease slot may unblock a poller waiting on the
-	// MaxLeases cap.
-	s.wakeIfPending()
-	s.accepted.Add(1)
-	var out Outcome
-	if req.Response.Error != "" {
-		out.Err = req.Response.Error
-	} else {
-		out.Loss = req.Response.Loss
-		out.State = req.Response.State
-	}
-	s.observeSettle(t, nil, &out)
-	t.done(out)
-	s.reply(w, reportResp{Version: ProtocolVersion, Accepted: true})
-}
-
-// handleReportBatch settles a batch of responses in one pass under one
-// lock. Entries are validated independently — a lease that expired
-// mid-flight (its job already requeued by the sweeper) rejects only its
-// own entry, never the whole batch — and the settled tasks' done
-// callbacks run back to back, so the engine's Await drains the whole
-// request as one completion batch: one HTTP request, one scheduler
-// wakeup.
-func (s *Server) handleReportBatch(w http.ResponseWriter, rb ReportBatch) {
 	if err := rb.validate(); err != nil {
 		s.reject(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	tenant, scoped, ok := s.tokenScope(rb.Token)
-	if !ok {
-		s.reject(w, http.StatusUnauthorized, "bad or missing worker token")
-		return
-	}
-	if !s.scopeOK(rb.WorkerID, tenant, scoped) {
+	if tenant, scoped, _ := s.tokenScope(rb.Token); !s.scopeOK(rb.WorkerID, tenant, scoped) {
 		s.reject(w, http.StatusUnauthorized, "token scope does not match worker registration")
 		return
 	}
@@ -1199,8 +1080,8 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, resp)
 }
 
-// takeLease is the lease-settle core shared by every report path
-// (single, batched, binary): under the lease's shard lock it checks
+// takeLease is the lease-settle core shared by both report paths
+// (JSON batch, binary frame): under the lease's shard lock it checks
 // that the worker owns the lease and that the response is paired with
 // it — the grant stamped Job.ID with the lease ID, and a response
 // paired with the wrong lease must not commit a loss and checkpoint to

@@ -63,6 +63,34 @@ func rawPost(t *testing.T, base, path string, body interface{}) (int, map[string
 	return resp.StatusCode, out
 }
 
+// firstGrant returns the first grant of a /v1/lease reply, or nil when
+// the batch is empty.
+func firstGrant(lease map[string]interface{}) map[string]interface{} {
+	grants, _ := lease["grants"].([]interface{})
+	if len(grants) == 0 {
+		return nil
+	}
+	return grants[0].(map[string]interface{})
+}
+
+// reportOne wraps one response in the /v1/report batch shape.
+func reportOne(worker string, lease float64, respID int, loss float64) map[string]interface{} {
+	return map[string]interface{}{
+		"v": ProtocolVersion, "worker": worker, "reports": []map[string]interface{}{
+			{"lease": lease, "response": map[string]interface{}{"v": exec.WireVersion, "id": respID, "loss": loss}},
+		},
+	}
+}
+
+// acceptedOne reads the single entry of a /v1/report reply.
+func acceptedOne(rep map[string]interface{}) interface{} {
+	accepted, _ := rep["accepted"].([]interface{})
+	if len(accepted) != 1 {
+		return nil
+	}
+	return accepted[0]
+}
+
 func TestRejectsBadTokenAndVersion(t *testing.T) {
 	srv, err := NewServer(Options{Token: "secret"})
 	if err != nil {
@@ -117,11 +145,11 @@ func TestLeaseExpiryRequeuesExactlyOnce(t *testing.T) {
 	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion, "name": "doomed"})
 	worker := reg["worker"].(string)
 	status, lease := rawPost(t, srv.URL(), "/v1/lease",
-		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000})
-	if status != http.StatusOK || lease["grant"] == nil {
+		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 1})
+	if status != http.StatusOK || firstGrant(lease) == nil {
 		t.Fatalf("doomed worker got no lease: %d %v", status, lease)
 	}
-	leaseID := lease["grant"].(map[string]interface{})["lease"].(float64)
+	leaseID := firstGrant(lease)["lease"].(float64)
 
 	// The worker goes silent: no heartbeat, no report. The sweeper must
 	// settle the job Failed once the TTL passes.
@@ -138,11 +166,8 @@ func TestLeaseExpiryRequeuesExactlyOnce(t *testing.T) {
 	}
 
 	// A late report under the expired lease must be rejected.
-	status, rep := rawPost(t, srv.URL(), "/v1/report", map[string]interface{}{
-		"v": ProtocolVersion, "worker": worker, "lease": leaseID,
-		"response": map[string]interface{}{"v": ProtocolVersion, "id": int(leaseID), "loss": 0.5},
-	})
-	if status != http.StatusOK || rep["accepted"] != false {
+	status, rep := rawPost(t, srv.URL(), "/v1/report", reportOne(worker, leaseID, int(leaseID), 0.5))
+	if status != http.StatusOK || acceptedOne(rep) != false {
 		t.Fatalf("late report was not rejected: %d %v", status, rep)
 	}
 	select {
@@ -184,8 +209,8 @@ func TestDriveRetriesKilledWorkersJobOnSurvivor(t *testing.T) {
 			return
 		}
 		_, lease := rawPost(t, srv.URL(), "/v1/lease",
-			map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 5000})
-		if g, ok := lease["grant"].(map[string]interface{}); ok {
+			map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 5000, "max": 1})
+		if g := firstGrant(lease); g != nil {
 			job := g["job"].(map[string]interface{})
 			doomedTrial = int(job["trial"].(float64))
 			doomedTo = job["to"].(float64)
@@ -315,10 +340,10 @@ func TestLeaseRespectsExperimentRestriction(t *testing.T) {
 	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion, "name": "beta-only"})
 	worker := reg["worker"].(string)
 	status, lease := rawPost(t, srv.URL(), "/v1/lease", map[string]interface{}{
-		"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "experiments": []string{"beta"},
+		"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 1, "experiments": []string{"beta"},
 	})
-	grant, ok := lease["grant"].(map[string]interface{})
-	if status != http.StatusOK || !ok {
+	grant := firstGrant(lease)
+	if status != http.StatusOK || grant == nil {
 		t.Fatalf("restricted worker got no lease: %d %v", status, lease)
 	}
 	if exp := grant["experiment"]; exp != "beta" {
@@ -327,9 +352,9 @@ func TestLeaseRespectsExperimentRestriction(t *testing.T) {
 	// A restriction matching nothing long-polls empty rather than
 	// handing over an untrainable job.
 	status, lease = rawPost(t, srv.URL(), "/v1/lease", map[string]interface{}{
-		"v": ProtocolVersion, "worker": worker, "waitMs": 50, "experiments": []string{"beta"},
+		"v": ProtocolVersion, "worker": worker, "waitMs": 50, "max": 1, "experiments": []string{"beta"},
 	})
-	if status != http.StatusOK || lease["grant"] != nil {
+	if status != http.StatusOK || firstGrant(lease) != nil {
 		t.Fatalf("restricted worker was handed an alpha job: %d %v", status, lease)
 	}
 }
@@ -349,14 +374,11 @@ func TestReportWithMispairedIDRejected(t *testing.T) {
 	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion})
 	worker := reg["worker"].(string)
 	_, lease := rawPost(t, srv.URL(), "/v1/lease",
-		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000})
-	leaseID := lease["grant"].(map[string]interface{})["lease"].(float64)
+		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 1})
+	leaseID := firstGrant(lease)["lease"].(float64)
 
-	status, rep := rawPost(t, srv.URL(), "/v1/report", map[string]interface{}{
-		"v": ProtocolVersion, "worker": worker, "lease": leaseID,
-		"response": map[string]interface{}{"v": ProtocolVersion, "id": int(leaseID) + 7, "loss": 0.1},
-	})
-	if status != http.StatusOK || rep["accepted"] != false {
+	status, rep := rawPost(t, srv.URL(), "/v1/report", reportOne(worker, leaseID, int(leaseID)+7, 0.1))
+	if status != http.StatusOK || acceptedOne(rep) != false {
 		t.Fatalf("mispaired report was accepted: %d %v", status, rep)
 	}
 	select {
@@ -365,11 +387,8 @@ func TestReportWithMispairedIDRejected(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 	// The correctly-paired report still lands.
-	status, rep = rawPost(t, srv.URL(), "/v1/report", map[string]interface{}{
-		"v": ProtocolVersion, "worker": worker, "lease": leaseID,
-		"response": map[string]interface{}{"v": ProtocolVersion, "id": int(leaseID), "loss": 0.1},
-	})
-	if status != http.StatusOK || rep["accepted"] != true {
+	status, rep = rawPost(t, srv.URL(), "/v1/report", reportOne(worker, leaseID, int(leaseID), 0.1))
+	if status != http.StatusOK || acceptedOne(rep) != true {
 		t.Fatalf("correct report rejected: %d %v", status, rep)
 	}
 	if o := <-outcomes; o.Failed || o.Err != "" || o.Loss != 0.1 {

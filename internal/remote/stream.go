@@ -1,12 +1,11 @@
 package remote
 
-// Server side of the binary streaming wire. A worker that saw "bin" in
-// its registration reply POSTs a small JSON handshake to /v1/stream;
-// the server answers 101 Switching Protocols, takes over the TCP
-// connection, and from then on the two sides exchange binary frames
-// (binwire.go): the worker's lease polls, report batches and
-// heartbeats multiplexed over the one connection instead of one HTTP
-// request each. Two goroutines serve a connection — a reader that
+// Server side of the binary streaming wire. A registered worker POSTs
+// a small JSON handshake to /v1/stream; the server answers 101
+// Switching Protocols, takes over the TCP connection, and from then on
+// the two sides exchange binary frames (binwire.go): the worker's lease
+// polls, report batches and heartbeats multiplexed over the one
+// connection instead of one HTTP request each. Two goroutines serve a connection — a reader that
 // settles reports and answers heartbeats inline, and a granter that
 // long-polls the grant core on the worker's behalf — sharing the
 // socket through a write mutex.
@@ -27,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/wire"
 )
 
 // streamProto names the protocol in the Upgrade header; streamUpgrade
@@ -39,7 +39,6 @@ const (
 // streamReq is the JSON handshake POSTed to /v1/stream.
 type streamReq struct {
 	Version  int    `json:"v"`
-	Bin      int    `json:"bin"`
 	Token    string `json:"token,omitempty"`
 	WorkerID string `json:"worker"`
 }
@@ -57,10 +56,6 @@ type streamConn struct {
 	c      net.Conn
 	br     *bufio.Reader
 	worker string
-	// ver is the negotiated stream protocol version for this
-	// connection: the handshake's Bin, accepted anywhere in
-	// [1, BinProtocolVersion]. Timed frames flow only at >= 2.
-	ver int
 
 	// wmu serializes frame writes: grants from the granter goroutine,
 	// acks from the reader, the shutdown Done from Close.
@@ -84,11 +79,6 @@ type streamConn struct {
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	var req streamReq
 	if !s.decode(w, r, &req.Version, &req.Token, &req) {
-		return
-	}
-	if req.Bin < 1 || req.Bin > BinProtocolVersion {
-		s.reject(w, http.StatusBadRequest,
-			fmt.Sprintf("binary wire version %d not supported (server speaks 1..%d)", req.Bin, BinProtocolVersion))
 		return
 	}
 	if tenant, scoped, _ := s.tokenScope(req.Token); !s.scopeOK(req.WorkerID, tenant, scoped) {
@@ -126,7 +116,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		br:      rw.Reader,
 		bw:      rw.Writer,
 		worker:  req.WorkerID,
-		ver:     req.Bin,
 		leaseCh: make(chan binLeaseReq, 1),
 		tables:  make(map[string]*connTable),
 		done:    make(chan struct{}),
@@ -215,7 +204,7 @@ func (sc *streamConn) reader() {
 			return
 		}
 		buf = body[:0] // reuse the (possibly grown) frame buffer
-		r := exec.NewWireReader(body[1:])
+		r := wire.NewReader(body[1:])
 		switch body[0] {
 		case frameLease:
 			q, err := decodeLeaseReq(r)
@@ -238,44 +227,18 @@ func (sc *streamConn) reader() {
 				return
 			}
 			var ok bool
-			enc, ok = sc.settle(rb, nil, enc, &ss)
-			if !ok {
-				return
-			}
-		case frameTimedReports:
-			if sc.ver < 2 {
-				return // timed frames were not negotiated
-			}
-			rb, err := decodeTimedReports(r)
-			if err != nil {
-				return
-			}
-			var ok bool
-			enc, ok = sc.settle(rb.binReports, rb.Timings, enc, &ss)
+			enc, ok = sc.settle(rb, enc, &ss)
 			if !ok {
 				return
 			}
 		case frameHeartbeat:
-			ids, err := decodeLeaseIDs(r)
-			if err != nil {
-				return
-			}
-			expired := sc.s.extendLeases(sc.worker, ids)
-			enc = appendLeaseIDFrame(enc[:0], frameHeartbeatAck, expired)
-			if !sc.writeFrame(enc) {
-				return
-			}
-		case frameTimedHeartbeat:
-			if sc.ver < 2 {
-				return
-			}
-			hb, err := decodeTimedHeartbeat(r)
+			hb, err := decodeHeartbeat(r)
 			if err != nil {
 				return
 			}
 			sc.s.observeHeartbeatRTT(hb.RttUs)
 			expired := sc.s.extendLeases(sc.worker, hb.Leases)
-			enc = appendLeaseIDFrame(enc[:0], frameHeartbeatAck, expired)
+			enc = appendHeartbeatAck(enc[:0], expired)
 			if !sc.writeFrame(enc) {
 				return
 			}
@@ -294,11 +257,10 @@ type settleScratch struct {
 
 // settle settles one reports frame against the lease shards, writes
 // the acceptance ack, then runs the done callbacks back to back — one
-// frame, one scheduler wakeup, exactly as the JSON batch path. timings,
-// when non-nil, is the v2 frame's per-entry stage timings aligned with
-// rb.Reports. It returns the reusable encode buffer and whether the ack
-// write succeeded.
-func (sc *streamConn) settle(rb binReports, timings []JobTiming, enc []byte, ss *settleScratch) ([]byte, bool) {
+// frame, one scheduler wakeup, exactly as the JSON batch path. It
+// returns the reusable encode buffer and whether the ack write
+// succeeded.
+func (sc *streamConn) settle(rb binReports, enc []byte, ss *settleScratch) ([]byte, bool) {
 	s := sc.s
 	n := len(rb.Reports)
 	if cap(ss.accepted) < n {
@@ -352,11 +314,7 @@ func (sc *streamConn) settle(rb binReports, timings []JobTiming, enc []byte, ss 
 				out.State = arena[start:len(arena):len(arena)]
 			}
 		}
-		var tm *JobTiming
-		if timings != nil {
-			tm = &timings[i]
-		}
-		s.observeSettle(t, tm, &out)
+		s.observeSettle(t, &rb.Timings[i], &out)
 		t.done(out)
 	}
 	return enc, ok
@@ -366,10 +324,9 @@ func (sc *streamConn) settle(rb binReports, timings []JobTiming, enc []byte, ss 
 // one frame encode buffer, the grant-core task scratch and the grant
 // list, so a steady-state poll allocates nothing.
 type granterScratch struct {
-	enc     []byte
-	tasks   []*task
-	grants  []binGrant
-	grantMs []int64
+	enc    []byte
+	tasks  []*task
+	grants []binGrant
 }
 
 // granter services the worker's lease polls against the shared grant
@@ -427,9 +384,7 @@ func (sc *streamConn) serveLease(q binLeaseReq, gs *granterScratch) bool {
 		}
 		if len(tasks) > 0 {
 			s.binGrants.Add(int64(len(tasks)))
-			timed := sc.ver >= 2
 			g := binGrants{Seq: q.Seq, Grants: gs.grants[:0]}
-			grantMs := gs.grantMs[:0]
 			for _, t := range tasks {
 				idx := sc.tableFor(&t.payload, &g)
 				g.Grants = append(g.Grants, binGrant{
@@ -442,18 +397,11 @@ func (sc *streamConn) serveLease(q binLeaseReq, gs *granterScratch) bool {
 						Vec:   t.payload.Vec,
 						State: t.payload.State,
 					},
+					GrantMs: t.grantedAt.UnixMilli(),
 				})
-				if timed {
-					grantMs = append(grantMs, t.grantedAt.UnixMilli())
-				}
 			}
 			gs.grants = g.Grants[:0]
-			gs.grantMs = grantMs[:0]
-			if timed {
-				gs.enc = appendTimedGrants(gs.enc[:0], binTimedGrants{binGrants: g, GrantMs: grantMs})
-			} else {
-				gs.enc = appendGrants(gs.enc[:0], g)
-			}
+			gs.enc = appendGrants(gs.enc[:0], g)
 			return sc.writeFrame(gs.enc)
 		}
 		remaining := time.Until(deadline)

@@ -1,23 +1,18 @@
 package remote
 
-// The batched lease wire. PR 3's protocol moved one job per long-poll
-// round trip and one result per HTTP request, which caps fleet
-// throughput at the HTTP round-trip rate (~12k jobs/sec over loopback)
-// while the scheduler core sustains ~1M decisions/sec. LeaseBatch and
-// ReportBatch amortize that round trip: one /v1/lease poll may grant up
-// to the worker's requested batch of jobs, and one /v1/report request
-// may settle a batch of responses — each job still under its own lease
-// ID, so expiry and exactly-once semantics are per job, unchanged.
+// The JSON lease wire: the one shape /v1/lease and /v1/report speak.
+// One /v1/lease poll may grant up to the requested batch of jobs, and
+// one /v1/report request may settle a batch of responses — each job
+// under its own lease ID, so expiry and exactly-once semantics are per
+// job. A single job is a batch of one. Agents lease over the binary
+// stream (binwire.go); these shapes are its curl/debug view and the
+// agent's report fallback when the stream is down.
 //
-// The messages are versioned with the same "v" field as the job payload
-// they carry (the exec wire's name-keyed config encoding); a version
-// mismatch aborts at the door, and the pre-batching single-job shapes
-// remain accepted on the same endpoints, so a mixed-version fleet fails
-// fast on a real version skew instead of failing silently on a shape
-// skew. The strict decoders below are the protocol's hardening surface
-// (see fuzz_test.go): arbitrary bytes never panic, truncated or
-// duplicated batch payloads are rejected cleanly, and every message
-// that decodes re-encodes to the identical bytes.
+// The messages carry ProtocolVersion in their "v" field and a mismatch
+// aborts at the door. The strict decoders below are the protocol's
+// hardening surface (see fuzz_test.go): arbitrary bytes never panic,
+// truncated or duplicated batch payloads are rejected cleanly, and
+// every message that decodes re-encodes to the identical bytes.
 
 import (
 	"encoding/json"
@@ -35,8 +30,6 @@ type LeaseGrant struct {
 	// GrantUnixMs is the server's grant wall-clock time in Unix
 	// milliseconds — informational (span timelines, `ashactl trace`),
 	// never differenced against a worker clock for a stage duration.
-	// Optional: absent from pre-tracing servers, ignored by pre-tracing
-	// workers.
 	GrantUnixMs int64 `json:"grantMs,omitempty"`
 }
 
@@ -58,8 +51,8 @@ type JobTiming struct {
 	BufUs int64 `json:"bufUs,omitempty"`
 }
 
-// LeaseBatch is the versioned reply to a batched lease poll (a leaseReq
-// with Max >= 1): up to Max jobs, each under its own lease. An empty
+// LeaseBatch is the versioned reply to a lease poll: up to the
+// leaseReq's Max jobs, each under its own lease. An empty
 // Grants means the long poll timed out with nothing to hand out; Done
 // tells the worker the run is over.
 type LeaseBatch struct {
@@ -132,9 +125,7 @@ func DecodeReportBatch(data []byte) (ReportBatch, error) {
 	return rb, nil
 }
 
-// validate applies the structural checks to an already-decoded batch
-// (the server's report handler decodes the body once for both delivery
-// shapes and validates in place rather than re-parsing).
+// validate applies the structural checks to an already-decoded batch.
 func (rb *ReportBatch) validate() error {
 	if rb.Version != ProtocolVersion {
 		return fmt.Errorf("remote: report batch speaks version %d, this side speaks %d", rb.Version, ProtocolVersion)

@@ -76,11 +76,6 @@ type RemoteWorker struct {
 	// closed set), unrestricted otherwise. Set it explicitly when
 	// ObjectiveFor only serves some of a fleet's experiments.
 	Experiments []string
-	// JSONWire keeps the worker on the batched JSON protocol even when
-	// the server offers the binary streaming wire — a debugging escape
-	// hatch (tcpdump-readable traffic) that also pins benchmarks and CI
-	// legs to the JSON path.
-	JSONWire bool
 }
 
 // ServeRemoteWorker connects to a tuning process's lease server and
@@ -129,6 +124,5 @@ func ServeRemoteWorker(ctx context.Context, w RemoteWorker) error {
 		FlushInterval: w.FlushInterval,
 		Resolve:       resolve,
 		Experiments:   experiments,
-		JSONWire:      w.JSONWire,
 	})
 }
