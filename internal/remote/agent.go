@@ -61,18 +61,26 @@ type AgentOptions struct {
 }
 
 // heldLease tracks one lease this worker currently owns, from grant to
-// settled report: queued (cancel nil, done false), running (cancel
-// set), or completed-awaiting-flush (done true). All states are
-// heartbeated — a prefetched job waiting in the local queue must not
-// expire under the worker holding it. Pipeline stages pass the pointer
-// along and settle by pointer identity, never by re-looking-up the
-// lease ID: after a server restart a fresh registration may be granted
-// a lease number a stale pre-restart entry also used, and ID-keyed
-// settlement would cross the two.
+// settled report — the job's one record on the worker: queued (cancel
+// nil, done false), running (cancel set), or completed-awaiting-flush
+// (done true). All states are heartbeated — a prefetched job waiting in
+// the local queue must not expire under the worker holding it. Pipeline
+// stages pass the pointer along and settle through it, never by
+// re-looking-up the lease ID: after a server restart a fresh
+// registration may be granted a lease number a stale pre-restart entry
+// also used, and ID-keyed settlement would cross the two. gone is that
+// identity as a flag: it is set, under a.mu, exactly when the record
+// stops being its ID's entry in held — at release, and when a fresh
+// grant of the same number supersedes it — so "!h.gone" answers what
+// "held[id] == h" would without the probe. Records are cut one slice
+// per grants frame and never reused: markExpired, the heartbeat and the
+// pipeline stages hold a *heldLease across lock drops (one live lease
+// keeps its frame's slice, 16 bytes a grant, reachable).
 type heldLease struct {
 	cancel  context.CancelFunc
 	expired bool // the lease is gone (server said so, or it predates a re-registration)
 	done    bool // completed, sitting in the report buffer
+	gone    bool // no longer this ID's entry in held: its accounting is settled
 }
 
 // queuedGrant is one leased job in the local prefetch queue.
@@ -320,19 +328,26 @@ func (a *agent) activeLeases() int {
 }
 
 // release drops a settled (or forfeited) lease and wakes the fetcher:
-// its capacity slot is free again. Settlement is by pointer identity —
-// if the table maps the ID to a different (newer) entry, this entry
-// was already superseded and its accounting already settled.
+// its capacity slot is free again.
 func (a *agent) release(id uint64, h *heldLease) {
 	a.mu.Lock()
-	if a.held[id] == h {
-		if !h.done {
-			a.active--
-		}
-		delete(a.held, id)
-	}
+	a.releaseLocked(id, h)
 	a.mu.Unlock()
 	a.kickFetch()
+}
+
+// releaseLocked takes h out of held and settles its accounting, unless
+// that already happened (released before, or superseded by a newer
+// entry under the same ID, which the table now maps). Callers hold a.mu.
+func (a *agent) releaseLocked(id uint64, h *heldLease) {
+	if h.gone {
+		return
+	}
+	h.gone = true
+	if !h.done {
+		a.active--
+	}
+	delete(a.held, id)
 }
 
 func (a *agent) kickFetch() {
@@ -462,11 +477,10 @@ func (a *agent) fetchLoop(ctx context.Context) error {
 	}
 	var failingSince time.Time
 	refusals := 0
-	// Per-batch scratch, reused across polls: the dedup set and the
-	// queue of accepted grants built under one lock hold (per-grant
-	// lock round trips were a measurable share of the steady-state
-	// pipeline at fleet batch sizes).
-	granted := make(map[uint64]bool, 64)
+	// Per-batch scratch, reused across polls: the queue of accepted
+	// grants built under one lock hold (per-grant lock round trips were
+	// a measurable share of the steady-state pipeline at fleet batch
+	// sizes).
 	var accepted []queuedGrant
 	for ctx.Err() == nil && !a.runOver.Load() {
 		free := capacity - a.activeLeases()
@@ -543,25 +557,27 @@ func (a *agent) fetchLoop(ctx context.Context) error {
 			a.runOver.Store(true)
 			return nil
 		}
-		clear(granted)
 		accepted = accepted[:0]
+		var dedup leaseDedup
+		// The frame's lease records, one allocation (see heldLease).
+		records := make([]heldLease, len(lb.Grants))
 		recv := time.Now()
 		a.mu.Lock()
 		for i := range lb.Grants {
 			g := &lb.Grants[i]
-			if granted[g.LeaseID] {
+			if dedup.repeats(g.LeaseID, len(accepted), func(i int) uint64 { return accepted[i].grant.LeaseID }) {
 				// A healthy server never grants one lease twice in a
 				// reply (the strict decoder contract); drop the duplicate
 				// rather than run the job twice.
 				continue
 			}
-			granted[g.LeaseID] = true
-			h := &heldLease{}
+			h := &records[i]
 			if old := a.held[g.LeaseID]; old != nil {
 				// A stale entry under the same number (a pre-restart
 				// lease): settle its accounting now — its queued job or
-				// buffered report will be dropped by the pointer check.
+				// buffered report will be dropped on its gone flag.
 				old.expired = true
+				old.gone = true
 				if old.cancel != nil {
 					old.cancel()
 				}
@@ -742,7 +758,7 @@ func (a *agent) runOne(ctx context.Context, q queuedGrant, sc *slotCtx) {
 	a.mu.Lock()
 	h.cancel = nil
 	h.done = true
-	if a.held[g.LeaseID] == h {
+	if !h.gone {
 		a.active--
 	}
 	a.mu.Unlock()
@@ -834,7 +850,7 @@ func (a *agent) flushReports(ctx context.Context, pending []pendingReport) []pen
 	entries := a.repEntries[:0]
 	timings := a.repTimings[:0]
 	for _, p := range pending {
-		if !p.h.expired && a.held[p.entry.LeaseID] == p.h {
+		if !p.h.expired && !p.h.gone {
 			entries = append(entries, p.entry)
 			timings = append(timings, JobTiming{
 				DwellUs: exec.DurationUs(p.dwell),
@@ -895,13 +911,8 @@ func (a *agent) flushReports(ctx context.Context, pending []pendingReport) []pen
 // trip per job at fleet batch sizes.
 func (a *agent) releaseAll(pending []pendingReport) {
 	a.mu.Lock()
-	for _, p := range pending {
-		if a.held[p.entry.LeaseID] == p.h {
-			if !p.h.done {
-				a.active--
-			}
-			delete(a.held, p.entry.LeaseID)
-		}
+	for i := range pending {
+		a.releaseLocked(pending[i].entry.LeaseID, pending[i].h)
 	}
 	a.mu.Unlock()
 	a.kickFetch()

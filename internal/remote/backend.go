@@ -28,6 +28,11 @@ type result struct {
 	out  Outcome
 }
 
+// trialSlabLen is how many trialState records a lane cuts from one
+// allocation. A trial's record lives as long as its lane's table, so the
+// chunking retains nothing a per-trial allocation would have freed.
+const trialSlabLen = 64
+
 // Backend drives the shared execution engine over a worker fleet
 // connected to an embedded lease server. The engine calls every method
 // from a single goroutine; job outcomes arrive asynchronously from the
@@ -46,8 +51,9 @@ type Backend struct {
 	experiment string // stamped on every job, for worker-side objective routing
 	// trials is indexed by trial ID — ASHA issues dense IDs, so a slice
 	// beats a map on the per-job lookup path.
-	trials  []*trialState
-	changed []int // trials committed to since SnapshotTrials last ran
+	trials    []*trialState
+	trialSlab []trialState // the unused tail of the newest chunk of records
+	changed   []int        // trials committed to since SnapshotTrials last ran
 }
 
 // fleet is what a backend's lane views share: the server, the clock and
@@ -61,6 +67,10 @@ type fleet struct {
 	resMu   sync.Mutex
 	results []result      // settled jobs awaiting the engine
 	resCh   chan struct{} // signaled (cap 1) when results goes non-empty
+	// spare is the other half of the results double buffer: the batch
+	// Await drained last, emptied, which it swaps in when it drains the
+	// next. Await's alone, so it needs no lock.
+	spare []result
 	// batch is Await's return buffer, reused call to call as the Backend
 	// contract allows: the engine has ingested a batch before it awaits
 	// the next.
@@ -99,7 +109,11 @@ func (b *Backend) trial(id int) *trialState {
 	}
 	t := b.trials[id]
 	if t == nil {
-		t = &trialState{}
+		if len(b.trialSlab) == 0 {
+			b.trialSlab = make([]trialState, trialSlabLen)
+		}
+		t = &b.trialSlab[0]
+		b.trialSlab = b.trialSlab[1:]
 		b.trials[id] = t
 	}
 	return t
@@ -144,7 +158,7 @@ func (b *Backend) Launch(job core.Job) {
 			b.commit(job.TrialID, t, donor.resource, donor.state)
 		}
 	}
-	b.srv.Submit(JobPayload{
+	b.srv.submit(&task{lane: b, job: job, payload: JobPayload{
 		Experiment: b.experiment,
 		Trial:      job.TrialID,
 		Rung:       job.Rung,
@@ -157,9 +171,7 @@ func (b *Backend) Launch(job core.Job) {
 		From:  t.resource,
 		To:    job.TargetResource,
 		State: t.state,
-	}, func(out Outcome) {
-		b.deliver(result{lane: b, job: job, out: out})
-	})
+	}})
 }
 
 // Await blocks for one settled job of any lane then drains every other
@@ -168,20 +180,20 @@ func (b *Backend) Await(ctx context.Context) ([]backend.Completion, error) {
 	for {
 		b.resMu.Lock()
 		drained := b.results
-		b.results = nil
+		if len(drained) > 0 {
+			// Swap, don't nil: on a saturated fleet results race in
+			// while every batch is applied, and a buffer handed back only
+			// "if nothing arrived meanwhile" regrows from nil each time.
+			b.results = b.spare
+		}
 		b.resMu.Unlock()
 		if len(drained) > 0 {
 			b.batch = b.batch[:0]
-			for _, r := range drained {
-				b.batch = append(b.batch, r.lane.apply(r))
+			for i := range drained {
+				b.batch = append(b.batch, drained[i].lane.apply(&drained[i]))
 			}
-			// Hand the drained buffer back for reuse if no new results
-			// raced in (the common case on the hot path).
-			b.resMu.Lock()
-			if b.results == nil {
-				b.results = drained[:0]
-			}
-			b.resMu.Unlock()
+			clear(drained) // the entries hold checkpoints
+			b.spare = drained[:0]
 			return b.batch, nil
 		}
 		select {
@@ -194,7 +206,7 @@ func (b *Backend) Await(ctx context.Context) ([]backend.Completion, error) {
 
 // apply commits a settled job to the lane's trial table. Runs on the
 // engine goroutine.
-func (b *Backend) apply(r result) backend.Completion {
+func (b *Backend) apply(r *result) backend.Completion {
 	c := backend.Completion{Job: r.job, Lane: b.lane, Time: b.Now()}
 	switch {
 	case r.out.Failed:

@@ -227,6 +227,7 @@ func (bs *binStream) send(build func(dst []byte) []byte) bool {
 func (bs *binStream) reader() {
 	defer bs.close()
 	var buf []byte
+	var g binGrants // every grants frame decodes into this one
 	vecTotal := 256 // float-slab sizing: floats the last grants frame carried
 	for {
 		body, err := readFrame(bs.br, buf)
@@ -241,8 +242,7 @@ func (bs *binStream) reader() {
 			// (the vectors outlive the frame, so the slab is handed over,
 			// not reused).
 			r.SetFloatSlab(make([]float64, 0, vecTotal))
-			g, err := decodeGrants(r, bs.tableLen)
-			if err != nil {
+			if err := g.decode(r, bs.tableLen); err != nil {
 				return
 			}
 			if used := r.FloatSlabUsed(); used > 0 {

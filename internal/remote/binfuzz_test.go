@@ -54,6 +54,25 @@ func retiredFrames() [][]byte {
 	}
 }
 
+// reportsOf and grantsOf build a frame's worth of minimal entries under
+// the given lease IDs, in that order (the grants against a table the
+// frame defines itself, so the frame stands alone).
+func reportsOf(ids []uint64) binReports {
+	var rb binReports
+	for _, id := range ids {
+		rb.Reports = append(rb.Reports, exec.BinResponse{ID: id, Loss: 0.5})
+	}
+	return rb
+}
+
+func grantsOf(ids []uint64, table uint64) binGrants {
+	g := binGrants{Seq: 5, Tables: []binTable{{Index: table, Experiment: "ptb"}}}
+	for _, id := range ids {
+		g.Grants = append(g.Grants, binGrant{Table: table, Job: exec.BinRequest{ID: id, Trial: int(id), To: 2}})
+	}
+	return g
+}
+
 // seedFrames builds valid frames of every type.
 func seedFrames() [][]byte {
 	return [][]byte{
@@ -95,10 +114,31 @@ func FuzzBinaryFrame(f *testing.F) {
 	for _, b := range retiredFrames() {
 		f.Add(b)
 	}
+	// Lease order, which the duplicate checks key their fast path on:
+	// out of order without a repeat (accepted), and a repeat behind a
+	// descent (rejected) — as a reports and as a grants frame.
+	for _, ids := range [][]uint64{{9, 4, 6, 5, 12}, {9, 8, 7, 6, 8}} {
+		f.Add(appendReports(nil, reportsOf(ids)))
+		f.Add(appendGrants(nil, grantsOf(ids, 0)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := decodeAnyFrame(data)
 		if err != nil {
 			return
+		}
+		var ids []uint64
+		switch m := v.(type) {
+		case binReports:
+			for _, e := range m.Reports {
+				ids = append(ids, e.ID)
+			}
+		case binGrants:
+			for _, gr := range m.Grants {
+				ids = append(ids, gr.Job.ID)
+			}
+		}
+		if _, unique := firstOccurrences(ids); !unique {
+			t.Fatalf("decoder accepted a frame repeating a lease: %v", ids)
 		}
 		switch data[0] {
 		case 0x02, 0x03, 0x81:
@@ -158,6 +198,10 @@ func FuzzBinaryLeaseBatch(f *testing.F) {
 	f.Add(appendGrants(nil, binGrants{Grants: []binGrant{
 		{Table: 1, Job: exec.BinRequest{ID: 5, Vec: []float64{1, 2, 3}}},
 	}})[1:])
+	// Lease order: out of order without a repeat (accepted), a repeat
+	// behind a descent (rejected).
+	f.Add(appendGrants(nil, grantsOf([]uint64{9, 4, 6, 5, 12}, 9))[1:])
+	f.Add(appendGrants(nil, grantsOf([]uint64{9, 8, 7, 6, 8}, 9))[1:])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := decodeGrants(wire.NewReader(data), ambient)
 		if err != nil {

@@ -83,6 +83,39 @@ func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
+// leaseDedup finds a lease ID repeated within one frame without a map
+// on the path a healthy peer takes. The server numbers leases upwards
+// and a worker mostly reports them in that order, and while a frame's
+// IDs strictly ascend none can repeat. The first ID that does not
+// ascend builds the set from the IDs accepted before it and the check
+// carries on against the set, so for any input the verdict is the one a
+// set probed from the first entry would give.
+type leaseDedup struct {
+	last uint64
+	seen map[uint64]struct{} // nil while the IDs have ascended
+}
+
+// repeats reports whether id equals one of the n IDs this frame has
+// accepted so far, accepted(i) being the i-th; an id that does not is
+// accepted.
+func (d *leaseDedup) repeats(id uint64, n int, accepted func(i int) uint64) bool {
+	if d.seen == nil {
+		if n == 0 || id > d.last {
+			d.last = id
+			return false
+		}
+		d.seen = make(map[uint64]struct{}, 2*n)
+		for i := 0; i < n; i++ {
+			d.seen[accepted(i)] = struct{}{}
+		}
+	}
+	if _, dup := d.seen[id]; dup {
+		return true
+	}
+	d.seen[id] = struct{}{}
+	return false
+}
+
 // --- frame messages ---
 
 // binLeaseReq is one lease poll: grant up to Max jobs of the named
@@ -193,44 +226,55 @@ func appendGrants(dst []byte, g binGrants) []byte {
 // frame failing any check is rejected whole.
 func decodeGrants(r *wire.Reader, tableLen func(idx uint64) (int, bool)) (binGrants, error) {
 	var g binGrants
-	g.Seq = r.Uvarint()
-	g.Done = r.Byte() != 0
+	err := g.decode(r, tableLen)
+	return g, err
+}
+
+// decode is decodeGrants into g, reusing the capacity of its Grants: a
+// stream reader decodes every frame into one binGrants it has converted
+// to LeaseGrants before it reads the next. (Entries past the new length
+// keep the last longer frame's vectors and checkpoints reachable.)
+func (g *binGrants) decode(r *wire.Reader, tableLen func(idx uint64) (int, bool)) error {
+	*g = binGrants{Seq: r.Uvarint(), Done: r.Byte() != 0, Grants: g.Grants[:0]}
 	nt := r.Int()
 	if r.Err() == nil && nt > r.Remaining() {
-		return g, fmt.Errorf("remote: grants frame declares %d tables in %d bytes", nt, r.Remaining())
+		return fmt.Errorf("remote: grants frame declares %d tables in %d bytes", nt, r.Remaining())
 	}
-	frameTables := make(map[uint64]int, nt)
+	var frameTables map[uint64]int // stays nil in the usual frame, which defines none
 	for i := 0; i < nt && r.Err() == nil; i++ {
 		var t binTable
 		t.Index = r.Uvarint()
 		t.Experiment = r.String()
 		np := r.Int()
 		if r.Err() == nil && np > r.Remaining() {
-			return g, fmt.Errorf("remote: table %d declares %d params in %d bytes", t.Index, np, r.Remaining())
+			return fmt.Errorf("remote: table %d declares %d params in %d bytes", t.Index, np, r.Remaining())
 		}
 		for j := 0; j < np && r.Err() == nil; j++ {
 			t.Params = append(t.Params, r.String())
 		}
 		if _, dup := frameTables[t.Index]; dup {
-			return g, fmt.Errorf("remote: grants frame defines table %d twice", t.Index)
+			return fmt.Errorf("remote: grants frame defines table %d twice", t.Index)
+		}
+		if frameTables == nil {
+			frameTables = make(map[uint64]int, nt-i)
 		}
 		frameTables[t.Index] = len(t.Params)
 		g.Tables = append(g.Tables, t)
 	}
 	ng := r.Int()
 	if r.Err() == nil && ng > r.Remaining() {
-		return g, fmt.Errorf("remote: grants frame declares %d grants in %d bytes", ng, r.Remaining())
+		return fmt.Errorf("remote: grants frame declares %d grants in %d bytes", ng, r.Remaining())
 	}
 	// Presize for the declared count, capped: the count is validated
 	// against bytes present only loosely (>= 1 byte per grant), so a
 	// hostile frame must not reserve gigabytes up front.
-	if hint := ng; hint > 0 && r.Err() == nil {
+	if hint := ng; hint > cap(g.Grants) && r.Err() == nil {
 		if hint > 4096 {
 			hint = 4096
 		}
 		g.Grants = make([]binGrant, 0, hint)
 	}
-	seen := make(map[uint64]struct{}, ng)
+	var dedup leaseDedup
 	for i := 0; i < ng && r.Err() == nil; i++ {
 		var gr binGrant
 		gr.Table = r.Uvarint()
@@ -244,22 +288,18 @@ func decodeGrants(r *wire.Reader, tableLen func(idx uint64) (int, bool)) (binGra
 			want, ok = tableLen(gr.Table)
 		}
 		if !ok {
-			return g, fmt.Errorf("remote: grant %d references undefined table %d", i, gr.Table)
+			return fmt.Errorf("remote: grant %d references undefined table %d", i, gr.Table)
 		}
 		if len(gr.Job.Vec) != want {
-			return g, fmt.Errorf("remote: grant of lease %d carries %d config values for a %d-parameter table", gr.Job.ID, len(gr.Job.Vec), want)
+			return fmt.Errorf("remote: grant of lease %d carries %d config values for a %d-parameter table", gr.Job.ID, len(gr.Job.Vec), want)
 		}
-		if _, dup := seen[gr.Job.ID]; dup {
-			return g, fmt.Errorf("remote: grants frame grants lease %d twice", gr.Job.ID)
+		if dedup.repeats(gr.Job.ID, len(g.Grants), func(i int) uint64 { return g.Grants[i].Job.ID }) {
+			return fmt.Errorf("remote: grants frame grants lease %d twice", gr.Job.ID)
 		}
-		seen[gr.Job.ID] = struct{}{}
 		g.Grants = append(g.Grants, gr)
 	}
 	r.ExpectEOF()
-	if err := r.Err(); err != nil {
-		return g, err
-	}
-	return g, nil
+	return r.Err()
 }
 
 // binReports delivers a batch of finished jobs (the stream twin of
@@ -294,19 +334,27 @@ func appendReports(dst []byte, rb binReports) []byte {
 // and no lease settled twice, exactly as DecodeReportBatch.
 func decodeReports(r *wire.Reader) (binReports, error) {
 	var rb binReports
-	rb.Seq = r.Uvarint()
+	err := rb.decode(r)
+	return rb, err
+}
+
+// decode is decodeReports into rb, reusing the capacity of its Reports
+// and Timings: a stream reader decodes every frame into one binReports
+// it is done with before it reads the next.
+func (rb *binReports) decode(r *wire.Reader) error {
+	*rb = binReports{Seq: r.Uvarint(), Reports: rb.Reports[:0], Timings: rb.Timings[:0]}
 	n := r.Int()
 	if r.Err() == nil && n > r.Remaining() {
-		return rb, fmt.Errorf("remote: reports frame declares %d entries in %d bytes", n, r.Remaining())
+		return fmt.Errorf("remote: reports frame declares %d entries in %d bytes", n, r.Remaining())
 	}
-	if hint := n; hint > 0 && r.Err() == nil {
+	if hint := n; hint > cap(rb.Reports) && r.Err() == nil {
 		if hint > 4096 {
 			hint = 4096
 		}
 		rb.Reports = make([]exec.BinResponse, 0, hint)
 		rb.Timings = make([]JobTiming, 0, hint)
 	}
-	seen := make(map[uint64]struct{}, n)
+	var dedup leaseDedup
 	for i := 0; i < n && r.Err() == nil; i++ {
 		e := exec.DecodeBinResponse(r)
 		var tm JobTiming
@@ -316,21 +364,20 @@ func decodeReports(r *wire.Reader) (binReports, error) {
 		if r.Err() != nil {
 			break
 		}
-		if _, dup := seen[e.ID]; dup {
-			return rb, fmt.Errorf("remote: reports frame settles lease %d twice", e.ID)
+		if dedup.repeats(e.ID, len(rb.Reports), func(i int) uint64 { return rb.Reports[i].ID }) {
+			return fmt.Errorf("remote: reports frame settles lease %d twice", e.ID)
 		}
-		seen[e.ID] = struct{}{}
 		rb.Reports = append(rb.Reports, e)
 		rb.Timings = append(rb.Timings, tm)
 	}
 	r.ExpectEOF()
 	if err := r.Err(); err != nil {
-		return rb, err
+		return err
 	}
 	if len(rb.Reports) == 0 {
-		return rb, fmt.Errorf("remote: reports frame carries no reports")
+		return fmt.Errorf("remote: reports frame carries no reports")
 	}
-	return rb, nil
+	return nil
 }
 
 // binHeartbeat extends the listed leases and carries the round-trip

@@ -229,7 +229,7 @@ func (s *Server) CancelPending(experiment string) int {
 	s.canceled.Add(int64(len(canceled)))
 	s.mu.Unlock()
 	for _, t := range canceled {
-		t.done(Outcome{Failed: true})
+		t.finish(Outcome{Failed: true})
 	}
 	return len(canceled)
 }

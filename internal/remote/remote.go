@@ -49,6 +49,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/obs"
 )
@@ -217,12 +218,21 @@ type Options struct {
 	StragglerK float64
 }
 
-// task is one submitted job: queued, then leased, then answered exactly
-// once — by a worker's report, by lease expiry, or by server shutdown.
-// Whichever path removes the task from the server's tables owns its
-// done callback.
+// task is one submitted job — the job's one record on the server:
+// queued, then leased, then answered exactly once — by a worker's
+// report, by lease expiry, or by server shutdown. Whichever path removes
+// the task from the server's tables owns its finish call. Tasks are cut
+// from Server.slab and never recycled: the sweeper, Close and the settle
+// paths hold a *task across lock drops, so a record stays its job's
+// until the collector frees the whole chunk.
 type task struct {
-	payload  JobPayload
+	payload JobPayload
+	// The completion sink, as data: a job launched by a Backend lane
+	// carries the lane and its core.Job, and finish queues the result on
+	// the lane's fleet; a job submitted through Server.Submit carries the
+	// caller's callback.
+	lane     *Backend
+	job      core.Job
 	done     func(Outcome)
 	leaseID  uint64
 	worker   string
@@ -235,6 +245,21 @@ type task struct {
 	submitted time.Time
 	grantedAt time.Time
 }
+
+// finish answers the task, exactly once (see task).
+func (t *task) finish(out Outcome) {
+	if t.lane != nil {
+		t.lane.deliver(result{lane: t.lane, job: t.job, out: out})
+		return
+	}
+	t.done(out)
+}
+
+// taskSlabLen is how many tasks Server.submit cuts from one allocation:
+// one malloc per 100 jobs instead of one per job, at the price that a
+// single live task keeps its whole chunk (just under 32 KB, the
+// allocator's largest size class) reachable.
+const taskSlabLen = 100
 
 // leaseShardCount is the number of hash shards the lease table is
 // split across (a power of two so the shard pick is a mask). Sixteen
@@ -273,6 +298,7 @@ type Server struct {
 	// pointers per grant).
 	pending     []*task
 	pendingHead int
+	slab        []task // the unused tail of the newest task chunk (see taskSlabLen)
 	nextLease   uint64
 	nextWorker  int
 	workers     map[string]workerInfo // worker ID -> registration record
@@ -430,14 +456,27 @@ func (s *Server) URL() string { return "http://" + s.ln.Addr().String() }
 // Submit queues one job for the fleet. done is invoked exactly once —
 // from an HTTP handler or sweeper goroutine — with the job's outcome.
 func (s *Server) Submit(p JobPayload, done func(Outcome)) {
+	s.submit(&task{payload: p, done: done})
+}
+
+// submit queues a copy of *job, which carries the payload and the
+// completion sink; the caller's value is not retained.
+func (s *Server) submit(job *task) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		done(Outcome{Failed: true})
+		job.finish(Outcome{Failed: true})
 		return
 	}
-	p.normalize()
-	s.pending = append(s.pending, &task{payload: p, done: done, submitted: time.Now()})
+	if len(s.slab) == 0 {
+		s.slab = make([]task, taskSlabLen)
+	}
+	t := &s.slab[0]
+	s.slab = s.slab[1:]
+	*t = *job
+	t.payload.normalize()
+	t.submitted = time.Now()
+	s.pending = append(s.pending, t)
 	s.submitted.Add(1)
 	s.pendingJobs.Add(1)
 	s.wakeLocked()
@@ -543,7 +582,7 @@ func (s *Server) Close() error {
 		}
 	}()
 	for _, t := range orphans {
-		t.done(Outcome{Failed: true})
+		t.finish(Outcome{Failed: true})
 	}
 	return nil
 }
@@ -628,7 +667,7 @@ func (s *Server) sweep() {
 			// lease's expiry having been counted too.
 			s.sweeps.Add(1)
 			for _, t := range dead {
-				t.done(Outcome{Failed: true})
+				t.finish(Outcome{Failed: true})
 			}
 		}
 	}
@@ -1014,7 +1053,7 @@ func (s *Server) matchLocked(experiments []string, wi workerInfo) int {
 // handleReport settles a ReportBatch in one pass under one lock.
 // Entries are validated independently — a lease that expired mid-flight
 // (its job already requeued by the sweeper) rejects only its own entry,
-// never the whole batch — and the settled tasks' done callbacks run
+// never the whole batch — and the settled tasks' finish calls run
 // back to back, so the engine's Await drains the whole request as one
 // completion batch: one HTTP request, one scheduler wakeup.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -1060,7 +1099,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			out.State = resp.State
 		}
 		s.observeSettle(t, rb.Reports[i].Timing, &out)
-		t.done(out)
+		t.finish(out)
 	}
 	s.reply(w, ReportBatchResult{Version: ProtocolVersion, Accepted: accepted})
 }
@@ -1089,8 +1128,8 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // check) — then removes the lease and returns its task. nil means the
 // entry is rejected: expired (already requeued), another worker's
 // lease, or mispaired; a still-live mispaired lease is left to expire
-// into a retry. The caller owns the counters, the wake, and the done
-// callback.
+// into a retry. The caller owns the counters, the wake, and the finish
+// call.
 func (s *Server) takeLease(id uint64, worker string, respID int) *task {
 	sh := s.shardFor(id)
 	sh.mu.Lock()

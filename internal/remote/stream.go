@@ -198,6 +198,9 @@ func (sc *streamConn) reader() {
 	defer sc.close()
 	var buf, enc []byte
 	var ss settleScratch
+	// One binReports for every frame: settle is done with it — accepted
+	// checkpoints copied out — before the next frame is read.
+	var rb binReports
 	for {
 		body, err := readFrame(sc.br, buf)
 		if err != nil {
@@ -222,12 +225,11 @@ func (sc *streamConn) reader() {
 				return
 			}
 		case frameReports:
-			rb, err := decodeReports(r)
-			if err != nil {
+			if err := rb.decode(r); err != nil {
 				return
 			}
 			var ok bool
-			enc, ok = sc.settle(rb, enc, &ss)
+			enc, ok = sc.settle(&rb, enc, &ss)
 			if !ok {
 				return
 			}
@@ -256,11 +258,11 @@ type settleScratch struct {
 }
 
 // settle settles one reports frame against the lease shards, writes
-// the acceptance ack, then runs the done callbacks back to back — one
+// the acceptance ack, then finishes the tasks back to back — one
 // frame, one scheduler wakeup, exactly as the JSON batch path. It
 // returns the reusable encode buffer and whether the ack write
 // succeeded.
-func (sc *streamConn) settle(rb binReports, enc []byte, ss *settleScratch) ([]byte, bool) {
+func (sc *streamConn) settle(rb *binReports, enc []byte, ss *settleScratch) ([]byte, bool) {
 	s := sc.s
 	n := len(rb.Reports)
 	if cap(ss.accepted) < n {
@@ -297,7 +299,7 @@ func (sc *streamConn) settle(rb binReports, enc []byte, ss *settleScratch) ([]by
 	ok := sc.writeFrame(enc)
 	// The frame buffer is reused on the next read, so accepted
 	// checkpoints must outlive it: copy them all into one arena (one
-	// allocation per frame, not per report) before the done callbacks.
+	// allocation per frame, not per report) before the tasks finish.
 	arena := make([]byte, 0, stateBytes)
 	for i, t := range settled {
 		if t == nil {
@@ -315,7 +317,7 @@ func (sc *streamConn) settle(rb binReports, enc []byte, ss *settleScratch) ([]by
 			}
 		}
 		s.observeSettle(t, &rb.Timings[i], &out)
-		t.done(out)
+		t.finish(out)
 	}
 	return enc, ok
 }
