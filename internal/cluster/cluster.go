@@ -172,7 +172,8 @@ func (q *eventQueue) heapify() {
 // one benchmark. Trial state lives in dense slices indexed by trial ID
 // (schedulers allocate IDs sequentially), and run statistics are
 // maintained incrementally as resource is trained or rolled back, so
-// nothing on the per-event path hashes, boxes, or rescans.
+// nothing on the per-event path hashes, boxes, or rescans; a new trial
+// is one slab record plus the surrogate's own math (ParamsFor).
 type Sim struct {
 	sched core.Scheduler
 	bench *workload.Benchmark
@@ -183,6 +184,12 @@ type Sim struct {
 	// counts distinct non-nil entries.
 	trials  []*workload.Trial
 	nTrials int
+	// slab is the unused tail of the current block of trial records,
+	// arena where their configurations are copied. Both are this run's,
+	// never the Benchmark's (concurrent runs share it), and pin nothing:
+	// trials keeps every trial until the run ends.
+	slab  []workload.Trial
+	arena *searchspace.Arena
 	// preJob holds each running trial's state before its in-flight job,
 	// for failure rollback and for PBT inherits from running donors.
 	// Indexed by trial ID, valid where hasPre is set.
@@ -223,6 +230,7 @@ func New(sched core.Scheduler, bench *workload.Benchmark, opt Options) *Sim {
 		bench: bench,
 		opt:   opt,
 		rng:   xrand.New(opt.Seed ^ 0xC10C_0000_0000_0001),
+		arena: bench.Space().NewArena(),
 		maxR:  bench.MaxResource(),
 	}
 	if opt.DropProb > 0 {
@@ -238,6 +246,9 @@ func (s *Sim) trial(id int) *workload.Trial {
 	}
 	return s.trials[id]
 }
+
+// trialSlabLen trial records fill a 24 KB size class almost exactly.
+const trialSlabLen = 128
 
 // ensureID grows the dense tables to cover trial id.
 func (s *Sim) ensureID(id int) {
@@ -297,7 +308,11 @@ func (s *Sim) Launch(job core.Job) {
 	t := s.trials[job.TrialID]
 	isNew := t == nil
 	if isNew {
-		t = s.bench.NewTrial(job.TrialID, job.Config)
+		if len(s.slab) == 0 {
+			s.slab = make([]workload.Trial, trialSlabLen)
+		}
+		t, s.slab = &s.slab[0], s.slab[1:]
+		s.bench.InitTrial(t, job.TrialID, s.arena.Clone(job.Config))
 		s.trials[job.TrialID] = t
 		s.nTrials++
 	}

@@ -62,7 +62,14 @@ type Trainer struct {
 // NewTrainer creates a trainer at resource 0. rng drives observation
 // noise only; the underlying dynamics are deterministic given Params.
 func NewTrainer(p Params, rng *xrand.RNG) *Trainer {
-	return &Trainer{p: p, rng: rng, state: State{Resource: 0, Loss: p.Initial}}
+	t := new(Trainer)
+	t.Init(p, rng)
+	return t
+}
+
+// Init is NewTrainer in place, for a trainer inside a larger record.
+func (t *Trainer) Init(p Params, rng *xrand.RNG) {
+	*t = Trainer{p: p, rng: rng, state: State{Resource: 0, Loss: p.Initial}}
 }
 
 // Params returns the trainer's current curve parameters.

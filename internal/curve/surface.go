@@ -20,12 +20,38 @@ import (
 type Surface struct {
 	dim     int
 	opt     []float64 // per-dimension optimum location in [0,1]
+	span    []float64 // per-dimension distance from opt to the far wall
 	weight  []float64 // per-dimension importance, sums to 1
 	power   []float64 // per-dimension well sharpness (>= 1)
 	pairs   []pairTerm
 	rippleA float64
 	rippleF []float64
 	rippleP []float64
+	// tabs holds the well and ripple terms of every level of each
+	// dimension Tabulate was called on (empty for the others). Written
+	// only before the surface's first use; read-only afterwards.
+	tabs []levelTable
+}
+
+// levelTable is one discrete dimension's terms. Level k of n encodes to
+// k/(n-1): a lookup rounds x*scale, then demands the stored input's bits.
+type levelTable struct {
+	scale  float64 // n-1
+	levels []level
+}
+
+type level struct {
+	x            uint64 // Float64bits of the encoded input
+	well, ripple float64
+}
+
+// find returns the level whose input is exactly xi, or nil.
+func (t *levelTable) find(xi float64) *level {
+	k := int(xi*t.scale + 0.5)
+	if uint(k) >= uint(len(t.levels)) || t.levels[k].x != math.Float64bits(xi) {
+		return nil
+	}
+	return &t.levels[k]
 }
 
 type pairTerm struct {
@@ -38,13 +64,16 @@ func NewSurface(rng *xrand.RNG, dim int) *Surface {
 	if dim <= 0 {
 		panic("curve: surface dimension must be positive")
 	}
-	s := &Surface{dim: dim}
+	s := &Surface{dim: dim, tabs: make([]levelTable, dim)}
 	s.opt = make([]float64, dim)
+	s.span = make([]float64, dim)
 	s.weight = make([]float64, dim)
 	s.power = make([]float64, dim)
 	total := 0.0
 	for i := 0; i < dim; i++ {
 		s.opt[i] = rng.Uniform(0.15, 0.85)
+		// Normalize so the worst corner of the well scores 0.
+		s.span[i] = math.Max(s.opt[i], 1-s.opt[i])
 		// Importance follows a heavy-ish tail so a few dimensions
 		// dominate, as in real hyperparameter spaces.
 		w := math.Exp(rng.Normal(0, 1))
@@ -77,28 +106,58 @@ func NewSurface(rng *xrand.RNG, dim int) *Surface {
 // Dim returns the surface's input dimension.
 func (s *Surface) Dim() int { return s.dim }
 
+// wellTerm is dimension i's weighted well at xi, rounded explicitly so no
+// compiler fuses it into the sum: stored or computed, it is one float.
+func (s *Surface) wellTerm(i int, xi float64) float64 {
+	d := math.Abs(xi - s.opt[i])
+	well := 1 - math.Pow(d/s.span[i], s.power[i])
+	return float64(s.weight[i] * well)
+}
+
+// rippleTerm is dimension i's ripple at xi.
+func (s *Surface) rippleTerm(i int, xi float64) float64 {
+	return math.Sin(s.rippleF[i]*xi*2*math.Pi + s.rippleP[i])
+}
+
+// Tabulate precomputes dimension i's well and ripple terms at xs, the
+// encoded inputs of its levels in order (level k of n at k/(n-1)). Call
+// it before the surface is shared: Eval reads tables unsynchronised.
+func (s *Surface) Tabulate(i int, xs []float64) {
+	t := levelTable{scale: float64(len(xs) - 1), levels: make([]level, len(xs))}
+	for k, x := range xs {
+		t.levels[k] = level{x: math.Float64bits(x), well: s.wellTerm(i, x), ripple: s.rippleTerm(i, x)}
+	}
+	s.tabs[i] = t
+}
+
 // Quality maps a unit-cube point to a score in [0, 1]; higher is better.
-func (s *Surface) Quality(x []float64) float64 {
+// It computes every term and is the reference Eval is tested against.
+func (s *Surface) Quality(x []float64) float64 { return s.eval(x, nil) }
+
+// Eval returns Quality(x), bit for bit, reading a tabulated dimension's
+// terms from its table when x[i] is exactly a tabulated input. The terms
+// are the same floats summed in the same order either way, so an
+// off-grid x[i] (a PBT perturbation, a GP proposal) only costs more.
+func (s *Surface) Eval(x []float64) float64 { return s.eval(x, s.tabs) }
+
+func (s *Surface) eval(x []float64, tabs []levelTable) float64 {
 	if len(x) != s.dim {
 		panic("curve: Quality dimension mismatch")
 	}
-	q := 0.0
+	q, ripple := 0.0, 0.0
 	for i, xi := range x {
-		d := math.Abs(xi - s.opt[i])
-		// Normalize so the worst corner of the well scores 0.
-		span := math.Max(s.opt[i], 1-s.opt[i])
-		if span <= 0 {
-			span = 1
+		if tabs != nil {
+			if lv := tabs[i].find(xi); lv != nil {
+				q += lv.well
+				ripple += lv.ripple
+				continue
+			}
 		}
-		well := 1 - math.Pow(d/span, s.power[i])
-		q += s.weight[i] * well
+		q += s.wellTerm(i, xi)
+		ripple += s.rippleTerm(i, xi)
 	}
 	for _, pt := range s.pairs {
 		q += pt.coef * (x[pt.i] - 0.5) * (x[pt.j] - 0.5)
-	}
-	ripple := 0.0
-	for i, xi := range x {
-		ripple += math.Sin(s.rippleF[i]*xi*2*math.Pi + s.rippleP[i])
 	}
 	q += s.rippleA * ripple / float64(s.dim)
 	if q < 0 {

@@ -118,11 +118,7 @@ func (p Param) Encode(v float64) float64 {
 		}
 		return clamp01((v - p.Lo) / (p.Hi - p.Lo))
 	case LogUniform:
-		llo, lhi := math.Log(p.Lo), math.Log(p.Hi)
-		if lhi == llo {
-			return 0.5
-		}
-		return clamp01((math.Log(v) - llo) / (lhi - llo))
+		return encodeLog(v, math.Log(p.Lo), math.Log(p.Hi))
 	case Choice:
 		if len(p.Choices) == 1 {
 			return 0.5
@@ -141,9 +137,7 @@ func (p Param) Decode(u float64) float64 {
 	case Uniform:
 		return clampF(p.Lo+u*(p.Hi-p.Lo), p.Lo, p.Hi)
 	case LogUniform:
-		llo, lhi := math.Log(p.Lo), math.Log(p.Hi)
-		// Clamp: exp(log(lo)) can round below lo.
-		return clampF(math.Exp(llo+u*(lhi-llo)), p.Lo, p.Hi)
+		return p.decodeLog(u, math.Log(p.Lo), math.Log(p.Hi))
 	case IntUniform:
 		return math.Round(p.Lo + u*(p.Hi-p.Lo))
 	case Choice:
@@ -152,6 +146,20 @@ func (p Param) Decode(u float64) float64 {
 	default:
 		panic("searchspace: unknown parameter type")
 	}
+}
+
+// encodeLog is Encode for LogUniform bounds with logarithms llo and lhi.
+func encodeLog(v, llo, lhi float64) float64 {
+	if lhi == llo {
+		return 0.5
+	}
+	return clamp01((math.Log(v) - llo) / (lhi - llo))
+}
+
+// decodeLog is Decode for a LogUniform parameter, u already clamped.
+func (p *Param) decodeLog(u, llo, lhi float64) float64 {
+	// Clamp: exp(log(lo)) can round below lo.
+	return clampF(math.Exp(llo+u*(lhi-llo)), p.Lo, p.Hi)
 }
 
 // Perturb applies a PBT-style multiplicative perturbation: continuous
@@ -434,6 +442,9 @@ func (c Config) String() string {
 type Space struct {
 	params []Param
 	table  *nameTable
+	// logLo and logHi hold log(Lo) and log(Hi) of each LogUniform
+	// parameter (zero elsewhere): constants no sample or encode recomputes.
+	logLo, logHi []float64
 }
 
 // New builds a Space from params. It panics if any parameter is invalid
@@ -453,6 +464,12 @@ func New(params ...Param) *Space {
 		seen[p.Name] = true
 		names = append(names, p.Name)
 		s.params = append(s.params, p)
+	}
+	s.logLo, s.logHi = make([]float64, len(params)), make([]float64, len(params))
+	for i, p := range params {
+		if p.Type == LogUniform {
+			s.logLo[i], s.logHi[i] = math.Log(p.Lo), math.Log(p.Hi)
+		}
 	}
 	s.table = newNameTable(names)
 	return s
@@ -538,8 +555,20 @@ func (s *Space) Sample(rng *xrand.RNG) Config {
 
 func (s *Space) sampleInto(rng *xrand.RNG, vals []float64) {
 	for i := range s.params {
-		vals[i] = s.params[i].Sample(rng)
+		if p := &s.params[i]; p.Type == LogUniform {
+			vals[i] = math.Exp(rng.Uniform(s.logLo[i], s.logHi[i]))
+		} else {
+			vals[i] = p.Sample(rng)
+		}
 	}
+}
+
+// encode is params[i].Encode(v) with the cached logarithms.
+func (s *Space) encode(i int, v float64) float64 {
+	if p := &s.params[i]; p.Type != LogUniform {
+		return p.Encode(v)
+	}
+	return encodeLog(v, s.logLo[i], s.logHi[i])
 }
 
 // Encode maps a configuration to a point in the unit cube, in parameter
@@ -559,12 +588,12 @@ func (s *Space) EncodeInto(c Config, x []float64) {
 	}
 	if s.owns(c) && c.Len() == len(s.params) {
 		for i := range s.params {
-			x[i] = s.params[i].Encode(c.vals[i])
+			x[i] = s.encode(i, c.vals[i])
 		}
 		return
 	}
-	for i, p := range s.params {
-		x[i] = p.Encode(c.Get(p.Name))
+	for i := range s.params {
+		x[i] = s.encode(i, c.Get(s.params[i].Name))
 	}
 }
 
@@ -574,8 +603,12 @@ func (s *Space) Decode(x []float64) Config {
 		panic(fmt.Sprintf("searchspace: Decode expected %d dims, got %d", len(s.params), len(x)))
 	}
 	c := Config{table: s.table, vals: make([]float64, len(s.params))}
-	for i, p := range s.params {
-		c.vals[i] = p.Decode(x[i])
+	for i := range s.params {
+		if p := &s.params[i]; p.Type == LogUniform {
+			c.vals[i] = p.decodeLog(clamp01(x[i]), s.logLo[i], s.logHi[i])
+		} else {
+			c.vals[i] = p.Decode(x[i])
+		}
 	}
 	return c
 }

@@ -27,13 +27,9 @@ type Benchmark struct {
 	// minutes for all paper tasks) to train one configuration for R.
 	timeR float64
 
-	seed    uint64
-	root    *xrand.RNG
-	quality *curve.Surface // config -> asymptote quality
-	speed   *curve.Surface // config -> convergence-rate factor
-	// qcdf holds sorted quality scores of a fixed Monte-Carlo sample,
-	// used to convert raw quality into a percentile.
-	qcdf []float64
+	seed uint64
+	root *xrand.RNG
+	*surfaces
 
 	cal Calibration
 }
@@ -104,14 +100,34 @@ type Calibration struct {
 	Plasticity float64
 }
 
-// qcdfCache memoizes the Monte-Carlo quality distribution per
-// (benchmark name, seed, dimension). The distribution is a pure function
-// of the key, so benchmarks constructed repeatedly — every experiment
-// repetition builds a fresh one — share a single immutable sorted slice
-// instead of redoing 2^17 surface evaluations each time.
-var qcdfCache sync.Map // qcdfKey -> []float64
+// surfaces is what a benchmark derives from (name, seed, space) alone:
+// built once, then shared read-only by every Benchmark with that key.
+type surfaces struct {
+	quality *curve.Surface // config -> asymptote quality
+	speed   *curve.Surface // config -> convergence-rate factor
+	// qcdf holds sorted quality scores of a fixed Monte-Carlo sample,
+	// used to convert raw quality into a percentile.
+	qcdf []float64
+	// qidx[j] is sort.SearchFloat64s(qcdf, j/qidxBuckets): a score in
+	// bucket j ranks somewhere in qcdf[qidx[j]:qidx[j+1]].
+	qidx []int32
+}
 
-type qcdfKey struct {
+const (
+	// qidxBuckets is a power of two, so j/qidxBuckets is exact.
+	qidxBuckets = 1 << 12
+	// maxTabulatedLevels bounds the per-level tables of one IntUniform
+	// dimension (24 bytes a level, per surface).
+	maxTabulatedLevels = 1 << 12
+)
+
+// surfaceCache memoizes surfaces per (benchmark name, seed, dimension,
+// space fingerprint), of which they are a pure function: benchmarks
+// constructed repeatedly — every experiment repetition builds one —
+// share one immutable set instead of 2^17 surface evaluations each.
+var surfaceCache sync.Map // surfaceKey -> *surfaces
+
+type surfaceKey struct {
 	name string
 	seed uint64
 	dim  int
@@ -138,38 +154,83 @@ func spaceFingerprint(space *searchspace.Space) uint64 {
 // NewBenchmark assembles a surrogate benchmark. Exported for tests and
 // for users defining custom surrogate tasks through the public API.
 func NewBenchmark(name string, space *searchspace.Space, maxResource, timeR float64, seed uint64, cal Calibration) *Benchmark {
-	root := xrand.New(seed)
 	b := &Benchmark{
 		name:        name,
 		space:       space,
 		maxResource: maxResource,
 		timeR:       timeR,
 		seed:        seed,
-		root:        root,
-		quality:     curve.NewSurface(root.Split("quality-surface"), space.Dim()),
-		speed:       curve.NewSurface(root.Split("speed-surface"), space.Dim()),
+		root:        xrand.New(seed),
 		cal:         cal,
+	}
+	key := surfaceKey{name: name, seed: seed, dim: space.Dim(), fp: spaceFingerprint(space)}
+	cached, ok := surfaceCache.Load(key)
+	if !ok {
+		cached, _ = surfaceCache.LoadOrStore(key, newSurfaces(b.root, space, seed))
+	}
+	b.surfaces = cached.(*surfaces)
+	return b
+}
+
+func newSurfaces(root *xrand.RNG, space *searchspace.Space, seed uint64) *surfaces {
+	sf := &surfaces{
+		quality: curve.NewSurface(root.Split("quality-surface"), space.Dim()),
+		speed:   curve.NewSurface(root.Split("speed-surface"), space.Dim()),
+	}
+	// A discrete dimension takes few distinct encoded values: compute
+	// each surface's terms at every one of them once, here.
+	for i, p := range space.Params() {
+		if xs := levelEncodings(p); len(xs) > 0 {
+			sf.quality.Tabulate(i, xs)
+			sf.speed.Tabulate(i, xs)
+		}
 	}
 	// Fixed-seed Monte-Carlo estimate of the quality distribution; the
 	// asymptote map is a pure function of it. The sample is large so the
 	// tail of the asymptote distribution keeps its power-law shape out
 	// to the ~10^5 configurations the large-scale experiments draw.
-	key := qcdfKey{name: name, seed: seed, dim: space.Dim(), fp: spaceFingerprint(space)}
-	if cached, ok := qcdfCache.Load(key); ok {
-		b.qcdf = cached.([]float64)
-		return b
-	}
 	cdfRNG := xrand.New(seed ^ 0xCDF_0000_0000_0001)
 	const cdfSamples = 1 << 17
-	b.qcdf = make([]float64, cdfSamples)
+	sf.qcdf = make([]float64, cdfSamples)
 	buf := make([]float64, space.Dim())
-	for i := range b.qcdf {
+	for i := range sf.qcdf {
 		space.SampleEncoded(cdfRNG, buf)
-		b.qcdf[i] = b.quality.Quality(buf)
+		sf.qcdf[i] = sf.quality.Eval(buf)
 	}
-	sort.Float64s(b.qcdf)
-	qcdfCache.Store(key, b.qcdf)
-	return b
+	sort.Float64s(sf.qcdf)
+	sf.qidx = make([]int32, qidxBuckets+1)
+	for j := range sf.qidx {
+		sf.qidx[j] = int32(sort.SearchFloat64s(sf.qcdf, float64(j)/qidxBuckets))
+	}
+	return sf
+}
+
+// levelEncodings returns the encoded value of every level of a discrete
+// parameter, in order; none for a continuous or too finely divided one.
+func levelEncodings(p searchspace.Param) []float64 {
+	var xs []float64
+	switch {
+	case p.Type == searchspace.Choice:
+		for _, c := range p.Choices {
+			xs = append(xs, p.Encode(c))
+		}
+	case p.Type == searchspace.IntUniform && p.Hi-p.Lo < maxTabulatedLevels:
+		for v := int(p.Lo); v <= int(p.Hi); v++ {
+			xs = append(xs, p.Encode(float64(v)))
+		}
+	}
+	return xs
+}
+
+// rank is sort.SearchFloat64s(b.qcdf, q), searching only the bucket of
+// qidx that q falls in.
+func (b *Benchmark) rank(q float64) int {
+	j := int(q * qidxBuckets)
+	if j < 0 || j >= qidxBuckets || q < float64(j)/qidxBuckets || q > float64(j+1)/qidxBuckets {
+		return sort.SearchFloat64s(b.qcdf, q)
+	}
+	lo, hi := int(b.qidx[j]), int(b.qidx[j+1])
+	return lo + sort.SearchFloat64s(b.qcdf[lo:hi], q)
 }
 
 // percentile converts a raw quality score into its rank u in [0, 1]
@@ -181,7 +242,7 @@ func NewBenchmark(name string, space *searchspace.Space, maxResource, timeR floa
 func (b *Benchmark) percentile(q float64) float64 {
 	n := len(b.qcdf)
 	nf := float64(n + 1)
-	idx := sort.SearchFloat64s(b.qcdf, q)
+	idx := b.rank(q)
 	var u float64
 	switch {
 	case idx == 0:
@@ -242,8 +303,9 @@ func (b *Benchmark) Quality(cfg searchspace.Config) float64 {
 }
 
 // ParamsFor deterministically maps a configuration to its learning-curve
-// parameters. It runs once per trial creation and config switch, so the
-// encoding buffer lives on the stack for every paper space (dim <= 16).
+// parameters. It runs at every trial creation and config switch (three
+// simulated jobs in four at 500 workers), so the encoding buffer lives
+// on the stack for every paper space (dim <= 16).
 func (b *Benchmark) ParamsFor(cfg searchspace.Config) curve.Params {
 	var xbuf [16]float64
 	var x []float64
@@ -253,10 +315,10 @@ func (b *Benchmark) ParamsFor(cfg searchspace.Config) curve.Params {
 		x = make([]float64, d)
 	}
 	b.space.EncodeInto(cfg, x)
-	q := b.quality.Quality(x)
+	q := b.quality.Eval(x)
 	u := b.percentile(q)
 	asym := b.cal.BestLoss + (b.cal.WorstLoss-b.cal.BestLoss)*math.Pow(1-u, 1/b.cal.Hardness)
-	mix := (1-b.cal.RateCouple)*b.speed.Quality(x) + b.cal.RateCouple*u
+	mix := (1-b.cal.RateCouple)*b.speed.Eval(x) + b.cal.RateCouple*u
 	kappa := b.cal.RateLo + (b.cal.RateHi-b.cal.RateLo)*mix
 	cost := b.timeR / b.maxResource
 	if b.cal.CostSpread != nil {
@@ -282,12 +344,14 @@ func (b *Benchmark) ParamsFor(cfg searchspace.Config) curve.Params {
 	return p
 }
 
-// Trial is one configuration's stateful training run.
+// Trial is one configuration's stateful training run: one record, not
+// to be copied once initialised (the trainer points at the RNG beside it).
 type Trial struct {
 	ID      int
 	bench   *Benchmark
 	cfg     searchspace.Config
-	trainer *curve.Trainer
+	trainer curve.Trainer
+	noise   xrand.RNG
 	// handicap is the accumulated plasticity penalty on the asymptote
 	// from mid-training configuration switches.
 	handicap float64
@@ -296,12 +360,18 @@ type Trial struct {
 // NewTrial creates a trial for cfg. The trial id seeds the observation
 // noise stream so repeated experiments are reproducible.
 func (b *Benchmark) NewTrial(id int, cfg searchspace.Config) *Trial {
-	return &Trial{
-		ID:      id,
-		bench:   b,
-		cfg:     cfg.Clone(),
-		trainer: curve.NewTrainer(b.ParamsFor(cfg), b.root.SplitIndex("trial-noise", id)),
-	}
+	t := new(Trial)
+	b.InitTrial(t, id, cfg.Clone())
+	return t
+}
+
+// InitTrial is NewTrial for a trial record the caller owns (the
+// simulator cuts them from a slab). The trial keeps cfg: the caller
+// passes a copy nothing else will write to.
+func (b *Benchmark) InitTrial(t *Trial, id int, cfg searchspace.Config) {
+	t.ID, t.bench, t.cfg, t.handicap = id, b, cfg, 0
+	b.root.SplitIndexInto(&t.noise, "trial-noise", id)
+	t.trainer.Init(b.ParamsFor(cfg), &t.noise)
 }
 
 // Config returns the trial's current configuration.
@@ -361,7 +431,7 @@ func (t *Trial) SetConfig(cfg searchspace.Config) {
 // exploit step does. The donor's accumulated plasticity handicap travels
 // with its weights.
 func (t *Trial) InheritFrom(src *Trial) {
-	t.trainer.InheritFrom(src.trainer)
+	t.trainer.InheritFrom(&src.trainer)
 	t.handicap = src.handicap
 }
 

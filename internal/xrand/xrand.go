@@ -15,13 +15,13 @@ import (
 
 // RNG is a deterministic random number generator. It wraps math/rand/v2's
 // PCG generator and adds the distributions used across the repository.
-// The PCG state and Rand wrapper are embedded by value — one allocation
-// per RNG instead of three, which matters because the simulator derives
-// a fresh noise RNG for every trial. An RNG must therefore not be copied
-// (its Rand points at the embedded PCG); use Split to derive children.
+// The PCG state and the Rand wrapper are held by value: an RNG is one
+// allocation, or none when SplitIndexInto initialises one inside a larger
+// record (the simulator's per-trial noise RNG). It must therefore not be
+// copied (its Rand points at the embedded PCG); use Split for children.
 type RNG struct {
 	pcg rand.PCG
-	src *rand.Rand
+	src rand.Rand
 	// seed material retained so the RNG can be split by name.
 	s1, s2 uint64
 }
@@ -32,10 +32,16 @@ func New(seed uint64) *RNG {
 }
 
 func newFrom(s1, s2 uint64) *RNG {
-	r := &RNG{s1: s1, s2: s2}
-	r.pcg = *rand.NewPCG(s1, s2)
-	r.src = rand.New(&r.pcg)
+	r := new(RNG)
+	r.seed(s1, s2)
 	return r
+}
+
+// seed (re)initialises r in place at the start of the (s1, s2) stream.
+func (r *RNG) seed(s1, s2 uint64) {
+	r.s1, r.s2 = s1, s2
+	r.pcg.Seed(s1, s2)
+	r.src = *rand.New(&r.pcg)
 }
 
 // FNV64 is an incremental FNV-1a 64 hash. It produces byte-for-byte the
@@ -98,9 +104,17 @@ func (r *RNG) Split(name string) *RNG {
 // identical to Split(name) followed by the index mix, without
 // materializing the intermediate RNG.
 func (r *RNG) SplitIndex(name string, i int) *RNG {
+	dst := new(RNG)
+	r.SplitIndexInto(dst, name, i)
+	return dst
+}
+
+// SplitIndexInto is SplitIndex initialising dst in place: dst restarts
+// at the head of the child stream, and nothing is allocated.
+func (r *RNG) SplitIndexInto(dst *RNG, name string, i int) {
 	hv := hashName(name)
 	s1, s2 := r.s1^hv, r.s2^mix(hv)
-	return newFrom(s1^mix(uint64(i)+1), s2^mix(uint64(i)*0x9e3779b9+7))
+	dst.seed(s1^mix(uint64(i)+1), s2^mix(uint64(i)*0x9e3779b9+7))
 }
 
 // mix is the SplitMix64 finalizer; it decorrelates nearby integer keys.

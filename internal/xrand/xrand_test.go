@@ -208,3 +208,67 @@ func TestPermIsPermutation(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// streamDigest folds the first 64 draws of Float64, then of NormFloat64,
+// then of IntN into one hash.
+func streamDigest(r *RNG) uint64 {
+	h := NewFNV64()
+	for i := 0; i < 64; i++ {
+		h.Uint64(math.Float64bits(r.Float64()))
+	}
+	for i := 0; i < 64; i++ {
+		h.Uint64(math.Float64bits(r.NormFloat64()))
+	}
+	for i := 0; i < 64; i++ {
+		h.Uint64(uint64(r.IntN(1_000_003)))
+	}
+	return h.Sum()
+}
+
+// TestSplitIndexStreamsPinned holds SplitIndex and SplitIndexInto to the
+// streams SplitIndex produced before the Rand wrapper moved into the
+// RNG by value: the digests are literals captured at that commit.
+func TestSplitIndexStreamsPinned(t *testing.T) {
+	cases := []struct {
+		seed  uint64
+		name  string
+		index int
+		want  uint64
+	}{
+		{0, "", 0, 0xfc8c1ef11e5f0889},
+		{1, "trial-noise", 0, 0x5c1ee9683def68a9},
+		{1, "trial-noise", 1, 0x6a812881ce23526e},
+		{0xA5A5_0004, "trial-noise", 99_999, 0xbcc735d4e664e489},
+		{0xA5A5_0004 ^ (0x517c_c1b7_2722_0a95 * 3), "trial-noise", 12_345, 0xfa8b35f8540eb9a5},
+		{42, "cfg", 7, 0xf9d98bf30911bf5c},
+		{math.MaxUint64, "a longer stream name, with spaces", math.MaxInt32, 0xaa1917ac7d5f0350},
+	}
+	var inPlace RNG
+	for _, c := range cases {
+		parent := New(c.seed)
+		if got := streamDigest(parent.SplitIndex(c.name, c.index)); got != c.want {
+			t.Errorf("SplitIndex(%#x, %q, %d): stream digest %#x, want %#x", c.seed, c.name, c.index, got, c.want)
+		}
+		// The same record is reused for every case: an in-place split
+		// must leave nothing of the stream it replaces.
+		parent.SplitIndexInto(&inPlace, c.name, c.index)
+		if got := streamDigest(&inPlace); got != c.want {
+			t.Errorf("SplitIndexInto(%#x, %q, %d): stream digest %#x, want %#x", c.seed, c.name, c.index, got, c.want)
+		}
+	}
+}
+
+// TestSplitAllocations pins what an RNG costs: one object when it is
+// returned, none when it is initialised where it already lives.
+func TestSplitAllocations(t *testing.T) {
+	parent := New(3)
+	var sink *RNG
+	if n := testing.AllocsPerRun(100, func() { sink = parent.SplitIndex("trial-noise", 5) }); n != 1 {
+		t.Errorf("SplitIndex allocates %v objects, want 1", n)
+	}
+	_ = sink
+	var dst RNG
+	if n := testing.AllocsPerRun(100, func() { parent.SplitIndexInto(&dst, "trial-noise", 5) }); n != 0 {
+		t.Errorf("SplitIndexInto allocates %v objects, want 0", n)
+	}
+}
