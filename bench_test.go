@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -182,9 +183,10 @@ func BenchmarkAblationEarlyStopRate(b *testing.B) {
 // ---------------------------------------------------------------------
 // Micro-benchmarks of the scheduler hot path and the executor.
 
-// BenchmarkASHASchedulerThroughput measures get_job/report pairs on a
-// large live bracket — the operation rate a 500-worker cluster demands.
-func BenchmarkASHASchedulerThroughput(b *testing.B) {
+// schedulerLoop returns a function that runs n get_job/report pairs on
+// one live ASHA bracket over the ptb-lstm space — the operation rate a
+// 500-worker cluster demands.
+func schedulerLoop() func(n int) {
 	bench := workload.PTBLSTM()
 	sched := core.NewASHA(core.ASHAConfig{
 		Space:       bench.Space(),
@@ -194,15 +196,47 @@ func BenchmarkASHASchedulerThroughput(b *testing.B) {
 		MaxResource: bench.MaxResource(),
 	})
 	rng := xrand.New(6)
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			job, _ := sched.Next()
+			sched.Report(core.Result{
+				TrialID: job.TrialID, Rung: job.Rung, Config: job.Config,
+				Loss: rng.Float64(), Resource: job.TargetResource,
+			})
+		}
+	}
+}
+
+// schedulerAllocBudget is what one get_job/report pair may allocate:
+// 0.009 measured over 500 000 pairs (config arena blocks, the trial
+// table and the rungs doubling), doubled for another Go release's maps
+// and slices. One object per call, or per new trial, reads 0.75 or more.
+const schedulerAllocBudget = 0.02
+
+// TestASHASchedulerAllocsPerOp keeps heap objects off Next and Report.
+func TestASHASchedulerAllocsPerOp(t *testing.T) {
+	const ops = 500_000
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	loop := schedulerLoop()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	loop(ops)
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.Mallocs-before.Mallocs) / ops
+	t.Logf("%.4f allocs/op", perOp)
+	if perOp > schedulerAllocBudget {
+		t.Fatalf("a get_job/report pair allocates %.4f objects, budget %.2f", perOp, schedulerAllocBudget)
+	}
+}
+
+// BenchmarkASHASchedulerThroughput is the same loop as a benchmark.
+func BenchmarkASHASchedulerThroughput(b *testing.B) {
+	loop := schedulerLoop()
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		job, _ := sched.Next()
-		sched.Report(core.Result{
-			TrialID: job.TrialID, Rung: job.Rung, Config: job.Config,
-			Loss: rng.Float64(), Resource: job.TargetResource,
-		})
-	}
+	loop(b.N)
 }
 
 // BenchmarkSimulatedCluster500Workers measures the discrete-event

@@ -10,12 +10,12 @@ import (
 	"repro/internal/workload"
 )
 
-// paperRun is one run of the paper's largest regime as bench/'s
-// sim-paper workload assembles it — ASHA (eta 4, r = R/64) on ptb-lstm
-// with 500 workers — cut at a fixed job count so it repeats exactly.
-func paperRun(bench *workload.Benchmark, seed uint64, jobs int) (completed int, bestBits uint64) {
+// simRun is one ASHA run (eta 4, bottom rung r) of bench on the
+// simulator; a run cut at a job count or a horizon repeats exactly.
+func simRun(bench *workload.Benchmark, r float64, seed uint64, opt Options) (completed int, bestBits uint64) {
 	b := bench.WithNoiseSeed(seed)
-	run := Run(newASHA(b, seed+1, 4, 1), b, Options{Workers: 500, MaxJobs: jobs, Seed: seed + 1})
+	opt.Seed = seed + 1
+	run := Run(newASHA(b, seed+1, 4, r), b, opt)
 	best := math.NaN()
 	if n := len(run.Series); n > 0 {
 		best = run.Series[n-1].ValLoss
@@ -23,60 +23,100 @@ func paperRun(bench *workload.Benchmark, seed uint64, jobs int) (completed int, 
 	return run.CompletedJobs, math.Float64bits(best)
 }
 
-// measurePaperRun returns the heap objects and bytes one paperRun
-// allocates, scheduler and engine included.
-func measurePaperRun(tb testing.TB, bench *workload.Benchmark, jobs int) (mallocs, bytes uint64) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	completed, _ := paperRun(bench, 1, jobs)
-	runtime.ReadMemStats(&after)
-	if completed != jobs {
-		tb.Fatalf("completed %d of %d jobs", completed, jobs)
-	}
-	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+// paperRun is one run of the paper's largest regime as bench/'s
+// sim-paper workload assembles it — ASHA (eta 4, r = R/64) on ptb-lstm
+// with 500 workers — cut at a fixed job count.
+func paperRun(bench *workload.Benchmark, seed uint64, jobs int) (completed int, bestBits uint64) {
+	return simRun(bench, 1, seed, Options{Workers: 500, MaxJobs: jobs})
 }
 
-// simLaunchAllocBudget is what one simulated job may allocate, ASHA, the
-// engine and the simulator together. Three jobs in four start a trial
-// here, and a trial is a slab record: the run measures 0.04 (slabs,
-// arena blocks and the dense tables doubling). One object per trial —
-// any one of the five a trial used to be — would read 0.76.
-const simLaunchAllocBudget = 0.10
+// What one simulated job may allocate, ASHA, the engine and the
+// simulator together, in each regime of simLaunchCases: what the run
+// measures (slabs, arena blocks and the dense tables doubling, none of it
+// per trial) plus slack for another Go release's maps and slices. About
+// three jobs in four start a trial and a trial is a slab record, so one
+// heap object per trial adds 0.7 or more to any of them.
+const (
+	simLaunchAllocBudget     = 0.04 + 0.06  // 2 580 objects over 60 000 jobs
+	simStragglersAllocBudget = 0.29 + 0.11  // 810 over the 2 828 jobs the horizon admits
+	sim10kAllocBudget        = 0.032 + 0.05 // 6 340 over 200 000 jobs, most sized by the worker count
+	sim100kAllocBudget       = 0.021 + 0.05 // 8 450 over 400 000 jobs
+)
+
+// simLaunchCases are the regimes whose allocations are gated, and that
+// BenchmarkSimLaunch times: the paper's, stragglers and drops on the
+// constant-cost benchmark 1 space (retry queue, equal-time batches),
+// 10 000 workers on ptb-lstm (continuous costs keep the calendar queue's
+// ring and far tiers busy) and 100 000 on benchmark 1 (every wave of
+// same-cost jobs completes at one instant, so completions must batch).
+var simLaunchCases = []struct {
+	name   string
+	bench  func() *workload.Benchmark
+	rDiv   float64 // r = R / rDiv
+	opt    Options
+	budget float64
+}{
+	{"paper", workload.PTBLSTM, 64, Options{Workers: 500, MaxJobs: 60_000}, simLaunchAllocBudget},
+	{"stragglers", workload.CudaConvnet, 256, Options{Workers: 25, MaxTime: 100, StragglerSD: 0.5, DropProb: 0.01}, simStragglersAllocBudget},
+	{"10k-workers", workload.PTBLSTM, 64, Options{Workers: 10_000, MaxJobs: 200_000}, sim10kAllocBudget},
+	{"100k-workers", workload.CudaConvnet, 256, Options{Workers: 100_000, MaxJobs: 400_000}, sim100kAllocBudget},
+}
+
+// measureSimRun returns the jobs one simRun completes and the heap
+// objects and bytes it allocates, scheduler and engine included.
+func measureSimRun(tb testing.TB, bench *workload.Benchmark, rDiv float64, opt Options) (jobs int, mallocs, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	jobs, _ = simRun(bench, bench.MaxResource()/rDiv, 1, opt)
+	runtime.ReadMemStats(&after)
+	if jobs == 0 || opt.MaxJobs > 0 && jobs != opt.MaxJobs {
+		tb.Fatalf("completed %d of %d jobs", jobs, opt.MaxJobs)
+	}
+	return jobs, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
 
 // TestSimLaunchAllocsPerJob keeps per-trial heap objects from creeping
 // back onto Launch, in tier-1 rather than in a benchmark someone has to
-// read.
+// read. No warm-up run: the runtime's lazy set-up is a dozen objects,
+// under 0.005 a job in every regime.
 func TestSimLaunchAllocsPerJob(t *testing.T) {
-	const jobs = 60_000
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	bench := workload.PTBLSTM()
-	measurePaperRun(t, bench, jobs/4) // warm-up: the runtime's own lazy set-up
-	mallocs, _ := measurePaperRun(t, bench, jobs)
-	perJob := float64(mallocs) / jobs
-	t.Logf("%.3f allocs/job", perJob)
-	if perJob > simLaunchAllocBudget {
-		t.Fatalf("a simulated job allocates %.3f objects, budget %.2f", perJob, simLaunchAllocBudget)
+	for _, c := range simLaunchCases {
+		t.Run(c.name, func(t *testing.T) {
+			bench := c.bench()
+			jobs, mallocs, _ := measureSimRun(t, bench, c.rDiv, c.opt)
+			perJob := float64(mallocs) / float64(jobs)
+			t.Logf("%.3f allocs/job over %d jobs", perJob, jobs)
+			if perJob > c.budget {
+				t.Fatalf("a simulated job allocates %.3f objects, budget %.2f", perJob, c.budget)
+			}
+		})
 	}
 }
 
-// BenchmarkSimLaunch is the same run as a benchmark: time, heap objects
+// BenchmarkSimLaunch is the same runs as benchmarks: time, heap objects
 // and bytes per job.
 func BenchmarkSimLaunch(b *testing.B) {
-	const jobs = 60_000
-	bench := workload.PTBLSTM()
-	var mallocs, bytes uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, by := measurePaperRun(b, bench, jobs)
-		mallocs += m
-		bytes += by
+	for _, c := range simLaunchCases {
+		b.Run(c.name, func(b *testing.B) {
+			bench := c.bench()
+			var jobs int
+			var mallocs, bytes uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j, m, by := measureSimRun(b, bench, c.rDiv, c.opt)
+				jobs += j
+				mallocs += m
+				bytes += by
+			}
+			n := float64(jobs)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/job")
+			b.ReportMetric(float64(mallocs)/n, "allocs/job")
+			b.ReportMetric(float64(bytes)/n, "B/job")
+		})
 	}
-	n := float64(b.N * jobs)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/job")
-	b.ReportMetric(float64(mallocs)/n, "allocs/job")
-	b.ReportMetric(float64(bytes)/n, "B/job")
 }
 
 // TestSimsShareBenchmarkConcurrently: the surfaces, their level tables

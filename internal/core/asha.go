@@ -142,10 +142,9 @@ type ASHA struct {
 	trials    []searchspace.Config // indexed by trial ID
 	arena     *searchspace.Arena
 	// rungRes caches rungResource(k); rung k's resource never changes.
-	rungRes  []float64
-	nextID   int
-	inc      incumbent
-	launched int // total jobs issued, for introspection
+	rungRes []float64
+	nextID  int
+	inc     incumbent
 	// sampleHook, when non-nil, replaces uniform sampling of new
 	// bottom-rung configurations (ModelASHA's TPE plugs in here).
 	sampleHook func() searchspace.Config
@@ -208,7 +207,6 @@ func (a *ASHA) popRetry() (Job, bool) {
 // Next implements the get_job procedure of Algorithm 2.
 func (a *ASHA) Next() (Job, bool) {
 	if job, ok := a.popRetry(); ok {
-		a.launched++
 		return job, true
 	}
 	// Check for a promotable configuration, top rung first.
@@ -223,7 +221,6 @@ func (a *ASHA) Next() (Job, bool) {
 		}
 		rung.markPromoted(id)
 		a.ensureRung(k + 1)
-		a.launched++
 		return Job{
 			TrialID:        id,
 			Config:         a.trials[id],
@@ -242,7 +239,6 @@ func (a *ASHA) Next() (Job, bool) {
 		cfg = a.arena.Sample(a.cfg.RNG)
 	}
 	a.trials = append(a.trials, cfg)
-	a.launched++
 	return Job{TrialID: id, Config: cfg, Rung: 0, TargetResource: a.rungResource(0), InheritFrom: -1}, true
 }
 
@@ -294,6 +290,3 @@ func (a *ASHA) RungSizes() []int {
 	}
 	return out
 }
-
-// Launched returns the total number of jobs issued.
-func (a *ASHA) Launched() int { return a.launched }

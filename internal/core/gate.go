@@ -38,9 +38,6 @@ type Gate struct {
 // pauses behaves exactly like the scheduler it wraps.
 func NewGate(inner Scheduler) *Gate { return &Gate{inner: inner} }
 
-// Inner returns the wrapped scheduler.
-func (g *Gate) Inner() Scheduler { return g.inner }
-
 // Next implements Scheduler: it declines while paused or after abort,
 // and delegates otherwise.
 func (g *Gate) Next() (Job, bool) {
@@ -110,13 +107,6 @@ func (g *Gate) Paused() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.paused
-}
-
-// Aborted reports whether the gate was aborted.
-func (g *Gate) Aborted() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.aborted
 }
 
 // State reports the gate's lifecycle state as one of the Gate*

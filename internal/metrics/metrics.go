@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"sort"
+
+	"repro/internal/stats"
 )
 
 // Point is one incumbent update: at Time the searcher's incumbent had
@@ -129,35 +131,13 @@ func Aggregate(runs []*Run, grid []float64) *AggSeries {
 		}
 		sorted := append([]float64(nil), vals...)
 		sort.Float64s(sorted)
-		agg.Mean[i] = mean(vals)
+		agg.Mean[i] = stats.Mean(vals)
 		agg.Min[i] = sorted[0]
 		agg.Max[i] = sorted[len(sorted)-1]
-		agg.Q25[i] = quantile(sorted, 0.25)
-		agg.Q75[i] = quantile(sorted, 0.75)
+		agg.Q25[i] = stats.QuantileSorted(sorted, 0.25)
+		agg.Q75[i] = stats.QuantileSorted(sorted, 0.75)
 	}
 	return agg
-}
-
-func mean(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // WriteTable renders one or more named aggregate series as a text table

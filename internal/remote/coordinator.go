@@ -305,36 +305,6 @@ type ShardsStatus struct {
 	Failovers int64         `json:"failovers"`
 }
 
-func (c *Coordinator) reject(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(wireError{Error: msg})
-}
-
-func (c *Coordinator) reply(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// decode parses a POST body and enforces the wire version. Token
-// checks are per-endpoint (worker vs shard credentials differ).
-func (c *Coordinator) decode(w http.ResponseWriter, r *http.Request, version *int, v interface{}) bool {
-	if r.Method != http.MethodPost {
-		c.reject(w, http.StatusMethodNotAllowed, "POST only")
-		return false
-	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		c.reject(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return false
-	}
-	if *version != ProtocolVersion {
-		c.reject(w, http.StatusBadRequest,
-			fmt.Sprintf("protocol version %d not supported (server speaks %d)", *version, ProtocolVersion))
-		return false
-	}
-	return true
-}
-
 // shardAuth enforces the fleet admin token on the shard-facing
 // endpoints. Comparison is constant-time, like remote.go's adminAuth —
 // these endpoints guard the same fleet-wide secret.
@@ -342,7 +312,7 @@ func (c *Coordinator) shardAuth(w http.ResponseWriter, token string) bool {
 	if c.opts.AdminToken == "" || subtle.ConstantTimeCompare([]byte(token), []byte(c.opts.AdminToken)) == 1 {
 		return true
 	}
-	c.reject(w, http.StatusUnauthorized, "bad or missing shard token")
+	reject(w, http.StatusUnauthorized, "bad or missing shard token")
 	return false
 }
 
@@ -365,7 +335,7 @@ func (c *Coordinator) workerScope(token string) (tenant string, scoped, ok bool)
 
 func (c *Coordinator) handleShardRegister(w http.ResponseWriter, r *http.Request) {
 	var req shardRegisterReq
-	if !c.decode(w, r, &req.Version, &req) {
+	if !decodePost(w, r, &req.Version, &req) {
 		return
 	}
 	if !c.shardAuth(w, req.Token) {
@@ -373,14 +343,14 @@ func (c *Coordinator) handleShardRegister(w http.ResponseWriter, r *http.Request
 	}
 	u, err := url.Parse(req.URL)
 	if err != nil || u.Scheme == "" || u.Host == "" {
-		c.reject(w, http.StatusBadRequest, fmt.Sprintf("bad shard URL %q", req.URL))
+		reject(w, http.StatusBadRequest, fmt.Sprintf("bad shard URL %q", req.URL))
 		return
 	}
 	c.mu.Lock()
 	sh, known := c.shards[req.ID]
 	if !known {
 		c.mu.Unlock()
-		c.reject(w, http.StatusForbidden, fmt.Sprintf("unknown shard %q", req.ID))
+		reject(w, http.StatusForbidden, fmt.Sprintf("unknown shard %q", req.ID))
 		return
 	}
 	sh.url = strings.TrimSuffix(req.URL, "/")
@@ -389,7 +359,7 @@ func (c *Coordinator) handleShardRegister(w http.ResponseWriter, r *http.Request
 	sh.lastBeat = time.Now()
 	assigned := c.assignedLocked(req.ID)
 	c.mu.Unlock()
-	c.reply(w, shardRegisterResp{
+	reply(w, shardRegisterResp{
 		Version:         ProtocolVersion,
 		Experiments:     assigned,
 		HeartbeatMillis: (c.opts.ShardTTL / 3).Milliseconds(),
@@ -411,7 +381,7 @@ func (c *Coordinator) assignedLocked(shardID string) []string {
 
 func (c *Coordinator) handleShardHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req shardHeartbeatReq
-	if !c.decode(w, r, &req.Version, &req) {
+	if !decodePost(w, r, &req.Version, &req) {
 		return
 	}
 	if !c.shardAuth(w, req.Token) {
@@ -422,14 +392,14 @@ func (c *Coordinator) handleShardHeartbeat(w http.ResponseWriter, r *http.Reques
 	if !known || !sh.registered {
 		c.mu.Unlock()
 		// 410 tells the shard to re-register, mirroring the worker wire.
-		c.reject(w, http.StatusGone, "unknown shard; register again")
+		reject(w, http.StatusGone, "unknown shard; register again")
 		return
 	}
 	sh.lastBeat = time.Now()
 	sh.up = true
 	assigned := c.assignedLocked(req.ID)
 	c.mu.Unlock()
-	c.reply(w, shardHeartbeatResp{Version: ProtocolVersion, Experiments: assigned})
+	reply(w, shardHeartbeatResp{Version: ProtocolVersion, Experiments: assigned})
 }
 
 // handleWorkerRegister answers a worker's registration with a redirect
@@ -438,18 +408,18 @@ func (c *Coordinator) handleShardHeartbeat(w http.ResponseWriter, r *http.Reques
 // redirect), so the coordinator never brokers leases itself.
 func (c *Coordinator) handleWorkerRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerReq
-	if !c.decode(w, r, &req.Version, &req) {
+	if !decodePost(w, r, &req.Version, &req) {
 		return
 	}
 	tenant, scoped, ok := c.workerScope(req.Token)
 	if !ok {
-		c.reject(w, http.StatusUnauthorized, "bad or missing worker token")
+		reject(w, http.StatusUnauthorized, "bad or missing worker token")
 		return
 	}
 	if scoped {
 		for _, e := range req.Experiments {
 			if TenantOf(e) != tenant {
-				c.reject(w, http.StatusForbidden,
+				reject(w, http.StatusForbidden,
 					fmt.Sprintf("experiment %q is outside tenant %q", e, tenant))
 				return
 			}
@@ -459,11 +429,11 @@ func (c *Coordinator) handleWorkerRegister(w http.ResponseWriter, r *http.Reques
 	target := c.routeLocked(req.Experiments)
 	c.mu.Unlock()
 	if target == "" {
-		c.reject(w, http.StatusServiceUnavailable, "no live shard owns the requested experiments")
+		reject(w, http.StatusServiceUnavailable, "no live shard owns the requested experiments")
 		return
 	}
 	c.redirects.Add(1)
-	c.reply(w, registerResp{Version: ProtocolVersion, Redirect: target})
+	reply(w, registerResp{Version: ProtocolVersion, Redirect: target})
 }
 
 // routeLocked picks the shard URL a registering worker should be sent
@@ -521,13 +491,13 @@ func (c *Coordinator) routeLocked(experiments []string) string {
 
 func (c *Coordinator) handleShards(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		c.reject(w, http.StatusMethodNotAllowed, "GET only")
+		reject(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	if c.opts.AdminToken != "" {
 		token, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
 		if !ok || subtle.ConstantTimeCompare([]byte(token), []byte(c.opts.AdminToken)) != 1 {
-			c.reject(w, http.StatusUnauthorized, "bad or missing admin token")
+			reject(w, http.StatusUnauthorized, "bad or missing admin token")
 			return
 		}
 	}
@@ -550,12 +520,12 @@ func (c *Coordinator) handleShards(w http.ResponseWriter, r *http.Request) {
 		st.Shards = append(st.Shards, row)
 	}
 	c.mu.Unlock()
-	c.reply(w, st)
+	reply(w, st)
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		c.reject(w, http.StatusMethodNotAllowed, "GET only")
+		reject(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	var b strings.Builder
@@ -590,40 +560,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		c.reject(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	flusher, _ := w.(http.Flusher)
-	// Subscribe before committing the headers: a client that has seen
-	// the stream open must not miss events published in between
-	// (Server.handleEvents orders itself the same way).
-	sub := c.bus.Subscribe()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	if flusher != nil {
-		flusher.Flush()
-	}
-	enc := json.NewEncoder(w)
-	for {
-		events, dropped, ok := sub.Next(r.Context())
-		if !ok {
-			return
-		}
-		if dropped > 0 {
-			if err := enc.Encode(obs.Event{Type: obs.EventDropped, Count: dropped}); err != nil {
-				return
-			}
-		}
-		for _, e := range events {
-			if err := enc.Encode(e); err != nil {
-				return
-			}
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	streamEvents(w, r, c.bus, nil)
 }
 
 // sweepShards is the liveness sweeper: a registered shard silent past

@@ -19,7 +19,7 @@ package remote
 // A bounded ring of recent spans serves GET /v1/trace. Everything on
 // the settle path is either lock-free (obs.Histogram) or a short
 // critical section on lat.mu with zero steady-state allocation, keeping
-// the "observability is free" property the ashabench gates pin.
+// the "observability is free" property leasePathMetricsAllocSlack pins.
 
 import (
 	"encoding/json"
@@ -263,7 +263,7 @@ type traceResp struct {
 // experiment (restrict to one experiment), n (max spans, default 100).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.reject(w, http.StatusMethodNotAllowed, "GET only")
+		reject(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	lat := s.lat
@@ -272,7 +272,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("trial"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			s.reject(w, http.StatusBadRequest, "bad trial: "+v)
+			reject(w, http.StatusBadRequest, "bad trial: "+v)
 			return
 		}
 		trial = n
@@ -285,7 +285,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("n"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			s.reject(w, http.StatusBadRequest, "bad n: "+v)
+			reject(w, http.StatusBadRequest, "bad n: "+v)
 			return
 		}
 		limit = n

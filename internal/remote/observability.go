@@ -254,7 +254,7 @@ func (s *Server) MaxLeases() int {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		s.reject(w, http.StatusMethodNotAllowed, "GET only")
+		reject(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	var b strings.Builder
@@ -447,21 +447,31 @@ func (s *Server) writeTenantMetrics(b *strings.Builder, st Status) {
 // --- /v1/events ---
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	var keep func(obs.Event) bool
+	if q := r.URL.Query(); q.Has("experiment") {
+		experiment := q.Get("experiment")
+		keep = func(e obs.Event) bool { return e.Experiment == experiment }
+	}
+	streamEvents(w, r, s.bus, keep)
+}
+
+// streamEvents serves bus as NDJSON, one event per line, until the bus
+// closes or the client goes. A nil bus is an event stream that was not
+// enabled; a non-nil keep selects the events sent.
+func streamEvents(w http.ResponseWriter, r *http.Request, bus *obs.Bus, keep func(obs.Event) bool) {
 	if r.Method != http.MethodGet {
-		s.reject(w, http.StatusMethodNotAllowed, "GET only")
+		reject(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	if s.bus == nil {
-		s.reject(w, http.StatusNotFound, "event stream disabled")
+	if bus == nil {
+		reject(w, http.StatusNotFound, "event stream disabled")
 		return
 	}
-	experiment := r.URL.Query().Get("experiment")
-	filtered := r.URL.Query().Has("experiment")
 	flusher, _ := w.(http.Flusher)
 	// Subscribe before committing the headers: a client that has seen
 	// the stream open is guaranteed every event published from then on,
 	// so consumers (and tests) need no attach-race grace period.
-	sub := s.bus.Subscribe()
+	sub := bus.Subscribe()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	if flusher != nil {
@@ -481,7 +491,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		for _, e := range events {
-			if filtered && e.Experiment != experiment {
+			if keep != nil && !keep(e) {
 				continue
 			}
 			if err := enc.Encode(e); err != nil {
@@ -554,7 +564,7 @@ func (s *Server) adminAuth(w http.ResponseWriter, r *http.Request) (tenant strin
 			}
 		}
 	}
-	s.reject(w, http.StatusUnauthorized, "bad or missing admin token")
+	reject(w, http.StatusUnauthorized, "bad or missing admin token")
 	return "", false, false
 }
 
@@ -572,7 +582,7 @@ func (s *Server) mountPprof(mux *http.ServeMux) {
 			if scoped {
 				// Profiles expose the whole process; tenant admins stay
 				// scoped to their experiments.
-				s.reject(w, http.StatusForbidden, "pprof requires the fleet admin token")
+				reject(w, http.StatusForbidden, "pprof requires the fleet admin token")
 				return
 			}
 			h(w, r)
@@ -590,19 +600,19 @@ func (s *Server) mountPprof(mux *http.ServeMux) {
 // response itself and returns false on rejection.
 func (s *Server) decodeAdmin(w http.ResponseWriter, r *http.Request, req *adminReq) bool {
 	if r.Method != http.MethodPost {
-		s.reject(w, http.StatusMethodNotAllowed, "POST only")
+		reject(w, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		s.reject(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		reject(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return false
 	}
 	if len(strings.TrimSpace(string(body))) == 0 {
 		return true
 	}
 	if err := json.Unmarshal(body, req); err != nil {
-		s.reject(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		reject(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return false
 	}
 	return true
@@ -619,7 +629,7 @@ func (s *Server) handleAdmin(w http.ResponseWriter, r *http.Request) {
 		// Status is read-only and convenient from a browser or curl, so
 		// GET is allowed alongside POST.
 		if r.Method != http.MethodGet && r.Method != http.MethodPost {
-			s.reject(w, http.StatusMethodNotAllowed, "GET or POST")
+			reject(w, http.StatusMethodNotAllowed, "GET or POST")
 			return
 		}
 		st := AdminStatus{
@@ -658,7 +668,7 @@ func (s *Server) handleAdmin(w http.ResponseWriter, r *http.Request) {
 			st.Paused = paused
 			st.TenantWeights = nil
 		}
-		s.reply(w, st)
+		reply(w, st)
 		return
 	}
 	var req adminReq
@@ -671,12 +681,12 @@ func (s *Server) handleAdmin(w http.ResponseWriter, r *http.Request) {
 			// Tenant admins must name one of their own experiments: the
 			// fleet-wide "" target would reach across tenants.
 			if req.Experiment == "" || TenantOf(req.Experiment) != tenant {
-				s.reject(w, http.StatusForbidden,
+				reject(w, http.StatusForbidden,
 					fmt.Sprintf("%s requires an experiment in tenant %q", cmd, tenant))
 				return
 			}
 		default:
-			s.reject(w, http.StatusForbidden,
+			reject(w, http.StatusForbidden,
 				fmt.Sprintf("%s requires the fleet admin token", cmd))
 			return
 		}
@@ -690,24 +700,24 @@ func (s *Server) handleAdmin(w http.ResponseWriter, r *http.Request) {
 		if cp != nil {
 			if err := cp.Pause(req.Experiment); err != nil {
 				s.ResumeExperiment(req.Experiment)
-				s.reject(w, http.StatusBadRequest, err.Error())
+				reject(w, http.StatusBadRequest, err.Error())
 				return
 			}
 		}
-		s.reply(w, adminResp{OK: true})
+		reply(w, adminResp{OK: true})
 	case "resume":
 		if cp != nil {
 			if err := cp.Resume(req.Experiment); err != nil {
-				s.reject(w, http.StatusBadRequest, err.Error())
+				reject(w, http.StatusBadRequest, err.Error())
 				return
 			}
 		}
 		s.ResumeExperiment(req.Experiment)
-		s.reply(w, adminResp{OK: true})
+		reply(w, adminResp{OK: true})
 	case "abort":
 		if cp != nil {
 			if err := cp.Abort(req.Experiment); err != nil {
-				s.reject(w, http.StatusBadRequest, err.Error())
+				reject(w, http.StatusBadRequest, err.Error())
 				return
 			}
 		}
@@ -716,43 +726,43 @@ func (s *Server) handleAdmin(w http.ResponseWriter, r *http.Request) {
 		// nobody wants. A stale pause must not outlive the experiment.
 		s.ResumeExperiment(req.Experiment)
 		n := s.CancelPending(req.Experiment)
-		s.reply(w, adminResp{OK: true, Canceled: n})
+		reply(w, adminResp{OK: true, Canceled: n})
 	case "workers":
 		if req.Workers < 1 {
-			s.reject(w, http.StatusBadRequest, "workers must be >= 1")
+			reject(w, http.StatusBadRequest, "workers must be >= 1")
 			return
 		}
 		if cp != nil {
 			if err := cp.SetWorkers(req.Workers); err != nil {
-				s.reject(w, http.StatusBadRequest, err.Error())
+				reject(w, http.StatusBadRequest, err.Error())
 				return
 			}
 		}
 		s.SetMaxLeases(req.Workers)
-		s.reply(w, adminResp{OK: true})
+		reply(w, adminResp{OK: true})
 	case "drain":
 		drain := true
 		if req.Drain != nil {
 			drain = *req.Drain
 		}
 		s.SetDraining(drain)
-		s.reply(w, adminResp{OK: true})
+		reply(w, adminResp{OK: true})
 	case "adopt":
 		// Failover entry point: the coordinator (or an operator) tells
 		// this shard to take over an experiment from its journal.
 		if req.Experiment == "" {
-			s.reject(w, http.StatusBadRequest, "adopt requires an experiment name")
+			reject(w, http.StatusBadRequest, "adopt requires an experiment name")
 			return
 		}
 		if cp == nil {
-			s.reject(w, http.StatusBadRequest, "no control plane attached")
+			reject(w, http.StatusBadRequest, "no control plane attached")
 			return
 		}
 		if err := cp.Adopt(req.Experiment); err != nil {
-			s.reject(w, http.StatusBadRequest, err.Error())
+			reject(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		s.reply(w, adminResp{OK: true})
+		reply(w, adminResp{OK: true})
 	case "drop":
 		// Fencing entry point, Adopt's inverse: this shard no longer owns
 		// the experiment ("" = owns nothing), so stop scheduling it and
@@ -760,17 +770,17 @@ func (s *Server) handleAdmin(w http.ResponseWriter, r *http.Request) {
 		// first (no new submissions), then flush its queued jobs; a stale
 		// pause must not survive into a later re-adoption.
 		if cp == nil {
-			s.reject(w, http.StatusBadRequest, "no control plane attached")
+			reject(w, http.StatusBadRequest, "no control plane attached")
 			return
 		}
 		if err := cp.Drop(req.Experiment); err != nil {
-			s.reject(w, http.StatusBadRequest, err.Error())
+			reject(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		s.ResumeExperiment(req.Experiment)
 		n := s.CancelPending(req.Experiment)
-		s.reply(w, adminResp{OK: true, Canceled: n})
+		reply(w, adminResp{OK: true, Canceled: n})
 	default:
-		s.reject(w, http.StatusNotFound, fmt.Sprintf("unknown admin command %q", cmd))
+		reject(w, http.StatusNotFound, fmt.Sprintf("unknown admin command %q", cmd))
 	}
 }

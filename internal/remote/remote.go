@@ -744,31 +744,33 @@ type heartbeatResp struct {
 
 // --- HTTP handlers ---
 
-// decode parses a request body, enforcing method, version and token.
-// It writes the error response itself and returns false on rejection.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, version *int, token *string, v interface{}) bool {
+// decodePost parses a POST body into v and enforces the wire version,
+// which version points at inside v. It writes the error response itself
+// and returns false on rejection.
+func decodePost(w http.ResponseWriter, r *http.Request, version *int, v interface{}) bool {
 	if r.Method != http.MethodPost {
-		s.reject(w, http.StatusMethodNotAllowed, "POST only")
+		reject(w, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		s.reject(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		reject(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return false
 	}
-	return s.check(w, *version, *token)
+	if *version != ProtocolVersion {
+		reject(w, http.StatusBadRequest,
+			fmt.Sprintf("protocol version %d not supported (server speaks %d)", *version, ProtocolVersion))
+		return false
+	}
+	return true
 }
 
-// check enforces the wire version and worker token of an already-decoded
-// request. It writes the error response itself and returns false on
-// rejection.
-func (s *Server) check(w http.ResponseWriter, version int, token string) bool {
-	if version != ProtocolVersion {
-		s.reject(w, http.StatusBadRequest,
-			fmt.Sprintf("protocol version %d not supported (server speaks %d)", version, ProtocolVersion))
+// decode is decodePost plus the worker token check.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, version *int, token *string, v interface{}) bool {
+	if !decodePost(w, r, version, v) {
 		return false
 	}
-	if _, _, ok := s.tokenScope(token); !ok {
-		s.reject(w, http.StatusUnauthorized, "bad or missing worker token")
+	if _, _, ok := s.tokenScope(*token); !ok {
+		reject(w, http.StatusUnauthorized, "bad or missing worker token")
 		return false
 	}
 	return true
@@ -808,13 +810,13 @@ func (s *Server) scopeOK(workerID, tenant string, scoped bool) bool {
 	return wi.scoped == scoped && wi.tenant == tenant
 }
 
-func (s *Server) reject(w http.ResponseWriter, status int, msg string) {
+func reject(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(wireError{Error: msg})
 }
 
-func (s *Server) reply(w http.ResponseWriter, v interface{}) {
+func reply(w http.ResponseWriter, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
 }
@@ -830,7 +832,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		// another tenant's experiments would otherwise just starve.
 		for _, e := range req.Experiments {
 			if TenantOf(e) != tenant {
-				s.reject(w, http.StatusForbidden,
+				reject(w, http.StatusForbidden,
 					fmt.Sprintf("experiment %q is outside tenant %q", e, tenant))
 				return
 			}
@@ -842,7 +844,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	s.workers[id] = workerInfo{name: req.Name, tenant: tenant, scoped: scoped}
 	s.mu.Unlock()
 	s.registered.Add(1)
-	s.reply(w, registerResp{
+	reply(w, registerResp{
 		Version:        ProtocolVersion,
 		WorkerID:       id,
 		LeaseTTLMillis: s.opts.LeaseTTL.Milliseconds(),
@@ -858,7 +860,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if tenant, scoped, _ := s.tokenScope(req.Token); !s.scopeOK(req.WorkerID, tenant, scoped) {
-		s.reject(w, http.StatusUnauthorized, "token scope does not match worker registration")
+		reject(w, http.StatusUnauthorized, "token scope does not match worker registration")
 		return
 	}
 	wait := time.Duration(req.WaitMillis) * time.Millisecond
@@ -880,10 +882,10 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			// Draining reads as "the run is over" to this worker: it
 			// exits cleanly while queued jobs stay queued for whichever
 			// workers join after the drain is lifted.
-			s.reply(w, LeaseBatch{Version: ProtocolVersion, Done: true})
+			reply(w, LeaseBatch{Version: ProtocolVersion, Done: true})
 			return
 		case grantGone:
-			s.reject(w, http.StatusGone, "unknown worker; register again")
+			reject(w, http.StatusGone, "unknown worker; register again")
 			return
 		}
 		if len(tasks) > 0 {
@@ -892,12 +894,12 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			for i, t := range tasks {
 				grants[i] = t.grant()
 			}
-			s.reply(w, LeaseBatch{Version: ProtocolVersion, Grants: grants})
+			reply(w, LeaseBatch{Version: ProtocolVersion, Grants: grants})
 			return
 		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			s.reply(w, LeaseBatch{Version: ProtocolVersion})
+			reply(w, LeaseBatch{Version: ProtocolVersion})
 			return
 		}
 		timer := time.NewTimer(remaining)
@@ -1062,11 +1064,11 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := rb.validate(); err != nil {
-		s.reject(w, http.StatusBadRequest, err.Error())
+		reject(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if tenant, scoped, _ := s.tokenScope(rb.Token); !s.scopeOK(rb.WorkerID, tenant, scoped) {
-		s.reject(w, http.StatusUnauthorized, "token scope does not match worker registration")
+		reject(w, http.StatusUnauthorized, "token scope does not match worker registration")
 		return
 	}
 	accepted := make([]bool, len(rb.Reports))
@@ -1101,7 +1103,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.observeSettle(t, rb.Reports[i].Timing, &out)
 		t.finish(out)
 	}
-	s.reply(w, ReportBatchResult{Version: ProtocolVersion, Accepted: accepted})
+	reply(w, ReportBatchResult{Version: ProtocolVersion, Accepted: accepted})
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -1110,13 +1112,13 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if tenant, scoped, _ := s.tokenScope(req.Token); !s.scopeOK(req.WorkerID, tenant, scoped) {
-		s.reject(w, http.StatusUnauthorized, "token scope does not match worker registration")
+		reject(w, http.StatusUnauthorized, "token scope does not match worker registration")
 		return
 	}
 	s.observeHeartbeatRTT(req.RttUs)
 	resp := heartbeatResp{Version: ProtocolVersion}
 	resp.Expired = s.extendLeases(req.WorkerID, req.Leases)
-	s.reply(w, resp)
+	reply(w, resp)
 }
 
 // takeLease is the lease-settle core shared by both report paths

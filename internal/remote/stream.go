@@ -82,7 +82,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if tenant, scoped, _ := s.tokenScope(req.Token); !s.scopeOK(req.WorkerID, tenant, scoped) {
-		s.reject(w, http.StatusUnauthorized, "token scope does not match worker registration")
+		reject(w, http.StatusUnauthorized, "token scope does not match worker registration")
 		return
 	}
 	s.mu.Lock()
@@ -90,23 +90,23 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// The run is over (or draining for scale-down): answer in JSON
 		// instead of upgrading, exactly as a lease poll would.
 		s.mu.Unlock()
-		s.reply(w, LeaseBatch{Version: ProtocolVersion, Done: true})
+		reply(w, LeaseBatch{Version: ProtocolVersion, Done: true})
 		return
 	}
 	_, known := s.workers[req.WorkerID]
 	s.mu.Unlock()
 	if !known {
-		s.reject(w, http.StatusGone, "unknown worker; register again")
+		reject(w, http.StatusGone, "unknown worker; register again")
 		return
 	}
 	hj, ok := w.(http.Hijacker)
 	if !ok {
-		s.reject(w, http.StatusInternalServerError, "connection cannot be hijacked")
+		reject(w, http.StatusInternalServerError, "connection cannot be hijacked")
 		return
 	}
 	conn, rw, err := hj.Hijack()
 	if err != nil {
-		s.reject(w, http.StatusInternalServerError, fmt.Sprintf("hijack: %v", err))
+		reject(w, http.StatusInternalServerError, fmt.Sprintf("hijack: %v", err))
 		return
 	}
 	_ = conn.SetDeadline(time.Time{}) // the stream outlives any HTTP deadline

@@ -70,10 +70,12 @@ func Quantile(xs []float64, q float64) float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
+	return QuantileSorted(sorted, q)
 }
 
-func quantileSorted(sorted []float64, q float64) float64 {
+// QuantileSorted is Quantile for input already in ascending order; sorted
+// must be non-empty.
+func QuantileSorted(sorted []float64, q float64) float64 {
 	if q <= 0 {
 		return sorted[0]
 	}
@@ -113,9 +115,9 @@ func Summarize(xs []float64) Summary {
 		Mean: Mean(xs),
 		SD:   StdDev(xs),
 		Min:  sorted[0],
-		Q25:  quantileSorted(sorted, 0.25),
-		Med:  quantileSorted(sorted, 0.5),
-		Q75:  quantileSorted(sorted, 0.75),
+		Q25:  QuantileSorted(sorted, 0.25),
+		Med:  QuantileSorted(sorted, 0.5),
+		Q75:  QuantileSorted(sorted, 0.75),
 		Max:  sorted[len(sorted)-1],
 	}
 }

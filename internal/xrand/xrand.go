@@ -184,6 +184,3 @@ func (r *RNG) Exponential(mean float64) float64 {
 
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
