@@ -10,6 +10,7 @@ package asha
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -127,16 +128,26 @@ func insertSorted(xs []int, v int) []int {
 
 // remoteParityObjective is deterministic, depends only on its inputs,
 // and keeps JSON-friendly state (the current loss as a float64), so it
-// produces bit-identical losses whether it runs in-process or on the
-// other side of a JSON-over-HTTP round trip.
-func remoteParityObjective(_ context.Context, cfg Config, from, to float64, state interface{}) (float64, interface{}, error) {
+// produces bit-identical losses whether it runs in-process, in a worker
+// process or on the other side of a lease. The loss it reports also
+// carries what the objective boundary handed it beyond the two values
+// the curve uses — the trial ID in ctx, how many keys cfg holds, the
+// third parameter — so an executor slot that hands over a stale ID, a
+// stale key or a wrong value diverges from the others in the recorded
+// sequence.
+func remoteParityObjective(ctx context.Context, cfg Config, from, to float64, state interface{}) (float64, interface{}, error) {
+	id, ok := TrialIDFromContext(ctx)
+	if !ok {
+		return 0, nil, errors.New("the objective's context carries no trial ID")
+	}
 	loss := 3.0
 	if s, ok := state.(float64); ok {
 		loss = s
 	}
 	floor := 0.05 + 0.3*math.Abs(math.Log10(cfg["lr"])+2) + 0.2*math.Abs(cfg["momentum"]-0.7)
 	loss = floor + (loss-floor)*math.Exp(-0.1*(to-from))
-	return loss, loss, nil
+	seen := float64(id) + 1e3*float64(len(cfg)) + cfg["width"]
+	return loss + 1e-9*seen, loss, nil
 }
 
 // runRecordedRemoteParity runs one single-worker ASHA run on the given
@@ -166,14 +177,44 @@ func runRecordedRemoteParity(t *testing.T, b Backend, obj Objective, maxJobs int
 	return seq, res
 }
 
+// sameRun fails the test unless the named backend's run made the
+// goroutine pool's decisions: the same jobs with the same losses in the
+// same order, the same incumbent, the same accounting.
+func sameRun(t *testing.T, name string, seq, gorSeq []jobRecord, res, gorRes *Result) {
+	t.Helper()
+	if len(seq) != len(gorSeq) {
+		t.Fatalf("backends completed different job counts: %s %d vs goroutine %d", name, len(seq), len(gorSeq))
+	}
+	for i := range seq {
+		if seq[i] != gorSeq[i] {
+			t.Fatalf("job %d diverged:\n  %s %+v\n  goroutine %+v", i, name, seq[i], gorSeq[i])
+		}
+	}
+	if res.BestLoss != gorRes.BestLoss {
+		t.Fatalf("incumbents diverged: %s %v vs goroutine %v", name, res.BestLoss, gorRes.BestLoss)
+	}
+	if res.Trials != gorRes.Trials || res.TotalResource != gorRes.TotalResource {
+		t.Fatalf("accounting diverged: %s (%d, %v) vs goroutine (%d, %v)",
+			name, res.Trials, res.TotalResource, gorRes.Trials, gorRes.TotalResource)
+	}
+}
+
 // TestRemoteBackendParityPromotionDecisions extends the backend-parity
-// guard to the distributed path: the same ASHA configuration and seed
-// must make bit-identical promotion decisions whether jobs run on an
-// in-process goroutine pool or travel to a worker over loopback HTTP —
-// leases, JSON checkpoints and all.
+// guard to the two paths that leave the process: the same ASHA
+// configuration and seed must make bit-identical promotion decisions
+// whether jobs run on an in-process goroutine pool, in a worker process
+// over the JSON line protocol, or travel to a worker over loopback HTTP
+// — leases, JSON checkpoints and all. Each of the three fills the
+// objective's context and config from a reused per-slot scratch, and
+// remoteParityObjective reports what it was handed.
 func TestRemoteBackendParityPromotionDecisions(t *testing.T) {
 	const maxJobs = 200
 	gorSeq, gorRes := runRecordedRemoteParity(t, GoroutinePool{}, remoteParityObjective, maxJobs)
+
+	sub := workerBackend(t).(Subprocess)
+	sub.Env = []string{"ASHA_TEST_WORKER=parity"}
+	subSeq, subRes := runRecordedRemoteParity(t, sub, nil, maxJobs)
+	sameRun(t, "subprocess", subSeq, gorSeq, subRes, gorRes)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -186,22 +227,7 @@ func TestRemoteBackendParityPromotionDecisions(t *testing.T) {
 		}()
 	}}
 	remSeq, remRes := runRecordedRemoteParity(t, rem, nil, maxJobs)
-
-	if len(remSeq) != len(gorSeq) {
-		t.Fatalf("backends completed different job counts: remote %d vs goroutine %d", len(remSeq), len(gorSeq))
-	}
-	for i := range remSeq {
-		if remSeq[i] != gorSeq[i] {
-			t.Fatalf("job %d diverged:\n  remote    %+v\n  goroutine %+v", i, remSeq[i], gorSeq[i])
-		}
-	}
-	if remRes.BestLoss != gorRes.BestLoss {
-		t.Fatalf("incumbents diverged: remote %v vs goroutine %v", remRes.BestLoss, gorRes.BestLoss)
-	}
-	if remRes.Trials != gorRes.Trials || remRes.TotalResource != gorRes.TotalResource {
-		t.Fatalf("accounting diverged: remote (%d, %v) vs goroutine (%d, %v)",
-			remRes.Trials, remRes.TotalResource, gorRes.Trials, gorRes.TotalResource)
-	}
+	sameRun(t, "remote", remSeq, gorSeq, remRes, gorRes)
 	if err := <-agentErr; err != nil {
 		t.Fatalf("worker agent: %v", err)
 	}
@@ -237,21 +263,7 @@ func TestBatchedRemoteBackendParityPromotionDecisions(t *testing.T) {
 	}
 	remSeq, remRes := runRecordedRemoteParity(t, rem, nil, maxJobs)
 
-	if len(remSeq) != len(gorSeq) {
-		t.Fatalf("backends completed different job counts: batched remote %d vs goroutine %d", len(remSeq), len(gorSeq))
-	}
-	for i := range remSeq {
-		if remSeq[i] != gorSeq[i] {
-			t.Fatalf("job %d diverged:\n  batched remote %+v\n  goroutine      %+v", i, remSeq[i], gorSeq[i])
-		}
-	}
-	if remRes.BestLoss != gorRes.BestLoss {
-		t.Fatalf("incumbents diverged: batched remote %v vs goroutine %v", remRes.BestLoss, gorRes.BestLoss)
-	}
-	if remRes.Trials != gorRes.Trials || remRes.TotalResource != gorRes.TotalResource {
-		t.Fatalf("accounting diverged: batched remote (%d, %v) vs goroutine (%d, %v)",
-			remRes.Trials, remRes.TotalResource, gorRes.Trials, gorRes.TotalResource)
-	}
+	sameRun(t, "batched remote", remSeq, gorSeq, remRes, gorRes)
 	if err := <-agentErr; err != nil {
 		t.Fatalf("worker agent: %v", err)
 	}
@@ -420,7 +432,7 @@ func TestBenchmarkObjectiveInheritClones(t *testing.T) {
 	bench := workload.CudaConvnet()
 	obj := BenchmarkObjective(bench)
 	cfg := bench.Space().Sample(xrand.New(99)).Map()
-	ctx1 := exec.WithTrialID(context.Background(), 1)
+	ctx1 := new(exec.Slot).Context(context.Background(), 1)
 	_, state1, err := obj(ctx1, cfg, 0, 100, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +442,7 @@ func TestBenchmarkObjectiveInheritClones(t *testing.T) {
 
 	// Trial 2 inherits trial 1's state (PBT exploit): must get its own
 	// trial object at the donor's training position.
-	ctx2 := exec.WithTrialID(context.Background(), 2)
+	ctx2 := new(exec.Slot).Context(context.Background(), 2)
 	_, state2, err := obj(ctx2, cfg, 100, 200, state1)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ package exec
 // input (see the fuzzers in internal/remote).
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/wire"
@@ -86,46 +85,6 @@ func DecodeBinRequest(r *WireReader) BinRequest {
 	q.Vec = r.Float64s()
 	q.State = r.Bytes()
 	return q
-}
-
-// Request converts the dense form to the name-keyed Request RunJob
-// executes, resolving the vector against the agreed parameter table.
-// The checkpoint bytes are copied (the wire buffer is reused).
-func (q BinRequest) Request(names []string) (Request, error) {
-	req, err := q.RequestShared(names)
-	if err == nil && len(req.State) > 0 {
-		req.State = append([]byte(nil), req.State...)
-	}
-	return req, err
-}
-
-// RequestShared is Request without the defensive checkpoint copy: the
-// returned State aliases q.State. For callers that hand the decode
-// buffer's ownership to the requests instead of reusing it — a batch
-// decoder then pays one buffer per frame instead of one checkpoint
-// copy per job.
-func (q BinRequest) RequestShared(names []string) (Request, error) {
-	if len(q.Vec) != len(names) {
-		return Request{}, fmt.Errorf("exec: binary job carries %d config values for a %d-parameter table", len(q.Vec), len(names))
-	}
-	req := Request{
-		Version: WireVersion,
-		ID:      int(q.ID),
-		Trial:   q.Trial,
-		From:    q.From,
-		To:      q.To,
-		State:   q.State,
-	}
-	if len(names) > 0 {
-		req.Config = make(map[string]float64, len(names))
-		for i, n := range names {
-			req.Config[n] = q.Vec[i]
-		}
-	}
-	if len(req.State) == 0 {
-		req.State = nil
-	}
-	return req, nil
 }
 
 // BinResponse is the dense form of Response. Exactly one of the loss

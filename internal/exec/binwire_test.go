@@ -9,8 +9,8 @@ import (
 )
 
 // TestBinRequestRoundTrip pins the dense job encoding: every field
-// survives, the vector resolves against the name table into the same
-// Request the JSON wire would carry, and NaN/Inf losses round-trip
+// survives, the vector resolves against the name table into the config
+// the JSON wire would carry, and NaN/Inf losses round-trip
 // bit-exactly (the varint+IEEE encoding never perturbs a value the way
 // a decimal representation could).
 func TestBinRequestRoundTrip(t *testing.T) {
@@ -33,24 +33,9 @@ func TestBinRequestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(q, back) {
 		t.Fatalf("round trip changed the request:\n %+v\n %+v", q, back)
 	}
-	req, err := back.Request(names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Request{
-		Version: WireVersion, ID: int(q.ID), Trial: q.Trial, From: q.From, To: q.To,
-		Config: map[string]float64{"lr": 1e-3, "momentum": 0.9, "width": 256},
-		State:  append([]byte(nil), q.State...),
-	}
-	if !reflect.DeepEqual(req, want) {
-		t.Fatalf("vector resolved wrong:\n %+v\n %+v", req, want)
-	}
-	// The resolved checkpoint must be a copy: the wire buffer is reused.
-	if &req.State[0] == &back.State[0] {
-		t.Fatal("resolved request aliases the wire buffer's checkpoint")
-	}
-	if _, err := back.Request(names[:2]); err == nil {
-		t.Fatal("a 3-value vector resolved against a 2-parameter table")
+	cfg := new(Slot).Config(names, back.Vec)
+	if want := map[string]float64{"lr": 1e-3, "momentum": 0.9, "width": 256}; !reflect.DeepEqual(cfg, want) {
+		t.Fatalf("vector resolved wrong:\n %+v\n %+v", cfg, want)
 	}
 }
 

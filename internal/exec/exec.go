@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,19 +27,19 @@ import (
 // loss at `to` plus the state to resume from later. Implementations must
 // be safe for concurrent invocation on distinct trials.
 //
-// Objectives receive the name-keyed map view of the configuration: the
-// scheduler hot path runs on dense vectors, and the map copy is made
-// once per training job at this boundary, where the training itself
-// dominates by orders of magnitude.
+// Objectives receive the name-keyed map view of the configuration (the
+// scheduler hot path runs on dense vectors). cfg and ctx are valid until
+// the objective returns; copy what you keep: every executor fills one
+// map and one context per worker slot (Slot) and overwrites them for the
+// slot's next job.
 type Objective func(ctx context.Context, cfg map[string]float64, from, to float64, state interface{}) (loss float64, newState interface{}, err error)
 
 // trialIDKey carries the job's trial ID into objective invocations.
 type trialIDKey struct{}
 
-// trialCtx carries the trial ID as a concrete context wrapper: one
-// allocation instead of context.WithValue's value context plus boxed
-// int — WithTrialID sits on the per-job hot path of every execution
-// backend.
+// trialCtx carries the trial ID as a concrete context wrapper, so a
+// Slot can hold one by value and overwrite it per job where
+// context.WithValue would allocate a value context and a boxed int.
 type trialCtx struct {
 	context.Context
 	id int
@@ -51,10 +52,43 @@ func (c *trialCtx) Value(key interface{}) interface{} {
 	return c.Context.Value(key)
 }
 
-// WithTrialID returns a context carrying the trial ID, as the pool and
-// subprocess backends install before each objective call.
-func WithTrialID(ctx context.Context, id int) context.Context {
-	return &trialCtx{Context: ctx, id: id}
+// Slot is the scratch one executor slot — an agent slot, a pool worker
+// goroutine, a Serve loop — reuses for every job it runs: the trial
+// context and the name-keyed config map handed to the objective. A job
+// then brings the worker no heap object of its own. A slot runs one job
+// at a time; what it hands out is valid until that objective returns
+// (see Objective).
+type Slot struct {
+	ctx   trialCtx
+	cfg   map[string]float64
+	names []string // the keys cfg holds, in the order they were filled
+}
+
+// Context returns the slot's context, now a child of parent carrying
+// the trial ID.
+func (s *Slot) Context(parent context.Context, trial int) context.Context {
+	s.ctx.Context, s.ctx.id = parent, trial
+	return &s.ctx
+}
+
+// Config returns the slot's map holding exactly names[i]: vec[i]. While
+// consecutive jobs name the same parameters only the values are
+// overwritten; any other table clears the map first, so no key of the
+// previous job's experiment is visible to this one. Names are compared
+// by content: experiments interleaving on one slot each bring their own
+// slice of, usually, the same names.
+func (s *Slot) Config(names []string, vec []float64) map[string]float64 {
+	if s.cfg == nil {
+		s.cfg = make(map[string]float64, len(names))
+	}
+	if !slices.Equal(s.names, names) {
+		clear(s.cfg)
+		s.names = append(s.names[:0], names...)
+	}
+	for i, n := range names {
+		s.cfg[n] = vec[i]
+	}
+	return s.cfg
 }
 
 // TrialIDFromContext extracts the trial ID installed by the executing
@@ -230,14 +264,16 @@ func (p *Pool) Lane(id int, obj Objective) *Pool {
 }
 
 func (s *poolShared) workerLoop() {
+	var slot Slot
 	for task := range s.tasks {
 		if s.stopped.Load() {
 			continue // drain queued tasks without running them
 		}
-		ctx := WithTrialID(s.ctx, task.job.TrialID)
-		// The name-keyed copy is made on the worker goroutine, keeping
+		// The name-keyed view is filled on the worker goroutine, keeping
 		// the engine goroutine's dispatch path allocation-free.
-		loss, newState, err := task.lane.obj(ctx, task.job.Config.Map(), task.from, task.to, task.state)
+		cfg := task.job.Config
+		loss, newState, err := task.lane.obj(slot.Context(s.ctx, task.job.TrialID),
+			slot.Config(cfg.Names(), cfg.Values()), task.from, task.to, task.state)
 		s.results <- poolResult{lane: task.lane, job: task.job, loss: loss, state: newState, err: err}
 	}
 }

@@ -67,15 +67,18 @@ type Response struct {
 	Error string `json:"error,omitempty"`
 }
 
-// RunJob executes one wire request against obj and builds its response:
-// decode the checkpoint state, invoke the objective (with the trial ID
-// installed in the context), re-encode the new state. Protocol-level
-// failures — a wire-version mismatch or undecodable state — are
-// returned as errors, and the transport decides what they mean (the
-// subprocess worker exits, so the parent sees a crash and retries; the
-// remote agent reports them as fatal job errors). Objective errors
-// travel inside the Response.
-func RunJob(ctx context.Context, obj Objective, req Request) (Response, error) {
+// RunJob executes one wire request against obj on the slot and builds
+// its response: decode the checkpoint state, invoke the objective (under
+// the slot's context, with the trial ID installed), re-encode the new
+// state. A float checkpoint — the common shape — is appended to ckpt, so
+// the response's State aliases the caller's buffer when it fits there;
+// the caller keeps the buffer untouched for as long as it keeps the
+// response. Protocol-level failures — a wire-version mismatch or
+// undecodable state — are returned as errors, and the transport decides
+// what they mean (the subprocess worker exits, so the parent sees a
+// crash and retries; the remote agent reports them as fatal job
+// errors). Objective errors travel inside the Response.
+func (s *Slot) RunJob(ctx context.Context, obj Objective, req Request, ckpt []byte) (Response, error) {
 	if req.Version != WireVersion {
 		return Response{}, fmt.Errorf("exec: peer speaks wire version %d, worker speaks %d", req.Version, WireVersion)
 	}
@@ -83,12 +86,18 @@ func RunJob(ctx context.Context, obj Objective, req Request) (Response, error) {
 	if len(req.State) > 0 {
 		if f, ok := parseNumberState(req.State); ok {
 			state = f
-		} else if err := json.Unmarshal(req.State, &state); err != nil {
-			return Response{}, fmt.Errorf("exec: worker failed to decode state: %w", err)
+		} else {
+			// Decoded into a branch-local: json.Unmarshal moves its target
+			// to the heap, and the number path above must not pay for that.
+			var decoded interface{}
+			if err := json.Unmarshal(req.State, &decoded); err != nil {
+				return Response{}, fmt.Errorf("exec: worker failed to decode state: %w", err)
+			}
+			state = decoded
 		}
 	}
 	resp := Response{Version: WireVersion, ID: req.ID}
-	loss, newState, err := obj(WithTrialID(ctx, req.Trial), req.Config, req.From, req.To, state)
+	loss, newState, err := obj(s.Context(ctx, req.Trial), req.Config, req.From, req.To, state)
 	if err != nil {
 		resp.Error = err.Error()
 		return resp, nil
@@ -96,7 +105,7 @@ func RunJob(ctx context.Context, obj Objective, req Request) (Response, error) {
 	resp.Loss = loss
 	if newState != nil {
 		if f, ok := newState.(float64); ok && !math.IsNaN(f) && !math.IsInf(f, 0) {
-			resp.State = appendJSONFloat(make([]byte, 0, 24), f)
+			resp.State = appendJSONFloat(ckpt[:0], f)
 		} else if raw, merr := json.Marshal(newState); merr != nil {
 			resp.Error = fmt.Sprintf("state not JSON-serializable: %v", merr)
 		} else {
@@ -159,6 +168,10 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 func Serve(ctx context.Context, r io.Reader, w io.Writer, obj Objective) error {
 	dec := json.NewDecoder(bufio.NewReader(r))
 	enc := json.NewEncoder(w)
+	// One job at a time, each response encoded before the next request
+	// is read: one slot and one checkpoint buffer serve the whole loop.
+	var slot Slot
+	ckpt := make([]byte, 0, 24)
 	for {
 		var req Request
 		if err := dec.Decode(&req); err != nil {
@@ -167,7 +180,7 @@ func Serve(ctx context.Context, r io.Reader, w io.Writer, obj Objective) error {
 			}
 			return fmt.Errorf("exec: worker failed to decode request: %w", err)
 		}
-		resp, err := RunJob(ctx, obj, req)
+		resp, err := slot.RunJob(ctx, obj, req, ckpt)
 		if err != nil {
 			// Answer with the worker's own version before exiting, so a
 			// version-skewed parent sees a deterministic protocol error

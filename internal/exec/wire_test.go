@@ -62,9 +62,9 @@ func TestWireVersionRoundTrips(t *testing.T) {
 	if !strings.Contains(string(blob), `"v":1`) {
 		t.Fatalf(`wire request lost the "v" version field: %s`, blob)
 	}
-	resp, err := RunJob(context.Background(), func(context.Context, map[string]float64, float64, float64, interface{}) (float64, interface{}, error) {
+	resp, err := new(Slot).RunJob(context.Background(), func(context.Context, map[string]float64, float64, float64, interface{}) (float64, interface{}, error) {
 		return 0.5, nil, nil
-	}, Request{Version: WireVersion, ID: 1})
+	}, Request{Version: WireVersion, ID: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestWireVersionMismatchRejected(t *testing.T) {
 		called = true
 		return 0, nil, nil
 	}
-	if _, err := RunJob(context.Background(), obj, Request{Version: WireVersion + 1, ID: 1}); err == nil {
+	if _, err := new(Slot).RunJob(context.Background(), obj, Request{Version: WireVersion + 1, ID: 1}, nil); err == nil {
 		t.Fatal("RunJob accepted a mismatched wire version")
 	}
 	var in, out bytes.Buffer

@@ -75,32 +75,38 @@ type AgentOptions struct {
 // "held[id] == h" would without the probe. Records are cut one slice
 // per grants frame and never reused: markExpired, the heartbeat and the
 // pipeline stages hold a *heldLease across lock drops (one live lease
-// keeps its frame's slice, 16 bytes a grant, reachable).
+// keeps its frame's slice, its config slab and its frame buffer
+// reachable).
+//
+// The four flags are guarded by a.mu. The rest is the job and then its
+// result, each written by one stage before it sends the pointer on
+// (reader and fetcher → a.jobs → slot → a.reports → reporter), so the
+// channels order every access.
 type heldLease struct {
 	cancel  context.CancelFunc
 	expired bool // the lease is gone (server said so, or it predates a re-registration)
 	done    bool // completed, sitting in the report buffer
 	gone    bool // no longer this ID's entry in held: its accounting is settled
-}
 
-// queuedGrant is one leased job in the local prefetch queue.
-type queuedGrant struct {
-	grant LeaseGrant
-	h     *heldLease
-	// recv is the local monotonic receive time of the grant; the dwell
-	// stage (queue wait inside this worker) is measured against it.
+	// job is the grant as the stream carried it (job.ID is the lease ID,
+	// job.Vec a cut of the frame's float slab, job.State a cut of the
+	// frame buffer) and table the experiment and parameter names its
+	// vector aligns with: the name-keyed config is resolved only when a
+	// slot runs the job, into the slot's own map.
+	job   exec.BinRequest
+	table *clientTable
+	// recv is the local monotonic receive time of the grant; every stage
+	// duration is measured from it.
 	recv time.Time
-}
 
-// pendingReport is one completed response awaiting a report flush.
-// dwell and exec are the worker-measured stage durations (monotonic
-// deltas); doneAt anchors the report-buffer dwell, closed at flush.
-type pendingReport struct {
-	entry  ReportEntry
-	h      *heldLease
-	dwell  time.Duration
-	exec   time.Duration
-	doneAt time.Time
+	// resp is the completed response awaiting a report flush; dwell
+	// (queue wait inside this worker) and exec are its worker-measured
+	// stage durations, so the job was done at recv+dwell+exec. ckpt
+	// backs resp.State when the checkpoint is a float.
+	resp  exec.Response
+	dwell time.Duration
+	exec  time.Duration
+	ckpt  [24]byte
 }
 
 // agent is one connected worker running the prefetch pipeline: a
@@ -138,9 +144,9 @@ type agent struct {
 	// unwinds instead of waiting out the partition-tolerance window.
 	runOver atomic.Bool
 
-	jobs    chan queuedGrant   // fetcher -> slots (buffered to Slots+Prefetch)
-	reports chan pendingReport // slots -> reporter
-	kick    chan struct{}      // wakes the fetcher when lease capacity frees
+	jobs    chan *heldLease // fetcher -> slots (buffered to Slots+Prefetch)
+	reports chan *heldLease // slots -> reporter
+	kick    chan struct{}   // wakes the fetcher when lease capacity frees
 
 	// bsMu guards bs, the live binary stream (nil before the first dial
 	// and after a stream dies). The fetcher owns dialing and leaseSeq;
@@ -206,8 +212,8 @@ func ServeAgent(ctx context.Context, o AgentOptions) error {
 	// these buffers make every pipeline send non-blocking in the steady
 	// state (the reports buffer adds slack for a flush mid-retry).
 	capacity := a.o.Slots + a.prefetch
-	a.jobs = make(chan queuedGrant, capacity)
-	a.reports = make(chan pendingReport, capacity+a.batch)
+	a.jobs = make(chan *heldLease, capacity)
+	a.reports = make(chan *heldLease, capacity+a.batch)
 
 	hbStop := make(chan struct{})
 	hbDone := make(chan struct{})
@@ -481,7 +487,7 @@ func (a *agent) fetchLoop(ctx context.Context) error {
 	// grants built under one lock hold (per-grant lock round trips were
 	// a measurable share of the steady-state pipeline at fleet batch
 	// sizes).
-	var accepted []queuedGrant
+	var accepted []*heldLease
 	for ctx.Err() == nil && !a.runOver.Load() {
 		free := capacity - a.activeLeases()
 		if free < threshold {
@@ -496,8 +502,7 @@ func (a *agent) fetchLoop(ctx context.Context) error {
 			max = a.batch
 		}
 		wid := a.workerID()
-		var lb LeaseBatch
-		status, err := a.binPoll(ctx, wid, max, &lb)
+		sb, status, err := a.binPoll(ctx, wid, max)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
@@ -553,26 +558,24 @@ func (a *agent) fetchLoop(ctx context.Context) error {
 		}
 		failingSince = time.Time{}
 		refusals = 0
-		if lb.Done {
+		if sb.done {
 			a.runOver.Store(true)
 			return nil
 		}
 		accepted = accepted[:0]
 		var dedup leaseDedup
-		// The frame's lease records, one allocation (see heldLease).
-		records := make([]heldLease, len(lb.Grants))
 		recv := time.Now()
 		a.mu.Lock()
-		for i := range lb.Grants {
-			g := &lb.Grants[i]
-			if dedup.repeats(g.LeaseID, len(accepted), func(i int) uint64 { return accepted[i].grant.LeaseID }) {
+		for i := range sb.leases {
+			h := &sb.leases[i]
+			id := h.job.ID
+			if dedup.repeats(id, len(accepted), func(i int) uint64 { return accepted[i].job.ID }) {
 				// A healthy server never grants one lease twice in a
 				// reply (the strict decoder contract); drop the duplicate
 				// rather than run the job twice.
 				continue
 			}
-			h := &records[i]
-			if old := a.held[g.LeaseID]; old != nil {
+			if old := a.held[id]; old != nil {
 				// A stale entry under the same number (a pre-restart
 				// lease): settle its accounting now — its queued job or
 				// buffered report will be dropped on its gone flag.
@@ -585,14 +588,15 @@ func (a *agent) fetchLoop(ctx context.Context) error {
 					a.active--
 				}
 			}
-			a.held[g.LeaseID] = h
+			h.recv = recv
+			a.held[id] = h
 			a.active++
-			accepted = append(accepted, queuedGrant{grant: *g, h: h, recv: recv})
+			accepted = append(accepted, h)
 		}
 		a.mu.Unlock()
-		for _, q := range accepted {
+		for _, h := range accepted {
 			select {
-			case a.jobs <- q:
+			case a.jobs <- h:
 			case <-ctx.Done():
 				return nil
 			}
@@ -602,11 +606,11 @@ func (a *agent) fetchLoop(ctx context.Context) error {
 }
 
 // binPoll answers one lease poll over the binary stream, dialing (or
-// redialing) it first when none is live: grants or Done fill lb, a
-// refused handshake surfaces its HTTP status (410 makes the caller
-// re-register), transport failures return a plain error the caller
-// backs off on.
-func (a *agent) binPoll(ctx context.Context, wid string, max int, lb *LeaseBatch) (int, error) {
+// redialing) it first when none is live: the batch carries the grants'
+// records or done, a refused handshake surfaces its HTTP status (410
+// makes the caller re-register), transport failures return a plain
+// error the caller backs off on.
+func (a *agent) binPoll(ctx context.Context, wid string, max int) (streamBatch, int, error) {
 	bs := a.curStream()
 	if bs == nil {
 		var done bool
@@ -614,11 +618,10 @@ func (a *agent) binPoll(ctx context.Context, wid string, max int, lb *LeaseBatch
 		var err error
 		bs, done, status, err = a.dialStream(ctx, wid)
 		if err != nil {
-			return status, err
+			return streamBatch{}, status, err
 		}
 		if done {
-			lb.Done = true
-			return http.StatusOK, nil
+			return streamBatch{done: true}, http.StatusOK, nil
 		}
 		a.setStream(bs)
 	}
@@ -628,33 +631,28 @@ func (a *agent) binPoll(ctx context.Context, wid string, max int, lb *LeaseBatch
 	if !bs.send(func(dst []byte) []byte {
 		return appendLeaseReq(dst, binLeaseReq{Seq: seq, Max: max, WaitMillis: 15000, Experiments: exps})
 	}) {
-		return 0, fmt.Errorf("remote: binary stream write failed")
+		return streamBatch{}, 0, fmt.Errorf("remote: binary stream write failed")
 	}
 	timer := time.NewTimer(25 * time.Second)
 	defer timer.Stop()
 	select {
 	case sb := <-bs.grants:
-		if sb.done {
-			// Done is honored whatever its sequence: the server's
-			// shutdown notice is unsolicited (seq 0).
-			lb.Done = true
-			return http.StatusOK, nil
-		}
-		if sb.seq != seq {
+		// Done is honored whatever its sequence: the server's shutdown
+		// notice is unsolicited (seq 0).
+		if !sb.done && sb.seq != seq {
 			bs.close()
-			return 0, fmt.Errorf("remote: binary grants answered seq %d, want %d", sb.seq, seq)
+			return streamBatch{}, 0, fmt.Errorf("remote: binary grants answered seq %d, want %d", sb.seq, seq)
 		}
-		lb.Grants = sb.grants
-		return http.StatusOK, nil
+		return sb, http.StatusOK, nil
 	case <-bs.dead:
-		return 0, fmt.Errorf("remote: binary stream closed")
+		return streamBatch{}, 0, fmt.Errorf("remote: binary stream closed")
 	case <-timer.C:
 		// The server answers every poll within its 30s wait cap; a
 		// silent 25s says the stream is wedged, not empty.
 		bs.close()
-		return 0, fmt.Errorf("remote: binary lease poll timed out")
+		return streamBatch{}, 0, fmt.Errorf("remote: binary lease poll timed out")
 	case <-ctx.Done():
-		return 0, ctx.Err()
+		return streamBatch{}, 0, ctx.Err()
 	}
 }
 
@@ -676,17 +674,20 @@ func (a *agent) rehome(ctx context.Context, staleID string) bool {
 	return a.register(ctx, staleID) == nil
 }
 
-// slotCtx is one executor slot's reusable cancellable job context: a
-// fresh context.WithCancel per job was two allocations and a
-// parent-child registration on the per-job path, and the cancel only
-// ever fires on a lease expiry — so the context is recreated after a
-// cancellation instead of before every job. The slot runs one job at a
-// time and h.cancel is cleared (under a.mu) before the slot moves on,
-// so a cancellation aimed at a finished job can never reach its
-// successor through the shared context.
+// slotCtx is what one executor slot reuses from job to job: its
+// cancellable job context, and under it the exec.Slot scratch the
+// objective's trial context and config map are cut from. A fresh
+// context.WithCancel per job was two allocations and a parent-child
+// registration on the per-job path, and the cancel only ever fires on a
+// lease expiry — so the context is recreated after a cancellation
+// instead of before every job. The slot runs one job at a time and
+// h.cancel is cleared (under a.mu) before the slot moves on, so a
+// cancellation aimed at a finished job can never reach its successor
+// through the shared context.
 type slotCtx struct {
 	ctx    context.Context
 	cancel context.CancelFunc
+	slot   exec.Slot
 }
 
 // slotLoop is one executor slot: it drains the local job queue until
@@ -698,29 +699,29 @@ func (a *agent) slotLoop(ctx context.Context) {
 			sc.cancel()
 		}
 	}()
-	for q := range a.jobs {
+	for h := range a.jobs {
 		if ctx.Err() != nil || a.runOver.Load() {
-			a.release(q.grant.LeaseID, q.h)
+			a.release(h.job.ID, h)
 			continue
 		}
-		a.runOne(ctx, q, &sc)
+		a.runOne(ctx, h, &sc)
 	}
 }
 
-// runOne executes one leased job and hands its response to the
-// reporter. The job runs under the slot's cancellable context: if the
-// server expires the lease mid-job (the heartbeat answer lists it),
-// training is cancelled — its report would be rejected anyway, and the
-// slot is better spent on live work.
-func (a *agent) runOne(ctx context.Context, q queuedGrant, sc *slotCtx) {
-	g, h := q.grant, q.h
+// runOne executes one leased job and hands its record, now carrying the
+// response, to the reporter. The job runs under the slot's cancellable
+// context: if the server expires the lease mid-job (the heartbeat
+// answer lists it), training is cancelled — its report would be
+// rejected anyway, and the slot is better spent on live work.
+func (a *agent) runOne(ctx context.Context, h *heldLease, sc *slotCtx) {
+	job := &h.job
 	a.mu.Lock()
 	if h.expired {
 		// The lease expired while the job sat in the prefetch queue
 		// (heartbeat said so, or it predates a re-registration): the
 		// server has already requeued it elsewhere.
 		a.mu.Unlock()
-		a.release(g.LeaseID, h)
+		a.release(job.ID, h)
 		return
 	}
 	if sc.ctx == nil || sc.ctx.Err() != nil {
@@ -736,24 +737,27 @@ func (a *agent) runOne(ctx context.Context, q queuedGrant, sc *slotCtx) {
 	// stages, and no remote timestamp is ever subtracted from a local
 	// one.
 	start := time.Now()
-	dwell := start.Sub(q.recv)
-	var resp exec.Response
-	obj, err := a.o.Resolve(g.Experiment)
+	h.dwell = start.Sub(h.recv)
+	obj, err := a.o.Resolve(h.table.experiment)
 	if err == nil {
-		resp, err = exec.RunJob(jobCtx, obj, g.Job)
+		h.resp, err = sc.slot.RunJob(jobCtx, obj, exec.Request{
+			Version: exec.WireVersion, ID: int(job.ID), Trial: job.Trial,
+			Config: sc.slot.Config(h.table.params, job.Vec),
+			From:   job.From, To: job.To, State: job.State,
+		}, h.ckpt[:0])
 	}
-	execDur := time.Since(start)
+	h.exec = time.Since(start)
 	if jobCtx.Err() != nil && ctx.Err() == nil {
 		// The lease was forfeited while training: the server has already
 		// requeued the job, so there is nothing worth reporting.
-		a.release(g.LeaseID, h)
+		a.release(job.ID, h)
 		return
 	}
 	if err != nil {
 		// A protocol-level failure (unresolvable experiment, undecodable
 		// state) is deterministic: report it as a fatal job error so the
 		// run surfaces it instead of retrying forever.
-		resp = exec.Response{Version: exec.WireVersion, ID: g.Job.ID, Error: err.Error()}
+		h.resp = exec.Response{Version: exec.WireVersion, ID: int(job.ID), Error: err.Error()}
 	}
 	a.mu.Lock()
 	h.cancel = nil
@@ -766,13 +770,7 @@ func (a *agent) runOne(ctx context.Context, q queuedGrant, sc *slotCtx) {
 	// flushes — the fetcher can lease its replacement immediately.
 	a.kickFetch()
 	select {
-	case a.reports <- pendingReport{
-		entry:  ReportEntry{LeaseID: g.LeaseID, Response: resp},
-		h:      h,
-		dwell:  dwell,
-		exec:   execDur,
-		doneAt: time.Now(),
-	}:
+	case a.reports <- h:
 	case <-ctx.Done():
 	}
 }
@@ -783,7 +781,7 @@ func (a *agent) runOne(ctx context.Context, q queuedGrant, sc *slotCtx) {
 // tuner should not wait on a timer for results that are already done),
 // or when the oldest buffered response has waited FlushInterval.
 func (a *agent) reportLoop(ctx context.Context) {
-	var pending []pendingReport
+	var pending []*heldLease
 	var timer *time.Timer
 	var timerC <-chan time.Time
 	stopTimer := func() {
@@ -795,7 +793,7 @@ func (a *agent) reportLoop(ctx context.Context) {
 	}
 	for {
 		select {
-		case e, ok := <-a.reports:
+		case h, ok := <-a.reports:
 			if !ok {
 				// Pipeline shut down: deliver what is buffered while the
 				// leases are still warm (unless the run is already over —
@@ -806,7 +804,7 @@ func (a *agent) reportLoop(ctx context.Context) {
 				stopTimer()
 				return
 			}
-			pending = append(pending, e)
+			pending = append(pending, h)
 			if len(pending) >= a.batch || a.flushInt == 0 || a.activeLeases() == 0 {
 				pending = a.flushReports(ctx, pending)
 				stopTimer()
@@ -835,7 +833,7 @@ func (a *agent) reportLoop(ctx context.Context) {
 // elsewhere, which is safe. Rejected entries (leases that expired
 // mid-flight) need no handling here — the server has already requeued
 // those jobs, and only those. Returns the emptied buffer for reuse.
-func (a *agent) flushReports(ctx context.Context, pending []pendingReport) []pendingReport {
+func (a *agent) flushReports(ctx context.Context, pending []*heldLease) []*heldLease {
 	if len(pending) == 0 {
 		return pending[:0]
 	}
@@ -849,13 +847,13 @@ func (a *agent) flushReports(ctx context.Context, pending []pendingReport) []pen
 	a.mu.Lock()
 	entries := a.repEntries[:0]
 	timings := a.repTimings[:0]
-	for _, p := range pending {
-		if !p.h.expired && !p.h.gone {
-			entries = append(entries, p.entry)
+	for _, h := range pending {
+		if !h.expired && !h.gone {
+			entries = append(entries, ReportEntry{LeaseID: h.job.ID, Response: h.resp})
 			timings = append(timings, JobTiming{
-				DwellUs: exec.DurationUs(p.dwell),
-				ExecUs:  exec.DurationUs(p.exec),
-				BufUs:   exec.DurationUs(now.Sub(p.doneAt)),
+				DwellUs: exec.DurationUs(h.dwell),
+				ExecUs:  exec.DurationUs(h.exec),
+				BufUs:   exec.DurationUs(now.Sub(h.recv) - h.dwell - h.exec),
 			})
 		}
 	}
@@ -909,10 +907,10 @@ func (a *agent) flushReports(ctx context.Context, pending []pendingReport) []pen
 // releaseAll drops a whole flush's settled leases under one lock hold
 // and wakes the fetcher once — the per-entry release was a lock round
 // trip per job at fleet batch sizes.
-func (a *agent) releaseAll(pending []pendingReport) {
+func (a *agent) releaseAll(pending []*heldLease) {
 	a.mu.Lock()
-	for i := range pending {
-		a.releaseLocked(pending[i].entry.LeaseID, pending[i].h)
+	for _, h := range pending {
+		a.releaseLocked(h.job.ID, h)
 	}
 	a.mu.Unlock()
 	a.kickFetch()

@@ -39,12 +39,12 @@ type clientTable struct {
 	params     []string
 }
 
-// streamBatch is one decoded grants frame, converted off the shared
-// read buffer and ready for the pipeline.
+// streamBatch is one decoded grants frame as the pipeline's records,
+// one heldLease per grant, off the shared read buffer.
 type streamBatch struct {
 	seq    uint64
 	done   bool
-	grants []LeaseGrant
+	leases []heldLease
 }
 
 // binStream is one live upgraded connection.
@@ -75,7 +75,7 @@ type binStream struct {
 	onExpired func([]uint64)
 
 	// tables indexes the server's table definitions; reader-only state.
-	tables map[uint64]clientTable
+	tables map[uint64]*clientTable
 
 	dead      chan struct{}
 	closeOnce sync.Once
@@ -135,7 +135,7 @@ func (a *agent) dialStream(ctx context.Context, wid string) (bs *binStream, done
 			bw:     bufio.NewWriter(conn),
 			grants: make(chan streamBatch, 1),
 			acks:   make(chan binReportAck, 1),
-			tables: make(map[uint64]clientTable),
+			tables: make(map[uint64]*clientTable),
 			dead:   make(chan struct{}),
 		}
 		bs.onExpired = a.markExpired
@@ -220,10 +220,11 @@ func (bs *binStream) send(build func(dst []byte) []byte) bool {
 	return true
 }
 
-// reader dispatches server frames until the stream dies. Grants are
-// converted to pipeline LeaseGrants here — rebuilding the name-keyed
-// config from the table and copying the checkpoint — because the frame
-// buffer is reused for the next read.
+// reader dispatches server frames until the stream dies. A grants frame
+// becomes the pipeline's records here: each keeps its config vector (cut
+// from the frame's float slab) and its table, its checkpoint still
+// aliasing the frame buffer — the slot that runs the job resolves the
+// vector into its own map, so nothing name-keyed is built per grant.
 func (bs *binStream) reader() {
 	defer bs.close()
 	var buf []byte
@@ -249,30 +250,24 @@ func (bs *binStream) reader() {
 				vecTotal = used + used/4
 			}
 			for _, t := range g.Tables {
-				bs.tables[t.Index] = clientTable{experiment: t.Experiment, params: t.Params}
+				bs.tables[t.Index] = &clientTable{experiment: t.Experiment, params: t.Params}
 			}
 			sb := streamBatch{seq: g.Seq, done: g.Done}
 			if n := len(g.Grants); n > 0 {
-				sb.grants = make([]LeaseGrant, 0, n)
+				sb.leases = make([]heldLease, n)
 				// The grants' checkpoints stay aliased to this frame's
-				// buffer (RequestShared makes no copy): hand the buffer
-				// over to the batch and let the next read allocate a
-				// fresh one — one buffer per frame instead of one
-				// checkpoint copy per job.
+				// buffer: hand the buffer over to the batch and let the
+				// next read allocate a fresh one — one buffer per frame
+				// instead of one checkpoint copy per job.
 				buf = nil
 			}
-			for _, gr := range g.Grants {
+			for i := range g.Grants {
+				gr := &g.Grants[i]
 				ct := bs.tables[gr.Table]
-				job, err := gr.Job.RequestShared(ct.params)
-				if err != nil {
-					return
+				if ct == nil || len(ct.params) != len(gr.Job.Vec) {
+					return // the decoder checked both; a slot indexes one by the other
 				}
-				sb.grants = append(sb.grants, LeaseGrant{
-					LeaseID:     gr.Job.ID,
-					Experiment:  ct.experiment,
-					Job:         job,
-					GrantUnixMs: gr.GrantMs,
-				})
+				sb.leases[i].job, sb.leases[i].table = gr.Job, ct
 			}
 			select {
 			case bs.grants <- sb:
@@ -315,6 +310,9 @@ func (bs *binStream) reader() {
 
 // tableLen resolves already-defined table indexes for decodeGrants.
 func (bs *binStream) tableLen(idx uint64) (int, bool) {
-	ct, ok := bs.tables[idx]
-	return len(ct.params), ok
+	ct := bs.tables[idx]
+	if ct == nil {
+		return 0, false
+	}
+	return len(ct.params), true
 }

@@ -142,13 +142,13 @@ func fetchThroughStub(t *testing.T, ids []uint64) []uint64 {
 		prefetch: 64,
 		held:     make(map[uint64]*heldLease),
 		kick:     make(chan struct{}, 1),
-		jobs:     make(chan queuedGrant, 65),
+		jobs:     make(chan *heldLease, 65),
 		bs:       bs,
 	}
 	a.server.Store("http://stub.invalid")
 	batch := streamBatch{seq: 1}
 	for _, id := range ids {
-		batch.grants = append(batch.grants, LeaseGrant{LeaseID: id, Job: exec.Request{Version: exec.WireVersion, ID: int(id)}})
+		batch.leases = append(batch.leases, heldLease{job: exec.BinRequest{ID: id}})
 	}
 	bs.grants <- batch
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -164,8 +164,8 @@ func fetchThroughStub(t *testing.T, ids []uint64) []uint64 {
 		t.Fatalf("fetchLoop ended with %v, told the run is over: %v", err, a.runOver.Load())
 	}
 	var queued []uint64
-	for q := range a.jobs {
-		queued = append(queued, q.grant.LeaseID)
+	for h := range a.jobs {
+		queued = append(queued, h.job.ID)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,45 +13,78 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/metrics"
+	"repro/internal/searchspace"
 	"repro/internal/xrand"
 )
 
 // leasePathCase is one way of loading the lease path: a scheduler behind
-// backend.Drive or jobs straight from Submit, so many agents, the scrape
+// backend.Drive, several behind one engine each with a parameter table
+// of its own, or jobs straight from Submit; so many agents; the scrape
 // surface on or off.
 type leasePathCase struct {
 	name    string
 	direct  bool // no scheduler or engine: Submit every job, then drain
+	tables  bool // one lane per leasePathTables entry, sharing the jobs
 	agents  int
 	metrics bool
 	budget  float64 // heap objects per job
 }
 
 // What one job may allocate between being issued and its result being
-// ingested, everything in the process included. A closure, map or record
-// a job brings back costs it at least one object.
+// ingested, everything in the process included. A closure, map, context
+// or record a job brings costs it at least one object.
 const (
 	// ASHA, the engine, the lease server, both ends of the wire, the
-	// agent and the objective's own config map and checkpoint: the value
-	// measured when the per-job records moved to slabs (DESIGN.md
-	// "Per-job records on the lease path"), plus 0.5 of slack.
-	leasePathAllocBudget = 6.44 + 0.5
+	// agent and the objective: measures 1.44 now that the config map, the
+	// trial context and the checkpoint bytes are the executor slot's
+	// (DESIGN.md "Per-job records on the lease path") — the objective's
+	// boxed float return (1), a boxed checkpoint handed in (0.25), and
+	// the per-frame slabs — plus 0.5 of slack.
+	leasePathAllocBudget = 1.44 + 0.5
+	// The same over leasePathTables' lanes, interleaved on the same two
+	// slots: measures 1.48, plus the same slack. A slot that rebuilt its
+	// map whenever the table's slice changed — not its names — measures
+	// 3.48 here and 1.44 on the single-lane rows, which cannot see it.
+	leasePathTablesAllocBudget = 1.48 + 0.5
 	// The same without scheduler or engine, over four agents, the
-	// caller's config vector included: measures 7.28, plus the same slack.
-	leaseContentionAllocBudget = 7.28 + 0.5
+	// caller's config vector included: measures 2.27, plus the same slack.
+	leaseContentionAllocBudget = 2.27 + 0.5
 	// What the counters and histograms behind /metrics may add to a
 	// job: they are atomics and fixed arrays, and measure 0.00.
 	leasePathMetricsAllocSlack = 0.05
 )
 
-// leasePathCases: the fleet benchmark's lane with metrics off and on,
-// and report ingestion across the sharded lease table — four agents'
-// grants and report batches against one server with nothing else in the
-// loop, the path the 16-way shard split parallelizes.
+// leasePathCases: the fleet benchmark's lane with metrics off and on;
+// four lanes whose jobs interleave on one agent's slots, the way a
+// manager's experiments do; and report ingestion across the sharded
+// lease table — four agents' grants and report batches against one
+// server with nothing else in the loop, the path the 16-way shard split
+// parallelizes.
 var leasePathCases = []leasePathCase{
 	{name: "asha", agents: 1, budget: leasePathAllocBudget},
 	{name: "asha-metrics", agents: 1, metrics: true, budget: leasePathAllocBudget},
+	{name: "asha-tables", tables: true, agents: 1, budget: leasePathTablesAllocBudget},
 	{name: "contention", direct: true, agents: 4, metrics: true, budget: leaseContentionAllocBudget},
+}
+
+// leasePathTables are the asha-tables lanes' parameter names. The first
+// two are equal in content and distinct as slices (each lane builds its
+// own space), which is what experiments of one kind look like to a slot;
+// the others make it change key sets.
+var leasePathTables = [][]string{
+	{"lr", "momentum"},
+	{"lr", "momentum"},
+	{"lr", "depth"},
+	{"width", "dropout", "decay"},
+}
+
+// tableSpace is a search space over the named parameters.
+func tableSpace(names []string) *searchspace.Space {
+	params := make([]searchspace.Param, len(names))
+	for i, n := range names {
+		params[i] = searchspace.Param{Name: n, Type: searchspace.Uniform, Lo: 0, Hi: 1}
+	}
+	return searchspace.New(params...)
 }
 
 // driveLeasePath runs the given number of jobs through a lease server at
@@ -95,6 +129,28 @@ func driveLeasePath(tb testing.TB, c leasePathCase, jobs int) (mallocs, bytes ui
 		settled.Wait()
 		failed = int(lost.Load())
 		err = srv.Close()
+	} else if c.tables {
+		root := NewBackend(srv, 1024)
+		e := backend.NewEngine(root, nil)
+		lanes := make([]*backend.Lane, len(leasePathTables))
+		for k, names := range leasePathTables {
+			sched := core.NewASHA(core.ASHAConfig{
+				Space: tableSpace(names), RNG: xrand.New(17 + uint64(k)), Eta: 4, MinResource: 1, MaxResource: 256,
+			})
+			id := e.NextLane()
+			lanes[k] = e.AddLane(sched, root.Lane(id, fmt.Sprintf("exp%d", id)),
+				backend.Options{MaxJobs: jobs / len(leasePathTables)}, k, "")
+		}
+		err = e.Run(ctx)
+		completed = 0
+		for _, l := range lanes {
+			run, lerr := l.Result()
+			if err == nil {
+				err = lerr
+			}
+			completed += run.CompletedJobs
+			failed += run.FailedJobs
+		}
 	} else {
 		sched := core.NewASHA(core.ASHAConfig{
 			Space: testSpace(), RNG: xrand.New(17), Eta: 4, MinResource: 1, MaxResource: 256,

@@ -518,13 +518,18 @@ func (s *Server) BinaryReports() int { return int(s.binReports.Load()) }
 // Close: workers whose poll or report lands just after shutdown get an
 // authoritative "the run is over" (Done / accepted=false) instead of a
 // connection error they would treat as a possible network partition
-// and retry against for the full partition-tolerance window.
+// and retry against for the full partition-tolerance window. What
+// answers is the server alone — its counters and its "over": Close lets
+// go of the run first, so the window never pins a finished run's
+// schedulers and trial tables.
 const closeGrace = 3 * time.Second
 
 // Close shuts the server down: long-polling workers are told the run is
 // over, and every job still pending or leased is answered Failed so the
-// caller's accounting drains. Close returns without waiting for the
-// listener teardown (see closeGrace) and is idempotent.
+// caller's accounting drains. The control plane is detached and the
+// task chunk dropped (its settled tasks still point at their lanes).
+// Close returns without waiting for the listener teardown (see
+// closeGrace) and is idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -533,7 +538,8 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	orphans := append([]*task(nil), s.pending[s.pendingHead:]...)
-	s.pending, s.pendingHead = nil, 0
+	s.pending, s.pendingHead, s.slab = nil, 0, nil
+	s.control.Store(controlBox{})
 	s.pendingJobs.Add(int64(-len(orphans)))
 	s.wakeLocked()
 	s.mu.Unlock()

@@ -69,14 +69,14 @@ func TestStaleLeaseNumberReusedByFreshRegistration(t *testing.T) {
 		flushInt: time.Hour, // a completed job waits for batch-mates
 		held:     make(map[uint64]*heldLease),
 		kick:     make(chan struct{}, 1),
-		jobs:     make(chan queuedGrant, 9),
-		reports:  make(chan pendingReport, 12),
+		jobs:     make(chan *heldLease, 9),
+		reports:  make(chan *heldLease, 12),
 	}
 	a.server.Store(reg.URL)
 	bs := &binStream{
 		c: near, br: bufio.NewReader(near), bw: bufio.NewWriter(near), born: time.Now(),
 		grants: make(chan streamBatch, 1), acks: make(chan binReportAck, 1),
-		tables: make(map[uint64]clientTable), dead: make(chan struct{}),
+		tables: make(map[uint64]*clientTable), dead: make(chan struct{}),
 		onExpired: a.markExpired,
 	}
 	a.setStream(bs)

@@ -5,8 +5,8 @@ import "repro/internal/searchspace"
 // Config is a concrete hyperparameter assignment: parameter name to
 // numeric value. It is the public, name-keyed compatibility view;
 // internally configurations are dense vectors (searchspace.Config) and
-// are converted to this map form only at the objective and wire
-// boundaries, where real training dwarfs the copy.
+// take this map form only at the objective and wire boundaries. The map
+// an Objective receives is its worker slot's, valid for that call.
 type Config = map[string]float64
 
 // Param describes one hyperparameter of a search space.

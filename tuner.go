@@ -21,7 +21,9 @@ import (
 // by the previous call for this trial (nil on the first call). It
 // returns the validation loss at `to` (lower is better) and the state
 // needed to resume later. Objectives must be safe for concurrent calls
-// on distinct trials.
+// on distinct trials. cfg and ctx are valid until the objective returns;
+// copy what you keep: the worker slot that runs the job reuses both for
+// its next one.
 type Objective func(ctx context.Context, cfg Config, from, to float64, state interface{}) (loss float64, newState interface{}, err error)
 
 // Option configures a Tuner.

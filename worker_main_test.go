@@ -2,8 +2,9 @@ package asha
 
 // Subprocess worker re-exec harness: the Subprocess backend needs a
 // worker executable, so the tests relaunch this test binary with
-// ASHA_TEST_WORKER=1, which short-circuits TestMain into ServeWorker
-// before any tests run — the standard Go pattern for subprocess tests.
+// ASHA_TEST_WORKER=1 (or =parity, to serve remoteParityObjective), which
+// short-circuits TestMain into ServeWorker before any tests run — the
+// standard Go pattern for subprocess tests.
 
 import (
 	"context"
@@ -16,8 +17,12 @@ import (
 )
 
 func TestMain(m *testing.M) {
-	if os.Getenv("ASHA_TEST_WORKER") == "1" {
-		if err := ServeWorker(context.Background(), workerObjective); err != nil {
+	if mode := os.Getenv("ASHA_TEST_WORKER"); mode != "" {
+		obj := Objective(workerObjective)
+		if mode == "parity" {
+			obj = remoteParityObjective // the backend-parity tests' objective
+		}
+		if err := ServeWorker(context.Background(), obj); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
 		}
