@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -237,6 +238,77 @@ func BenchmarkASHASchedulerThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	loop(b.N)
+}
+
+// resumeJobs is the size of the journal resumeLoop replays.
+const resumeJobs = 4000
+
+// resumeLoop journals a resumeJobs-job ASHA run and returns a function
+// that resumes it n times with the budget spent — recover and replay
+// every record, launch nothing — each time from the journal as the run
+// left it.
+func resumeLoop(tb testing.TB) func(n int) {
+	dir := tb.TempDir()
+	path := filepath.Join(dir, tunerJournalName)
+	tuner := func() *Tuner {
+		return New(NewSpace(LogUniform("lr", 1e-4, 1), Uniform("momentum", 0, 1)), resumeObjective,
+			ASHA{Eta: 4, MinResource: 1, MaxResource: 256},
+			WithWorkers(2), WithMaxJobs(resumeJobs), WithSeed(7), WithStateDir(dir))
+	}
+	if _, err := tuner().Run(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
+	image, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			if err := os.WriteFile(path, image, 0o644); err != nil { // less the final snapshot the last Resume appended
+				tb.Fatal(err)
+			}
+			if res, err := tuner().Resume(context.Background()); err != nil || res.CompletedJobs != resumeJobs {
+				tb.Fatalf("resume: %v, %+v", err, res)
+			}
+		}
+	}
+}
+
+// resumeAllocBudget is what replaying one journaled job may allocate:
+// 0.128 measured over ten resumes of resumeJobs jobs — about 510 objects
+// a resume, for the tuner, its pool and engine, the journal's image and
+// the tables that double as trials arrive — plus slack for another Go
+// release's maps and slices. A config map per issue reads 2.13, a
+// record per report 1.13, a pool record per restored trial 0.86.
+const resumeAllocBudget = 0.2
+
+// TestResumeAllocsPerJob keeps Tuner.Resume from building anything per
+// journal record on its way to the scheduler.
+func TestResumeAllocsPerJob(t *testing.T) {
+	const resumes = 10
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	loop := resumeLoop(t)
+	loop(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	loop(resumes)
+	runtime.ReadMemStats(&after)
+	perJob := float64(after.Mallocs-before.Mallocs) / (resumes * resumeJobs)
+	t.Logf("%.4f allocs/job", perJob)
+	if perJob > resumeAllocBudget {
+		t.Fatalf("a replayed job allocates %.4f objects, budget %.2f", perJob, resumeAllocBudget)
+	}
+}
+
+// BenchmarkResume is the same loop as a benchmark.
+func BenchmarkResume(b *testing.B) {
+	loop := resumeLoop(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	loop(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*resumeJobs), "ns/job")
 }
 
 // BenchmarkSimulatedCluster500Workers measures the discrete-event

@@ -178,7 +178,7 @@ func (e *Engine) AddLane(sched core.Scheduler, exec Backend, opt Options, rank i
 		l.relaunch = append(l.relaunch, rs.Relaunch...)
 		l.clockOff = rs.TimeOffset
 		l.rungCompleted = rs.rungCompleted
-		l.jw.prime(rs)
+		l.jw.seen = rs.issued // handed over: retry annotations stay correct on the continued journal
 		if tc, ok := exec.(TrialCheckpointer); ok {
 			for _, t := range rs.Trials {
 				tc.RestoreTrial(t.Trial, t.Resource, t.State)

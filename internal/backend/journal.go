@@ -9,24 +9,47 @@ import (
 	"repro/internal/state"
 )
 
-// SeenKey packs a (trial, rung) pair into one map key for the issue-kind
-// annotation. Rungs are tiny; 16 bits is orders of magnitude of
-// headroom.
+// SeenKey packs a (trial, rung) pair into one int64: a job's id in
+// bench/'s traces. Rungs above 16 bits collide.
 func SeenKey(trial, rung int) int64 { return int64(trial)<<16 | int64(rung&0xffff) }
+
+// issuedSet is the set of (trial, rung) pairs a journal has issued, for
+// the issue-kind annotation. Trial ids are dense, rungs tiny: one bit
+// mask per trial holds rungs 0–63, and an exact map the rest (PBT's
+// rung is a step index without bound).
+type issuedSet struct {
+	rungs []uint64
+	over  map[[2]int]bool
+}
+
+// add puts the pair in the set and reports whether it was there already.
+func (s *issuedSet) add(trial, rung int) (dup bool) {
+	if uint(rung) >= 64 {
+		if s.over == nil {
+			s.over = make(map[[2]int]bool)
+		}
+		dup, s.over[[2]int{trial, rung}] = s.over[[2]int{trial, rung}], true
+		return dup
+	}
+	for len(s.rungs) <= trial {
+		s.rungs = append(s.rungs, 0)
+	}
+	dup = s.rungs[trial]&(1<<rung) != 0
+	s.rungs[trial] |= 1 << rung
+	return dup
+}
 
 // annotateIssue builds the journal record for one scheduler decision,
 // classifying it as a fresh sample, a promotion, or a retry against the
 // set of (trial, rung) pairs already issued — which it updates. It names
 // the configuration's shared name table; the values travel beside it.
-func annotateIssue(seen map[int64]struct{}, job core.Job) state.Issue {
-	key := SeenKey(job.TrialID, job.Rung)
+func annotateIssue(seen *issuedSet, job core.Job) state.Issue {
 	kind := state.KindSample
-	if _, dup := seen[key]; dup {
+	if seen.add(job.TrialID, job.Rung) {
 		kind = state.KindRetry
 	} else if job.Rung > 0 {
 		kind = state.KindPromote
 	}
-	seen[key] = struct{}{}
 	return state.Issue{
 		Trial:   job.TrialID,
 		Rung:    job.Rung,
@@ -46,8 +69,8 @@ type journalWriter struct {
 	j         *state.Journal
 	snapEvery int
 	sinceSnap int
-	seen      map[int64]struct{} // (trial, rung) pairs already issued
-	trials    []state.TrialSnap  // scratch: a snapshot's trial list
+	seen      issuedSet         // (trial, rung) pairs already issued
+	trials    []state.TrialSnap // scratch: a snapshot's trial list
 }
 
 func newJournalWriter(j *state.Journal, every int) *journalWriter {
@@ -57,18 +80,7 @@ func newJournalWriter(j *state.Journal, every int) *journalWriter {
 	if every <= 0 {
 		every = DefaultSnapshotEvery
 	}
-	return &journalWriter{j: j, snapEvery: every, seen: make(map[int64]struct{})}
-}
-
-// prime carries the issued-pair set across a resume so retry annotations
-// stay correct on the continued journal.
-func (w *journalWriter) prime(rs *ResumeState) {
-	if w.j == nil || rs == nil {
-		return
-	}
-	for k := range rs.issued {
-		w.seen[k] = struct{}{}
-	}
+	return &journalWriter{j: j, snapEvery: every}
 }
 
 // issue stages one scheduler decision; flush commits it, write-ahead of
@@ -77,7 +89,7 @@ func (w *journalWriter) issue(job core.Job) error {
 	if w.j == nil {
 		return nil
 	}
-	return w.j.StageIssue(annotateIssue(w.seen, job), job.Config.Values())
+	return w.j.StageIssue(annotateIssue(&w.seen, job), job.Config.Values())
 }
 
 // report stages one completion; flush commits it, write-ahead of its

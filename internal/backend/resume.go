@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -29,8 +30,8 @@ type ResumeState struct {
 	// monotone.
 	TimeOffset float64
 
-	issued        map[int64]struct{} // (trial, rung) pairs issued, for retry annotation
-	rungCompleted []int              // successful completions per rung, for status
+	issued        issuedSet // (trial, rung) pairs issued, for retry annotation
+	rungCompleted []int     // successful completions per rung, for status
 }
 
 // Replay reconstructs a full engine ResumeState from a recovered
@@ -41,8 +42,9 @@ type ResumeState struct {
 // value, all bit-exact), and every report record is paired with its
 // oldest outstanding issue and flows through the same ingest path live
 // completions use, so counters, incumbent series and first-R accounting
-// are rebuilt identically. It is the one replay path: Tuner.Resume,
-// Manager.Resume and a federated adopt all call it.
+// are rebuilt identically. There is one replay path, the replayer's
+// steps: Tuner.Resume, Manager.Resume and a federated adopt feed it from
+// the journal image (ReplayScan), Replay from records already collected.
 //
 // The scheduler must be deterministic and seeded exactly as the
 // journaled run was — any divergence (wrong seed, changed algorithm or
@@ -53,96 +55,184 @@ type ResumeState struct {
 // OnResult is typically nil during replay so progress callbacks do not
 // re-fire for jobs that completed before the crash.
 func Replay(rec *state.Recovered, sched core.Scheduler, opt Options) (*ResumeState, error) {
-	rs := &ResumeState{
-		Run:    &metrics.Run{FirstRTime: math.Inf(1)},
-		issued: make(map[int64]struct{}),
+	p := newReplayer(sched, opt)
+	for i := range rec.Records {
+		if err := p.step(&rec.Records[i], nil); err != nil {
+			return nil, err
+		}
 	}
+	return p.finish(), nil
+}
+
+// ReplayScan is Replay of a journal as it is decoded: one pass over the
+// image, no record built. It leaves s at its recovery point.
+func ReplayScan(s *state.Scanner, sched core.Scheduler, opt Options) (*ResumeState, error) {
+	p := newReplayer(sched, opt)
+	for s.Scan() {
+		if err := p.step(&s.Rec, s.Vals); err != nil {
+			return nil, err
+		}
+	}
+	return p.finish(), nil
+}
+
+// replayer steps a journal's records through a scheduler, one at a time.
+type replayer struct {
+	rs   *ResumeState
+	lane *Lane
+	n    int // records stepped
+	// The trial table, indexed by trial id; Trial is -1 where the journal
+	// has not issued that trial (yet).
+	table []state.TrialSnap
+	// The issued, unreported jobs in issue order, TrialID -1 once
+	// reported, and by trial id one more than the index of the trial's in
+	// out (0: none) — the oldest one as long as no trial had two at once;
+	// after that (multi) a report searches out instead.
+	out   []core.Job
+	at    []int32
+	dead  int
+	multi bool
+	vals  []float64 // scratch: a collected issue's Config as a vector
+}
+
+func newReplayer(sched core.Scheduler, opt Options) *replayer {
+	rs := &ResumeState{Run: &metrics.Run{FirstRTime: math.Inf(1)}}
 	// Replayed completions never re-emit events (the emitter has no bus),
 	// mirroring the OnResult convention above — consumers of /v1/events
 	// see each pre-crash event at most once.
-	l := &Lane{sched: sched, opt: opt, run: rs.Run, em: emitter{maxRung: -1}}
-	// The trial table, indexed by trial id; Trial is -1 where the journal
-	// has not issued that trial (yet).
-	var table []state.TrialSnap
-	for i, r := range rec.Records {
-		switch {
-		case r.Issue != nil:
-			job, ok := sched.Next()
-			if !ok {
-				return nil, fmt.Errorf("backend: replay record %d: journal holds an issued job but the scheduler declined — journal does not match this scheduler configuration", i)
-			}
-			if err := matchIssue(job, r.Issue); err != nil {
-				return nil, fmt.Errorf("backend: replay record %d: %w", i, err)
-			}
-			for len(table) <= job.TrialID {
-				table = append(table, state.TrialSnap{Trial: -1})
-			}
-			table[job.TrialID].Trial = job.TrialID
-			rs.Relaunch = append(rs.Relaunch, job)
-			rs.Run.IssuedJobs++
-			rs.issued[SeenKey(job.TrialID, job.Rung)] = struct{}{}
-		case r.Report != nil:
-			idx := -1
-			for k, j := range rs.Relaunch {
-				if j.TrialID == r.Report.Trial && j.Rung == r.Report.Rung {
-					idx = k
-					break
-				}
-			}
-			if idx < 0 {
-				return nil, fmt.Errorf("backend: replay record %d: report for trial %d rung %d has no outstanding issue — corrupt journal", i, r.Report.Trial, r.Report.Rung)
-			}
-			job := rs.Relaunch[idx]
-			rs.Relaunch = append(rs.Relaunch[:idx], rs.Relaunch[idx+1:]...)
-			ingest(l, Completion{
-				Job:      job,
-				Loss:     r.Report.Loss,
-				TrueLoss: r.Report.TrueLoss,
-				Resource: r.Report.Resource,
-				Time:     r.Report.Time,
-				Failed:   r.Report.Failed,
-			})
-			if r.Report.Time > rs.TimeOffset {
-				rs.TimeOffset = r.Report.Time
-			}
-		case r.Snap != nil:
-			for _, ts := range r.Snap.Trials {
-				if ts.Trial >= len(table) || table[ts.Trial].Trial < 0 {
-					return nil, fmt.Errorf("backend: replay record %d: snapshot of trial %d, which the journal never issued — corrupt journal", i, ts.Trial)
-				}
-				table[ts.Trial] = ts
-			}
-			if r.Snap.Time > rs.TimeOffset {
-				rs.TimeOffset = r.Snap.Time
-			}
+	return &replayer{rs: rs, lane: &Lane{sched: sched, opt: opt, run: rs.Run, em: emitter{maxRung: -1}}}
+}
+
+// step replays one record; vals is an issue's configuration when the
+// record does not hold it itself (state.Scanner).
+func (p *replayer) step(r *state.Record, vals []float64) (err error) {
+	switch {
+	case r.Issue != nil:
+		err = p.issue(r.Issue, vals)
+	case r.Report != nil:
+		err = p.report(r.Report)
+	case r.Snap != nil:
+		err = p.snap(r.Snap)
+	}
+	if err != nil {
+		err = fmt.Errorf("backend: replay record %d: %w", p.n, err)
+	}
+	p.n++
+	return err
+}
+
+func (p *replayer) issue(is *state.Issue, vals []float64) error {
+	job, ok := p.lane.sched.Next()
+	if !ok {
+		return errors.New("journal holds an issued job but the scheduler declined — journal does not match this scheduler configuration")
+	}
+	if vals == nil {
+		for _, name := range is.Names {
+			p.vals = append(p.vals, is.Config[name])
+		}
+		vals, p.vals = p.vals, p.vals[:0]
+	}
+	if err := matchIssue(job, is, vals); err != nil {
+		return err
+	}
+	for len(p.table) <= job.TrialID {
+		p.table, p.at = append(p.table, state.TrialSnap{Trial: -1}), append(p.at, 0)
+	}
+	p.table[job.TrialID].Trial = job.TrialID
+	p.multi = p.multi || p.at[job.TrialID] != 0
+	p.out = append(p.out, job)
+	p.at[job.TrialID] = int32(len(p.out))
+	p.rs.Run.IssuedJobs++
+	p.rs.issued.add(job.TrialID, job.Rung)
+	return nil
+}
+
+func (p *replayer) report(r *state.Report) error {
+	k := -1
+	switch {
+	case uint(r.Trial) >= uint(len(p.at)):
+	case p.multi:
+		k = slices.IndexFunc(p.out, func(j core.Job) bool { return j.TrialID == r.Trial && j.Rung == r.Rung })
+	default:
+		k = int(p.at[r.Trial]) - 1
+	}
+	if k < 0 || p.out[k].Rung != r.Rung {
+		return fmt.Errorf("report for trial %d rung %d has no outstanding issue — corrupt journal", r.Trial, r.Rung)
+	}
+	job := p.out[k]
+	p.out[k].TrialID, p.at[r.Trial] = -1, 0
+	if p.dead++; p.dead > 32+len(p.out)/2 {
+		p.compact()
+	}
+	ingest(p.lane, Completion{
+		Job:      job,
+		Loss:     r.Loss,
+		TrueLoss: r.TrueLoss,
+		Resource: r.Resource,
+		Time:     r.Time,
+		Failed:   r.Failed,
+	})
+	if r.Time > p.rs.TimeOffset {
+		p.rs.TimeOffset = r.Time
+	}
+	return nil
+}
+
+// compact drops the reported jobs from out.
+func (p *replayer) compact() {
+	live := p.out[:0]
+	for _, j := range p.out {
+		if j.TrialID >= 0 {
+			live = append(live, j)
+			p.at[j.TrialID] = int32(len(live))
 		}
 	}
-	rs.rungCompleted = l.rungCompleted
+	p.out, p.dead = live, 0
+}
+
+func (p *replayer) snap(s *state.Snapshot) error {
+	for _, ts := range s.Trials {
+		if ts.Trial >= len(p.table) || p.table[ts.Trial].Trial < 0 {
+			return fmt.Errorf("snapshot of trial %d, which the journal never issued — corrupt journal", ts.Trial)
+		}
+		p.table[ts.Trial] = ts
+	}
+	if s.Time > p.rs.TimeOffset {
+		p.rs.TimeOffset = s.Time
+	}
+	return nil
+}
+
+func (p *replayer) finish() *ResumeState {
+	p.compact()
+	rs := p.rs
+	rs.Relaunch, rs.rungCompleted = p.out, p.lane.rungCompleted
 	// Restore the trial table: the checkpoints last snapshotted, and zero
 	// entries for trials no snapshot reached. Those trials' observations
 	// replayed into the scheduler above; only their training state is
 	// lost, and a zero entry makes them retrain from scratch if relaunched
 	// instead of vanishing from trial accounting — exactly the rollback
 	// semantics of a worker crash.
-	rs.Trials = slices.DeleteFunc(table, func(ts state.TrialSnap) bool { return ts.Trial < 0 })
-	return rs, nil
+	rs.Trials = slices.DeleteFunc(p.table, func(ts state.TrialSnap) bool { return ts.Trial < 0 })
+	return rs
 }
 
 // matchIssue validates that the scheduler's regenerated decision is the
-// journaled one, bit for bit.
-func matchIssue(job core.Job, is *state.Issue) error {
+// journaled one, bit for bit; vals are the journaled configuration, one
+// value per name of is.Names.
+func matchIssue(job core.Job, is *state.Issue, vals []float64) error {
 	if job.TrialID != is.Trial || job.Rung != is.Rung || job.InheritFrom != is.Inherit ||
 		math.Float64bits(job.TargetResource) != math.Float64bits(is.Target) {
 		return fmt.Errorf("backend: journal/scheduler divergence: journal issued trial %d rung %d target %v inherit %d, scheduler produced trial %d rung %d target %v inherit %d (wrong seed, algorithm, or edited journal?)",
 			is.Trial, is.Rung, is.Target, is.Inherit, job.TrialID, job.Rung, job.TargetResource, job.InheritFrom)
 	}
-	if job.Config.Len() != len(is.Config) {
-		return fmt.Errorf("backend: journal/scheduler divergence on trial %d: journal config has %d parameters, scheduler sampled %d", is.Trial, len(is.Config), job.Config.Len())
+	names, got := job.Config.Names(), job.Config.Values()
+	if len(got) != len(vals) || len(is.Names) != len(vals) {
+		return fmt.Errorf("backend: journal/scheduler divergence on trial %d: journal config has %d parameters, scheduler sampled %d", is.Trial, len(vals), len(got))
 	}
-	for name, v := range is.Config {
-		got, ok := job.Config.Lookup(name)
-		if !ok || math.Float64bits(got) != math.Float64bits(v) {
-			return fmt.Errorf("backend: journal/scheduler divergence on trial %d parameter %q: journal %v, scheduler %v", is.Trial, name, v, got)
+	for i, v := range vals {
+		if is.Names[i] != names[i] || math.Float64bits(got[i]) != math.Float64bits(v) {
+			return fmt.Errorf("backend: journal/scheduler divergence on trial %d parameter %q: journal %v, scheduler %q %v", is.Trial, is.Names[i], v, names[i], got[i])
 		}
 	}
 	return nil

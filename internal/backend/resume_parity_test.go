@@ -207,12 +207,12 @@ func (p parityRun) uninterrupted(t *testing.T) (*digestSched, *boundaryWriter) {
 // resumes it, and returns the combined replayed+continued decisions.
 func (p parityRun) resumeFrom(t *testing.T, journal []byte, cut int) (*digestSched, int) {
 	t.Helper()
-	rec, err := state.Recover(journal[:cut])
+	scan, err := state.NewScanner(journal[:cut])
 	if err != nil {
 		t.Fatalf("recover at offset %d: %v", cut, err)
 	}
 	ds := p.newSched()
-	rs, err := backend.Replay(rec, ds, backend.Options{})
+	rs, err := backend.ReplayScan(scan, ds, backend.Options{}) // as Tuner.Resume replays
 	if err != nil {
 		t.Fatalf("replay at offset %d: %v", cut, err)
 	}

@@ -199,7 +199,8 @@ type Pool struct {
 	// checkpoint enables commit-time JSON encoding of trial states for
 	// journal snapshots (set by the engine when the lane is journaled).
 	checkpoint bool
-	changed    []int // trials whose committed state changed since SnapshotTrials last ran
+	changed    []int       // trials whose committed state changed since SnapshotTrials last ran
+	restored   []poolTrial // slab RestoreTrial cuts its records from
 }
 
 // mark lists a trial whose committed (resource, checkpoint) just changed
@@ -404,5 +405,9 @@ func (p *Pool) SnapshotTrials(fn func(trial int, resource float64, state json.Ra
 // subprocess and remote objectives already receive, so objectives used
 // with resume must accept it.
 func (p *Pool) RestoreTrial(trial int, resource float64, state json.RawMessage) {
-	p.trials[trial] = &poolTrial{resource: resource, stateJSON: state, restored: len(state) > 0}
+	if len(p.restored) == cap(p.restored) {
+		p.restored = make([]poolTrial, 0, min(16+2*cap(p.restored), 1024))
+	}
+	p.restored = append(p.restored, poolTrial{resource: resource, stateJSON: state, restored: len(state) > 0})
+	p.trials[trial] = &p.restored[len(p.restored)-1]
 }

@@ -30,10 +30,9 @@ import (
 )
 
 const (
-	magicPrefix  = "ASHAJNL"
-	frameHeader  = 8       // length + CRC32C
-	MaxFrame     = 1 << 28 // bound on a body; a longer one is corruption, not a record
-	minTrialSnap = 10      // the least a snapshot trial occupies: two one-byte varints and a float
+	magicPrefix = "ASHAJNL"
+	frameHeader = 8       // length + CRC32C
+	MaxFrame    = 1 << 28 // bound on a body; a longer one is corruption, not a record
 
 	typeMeta, typeNames, typeIssue, typeReport, typeSnap = 'M', 'N', 'I', 'R', 'S'
 )
@@ -171,14 +170,8 @@ func frameAt(data []byte, off int) ([]byte, bool) {
 	return body, crc32.Checksum(body, castagnoli) == binary.LittleEndian.Uint32(data[off+4:])
 }
 
-// decoder reads frame bodies into records. Issue and Report payloads are
-// carved from slabs: beyond the config maps, records cost few allocations.
-type decoder struct {
-	r       wire.Reader
-	names   []string // the table the last names frame declared
-	issues  []Issue
-	reports []Report
-}
+// The decode side: Scanner methods that read one frame body, under the
+// cursor, into the fields the scanner owns and reuses (recover.go).
 
 // carve returns the next element of a slab, or of a new one when full.
 func carve[T any](slab *[]T) *T {
@@ -190,10 +183,10 @@ func carve[T any](slab *[]T) *T {
 }
 
 // upto reads a varint field that may not exceed max: a flag, a kind.
-func (d *decoder) upto(max int) int {
-	v := d.r.Int()
+func (s *Scanner) upto(max int) int {
+	v := s.r.Int()
 	if v > max {
-		d.r.Failf("state: field %d exceeds %d", v, max)
+		s.r.Failf("state: field %d exceeds %d", v, max)
 		return 0
 	}
 	return v
@@ -201,50 +194,58 @@ func (d *decoder) upto(max int) int {
 
 // strings reads a count and that many strings. The count is not trusted
 // with an allocation: a lie runs the cursor off the frame first.
-func (d *decoder) strings() (ss []string) {
-	for n := d.r.Int(); n > 0 && d.r.Err() == nil; n-- {
-		ss = append(ss, d.r.String())
+func (s *Scanner) strings() (ss []string) {
+	for n := s.r.Int(); n > 0 && s.r.Err() == nil; n-- {
+		ss = append(ss, s.r.String())
 	}
 	return ss
 }
 
-func (d *decoder) issue() *Issue {
-	r, is := &d.r, carve(&d.issues)
-	*is = Issue{Trial: r.Int(), Rung: r.Int(), Inherit: r.Int() - 1, Kind: kinds[d.upto(len(kinds)-1)], Target: r.Float64()}
-	if r.Remaining() != 8*len(d.names) {
-		r.Failf("state: issue carries %d bytes of configuration for a %d-name table", r.Remaining(), len(d.names))
-	} else if len(d.names) > 0 {
-		is.Names, is.Config = d.names, make(map[string]float64, len(d.names))
-		for _, name := range d.names {
-			is.Config[name] = r.Float64()
-		}
-		if len(is.Config) != len(d.names) {
-			r.Failf("state: names table %q repeats a name", d.names)
-		}
+// readNames reads a names frame: the table later issue vectors follow.
+func (s *Scanner) readNames() {
+	was := len(s.names)
+	if s.names = s.strings(); was+len(s.names) == 0 {
+		s.r.Failf("state: names frame declares no names over none") // the encoder never does
 	}
-	return is
+	sorted := slices.Clone(s.names)
+	slices.Sort(sorted)
+	if len(slices.Compact(sorted)) != len(s.names) {
+		s.r.Failf("state: names table %q repeats a name", s.names)
+	}
 }
 
-func (d *decoder) report() *Report {
-	r, rep := &d.r, carve(&d.reports)
-	*rep = Report{Trial: r.Int(), Rung: r.Int(), Failed: d.upto(1) == 1,
+func (s *Scanner) readIssue() {
+	r := &s.r
+	s.issue = Issue{Trial: r.Int(), Rung: r.Int(), Inherit: r.Int() - 1, Kind: kinds[s.upto(len(kinds)-1)], Target: r.Float64(), Names: s.names}
+	if s.Vals = s.Vals[:0]; r.Remaining() != 8*len(s.names) {
+		r.Failf("state: issue carries %d bytes of configuration for a %d-name table", r.Remaining(), len(s.names))
+	}
+	for range s.names {
+		s.Vals = append(s.Vals, r.Float64())
+	}
+	s.Rec = Record{V: Version, Issue: &s.issue}
+}
+
+func (s *Scanner) readReport() {
+	r := &s.r
+	s.report = Report{Trial: r.Int(), Rung: r.Int(), Failed: s.upto(1) == 1,
 		Loss: r.Float64(), TrueLoss: r.Float64(), Resource: r.Float64(), Time: r.Float64()}
-	return rep
+	s.Rec = Record{V: Version, Report: &s.report}
 }
 
-// snapshot reads a snap frame. Checkpoints alias the cursor's buffer:
-// Recover hands it a copy, so that records never pin the journal image.
-func (d *decoder) snapshot() *Snapshot {
-	r := &d.r
-	s := &Snapshot{Issued: r.Int(), Completed: r.Int(), Failed: r.Int(), Final: d.upto(1) == 1}
+// readSnapshot reads a snap frame. Checkpoints alias the cursor's buffer:
+// Scan hands it a copy, so that what keeps one never pins the journal
+// image.
+func (s *Scanner) readSnapshot() {
+	r := &s.r
+	s.snap = Snapshot{Issued: r.Int(), Completed: r.Int(), Failed: r.Int(), Final: s.upto(1) == 1, Trials: s.snap.Trials[:0]}
 	n := r.Int()
-	s.Time, s.Trials = r.Float64(), make([]TrialSnap, 0, min(n, r.Remaining()/minTrialSnap))
-	for ; n > 0 && r.Err() == nil; n-- {
+	for s.snap.Time = r.Float64(); n > 0 && r.Err() == nil; n-- {
 		t := TrialSnap{Trial: r.Int(), Resource: r.Float64(), State: r.Bytes()}
 		if t.State != nil && !json.Valid(t.State) {
 			r.Failf("state: trial %d's checkpoint is not valid JSON", t.Trial)
 		}
-		s.Trials = append(s.Trials, t)
+		s.snap.Trials = append(s.snap.Trials, t)
 	}
-	return s
+	s.Rec = Record{V: Version, Snap: &s.snap}
 }

@@ -4,8 +4,10 @@ package state
 // Recover must never panic and never fail with anything but ErrFormat or
 // ErrNoMeta; its recovery point must be a frame boundary inside the
 // input; the prefix up to it must recover to the same records with no
-// truncation; and re-appending those records must reproduce that prefix
-// byte for byte — the encoding is canonical.
+// truncation; re-appending those records must reproduce that prefix
+// byte for byte — the encoding is canonical; and a Scanner drained over
+// the same bytes must stream the same records to the same recovery
+// point, so the collected view cannot drift from the streamed one.
 //
 // FuzzRecover mutates whole images. FuzzRecordFrame seals its inputs as
 // frames with a correct length and checksum behind a valid head, so the
@@ -183,7 +185,46 @@ func checkRecover(t *testing.T, data []byte) *Recovered {
 	if !bytes.Equal(buf.Bytes(), clean) {
 		t.Fatalf("re-appending %d recovered records gives\n %x\nnot the committed prefix\n %x", len(rec.Records), buf.Bytes(), clean)
 	}
+	checkScan(t, data, rec)
 	return rec
+}
+
+// checkScan asserts that a Scanner streams what Recover collected from
+// the same image: as many records, which appended again as they are
+// scanned — an issue from its value vector — give the committed prefix
+// byte for byte, up to the same recovery point.
+func checkScan(t *testing.T, data []byte, rec *Recovered) {
+	t.Helper()
+	s, err := NewScanner(data)
+	if err != nil {
+		t.Fatalf("NewScanner refuses what Recover read: %v", err)
+	}
+	var buf bytes.Buffer
+	j, err := NewWriter(&buf, s.Meta)
+	if err != nil {
+		t.Fatalf("re-encoding scanned meta: %v", err)
+	}
+	n := 0
+	for ; s.Scan(); n++ {
+		if is := s.Rec.Issue; is != nil {
+			err = j.AppendIssue(*is, s.Vals)
+		} else {
+			err = j.Append(s.Rec)
+		}
+		if err != nil {
+			t.Fatalf("re-encoding scanned record %d: %v", n, err)
+		}
+	}
+	if s.Scan() {
+		t.Fatal("Scan went on behind the recovery point")
+	}
+	if n != len(rec.Records) || s.CleanOffset != rec.CleanOffset || s.Truncated != rec.Truncated {
+		t.Fatalf("scanned %d records to offset %d (truncated %v), Recover collected %d to %d (%v)",
+			n, s.CleanOffset, s.Truncated, len(rec.Records), rec.CleanOffset, rec.Truncated)
+	}
+	if !bytes.Equal(buf.Bytes(), data[:rec.CleanOffset]) {
+		t.Fatalf("re-appending %d scanned records gives\n %x\nnot the committed prefix\n %x", n, buf.Bytes(), data[:rec.CleanOffset])
+	}
 }
 
 func FuzzRecover(f *testing.F) {

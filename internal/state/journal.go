@@ -73,7 +73,7 @@ func NewWriter(w io.Writer, meta Meta) (*Journal, error) {
 }
 
 // ReopenWriter continues a journal on a writer that already holds its
-// committed prefix — the in-memory twin of RecoverFile's append mode,
+// committed prefix — the in-memory twin of Scanner.Reopen,
 // used by crash-resume tests. records is the number of records already
 // committed, reported by Records().
 func ReopenWriter(w io.Writer, records int) *Journal {
@@ -191,7 +191,7 @@ func (j *Journal) Err() error {
 
 // Records returns the number of records committed — staged records count
 // once their flush succeeded — including the meta record, and including
-// records replayed from disk when the journal was opened by RecoverFile.
+// records scanned from disk when the journal was opened by Scanner.Reopen.
 func (j *Journal) Records() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+
+	"repro/internal/wire"
 )
 
 // ErrNoMeta is returned by Recover when the journal has no committed
@@ -48,76 +50,183 @@ type Recovered struct {
 	Truncated bool
 }
 
-// Recover scans a journal image and returns its committed prefix. A
-// committed record is a whole frame whose checksum matches, whose type
-// is known and whose fields decode and fill the frame exactly; the scan
-// stops at the first violation — a torn final write, a flipped bit, a
-// second meta — and discards everything from there on. A names frame
-// commits with the issue frame that must follow it, so the recovery
-// point is always a record boundary. The write-ahead ordering makes the
-// discard safe: a record that never committed corresponds to an action
-// (launch or scheduler report) that never happened.
+// Scanner walks a journal image one committed record at a time, without
+// building anything per record: Scan decodes into fields the scanner
+// owns and overwrites on the next call. A committed record is a whole
+// frame whose checksum matches, whose type is known and whose fields
+// decode and fill the frame exactly; the scan stops for good at the
+// first violation — a torn final write, a flipped bit, a second meta —
+// and everything from there on is discarded. A names frame commits with
+// the issue frame that must follow it, so the recovery point is always a
+// record boundary. The write-ahead ordering makes the discard safe: a
+// record that never committed corresponds to an action (launch or
+// scheduler report) that never happened.
 //
-// Recover never panics on arbitrary input (fuzz_test.go). Its errors are
-// ErrFormat and, when not even the head record committed, ErrNoMeta.
-func Recover(data []byte) (*Recovered, error) {
+// A Scanner never panics on arbitrary input (fuzz_test.go).
+type Scanner struct {
+	// Meta is the head record.
+	Meta Meta
+	// Rec is the record the last Scan decoded. Its payload is the
+	// scanner's until the next Scan, with two things to know: an issue's
+	// Config is nil, its values being Vals, one per name of its Names;
+	// and a snapshot's Trials is reused, while the checkpoints in it
+	// alias a copy of their frame and may be kept.
+	Rec  Record
+	Vals []float64
+	// CleanOffset is the byte offset just past Rec; Truncated, set when
+	// Scan returns false, that what is behind it then was discarded: the
+	// two are Recovered's.
+	CleanOffset int64
+	Truncated   bool
+
+	path  string // of the file the image was read from (ScanFile)
+	data  []byte
+	off   int // just past the last frame read
+	n     int // records committed so far, the head among them
+	r     wire.Reader
+	names []string // the table the last names frame declared
+
+	issue  Issue
+	report Report
+	snap   Snapshot
+}
+
+// NewScanner reads the head of a journal image. Its errors are ErrFormat
+// and, when not even the head record committed, ErrNoMeta.
+func NewScanner(data []byte) (*Scanner, error) {
 	if err := checkMagic(data); err != nil {
 		return nil, err
 	}
-	var d decoder
-	off := len(magic)
-	body, ok := frameAt(data, off)
+	body, ok := frameAt(data, len(magic))
 	if !ok || body[0] != typeMeta {
 		return nil, ErrNoMeta
 	}
-	d.r.Reset(body[1:])
+	s := &Scanner{data: data, n: 1}
+	s.r.Reset(body[1:])
+	s.Meta = Meta{Experiment: s.r.String(), Algo: s.r.String(), Seed: s.r.Uvarint(), Params: s.strings()}
+	if s.r.ExpectEOF(); s.r.Err() != nil {
+		return nil, ErrNoMeta
+	}
+	s.off = len(magic) + frameHeader + len(body)
+	s.CleanOffset = int64(s.off)
+	return s, nil
+}
+
+// Scan decodes the next committed record into Rec, or returns false at
+// the recovery point.
+func (s *Scanner) Scan() bool {
+	for tabled := false; ; { // tabled: a names frame was read and its issue not yet
+		body, ok := frameAt(s.data, s.off)
+		if !ok {
+			break
+		}
+		s.off += frameHeader + len(body)
+		s.r.Reset(body[1:])
+		switch typ := body[0]; {
+		case typ == typeIssue:
+			s.readIssue()
+		case tabled:
+			s.r.Failf("state: names frame without its issue")
+		case typ == typeNames:
+			s.readNames()
+		case typ == typeReport:
+			s.readReport()
+		case typ == typeSnap:
+			s.r.Reset(bytes.Clone(body[1:])) // its checkpoints alias the cursor's buffer
+			s.readSnapshot()
+		default: // a second meta, or a type this format does not have
+			s.r.Failf("state: frame type %q", typ)
+		}
+		if s.r.ExpectEOF(); s.r.Err() != nil {
+			break
+		}
+		if tabled = body[0] == typeNames; !tabled {
+			s.CleanOffset, s.n = int64(s.off), s.n+1
+			return true
+		}
+	}
+	s.off = len(s.data) // nothing behind the recovery point is a frame
+	s.Truncated = s.CleanOffset != int64(len(s.data))
+	return false
+}
+
+// collect scans to the recovery point and returns every record as a
+// value of its own. Issue and Report payloads are carved from slabs:
+// beyond the config maps, records cost few allocations.
+func (s *Scanner) collect() *Recovered {
 	// Sized not to regrow: the leanest run's records — two parameters
 	// (issue 39 bytes, report 45) and a bare number for a checkpoint (its
 	// snapshot entry ~25 a job) — average 60 bytes; wider ones only fewer.
-	rec := &Recovered{Records: make([]Record, 0, len(data)/56),
-		Meta: Meta{Experiment: d.r.String(), Algo: d.r.String(), Seed: d.r.Uvarint(), Params: d.strings()}}
-	if d.r.ExpectEOF(); d.r.Err() != nil {
-		return nil, ErrNoMeta
-	}
-	off += frameHeader + len(body)
-	rec.CleanOffset = int64(off)
-	tabled := false // a names frame was read and its issue not yet
-	for {
-		if body, ok = frameAt(data, off); !ok {
-			break
-		}
-		off += frameHeader + len(body)
-		d.r.Reset(body[1:])
-		r := Record{V: Version}
-		switch typ := body[0]; {
-		case typ == typeIssue:
-			r.Issue = d.issue()
-		case tabled:
-			d.r.Failf("state: names frame without its issue")
-		case typ == typeNames:
-			was := len(d.names)
-			if d.names = d.strings(); was+len(d.names) == 0 {
-				d.r.Failf("state: names frame declares no names over none") // the encoder never does
+	rec := &Recovered{Meta: s.Meta, Records: make([]Record, 0, len(s.data)/56)}
+	var issues []Issue
+	var reports []Report
+	for s.Scan() {
+		r := s.Rec
+		switch {
+		case r.Issue != nil:
+			r.Issue = carve(&issues)
+			if *r.Issue = s.issue; len(s.Vals) > 0 {
+				r.Issue.Config = make(map[string]float64, len(s.Vals))
+				for i, name := range s.names {
+					r.Issue.Config[name] = s.Vals[i]
+				}
 			}
-		case typ == typeReport:
-			r.Report = d.report()
-		case typ == typeSnap:
-			d.r.Reset(bytes.Clone(body[1:])) // its checkpoints alias the cursor's buffer
-			r.Snap = d.snapshot()
-		default: // a second meta, or a type this format does not have
-			d.r.Failf("state: frame type %q", typ)
-		}
-		if d.r.ExpectEOF(); d.r.Err() != nil {
-			break
-		}
-		if tabled = body[0] == typeNames; tabled {
-			continue
+		case r.Report != nil:
+			r.Report = carve(&reports)
+			*r.Report = s.report
+		default:
+			snap := s.snap
+			snap.Trials = append(make([]TrialSnap, 0, len(snap.Trials)), snap.Trials...)
+			r.Snap = &snap
 		}
 		rec.Records = append(rec.Records, r)
-		rec.CleanOffset = int64(off)
 	}
-	rec.Truncated = rec.CleanOffset != int64(len(data))
-	return rec, nil
+	rec.CleanOffset, rec.Truncated = s.CleanOffset, s.Truncated
+	return rec
+}
+
+// Recover scans a journal image and returns its committed prefix (see
+// Scanner for what commits). Its errors are NewScanner's.
+func Recover(data []byte) (*Recovered, error) {
+	s, err := NewScanner(data)
+	if err != nil {
+		return nil, err
+	}
+	return s.collect(), nil
+}
+
+// ScanFile reads the journal at path and returns a scanner over it.
+func ScanFile(path string) (*Scanner, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("state: read journal: %w", err)
+	}
+	s, err := NewScanner(data)
+	if err != nil {
+		return nil, fmt.Errorf("state: %s: %w", path, err)
+	}
+	s.path = path
+	return s, nil
+}
+
+// Reopen scans what is left of the image ScanFile read, truncates any
+// torn tail so the file ends exactly at the recovery point, and reopens
+// it for appending. The file is not touched before: whoever refuses the
+// journal for what its records say leaves it as it was.
+func (s *Scanner) Reopen() (*Journal, error) {
+	for s.Scan() {
+	}
+	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("state: reopen journal: %w", err)
+	}
+	if s.Truncated {
+		if err := f.Truncate(s.CleanOffset); err != nil {
+			_ = f.Close()
+			return nil, fmt.Errorf("state: truncate torn journal tail: %w", err)
+		}
+	}
+	return &Journal{w: f, f: f, records: s.n}, nil
 }
 
 // RecoverFile recovers the journal at path, truncates any torn tail so
@@ -125,24 +234,14 @@ func Recover(data []byte) (*Recovered, error) {
 // appending. The returned Journal continues the same file; the returned
 // Recovered prefix is what the caller replays before appending.
 func RecoverFile(path string) (*Recovered, *Journal, error) {
-	data, err := os.ReadFile(path)
+	s, err := ScanFile(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("state: read journal: %w", err)
+		return nil, nil, err
 	}
-	rec, err := Recover(data)
+	rec := s.collect()
+	j, err := s.Reopen()
 	if err != nil {
-		return nil, nil, fmt.Errorf("state: %s: %w", path, err)
+		return nil, nil, err
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("state: reopen journal: %w", err)
-	}
-	if rec.Truncated {
-		if err := f.Truncate(rec.CleanOffset); err != nil {
-			_ = f.Close()
-			return nil, nil, fmt.Errorf("state: truncate torn journal tail: %w", err)
-		}
-	}
-	j := &Journal{w: f, f: f, records: 1 + len(rec.Records)}
 	return rec, j, nil
 }

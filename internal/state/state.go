@@ -26,15 +26,16 @@
 //     and the caller must abort the run rather than continue with a hole
 //     in the log.
 //
-// Recovery (Recover / RecoverFile) stops at the first torn,
+// Recovery (a Scanner, which a resume reads records off one at a time;
+// Recover / RecoverFile collect what it scans) stops at the first torn,
 // checksum-failing or undecodable frame: a crash mid-write leaves a
 // truncated tail, which is a clean recovery point — everything before it
 // is replayable, everything after it never affected scheduler state (the
 // write-ahead ordering guarantees the corresponding Launch/Report never
 // happened). Replaying the committed records into a scheduler of the
 // same seed and configuration reproduces its state bit for bit; that
-// semantic replay is internal/backend.Replay, while this package stays
-// purely syntactic so the decoder can be fuzzed in isolation.
+// semantic replay is internal/backend.ReplayScan, while this package
+// stays purely syntactic so the decoder can be fuzzed in isolation.
 package state
 
 import (

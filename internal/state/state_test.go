@@ -255,6 +255,7 @@ func TestRecoverNeverReturnsAnAlteredRecord(t *testing.T) {
 			}
 			continue
 		}
+		checkScan(t, flipped, rec)
 		if !rec.Truncated || len(rec.Records) >= len(want.Records) {
 			t.Fatalf("bit %d: flip went undetected: truncated=%v, %d of %d records", bit, rec.Truncated, len(rec.Records), len(want.Records))
 		}

@@ -287,30 +287,31 @@ func progressHook(rs *backend.ResumeState, fn func(Progress)) func(core.Result, 
 const tunerJournalName = "tuner.journal"
 
 // openJournal opens one experiment's journal at path: fresh (truncating)
-// for Run, or — on resume, when the file exists — recovered, verified
-// against meta and replayed into sched. A resume without an existing
-// journal falls through to a fresh start, which gives CLIs
-// resume-on-restart semantics with a single call. Tuner.Resume,
-// Manager.Resume and an admin adopt all open journals here; opt must
-// not carry OnResult yet, so progress callbacks do not re-fire for work
-// that completed before the crash.
+// for Run, or — on resume, when the file exists — verified against meta
+// and replayed into sched as it is decoded, then reopened for appending
+// at its recovery point. A journal refused for what it holds is left as
+// it was: a torn tail is cut off only once the replay has accepted the
+// records before it. A resume without an existing journal falls through
+// to a fresh start, which gives CLIs resume-on-restart semantics with a
+// single call. Tuner.Resume, Manager.Resume and an admin adopt all open
+// journals here; opt must not carry OnResult yet, so progress callbacks
+// do not re-fire for work that completed before the crash.
 func openJournal(path string, meta state.Meta, resume bool, sched core.Scheduler, opt backend.Options) (*state.Journal, *backend.ResumeState, error) {
 	if resume {
 		if _, err := os.Stat(path); err == nil {
-			rec, journal, err := state.RecoverFile(path)
+			s, err := state.ScanFile(path)
 			if err != nil {
 				return nil, nil, err
 			}
-			if err := checkJournalMeta(rec.Meta, meta); err != nil {
-				_ = journal.Close()
+			if err := checkJournalMeta(s.Meta, meta); err != nil {
 				return nil, nil, err
 			}
-			rs, err := backend.Replay(rec, sched, opt)
+			rs, err := backend.ReplayScan(s, sched, opt)
 			if err != nil {
-				_ = journal.Close()
 				return nil, nil, err
 			}
-			return journal, rs, nil
+			journal, err := s.Reopen()
+			return journal, rs, err
 		}
 	}
 	journal, err := state.Create(path, meta)

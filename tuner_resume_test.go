@@ -125,6 +125,74 @@ func TestTunerResumeRejectsMismatchedConfiguration(t *testing.T) {
 	}
 }
 
+// A journal Resume refuses for what it holds — another run's identity,
+// records the scheduler does not reproduce — is left byte for byte as it
+// was, torn tail included: the tail is cut off only when the replay has
+// accepted what is before it. (state's
+// TestRecoverFileLeavesForeignFileAlone is the format-level twin.)
+func TestRefusedResumeLeavesTornJournalAlone(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := resumeTuner(dir, 40).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, tunerJournalName)
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := image[:len(image)-5]
+	rec, err := state.Recover(torn)
+	if err != nil || !rec.Truncated {
+		t.Fatalf("the cut journal: %v, %+v", err, rec)
+	}
+	// The same records under a meta that passes the identity check and a
+	// first issue no scheduler of this seed makes.
+	var edited bytes.Buffer
+	j, err := state.NewWriter(&edited, rec.Meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Records[0].Issue.Target++
+	for _, r := range rec.Records {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	diverging := append(edited.Bytes(), torn[rec.CleanOffset:]...)
+	for name, c := range map[string]struct {
+		image []byte
+		seed  uint64
+		want  string
+	}{
+		"wrong seed": {torn, 99, "seed"},
+		"diverging":  {diverging, 21, "divergence"},
+	} {
+		if err := os.WriteFile(path, c.image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := resumeTuner(dir, 40, WithSeed(c.seed)).Resume(context.Background())
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Resume returned %v, want a refusal naming the %s", name, err, c.want)
+		}
+		if got, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(got, c.image) {
+			t.Errorf("%s: the refused journal changed: %d bytes, was %d (%v)", name, len(got), len(c.image), rerr)
+		}
+	}
+	// Accepted, the same torn journal is cut at its recovery point and continued.
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := resumeTuner(dir, 40).Resume(context.Background()); err != nil || res.CompletedJobs != 40 {
+		t.Fatalf("resume of the torn journal: %v, %+v", err, res)
+	}
+	if image, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := state.Recover(image); err != nil || got.Truncated || len(got.Records) <= len(rec.Records) {
+		t.Errorf("the resumed journal: %v, %+v", err, got)
+	}
+}
+
 func TestTunerRunTruncatesPreviousJournal(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := resumeTuner(dir, 40).Run(context.Background()); err != nil {
