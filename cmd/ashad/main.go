@@ -66,7 +66,8 @@
 //	}
 //
 // batchSize/prefetch/flushMs set the fleet-wide batching defaults every
-// worker adopts at registration: jobs granted per lease poll, local
+// worker adopts at registration: the cap on jobs per frame (unset: what
+// the worker has room for, and results leave as they finish), local
 // lookahead queue depth, and report-flush deadline. High-throughput
 // fleets should raise batchSize and prefetch so one HTTP round trip
 // moves many jobs (see DESIGN.md, "Batched leasing & worker
@@ -178,8 +179,10 @@ type remoteSpec struct {
 	LeaseTTLMillis int `json:"leaseTTLms,omitempty"`
 	// MaxLeases caps concurrently leased jobs (default: workers).
 	MaxLeases int `json:"maxLeases,omitempty"`
-	// BatchSize caps jobs granted per worker lease poll and sets the
-	// fleet-wide default lease/report batch size (default 1).
+	// BatchSize caps the jobs a grants or reports frame carries and sets
+	// the fleet-wide default batch workers hold results for (default:
+	// unset — a poll is granted what the worker has room for, a result
+	// leaves when it is done).
 	BatchSize int `json:"batchSize,omitempty"`
 	// Prefetch is the fleet-wide default worker lookahead: jobs each
 	// worker keeps leased in its local queue ahead of its training

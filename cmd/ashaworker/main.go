@@ -117,7 +117,7 @@ func main() {
 		token       = flag.String("token", "", "shared worker-auth token")
 		name        = flag.String("name", "", "worker name reported to the server")
 		slots       = flag.Int("slots", 1, "concurrent training jobs")
-		batch       = flag.Int("batch", 0, "jobs per lease poll and report flush (0 = server default)")
+		batch       = flag.Int("batch", 0, "cap on jobs per lease poll and report flush (0 = server default; none: every free slot, results leave as they finish)")
 		prefetch    = flag.Int("prefetch", 0, "local job-queue lookahead depth (0 = server default, <0 = none)")
 		flush       = flag.Duration("flush", 0, "report-flush deadline, e.g. 25ms (0 = server default, <0 = immediate)")
 		delay       = flag.Duration("delay", 0, "sleep per job before training, pacing surrogate benchmarks like real work")

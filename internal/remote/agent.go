@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -26,10 +27,12 @@ type AgentOptions struct {
 	// Slots is the number of jobs the worker runs concurrently
 	// (default 1).
 	Slots int
-	// Batch is the number of jobs requested per lease poll and the
-	// report-flush size: up to Batch completed responses travel in one
-	// /v1/report request. 0 adopts the server-advertised fleet default;
-	// values below 1 are clamped to 1 (one job per round trip).
+	// Batch caps the jobs requested per lease poll and is the
+	// report-flush size: the reporter waits up to FlushInterval for Batch
+	// completed responses and sends at most Batch per frame. 0 adopts the
+	// server-advertised fleet default; with none advertised (and for
+	// values below 1) nothing waits and nothing is capped — a poll asks
+	// for all the free capacity, a report frame carries what is ready.
 	Batch int
 	// Prefetch is the depth of the local job queue: jobs leased ahead
 	// of the ones the slots are training, so objective execution
@@ -132,6 +135,7 @@ type agent struct {
 	worker string
 	ttl    time.Duration
 	// Resolved batching parameters (option > server-advertised > default).
+	// batch 0 is "unset": frames carry what is ready and wait for nothing.
 	batch    int
 	prefetch int
 	flushInt time.Duration
@@ -156,6 +160,15 @@ type agent struct {
 	leaseSeq uint64
 	repSeq   uint64
 
+	// The reporter goroutine's FIFO of report frames sent on sentOn and
+	// not yet acked, oldest first, at most ackWindow: frame i carried the
+	// next sent[i].n records of unacked, which stay held (and heartbeated)
+	// until its ack or a re-delivery. ackWait is how old the head may get.
+	sentOn  *binStream
+	sent    []sentFrame
+	unacked []*heldLease
+	ackWait time.Duration
+
 	// Reporter-goroutine scratch, reused flush to flush. repTimings is
 	// the slab the flushed entries' Timing pointers alias, so it must
 	// stay untouched until the next flush rebuilds it.
@@ -177,6 +190,23 @@ type agent struct {
 	active int
 }
 
+// sentFrame is one report frame awaiting its ack: the sequence number
+// the ack must echo, how many records it carried, when it left.
+type sentFrame struct {
+	seq uint64
+	n   int
+	at  time.Time
+}
+
+// ackWindow bounds the report frames an agent keeps sent and unacked (a
+// full window holds the reporter back, so a healthy server's acks always
+// fit the stream's ack channel); reportAckWait is how long the oldest may
+// stay unacked before the stream counts as wedged.
+const (
+	ackWindow     = 8
+	reportAckWait = 10 * time.Second
+)
+
 // ServeAgent connects to a lease server and executes jobs until the
 // context is cancelled or the server reports the run is over. Workers
 // are elastic: an agent may connect mid-run and immediately receives
@@ -197,11 +227,12 @@ func ServeAgent(ctx context.Context, o AgentOptions) error {
 		o.RegisterTimeout = 30 * time.Second
 	}
 	a := &agent{
-		o:      o,
-		client: &http.Client{},
-		home:   o.Server,
-		held:   make(map[uint64]*heldLease),
-		kick:   make(chan struct{}, 1),
+		o:       o,
+		client:  &http.Client{},
+		home:    o.Server,
+		held:    make(map[uint64]*heldLease),
+		kick:    make(chan struct{}, 1),
+		ackWait: reportAckWait,
 	}
 	a.server.Store(o.Server)
 	if err := a.register(ctx, ""); err != nil {
@@ -255,7 +286,7 @@ func ServeAgent(ctx context.Context, o AgentOptions) error {
 
 // resolveBatching fixes the pipeline's batch, prefetch and flush
 // parameters: an explicit option wins, else the server-advertised fleet
-// default, else one job per poll with no lookahead.
+// default, else no batch (frames carry what is ready) and no lookahead.
 func (a *agent) resolveBatching() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -263,8 +294,8 @@ func (a *agent) resolveBatching() {
 	if a.batch == 0 {
 		a.batch = a.advBatch
 	}
-	if a.batch < 1 {
-		a.batch = 1
+	if a.batch < 0 {
+		a.batch = 0
 	}
 	a.prefetch = a.o.Prefetch
 	if a.prefetch == 0 {
@@ -456,9 +487,9 @@ func (a *agent) register(ctx context.Context, staleID string) error {
 	}
 }
 
-// fetchLoop is the pipeline's lease stage: it long-polls the stream for
-// up to Batch jobs at a time whenever the pipeline has free capacity
-// (Slots+Prefetch unsettled jobs), registers each grant's lease, and
+// fetchLoop is the pipeline's lease stage: whenever the pipeline has free
+// capacity (Slots+Prefetch unsettled jobs) it long-polls the stream for
+// all of it, or an explicit Batch of it, registers each grant's lease, and
 // queues the jobs for the executor slots — so while the slots train,
 // the next batch is already on the wire. A non-nil return is a
 // deterministic rejection worth surfacing; nil means the run ended (or
@@ -488,6 +519,8 @@ func (a *agent) fetchLoop(ctx context.Context) error {
 	// a measurable share of the steady-state pipeline at fleet batch
 	// sizes).
 	var accepted []*heldLease
+	timer := newStoppedTimer() // binPoll's wedged-stream watchdog
+	defer timer.Stop()
 	for ctx.Err() == nil && !a.runOver.Load() {
 		free := capacity - a.activeLeases()
 		if free < threshold {
@@ -498,11 +531,11 @@ func (a *agent) fetchLoop(ctx context.Context) error {
 			continue
 		}
 		max := free
-		if max > a.batch {
+		if a.batch > 0 && max > a.batch {
 			max = a.batch
 		}
 		wid := a.workerID()
-		sb, status, err := a.binPoll(ctx, wid, max)
+		sb, status, err := a.binPoll(ctx, wid, max, timer)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
@@ -609,8 +642,8 @@ func (a *agent) fetchLoop(ctx context.Context) error {
 // redialing) it first when none is live: the batch carries the grants'
 // records or done, a refused handshake surfaces its HTTP status (410
 // makes the caller re-register), transport failures return a plain
-// error the caller backs off on.
-func (a *agent) binPoll(ctx context.Context, wid string, max int) (streamBatch, int, error) {
+// error the caller backs off on. timer is the fetcher's, reused.
+func (a *agent) binPoll(ctx context.Context, wid string, max int, timer *time.Timer) (streamBatch, int, error) {
 	bs := a.curStream()
 	if bs == nil {
 		var done bool
@@ -633,8 +666,7 @@ func (a *agent) binPoll(ctx context.Context, wid string, max int) (streamBatch, 
 	}) {
 		return streamBatch{}, 0, fmt.Errorf("remote: binary stream write failed")
 	}
-	timer := time.NewTimer(25 * time.Second)
-	defer timer.Stop()
+	rearm(timer, 25*time.Second)
 	select {
 	case sb := <-bs.grants:
 		// Done is honored whatever its sequence: the server's shutdown
@@ -775,67 +807,127 @@ func (a *agent) runOne(ctx context.Context, h *heldLease, sc *slotCtx) {
 	}
 }
 
-// reportLoop is the pipeline's delivery stage: it buffers completed
-// responses and flushes them as one ReportBatch when the buffer reaches
-// Batch entries, when the agent has nothing left in flight (a starving
-// tuner should not wait on a timer for results that are already done),
-// or when the oldest buffered response has waited FlushInterval.
+// reportLoop is the pipeline's delivery stage, and never waits on the
+// server. A completion is joined by every other already queued (up to an
+// explicit Batch) and the frame leaves at once if it is full, if no Batch
+// asks it to wait, or if the agent has nothing left in flight (a starving
+// tuner should not wait on a timer for results that are already done) —
+// else when its oldest entry has waited FlushInterval. Sent frames wait in
+// a FIFO: an ack releases the oldest; an ack out of sequence or a head
+// older than ackWait closes the stream, and a closed stream re-delivers
+// them all through /v1/report. The loop ends once the pipeline has shut
+// down and every frame is settled.
 func (a *agent) reportLoop(ctx context.Context) {
 	var pending []*heldLease
-	var timer *time.Timer
-	var timerC <-chan time.Time
-	stopTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer = nil
-			timerC = nil
-		}
-	}
+	flush, ackBy := newStoppedTimer(), newStoppedTimer()
+	defer flush.Stop()
+	defer ackBy.Stop()
+	var flushC, ackByC <-chan time.Time // nil while not armed
+	reports := a.reports
 	for {
+		in, flushNow := reports, flushC
+		var acks <-chan binReportAck
+		var dead <-chan struct{}
+		if len(a.sent) > 0 {
+			acks, dead = a.sentOn.acks, a.sentOn.dead
+			if len(a.sent) == ackWindow {
+				in, flushNow = nil, nil // nothing more leaves until an ack makes room
+			}
+			if ackByC == nil {
+				// Armed per wait, not per frame: when it fires early it is
+				// armed again for whichever frame is the oldest by then.
+				rearm(ackBy, a.ackWait-time.Since(a.sent[0].at))
+				ackByC = ackBy.C
+			}
+		} else if reports == nil {
+			return
+		}
 		select {
-		case h, ok := <-a.reports:
+		case h, ok := <-in:
 			if !ok {
 				// Pipeline shut down: deliver what is buffered while the
 				// leases are still warm (unless the run is already over —
 				// the server has settled everything as Failed by then).
-				if len(pending) > 0 && ctx.Err() == nil && !a.runOver.Load() {
-					a.flushReports(ctx, pending)
+				reports = nil
+				if ctx.Err() == nil && !a.runOver.Load() {
+					pending = a.flushReports(ctx, pending, a.curStream())
 				}
-				stopTimer()
-				return
+				break
 			}
 			pending = append(pending, h)
+			if a.batch == 0 {
+				// Nothing will hold this frame back, so let what is landing
+				// land: slots whose jobs ended in the same instant are
+				// runnable behind this goroutine, which the first of them
+				// woke, and their results (and the poll for their
+				// replacements) then share a frame instead of taking one each.
+				runtime.Gosched()
+			}
+		ready:
+			for a.batch == 0 || len(pending) < a.batch {
+				select {
+				case h, ok := <-reports:
+					if !ok {
+						break ready // the next pass sees the close
+					}
+					pending = append(pending, h)
+				default:
+					break ready
+				}
+			}
 			if len(pending) >= a.batch || a.flushInt == 0 || a.activeLeases() == 0 {
-				pending = a.flushReports(ctx, pending)
-				stopTimer()
-			} else if timerC == nil {
-				timer = time.NewTimer(a.flushInt)
-				timerC = timer.C
+				pending = a.flushReports(ctx, pending, a.curStream())
+				flushC = nil
+			} else if flushC == nil {
+				rearm(flush, a.flushInt)
+				flushC = flush.C
 			}
-		case <-timerC:
-			timer = nil
-			timerC = nil
-			if len(pending) > 0 {
-				pending = a.flushReports(ctx, pending)
+		case <-flushNow:
+			flushC = nil
+			pending = a.flushReports(ctx, pending, a.curStream())
+		case ack := <-acks:
+			if ack.Seq != a.sent[0].seq {
+				a.sentOn.close() // the stream lost sync
+				break
 			}
+			// Rejected entries need no handling (their leases expired; the
+			// jobs are already requeued).
+			n := a.sent[0].n
+			a.releaseAll(a.unacked[:n])
+			rest := copy(a.unacked, a.unacked[n:])
+			clear(a.unacked[rest:])
+			a.unacked = a.unacked[:rest]
+			a.sent = a.sent[:copy(a.sent, a.sent[1:])]
+		case <-ackByC:
+			if ackByC = nil; len(a.sent) > 0 && time.Since(a.sent[0].at) >= a.ackWait {
+				a.sentOn.close() // the stream is wedged
+			}
+		case <-dead:
+			a.redeliver(ctx)
 		case <-ctx.Done():
-			stopTimer()
 			// Drain without delivering: the context owns the shutdown.
-			for range a.reports {
+			if reports != nil {
+				for range reports {
+				}
 			}
 			return
 		}
 	}
 }
 
-// flushReports delivers one ReportBatch with a short retry: if the
-// server stays unreachable the leases expire and the jobs requeue
-// elsewhere, which is safe. Rejected entries (leases that expired
-// mid-flight) need no handling here — the server has already requeued
-// those jobs, and only those. Returns the emptied buffer for reuse.
-func (a *agent) flushReports(ctx context.Context, pending []*heldLease) []*heldLease {
+// flushReports sends one ReportBatch as a frame on bs and queues it for
+// its ack, or — bs nil, or the write failing — delivers it through
+// /v1/report with a short retry: if the server stays unreachable the
+// leases expire and the jobs requeue elsewhere, which is safe. Rejected
+// entries (leases that expired mid-flight) need no handling here — the
+// server has already requeued those jobs, and only those. Returns the
+// emptied buffer for reuse.
+func (a *agent) flushReports(ctx context.Context, pending []*heldLease, bs *binStream) []*heldLease {
 	if len(pending) == 0 {
 		return pending[:0]
+	}
+	if len(a.sent) > 0 && bs != a.sentOn {
+		a.redeliver(ctx) // the sent frames' stream died; the loop has yet to notice
 	}
 	// Deliver only entries whose leases this worker still holds under
 	// the current registration: an entry that expired (or predates a
@@ -858,21 +950,32 @@ func (a *agent) flushReports(ctx context.Context, pending []*heldLease) []*heldL
 		}
 	}
 	a.mu.Unlock()
-	// The Timing pointers alias the slab, taken only after it stopped
-	// growing; the binary path carries timings as a parallel slice
-	// instead.
-	for i := range entries {
-		entries[i].Timing = &timings[i]
-	}
-	wid := a.workerID()
-	deliver := func(req, reply interface{}) {
+	a.repEntries, a.repTimings = entries[:0], timings[:0]
+	// An empty entries means everything in the buffer was stale.
+	if len(entries) > 0 {
+		// Prefer the binary stream when one is live: the frame's leases
+		// stay held, and heartbeated, until its ack releases them.
+		if bs != nil && a.binSend(bs, entries, timings) {
+			a.sentOn = bs
+			a.sent = append(a.sent, sentFrame{seq: a.repSeq, n: len(pending), at: now})
+			a.unacked = append(a.unacked, pending...)
+			return pending[:0]
+		}
+		// The Timing pointers alias the slab, taken only after it stopped
+		// growing; the binary path carries timings as a parallel slice
+		// instead.
+		for i := range entries {
+			entries[i].Timing = &timings[i]
+		}
+		req := ReportBatch{Version: ProtocolVersion, Token: a.o.Token, WorkerID: a.workerID(), Reports: entries}
 		for attempt := 0; attempt < 3 && ctx.Err() == nil; attempt++ {
-			status, err := a.post(ctx, "/v1/report", req, reply, 10*time.Second)
+			var rr ReportBatchResult
+			status, err := a.post(ctx, "/v1/report", req, &rr, 10*time.Second)
 			if err == nil {
-				return // every entry settled: accepted, or harmlessly rejected as expired
+				break // every entry settled: accepted, or harmlessly rejected as expired
 			}
 			if status >= 400 && status < 500 {
-				return // deterministic rejection; the leases will expire into retries
+				break // deterministic rejection; the leases will expire into retries
 			}
 			select {
 			case <-time.After(200 * time.Millisecond):
@@ -880,28 +983,20 @@ func (a *agent) flushReports(ctx context.Context, pending []*heldLease) []*heldL
 			}
 		}
 	}
-	// An empty entries means everything in the buffer was stale.
-	if len(entries) > 0 {
-		// Prefer the binary stream when one is live; fall back to the
-		// JSON batch endpoint when it is down or mid-flush failure
-		// leaves delivery uncertain — a double delivery is harmless,
-		// the server rejects the already-settled leases.
-		delivered := false
-		if bs := a.curStream(); bs != nil {
-			delivered = a.binFlush(ctx, bs, entries, timings)
-		}
-		if !delivered {
-			var rr ReportBatchResult
-			deliver(ReportBatch{Version: ProtocolVersion, Token: a.o.Token, WorkerID: wid, Reports: entries}, &rr)
-		}
-	}
 	// Delivered or not, these leases are no longer this worker's to
 	// heartbeat: delivered results are settled, and undelivered ones
 	// must expire so the server requeues their jobs.
 	a.releaseAll(pending)
-	a.repEntries = entries[:0]
-	a.repTimings = timings[:0]
 	return pending[:0]
+}
+
+// redeliver settles every sent and unacked frame through /v1/report —
+// their stream is gone, so which of them the server settled is unknown,
+// and a double delivery is harmless: the server rejects the entries
+// whose leases it already settled — and releases their leases.
+func (a *agent) redeliver(ctx context.Context) {
+	a.sent = a.sent[:0]
+	a.unacked = a.flushReports(ctx, a.unacked, nil)
 }
 
 // releaseAll drops a whole flush's settled leases under one lock hold
@@ -916,11 +1011,10 @@ func (a *agent) releaseAll(pending []*heldLease) {
 	a.kickFetch()
 }
 
-// binFlush delivers one report batch as a binary frame and waits for
-// the server's ack, keeping at most one batch outstanding. Rejected
-// entries need no handling (their leases expired; the jobs are already
-// requeued). false sends the caller to the JSON fallback.
-func (a *agent) binFlush(ctx context.Context, bs *binStream, entries []ReportEntry, timings []JobTiming) bool {
+// binSend writes one report batch as a binary frame under the next
+// sequence number; its ack arrives on bs.acks. false sends the caller to
+// the JSON fallback.
+func (a *agent) binSend(bs *binStream, entries []ReportEntry, timings []JobTiming) bool {
 	a.repSeq++
 	seq := a.repSeq
 	// The conversion buffer is reused across flushes: send encodes the
@@ -931,28 +1025,9 @@ func (a *agent) binFlush(ctx context.Context, bs *binStream, entries []ReportEnt
 		reports = append(reports, exec.BinResponseOf(e.LeaseID, e.Response))
 	}
 	a.repBin = reports
-	if !bs.send(func(dst []byte) []byte {
+	return bs.send(func(dst []byte) []byte {
 		return appendReports(dst, binReports{Seq: seq, Reports: reports, Timings: timings})
-	}) {
-		return false
-	}
-	timer := time.NewTimer(10 * time.Second)
-	defer timer.Stop()
-	select {
-	case ack := <-bs.acks:
-		if ack.Seq != seq {
-			bs.close()
-		}
-		return true
-	case <-bs.dead:
-		return false
-	case <-timer.C:
-		bs.close()
-		return false
-	case <-ctx.Done():
-		// The context owns the shutdown; undelivered leases expire.
-		return true
-	}
+	})
 }
 
 // heartbeatLoop extends every lease this worker holds — queued,

@@ -5,8 +5,8 @@ package remote
 // whole pipeline — lease polls, report flushes, heartbeats —
 // multiplexes over the one socket as binary frames. A single reader
 // goroutine dispatches the server's answers: grant batches to the
-// fetcher, report acks to the reporter (each over a capacity-one
-// channel, matching the single-outstanding-per-type protocol),
+// fetcher (capacity one: a single poll is outstanding), report acks to
+// the reporter (capacity ackWindow: as many report frames may be),
 // heartbeat acks applied directly via a callback.
 //
 // Jobs are leased over the stream only. If it dies, the fetcher redials
@@ -18,7 +18,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -69,7 +68,7 @@ type binStream struct {
 	enc []byte
 
 	grants chan streamBatch  // reader -> fetcher (cap 1)
-	acks   chan binReportAck // reader -> reporter (cap 1)
+	acks   chan binReportAck // reader -> reporter (cap ackWindow)
 	// onExpired applies a heartbeat ack's expired-lease list; called
 	// from the reader goroutine.
 	onExpired func([]uint64)
@@ -134,7 +133,7 @@ func (a *agent) dialStream(ctx context.Context, wid string) (bs *binStream, done
 			born:   time.Now(),
 			bw:     bufio.NewWriter(conn),
 			grants: make(chan streamBatch, 1),
-			acks:   make(chan binReportAck, 1),
+			acks:   make(chan binReportAck, ackWindow),
 			tables: make(map[uint64]*clientTable),
 			dead:   make(chan struct{}),
 		}
@@ -203,17 +202,7 @@ func (bs *binStream) send(build func(dst []byte) []byte) bool {
 	bs.wmu.Lock()
 	defer bs.wmu.Unlock()
 	bs.enc = build(bs.enc[:0])
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(bs.enc)))
-	if _, err := bs.bw.Write(hdr[:n]); err != nil {
-		bs.close()
-		return false
-	}
-	if _, err := bs.bw.Write(bs.enc); err != nil {
-		bs.close()
-		return false
-	}
-	if err := bs.bw.Flush(); err != nil {
+	if err := writeFrame(bs.bw, bs.enc); err != nil {
 		bs.close()
 		return false
 	}
@@ -241,14 +230,13 @@ func (bs *binStream) reader() {
 		case frameGrants:
 			// One fresh slab per frame backs every grant's config vector
 			// (the vectors outlive the frame, so the slab is handed over,
-			// not reused).
-			r.SetFloatSlab(make([]float64, 0, vecTotal))
+			// not reused): sized from the last frame, and never past the
+			// len(body)/8 floats a frame of this length can hold.
+			r.SetFloatSlab(make([]float64, 0, min(vecTotal, len(body)/8)))
 			if err := g.decode(r, bs.tableLen); err != nil {
 				return
 			}
-			if used := r.FloatSlabUsed(); used > 0 {
-				vecTotal = used + used/4
-			}
+			vecTotal = max(256, r.FloatSlabUsed()*5/4)
 			for _, t := range g.Tables {
 				bs.tables[t.Index] = &clientTable{experiment: t.Experiment, params: t.Params}
 			}

@@ -35,6 +35,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/wire"
@@ -81,6 +82,40 @@ func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("remote: binary frame truncated: %w", err)
 	}
 	return buf, nil
+}
+
+// writeFrame writes one frame — length prefix, body (type byte
+// included) — and flushes it: one socket write. The prefix goes out
+// byte-wise: a header array handed to Write escapes to the heap on every
+// frame. Callers hold the connection's write lock.
+func writeFrame(bw *bufio.Writer, body []byte) error {
+	n := uint64(len(body))
+	for ; n >= 0x80; n >>= 7 {
+		_ = bw.WriteByte(byte(n) | 0x80) // a failed write sticks: Flush returns it
+	}
+	_ = bw.WriteByte(byte(n))
+	_, _ = bw.Write(body)
+	return bw.Flush()
+}
+
+// newStoppedTimer returns a timer for rearm to set: each waiting
+// goroutine of the lease path keeps one instead of a NewTimer per frame.
+func newStoppedTimer() *time.Timer {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}
+
+// rearm sets a timer to fire after d, whether it is running, fired
+// unread, or read (go 1.22 timers: stop and drain before Reset).
+func rearm(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
 }
 
 // leaseDedup finds a lease ID repeated within one frame without a map

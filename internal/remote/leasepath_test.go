@@ -25,6 +25,7 @@ type leasePathCase struct {
 	name    string
 	direct  bool // no scheduler or engine: Submit every job, then drain
 	tables  bool // one lane per leasePathTables entry, sharing the jobs
+	unset   bool // no BatchSize, Prefetch or FlushInterval: what asha.Remote{} ships
 	agents  int
 	metrics bool
 	budget  float64 // heap objects per job
@@ -49,6 +50,15 @@ const (
 	// The same without scheduler or engine, over four agents, the
 	// caller's config vector included: measures 2.27, plus the same slack.
 	leaseContentionAllocBudget = 2.27 + 0.5
+	// The first lane with nothing configured (leasePathCase.unset), where
+	// a frame carries a job or two and so shows whole: measures 4.90 — the
+	// objective's 1.25 again, and per frame what the other rows spread
+	// over 256 jobs: a grants frame's record slice, float slab and
+	// handed-over read buffer, a reports frame's checkpoint arena, the
+	// boxed checkpoints that share no frame — plus the same slack. Put
+	// back, a time.NewTimer per poll measures 6.40 and the frame header
+	// through Write(hdr[:n]) 6.91; the parent measured 17.85.
+	leasePathDefaultsAllocBudget = 4.90 + 0.5
 	// What the counters and histograms behind /metrics may add to a
 	// job: they are atomics and fixed arrays, and measure 0.00.
 	leasePathMetricsAllocSlack = 0.05
@@ -56,15 +66,18 @@ const (
 
 // leasePathCases: the fleet benchmark's lane with metrics off and on;
 // four lanes whose jobs interleave on one agent's slots, the way a
-// manager's experiments do; and report ingestion across the sharded
-// lease table — four agents' grants and report batches against one
-// server with nothing else in the loop, the path the 16-way shard split
-// parallelizes.
+// manager's experiments do; report ingestion across the sharded lease
+// table — four agents' grants and report batches against one server with
+// nothing else in the loop, the path the 16-way shard split
+// parallelizes; and the first lane again the way tune-paced runs it,
+// nothing configured: 16 leases over four four-slot agents, a frame per
+// handful of jobs, so whatever a frame or a poll allocates shows whole.
 var leasePathCases = []leasePathCase{
 	{name: "asha", agents: 1, budget: leasePathAllocBudget},
 	{name: "asha-metrics", agents: 1, metrics: true, budget: leasePathAllocBudget},
 	{name: "asha-tables", tables: true, agents: 1, budget: leasePathTablesAllocBudget},
 	{name: "contention", direct: true, agents: 4, metrics: true, budget: leaseContentionAllocBudget},
+	{name: "defaults", unset: true, agents: 4, budget: leasePathDefaultsAllocBudget},
 }
 
 // leasePathTables are the asha-tables lanes' parameter names. The first
@@ -89,12 +102,18 @@ func tableSpace(names []string) *searchspace.Space {
 
 // driveLeasePath runs the given number of jobs through a lease server at
 // the fleet benchmark's batching (256-job frames, 512 deep prefetch, 2 ms
-// flush) and in-process two-slot agents over an objective that costs
-// next to nothing, and returns the heap objects and bytes the whole
-// process allocated meanwhile.
+// flush) and in-process two-slot agents — or, unset, at the shipped
+// defaults under a 16-lease cap and four-slot agents — over an objective
+// that costs next to nothing, and returns the heap objects and bytes the
+// whole process allocated meanwhile.
 func driveLeasePath(tb testing.TB, c leasePathCase, jobs int) (mallocs, bytes uint64) {
 	tb.Helper()
-	srv, err := NewServer(Options{BatchSize: 256, Prefetch: 512, FlushInterval: 2 * time.Millisecond, Metrics: c.metrics})
+	opts, slots, capacity := Options{BatchSize: 256, Prefetch: 512, FlushInterval: 2 * time.Millisecond}, 2, 1024
+	if c.unset {
+		opts, slots, capacity = Options{MaxLeases: 16}, 4, 16
+	}
+	opts.Metrics = c.metrics
+	srv, err := NewServer(opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -104,7 +123,7 @@ func driveLeasePath(tb testing.TB, c leasePathCase, jobs int) (mallocs, bytes ui
 	for i := 0; i < c.agents; i++ {
 		go func() {
 			agentDone <- ServeAgent(ctx, AgentOptions{
-				Server: srv.URL(), Slots: 2,
+				Server: srv.URL(), Slots: slots,
 				Resolve: func(string) (exec.Objective, error) { return pureObjective, nil },
 			})
 		}()
@@ -130,7 +149,7 @@ func driveLeasePath(tb testing.TB, c leasePathCase, jobs int) (mallocs, bytes ui
 		failed = int(lost.Load())
 		err = srv.Close()
 	} else if c.tables {
-		root := NewBackend(srv, 1024)
+		root := NewBackend(srv, capacity)
 		e := backend.NewEngine(root, nil)
 		lanes := make([]*backend.Lane, len(leasePathTables))
 		for k, names := range leasePathTables {
@@ -156,7 +175,7 @@ func driveLeasePath(tb testing.TB, c leasePathCase, jobs int) (mallocs, bytes ui
 			Space: testSpace(), RNG: xrand.New(17), Eta: 4, MinResource: 1, MaxResource: 256,
 		})
 		var run *metrics.Run
-		run, err = backend.Drive(ctx, sched, NewBackend(srv, 1024), backend.Options{MaxJobs: jobs})
+		run, err = backend.Drive(ctx, sched, NewBackend(srv, capacity), backend.Options{MaxJobs: jobs})
 		if err == nil {
 			completed, failed = run.CompletedJobs, run.FailedJobs
 		}

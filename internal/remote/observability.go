@@ -123,6 +123,8 @@ type CounterSnapshot struct {
 	BatchedReports int64 `json:"batchedReports"`
 	BinGrants      int64 `json:"binGrants"`
 	BinReports     int64 `json:"binReports"`
+	GrantFrames    int64 `json:"grantFrames"`  // frames BinGrants' jobs traveled in
+	ReportFrames   int64 `json:"reportFrames"` // frames BinReports' entries traveled in
 	Sweeps         int64 `json:"sweeps"`
 	Registered     int64 `json:"registered"`
 	Pending        int64 `json:"pending"`
@@ -144,6 +146,8 @@ func (s *Server) Counters() CounterSnapshot {
 		BatchedReports: s.batchedReports.Load(),
 		BinGrants:      s.binGrants.Load(),
 		BinReports:     s.binReports.Load(),
+		GrantFrames:    s.grantFrames.Load(),
+		ReportFrames:   s.reportFrames.Load(),
 		Sweeps:         s.sweeps.Load(),
 		Registered:     s.registered.Load(),
 		Pending:        s.pendingJobs.Load(),
@@ -277,6 +281,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("asha_report_batch_entries_total", "Entries settled through batched ReportBatch requests.", c.BatchedReports)
 	counter("asha_bin_lease_jobs_total", "Jobs granted through binary stream frames.", c.BinGrants)
 	counter("asha_bin_report_entries_total", "Entries settled through binary stream frames.", c.BinReports)
+	counter("asha_lease_grant_frames_total", "Binary grants frames that carried jobs (jobs per frame: asha_bin_lease_jobs_total over this).", c.GrantFrames)
+	counter("asha_lease_report_frames_total", "Binary reports frames settled (entries per frame: asha_bin_report_entries_total over this).", c.ReportFrames)
 	counter("asha_expiry_sweeps_total", "Lease-expiry sweep passes completed.", c.Sweeps)
 	counter("asha_workers_registered_total", "Workers registered over the server lifetime.", c.Registered)
 	gauge("asha_jobs_pending", "Jobs queued and waiting for a lease.", float64(c.Pending))

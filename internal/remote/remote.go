@@ -18,8 +18,9 @@
 //	              	carries a lease ID and the job payload (an
 //	              	internal/exec.Request, so the wire reuses the
 //	              	subprocess protocol's name-keyed job encoding). The
-//	              	answer is a LeaseBatch of up to min(Max, BatchSize)
-//	              	grants; a single job is a batch of one.
+//	              	answer is a LeaseBatch of up to Max grants (an
+//	              	explicit BatchSize caps it); a single job is a
+//	              	batch of one.
 //	/v1/report    — deliver a ReportBatch of finished jobs'
 //	              	exec.Responses under their leases, settled with
 //	              	per-entry acceptance; the agent's fallback when its
@@ -177,10 +178,13 @@ type Options struct {
 	// MaxLeases caps the number of concurrently leased jobs
 	// (0 = unlimited; callers usually bound in-flight work themselves).
 	MaxLeases int
-	// BatchSize caps the jobs granted per lease poll and is advertised
-	// to workers at registration as the fleet-wide default lease/report
-	// batch size (default 1: one job per round trip). Workers may ask
-	// for less; they never receive more.
+	// BatchSize caps the jobs one grants or reports frame carries and is
+	// advertised to workers at registration as the fleet-wide default
+	// batch: a worker holds finished results up to FlushInterval for that
+	// many. Unset (0), nothing waits and nothing is capped: a poll is
+	// granted what the worker has room for (within MaxLeases), a report
+	// frame carries the results that are ready. Workers may ask for less;
+	// they never receive more.
 	BatchSize int
 	// Prefetch is advertised to workers at registration as the default
 	// depth of their local job queue: jobs leased ahead of the ones
@@ -337,6 +341,8 @@ type Server struct {
 	batchedReports atomic.Int64 // entries settled through ReportBatch requests
 	binGrants      atomic.Int64 // jobs granted through binary stream frames
 	binReports     atomic.Int64 // entries settled through binary stream frames
+	grantFrames    atomic.Int64 // binary grants frames that carried those jobs
+	reportFrames   atomic.Int64 // binary reports frames that carried those entries
 	sweeps         atomic.Int64 // expiry-sweep passes completed
 	registered     atomic.Int64 // workers registered over the lifetime
 	submitted      atomic.Int64 // jobs submitted to the queue
@@ -380,8 +386,8 @@ func NewServer(opts Options) (*Server, error) {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 15 * time.Second
 	}
-	if opts.BatchSize < 1 {
-		opts.BatchSize = 1
+	if opts.BatchSize < 0 {
+		opts.BatchSize = 0
 	}
 	if opts.Prefetch < 0 {
 		opts.Prefetch = 0
@@ -513,6 +519,14 @@ func (s *Server) BinaryGrants() int { return int(s.binGrants.Load()) }
 // accepted or rejected — over binary stream connections over the
 // server's lifetime.
 func (s *Server) BinaryReports() int { return int(s.binReports.Load()) }
+
+// BinaryGrantFrames reports how many grants frames carried BinaryGrants'
+// jobs (empty and Done answers are not counted).
+func (s *Server) BinaryGrantFrames() int { return int(s.grantFrames.Load()) }
+
+// BinaryReportFrames reports how many reports frames carried
+// BinaryReports' entries.
+func (s *Server) BinaryReportFrames() int { return int(s.reportFrames.Load()) }
 
 // closeGrace is how long a closed server keeps answering HTTP after
 // Close: workers whose poll or report lands just after shutdown get an
@@ -720,8 +734,8 @@ type leaseReq struct {
 	WorkerID   string `json:"worker"`
 	WaitMillis int64  `json:"waitMs,omitempty"`
 	// Max is the largest number of jobs the worker wants in the reply's
-	// LeaseBatch: up to min(Max, server BatchSize) are granted. Absent
-	// or below 1 means 1.
+	// LeaseBatch; an explicit server BatchSize caps it. Absent or below 1
+	// means 1.
 	Max int `json:"max,omitempty"`
 	// Experiments, when non-empty, restricts the grant to jobs of the
 	// named experiments — a partially-configured worker never receives
@@ -873,13 +887,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	if wait > 30*time.Second {
 		wait = 30 * time.Second
 	}
-	max := req.Max
-	if max > s.opts.BatchSize {
-		max = s.opts.BatchSize
-	}
-	if max < 1 {
-		max = 1
-	}
+	max := s.grantCap(req.Max)
 	deadline := time.Now().Add(wait)
 	for {
 		tasks, state, wake := s.grantTasks(req.WorkerID, max, req.Experiments, nil)
@@ -918,6 +926,19 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// grantCap is how many jobs a poll asking for max — the worker's free
+// room — may be granted: that, or an explicit BatchSize if lower; never
+// less than one.
+func (s *Server) grantCap(max int) int {
+	if s.opts.BatchSize > 0 && max > s.opts.BatchSize {
+		max = s.opts.BatchSize
+	}
+	if max < 1 {
+		max = 1
+	}
+	return max
 }
 
 // grantState classifies a grantTasks pass that handed out nothing.

@@ -67,6 +67,7 @@ func TestStaleLeaseNumberReusedByFreshRegistration(t *testing.T) {
 		batch:    3,
 		prefetch: 8,
 		flushInt: time.Hour, // a completed job waits for batch-mates
+		ackWait:  reportAckWait,
 		held:     make(map[uint64]*heldLease),
 		kick:     make(chan struct{}, 1),
 		jobs:     make(chan *heldLease, 9),
@@ -75,7 +76,7 @@ func TestStaleLeaseNumberReusedByFreshRegistration(t *testing.T) {
 	a.server.Store(reg.URL)
 	bs := &binStream{
 		c: near, br: bufio.NewReader(near), bw: bufio.NewWriter(near), born: time.Now(),
-		grants: make(chan streamBatch, 1), acks: make(chan binReportAck, 1),
+		grants: make(chan streamBatch, 1), acks: make(chan binReportAck, ackWindow),
 		tables: make(map[uint64]*clientTable), dead: make(chan struct{}),
 		onExpired: a.markExpired,
 	}

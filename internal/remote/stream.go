@@ -18,7 +18,6 @@ package remote
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"net/http"
@@ -150,23 +149,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // write lock. A failed write tears the connection down so the peer
 // goroutines unblock.
 func (sc *streamConn) writeFrame(body []byte) bool {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(body)))
 	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	if _, err := sc.bw.Write(hdr[:n]); err != nil {
+	err := writeFrame(sc.bw, body)
+	sc.wmu.Unlock()
+	if err != nil {
 		sc.close()
-		return false
 	}
-	if _, err := sc.bw.Write(body); err != nil {
-		sc.close()
-		return false
-	}
-	if err := sc.bw.Flush(); err != nil {
-		sc.close()
-		return false
-	}
-	return true
+	return err == nil
 }
 
 // close tears the connection down exactly once, unregistering it and
@@ -257,11 +246,11 @@ type settleScratch struct {
 	settled  []*task
 }
 
-// settle settles one reports frame against the lease shards, writes
-// the acceptance ack, then finishes the tasks back to back — one
-// frame, one scheduler wakeup, exactly as the JSON batch path. It
-// returns the reusable encode buffer and whether the ack write
-// succeeded.
+// settle settles one reports frame against the lease shards, finishes
+// the tasks back to back — one frame, one scheduler wakeup, exactly as
+// the JSON batch path — and then writes the acceptance ack, so no result
+// reaches the engine a socket write late. It returns the reusable encode
+// buffer and whether the ack write succeeded.
 func (sc *streamConn) settle(rb *binReports, enc []byte, ss *settleScratch) ([]byte, bool) {
 	s := sc.s
 	n := len(rb.Reports)
@@ -287,6 +276,7 @@ func (sc *streamConn) settle(rb *binReports, enc []byte, ss *settleScratch) ([]b
 			}
 		}
 	}
+	s.reportFrames.Add(1)
 	s.binReports.Add(int64(len(rb.Reports)))
 	s.accepted.Add(int64(freed))
 	s.rejected.Add(int64(len(rb.Reports) - freed))
@@ -295,8 +285,6 @@ func (sc *streamConn) settle(rb *binReports, enc []byte, ss *settleScratch) ([]b
 		// Freed lease slots may unblock pollers waiting on MaxLeases.
 		s.wakeIfPending()
 	}
-	enc = appendReportAck(enc[:0], binReportAck{Seq: rb.Seq, Accepted: accepted})
-	ok := sc.writeFrame(enc)
 	// The frame buffer is reused on the next read, so accepted
 	// checkpoints must outlive it: copy them all into one arena (one
 	// allocation per frame, not per report) before the tasks finish.
@@ -319,7 +307,8 @@ func (sc *streamConn) settle(rb *binReports, enc []byte, ss *settleScratch) ([]b
 		s.observeSettle(t, &rb.Timings[i], &out)
 		t.finish(out)
 	}
-	return enc, ok
+	enc = appendReportAck(enc[:0], binReportAck{Seq: rb.Seq, Accepted: accepted})
+	return enc, sc.writeFrame(enc)
 }
 
 // granterScratch is the granter goroutine's reusable working memory:
@@ -329,13 +318,15 @@ type granterScratch struct {
 	enc    []byte
 	tasks  []*task
 	grants []binGrant
+	timer  *time.Timer // the long-poll wait, rearmed pass to pass
 }
 
 // granter services the worker's lease polls against the shared grant
 // core, long-polling on the server's wake channel exactly as the JSON
 // handler does.
 func (sc *streamConn) granter() {
-	var gs granterScratch
+	gs := granterScratch{timer: newStoppedTimer()}
+	defer gs.timer.Stop()
 	for {
 		select {
 		case q := <-sc.leaseCh:
@@ -348,22 +339,16 @@ func (sc *streamConn) granter() {
 	}
 }
 
-// serveLease answers one lease poll: grant up to min(Max, BatchSize)
-// jobs, long-polling up to WaitMillis. Returns whether the connection
-// is still usable.
+// serveLease answers one lease poll: grant up to Max jobs — the room
+// the worker has — capped by an explicit BatchSize, long-polling up to
+// WaitMillis. Returns whether the connection is still usable.
 func (sc *streamConn) serveLease(q binLeaseReq, gs *granterScratch) bool {
 	s := sc.s
 	wait := time.Duration(q.WaitMillis) * time.Millisecond
 	if wait > 30*time.Second {
 		wait = 30 * time.Second
 	}
-	max := q.Max
-	if max > s.opts.BatchSize {
-		max = s.opts.BatchSize
-	}
-	if max < 1 {
-		max = 1
-	}
+	max := s.grantCap(q.Max)
 	deadline := time.Now().Add(wait)
 	for {
 		tasks, state, wake := s.grantTasks(sc.worker, max, q.Experiments, gs.tasks[:0])
@@ -385,6 +370,7 @@ func (sc *streamConn) serveLease(q binLeaseReq, gs *granterScratch) bool {
 			return false
 		}
 		if len(tasks) > 0 {
+			s.grantFrames.Add(1)
 			s.binGrants.Add(int64(len(tasks)))
 			g := binGrants{Seq: q.Seq, Grants: gs.grants[:0]}
 			for _, t := range tasks {
@@ -411,13 +397,11 @@ func (sc *streamConn) serveLease(q binLeaseReq, gs *granterScratch) bool {
 			gs.enc = appendGrants(gs.enc[:0], binGrants{Seq: q.Seq})
 			return sc.writeFrame(gs.enc)
 		}
-		timer := time.NewTimer(remaining)
+		rearm(gs.timer, remaining)
 		select {
 		case <-wake:
-			timer.Stop()
-		case <-timer.C:
+		case <-gs.timer.C:
 		case <-sc.done:
-			timer.Stop()
 			return false
 		}
 	}

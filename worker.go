@@ -43,10 +43,12 @@ type RemoteWorker struct {
 	// Slots is how many jobs this worker trains concurrently
 	// (default 1).
 	Slots int
-	// Batch is the number of jobs leased per poll and the report-flush
-	// size (completed results travel in batches of up to Batch per
-	// HTTP request). 0 adopts the server-advertised fleet default — set
-	// once on asha.Remote, it tunes every worker.
+	// Batch caps the jobs leased per poll and is the report-flush size
+	// (completed results wait up to FlushInterval for Batch of them and
+	// travel at most Batch to a frame). 0 adopts the server-advertised
+	// fleet default — set once on asha.Remote, it tunes every worker —
+	// and with none set a poll asks for every free slot and a result
+	// leaves as soon as it is done.
 	Batch int
 	// Prefetch is the local job-queue depth: jobs leased ahead of the
 	// ones the slots are training, overlapping execution with the next
