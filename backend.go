@@ -87,7 +87,7 @@ type Remote struct {
 	// WithWorkers value.
 	MaxLeases int
 	// BatchSize caps the jobs one grants or reports frame carries and is
-	// the fleet-wide default batch advertised to workers at
+	// the fleet-wide batch advertised to workers at
 	// registration: a worker holds finished results up to FlushInterval
 	// for that many. Unset (the default), nothing waits and nothing is
 	// capped — a lease poll is granted what the worker has room for and a
@@ -96,14 +96,14 @@ type Remote struct {
 	// per frame). Setting it, with Prefetch, amortizes the round trip
 	// over many jobs: ~290k at BatchSize 256 / Prefetch 512.
 	BatchSize int
-	// Prefetch is the fleet-wide default worker lookahead advertised at
+	// Prefetch is the fleet-wide worker lookahead advertised at
 	// registration: each worker keeps up to Prefetch leased jobs queued
 	// locally ahead of its training slots, overlapping objective
 	// execution with the next lease poll (default 0: no lookahead).
 	// Every prefetched job holds its own lease, so expiry and
 	// exactly-once semantics are unchanged.
 	Prefetch int
-	// FlushInterval is the fleet-wide default report-flush deadline
+	// FlushInterval is the fleet-wide report-flush deadline
 	// advertised at registration: the longest a completed result waits
 	// in a worker's report buffer for batch-mates (default 25ms;
 	// workers also flush early on a full batch or an empty pipeline,

@@ -255,7 +255,7 @@ func TestBatchedRemoteBackendParityPromotionDecisions(t *testing.T) {
 			go func() {
 				agentErr <- ServeRemoteWorker(ctx, RemoteWorker{
 					Server: url, Name: "batched-parity", Slots: 1,
-					// Batch/Prefetch/FlushInterval adopt the server's advert.
+					// The batching runs at the server's advert.
 					Objective: remoteParityObjective,
 				})
 			}()

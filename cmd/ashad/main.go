@@ -180,15 +180,15 @@ type remoteSpec struct {
 	// MaxLeases caps concurrently leased jobs (default: workers).
 	MaxLeases int `json:"maxLeases,omitempty"`
 	// BatchSize caps the jobs a grants or reports frame carries and sets
-	// the fleet-wide default batch workers hold results for (default:
+	// the fleet-wide batch workers hold results for (default:
 	// unset — a poll is granted what the worker has room for, a result
 	// leaves when it is done).
 	BatchSize int `json:"batchSize,omitempty"`
-	// Prefetch is the fleet-wide default worker lookahead: jobs each
+	// Prefetch is the fleet-wide worker lookahead: jobs each
 	// worker keeps leased in its local queue ahead of its training
 	// slots (default 0).
 	Prefetch int `json:"prefetch,omitempty"`
-	// FlushMillis is the fleet-wide default report-flush deadline in
+	// FlushMillis is the fleet-wide report-flush deadline in
 	// milliseconds (default 25).
 	FlushMillis int `json:"flushMs,omitempty"`
 	// Metrics enables GET /metrics (Prometheus text format) on the

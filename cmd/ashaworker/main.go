@@ -16,11 +16,8 @@
 //	ashaworker -server http://tuner:8700 -benchmark cifar-cnn [-slots 4]
 //	ashaworker -server http://tuner:8700 -token secret \
 //	           -experiments "cifar-asha=cifar-cnn,lstm-hb=ptb-lstm"
-//	ashaworker -server http://tuner:8700 -benchmark cifar-cnn \
-//	           -slots 4 -batch 16 -prefetch 8   # pipelined batching
 //
-// -batch, -prefetch and -flush control the lease/report batching
-// pipeline; left at 0 the worker adopts the fleet-wide defaults the
+// The lease/report batching pipeline runs at the fleet-wide settings the
 // server advertises at registration (asha.Remote{BatchSize, Prefetch,
 // FlushInterval}, or ashad's "remote" manifest block).
 //
@@ -117,9 +114,6 @@ func main() {
 		token       = flag.String("token", "", "shared worker-auth token")
 		name        = flag.String("name", "", "worker name reported to the server")
 		slots       = flag.Int("slots", 1, "concurrent training jobs")
-		batch       = flag.Int("batch", 0, "cap on jobs per lease poll and report flush (0 = server default; none: every free slot, results leave as they finish)")
-		prefetch    = flag.Int("prefetch", 0, "local job-queue lookahead depth (0 = server default, <0 = none)")
-		flush       = flag.Duration("flush", 0, "report-flush deadline, e.g. 25ms (0 = server default, <0 = immediate)")
 		delay       = flag.Duration("delay", 0, "sleep per job before training, pacing surrogate benchmarks like real work")
 		benchName   = flag.String("benchmark", "", "default surrogate benchmark objective (see -list)")
 		experiments = flag.String("experiments", "", "per-experiment objectives as name=benchmark[,name=benchmark...]")
@@ -137,10 +131,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ashaworker: pass -server <url>")
 		os.Exit(2)
 	}
-	w := asha.RemoteWorker{
-		Server: *server, Token: *token, Name: *name, Slots: *slots,
-		Batch: *batch, Prefetch: *prefetch, FlushInterval: *flush,
-	}
+	w := asha.RemoteWorker{Server: *server, Token: *token, Name: *name, Slots: *slots}
 	if *benchName != "" {
 		bench, err := asha.NamedBenchmark(*benchName)
 		if err != nil {

@@ -81,10 +81,10 @@ type Backend interface {
 	// Capacity is the number of jobs the backend runs concurrently. The
 	// engine never has more than Capacity jobs in flight.
 	Capacity() int
-	// Launch starts a job. The backend owns trial state: it resolves the
-	// trial's current resource, checkpoint state and any InheritFrom
-	// donor. Exactly one Completion must eventually be produced per
-	// Launch.
+	// Launch starts a job. The backend owns trial state (the real
+	// executors keep it in a Trials table): it resolves the trial's
+	// current resource, checkpoint state and any InheritFrom donor.
+	// Exactly one Completion must eventually be produced per Launch.
 	Launch(job core.Job)
 	// Await blocks until at least one launched job finishes and returns
 	// every completion available without further waiting (real backends
@@ -110,7 +110,8 @@ type Backend interface {
 // TrialCheckpointer is the optional durability surface of a backend:
 // backends that keep JSON-serializable trial checkpoints (the goroutine
 // pool, the subprocess pool, the remote fleet) expose them for journal
-// snapshots and accept them back on resume. The simulator does not
+// snapshots and accept them back on resume. Trials is its one
+// implementation, which those three embed. The simulator does not
 // implement it — surrogate trials have no state worth persisting.
 // Both methods are called from the engine goroutine only.
 type TrialCheckpointer interface {

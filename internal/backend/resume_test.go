@@ -243,14 +243,14 @@ func TestRemoteResumeWithHalfFlushedReportBatch(t *testing.T) {
 		go func() {
 			defer close(done)
 			_ = remote.ServeAgent(ctx, remote.AgentOptions{
-				Server: url, Slots: 2, Batch: 8, Prefetch: 4, FlushInterval: time.Second,
+				Server: url, Slots: 2,
 				Resolve: func(string) (exec.Objective, error) { return slowObjective, nil },
 			})
 		}()
 		return stop, done
 	}
 
-	srv1, err := remote.NewServer(remote.Options{BatchSize: 8})
+	srv1, err := remote.NewServer(remote.Options{BatchSize: 8, Prefetch: 4, FlushInterval: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestRemoteResumeWithHalfFlushedReportBatch(t *testing.T) {
 	}
 
 	// Resume against a brand-new server with a fresh batching fleet.
-	srv2, err := remote.NewServer(remote.Options{BatchSize: 8})
+	srv2, err := remote.NewServer(remote.Options{BatchSize: 8, Prefetch: 4, FlushInterval: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

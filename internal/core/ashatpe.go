@@ -70,9 +70,13 @@ func (m *ModelASHA) sample() searchspace.Config {
 	if m.rng.Bernoulli(m.frac) || len(m.bestObs) < m.tpe.MinPoints {
 		return m.space.Sample(m.rng)
 	}
+	// In trial order: the TPE breaks equal losses by input order, which
+	// must not vary run to run.
 	obs := make([]bayesopt.Point, 0, len(m.bestObs))
-	for _, p := range m.bestObs {
-		obs = append(obs, p)
+	for id := 0; id < m.nextID; id++ {
+		if p, ok := m.bestObs[id]; ok {
+			obs = append(obs, p)
+		}
 	}
 	return m.tpe.Sample(m.rng, obs)
 }

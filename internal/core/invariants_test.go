@@ -28,6 +28,10 @@ package core
 //     a scheduler that declines work while nothing is in flight must
 //     be Done — anything else deadlocks its executor.
 //
+//  5. Reproducibility: the same seed and the same completion stream give
+//     the same decisions, bit for bit — what journal replay and every
+//     fixed-seed figure rest on.
+//
 // The suite is table-driven: a new scheduler inherits every check by
 // adding one constructor entry.
 
@@ -514,5 +518,82 @@ func driveLiveControl(t *testing.T, tc invariantCase, space *searchspace.Space, 
 	gate.Resume()
 	if !gate.Done() {
 		t.Fatal("Resume() revived an aborted gate")
+	}
+}
+
+// decisionStream drives sched through a seeded stream — up to inflight
+// jobs outstanding, a random one settled at a time, some failing, losses
+// coarse enough to tie — until it has issued jobs of them, and renders
+// every decision it made, configuration included, to the bit.
+func decisionStream(sched Scheduler, inflight, jobs int, seed uint64) []string {
+	rng := xrand.New(seed)
+	var stream []string
+	var running []Job
+	for clock := 0.0; ; clock++ {
+		for len(running) < inflight && len(stream) < jobs {
+			job, ok := sched.Next()
+			if !ok {
+				break
+			}
+			d := fmt.Sprintf("trial %d rung %d inherit %d target %x config", job.TrialID, job.Rung, job.InheritFrom, math.Float64bits(job.TargetResource))
+			for _, v := range job.Config.Values() {
+				d += fmt.Sprintf(" %x", math.Float64bits(v))
+			}
+			stream = append(stream, d)
+			running = append(running, job)
+		}
+		if len(running) == 0 || len(stream) >= jobs {
+			return stream
+		}
+		i := rng.IntN(len(running))
+		job := running[i]
+		running[i] = running[len(running)-1]
+		running = running[:len(running)-1]
+		res := Result{TrialID: job.TrialID, Rung: job.Rung, Config: job.Config, Time: clock}
+		if rng.Float64() < 0.1 {
+			res.Loss, res.TrueLoss, res.Failed = math.NaN(), math.NaN(), true
+		} else {
+			res.Loss = float64(rng.IntN(32)) / 32
+			res.TrueLoss, res.Resource = res.Loss, job.TargetResource
+		}
+		sched.Report(res)
+	}
+}
+
+// TestSchedulerDecisionsRepeatAtOneSeed runs every scheduler twice at one
+// seed over one completion stream. Nothing a decision reads may come out
+// of a map in iteration order: each range draws a fresh order, so a
+// scheduler that lets one through diverges here — at once with more jobs
+// in flight than a model's cap on pending points (Vizier's 200), which
+// then picks a different subset each run; within a few runs below it,
+// where only the order of the model's rows varies (ci.yml runs this
+// -count=5).
+func TestSchedulerDecisionsRepeatAtOneSeed(t *testing.T) {
+	space := invariantSpace()
+	for _, tc := range invariantCases() {
+		for _, row := range []struct{ inflight, jobs int }{
+			{inflight: 260, jobs: 300},
+			{inflight: 32, jobs: min(tc.maxJobs, 160)},
+		} {
+			t.Run(fmt.Sprintf("%s/inflight=%d", tc.name, row.inflight), func(t *testing.T) {
+				first := decisionStream(tc.make(space, xrand.New(7)), row.inflight, row.jobs, 707)
+				again := decisionStream(tc.make(space, xrand.New(7)), row.inflight, row.jobs, 707)
+				if len(first) == 0 {
+					t.Fatal("scheduler issued no jobs")
+				}
+				for i := range first {
+					second := "(none)"
+					if i < len(again) {
+						second = again[i]
+					}
+					if first[i] != second {
+						t.Fatalf("decision %d of %d differs between two runs at one seed:\n  %s\n  %s", i, len(first), first[i], second)
+					}
+				}
+				if len(again) != len(first) {
+					t.Fatalf("%d decisions, then %d, at one seed", len(first), len(again))
+				}
+			})
+		}
 	}
 }

@@ -217,12 +217,15 @@ func (s *SHA) Done() bool {
 	return true
 }
 
-// Observations returns all recorded (config, loss, resource) triples,
-// used by BOHB to fit its sampling model.
+// Observations returns all recorded (config, loss, resource) triples in
+// trial order, used by BOHB to fit its sampling model — which breaks
+// equal losses by input order, so the order must not vary run to run.
 func (s *SHA) Observations() []Observation {
 	out := make([]Observation, 0, len(s.last))
-	for id, res := range s.last {
-		out = append(out, Observation{Config: s.trials[id], Loss: res.Loss, Resource: res.Resource})
+	for id := 0; id < s.nextID; id++ {
+		if res, ok := s.last[id]; ok {
+			out = append(out, Observation{Config: s.trials[id], Loss: res.Loss, Resource: res.Resource})
+		}
 	}
 	return out
 }

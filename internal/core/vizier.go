@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bayesopt"
 	"repro/internal/searchspace"
@@ -45,8 +46,11 @@ type Vizier struct {
 	dirty    bool
 	sinceFit int
 
-	trials  map[int]searchspace.Config
-	pending map[int]searchspace.Config // issued, not yet reported
+	trials map[int]searchspace.Config
+	// pending are the trials issued and not yet reported, in issue order
+	// (ascending IDs): which of them stand in as constant liars, and in
+	// what row order the GP sees them, must not vary run to run.
+	pending []int
 	obsX    [][]float64
 	obsY    []float64
 	retry   []Job
@@ -76,11 +80,10 @@ func NewVizier(cfg VizierConfig) *Vizier {
 		cfg.RefitEvery = 1
 	}
 	return &Vizier{
-		cfg:     cfg,
-		gp:      bayesopt.NewGP(0.25, 0.05),
-		trials:  make(map[int]searchspace.Config),
-		pending: make(map[int]searchspace.Config),
-		dirty:   true,
+		cfg:    cfg,
+		gp:     bayesopt.NewGP(0.25, 0.05),
+		trials: make(map[int]searchspace.Config),
+		dirty:  true,
 	}
 }
 
@@ -102,7 +105,7 @@ func (v *Vizier) Next() (Job, bool) {
 	id := v.nextID
 	v.nextID++
 	v.trials[id] = cfg
-	v.pending[id] = cfg
+	v.pending = append(v.pending, id)
 	return Job{TrialID: id, Config: cfg, Rung: 0, TargetResource: v.cfg.MaxResource, InheritFrom: -1}, true
 }
 
@@ -184,15 +187,9 @@ func (v *Vizier) fit() {
 		// with hundreds of workers; a subsample of pending points is
 		// enough to repel the next proposals from in-flight regions.
 		lie := median(y)
-		maxLiars := v.cfg.MaxObservations
-		added := 0
-		for _, cfg := range v.pending {
-			if added >= maxLiars {
-				break
-			}
-			x = append(x, v.cfg.Space.Encode(cfg))
+		for _, id := range v.pending[:min(len(v.pending), v.cfg.MaxObservations)] {
+			x = append(x, v.cfg.Space.Encode(v.trials[id]))
 			y = append(y, lie)
-			added++
 		}
 	}
 	if len(y) == 0 {
@@ -260,8 +257,8 @@ func median(y []float64) float64 {
 // Report records the final loss (clipped for modelling per LossCap) and
 // updates the incumbent with the unclipped value.
 func (v *Vizier) Report(res Result) {
-	delete(v.pending, res.TrialID)
 	if res.Failed {
+		// The trial stays pending: its retry is the same evaluation.
 		v.retry = append(v.retry, Job{
 			TrialID:        res.TrialID,
 			Config:         v.trials[res.TrialID],
@@ -269,8 +266,10 @@ func (v *Vizier) Report(res Result) {
 			TargetResource: v.cfg.MaxResource,
 			InheritFrom:    -1,
 		})
-		v.pending[res.TrialID] = v.trials[res.TrialID]
 		return
+	}
+	if i, ok := slices.BinarySearch(v.pending, res.TrialID); ok {
+		v.pending = slices.Delete(v.pending, i, i+1)
 	}
 	loss := res.Loss
 	if v.cfg.LossCap > 0 && loss > v.cfg.LossCap {

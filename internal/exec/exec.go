@@ -17,8 +17,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
-	"repro/internal/metrics"
-	"repro/internal/searchspace"
 )
 
 // Objective is a user training function. It must advance training of
@@ -99,43 +97,6 @@ func TrialIDFromContext(ctx context.Context) (int, bool) {
 	return id, ok
 }
 
-// Options configures an execution run through the compatibility wrapper
-// Run.
-type Options struct {
-	// Workers is the number of concurrent training goroutines (>= 1).
-	Workers int
-	// MaxJobs stops the run after this many issued jobs (0 = no limit;
-	// the context then bounds the run).
-	MaxJobs int
-	// MaxDuration stops the run after this wall-clock duration
-	// (0 = no limit).
-	MaxDuration time.Duration
-	// OnResult, if set, is invoked after every completed job with the
-	// scheduler's current incumbent. It runs on the engine goroutine.
-	OnResult func(res core.Result, best core.Best, ok bool)
-}
-
-// Run drives the scheduler over a goroutine worker pool until the
-// context is cancelled, budgets are exhausted, or the scheduler is done.
-// A nil error is returned on budget/normal termination; objective errors
-// abort the run. It is a thin wrapper over backend.Drive with a Pool
-// backend.
-func Run(ctx context.Context, sched core.Scheduler, obj Objective, opt Options) (*metrics.Run, error) {
-	if opt.Workers < 1 {
-		return nil, fmt.Errorf("exec: need at least one worker")
-	}
-	if opt.MaxDuration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.MaxDuration)
-		defer cancel()
-	}
-	pool := NewPool(ctx, obj, opt.Workers)
-	return backend.Drive(ctx, sched, pool, backend.Options{
-		MaxJobs:  opt.MaxJobs,
-		OnResult: opt.OnResult,
-	})
-}
-
 // poolTask is one job dispatched to a worker goroutine with its trial
 // state resolved.
 type poolTask struct {
@@ -155,31 +116,15 @@ type poolResult struct {
 	err   error
 }
 
-// poolTrial is the pool-side record of one trial. stateJSON is the
-// checkpoint's journal encoding, computed at commit time on the engine
-// goroutine when checkpoint snapshots are enabled: encoding at snapshot
-// time instead would read a live state object that an objective may
-// still be mutating from a worker goroutine.
-type poolTrial struct {
-	resource  float64
-	state     interface{}
-	stateJSON json.RawMessage
-	config    searchspace.Config
-	restored  bool // state is still to be decoded from stateJSON (RestoreTrial)
-	changed   bool // listed in the lane's changed ids
-}
-
-// live returns the trial's state object, decoding a restored checkpoint
-// on first use: most trials of a resumed run never launch again.
-func (t *poolTrial) live() interface{} {
-	if t.restored {
-		t.restored = false
-		var v interface{}
-		if err := json.Unmarshal(t.stateJSON, &v); err == nil {
-			t.state = v
-		}
-	}
-	return t.state
+// poolLive is what the pool keeps per trial beside the shared record:
+// the state object the trial's last objective handed back, which stays
+// in this process.
+type poolLive struct {
+	state interface{}
+	// set is false while state is still to be decoded from the trial's
+	// committed checkpoint (a restored trial's, on first use: most trials
+	// of a resumed run never launch again).
+	set bool
 }
 
 // Pool is the goroutine worker-pool backend. All trial bookkeeping is
@@ -193,24 +138,44 @@ func (t *poolTrial) live() interface{} {
 // whole pool.
 type Pool struct {
 	*poolShared
-	lane   int
-	obj    Objective
-	trials map[int]*poolTrial
+	// Trials holds each trial's committed resource and checkpoint — the
+	// journal encoding of its state, computed at commit time on the engine
+	// goroutine when checkpoint snapshots are enabled: encoding at snapshot
+	// time instead would read a live state object that an objective may
+	// still be mutating from a worker goroutine.
+	backend.Trials
+	lane int
+	obj  Objective
+	live []poolLive // by trial ID
 	// checkpoint enables commit-time JSON encoding of trial states for
 	// journal snapshots (set by the engine when the lane is journaled).
 	checkpoint bool
-	changed    []int       // trials whose committed state changed since SnapshotTrials last ran
-	restored   []poolTrial // slab RestoreTrial cuts its records from
 }
 
-// mark lists a trial whose committed (resource, checkpoint) just changed
-// for the next snapshot. Every writer of that pair calls it, except
-// RestoreTrial: what it restores is in the journal already.
-func (p *Pool) mark(id int, t *poolTrial) {
-	if p.checkpoint && !t.changed {
-		t.changed = true
-		p.changed = append(p.changed, id)
+// at returns the trial's live-state slot.
+func (p *Pool) at(id int) *poolLive {
+	if id >= len(p.live) {
+		p.live = append(p.live, make([]poolLive, id+1-len(p.live))...)
 	}
+	return &p.live[id]
+}
+
+// state returns the trial's state object; ckpt is its committed
+// checkpoint, decoded when the trial has not run in this process. The
+// objective gets it as decoded JSON (numbers are float64, objects are
+// map[string]interface{}) — the representation subprocess and remote
+// objectives always receive, so objectives used with resume must accept
+// it.
+func (p *Pool) state(id int, ckpt json.RawMessage) interface{} {
+	l := p.at(id)
+	if !l.set {
+		l.set = true
+		if len(ckpt) > 0 {
+			// A checkpoint that does not decode leaves the state nil.
+			_ = json.Unmarshal(ckpt, &l.state)
+		}
+	}
+	return l.state
 }
 
 // poolShared is what a pool's lane views share: the goroutines, their
@@ -220,6 +185,7 @@ type poolShared struct {
 	ctx     context.Context
 	tasks   chan poolTask
 	results chan poolResult
+	batch   []backend.Completion // Await's return buffer, reused call to call
 	start   time.Time
 	wg      sync.WaitGroup
 	stopped atomic.Bool
@@ -253,7 +219,7 @@ func NewPool(ctx context.Context, obj Objective, workers int) *Pool {
 			s.workerLoop()
 		}()
 	}
-	return &Pool{poolShared: s, obj: obj, trials: make(map[int]*poolTrial)}
+	return &Pool{poolShared: s, obj: obj}
 }
 
 // Lane returns another view of the pool for a multi-scheduler engine:
@@ -261,7 +227,7 @@ func NewPool(ctx context.Context, obj Objective, workers int) *Pool {
 // trial state in the view's own table, and complete — out of any view's
 // Await — stamped with lane id.
 func (p *Pool) Lane(id int, obj Objective) *Pool {
-	return &Pool{poolShared: p.poolShared, lane: id, obj: obj, trials: make(map[int]*poolTrial)}
+	return &Pool{poolShared: p.poolShared, lane: id, obj: obj}
 }
 
 func (s *poolShared) workerLoop() {
@@ -285,39 +251,39 @@ func (p *Pool) Capacity() int { return p.workers }
 // Launch resolves the job's trial state (resource, checkpoint, inherit)
 // and hands it to a worker. Called only from the engine goroutine.
 func (p *Pool) Launch(job core.Job) {
-	t := p.trials[job.TrialID]
-	if t == nil {
-		t = &poolTrial{config: job.Config.Clone()}
-		p.trials[job.TrialID] = t
+	from, ckpt, inherited := p.Resolve(job.TrialID, job.InheritFrom)
+	if inherited {
+		donor := p.state(job.InheritFrom, ckpt) // the donor's checkpoint is now this trial's too
+		*p.at(job.TrialID) = poolLive{state: donor, set: true}
 	}
-	if job.InheritFrom >= 0 {
-		if donor := p.trials[job.InheritFrom]; donor != nil {
-			t.resource = donor.resource
-			t.state, t.restored = donor.live(), false
-			t.stateJSON = donor.stateJSON
-			p.mark(job.TrialID, t)
-		}
-	}
-	t.config = job.Config.Clone()
-	p.tasks <- poolTask{lane: p, job: job, from: t.resource, to: job.TargetResource, state: t.live()}
+	p.tasks <- poolTask{lane: p, job: job, from: from, to: job.TargetResource, state: p.state(job.TrialID, ckpt)}
 }
 
 // Await blocks for one result of any lane then drains every other
 // pending result, so the engine ingests completions in batches.
 func (p *Pool) Await(ctx context.Context) ([]backend.Completion, error) {
-	var batch []backend.Completion
+	var err error
+	p.batch, err = awaitBatch(ctx, p.results, p.batch, func(r poolResult) backend.Completion { return r.lane.apply(r) })
+	return p.batch, err
+}
+
+// awaitBatch is the real executors' Await: it blocks for one result, then
+// drains every other pending one, applying each into buf — the previous
+// call's batch, reused as the Backend contract allows.
+func awaitBatch[R any](ctx context.Context, results <-chan R, buf []backend.Completion, apply func(R) backend.Completion) ([]backend.Completion, error) {
+	buf = buf[:0]
 	select {
-	case r := <-p.results:
-		batch = append(batch, r.lane.apply(r))
+	case r := <-results:
+		buf = append(buf, apply(r))
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return buf, ctx.Err()
 	}
 	for {
 		select {
-		case r := <-p.results:
-			batch = append(batch, r.lane.apply(r))
+		case r := <-results:
+			buf = append(buf, apply(r))
 		default:
-			return batch, nil
+			return buf, nil
 		}
 	}
 }
@@ -330,26 +296,22 @@ func (p *Pool) apply(r poolResult) backend.Completion {
 		c.Err = fmt.Errorf("exec: objective failed for trial %d: %w", r.job.TrialID, r.err)
 		return c
 	}
-	t := p.trials[r.job.TrialID]
-	t.resource = r.job.TargetResource
-	t.state = r.state
-	p.mark(r.job.TrialID, t)
-	if p.checkpoint {
+	var ckpt json.RawMessage
+	if p.checkpoint && r.state != nil {
 		// Commit-time encoding: the worker that produced r.state has
 		// finished and no new job of this trial can be running, so the
 		// marshal cannot race a concurrent mutation. A state that does
 		// not marshal is kept without a checkpoint (the trial restarts
 		// from zero on resume, like a crashed worker's).
-		t.stateJSON = nil
-		if r.state != nil {
-			if blob, err := json.Marshal(r.state); err == nil {
-				t.stateJSON = blob
-			}
+		if blob, err := json.Marshal(r.state); err == nil {
+			ckpt = blob
 		}
 	}
+	p.Commit(r.job.TrialID, r.job.TargetResource, ckpt)
+	*p.at(r.job.TrialID) = poolLive{state: r.state, set: true}
 	c.Loss = r.loss
 	c.TrueLoss = r.loss
-	c.Resource = t.resource
+	c.Resource = r.job.TargetResource
 	return c
 }
 
@@ -377,37 +339,4 @@ func (p *Pool) Close() error {
 			return nil
 		}
 	}
-}
-
-// Stats implements backend.Backend.
-func (p *Pool) Stats() backend.Stats {
-	st := backend.Stats{Trials: len(p.trials)}
-	for _, t := range p.trials {
-		st.TotalResource += t.resource
-	}
-	return st
-}
-
-// SnapshotTrials implements backend.TrialCheckpointer, streaming the
-// commit-time encodings (see EnableCheckpointSnapshots).
-func (p *Pool) SnapshotTrials(fn func(trial int, resource float64, state json.RawMessage)) {
-	for _, id := range p.changed {
-		t := p.trials[id]
-		t.changed = false
-		fn(id, t.resource, t.stateJSON)
-	}
-	p.changed = p.changed[:0]
-}
-
-// RestoreTrial implements backend.TrialCheckpointer. The checkpoint is
-// handed back to the objective as decoded JSON (numbers are float64,
-// objects are map[string]interface{}) — the same representation
-// subprocess and remote objectives already receive, so objectives used
-// with resume must accept it.
-func (p *Pool) RestoreTrial(trial int, resource float64, state json.RawMessage) {
-	if len(p.restored) == cap(p.restored) {
-		p.restored = make([]poolTrial, 0, min(16+2*cap(p.restored), 1024))
-	}
-	p.restored = append(p.restored, poolTrial{resource: resource, stateJSON: state, restored: len(state) > 0})
-	p.trials[trial] = &p.restored[len(p.restored)-1]
 }

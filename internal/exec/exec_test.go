@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/searchspace"
 	"repro/internal/xrand"
 )
@@ -19,6 +21,11 @@ func execSpace() *searchspace.Space {
 		searchspace.Param{Name: "x", Type: searchspace.Uniform, Lo: 0, Hi: 1},
 		searchspace.Param{Name: "y", Type: searchspace.Uniform, Lo: 0, Hi: 1},
 	)
+}
+
+// drive runs sched over a fresh pool of workers goroutines.
+func drive(ctx context.Context, sched core.Scheduler, obj Objective, workers int, opt backend.Options) (*metrics.Run, error) {
+	return backend.Drive(ctx, sched, NewPool(ctx, obj, workers), opt)
 }
 
 // quadObjective is a fast synthetic objective whose loss improves with
@@ -37,7 +44,7 @@ func TestExecRunsASHAConcurrently(t *testing.T) {
 		MinResource: 1,
 		MaxResource: 27,
 	})
-	run, err := Run(context.Background(), sched, quadObjective, Options{Workers: 8, MaxJobs: 300})
+	run, err := drive(context.Background(), sched, quadObjective, 8, backend.Options{MaxJobs: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +78,7 @@ func TestExecParallelismActuallyHappens(t *testing.T) {
 		return 1, nil, nil
 	}
 	sched := core.NewRandomSearch(core.RandomSearchConfig{Space: execSpace(), RNG: xrand.New(2), MaxResource: 1})
-	if _, err := Run(context.Background(), sched, obj, Options{Workers: 8, MaxJobs: 64}); err != nil {
+	if _, err := drive(context.Background(), sched, obj, 8, backend.Options{MaxJobs: 64}); err != nil {
 		t.Fatal(err)
 	}
 	if atomic.LoadInt64(&peak) < 2 {
@@ -85,7 +92,7 @@ func TestExecObjectiveErrorAborts(t *testing.T) {
 		return 0, nil, boom
 	}
 	sched := core.NewRandomSearch(core.RandomSearchConfig{Space: execSpace(), RNG: xrand.New(3), MaxResource: 1})
-	_, err := Run(context.Background(), sched, obj, Options{Workers: 4, MaxJobs: 100})
+	_, err := drive(context.Background(), sched, obj, 4, backend.Options{MaxJobs: 100})
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("expected objective error, got %v", err)
 	}
@@ -105,7 +112,7 @@ func TestExecContextCancelStops(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := Run(ctx, sched, obj, Options{Workers: 4})
+		_, err := drive(ctx, sched, obj, 4, backend.Options{})
 		if err != nil {
 			t.Errorf("cancel should end the run cleanly, got %v", err)
 		}
@@ -124,7 +131,9 @@ func TestExecMaxDurationStops(t *testing.T) {
 	}
 	sched := core.NewRandomSearch(core.RandomSearchConfig{Space: execSpace(), RNG: xrand.New(5), MaxResource: 1})
 	start := time.Now()
-	if _, err := Run(context.Background(), sched, obj, Options{Workers: 2, MaxDuration: 50 * time.Millisecond}); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := drive(ctx, sched, obj, 2, backend.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(start) > 3*time.Second {
@@ -142,7 +151,7 @@ func TestExecDrainsWhenSchedulerDone(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		run, err := Run(context.Background(), sched, quadObjective, Options{Workers: 4})
+		run, err := drive(context.Background(), sched, quadObjective, 4, backend.Options{})
 		if err != nil {
 			t.Errorf("run error: %v", err)
 			return
@@ -185,7 +194,7 @@ func TestExecStateThreadsThroughSteps(t *testing.T) {
 		Space: execSpace(), RNG: xrand.New(7),
 		Eta: 2, MinResource: 1, MaxResource: 16,
 	})
-	if _, err := Run(context.Background(), sched, obj, Options{Workers: 4, MaxJobs: 200}); err != nil {
+	if _, err := drive(context.Background(), sched, obj, 4, backend.Options{MaxJobs: 200}); err != nil {
 		t.Fatal(err)
 	}
 	if violations > 0 {
@@ -196,8 +205,8 @@ func TestExecStateThreadsThroughSteps(t *testing.T) {
 func TestExecOnResultCallback(t *testing.T) {
 	var count int64
 	sched := core.NewRandomSearch(core.RandomSearchConfig{Space: execSpace(), RNG: xrand.New(8), MaxResource: 1})
-	_, err := Run(context.Background(), sched, quadObjective, Options{
-		Workers: 2, MaxJobs: 20,
+	_, err := drive(context.Background(), sched, quadObjective, 2, backend.Options{
+		MaxJobs:  20,
 		OnResult: func(res core.Result, best core.Best, ok bool) { atomic.AddInt64(&count, 1) },
 	})
 	if err != nil {
@@ -209,10 +218,12 @@ func TestExecOnResultCallback(t *testing.T) {
 }
 
 func TestExecRejectsZeroWorkers(t *testing.T) {
-	sched := core.NewRandomSearch(core.RandomSearchConfig{Space: execSpace(), RNG: xrand.New(9), MaxResource: 1})
-	if _, err := Run(context.Background(), sched, quadObjective, Options{Workers: 0}); err == nil {
-		t.Fatal("expected error for zero workers")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a pool of zero workers was built")
+		}
+	}()
+	NewPool(context.Background(), quadObjective, 0)
 }
 
 func TestExecPBTInheritCopiesState(t *testing.T) {
@@ -245,7 +256,7 @@ func TestExecPBTInheritCopiesState(t *testing.T) {
 		loss := math.Hypot(cfg["x"]-0.5, cfg["y"]-0.5) + 1/(1+to)
 		return loss, to, nil
 	}
-	if _, err := Run(context.Background(), sched, obj, Options{Workers: 3, MaxJobs: 60}); err != nil {
+	if _, err := drive(context.Background(), sched, obj, 3, backend.Options{MaxJobs: 60}); err != nil {
 		t.Fatal(err)
 	}
 	if inherits != 0 {
@@ -255,7 +266,7 @@ func TestExecPBTInheritCopiesState(t *testing.T) {
 
 func TestExecRunRecordsTotals(t *testing.T) {
 	sched := core.NewRandomSearch(core.RandomSearchConfig{Space: execSpace(), RNG: xrand.New(12), MaxResource: 7})
-	run, err := Run(context.Background(), sched, quadObjective, Options{Workers: 2, MaxJobs: 10})
+	run, err := drive(context.Background(), sched, quadObjective, 2, backend.Options{MaxJobs: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 	"testing"
 	"time"
 
@@ -52,7 +51,7 @@ func lineagePBT() core.Scheduler {
 // the engine took a snapshot of what changed in it.
 type tableSpy struct {
 	backend.Backend
-	table  func() []state.TrialSnap
+	table  *backend.Trials
 	tables [][]state.TrialSnap
 }
 
@@ -64,8 +63,10 @@ func (s *tableSpy) EnableCheckpointSnapshots() {
 
 func (s *tableSpy) SnapshotTrials(fn func(int, float64, json.RawMessage)) {
 	s.Backend.(backend.TrialCheckpointer).SnapshotTrials(fn)
-	table := s.table()
-	sort.Slice(table, func(i, k int) bool { return table[i].Trial < table[k].Trial })
+	var table []state.TrialSnap
+	s.table.Each(func(trial int, resource float64, st json.RawMessage) {
+		table = append(table, state.TrialSnap{Trial: trial, Resource: resource, State: st})
+	})
 	s.tables = append(s.tables, table)
 }
 
@@ -96,18 +97,8 @@ func TestSnapshotsAddUpToTheTrialTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, spy := range map[string]*tableSpy{
-		"pool": {Backend: pool, table: func() (table []state.TrialSnap) {
-			for id, tr := range pool.trials {
-				table = append(table, state.TrialSnap{Trial: id, Resource: tr.resource, State: tr.stateJSON})
-			}
-			return table
-		}},
-		"subprocess": {Backend: procs, table: func() (table []state.TrialSnap) {
-			for id, tr := range procs.trials {
-				table = append(table, state.TrialSnap{Trial: id, Resource: tr.resource, State: tr.state})
-			}
-			return table
-		}},
+		"pool":       {Backend: pool, table: &pool.Trials},
+		"subprocess": {Backend: procs, table: &procs.Trials},
 	} {
 		var image bytes.Buffer
 		journal, err := state.NewWriter(&image, state.Meta{Experiment: name, Seed: 11})

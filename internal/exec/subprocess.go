@@ -195,14 +195,6 @@ func Serve(ctx context.Context, r io.Reader, w io.Writer, obj Objective) error {
 	}
 }
 
-// procTrial is the parent-side record of one trial: its training state
-// is an opaque JSON checkpoint produced by a worker.
-type procTrial struct {
-	resource float64
-	state    json.RawMessage
-	changed  bool // listed in Subprocess.changed
-}
-
 // procWorker is one managed worker process.
 type procWorker struct {
 	cmd    *exec.Cmd
@@ -227,6 +219,9 @@ type procResult struct {
 // that dies loses only its in-flight job, which is reported Failed and
 // retried by the scheduler on a freshly launched worker.
 type Subprocess struct {
+	// Trials holds, as each trial's checkpoint, the opaque JSON a worker
+	// produced.
+	backend.Trials
 	ctx     context.Context
 	command string
 	args    []string
@@ -235,8 +230,7 @@ type Subprocess struct {
 
 	idle    chan *procWorker
 	results chan procResult
-	trials  map[int]*procTrial
-	changed []int // trials committed to since SnapshotTrials last ran
+	batch   []backend.Completion // Await's return buffer, reused call to call
 	start   time.Time
 	all     []*procWorker // every process ever spawned, for cancel-kill
 	live    int           // worker seats in existence (idle + busy)
@@ -258,7 +252,6 @@ func NewSubprocess(ctx context.Context, command string, args, env []string, work
 		workers: workers,
 		idle:    make(chan *procWorker, workers),
 		results: make(chan procResult, workers),
-		trials:  make(map[int]*procTrial),
 		start:   time.Now(),
 	}
 	for i := 0; i < workers; i++ {
@@ -303,31 +296,11 @@ func (s *Subprocess) spawn() (*procWorker, error) {
 // Capacity implements backend.Backend.
 func (s *Subprocess) Capacity() int { return s.workers }
 
-// commit sets a trial's committed state and lists the trial for the next
-// snapshot. Every writer of that state goes through it, except
-// RestoreTrial: what it restores is in the journal already.
-func (s *Subprocess) commit(id int, t *procTrial, resource float64, state json.RawMessage) {
-	t.resource, t.state = resource, state
-	if !t.changed {
-		t.changed = true
-		s.changed = append(s.changed, id)
-	}
-}
-
 // Launch resolves the job's trial state and hands it to an idle worker.
 // The engine guarantees at most Capacity jobs in flight, so an idle
 // worker is always available without blocking.
 func (s *Subprocess) Launch(job core.Job) {
-	t := s.trials[job.TrialID]
-	if t == nil {
-		t = &procTrial{}
-		s.trials[job.TrialID] = t
-	}
-	if job.InheritFrom >= 0 {
-		if donor := s.trials[job.InheritFrom]; donor != nil {
-			s.commit(job.TrialID, t, donor.resource, donor.state)
-		}
-	}
+	from, state, _ := s.Resolve(job.TrialID, job.InheritFrom)
 	w := <-s.idle
 	w.nextID++
 	req := Request{
@@ -335,9 +308,9 @@ func (s *Subprocess) Launch(job core.Job) {
 		ID:      w.nextID,
 		Trial:   job.TrialID,
 		Config:  job.Config.Map(),
-		From:    t.resource,
+		From:    from,
 		To:      job.TargetResource,
-		State:   t.state,
+		State:   state,
 	}
 	go func() {
 		r := procResult{job: job, worker: w}
@@ -357,21 +330,9 @@ func (s *Subprocess) Launch(job core.Job) {
 
 // Await blocks for one result then drains every other pending result.
 func (s *Subprocess) Await(ctx context.Context) ([]backend.Completion, error) {
-	var batch []backend.Completion
-	select {
-	case r := <-s.results:
-		batch = append(batch, s.apply(r))
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	for {
-		select {
-		case r := <-s.results:
-			batch = append(batch, s.apply(r))
-		default:
-			return batch, nil
-		}
-	}
+	var err error
+	s.batch, err = awaitBatch(ctx, s.results, s.batch, s.apply)
+	return s.batch, err
 }
 
 // apply commits a worker result to the trial table, recycling or
@@ -401,11 +362,10 @@ func (s *Subprocess) apply(r procResult) backend.Completion {
 		c.Err = fmt.Errorf("exec: objective failed for trial %d: %s", r.job.TrialID, r.resp.Error)
 	default:
 		s.idle <- r.worker
-		t := s.trials[r.job.TrialID]
-		s.commit(r.job.TrialID, t, r.job.TargetResource, r.resp.State)
+		s.Commit(r.job.TrialID, r.job.TargetResource, r.resp.State)
 		c.Loss = r.resp.Loss
 		c.TrueLoss = r.resp.Loss
-		c.Resource = t.resource
+		c.Resource = r.job.TargetResource
 	}
 	return c
 }
@@ -448,40 +408,13 @@ func (s *Subprocess) Close() error {
 			seats++
 		case r := <-s.results:
 			if !r.crashed && !r.badVersion && r.resp.Error == "" {
-				if t := s.trials[r.job.TrialID]; t != nil {
-					s.commit(r.job.TrialID, t, r.job.TargetResource, r.resp.State)
-				}
+				s.Commit(r.job.TrialID, r.job.TargetResource, r.resp.State)
 			}
 			r.worker.shutdown()
 			seats++
 		}
 	}
 	return nil
-}
-
-// Stats implements backend.Backend.
-func (s *Subprocess) Stats() backend.Stats {
-	st := backend.Stats{Trials: len(s.trials)}
-	for _, t := range s.trials {
-		st.TotalResource += t.resource
-	}
-	return st
-}
-
-// SnapshotTrials implements backend.TrialCheckpointer: subprocess
-// checkpoints are already the opaque JSON the wire carries.
-func (s *Subprocess) SnapshotTrials(fn func(trial int, resource float64, state json.RawMessage)) {
-	for _, id := range s.changed {
-		t := s.trials[id]
-		t.changed = false
-		fn(id, t.resource, t.state)
-	}
-	s.changed = s.changed[:0]
-}
-
-// RestoreTrial implements backend.TrialCheckpointer.
-func (s *Subprocess) RestoreTrial(trial int, resource float64, state json.RawMessage) {
-	s.trials[trial] = &procTrial{resource: resource, state: state}
 }
 
 func (w *procWorker) shutdown() {

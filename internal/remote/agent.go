@@ -27,27 +27,6 @@ type AgentOptions struct {
 	// Slots is the number of jobs the worker runs concurrently
 	// (default 1).
 	Slots int
-	// Batch caps the jobs requested per lease poll and is the
-	// report-flush size: the reporter waits up to FlushInterval for Batch
-	// completed responses and sends at most Batch per frame. 0 adopts the
-	// server-advertised fleet default; with none advertised (and for
-	// values below 1) nothing waits and nothing is capped — a poll asks
-	// for all the free capacity, a report frame carries what is ready.
-	Batch int
-	// Prefetch is the depth of the local job queue: jobs leased ahead
-	// of the ones the slots are training, so objective execution
-	// overlaps the next lease poll. Each prefetched job holds its own
-	// lease and is heartbeated while it waits. 0 adopts the
-	// server-advertised fleet default; negative forces no lookahead.
-	Prefetch int
-	// FlushInterval bounds how long a completed response may wait in
-	// the report buffer for batch-mates before the buffer is flushed
-	// anyway. (The buffer also flushes early when it reaches Batch
-	// entries or when the agent has no job left in flight — a starving
-	// tuner never waits on a timer for results that are already done.)
-	// 0 adopts the server-advertised fleet default; negative flushes
-	// every response immediately.
-	FlushInterval time.Duration
 	// Resolve maps a job's experiment name to the objective that trains
 	// it. Single-experiment fleets ignore the name.
 	Resolve func(experiment string) (exec.Objective, error)
@@ -134,15 +113,18 @@ type agent struct {
 	regMu  sync.Mutex
 	worker string
 	ttl    time.Duration
-	// Resolved batching parameters (option > server-advertised > default).
-	// batch 0 is "unset": frames carry what is ready and wait for nothing.
+	// The fleet's batching parameters, as the server advertised them at
+	// the first registration (Options.BatchSize, Prefetch, FlushInterval):
+	// batch caps the jobs asked for per lease poll and is the report-flush
+	// size — the reporter waits up to flushInt for batch completed
+	// responses and sends at most batch per frame; 0 is "unset": a poll
+	// asks for all the free capacity, a report frame carries what is ready
+	// and waits for nothing. prefetch is the depth of the local job queue:
+	// jobs leased ahead of the ones the slots are training, each holding
+	// its own lease, heartbeated while it waits.
 	batch    int
 	prefetch int
 	flushInt time.Duration
-	// Server-advertised defaults, recorded at registration.
-	advBatch    int
-	advPrefetch int
-	advFlush    time.Duration
 	// runOver is set when the server reports the run is over or a
 	// deterministic rejection dooms the worker, so every pipeline stage
 	// unwinds instead of waiting out the partition-tolerance window.
@@ -238,7 +220,6 @@ func ServeAgent(ctx context.Context, o AgentOptions) error {
 	if err := a.register(ctx, ""); err != nil {
 		return err
 	}
-	a.resolveBatching()
 	// The fetcher never leases beyond Slots+Prefetch unsettled jobs, so
 	// these buffers make every pipeline send non-blocking in the steady
 	// state (the reports buffer adds slack for a flush mid-retry).
@@ -282,35 +263,6 @@ func ServeAgent(ctx context.Context, o AgentOptions) error {
 		return err
 	}
 	return ctx.Err()
-}
-
-// resolveBatching fixes the pipeline's batch, prefetch and flush
-// parameters: an explicit option wins, else the server-advertised fleet
-// default, else no batch (frames carry what is ready) and no lookahead.
-func (a *agent) resolveBatching() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.batch = a.o.Batch
-	if a.batch == 0 {
-		a.batch = a.advBatch
-	}
-	if a.batch < 0 {
-		a.batch = 0
-	}
-	a.prefetch = a.o.Prefetch
-	if a.prefetch == 0 {
-		a.prefetch = a.advPrefetch
-	}
-	if a.prefetch < 0 {
-		a.prefetch = 0
-	}
-	a.flushInt = a.o.FlushInterval
-	if a.flushInt == 0 {
-		a.flushInt = a.advFlush
-	}
-	if a.flushInt <= 0 {
-		a.flushInt = 0 // negative (or unadvertised zero): flush immediately
-	}
 }
 
 // serverURL returns the base URL the agent currently talks to.
@@ -453,9 +405,13 @@ func (a *agent) register(ctx context.Context, staleID string) error {
 			}
 			a.worker = resp.WorkerID
 			a.ttl = ttl
-			a.advBatch = resp.BatchSize
-			a.advPrefetch = resp.Prefetch
-			a.advFlush = time.Duration(resp.FlushMillis) * time.Millisecond
+			if staleID == "" {
+				// The first advert sizes the pipeline's queues, which a
+				// re-registration finds built and its stages reading these.
+				a.batch = max(resp.BatchSize, 0)
+				a.prefetch = max(resp.Prefetch, 0)
+				a.flushInt = max(time.Duration(resp.FlushMillis)*time.Millisecond, 0)
+			}
 			a.mu.Unlock()
 			return nil
 		}
@@ -489,7 +445,7 @@ func (a *agent) register(ctx context.Context, staleID string) error {
 
 // fetchLoop is the pipeline's lease stage: whenever the pipeline has free
 // capacity (Slots+Prefetch unsettled jobs) it long-polls the stream for
-// all of it, or an explicit Batch of it, registers each grant's lease, and
+// all of it, or an explicit BatchSize of it, registers each grant's lease, and
 // queues the jobs for the executor slots — so while the slots train,
 // the next batch is already on the wire. A non-nil return is a
 // deterministic rejection worth surfacing; nil means the run ended (or
@@ -503,8 +459,8 @@ func (a *agent) fetchLoop(ctx context.Context) error {
 	// and every poll moves many jobs. The watermark is capped at
 	// Prefetch — never the slots' share of capacity — so the prefetch
 	// queue keeps the slots training while the poll is on the wire;
-	// waiting for a full Batch of capacity would drain the slots idle
-	// whenever Batch >= Slots+Prefetch.
+	// waiting for a full BatchSize of capacity would drain the slots idle
+	// whenever BatchSize >= Slots+Prefetch.
 	threshold := a.batch
 	if threshold > a.prefetch {
 		threshold = a.prefetch
@@ -809,8 +765,8 @@ func (a *agent) runOne(ctx context.Context, h *heldLease, sc *slotCtx) {
 
 // reportLoop is the pipeline's delivery stage, and never waits on the
 // server. A completion is joined by every other already queued (up to an
-// explicit Batch) and the frame leaves at once if it is full, if no Batch
-// asks it to wait, or if the agent has nothing left in flight (a starving
+// explicit BatchSize) and the frame leaves at once if it is full, if no
+// BatchSize asks it to wait, or if the agent has nothing left in flight (a starving
 // tuner should not wait on a timer for results that are already done) —
 // else when its oldest entry has waited FlushInterval. Sent frames wait in
 // a FIFO: an ack releases the oldest; an ack out of sequence or a head

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -11,27 +10,12 @@ import (
 	"repro/internal/core"
 )
 
-// trialState is the server-side record of one trial: its last committed
-// cumulative resource and checkpoint. State only commits on success, so
-// a job lost to a lease expiry resumes from the previous checkpoint —
-// the same rollback semantics as a subprocess crash.
-type trialState struct {
-	resource float64
-	state    json.RawMessage
-	changed  bool // listed in Backend.changed
-}
-
 // result is one settled job delivered to the engine goroutine.
 type result struct {
 	lane *Backend
 	job  core.Job
 	out  Outcome
 }
-
-// trialSlabLen is how many trialState records a lane cuts from one
-// allocation. A trial's record lives as long as its lane's table, so the
-// chunking retains nothing a per-trial allocation would have freed.
-const trialSlabLen = 64
 
 // Backend drives the shared execution engine over a worker fleet
 // connected to an embedded lease server. The engine calls every method
@@ -47,13 +31,17 @@ const trialSlabLen = 64
 // closes the whole fleet.
 type Backend struct {
 	*fleet
+	// Trials holds, as each trial's checkpoint, the opaque JSON a worker
+	// reported. A job lost to a lease expiry is not committed, so its trial
+	// resumes from the previous checkpoint — the rollback semantics of a
+	// subprocess crash. On resume the lease server starts empty: journaled
+	// in-flight jobs are resubmitted and leased afresh, while any worker
+	// still holding a lease from the previous process finds it expired —
+	// its heartbeat cancels the orphaned job and a late report is rejected,
+	// so the retried job is delivered exactly once.
+	backend.Trials
 	lane       int
 	experiment string // stamped on every job, for worker-side objective routing
-	// trials is indexed by trial ID — ASHA issues dense IDs, so a slice
-	// beats a map on the per-job lookup path.
-	trials    []*trialState
-	trialSlab []trialState // the unused tail of the newest chunk of records
-	changed   []int        // trials committed to since SnapshotTrials last ran
 }
 
 // fleet is what a backend's lane views share: the server, the clock and
@@ -100,36 +88,6 @@ func (b *Backend) Lane(id int, experiment string) *Backend {
 	return &Backend{fleet: b.fleet, lane: id, experiment: experiment}
 }
 
-// trial returns the trial's state record, creating it on first use.
-func (b *Backend) trial(id int) *trialState {
-	if id >= len(b.trials) {
-		grown := make([]*trialState, id+1+len(b.trials)/2)
-		copy(grown, b.trials)
-		b.trials = grown
-	}
-	t := b.trials[id]
-	if t == nil {
-		if len(b.trialSlab) == 0 {
-			b.trialSlab = make([]trialState, trialSlabLen)
-		}
-		t = &b.trialSlab[0]
-		b.trialSlab = b.trialSlab[1:]
-		b.trials[id] = t
-	}
-	return t
-}
-
-// commit sets a trial's committed state and lists the trial for the next
-// snapshot. Every writer of that state goes through it, except
-// RestoreTrial: what it restores is in the journal already.
-func (b *Backend) commit(id int, t *trialState, resource float64, state json.RawMessage) {
-	t.resource, t.state = resource, state
-	if !t.changed {
-		t.changed = true
-		b.changed = append(b.changed, id)
-	}
-}
-
 // deliver queues one settled job for the engine. Called from server
 // goroutines; never blocks.
 func (f *fleet) deliver(r result) {
@@ -152,12 +110,7 @@ func (b *Backend) Capacity() int { return b.capacity }
 
 // Launch resolves the job's trial state and submits it to the fleet.
 func (b *Backend) Launch(job core.Job) {
-	t := b.trial(job.TrialID)
-	if job.InheritFrom >= 0 && job.InheritFrom < len(b.trials) {
-		if donor := b.trials[job.InheritFrom]; donor != nil {
-			b.commit(job.TrialID, t, donor.resource, donor.state)
-		}
-	}
+	from, state, _ := b.Resolve(job.TrialID, job.InheritFrom)
 	b.srv.submit(&task{lane: b, job: job, payload: JobPayload{
 		Experiment: b.experiment,
 		Trial:      job.TrialID,
@@ -168,9 +121,9 @@ func (b *Backend) Launch(job core.Job) {
 		// the map lazily for JSON-wire workers.
 		Names: job.Config.Names(),
 		Vec:   job.Config.Values(),
-		From:  t.resource,
+		From:  from,
 		To:    job.TargetResource,
-		State: t.state,
+		State: state,
 	}})
 }
 
@@ -217,11 +170,10 @@ func (b *Backend) apply(r *result) backend.Completion {
 	case r.out.Err != "":
 		c.Err = fmt.Errorf("remote: objective failed for trial %d: %s", r.job.TrialID, r.out.Err)
 	default:
-		t := b.trial(r.job.TrialID)
-		b.commit(r.job.TrialID, t, r.job.TargetResource, r.out.State)
+		b.Commit(r.job.TrialID, r.job.TargetResource, r.out.State)
 		c.Loss = r.out.Loss
 		c.TrueLoss = r.out.Loss
-		c.Resource = t.resource
+		c.Resource = r.job.TargetResource
 	}
 	return c
 }
@@ -238,38 +190,4 @@ func (b *Backend) Close() error {
 	}
 	b.closed = true
 	return b.srv.Close()
-}
-
-// Stats implements backend.Backend.
-func (b *Backend) Stats() backend.Stats {
-	st := backend.Stats{}
-	for _, t := range b.trials {
-		if t != nil {
-			st.Trials++
-			st.TotalResource += t.resource
-		}
-	}
-	return st
-}
-
-// SnapshotTrials implements backend.TrialCheckpointer: fleet checkpoints
-// are already the opaque JSON workers report.
-func (b *Backend) SnapshotTrials(fn func(trial int, resource float64, state json.RawMessage)) {
-	for _, id := range b.changed {
-		t := b.trials[id]
-		t.changed = false
-		fn(id, t.resource, t.state)
-	}
-	b.changed = b.changed[:0]
-}
-
-// RestoreTrial implements backend.TrialCheckpointer. On resume the lease
-// server starts empty: journaled in-flight jobs are resubmitted and
-// leased afresh, while any worker still holding a lease from the
-// previous process finds it expired — its heartbeat cancels the orphaned
-// job and a late report is rejected, so the retried job is delivered
-// exactly once.
-func (b *Backend) RestoreTrial(trial int, resource float64, state json.RawMessage) {
-	t := b.trial(trial)
-	t.resource, t.state = resource, state
 }

@@ -350,8 +350,8 @@ func TestReregistrationPurgesStalePrefetchedWork(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	err = ServeAgent(ctx, AgentOptions{
-		Server: "http://" + ln.Addr().String(),
-		Slots:  1, Batch: 3, Prefetch: 4, FlushInterval: 20 * time.Millisecond,
+		Server:  "http://" + ln.Addr().String(),
+		Slots:   1, // the stub's advert: batch 3, prefetch 4, flush 20 ms
 		Resolve: func(string) (exec.Objective, error) { return obj, nil },
 	})
 	if err != nil {

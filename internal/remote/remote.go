@@ -179,20 +179,20 @@ type Options struct {
 	// (0 = unlimited; callers usually bound in-flight work themselves).
 	MaxLeases int
 	// BatchSize caps the jobs one grants or reports frame carries and is
-	// advertised to workers at registration as the fleet-wide default
-	// batch: a worker holds finished results up to FlushInterval for that
+	// advertised to workers at registration as the fleet-wide batch: a
+	// worker holds finished results up to FlushInterval for that
 	// many. Unset (0), nothing waits and nothing is capped: a poll is
 	// granted what the worker has room for (within MaxLeases), a report
 	// frame carries the results that are ready. Workers may ask for less;
 	// they never receive more.
 	BatchSize int
-	// Prefetch is advertised to workers at registration as the default
-	// depth of their local job queue: jobs leased ahead of the ones
+	// Prefetch is advertised to workers at registration as the depth of
+	// their local job queue: jobs leased ahead of the ones
 	// their slots are training, overlapping execution with the next
 	// lease poll (default 0: no lookahead).
 	Prefetch int
 	// FlushInterval is advertised to workers at registration as the
-	// default report-flush deadline (default DefaultFlushInterval).
+	// report-flush deadline (default DefaultFlushInterval).
 	FlushInterval time.Duration
 	// Metrics enables GET /metrics: the server's counters — and, when a
 	// ControlPlane is attached, per-experiment scheduler state — in

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/remote"
@@ -43,22 +42,6 @@ type RemoteWorker struct {
 	// Slots is how many jobs this worker trains concurrently
 	// (default 1).
 	Slots int
-	// Batch caps the jobs leased per poll and is the report-flush size
-	// (completed results wait up to FlushInterval for Batch of them and
-	// travel at most Batch to a frame). 0 adopts the server-advertised
-	// fleet default — set once on asha.Remote, it tunes every worker —
-	// and with none set a poll asks for every free slot and a result
-	// leaves as soon as it is done.
-	Batch int
-	// Prefetch is the local job-queue depth: jobs leased ahead of the
-	// ones the slots are training, overlapping execution with the next
-	// lease poll. 0 adopts the server-advertised fleet default;
-	// negative forces no lookahead.
-	Prefetch int
-	// FlushInterval bounds how long a completed result waits in the
-	// report buffer for batch-mates. 0 adopts the server-advertised
-	// fleet default; negative flushes every result immediately.
-	FlushInterval time.Duration
 	// Objective trains single-experiment jobs (a Tuner's Remote
 	// backend) and any experiment missing from Objectives.
 	Objective Objective
@@ -117,14 +100,11 @@ func ServeRemoteWorker(ctx context.Context, w RemoteWorker) error {
 		}
 	}
 	return remote.ServeAgent(ctx, remote.AgentOptions{
-		Server:        w.Server,
-		Token:         w.Token,
-		Name:          w.Name,
-		Slots:         w.Slots,
-		Batch:         w.Batch,
-		Prefetch:      w.Prefetch,
-		FlushInterval: w.FlushInterval,
-		Resolve:       resolve,
-		Experiments:   experiments,
+		Server:      w.Server,
+		Token:       w.Token,
+		Name:        w.Name,
+		Slots:       w.Slots,
+		Resolve:     resolve,
+		Experiments: experiments,
 	})
 }
