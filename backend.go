@@ -141,6 +141,13 @@ type Remote struct {
 	// surfaced on /metrics and admin status so operators can tell shards
 	// apart. Empty for standalone runs.
 	ShardID string
+	// Coordinator, when set, makes a Manager federated shard ShardID of
+	// the coordinator at this host:port (":port" is loopback): every
+	// experiment starts dormant and the shard runs what the coordinator's
+	// replies say it owns, adopting from journals (resumed if present,
+	// under Run as under Resume). AdminToken is its credential. A Tuner
+	// refuses it.
+	Coordinator string
 	// TenantTokens maps tenant namespace -> worker-auth secret: a worker
 	// presenting a tenant's token may only lease and report jobs of
 	// experiments named "<tenant>/...". The fleet-wide Token (if set)
@@ -153,6 +160,9 @@ type Remote struct {
 }
 
 func (r Remote) build(_ context.Context, t *Tuner, _ core.Scheduler) (backend.Backend, backend.Options, error) {
+	if r.Coordinator != "" {
+		return nil, backend.Options{}, fmt.Errorf("asha: a Tuner cannot be a federation shard (Remote.Coordinator %q): its control plane cannot adopt; run a Manager", r.Coordinator)
+	}
 	srv, capacity, err := r.newServer(t.workers)
 	if err != nil {
 		return nil, backend.Options{}, err
@@ -183,6 +193,7 @@ func (r Remote) newServer(defaultCapacity int) (*remote.Server, int, error) {
 		AdminToken:        r.AdminToken,
 		StragglerK:        r.StragglerK,
 		ShardID:           r.ShardID,
+		Coordinator:       r.Coordinator,
 		TenantTokens:      r.TenantTokens,
 		TenantAdminTokens: r.TenantAdminTokens,
 	})

@@ -95,13 +95,13 @@
 // `ashad -manifest m.json -shard <id>` per shard, all from the same
 // manifest. The coordinator assigns each experiment an owning shard by
 // rendezvous hashing, redirects registering workers to the right shard,
-// and — when a shard stops heartbeating — fails its experiments over to
-// the survivors, which adopt them from their journals (-state-dir on a
-// shared directory makes the handoff lossless). Ownership is fenced
-// from both ends: every heartbeat reply restates the shard's
-// assignment (a shard wrongly declared dead drops what it lost on its
-// first beat back), and a shard that loses the coordinator for a full
-// TTL drops everything until contact resumes. Tenant namespaces
+// and — when a shard stops heartbeating — reassigns its experiments to
+// the survivors. A shard runs exactly what its own registration and
+// heartbeat replies say it owns, adopting from the journals (-state-dir
+// on a shared directory makes the handoff lossless) and dropping what
+// moved away; a shard whose last successful beat was sent a full TTL
+// ago drops everything until contact resumes, before any survivor can
+// be told to adopt (internal/remote/shard.go). Tenant namespaces
 // ("team-a/exp"), per-tenant worker/admin tokens ("tenantTokens",
 // "tenantAdminTokens") and fair-share quotas ("tenantQuotas") make one
 // deployment safely multi-tenant.
@@ -112,17 +112,15 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math"
-	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -438,15 +436,6 @@ func buildExperiment(s expSpec) (asha.Experiment, error) {
 	}, nil
 }
 
-// hostURL turns a listen address into a dialable base URL, defaulting
-// the host to loopback for ":port" forms.
-func hostURL(addr string) string {
-	if strings.HasPrefix(addr, ":") {
-		addr = "127.0.0.1" + addr
-	}
-	return "http://" + addr
-}
-
 // runCoordinator serves the federation's coordinator tier until the
 // context is cancelled.
 func runCoordinator(ctx context.Context, mf *manifest) error {
@@ -459,18 +448,15 @@ func runCoordinator(ctx context.Context, mf *manifest) error {
 	for _, e := range mf.Experiments {
 		exps = append(exps, e.Name)
 	}
-	opts := remote.CoordinatorOptions{
-		Listen:      fed.Coordinator,
-		Shards:      ids,
-		Experiments: exps,
-		ShardTTL:    time.Duration(fed.TTLMillis) * time.Millisecond,
-	}
-	if mf.Remote != nil {
-		opts.AdminToken = mf.Remote.AdminToken
-		opts.Token = mf.Remote.Token
-		opts.TenantTokens = mf.Remote.TenantTokens
-	}
-	coord, err := remote.NewCoordinator(opts)
+	coord, err := remote.NewCoordinator(remote.CoordinatorOptions{
+		Listen:       fed.Coordinator,
+		Shards:       ids,
+		Experiments:  exps,
+		ShardTTL:     time.Duration(fed.TTLMillis) * time.Millisecond,
+		AdminToken:   mf.Remote.AdminToken,
+		Token:        mf.Remote.Token,
+		TenantTokens: mf.Remote.TenantTokens,
+	})
 	if err != nil {
 		return err
 	}
@@ -479,158 +465,6 @@ func runCoordinator(ctx context.Context, mf *manifest) error {
 	<-ctx.Done()
 	fmt.Printf("ashad: coordinator shutting down (%d failovers)\n", coord.Failovers())
 	return coord.Close()
-}
-
-// linkShard registers this shard with the coordinator (retrying while
-// it boots), starts the background heartbeat/reconcile loop, and
-// returns the set of experiments the coordinator assigned to this
-// shard.
-//
-// The loop is the shard's half of the federation's fencing contract:
-// the coordinator restates this shard's assignment on every heartbeat
-// reply, and the loop reconciles the local manager against it through
-// the shard's own admin plane — adopting experiments that failed over
-// *to* us and, crucially, dropping experiments that failed over *away*
-// while we were silently declared dead (GC pause, partition), so the
-// old owner never schedules — or journals — alongside the survivor.
-// When the coordinator is unreachable for a full TTL the shard cannot
-// know whether it has been failed over, so it self-fences: drops every
-// experiment and waits; the first beat back returns whatever it still
-// owns and the reconcile re-adopts it from the journals. The shard's
-// fencing clock starts at its last *successful* beat and the
-// coordinator's death clock at the last *received* one, so the shard
-// stops appending no later than the coordinator hands its journals to
-// a survivor.
-func linkShard(ctx context.Context, coordURL, shardID, selfURL, adminToken string) (map[string]bool, error) {
-	var (
-		assigned []string
-		interval time.Duration
-		err      error
-	)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		assigned, interval, err = remote.RegisterShard(ctx, coordURL, shardID, selfURL, adminToken)
-		if err == nil {
-			break
-		}
-		if ctx.Err() != nil || time.Now().After(deadline) {
-			return nil, fmt.Errorf("registering shard %q with %s: %w", shardID, coordURL, err)
-		}
-		time.Sleep(500 * time.Millisecond)
-	}
-	set := make(map[string]bool, len(assigned))
-	for _, e := range assigned {
-		set[e] = true
-	}
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		// synced is the assignment last applied to the local manager;
-		// the registration reply seeded the manager's active set, so it
-		// starts there. The heartbeat cadence is TTL/3 (the coordinator
-		// said so), making 3 intervals the liveness window.
-		synced := append([]string(nil), assigned...)
-		sort.Strings(synced)
-		ttl := 3 * interval
-		lastContact := time.Now()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				cur, hbErr := remote.ShardHeartbeat(ctx, coordURL, shardID, adminToken)
-				if errors.Is(hbErr, remote.ErrShardUnknown) {
-					// A restarted coordinator forgot us: re-register and
-					// reconcile against the assignment it hands back — a
-					// fresh rendezvous over the full shard set, which may
-					// disagree with post-failover reality on both sides.
-					cur, _, hbErr = remote.RegisterShard(ctx, coordURL, shardID, selfURL, adminToken)
-				}
-				if hbErr != nil {
-					if ctx.Err() == nil && time.Since(lastContact) > ttl {
-						// Self-fence: we may already be declared dead and
-						// our journals handed to survivors. Idempotent, so
-						// retrying every beat while partitioned is safe.
-						if postSelfAdmin(ctx, selfURL, adminToken, "drop", "") == nil {
-							if len(synced) > 0 {
-								log.Printf("ashad: shard %s lost the coordinator for %v; fenced (dropped %d experiments)",
-									shardID, ttl, len(synced))
-							}
-							synced = nil
-						}
-					}
-					continue
-				}
-				lastContact = time.Now()
-				synced = reconcileAssignment(ctx, selfURL, adminToken, synced, cur)
-			}
-		}
-	}()
-	return set, nil
-}
-
-// reconcileAssignment converges the local manager on the assignment the
-// coordinator just restated: experiments newly assigned here are
-// adopted, experiments assigned away are dropped, both through this
-// shard's own admin plane. It returns the assignment actually applied —
-// a failed POST keeps its experiment out of (or in) the synced view so
-// the next heartbeat retries it.
-func reconcileAssignment(ctx context.Context, selfURL, adminToken string, synced, target []string) []string {
-	have := make(map[string]bool, len(synced))
-	for _, e := range synced {
-		have[e] = true
-	}
-	applied := make([]string, 0, len(target))
-	for _, e := range target {
-		if have[e] {
-			delete(have, e)
-			applied = append(applied, e)
-			continue
-		}
-		if err := postSelfAdmin(ctx, selfURL, adminToken, "adopt", e); err != nil {
-			log.Printf("ashad: adopting %q: %v (retrying next beat)", e, err)
-			continue
-		}
-		log.Printf("ashad: adopted %q", e)
-		applied = append(applied, e)
-	}
-	// Whatever is left was synced but is no longer assigned here: it
-	// failed over to another shard while we were out — stop running it.
-	for e := range have {
-		if err := postSelfAdmin(ctx, selfURL, adminToken, "drop", e); err != nil {
-			log.Printf("ashad: dropping %q: %v (retrying next beat)", e, err)
-			applied = append(applied, e)
-			continue
-		}
-		log.Printf("ashad: dropped %q (owned elsewhere now)", e)
-	}
-	sort.Strings(applied)
-	return applied
-}
-
-// postSelfAdmin drives one command against this process's own admin
-// plane. A 4xx answer counts as applied: the server heard us and judged
-// the request — e.g. adopt's "already active" when the coordinator's
-// direct adopt call won the race — so retrying cannot change it. Only
-// transport errors and 5xx mean "try again on the next beat".
-func postSelfAdmin(ctx context.Context, baseURL, token, cmd, experiment string) error {
-	body, _ := json.Marshal(map[string]string{"experiment": experiment})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(baseURL, "/")+"/v1/admin/"+cmd, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Authorization", "Bearer "+token)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK || (resp.StatusCode >= 400 && resp.StatusCode < 500) {
-		return nil
-	}
-	return fmt.Errorf("%s %q: %s", cmd, experiment, resp.Status)
 }
 
 func main() {
@@ -677,11 +511,11 @@ func main() {
 	defer stopSignals()
 
 	if *coordinator || *shard != "" {
-		if mf.Federation == nil {
-			log.Fatalf("ashad: -coordinator/-shard need a \"federation\" block in the manifest")
+		if mf.Federation == nil || mf.Federation.Coordinator == "" {
+			log.Fatalf("ashad: -coordinator/-shard need a \"federation\" block naming the coordinator")
 		}
 		if mf.Remote == nil || mf.Remote.AdminToken == "" {
-			log.Fatalf("ashad: a federated manifest needs remote.adminToken (the coordinator drives shard adoption through the admin API)")
+			log.Fatalf("ashad: a federated manifest needs remote.adminToken (shards authenticate to the coordinator with it)")
 		}
 	}
 	if *coordinator {
@@ -694,38 +528,15 @@ func main() {
 		return
 	}
 
-	// assigned is non-nil in shard mode: the experiments this shard
-	// actively runs. The rest stay dormant until a failover adopts them.
-	var assigned map[string]bool
+	// A shard runs what its coordinator's replies say it owns.
+	var coordAddr string
 	shardID := *shard
 	if shardID != "" {
-		var spec *shardSpec
-		for i := range mf.Federation.Shards {
-			if mf.Federation.Shards[i].ID == shardID {
-				spec = &mf.Federation.Shards[i]
-				break
-			}
+		i := slices.IndexFunc(mf.Federation.Shards, func(s shardSpec) bool { return s.ID == shardID })
+		if i < 0 || mf.Federation.Shards[i].Listen == "" {
+			log.Fatalf("ashad: federation block has no shard %q with a listen address", shardID)
 		}
-		if spec == nil {
-			log.Fatalf("ashad: federation block has no shard %q", shardID)
-		}
-		if spec.Listen == "" {
-			log.Fatalf("ashad: shard %q needs a listen address", shardID)
-		}
-		mf.Remote.Listen = spec.Listen
-		coordURL := hostURL(mf.Federation.Coordinator)
-		set, err := linkShard(ctx, coordURL, shardID, hostURL(spec.Listen), mf.Remote.AdminToken)
-		if err != nil {
-			log.Fatalf("ashad: %v", err)
-		}
-		assigned = set
-		names := make([]string, 0, len(set))
-		for n := range set {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		fmt.Printf("ashad: shard %s assigned %d/%d experiments: %s\n",
-			shardID, len(set), len(mf.Experiments), strings.Join(names, ", "))
+		mf.Remote.Listen, coordAddr = mf.Federation.Shards[i].Listen, mf.Federation.Coordinator
 	}
 
 	opts := []asha.ManagerOption{asha.WithManagerWorkers(mf.Workers)}
@@ -734,10 +545,6 @@ func main() {
 	}
 	if len(mf.TenantQuotas) > 0 {
 		opts = append(opts, asha.WithManagerTenantQuotas(mf.TenantQuotas))
-	}
-	if assigned != nil {
-		set := assigned
-		opts = append(opts, asha.WithManagerActive(func(name string) bool { return set[name] }))
 	}
 	if mf.Remote != nil {
 		opts = append(opts, asha.WithManagerRemote(asha.Remote{
@@ -754,6 +561,7 @@ func main() {
 			AdminToken:        mf.Remote.AdminToken,
 			StragglerK:        mf.Remote.StragglerK,
 			ShardID:           shardID,
+			Coordinator:       coordAddr,
 			TenantTokens:      mf.Remote.TenantTokens,
 			TenantAdminTokens: mf.Remote.TenantAdminTokens,
 			OnListen: func(url string) {

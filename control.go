@@ -125,10 +125,11 @@ func (c *controlPlane) Abort(name string) error {
 	})
 }
 
-// Adopt activates a dormant experiment on this node — the coordinator's
-// failover path. With a state dir the experiment's journal is recovered
-// (and replayed) if the dead owner left one, or created fresh; either
-// way the engine starts issuing its jobs on the next pass. Stale leases
+// Adopt activates a dormant experiment on this node — a federated
+// shard's boot and failover path alike. With a state dir the
+// experiment's journal is recovered (and replayed) if a previous owner
+// left one, or created fresh; either way the engine starts issuing its
+// jobs on the next pass. Stale leases
 // the dead owner granted are already fenced: this node's lease-ID
 // generation is seeded past the old one, so pre-failover reports are
 // rejected and delivery stays exactly-once.
@@ -142,7 +143,7 @@ func (c *controlPlane) Adopt(name string) error {
 	return c.do(name, func(exps []*mgrExp) error {
 		e := exps[0]
 		if c.state(e) != "dormant" {
-			return fmt.Errorf("asha: experiment %q is already active on this node", name)
+			return fmt.Errorf("asha: experiment %q is %w", name, remote.ErrAlreadyActive)
 		}
 		if err := c.run.activate(e, true); err != nil {
 			return fmt.Errorf("asha: adopt %q: %w", name, err)

@@ -1053,9 +1053,16 @@ func (a *agent) heartbeatLoop(ctx context.Context, stop, done chan struct{}) {
 // per-request garbage out of the steady-state pipeline.
 var encBufs = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
 
-// post sends one JSON request and decodes the JSON reply. Non-2xx
-// statuses decode the server's error message into the returned error.
+// post sends one JSON request to the agent's server within timeout.
 func (a *agent) post(ctx context.Context, path string, in, out interface{}, timeout time.Duration) (int, error) {
+	rctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	return postJSON(rctx, a.client, a.serverURL(), path, in, out)
+}
+
+// postJSON sends one JSON request and decodes the JSON reply. Non-2xx
+// statuses decode the server's error message into the returned error.
+func postJSON(ctx context.Context, client *http.Client, base, path string, in, out interface{}) (int, error) {
 	buf := encBufs.Get().(*bytes.Buffer)
 	buf.Reset()
 	// The pooled buffer outlives the transport's use of the request
@@ -1065,14 +1072,12 @@ func (a *agent) post(ctx context.Context, path string, in, out interface{}, time
 	if err := json.NewEncoder(buf).Encode(in); err != nil {
 		return 0, err
 	}
-	rctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, a.serverURL()+path, bytes.NewReader(buf.Bytes()))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return 0, err
 	}

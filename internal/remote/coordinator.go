@@ -23,12 +23,15 @@ package remote
 //	/v1/shard/register  — shards: announce {id, url}, learn their
 //	                      current experiment assignment and heartbeat
 //	                      cadence
-//	/v1/shard/heartbeat — shards: liveness; a shard silent past the
-//	                      TTL is declared dead and failed over
+//	/v1/shard/heartbeat — shards: liveness, answered with the shard's
+//	                      assignment; a shard silent past the TTL is
+//	                      declared dead and failed over
 //	/v1/shards          — operators (ashactl): assignment + health
 //
-// plus the usual /metrics and /v1/events planes. Failover drives the
-// surviving shard's token-scoped /v1/admin/adopt endpoint, which
+// plus the usual /metrics and /v1/events planes. The coordinator never
+// calls a shard: failover only rewrites the assignment table, and a
+// survivor learns it owns an experiment from its own next heartbeat
+// reply, at most TTL/3 after the death declaration (shard.go). It then
 // recovers the experiment from its journal via the same replay
 // machinery a restart uses; exactly-once holds because the survivor's
 // lease generation is seeded past the dead shard's (remote.go,
@@ -36,21 +39,17 @@ package remote
 //
 // A false-positive death (GC pause, brief partition) must not leave
 // the old owner scheduling experiments a survivor has adopted, so
-// ownership is fenced from both ends: every heartbeat reply carries
-// the shard's current assignment — a revived shard reconciles against
-// it, dropping (/v1/admin/drop) experiments that failed over while it
-// was silent — and shards self-fence by dropping all their experiments
-// once they have gone a full TTL without coordinator contact
-// (cmd/ashad). The shard's TTL clock starts at its last *sent* beat,
-// the coordinator's at the last *received* one, so the owner stops
-// appending to the shared journal no later than the moment the
-// coordinator hands that journal to a survivor.
+// ownership is fenced from both ends: a revived shard drops what its
+// beat reply no longer lists, and a shard whose last successful beat
+// was *sent* at t drops everything at t+TTL unless another beat got
+// through (shard.go). The coordinator's clock starts when it *receives*
+// that beat, no earlier than t, and declares death no sooner than TTL
+// later, so the owner has stopped appending to the shared journal
+// before any survivor is told to adopt it.
 
 import (
-	"bytes"
 	"context"
 	"crypto/subtle"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"net"
@@ -84,9 +83,8 @@ type CoordinatorOptions struct {
 	// DefaultShardTTL).
 	ShardTTL time.Duration
 	// AdminToken authenticates shards registering and heartbeating with
-	// the coordinator, gates /v1/shards, and is presented by the
-	// coordinator when driving a survivor's /v1/admin/adopt — the one
-	// fleet-internal secret, shared with every shard's admin plane.
+	// the coordinator and gates /v1/shards — the one fleet-internal
+	// secret, the same Options.AdminToken every shard presents.
 	AdminToken string
 	// Token and TenantTokens mirror the shards' worker credentials so
 	// the coordinator can reject a bad worker token at routing time
@@ -126,10 +124,6 @@ type Coordinator struct {
 	failovers  atomic.Int64 // experiments reassigned off dead shards
 	shardsDown atomic.Int64 // shard death declarations
 
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
-
 	sweepStop chan struct{}
 	sweepDone chan struct{}
 }
@@ -159,15 +153,12 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("remote: coordinator listen on %s: %w", opts.Listen, err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		opts:      opts,
 		ln:        ln,
 		bus:       obs.NewBus(opts.EventBuffer),
 		shards:    make(map[string]*coordShard, len(opts.Shards)),
 		assign:    make(map[string]string, len(opts.Experiments)),
-		ctx:       ctx,
-		cancel:    cancel,
 		sweepStop: make(chan struct{}),
 		sweepDone: make(chan struct{}),
 	}
@@ -205,8 +196,8 @@ func (c *Coordinator) EventBus() *obs.Bus { return c.bus }
 // shards over the coordinator's lifetime.
 func (c *Coordinator) Failovers() int { return int(c.failovers.Load()) }
 
-// Close shuts the coordinator down: the sweeper stops, in-flight adopt
-// retries are abandoned, and the listener closes.
+// Close shuts the coordinator down: the sweeper stops and the listener
+// closes.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -215,10 +206,8 @@ func (c *Coordinator) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	c.cancel()
 	close(c.sweepStop)
 	<-c.sweepDone
-	c.wg.Wait()
 	c.bus.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -278,11 +267,10 @@ type shardHeartbeatReq struct {
 type shardHeartbeatResp struct {
 	Version int `json:"v"`
 	// Experiments is the shard's current assignment, restated on every
-	// beat. It is the fencing signal: a shard declared dead while
-	// partitioned sees its lost experiments missing from this list on
-	// its first beat back and must stop running them (drop), while
-	// newly failed-over experiments appear here even if the
-	// coordinator's direct adopt call raced the shard's recovery.
+	// beat — the only way a shard learns what it owns. A survivor finds
+	// failed-over experiments here and adopts them; a shard declared
+	// dead while partitioned finds its lost experiments missing on its
+	// first beat back and must stop running them (drop).
 	Experiments []string `json:"experiments"`
 }
 
@@ -564,9 +552,9 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepShards is the liveness sweeper: a registered shard silent past
-// the TTL is declared dead, its experiments are reassigned to live
-// shards by the same rendezvous hash, and each survivor is told to
-// adopt its new experiments.
+// the TTL is declared dead and its experiments are reassigned to live
+// shards by the same rendezvous hash. Each survivor learns of its new
+// experiments from its own next heartbeat reply.
 func (c *Coordinator) sweepShards() {
 	defer close(c.sweepDone)
 	interval := c.opts.ShardTTL / 4
@@ -587,12 +575,7 @@ func (c *Coordinator) sweepShards() {
 
 // sweepOnce runs one liveness pass (factored out for tests).
 func (c *Coordinator) sweepOnce(now time.Time) {
-	type adoption struct {
-		experiment string
-		shardID    string
-	}
-	var deadIDs []string
-	var adoptions []adoption
+	var deadIDs, moved []string
 	c.mu.Lock()
 	for _, id := range c.opts.Shards {
 		sh := c.shards[id]
@@ -609,15 +592,14 @@ func (c *Coordinator) sweepOnce(now time.Time) {
 			}
 		}
 		for _, dead := range deadIDs {
+			if len(live) == 0 {
+				// Nobody to fail over to: ownership stays put so the shard
+				// picks its experiments back up if it returns.
+				continue
+			}
 			for _, exp := range c.assignedLocked(dead) {
-				if len(live) == 0 {
-					// Nobody to fail over to: ownership stays put so the
-					// shard picks its experiments back up if it returns.
-					continue
-				}
-				owner := rendezvousOwner(exp, live)
-				c.assign[exp] = owner
-				adoptions = append(adoptions, adoption{experiment: exp, shardID: owner})
+				c.assign[exp] = rendezvousOwner(exp, live)
+				moved = append(moved, exp)
 			}
 		}
 	}
@@ -626,140 +608,8 @@ func (c *Coordinator) sweepOnce(now time.Time) {
 		c.shardsDown.Add(1)
 		c.bus.Publish(obs.Event{Type: obs.EventShardDown, Experiment: id})
 	}
-	for _, a := range adoptions {
+	for _, exp := range moved {
 		c.failovers.Add(1)
-		c.bus.Publish(obs.Event{Type: obs.EventFailover, Experiment: a.experiment})
-		c.wg.Add(1)
-		go c.adopt(a.shardID, a.experiment)
-	}
-}
-
-// adopt drives the new owner's /v1/admin/adopt until it answers (or
-// the coordinator closes): the survivor recovers the experiment from
-// its journal and resumes scheduling it. Each attempt revalidates
-// against live state rather than trusting the world at failover time:
-// if the experiment has been reassigned again (the chosen survivor
-// died before adopting — a newer adopt goroutine owns delivery now),
-// this goroutine abandons instead of posting to a shard that no
-// longer owns it, and the target URL is re-read so a survivor that
-// re-registered on a new address still gets the call. Any 4xx answer
-// is terminal: the request reached the shard and was judged — e.g. a
-// 400 "already active" after a lost 200 means the adoption already
-// happened — so retrying cannot change the answer.
-func (c *Coordinator) adopt(shardID, experiment string) {
-	defer c.wg.Done()
-	body, _ := json.Marshal(map[string]string{"experiment": experiment})
-	backoff := 250 * time.Millisecond
-	for {
-		c.mu.Lock()
-		var shardURL string
-		if sh := c.shards[shardID]; sh != nil {
-			shardURL = sh.url
-		}
-		owns := c.assign[experiment] == shardID
-		c.mu.Unlock()
-		if !owns {
-			return
-		}
-		if shardURL != "" {
-			req, err := http.NewRequestWithContext(c.ctx, http.MethodPost,
-				shardURL+"/v1/admin/adopt", bytes.NewReader(body))
-			if err != nil {
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			req.Header.Set("Authorization", "Bearer "+c.opts.AdminToken)
-			resp, err := http.DefaultClient.Do(req)
-			if err == nil {
-				status := resp.StatusCode
-				_ = resp.Body.Close()
-				if status == http.StatusOK ||
-					(status >= 400 && status < 500) {
-					return
-				}
-			}
-		}
-		select {
-		case <-c.ctx.Done():
-			return
-		case <-time.After(backoff):
-		}
-		if backoff < 2*time.Second {
-			backoff *= 2
-		}
-	}
-}
-
-// --- shard-side client helpers (used by cmd/ashad's shard role) ---
-
-// RegisterShard announces a tuner shard to the coordinator and returns
-// the experiments it currently owns plus the heartbeat cadence.
-func RegisterShard(ctx context.Context, coordinatorURL, shardID, selfURL, adminToken string) ([]string, time.Duration, error) {
-	body, _ := json.Marshal(shardRegisterReq{
-		Version: ProtocolVersion, Token: adminToken, ID: shardID, URL: selfURL,
-	})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(coordinatorURL, "/")+"/v1/shard/register", bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var we wireError
-		_ = json.NewDecoder(resp.Body).Decode(&we)
-		return nil, 0, fmt.Errorf("remote: shard register: %s (%s)", resp.Status, we.Error)
-	}
-	var sr shardRegisterResp
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, 0, fmt.Errorf("remote: shard register reply: %w", err)
-	}
-	beat := time.Duration(sr.HeartbeatMillis) * time.Millisecond
-	if beat <= 0 {
-		beat = DefaultShardTTL / 3
-	}
-	return sr.Experiments, beat, nil
-}
-
-// ErrShardUnknown is returned by ShardHeartbeat when the coordinator
-// no longer knows the shard (e.g. the coordinator restarted): the
-// shard should re-register.
-var ErrShardUnknown = fmt.Errorf("remote: coordinator does not know this shard; register again")
-
-// ShardHeartbeat sends one shard liveness beat and returns the shard's
-// current assignment as restated by the coordinator — the caller must
-// reconcile against it (adopt what appeared, drop what vanished), since
-// a beat after a false-positive death declaration is the only way a
-// revived shard learns its experiments now run elsewhere.
-func ShardHeartbeat(ctx context.Context, coordinatorURL, shardID, adminToken string) ([]string, error) {
-	body, _ := json.Marshal(shardHeartbeatReq{Version: ProtocolVersion, Token: adminToken, ID: shardID})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(coordinatorURL, "/")+"/v1/shard/heartbeat", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var hr shardHeartbeatResp
-		if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-			return nil, fmt.Errorf("remote: shard heartbeat reply: %w", err)
-		}
-		return hr.Experiments, nil
-	case http.StatusGone:
-		return nil, ErrShardUnknown
-	default:
-		var we wireError
-		_ = json.NewDecoder(resp.Body).Decode(&we)
-		return nil, fmt.Errorf("remote: shard heartbeat: %s (%s)", resp.Status, we.Error)
+		c.bus.Publish(obs.Event{Type: obs.EventFailover, Experiment: exp})
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -67,49 +66,10 @@ func TestRendezvousOwnerStability(t *testing.T) {
 	}
 }
 
-// adoptRecorder is a stub shard: it records /v1/admin/adopt calls and
-// answers OK so the coordinator's failover driver settles.
-type adoptRecorder struct {
-	mu      sync.Mutex
-	adopted []string
-	token   string
-	t       *testing.T
-}
-
-func (a *adoptRecorder) handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/admin/adopt", func(w http.ResponseWriter, r *http.Request) {
-		if a.token != "" && r.Header.Get("Authorization") != "Bearer "+a.token {
-			a.t.Errorf("adopt arrived without the admin token")
-			w.WriteHeader(http.StatusUnauthorized)
-			return
-		}
-		var req struct {
-			Experiment string `json:"experiment"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			w.WriteHeader(http.StatusBadRequest)
-			return
-		}
-		a.mu.Lock()
-		a.adopted = append(a.adopted, req.Experiment)
-		a.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, `{"ok":true}`)
-	})
-	return mux
-}
-
-func (a *adoptRecorder) list() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]string(nil), a.adopted...)
-}
-
 // TestShardRegisterHeartbeatWire covers the shard side of the wire:
 // registration returns the rendezvous assignment and heartbeat cadence,
 // unknown shards are refused, and a heartbeat from an unregistered
-// shard answers 410 / ErrShardUnknown.
+// shard answers 410 / errShardUnknown.
 func TestShardRegisterHeartbeatWire(t *testing.T) {
 	exps := []string{"team-a/cifar", "team-a/mnist", "team-b/lm", "solo"}
 	c, err := NewCoordinator(CoordinatorOptions{
@@ -126,11 +86,11 @@ func TestShardRegisterHeartbeatWire(t *testing.T) {
 
 	// Heartbeat before registration: the shard is known but not
 	// registered, so it must be told to register.
-	if _, err := ShardHeartbeat(ctx, c.URL(), "s1", "fed-secret"); err != ErrShardUnknown {
-		t.Fatalf("pre-registration heartbeat: want ErrShardUnknown, got %v", err)
+	if _, err := shardHeartbeat(ctx, c.URL(), "s1", "fed-secret"); err != errShardUnknown {
+		t.Fatalf("pre-registration heartbeat: want errShardUnknown, got %v", err)
 	}
 
-	assigned, beat, err := RegisterShard(ctx, c.URL(), "s1", "http://127.0.0.1:1", "fed-secret")
+	assigned, beat, err := registerShard(ctx, c.URL(), "s1", "http://127.0.0.1:1", "fed-secret")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +113,7 @@ func TestShardRegisterHeartbeatWire(t *testing.T) {
 	}
 	// The heartbeat reply restates the assignment — the fencing signal a
 	// revived shard reconciles against.
-	beatAssigned, err := ShardHeartbeat(ctx, c.URL(), "s1", "fed-secret")
+	beatAssigned, err := shardHeartbeat(ctx, c.URL(), "s1", "fed-secret")
 	if err != nil {
 		t.Fatalf("heartbeat after registration: %v", err)
 	}
@@ -162,13 +122,13 @@ func TestShardRegisterHeartbeatWire(t *testing.T) {
 	}
 
 	// Unknown shard ID and bad token are both refused.
-	if _, _, err := RegisterShard(ctx, c.URL(), "rogue", "http://127.0.0.1:1", "fed-secret"); err == nil {
+	if _, _, err := registerShard(ctx, c.URL(), "rogue", "http://127.0.0.1:1", "fed-secret"); err == nil {
 		t.Fatal("registering an unknown shard ID succeeded")
 	}
-	if _, _, err := RegisterShard(ctx, c.URL(), "s2", "http://127.0.0.1:1", "wrong"); err == nil {
+	if _, _, err := registerShard(ctx, c.URL(), "s2", "http://127.0.0.1:1", "wrong"); err == nil {
 		t.Fatal("registering with a bad admin token succeeded")
 	}
-	if _, _, err := RegisterShard(ctx, c.URL(), "s2", "not a url", "fed-secret"); err == nil {
+	if _, _, err := registerShard(ctx, c.URL(), "s2", "not a url", "fed-secret"); err == nil {
 		t.Fatal("registering with a bad shard URL succeeded")
 	}
 }
@@ -218,7 +178,7 @@ func TestCoordinatorWorkerRouting(t *testing.T) {
 
 	urls := map[string]string{"s1": "http://shard-one.test", "s2": "http://shard-two.test"}
 	for id, u := range urls {
-		if _, _, err := RegisterShard(ctx, c.URL(), id, u, "fed-secret"); err != nil {
+		if _, _, err := registerShard(ctx, c.URL(), id, u, "fed-secret"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -303,13 +263,11 @@ func TestCoordinatorWorkerRouting(t *testing.T) {
 
 // TestCoordinatorFailover kills a shard (by silencing its heartbeat) and
 // asserts the sweep declares it down, reassigns its experiments to the
-// survivor, drives the survivor's adopt endpoint, publishes the
-// shard_down/failover events, and re-routes workers to the survivor.
+// survivor — whose next beat reply is where it learns them — publishes
+// the shard_down/failover events, and re-routes workers to the survivor.
 func TestCoordinatorFailover(t *testing.T) {
 	exps := []string{"team-a/cifar", "team-a/mnist", "team-b/lm", "solo"}
-	survivor := &adoptRecorder{token: "fed-secret", t: t}
-	shardSrv := httptest.NewServer(survivor.handler())
-	defer shardSrv.Close()
+	const survivorURL = "http://shard-one.test"
 
 	const ttl = 250 * time.Millisecond
 	c, err := NewCoordinator(CoordinatorOptions{
@@ -325,10 +283,10 @@ func TestCoordinatorFailover(t *testing.T) {
 	ctx := context.Background()
 	sub := c.EventBus().Subscribe()
 
-	if _, _, err := RegisterShard(ctx, c.URL(), "s1", shardSrv.URL, "fed-secret"); err != nil {
+	if _, _, err := registerShard(ctx, c.URL(), "s1", survivorURL, "fed-secret"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RegisterShard(ctx, c.URL(), "s2", "http://127.0.0.1:1", "fed-secret"); err != nil {
+	if _, _, err := registerShard(ctx, c.URL(), "s2", "http://127.0.0.1:1", "fed-secret"); err != nil {
 		t.Fatal(err)
 	}
 	victims := map[string]bool{}
@@ -347,32 +305,20 @@ func TestCoordinatorFailover(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("failover did not happen: %d/%d experiments reassigned", c.Failovers(), len(victims))
 		}
-		if _, err := ShardHeartbeat(ctx, c.URL(), "s1", "fed-secret"); err != nil {
+		if _, err := shardHeartbeat(ctx, c.URL(), "s1", "fed-secret"); err != nil {
 			t.Fatalf("survivor heartbeat: %v", err)
 		}
 		time.Sleep(ttl / 5)
 	}
 
-	// Every victim experiment must have been adopted by the survivor.
-	adoptDeadline := time.Now().Add(10 * time.Second)
-	for {
-		adopted := map[string]bool{}
-		for _, e := range survivor.list() {
-			adopted[e] = true
-		}
-		missing := 0
-		for e := range victims {
-			if !adopted[e] {
-				missing++
-			}
-		}
-		if missing == 0 {
-			break
-		}
-		if time.Now().After(adoptDeadline) {
-			t.Fatalf("survivor never adopted all victims: got %v, want %v", survivor.list(), victims)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The survivor's next beat reply names every experiment, victims
+	// included: that reply is the whole of the failover a shard sees.
+	owned, err := shardHeartbeat(ctx, c.URL(), "s1", "fed-secret")
+	if err != nil {
+		t.Fatalf("survivor heartbeat: %v", err)
+	}
+	if len(owned) != len(exps) {
+		t.Fatalf("survivor's beat reply lists %v, want all of %v", owned, exps)
 	}
 
 	// Workers asking for a victim experiment are now routed to s1.
@@ -380,8 +326,8 @@ func TestCoordinatorFailover(t *testing.T) {
 		rr, status := postWorkerRegister(t, c.URL(), registerReq{
 			Version: ProtocolVersion, Experiments: []string{e},
 		})
-		if status != http.StatusOK || rr.Redirect != shardSrv.URL {
-			t.Fatalf("post-failover register for %q: status %d redirect %q, want %q", e, status, rr.Redirect, shardSrv.URL)
+		if status != http.StatusOK || rr.Redirect != survivorURL {
+			t.Fatalf("post-failover register for %q: status %d redirect %q, want %q", e, status, rr.Redirect, survivorURL)
 		}
 	}
 
@@ -446,101 +392,12 @@ func TestCoordinatorFailover(t *testing.T) {
 	// assignment so it drops the experiments the survivor adopted —
 	// without this signal both shards would schedule the same
 	// experiments and append to the same journals.
-	revived, err := ShardHeartbeat(ctx, c.URL(), "s2", "fed-secret")
+	revived, err := shardHeartbeat(ctx, c.URL(), "s2", "fed-secret")
 	if err != nil {
 		t.Fatalf("revived shard heartbeat: %v", err)
 	}
 	if len(revived) != 0 {
 		t.Errorf("revived s2's heartbeat still assigns it %v; the failed-over experiments belong to s1", revived)
-	}
-}
-
-// TestAdoptRetryDiscipline pins the failover driver's retry contract:
-// a 4xx answer is terminal (the shard heard the request and judged it —
-// e.g. "already active" after a lost 200), a stale adopt whose
-// experiment has been reassigned is abandoned without posting, and a
-// 5xx is retried against the shard's *current* URL so a survivor that
-// re-registered on a new address still gets the call.
-func TestAdoptRetryDiscipline(t *testing.T) {
-	var badReqs atomic.Int64
-	badSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		badReqs.Add(1)
-		w.WriteHeader(http.StatusBadRequest)
-	}))
-	defer badSrv.Close()
-
-	c, err := NewCoordinator(CoordinatorOptions{
-		Shards:      []string{"s1", "s2"},
-		Experiments: []string{"exp"},
-		ShardTTL:    time.Hour, // the sweeper must not interfere
-		AdminToken:  "fed-secret",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	if _, _, err := RegisterShard(ctx, c.URL(), "s1", badSrv.URL, "fed-secret"); err != nil {
-		t.Fatal(err)
-	}
-	setOwner := func(id string) {
-		c.mu.Lock()
-		c.assign["exp"] = id
-		c.mu.Unlock()
-	}
-
-	// 4xx is terminal: exactly one post, no retry loop.
-	setOwner("s1")
-	c.wg.Add(1)
-	c.adopt("s1", "exp")
-	if n := badReqs.Load(); n != 1 {
-		t.Fatalf("4xx adopt answered %d posts, want exactly 1 (terminal)", n)
-	}
-
-	// Reassigned before the retry: the stale goroutine abandons without
-	// posting anywhere — the newer adopt goroutine owns delivery.
-	setOwner("s2")
-	c.wg.Add(1)
-	c.adopt("s1", "exp")
-	if n := badReqs.Load(); n != 1 {
-		t.Fatalf("stale adopt still posted (%d total posts)", n)
-	}
-
-	// 5xx retries, and each attempt re-reads the shard's URL: flip s1 to
-	// a healthy address mid-retry and the adoption must land there.
-	var okReqs atomic.Int64
-	okSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		okReqs.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, `{"ok":true}`)
-	}))
-	defer okSrv.Close()
-	flakySrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusInternalServerError)
-	}))
-	defer flakySrv.Close()
-	if _, _, err := RegisterShard(ctx, c.URL(), "s1", flakySrv.URL, "fed-secret"); err != nil {
-		t.Fatal(err)
-	}
-	setOwner("s1")
-	adoptDone := make(chan struct{})
-	c.wg.Add(1)
-	go func() {
-		defer close(adoptDone)
-		c.adopt("s1", "exp")
-	}()
-	// First attempt hits the 500 server; re-register on the healthy
-	// address and let the backoff retry find it.
-	if _, _, err := RegisterShard(ctx, c.URL(), "s1", okSrv.URL, "fed-secret"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-adoptDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("adopt never settled on the re-registered URL")
-	}
-	if okReqs.Load() != 1 {
-		t.Fatalf("healthy server saw %d adopts, want 1", okReqs.Load())
 	}
 }
 

@@ -16,6 +16,7 @@ package remote
 import (
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -77,7 +78,8 @@ type ControlPlane interface {
 	// about but is not running (a federated shard's dormant assignment),
 	// recovering it from its journal and scheduling it from where the
 	// previous owner left off. Control planes that cannot adopt return
-	// an error.
+	// an error; an experiment that is not dormant is one wrapping
+	// ErrAlreadyActive.
 	Adopt(experiment string) error
 	// Drop is Adopt's inverse — the fencing half of failover: the
 	// experiment goes dormant again, its journal is closed and late
@@ -92,8 +94,38 @@ type ControlPlane interface {
 
 // SetControl attaches the scheduler-side control plane. Until one is
 // attached, pause/drain act server-side only and status reports just
-// the counters.
-func (s *Server) SetControl(cp ControlPlane) { s.control.Store(controlBox{cp: cp}) }
+// the counters. A federated shard's coordinator link starts with the
+// first one: only a control plane can adopt what it is assigned.
+func (s *Server) SetControl(cp ControlPlane) {
+	s.control.Store(controlBox{cp: cp})
+	if s.shard != nil && cp != nil {
+		s.shard.start.Do(func() { go s.shard.run() })
+	}
+}
+
+// adopt and drop are the one way in for the shard link and the admin
+// API alike. drop stops the scheduler side first (no new submissions),
+// lifts a stale pause — it must not outlive ownership into a later
+// re-adoption — and cancels the queued jobs, returning how many.
+func (s *Server) adopt(experiment string) error {
+	cp := s.controlPlane()
+	if cp == nil || experiment == "" {
+		return errors.New("adopt needs an experiment name and an attached control plane")
+	}
+	return cp.Adopt(experiment)
+}
+
+func (s *Server) drop(experiment string) (int, error) {
+	cp := s.controlPlane()
+	if cp == nil {
+		return 0, errors.New("no control plane attached")
+	}
+	if err := cp.Drop(experiment); err != nil {
+		return 0, err
+	}
+	s.ResumeExperiment(experiment)
+	return s.CancelPending(experiment), nil
+}
 
 func (s *Server) controlPlane() ControlPlane {
 	if box, ok := s.control.Load().(controlBox); ok {
@@ -754,37 +786,18 @@ func (s *Server) handleAdmin(w http.ResponseWriter, r *http.Request) {
 		s.SetDraining(drain)
 		reply(w, adminResp{OK: true})
 	case "adopt":
-		// Failover entry point: the coordinator (or an operator) tells
-		// this shard to take over an experiment from its journal.
-		if req.Experiment == "" {
-			reject(w, http.StatusBadRequest, "adopt requires an experiment name")
-			return
-		}
-		if cp == nil {
-			reject(w, http.StatusBadRequest, "no control plane attached")
-			return
-		}
-		if err := cp.Adopt(req.Experiment); err != nil {
+		// An operator takes an experiment over by hand, from its journal.
+		if err := s.adopt(req.Experiment); err != nil {
 			reject(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		reply(w, adminResp{OK: true})
 	case "drop":
-		// Fencing entry point, Adopt's inverse: this shard no longer owns
-		// the experiment ("" = owns nothing), so stop scheduling it and
-		// release its journal for the adopting survivor. Scheduler side
-		// first (no new submissions), then flush its queued jobs; a stale
-		// pause must not survive into a later re-adoption.
-		if cp == nil {
-			reject(w, http.StatusBadRequest, "no control plane attached")
-			return
-		}
-		if err := cp.Drop(req.Experiment); err != nil {
+		n, err := s.drop(req.Experiment)
+		if err != nil {
 			reject(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		s.ResumeExperiment(req.Experiment)
-		n := s.CancelPending(req.Experiment)
 		reply(w, adminResp{OK: true, Canceled: n})
 	default:
 		reject(w, http.StatusNotFound, fmt.Sprintf("unknown admin command %q", cmd))

@@ -172,6 +172,13 @@ type Options struct {
 	// federated deployment: it is exported on /metrics as
 	// asha_shard_info{shard="..."} and reported in admin status.
 	ShardID string
+	// Coordinator, when non-empty, makes this server federated shard
+	// ShardID: once a control plane is attached it registers with the
+	// coordinator at this host:port (":port" is loopback), heartbeats,
+	// and adopts and drops experiments through the control plane as each
+	// reply restates its assignment, self-fencing when the link is lost
+	// (shard.go). It presents AdminToken to the coordinator.
+	Coordinator string
 	// LeaseTTL is how long a granted lease stays valid without a
 	// heartbeat (default 15s).
 	LeaseTTL time.Duration
@@ -359,6 +366,9 @@ type Server struct {
 	// is the attached scheduler-side control plane, if any.
 	bus     *obs.Bus
 	control atomic.Value // of controlBox
+	// shard is the coordinator link of a federated shard (shard.go), nil
+	// without Options.Coordinator: SetControl starts it, Close stops it.
+	shard *shardLink
 
 	sweepStop chan struct{}
 	sweepDone chan struct{}
@@ -405,6 +415,9 @@ func NewServer(opts Options) (*Server, error) {
 			return nil, fmt.Errorf("remote: tenant admin token with empty tenant name")
 		}
 	}
+	if opts.Coordinator != "" && opts.ShardID == "" {
+		return nil, fmt.Errorf("remote: a shard of coordinator %s needs a ShardID", opts.Coordinator)
+	}
 	ln, err := net.Listen("tcp", opts.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("remote: listen on %s: %w", opts.Listen, err)
@@ -431,6 +444,10 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	if opts.Events {
 		s.bus = obs.NewBus(opts.EventBuffer)
+	}
+	if opts.Coordinator != "" {
+		s.shard = &shardLink{srv: s, ttl: DefaultShardTTL}
+		s.shard.ctx, s.shard.cancel = context.WithCancel(context.Background())
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/register", s.handleRegister)
@@ -551,6 +568,11 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	if s.shard != nil {
+		// Not waited for: the link may be inside a control-plane call that
+		// the engine closing this server answers only once Close returns.
+		s.shard.cancel()
+	}
 	orphans := append([]*task(nil), s.pending[s.pendingHead:]...)
 	s.pending, s.pendingHead, s.slab = nil, 0, nil
 	s.control.Store(controlBox{})

@@ -1,0 +1,211 @@
+package remote
+
+// A federated tuner shard's half of ownership (shard.go). A Server whose
+// Options name a Coordinator registers as ShardID once a control plane
+// is attached, then heartbeats every TTL/3. Each reply restates what the
+// shard owns, and the link converges the control plane on it in-process
+// — adopting what appeared, dropping what vanished. It is the only way a
+// shard gains or loses an experiment: at boot, after a failover, after a
+// self-fence. The fence is the holder's half of a lease (Gray &
+// Cheriton, SOSP '89): a successful beat sent at t holds the shard's
+// experiments until t+TTL, when a timer drops them unless a later beat
+// got through, and no call the link makes may outlast that deadline.
+// DESIGN.md, "Fencing", has the timeline against the coordinator's.
+
+import (
+	"context"
+	"errors"
+	"log"
+	"net"
+	"net/http"
+	"strings"
+	"sync"
+	"time"
+)
+
+// registerRetry paces registration attempts until the coordinator has
+// answered one and named the heartbeat cadence.
+const registerRetry = 500 * time.Millisecond
+
+// ErrAlreadyActive is what a ControlPlane's Adopt wraps when the
+// experiment is not dormant on this node: the shard link counts such an
+// adopt as applied rather than retrying it every beat.
+var ErrAlreadyActive = errors.New("already active on this node")
+
+// shardLink is a shard's coordinator link. Its fields past start are
+// the loop goroutine's alone.
+type shardLink struct {
+	srv    *Server
+	start  sync.Once
+	ctx    context.Context
+	cancel context.CancelFunc
+
+	coord, self string          // coordinator and advertised base URLs
+	registered  bool            // the coordinator has answered a registration
+	quiet       bool            // the link's failure is logged until a beat succeeds
+	ttl         time.Duration   // the lease one successful beat buys: three beats
+	fenceAt     time.Time       // when that lease lapses; zero once fenced
+	fence       *time.Timer     // fires at fenceAt
+	owned       map[string]bool // the assignment last applied
+}
+
+// baseURL turns a host:port (":port" meaning loopback) into a base URL.
+func baseURL(addr string) string {
+	if strings.HasPrefix(addr, ":") {
+		addr = "127.0.0.1" + addr
+	}
+	return "http://" + addr
+}
+
+// run is the link's loop: register at once, then beat on every tick and
+// fence when the last successful beat's lease lapses.
+func (l *shardLink) run() {
+	// Advertise what ashad always has: the listen host on the bound port.
+	_, port, _ := net.SplitHostPort(l.srv.ln.Addr().String())
+	host, _, _ := net.SplitHostPort(l.srv.opts.Listen)
+	l.coord, l.self = baseURL(l.srv.opts.Coordinator), baseURL(net.JoinHostPort(host, port))
+	l.fence = time.NewTimer(time.Hour)
+	l.fence.Stop()
+	defer l.fence.Stop()
+	tick := time.NewTicker(registerRetry)
+	defer tick.Stop()
+	l.beat(tick)
+	for {
+		select {
+		case <-l.ctx.Done():
+			return
+		case <-l.fence.C:
+			l.selfFence()
+		case <-tick.C:
+			l.beat(tick)
+		}
+	}
+}
+
+// beat sends one heartbeat — or a registration, first and whenever the
+// coordinator has forgotten this shard — and applies the reply.
+func (l *shardLink) beat(tick *time.Ticker) {
+	sent := time.Now()
+	deadline := sent.Add(l.ttl)
+	if !l.fenceAt.IsZero() && l.fenceAt.Before(deadline) {
+		deadline = l.fenceAt
+	}
+	ctx, cancel := context.WithDeadline(l.ctx, deadline)
+	defer cancel()
+	id, token := l.srv.opts.ShardID, l.srv.opts.AdminToken
+	var assigned []string
+	err := errShardUnknown
+	if l.registered {
+		assigned, err = shardHeartbeat(ctx, l.coord, id, token)
+	}
+	if errors.Is(err, errShardUnknown) {
+		// First contact, or a restarted coordinator forgot us: the
+		// assignment it hands back is a fresh rendezvous over the full
+		// shard set, which may disagree with post-failover reality.
+		var every time.Duration
+		if assigned, every, err = registerShard(ctx, l.coord, id, l.self, token); err == nil {
+			l.registered, l.ttl = true, 3*every
+			tick.Reset(every)
+		}
+	}
+	if err != nil {
+		if !l.quiet && l.ctx.Err() == nil {
+			log.Printf("remote: shard %s: coordinator link: %v (retrying)", id, err)
+		}
+		l.quiet = true
+		return
+	}
+	l.quiet = false
+	l.arm(sent.Add(l.ttl))
+	l.reconcile(assigned)
+}
+
+// arm (re)starts the fence timer for at.
+func (l *shardLink) arm(at time.Time) {
+	if !l.fence.Stop() {
+		select {
+		case <-l.fence.C:
+		default:
+		}
+	}
+	l.fenceAt = at
+	l.fence.Reset(time.Until(at))
+}
+
+// selfFence drops every experiment: the last successful beat's lease
+// has lapsed, so the coordinator may be handing our journals to a
+// survivor. The next beat that gets through re-adopts what we still own.
+func (l *shardLink) selfFence() {
+	if _, err := l.srv.drop(""); err != nil {
+		log.Printf("remote: shard %s: self-fence: %v (retrying)", l.srv.opts.ShardID, err)
+		l.arm(time.Now().Add(l.ttl / 3))
+		return
+	}
+	if len(l.owned) > 0 {
+		log.Printf("remote: shard %s lost the coordinator for %v; fenced (dropped %d experiments)",
+			l.srv.opts.ShardID, l.ttl, len(l.owned))
+	}
+	l.fenceAt, l.owned = time.Time{}, nil
+}
+
+// reconcile converges the control plane on the assignment the
+// coordinator just restated: experiments newly assigned here are
+// adopted, experiments assigned away are dropped. A failed adopt or
+// drop stays out of (or in) owned, so the next beat retries it.
+func (l *shardLink) reconcile(target []string) {
+	owned := make(map[string]bool, len(target))
+	for _, e := range target {
+		if !l.owned[e] {
+			if err := l.srv.adopt(e); err != nil && !errors.Is(err, ErrAlreadyActive) {
+				log.Printf("remote: shard %s: adopting %q: %v (retrying next beat)", l.srv.opts.ShardID, e, err)
+				continue
+			}
+			log.Printf("remote: shard %s adopted %q", l.srv.opts.ShardID, e)
+		}
+		owned[e] = true
+	}
+	for e := range l.owned {
+		if owned[e] {
+			continue
+		}
+		if _, err := l.srv.drop(e); err != nil {
+			log.Printf("remote: shard %s: dropping %q: %v (retrying next beat)", l.srv.opts.ShardID, e, err)
+			owned[e] = true
+			continue
+		}
+		log.Printf("remote: shard %s dropped %q (owned elsewhere now)", l.srv.opts.ShardID, e)
+	}
+	l.owned = owned
+}
+
+// errShardUnknown is shardHeartbeat's answer when the coordinator no
+// longer knows the shard (e.g. the coordinator restarted).
+var errShardUnknown = errors.New("remote: coordinator does not know this shard; register again")
+
+// registerShard announces a tuner shard to the coordinator and returns
+// the experiments it currently owns plus the heartbeat cadence.
+func registerShard(ctx context.Context, coordinatorURL, shardID, selfURL, adminToken string) ([]string, time.Duration, error) {
+	var sr shardRegisterResp
+	if _, err := postJSON(ctx, http.DefaultClient, coordinatorURL, "/v1/shard/register", shardRegisterReq{
+		Version: ProtocolVersion, Token: adminToken, ID: shardID, URL: selfURL,
+	}, &sr); err != nil {
+		return nil, 0, err
+	}
+	beat := time.Duration(sr.HeartbeatMillis) * time.Millisecond
+	if beat <= 0 {
+		beat = DefaultShardTTL / 3
+	}
+	return sr.Experiments, beat, nil
+}
+
+// shardHeartbeat sends one liveness beat and returns the shard's
+// current assignment as the coordinator restates it.
+func shardHeartbeat(ctx context.Context, coordinatorURL, shardID, adminToken string) ([]string, error) {
+	var hr shardHeartbeatResp
+	status, err := postJSON(ctx, http.DefaultClient, coordinatorURL, "/v1/shard/heartbeat",
+		shardHeartbeatReq{Version: ProtocolVersion, Token: adminToken, ID: shardID}, &hr)
+	if status == http.StatusGone {
+		return nil, errShardUnknown
+	}
+	return hr.Experiments, err
+}

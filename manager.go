@@ -70,9 +70,10 @@ func WithManagerStateDir(dir string) ManagerOption {
 // bounds the fleet's concurrently leased jobs. Experiment objectives
 // run worker-side and may be nil in the Experiment specs. A job lost to
 // a worker crash or lease expiry is reported Failed to its experiment's
-// scheduler, which requeues it.
+// scheduler, which requeues it. A Remote naming a Coordinator makes the
+// Manager a federated shard whose experiments all start dormant.
 func WithManagerRemote(r Remote) ManagerOption {
-	return func(m *Manager) { m.remote = &r }
+	return func(m *Manager) { m.remote, m.dormant = &r, r.Coordinator != "" }
 }
 
 // WithManagerTenantQuotas turns the engine's fair share two-level: free
@@ -96,16 +97,6 @@ func WithManagerTenantQuotas(weights map[string]int) ManagerOption {
 	}
 }
 
-// WithManagerActive marks which experiments this manager actively
-// schedules: experiments for which active returns false start dormant —
-// registered, visible in status, but issuing no jobs and opening no
-// journal — until an admin adopt activates them. A federated tuner
-// shard loads the full manifest and actively runs only its assigned
-// slice, so failover is just adoption of an already-known experiment.
-func WithManagerActive(active func(experiment string) bool) ManagerOption {
-	return func(m *Manager) { m.active = active }
-}
-
 // Manager runs many named tuning experiments concurrently against one
 // shared global worker budget. Free workers are assigned fair-share:
 // each slot goes to the runnable experiment with the fewest jobs in
@@ -122,7 +113,11 @@ type Manager struct {
 	experiments  []Experiment
 	names        map[string]bool
 	tenantQuotas map[string]int
-	active       func(string) bool
+	// dormant starts every experiment dormant — registered, visible in
+	// status, but issuing no jobs and opening no journal — until an adopt
+	// activates it. A federated shard (Remote.Coordinator) loads the full
+	// manifest this way, so boot and failover are the same adoption.
+	dormant bool
 }
 
 // NewManager assembles a Manager; add experiments with Add.
@@ -167,9 +162,10 @@ type mgrExp struct {
 	rank   int    // registration order: the slot policy's tie-break of last resort
 	tenant string // namespace prefix of the name, for the quota fair share
 	// lane is nil while the experiment is dormant: known to this node but
-	// not run by it — no jobs issued, no journal open — until an admin
-	// adopt (coordinator failover) activates it. sched is the lane's
-	// gated scheduler, journal its open journal (nil without a state dir).
+	// not run by it — no jobs issued, no journal open — until an adopt
+	// (the shard's coordinator link, or an operator) activates it. sched
+	// is the lane's gated scheduler, journal its open journal (nil
+	// without a state dir).
 	lane    *backend.Lane
 	sched   *core.Gate
 	journal *state.Journal
@@ -255,7 +251,7 @@ func (m *Manager) run(ctx context.Context, resume bool) (map[string]*Result, err
 	}
 	r.eng = backend.NewEngine(root, m.tenantQuotas)
 	for _, e := range r.exps {
-		if m.active != nil && !m.active(e.spec.Name) {
+		if m.dormant {
 			r.eng.Dormant++
 			continue
 		}
@@ -270,6 +266,8 @@ func (m *Manager) run(ctx context.Context, resume bool) (map[string]*Result, err
 		}
 	}
 	if srv != nil {
+		// A federated shard's coordinator link starts here: its adopts
+		// queue on the engine and run once Run below takes them.
 		srv.SetControl(&controlPlane{eng: r.eng, exps: r.exps, run: r})
 	}
 

@@ -374,8 +374,8 @@ func TestResumeRefusesForeignJournalAndLeavesItAlone(t *testing.T) {
 		const token = "mgr-admin"
 		urlCh := make(chan string, 1)
 		m := managerForResume(dir, 50,
-			WithManagerActive(func(name string) bool { return false }),
 			WithManagerRemote(Remote{AdminToken: token, OnListen: func(url string) { urlCh <- url }}))
+		m.dormant = true
 		done := make(chan error, 1)
 		go func() {
 			_, err := m.Run(context.Background())
