@@ -208,13 +208,19 @@ func schedulerLoop() func(n int) {
 	}
 }
 
-// schedulerAllocBudget is what one get_job/report pair may allocate:
-// 0.009 measured over 500 000 pairs (config arena blocks, the trial
-// table and the rungs doubling), doubled for another Go release's maps
-// and slices. One object per call, or per new trial, reads 0.75 or more.
-const schedulerAllocBudget = 0.02
+// What one get_job/report pair may allocate over 500 000 pairs: config
+// arena blocks, the trial table and the rungs' heaps and bitsets
+// doubling. Objects: 0.0037 measured, doubled for another Go release's
+// slices; one object per call, or per new trial, reads 0.75 or more.
+// Bytes: 279 measured, plus 15%; a second heap slot per rung entry, as
+// the former rung's heap of every unpromoted entry was, reads 374.
+const (
+	schedulerAllocBudget = 0.01
+	schedulerBytesBudget = 320
+)
 
-// TestASHASchedulerAllocsPerOp keeps heap objects off Next and Report.
+// TestASHASchedulerAllocsPerOp keeps heap objects, and per-entry
+// structures that grow by doubling, off Next and Report.
 func TestASHASchedulerAllocsPerOp(t *testing.T) {
 	const ops = 500_000
 	if raceEnabled {
@@ -226,9 +232,13 @@ func TestASHASchedulerAllocsPerOp(t *testing.T) {
 	loop(ops)
 	runtime.ReadMemStats(&after)
 	perOp := float64(after.Mallocs-before.Mallocs) / ops
-	t.Logf("%.4f allocs/op", perOp)
+	bytesPerOp := float64(after.TotalAlloc-before.TotalAlloc) / ops
+	t.Logf("%.4f allocs/op, %.0f B/op", perOp, bytesPerOp)
 	if perOp > schedulerAllocBudget {
 		t.Fatalf("a get_job/report pair allocates %.4f objects, budget %.2f", perOp, schedulerAllocBudget)
+	}
+	if bytesPerOp > schedulerBytesBudget {
+		t.Fatalf("a get_job/report pair allocates %.0f B, budget %d", bytesPerOp, schedulerBytesBudget)
 	}
 }
 
@@ -275,7 +285,7 @@ func resumeLoop(tb testing.TB) func(n int) {
 }
 
 // resumeAllocBudget is what replaying one journaled job may allocate:
-// 0.128 measured over ten resumes of resumeJobs jobs — about 510 objects
+// 0.112 measured over ten resumes of resumeJobs jobs — about 450 objects
 // a resume, for the tuner, its pool and engine, the journal's image and
 // the tables that double as trials arrive — plus slack for another Go
 // release's maps and slices. A config map per issue reads 2.13, a

@@ -37,10 +37,10 @@ func paperRun(bench *workload.Benchmark, seed uint64, jobs int) (completed int, 
 // three jobs in four start a trial and a trial is a slab record, so one
 // heap object per trial adds 0.7 or more to any of them.
 const (
-	simLaunchAllocBudget     = 0.04 + 0.06  // 2 580 objects over 60 000 jobs
-	simStragglersAllocBudget = 0.29 + 0.11  // 810 over the 2 828 jobs the horizon admits
-	sim10kAllocBudget        = 0.032 + 0.05 // 6 340 over 200 000 jobs, most sized by the worker count
-	sim100kAllocBudget       = 0.021 + 0.05 // 8 450 over 400 000 jobs
+	simLaunchAllocBudget     = 0.037 + 0.06 // 2 224 objects over 60 000 jobs
+	simStragglersAllocBudget = 0.27 + 0.11  // 757 over the 2 828 jobs the horizon admits
+	sim10kAllocBudget        = 0.025 + 0.05 // 4 970 over 200 000 jobs, most sized by the worker count
+	sim100kAllocBudget       = 0.015 + 0.05 // 5 840 over 400 000 jobs
 )
 
 // simLaunchCases are the regimes whose allocations are gated, and that

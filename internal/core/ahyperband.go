@@ -35,11 +35,11 @@ type AsyncHyperband struct {
 	assigned []float64 // cumulative resource assigned per bracket
 	quota    []float64 // current quota per bracket
 	ptr      int
-	// trial IDs are partitioned across brackets by stride.
-	owner map[int]int // trialID -> bracket
-	// prevResource tracks each trial's last completed resource so job
-	// increments can be charged to bracket budgets.
-	prevResource map[int]float64
+	// prevResource holds each trial's last completed resource, indexed
+	// by global trial ID, so job increments can be charged to bracket
+	// budgets. Global IDs interleave the brackets' sequential IDs by
+	// stride (encodeID), so the table is dense.
+	prevResource []float64
 	inc          incumbent
 }
 
@@ -53,11 +53,7 @@ func NewAsyncHyperband(cfg AsyncHyperbandConfig) *AsyncHyperband {
 	if cfg.MaxBracket >= 0 && cfg.MaxBracket < smax {
 		smax = cfg.MaxBracket
 	}
-	ah := &AsyncHyperband{
-		cfg:          cfg,
-		owner:        make(map[int]int),
-		prevResource: make(map[int]float64),
-	}
+	ah := &AsyncHyperband{cfg: cfg}
 	for s := 0; s <= smax; s++ {
 		ah.brackets = append(ah.brackets, NewASHA(ASHAConfig{
 			Space:         cfg.Space,
@@ -104,8 +100,10 @@ func (ah *AsyncHyperband) Next() (Job, bool) {
 		return Job{}, false
 	}
 	global := ah.encodeID(bracket, job.TrialID)
-	ah.owner[global] = bracket
-	prev := ah.prevResource[global]
+	prev := 0.0
+	if global < len(ah.prevResource) {
+		prev = ah.prevResource[global]
+	}
 	ah.assigned[bracket] += math.Max(0, job.TargetResource-prev)
 	job.TrialID = global
 	return job, true
@@ -116,6 +114,9 @@ func (ah *AsyncHyperband) Next() (Job, bool) {
 func (ah *AsyncHyperband) Report(res Result) {
 	bracket, local := ah.decodeID(res.TrialID)
 	if !res.Failed {
+		for len(ah.prevResource) <= res.TrialID {
+			ah.prevResource = append(ah.prevResource, 0)
+		}
 		ah.prevResource[res.TrialID] = res.Resource
 		ah.inc.observe(res)
 	}

@@ -55,68 +55,100 @@ func (c *ASHAConfig) validate() error {
 	return nil
 }
 
-// ashaRung is the bookkeeping for one rung: completed observations in a
-// top-k tracker, plus a min-heap of the entries not yet promoted out of
-// the rung. Both structures give O(log n) operations, which matters in
-// the 500-worker regime where the bottom rung accumulates ~10^5
-// entries. recorded is a struct{}-valued set: with ~10^5 entries in the
-// bottom rung the former map[int]bool spent a byte per entry on a value
-// nobody read.
+// ashaRung is one rung's bookkeeping, cut to what the promotion rule
+// reads: is the best unpromoted entry among the ⌊n/eta⌋ best of the
+// rung, and which trial is it? Every add and promote is O(log n) worst
+// case, however many adds arrive between promotions (a paused run, a
+// replay) — the bottom rung holds ~10^5 entries at 500 workers.
+//
+//   - lower is a max-heap of the ⌊n/eta⌋ best entries and upper a
+//     min-heap of the rest, rebalanced on every add. lower's root is the
+//     promotion threshold.
+//   - cand is a min-heap of the unpromoted entries that have entered
+//     lower. An entry displaced from lower stays in cand: upper hands
+//     entries back in order, so while it sits in upper it ranks after
+//     lower's root. Hence cand's root is at or before the threshold
+//     exactly when some unpromoted entry is in lower, and that root is
+//     then the best unpromoted entry. Promotion pops it; nothing else is
+//     ever removed.
+//   - recorded and nominated are bits per trial ID: a repeated report is
+//     ignored, and an entry is pushed to cand at most once, so a
+//     promoted entry that leaves lower and comes back is not a candidate
+//     again.
 type ashaRung struct {
-	all        *topKTracker
-	unpromoted entryHeap // min-heap of entries not yet promoted
-	recorded   map[int]struct{}
+	eta          int
+	lower, upper entryHeap
+	cand         entryHeap
+	recorded     bitset
+	nominated    bitset
 }
 
-func newASHARung() *ashaRung {
-	return &ashaRung{
-		all:        newTopKTracker(),
-		unpromoted: entryHeap{max: false},
-		recorded:   make(map[int]struct{}),
+func newASHARung(eta int) *ashaRung {
+	return &ashaRung{eta: eta, lower: entryHeap{max: true}}
+}
+
+// add records a completed observation; a trial's second report in the
+// rung is ignored.
+func (r *ashaRung) add(e entry) {
+	if r.recorded.add(e.trialID) {
+		return
+	}
+	// ⌊n/eta⌋ grows by at most one per add.
+	grow := r.lower.Len() < (r.size()+1)/r.eta
+	thr, ok := r.lower.Peek()
+	switch {
+	case ok && entryLess(e, thr):
+		// e joins lower. Unless lower grows, its root moves to upper,
+		// still a candidate if it was one.
+		if grow {
+			r.lower.Push(e)
+		} else {
+			r.upper.Push(r.lower.Replace(e))
+		}
+		r.nominate(e)
+	case !grow:
+		r.upper.Push(e)
+	default:
+		// lower grows by the better of e and upper's root.
+		if m, ok := r.upper.Peek(); ok && entryLess(m, e) {
+			e = r.upper.Replace(e)
+		}
+		r.lower.Push(e)
+		r.nominate(e)
 	}
 }
 
-// insert records a completed observation.
-func (r *ashaRung) insert(e entry) {
-	r.all.Add(e)
-	r.unpromoted.Push(e)
+// nominate makes e a candidate the first time it enters lower.
+func (r *ashaRung) nominate(e entry) {
+	if !r.nominated.add(e.trialID) {
+		r.cand.Push(e)
+	}
 }
 
 // size returns the number of completed observations in the rung.
-func (r *ashaRung) size() int { return r.all.Len() }
+func (r *ashaRung) size() int { return r.lower.Len() + r.upper.Len() }
 
 // promotable returns the best unpromoted trial if it ranks within the
-// top k of the rung, or (-1, false). The best unpromoted entry is
-// promotable exactly when it is at or below the k-th smallest entry
-// overall (all entries strictly better than it are already promoted).
-func (r *ashaRung) promotable(k int) (int, bool) {
-	if k <= 0 {
-		return -1, false
-	}
-	r.all.Rebalance(k)
-	top, ok := r.unpromoted.Peek()
+// top ⌊n/eta⌋ of the rung, or (-1, false).
+func (r *ashaRung) promotable() (int, bool) {
+	c, ok := r.cand.Peek()
 	if !ok {
 		return -1, false
 	}
-	thr, ok := r.all.Threshold()
-	if !ok {
+	// cand is non-empty, so lower is: it never shrinks.
+	if thr, _ := r.lower.Peek(); entryLess(thr, c) {
 		return -1, false
 	}
-	if entryLess(thr, top) {
-		return -1, false // best unpromoted entry ranks outside the top k
-	}
-	return top.trialID, true
+	return c.trialID, true
 }
 
-// markPromoted removes the rung's best unpromoted entry (which must be
-// the trial just returned by promotable). Promotion state is exactly
-// "no longer in the unpromoted heap"; the former promoted map duplicated
-// that bit at a map entry per promoted trial.
-func (r *ashaRung) markPromoted(trialID int) {
-	e, ok := r.unpromoted.Pop()
-	if !ok || e.trialID != trialID {
-		panic("core: markPromoted out of order with promotable")
+// promote removes and returns the trial promotable names.
+func (r *ashaRung) promote() (int, bool) {
+	id, ok := r.promotable()
+	if ok {
+		r.cand.Pop()
 	}
+	return id, ok
 }
 
 // ASHA implements Algorithm 2. Whenever a worker asks for a job, it
@@ -128,8 +160,9 @@ func (r *ashaRung) markPromoted(trialID int) {
 // ~10^5 times per run, so its state is laid out to stay allocation-free:
 // trials live in a slice indexed by the (sequentially allocated) trial
 // ID, configurations come from a slab arena, rung resources are a
-// precomputed table instead of per-call math.Pow, and the retry queue is
-// a head-indexed ring rather than a re-sliced slice.
+// precomputed table instead of per-call math.Pow, the retry queue is a
+// head-indexed ring rather than a re-sliced slice, and a rung holds each
+// entry once, plus a candidate for about one in eta (ashaRung).
 type ASHA struct {
 	cfg     ASHAConfig
 	topRung int // highest rung index (promotion target); -1 if unbounded
@@ -168,7 +201,7 @@ func NewASHA(cfg ASHAConfig) *ASHA {
 			a.topRung = 0
 		}
 	}
-	a.rungs = append(a.rungs, newASHARung())
+	a.rungs = append(a.rungs, newASHARung(cfg.Eta))
 	return a
 }
 
@@ -214,12 +247,10 @@ func (a *ASHA) Next() (Job, bool) {
 		if a.topRung >= 0 && k >= a.topRung {
 			continue // rung k's survivors are already at max resource
 		}
-		rung := a.rungs[k]
-		id, ok := rung.promotable(rung.size() / a.cfg.Eta)
+		id, ok := a.rungs[k].promote()
 		if !ok {
 			continue
 		}
-		rung.markPromoted(id)
 		a.ensureRung(k + 1)
 		return Job{
 			TrialID:        id,
@@ -244,7 +275,7 @@ func (a *ASHA) Next() (Job, bool) {
 
 func (a *ASHA) ensureRung(k int) {
 	for len(a.rungs) <= k {
-		a.rungs = append(a.rungs, newASHARung())
+		a.rungs = append(a.rungs, newASHARung(a.cfg.Eta))
 	}
 }
 
@@ -263,11 +294,7 @@ func (a *ASHA) Report(res Result) {
 		return
 	}
 	a.ensureRung(res.Rung)
-	rung := a.rungs[res.Rung]
-	if _, dup := rung.recorded[res.TrialID]; !dup {
-		rung.recorded[res.TrialID] = struct{}{}
-		rung.insert(entry{trialID: res.TrialID, loss: res.Loss})
-	}
+	a.rungs[res.Rung].add(entry{trialID: res.TrialID, loss: res.Loss})
 	// Section 3.3: ASHA uses intermediate losses to determine the
 	// current best configuration.
 	a.inc.observe(res)

@@ -280,6 +280,29 @@ func TestASHADuplicateReportIgnored(t *testing.T) {
 	}
 }
 
+// TestASHANaNLossRanksLast: a diverged trial's NaN loss ranks after
+// every finite one, so it is never promoted ahead of them.
+func TestASHANaNLossRanksLast(t *testing.T) {
+	a := newTestASHA(4, 1, 256, 0)
+	jobs := make([]Job, 8)
+	for i := range jobs {
+		jobs[i], _ = a.Next()
+	}
+	for i, job := range jobs {
+		loss := float64(i) / 10
+		if i == 0 {
+			loss = math.NaN()
+		}
+		a.Report(Result{TrialID: job.TrialID, Rung: 0, Config: job.Config, Loss: loss, Resource: 1})
+	}
+	// ⌊8/4⌋ = 2: the 0.1 and 0.2 trials.
+	for _, want := range []int{1, 2} {
+		if job, _ := a.Next(); job.Rung != 1 || job.TrialID != want {
+			t.Fatalf("promoted trial %d to rung %d, want trial %d to rung 1", job.TrialID, job.Rung, want)
+		}
+	}
+}
+
 func TestASHAConfigValidation(t *testing.T) {
 	bad := []ASHAConfig{
 		{RNG: xrand.New(1), Eta: 2, MinResource: 1, MaxResource: 4},                      // no space

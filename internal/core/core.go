@@ -167,20 +167,14 @@ type entry struct {
 	loss    float64
 }
 
-// topK returns the trial IDs of the k lowest-loss entries. Ties are
-// broken by trial ID so the result is deterministic.
+// topK returns the trial IDs of the k first entries under entryLess.
 func topK(entries []entry, k int) []int {
 	if k <= 0 {
 		return nil
 	}
 	sorted := make([]entry, len(entries))
 	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].loss != sorted[j].loss {
-			return sorted[i].loss < sorted[j].loss
-		}
-		return sorted[i].trialID < sorted[j].trialID
-	})
+	sort.Slice(sorted, func(i, j int) bool { return entryLess(sorted[i], sorted[j]) })
 	if k > len(sorted) {
 		k = len(sorted)
 	}

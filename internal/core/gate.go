@@ -1,12 +1,19 @@
 package core
 
-import "sync"
+import "sync/atomic"
 
 // Gate state names, as reported by Gate.State and the admin API.
 const (
 	GateRunning = "running"
 	GatePaused  = "paused"
 	GateAborted = "aborted"
+)
+
+// Gate states, held in Gate.state.
+const (
+	gateRunning int32 = iota
+	gatePaused
+	gateAborted
 )
 
 // Gate wraps a Scheduler with live run control: an operator (the
@@ -23,15 +30,13 @@ const (
 //   - Abort is terminal, and lifts a pause on its way.
 //
 // The engine parks on its own control queue when a pause drains it (see
-// backend.Engine), so the gate holds state only. The mutex makes flips
-// from other goroutines safe; the inner scheduler itself is only ever
+// backend.Engine), so the gate holds state only: one atomic word, which
+// the engine's per-job Next, Report and Done read without a lock while
+// other goroutines flip it. The inner scheduler itself is only ever
 // called from the engine goroutine.
 type Gate struct {
 	inner Scheduler
-
-	mu      sync.Mutex
-	paused  bool
-	aborted bool
+	state atomic.Int32
 }
 
 // NewGate wraps a scheduler. The zero state is running: a gate nobody
@@ -41,10 +46,7 @@ func NewGate(inner Scheduler) *Gate { return &Gate{inner: inner} }
 // Next implements Scheduler: it declines while paused or after abort,
 // and delegates otherwise.
 func (g *Gate) Next() (Job, bool) {
-	g.mu.Lock()
-	blocked := g.paused || g.aborted
-	g.mu.Unlock()
-	if blocked {
+	if g.state.Load() != gateRunning {
 		return Job{}, false
 	}
 	return g.inner.Next()
@@ -55,10 +57,7 @@ func (g *Gate) Next() (Job, bool) {
 // swallowed after abort: an aborted run does no further work, including
 // scheduler bookkeeping that could promote trials.
 func (g *Gate) Report(res Result) {
-	g.mu.Lock()
-	aborted := g.aborted
-	g.mu.Unlock()
-	if aborted {
+	if g.state.Load() == gateAborted {
 		return
 	}
 	g.inner.Report(res)
@@ -70,54 +69,31 @@ func (g *Gate) Best() (Best, bool) { return g.inner.Best() }
 // Done implements Scheduler: an aborted run is over regardless of what
 // the inner scheduler still had planned.
 func (g *Gate) Done() bool {
-	g.mu.Lock()
-	aborted := g.aborted
-	g.mu.Unlock()
-	return aborted || g.inner.Done()
+	return g.state.Load() == gateAborted || g.inner.Done()
 }
 
 // Pause stops further Next grants until Resume. Pausing an aborted or
 // already-paused gate is a no-op.
-func (g *Gate) Pause() {
-	g.mu.Lock()
-	if !g.aborted {
-		g.paused = true
-	}
-	g.mu.Unlock()
-}
+func (g *Gate) Pause() { g.state.CompareAndSwap(gateRunning, gatePaused) }
 
-// Resume lifts a pause.
-func (g *Gate) Resume() {
-	g.mu.Lock()
-	g.paused = false
-	g.mu.Unlock()
-}
+// Resume lifts a pause; it cannot revive an aborted gate.
+func (g *Gate) Resume() { g.state.CompareAndSwap(gatePaused, gateRunning) }
 
 // Abort ends the run: Next declines forever, Done is true, late results
 // are swallowed, and a pause is lifted so the run can drain and exit.
 // Abort is idempotent and terminal.
-func (g *Gate) Abort() {
-	g.mu.Lock()
-	g.aborted, g.paused = true, false
-	g.mu.Unlock()
-}
+func (g *Gate) Abort() { g.state.Store(gateAborted) }
 
 // Paused reports whether the gate is currently paused.
-func (g *Gate) Paused() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.paused
-}
+func (g *Gate) Paused() bool { return g.state.Load() == gatePaused }
 
 // State reports the gate's lifecycle state as one of the Gate*
 // constants.
 func (g *Gate) State() string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	switch {
-	case g.aborted:
+	switch g.state.Load() {
+	case gateAborted:
 		return GateAborted
-	case g.paused:
+	case gatePaused:
 		return GatePaused
 	default:
 		return GateRunning

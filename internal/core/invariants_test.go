@@ -38,6 +38,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/searchspace"
@@ -517,6 +519,52 @@ func driveLiveControl(t *testing.T, tc invariantCase, space *searchspace.Space, 
 	}
 	gate.Resume()
 	if !gate.Done() {
+		t.Fatal("Resume() revived an aborted gate")
+	}
+}
+
+// TestGateFlipsFromAnotherGoroutine: an operator's goroutine pauses,
+// resumes and finally aborts while this one drives Next and Report as
+// the engine does, reading the gate's state word without a lock. Under
+// -race this is the evidence that the flips are synchronized; the drive
+// ends only because Abort reaches Done.
+func TestGateFlipsFromAnotherGoroutine(t *testing.T) {
+	gate := NewGate(NewASHA(ASHAConfig{Space: invariantSpace(), RNG: xrand.New(3), Eta: 3, MinResource: 1, MaxResource: 81}))
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			gate.Pause()
+			runtime.Gosched()
+			gate.Resume()
+			runtime.Gosched()
+		}
+		gate.Abort()
+	}()
+	rng := xrand.New(4)
+	var inflight []Job
+	granted := 0
+	for !gate.Done() {
+		if job, ok := gate.Next(); ok {
+			inflight = append(inflight, job)
+			granted++
+		}
+		if len(inflight) > 0 {
+			job := inflight[0]
+			inflight = inflight[1:]
+			gate.Report(Result{TrialID: job.TrialID, Rung: job.Rung, Config: job.Config, Loss: rng.Float64(), Resource: job.TargetResource})
+		}
+	}
+	wg.Wait()
+	if gate.State() != GateAborted {
+		t.Fatalf("State() = %q after Abort", gate.State())
+	}
+	if job, ok := gate.Next(); ok {
+		t.Fatalf("Next granted %+v after abort (%d granted before)", job, granted)
+	}
+	gate.Resume()
+	if gate.State() != GateAborted {
 		t.Fatal("Resume() revived an aborted gate")
 	}
 }

@@ -1,16 +1,31 @@
 package core
 
+// The rung's building blocks: the entry order, a heap of entries and a
+// bitset over trial IDs. ashaRung (asha.go) composes them.
+
+import "math"
+
 // entryLess is the total order used by all rung bookkeeping: ascending
-// loss, ties broken by trial ID for determinism.
+// loss, NaN after +Inf (a diverged trial ranks worst), ties broken by
+// trial ID for determinism.
 func entryLess(a, b entry) bool {
-	if a.loss != b.loss {
-		return a.loss < b.loss
+	if a.loss < b.loss {
+		return true
+	}
+	if a.loss > b.loss {
+		return false
+	}
+	// Equal losses, or at least one NaN, which compares false both ways.
+	if an, bn := math.IsNaN(a.loss), math.IsNaN(b.loss); an != bn {
+		return bn
 	}
 	return a.trialID < b.trialID
 }
 
-// entryHeap is a binary heap of entries. When max is false the root is
+// entryHeap is a 4-ary heap of entries. When max is false the root is
 // the smallest entry under entryLess; when max is true, the largest.
+// A sift through rung 0's ~10^5 entries visits half the levels of a
+// binary heap's, and a level's four siblings sit side by side in memory.
 type entryHeap struct {
 	max   bool
 	items []entry
@@ -38,7 +53,7 @@ func (h *entryHeap) Push(e entry) {
 	h.items = append(h.items, e)
 	i := len(h.items) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
+		parent := (i - 1) / 4
 		if !h.before(h.items[i], h.items[parent]) {
 			break
 		}
@@ -60,16 +75,23 @@ func (h *entryHeap) Pop() (entry, bool) {
 	return root, true
 }
 
+// Replace swaps e in for the root of a non-empty heap and returns the
+// old root: a Pop and a Push for one sift.
+func (h *entryHeap) Replace(e entry) entry {
+	root := h.items[0]
+	h.items[0] = e
+	h.siftDown(0)
+	return root
+}
+
 func (h *entryHeap) siftDown(i int) {
 	n := len(h.items)
 	for {
-		l, r := 2*i+1, 2*i+2
 		best := i
-		if l < n && h.before(h.items[l], h.items[best]) {
-			best = l
-		}
-		if r < n && h.before(h.items[r], h.items[best]) {
-			best = r
+		for c := 4*i + 1; c <= 4*i+4 && c < n; c++ {
+			if h.before(h.items[c], h.items[best]) {
+				best = c
+			}
 		}
 		if best == i {
 			return
@@ -79,54 +101,17 @@ func (h *entryHeap) siftDown(i int) {
 	}
 }
 
-// topKTracker maintains the multiset of rung entries partitioned into
-// the k smallest ("lower", a max-heap) and the rest ("upper", a
-// min-heap), supporting O(log n) insertion and O(log n) adjustment as k
-// grows. It answers "is e among the k smallest?" via the lower heap's
-// root. This keeps ASHA's get_job O(log n) even when a rung holds
-// hundreds of thousands of entries (the 500-worker regime).
-type topKTracker struct {
-	lower entryHeap // max-heap: the k smallest entries
-	upper entryHeap // min-heap: everything else
-}
+// bitset is a dense set of non-negative ints. ASHA allocates trial IDs
+// sequentially, so a bit per issued trial replaces a hash set entry.
+type bitset []uint64
 
-func newTopKTracker() *topKTracker {
-	return &topKTracker{lower: entryHeap{max: true}, upper: entryHeap{max: false}}
-}
-
-// Add inserts an entry, preserving the partition property for the
-// current lower size.
-func (t *topKTracker) Add(e entry) {
-	if low, ok := t.lower.Peek(); ok && entryLess(e, low) {
-		// e belongs among the k smallest; displace the current maximum
-		// of the lower heap to keep |lower| unchanged.
-		displaced, _ := t.lower.Pop()
-		t.lower.Push(e)
-		t.upper.Push(displaced)
-		return
+// add inserts i and reports whether it was already present.
+func (b *bitset) add(i int) bool {
+	w, bit := i>>6, uint64(1)<<(i&63)
+	for len(*b) <= w {
+		*b = append(*b, 0)
 	}
-	t.upper.Push(e)
+	had := (*b)[w]&bit != 0
+	(*b)[w] |= bit
+	return had
 }
-
-// Rebalance adjusts the partition so |lower| = min(k, total).
-func (t *topKTracker) Rebalance(k int) {
-	total := t.lower.Len() + t.upper.Len()
-	if k > total {
-		k = total
-	}
-	for t.lower.Len() < k {
-		e, _ := t.upper.Pop()
-		t.lower.Push(e)
-	}
-	for t.lower.Len() > k {
-		e, _ := t.lower.Pop()
-		t.upper.Push(e)
-	}
-}
-
-// Threshold returns the largest entry among the k smallest (the
-// promotion threshold); ok=false when the lower heap is empty.
-func (t *topKTracker) Threshold() (entry, bool) { return t.lower.Peek() }
-
-// Len returns the total number of tracked entries.
-func (t *topKTracker) Len() int { return t.lower.Len() + t.upper.Len() }

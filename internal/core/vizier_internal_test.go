@@ -96,40 +96,6 @@ func TestMaternCorrDecreases(t *testing.T) {
 	}
 }
 
-func TestTopKTrackerPartition(t *testing.T) {
-	tr := newTopKTracker()
-	rng := xrand.New(5)
-	for i := 0; i < 200; i++ {
-		tr.Add(entry{trialID: i, loss: rng.Float64()})
-	}
-	tr.Rebalance(50)
-	thr, ok := tr.Threshold()
-	if !ok {
-		t.Fatal("no threshold")
-	}
-	// Exactly 50 entries at or below the threshold.
-	below := 0
-	for _, e := range tr.lower.items {
-		if entryLess(thr, e) {
-			t.Fatalf("lower heap holds entry above threshold: %+v > %+v", e, thr)
-		}
-		below++
-	}
-	if below != 50 {
-		t.Fatalf("lower heap size %d, want 50", below)
-	}
-	for _, e := range tr.upper.items {
-		if entryLess(e, thr) {
-			t.Fatalf("upper heap holds entry below threshold")
-		}
-	}
-	// Shrinking k moves entries back.
-	tr.Rebalance(10)
-	if tr.lower.Len() != 10 || tr.Len() != 200 {
-		t.Fatalf("rebalance(10): lower=%d total=%d", tr.lower.Len(), tr.Len())
-	}
-}
-
 func TestEntryHeapOrdering(t *testing.T) {
 	min := entryHeap{max: false}
 	max := entryHeap{max: true}
