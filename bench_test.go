@@ -284,12 +284,15 @@ func resumeLoop(tb testing.TB) func(n int) {
 	}
 }
 
-// resumeAllocBudget is what replaying one journaled job may allocate:
-// 0.112 measured over ten resumes of resumeJobs jobs — about 450 objects
-// a resume, for the tuner, its pool and engine, the journal's image and
-// the tables that double as trials arrive — plus slack for another Go
-// release's maps and slices. A config map per issue reads 2.13, a
-// record per report 1.13, a pool record per restored trial 0.86.
+// resumeAllocBudget is what resuming one journaled job may allocate:
+// 0.079 measured over ten resumes of resumeJobs jobs — about 320 objects
+// a resume, for the tuner, its pool and engine, the journal's image, the
+// scheduler restored from the journal's last checkpoint (its trials' arena
+// slabs, one array per rung heap) and the tables that double as trials
+// arrive — plus slack for another Go release's maps and slices. It read
+// 0.112 while a resume replayed every record into the scheduler. A config
+// map per issue reads 2.13, a record per report 1.13, a pool record per
+// restored trial 0.86.
 const resumeAllocBudget = 0.2
 
 // TestResumeAllocsPerJob keeps Tuner.Resume from building anything per

@@ -68,6 +68,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/remote"
 	"repro/internal/state"
@@ -266,7 +267,9 @@ func dispatch(ctx context.Context, c *client, cmd string, args []string, stdout 
 
 // dumpJournal prints the committed records of a journal file, head
 // record first, one JSON object per line in the shape of state's struct
-// tags. A torn or corrupt tail is reported after the records before it.
+// tags; a checkpoint record prints as a summary of where it is and what
+// it holds, not its scheduler image. A torn or corrupt tail is reported
+// after the records before it.
 func dumpJournal(path string, stdout io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -276,14 +279,21 @@ func dumpJournal(path string, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
+	s, _ := state.NewScanner(data) // the records again, for their offsets
 	enc := json.NewEncoder(stdout)
 	if err := enc.Encode(state.Record{V: state.Version, Meta: &rec.Meta}); err != nil {
 		return err
 	}
 	for _, r := range rec.Records {
+		at := s.CleanOffset
+		s.Scan()
 		line := jsonRecord{Record: r}
-		if r.Report != nil {
+		switch {
+		case r.Report != nil:
 			line.Report = &jsonReport{*r.Report, jsonFloat(r.Report.Loss), jsonFloat(r.Report.TrueLoss)}
+		case r.Checkpoint != nil:
+			line.Checkpoint = &jsonCheckpoint{Offset: at, Bytes: s.CleanOffset - at,
+				Scheduler: core.StateKind(r.Checkpoint.Sched), InFlight: len(r.Checkpoint.InFlight)}
 		}
 		if err := enc.Encode(line); err != nil {
 			return err
@@ -296,12 +306,23 @@ func dumpJournal(path string, stdout io.Writer) error {
 	return nil
 }
 
-// jsonRecord is state.Record with a report's losses overridden: a JSON
+// jsonRecord is state.Record with a report's losses overridden — a JSON
 // number cannot carry the NaN or ±Inf a diverged objective reports, so
-// those print as strings.
+// those print as strings — and a checkpoint summarized.
 type jsonRecord struct {
 	state.Record
-	Report *jsonReport `json:"report,omitempty"`
+	Report     *jsonReport     `json:"report,omitempty"`
+	Checkpoint *jsonCheckpoint `json:"checkpoint,omitempty"`
+}
+
+// jsonCheckpoint is a checkpoint record's line: its frame's offset and
+// size in the file, the scheduler its image is of, and how many jobs
+// were in flight.
+type jsonCheckpoint struct {
+	Offset    int64  `json:"offset"`
+	Bytes     int64  `json:"bytes"`
+	Scheduler string `json:"scheduler"`
+	InFlight  int    `json:"inflight"`
 }
 
 type jsonReport struct {

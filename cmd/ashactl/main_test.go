@@ -13,9 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/remote"
+	"repro/internal/searchspace"
 	"repro/internal/state"
+	"repro/internal/xrand"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -334,4 +337,46 @@ func TestJournalDump(t *testing.T) {
 	if code := run(context.Background(), []string{"journal", old}, &torn, &errOut); code != 1 || !strings.Contains(errOut.String(), "format-1 (JSON-lines)") {
 		t.Fatalf("v1 journal: exit %d, stderr %q", code, errOut.String())
 	}
+}
+
+// A checkpoint record prints as one summary line — where its frame is,
+// how large, the scheduler its image is of, how many jobs were in flight
+// — between the records around it; the image itself does not print.
+func TestJournalDumpCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tuner.journal")
+	names := []string{"lr", "momentum"}
+	j, err := state.Create(path, state.Meta{Experiment: "tuner", Algo: "asha.ASHA", Seed: 7, Params: names})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []state.Record{
+		{Issue: &state.Issue{Trial: 0, Target: 1, Inherit: -1, Kind: state.KindSample, Names: names, Config: map[string]float64{"lr": 0.01, "momentum": 0.9}}},
+		{Issue: &state.Issue{Trial: 1, Target: 1, Inherit: -1, Kind: state.KindSample, Names: names, Config: map[string]float64{"lr": 0.1, "momentum": 0.5}}},
+		{Report: &state.Report{Trial: 0, Loss: 0.5, TrueLoss: 0.5, Resource: 1, Time: 1.5}},
+	} {
+		r.V = state.Version
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	space := searchspace.New(searchspace.Param{Name: "lr", Type: searchspace.LogUniform, Lo: 1e-4, Hi: 1},
+		searchspace.Param{Name: "momentum", Type: searchspace.Uniform, Lo: 0, Hi: 1})
+	sched := core.NewASHA(core.ASHAConfig{Space: space, RNG: xrand.New(7), Eta: 4, MinResource: 1, MaxResource: 256})
+	var scratch []byte
+	if _, err := j.AppendCheckpoint(&scratch, &state.Checkpoint{Issued: 2, Completed: 1, RungCompleted: []int{1}, Names: names,
+		InFlight: []state.Pending{{Trial: 1, Inherit: -1, Target: 1, Vals: []float64{0.1, 0.5}}}},
+		sched.AppendState, &state.Snapshot{Issued: 2, Completed: 1, Time: 1.5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendReport(state.Report{Trial: 1, Loss: 0.25, TrueLoss: 0.25, Resource: 1, Time: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	if code := run(context.Background(), []string{"journal", path}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	checkGolden(t, "journal-checkpoint.golden", out.String())
 }

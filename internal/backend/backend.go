@@ -278,6 +278,14 @@ func (em *emitter) reported(c Completion, best core.Best, ok bool) {
 	}
 }
 
+// reachedR keeps the first time a successful completion reached the
+// maximum resource.
+func (l *Lane) reachedR(resource, time float64) {
+	if l.opt.MaxResource > 0 && resource >= l.opt.MaxResource-1e-9 && time < l.run.FirstRTime {
+		l.run.FirstRTime = time
+	}
+}
+
 // ingest delivers one completion to its lane's scheduler and records
 // metrics — the single result path shared by simulated and real runs,
 // live and replayed.
@@ -302,9 +310,7 @@ func ingest(l *Lane, c Completion) {
 		l.rungCompleted = append(l.rungCompleted, 0)
 	}
 	l.rungCompleted[c.Job.Rung]++
-	if l.opt.MaxResource > 0 && c.Resource >= l.opt.MaxResource-1e-9 && c.Time < l.run.FirstRTime {
-		l.run.FirstRTime = c.Time
-	}
+	l.reachedR(c.Resource, c.Time)
 	res := core.Result{
 		TrialID:  c.Job.TrialID,
 		Rung:     c.Job.Rung,

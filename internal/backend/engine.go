@@ -41,6 +41,7 @@ type Engine struct {
 	dirty    []*Lane      // lanes the current batch touched
 	launches []launch     // the current fill, in issue order: launched once journaled
 	settled  []Completion // the current batch's completions to ingest once journaled
+	ckpt     []byte       // the lanes' one checkpoint buffer (spareCkpt): a lane's image is encoded and written at once
 	inflight int
 	live     int // lanes in order that have not ended
 
@@ -52,6 +53,24 @@ type Engine struct {
 	wakeMu   sync.Mutex      // guards wake
 	wake     context.CancelFunc
 }
+
+// spareCkpt hands the checkpoint buffer of an engine whose run ended to
+// the next one to start. A checkpoint is as large as its scheduler's
+// state — a third of a megabyte for a 15 000-job ASHA run — and a
+// process that runs one journaled experiment after another would
+// otherwise grow a buffer that size afresh for each, in steps of a
+// quarter as append grows large slices. A sync.Pool would drop it at
+// the next collection; this keeps the largest one up to spareCkptMax,
+// so that one large run does not pin its image for the life of the
+// process.
+var spareCkpt struct {
+	sync.Mutex
+	buf []byte
+}
+
+// spareCkptMax is the largest buffer spareCkpt keeps: the image of a
+// ~50 000-job ASHA run.
+const spareCkptMax = 1 << 20
 
 // NewEngine prepares an engine over root with a budget of
 // root.Capacity() jobs in flight. quotas, when non-empty, makes slot
@@ -172,13 +191,18 @@ func (e *Engine) AddLane(sched core.Scheduler, exec Backend, opt Options, rank i
 		if cp, ok := exec.(interface{ EnableCheckpointSnapshots() }); ok {
 			cp.EnableCheckpointSnapshots()
 		}
+		if opt.Resume == nil {
+			// A scheduler that declines (core.CodecOf) is found out at the
+			// first checkpoint, not by encoding it here per lane.
+			l.jw.codec, _ = sched.(core.StateCodec)
+		}
 	}
 	if rs := opt.Resume; rs != nil {
 		l.run = rs.Run
 		l.relaunch = append(l.relaunch, rs.Relaunch...)
 		l.clockOff = rs.TimeOffset
 		l.rungCompleted = rs.rungCompleted
-		l.jw.seen = rs.issued // handed over: retry annotations stay correct on the continued journal
+		l.jw.resume(rs)
 		if tc, ok := exec.(TrialCheckpointer); ok {
 			for _, t := range rs.Trials {
 				tc.RestoreTrial(t.Trial, t.Resource, t.State)
@@ -254,6 +278,17 @@ func (e *Engine) exhausted(l *Lane) bool {
 // lanes: a clean end journals a final snapshot.
 func (e *Engine) Run(ctx context.Context) error {
 	defer close(e.done)
+	spareCkpt.Lock()
+	e.ckpt, spareCkpt.buf = spareCkpt.buf, nil
+	spareCkpt.Unlock()
+	defer func() {
+		spareCkpt.Lock()
+		if cap(e.ckpt) > cap(spareCkpt.buf) && cap(e.ckpt) <= spareCkptMax {
+			spareCkpt.buf = e.ckpt[:0]
+		}
+		e.ckpt = nil
+		spareCkpt.Unlock()
+	}()
 	e.renewWake(ctx)
 	var runErr error
 	for {
@@ -320,7 +355,7 @@ func (e *Engine) Run(ctx context.Context) error {
 				continue
 			}
 			if l.jw.due() {
-				if err := l.jw.snapshot(l.run, l.exec, e.root.Now()+l.clockOff, false); err != nil {
+				if err := l.jw.snapshot(l, &e.ckpt, e.root.Now()+l.clockOff, false); err != nil {
 					e.end(l, err)
 					continue
 				}
@@ -341,7 +376,7 @@ func (e *Engine) Run(ctx context.Context) error {
 	now := e.root.Now()
 	for _, l := range e.order {
 		if l.err == nil && runErr == nil && ctx.Err() == nil && l.jw.j != nil {
-			l.err = l.jw.snapshot(l.run, l.exec, now+l.clockOff, true)
+			l.err = l.jw.snapshot(l, &e.ckpt, now+l.clockOff, true)
 		}
 		st := l.exec.Stats()
 		l.run.EndTime = now + l.clockOff

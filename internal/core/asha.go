@@ -167,13 +167,9 @@ type ASHA struct {
 	cfg     ASHAConfig
 	topRung int // highest rung index (promotion target); -1 if unbounded
 	rungs   []*ashaRung
-	// retry is a head-indexed queue: popping advances retryHead instead
-	// of re-slicing, which would pin the backing array's consumed prefix
-	// (each dead Job holding its Config alive) for the life of the run.
-	retry     []Job
-	retryHead int
-	trials    []searchspace.Config // indexed by trial ID
-	arena     *searchspace.Arena
+	retry   retryQueue
+	trials  []searchspace.Config // indexed by trial ID
+	arena   *searchspace.Arena
 	// rungRes caches rungResource(k); rung k's resource never changes.
 	rungRes []float64
 	nextID  int
@@ -221,25 +217,9 @@ func (a *ASHA) rungResource(k int) float64 {
 	return a.rungRes[k]
 }
 
-// popRetry removes the oldest queued retry, compacting the ring once it
-// empties so the backing array (and the Jobs' configs) can be collected.
-func (a *ASHA) popRetry() (Job, bool) {
-	if a.retryHead >= len(a.retry) {
-		return Job{}, false
-	}
-	job := a.retry[a.retryHead]
-	a.retry[a.retryHead] = Job{} // release the config reference
-	a.retryHead++
-	if a.retryHead == len(a.retry) {
-		a.retry = a.retry[:0]
-		a.retryHead = 0
-	}
-	return job, true
-}
-
 // Next implements the get_job procedure of Algorithm 2.
 func (a *ASHA) Next() (Job, bool) {
-	if job, ok := a.popRetry(); ok {
+	if job, ok := a.retry.pop(); ok {
 		return job, true
 	}
 	// Check for a promotable configuration, top rung first.
@@ -273,6 +253,11 @@ func (a *ASHA) Next() (Job, bool) {
 	return Job{TrialID: id, Config: cfg, Rung: 0, TargetResource: a.rungResource(0), InheritFrom: -1}, true
 }
 
+// retryJob is the job that re-runs a failed attempt at trial's rung.
+func (a *ASHA) retryJob(trial, rung int) Job {
+	return Job{TrialID: trial, Config: a.trials[trial], Rung: rung, TargetResource: a.rungResource(rung), InheritFrom: -1}
+}
+
 func (a *ASHA) ensureRung(k int) {
 	for len(a.rungs) <= k {
 		a.rungs = append(a.rungs, newASHARung(a.cfg.Eta))
@@ -284,13 +269,7 @@ func (a *ASHA) ensureRung(k int) {
 // by the executor, so the identical job is simply re-queued.
 func (a *ASHA) Report(res Result) {
 	if res.Failed {
-		a.retry = append(a.retry, Job{
-			TrialID:        res.TrialID,
-			Config:         a.trials[res.TrialID],
-			Rung:           res.Rung,
-			TargetResource: a.rungResource(res.Rung),
-			InheritFrom:    -1,
-		})
+		a.retry.push(a.retryJob(res.TrialID, res.Rung))
 		return
 	}
 	a.ensureRung(res.Rung)

@@ -208,3 +208,33 @@ func (in *incumbent) observe(res Result) {
 }
 
 func (in *incumbent) get() (Best, bool) { return in.best, in.set }
+
+// retryQueue holds failed jobs until they are issued again, oldest first.
+// It is a head-indexed queue: popping advances head instead of
+// re-slicing, which would pin the backing array's consumed prefix (each
+// dead Job holding its Config alive) for the life of the run.
+type retryQueue struct {
+	jobs []Job
+	head int
+}
+
+func (q *retryQueue) push(job Job) { q.jobs = append(q.jobs, job) }
+
+// pop removes the oldest queued job, compacting the queue once it
+// empties so the backing array (and the Jobs' configs) can be collected.
+func (q *retryQueue) pop() (Job, bool) {
+	if q.head >= len(q.jobs) {
+		return Job{}, false
+	}
+	job := q.jobs[q.head]
+	q.jobs[q.head] = Job{} // release the config reference
+	q.head++
+	if q.head == len(q.jobs) {
+		q.jobs = q.jobs[:0]
+		q.head = 0
+	}
+	return job, true
+}
+
+// queued returns the jobs still waiting, oldest first.
+func (q *retryQueue) queued() []Job { return q.jobs[q.head:] }

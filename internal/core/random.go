@@ -19,9 +19,9 @@ type RandomSearchConfig struct {
 // an embarrassingly parallel fashion.
 type RandomSearch struct {
 	cfg    RandomSearchConfig
-	trials map[int]searchspace.Config
-	retry  []Job
-	nextID int
+	trials []searchspace.Config // indexed by trial ID, allocated sequentially
+	arena  *searchspace.Arena
+	retry  retryQueue
 	inc    incumbent
 }
 
@@ -34,33 +34,27 @@ func NewRandomSearch(cfg RandomSearchConfig) *RandomSearch {
 	if cfg.MaxResource <= 0 {
 		panic(fmt.Errorf("core: random search requires a positive max resource"))
 	}
-	return &RandomSearch{cfg: cfg, trials: make(map[int]searchspace.Config)}
+	return &RandomSearch{cfg: cfg, arena: cfg.Space.NewArena()}
 }
 
 // Next returns a job training a fresh configuration to R.
 func (r *RandomSearch) Next() (Job, bool) {
-	if len(r.retry) > 0 {
-		job := r.retry[0]
-		r.retry = r.retry[1:]
+	if job, ok := r.retry.pop(); ok {
 		return job, true
 	}
-	id := r.nextID
-	r.nextID++
-	cfg := r.cfg.Space.Sample(r.cfg.RNG)
-	r.trials[id] = cfg
-	return Job{TrialID: id, Config: cfg, Rung: 0, TargetResource: r.cfg.MaxResource, InheritFrom: -1}, true
+	r.trials = append(r.trials, r.arena.Sample(r.cfg.RNG))
+	return r.job(len(r.trials) - 1), true
+}
+
+// job is the one job random search runs per trial.
+func (r *RandomSearch) job(trial int) Job {
+	return Job{TrialID: trial, Config: r.trials[trial], Rung: 0, TargetResource: r.cfg.MaxResource, InheritFrom: -1}
 }
 
 // Report updates the incumbent; failed jobs are retried.
 func (r *RandomSearch) Report(res Result) {
 	if res.Failed {
-		r.retry = append(r.retry, Job{
-			TrialID:        res.TrialID,
-			Config:         r.trials[res.TrialID],
-			Rung:           0,
-			TargetResource: r.cfg.MaxResource,
-			InheritFrom:    -1,
-		})
+		r.retry.push(r.job(res.TrialID))
 		return
 	}
 	r.inc.observe(res)

@@ -51,7 +51,6 @@ import (
 	"context"
 	"crypto/subtle"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"net/http"
 	"net/url"
@@ -62,6 +61,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/xrand"
 )
 
 // DefaultShardTTL is how long a shard may go without a heartbeat
@@ -219,19 +219,23 @@ func (c *Coordinator) Close() error {
 
 // rendezvousOwner picks the owning shard for an experiment by
 // highest-random-weight hashing: every shard scores
-// fnv64a(shardID, 0, experiment) and the highest score wins (ties to
-// the lexicographically smallest ID, for determinism). Every node
+// mix(fnv64a(shardID, 0, experiment)) and the highest score wins (ties
+// to the lexicographically smallest ID, for determinism). Every node
 // computes the same answer with no coordination, and removing a shard
-// moves only that shard's experiments.
+// moves only that shard's experiments. FNV-1a alone diffuses the last
+// bytes it folds into the low bits only, so names that differ at the end
+// ("exp-1", "exp-2") compare by their shard IDs' scores and cluster on
+// one shard; the SplitMix64 finalizer makes every score bit depend on
+// every name byte.
 func rendezvousOwner(experiment string, shards []string) string {
 	var best string
 	var bestScore uint64
 	for _, id := range shards {
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(id))
-		_, _ = h.Write([]byte{0})
-		_, _ = h.Write([]byte(experiment))
-		score := h.Sum64()
+		h := xrand.NewFNV64()
+		h.String(id)
+		h.String("\x00")
+		h.String(experiment)
+		score := xrand.Mix(h.Sum())
 		if best == "" || score > bestScore || (score == bestScore && id < best) {
 			best, bestScore = id, score
 		}

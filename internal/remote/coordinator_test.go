@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/xrand"
 )
 
 // TestRendezvousOwnerStability pins the two properties the federation
@@ -478,5 +479,100 @@ func TestAgentRegisterDeadShardFallback(t *testing.T) {
 	}
 	if n := asks.Load(); n < 2 {
 		t.Fatalf("agent asked the coordinator %d times; the dead advert should force a re-ask", n)
+	}
+}
+
+// rendezvousFamilies are the shapes experiment names come in, 1 000
+// names each: a prefix and a counter, team namespaces, dates, UUIDs.
+func rendezvousFamilies() map[string][]string {
+	fams := map[string][]string{}
+	rng := xrand.New(42)
+	day := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for i := 0; i < 1000; i++ {
+		fams["prefix-N"] = append(fams["prefix-N"], fmt.Sprintf("exp-%d", i))
+		fams["team/x"] = append(fams["team/x"], fmt.Sprintf("team-%d/model-%d", i%7, i/7))
+		fams["date"] = append(fams["date"], day.Add(time.Duration(i)*6*time.Hour).Format("sweep-2006-01-02T15"))
+		fams["uuid"] = append(fams["uuid"], fmt.Sprintf("%08x-%04x-4%03x-%04x-%012x",
+			rng.Uint64()>>32, rng.Uint64()>>48, rng.Uint64()>>52, rng.Uint64()>>48|0x8000, rng.Uint64()>>16))
+	}
+	return fams
+}
+
+func shardIDs(k int) []string {
+	ids := make([]string, k)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("shard-%d", i)
+	}
+	return ids
+}
+
+// owners tallies each shard's experiments.
+func owners(names, shards []string) map[string]int {
+	n := map[string]int{}
+	for _, e := range names {
+		n[rendezvousOwner(e, shards)]++
+	}
+	return n
+}
+
+// Every name family spreads evenly: at 4 shards no shard holds more than
+// 1.3 times the mean.
+func TestRendezvousBalance(t *testing.T) {
+	shards := shardIDs(4)
+	for fam, names := range rendezvousFamilies() {
+		most := 0
+		for _, n := range owners(names, shards) {
+			most = max(most, n)
+		}
+		if mean := float64(len(names)) / float64(len(shards)); float64(most) > 1.3*mean {
+			t.Errorf("%s: a shard owns %d experiments, %.2f times the mean %.0f", fam, most, float64(most)/mean, mean)
+		}
+	}
+}
+
+// Removing any one of 2–16 shards moves only the experiments it owned.
+func TestRendezvousRemovalMovesOnlyItsExperiments(t *testing.T) {
+	for fam, names := range rendezvousFamilies() {
+		for k := 2; k <= 16; k++ {
+			shards := shardIDs(k)
+			for gone := range shards {
+				survivors := append(append([]string(nil), shards[:gone]...), shards[gone+1:]...)
+				for _, e := range names {
+					before, after := rendezvousOwner(e, shards), rendezvousOwner(e, survivors)
+					if before != shards[gone] && after != before {
+						t.Fatalf("%s, %d shards less %s: %q moved from %s to %s", fam, k, shards[gone], e, before, after)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Adding a shard to k takes about 1/(k+1) of the experiments, only onto
+// itself, and some from every shard there was.
+func TestRendezvousAdditionTakesItsShare(t *testing.T) {
+	for fam, names := range rendezvousFamilies() {
+		for k := 2; k < 16; k++ {
+			shards := shardIDs(k + 1)
+			from := map[string]int{}
+			moved := 0
+			for _, e := range names {
+				before, after := rendezvousOwner(e, shards[:k]), rendezvousOwner(e, shards)
+				if before == after {
+					continue
+				}
+				if after != shards[k] {
+					t.Fatalf("%s, %d shards plus one: %q moved from %s to %s, not to the new shard", fam, k, e, before, after)
+				}
+				moved++
+				from[before]++
+			}
+			if want := float64(len(names)) / float64(k+1); float64(moved) < 0.6*want || float64(moved) > 1.4*want {
+				t.Errorf("%s, %d shards plus one: the new shard took %d experiments, want about %.0f", fam, k, moved, want)
+			}
+			if len(from) != k {
+				t.Errorf("%s, %d shards plus one: the new shard took experiments from %d of the %d shards", fam, k, len(from), k)
+			}
+		}
 	}
 }

@@ -387,6 +387,13 @@ func FromMap(m map[string]float64) Config {
 	return c
 }
 
+// FromValues builds a standalone configuration from a dense vector laid
+// out against names (copied), as the journal stores one. Clone it to
+// build more over the same table.
+func FromValues(names []string, vals []float64) Config {
+	return Config{table: newNameTable(names), vals: append([]float64(nil), vals...)}
+}
+
 // MarshalJSON encodes the configuration as a name-keyed JSON object in
 // table order, keeping the subprocess wire protocol name-keyed.
 func (c Config) MarshalJSON() ([]byte, error) {
@@ -675,6 +682,10 @@ func (a *Arena) Sample(rng *xrand.RNG) Config {
 	a.space.sampleInto(rng, c.vals)
 	return c
 }
+
+// New returns a zero-valued configuration backed by the arena, for a
+// decoder to fill with SetAt.
+func (a *Arena) New() Config { return Config{table: a.space.table, vals: a.take()} }
 
 // Clone copies cfg into arena-backed storage (for schedulers that retain
 // a modified copy per trial, e.g. PBT's explore step).

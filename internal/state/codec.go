@@ -14,6 +14,11 @@ package state
 //	'S' snap    issued, completed, failed, final, trial count; time; per
 //	            trial changed since the previous snap: trial; resource;
 //	            checkpoint bytes (JSON, or none)
+//	'C' checkpt issued, completed, failed, rung count, per rung
+//	            completions; series count, per point time, loss, test
+//	            loss; names; in-flight count, per job trial, rung,
+//	            inherit+1, target, one float per name; then the
+//	            scheduler's image, the rest of the frame
 //
 // Every value has one encoding (the shortest varint, 0 or 1 for a flag),
 // so a decoded record re-encodes to the bytes it was read from.
@@ -21,11 +26,13 @@ package state
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"slices"
 
+	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
@@ -34,8 +41,11 @@ const (
 	frameHeader = 8       // length + CRC32C
 	MaxFrame    = 1 << 28 // bound on a body; a longer one is corruption, not a record
 
-	typeMeta, typeNames, typeIssue, typeReport, typeSnap = 'M', 'N', 'I', 'R', 'S'
+	typeMeta, typeNames, typeIssue, typeReport, typeSnap, typeCheckpoint = 'M', 'N', 'I', 'R', 'S', 'C'
 )
+
+// errNoImage refuses a checkpoint without a scheduler image.
+var errNoImage = errors.New("state: a checkpoint without a scheduler image")
 
 var (
 	magic      = append([]byte(magicPrefix), Version)
@@ -44,58 +54,63 @@ var (
 	bit        = map[bool]int{true: 1}                               // a flag as a field
 )
 
-// The encode side: Journal methods that append one record's frames to
-// j.buf. A field the decoder would refuse latches j.bad instead: the
-// record is the caller's bug and nothing of it reaches the file.
+// The encode side: encoder methods that append one record's frames to
+// buf — a Journal's own, or the buffer AppendCheckpoint is handed. A
+// field the decoder would refuse latches bad instead: the record is the
+// caller's bug and nothing of it reaches the file.
+type encoder struct {
+	buf []byte
+	bad error
+}
 
-func (j *Journal) failf(format string, args ...interface{}) {
-	if j.bad == nil {
-		j.bad = fmt.Errorf(format, args...)
+func (e *encoder) failf(format string, args ...interface{}) {
+	if e.bad == nil {
+		e.bad = fmt.Errorf(format, args...)
 	}
 }
 
 // frame appends one frame of the given type; fill appends its fields.
-func (j *Journal) frame(typ byte, fill func()) {
-	at := len(j.buf)
-	j.buf = append(j.buf, 0, 0, 0, 0, 0, 0, 0, 0, typ)
+func (e *encoder) frame(typ byte, fill func()) {
+	at := len(e.buf)
+	e.buf = append(e.buf, 0, 0, 0, 0, 0, 0, 0, 0, typ)
 	fill()
-	body := j.buf[at+frameHeader:]
+	body := e.buf[at+frameHeader:]
 	if len(body) > MaxFrame {
-		j.failf("state: a %d-byte record exceeds the %d-byte frame limit", len(body), MaxFrame)
+		e.failf("state: a %d-byte record exceeds the %d-byte frame limit", len(body), MaxFrame)
 	}
-	binary.LittleEndian.PutUint32(j.buf[at:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(j.buf[at+4:], crc32.Checksum(body, castagnoli))
+	binary.LittleEndian.PutUint32(e.buf[at:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(e.buf[at+4:], crc32.Checksum(body, castagnoli))
 }
 
-func (j *Journal) ints(vs ...int) {
+func (e *encoder) ints(vs ...int) {
 	for _, v := range vs {
 		if v < 0 || v > math.MaxInt32 {
-			j.failf("state: record field %d outside [0, %d]", v, math.MaxInt32)
+			e.failf("state: record field %d outside [0, %d]", v, math.MaxInt32)
 		}
-		j.buf = wire.AppendUvarint(j.buf, uint64(v))
+		e.buf = wire.AppendUvarint(e.buf, uint64(v))
 	}
 }
 
-func (j *Journal) floats(vs ...float64) {
+func (e *encoder) floats(vs ...float64) {
 	for _, v := range vs {
-		j.buf = wire.AppendFloat64(j.buf, v)
+		e.buf = wire.AppendFloat64(e.buf, v)
 	}
 }
 
 // strings appends a count and that many strings.
-func (j *Journal) strings(ss []string) {
-	j.ints(len(ss))
+func (e *encoder) strings(ss []string) {
+	e.ints(len(ss))
 	for _, s := range ss {
-		j.buf = wire.AppendString(j.buf, s)
+		e.buf = wire.AppendString(e.buf, s)
 	}
 }
 
 // meta opens the file: the magic, then the head record.
-func (j *Journal) meta(m *Meta) {
-	j.buf = append(j.buf, magic...)
-	j.frame(typeMeta, func() {
-		j.buf = wire.AppendUvarint(wire.AppendString(wire.AppendString(j.buf, m.Experiment), m.Algo), m.Seed)
-		j.strings(m.Params)
+func (e *encoder) meta(m *Meta) {
+	e.buf = append(e.buf, magic...)
+	e.frame(typeMeta, func() {
+		e.buf = wire.AppendUvarint(wire.AppendString(wire.AppendString(e.buf, m.Experiment), m.Algo), m.Seed)
+		e.strings(m.Params)
 	})
 }
 
@@ -132,25 +147,58 @@ func (j *Journal) issue(is *Issue, vals []float64) {
 	}
 }
 
-func (j *Journal) report(r *Report) {
-	j.frame(typeReport, func() {
-		j.ints(r.Trial, r.Rung, bit[r.Failed])
-		j.floats(r.Loss, r.TrueLoss, r.Resource, r.Time)
+func (e *encoder) report(r *Report) {
+	e.frame(typeReport, func() {
+		e.ints(r.Trial, r.Rung, bit[r.Failed])
+		e.floats(r.Loss, r.TrueLoss, r.Resource, r.Time)
 	})
 }
 
-func (j *Journal) snapshot(s *Snapshot) {
-	j.frame(typeSnap, func() {
-		j.ints(s.Issued, s.Completed, s.Failed, bit[s.Final], len(s.Trials))
-		j.floats(s.Time)
+func (e *encoder) snapshot(s *Snapshot) {
+	e.frame(typeSnap, func() {
+		e.ints(s.Issued, s.Completed, s.Failed, bit[s.Final], len(s.Trials))
+		e.floats(s.Time)
 		for i := range s.Trials {
 			t := &s.Trials[i]
 			if len(t.State) > 0 && !json.Valid(t.State) {
-				j.failf("state: trial %d's checkpoint is not valid JSON", t.Trial)
+				e.failf("state: trial %d's checkpoint is not valid JSON", t.Trial)
 			}
-			j.ints(t.Trial)
-			j.floats(t.Resource)
-			j.buf = wire.AppendBytes(j.buf, t.State)
+			e.ints(t.Trial)
+			e.floats(t.Resource)
+			e.buf = wire.AppendBytes(e.buf, t.State)
+		}
+	})
+}
+
+// checkpoint encodes a checkpoint whose scheduler image is what sched
+// appends, or c.Sched without one.
+func (e *encoder) checkpoint(c *Checkpoint, sched func([]byte) []byte) {
+	e.frame(typeCheckpoint, func() {
+		e.ints(c.Issued, c.Completed, c.Failed, len(c.RungCompleted))
+		e.ints(c.RungCompleted...)
+		e.ints(len(c.Series))
+		for _, p := range c.Series {
+			e.floats(p.Time, p.ValLoss, p.TestLoss)
+		}
+		e.strings(c.Names)
+		e.ints(len(c.InFlight))
+		for i := range c.InFlight {
+			p := &c.InFlight[i]
+			if len(p.Vals) != len(c.Names) {
+				e.failf("state: in-flight trial %d has %d configuration values for the %d names of %q", p.Trial, len(p.Vals), len(c.Names), c.Names)
+			}
+			e.ints(p.Trial, p.Rung, p.Inherit+1)
+			e.floats(p.Target)
+			e.floats(p.Vals...)
+		}
+		at := len(e.buf)
+		if sched != nil {
+			e.buf = sched(e.buf)
+		} else {
+			e.buf = append(e.buf, c.Sched...)
+		}
+		if len(e.buf) == at && e.bad == nil {
+			e.bad = errNoImage
 		}
 	})
 }
@@ -248,4 +296,32 @@ func (s *Scanner) readSnapshot() {
 		s.snap.Trials = append(s.snap.Trials, t)
 	}
 	s.Rec = Record{V: Version, Snap: &s.snap}
+}
+
+// readCheckpoint reads a checkpoint frame into fields the scanner reuses;
+// the scheduler image aliases the journal image.
+func (s *Scanner) readCheckpoint() {
+	r, c := &s.r, &s.ckpt
+	c.Issued, c.Completed, c.Failed, c.RungCompleted = r.Int(), r.Int(), r.Int(), c.RungCompleted[:0]
+	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
+		c.RungCompleted = append(c.RungCompleted, r.Int())
+	}
+	c.Series = c.Series[:0]
+	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
+		c.Series = append(c.Series, metrics.Point{Time: r.Float64(), ValLoss: r.Float64(), TestLoss: r.Float64()})
+	}
+	c.Names, c.InFlight, s.ckptVals = s.strings(), c.InFlight[:0], s.ckptVals[:0]
+	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
+		p := Pending{Trial: r.Int(), Rung: r.Int(), Inherit: r.Int() - 1, Target: r.Float64()}
+		at := len(s.ckptVals)
+		for range c.Names {
+			s.ckptVals = append(s.ckptVals, r.Float64())
+		}
+		p.Vals = s.ckptVals[at:len(s.ckptVals):len(s.ckptVals)]
+		c.InFlight = append(c.InFlight, p)
+	}
+	if c.Sched = r.Rest(); len(c.Sched) == 0 {
+		r.Failf("state: checkpoint without a scheduler image")
+	}
+	s.Rec = Record{V: Version, Checkpoint: c}
 }

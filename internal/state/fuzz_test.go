@@ -30,6 +30,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 var updateCorpus = flag.Bool("update-corpus", false, "rewrite testdata/fuzz from the seeds in fuzz_test.go")
@@ -50,6 +52,30 @@ func fuzzSeedJournal() []byte {
 	_ = j.Append(Record{V: Version, Issue: &Issue{Trial: 1, Rung: 0, Target: 1, Inherit: 0, Kind: KindSample, Names: wide, Config: map[string]float64{"lr": 0.5, "width": 64}}})
 	_ = j.AppendSnapshot(Snapshot{Issued: 3, Completed: 1, Failed: 1, Time: 0.75, Final: true,
 		Trials: []TrialSnap{{Trial: 0, Resource: 1, State: json.RawMessage(`{"w":[1,2]}`)}, {Trial: 1}}})
+	if j.Err() != nil {
+		panic(j.Err())
+	}
+	return buf.Bytes()
+}
+
+// fuzzCheckpointJournal builds a small valid journal that holds a
+// checkpoint record, committed with the snapshot behind it, between
+// issue and report records.
+func fuzzCheckpointJournal() []byte {
+	var buf bytes.Buffer
+	j, err := NewWriter(&buf, Meta{Experiment: "fuzz", Algo: "asha.ASHA", Seed: 3, Params: []string{"lr"}})
+	if err != nil {
+		panic(err)
+	}
+	lr := []string{"lr"}
+	_ = j.Append(Record{V: Version, Issue: &Issue{Trial: 0, Rung: 0, Target: 1, Inherit: -1, Kind: KindSample, Names: lr, Config: map[string]float64{"lr": 0.25}}})
+	_ = j.Append(Record{V: Version, Issue: &Issue{Trial: 1, Rung: 0, Target: 1, Inherit: -1, Kind: KindSample, Names: lr, Config: map[string]float64{"lr": 0.5}}})
+	_ = j.AppendReport(Report{Trial: 0, Rung: 0, Loss: 1.5, TrueLoss: 1.5, Resource: 1, Time: 0.5})
+	var scratch []byte
+	_, _ = j.AppendCheckpoint(&scratch, &Checkpoint{Issued: 2, Completed: 1, RungCompleted: []int{1},
+		Series: []metrics.Point{{Time: 0.5, ValLoss: 1.5, TestLoss: 1.5}}, Names: lr, InFlight: []Pending{{Trial: 1, Target: 1, Inherit: -1, Vals: []float64{0.5}}}, Sched: []byte("an image")},
+		nil, &Snapshot{Issued: 2, Completed: 1, Time: 0.5, Trials: []TrialSnap{{Trial: 0, Resource: 1}}})
+	_ = j.Append(Record{V: Version, Issue: &Issue{Trial: 0, Rung: 1, Target: 4, Inherit: -1, Kind: KindPromote, Names: lr, Config: map[string]float64{"lr": 0.25}}})
 	if j.Err() != nil {
 		panic(j.Err())
 	}
@@ -81,12 +107,16 @@ func fl(vs ...float64) []byte {
 
 func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
-// hostileFrames are frame bodies for the decoder to refuse — or, the
-// first three, to accept — without trusting a count or a length inside
-// them. FuzzRecordFrame decodes them under a one-name table.
+// hostileFrames are frame bodies for the decoder to refuse — or, report,
+// issue, snapshot and checkpoint, to accept — without trusting a count or
+// a length inside them. FuzzRecordFrame decodes them under a one-name
+// table.
 func hostileFrames() map[string][]byte {
 	losses := fl(0.125, 0.125, 16, 9.5)
 	snap := []byte{typeSnap, 4, 3, 0, 0} // up to the trial count
+	// A checkpoint up to its scheduler image: counters, one rung, one
+	// series point, one name, one job.
+	ckpt := cat([]byte{typeCheckpoint, 1, 0, 0, 1, 0, 1}, fl(0.5, 1.5, 1.5), []byte{1, 2, 'l', 'r', 1, 0, 0, 0}, fl(1, 0.25))
 	return map[string][]byte{
 		"report":          cat([]byte{typeReport, 7, 1, 0}, losses),
 		"issue":           cat([]byte{typeIssue, 3, 1, 0, 2}, fl(16, 0.5)),
@@ -106,6 +136,9 @@ func hostileFrames() map[string][]byte {
 		"checkpoint-json": cat(snap, []byte{1}, fl(2.5), []byte{0}, fl(4), []byte{2, '{', 'x'}),
 		"issue-kind":      cat([]byte{typeIssue, 3, 1, 0, 9}, fl(16, 0.5)),
 		"issue-no-vector": cat([]byte{typeIssue, 3, 1, 0, 2}, fl(16)),
+		"checkpoint":      cat(ckpt, []byte("image")),
+		"checkpoint-bare": ckpt,
+		"ckpt-series-len": cat([]byte{typeCheckpoint, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}, fl(0.5, 1.5, 1.5)),
 	}
 }
 
@@ -116,23 +149,27 @@ func hostileImages() map[string][]byte {
 	with := func(tail ...[]byte) []byte { return bytes.Join(append([][]byte{head}, tail...), nil) }
 	flipped := append([]byte{}, seed...)
 	flipped[len(seed)/2] ^= 0x10
+	checkpointed := fuzzCheckpointJournal()
 	images := map[string][]byte{
-		"clean":        seed,
-		"torn-body":    seed[:len(seed)-9],
-		"torn-header":  seed[:len(head)+5],
-		"torn-meta":    seed[:len(magic)+11],
-		"half":         seed[:len(seed)/2],
-		"bad-crc":      flipped,
-		"empty":        nil,
-		"magic-only":   magic,
-		"doubled":      append(append([]byte{}, seed...), seed...),
-		"v1-json":      []byte("{\"v\":1,\"meta\":{\"experiment\":\"fuzz\",\"seed\":3}}\n"),
-		"garbage":      []byte("not a journal\n"),
-		"next-version": append(append([]byte(magicPrefix), Version+1), seed[len(magic):]...),
-		"format-2":     append(append([]byte(magicPrefix), 2), seed[len(magic):]...),
-		"length-past":  with(binary.LittleEndian.AppendUint32(nil, 1<<16), []byte{0, 0, 0, 0, typeReport}),
-		"length-cap":   with(binary.LittleEndian.AppendUint32(nil, math.MaxUint32), make([]byte, 64)),
-		"length-zero":  with(make([]byte, frameHeader), seed[len(head):]),
+		"checkpointed":    checkpointed,
+		"torn-checkpoint": checkpointed[:len(checkpointed)-120],
+		"clean":           seed,
+		"torn-body":       seed[:len(seed)-9],
+		"torn-header":     seed[:len(head)+5],
+		"torn-meta":       seed[:len(magic)+11],
+		"half":            seed[:len(seed)/2],
+		"bad-crc":         flipped,
+		"empty":           nil,
+		"magic-only":      magic,
+		"doubled":         append(append([]byte{}, seed...), seed...),
+		"v1-json":         []byte("{\"v\":1,\"meta\":{\"experiment\":\"fuzz\",\"seed\":3}}\n"),
+		"garbage":         []byte("not a journal\n"),
+		"next-version":    append(append([]byte(magicPrefix), Version+1), seed[len(magic):]...),
+		"format-2":        append(append([]byte(magicPrefix), 2), seed[len(magic):]...),
+		"format-3":        append(append([]byte(magicPrefix), 3), seed[len(magic):]...),
+		"length-past":     with(binary.LittleEndian.AppendUint32(nil, 1<<16), []byte{0, 0, 0, 0, typeReport}),
+		"length-cap":      with(binary.LittleEndian.AppendUint32(nil, math.MaxUint32), make([]byte, 64)),
+		"length-zero":     with(make([]byte, frameHeader), seed[len(head):]),
 	}
 	for name, body := range hostileFrames() {
 		// An intact record behind the frame: refused means not reached.
@@ -249,8 +286,9 @@ func FuzzRecordFrame(f *testing.F) {
 	})
 }
 
-// TestHostileFrames pins what the seeds are seeds of: the first three
-// bodies decode, every other one is the recovery point.
+// TestHostileFrames pins what the seeds are seeds of: the report, issue,
+// snapshot and checkpoint bodies decode, every other one is the recovery
+// point.
 func TestHostileFrames(t *testing.T) {
 	for name, image := range hostileImages() {
 		if !bytes.HasPrefix([]byte(name), []byte("frame-")) {
@@ -258,12 +296,16 @@ func TestHostileFrames(t *testing.T) {
 		}
 		rec := checkRecover(t, image)
 		want := 1 // the head's issue
-		if name == "frame-report" || name == "frame-issue" || name == "frame-snapshot" {
+		if name == "frame-report" || name == "frame-issue" || name == "frame-snapshot" || name == "frame-checkpoint" {
 			want = 3
 		}
 		if len(rec.Records) != want || rec.Truncated != (want == 1) {
 			t.Errorf("%s: %d records, truncated=%v; want %d", name, len(rec.Records), rec.Truncated, want)
 		}
+	}
+	// A tear inside a checkpoint frame ends the prefix at the record before it.
+	if rec := checkRecover(t, hostileImages()["torn-checkpoint"]); len(rec.Records) != 3 || !rec.Truncated {
+		t.Errorf("torn-checkpoint: %d records, truncated=%v; want the 3 before the checkpoint", len(rec.Records), rec.Truncated)
 	}
 }
 

@@ -29,13 +29,13 @@ type syncer interface {
 // flush the report before delivering it to the scheduler.
 type Journal struct {
 	mu      sync.Mutex
+	encoder // the staged records' frames (codec.go)
 	w       io.Writer
 	f       *os.File
 	err     error
 	records int       // committed: written by a flush that succeeded
+	bytes   int64     // the bytes of the committed records, head included
 	staged  int       // encoded in buf, waiting for the next flush
-	buf     []byte    // the staged records' frames (codec.go)
-	bad     error     // what makes the record being encoded one the format cannot carry
 	names   []string  // the table the last names frame declared
 	vals    []float64 // scratch: an issue's Config laid out against its table
 
@@ -122,8 +122,10 @@ func (j *Journal) Stage(rec Record) error {
 		j.issue(rec.Issue, nil)
 	case rec.Report != nil:
 		j.report(rec.Report)
-	default:
+	case rec.Snap != nil:
 		j.snapshot(rec.Snap)
+	default:
+		j.checkpoint(rec.Checkpoint, nil)
 	}
 	return j.stage(at)
 }
@@ -164,8 +166,16 @@ func (j *Journal) flush() error {
 	if j.err != nil || j.staged == 0 {
 		return j.err
 	}
-	n, err := j.w.Write(j.buf)
-	if err == nil && n < len(j.buf) {
+	j.write(j.buf, j.staged)
+	j.buf, j.staged = j.buf[:0], 0
+	return j.err
+}
+
+// write commits frames, which hold records records, with one Write call
+// and one sync under SyncEach; a failure is sticky.
+func (j *Journal) write(frames []byte, records int) {
+	n, err := j.w.Write(frames)
+	if err == nil && n < len(frames) {
 		err = io.ErrShortWrite
 	}
 	if s, ok := j.w.(syncer); err != nil {
@@ -176,10 +186,37 @@ func (j *Journal) flush() error {
 		}
 	}
 	if j.err == nil {
-		j.records += j.staged
+		j.records += records
+		j.bytes += int64(len(frames))
 	}
-	j.buf, j.staged = j.buf[:0], 0
-	return j.err
+}
+
+// AppendCheckpoint commits a checkpoint whose scheduler image is what
+// sched appends, and the snapshot behind it, with one Write — after a
+// flush of whatever is staged — and returns the checkpoint frame's size.
+// The frames are encoded into *scratch, a buffer the caller owns, may
+// share among journals and gets back grown: a checkpoint is as large as
+// the scheduler's state, and the journal's own buffer, which lives as
+// long as the journal, never holds one. A scheduler that appends nothing
+// has no image to checkpoint: the snapshot goes alone, and the size is 0.
+func (j *Journal) AppendCheckpoint(scratch *[]byte, c *Checkpoint, sched func([]byte) []byte, snap *Snapshot) (int64, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.flush(); err != nil {
+		return 0, err
+	}
+	e := encoder{buf: (*scratch)[:0]}
+	e.checkpoint(c, sched)
+	size, records := int64(len(e.buf)), 2
+	if e.bad == errNoImage {
+		e.buf, e.bad, size, records = e.buf[:0], nil, 0, 1
+	}
+	e.snapshot(snap)
+	if *scratch = e.buf; e.bad != nil {
+		return 0, e.bad
+	}
+	j.write(e.buf, records)
+	return size, j.err
 }
 
 // Err returns the journal's sticky error, if any.
@@ -196,6 +233,14 @@ func (j *Journal) Records() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.records
+}
+
+// Bytes returns the size of the committed records, counted as Records
+// counts them; a journal continued by ReopenWriter counts from zero.
+func (j *Journal) Bytes() int64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.bytes
 }
 
 // Close flushes what is still staged, then syncs and closes the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -86,9 +87,28 @@ type Scanner struct {
 	r     wire.Reader
 	names []string // the table the last names frame declared
 
-	issue  Issue
-	report Report
-	snap   Snapshot
+	issue    Issue
+	report   Report
+	snap     Snapshot
+	ckpt     Checkpoint
+	ckptVals []float64 // the checkpoint's in-flight configurations, one slab
+}
+
+// Mark is a scanner's position between two records.
+type Mark struct {
+	off, n int
+	names  []string
+}
+
+// Mark returns the position just past the record Scan last returned, or
+// the head before the first Scan.
+func (s *Scanner) Mark() Mark { return Mark{off: int(s.CleanOffset), n: s.n, names: s.names} }
+
+// Seek returns the scanner to m: Scan goes on to return the records it
+// returned from m before, up to the same recovery point.
+func (s *Scanner) Seek(m Mark) {
+	s.off, s.n, s.names = m.off, m.n, m.names
+	s.CleanOffset, s.Truncated = int64(m.off), false
 }
 
 // NewScanner reads the head of a journal image. Its errors are ErrFormat
@@ -134,6 +154,8 @@ func (s *Scanner) Scan() bool {
 		case typ == typeSnap:
 			s.r.Reset(bytes.Clone(body[1:])) // its checkpoints alias the cursor's buffer
 			s.readSnapshot()
+		case typ == typeCheckpoint:
+			s.readCheckpoint()
 		default: // a second meta, or a type this format does not have
 			s.r.Failf("state: frame type %q", typ)
 		}
@@ -174,10 +196,18 @@ func (s *Scanner) collect() *Recovered {
 		case r.Report != nil:
 			r.Report = carve(&reports)
 			*r.Report = s.report
-		default:
+		case r.Snap != nil:
 			snap := s.snap
 			snap.Trials = append(make([]TrialSnap, 0, len(snap.Trials)), snap.Trials...)
 			r.Snap = &snap
+		default:
+			c := s.ckpt
+			c.Series, c.RungCompleted = slices.Clone(c.Series), slices.Clone(c.RungCompleted)
+			c.InFlight, c.Sched = slices.Clone(c.InFlight), bytes.Clone(c.Sched)
+			for i := range c.InFlight {
+				c.InFlight[i].Vals = slices.Clone(c.InFlight[i].Vals)
+			}
+			r.Checkpoint = &c
 		}
 		rec.Records = append(rec.Records, r)
 	}
@@ -226,7 +256,7 @@ func (s *Scanner) Reopen() (*Journal, error) {
 			return nil, fmt.Errorf("state: truncate torn journal tail: %w", err)
 		}
 	}
-	return &Journal{w: f, f: f, records: s.n}, nil
+	return &Journal{w: f, f: f, records: s.n, bytes: s.CleanOffset}, nil
 }
 
 // RecoverFile recovers the journal at path, truncates any torn tail so

@@ -33,19 +33,27 @@
 // is replayable, everything after it never affected scheduler state (the
 // write-ahead ordering guarantees the corresponding Launch/Report never
 // happened). Replaying the committed records into a scheduler of the
-// same seed and configuration reproduces its state bit for bit; that
-// semantic replay is internal/backend.ReplayScan, while this package
-// stays purely syntactic so the decoder can be fuzzed in isolation.
+// same seed and configuration reproduces its state bit for bit; a
+// checkpoint record carries that state as of where it stands — the
+// scheduler's image and the engine lane's counters and in-flight jobs —
+// so a replay restores the last one and steps only the records after
+// it. That semantic replay is internal/backend.ReplayScan, while this
+// package stays purely syntactic so the decoder can be fuzzed in
+// isolation.
 package state
 
 import (
 	"encoding/json"
 	"fmt"
+
+	"repro/internal/metrics"
 )
 
 // Version is the journal format version, the last byte of the file's
-// magic. A reader refuses files of any other version (ErrFormat).
-const Version = 3
+// magic. A reader refuses files of any other version (ErrFormat). Format
+// 4 added the checkpoint record, which a format-3 reader would take for
+// a torn tail and cut off with everything behind it.
+const Version = 4
 
 // Meta is the journal's head record: enough identity to refuse resuming
 // a run under a different experiment, seed, algorithm, or search space.
@@ -141,13 +149,43 @@ type Snapshot struct {
 	Trials []TrialSnap `json:"trials,omitempty"`
 }
 
+// Checkpoint is one lane's replay state at a point of its journal: what
+// stepping every record before it through a freshly seeded scheduler
+// leaves behind, so that a resume restores it and steps only the
+// records after it. It holds what the records do not say outright; the
+// trial table, the issued pairs, the clock and the first-R time a
+// resume folds from the records themselves, all of which it reads.
+type Checkpoint struct {
+	// Issued, Completed and Failed are the run's job counters, and
+	// RungCompleted its successful completions per rung.
+	Issued, Completed, Failed int
+	RungCompleted             []int
+	// Series is the incumbent trajectory.
+	Series []metrics.Point
+	// InFlight are the issued, unreported jobs in issue order, their
+	// configurations laid out against Names.
+	Names    []string
+	InFlight []Pending
+	// Sched is the scheduler's image (core.StateCodec), the rest of the
+	// frame. A scanned one aliases the journal image.
+	Sched []byte
+}
+
+// Pending is one in-flight job of a checkpoint.
+type Pending struct {
+	Trial, Rung, Inherit int
+	Target               float64
+	Vals                 []float64
+}
+
 // Record is one journal record: a version plus exactly one payload.
 type Record struct {
-	V      int       `json:"v"`
-	Meta   *Meta     `json:"meta,omitempty"`
-	Issue  *Issue    `json:"issue,omitempty"`
-	Report *Report   `json:"report,omitempty"`
-	Snap   *Snapshot `json:"snap,omitempty"`
+	V          int         `json:"v"`
+	Meta       *Meta       `json:"meta,omitempty"`
+	Issue      *Issue      `json:"issue,omitempty"`
+	Report     *Report     `json:"report,omitempty"`
+	Snap       *Snapshot   `json:"snap,omitempty"`
+	Checkpoint *Checkpoint `json:"-"` // `ashactl journal` prints a summary line
 }
 
 // Validate checks the record's version and that it carries exactly one
@@ -156,7 +194,7 @@ func (r *Record) Validate() error {
 	if r.V != Version {
 		return fmt.Errorf("state: record version %d, this reader speaks %d", r.V, Version)
 	}
-	n := bit[r.Meta != nil] + bit[r.Issue != nil] + bit[r.Report != nil] + bit[r.Snap != nil]
+	n := bit[r.Meta != nil] + bit[r.Issue != nil] + bit[r.Report != nil] + bit[r.Snap != nil] + bit[r.Checkpoint != nil]
 	if n != 1 {
 		return fmt.Errorf("state: record carries %d payloads, want exactly 1", n)
 	}

@@ -173,10 +173,12 @@ func TestRecoverNamesForeignFormats(t *testing.T) {
 	}{
 		{[]byte("{\"v\":1,\"meta\":{\"experiment\":\"x\",\"seed\":1}}\n"), "format-1 (JSON-lines)"},
 		{[]byte("{"), "format-1 (JSON-lines)"},
-		{append(future, buildJournal(t, nil)[len(magic):]...), "format-4 journal"},
+		{append(future, buildJournal(t, nil)[len(magic):]...), "format-5 journal"},
 		// Format 2 framed the same records but meant the full trial table
 		// by a snapshot's list: its files are not read as deltas.
 		{hostileImages()["format-2"], "format-2 journal"},
+		// Format 3 had no checkpoint record.
+		{hostileImages()["format-3"], "format-3 journal"},
 		{[]byte("not a journal\n"), "no journal magic"},
 		{[]byte("ASHA"[:3] + "x"), "no journal magic"},
 	} {
@@ -185,7 +187,7 @@ func TestRecoverNamesForeignFormats(t *testing.T) {
 			t.Errorf("Recover(%q) err = %v, want ErrFormat", c.data, err)
 			continue
 		}
-		if !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "writes format 3") {
+		if !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "writes format 4") {
 			t.Errorf("Recover(%q) err = %q, want it to name %q and the format this build writes", c.data, err, c.want)
 		}
 	}

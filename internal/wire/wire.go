@@ -21,7 +21,13 @@ func AppendUvarint(dst []byte, v uint64) []byte {
 
 // AppendFloat64 appends v's IEEE-754 bits little-endian.
 func AppendFloat64(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	return AppendUint64(dst, math.Float64bits(v))
+}
+
+// AppendUint64 appends v as eight bytes little-endian: a bit word, which
+// a varint would spell in up to ten.
+func AppendUint64(dst []byte, v uint64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, v)
 }
 
 // AppendBytes appends a length-prefixed byte string.
@@ -124,17 +130,20 @@ func (r *Reader) Int() int {
 }
 
 // Float64 reads one little-endian IEEE-754 float.
-func (r *Reader) Float64() float64 {
+func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
+
+// Uint64 reads eight bytes little-endian.
+func (r *Reader) Uint64() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	if r.Remaining() < 8 {
-		r.Failf("wire: truncated (float64 at offset %d)", r.off)
+		r.Failf("wire: truncated (8-byte word at offset %d)", r.off)
 		return 0
 	}
-	bits := binary.LittleEndian.Uint64(r.buf[r.off:])
+	v := binary.LittleEndian.Uint64(r.buf[r.off:])
 	r.off += 8
-	return math.Float64frombits(bits)
+	return v
 }
 
 // Bytes reads a length-prefixed byte string. The result aliases the
@@ -184,6 +193,17 @@ func (r *Reader) Float64s() []float64 {
 		r.off += 8
 	}
 	return out
+}
+
+// Rest reads every byte left: the last field of a message that runs to
+// its end. It aliases the underlying buffer.
+func (r *Reader) Rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	b := r.buf[r.off:]
+	r.off = len(r.buf)
+	return b
 }
 
 // ExpectEOF latches an error unless the cursor consumed the whole

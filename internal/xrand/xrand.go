@@ -96,7 +96,7 @@ func hashName(name string) uint64 {
 // parent's stream is not advanced.
 func (r *RNG) Split(name string) *RNG {
 	hv := hashName(name)
-	return newFrom(r.s1^hv, r.s2^mix(hv))
+	return newFrom(r.s1^hv, r.s2^Mix(hv))
 }
 
 // SplitIndex derives an independent RNG keyed by an integer index, for
@@ -113,12 +113,18 @@ func (r *RNG) SplitIndex(name string, i int) *RNG {
 // at the head of the child stream, and nothing is allocated.
 func (r *RNG) SplitIndexInto(dst *RNG, name string, i int) {
 	hv := hashName(name)
-	s1, s2 := r.s1^hv, r.s2^mix(hv)
-	dst.seed(s1^mix(uint64(i)+1), s2^mix(uint64(i)*0x9e3779b9+7))
+	s1, s2 := r.s1^hv, r.s2^Mix(hv)
+	dst.seed(s1^Mix(uint64(i)+1), s2^Mix(uint64(i)*0x9e3779b9+7))
 }
 
-// mix is the SplitMix64 finalizer; it decorrelates nearby integer keys.
-func mix(z uint64) uint64 {
+// UnmarshalBinary moves the generator to a position AppendBinary wrote.
+func (r *RNG) UnmarshalBinary(b []byte) error { return r.pcg.UnmarshalBinary(b) }
+
+// Mix is the SplitMix64 finalizer: every output bit depends on every
+// input bit. It decorrelates nearby integer keys, and turns a hash with
+// weak high bits (FNV-1a over short, similar strings) into one whose
+// comparisons are uniform.
+func Mix(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

@@ -419,6 +419,13 @@ func TestManagerIsTunerAtN1(t *testing.T) {
 				t.Fatalf("record %d: snapshot differs: tuner issued/completed/failed %d/%d/%d with %d trials, manager %d/%d/%d with %d",
 					i, ws.Issued, ws.Completed, ws.Failed, len(ws.Trials), gs.Issued, gs.Completed, gs.Failed, len(gs.Trials))
 			}
+		case w.Checkpoint != nil && g.Checkpoint != nil:
+			wc, gc := *w.Checkpoint, *g.Checkpoint
+			wc.Series, gc.Series = nil, nil // wall-clock times
+			if !reflect.DeepEqual(wc, gc) || len(w.Checkpoint.Series) != len(g.Checkpoint.Series) {
+				t.Fatalf("record %d: checkpoint differs: tuner issued/completed/failed %d/%d/%d with a %d-byte image, manager %d/%d/%d with %d",
+					i, wc.Issued, wc.Completed, wc.Failed, len(wc.Sched), gc.Issued, gc.Completed, gc.Failed, len(gc.Sched))
+			}
 		default:
 			t.Fatalf("record %d: tuner and manager journaled different record kinds: %+v vs %+v", i, w, g)
 		}

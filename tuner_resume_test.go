@@ -146,7 +146,8 @@ func TestRefusedResumeLeavesTornJournalAlone(t *testing.T) {
 		t.Fatalf("the cut journal: %v, %+v", err, rec)
 	}
 	// The same records under a meta that passes the identity check and a
-	// first issue no scheduler of this seed makes.
+	// first issue no scheduler of this seed makes — less the checkpoint,
+	// which a resume would restore instead of replaying that issue.
 	var edited bytes.Buffer
 	j, err := state.NewWriter(&edited, rec.Meta)
 	if err != nil {
@@ -154,6 +155,9 @@ func TestRefusedResumeLeavesTornJournalAlone(t *testing.T) {
 	}
 	rec.Records[0].Issue.Target++
 	for _, r := range rec.Records {
+		if r.Checkpoint != nil {
+			continue
+		}
 		if err := j.Append(r); err != nil {
 			t.Fatal(err)
 		}
@@ -190,6 +194,40 @@ func TestRefusedResumeLeavesTornJournalAlone(t *testing.T) {
 	}
 	if got, err := state.Recover(image); err != nil || got.Truncated || len(got.Records) <= len(rec.Records) {
 		t.Errorf("the resumed journal: %v, %+v", err, got)
+	}
+}
+
+// A resume under another η, or over a space with the same parameter
+// names and other bounds, passes the journal's identity check — same
+// seed, same algorithm type, same names — and is refused by the
+// checkpoint it would restore from, naming what differs, with the
+// journal left as it was.
+func TestResumeRefusesAnotherConfiguration(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := resumeTuner(dir, 300).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, tunerJournalName)
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrower := NewSpace(LogUniform("lr", 1e-4, 1), Uniform("momentum", 0, 1), Choice("batch", 32, 64, 128), Int("layers", 1, 4))
+	for name, c := range map[string]struct {
+		space *Space
+		algo  Algorithm
+		want  string
+	}{
+		"eta":   {testSpace(), ASHA{Eta: 3, MinResource: 1, MaxResource: 256}, "taken with eta 4, this asha scheduler has eta 3"},
+		"space": {narrower, ASHA{Eta: 4, MinResource: 1, MaxResource: 256}, "taken over another search space"},
+	} {
+		other := New(c.space, resumeObjective, c.algo, WithWorkers(1), WithSeed(21), WithMaxJobs(400), WithStateDir(dir))
+		if _, err := other.Resume(context.Background()); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Resume returned %v, want a refusal holding %q", name, err, c.want)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, image) {
+			t.Fatalf("%s: the refused journal changed: %d bytes, was %d (%v)", name, len(got), len(image), err)
+		}
 	}
 }
 
@@ -352,7 +390,7 @@ func TestResumeRefusesForeignJournalAndLeavesItAlone(t *testing.T) {
 	check := func(t *testing.T, err error, path string) {
 		t.Helper()
 		if !errors.Is(err, state.ErrFormat) || !strings.Contains(err.Error(), "format-1 (JSON-lines)") ||
-			!strings.Contains(err.Error(), "writes format 3") {
+			!strings.Contains(err.Error(), "writes format 4") {
 			t.Errorf("err = %v, want state.ErrFormat naming both formats", err)
 		}
 		if got, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(got, old) {
