@@ -285,18 +285,26 @@ func resumeLoop(tb testing.TB) func(n int) {
 }
 
 // resumeAllocBudget is what resuming one journaled job may allocate:
-// 0.079 measured over ten resumes of resumeJobs jobs — about 320 objects
-// a resume, for the tuner, its pool and engine, the journal's image, the
-// scheduler restored from the journal's last checkpoint (its trials' arena
-// slabs, one array per rung heap) and the tables that double as trials
-// arrive — plus slack for another Go release's maps and slices. It read
-// 0.112 while a resume replayed every record into the scheduler. A config
-// map per issue reads 2.13, a record per report 1.13, a pool record per
-// restored trial 0.86.
-const resumeAllocBudget = 0.2
+// 0.071 measured over ten resumes of resumeJobs jobs — about 280 objects
+// a resume, for the tuner, its pool and engine, the window the journal is
+// read through, the scheduler restored from the journal's last checkpoint
+// (its trials' arena slabs, one array per rung heap) and the tables that
+// double as trials arrive — plus slack for another Go release's maps and
+// slices. It read 0.112 while a resume replayed every record into the
+// scheduler, and 0.078 while each checkpoint decoded its names afresh. A config map per issue reads 2.13, a record per report 1.13,
+// a pool record per restored trial 0.86.
+//
+// resumeBytesBudget is what it may allocate in bytes: 338 measured, plus
+// 12%. It read 438 while a resume read the journal whole, into a buffer
+// as large as the file.
+const (
+	resumeAllocBudget = 0.2
+	resumeBytesBudget = 380
+)
 
 // TestResumeAllocsPerJob keeps Tuner.Resume from building anything per
-// journal record on its way to the scheduler.
+// journal record on its way to the scheduler, or holding the whole
+// journal at once.
 func TestResumeAllocsPerJob(t *testing.T) {
 	const resumes = 10
 	if raceEnabled {
@@ -309,9 +317,13 @@ func TestResumeAllocsPerJob(t *testing.T) {
 	loop(resumes)
 	runtime.ReadMemStats(&after)
 	perJob := float64(after.Mallocs-before.Mallocs) / (resumes * resumeJobs)
-	t.Logf("%.4f allocs/job", perJob)
+	bytesPerJob := float64(after.TotalAlloc-before.TotalAlloc) / (resumes * resumeJobs)
+	t.Logf("%.4f allocs/job, %.0f B/job", perJob, bytesPerJob)
 	if perJob > resumeAllocBudget {
 		t.Fatalf("a replayed job allocates %.4f objects, budget %.2f", perJob, resumeAllocBudget)
+	}
+	if bytesPerJob > resumeBytesBudget {
+		t.Fatalf("a replayed job allocates %.0f B, budget %d", bytesPerJob, resumeBytesBudget)
 	}
 }
 

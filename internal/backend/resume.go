@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -79,19 +80,22 @@ func Replay(rec *state.Recovered, sched core.Scheduler, opt Options) (*ResumeSta
 
 // ReplayScan is Replay of a journal as it is decoded: no record built,
 // one validating pass over the image when the scheduler can be
-// checkpointed and one over what follows the last checkpoint, a single
-// pass otherwise. It leaves s at its recovery point.
+// checkpointed and one from the last checkpoint on, a single pass
+// otherwise. It leaves s at its recovery point; a read that fails
+// (Scanner.Err) is its error.
 func ReplayScan(s *state.Scanner, sched core.Scheduler, opt Options) (*ResumeState, error) {
 	return newReplayer(sched, opt).run(&scanned{s: s, from: s.Mark()})
 }
 
 // records is a journal's body as the replayer reads it: the record, and
-// an issue's configuration when the record does not hold it itself.
+// an issue's configuration when the record does not hold it itself. Both
+// are valid until the next call of next.
 type records interface {
 	next() (r *state.Record, vals []float64, ok bool)
-	mark()      // remember the position just past the last record next returned
+	mark()      // remember the position just before the last record next returned, a checkpoint
 	rewind()    // return to the remembered position, the first record until mark
 	pos() int64 // the byte offset past the last record, when known
+	err() error // what stopped next short of the end
 }
 
 // scanned reads a journal image as it is decoded.
@@ -106,9 +110,10 @@ func (c *scanned) next() (*state.Record, []float64, bool) {
 	}
 	return &c.s.Rec, c.s.Vals, true
 }
-func (c *scanned) mark()      { c.from = c.s.Mark() }
+func (c *scanned) mark()      { c.from = c.s.Back() }
 func (c *scanned) rewind()    { c.s.Seek(c.from) }
 func (c *scanned) pos() int64 { return c.s.CleanOffset }
+func (c *scanned) err() error { return c.s.Err() }
 
 // collected reads records already collected; their offsets are unknown.
 type collected struct {
@@ -123,9 +128,10 @@ func (c *collected) next() (*state.Record, []float64, bool) {
 	c.at++
 	return &c.recs[c.at-1], nil, true
 }
-func (c *collected) mark()      { c.from = c.at }
+func (c *collected) mark()      { c.from = c.at - 1 }
 func (c *collected) rewind()    { c.at = c.from }
 func (c *collected) pos() int64 { return 0 }
+func (c *collected) err() error { return nil }
 
 // replayer steps a journal's records through a scheduler, one at a time.
 type replayer struct {
@@ -148,15 +154,15 @@ func newReplayer(sched core.Scheduler, opt Options) *replayer {
 }
 
 // run replays recs. With a codec, a first pass notes every record's part
-// in the trial table and finds the last checkpoint; the scheduler and
-// lane are restored from it, and the records behind it are stepped. A
-// journal without one is stepped whole, as is any journal of a scheduler
-// without a codec — in a single pass.
+// in the trial table and finds the last checkpoint, remembering only
+// where it starts; the pass over, that checkpoint is read again, the
+// scheduler and lane are restored from it, and the records behind it are
+// stepped. A journal without one is stepped whole, as is any journal of a
+// scheduler without a codec — in a single pass.
 func (p *replayer) run(recs records) (*ResumeState, error) {
 	if p.rs.codec != nil {
-		var last *state.Checkpoint
-		var end int64 // the offset just past it
-		behind := 0   // the ordinal of the record after it
+		var end int64 // the offset just past the last checkpoint
+		behind := 0   // the ordinal of the record after it, 0 for none
 		for p.n = 0; ; p.n++ {
 			before := recs.pos()
 			r, _, ok := recs.next()
@@ -167,17 +173,23 @@ func (p *replayer) run(recs records) (*ResumeState, error) {
 				return nil, p.fail(err)
 			}
 			if r.Checkpoint != nil {
-				last, end, behind, p.rs.pace.size = r.Checkpoint, recs.pos(), p.n+1, recs.pos()-before
+				end, behind, p.rs.pace.size = recs.pos(), p.n+1, recs.pos()-before
 				recs.mark()
 			}
 		}
+		if err := recs.err(); err != nil {
+			return nil, p.fail(err)
+		}
 		p.rs.pace.since, p.n = recs.pos()-end, behind
-		if last != nil {
-			if err := p.restore(last); err != nil {
+		if recs.rewind(); behind > 0 {
+			r, _, ok := recs.next()
+			if !ok || r.Checkpoint == nil {
+				return nil, p.fail(cmp.Or(recs.err(), errors.New("the last checkpoint is not where the first pass found it")))
+			}
+			if err := p.restore(r.Checkpoint); err != nil {
 				return nil, err
 			}
 		}
-		recs.rewind()
 	}
 	for ; ; p.n++ {
 		r, vals, ok := recs.next()
@@ -187,6 +199,9 @@ func (p *replayer) run(recs records) (*ResumeState, error) {
 		if err := p.step(r, vals); err != nil {
 			return nil, p.fail(err)
 		}
+	}
+	if err := recs.err(); err != nil {
+		return nil, p.fail(err)
 	}
 	return p.finish(), nil
 }
@@ -230,10 +245,14 @@ func (p *replayer) step(r *state.Record, vals []float64) error {
 	return nil
 }
 
-// issued marks a trial issued in the trial table.
+// issued marks a trial issued in the trial table, which grows by
+// doubling, in one step.
 func (p *replayer) issued(trial int) {
-	for len(p.table) <= trial {
-		p.table = append(p.table, state.TrialSnap{Trial: -1})
+	if n := len(p.table); trial >= n {
+		p.table = append(p.table, make([]state.TrialSnap, max(trial+1, 2*n)-n)...)
+		for ; n < len(p.table); n++ {
+			p.table[n].Trial = -1
+		}
 	}
 	p.table[trial].Trial = trial
 }

@@ -214,26 +214,33 @@ func TestSchedulersWithoutACodec(t *testing.T) {
 }
 
 // A popped retry slot holds no configuration: the queue's consumed prefix
-// pins nothing.
+// pins nothing, in every scheduler that retries from one.
 func TestRetryQueueReleasesPoppedJobs(t *testing.T) {
 	space := invariantSpace()
 	r := NewRandomSearch(RandomSearchConfig{Space: space, RNG: xrand.New(1), MaxResource: 4})
-	var jobs []Job
-	for i := 0; i < 3; i++ {
-		job, _ := r.Next()
-		jobs = append(jobs, job)
-	}
-	for _, j := range jobs {
-		r.Report(Result{TrialID: j.TrialID, Config: j.Config, Failed: true})
-	}
-	if job, ok := r.Next(); !ok || job.TrialID != jobs[0].TrialID || !job.Config.Equal(jobs[0].Config) {
-		t.Fatalf("first retry %+v, want trial %d's job again", job, jobs[0].TrialID)
-	}
-	if held := r.retry.jobs[0]; !held.Config.IsZero() {
-		t.Fatalf("the popped slot still holds trial %d's configuration %v", held.TrialID, held.Config)
-	}
-	if len(r.retry.queued()) != 2 {
-		t.Fatalf("%d retries queued, want 2", len(r.retry.queued()))
+	v := NewVizier(VizierConfig{Space: space, RNG: xrand.New(1), MaxResource: 4})
+	f := NewFabolas(FabolasConfig{Space: space, RNG: xrand.New(1), MaxResource: 4})
+	for name, tc := range map[string]struct {
+		sched Scheduler
+		retry *retryQueue
+	}{"random": {r, &r.retry}, "vizier": {v, &v.retry}, "fabolas": {f, &f.retry}} {
+		var jobs []Job
+		for i := 0; i < 3; i++ {
+			job, _ := tc.sched.Next()
+			jobs = append(jobs, job)
+		}
+		for _, j := range jobs {
+			tc.sched.Report(Result{TrialID: j.TrialID, Config: j.Config, Failed: true})
+		}
+		if job, ok := tc.sched.Next(); !ok || job.TrialID != jobs[0].TrialID || !job.Config.Equal(jobs[0].Config) {
+			t.Fatalf("%s: first retry %+v, want trial %d's job again", name, job, jobs[0].TrialID)
+		}
+		if held := tc.retry.jobs[0]; !held.Config.IsZero() {
+			t.Fatalf("%s: the popped slot still holds trial %d's configuration %v", name, held.TrialID, held.Config)
+		}
+		if len(tc.retry.queued()) != 2 {
+			t.Fatalf("%s: %d retries queued, want 2", name, len(tc.retry.queued()))
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ type Fabolas struct {
 	gp     *bayesopt.GP
 	obs    []fabObs
 	trials map[int]fabObs
-	retry  []Job
+	retry  retryQueue
 	nextID int
 	// incumbent by predicted full-fidelity loss.
 	incBest   Best
@@ -104,9 +104,7 @@ func (f *Fabolas) encode(cfg searchspace.Config, fidelity float64) []float64 {
 
 // Next proposes the next (config, fidelity) probe.
 func (f *Fabolas) Next() (Job, bool) {
-	if len(f.retry) > 0 {
-		job := f.retry[0]
-		f.retry = f.retry[1:]
+	if job, ok := f.retry.pop(); ok {
 		return job, true
 	}
 	var cfg searchspace.Config
@@ -229,7 +227,7 @@ func (f *Fabolas) Report(res Result) {
 		return
 	}
 	if res.Failed {
-		f.retry = append(f.retry, Job{
+		f.retry.push(Job{
 			TrialID:        res.TrialID,
 			Config:         ob.cfg,
 			Rung:           0,

@@ -53,7 +53,7 @@ type Vizier struct {
 	pending []int
 	obsX    [][]float64
 	obsY    []float64
-	retry   []Job
+	retry   retryQueue
 	nextID  int
 	inc     incumbent
 }
@@ -91,9 +91,7 @@ func NewVizier(cfg VizierConfig) *Vizier {
 // the current posterior (with constant liars standing in for pending
 // jobs) and trains it to the full resource.
 func (v *Vizier) Next() (Job, bool) {
-	if len(v.retry) > 0 {
-		job := v.retry[0]
-		v.retry = v.retry[1:]
+	if job, ok := v.retry.pop(); ok {
 		return job, true
 	}
 	var cfg searchspace.Config
@@ -259,7 +257,7 @@ func median(y []float64) float64 {
 func (v *Vizier) Report(res Result) {
 	if res.Failed {
 		// The trial stays pending: its retry is the same evaluation.
-		v.retry = append(v.retry, Job{
+		v.retry.push(Job{
 			TrialID:        res.TrialID,
 			Config:         v.trials[res.TrialID],
 			Rung:           0,

@@ -241,10 +241,26 @@ func (s *Scanner) upto(max int) int {
 }
 
 // strings reads a count and that many strings. The count is not trusted
-// with an allocation: a lie runs the cursor off the frame first.
-func (s *Scanner) strings() (ss []string) {
+// with an allocation: a lie runs the cursor off the frame first. While
+// the strings read are known's, it returns known's own and allocates
+// nothing: a checkpoint names its in-flight jobs' parameters, the head's,
+// and decoding them afresh cost a few objects for every checkpoint that
+// had a job out when it was written, which the timing of the run decides.
+func (s *Scanner) strings(known []string) (ss []string) {
+	i := 0
 	for n := s.r.Int(); n > 0 && s.r.Err() == nil; n-- {
-		ss = append(ss, s.r.String())
+		b := s.r.Bytes()
+		switch {
+		case ss == nil && i < len(known) && string(b) == known[i]:
+		case ss == nil:
+			ss = append(slices.Clone(known[:i]), string(b))
+		default:
+			ss = append(ss, string(b))
+		}
+		i++
+	}
+	if ss == nil && i > 0 {
+		return known[:i:i]
 	}
 	return ss
 }
@@ -252,7 +268,7 @@ func (s *Scanner) strings() (ss []string) {
 // readNames reads a names frame: the table later issue vectors follow.
 func (s *Scanner) readNames() {
 	was := len(s.names)
-	if s.names = s.strings(); was+len(s.names) == 0 {
+	if s.names = s.strings(nil); was+len(s.names) == 0 {
 		s.r.Failf("state: names frame declares no names over none") // the encoder never does
 	}
 	sorted := slices.Clone(s.names)
@@ -282,8 +298,8 @@ func (s *Scanner) readReport() {
 }
 
 // readSnapshot reads a snap frame. Checkpoints alias the cursor's buffer:
-// Scan hands it a copy, so that what keeps one never pins the journal
-// image.
+// Scan hands it a copy, so that what keeps one outlives the scanner's
+// window and never pins the journal image.
 func (s *Scanner) readSnapshot() {
 	r := &s.r
 	s.snap = Snapshot{Issued: r.Int(), Completed: r.Int(), Failed: r.Int(), Final: s.upto(1) == 1, Trials: s.snap.Trials[:0]}
@@ -299,7 +315,7 @@ func (s *Scanner) readSnapshot() {
 }
 
 // readCheckpoint reads a checkpoint frame into fields the scanner reuses;
-// the scheduler image aliases the journal image.
+// the scheduler image aliases the frame where it lies.
 func (s *Scanner) readCheckpoint() {
 	r, c := &s.r, &s.ckpt
 	c.Issued, c.Completed, c.Failed, c.RungCompleted = r.Int(), r.Int(), r.Int(), c.RungCompleted[:0]
@@ -310,7 +326,7 @@ func (s *Scanner) readCheckpoint() {
 	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
 		c.Series = append(c.Series, metrics.Point{Time: r.Float64(), ValLoss: r.Float64(), TestLoss: r.Float64()})
 	}
-	c.Names, c.InFlight, s.ckptVals = s.strings(), c.InFlight[:0], s.ckptVals[:0]
+	c.Names, c.InFlight, s.ckptVals = s.strings(s.Meta.Params), c.InFlight[:0], s.ckptVals[:0]
 	for n := r.Int(); n > 0 && r.Err() == nil; n-- {
 		p := Pending{Trial: r.Int(), Rung: r.Int(), Inherit: r.Int() - 1, Target: r.Float64()}
 		at := len(s.ckptVals)

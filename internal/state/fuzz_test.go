@@ -6,8 +6,9 @@ package state
 // input; the prefix up to it must recover to the same records with no
 // truncation; re-appending those records must reproduce that prefix
 // byte for byte — the encoding is canonical; and a Scanner drained over
-// the same bytes must stream the same records to the same recovery
-// point, so the collected view cannot drift from the streamed one.
+// the same bytes, in memory or through a window of any size, must stream
+// the same records to the same recovery point, so the collected view
+// cannot drift from the streamed one.
 //
 // FuzzRecover mutates whole images. FuzzRecordFrame seals its inputs as
 // frames with a correct length and checksum behind a valid head, so the
@@ -187,6 +188,11 @@ func checkRecover(t *testing.T, data []byte) *Recovered {
 		if !errors.Is(err, ErrNoMeta) && !errors.Is(err, ErrFormat) {
 			t.Fatalf("Recover returned unexpected error %v", err)
 		}
+		for _, window := range []int{1, 7, 64} {
+			if _, werr := ScanWindow(bytes.NewReader(data), int64(len(data)), window); fmt.Sprint(werr) != fmt.Sprint(err) {
+				t.Fatalf("through a %d-byte window the image is refused with %v, not %v", window, werr, err)
+			}
+		}
 		return nil
 	}
 	if rec.CleanOffset < int64(len(magic)) || rec.CleanOffset > int64(len(data)) {
@@ -229,39 +235,69 @@ func checkRecover(t *testing.T, data []byte) *Recovered {
 // checkScan asserts that a Scanner streams what Recover collected from
 // the same image: as many records, which appended again as they are
 // scanned — an issue from its value vector — give the committed prefix
-// byte for byte, up to the same recovery point.
+// byte for byte, up to the same recovery point, and any but an issue
+// again after a Seek to where Back says it starts. So does a scanner that
+// reads the image through a window, a byte of it to the largest frame:
+// where the window's edges fall never changes what is read.
 func checkScan(t *testing.T, data []byte, rec *Recovered) {
 	t.Helper()
 	s, err := NewScanner(data)
 	if err != nil {
 		t.Fatalf("NewScanner refuses what Recover read: %v", err)
 	}
-	var buf bytes.Buffer
-	j, err := NewWriter(&buf, s.Meta)
-	if err != nil {
-		t.Fatalf("re-encoding scanned meta: %v", err)
-	}
-	n := 0
-	for ; s.Scan(); n++ {
-		if is := s.Rec.Issue; is != nil {
-			err = j.AppendIssue(*is, s.Vals)
-		} else {
-			err = j.Append(s.Rec)
+	scans := map[string]*Scanner{"in memory": s}
+	for _, window := range windows(data[:rec.CleanOffset]) {
+		if s, err = ScanWindow(bytes.NewReader(data), int64(len(data)), window); err != nil {
+			t.Fatalf("through a %d-byte window the image is refused: %v", window, err)
 		}
+		scans[fmt.Sprintf("through a %d-byte window", window)] = s
+	}
+	for name, s := range scans {
+		var buf bytes.Buffer
+		j, err := NewWriter(&buf, s.Meta)
 		if err != nil {
-			t.Fatalf("re-encoding scanned record %d: %v", n, err)
+			t.Fatalf("%s: re-encoding scanned meta: %v", name, err)
+		}
+		n := 0
+		for ; s.Scan(); n++ {
+			if at := s.CleanOffset; s.Rec.Issue == nil {
+				// Read again from where Back says it starts, the record is the same.
+				if s.Seek(s.Back()); !s.Scan() || s.CleanOffset != at {
+					t.Fatalf("%s: record %d read again from Back ends at %d, not %d", name, n, s.CleanOffset, at)
+				}
+			}
+			if is := s.Rec.Issue; is != nil {
+				err = j.AppendIssue(*is, s.Vals)
+			} else {
+				err = j.Append(s.Rec)
+			}
+			if err != nil {
+				t.Fatalf("%s: re-encoding scanned record %d: %v", name, n, err)
+			}
+		}
+		if s.Scan() || s.Err() != nil {
+			t.Fatalf("%s: Scan went on behind the recovery point, or failed: %v", name, s.Err())
+		}
+		if n != len(rec.Records) || s.CleanOffset != rec.CleanOffset || s.Truncated != rec.Truncated {
+			t.Fatalf("%s: scanned %d records to offset %d (truncated %v), Recover collected %d to %d (%v)",
+				name, n, s.CleanOffset, s.Truncated, len(rec.Records), rec.CleanOffset, rec.Truncated)
+		}
+		if !bytes.Equal(buf.Bytes(), data[:rec.CleanOffset]) {
+			t.Fatalf("%s: re-appending %d scanned records gives\n %x\nnot the committed prefix\n %x", name, n, buf.Bytes(), data[:rec.CleanOffset])
 		}
 	}
-	if s.Scan() {
-		t.Fatal("Scan went on behind the recovery point")
+}
+
+// windows are the window sizes checkScan reads an image through: a byte,
+// a few, more, and the largest frame of its committed prefix, clean.
+func windows(clean []byte) []int {
+	largest := 0
+	for off := len(magic); off < len(clean); {
+		body, _ := frameAt(clean, off)
+		largest = max(largest, frameHeader+len(body))
+		off += frameHeader + len(body)
 	}
-	if n != len(rec.Records) || s.CleanOffset != rec.CleanOffset || s.Truncated != rec.Truncated {
-		t.Fatalf("scanned %d records to offset %d (truncated %v), Recover collected %d to %d (%v)",
-			n, s.CleanOffset, s.Truncated, len(rec.Records), rec.CleanOffset, rec.Truncated)
-	}
-	if !bytes.Equal(buf.Bytes(), data[:rec.CleanOffset]) {
-		t.Fatalf("re-appending %d scanned records gives\n %x\nnot the committed prefix\n %x", n, buf.Bytes(), data[:rec.CleanOffset])
-	}
+	return []int{1, 7, 64, largest}
 }
 
 func FuzzRecover(f *testing.F) {

@@ -2,8 +2,11 @@ package state
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 
@@ -63,15 +66,20 @@ type Recovered struct {
 // record that never committed corresponds to an action (launch or
 // scheduler report) that never happened.
 //
+// A file's image is read through a window (ScanFile): a frame is decoded
+// where it lies in it, and the next Scan may read over it.
+//
 // A Scanner never panics on arbitrary input (fuzz_test.go).
 type Scanner struct {
 	// Meta is the head record.
 	Meta Meta
 	// Rec is the record the last Scan decoded. Its payload is the
-	// scanner's until the next Scan, with two things to know: an issue's
-	// Config is nil, its values being Vals, one per name of its Names;
-	// and a snapshot's Trials is reused, while the checkpoints in it
-	// alias a copy of their frame and may be kept.
+	// scanner's until the next Scan, with three things to know: an
+	// issue's Config is nil, its values being Vals, one per name of its
+	// Names; a snapshot's Trials is reused, while the checkpoints in it
+	// alias a copy of their frame and may be kept; and a checkpoint's
+	// Sched aliases the frame where it lies, which nothing may keep past
+	// the next Scan.
 	Rec  Record
 	Vals []float64
 	// CleanOffset is the byte offset just past Rec; Truncated, set when
@@ -80,12 +88,19 @@ type Scanner struct {
 	CleanOffset int64
 	Truncated   bool
 
-	path  string // of the file the image was read from (ScanFile)
-	data  []byte
-	off   int // just past the last frame read
-	n     int // records committed so far, the head among them
-	r     wire.Reader
-	names []string // the table the last names frame declared
+	path   string      // of the file ScanFile opened, for Reopen
+	f      *os.File    // that file, until Close
+	src    io.ReaderAt // what the window is read from; nil for an image in memory
+	err    error       // the read that failed, which ends the scan for good
+	size   int         // the image's bytes, as of when the scanner was made
+	win    []byte      // the bytes at base: the whole image, or a window on it
+	base   int
+	window int // the bytes a read fills the window with, at most
+	off    int // just past the last frame read
+	start  int // where the record Scan last returned starts
+	n      int // records committed so far, the head among them
+	r      wire.Reader
+	names  []string // the table the last names frame declared
 
 	issue    Issue
 	report   Report
@@ -104,6 +119,11 @@ type Mark struct {
 // the head before the first Scan.
 func (s *Scanner) Mark() Mark { return Mark{off: int(s.CleanOffset), n: s.n, names: s.names} }
 
+// Back returns the position just before the record Scan last returned,
+// where Seek goes to read it again — unless it is an issue, whose names
+// frame, when it has one, that position would pass over.
+func (s *Scanner) Back() Mark { return Mark{off: s.start, n: s.n - 1, names: s.names} }
+
 // Seek returns the scanner to m: Scan goes on to return the records it
 // returned from m before, up to the same recovery point.
 func (s *Scanner) Seek(m Mark) {
@@ -114,29 +134,90 @@ func (s *Scanner) Seek(m Mark) {
 // NewScanner reads the head of a journal image. Its errors are ErrFormat
 // and, when not even the head record committed, ErrNoMeta.
 func NewScanner(data []byte) (*Scanner, error) {
-	if err := checkMagic(data); err != nil {
+	return (&Scanner{win: data, size: len(data)}).head()
+}
+
+// windowSize is what a file-backed scanner reads at a time.
+const windowSize = 256 << 10
+
+// head reads the magic and the head record.
+func (s *Scanner) head() (*Scanner, error) {
+	m := min(s.size, len(magic))
+	if len(s.win) < m && !s.fill(0, m) {
+		return nil, s.err
+	}
+	if err := checkMagic(s.win[:m]); err != nil {
 		return nil, err
 	}
-	body, ok := frameAt(data, len(magic))
+	s.off = len(magic)
+	body, ok := s.frame()
+	if s.err != nil {
+		return nil, s.err
+	}
 	if !ok || body[0] != typeMeta {
 		return nil, ErrNoMeta
 	}
-	s := &Scanner{data: data, n: 1}
+	s.n = 1
 	s.r.Reset(body[1:])
-	s.Meta = Meta{Experiment: s.r.String(), Algo: s.r.String(), Seed: s.r.Uvarint(), Params: s.strings()}
+	s.Meta = Meta{Experiment: s.r.String(), Algo: s.r.String(), Seed: s.r.Uvarint(), Params: s.strings(nil)}
 	if s.r.ExpectEOF(); s.r.Err() != nil {
 		return nil, ErrNoMeta
 	}
-	s.off = len(magic) + frameHeader + len(body)
+	s.off += frameHeader + len(body)
 	s.CleanOffset = int64(s.off)
 	return s, nil
 }
 
+// fill reads the n bytes at off, and what follows them, into the window
+// of a file-backed scanner, over what it held: false when the image ends
+// before them or the read fails (err). A failed read leaves the window
+// empty, so that every later frame fails too.
+func (s *Scanner) fill(off, n int) bool {
+	if off+n > s.size || s.err != nil {
+		return false
+	}
+	if cap(s.win) < n {
+		s.win = make([]byte, max(min(s.window, s.size), n))
+	}
+	s.win = s.win[:min(cap(s.win), s.size-off)]
+	if k, err := s.src.ReadAt(s.win, int64(off)); k < len(s.win) {
+		s.win, s.err = s.win[:0], fmt.Errorf("state: read journal at offset %d: %w", off+k, cmp.Or(err, io.ErrUnexpectedEOF))
+		return false
+	}
+	s.base = off
+	return true
+}
+
+// frame is frameAt of the frame at off, read into the window when it is
+// not all there.
+func (s *Scanner) frame() ([]byte, bool) {
+	i := s.off - s.base
+	if i < 0 || i+frameHeader > len(s.win) {
+		if !s.fill(s.off, frameHeader) {
+			return nil, false
+		}
+		i = 0
+	}
+	length := binary.LittleEndian.Uint32(s.win[i:])
+	if length > MaxFrame {
+		return nil, false
+	}
+	n := frameHeader + int(length)
+	if i+n > len(s.win) {
+		if !s.fill(s.off, n) {
+			return nil, false
+		}
+		i = 0
+	}
+	return frameAt(s.win[i:i+n], 0)
+}
+
 // Scan decodes the next committed record into Rec, or returns false at
-// the recovery point.
+// the recovery point — or where a read failed (Err).
 func (s *Scanner) Scan() bool {
+	start := s.off
 	for tabled := false; ; { // tabled: a names frame was read and its issue not yet
-		body, ok := frameAt(s.data, s.off)
+		body, ok := s.frame()
 		if !ok {
 			break
 		}
@@ -163,14 +244,18 @@ func (s *Scanner) Scan() bool {
 			break
 		}
 		if tabled = body[0] == typeNames; !tabled {
-			s.CleanOffset, s.n = int64(s.off), s.n+1
+			s.CleanOffset, s.n, s.start = int64(s.off), s.n+1, start
 			return true
 		}
 	}
-	s.off = len(s.data) // nothing behind the recovery point is a frame
-	s.Truncated = s.CleanOffset != int64(len(s.data))
+	s.off = s.size // nothing behind the recovery point is a frame
+	s.Truncated = s.err == nil && s.CleanOffset != int64(s.size)
 	return false
 }
+
+// Err returns the read that failed, which stopped Scan short of the
+// recovery point; nil for an image in memory.
+func (s *Scanner) Err() error { return s.err }
 
 // collect scans to the recovery point and returns every record as a
 // value of its own. Issue and Report payloads are carved from slabs:
@@ -179,7 +264,7 @@ func (s *Scanner) collect() *Recovered {
 	// Sized not to regrow: the leanest run's records — two parameters
 	// (issue 39 bytes, report 45) and a bare number for a checkpoint (its
 	// snapshot entry ~25 a job) — average 60 bytes; wider ones only fewer.
-	rec := &Recovered{Meta: s.Meta, Records: make([]Record, 0, len(s.data)/56)}
+	rec := &Recovered{Meta: s.Meta, Records: make([]Record, 0, s.size/56)}
 	var issues []Issue
 	var reports []Report
 	for s.Scan() {
@@ -225,26 +310,49 @@ func Recover(data []byte) (*Recovered, error) {
 	return s.collect(), nil
 }
 
-// ScanFile reads the journal at path and returns a scanner over it.
+// ScanFile opens the journal at path and returns a scanner over the bytes
+// it holds, read through a window: windowSize bytes, or one frame when
+// that is larger, refilled from the frame the scan has reached. A read
+// that fails short of them is an error — ScanFile's, or Err's once Scan
+// stops — never a torn tail. Reopen or Close releases the file.
 func ScanFile(path string) (*Scanner, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("state: read journal: %w", err)
 	}
-	s, err := NewScanner(data)
+	info, err := f.Stat()
+	var s *Scanner
+	if err == nil {
+		s, err = (&Scanner{src: f, size: int(info.Size()), window: windowSize}).head()
+	}
 	if err != nil {
+		_ = f.Close()
 		return nil, fmt.Errorf("state: %s: %w", path, err)
 	}
-	s.path = path
+	s.path, s.f = path, f
 	return s, nil
 }
 
-// Reopen scans what is left of the image ScanFile read, truncates any
-// torn tail so the file ends exactly at the recovery point, and reopens
-// it for appending. The file is not touched before: whoever refuses the
-// journal for what its records say leaves it as it was.
+// Close releases the file ScanFile opened, if Reopen has not; a read after
+// it fails.
+func (s *Scanner) Close() error {
+	f := s.f
+	if s.f = nil; f == nil {
+		return nil
+	}
+	return f.Close()
+}
+
+// Reopen scans what is left of the file ScanFile opened, closes it,
+// truncates any torn tail so the file ends exactly at the recovery point,
+// and reopens it for appending. The file is not touched before: whoever
+// refuses the journal for what its records say leaves it as it was, and
+// so does a failed read, which is no torn tail.
 func (s *Scanner) Reopen() (*Journal, error) {
 	for s.Scan() {
+	}
+	if err := cmp.Or(s.err, s.Close()); err != nil {
+		return nil, err
 	}
 	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {

@@ -27,7 +27,12 @@
 //     in the log.
 //
 // Recovery (a Scanner, which a resume reads records off one at a time;
-// Recover / RecoverFile collect what it scans) stops at the first torn,
+// Recover / RecoverFile collect what it scans) reads a file through a
+// window of 256 KiB, or of its largest frame, never the whole file, and
+// decodes each record where it lies: nothing aliases the window past the
+// next Scan, and what a record keeps — a snapshot's trial checkpoints —
+// aliases a copy. A read that fails is an error, not a torn tail.
+// Recovery stops at the first torn,
 // checksum-failing or undecodable frame: a crash mid-write leaves a
 // truncated tail, which is a clean recovery point — everything before it
 // is replayable, everything after it never affected scheduler state (the
@@ -167,7 +172,8 @@ type Checkpoint struct {
 	Names    []string
 	InFlight []Pending
 	// Sched is the scheduler's image (core.StateCodec), the rest of the
-	// frame. A scanned one aliases the journal image.
+	// frame. A scanned one aliases the frame where the scanner read it,
+	// until its next Scan; a collected one is a copy.
 	Sched []byte
 }
 

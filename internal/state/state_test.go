@@ -351,6 +351,59 @@ func TestNamesTableFrames(t *testing.T) {
 	}
 }
 
+// A checkpoint lays its jobs in flight out against the head's parameters,
+// and decodes them into the head's own strings: a scan costs the same
+// whether the run had jobs out at its checkpoints, which its timing
+// decides. Names the head does not list decode as they were written.
+func TestCheckpointNamesAreTheHeads(t *testing.T) {
+	head := testMeta()
+	journal := func(names []string, checkpoints int) []byte {
+		var buf bytes.Buffer
+		j, err := NewWriter(&buf, head)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var scratch []byte
+		for i := 0; i < checkpoints; i++ {
+			c := &Checkpoint{Issued: i + 1, Sched: []byte("an image")}
+			if names != nil {
+				c.Names, c.InFlight = names, []Pending{{Trial: i, Target: 1, Inherit: -1, Vals: make([]float64, len(names))}}
+			}
+			if _, err := j.AppendCheckpoint(&scratch, c, nil, &Snapshot{Issued: i + 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	scanAllocs := func(data []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			s, err := NewScanner(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s.Scan() {
+			}
+		})
+	}
+	perCheckpoint := func(names []string) float64 {
+		return scanAllocs(journal(names, 32)) - scanAllocs(journal(names, 16))
+	}
+	if out, none := perCheckpoint(head.Params), perCheckpoint(nil); out != none {
+		t.Errorf("16 more checkpoints cost %v objects to scan with a job in flight each, %v with none", out, none)
+	}
+	for _, names := range [][]string{head.Params, {"lr"}, {"lr", "width"}, {"width"}, {"lr", "momentum", "width"}} {
+		rec, err := Recover(journal(names, 2))
+		if err != nil || len(rec.Records) != 4 {
+			t.Fatalf("names %q: recover: %v, %+v", names, err, rec)
+		}
+		for _, r := range rec.Records {
+			if c := r.Checkpoint; c != nil && !reflect.DeepEqual(c.Names, names) {
+				t.Errorf("a checkpoint written with names %q decoded with %q", names, c.Names)
+			}
+		}
+	}
+}
+
 func TestAppendRefusesWhatRecoverWould(t *testing.T) {
 	var buf bytes.Buffer
 	j, err := NewWriter(&buf, testMeta())

@@ -303,6 +303,7 @@ func openJournal(path string, meta state.Meta, resume bool, sched core.Scheduler
 			if err != nil {
 				return nil, nil, err
 			}
+			defer s.Close() // Reopen closes it; a refusal leaves it to this
 			if err := checkJournalMeta(s.Meta, meta); err != nil {
 				return nil, nil, err
 			}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -228,6 +229,63 @@ func TestResumeRefusesAnotherConfiguration(t *testing.T) {
 		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, image) {
 			t.Fatalf("%s: the refused journal changed: %d bytes, was %d (%v)", name, len(got), len(image), err)
 		}
+	}
+}
+
+// A resume opens its journal to read it, and one refused — for the run's
+// identity, for a record the scheduler does not reproduce, for a
+// checkpoint of another configuration — closes it again, as an accepted
+// one does.
+func TestRefusedResumesCloseTheJournal(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts the open files in /proc/self/fd")
+	}
+	ctx := context.Background()
+	ashaDir, hbDir := t.TempDir(), t.TempDir()
+	// The entries of /proc/self/fd open on a journal: other tests' servers
+	// may still be closing connections of their own.
+	openFiles := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, fd := range fds {
+			if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil &&
+				(strings.HasPrefix(target, ashaDir) || strings.HasPrefix(target, hbDir)) {
+				n++
+			}
+		}
+		return n
+	}
+	hyperband := func(eta int) *Tuner {
+		return New(testSpace(), resumeObjective, Hyperband{Eta: eta, MinResource: 1, MaxResource: 27, MaxBracket: -1},
+			WithWorkers(1), WithSeed(21), WithMaxJobs(100), WithStateDir(hbDir))
+	}
+	if _, err := resumeTuner(ashaDir, 100).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hyperband(3).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	refusals := []struct {
+		tuner *Tuner
+		want  string
+	}{
+		{resumeTuner(ashaDir, 100, WithSeed(99)), "seed"},
+		{hyperband(2), "divergence"},
+		{New(testSpace(), resumeObjective, ASHA{Eta: 3, MinResource: 1, MaxResource: 256},
+			WithWorkers(1), WithSeed(21), WithMaxJobs(100), WithStateDir(ashaDir)), "eta"},
+	}
+	before := openFiles()
+	for i := 0; i < 200; i++ {
+		c := refusals[i%len(refusals)]
+		if _, err := c.tuner.Resume(ctx); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("Resume returned %v, want a refusal naming the %s", err, c.want)
+		}
+	}
+	if after := openFiles(); after != before {
+		t.Fatalf("200 refused resumes leave %d files open, %d before", after, before)
 	}
 }
 
