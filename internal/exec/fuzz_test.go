@@ -15,7 +15,10 @@ package exec
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 func FuzzWireRequest(f *testing.F) {
@@ -89,6 +92,44 @@ func FuzzWireResponse(f *testing.F) {
 		}
 		if !bytes.Equal(blob, blob2) {
 			t.Fatalf("response encoding not stable:\n %s\n %s", blob, blob2)
+		}
+	})
+}
+
+// nearNumbers are what strconv.ParseFloat parses and JSON refuses.
+var nearNumbers = []string{"01", "00", "1.", "-.5", "1.e5", "-0."}
+
+// FuzzJSONNumber holds the bare-number checks to encoding/json: what
+// wire.JSONNumber accepts json.Valid accepts, and a value json.Valid
+// accepts that opens with a sign or digit and ends with a digit — a
+// number with no space around it — JSONNumber accepts too; wire.ValidJSON,
+// the journal's checkpoint check, is json.Valid; and on what the grammar
+// accepts, parseNumberState returns the bits json.Unmarshal gives, or
+// both refuse (beyond float64's range).
+func FuzzJSONNumber(f *testing.F) {
+	for _, s := range append(nearNumbers, "-0", "0e0", "1E+5", "1e400", " 1", "1 ", "\t-0.5\n", "", "0.30000000000000004", "-1.5e-07", `{"w":[1]}`) {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		valid, number := json.Valid(b), wire.JSONNumber(b)
+		switch {
+		case number && !valid:
+			t.Fatalf("%q: the number grammar accepts what json.Valid refuses", b)
+		case valid && !number && len(b) > 0 && (b[0] == '-' || b[0] >= '0' && b[0] <= '9') && b[len(b)-1] >= '0' && b[len(b)-1] <= '9':
+			t.Fatalf("%q: the number grammar refuses a number json.Valid accepts", b)
+		case wire.ValidJSON(b) != valid:
+			t.Fatalf("%q: ValidJSON says %v, json.Valid %v", b, !valid, valid)
+		case !number:
+			return
+		}
+		var want interface{}
+		err := json.Unmarshal(b, &want)
+		got, ok := parseNumberState(b)
+		if ok != (err == nil) {
+			t.Fatalf("%q: fast decode ok=%v, json.Unmarshal: %v", b, ok, err)
+		}
+		if ok && math.Float64bits(got) != math.Float64bits(want.(float64)) {
+			t.Fatalf("%q: fast decode %v, json.Unmarshal %v", b, got, want)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -100,6 +101,23 @@ func TestRunJobCheckpointBuffer(t *testing.T) {
 		state := append(json.RawMessage(nil), resp.State...)
 		if _, err := s.RunJob(context.Background(), obj, Request{Version: WireVersion, ID: 2, State: state}, buf[:0]); err != nil {
 			t.Fatalf("%v: resuming: %v", st.v, err)
+		}
+	}
+}
+
+// TestRunJobRefusesNearNumbers: a checkpoint strconv parses but JSON
+// refuses is refused with the error json.Unmarshal gives, never trained from.
+func TestRunJobRefusesNearNumbers(t *testing.T) {
+	var s Slot
+	obj := func(_ context.Context, _ map[string]float64, _, _ float64, state interface{}) (float64, interface{}, error) {
+		t.Errorf("objective resumed from %#v", state)
+		return 1, nil, nil
+	}
+	for _, raw := range nearNumbers {
+		var v interface{}
+		want := fmt.Sprintf("exec: worker failed to decode state: %v", json.Unmarshal([]byte(raw), &v))
+		if _, err := s.RunJob(context.Background(), obj, Request{Version: WireVersion, ID: 1, State: json.RawMessage(raw)}, nil); err == nil || err.Error() != want {
+			t.Errorf("%s: %v; want %s", raw, err, want)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // The subprocess wire protocol is JSON Lines over stdin/stdout: the
@@ -118,21 +119,14 @@ func (s *Slot) RunJob(ctx context.Context, obj Objective, req Request, ckpt []by
 // parseNumberState decodes a checkpoint that is a bare JSON number —
 // the common shape for synthetic objectives, and the dominant one on
 // the fleet benchmarks' per-job path — without the general JSON
-// scanner. Anything else falls back to json.Unmarshal. The character
-// screen keeps this a strict subset of the JSON number grammar:
-// strconv alone would also accept Go-literal extensions (hex floats,
-// digit-group underscores) a JSON peer must reject.
+// scanner. Anything else falls back to json.Unmarshal. It takes exactly
+// what the JSON number grammar takes: strconv alone would also accept
+// Go-literal forms (hex floats, digit-group underscores) and near-numbers
+// such as 01, 1. or -.5, all of which a JSON peer must refuse. On what
+// it takes, ParseFloat is the parse encoding/json makes, bit for bit.
 func parseNumberState(raw []byte) (float64, bool) {
-	if c := raw[0]; c != '-' && (c < '0' || c > '9') {
+	if !wire.JSONNumber(raw) {
 		return 0, false
-	}
-	for _, b := range raw {
-		switch {
-		case b >= '0' && b <= '9':
-		case b == '-' || b == '+' || b == '.' || b == 'e' || b == 'E':
-		default:
-			return 0, false
-		}
 	}
 	f, err := strconv.ParseFloat(string(raw), 64)
 	return f, err == nil

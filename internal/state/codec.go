@@ -25,7 +25,6 @@ package state
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -160,7 +159,7 @@ func (e *encoder) snapshot(s *Snapshot) {
 		e.floats(s.Time)
 		for i := range s.Trials {
 			t := &s.Trials[i]
-			if len(t.State) > 0 && !json.Valid(t.State) {
+			if len(t.State) > 0 && !wire.ValidJSON(t.State) {
 				e.failf("state: trial %d's checkpoint is not valid JSON", t.Trial)
 			}
 			e.ints(t.Trial)
@@ -306,7 +305,7 @@ func (s *Scanner) readSnapshot() {
 	n := r.Int()
 	for s.snap.Time = r.Float64(); n > 0 && r.Err() == nil; n-- {
 		t := TrialSnap{Trial: r.Int(), Resource: r.Float64(), State: r.Bytes()}
-		if t.State != nil && !json.Valid(t.State) {
+		if t.State != nil && !wire.ValidJSON(t.State) {
 			r.Failf("state: trial %d's checkpoint is not valid JSON", t.Trial)
 		}
 		s.snap.Trials = append(s.snap.Trials, t)

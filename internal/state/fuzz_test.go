@@ -30,6 +30,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -118,7 +119,7 @@ func hostileFrames() map[string][]byte {
 	// A checkpoint up to its scheduler image: counters, one rung, one
 	// series point, one name, one job.
 	ckpt := cat([]byte{typeCheckpoint, 1, 0, 0, 1, 0, 1}, fl(0.5, 1.5, 1.5), []byte{1, 2, 'l', 'r', 1, 0, 0, 0}, fl(1, 0.25))
-	return map[string][]byte{
+	frames := map[string][]byte{
 		"report":          cat([]byte{typeReport, 7, 1, 0}, losses),
 		"issue":           cat([]byte{typeIssue, 3, 1, 0, 2}, fl(16, 0.5)),
 		"snapshot":        cat(snap, []byte{1}, fl(2.5), []byte{0}, fl(4), []byte{7}, []byte(`{"x":1}`)),
@@ -141,7 +142,15 @@ func hostileFrames() map[string][]byte {
 		"checkpoint-bare": ckpt,
 		"ckpt-series-len": cat([]byte{typeCheckpoint, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}, fl(0.5, 1.5, 1.5)),
 	}
+	spell := strings.NewReplacer("-", "minus", ".", "dot") // no dot ends a file name
+	for _, near := range nearNumbers {
+		frames["checkpoint-"+spell.Replace(near)] = cat(snap, []byte{1}, fl(2.5), []byte{0}, fl(4), []byte{byte(len(near))}, []byte(near))
+	}
+	return frames
 }
+
+// nearNumbers are checkpoints strconv.ParseFloat parses and JSON refuses.
+var nearNumbers = []string{"01", "00", "1.", "-.5", "1.e5", "-0."}
 
 // hostileImages are whole-file seeds for FuzzRecover.
 func hostileImages() map[string][]byte {

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -388,7 +389,14 @@ func TestCheckpointNamesAreTheHeads(t *testing.T) {
 	perCheckpoint := func(names []string) float64 {
 		return scanAllocs(journal(names, 32)) - scanAllocs(journal(names, 16))
 	}
-	if out, none := perCheckpoint(head.Params), perCheckpoint(nil); out != none {
+	// The race build's runtime allocates differently, each count drifting
+	// by an object either way, so under it the two may differ by two: a
+	// job in flight costing objects of its own still shows.
+	slack := 0.0
+	if raceEnabled {
+		slack = 2
+	}
+	if out, none := perCheckpoint(head.Params), perCheckpoint(nil); math.Abs(out-none) > slack {
 		t.Errorf("16 more checkpoints cost %v objects to scan with a job in flight each, %v with none", out, none)
 	}
 	for _, names := range [][]string{head.Params, {"lr"}, {"lr", "width"}, {"width"}, {"lr", "momentum", "width"}} {
@@ -411,14 +419,18 @@ func TestAppendRefusesWhatRecoverWould(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := buf.Len()
-	for name, r := range map[string]Record{
+	cases := map[string]Record{
 		"negative trial":      {V: Version, Report: &Report{Trial: -1}},
 		"inherit below none":  {V: Version, Issue: &Issue{Inherit: -2}},
 		"unknown kind":        {V: Version, Issue: &Issue{Inherit: -1, Kind: "sideways"}},
 		"table mismatch":      {V: Version, Issue: &Issue{Inherit: -1, Names: []string{"a", "b"}, Config: map[string]float64{"a": 1, "c": 2}}},
 		"repeated name":       {V: Version, Issue: &Issue{Inherit: -1, Names: []string{"a", "a"}, Config: map[string]float64{"a": 1}}},
 		"checkpoint not JSON": {V: Version, Snap: &Snapshot{Trials: []TrialSnap{{State: json.RawMessage("{oops")}}}},
-	} {
+	}
+	for _, near := range nearNumbers {
+		cases["checkpoint "+near] = Record{V: Version, Snap: &Snapshot{Trials: []TrialSnap{{State: json.RawMessage(near)}}}}
+	}
+	for name, r := range cases {
 		if err := j.Append(r); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
@@ -808,5 +820,49 @@ func TestRecordValidate(t *testing.T) {
 		if err := c.rec.Validate(); (err == nil) != c.ok {
 			t.Errorf("case %d: Validate() = %v, want ok=%v", i, err, c.ok)
 		}
+	}
+}
+
+// BenchmarkScanSnapshots scans 64 snapshots of 64 trial checkpoints each:
+// JSON objects, which json.Valid checks, and bare numbers, which the
+// number grammar decides alone. It reports each case's cost a checkpoint.
+func BenchmarkScanSnapshots(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		state func(loss float64, step int) []byte
+	}{
+		{"object", func(loss float64, step int) []byte {
+			b := strconv.AppendFloat([]byte(`{"w":[`), loss, 'f', -1, 64)
+			return append(strconv.AppendInt(append(b, `,0.25],"step":`...), int64(step), 10), '}')
+		}},
+		{"number", func(loss float64, _ int) []byte { return strconv.AppendFloat(nil, loss, 'f', -1, 64) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			const snaps, trials = 64, 64
+			var buf bytes.Buffer
+			j, err := NewWriter(&buf, testMeta())
+			for s := 0; s < snaps && err == nil; s++ {
+				snap := Snapshot{Issued: (s + 1) * trials, Completed: (s + 1) * trials, Time: float64(s), Trials: make([]TrialSnap, trials)}
+				for i := range snap.Trials {
+					snap.Trials[i] = TrialSnap{Trial: i, Resource: float64(s + 1), State: c.state(1/float64(s*trials+i+3), s)}
+				}
+				err = j.AppendSnapshot(snap)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			data := buf.Bytes()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				sc, err := NewScanner(data)
+				for err == nil && sc.Scan() {
+				}
+				if err != nil || sc.Err() != nil || sc.Truncated {
+					b.Fatalf("scan: %v %v", err, sc.Err())
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*snaps*trials), "ns/checkpoint")
+		})
 	}
 }

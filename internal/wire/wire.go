@@ -6,10 +6,13 @@
 // never perturbed by a decimal representation — and byte strings are
 // length-prefixed. It is a leaf package: state sits below backend and
 // exec in the import graph, so the primitives cannot live in either.
+// For the same reason it holds the JSON number check both apply to a
+// trial's checkpoint.
 package wire
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 )
@@ -105,9 +108,14 @@ func (r *Reader) Byte() byte {
 
 // Uvarint reads one unsigned LEB128 varint. Only the shortest encoding
 // of a value is accepted, so every message has exactly one byte form.
+// A byte below 0x80 is a whole varint, and its value's only encoding.
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
+	}
+	if r.off < len(r.buf) && r.buf[r.off] < 0x80 {
+		r.off++
+		return uint64(r.buf[r.off-1])
 	}
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 || (n > 1 && r.buf[r.off+n-1] == 0) {
@@ -213,4 +221,50 @@ func (r *Reader) ExpectEOF() {
 	if r.err == nil && r.off != len(r.buf) {
 		r.Failf("wire: message has %d trailing bytes", len(r.buf)-r.off)
 	}
+}
+
+// ValidJSON reports whether b is valid JSON, exactly as json.Valid does,
+// deciding a bare number without the general scanner.
+func ValidJSON(b []byte) bool { return JSONNumber(b) || json.Valid(b) }
+
+// JSONNumber reports whether b is one JSON number (RFC 8259 §6) and
+// nothing else, no space around it:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
+// What it accepts, json.Valid accepts.
+func JSONNumber(b []byte) bool {
+	i, ok := 0, false
+	if len(b) > 0 && b[0] == '-' {
+		i = 1
+	}
+	switch {
+	case i == len(b) || b[i] < '0' || b[i] > '9':
+		return false
+	case b[i] == '0':
+		i++
+	default:
+		i, _ = digits(b, i)
+	}
+	if i < len(b) && b[i] == '.' {
+		if i, ok = digits(b, i+1); !ok {
+			return false
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if i, ok = digits(b, i); !ok {
+			return false
+		}
+	}
+	return i == len(b)
+}
+
+// digits skips the decimal digits from b[i], reporting whether it found one.
+func digits(b []byte, i int) (int, bool) {
+	at := i
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		i++
+	}
+	return i, i > at
 }

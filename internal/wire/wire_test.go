@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -38,6 +39,31 @@ func TestUvarintRefusesPadding(t *testing.T) {
 	}
 	if r := NewReader([]byte{0x00}); r.Uvarint() != 0 || r.Err() != nil {
 		t.Errorf("plain zero refused: %v", r.Err())
+	}
+	// Every first byte, alone at the end of the buffer or followed by a
+	// byte that ends, continues or pads it, reads as binary.Uvarint reads
+	// it less the padded forms; a latched error reads 0 where it stands.
+	for first := 0; first < 256; first++ {
+		for _, tail := range [][]byte{nil, {0x00}, {0x01}, {0x80}, {0x80, 0x01}} {
+			b := append([]byte{0x2a, byte(first)}, tail...)
+			want, n := binary.Uvarint(b[1:])
+			if n > 1 && b[n] == 0 {
+				n = 0
+			}
+			r := NewReader(b)
+			r.Byte()
+			got := r.Uvarint()
+			switch {
+			case n <= 0 && (got != 0 || r.Err() == nil || r.Remaining() != len(b)-1):
+				t.Errorf("% x: read %d, err %v, %d left; want refused where it stands", b[1:], got, r.Err(), r.Remaining())
+			case n > 0 && (got != want || r.Err() != nil || r.Remaining() != len(b)-1-n):
+				t.Errorf("% x: read %d, err %v, %d left; want %d, %d left", b[1:], got, r.Err(), r.Remaining(), want, len(b)-1-n)
+			}
+			r = NewReader(b[1:])
+			if r.Failf("latched"); r.Uvarint() != 0 || r.Remaining() != len(b)-1 {
+				t.Errorf("% x after an error: advanced to %d left", b[1:], r.Remaining())
+			}
+		}
 	}
 }
 
