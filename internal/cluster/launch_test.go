@@ -119,10 +119,10 @@ func BenchmarkSimLaunch(b *testing.B) {
 	}
 }
 
-// TestSimsShareBenchmarkConcurrently: the surfaces, their level tables
-// and the percentile index sit on the Benchmark every run shares, the
-// trial slab and config arena on each Sim. Four runs at once must be the
-// four runs one after another.
+// TestSimsShareBenchmarkConcurrently: the surfaces, their level tables,
+// the cost tables and the percentile index sit on the Benchmark every run
+// shares, the trial slab and config arena on each Sim. Four runs at once
+// must be the four runs one after another.
 func TestSimsShareBenchmarkConcurrently(t *testing.T) {
 	const runs, jobs = 4, 6_000
 	bench := workload.PTBLSTM()

@@ -19,10 +19,11 @@ import (
 // range is sparsely populated, and nearby configurations score similarly.
 type Surface struct {
 	dim     int
-	opt     []float64 // per-dimension optimum location in [0,1]
-	span    []float64 // per-dimension distance from opt to the far wall
-	weight  []float64 // per-dimension importance, sums to 1
-	power   []float64 // per-dimension well sharpness (>= 1)
+	opt     []float64  // per-dimension optimum location in [0,1]
+	span    []float64  // per-dimension distance from opt to the far wall
+	weight  []float64  // per-dimension importance, sums to 1
+	power   []float64  // per-dimension well sharpness (>= 1)
+	pow     []splitPow // power, split once for wellTerm
 	pairs   []pairTerm
 	rippleA float64
 	rippleF []float64
@@ -69,6 +70,7 @@ func NewSurface(rng *xrand.RNG, dim int) *Surface {
 	s.span = make([]float64, dim)
 	s.weight = make([]float64, dim)
 	s.power = make([]float64, dim)
+	s.pow = make([]splitPow, dim)
 	total := 0.0
 	for i := 0; i < dim; i++ {
 		s.opt[i] = rng.Uniform(0.15, 0.85)
@@ -80,6 +82,7 @@ func NewSurface(rng *xrand.RNG, dim int) *Surface {
 		s.weight[i] = w
 		total += w
 		s.power[i] = rng.Uniform(1.0, 2.5)
+		s.pow[i] = newSplitPow(s.power[i])
 	}
 	for i := range s.weight {
 		s.weight[i] /= total
@@ -110,8 +113,43 @@ func (s *Surface) Dim() int { return s.dim }
 // compiler fuses it into the sum: stored or computed, it is one float.
 func (s *Surface) wellTerm(i int, xi float64) float64 {
 	d := math.Abs(xi - s.opt[i])
-	well := 1 - math.Pow(d/s.span[i], s.power[i])
+	well := 1 - s.pow[i].at(d/s.span[i])
 	return float64(s.weight[i] * well)
+}
+
+// splitPow is math.Pow(x, p) for one p, split once as Pow splits it on
+// every call: p = k + f, f in (-1/2, 1/2]. For x in (2^-200, 1) and k <= 3
+// its products are Pow's, taken in Pow's order but off by an exact power
+// of two, so the result is the same float (DESIGN.md, "A simulated
+// trial"). Elsewhere it calls Pow.
+type splitPow struct {
+	p, f float64
+	k    int // -1: always math.Pow
+}
+
+func newSplitPow(p float64) splitPow {
+	k, f := math.Modf(p)
+	if f > 0.5 {
+		f, k = f-1, k+1
+	}
+	if !(p > 0) || p == 0.5 || f == 0 || k > 3 {
+		k = -1 // Pow special-cases 0.5; a NaN or Inf p lands here too
+	}
+	return splitPow{p: p, f: f, k: int(k)}
+}
+
+func (s splitPow) at(x float64) float64 {
+	if s.k < 0 || !(x > 0x1p-200 && x < 1) {
+		return math.Pow(x, s.p)
+	}
+	a := math.Exp(s.f * math.Log(x))
+	if s.k&1 != 0 {
+		a *= x
+	}
+	if s.k&2 != 0 {
+		a *= x * x
+	}
+	return float64(a) // never fused into the well's 1 - x^p
 }
 
 // rippleTerm is dimension i's ripple at xi.

@@ -184,3 +184,27 @@ func TestEveryLevelIsFound(t *testing.T) {
 		t.Fatal("found a level for an input outside the table")
 	}
 }
+
+// FuzzSurfacePow holds the split power to math.Pow bit for bit, for any
+// input and exponent; NaN matches NaN.
+func FuzzSurfacePow(f *testing.F) {
+	const tiny = 0x1p-200
+	xs := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 0x1p-1022,
+		math.Nextafter(tiny, 0), tiny, math.Nextafter(tiny, 1),
+		0.3, math.Nextafter(1, 0), 1, math.Nextafter(1, 2), math.Inf(1), math.NaN(),
+	}
+	for _, x := range xs {
+		for _, p := range []float64{1, 1.5, 2, 2.5, 3.7, 0.5, 0.3, 2.7, 3.3} {
+			f.Add(math.Float64bits(x), p)
+		}
+	}
+	f.Fuzz(func(t *testing.T, xbits uint64, p float64) {
+		x := math.Float64frombits(xbits)
+		got, want := newSplitPow(p).at(x), math.Pow(x, p)
+		if !sameBits(got, want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("x=%v (%#x) p=%v: split %v (%#x), math.Pow %v (%#x)",
+				x, xbits, p, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
+}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/searchspace"
@@ -96,19 +97,12 @@ func ArchParams() []string {
 // smallCNNCost models per-iteration compute: deeper and wider networks
 // with larger batches cost more per SGD iteration. The spread is
 // calibrated to Section 4.2's report for benchmark 2: mean time(R) of
-// 30 minutes with a standard deviation of 27 minutes. Parameter indices
-// are resolved once so the per-job cost lookup stays allocation- and
-// hash-free.
+// 30 minutes with a standard deviation of 27 minutes.
 func smallCNNCost(space *searchspace.Space) func(cfg searchspace.Config) float64 {
-	iLayers := space.IndexOf("# of layers")
-	iFilters := space.IndexOf("# of filters")
-	iBatch := space.IndexOf("batch size")
-	return func(cfg searchspace.Config) float64 {
-		layers := cfg.At(iLayers)
-		filters := cfg.At(iFilters)
-		batch := cfg.At(iBatch)
-		return (layers / 3) * math.Pow(filters/40, 1.6) * math.Pow(batch/256, 0.85)
-	}
+	layers := tabulated(space, "# of layers", func(l float64) float64 { return l / 3 })
+	filters := tabulated(space, "# of filters", func(f float64) float64 { return math.Pow(f/40, 1.6) })
+	batch := tabulated(space, "batch size", func(b float64) float64 { return math.Pow(b/256, 0.85) })
+	return func(cfg searchspace.Config) float64 { return layers(cfg) * filters(cfg) * batch(cfg) }
 }
 
 func smallCNN(name string, seed uint64, best, worst, hardness float64) *Benchmark {
@@ -168,13 +162,9 @@ func ptbDiverges(space *searchspace.Space) func(cfg searchspace.Config) bool {
 }
 
 func ptbCost(space *searchspace.Space) func(cfg searchspace.Config) float64 {
-	iHidden := space.IndexOf("# of hidden nodes")
-	iBatch := space.IndexOf("batch size")
-	return func(cfg searchspace.Config) float64 {
-		h := cfg.At(iHidden)
-		b := cfg.At(iBatch)
-		return math.Pow(h/850, 1.3) * math.Pow(45/b, 0.25)
-	}
+	hidden := tabulated(space, "# of hidden nodes", func(h float64) float64 { return math.Pow(h/850, 1.3) })
+	batch := tabulated(space, "batch size", func(b float64) float64 { return math.Pow(45/b, 0.25) })
+	return func(cfg searchspace.Config) float64 { return hidden(cfg) * batch(cfg) }
 }
 
 // PTBLSTM is the Section 4.3 large-scale benchmark: a one-layer LSTM on
@@ -219,12 +209,36 @@ func DropConnectSpace() *searchspace.Space {
 }
 
 func dropConnectCost(space *searchspace.Space) func(cfg searchspace.Config) float64 {
-	iBatch := space.IndexOf("batch size")
-	iSteps := space.IndexOf("time steps")
+	batch := tabulated(space, "batch size", func(b float64) float64 { return math.Pow(20/b, 0.5) })
+	steps := tabulated(space, "time steps", func(ts float64) float64 { return math.Pow(ts/70, 0.3) })
+	return func(cfg searchspace.Config) float64 { return batch(cfg) * steps(cfg) }
+}
+
+// tabulated is one factor of a built-in cost: fn of the named parameter's
+// value, read from a table of fn at the parameter's levels (levelValues)
+// when the value has a level's bits. The index is resolved once, so the
+// per-job cost stays allocation- and hash-free; an off-level value
+// (non-integer, out of range, PBT-perturbed) computes fn.
+func tabulated(space *searchspace.Space, name string, fn func(float64) float64) func(searchspace.Config) float64 {
+	i := space.IndexOf(name)
+	p := space.Params()[i]
+	levels := levelValues(p)
+	f := make([]float64, len(levels))
+	for k, v := range levels {
+		f[k] = fn(v)
+	}
+	ints := p.Type == searchspace.IntUniform && len(levels) > 0 // levels[k] is levels[0]+k
 	return func(cfg searchspace.Config) float64 {
-		b := cfg.At(iBatch)
-		ts := cfg.At(iSteps)
-		return math.Pow(20/b, 0.5) * math.Pow(ts/70, 0.3)
+		v, k := cfg.At(i), -1
+		if !ints {
+			k = slices.Index(levels, v)
+		} else if d := v - levels[0]; d >= 0 && d < float64(len(levels)) {
+			k = int(d)
+		}
+		if k >= 0 && math.Float64bits(levels[k]) == math.Float64bits(v) {
+			return f[k]
+		}
+		return fn(v)
 	}
 }
 

@@ -47,12 +47,14 @@ func wideBenchmark() *Benchmark {
 	})
 }
 
-func allBenchmarks() []*Benchmark {
+func namedBenchmarks() []*Benchmark {
 	return []*Benchmark{
 		CudaConvnet(), SmallCNNCIFAR(), SmallCNNSVHN(), PTBLSTM(),
-		DropConnectLSTM(), SVMVehicle(), SVMMNIST(), wideBenchmark(),
+		DropConnectLSTM(), SVMVehicle(), SVMMNIST(),
 	}
 }
+
+func allBenchmarks() []*Benchmark { return append(namedBenchmarks(), wideBenchmark()) }
 
 // refPercentile is percentile as it was written before the bucket index:
 // one sort.SearchFloat64s over the whole table.
@@ -97,10 +99,43 @@ func refPercentile(b *Benchmark, q float64) float64 {
 	return u
 }
 
+// refCost is a named benchmark's CostSpread as it was written before its
+// factors were tabulated: the formula on every call, normalized by its own
+// Monte-Carlo mean, reading parameters by index as the built-in costs do.
+// A custom benchmark's CostSpread is called as is.
+func refCost(b *Benchmark) func(searchspace.Config) float64 {
+	at := func(cfg searchspace.Config, name string) float64 { return cfg.At(b.space.IndexOf(name)) }
+	var raw func(cfg searchspace.Config) float64
+	switch b.name {
+	case "cifar10-small-cnn", "svhn-small-cnn":
+		raw = func(cfg searchspace.Config) float64 {
+			return (at(cfg, "# of layers") / 3) * math.Pow(at(cfg, "# of filters")/40, 1.6) * math.Pow(at(cfg, "batch size")/256, 0.85)
+		}
+	case "ptb-lstm":
+		raw = func(cfg searchspace.Config) float64 {
+			return math.Pow(at(cfg, "# of hidden nodes")/850, 1.3) * math.Pow(45/at(cfg, "batch size"), 0.25)
+		}
+	case "ptb-dropconnect-lstm":
+		raw = func(cfg searchspace.Config) float64 {
+			return math.Pow(20/at(cfg, "batch size"), 0.5) * math.Pow(at(cfg, "time steps")/70, 0.3)
+		}
+	default:
+		return b.cal.CostSpread
+	}
+	rng := xrand.New(b.seed ^ 0xC057_0000_0000_0001)
+	const samples = 4096
+	total := 0.0
+	for i := 0; i < samples; i++ {
+		total += raw(b.space.Sample(rng))
+	}
+	mean := total / samples
+	return func(cfg searchspace.Config) float64 { return raw(cfg) / mean }
+}
+
 // refParamsFor is ParamsFor as it was written before tabulation: both
 // surfaces through Quality, the percentile through refPercentile, the
-// encoding through Param.Encode.
-func refParamsFor(b *Benchmark, cfg searchspace.Config) curve.Params {
+// encoding through Param.Encode, the cost through refCost.
+func refParamsFor(b *Benchmark, costSpread func(searchspace.Config) float64, cfg searchspace.Config) curve.Params {
 	x := make([]float64, b.space.Dim())
 	for i, p := range b.space.Params() {
 		x[i] = p.Encode(cfg.Get(p.Name))
@@ -111,8 +146,8 @@ func refParamsFor(b *Benchmark, cfg searchspace.Config) curve.Params {
 	mix := (1-b.cal.RateCouple)*b.speed.Quality(x) + b.cal.RateCouple*u
 	kappa := b.cal.RateLo + (b.cal.RateHi-b.cal.RateLo)*mix
 	cost := b.timeR / b.maxResource
-	if b.cal.CostSpread != nil {
-		cost *= b.cal.CostSpread(cfg)
+	if costSpread != nil {
+		cost *= costSpread(cfg)
 	}
 	if b.cal.CostQuality != nil {
 		cost *= b.cal.CostQuality(u)
@@ -147,10 +182,10 @@ func paramsBits(p curve.Params) [7]uint64 {
 }
 
 // checkConfig holds ParamsFor and both surfaces' Eval to the reference
-// at cfg.
-func checkConfig(t *testing.T, b *Benchmark, cfg searchspace.Config) {
+// at cfg; costSpread is refCost(b).
+func checkConfig(t *testing.T, b *Benchmark, costSpread func(searchspace.Config) float64, cfg searchspace.Config) {
 	t.Helper()
-	if got, want := paramsBits(b.ParamsFor(cfg)), paramsBits(refParamsFor(b, cfg)); got != want {
+	if got, want := paramsBits(b.ParamsFor(cfg)), paramsBits(refParamsFor(b, costSpread, cfg)); got != want {
 		t.Fatalf("%s: ParamsFor(%v) = %x, reference %x", b.name, cfg, got, want)
 	}
 	x := b.space.Encode(cfg)
@@ -164,9 +199,10 @@ func checkConfig(t *testing.T, b *Benchmark, cfg searchspace.Config) {
 func TestParamsForMatchesReference(t *testing.T) {
 	for _, b := range allBenchmarks() {
 		space := b.Space()
+		cost := refCost(b)
 		rng := xrand.New(b.seed ^ 0x7e57)
 		for n := 0; n < 10000; n++ {
-			checkConfig(t, b, space.Sample(rng))
+			checkConfig(t, b, cost, space.Sample(rng))
 		}
 		// From a sampled base, each parameter in turn through values the
 		// sampler never draws: off the grid, outside the bounds, beside a
@@ -184,14 +220,20 @@ func TestParamsForMatchesReference(t *testing.T) {
 				for _, c := range p.Choices {
 					vals = append(vals, c, c+0.1)
 				}
+				if p.Name == "batch size" {
+					vals = append(vals, 37.5) // between two tabulated cost levels
+				}
+				if p.Name == "# of hidden nodes" {
+					vals = append(vals, 1501, 199) // beside the cost table's ends
+				}
 				for _, nv := range vals {
 					cfg := base.Clone()
 					cfg.SetAt(i, nv)
-					checkConfig(t, b, cfg)
+					checkConfig(t, b, cost, cfg)
 				}
 			}
 			// The same values under a name table the space does not own.
-			checkConfig(t, b, searchspace.FromMap(base.Map()))
+			checkConfig(t, b, cost, searchspace.FromMap(base.Map()))
 		}
 	}
 }
@@ -297,5 +339,26 @@ func TestInitTrialMatchesNewTrial(t *testing.T) {
 		train(0, 30)
 		train(1, 30)
 		same("end")
+	}
+}
+
+var paramsSink curve.Params
+
+// BenchmarkParamsFor is the per-trial mapping alone, on each named
+// benchmark over 4 096 configurations sampled beforehand.
+func BenchmarkParamsFor(b *testing.B) {
+	for _, bench := range namedBenchmarks() {
+		b.Run(bench.Name(), func(b *testing.B) {
+			rng := xrand.New(bench.seed ^ 0xbe7c)
+			cfgs := make([]searchspace.Config, 4096)
+			for i := range cfgs {
+				cfgs[i] = bench.Space().Sample(rng)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				paramsSink = bench.ParamsFor(cfgs[i%len(cfgs)])
+			}
+		})
 	}
 }

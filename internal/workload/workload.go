@@ -117,7 +117,7 @@ const (
 	// qidxBuckets is a power of two, so j/qidxBuckets is exact.
 	qidxBuckets = 1 << 12
 	// maxTabulatedLevels bounds the per-level tables of one IntUniform
-	// dimension (24 bytes a level, per surface).
+	// dimension (24 bytes a level per surface, 16 per cost factor).
 	maxTabulatedLevels = 1 << 12
 )
 
@@ -180,7 +180,11 @@ func newSurfaces(root *xrand.RNG, space *searchspace.Space, seed uint64) *surfac
 	// A discrete dimension takes few distinct encoded values: compute
 	// each surface's terms at every one of them once, here.
 	for i, p := range space.Params() {
-		if xs := levelEncodings(p); len(xs) > 0 {
+		if vs := levelValues(p); len(vs) > 0 {
+			xs := make([]float64, len(vs))
+			for k, v := range vs {
+				xs[k] = p.Encode(v)
+			}
 			sf.quality.Tabulate(i, xs)
 			sf.speed.Tabulate(i, xs)
 		}
@@ -205,21 +209,21 @@ func newSurfaces(root *xrand.RNG, space *searchspace.Space, seed uint64) *surfac
 	return sf
 }
 
-// levelEncodings returns the encoded value of every level of a discrete
-// parameter, in order; none for a continuous or too finely divided one.
-func levelEncodings(p searchspace.Param) []float64 {
-	var xs []float64
+// levelValues returns every level of a discrete parameter, in order;
+// none for a continuous or too finely divided one. An IntUniform
+// parameter's level k is levels[0]+k.
+func levelValues(p searchspace.Param) []float64 {
 	switch {
 	case p.Type == searchspace.Choice:
-		for _, c := range p.Choices {
-			xs = append(xs, p.Encode(c))
-		}
+		return p.Choices
 	case p.Type == searchspace.IntUniform && p.Hi-p.Lo < maxTabulatedLevels:
+		var vs []float64
 		for v := int(p.Lo); v <= int(p.Hi); v++ {
-			xs = append(xs, p.Encode(float64(v)))
+			vs = append(vs, float64(v))
 		}
+		return vs
 	}
-	return xs
+	return nil
 }
 
 // rank is sort.SearchFloat64s(b.qcdf, q), searching only the bucket of
