@@ -235,7 +235,7 @@ func TestRemoteBackendParityPromotionDecisions(t *testing.T) {
 
 // TestBatchedRemoteBackendParityPromotionDecisions extends the remote
 // parity guard to the batched protocol: with BatchSize>1 and Prefetch>1
-// every job and result still travels the LeaseBatch/ReportBatch wire
+// every job and result still travels in multi-job frames
 // (single-worker capacity keeps the decision stream sequential), and
 // the promotion decisions must stay bit-identical to the in-process
 // goroutine pool — batching amortizes round trips, it must never

@@ -117,8 +117,7 @@ func (b *Backend) Launch(job core.Job) {
 		Rung:       job.Rung,
 		// The dense Names/Vec form: the searchspace's live slices, so
 		// every job of one space shares a backing array and the binary
-		// wire's table dedup is a pointer compare. The server rebuilds
-		// the map lazily for JSON-wire workers.
+		// wire's table dedup is a pointer compare.
 		Names: job.Config.Names(),
 		Vec:   job.Config.Values(),
 		From:  from,

@@ -26,7 +26,8 @@ import (
 )
 
 // TestLeaseBatchGrantsUpToBatchSize proves one poll can move many jobs
-// and that the server's BatchSize caps a greedier worker.
+// in one grants frame, that the server's BatchSize caps a greedier
+// worker, and that a poll asking for fewer than one job gets one.
 func TestLeaseBatchGrantsUpToBatchSize(t *testing.T) {
 	srv, err := NewServer(Options{BatchSize: 3, LeaseTTL: time.Minute})
 	if err != nil {
@@ -43,25 +44,20 @@ func TestLeaseBatchGrantsUpToBatchSize(t *testing.T) {
 	}
 	worker := reg["worker"].(string)
 
-	// Asking for 8 yields min(8, BatchSize)=3 grants in one reply.
-	status, lease := rawPost(t, srv.URL(), "/v1/lease",
-		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 8})
-	if status != http.StatusOK {
-		t.Fatalf("batched lease refused: %d %v", status, lease)
+	// Asking for 8 yields min(8, BatchSize)=3 grants in one frame.
+	if _, g := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 8, WaitMillis: 2000}); len(g.Grants) != 3 {
+		t.Fatalf("batched poll granted %+v, want 3 grants", g)
 	}
-	grants, ok := lease["grants"].([]interface{})
-	if !ok || len(grants) != 3 {
-		t.Fatalf("batched poll granted %v, want 3 grants", lease)
-	}
-	if n := srv.BatchedGrants(); n != 3 {
-		t.Fatalf("BatchedGrants = %d, want 3", n)
+	if f, j := srv.BinaryGrantFrames(), srv.Counters().Granted; f != 1 || j != 3 {
+		t.Fatalf("batched poll: %d jobs in %d frames, want 3 in 1", j, f)
 	}
 
-	// A poll asking for one job gets the same shape: a batch of one.
-	status, lease = rawPost(t, srv.URL(), "/v1/lease",
-		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 1})
-	if grants, _ := lease["grants"].([]interface{}); status != http.StatusOK || len(grants) != 1 {
-		t.Fatalf("single-job poll got %v, want a batch of one", lease)
+	// A poll asking for no job at all still gets one: a frame of one.
+	if _, g := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 0, WaitMillis: 2000}); len(g.Grants) != 1 {
+		t.Fatalf("poll with max 0 granted %+v, want 1 grant", g)
+	}
+	if f, j := srv.BinaryGrantFrames(), srv.Counters().Granted; f != 2 || j != 4 {
+		t.Fatalf("after the max-0 poll: %d jobs in %d frames, want 4 in 2", j, f)
 	}
 }
 
@@ -82,14 +78,11 @@ func TestBatchReportExpiredLeaseRejectsOnlyThatEntry(t *testing.T) {
 	}
 	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion, "name": "half-dead"})
 	worker := reg["worker"].(string)
-	status, lease := rawPost(t, srv.URL(), "/v1/lease",
-		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 2})
-	grants, _ := lease["grants"].([]interface{})
-	if status != http.StatusOK || len(grants) != 2 {
-		t.Fatalf("worker did not lease both jobs: %d %v", status, lease)
+	_, g := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 2, WaitMillis: 2000})
+	if len(g.Grants) != 2 {
+		t.Fatalf("worker did not lease both jobs: %+v", g)
 	}
-	lease0 := uint64(grants[0].(map[string]interface{})["lease"].(float64))
-	lease1 := uint64(grants[1].(map[string]interface{})["lease"].(float64))
+	lease0, lease1 := g.Grants[0].Job.ID, g.Grants[1].Job.ID
 
 	// Heartbeat only the second lease until the first expires: the
 	// sweeper settles job 0 as Failed (requeued) while job 1 stays live.
@@ -158,10 +151,11 @@ func TestBatchReportRejectsMalformedBatches(t *testing.T) {
 	srv.Submit(JobPayload{Trial: 1, To: 2}, func(o Outcome) { outcomes <- o })
 	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion})
 	worker := reg["worker"].(string)
-	_, lease := rawPost(t, srv.URL(), "/v1/lease",
-		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 1})
-	grants := lease["grants"].([]interface{})
-	id := uint64(grants[0].(map[string]interface{})["lease"].(float64))
+	_, g := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 1, WaitMillis: 2000})
+	if len(g.Grants) != 1 {
+		t.Fatalf("worker got no lease: %+v", g)
+	}
+	id := g.Grants[0].Job.ID
 
 	entry := map[string]interface{}{"lease": id, "response": map[string]interface{}{"v": ProtocolVersion, "id": id, "loss": 0.5}}
 	status, _ := rawPost(t, srv.URL(), "/v1/report", map[string]interface{}{
@@ -295,8 +289,7 @@ func TestReregistrationPurgesStalePrefetchedWork(t *testing.T) {
 			w.WriteHeader(http.StatusGone)
 			_, _ = w.Write([]byte(`{"error":"unknown worker; register again"}`))
 		default:
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprintf(w, `{"v":%d,"done":true}`, ProtocolVersion)
+			w.WriteHeader(http.StatusNoContent)
 		}
 	})
 	mux.HandleFunc("/v1/report", func(w http.ResponseWriter, r *http.Request) {
@@ -381,8 +374,7 @@ func TestReregistrationPurgesStalePrefetchedWork(t *testing.T) {
 // TestDriveWithBinaryStreamAgent drives a real ASHA run through the
 // full pipeline — batched grants, prefetch queue, batched report
 // flushes — and checks nothing is lost, duplicated, or failed, and that
-// the whole run's grants and reports traveled as frames — none through
-// the JSON batch endpoints.
+// the run's grants and reports traveled as frames.
 func TestDriveWithBinaryStreamAgent(t *testing.T) {
 	const maxJobs = 120
 	srv, err := NewServer(Options{LeaseTTL: 10 * time.Second, BatchSize: 4, Prefetch: 8,
@@ -414,14 +406,11 @@ func TestDriveWithBinaryStreamAgent(t *testing.T) {
 	if n := srv.ExpiredLeases(); n != 0 {
 		t.Fatalf("%d leases expired during a healthy binary run", n)
 	}
-	if n := srv.BinaryGrants(); n == 0 {
+	if n := srv.BinaryGrantFrames(); n == 0 {
 		t.Fatal("no jobs traveled through binary grant frames")
 	}
 	if n := srv.BinaryReports(); n == 0 {
 		t.Fatal("no results traveled through binary report frames")
-	}
-	if n := srv.BatchedGrants(); n != 0 {
-		t.Fatalf("%d jobs leaked onto the JSON batch wire during a healthy binary run", n)
 	}
 	if err := <-agentDone; err != nil {
 		t.Fatalf("agent: %v", err)

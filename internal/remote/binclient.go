@@ -143,14 +143,10 @@ func (a *agent) dialStream(ctx context.Context, wid string) (bs *binStream, done
 	}
 	defer resp.Body.Close()
 	defer conn.Close()
-	if resp.StatusCode == http.StatusOK {
-		// A closed or draining server answers the handshake in JSON
-		// with a Done batch rather than upgrading.
-		var lb LeaseBatch
-		if err := json.NewDecoder(resp.Body).Decode(&lb); err == nil && lb.Done {
-			return nil, true, resp.StatusCode, nil
-		}
-		return nil, false, 0, fmt.Errorf("remote: /v1/stream: unexpected 200 reply without done")
+	if resp.StatusCode == http.StatusNoContent {
+		// A closed or draining server answers the handshake with a
+		// bodiless 204 rather than upgrading: the run is over.
+		return nil, true, resp.StatusCode, nil
 	}
 	var we wireError
 	_ = json.NewDecoder(resp.Body).Decode(&we)

@@ -1,9 +1,8 @@
 package remote
 
 // The binary streaming lease wire: the only path jobs take to a worker.
-// The JSON shapes (wire.go) pay JSON encode/decode, name-keyed configs
-// and base64 checkpoints on every job — ~33 allocations and ~4KB of
-// wire per job — so they are kept for curl and for the agent's
+// The JSON shapes (wire.go) pay JSON encode/decode and base64
+// checkpoints on every entry, so they are kept for the agent's
 // report/heartbeat fallback, not for throughput. This file is the dense
 // form: length-prefixed binary frames spoken over one persistent
 // connection per worker (stream.go server side, binclient.go agent
@@ -159,7 +158,9 @@ type binLeaseReq struct {
 	Seq        uint64
 	Max        int
 	WaitMillis int64
-	// Experiments restricts grants exactly as leaseReq.Experiments.
+	// Experiments, when non-empty, restricts the grant to jobs of the
+	// named experiments: a partially-configured worker never receives
+	// (and so never fails) jobs it has no objective for.
 	Experiments []string
 }
 
@@ -255,10 +256,10 @@ func appendGrants(dst []byte, g binGrants) []byte {
 // decodeGrants parses and validates one grants frame body (type byte
 // stripped). tableLen reports the parameter count of an already-known
 // table index (ok false for unknown): the frame's own tables extend
-// that set. Validation mirrors DecodeLeaseBatch and adds the dense
-// wire's structural checks: no lease granted twice, no grant against
-// an undefined table, every vector exactly as long as its table — a
-// frame failing any check is rejected whole.
+// that set. Validation is structural: no lease granted twice (one
+// worker would run the same job twice), no grant against an undefined
+// table, every vector exactly as long as its table — a frame failing
+// any check is rejected whole.
 func decodeGrants(r *wire.Reader, tableLen func(idx uint64) (int, bool)) (binGrants, error) {
 	var g binGrants
 	err := g.decode(r, tableLen)
@@ -267,7 +268,7 @@ func decodeGrants(r *wire.Reader, tableLen func(idx uint64) (int, bool)) (binGra
 
 // decode is decodeGrants into g, reusing the capacity of its Grants: a
 // stream reader decodes every frame into one binGrants it has converted
-// to LeaseGrants before it reads the next. (Entries past the new length
+// to held leases before it reads the next. (Entries past the new length
 // keep the last longer frame's vectors and checkpoints reachable.)
 func (g *binGrants) decode(r *wire.Reader, tableLen func(idx uint64) (int, bool)) error {
 	*g = binGrants{Seq: r.Uvarint(), Done: r.Byte() != 0, Grants: g.Grants[:0]}

@@ -8,8 +8,9 @@ import (
 )
 
 // TestClosedServerLetsGoOfTheRun pins what closeGrace promises: for
-// three seconds after Close the listener still answers, and what
-// answers is the server alone. The run it served — everything behind
+// three seconds after Close the listener still answers — a stream
+// handshake gets 204, the run is over — and what answers is the server
+// alone. The run it served — everything behind
 // the control plane (the engine, every scheduler) and behind the
 // settled tasks of its newest chunk (each points at its lane and the
 // lane's trial table) — must be collectable as soon as Close returns.
@@ -57,10 +58,9 @@ func TestClosedServerLetsGoOfTheRun(t *testing.T) {
 			}
 		}
 	}
-	// All of it went while the server was still up.
-	resp, err := http.Get(srv.URL() + "/v1/lease")
-	if err != nil {
-		t.Fatalf("closed server stopped answering inside the grace window: %v", err)
+	// All of it went while the server was still up, answering a stream
+	// handshake that the run is over.
+	if status, _ := streamLease(t, srv.URL(), "w1", binLeaseReq{Max: 1}); status != http.StatusNoContent {
+		t.Fatalf("closed server answered a stream handshake %d inside the grace window, want 204", status)
 	}
-	resp.Body.Close()
 }

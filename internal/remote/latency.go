@@ -6,7 +6,7 @@ package remote
 // residual — assembled from two clocks that are never mixed: the
 // server stamps submit/grant/settle on its own monotonic clock, and
 // the worker ships its three stage durations as monotonic deltas
-// (JobTiming over the JSON batch wire, the reports frame over the
+// (JobTiming over the JSON report wire, the reports frame over the
 // binary stream). Cross-machine wall-clock differencing never enters a
 // histogram, so clock skew between fleet hosts cannot fabricate
 // latencies; as defense in depth every worker-reported stage is also

@@ -11,7 +11,6 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"io"
 	"math"
 	"net"
 	"net/http"
@@ -21,6 +20,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // traceSpans GETs /v1/trace with the query and decodes the reply.
@@ -171,16 +171,17 @@ func TestClockSkewCannotCorruptStages(t *testing.T) {
 	}
 }
 
-// streamDial performs a manual /v1/stream handshake and returns the raw
-// connection.
-func streamDial(t *testing.T, base, worker string) (net.Conn, *bufio.Reader) {
+// streamHandshake performs a manual /v1/stream handshake as worker,
+// presenting token. On an upgrade it returns 101 and the raw
+// connection; any other answer returns its status, connection closed.
+func streamHandshake(t *testing.T, base, worker, token string) (int, net.Conn, *bufio.Reader) {
 	t.Helper()
 	addr := strings.TrimPrefix(base, "http://")
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := json.Marshal(streamReq{Version: ProtocolVersion, WorkerID: worker})
+	body, _ := json.Marshal(streamReq{Version: ProtocolVersion, Token: token, WorkerID: worker})
 	req, err := http.NewRequest(http.MethodPost, base+"/v1/stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -197,11 +198,53 @@ func streamDial(t *testing.T, base, worker string) (net.Conn, *bufio.Reader) {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != http.StatusSwitchingProtocols {
-		blob, _ := io.ReadAll(resp.Body)
 		conn.Close()
-		t.Fatalf("handshake: status %d (%s)", resp.StatusCode, blob)
+		return resp.StatusCode, nil, nil
+	}
+	return resp.StatusCode, conn, br
+}
+
+// streamDial is streamHandshake for a worker whose handshake must
+// upgrade.
+func streamDial(t *testing.T, base, worker string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	status, conn, br := streamHandshake(t, base, worker, "")
+	if status != http.StatusSwitchingProtocols {
+		t.Fatalf("handshake: status %d, want 101", status)
 	}
 	return conn, br
+}
+
+// streamLease leases as a worker does, over a real stream: it performs
+// the handshake, sends the one lease poll q and returns the grants frame
+// answering it, then closes the connection (the leases stay the
+// worker's until they are reported or expire). A handshake that does
+// not upgrade returns its status and no frame.
+func streamLease(t *testing.T, base, worker string, q binLeaseReq) (int, binGrants) {
+	t.Helper()
+	status, conn, br := streamHandshake(t, base, worker, "")
+	if status != http.StatusSwitchingProtocols {
+		return status, binGrants{}
+	}
+	defer conn.Close()
+	q.Seq = 1
+	sendFrame(t, conn, appendLeaseReq(nil, q))
+	_ = conn.SetReadDeadline(time.Now().Add(time.Duration(q.WaitMillis)*time.Millisecond + 10*time.Second))
+	body, err := readFrame(br, nil)
+	if err != nil {
+		t.Fatalf("lease poll: %v", err)
+	}
+	if body[0] != frameGrants {
+		t.Fatalf("lease poll answered with frame type 0x%02x", body[0])
+	}
+	g, err := decodeGrants(wire.NewReader(body[1:]), nil)
+	if err != nil {
+		t.Fatalf("lease poll: %v", err)
+	}
+	if !g.Done && g.Seq != q.Seq {
+		t.Fatalf("lease poll %d answered as seq %d", q.Seq, g.Seq)
+	}
+	return status, g
 }
 
 // framed wraps a frame body (type byte included) in its length prefix.
@@ -300,14 +343,11 @@ func TestTimedWireEndToEnd(t *testing.T) {
 		}
 		_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion})
 		worker := reg["worker"].(string)
-		_, lease := rawPost(t, srv.URL(), "/v1/lease",
-			map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 2})
-		grants, _ := lease["grants"].([]interface{})
-		if len(grants) != 2 {
-			t.Fatalf("leased %v, want two grants", lease)
+		_, g := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 2, WaitMillis: 2000})
+		if len(g.Grants) != 2 {
+			t.Fatalf("leased %+v, want two grants", g)
 		}
-		id0 := uint64(grants[0].(map[string]interface{})["lease"].(float64))
-		id1 := uint64(grants[1].(map[string]interface{})["lease"].(float64))
+		id0, id1 := g.Grants[0].Job.ID, g.Grants[1].Job.ID
 		status, rep := rawPost(t, srv.URL(), "/v1/report", map[string]interface{}{
 			"v": ProtocolVersion, "worker": worker, "reports": []map[string]interface{}{
 				{"lease": id0, "response": map[string]interface{}{"v": exec.WireVersion, "id": id0, "loss": 0.5},

@@ -151,11 +151,9 @@ type CounterSnapshot struct {
 	Accepted       int64 `json:"accepted"`
 	Rejected       int64 `json:"rejected"`
 	Canceled       int64 `json:"canceled"`
-	BatchedGrants  int64 `json:"batchedGrants"`
 	BatchedReports int64 `json:"batchedReports"`
-	BinGrants      int64 `json:"binGrants"`
 	BinReports     int64 `json:"binReports"`
-	GrantFrames    int64 `json:"grantFrames"`  // frames BinGrants' jobs traveled in
+	GrantFrames    int64 `json:"grantFrames"`  // frames Granted's jobs traveled in
 	ReportFrames   int64 `json:"reportFrames"` // frames BinReports' entries traveled in
 	Sweeps         int64 `json:"sweeps"`
 	Registered     int64 `json:"registered"`
@@ -174,9 +172,7 @@ func (s *Server) Counters() CounterSnapshot {
 		Accepted:       s.accepted.Load(),
 		Rejected:       s.rejected.Load(),
 		Canceled:       s.canceled.Load(),
-		BatchedGrants:  s.batchedGrants.Load(),
 		BatchedReports: s.batchedReports.Load(),
-		BinGrants:      s.binGrants.Load(),
 		BinReports:     s.binReports.Load(),
 		GrantFrames:    s.grantFrames.Load(),
 		ReportFrames:   s.reportFrames.Load(),
@@ -309,11 +305,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("asha_reports_accepted_total", "Report entries accepted (jobs settled by a worker).", c.Accepted)
 	counter("asha_reports_rejected_total", "Report entries rejected (late, mispaired, or foreign leases).", c.Rejected)
 	counter("asha_jobs_canceled_total", "Queued jobs canceled by an admin abort.", c.Canceled)
-	counter("asha_lease_batch_jobs_total", "Jobs granted through batched LeaseBatch replies.", c.BatchedGrants)
 	counter("asha_report_batch_entries_total", "Entries settled through batched ReportBatch requests.", c.BatchedReports)
-	counter("asha_bin_lease_jobs_total", "Jobs granted through binary stream frames.", c.BinGrants)
 	counter("asha_bin_report_entries_total", "Entries settled through binary stream frames.", c.BinReports)
-	counter("asha_lease_grant_frames_total", "Binary grants frames that carried jobs (jobs per frame: asha_bin_lease_jobs_total over this).", c.GrantFrames)
+	counter("asha_lease_grant_frames_total", "Binary grants frames that carried jobs (jobs per frame: asha_leases_granted_total over this).", c.GrantFrames)
 	counter("asha_lease_report_frames_total", "Binary reports frames settled (entries per frame: asha_bin_report_entries_total over this).", c.ReportFrames)
 	counter("asha_expiry_sweeps_total", "Lease-expiry sweep passes completed.", c.Sweeps)
 	counter("asha_workers_registered_total", "Workers registered over the server lifetime.", c.Registered)

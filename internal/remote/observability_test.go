@@ -107,8 +107,7 @@ func TestMetricsDuringFleetRun(t *testing.T) {
 		if worker == "" {
 			return
 		}
-		rawPost(t, srv.URL(), "/v1/lease",
-			map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 5000})
+		streamLease(t, srv.URL(), worker, binLeaseReq{WaitMillis: 5000})
 	}()
 
 	agentDone := make(chan error, 1)
@@ -408,33 +407,32 @@ func TestAdminPauseFreezesLeaseGrants(t *testing.T) {
 
 	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion, "name": "w"})
 	worker := reg["worker"].(string)
-	lease := func(waitMs int) map[string]interface{} {
-		_, body := rawPost(t, srv.URL(), "/v1/lease",
-			map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": waitMs, "max": 1})
-		return body
+	lease := func(waitMs int64) []binGrant {
+		_, g := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 1, WaitMillis: waitMs})
+		return g.Grants
 	}
 
 	// The grant must skip the paused experiment's job.
-	g := firstGrant(lease(2000))
-	if g == nil {
+	g := lease(2000)
+	if len(g) == 0 {
 		t.Fatal("no grant while exp-b had a queued job")
 	}
-	if trial := int(g["job"].(map[string]interface{})["trial"].(float64)); trial != 2 {
+	if trial := g[0].Job.Trial; trial != 2 {
 		t.Fatalf("granted trial %d, want exp-b's trial 2", trial)
 	}
 	// Only exp-a's job remains: the queue is frozen for this worker.
-	if g := firstGrant(lease(150)); g != nil {
-		t.Fatalf("paused experiment's job was granted: %v", g)
+	if g := lease(150); len(g) != 0 {
+		t.Fatalf("paused experiment's job was granted: %+v", g)
 	}
 
 	if status, _ := adminPost(t, srv.URL(), "tok", "resume", `{"experiment":"exp-a"}`); status != http.StatusOK {
 		t.Fatalf("resume exp-a: status %d", status)
 	}
-	g = firstGrant(lease(2000))
-	if g == nil {
+	g = lease(2000)
+	if len(g) == 0 {
 		t.Fatal("no grant after resume")
 	}
-	if trial := int(g["job"].(map[string]interface{})["trial"].(float64)); trial != 1 {
+	if trial := g[0].Job.Trial; trial != 1 {
 		t.Fatalf("granted trial %d after resume, want exp-a's trial 1", trial)
 	}
 }
@@ -498,8 +496,7 @@ func TestAbortAfterGrantsSkipsConsumedQueue(t *testing.T) {
 	}
 	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion, "name": "w"})
 	worker := reg["worker"].(string)
-	if _, body := rawPost(t, srv.URL(), "/v1/lease",
-		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 1}); firstGrant(body) == nil {
+	if _, g := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 1, WaitMillis: 2000}); len(g.Grants) == 0 {
 		t.Fatal("no grant for the first queued job")
 	}
 	// The two still-queued jobs cancel; the leased one is untouched.
@@ -518,9 +515,10 @@ func TestAbortAfterGrantsSkipsConsumedQueue(t *testing.T) {
 	}
 }
 
-// TestAdminDrainAnswersWorkersDone proves drain mode tells polling
-// workers the run is over while keeping queued jobs queued, and that
-// lifting the drain hands the queue back out.
+// TestAdminDrainAnswersWorkersDone proves drain mode tells workers the
+// run is over — a stream handshake gets 204 and an agent exits cleanly —
+// while keeping queued jobs queued, and that lifting the drain hands the
+// queue back out.
 func TestAdminDrainAnswersWorkersDone(t *testing.T) {
 	srv, err := NewServer(Options{AdminToken: "tok"})
 	if err != nil {
@@ -535,19 +533,28 @@ func TestAdminDrainAnswersWorkersDone(t *testing.T) {
 	}
 	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion, "name": "w"})
 	worker := reg["worker"].(string)
-	_, body := rawPost(t, srv.URL(), "/v1/lease",
-		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 1000, "max": 1})
-	if body["done"] != true || firstGrant(body) != nil {
-		t.Fatalf("draining lease poll = %v, want done with no grant", body)
+	if status, _ := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 1, WaitMillis: 1000}); status != http.StatusNoContent {
+		t.Fatalf("draining stream handshake: status %d, want 204", status)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := ServeAgent(ctx, AgentOptions{
+		Server:  srv.URL(),
+		Resolve: func(string) (exec.Objective, error) { return pureObjective, nil },
+	}); err != nil {
+		t.Fatalf("agent against a draining server: %v, want a clean exit", err)
+	}
+	select {
+	case o := <-outcomes:
+		t.Fatalf("draining settled the queued job: %+v", o)
+	default:
 	}
 
 	if status, _ := adminPost(t, srv.URL(), "tok", "drain", `{"drain":false}`); status != http.StatusOK {
 		t.Fatalf("drain off: status %d", status)
 	}
-	_, body = rawPost(t, srv.URL(), "/v1/lease",
-		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 1})
-	if firstGrant(body) == nil {
-		t.Fatalf("queued job not granted after the drain lifted: %v", body)
+	if _, g := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 1, WaitMillis: 2000}); len(g.Grants) != 1 {
+		t.Fatalf("queued job not granted after the drain lifted: %+v", g)
 	}
 }
 

@@ -330,13 +330,13 @@ func TestSharedFramesFillEveryFreeSlot(t *testing.T) {
 		submit(1, 8)
 		serve(srv, gate.run, agents)
 		gate.await(t, 4)
-		if f, j := srv.BinaryGrantFrames(), srv.BinaryGrants(); f != 1 || j != 4 {
+		if f, j := srv.BinaryGrantFrames(), srv.Counters().Granted; f != 1 || j != 4 {
 			t.Fatalf("four free slots, eight jobs pending: %d jobs in %d frames, want 4 in 1", j, f)
 		}
 		// A second agent: the other four leave in its first frame.
 		serve(srv, gate.run, agents)
 		gate.await(t, 4)
-		if f, j := srv.BinaryGrantFrames(), srv.BinaryGrants(); f != 2 || j != 8 {
+		if f, j := srv.BinaryGrantFrames(), srv.Counters().Granted; f != 2 || j != 8 {
 			t.Fatalf("two agents, eight jobs: %d jobs in %d frames, want 8 in 2", j, f)
 		}
 		// Three more than the slots hold, then every slot frees at once:
@@ -346,7 +346,7 @@ func TestSharedFramesFillEveryFreeSlot(t *testing.T) {
 		gate.await(t, 3)
 		settle(outcomes, 11)
 		c := srv.Counters()
-		if c.Pending != 0 || c.BinGrants != 11 || c.BinReports != 11 || c.Accepted != 11 || c.Expired != 0 {
+		if c.Pending != 0 || c.Granted != 11 || c.BinReports != 11 || c.Accepted != 11 || c.Expired != 0 {
 			t.Fatalf("after the run: %+v", c)
 		}
 		if c.GrantFrames > 2+3 || c.ReportFrames > 11 || c.ReportFrames < 2 {
@@ -378,9 +378,9 @@ func TestSharedFramesFillEveryFreeSlot(t *testing.T) {
 		gate.await(t, 4)
 		settle(outcomes, 8)
 		c := srv.Counters()
-		if c.GrantFrames != 8 || c.BinGrants != 8 || c.ReportFrames != 8 || c.BinReports != 8 {
+		if c.GrantFrames != 8 || c.Granted != 8 || c.ReportFrames != 8 || c.BinReports != 8 {
 			t.Fatalf("BatchSize 1 moved %d jobs in %d grant frames and %d results in %d report frames, want one per frame",
-				c.BinGrants, c.GrantFrames, c.BinReports, c.ReportFrames)
+				c.Granted, c.GrantFrames, c.BinReports, c.ReportFrames)
 		}
 		srv.Close()
 		if err := <-agents; err != nil {
@@ -412,15 +412,13 @@ func TestUnackedFramesSurviveTheStream(t *testing.T) {
 		}
 		_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion})
 		worker := reg["worker"].(string)
-		_, lease := rawPost(t, srv.URL(), "/v1/lease",
-			map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 4})
-		grants, _ := lease["grants"].([]interface{})
-		if len(grants) != 4 {
-			t.Fatalf("leased %v, want 4 grants", lease)
+		_, g := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 4, WaitMillis: 2000})
+		if len(g.Grants) != 4 {
+			t.Fatalf("leased %+v, want 4 grants", g)
 		}
 		var ids []uint64
-		for _, g := range grants {
-			ids = append(ids, uint64(g.(map[string]interface{})["lease"].(float64)))
+		for _, gr := range g.Grants {
+			ids = append(ids, gr.Job.ID)
 		}
 
 		rig := newReporterRig(t, srv.URL(), worker, 2, reportAckWait)

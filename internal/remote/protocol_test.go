@@ -79,9 +79,9 @@ func namesBothVersions(body map[string]interface{}) bool {
 // TestEarlierGenerationsRefusedByName proves nothing of protocol
 // version 1 still works by accident: a "v":1 registration or stream
 // handshake is refused with both versions named and no worker ID
-// assigned, on the lease server and on the coordinator; /v1/lease
-// answers a LeaseBatch whatever the poll asks for; a single-report body
-// and a retired frame type settle nothing.
+// assigned, on the lease server and on the coordinator; the JSON lease
+// poll is gone (404); a single-report body and a retired frame type
+// settle nothing.
 func TestEarlierGenerationsRefusedByName(t *testing.T) {
 	srv, err := NewServer(Options{BatchSize: 4, LeaseTTL: time.Minute})
 	if err != nil {
@@ -115,21 +115,23 @@ func TestEarlierGenerationsRefusedByName(t *testing.T) {
 		t.Fatalf("v1 registration at the coordinator: %d %v, want 400 naming both versions", status, body)
 	}
 
-	// A poll that names no max is answered in the one shape, with one job.
+	// Jobs are leased over the stream only: the JSON poll is not served.
 	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion})
 	worker := reg["worker"].(string)
-	status, lease := rawPost(t, srv.URL(), "/v1/lease",
-		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000})
-	grants, _ := lease["grants"].([]interface{})
-	if status != http.StatusOK || len(grants) != 1 || lease["grant"] != nil {
-		t.Fatalf("poll without max got %d %v, want a LeaseBatch of one", status, lease)
+	if status, body := rawPost(t, srv.URL(), "/v1/lease",
+		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 1}); status != http.StatusNotFound {
+		t.Fatalf("JSON lease poll: %d %v, want 404", status, body)
 	}
-	id := grants[0].(map[string]interface{})["lease"].(float64)
+	_, g := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 1, WaitMillis: 2000})
+	if len(g.Grants) != 1 {
+		t.Fatalf("stream lease poll: %+v, want one grant", g)
+	}
+	id := g.Grants[0].Job.ID
 
 	// The single-report body is a batch without reports.
 	status, body = rawPost(t, srv.URL(), "/v1/report", map[string]interface{}{
 		"v": ProtocolVersion, "worker": worker, "lease": id,
-		"response": map[string]interface{}{"v": exec.WireVersion, "id": int(id), "loss": 0.5},
+		"response": map[string]interface{}{"v": exec.WireVersion, "id": id, "loss": 0.5},
 	})
 	if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "carries no reports") {
 		t.Fatalf("single-report body: %d %v, want 400 carries no reports", status, body)
@@ -139,7 +141,7 @@ func TestEarlierGenerationsRefusedByName(t *testing.T) {
 	conn, br := streamDial(t, srv.URL(), worker)
 	defer conn.Close()
 	sendFrame(t, conn, append([]byte{0x02, 0x01, 0x01},
-		exec.AppendBinResponse(nil, exec.BinResponse{ID: uint64(id), Loss: 0.5})...))
+		exec.AppendBinResponse(nil, exec.BinResponse{ID: id, Loss: 0.5})...))
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if frame, err := readFrame(br, nil); err == nil {
 		t.Fatalf("retired reports frame was answered with frame type 0x%02x", frame[0])

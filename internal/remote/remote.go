@@ -14,13 +14,6 @@
 //	              	worker multiplexing lease grants, report batches and
 //	              	heartbeats as dense length-prefixed frames
 //	              	(binwire.go, stream.go)
-//	/v1/lease     — the curl/debug view of a lease poll: each grant
-//	              	carries a lease ID and the job payload (an
-//	              	internal/exec.Request, so the wire reuses the
-//	              	subprocess protocol's name-keyed job encoding). The
-//	              	answer is a LeaseBatch of up to Max grants (an
-//	              	explicit BatchSize caps it); a single job is a
-//	              	batch of one.
 //	/v1/report    — deliver a ReportBatch of finished jobs'
 //	              	exec.Responses under their leases, settled with
 //	              	per-entry acceptance; the agent's fallback when its
@@ -51,7 +44,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/obs"
 )
 
@@ -65,8 +57,7 @@ const ProtocolVersion = 2
 // JobPayload is one training job submitted to the fleet. The
 // hyperparameter assignment may be given either name-keyed (Config) or
 // as a dense vector (Names + Vec); Submit normalizes to the vector
-// form, which is what the binary wire ships — JSON grants rebuild the
-// name-keyed map on demand.
+// form, which is what the binary wire ships.
 type JobPayload struct {
 	// Experiment routes the job to the right objective on workers
 	// serving several (empty for single-experiment runs).
@@ -113,19 +104,6 @@ func (p *JobPayload) normalize() {
 		vec[i] = p.Config[n]
 	}
 	p.Names, p.Vec = names, vec
-}
-
-// configMap returns the name-keyed assignment for the JSON wire,
-// building it from the dense form when the submitter skipped the map.
-func (p *JobPayload) configMap() map[string]float64 {
-	if p.Config != nil || p.Vec == nil {
-		return p.Config
-	}
-	m := make(map[string]float64, len(p.Vec))
-	for i, n := range p.Names {
-		m[n] = p.Vec[i]
-	}
-	return m
 }
 
 // Outcome is the single, exactly-once answer to one submitted job.
@@ -337,16 +315,14 @@ type Server struct {
 
 	// Observability counters. All atomics so a /metrics scrape is
 	// lock-free: the scrape never contends with the grant path, and the
-	// grant path never pays for the scrape. expired/batchedGrants/
-	// batchedReports predate /metrics (the batch parity tests assert on
-	// them); the rest exist for the scrape.
-	granted        atomic.Int64 // leases granted, JSON + binary
+	// grant path never pays for the scrape. expired and batchedReports
+	// predate /metrics (the batch parity tests assert on them); the rest
+	// exist for the scrape.
+	granted        atomic.Int64 // leases granted, every one in a grants frame
 	expired        atomic.Int64 // leases expired by the sweeper
 	accepted       atomic.Int64 // report entries accepted
 	rejected       atomic.Int64 // report entries rejected (late/mispaired)
-	batchedGrants  atomic.Int64 // jobs granted through LeaseBatch replies
 	batchedReports atomic.Int64 // entries settled through ReportBatch requests
-	binGrants      atomic.Int64 // jobs granted through binary stream frames
 	binReports     atomic.Int64 // entries settled through binary stream frames
 	grantFrames    atomic.Int64 // binary grants frames that carried those jobs
 	reportFrames   atomic.Int64 // binary reports frames that carried those entries
@@ -451,7 +427,6 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/register", s.handleRegister)
-	mux.HandleFunc("/v1/lease", s.handleLease)
 	mux.HandleFunc("/v1/report", s.handleReport)
 	mux.HandleFunc("/v1/heartbeat", s.handleHeartbeat)
 	mux.HandleFunc("/v1/stream", s.handleStream)
@@ -519,25 +494,17 @@ func (s *Server) ExpiredLeases() int { return int(s.expired.Load()) }
 // lifetime.
 func (s *Server) Workers() int { return int(s.registered.Load()) }
 
-// BatchedGrants reports how many jobs have been granted through
-// batched (LeaseBatch) lease replies over the server's lifetime.
-func (s *Server) BatchedGrants() int { return int(s.batchedGrants.Load()) }
-
 // BatchedReports reports how many report entries have been settled —
 // accepted or rejected — through batched (ReportBatch) report requests
 // over the server's lifetime.
 func (s *Server) BatchedReports() int { return int(s.batchedReports.Load()) }
-
-// BinaryGrants reports how many jobs have been granted over binary
-// stream connections over the server's lifetime.
-func (s *Server) BinaryGrants() int { return int(s.binGrants.Load()) }
 
 // BinaryReports reports how many report entries have been settled —
 // accepted or rejected — over binary stream connections over the
 // server's lifetime.
 func (s *Server) BinaryReports() int { return int(s.binReports.Load()) }
 
-// BinaryGrantFrames reports how many grants frames carried BinaryGrants'
+// BinaryGrantFrames reports how many grants frames carried the granted
 // jobs (empty and Done answers are not counted).
 func (s *Server) BinaryGrantFrames() int { return int(s.grantFrames.Load()) }
 
@@ -546,16 +513,16 @@ func (s *Server) BinaryGrantFrames() int { return int(s.grantFrames.Load()) }
 func (s *Server) BinaryReportFrames() int { return int(s.reportFrames.Load()) }
 
 // closeGrace is how long a closed server keeps answering HTTP after
-// Close: workers whose poll or report lands just after shutdown get an
-// authoritative "the run is over" (Done / accepted=false) instead of a
-// connection error they would treat as a possible network partition
-// and retry against for the full partition-tolerance window. What
-// answers is the server alone — its counters and its "over": Close lets
-// go of the run first, so the window never pins a finished run's
-// schedulers and trial tables.
+// Close: workers whose stream handshake or report lands just after
+// shutdown get an authoritative "the run is over" (204 No Content /
+// accepted=false) instead of a connection error they would treat as a
+// possible network partition and retry against for the full
+// partition-tolerance window. What answers is the server alone — its
+// counters and its "over": Close lets go of the run first, so the window
+// never pins a finished run's schedulers and trial tables.
 const closeGrace = 3 * time.Second
 
-// Close shuts the server down: long-polling workers are told the run is
+// Close shuts the server down: streaming workers are told the run is
 // over, and every job still pending or leased is answered Failed so the
 // caller's accounting drains. The control plane is detached and the
 // task chunk dropped (its settled tasks still point at their lanes).
@@ -596,8 +563,8 @@ func (s *Server) Close() error {
 		sh.mu.Unlock()
 	}
 	s.activeLeases.Add(int64(-leased))
-	// Tell every binary stream worker the run is over, exactly as the
-	// JSON long-poll answers Done, then drop the connections.
+	// Tell every binary stream worker the run is over, exactly as a
+	// long-polling granter answers Done, then drop the connections.
 	s.streamMu.Lock()
 	streams := make([]*streamConn, 0, len(s.streams))
 	for sc := range s.streams {
@@ -629,8 +596,8 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// wakeLocked broadcasts a state change to every long-polling lease
-// handler. Callers must hold s.mu. The close-and-reallocate only
+// wakeLocked broadcasts a state change to every long-polling stream
+// granter. Callers must hold s.mu. The close-and-reallocate only
 // happens while a poller is armed on the channel: a Submit burst with
 // every worker's pipeline full pays nothing, and a poller that arms
 // and then finds work before sleeping merely costs one spurious churn.
@@ -748,21 +715,6 @@ type registerResp struct {
 	BatchSize   int   `json:"batch,omitempty"`
 	Prefetch    int   `json:"prefetch,omitempty"`
 	FlushMillis int64 `json:"flushMs,omitempty"`
-}
-
-type leaseReq struct {
-	Version    int    `json:"v"`
-	Token      string `json:"token,omitempty"`
-	WorkerID   string `json:"worker"`
-	WaitMillis int64  `json:"waitMs,omitempty"`
-	// Max is the largest number of jobs the worker wants in the reply's
-	// LeaseBatch; an explicit server BatchSize caps it. Absent or below 1
-	// means 1.
-	Max int `json:"max,omitempty"`
-	// Experiments, when non-empty, restricts the grant to jobs of the
-	// named experiments — a partially-configured worker never receives
-	// (and so never fails) jobs it has no objective for.
-	Experiments []string `json:"experiments,omitempty"`
 }
 
 type heartbeatReq struct {
@@ -896,60 +848,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req leaseReq
-	if !s.decode(w, r, &req.Version, &req.Token, &req) {
-		return
-	}
-	if tenant, scoped, _ := s.tokenScope(req.Token); !s.scopeOK(req.WorkerID, tenant, scoped) {
-		reject(w, http.StatusUnauthorized, "token scope does not match worker registration")
-		return
-	}
-	wait := time.Duration(req.WaitMillis) * time.Millisecond
-	if wait > 30*time.Second {
-		wait = 30 * time.Second
-	}
-	max := s.grantCap(req.Max)
-	deadline := time.Now().Add(wait)
-	for {
-		tasks, state, wake := s.grantTasks(req.WorkerID, max, req.Experiments, nil)
-		switch state {
-		case grantDone:
-			// Draining reads as "the run is over" to this worker: it
-			// exits cleanly while queued jobs stay queued for whichever
-			// workers join after the drain is lifted.
-			reply(w, LeaseBatch{Version: ProtocolVersion, Done: true})
-			return
-		case grantGone:
-			reject(w, http.StatusGone, "unknown worker; register again")
-			return
-		}
-		if len(tasks) > 0 {
-			s.batchedGrants.Add(int64(len(tasks)))
-			grants := make([]LeaseGrant, len(tasks))
-			for i, t := range tasks {
-				grants[i] = t.grant()
-			}
-			reply(w, LeaseBatch{Version: ProtocolVersion, Grants: grants})
-			return
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			reply(w, LeaseBatch{Version: ProtocolVersion})
-			return
-		}
-		timer := time.NewTimer(remaining)
-		select {
-		case <-wake:
-			timer.Stop()
-		case <-timer.C:
-		case <-r.Context().Done():
-			timer.Stop()
-			return
-		}
-	}
-}
-
 // grantCap is how many jobs a poll asking for max — the worker's free
 // room — may be granted: that, or an explicit BatchSize if lower; never
 // less than one.
@@ -972,15 +870,15 @@ const (
 	grantGone                   // unknown worker: register again
 )
 
-// grantTasks is the lease-grant core shared by the JSON long-poll
-// handler and the binary stream granter: under s.mu it matches up to
+// grantTasks is the lease-grant core behind the binary stream granter
+// (stream.go's serveLease): under s.mu it matches up to
 // max pending jobs against the worker's experiment restriction and
 // the lease cap, stamps their leases and inserts them into their
 // shards. Grants are appended to the caller's (emptied) scratch slice
 // so a streaming granter allocates nothing per poll. When it grants
 // nothing it returns an armed wake channel for the caller to sleep on
-// before retrying. The granted counter is updated here; per-wire
-// counters are the caller's.
+// before retrying. The granted counter is updated here; the frame
+// counter is the caller's.
 func (s *Server) grantTasks(workerID string, max int, experiments []string, tasks []*task) ([]*task, grantState, <-chan struct{}) {
 	s.mu.Lock()
 	if s.closed || s.draining {
@@ -1047,24 +945,6 @@ func (s *Server) grantLocked(idx int, worker string, now time.Time) *task {
 	s.pendingJobs.Add(-1)
 	s.activeLeases.Add(1)
 	return t
-}
-
-// grant builds the task's JSON-wire lease grant.
-func (t *task) grant() LeaseGrant {
-	return LeaseGrant{
-		LeaseID:     t.leaseID,
-		Experiment:  t.payload.Experiment,
-		GrantUnixMs: t.grantedAt.UnixMilli(),
-		Job: exec.Request{
-			Version: exec.WireVersion,
-			ID:      int(t.leaseID),
-			Trial:   t.payload.Trial,
-			Config:  t.payload.configMap(),
-			From:    t.payload.From,
-			To:      t.payload.To,
-			State:   t.payload.State,
-		},
-	}
 }
 
 // matchLocked returns the index of the oldest pending job the worker's

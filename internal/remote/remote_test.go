@@ -63,18 +63,8 @@ func rawPost(t *testing.T, base, path string, body interface{}) (int, map[string
 	return resp.StatusCode, out
 }
 
-// firstGrant returns the first grant of a /v1/lease reply, or nil when
-// the batch is empty.
-func firstGrant(lease map[string]interface{}) map[string]interface{} {
-	grants, _ := lease["grants"].([]interface{})
-	if len(grants) == 0 {
-		return nil
-	}
-	return grants[0].(map[string]interface{})
-}
-
 // reportOne wraps one response in the /v1/report batch shape.
-func reportOne(worker string, lease float64, respID int, loss float64) map[string]interface{} {
+func reportOne(worker string, lease uint64, respID int, loss float64) map[string]interface{} {
 	return map[string]interface{}{
 		"v": ProtocolVersion, "worker": worker, "reports": []map[string]interface{}{
 			{"lease": lease, "response": map[string]interface{}{"v": exec.WireVersion, "id": respID, "loss": loss}},
@@ -121,10 +111,35 @@ func TestUnknownWorkerMustReregister(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	status, _ := rawPost(t, srv.URL(), "/v1/lease", map[string]interface{}{"v": ProtocolVersion, "worker": "ghost"})
+	status, _ := streamLease(t, srv.URL(), "ghost", binLeaseReq{Max: 1})
 	if status != http.StatusGone {
 		t.Fatalf("unknown worker lease: got status %d, want 410", status)
 	}
+}
+
+// TestHandshakeRefusesAnotherTokenScope proves a credential drives only
+// the workers registered under its own scope: a tenant worker's stream
+// handshake presented with the fleet token or another tenant's is
+// refused 401 before it can lease, and its own token upgrades.
+func TestHandshakeRefusesAnotherTokenScope(t *testing.T) {
+	srv, err := NewServer(Options{Token: "fleet",
+		TenantTokens: map[string]string{"team-a": "a-token", "team-b": "b-token"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion, "token": "a-token"})
+	worker := reg["worker"].(string)
+	for _, token := range []string{"fleet", "b-token", "wrong"} {
+		if status, _, _ := streamHandshake(t, srv.URL(), worker, token); status != http.StatusUnauthorized {
+			t.Fatalf("team-a worker's handshake with token %q: status %d, want 401", token, status)
+		}
+	}
+	status, conn, _ := streamHandshake(t, srv.URL(), worker, "a-token")
+	if status != http.StatusSwitchingProtocols {
+		t.Fatalf("team-a worker's handshake with its own token: status %d, want 101", status)
+	}
+	conn.Close()
 }
 
 // TestLeaseExpiryRequeuesExactlyOnce pins the crash-tolerance contract
@@ -144,12 +159,11 @@ func TestLeaseExpiryRequeuesExactlyOnce(t *testing.T) {
 
 	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion, "name": "doomed"})
 	worker := reg["worker"].(string)
-	status, lease := rawPost(t, srv.URL(), "/v1/lease",
-		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 1})
-	if status != http.StatusOK || firstGrant(lease) == nil {
-		t.Fatalf("doomed worker got no lease: %d %v", status, lease)
+	_, g := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 1, WaitMillis: 2000})
+	if len(g.Grants) != 1 {
+		t.Fatalf("doomed worker got no lease: %+v", g)
 	}
-	leaseID := firstGrant(lease)["lease"].(float64)
+	leaseID := g.Grants[0].Job.ID
 
 	// The worker goes silent: no heartbeat, no report. The sweeper must
 	// settle the job Failed once the TTL passes.
@@ -208,12 +222,8 @@ func TestDriveRetriesKilledWorkersJobOnSurvivor(t *testing.T) {
 		if worker == "" {
 			return
 		}
-		_, lease := rawPost(t, srv.URL(), "/v1/lease",
-			map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 5000, "max": 1})
-		if g := firstGrant(lease); g != nil {
-			job := g["job"].(map[string]interface{})
-			doomedTrial = int(job["trial"].(float64))
-			doomedTo = job["to"].(float64)
+		if _, g := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 1, WaitMillis: 5000}); len(g.Grants) > 0 {
+			doomedTrial, doomedTo = g.Grants[0].Job.Trial, g.Grants[0].Job.To
 		}
 	}()
 
@@ -339,23 +349,20 @@ func TestLeaseRespectsExperimentRestriction(t *testing.T) {
 
 	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion, "name": "beta-only"})
 	worker := reg["worker"].(string)
-	status, lease := rawPost(t, srv.URL(), "/v1/lease", map[string]interface{}{
-		"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 1, "experiments": []string{"beta"},
-	})
-	grant := firstGrant(lease)
-	if status != http.StatusOK || grant == nil {
-		t.Fatalf("restricted worker got no lease: %d %v", status, lease)
+	beta := binLeaseReq{Max: 1, WaitMillis: 2000, Experiments: []string{"beta"}}
+	_, g := streamLease(t, srv.URL(), worker, beta)
+	if len(g.Grants) != 1 || len(g.Tables) != 1 {
+		t.Fatalf("restricted worker got no lease: %+v", g)
 	}
-	if exp := grant["experiment"]; exp != "beta" {
-		t.Fatalf("restricted worker leased experiment %v, want beta (queued behind alpha)", exp)
+	if exp := g.Tables[0].Experiment; exp != "beta" || g.Grants[0].Job.Trial != 2 {
+		t.Fatalf("restricted worker leased experiment %q trial %d, want beta's trial 2 (queued behind alpha)",
+			exp, g.Grants[0].Job.Trial)
 	}
 	// A restriction matching nothing long-polls empty rather than
 	// handing over an untrainable job.
-	status, lease = rawPost(t, srv.URL(), "/v1/lease", map[string]interface{}{
-		"v": ProtocolVersion, "worker": worker, "waitMs": 50, "max": 1, "experiments": []string{"beta"},
-	})
-	if status != http.StatusOK || firstGrant(lease) != nil {
-		t.Fatalf("restricted worker was handed an alpha job: %d %v", status, lease)
+	beta.WaitMillis = 50
+	if _, g = streamLease(t, srv.URL(), worker, beta); g.Done || len(g.Grants) != 0 {
+		t.Fatalf("restricted worker was handed an alpha job: %+v", g)
 	}
 }
 
@@ -373,9 +380,11 @@ func TestReportWithMispairedIDRejected(t *testing.T) {
 	srv.Submit(JobPayload{Trial: 1, To: 2}, func(o Outcome) { outcomes <- o })
 	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion})
 	worker := reg["worker"].(string)
-	_, lease := rawPost(t, srv.URL(), "/v1/lease",
-		map[string]interface{}{"v": ProtocolVersion, "worker": worker, "waitMs": 2000, "max": 1})
-	leaseID := firstGrant(lease)["lease"].(float64)
+	_, g := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 1, WaitMillis: 2000})
+	if len(g.Grants) != 1 {
+		t.Fatalf("worker got no lease: %+v", g)
+	}
+	leaseID := g.Grants[0].Job.ID
 
 	status, rep := rawPost(t, srv.URL(), "/v1/report", reportOne(worker, leaseID, int(leaseID)+7, 0.1))
 	if status != http.StatusOK || acceptedOne(rep) != false {

@@ -11,10 +11,11 @@ package remote
 // socket through a write mutex.
 //
 // The handshake deliberately answers pre-upgrade outcomes in plain
-// JSON: a closed or draining server replies 200 with a Done LeaseBatch
-// (the agent reads "the run is over", exactly as a JSON long-poll
-// would), an unknown worker gets 410 (re-register), a bad token 401.
-// Only a healthy handshake upgrades.
+// HTTP: a closed or draining server replies 204 No Content (the agent
+// reads "the run is over", exactly as from a Done grants frame), an
+// unknown worker gets 410 (re-register), a bad token 401. Only a
+// healthy handshake upgrades: a Done frame sent after the upgrade would
+// race the connection's close in the agent's poll.
 
 import (
 	"bufio"
@@ -86,10 +87,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	if s.closed || s.draining {
-		// The run is over (or draining for scale-down): answer in JSON
-		// instead of upgrading, exactly as a lease poll would.
+		// The run is over (or draining for scale-down): say so without
+		// upgrading; the agent reads a bodiless 204 as Done.
 		s.mu.Unlock()
-		reply(w, LeaseBatch{Version: ProtocolVersion, Done: true})
+		w.WriteHeader(http.StatusNoContent)
 		return
 	}
 	_, known := s.workers[req.WorkerID]
@@ -265,7 +266,7 @@ func (sc *streamConn) settle(rb *binReports, enc []byte, ss *settleScratch) ([]b
 	stateBytes := 0
 	for i, e := range rb.Reports {
 		// BinResponse.ID is the lease ID itself (BinResponseOf stamps
-		// it), so the JSON wire's response/lease pairing check is
+		// it), so the JSON report's response/lease pairing check is
 		// structural here; takeLease still enforces ownership.
 		if t := s.takeLease(e.ID, sc.worker, int(e.ID)); t != nil {
 			accepted[i] = true
@@ -321,9 +322,8 @@ type granterScratch struct {
 	timer  *time.Timer // the long-poll wait, rearmed pass to pass
 }
 
-// granter services the worker's lease polls against the shared grant
-// core, long-polling on the server's wake channel exactly as the JSON
-// handler does.
+// granter services the worker's lease polls against the grant core,
+// long-polling on the server's wake channel.
 func (sc *streamConn) granter() {
 	gs := granterScratch{timer: newStoppedTimer()}
 	defer gs.timer.Stop()
@@ -371,7 +371,6 @@ func (sc *streamConn) serveLease(q binLeaseReq, gs *granterScratch) bool {
 		}
 		if len(tasks) > 0 {
 			s.grantFrames.Add(1)
-			s.binGrants.Add(int64(len(tasks)))
 			g := binGrants{Seq: q.Seq, Grants: gs.grants[:0]}
 			for _, t := range tasks {
 				idx := sc.tableFor(&t.payload, &g)

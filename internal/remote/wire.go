@@ -1,18 +1,18 @@
 package remote
 
-// The JSON lease wire: the one shape /v1/lease and /v1/report speak.
-// One /v1/lease poll may grant up to the requested batch of jobs, and
-// one /v1/report request may settle a batch of responses — each job
-// under its own lease ID, so expiry and exactly-once semantics are per
-// job. A single job is a batch of one. Agents lease over the binary
-// stream (binwire.go); these shapes are its curl/debug view and the
-// agent's report fallback when the stream is down.
+// The JSON report wire: the one shape /v1/report speaks. One request
+// settles a batch of responses, each job under its own lease ID, so
+// expiry and exactly-once semantics are per job. Agents lease and
+// report over the binary stream (binwire.go); this shape is the
+// agent's report fallback when the stream is down, and the path that
+// re-delivers report frames the stream never acknowledged.
 //
 // The messages carry ProtocolVersion in their "v" field and a mismatch
-// aborts at the door. The strict decoders below are the protocol's
-// hardening surface (see fuzz_test.go): arbitrary bytes never panic,
-// truncated or duplicated batch payloads are rejected cleanly, and
-// every message that decodes re-encodes to the identical bytes.
+// aborts at the door. The strict decoder below is part of the
+// protocol's hardening surface (see fuzz_test.go): arbitrary bytes
+// never panic, truncated or duplicated batch payloads are rejected
+// cleanly, and every message that decodes re-encodes to the identical
+// bytes.
 
 import (
 	"encoding/json"
@@ -20,18 +20,6 @@ import (
 
 	"repro/internal/exec"
 )
-
-// LeaseGrant hands one leased job to a worker: the lease envelope plus
-// the job payload in the shared subprocess wire encoding.
-type LeaseGrant struct {
-	LeaseID    uint64       `json:"lease"`
-	Experiment string       `json:"experiment,omitempty"`
-	Job        exec.Request `json:"job"`
-	// GrantUnixMs is the server's grant wall-clock time in Unix
-	// milliseconds — informational (span timelines, `ashactl trace`),
-	// never differenced against a worker clock for a stage duration.
-	GrantUnixMs int64 `json:"grantMs,omitempty"`
-}
 
 // JobTiming carries one finished job's worker-measured stage durations,
 // in microseconds. Every field is a monotonic-clock delta taken on the
@@ -49,16 +37,6 @@ type JobTiming struct {
 	ExecUs int64 `json:"execUs,omitempty"`
 	// BufUs: result ready → report flush left the worker.
 	BufUs int64 `json:"bufUs,omitempty"`
-}
-
-// LeaseBatch is the versioned reply to a lease poll: up to the
-// leaseReq's Max jobs, each under its own lease. An empty
-// Grants means the long poll timed out with nothing to hand out; Done
-// tells the worker the run is over.
-type LeaseBatch struct {
-	Version int          `json:"v"`
-	Grants  []LeaseGrant `json:"grants,omitempty"`
-	Done    bool         `json:"done,omitempty"`
 }
 
 // ReportEntry pairs one finished job's response with the lease it was
@@ -87,27 +65,6 @@ type ReportBatch struct {
 type ReportBatchResult struct {
 	Version  int    `json:"v"`
 	Accepted []bool `json:"accepted"`
-}
-
-// DecodeLeaseBatch parses and validates one LeaseBatch: the JSON must
-// decode, the version must match, and no lease ID may appear twice —
-// a duplicated grant would make one worker run the same job twice.
-func DecodeLeaseBatch(data []byte) (LeaseBatch, error) {
-	var lb LeaseBatch
-	if err := json.Unmarshal(data, &lb); err != nil {
-		return LeaseBatch{}, fmt.Errorf("remote: lease batch: %w", err)
-	}
-	if lb.Version != ProtocolVersion {
-		return LeaseBatch{}, fmt.Errorf("remote: lease batch speaks version %d, this side speaks %d", lb.Version, ProtocolVersion)
-	}
-	seen := make(map[uint64]struct{}, len(lb.Grants))
-	for i, g := range lb.Grants {
-		if _, dup := seen[g.LeaseID]; dup {
-			return LeaseBatch{}, fmt.Errorf("remote: lease batch grants lease %d twice (entry %d)", g.LeaseID, i)
-		}
-		seen[g.LeaseID] = struct{}{}
-	}
-	return lb, nil
 }
 
 // DecodeReportBatch parses and validates one ReportBatch: the JSON must

@@ -524,9 +524,11 @@ func (s *Space) FromMap(m map[string]float64) Config {
 	return c
 }
 
-// owns reports whether c shares the space's name table (vector aligned
-// with s.params).
-func (s *Space) owns(c Config) bool { return c.table == s.table }
+// Owns reports whether c shares the space's name table, so c.At(i) is
+// the space's parameter i. A configuration from the package FromMap or
+// Config.UnmarshalJSON has a table of its own; Space.FromMap(c.Map())
+// brings it into the space's order.
+func (s *Space) Owns(c Config) bool { return c.table == s.table }
 
 // SampleEncoded fills buf (length Dim) with the encoded coordinates of
 // a configuration drawn uniformly from the space, without allocating a
@@ -593,7 +595,7 @@ func (s *Space) EncodeInto(c Config, x []float64) {
 	if len(x) != len(s.params) {
 		panic(fmt.Sprintf("searchspace: EncodeInto expected %d dims, got %d", len(s.params), len(x)))
 	}
-	if s.owns(c) && c.Len() == len(s.params) {
+	if s.Owns(c) && c.Len() == len(s.params) {
 		for i := range s.params {
 			x[i] = s.encode(i, c.vals[i])
 		}
@@ -626,7 +628,7 @@ func (s *Space) Contains(c Config) bool {
 	if c.Len() != len(s.params) {
 		return false
 	}
-	if s.owns(c) {
+	if s.Owns(c) {
 		for i, p := range s.params {
 			if !p.Contains(c.vals[i]) {
 				return false
@@ -690,7 +692,7 @@ func (a *Arena) New() Config { return Config{table: a.space.table, vals: a.take(
 // Clone copies cfg into arena-backed storage (for schedulers that retain
 // a modified copy per trial, e.g. PBT's explore step).
 func (a *Arena) Clone(cfg Config) Config {
-	if !a.space.owns(cfg) || cfg.Len() != len(a.space.params) {
+	if !a.space.Owns(cfg) || cfg.Len() != len(a.space.params) {
 		return cfg.Clone()
 	}
 	c := Config{table: a.space.table, vals: a.take()}

@@ -5,6 +5,7 @@ package workload
 // the plain ones: every comparison is on math.Float64bits.
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -99,12 +100,23 @@ func refPercentile(b *Benchmark, q float64) float64 {
 	return u
 }
 
-// refCost is a named benchmark's CostSpread as it was written before its
+// refCal is a benchmark's cost and divergence as the reference computes
+// them: each from its formula, reading every parameter by name, so a
+// configuration's name table never decides which parameter is read.
+type refCal struct {
+	cost     func(searchspace.Config) float64
+	diverges func(searchspace.Config) bool
+}
+
+func newRefCal(b *Benchmark) refCal {
+	return refCal{cost: refCost(b), diverges: refDiverges(b)}
+}
+
+// refCost is a benchmark's CostSpread as it was written before its
 // factors were tabulated: the formula on every call, normalized by its own
-// Monte-Carlo mean, reading parameters by index as the built-in costs do.
-// A custom benchmark's CostSpread is called as is.
+// Monte-Carlo mean.
 func refCost(b *Benchmark) func(searchspace.Config) float64 {
-	at := func(cfg searchspace.Config, name string) float64 { return cfg.At(b.space.IndexOf(name)) }
+	at := searchspace.Config.Get
 	var raw func(cfg searchspace.Config) float64
 	switch b.name {
 	case "cifar10-small-cnn", "svhn-small-cnn":
@@ -119,8 +131,10 @@ func refCost(b *Benchmark) func(searchspace.Config) float64 {
 		raw = func(cfg searchspace.Config) float64 {
 			return math.Pow(20/at(cfg, "batch size"), 0.5) * math.Pow(at(cfg, "time steps")/70, 0.3)
 		}
+	case "wide-custom":
+		return func(cfg searchspace.Config) float64 { return 1 + 0.01*cfg.Get("int") }
 	default:
-		return b.cal.CostSpread
+		return nil // the other benchmarks' costs are constant
 	}
 	rng := xrand.New(b.seed ^ 0xC057_0000_0000_0001)
 	const samples = 4096
@@ -132,10 +146,23 @@ func refCost(b *Benchmark) func(searchspace.Config) float64 {
 	return func(cfg searchspace.Config) float64 { return raw(cfg) / mean }
 }
 
+// refDiverges is a benchmark's Diverges, read by name.
+func refDiverges(b *Benchmark) func(searchspace.Config) bool {
+	switch b.name {
+	case "ptb-lstm":
+		return func(cfg searchspace.Config) bool {
+			return cfg.Get("learning rate") > 10 && cfg.Get("clip gradients") < 4
+		}
+	case "wide-custom":
+		return func(cfg searchspace.Config) bool { return cfg.Get("choice") == 64 && cfg.Get("int") > 10 }
+	}
+	return nil
+}
+
 // refParamsFor is ParamsFor as it was written before tabulation: both
 // surfaces through Quality, the percentile through refPercentile, the
-// encoding through Param.Encode, the cost through refCost.
-func refParamsFor(b *Benchmark, costSpread func(searchspace.Config) float64, cfg searchspace.Config) curve.Params {
+// encoding through Param.Encode, the cost and divergence through ref.
+func refParamsFor(b *Benchmark, ref refCal, cfg searchspace.Config) curve.Params {
 	x := make([]float64, b.space.Dim())
 	for i, p := range b.space.Params() {
 		x[i] = p.Encode(cfg.Get(p.Name))
@@ -146,8 +173,8 @@ func refParamsFor(b *Benchmark, costSpread func(searchspace.Config) float64, cfg
 	mix := (1-b.cal.RateCouple)*b.speed.Quality(x) + b.cal.RateCouple*u
 	kappa := b.cal.RateLo + (b.cal.RateHi-b.cal.RateLo)*mix
 	cost := b.timeR / b.maxResource
-	if costSpread != nil {
-		cost *= costSpread(cfg)
+	if ref.cost != nil {
+		cost *= ref.cost(cfg)
 	}
 	if b.cal.CostQuality != nil {
 		cost *= b.cal.CostQuality(u)
@@ -162,7 +189,7 @@ func refParamsFor(b *Benchmark, costSpread func(searchspace.Config) float64, cfg
 		NoiseSD:     b.cal.NoiseSD,
 		CostPerUnit: cost,
 	}
-	if b.cal.Diverges != nil && b.cal.Diverges(cfg) {
+	if ref.diverges != nil && ref.diverges(cfg) {
 		p.Diverges = true
 		p.DivergeLevel = b.cal.DivergeLevel
 	}
@@ -182,10 +209,10 @@ func paramsBits(p curve.Params) [7]uint64 {
 }
 
 // checkConfig holds ParamsFor and both surfaces' Eval to the reference
-// at cfg; costSpread is refCost(b).
-func checkConfig(t *testing.T, b *Benchmark, costSpread func(searchspace.Config) float64, cfg searchspace.Config) {
+// at cfg; ref is newRefCal(b).
+func checkConfig(t *testing.T, b *Benchmark, ref refCal, cfg searchspace.Config) {
 	t.Helper()
-	if got, want := paramsBits(b.ParamsFor(cfg)), paramsBits(refParamsFor(b, costSpread, cfg)); got != want {
+	if got, want := paramsBits(b.ParamsFor(cfg)), paramsBits(refParamsFor(b, ref, cfg)); got != want {
 		t.Fatalf("%s: ParamsFor(%v) = %x, reference %x", b.name, cfg, got, want)
 	}
 	x := b.space.Encode(cfg)
@@ -199,10 +226,10 @@ func checkConfig(t *testing.T, b *Benchmark, costSpread func(searchspace.Config)
 func TestParamsForMatchesReference(t *testing.T) {
 	for _, b := range allBenchmarks() {
 		space := b.Space()
-		cost := refCost(b)
+		ref := newRefCal(b)
 		rng := xrand.New(b.seed ^ 0x7e57)
 		for n := 0; n < 10000; n++ {
-			checkConfig(t, b, cost, space.Sample(rng))
+			checkConfig(t, b, ref, space.Sample(rng))
 		}
 		// From a sampled base, each parameter in turn through values the
 		// sampler never draws: off the grid, outside the bounds, beside a
@@ -229,12 +256,41 @@ func TestParamsForMatchesReference(t *testing.T) {
 				for _, nv := range vals {
 					cfg := base.Clone()
 					cfg.SetAt(i, nv)
-					checkConfig(t, b, cost, cfg)
+					checkConfig(t, b, ref, cfg)
 				}
 			}
 			// The same values under a name table the space does not own.
-			checkConfig(t, b, cost, searchspace.FromMap(base.Map()))
+			checkConfig(t, b, ref, searchspace.FromMap(base.Map()))
 		}
+	}
+}
+
+// TestParamsForIgnoresNameTable holds ParamsFor to one answer per
+// configuration, whatever name table carries it: a copy through
+// searchspace.FromMap or JSON (both sort the names) gets the same
+// parameters, bit for bit, as the space's own configuration.
+func TestParamsForIgnoresNameTable(t *testing.T) {
+	for _, b := range allBenchmarks() {
+		t.Run(b.name, func(t *testing.T) {
+			rng := xrand.New(b.seed ^ 0x7ab1e)
+			for n := 0; n < 2000; n++ {
+				cfg := b.Space().Sample(rng)
+				want := paramsBits(b.ParamsFor(cfg))
+				var viaJSON searchspace.Config
+				blob, err := json.Marshal(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := json.Unmarshal(blob, &viaJSON); err != nil {
+					t.Fatal(err)
+				}
+				for _, foreign := range []searchspace.Config{searchspace.FromMap(cfg.Map()), viaJSON} {
+					if got := paramsBits(b.ParamsFor(foreign)); got != want {
+						t.Fatalf("ParamsFor(%v) = %x under another name table, %x under the space's", cfg, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -67,7 +67,9 @@ type Calibration struct {
 	// NoiseSD is the validation-observation noise.
 	NoiseSD float64
 	// CostSpread returns a positive multiplier on training time for a
-	// configuration (1 = average). nil means constant cost.
+	// configuration (1 = average). nil means constant cost. It and
+	// Diverges see only configurations the benchmark's space owns, so
+	// they may read parameters by index (cfg.At).
 	CostSpread func(cfg searchspace.Config) float64
 	// CostQuality couples training cost to configuration quality: the
 	// returned multiplier is applied on top of CostSpread, as a function
@@ -309,8 +311,13 @@ func (b *Benchmark) Quality(cfg searchspace.Config) float64 {
 // ParamsFor deterministically maps a configuration to its learning-curve
 // parameters. It runs at every trial creation and config switch (three
 // simulated jobs in four at 500 workers), so the encoding buffer lives
-// on the stack for every paper space (dim <= 16).
+// on the stack for every paper space (dim <= 16). A configuration under
+// another name table is brought into the space's order first: the
+// calibration's closures read parameters by the space's index.
 func (b *Benchmark) ParamsFor(cfg searchspace.Config) curve.Params {
+	if !b.space.Owns(cfg) {
+		cfg = b.space.FromMap(cfg.Map())
+	}
 	var xbuf [16]float64
 	var x []float64
 	if d := b.space.Dim(); d <= len(xbuf) {
