@@ -856,9 +856,6 @@ func formatTrace(total int64, spans []remote.JobSpan) string {
 		if sp.Err {
 			flags = append(flags, "err")
 		}
-		if !sp.Timed {
-			flags = append(flags, "untimed")
-		}
 		fmt.Fprintf(&b, "%-12s %-16s %6d %4d %9s %9s %9s %9s %9s  %s\n",
 			ts, expName(sp.Experiment), sp.Trial, sp.Rung,
 			fmtUs(sp.QueueUs), fmtUs(sp.DwellUs), fmtUs(sp.ExecUs), fmtUs(sp.BufUs), fmtUs(sp.SettleUs),

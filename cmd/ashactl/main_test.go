@@ -124,10 +124,10 @@ func TestFormatTraceGolden(t *testing.T) {
 	spans := []remote.JobSpan{
 		{Experiment: "cifar-asha", Trial: 17, Rung: 1, Lease: 42, Worker: "w1",
 			GrantUnixMs: base - 500, SettleUnixMs: base,
-			QueueUs: 1200, DwellUs: 350, ExecUs: 480000, BufUs: 900, SettleUs: 210, Timed: true},
+			QueueUs: 1200, DwellUs: 350, ExecUs: 480000, BufUs: 900, SettleUs: 210},
 		{Experiment: "cifar-asha", Trial: 9, Rung: 0, Lease: 41, Worker: "w2",
 			GrantUnixMs: base - 9000, SettleUnixMs: base - 100,
-			QueueUs: 800, DwellUs: 120, ExecUs: 8400000, BufUs: 300, SettleUs: 95, Timed: true, Straggler: true},
+			QueueUs: 800, DwellUs: 120, ExecUs: 8400000, BufUs: 300, SettleUs: 95, Straggler: true},
 		{Trial: 3, Rung: 0, Lease: 40, Worker: "w1",
 			GrantUnixMs: base - 2000, SettleUnixMs: base - 200,
 			QueueUs: 400, ExecUs: 1700000, Err: true},

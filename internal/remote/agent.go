@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/wire"
 )
 
 // AgentOptions configures one worker agent.
@@ -151,14 +152,15 @@ type agent struct {
 	unacked []*heldLease
 	ackWait time.Duration
 
-	// Reporter-goroutine scratch, reused flush to flush. repTimings is
-	// the slab the flushed entries' Timing pointers alias, so it must
-	// stay untouched until the next flush rebuilds it.
-	repEntries []ReportEntry
+	// Reporter-goroutine scratch, reused flush to flush: a frame's
+	// entries, their timings, and the frame they encode to.
 	repBin     []exec.BinResponse
 	repTimings []JobTiming
+	repEnc     []byte
+	// pollEnc is the fetcher's lease-poll encode buffer.
+	pollEnc []byte
 
-	// lastRTTUs is the previous JSON heartbeat's measured round trip,
+	// lastRTTUs is the previous POSTed heartbeat's measured round trip,
 	// shipped on the next one (the server can't observe a client-side
 	// RTT any other way).
 	lastRTTUs atomic.Int64
@@ -616,10 +618,8 @@ func (a *agent) binPoll(ctx context.Context, wid string, max int, timer *time.Ti
 	}
 	a.leaseSeq++
 	seq := a.leaseSeq
-	exps := a.o.Experiments
-	if !bs.send(func(dst []byte) []byte {
-		return appendLeaseReq(dst, binLeaseReq{Seq: seq, Max: max, WaitMillis: 15000, Experiments: exps})
-	}) {
+	a.pollEnc = appendLeaseReq(a.pollEnc[:0], binLeaseReq{Seq: seq, Max: max, WaitMillis: 15000, Experiments: a.o.Experiments})
+	if !bs.send(a.pollEnc) {
 		return streamBatch{}, 0, fmt.Errorf("remote: binary stream write failed")
 	}
 	rearm(timer, 25*time.Second)
@@ -771,7 +771,7 @@ func (a *agent) runOne(ctx context.Context, h *heldLease, sc *slotCtx) {
 // else when its oldest entry has waited FlushInterval. Sent frames wait in
 // a FIFO: an ack releases the oldest; an ack out of sequence or a head
 // older than ackWait closes the stream, and a closed stream re-delivers
-// them all through /v1/report. The loop ends once the pipeline has shut
+// them all to /v1/report. The loop ends once the pipeline has shut
 // down and every frame is settled.
 func (a *agent) reportLoop(ctx context.Context) {
 	var pending []*heldLease
@@ -871,13 +871,13 @@ func (a *agent) reportLoop(ctx context.Context) {
 	}
 }
 
-// flushReports sends one ReportBatch as a frame on bs and queues it for
-// its ack, or — bs nil, or the write failing — delivers it through
-// /v1/report with a short retry: if the server stays unreachable the
-// leases expire and the jobs requeue elsewhere, which is safe. Rejected
-// entries (leases that expired mid-flight) need no handling here — the
-// server has already requeued those jobs, and only those. Returns the
-// emptied buffer for reuse.
+// flushReports encodes the records still this worker's as one reports
+// frame and sends it on bs, queued for its ack — or, bs nil or the write
+// failing, POSTs the same frame to /v1/report with a short retry: if the
+// server stays unreachable the leases expire and the jobs requeue
+// elsewhere, which is safe. Rejected entries (leases that expired
+// mid-flight) need no handling here — the server has already requeued
+// those jobs, and only those. Returns the emptied buffer for reuse.
 func (a *agent) flushReports(ctx context.Context, pending []*heldLease, bs *binStream) []*heldLease {
 	if len(pending) == 0 {
 		return pending[:0]
@@ -889,15 +889,13 @@ func (a *agent) flushReports(ctx context.Context, pending []*heldLease, bs *binS
 	// the current registration: an entry that expired (or predates a
 	// re-registration) was already requeued server-side, and its lease
 	// number may since have been reissued to a different job — posting
-	// it could settle the wrong lease. The entries buffer is reused
-	// across flushes (the reporter goroutine is its only user).
+	// it could settle the wrong lease.
 	now := time.Now()
 	a.mu.Lock()
-	entries := a.repEntries[:0]
-	timings := a.repTimings[:0]
+	reports, timings := a.repBin[:0], a.repTimings[:0]
 	for _, h := range pending {
 		if !h.expired && !h.gone {
-			entries = append(entries, ReportEntry{LeaseID: h.job.ID, Response: h.resp})
+			reports = append(reports, exec.BinResponseOf(h.job.ID, h.resp))
 			timings = append(timings, JobTiming{
 				DwellUs: exec.DurationUs(h.dwell),
 				ExecUs:  exec.DurationUs(h.exec),
@@ -906,27 +904,23 @@ func (a *agent) flushReports(ctx context.Context, pending []*heldLease, bs *binS
 		}
 	}
 	a.mu.Unlock()
-	a.repEntries, a.repTimings = entries[:0], timings[:0]
-	// An empty entries means everything in the buffer was stale.
-	if len(entries) > 0 {
-		// Prefer the binary stream when one is live: the frame's leases
-		// stay held, and heartbeated, until its ack releases them.
-		if bs != nil && a.binSend(bs, entries, timings) {
+	a.repBin, a.repTimings = reports[:0], timings[:0]
+	// No entries means everything in the buffer was stale.
+	if len(reports) > 0 {
+		a.repSeq++
+		a.repEnc = appendReports(a.repEnc[:0], binReports{Seq: a.repSeq, Reports: reports, Timings: timings})
+		// Prefer the stream when one is live: the frame's leases stay
+		// held, and heartbeated, until its ack releases them.
+		if bs != nil && bs.send(a.repEnc) {
 			a.sentOn = bs
 			a.sent = append(a.sent, sentFrame{seq: a.repSeq, n: len(pending), at: now})
 			a.unacked = append(a.unacked, pending...)
 			return pending[:0]
 		}
-		// The Timing pointers alias the slab, taken only after it stopped
-		// growing; the binary path carries timings as a parallel slice
-		// instead.
-		for i := range entries {
-			entries[i].Timing = &timings[i]
-		}
-		req := ReportBatch{Version: ProtocolVersion, Token: a.o.Token, WorkerID: a.workerID(), Reports: entries}
+		req := streamReq{Version: ProtocolVersion, Token: a.o.Token, WorkerID: a.workerID(), Frame: a.repEnc}
 		for attempt := 0; attempt < 3 && ctx.Err() == nil; attempt++ {
-			var rr ReportBatchResult
-			status, err := a.post(ctx, "/v1/report", req, &rr, 10*time.Second)
+			var ack frameResp
+			status, err := a.post(ctx, "/v1/report", req, &ack, 10*time.Second)
 			if err == nil {
 				break // every entry settled: accepted, or harmlessly rejected as expired
 			}
@@ -967,25 +961,6 @@ func (a *agent) releaseAll(pending []*heldLease) {
 	a.kickFetch()
 }
 
-// binSend writes one report batch as a binary frame under the next
-// sequence number; its ack arrives on bs.acks. false sends the caller to
-// the JSON fallback.
-func (a *agent) binSend(bs *binStream, entries []ReportEntry, timings []JobTiming) bool {
-	a.repSeq++
-	seq := a.repSeq
-	// The conversion buffer is reused across flushes: send encodes the
-	// frame synchronously under the write lock, so the batch is dead the
-	// moment send returns.
-	reports := a.repBin[:0]
-	for _, e := range entries {
-		reports = append(reports, exec.BinResponseOf(e.LeaseID, e.Response))
-	}
-	a.repBin = reports
-	return bs.send(func(dst []byte) []byte {
-		return appendReports(dst, binReports{Seq: seq, Reports: reports, Timings: timings})
-	})
-}
-
 // heartbeatLoop extends every lease this worker holds — queued,
 // running, and completed-unflushed — at TTL/3 cadence.
 func (a *agent) heartbeatLoop(ctx context.Context, stop, done chan struct{}) {
@@ -996,6 +971,8 @@ func (a *agent) heartbeatLoop(ctx context.Context, stop, done chan struct{}) {
 	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
+	var leases []uint64
+	var enc []byte
 	for {
 		select {
 		case <-stop:
@@ -1004,7 +981,7 @@ func (a *agent) heartbeatLoop(ctx context.Context, stop, done chan struct{}) {
 			return
 		case <-tick.C:
 			a.mu.Lock()
-			leases := make([]uint64, 0, len(a.held))
+			leases = leases[:0]
 			for id := range a.held {
 				leases = append(leases, id)
 			}
@@ -1012,37 +989,42 @@ func (a *agent) heartbeatLoop(ctx context.Context, stop, done chan struct{}) {
 			if len(leases) == 0 {
 				continue
 			}
-			// Over a live binary stream the heartbeat is one frame,
-			// fire-and-forget: its ack applies asynchronously through
-			// the reader (markExpired). It carries the previous beat's
-			// measured RTT and arms the next sample; the ack's arrival
-			// closes it in the reader. A dead or absent stream falls
-			// back to JSON.
-			if bs := a.curStream(); bs != nil {
+			// The beat is one frame carrying the previous beat's measured
+			// RTT. Over a live stream it is fire-and-forget: it arms the
+			// next RTT sample, and its ack applies asynchronously through
+			// the reader (markExpired), closing the sample. A dead or
+			// absent stream POSTs the same frame to /v1/heartbeat.
+			bs := a.curStream()
+			rtt := a.lastRTTUs.Load()
+			if bs != nil {
+				rtt = bs.rttUs.Load()
+			}
+			enc = appendHeartbeat(enc[:0], binHeartbeat{RttUs: rtt, Leases: leases})
+			if bs != nil {
 				bs.hbSentNs.Store(time.Since(bs.born).Nanoseconds())
-				if bs.send(func(dst []byte) []byte {
-					return appendHeartbeat(dst, binHeartbeat{RttUs: bs.rttUs.Load(), Leases: leases})
-				}) {
+				if bs.send(enc) {
 					continue
 				}
 			}
-			var hr heartbeatResp
 			// Transport errors are ignored: a missed heartbeat only
-			// narrows the lease's remaining TTL. The request carries the
-			// previous beat's RTT; this one's is measured around the
-			// POST itself (monotonic time.Since).
+			// narrows the lease's remaining TTL. This beat's RTT is
+			// measured around the POST itself (monotonic time.Since).
+			var ack frameResp
 			hbStart := time.Now()
 			if _, err := a.post(ctx, "/v1/heartbeat",
-				heartbeatReq{Version: ProtocolVersion, Token: a.o.Token, WorkerID: a.workerID(),
-					Leases: leases, RttUs: a.lastRTTUs.Load()},
-				&hr, 5*time.Second); err != nil {
+				streamReq{Version: ProtocolVersion, Token: a.o.Token, WorkerID: a.workerID(), Frame: enc},
+				&ack, 5*time.Second); err != nil {
 				continue
 			}
 			a.lastRTTUs.Store(time.Since(hbStart).Microseconds())
 			// Leases the server reports expired are already requeued
 			// elsewhere: cancel their running jobs so the slots free up,
 			// and mark queued ones so the slots skip them on dequeue.
-			a.markExpired(hr.Expired)
+			if len(ack.Frame) > 0 && ack.Frame[0] == frameHeartbeatAck {
+				if expired, err := decodeLeaseIDs(wire.NewReader(ack.Frame[1:])); err == nil {
+					a.markExpired(expired)
+				}
+			}
 		}
 	}
 }

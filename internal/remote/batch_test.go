@@ -48,24 +48,25 @@ func TestLeaseBatchGrantsUpToBatchSize(t *testing.T) {
 	if _, g := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 8, WaitMillis: 2000}); len(g.Grants) != 3 {
 		t.Fatalf("batched poll granted %+v, want 3 grants", g)
 	}
-	if f, j := srv.BinaryGrantFrames(), srv.Counters().Granted; f != 1 || j != 3 {
-		t.Fatalf("batched poll: %d jobs in %d frames, want 3 in 1", j, f)
+	if c := srv.Counters(); c.GrantFrames != 1 || c.Granted != 3 {
+		t.Fatalf("batched poll: %d jobs in %d frames, want 3 in 1", c.Granted, c.GrantFrames)
 	}
 
 	// A poll asking for no job at all still gets one: a frame of one.
 	if _, g := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 0, WaitMillis: 2000}); len(g.Grants) != 1 {
 		t.Fatalf("poll with max 0 granted %+v, want 1 grant", g)
 	}
-	if f, j := srv.BinaryGrantFrames(), srv.Counters().Granted; f != 2 || j != 4 {
-		t.Fatalf("after the max-0 poll: %d jobs in %d frames, want 4 in 2", j, f)
+	if c := srv.Counters(); c.GrantFrames != 2 || c.Granted != 4 {
+		t.Fatalf("after the max-0 poll: %d jobs in %d frames, want 4 in 2", c.Granted, c.GrantFrames)
 	}
 }
 
 // TestBatchReportExpiredLeaseRejectsOnlyThatEntry is the regression
 // test for the lease-expiry sweep racing a batched report on the same
 // lease: a batch whose first job's lease expired mid-flight must reject
-// only that entry (accepted=false for it), settle the rest, and never
-// double-settle the expired job.
+// only that entry (its ack bit clear), settle the rest, and never
+// double-settle the expired job. A heartbeat naming both leases hears
+// that the first is gone.
 func TestBatchReportExpiredLeaseRejectsOnlyThatEntry(t *testing.T) {
 	srv, err := NewServer(Options{LeaseTTL: 150 * time.Millisecond, BatchSize: 4})
 	if err != nil {
@@ -91,8 +92,7 @@ func TestBatchReportExpiredLeaseRejectsOnlyThatEntry(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("first lease never expired")
 		}
-		rawPost(t, srv.URL(), "/v1/heartbeat",
-			map[string]interface{}{"v": ProtocolVersion, "worker": worker, "leases": []uint64{lease1}})
+		postFrame(t, srv.URL(), "/v1/heartbeat", "", worker, appendHeartbeat(nil, binHeartbeat{Leases: []uint64{lease1}}))
 		time.Sleep(20 * time.Millisecond)
 	}
 	select {
@@ -104,19 +104,20 @@ func TestBatchReportExpiredLeaseRejectsOnlyThatEntry(t *testing.T) {
 		t.Fatal("expired lease never settled its job")
 	}
 
-	// The worker, unaware, reports both jobs in one batch.
-	status, rep := rawPost(t, srv.URL(), "/v1/report", map[string]interface{}{
-		"v": ProtocolVersion, "worker": worker, "reports": []map[string]interface{}{
-			{"lease": lease0, "response": map[string]interface{}{"v": ProtocolVersion, "id": lease0, "loss": 0.5}},
-			{"lease": lease1, "response": map[string]interface{}{"v": ProtocolVersion, "id": lease1, "loss": 0.25}},
-		},
-	})
-	if status != http.StatusOK {
-		t.Fatalf("batched report refused outright: %d %v", status, rep)
+	beat := appendHeartbeat(nil, binHeartbeat{RttUs: 250, Leases: []uint64{lease0, lease1}})
+	if status, ack := postFrame(t, srv.URL(), "/v1/heartbeat", "", worker, beat); status != http.StatusOK ||
+		fmt.Sprint(ack) != fmt.Sprint([]uint64{lease0}) {
+		t.Fatalf("heartbeat for both leases: %d %v, want only lease %d expired", status, ack, lease0)
 	}
-	accepted, _ := rep["accepted"].([]interface{})
-	if len(accepted) != 2 || accepted[0] != false || accepted[1] != true {
-		t.Fatalf("per-entry acceptance = %v, want [false true]", accepted)
+
+	// The worker, unaware, reports both jobs in one batch.
+	status, ack := postFrame(t, srv.URL(), "/v1/report", "", worker, appendReports(nil, binReports{Seq: 3,
+		Reports: []exec.BinResponse{{ID: lease0, Loss: 0.5}, {ID: lease1, Loss: 0.25}}}))
+	if status != http.StatusOK {
+		t.Fatalf("batched report refused outright: %d %v", status, ack)
+	}
+	if a, _ := ack.(binReportAck); a.Seq != 3 || fmt.Sprint(a.Accepted) != "[false true]" {
+		t.Fatalf("report ack = %+v, want seq 3 accepting [false true]", ack)
 	}
 	// Job 1 settles exactly once, with its loss; job 0 never settles a
 	// second time.
@@ -133,14 +134,16 @@ func TestBatchReportExpiredLeaseRejectsOnlyThatEntry(t *testing.T) {
 		t.Fatalf("expired entry settled twice: %+v", o)
 	case <-time.After(200 * time.Millisecond):
 	}
-	if n := srv.BatchedReports(); n != 2 {
+	if n := srv.Counters().BatchedReports; n != 2 {
 		t.Fatalf("BatchedReports = %d, want 2", n)
 	}
 }
 
-// TestBatchReportRejectsMalformedBatches pins the strict-decoder
-// behavior at the HTTP door: duplicated lease entries and empty batches
-// are rejected whole with a 400, settling nothing.
+// TestBatchReportRejectsMalformedBatches pins the strict decoding at
+// the HTTP door: a report carrying duplicated lease entries, no entries,
+// no frame, a frame of the wrong type or the wrong version — and a
+// heartbeat carrying a reports frame — is rejected whole with a 400,
+// settling nothing.
 func TestBatchReportRejectsMalformedBatches(t *testing.T) {
 	srv, err := NewServer(Options{LeaseTTL: time.Minute})
 	if err != nil {
@@ -157,18 +160,24 @@ func TestBatchReportRejectsMalformedBatches(t *testing.T) {
 	}
 	id := g.Grants[0].Job.ID
 
-	entry := map[string]interface{}{"lease": id, "response": map[string]interface{}{"v": ProtocolVersion, "id": id, "loss": 0.5}}
-	status, _ := rawPost(t, srv.URL(), "/v1/report", map[string]interface{}{
-		"v": ProtocolVersion, "worker": worker, "reports": []map[string]interface{}{entry, entry},
-	})
-	if status != http.StatusBadRequest {
-		t.Fatalf("duplicated batch got status %d, want 400", status)
+	entry := exec.BinResponse{ID: id, Loss: 0.5}
+	for _, tc := range []struct {
+		name, path string
+		frame      []byte
+	}{
+		{"duplicated lease", "/v1/report", appendReports(nil, binReports{Reports: []exec.BinResponse{entry, entry}})},
+		{"no entries", "/v1/report", appendReports(nil, binReports{})},
+		{"no frame", "/v1/report", nil},
+		{"heartbeat frame", "/v1/report", appendHeartbeat(nil, binHeartbeat{Leases: []uint64{id}})},
+		{"reports frame", "/v1/heartbeat", reportOne(id, 0.5)},
+	} {
+		if status, msg := postFrame(t, srv.URL(), tc.path, "", worker, tc.frame); status != http.StatusBadRequest {
+			t.Fatalf("%s to %s: status %d (%v), want 400", tc.name, tc.path, status, msg)
+		}
 	}
-	status, _ = rawPost(t, srv.URL(), "/v1/report", map[string]interface{}{
-		"v": ProtocolVersion, "worker": worker, "reports": []map[string]interface{}{},
-	})
+	status, _ := rawPost(t, srv.URL(), "/v1/report", streamReq{Version: ProtocolVersion + 1, WorkerID: worker, Frame: reportOne(id, 0.5)})
 	if status != http.StatusBadRequest {
-		t.Fatalf("empty batch got status %d, want 400", status)
+		t.Fatalf("report of another version: status %d, want 400", status)
 	}
 	select {
 	case o := <-outcomes:
@@ -176,12 +185,9 @@ func TestBatchReportRejectsMalformedBatches(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 	// The job is still leased and a well-formed batch settles it.
-	status, rep := rawPost(t, srv.URL(), "/v1/report", map[string]interface{}{
-		"v": ProtocolVersion, "worker": worker, "reports": []map[string]interface{}{entry},
-	})
-	accepted, _ := rep["accepted"].([]interface{})
-	if status != http.StatusOK || len(accepted) != 1 || accepted[0] != true {
-		t.Fatalf("well-formed batch after rejections failed: %d %v", status, rep)
+	status, ack := postFrame(t, srv.URL(), "/v1/report", "", worker, reportOne(id, 0.5))
+	if status != http.StatusOK || acceptedOne(ack) != true {
+		t.Fatalf("well-formed batch after rejections failed: %d %v", status, ack)
 	}
 	if o := <-outcomes; o.Failed || o.Loss != 0.5 {
 		t.Fatalf("job settled wrong: %+v", o)
@@ -293,21 +299,27 @@ func TestReregistrationPurgesStalePrefetchedWork(t *testing.T) {
 		}
 	})
 	mux.HandleFunc("/v1/report", func(w http.ResponseWriter, r *http.Request) {
-		var rb ReportBatch
-		_ = json.NewDecoder(r.Body).Decode(&rb)
+		var req streamReq
+		_ = json.NewDecoder(r.Body).Decode(&req)
+		v, err := decodeAnyFrame(req.Frame)
+		rb, ok := v.(binReports)
+		if err != nil || !ok {
+			t.Errorf("/v1/report carried %T: %v", v, err)
+			return
+		}
 		st.mu.Lock()
 		if st.restarted {
-			for _, e := range rb.Reports {
-				st.reported = append(st.reported, e.LeaseID)
-			}
+			st.reported = append(st.reported, leasesOf(rb)...)
 		}
 		st.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"v":%d,"accepted":[true,true,true]}`, ProtocolVersion)
+		accepted := make([]bool, len(rb.Reports))
+		for i := range accepted {
+			accepted[i] = true
+		}
+		reply(w, frameResp{Version: ProtocolVersion, Frame: appendReportAck(nil, binReportAck{Seq: rb.Seq, Accepted: accepted})})
 	})
 	mux.HandleFunc("/v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"v":%d}`, ProtocolVersion)
+		reply(w, frameResp{Version: ProtocolVersion, Frame: appendHeartbeatAck(nil, nil)})
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -406,10 +418,10 @@ func TestDriveWithBinaryStreamAgent(t *testing.T) {
 	if n := srv.ExpiredLeases(); n != 0 {
 		t.Fatalf("%d leases expired during a healthy binary run", n)
 	}
-	if n := srv.BinaryGrantFrames(); n == 0 {
+	if n := srv.Counters().GrantFrames; n == 0 {
 		t.Fatal("no jobs traveled through binary grant frames")
 	}
-	if n := srv.BinaryReports(); n == 0 {
+	if n := srv.Counters().BinReports; n == 0 {
 		t.Fatal("no results traveled through binary report frames")
 	}
 	if err := <-agentDone; err != nil {

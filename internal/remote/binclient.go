@@ -10,9 +10,10 @@ package remote
 // heartbeat acks applied directly via a callback.
 //
 // Jobs are leased over the stream only. If it dies, the fetcher redials
-// it on the next poll while reports and heartbeats already owed fall
-// back to the JSON endpoints — and a handshake answered 410 routes
-// through the agent's normal re-registration path.
+// it on the next poll while reports and heartbeats already owed are
+// POSTed, as the same frames, to /v1/report and /v1/heartbeat — and a
+// handshake answered 410 routes through the agent's normal
+// re-registration path.
 
 import (
 	"bufio"
@@ -62,10 +63,9 @@ type binStream struct {
 	rttUs    atomic.Int64
 
 	// wmu serializes frame writes from the fetcher, reporter and
-	// heartbeat goroutines; enc is the shared encode buffer it guards.
+	// heartbeat goroutines.
 	wmu sync.Mutex
 	bw  *bufio.Writer
-	enc []byte
 
 	grants chan streamBatch  // reader -> fetcher (cap 1)
 	acks   chan binReportAck // reader -> reporter (cap ackWindow)
@@ -156,8 +156,8 @@ func (a *agent) dialStream(ctx context.Context, wid string) (bs *binStream, done
 	return nil, false, resp.StatusCode, fmt.Errorf("remote: /v1/stream: %s", we.Error)
 }
 
-// markExpired is the heartbeat-ack application shared by the JSON loop
-// and the stream reader: leases the server no longer recognizes are
+// markExpired applies a heartbeat ack, from the stream reader or a
+// POSTed beat's answer: leases the server no longer recognizes are
 // already requeued elsewhere, so running jobs are cancelled and queued
 // ones marked for the slots to skip.
 func (a *agent) markExpired(ids []uint64) {
@@ -192,13 +192,12 @@ func (bs *binStream) close() {
 	})
 }
 
-// send encodes one frame body into the shared buffer and writes it
-// under the write lock. A failed write kills the stream.
-func (bs *binStream) send(build func(dst []byte) []byte) bool {
+// send writes one frame body (type byte included) under the write
+// lock. A failed write kills the stream.
+func (bs *binStream) send(body []byte) bool {
 	bs.wmu.Lock()
 	defer bs.wmu.Unlock()
-	bs.enc = build(bs.enc[:0])
-	if err := writeFrame(bs.bw, bs.enc); err != nil {
+	if err := writeFrame(bs.bw, body); err != nil {
 		bs.close()
 		return false
 	}

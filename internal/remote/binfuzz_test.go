@@ -1,12 +1,12 @@
 package remote
 
-// Native fuzz targets for the binary streaming wire (binwire.go),
-// mirroring the JSON batch fuzzers: arbitrary bytes must never panic a
-// frame decoder, truncated/duplicated/oversized frames must be
-// rejected whole (an error, never a partial message), and any frame
-// that decodes must re-encode and re-decode stably — otherwise a
-// server and a worker could silently disagree about which jobs a frame
-// moved. Byte-identity is asserted between the first and second
+// Native fuzz targets for the binary worker wire (binwire.go), the one
+// decoder of every frame on the stream and on the /v1/report and
+// /v1/heartbeat fallback: arbitrary bytes must never panic a frame
+// decoder, truncated/duplicated/oversized frames must be rejected whole
+// (an error, never a partial message), and any frame that decodes must
+// re-encode and re-decode stably — otherwise a server and a worker could
+// silently disagree about which jobs a frame moved. Byte-identity is asserted between the first and second
 // re-encoding (not against the fuzz input, which may spell varints
 // non-minimally).
 //

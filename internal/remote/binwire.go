@@ -1,15 +1,15 @@
 package remote
 
-// The binary streaming lease wire: the only path jobs take to a worker.
-// The JSON shapes (wire.go) pay JSON encode/decode and base64
-// checkpoints on every entry, so they are kept for the agent's
-// report/heartbeat fallback, not for throughput. This file is the dense
-// form: length-prefixed binary frames spoken over one persistent
-// connection per worker (stream.go server side, binclient.go agent
-// side), multiplexing lease polls, report batches and heartbeats. Job
-// configs travel as bare []float64 vectors aligned with a
-// per-connection parameter-name table (sent once per experiment, never
-// per job), checkpoints as raw bytes.
+// The binary worker wire: the one encoding of every record a worker and
+// the server exchange. Frames are length-prefixed and spoken over one
+// persistent connection per worker (stream.go server side, binclient.go
+// agent side), multiplexing lease polls, report batches and heartbeats.
+// While a worker's stream is down, its reports and heartbeats travel as
+// the same frames, one per POST to /v1/report or /v1/heartbeat, and the
+// answer carries the ack frame the stream would have written
+// (handleRecord in remote.go). Job configs travel as bare []float64
+// vectors aligned with a per-connection parameter-name table (sent once
+// per experiment, never per job), checkpoints as raw bytes.
 //
 // A frame is `uvarint(len(body)) || body`, body[0] the frame type.
 // Worker-to-server types sit below 0x80, server-to-worker types at or
@@ -22,7 +22,7 @@ package remote
 // ends speak ProtocolVersion or the worker was refused at
 // /v1/register.
 //
-// The decoders are the hardening surface (see fuzz_test.go): arbitrary
+// The decoders are the hardening surface (see binfuzz_test.go): arbitrary
 // bytes never panic, truncated/duplicated/oversized frames are
 // rejected whole, and every frame that decodes re-encodes to identical
 // bytes. Element counts are validated against the bytes actually
@@ -338,11 +338,28 @@ func (g *binGrants) decode(r *wire.Reader, tableLen func(idx uint64) (int, bool)
 	return r.Err()
 }
 
-// binReports delivers a batch of finished jobs (the stream twin of
-// ReportBatch) with one JobTiming per entry, aligned with Reports. Each
-// entry's BinResponse.ID is its lease ID, and it encodes as the
-// BinResponse followed by three uvarints (dwell, exec, buffer — all
-// microseconds of the worker's monotonic clock).
+// JobTiming carries one finished job's worker-measured stage durations,
+// in microseconds. Every field is a monotonic-clock delta taken on the
+// worker (never a difference of wall-clock readings across machines),
+// so clock skew between fleet hosts cannot produce negative or inflated
+// stages; the server additionally clamps each stage to a sane range at
+// settle.
+type JobTiming struct {
+	// DwellUs: grant received by the worker → job dequeued by a slot
+	// (wire transit is excluded; this is prefetch-queue dwell).
+	DwellUs int64
+	// ExecUs: objective execution, dequeue → result ready.
+	ExecUs int64
+	// BufUs: result ready → report flush left the worker.
+	BufUs int64
+}
+
+// binReports delivers a batch of finished jobs with one JobTiming per
+// entry, aligned with Reports. Entries settle independently: a lease
+// that expired mid-flight rejects only its own entry. Each entry's
+// BinResponse.ID is its lease ID, and it encodes as the BinResponse
+// followed by three uvarints (dwell, exec, buffer — all microseconds of
+// the worker's monotonic clock).
 type binReports struct {
 	Seq     uint64
 	Reports []exec.BinResponse
@@ -366,8 +383,9 @@ func appendReports(dst []byte, rb binReports) []byte {
 	return dst
 }
 
-// decodeReports parses and validates one reports frame body: non-empty
-// and no lease settled twice, exactly as DecodeReportBatch.
+// decodeReports parses and validates one reports frame body: non-empty,
+// and no lease settled twice — a duplicated entry could settle one lease
+// with two different results.
 func decodeReports(r *wire.Reader) (binReports, error) {
 	var rb binReports
 	err := rb.decode(r)

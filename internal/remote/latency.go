@@ -5,12 +5,11 @@ package remote
 // prefetch dwell), exec start→end, report-buffer dwell, report→settle
 // residual — assembled from two clocks that are never mixed: the
 // server stamps submit/grant/settle on its own monotonic clock, and
-// the worker ships its three stage durations as monotonic deltas
-// (JobTiming over the JSON report wire, the reports frame over the
-// binary stream). Cross-machine wall-clock differencing never enters a
-// histogram, so clock skew between fleet hosts cannot fabricate
-// latencies; as defense in depth every worker-reported stage is also
-// clamped to [0, maxStageDur] at settle.
+// the worker ships its three stage durations as monotonic deltas in
+// every reports frame entry (JobTiming). Cross-machine wall-clock
+// differencing never enters a histogram, so clock skew between fleet
+// hosts cannot fabricate latencies; as defense in depth every
+// worker-reported stage is also clamped to [0, maxStageDur] at settle.
 //
 // The tracker feeds four server-wide histogram families plus a
 // per-experiment and per-(experiment, rung) exec-time breakdown; the
@@ -49,9 +48,7 @@ const (
 
 // JobSpan is one settled job's span timeline as GET /v1/trace reports
 // it. Stage durations are microseconds; DwellUs/ExecUs/BufUs are the
-// worker's monotonic measurements when Timed, and ExecUs degrades to
-// the server-side grant→settle elapsed when the report carried no
-// timing (a hand-written JSON report).
+// worker's monotonic measurements, which every report entry carries.
 type JobSpan struct {
 	Experiment   string `json:"experiment,omitempty"`
 	Trial        int    `json:"trial"`
@@ -68,7 +65,6 @@ type JobSpan struct {
 	// the server minus the worker's dwell+exec+buf (wire transit both
 	// ways plus server queueing), clamped to ≥ 0.
 	SettleUs  int64 `json:"settleUs,omitempty"`
-	Timed     bool  `json:"timed"`
 	Straggler bool  `json:"straggler,omitempty"`
 	Err       bool  `json:"err,omitempty"`
 }
@@ -148,12 +144,12 @@ func (el *expLatency) rungLocked(rung int) *obs.Histogram {
 }
 
 // observeSettle records one accepted settle into the latency plane:
-// both report paths (JSON batch, binary stream) call it exactly once
-// per accepted entry, which is what keeps sum(asha_exec_seconds_count)
-// == accepted at quiescence. tm is the worker's stage timing or nil;
-// out is the outcome about to be delivered. No-op unless
-// Options.Metrics.
-func (s *Server) observeSettle(t *task, tm *JobTiming, out *Outcome) {
+// settleReports calls it exactly once per accepted entry, whichever
+// path carried the frame, which is what keeps
+// sum(asha_exec_seconds_count) == accepted at quiescence. tm is the
+// worker's stage timing; out is the outcome about to be delivered.
+// No-op unless Options.Metrics.
+func (s *Server) observeSettle(t *task, tm JobTiming, out *Outcome) {
 	lat := s.lat
 	if lat == nil {
 		return
@@ -167,22 +163,17 @@ func (s *Server) observeSettle(t *task, tm *JobTiming, out *Outcome) {
 	if queue < 0 {
 		queue = 0
 	}
-	var dwell, buf, residual time.Duration
-	execD := total // fallback: server-side grant→settle covers exec
-	timed := tm != nil
-	if timed {
-		dwell = clampStage(tm.DwellUs)
-		execD = clampStage(tm.ExecUs)
-		buf = clampStage(tm.BufUs)
-		residual = total - (dwell + execD + buf)
-		if residual < 0 {
-			// The worker's stages can only exceed the server-side
-			// elapsed through clock trouble; report no residual rather
-			// than a negative one.
-			residual = 0
-		}
-		lat.settleTime.Observe(residual)
+	dwell := clampStage(tm.DwellUs)
+	execD := clampStage(tm.ExecUs)
+	buf := clampStage(tm.BufUs)
+	residual := total - (dwell + execD + buf)
+	if residual < 0 {
+		// The worker's stages can only exceed the server-side elapsed
+		// through clock trouble; report no residual rather than a
+		// negative one.
+		residual = 0
 	}
+	lat.settleTime.Observe(residual)
 	lat.execTime.Observe(execD)
 
 	rung := t.payload.Rung
@@ -219,7 +210,6 @@ func (s *Server) observeSettle(t *task, tm *JobTiming, out *Outcome) {
 		ExecUs:       int64(execD / time.Microsecond),
 		BufUs:        int64(buf / time.Microsecond),
 		SettleUs:     int64(residual / time.Microsecond),
-		Timed:        timed,
 		Straggler:    straggler,
 		Err:          out.Err != "",
 	}
@@ -241,8 +231,8 @@ func (s *Server) observeSettle(t *task, tm *JobTiming, out *Outcome) {
 }
 
 // observeHeartbeatRTT records one worker-measured heartbeat round trip
-// (microseconds; 0 means the worker has none yet). Both heartbeat
-// handlers — JSON and the binary frame — funnel here.
+// (microseconds; 0 means the worker has none yet). A heartbeat frame
+// funnels here whether it came on the stream or to /v1/heartbeat.
 func (s *Server) observeHeartbeatRTT(rttUs int64) {
 	if s.lat == nil || rttUs <= 0 {
 		return

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net"
 	"net/http"
@@ -71,10 +72,10 @@ func TestStragglerEventAndTrace(t *testing.T) {
 
 	out := Outcome{Loss: 0.5}
 	for i := 0; i < stragglerMinSamples; i++ {
-		srv.observeSettle(mkTask(i), &JobTiming{DwellUs: 10, ExecUs: 100_000, BufUs: 10}, &out)
+		srv.observeSettle(mkTask(i), JobTiming{DwellUs: 10, ExecUs: 100_000, BufUs: 10}, &out)
 	}
 	// 10s against a rung whose p95 is ~100ms: far beyond 3x.
-	srv.observeSettle(mkTask(99), &JobTiming{ExecUs: 10_000_000}, &out)
+	srv.observeSettle(mkTask(99), JobTiming{ExecUs: 10_000_000}, &out)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -106,8 +107,8 @@ scan:
 	if total != stragglerMinSamples+1 {
 		t.Fatalf("trace total = %d, want %d", total, stragglerMinSamples+1)
 	}
-	if len(spans) != 1 || !spans[0].Straggler || !spans[0].Timed {
-		t.Fatalf("trace span for trial 99 = %+v, want one timed straggler", spans)
+	if len(spans) != 1 || !spans[0].Straggler || spans[0].ExecUs != 10_000_000 {
+		t.Fatalf("trace span for trial 99 = %+v, want one straggler of 10 s exec", spans)
 	}
 	// The fast jobs must not be flagged.
 	_, fast := traceSpans(t, srv.URL(), "?trial=3")
@@ -130,16 +131,16 @@ func TestClockSkewCannotCorruptStages(t *testing.T) {
 	defer srv.Close()
 	out := Outcome{Loss: 1}
 
-	srv.observeSettle(mkTask(1), &JobTiming{DwellUs: -50_000, ExecUs: math.MaxInt64, BufUs: -1}, &out)
+	srv.observeSettle(mkTask(1), JobTiming{DwellUs: -50_000, ExecUs: math.MaxInt64, BufUs: -1}, &out)
 	// A worker whose stages exceed the server-side elapsed (skewed or
 	// lying): residual clamps to zero.
-	srv.observeSettle(mkTask(2), &JobTiming{DwellUs: 3_600_000_000, ExecUs: 3_600_000_000, BufUs: 0}, &out)
+	srv.observeSettle(mkTask(2), JobTiming{DwellUs: 3_600_000_000, ExecUs: 3_600_000_000, BufUs: 0}, &out)
 	// A grant stamped "in the future" relative to settle must not
 	// produce a negative total or queue wait.
 	future := mkTask(3)
 	future.submitted = time.Now().Add(time.Hour)
 	future.grantedAt = time.Now().Add(2 * time.Hour)
-	srv.observeSettle(future, nil, &out)
+	srv.observeSettle(future, JobTiming{ExecUs: 500}, &out)
 
 	maxUs := int64(maxStageDur / time.Microsecond)
 	_, spans := traceSpans(t, srv.URL(), "?n=10")
@@ -261,9 +262,9 @@ func sendFrame(t *testing.T, conn net.Conn, body []byte) {
 }
 
 // TestTimedWireEndToEnd runs a real agent against a real server and
-// proves worker-measured timings arrive: settled spans are Timed, the
-// report-settle histogram fills (it only fills from worker timings),
-// and exec_count reconciles with accepted reports.
+// proves worker-measured timings arrive: settled spans carry the
+// worker's exec time, the report-settle histogram fills, and exec_count
+// reconciles with accepted reports.
 func TestTimedWireEndToEnd(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
 		srv, err := NewServer(Options{Metrics: true, BatchSize: 4, LeaseTTL: time.Minute,
@@ -275,7 +276,7 @@ func TestTimedWireEndToEnd(t *testing.T) {
 		const jobs = 12
 		outcomes := make(chan Outcome, jobs)
 		for i := 0; i < jobs; i++ {
-			srv.Submit(JobPayload{Trial: i, Rung: i % 2, Config: map[string]float64{"lr": 0.1, "momentum": 0.5}, To: 2},
+			srv.Submit(JobPayload{Trial: i, Rung: i % 2, Names: []string{"lr", "momentum"}, Vec: []float64{0.1, 0.5}, To: 2},
 				func(o Outcome) { outcomes <- o })
 		}
 		ctx, cancel := context.WithCancel(context.Background())
@@ -321,17 +322,13 @@ func TestTimedWireEndToEnd(t *testing.T) {
 			t.Fatalf("got %d spans, want %d", len(spans), jobs)
 		}
 		for _, sp := range spans {
-			if !sp.Timed {
-				t.Fatalf("span %+v not timed", sp)
-			}
 			if sp.ExecUs <= 0 {
 				t.Fatalf("span %+v has no exec time", sp)
 			}
 		}
 	})
-	// The JSON report shape — the agent's fallback when its stream is
-	// down — carries the same timings, and one without them still
-	// settles, untimed.
+	// The JSON fallback — a reports frame POSTed to /v1/report while the
+	// agent's stream is down — carries the same timings, entry by entry.
 	t.Run("json", func(t *testing.T) {
 		srv, err := NewServer(Options{Metrics: true, BatchSize: 2, LeaseTTL: time.Minute})
 		if err != nil {
@@ -348,29 +345,25 @@ func TestTimedWireEndToEnd(t *testing.T) {
 			t.Fatalf("leased %+v, want two grants", g)
 		}
 		id0, id1 := g.Grants[0].Job.ID, g.Grants[1].Job.ID
-		status, rep := rawPost(t, srv.URL(), "/v1/report", map[string]interface{}{
-			"v": ProtocolVersion, "worker": worker, "reports": []map[string]interface{}{
-				{"lease": id0, "response": map[string]interface{}{"v": exec.WireVersion, "id": id0, "loss": 0.5},
-					"timing": map[string]interface{}{"dwellUs": 10, "execUs": 2000, "bufUs": 5}},
-				{"lease": id1, "response": map[string]interface{}{"v": exec.WireVersion, "id": id1, "loss": 0.25}},
-			},
-		})
+		status, ack := postFrame(t, srv.URL(), "/v1/report", "", worker, appendReports(nil, binReports{
+			Reports: []exec.BinResponse{{ID: id0, Loss: 0.5}, {ID: id1, Loss: 0.25}},
+			Timings: []JobTiming{{DwellUs: 10, ExecUs: 2000, BufUs: 5}, {DwellUs: 20, ExecUs: 700, BufUs: 9}},
+		}))
 		if status != http.StatusOK {
-			t.Fatalf("report refused: %d %v", status, rep)
+			t.Fatalf("report refused: %d %v", status, ack)
 		}
 		if n := srv.lat.execTime.Count(); n != 2 {
 			t.Fatalf("exec histogram count = %d, want 2", n)
 		}
-		if n := srv.lat.settleTime.Count(); n != 1 {
-			t.Fatalf("settle histogram count = %d, want the one timed settle", n)
+		if n := srv.lat.settleTime.Count(); n != 2 {
+			t.Fatalf("settle histogram count = %d, want 2", n)
 		}
-		_, spans := traceSpans(t, srv.URL(), "?trial=0")
-		if len(spans) != 1 || !spans[0].Timed || spans[0].ExecUs != 2000 {
-			t.Fatalf("timed entry's span = %+v, want timed with execUs 2000", spans)
-		}
-		_, spans = traceSpans(t, srv.URL(), "?trial=1")
-		if len(spans) != 1 || spans[0].Timed {
-			t.Fatalf("untimed entry's span = %+v, want untimed", spans)
+		for trial, want := range []JobSpan{{DwellUs: 10, ExecUs: 2000, BufUs: 5}, {DwellUs: 20, ExecUs: 700, BufUs: 9}} {
+			_, spans := traceSpans(t, srv.URL(), fmt.Sprintf("?trial=%d", trial))
+			if len(spans) != 1 || spans[0].DwellUs != want.DwellUs || spans[0].ExecUs != want.ExecUs || spans[0].BufUs != want.BufUs {
+				t.Fatalf("trial %d's span = %+v, want dwell %d, exec %d, buffer %d us",
+					trial, spans, want.DwellUs, want.ExecUs, want.BufUs)
+			}
 		}
 	})
 }

@@ -305,7 +305,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("asha_reports_accepted_total", "Report entries accepted (jobs settled by a worker).", c.Accepted)
 	counter("asha_reports_rejected_total", "Report entries rejected (late, mispaired, or foreign leases).", c.Rejected)
 	counter("asha_jobs_canceled_total", "Queued jobs canceled by an admin abort.", c.Canceled)
-	counter("asha_report_batch_entries_total", "Entries settled through batched ReportBatch requests.", c.BatchedReports)
+	counter("asha_report_batch_entries_total", "Entries settled through reports frames POSTed to /v1/report.", c.BatchedReports)
 	counter("asha_bin_report_entries_total", "Entries settled through binary stream frames.", c.BinReports)
 	counter("asha_lease_grant_frames_total", "Binary grants frames that carried jobs (jobs per frame: asha_leases_granted_total over this).", c.GrantFrames)
 	counter("asha_lease_report_frames_total", "Binary reports frames settled (entries per frame: asha_bin_report_entries_total over this).", c.ReportFrames)
@@ -332,7 +332,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		hist("asha_queue_wait_seconds",
 			"Time jobs wait in the queue between submit and lease grant.", &lat.queueWait)
 		hist("asha_exec_seconds",
-			"Worker-measured objective execution time per settled job (server-side grant-to-settle when the worker reported no timing).", &lat.execTime)
+			"Worker-measured objective execution time per settled job.", &lat.execTime)
 		hist("asha_report_settle_seconds",
 			"Report-to-settle residual: server grant-to-settle elapsed minus worker-reported dwell+exec+buffer.", &lat.settleTime)
 		hist("asha_heartbeat_rtt_seconds",

@@ -393,9 +393,9 @@ func TestAdminPauseFreezesLeaseGrants(t *testing.T) {
 	}
 	defer srv.Close()
 	outcomes := make(chan Outcome, 4)
-	srv.Submit(JobPayload{Experiment: "exp-a", Trial: 1, Config: map[string]float64{"x": 1}, From: 0, To: 2},
+	srv.Submit(JobPayload{Experiment: "exp-a", Trial: 1, Names: []string{"x"}, Vec: []float64{1}, From: 0, To: 2},
 		func(o Outcome) { outcomes <- o })
-	srv.Submit(JobPayload{Experiment: "exp-b", Trial: 2, Config: map[string]float64{"x": 2}, From: 0, To: 2},
+	srv.Submit(JobPayload{Experiment: "exp-b", Trial: 2, Names: []string{"x"}, Vec: []float64{2}, From: 0, To: 2},
 		func(o Outcome) { outcomes <- o })
 
 	if status, _ := adminPost(t, srv.URL(), "tok", "pause", `{"experiment":"exp-a"}`); status != http.StatusOK {

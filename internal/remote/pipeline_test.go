@@ -27,7 +27,7 @@ import (
 // reporterRig is an agent assembled by hand around its reporter: the
 // records of jobs it "ran" go straight into a.reports, its stream is one
 // end of a pipe whose other end the test plays (or proxies to a real
-// server), and its JSON fallback posts to a URL of the test's.
+// server), and its fallback POSTs to a URL of the test's.
 type reporterRig struct {
 	t    *testing.T
 	a    *agent
@@ -330,14 +330,14 @@ func TestSharedFramesFillEveryFreeSlot(t *testing.T) {
 		submit(1, 8)
 		serve(srv, gate.run, agents)
 		gate.await(t, 4)
-		if f, j := srv.BinaryGrantFrames(), srv.Counters().Granted; f != 1 || j != 4 {
-			t.Fatalf("four free slots, eight jobs pending: %d jobs in %d frames, want 4 in 1", j, f)
+		if c := srv.Counters(); c.GrantFrames != 1 || c.Granted != 4 {
+			t.Fatalf("four free slots, eight jobs pending: %d jobs in %d frames, want 4 in 1", c.Granted, c.GrantFrames)
 		}
 		// A second agent: the other four leave in its first frame.
 		serve(srv, gate.run, agents)
 		gate.await(t, 4)
-		if f, j := srv.BinaryGrantFrames(), srv.Counters().Granted; f != 2 || j != 8 {
-			t.Fatalf("two agents, eight jobs: %d jobs in %d frames, want 8 in 2", j, f)
+		if c := srv.Counters(); c.GrantFrames != 2 || c.Granted != 8 {
+			t.Fatalf("two agents, eight jobs: %d jobs in %d frames, want 8 in 2", c.Granted, c.GrantFrames)
 		}
 		// Three more than the slots hold, then every slot frees at once:
 		// fewer jobs pending than slots free, and none may stay queued.
@@ -529,18 +529,21 @@ func TestUnackedFramesSurviveTheStream(t *testing.T) {
 			var mu sync.Mutex
 			var posted []uint64
 			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				var rb ReportBatch
-				if err := json.NewDecoder(r.Body).Decode(&rb); err != nil || r.URL.Path != "/v1/report" {
-					t.Errorf("%s: %v", r.URL.Path, err)
+				var req streamReq
+				err := json.NewDecoder(r.Body).Decode(&req)
+				v, ferr := decodeAnyFrame(req.Frame)
+				rb, ok := v.(binReports)
+				if err != nil || ferr != nil || !ok || r.URL.Path != "/v1/report" {
+					t.Errorf("%s carried %T: %v %v", r.URL.Path, v, err, ferr)
 				}
 				accepted := make([]bool, len(rb.Reports))
-				mu.Lock()
-				for i, e := range rb.Reports {
-					posted = append(posted, e.LeaseID)
+				for i := range accepted {
 					accepted[i] = true
 				}
+				mu.Lock()
+				posted = append(posted, leasesOf(rb)...)
 				mu.Unlock()
-				reply(w, ReportBatchResult{Version: ProtocolVersion, Accepted: accepted})
+				reply(w, frameResp{Version: ProtocolVersion, Frame: appendReportAck(nil, binReportAck{Seq: rb.Seq, Accepted: accepted})})
 			}))
 			defer hs.Close()
 			rig := newReporterRig(t, hs.URL, "w1", 2, tc.ackWait)
@@ -570,5 +573,111 @@ func TestUnackedFramesSurviveTheStream(t *testing.T) {
 				t.Fatalf("%d leases still held after the re-delivery", n)
 			}
 		})
+	}
+}
+
+// TestFallbackSettlesLikeTheStream sends one reports frame to two
+// servers holding the same leases: once on a stream, once POSTed to
+// /v1/report. Both must answer the same acceptance bits under the same
+// sequence number and settle the same outcomes and spans — a live lease
+// with its loss and checkpoint, another with its error, a lease never
+// granted rejected — and only the per-path counters may differ.
+func TestFallbackSettlesLikeTheStream(t *testing.T) {
+	type settled struct {
+		ack      binReportAck
+		outcomes map[int]Outcome
+		spans    map[int]JobSpan
+		counters CounterSnapshot
+	}
+	frame := appendReports(nil, binReports{Seq: 11,
+		Reports: []exec.BinResponse{
+			{ID: 1001, Loss: 0.25, State: []byte(`{"epoch":4}`)},
+			{ID: 1002, IsErr: true, Err: "objective exploded"},
+			{ID: 1777, Loss: 0.5}, // never granted
+		},
+		Timings: []JobTiming{{DwellUs: 10, ExecUs: 2000, BufUs: 5}, {DwellUs: 30, ExecUs: 900, BufUs: 2}, {ExecUs: 1}},
+	})
+	settle := func(t *testing.T, send func(base, worker string) binReportAck) settled {
+		srv, err := NewServer(Options{Metrics: true, LeaseTTL: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		srv.mu.Lock()
+		srv.nextLease = 1000 // both servers number their leases alike
+		srv.mu.Unlock()
+		var mu sync.Mutex
+		got := settled{outcomes: make(map[int]Outcome), spans: make(map[int]JobSpan)}
+		var wg sync.WaitGroup
+		for trial := 1; trial <= 2; trial++ {
+			wg.Add(1)
+			srv.Submit(JobPayload{Experiment: "exp", Trial: trial, Rung: trial, To: 2}, func(o Outcome) {
+				mu.Lock()
+				got.outcomes[trial] = o
+				mu.Unlock()
+				wg.Done()
+			})
+		}
+		_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion})
+		worker := reg["worker"].(string)
+		if _, g := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 2, WaitMillis: 2000}); len(g.Grants) != 2 ||
+			g.Grants[0].Job.ID != 1001 || g.Grants[1].Job.ID != 1002 {
+			t.Fatalf("leased %+v, want leases 1001 and 1002", g)
+		}
+		got.ack = send(srv.URL(), worker)
+		wg.Wait()
+		_, spans := traceSpans(t, srv.URL(), "?n=10")
+		for _, sp := range spans {
+			// The clock-dependent stages are the only fields that may differ.
+			sp.GrantUnixMs, sp.SettleUnixMs, sp.QueueUs, sp.SettleUs = 0, 0, 0, 0
+			got.spans[sp.Trial] = sp
+		}
+		got.counters = srv.Counters()
+		return got
+	}
+
+	stream := settle(t, func(base, worker string) binReportAck {
+		conn, br := streamDial(t, base, worker)
+		defer conn.Close()
+		sendFrame(t, conn, frame)
+		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		body, err := readFrame(br, nil)
+		if err != nil || body[0] != frameReportAck {
+			t.Fatalf("stream answered %x: %v", body, err)
+		}
+		ack, err := decodeReportAck(wire.NewReader(body[1:]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ack
+	})
+	posted := settle(t, func(base, worker string) binReportAck {
+		status, ack := postFrame(t, base, "/v1/report", "", worker, frame)
+		if status != http.StatusOK {
+			t.Fatalf("POST /v1/report: %d %v", status, ack)
+		}
+		return ack.(binReportAck)
+	})
+
+	if got, want := fmt.Sprintf("%+v", posted.ack), fmt.Sprintf("%+v", stream.ack); got != want || want != "{Seq:11 Accepted:[true true false]}" {
+		t.Fatalf("POSTed frame acked %s, the stream %s, want {Seq:11 Accepted:[true true false]}", got, want)
+	}
+	if got, want := fmt.Sprintf("%+v", posted.outcomes), fmt.Sprintf("%+v", stream.outcomes); got != want {
+		t.Fatalf("POSTed frame settled\n %s\nthe stream\n %s", got, want)
+	}
+	if o := stream.outcomes[1]; o.Loss != 0.25 || string(o.State) != `{"epoch":4}` || stream.outcomes[2].Err != "objective exploded" {
+		t.Fatalf("the stream settled %+v", stream.outcomes)
+	}
+	if got, want := fmt.Sprintf("%+v", posted.spans), fmt.Sprintf("%+v", stream.spans); got != want || len(stream.spans) != 2 {
+		t.Fatalf("POSTed frame's spans\n %s\nthe stream's\n %s", got, want)
+	}
+	for _, c := range []*CounterSnapshot{&stream.counters, &posted.counters} {
+		if c.Accepted != 2 || c.Rejected != 1 || c.Leased != 0 {
+			t.Fatalf("after the frame: %+v", *c)
+		}
+	}
+	if s, p := stream.counters, posted.counters; s.BinReports != 3 || s.ReportFrames != 1 || s.BatchedReports != 0 ||
+		p.BinReports != 0 || p.ReportFrames != 0 || p.BatchedReports != 3 {
+		t.Fatalf("per-path counters: stream %+v, POSTed %+v", s, p)
 	}
 }

@@ -80,8 +80,8 @@ func namesBothVersions(body map[string]interface{}) bool {
 // version 1 still works by accident: a "v":1 registration or stream
 // handshake is refused with both versions named and no worker ID
 // assigned, on the lease server and on the coordinator; the JSON lease
-// poll is gone (404); a single-report body and a retired frame type
-// settle nothing.
+// poll is gone (404); a single-report body and a retired frame type —
+// on the stream or POSTed — settle nothing.
 func TestEarlierGenerationsRefusedByName(t *testing.T) {
 	srv, err := NewServer(Options{BatchSize: 4, LeaseTTL: time.Minute})
 	if err != nil {
@@ -97,7 +97,7 @@ func TestEarlierGenerationsRefusedByName(t *testing.T) {
 	if status != http.StatusBadRequest || !namesBothVersions(body) || body["worker"] != nil {
 		t.Fatalf("v1 registration: %d %v, want 400 naming both versions and no worker", status, body)
 	}
-	if n := srv.Workers(); n != 0 {
+	if n := srv.Counters().Registered; n != 0 {
 		t.Fatalf("a refused registration counted %d workers", n)
 	}
 	status, body = rawPost(t, srv.URL(), "/v1/stream", map[string]interface{}{"v": 1, "worker": "w1"})
@@ -128,13 +128,20 @@ func TestEarlierGenerationsRefusedByName(t *testing.T) {
 	}
 	id := g.Grants[0].Job.ID
 
-	// The single-report body is a batch without reports.
+	// The single-report body carries no frame.
 	status, body = rawPost(t, srv.URL(), "/v1/report", map[string]interface{}{
 		"v": ProtocolVersion, "worker": worker, "lease": id,
 		"response": map[string]interface{}{"v": exec.WireVersion, "id": id, "loss": 0.5},
 	})
-	if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "carries no reports") {
-		t.Fatalf("single-report body: %d %v, want 400 carries no reports", status, body)
+	if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "carries one frame") {
+		t.Fatalf("single-report body: %d %v, want 400 carries one frame", status, body)
+	}
+	for _, frame := range retiredFrames() {
+		for _, path := range []string{"/v1/report", "/v1/heartbeat"} {
+			if status, msg := postFrame(t, srv.URL(), path, "", worker, frame); status != http.StatusBadRequest {
+				t.Fatalf("retired frame type 0x%02x POSTed to %s: %d %v, want 400", frame[0], path, status, msg)
+			}
+		}
 	}
 
 	// A retired frame type kills the stream it arrives on.
@@ -153,9 +160,9 @@ func TestEarlierGenerationsRefusedByName(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 	// The lease survived all of it: the one report shape settles it.
-	status, rep := rawPost(t, srv.URL(), "/v1/report", reportOne(worker, id, int(id), 0.5))
-	if status != http.StatusOK || acceptedOne(rep) != true {
-		t.Fatalf("well-formed report after the refusals: %d %v", status, rep)
+	status, ack := postFrame(t, srv.URL(), "/v1/report", "", worker, reportOne(id, 0.5))
+	if status != http.StatusOK || acceptedOne(ack) != true {
+		t.Fatalf("well-formed report after the refusals: %d %v", status, ack)
 	}
 	if o := <-outcomes; o.Failed || o.Loss != 0.5 {
 		t.Fatalf("job settled wrong: %+v", o)

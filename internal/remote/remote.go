@@ -14,12 +14,12 @@
 //	              	worker multiplexing lease grants, report batches and
 //	              	heartbeats as dense length-prefixed frames
 //	              	(binwire.go, stream.go)
-//	/v1/report    — deliver a ReportBatch of finished jobs'
-//	              	exec.Responses under their leases, settled with
-//	              	per-entry acceptance; the agent's fallback when its
-//	              	stream is down
-//	/v1/heartbeat — extend the leases a worker still holds; the same
-//	              	fallback
+//	/v1/report    — one reports frame, exactly as the stream would
+//	              	carry it, in the envelope {v, token, worker, frame},
+//	              	answered {v, frame} with the stream's report ack:
+//	              	the agent's fallback when its stream is down
+//	/v1/heartbeat — one heartbeat frame in the same envelope, answered
+//	              	with the heartbeat ack; the same fallback
 //
 // Workers are elastic: they may register at any time — including long
 // after the run started — and immediately lease queued jobs. Failure
@@ -27,37 +27,37 @@
 // the network stops heartbeating, its lease expires, and the sweeper
 // reports the job as Failed so the scheduler requeues it through the
 // same retry path used for subprocess crashes. A report arriving after
-// its lease expired is rejected (accepted=false), so a requeued job can
-// never be double-counted.
+// its lease expired is rejected (its ack bit clear), so a requeued job
+// can never be double-counted.
 package remote
 
 import (
 	"context"
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // ProtocolVersion is the one version of the worker protocol: the JSON
-// endpoints and the frames on /v1/stream. Server and workers are built
-// from one commit, so any other number is refused by name at
-// /v1/register (see check). The job payload inside a grant versions
-// separately as exec.WireVersion.
+// envelopes and the frames they and /v1/stream carry. Server and
+// workers are built from one commit, so any other number is refused by
+// name at /v1/register (see check). The job payload inside a grant
+// versions separately as exec.WireVersion.
 const ProtocolVersion = 2
 
 // JobPayload is one training job submitted to the fleet. The
-// hyperparameter assignment may be given either name-keyed (Config) or
-// as a dense vector (Names + Vec); Submit normalizes to the vector
-// form, which is what the binary wire ships.
+// hyperparameter assignment is the dense vector the binary wire ships:
+// Vec[i] is parameter Names[i]'s value.
 type JobPayload struct {
 	// Experiment routes the job to the right objective on workers
 	// serving several (empty for single-experiment runs).
@@ -69,15 +69,11 @@ type JobPayload struct {
 	// detection (a rung-3 job legitimately runs ~η× longer than a
 	// rung-0 one, so straggler thresholds must not mix rungs).
 	Rung int
-	// Config is the name-keyed hyperparameter assignment. Optional when
-	// Names/Vec are set.
-	Config map[string]float64
-	// Names and Vec are the dense form: Vec[i] is parameter Names[i]'s
-	// value. Names is typically the experiment's shared searchspace
-	// table (one slice for the whole run — the binary wire uses slice
-	// identity to send it once per connection). Both are read by server
-	// goroutines until the job settles and must not be mutated by the
-	// submitter in the meantime.
+	// Names and Vec are the assignment. Names is typically the
+	// experiment's shared searchspace table (one slice for the whole run
+	// — the binary wire uses slice identity to send it once per
+	// connection). Both are read by server goroutines until the job
+	// settles and must not be mutated by the submitter in the meantime.
 	Names []string
 	Vec   []float64
 	// From and To are cumulative resources: resume at From, train to To.
@@ -85,25 +81,6 @@ type JobPayload struct {
 	// State is the trial's last committed checkpoint (nil on the first
 	// job).
 	State json.RawMessage
-}
-
-// normalize fills the dense form from a name-keyed Config for payloads
-// submitted the legacy way, ordering names lexicographically (the same
-// deterministic order searchspace.FromMap and encoding/json use).
-func (p *JobPayload) normalize() {
-	if p.Vec != nil || len(p.Config) == 0 {
-		return
-	}
-	names := make([]string, 0, len(p.Config))
-	for n := range p.Config {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	vec := make([]float64, len(names))
-	for i, n := range names {
-		vec[i] = p.Config[n]
-	}
-	p.Names, p.Vec = names, vec
 }
 
 // Outcome is the single, exactly-once answer to one submitted job.
@@ -315,14 +292,12 @@ type Server struct {
 
 	// Observability counters. All atomics so a /metrics scrape is
 	// lock-free: the scrape never contends with the grant path, and the
-	// grant path never pays for the scrape. expired and batchedReports
-	// predate /metrics (the batch parity tests assert on them); the rest
-	// exist for the scrape.
+	// grant path never pays for the scrape. Counters() copies them all.
 	granted        atomic.Int64 // leases granted, every one in a grants frame
 	expired        atomic.Int64 // leases expired by the sweeper
 	accepted       atomic.Int64 // report entries accepted
-	rejected       atomic.Int64 // report entries rejected (late/mispaired)
-	batchedReports atomic.Int64 // entries settled through ReportBatch requests
+	rejected       atomic.Int64 // report entries rejected (late, or not this worker's lease)
+	batchedReports atomic.Int64 // entries settled through frames POSTed to /v1/report
 	binReports     atomic.Int64 // entries settled through binary stream frames
 	grantFrames    atomic.Int64 // binary grants frames that carried those jobs
 	reportFrames   atomic.Int64 // binary reports frames that carried those entries
@@ -427,8 +402,8 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/register", s.handleRegister)
-	mux.HandleFunc("/v1/report", s.handleReport)
-	mux.HandleFunc("/v1/heartbeat", s.handleHeartbeat)
+	mux.HandleFunc("/v1/report", s.handleRecord)
+	mux.HandleFunc("/v1/heartbeat", s.handleRecord)
 	mux.HandleFunc("/v1/stream", s.handleStream)
 	if opts.Metrics {
 		s.lat = newLatencyTracker()
@@ -472,7 +447,6 @@ func (s *Server) submit(job *task) {
 	t := &s.slab[0]
 	s.slab = s.slab[1:]
 	*t = *job
-	t.payload.normalize()
 	t.submitted = time.Now()
 	s.pending = append(s.pending, t)
 	s.submitted.Add(1)
@@ -490,34 +464,12 @@ func (s *Server) shardFor(id uint64) *leaseShard {
 // over the server's lifetime.
 func (s *Server) ExpiredLeases() int { return int(s.expired.Load()) }
 
-// Workers reports how many workers have registered over the server's
-// lifetime.
-func (s *Server) Workers() int { return int(s.registered.Load()) }
-
-// BatchedReports reports how many report entries have been settled —
-// accepted or rejected — through batched (ReportBatch) report requests
-// over the server's lifetime.
-func (s *Server) BatchedReports() int { return int(s.batchedReports.Load()) }
-
-// BinaryReports reports how many report entries have been settled —
-// accepted or rejected — over binary stream connections over the
-// server's lifetime.
-func (s *Server) BinaryReports() int { return int(s.binReports.Load()) }
-
-// BinaryGrantFrames reports how many grants frames carried the granted
-// jobs (empty and Done answers are not counted).
-func (s *Server) BinaryGrantFrames() int { return int(s.grantFrames.Load()) }
-
-// BinaryReportFrames reports how many reports frames carried
-// BinaryReports' entries.
-func (s *Server) BinaryReportFrames() int { return int(s.reportFrames.Load()) }
-
 // closeGrace is how long a closed server keeps answering HTTP after
 // Close: workers whose stream handshake or report lands just after
-// shutdown get an authoritative "the run is over" (204 No Content /
-// accepted=false) instead of a connection error they would treat as a
-// possible network partition and retry against for the full
-// partition-tolerance window. What answers is the server alone — its
+// shutdown get an authoritative "the run is over" (204 No Content, or a
+// report ack accepting nothing) instead of a connection error they
+// would treat as a possible network partition and retry against for
+// the full partition-tolerance window. What answers is the server alone — its
 // counters and its "over": Close lets go of the run first, so the window
 // never pins a finished run's schedulers and trial tables.
 const closeGrace = 3 * time.Second
@@ -717,36 +669,35 @@ type registerResp struct {
 	FlushMillis int64 `json:"flushMs,omitempty"`
 }
 
-type heartbeatReq struct {
-	Version  int      `json:"v"`
-	Token    string   `json:"token,omitempty"`
-	WorkerID string   `json:"worker"`
-	Leases   []uint64 `json:"leases,omitempty"`
-	// RttUs is the round-trip time the worker measured for its
-	// *previous* heartbeat, in microseconds of its monotonic clock
-	// (0 = none measured yet). Reporting the previous beat keeps the
-	// heartbeat from waiting on its own reply to learn the RTT.
-	RttUs int64 `json:"rttUs,omitempty"`
-}
-
-type heartbeatResp struct {
-	Version int `json:"v"`
-	// Expired lists leases the worker no longer holds; their jobs have
-	// been requeued and any eventual report will be rejected.
-	Expired []uint64 `json:"expired,omitempty"`
+// frameResp answers a frame POSTed to /v1/report or /v1/heartbeat with
+// the ack frame the stream would have written.
+type frameResp struct {
+	Version int    `json:"v"`
+	Frame   []byte `json:"frame"`
 }
 
 // --- HTTP handlers ---
 
+// maxPostBody bounds a POST body: one frame of maxFrameBody bytes,
+// base64-encoded as a fallback envelope carries it, plus slack for the
+// envelope's other fields. The body is bounded before it is decoded, so
+// no client — authenticated or not — makes the server buffer more.
+const maxPostBody = (maxFrameBody+2)/3*4 + 64<<10
+
 // decodePost parses a POST body into v and enforces the wire version,
 // which version points at inside v. It writes the error response itself
-// and returns false on rejection.
+// and returns false on rejection: 413 for a body over maxPostBody.
 func decodePost(w http.ResponseWriter, r *http.Request, version *int, v interface{}) bool {
 	if r.Method != http.MethodPost {
 		reject(w, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxPostBody)).Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			reject(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			return false
+		}
 		reject(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return false
 	}
@@ -981,62 +932,14 @@ func (s *Server) matchLocked(experiments []string, wi workerInfo) int {
 	return -1
 }
 
-// handleReport settles a ReportBatch in one pass under one lock.
-// Entries are validated independently — a lease that expired mid-flight
-// (its job already requeued by the sweeper) rejects only its own entry,
-// never the whole batch — and the settled tasks' finish calls run
-// back to back, so the engine's Await drains the whole request as one
-// completion batch: one HTTP request, one scheduler wakeup.
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	var rb ReportBatch
-	if !s.decode(w, r, &rb.Version, &rb.Token, &rb) {
-		return
-	}
-	if err := rb.validate(); err != nil {
-		reject(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if tenant, scoped, _ := s.tokenScope(rb.Token); !s.scopeOK(rb.WorkerID, tenant, scoped) {
-		reject(w, http.StatusUnauthorized, "token scope does not match worker registration")
-		return
-	}
-	accepted := make([]bool, len(rb.Reports))
-	settled := make([]*task, len(rb.Reports))
-	freed := 0
-	for i, e := range rb.Reports {
-		if t := s.takeLease(e.LeaseID, rb.WorkerID, e.Response.ID); t != nil {
-			accepted[i] = true
-			settled[i] = t
-			freed++
-		}
-	}
-	s.batchedReports.Add(int64(len(rb.Reports)))
-	s.accepted.Add(int64(freed))
-	s.rejected.Add(int64(len(rb.Reports) - freed))
-	s.activeLeases.Add(int64(-freed))
-	if freed > 0 {
-		// Freed lease slots may unblock pollers waiting on MaxLeases.
-		s.wakeIfPending()
-	}
-	for i, t := range settled {
-		if t == nil {
-			continue
-		}
-		var out Outcome
-		if resp := rb.Reports[i].Response; resp.Error != "" {
-			out.Err = resp.Error
-		} else {
-			out.Loss = resp.Loss
-			out.State = resp.State
-		}
-		s.observeSettle(t, rb.Reports[i].Timing, &out)
-		t.finish(out)
-	}
-	reply(w, ReportBatchResult{Version: ProtocolVersion, Accepted: accepted})
-}
-
-func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req heartbeatReq
+// handleRecord serves /v1/report and /v1/heartbeat, the agent's
+// fallback while its stream is down: the envelope carries one frame of
+// the type the path names, exactly as the stream would have, and the
+// answer carries the ack frame the stream would have written back.
+// Anything else — no frame, another type, a frame that does not decode —
+// is a 400 that settles nothing.
+func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
+	var req streamReq
 	if !s.decode(w, r, &req.Version, &req.Token, &req) {
 		return
 	}
@@ -1044,37 +947,57 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		reject(w, http.StatusUnauthorized, "token scope does not match worker registration")
 		return
 	}
-	s.observeHeartbeatRTT(req.RttUs)
-	resp := heartbeatResp{Version: ProtocolVersion}
-	resp.Expired = s.extendLeases(req.WorkerID, req.Leases)
-	reply(w, resp)
+	want := byte(frameReports)
+	if r.URL.Path == "/v1/heartbeat" {
+		want = frameHeartbeat
+	}
+	if len(req.Frame) == 0 || req.Frame[0] != want {
+		reject(w, http.StatusBadRequest, fmt.Sprintf("%s carries one frame of type 0x%02x", r.URL.Path, want))
+		return
+	}
+	body := wire.NewReader(req.Frame[1:])
+	var ack []byte
+	if want == frameReports {
+		var rb binReports
+		if err := rb.decode(body); err != nil {
+			reject(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		s.batchedReports.Add(int64(len(rb.Reports)))
+		ack = s.settleReports(req.WorkerID, &rb, nil, new(settleScratch))
+	} else {
+		hb, err := decodeHeartbeat(body)
+		if err != nil {
+			reject(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		s.observeHeartbeatRTT(hb.RttUs)
+		ack = appendHeartbeatAck(nil, s.extendLeases(req.WorkerID, hb.Leases))
+	}
+	reply(w, frameResp{Version: ProtocolVersion, Frame: ack})
 }
 
-// takeLease is the lease-settle core shared by both report paths
-// (JSON batch, binary frame): under the lease's shard lock it checks
-// that the worker owns the lease and that the response is paired with
-// it — the grant stamped Job.ID with the lease ID, and a response
-// paired with the wrong lease must not commit a loss and checkpoint to
-// the wrong trial (the remote twin of the subprocess parent's resp.ID
-// check) — then removes the lease and returns its task. nil means the
-// entry is rejected: expired (already requeued), another worker's
-// lease, or mispaired; a still-live mispaired lease is left to expire
-// into a retry. The caller owns the counters, the wake, and the finish
-// call.
-func (s *Server) takeLease(id uint64, worker string, respID int) *task {
+// takeLease is settleReports' per-entry step: under the lease's shard
+// lock it checks that the worker owns the lease, then removes the lease
+// and returns its task. A report entry names its lease by the response's
+// own ID, so a response cannot be paired with another job's lease. nil
+// means the entry is rejected: expired (already requeued), never
+// granted, or another worker's lease. The caller owns the counters, the
+// wake, and the finish call.
+func (s *Server) takeLease(id uint64, worker string) *task {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	t, ok := sh.leases[id]
-	if !ok || t.worker != worker || respID != int(id) {
+	if !ok || t.worker != worker {
 		return nil
 	}
 	delete(sh.leases, id)
 	return t
 }
 
-// extendLeases is the heartbeat core shared by the JSON handler and
-// the binary stream: it pushes out the deadline of each lease the
+// extendLeases is the heartbeat core shared by the stream reader and
+// /v1/heartbeat: it pushes out the deadline of each lease the
 // worker still holds and returns the IDs it no longer does (expired
 // and requeued — the worker should abandon those runs).
 func (s *Server) extendLeases(worker string, ids []uint64) (expired []uint64) {

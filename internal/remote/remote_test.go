@@ -8,9 +8,11 @@ package remote
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -63,22 +65,41 @@ func rawPost(t *testing.T, base, path string, body interface{}) (int, map[string
 	return resp.StatusCode, out
 }
 
-// reportOne wraps one response in the /v1/report batch shape.
-func reportOne(worker string, lease uint64, respID int, loss float64) map[string]interface{} {
-	return map[string]interface{}{
-		"v": ProtocolVersion, "worker": worker, "reports": []map[string]interface{}{
-			{"lease": lease, "response": map[string]interface{}{"v": exec.WireVersion, "id": respID, "loss": loss}},
-		},
+// postFrame POSTs one frame body to a fallback endpoint (/v1/report or
+// /v1/heartbeat) as worker, presenting token. It returns the status and,
+// on a 200, the decoded ack frame of the answer (a binReportAck or the
+// []uint64 of a heartbeat ack); any other answer returns its error
+// message.
+func postFrame(t *testing.T, base, path, token, worker string, frame []byte) (int, interface{}) {
+	t.Helper()
+	status, body := rawPost(t, base, path, streamReq{Version: ProtocolVersion, Token: token, WorkerID: worker, Frame: frame})
+	if status != http.StatusOK {
+		return status, body["error"]
 	}
+	enc, _ := body["frame"].(string)
+	ack, err := base64.StdEncoding.DecodeString(enc)
+	if err != nil {
+		t.Fatalf("POST %s: ack frame: %v", path, err)
+	}
+	v, err := decodeAnyFrame(ack)
+	if err != nil {
+		t.Fatalf("POST %s: ack frame: %v", path, err)
+	}
+	return status, v
 }
 
-// acceptedOne reads the single entry of a /v1/report reply.
-func acceptedOne(rep map[string]interface{}) interface{} {
-	accepted, _ := rep["accepted"].([]interface{})
-	if len(accepted) != 1 {
+// reportOne is a reports frame settling one lease with a loss.
+func reportOne(lease uint64, loss float64) []byte {
+	return appendReports(nil, binReports{Reports: []exec.BinResponse{{ID: lease, Loss: loss}}})
+}
+
+// acceptedOne reads the single entry of a report ack.
+func acceptedOne(ack interface{}) interface{} {
+	a, _ := ack.(binReportAck)
+	if len(a.Accepted) != 1 {
 		return nil
 	}
-	return accepted[0]
+	return a.Accepted[0]
 }
 
 func TestRejectsBadTokenAndVersion(t *testing.T) {
@@ -105,6 +126,33 @@ func TestRejectsBadTokenAndVersion(t *testing.T) {
 	}
 }
 
+// TestOversizedBodiesRefused proves a POST body is bounded before it is
+// decoded: a registration whose name runs past maxPostBody, or a report
+// whose frame does, is refused 413 — and the refused registration
+// leaves no worker behind, even on an open server.
+func TestOversizedBodiesRefused(t *testing.T) {
+	srv, err := NewServer(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	huge := strings.Repeat("n", maxPostBody)
+	status, _ := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion, "name": huge})
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("registration with a %d-byte name: status %d, want 413", len(huge), status)
+	}
+	if n := srv.Counters().Registered; n != 0 {
+		t.Fatalf("an over-limit registration registered %d workers", n)
+	}
+	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion})
+	worker := reg["worker"].(string)
+	// A checkpoint just past what the limit's envelope slack absorbs.
+	frame := appendReports(nil, binReports{Reports: []exec.BinResponse{{ID: 1, State: make([]byte, maxFrameBody+64<<10)}}})
+	if status, _ := postFrame(t, srv.URL(), "/v1/report", "", worker, frame); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("report of a %d-byte frame: status %d, want 413", len(frame), status)
+	}
+}
+
 func TestUnknownWorkerMustReregister(t *testing.T) {
 	srv, err := NewServer(Options{})
 	if err != nil {
@@ -119,8 +167,9 @@ func TestUnknownWorkerMustReregister(t *testing.T) {
 
 // TestHandshakeRefusesAnotherTokenScope proves a credential drives only
 // the workers registered under its own scope: a tenant worker's stream
-// handshake presented with the fleet token or another tenant's is
-// refused 401 before it can lease, and its own token upgrades.
+// handshake, report or heartbeat presented with the fleet token or
+// another tenant's is refused 401 before it can lease, settle or extend
+// anything, and its own token upgrades.
 func TestHandshakeRefusesAnotherTokenScope(t *testing.T) {
 	srv, err := NewServer(Options{Token: "fleet",
 		TenantTokens: map[string]string{"team-a": "a-token", "team-b": "b-token"}})
@@ -133,6 +182,13 @@ func TestHandshakeRefusesAnotherTokenScope(t *testing.T) {
 	for _, token := range []string{"fleet", "b-token", "wrong"} {
 		if status, _, _ := streamHandshake(t, srv.URL(), worker, token); status != http.StatusUnauthorized {
 			t.Fatalf("team-a worker's handshake with token %q: status %d, want 401", token, status)
+		}
+		if status, _ := postFrame(t, srv.URL(), "/v1/report", token, worker, reportOne(1, 0.5)); status != http.StatusUnauthorized {
+			t.Fatalf("team-a worker's report with token %q: status %d, want 401", token, status)
+		}
+		beat := appendHeartbeat(nil, binHeartbeat{Leases: []uint64{1}})
+		if status, _ := postFrame(t, srv.URL(), "/v1/heartbeat", token, worker, beat); status != http.StatusUnauthorized {
+			t.Fatalf("team-a worker's heartbeat with token %q: status %d, want 401", token, status)
 		}
 	}
 	status, conn, _ := streamHandshake(t, srv.URL(), worker, "a-token")
@@ -154,7 +210,7 @@ func TestLeaseExpiryRequeuesExactlyOnce(t *testing.T) {
 	defer srv.Close()
 
 	outcomes := make(chan Outcome, 4)
-	srv.Submit(JobPayload{Trial: 1, Config: map[string]float64{"x": 1}, From: 0, To: 4},
+	srv.Submit(JobPayload{Trial: 1, Names: []string{"x"}, Vec: []float64{1}, From: 0, To: 4},
 		func(o Outcome) { outcomes <- o })
 
 	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion, "name": "doomed"})
@@ -180,9 +236,9 @@ func TestLeaseExpiryRequeuesExactlyOnce(t *testing.T) {
 	}
 
 	// A late report under the expired lease must be rejected.
-	status, rep := rawPost(t, srv.URL(), "/v1/report", reportOne(worker, leaseID, int(leaseID), 0.5))
-	if status != http.StatusOK || acceptedOne(rep) != false {
-		t.Fatalf("late report was not rejected: %d %v", status, rep)
+	status, ack := postFrame(t, srv.URL(), "/v1/report", "", worker, reportOne(leaseID, 0.5))
+	if status != http.StatusOK || acceptedOne(ack) != false {
+		t.Fatalf("late report was not rejected: %d %v", status, ack)
 	}
 	select {
 	case o := <-outcomes:
@@ -297,7 +353,7 @@ func TestElasticWorkersJoinQueuedRun(t *testing.T) {
 
 	outcomes := make(chan Outcome, 8)
 	for i := 0; i < 4; i++ {
-		srv.Submit(JobPayload{Trial: i, Config: map[string]float64{"momentum": 0.5}, From: 0, To: 2},
+		srv.Submit(JobPayload{Trial: i, Names: []string{"momentum"}, Vec: []float64{0.5}, From: 0, To: 2},
 			func(o Outcome) { outcomes <- o })
 	}
 
@@ -367,9 +423,10 @@ func TestLeaseRespectsExperimentRestriction(t *testing.T) {
 }
 
 // TestReportWithMispairedIDRejected is the remote twin of the
-// subprocess parent's resp.ID check: a response paired with the wrong
-// lease must not commit to the wrong trial — the lease stays live and
-// expires into a retry instead.
+// subprocess parent's resp.ID check. A report entry names its lease by
+// its response's own ID, so a response reaches no lease but the one it
+// names: an entry naming a lease this worker was never granted settles
+// nothing, and the job's own lease stays live for its real report.
 func TestReportWithMispairedIDRejected(t *testing.T) {
 	srv, err := NewServer(Options{LeaseTTL: time.Minute})
 	if err != nil {
@@ -386,9 +443,9 @@ func TestReportWithMispairedIDRejected(t *testing.T) {
 	}
 	leaseID := g.Grants[0].Job.ID
 
-	status, rep := rawPost(t, srv.URL(), "/v1/report", reportOne(worker, leaseID, int(leaseID)+7, 0.1))
-	if status != http.StatusOK || acceptedOne(rep) != false {
-		t.Fatalf("mispaired report was accepted: %d %v", status, rep)
+	status, ack := postFrame(t, srv.URL(), "/v1/report", "", worker, reportOne(leaseID+7, 0.1))
+	if status != http.StatusOK || acceptedOne(ack) != false {
+		t.Fatalf("mispaired report was accepted: %d %v", status, ack)
 	}
 	select {
 	case o := <-outcomes:
@@ -396,9 +453,9 @@ func TestReportWithMispairedIDRejected(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 	// The correctly-paired report still lands.
-	status, rep = rawPost(t, srv.URL(), "/v1/report", reportOne(worker, leaseID, int(leaseID), 0.1))
-	if status != http.StatusOK || acceptedOne(rep) != true {
-		t.Fatalf("correct report rejected: %d %v", status, rep)
+	status, ack = postFrame(t, srv.URL(), "/v1/report", "", worker, reportOne(leaseID, 0.1))
+	if status != http.StatusOK || acceptedOne(ack) != true {
+		t.Fatalf("correct report rejected: %d %v", status, ack)
 	}
 	if o := <-outcomes; o.Failed || o.Err != "" || o.Loss != 0.1 {
 		t.Fatalf("job settled wrong: %+v", o)

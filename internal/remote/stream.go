@@ -5,10 +5,12 @@ package remote
 // Switching Protocols, takes over the TCP connection, and from then on
 // the two sides exchange binary frames (binwire.go): the worker's lease
 // polls, report batches and heartbeats multiplexed over the one
-// connection instead of one HTTP request each. Two goroutines serve a connection — a reader that
-// settles reports and answers heartbeats inline, and a granter that
-// long-polls the grant core on the worker's behalf — sharing the
-// socket through a write mutex.
+// connection instead of one HTTP request each. Two goroutines serve a
+// connection — a reader that settles reports and answers heartbeats
+// inline, and a granter that long-polls the grant core on the worker's
+// behalf — sharing the socket through a write mutex. A reports frame
+// settles through the same core (Server.settleReports) whether it came
+// on the stream or POSTed to /v1/report.
 //
 // The handshake deliberately answers pre-upgrade outcomes in plain
 // HTTP: a closed or draining server replies 204 No Content (the agent
@@ -36,11 +38,14 @@ const (
 	streamUpgrade = "HTTP/1.1 101 Switching Protocols\r\nUpgrade: " + streamProto + "\r\nConnection: Upgrade\r\n\r\n"
 )
 
-// streamReq is the JSON handshake POSTed to /v1/stream.
+// streamReq is the JSON envelope a worker POSTs: the /v1/stream
+// handshake, and — carrying Frame, one reports or heartbeat frame body —
+// a /v1/report or /v1/heartbeat fallback.
 type streamReq struct {
 	Version  int    `json:"v"`
 	Token    string `json:"token,omitempty"`
 	WorkerID string `json:"worker"`
+	Frame    []byte `json:"frame,omitempty"`
 }
 
 // connTable is one entry of a connection's experiment table: the index
@@ -182,8 +187,8 @@ func (sc *streamConn) shutdown() {
 // reader consumes worker frames: reports are settled and acked inline
 // (the shard locks make this scale across connections), heartbeats
 // extended and answered inline, lease polls handed to the granter. Any
-// read or protocol error kills the connection; the worker falls back
-// to the JSON endpoints and redials.
+// read or protocol error kills the connection; the worker POSTs the
+// frames it still owes to /v1/report and /v1/heartbeat, and redials.
 func (sc *streamConn) reader() {
 	defer sc.close()
 	var buf, enc []byte
@@ -218,9 +223,10 @@ func (sc *streamConn) reader() {
 			if err := rb.decode(r); err != nil {
 				return
 			}
-			var ok bool
-			enc, ok = sc.settle(&rb, enc, &ss)
-			if !ok {
+			sc.s.reportFrames.Add(1)
+			sc.s.binReports.Add(int64(len(rb.Reports)))
+			enc = sc.s.settleReports(sc.worker, &rb, enc[:0], &ss)
+			if !sc.writeFrame(enc) {
 				return
 			}
 		case frameHeartbeat:
@@ -240,20 +246,22 @@ func (sc *streamConn) reader() {
 	}
 }
 
-// settleScratch is the reader goroutine's reusable working memory for
+// settleScratch is a stream reader's reusable working memory for
 // settling report frames.
 type settleScratch struct {
 	accepted []bool
 	settled  []*task
 }
 
-// settle settles one reports frame against the lease shards, finishes
-// the tasks back to back — one frame, one scheduler wakeup, exactly as
-// the JSON batch path — and then writes the acceptance ack, so no result
-// reaches the engine a socket write late. It returns the reusable encode
-// buffer and whether the ack write succeeded.
-func (sc *streamConn) settle(rb *binReports, enc []byte, ss *settleScratch) ([]byte, bool) {
-	s := sc.s
+// settleReports is the settle core of both report paths, the stream
+// reader and /v1/report: it settles one reports frame from worker
+// against the lease shards, finishes the tasks back to back — one
+// frame, one scheduler wakeup — and returns the acceptance ack appended
+// to enc, for the caller to send after the results reached the engine.
+// Entries settle independently: a lease that expired mid-flight (its job
+// already requeued by the sweeper) rejects only its own entry. Each path
+// counts the entries it carried itself.
+func (s *Server) settleReports(worker string, rb *binReports, enc []byte, ss *settleScratch) []byte {
 	n := len(rb.Reports)
 	if cap(ss.accepted) < n {
 		ss.accepted = make([]bool, n)
@@ -265,10 +273,7 @@ func (sc *streamConn) settle(rb *binReports, enc []byte, ss *settleScratch) ([]b
 	freed := 0
 	stateBytes := 0
 	for i, e := range rb.Reports {
-		// BinResponse.ID is the lease ID itself (BinResponseOf stamps
-		// it), so the JSON report's response/lease pairing check is
-		// structural here; takeLease still enforces ownership.
-		if t := s.takeLease(e.ID, sc.worker, int(e.ID)); t != nil {
+		if t := s.takeLease(e.ID, worker); t != nil {
 			accepted[i] = true
 			settled[i] = t
 			freed++
@@ -277,8 +282,6 @@ func (sc *streamConn) settle(rb *binReports, enc []byte, ss *settleScratch) ([]b
 			}
 		}
 	}
-	s.reportFrames.Add(1)
-	s.binReports.Add(int64(len(rb.Reports)))
 	s.accepted.Add(int64(freed))
 	s.rejected.Add(int64(len(rb.Reports) - freed))
 	s.activeLeases.Add(int64(-freed))
@@ -286,7 +289,7 @@ func (sc *streamConn) settle(rb *binReports, enc []byte, ss *settleScratch) ([]b
 		// Freed lease slots may unblock pollers waiting on MaxLeases.
 		s.wakeIfPending()
 	}
-	// The frame buffer is reused on the next read, so accepted
+	// A stream reuses the frame buffer on its next read, so accepted
 	// checkpoints must outlive it: copy them all into one arena (one
 	// allocation per frame, not per report) before the tasks finish.
 	arena := make([]byte, 0, stateBytes)
@@ -305,11 +308,10 @@ func (sc *streamConn) settle(rb *binReports, enc []byte, ss *settleScratch) ([]b
 				out.State = arena[start:len(arena):len(arena)]
 			}
 		}
-		s.observeSettle(t, &rb.Timings[i], &out)
+		s.observeSettle(t, rb.Timings[i], &out)
 		t.finish(out)
 	}
-	enc = appendReportAck(enc[:0], binReportAck{Seq: rb.Seq, Accepted: accepted})
-	return enc, sc.writeFrame(enc)
+	return appendReportAck(enc, binReportAck{Seq: rb.Seq, Accepted: accepted})
 }
 
 // granterScratch is the granter goroutine's reusable working memory:
