@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/remote"
 )
@@ -18,10 +17,12 @@ import (
 // are the option structs below (GoroutinePool, Subprocess, Simulation);
 // the zero Tuner uses GoroutinePool.
 type Backend interface {
-	// build assembles the internal backend for one run. sched is the
-	// scheduler the engine will drive; the returned options carry
-	// backend-specific budgets (e.g. the simulator's virtual-time limit).
-	build(ctx context.Context, t *Tuner, sched core.Scheduler) (backend.Backend, backend.Options, error)
+	// build starts the executor of one Tuner run, which the run's one
+	// lane then launches on. The returned options carry the budgets the
+	// executor sets for that lane (the simulator's virtual-time limit and
+	// resource cap). The engine drives the scheduler, so build never sees
+	// one.
+	build(ctx context.Context, t *Tuner) (backend.Backend, backend.Options, error)
 }
 
 // WithBackend selects the execution backend (default GoroutinePool).
@@ -32,11 +33,11 @@ func WithBackend(b Backend) Option { return func(t *Tuner) { t.backend = b } }
 // are cheap enough to share one OS process.
 type GoroutinePool struct{}
 
-func (GoroutinePool) build(ctx context.Context, t *Tuner, _ core.Scheduler) (backend.Backend, backend.Options, error) {
-	if t.objective == nil {
+func (GoroutinePool) build(ctx context.Context, t *Tuner) (backend.Backend, backend.Options, error) {
+	if t.exp.Objective == nil {
 		return nil, backend.Options{}, fmt.Errorf("asha: the goroutine backend requires an objective")
 	}
-	return exec.NewPool(ctx, exec.Objective(t.objective), t.workers), backend.Options{}, nil
+	return exec.NewPool(ctx, exec.Objective(t.exp.Objective), t.m.workers), backend.Options{}, nil
 }
 
 // Subprocess runs every training job in an isolated OS worker process
@@ -55,11 +56,11 @@ type Subprocess struct {
 	Env []string
 }
 
-func (s Subprocess) build(ctx context.Context, t *Tuner, _ core.Scheduler) (backend.Backend, backend.Options, error) {
+func (s Subprocess) build(ctx context.Context, t *Tuner) (backend.Backend, backend.Options, error) {
 	if s.Command == "" {
 		return nil, backend.Options{}, fmt.Errorf("asha: the subprocess backend requires a worker command")
 	}
-	b, err := exec.NewSubprocess(ctx, s.Command, s.Args, s.Env, t.workers)
+	b, err := exec.NewSubprocess(ctx, s.Command, s.Args, s.Env, t.m.workers)
 	return b, backend.Options{}, err
 }
 
@@ -159,11 +160,11 @@ type Remote struct {
 	TenantAdminTokens map[string]string
 }
 
-func (r Remote) build(_ context.Context, t *Tuner, _ core.Scheduler) (backend.Backend, backend.Options, error) {
+func (r Remote) build(_ context.Context, t *Tuner) (backend.Backend, backend.Options, error) {
 	if r.Coordinator != "" {
 		return nil, backend.Options{}, fmt.Errorf("asha: a Tuner cannot be a federation shard (Remote.Coordinator %q): its control plane cannot adopt; run a Manager", r.Coordinator)
 	}
-	srv, capacity, err := r.newServer(t.workers)
+	srv, capacity, err := r.newServer(t.m.workers)
 	if err != nil {
 		return nil, backend.Options{}, err
 	}
@@ -226,16 +227,18 @@ type Simulation struct {
 	MaxSimTime float64
 }
 
-func (s Simulation) build(_ context.Context, t *Tuner, sched core.Scheduler) (backend.Backend, backend.Options, error) {
+func (s Simulation) build(_ context.Context, t *Tuner) (backend.Backend, backend.Options, error) {
 	if s.Benchmark == nil {
 		return nil, backend.Options{}, fmt.Errorf("asha: the simulation backend requires a benchmark")
 	}
-	sim := cluster.New(sched, s.Benchmark, cluster.Options{
-		Workers:     t.workers,
+	// The engine drives the simulator as an executor; only Sim.Run, which
+	// a Tuner never calls, would read a scheduler of the Sim's own.
+	sim := cluster.New(nil, s.Benchmark, cluster.Options{
+		Workers:     t.m.workers,
 		StragglerSD: s.StragglerSD,
 		DropProb:    s.DropProb,
 		MaxTime:     s.MaxSimTime,
-		Seed:        t.seed,
+		Seed:        t.exp.Seed,
 	})
 	opt := backend.Options{
 		MaxTime:     s.MaxSimTime,

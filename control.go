@@ -4,34 +4,29 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/remote"
 )
 
-// controlPlane is the remote.ControlPlane a fleet run attaches to its
-// embedded lease server, for Tuner and Manager alike: every admin
-// request is shipped to the engine goroutine (Engine.Do) — the only
-// goroutine allowed to touch lane state — and runs there between
-// batches. Pause, resume and abort flip the addressed lanes' gates.
-type controlPlane struct {
-	eng  *backend.Engine
-	exps []*mgrExp
-	// run is the Manager run that can activate and deactivate experiments.
-	// A Tuner has none: its one unnamed experiment is owned from the start
-	// and cannot be handed to another node.
-	run *mgrRun
-}
+// A run is the remote.ControlPlane a fleet run attaches to its embedded
+// lease server, for Tuner and Manager alike: every admin request is
+// shipped to the engine goroutine (Engine.Do) — the only goroutine
+// allowed to touch lane state — and runs there between batches. Pause,
+// resume and abort flip the addressed lanes' gates; adopt and drop
+// activate and deactivate experiments. A Tuner's run has one experiment,
+// unnamed: adopt cannot name it, and drop refuses it, for it is owned
+// from the start and cannot be handed to another node.
+var _ remote.ControlPlane = (*mgrRun)(nil)
 
 // do runs fn on the engine goroutine with the experiments name
 // addresses: the named one, or — for the empty name — all of them.
-func (c *controlPlane) do(name string, fn func(exps []*mgrExp) error) error {
-	return c.eng.Do(func() error {
+func (r *mgrRun) do(name string, fn func(exps []*mgrExp) error) error {
+	return r.eng.Do(func() error {
 		if name == "" {
-			return fn(c.exps)
+			return fn(r.exps)
 		}
-		for _, e := range c.exps {
+		for _, e := range r.exps {
 			if e.spec.Name == name {
 				return fn([]*mgrExp{e})
 			}
@@ -41,41 +36,41 @@ func (c *controlPlane) do(name string, fn func(exps []*mgrExp) error) error {
 }
 
 // state names an experiment's lifecycle state for status reporting.
-func (c *controlPlane) state(e *mgrExp) string {
+func (r *mgrRun) state(e *mgrExp) string {
 	switch {
 	case e.aborted:
 		return core.GateAborted
 	case e.lane == nil:
 		return "dormant"
 	default:
-		return c.eng.State(e.lane)
+		return r.eng.State(e.lane)
 	}
 }
 
 // settled reports whether the experiment is past scheduling: finished
 // experiments keep their result whatever an operator sends next.
-func (c *controlPlane) settled(e *mgrExp) bool {
-	switch c.state(e) {
+func (r *mgrRun) settled(e *mgrExp) bool {
+	switch r.state(e) {
 	case "done", "failed", core.GateAborted:
 		return true
 	}
 	return false
 }
 
-func (c *controlPlane) Status() (remote.Status, error) {
+func (r *mgrRun) Status() (remote.Status, error) {
 	var st remote.Status
-	err := c.do("", func(exps []*mgrExp) error {
-		st.Workers = c.eng.Budget
-		if c.run != nil && len(c.run.m.tenantQuotas) > 0 {
-			st.TenantWeights = make(map[string]int, len(c.run.m.tenantQuotas))
-			for t, w := range c.run.m.tenantQuotas {
+	err := r.do("", func(exps []*mgrExp) error {
+		st.Workers = r.eng.Budget
+		if len(r.m.tenantQuotas) > 0 {
+			st.TenantWeights = make(map[string]int, len(r.m.tenantQuotas))
+			for t, w := range r.m.tenantQuotas {
 				st.TenantWeights[t] = w
 			}
 		}
 		for _, e := range exps {
-			es := remote.ExpStatus{Experiment: e.spec.Name, State: c.state(e)}
+			es := remote.ExpStatus{Experiment: e.spec.Name, State: r.state(e)}
 			if e.lane != nil {
-				ls := c.eng.Status(e.lane)
+				ls := r.eng.Status(e.lane)
 				es.Issued, es.Completed, es.Failed, es.Running = ls.Issued, ls.Completed, ls.Failed, ls.Running
 				es.BestLoss, es.HasBest = ls.Best.Loss, ls.HasBest
 				es.RungCompleted = ls.RungCompleted
@@ -87,10 +82,10 @@ func (c *controlPlane) Status() (remote.Status, error) {
 	return st, err
 }
 
-func (c *controlPlane) Pause(name string) error {
-	return c.do(name, func(exps []*mgrExp) error {
+func (r *mgrRun) Pause(name string) error {
+	return r.do(name, func(exps []*mgrExp) error {
 		for _, e := range exps {
-			if e.lane != nil && !c.settled(e) {
+			if e.lane != nil && !r.settled(e) {
 				e.lane.Pause()
 			}
 		}
@@ -98,8 +93,8 @@ func (c *controlPlane) Pause(name string) error {
 	})
 }
 
-func (c *controlPlane) Resume(name string) error {
-	return c.do(name, func(exps []*mgrExp) error {
+func (r *mgrRun) Resume(name string) error {
+	return r.do(name, func(exps []*mgrExp) error {
 		for _, e := range exps {
 			if e.lane != nil {
 				e.lane.Resume()
@@ -109,16 +104,16 @@ func (c *controlPlane) Resume(name string) error {
 	})
 }
 
-func (c *controlPlane) Abort(name string) error {
-	return c.do(name, func(exps []*mgrExp) error {
+func (r *mgrRun) Abort(name string) error {
+	return r.do(name, func(exps []*mgrExp) error {
 		for _, e := range exps {
 			switch {
-			case c.settled(e):
+			case r.settled(e):
 			case e.lane != nil:
 				e.lane.Abort()
 			default:
 				e.aborted = true // dormant: it will never be adopted now
-				c.eng.Dormant--
+				r.eng.Dormant--
 			}
 		}
 		return nil
@@ -133,23 +128,20 @@ func (c *controlPlane) Abort(name string) error {
 // the dead owner granted are already fenced: this node's lease-ID
 // generation is seeded past the old one, so pre-failover reports are
 // rejected and delivery stays exactly-once.
-func (c *controlPlane) Adopt(name string) error {
-	if c.run == nil {
-		return fmt.Errorf("asha: single-experiment run cannot adopt %q", name)
-	}
+func (r *mgrRun) Adopt(name string) error {
 	if name == "" {
 		return errors.New("asha: adopt requires an experiment name")
 	}
-	return c.do(name, func(exps []*mgrExp) error {
+	return r.do(name, func(exps []*mgrExp) error {
 		e := exps[0]
-		if c.state(e) != "dormant" {
+		if r.state(e) != "dormant" {
 			return fmt.Errorf("asha: experiment %q is %w", name, remote.ErrAlreadyActive)
 		}
-		if err := c.run.activate(e, true); err != nil {
+		if err := r.activate(e, true); err != nil {
 			return fmt.Errorf("asha: adopt %q: %w", name, err)
 		}
-		c.eng.Dormant--
-		c.publish(obs.EventAdopted, name)
+		r.eng.Dormant--
+		r.publish(obs.EventAdopted, name)
 		return nil
 	})
 }
@@ -158,19 +150,21 @@ func (c *controlPlane) Adopt(name string) error {
 // half of failover, Adopt's inverse (see mgrRun.deactivate). "" drops
 // every active experiment (self-fencing after losing coordinator
 // contact). Already-dormant and settled experiments are skipped:
-// fencing must be safe to repeat.
-func (c *controlPlane) Drop(name string) error {
-	if c.run == nil {
-		return fmt.Errorf("asha: single-experiment run cannot drop %q", name)
-	}
-	return c.do(name, func(exps []*mgrExp) error {
+// fencing must be safe to repeat. A Tuner's unnamed experiment is
+// refused: no other node can adopt it, and dropping its one lane would
+// park the run for good.
+func (r *mgrRun) Drop(name string) error {
+	return r.do(name, func(exps []*mgrExp) error {
 		for _, e := range exps {
-			if e.lane == nil || c.settled(e) {
+			if e.spec.Name == "" {
+				return errors.New("asha: a Tuner's experiment cannot be dropped")
+			}
+			if e.lane == nil || r.settled(e) {
 				continue
 			}
-			c.run.deactivate(e)
-			c.eng.Dormant++
-			c.publish(obs.EventExpDropped, e.spec.Name)
+			r.deactivate(e)
+			r.eng.Dormant++
+			r.publish(obs.EventExpDropped, e.spec.Name)
 		}
 		return nil
 	})
@@ -178,16 +172,16 @@ func (c *controlPlane) Drop(name string) error {
 
 // SetWorkers changes the engine's in-flight budget; the admin handler
 // adjusts the server's lease cap alongside.
-func (c *controlPlane) SetWorkers(n int) error {
-	return c.eng.Do(func() error {
-		c.eng.Budget = n
+func (r *mgrRun) SetWorkers(n int) error {
+	return r.eng.Do(func() error {
+		r.eng.Budget = n
 		return nil
 	})
 }
 
 // publish announces an ownership change on the fleet's event stream.
-func (c *controlPlane) publish(typ, experiment string) {
-	if c.run.bus != nil {
-		c.run.bus.Publish(obs.Event{Type: typ, Experiment: experiment})
+func (r *mgrRun) publish(typ, experiment string) {
+	if r.bus != nil {
+		r.bus.Publish(obs.Event{Type: typ, Experiment: experiment})
 	}
 }

@@ -49,11 +49,10 @@ func main() {
 	gr := run("goroutine", asha.BenchmarkObjective(bench), asha.GoroutinePool{})
 	sim := run("simulated", nil, asha.Simulation{Benchmark: bench})
 
-	if gr.BestLoss == sim.BestLoss && gr.Trials == sim.Trials {
-		fmt.Println("\nidentical incumbents and trial counts: the backends agree.")
-	} else {
-		fmt.Println("\nbackends diverged — this would fail the parity test.")
+	if gr.BestLoss != sim.BestLoss || gr.Trials != sim.Trials {
+		log.Fatal("backends diverged — this would fail the parity test")
 	}
+	fmt.Println("\nidentical incumbents and trial counts: the backends agree.")
 
 	// With many workers the simulator shines: 500 virtual workers and
 	// straggler injection, milliseconds of wall clock.

@@ -606,7 +606,10 @@ var ErrEnded = errors.New("backend: the run has ended")
 // replays a journal): returning early would leave fn running against
 // results the caller has already read.
 func (e *Engine) Do(fn func() error) error {
-	reply := make(chan error, 1)
+	// Unbuffered: the engine hands the answer over before it can end the
+	// run, so a command that ends it (the last abort) is answered, not
+	// reported ErrEnded.
+	reply := make(chan error)
 	timeout := time.NewTimer(controlTimeout)
 	defer timeout.Stop()
 	select {

@@ -257,6 +257,25 @@ func TestEngineDoNeverLosesAWakeup(t *testing.T) {
 	}
 }
 
+// TestEngineDoAnswersTheCommandThatEndsTheRun: a command that ends the
+// run (an abort of the last experiment that could still run) has run,
+// so Do returns its answer, not ErrEnded, however the caller's wake-up
+// races the engine's exit.
+func TestEngineDoAnswersTheCommandThatEndsTheRun(t *testing.T) {
+	for i := 0; i < 20000; i++ {
+		e := NewEngine(&stubExec{capacity: 1, failLane: -1}, nil)
+		e.Dormant = 1
+		done := make(chan error, 1)
+		go func() { done <- e.Run(context.Background()) }()
+		if err := e.Do(func() error { e.Dormant--; return nil }); err != nil {
+			t.Fatalf("run %d: the command that ended the run answered %v", i, err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // journalSink is the writer under a test lane's journal: it keeps the
 // image, counts calls, and can fail its k-th Write — wholly, or by
 // taking half the bytes with a nil error — or its k-th Sync.

@@ -1029,12 +1029,6 @@ func (a *agent) heartbeatLoop(ctx context.Context, stop, done chan struct{}) {
 	}
 }
 
-// encBufs pools the agents' JSON encode buffers: the reporter and
-// fetcher marshal a request on every poll and flush, and pooling the
-// buffer (instead of json.Marshal's fresh allocation) takes the
-// per-request garbage out of the steady-state pipeline.
-var encBufs = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
-
 // post sends one JSON request to the agent's server within timeout.
 func (a *agent) post(ctx context.Context, path string, in, out interface{}, timeout time.Duration) (int, error) {
 	rctx, cancel := context.WithTimeout(ctx, timeout)
@@ -1045,16 +1039,11 @@ func (a *agent) post(ctx context.Context, path string, in, out interface{}, time
 // postJSON sends one JSON request and decodes the JSON reply. Non-2xx
 // statuses decode the server's error message into the returned error.
 func postJSON(ctx context.Context, client *http.Client, base, path string, in, out interface{}) (int, error) {
-	buf := encBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	// The pooled buffer outlives the transport's use of the request
-	// body: Do returns only after the request was fully written (or
-	// abandoned), so returning it on exit is safe.
-	defer encBufs.Put(buf)
-	if err := json.NewEncoder(buf).Encode(in); err != nil {
+	body, err := json.Marshal(in)
+	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(buf.Bytes()))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}

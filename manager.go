@@ -101,10 +101,10 @@ func WithManagerTenantQuotas(weights map[string]int) ManagerOption {
 // shared global worker budget. Free workers are assigned fair-share:
 // each slot goes to the runnable experiment with the fewest jobs in
 // flight, so a wide experiment cannot starve a narrow one. The Manager
-// itself owns only what is multi-experiment — validation, journal files,
-// the admin control plane and result assembly; every experiment is one
-// lane of the same engine a Tuner runs on (internal/backend), which does
-// all scheduling, journaling and event publishing.
+// owns validation, journal files, the admin control plane and result
+// assembly, for a Tuner too, which is a Manager of one; every experiment
+// is one lane of the engine (internal/backend), which does all
+// scheduling, journaling and event publishing.
 type Manager struct {
 	workers      int
 	onProgress   func(ExperimentProgress)
@@ -172,17 +172,25 @@ type mgrExp struct {
 	// aborted marks an experiment aborted while dormant, when there is no
 	// gate to remember it.
 	aborted bool
+	// res or err is the outcome once the run has finished it.
+	res *Result
+	err error
 }
 
-// mgrRun is the transient state of one Manager.Run call.
+// mgrRun is the transient state of one run: a Manager's, or a Tuner's
+// run of its one unnamed experiment.
 type mgrRun struct {
-	m    *Manager
+	m    *Manager // settings: the Manager's, or the one a Tuner keeps
 	eng  *backend.Engine
 	exps []*mgrExp
-	// view builds an experiment's lane view of the shared executor: its
-	// own trial table over the pool's goroutines or the fleet's server.
+	// root is the run's one executor: the Manager's pool or fleet, or what
+	// a Tuner's Backend built. view builds an experiment's lane view of it
+	// — its own trial table over the pool's goroutines or the fleet's
+	// server; a Tuner has none, and its one lane runs on root itself.
+	root backend.Backend
 	view func(lane int, spec Experiment) backend.Backend
-	bus  *obs.Bus // lifecycle events in fleet mode (nil otherwise)
+	base backend.Options // what root budgets for every lane: the simulator's clock and resource cap
+	bus  *obs.Bus        // lifecycle events in fleet mode (nil otherwise)
 }
 
 // Run executes every added experiment to completion of its budget (or
@@ -224,108 +232,131 @@ func (m *Manager) run(ctx context.Context, resume bool) (map[string]*Result, err
 		}
 		r.exps = append(r.exps, &mgrExp{spec: spec, rank: i, tenant: remote.TenantOf(spec.Name)})
 	}
-	if m.stateDir != "" {
-		if err := m.prepareStateDir(); err != nil {
-			return nil, err
-		}
+	if err := m.prepareStateDir(); err != nil {
+		return nil, err
 	}
 	// One executor serves every experiment. Fleet mode: one embedded
 	// lease server runs the jobs on remote workers and no local pool is
 	// started.
-	var root backend.Backend
-	var srv *remote.Server
 	if m.remote != nil {
-		var err error
-		if srv, _, err = m.remote.newServer(m.workers); err != nil {
+		srv, _, err := m.remote.newServer(m.workers)
+		if err != nil {
 			return nil, err
 		}
 		fleet := remote.NewBackend(srv, m.workers)
-		root, r.bus = fleet, srv.EventBus()
+		r.root = fleet
 		r.view = func(lane int, spec Experiment) backend.Backend { return fleet.Lane(lane, spec.Name) }
 	} else {
 		pool := exec.NewPool(ctx, nil, m.workers)
-		root = pool
+		r.root = pool
 		r.view = func(lane int, spec Experiment) backend.Backend {
 			return pool.Lane(lane, exec.Objective(spec.Objective))
 		}
 	}
-	r.eng = backend.NewEngine(root, m.tenantQuotas)
-	for _, e := range r.exps {
-		if m.dormant {
-			r.eng.Dormant++
-			continue
-		}
-		if err := r.activate(e, resume); err != nil {
-			for _, opened := range r.exps {
-				if opened.journal != nil {
-					_ = opened.journal.Close()
-				}
-			}
-			_ = root.Close()
-			return nil, err
-		}
-	}
-	if srv != nil {
-		// A federated shard's coordinator link starts here: its adopts
-		// queue on the engine and run once Run below takes them.
-		srv.SetControl(&controlPlane{eng: r.eng, exps: r.exps, run: r})
-	}
-
-	start := time.Now()
-	var errs []error
-	if err := r.eng.Run(ctx); err != nil {
-		errs = append(errs, err)
-	}
+	errs := []error{r.run(ctx, resume)}
 	out := make(map[string]*Result, len(r.exps))
 	for _, e := range r.exps {
-		if e.lane == nil {
-			continue // dormant to the end: no journal open, no result
-		}
-		run, err := e.lane.Result()
-		if e.journal != nil {
-			// A failed close means the journal tail (including the final
-			// snapshot) may never have reached disk.
-			if cerr := e.journal.Close(); cerr != nil && err == nil {
-				err = fmt.Errorf("state journal: %w", cerr)
-			}
-		}
-		if err != nil {
-			errs = append(errs, fmt.Errorf("experiment %q: %w", e.spec.Name, err))
-			continue
-		}
-		if res := newResult(run, e.sched, time.Since(start)); res != nil {
-			out[e.spec.Name] = res
+		if e.err != nil {
+			errs = append(errs, fmt.Errorf("experiment %q: %w", e.spec.Name, e.err))
+		} else if e.res != nil {
+			out[e.spec.Name] = e.res
 		}
 	}
 	return out, errors.Join(errs...)
 }
 
+// run is the one run path of a Manager's experiments and a Tuner's one:
+// it activates each experiment (or leaves it dormant), attaches the
+// control plane to a fleet's lease server, drives the engine over root,
+// and finishes every lane, closing its journal and leaving its Result
+// or error on its mgrExp. It returns the executor's error. A failed
+// activation is left on its experiment and ends the run before it
+// starts, closing root and the journals opened before it.
+func (r *mgrRun) run(ctx context.Context, resume bool) error {
+	r.eng = backend.NewEngine(r.root, r.m.tenantQuotas)
+	fleet, _ := r.root.(*remote.Backend)
+	if fleet != nil {
+		r.bus = fleet.Server().EventBus()
+	}
+	for _, e := range r.exps {
+		if r.m.dormant {
+			r.eng.Dormant++
+			continue
+		}
+		if e.err = r.activate(e, resume); e.err != nil {
+			for _, opened := range r.exps {
+				if opened.journal != nil {
+					_ = opened.journal.Close()
+				}
+			}
+			_ = r.root.Close()
+			return nil
+		}
+	}
+	if fleet != nil {
+		// A federated shard's coordinator link starts here: its adopts
+		// queue on the engine and run once Run below takes them.
+		fleet.Server().SetControl(r)
+	}
+
+	start := time.Now()
+	err := r.eng.Run(ctx)
+	for _, e := range r.exps {
+		if e.lane == nil {
+			continue // dormant to the end: no journal open, no result
+		}
+		run, lerr := e.lane.Result()
+		if e.journal != nil {
+			// A failed close means the journal tail (including the final
+			// snapshot) may never have reached disk: the run's durability
+			// promise is broken, so surface it instead of a clean result.
+			if cerr := e.journal.Close(); cerr != nil && lerr == nil {
+				lerr = fmt.Errorf("asha: state journal: %w", cerr)
+			}
+		}
+		if e.err = lerr; lerr == nil {
+			e.res = newResult(run, e.sched, time.Since(start))
+		}
+	}
+	return err
+}
+
 // activate puts an experiment on the engine: a fresh gated scheduler, a
-// lane view of the executor and — with a state dir — its journal, which
-// on resume is recovered and replayed first if it exists. Run, Resume
-// and an admin adopt all activate through here.
+// lane over the executor and — with a state dir — its journal, which on
+// resume is recovered and replayed first if it exists. A Tuner's run,
+// a Manager's and an admin adopt all activate through here. The gate is
+// transparent until an admin command pauses, resumes or aborts through
+// it.
 func (r *mgrRun) activate(e *mgrExp, resume bool) error {
 	e.sched = core.NewGate(e.spec.Algorithm.newScheduler(e.spec.Space, xrand.New(e.spec.Seed)))
-	opt := backend.Options{MaxJobs: e.spec.MaxJobs, Gate: e.sched, Events: r.bus, Experiment: e.spec.Name}
+	opt := r.base
+	opt.MaxJobs, opt.Gate, opt.Events, opt.Experiment = e.spec.MaxJobs, e.sched, r.bus, e.spec.Name
 	if dir := r.m.stateDir; dir != "" {
-		journal, rs, err := openJournal(filepath.Join(dir, journalFileName(e.spec.Name)), state.Meta{
-			Experiment: e.spec.Name,
+		name, file := e.spec.Name, tunerJournalName
+		if name == "" {
+			name = "tuner" // a Tuner's unnamed experiment
+		} else {
+			file = journalFileName(name)
+		}
+		journal, rs, err := openJournal(filepath.Join(dir, file), state.Meta{
+			Experiment: name,
 			Algo:       fmt.Sprintf("%T", e.spec.Algorithm),
 			Seed:       e.spec.Seed,
 			Params:     spaceParamNames(e.spec.Space),
 		}, resume, e.sched, opt)
 		if err != nil {
-			return fmt.Errorf("experiment %q: %w", e.spec.Name, err)
+			return err
 		}
 		e.journal, opt.Journal, opt.Resume = journal, journal, rs
 	}
 	if fn := r.m.onProgress; fn != nil {
-		name := e.spec.Name
-		opt.OnResult = progressHook(opt.Resume, func(p Progress) {
-			fn(ExperimentProgress{Experiment: name, Progress: p})
-		})
+		opt.OnResult = progressHook(opt.Resume, e.spec.Name, fn)
 	}
-	e.lane = r.eng.AddLane(e.sched, r.view(r.eng.NextLane(), e.spec), opt, e.rank, e.tenant)
+	lane := r.root
+	if r.view != nil {
+		lane = r.view(r.eng.NextLane(), e.spec)
+	}
+	e.lane = r.eng.AddLane(e.sched, lane, opt, e.rank, e.tenant)
 	return nil
 }
 
@@ -360,11 +391,15 @@ func journalFileName(name string) string {
 	return string(out) + ".journal"
 }
 
-// prepareStateDir creates the state directory and refuses experiment
-// names that sanitize onto one journal file ("exp/1" and "exp_1"): two
-// journals sharing a file would silently corrupt each other. Dormant
-// experiments are checked too — an adopt opens theirs later.
+// prepareStateDir creates the state directory, if there is one, and
+// refuses experiment names that sanitize onto one journal file ("exp/1"
+// and "exp_1"): two journals sharing a file would silently corrupt each
+// other. Dormant experiments are checked too — an adopt opens theirs
+// later. It runs before the executor starts, so a refusal starts nothing.
 func (m *Manager) prepareStateDir() error {
+	if m.stateDir == "" {
+		return nil
+	}
 	if err := os.MkdirAll(m.stateDir, 0o755); err != nil {
 		return fmt.Errorf("asha: state dir: %w", err)
 	}

@@ -88,9 +88,9 @@ func fleetStatus(t *testing.T, base, token string) remote.AdminStatus {
 
 // TestRemoteAdminPauseStopsGrants is the admin plane's acceptance test:
 // pausing a live fleet run freezes the lease-granted counter dead while
-// the worker keeps polling, status reports the run paused, and resume
-// completes the full job budget — with the final scrape reconciling
-// against the run's own accounting.
+// the worker keeps polling, status reports the run paused, adopt and
+// drop are refused, and resume completes the full job budget — with the
+// final scrape reconciling against the run's own accounting.
 func TestRemoteAdminPauseStopsGrants(t *testing.T) {
 	const maxJobs = 16
 	const token = "admin-secret"
@@ -183,6 +183,15 @@ func TestRemoteAdminPauseStopsGrants(t *testing.T) {
 	}
 	if frozen >= maxJobs {
 		t.Fatalf("pause landed after the run finished (%v grants); nothing was proven", frozen)
+	}
+
+	// A Tuner's one experiment is unnamed and owned from the start: adopt
+	// cannot name it and drop refuses it — a dropped lane would leave the
+	// engine parked for good, and the run below would never complete.
+	for cmd, body := range map[string]string{"drop": `{}`, "adopt": `{"experiment":"x"}`} {
+		if status, out := fleetAdmin(t, url, token, cmd, body); status != http.StatusBadRequest {
+			t.Fatalf("%s %s on a Tuner: status %d (%v), want 400", cmd, body, status, out)
+		}
 	}
 
 	if status, _ := fleetAdmin(t, url, token, "resume", ""); status != http.StatusOK {

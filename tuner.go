@@ -4,15 +4,12 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/remote"
 	"repro/internal/state"
-	"repro/internal/xrand"
 )
 
 // Objective is a user training function. The Tuner calls it with the
@@ -31,13 +28,13 @@ type Option func(*Tuner)
 
 // WithWorkers sets the number of concurrent training goroutines
 // (default 1).
-func WithWorkers(n int) Option { return func(t *Tuner) { t.workers = n } }
+func WithWorkers(n int) Option { return func(t *Tuner) { t.m.workers = n } }
 
 // WithSeed seeds the tuner's randomness (default 1).
-func WithSeed(seed uint64) Option { return func(t *Tuner) { t.seed = seed } }
+func WithSeed(seed uint64) Option { return func(t *Tuner) { t.exp.Seed = seed } }
 
 // WithMaxJobs stops the run after this many training jobs.
-func WithMaxJobs(n int) Option { return func(t *Tuner) { t.maxJobs = n } }
+func WithMaxJobs(n int) Option { return func(t *Tuner) { t.exp.MaxJobs = n } }
 
 // WithMaxDuration stops the run after this wall-clock duration.
 func WithMaxDuration(d time.Duration) Option { return func(t *Tuner) { t.maxDuration = d } }
@@ -47,12 +44,19 @@ func WithMaxDuration(d time.Duration) Option { return func(t *Tuner) { t.maxDura
 // snapshots of trial checkpoints), and a killed run can be continued
 // with Resume. Run always starts a fresh journal, truncating any
 // previous one in dir; use Resume for crash-restart semantics.
-func WithStateDir(dir string) Option { return func(t *Tuner) { t.stateDir = dir } }
+func WithStateDir(dir string) Option { return func(t *Tuner) { t.m.stateDir = dir } }
 
 // WithProgress installs a callback invoked after every completed job
 // with the current incumbent. It runs on the executor's critical path;
 // keep it fast.
-func WithProgress(fn func(p Progress)) Option { return func(t *Tuner) { t.onProgress = fn } }
+func WithProgress(fn func(p Progress)) Option {
+	return func(t *Tuner) {
+		t.m.onProgress = nil
+		if fn != nil {
+			t.m.onProgress = func(p ExperimentProgress) { fn(p.Progress) }
+		}
+	}
+}
 
 // Progress is a live snapshot handed to the WithProgress callback.
 type Progress struct {
@@ -73,17 +77,13 @@ type Progress struct {
 
 // Tuner runs a tuning algorithm over an objective on a pluggable
 // execution backend (goroutine pool by default; see WithBackend).
+// It is a Manager of one unnamed experiment whose executor its Backend
+// builds.
 type Tuner struct {
-	space       *Space
-	objective   Objective
-	algorithm   Algorithm
+	m           Manager // workers, state dir and progress callback
+	exp         Experiment
 	backend     Backend
-	workers     int
-	seed        uint64
-	maxJobs     int
 	maxDuration time.Duration
-	onProgress  func(Progress)
-	stateDir    string
 }
 
 // New assembles a Tuner. The algorithm is one of the option structs in
@@ -91,12 +91,9 @@ type Tuner struct {
 // PBT, BOHB, GPOptimizer).
 func New(space *Space, objective Objective, algorithm Algorithm, opts ...Option) *Tuner {
 	t := &Tuner{
-		space:     space,
-		objective: objective,
-		algorithm: algorithm,
-		backend:   GoroutinePool{},
-		workers:   1,
-		seed:      1,
+		m:       Manager{workers: 1},
+		exp:     Experiment{Space: space, Objective: objective, Algorithm: algorithm, Seed: 1},
+		backend: GoroutinePool{},
 	}
 	for _, o := range opts {
 		o(t)
@@ -146,92 +143,50 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) { return t.run(ctx, fa
 // trial checkpoints are restored from the journal's snapshots.
 func (t *Tuner) Resume(ctx context.Context) (*Result, error) { return t.run(ctx, true) }
 
-func (t *Tuner) run(ctx context.Context, resume bool) (result *Result, err error) {
-	if t.space == nil || t.space.Dim() == 0 {
+// run is a Manager's run of its one experiment on the executor the
+// Backend builds: only the option checks, the build and the unwrapping
+// of the one result are the Tuner's own.
+func (t *Tuner) run(ctx context.Context, resume bool) (*Result, error) {
+	if t.exp.Space == nil || t.exp.Space.Dim() == 0 {
 		return nil, fmt.Errorf("asha: tuner requires a non-empty search space")
 	}
-	if t.algorithm == nil {
+	if t.exp.Algorithm == nil {
 		return nil, fmt.Errorf("asha: tuner requires an algorithm")
 	}
-	if t.workers < 1 {
+	if t.m.workers < 1 {
 		return nil, fmt.Errorf("asha: tuner requires at least one worker")
 	}
-	// Every run is driven through a live-control gate. Without an admin
-	// surface it is transparent (nobody flips it); with one, the
-	// /v1/admin handlers pause, resume, or abort the run through it.
-	sched := core.NewGate(t.algorithm.newScheduler(t.space, xrand.New(t.seed)))
 	if t.maxDuration > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, t.maxDuration)
 		defer cancel()
 	}
-	be, opt, err := t.backend.build(ctx, t, sched)
-	if err != nil {
-		return nil, err
-	}
-	opt.MaxJobs = t.maxJobs
-	opt.Gate = sched
-	rb, fleet := be.(*remote.Backend)
-	if fleet {
-		// Fleet runs get the full observability plane: events flow to the
-		// server's /v1/events ring (when enabled), and below the admin API
-		// is given its scheduler-side control plane.
-		opt.Events = rb.Server().EventBus()
-	}
-	if opt.MaxJobs == 0 && opt.MaxTime == 0 && ctx.Done() == nil {
-		_ = be.Close()
+	// Refused before the build: a built backend has already started its
+	// pool, its worker processes or its lease server. A Simulation's
+	// virtual-time limit bounds a run by itself.
+	sim, _ := t.backend.(Simulation)
+	if t.exp.MaxJobs == 0 && sim.MaxSimTime == 0 && ctx.Done() == nil {
 		return nil, fmt.Errorf("asha: unbounded run; set WithMaxJobs, WithMaxDuration, or a cancellable context")
 	}
-	if t.stateDir != "" {
-		if err := os.MkdirAll(t.stateDir, 0o755); err != nil {
-			_ = be.Close()
-			return nil, fmt.Errorf("asha: state dir: %w", err)
-		}
-		journal, rs, serr := openJournal(filepath.Join(t.stateDir, tunerJournalName), state.Meta{
-			Experiment: "tuner",
-			Algo:       fmt.Sprintf("%T", t.algorithm),
-			Seed:       t.seed,
-			Params:     spaceParamNames(t.space),
-		}, resume, sched, opt)
-		if serr != nil {
-			_ = be.Close()
-			return nil, serr
-		}
-		// A failed close means the journal tail (including the final
-		// snapshot) may never have reached disk: the run's durability
-		// promise is broken, so surface it instead of a clean result.
-		defer func() {
-			if cerr := journal.Close(); cerr != nil && err == nil {
-				result, err = nil, fmt.Errorf("asha: state journal: %w", cerr)
-			}
-		}()
-		opt.Journal = journal
-		opt.Resume = rs
-	}
-	if t.onProgress != nil {
-		opt.OnResult = progressHook(opt.Resume, t.onProgress)
-	}
-	// A Tuner is the engine's one-lane case: the backend is both the
-	// executor and the lane's view of it.
-	eng := backend.NewEngine(be, nil)
-	lane := eng.AddLane(sched, be, opt, 0, "")
-	if fleet {
-		rb.Server().SetControl(&controlPlane{eng: eng, exps: []*mgrExp{{lane: lane, sched: sched}}})
-	}
-	start := time.Now()
-	err = eng.Run(ctx)
-	run, laneErr := lane.Result()
-	if laneErr != nil {
-		err = laneErr
-	}
-	if err != nil {
+	e := &mgrExp{spec: t.exp}
+	r := &mgrRun{m: &t.m, exps: []*mgrExp{e}}
+	if err := t.m.prepareStateDir(); err != nil {
 		return nil, err
 	}
-	res := newResult(run, sched, time.Since(start))
-	if res == nil {
+	var err error
+	if r.root, r.base, err = t.backend.build(ctx, t); err != nil {
+		return nil, err
+	}
+	err = r.run(ctx, resume)
+	switch {
+	case e.err != nil: // the experiment's own failure outranks the executor's
+		return nil, e.err
+	case err != nil:
+		return nil, err
+	case e.res == nil:
 		return nil, fmt.Errorf("asha: run completed no trials (budget too small?)")
 	}
-	return res, nil
+	return e.res, nil
 }
 
 // newResult builds the public Result of a finished run, or nil if it
@@ -257,9 +212,9 @@ func newResult(run *metrics.Run, sched core.Scheduler, elapsed time.Duration) *R
 }
 
 // progressHook adapts a progress callback to the engine's per-result
-// hook. The job count resumes where the journal left off; replayed
-// completions never re-fire the callback.
-func progressHook(rs *backend.ResumeState, fn func(Progress)) func(core.Result, core.Best, bool) {
+// hook of the named experiment. The job count resumes where the journal
+// left off; replayed completions never re-fire the callback.
+func progressHook(rs *backend.ResumeState, name string, fn func(ExperimentProgress)) func(core.Result, core.Best, bool) {
 	completed := 0
 	if rs != nil {
 		completed = rs.Run.CompletedJobs
@@ -278,7 +233,7 @@ func progressHook(rs *backend.ResumeState, fn func(Progress)) func(core.Result, 
 			p.BestConfig = best.Config.Map()
 			p.BestLoss = best.Loss
 		}
-		fn(p)
+		fn(ExperimentProgress{Experiment: name, Progress: p})
 	}
 }
 

@@ -3,6 +3,7 @@ package asha
 import (
 	"context"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -145,6 +146,22 @@ func TestTunerValidation(t *testing.T) {
 		if _, err := c.tuner.Run(context.Background()); err == nil {
 			t.Fatalf("%s: expected error", c.name)
 		}
+	}
+}
+
+// TestTunerRefusesUnboundedBeforeBuild: a run with no budget is refused
+// before its backend starts, so a Remote never binds its lease server nor
+// announces it (which is where callers spawn their workers).
+func TestTunerRefusesUnboundedBeforeBuild(t *testing.T) {
+	var announced []string
+	rem := Remote{OnListen: func(url string) { announced = append(announced, url) }}
+	tuner := New(testSpace(), nil, RandomSearch{MaxResource: 1}, WithBackend(rem))
+	_, err := tuner.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "asha: unbounded run") {
+		t.Fatalf("unbounded run: err = %v, want the unbounded-run refusal", err)
+	}
+	if len(announced) > 0 {
+		t.Fatalf("refused run announced a lease server at %s", announced[0])
 	}
 }
 
