@@ -11,33 +11,44 @@ import (
 	"repro/internal/remote"
 )
 
-// Backend selects the execution substrate a Tuner runs on. The same
+// Backend selects the execution substrate a run executes on. The same
 // algorithm configuration runs unchanged on any backend — schedulers
 // only ever see the shared engine's Next/Report contract. Implementations
-// are the option structs below (GoroutinePool, Subprocess, Simulation);
-// the zero Tuner uses GoroutinePool.
+// are the option structs below (GoroutinePool, Subprocess, Remote,
+// Simulation). A Tuner takes any of them and a Manager a GoroutinePool
+// or, under WithManagerRemote, a Remote; both default to GoroutinePool.
 type Backend interface {
-	// build starts the executor of one Tuner run, which the run's one
-	// lane then launches on. The returned options carry the budgets the
-	// executor sets for that lane (the simulator's virtual-time limit and
-	// resource cap). The engine drives the scheduler, so build never sees
-	// one.
-	build(ctx context.Context, t *Tuner) (backend.Backend, backend.Options, error)
+	// build starts the executor of one run, Tuner's or Manager's alike —
+	// the only place either is built — and fills r's root, view and
+	// base. A pool and a fleet give each experiment a lane view of its
+	// own; a Subprocess or a Simulation is one lane with no view, which a
+	// Tuner's one experiment runs on directly. base carries the budgets
+	// the executor sets for every lane (the simulator's virtual-time
+	// limit and resource cap). The engine drives the schedulers, so build
+	// never sees one.
+	build(ctx context.Context, r *mgrRun) error
 }
 
 // WithBackend selects the execution backend (default GoroutinePool).
-func WithBackend(b Backend) Option { return func(t *Tuner) { t.backend = b } }
+func WithBackend(b Backend) Option { return func(t *Tuner) { t.m.backend = b } }
 
 // GoroutinePool runs the objective on a pool of in-process goroutine
 // workers — the default backend, suited to objectives written in Go that
 // are cheap enough to share one OS process.
 type GoroutinePool struct{}
 
-func (GoroutinePool) build(ctx context.Context, t *Tuner) (backend.Backend, backend.Options, error) {
-	if t.exp.Objective == nil {
-		return nil, backend.Options{}, fmt.Errorf("asha: the goroutine backend requires an objective")
+func (GoroutinePool) build(ctx context.Context, r *mgrRun) error {
+	for _, e := range r.exps {
+		if e.spec.Objective == nil {
+			return fmt.Errorf("asha: the goroutine backend requires an objective")
+		}
 	}
-	return exec.NewPool(ctx, exec.Objective(t.exp.Objective), t.m.workers), backend.Options{}, nil
+	pool := exec.NewPool(ctx, nil, r.m.workers)
+	r.root = pool
+	r.view = func(lane int, spec Experiment) backend.Backend {
+		return pool.Lane(lane, exec.Objective(spec.Objective))
+	}
+	return nil
 }
 
 // Subprocess runs every training job in an isolated OS worker process
@@ -56,12 +67,12 @@ type Subprocess struct {
 	Env []string
 }
 
-func (s Subprocess) build(ctx context.Context, t *Tuner) (backend.Backend, backend.Options, error) {
+func (s Subprocess) build(ctx context.Context, r *mgrRun) (err error) {
 	if s.Command == "" {
-		return nil, backend.Options{}, fmt.Errorf("asha: the subprocess backend requires a worker command")
+		return fmt.Errorf("asha: the subprocess backend requires a worker command")
 	}
-	b, err := exec.NewSubprocess(ctx, s.Command, s.Args, s.Env, t.m.workers)
-	return b, backend.Options{}, err
+	r.root, err = exec.NewSubprocess(ctx, s.Command, s.Args, s.Env, r.m.workers)
+	return err
 }
 
 // Remote runs training jobs on a distributed fleet of network workers:
@@ -84,8 +95,11 @@ type Remote struct {
 	// LeaseTTL is how long a leased job survives without a worker
 	// heartbeat before it is requeued (default 15s).
 	LeaseTTL time.Duration
-	// MaxLeases caps concurrently leased jobs; 0 means the Tuner's
-	// WithWorkers value.
+	// MaxLeases is the run's capacity, for a Tuner and a Manager alike:
+	// both the cap on concurrently leased jobs and the engine's in-flight
+	// budget, so no job waits on the server for a lease it cannot get.
+	// 0 means the run's worker count (WithWorkers, WithManagerWorkers); a
+	// negative value is refused before the server binds.
 	MaxLeases int
 	// BatchSize caps the jobs one grants or reports frame carries and is
 	// the fleet-wide batch advertised to workers at
@@ -110,9 +124,13 @@ type Remote struct {
 	// workers also flush early on a full batch or an empty pipeline,
 	// and with no BatchSize set never wait).
 	FlushInterval time.Duration
-	// OnListen, if set, is called with the server's base URL (e.g.
-	// "http://127.0.0.1:8700") before the run starts — use it to learn
-	// a dynamically bound port or to spawn workers.
+	// OnListen, if set, is called once with the server's base URL (e.g.
+	// "http://127.0.0.1:8700") when the run is whole — every experiment
+	// activated, every journal replayed, the control plane attached —
+	// and before its first job: use it to learn a dynamically bound port
+	// or to spawn workers. A run refused before then never calls it. It
+	// runs on the engine goroutine, so it must not wait on an admin
+	// answer: the engine takes commands only once it runs.
 	OnListen func(url string)
 	// Metrics enables GET /metrics on the embedded server: engine and
 	// lease counters — granted/expired leases, batch sizes, rung
@@ -160,51 +178,22 @@ type Remote struct {
 	TenantAdminTokens map[string]string
 }
 
-func (r Remote) build(_ context.Context, t *Tuner) (backend.Backend, backend.Options, error) {
-	if r.Coordinator != "" {
-		return nil, backend.Options{}, fmt.Errorf("asha: a Tuner cannot be a federation shard (Remote.Coordinator %q): its control plane cannot adopt; run a Manager", r.Coordinator)
+func (rem Remote) build(_ context.Context, r *mgrRun) error {
+	if rem.MaxLeases < 0 {
+		return fmt.Errorf("asha: Remote.MaxLeases %d is negative; 0 means the worker count", rem.MaxLeases)
 	}
-	srv, capacity, err := r.newServer(t.m.workers)
+	opts := remote.Options(rem)
+	if opts.MaxLeases == 0 {
+		opts.MaxLeases = r.m.workers
+	}
+	srv, err := remote.NewServer(opts)
 	if err != nil {
-		return nil, backend.Options{}, err
+		return fmt.Errorf("asha: starting remote lease server: %w", err)
 	}
-	return remote.NewBackend(srv, capacity), backend.Options{}, nil
-}
-
-// newServer starts the embedded lease server for one run — the single
-// construction path shared by the Tuner backend and the Manager's
-// fleet mode — and announces it via OnListen. defaultCapacity fills
-// MaxLeases when unset.
-func (r Remote) newServer(defaultCapacity int) (*remote.Server, int, error) {
-	capacity := r.MaxLeases
-	if capacity == 0 {
-		capacity = defaultCapacity
-	}
-	srv, err := remote.NewServer(remote.Options{
-		Listen:            r.Listen,
-		Token:             r.Token,
-		LeaseTTL:          r.LeaseTTL,
-		MaxLeases:         capacity,
-		BatchSize:         r.BatchSize,
-		Prefetch:          r.Prefetch,
-		FlushInterval:     r.FlushInterval,
-		Metrics:           r.Metrics,
-		Events:            r.Events,
-		EventBuffer:       r.EventBuffer,
-		AdminToken:        r.AdminToken,
-		StragglerK:        r.StragglerK,
-		ShardID:           r.ShardID,
-		Coordinator:       r.Coordinator,
-		TenantTokens:      r.TenantTokens,
-		TenantAdminTokens: r.TenantAdminTokens,
-	})
-	if err != nil {
-		return nil, 0, fmt.Errorf("asha: starting remote lease server: %w", err)
-	}
-	if r.OnListen != nil {
-		r.OnListen(srv.URL())
-	}
-	return srv, capacity, nil
+	fleet := remote.NewBackend(srv, opts.MaxLeases)
+	r.root, r.bus = fleet, srv.EventBus()
+	r.view = func(lane int, spec Experiment) backend.Backend { return fleet.Lane(lane, spec.Name) }
+	return nil
 }
 
 // Simulation runs the tuning algorithm against a calibrated surrogate
@@ -227,24 +216,24 @@ type Simulation struct {
 	MaxSimTime float64
 }
 
-func (s Simulation) build(_ context.Context, t *Tuner) (backend.Backend, backend.Options, error) {
+func (s Simulation) build(_ context.Context, r *mgrRun) error {
 	if s.Benchmark == nil {
-		return nil, backend.Options{}, fmt.Errorf("asha: the simulation backend requires a benchmark")
+		return fmt.Errorf("asha: the simulation backend requires a benchmark")
 	}
 	// The engine drives the simulator as an executor; only Sim.Run, which
 	// a Tuner never calls, would read a scheduler of the Sim's own.
-	sim := cluster.New(nil, s.Benchmark, cluster.Options{
-		Workers:     t.m.workers,
+	r.root = cluster.New(nil, s.Benchmark, cluster.Options{
+		Workers:     r.m.workers,
 		StragglerSD: s.StragglerSD,
 		DropProb:    s.DropProb,
 		MaxTime:     s.MaxSimTime,
-		Seed:        t.exp.Seed,
+		Seed:        r.exps[0].spec.Seed,
 	})
-	opt := backend.Options{
+	r.base = backend.Options{
 		MaxTime:     s.MaxSimTime,
 		MaxResource: s.Benchmark.MaxResource(),
 	}
-	return sim, opt, nil
+	return nil
 }
 
 // TrialIDFromContext reports the scheduler-assigned trial ID of the job

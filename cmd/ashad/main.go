@@ -175,7 +175,8 @@ type remoteSpec struct {
 	Token string `json:"token,omitempty"`
 	// LeaseTTLMillis is the lease TTL in milliseconds (default 15000).
 	LeaseTTLMillis int `json:"leaseTTLms,omitempty"`
-	// MaxLeases caps concurrently leased jobs (default: workers).
+	// MaxLeases is both the lease cap and the engine's in-flight budget
+	// across all experiments (default: workers).
 	MaxLeases int `json:"maxLeases,omitempty"`
 	// BatchSize caps the jobs a grants or reports frame carries and sets
 	// the fleet-wide batch workers hold results for (default:

@@ -256,7 +256,7 @@ func TestFederatedFailoverParity(t *testing.T) {
 	t.Logf("killed shard at %d/%d completions", completed, parityJobs)
 
 	// Failover: a second node adopts the experiment by resuming from
-	// the dead shard's journal (exactly what controlPlane.Adopt drives on
+	// the dead shard's journal (exactly what mgrRun.Adopt drives on
 	// a survivor shard) and runs it to completion.
 	survivor := NewManager(WithManagerWorkers(1), WithManagerStateDir(stateDir))
 	if err := survivor.Add(parityExperimentSpec(parityObjective(0))); err != nil {

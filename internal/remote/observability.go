@@ -94,13 +94,23 @@ type ControlPlane interface {
 
 // SetControl attaches the scheduler-side control plane. Until one is
 // attached, pause/drain act server-side only and status reports just
-// the counters. A federated shard's coordinator link starts with the
-// first one: only a control plane can adopt what it is assigned.
+// the counters. The first one starts a federated shard's coordinator
+// link — only a control plane can adopt what it is assigned — and then
+// announces the server (Options.OnListen), the one place it is
+// announced: a run attaches its control plane once it is whole.
 func (s *Server) SetControl(cp ControlPlane) {
 	s.control.Store(controlBox{cp: cp})
-	if s.shard != nil && cp != nil {
-		s.shard.start.Do(func() { go s.shard.run() })
+	if cp == nil {
+		return
 	}
+	s.attached.Do(func() {
+		if s.shard != nil {
+			go s.shard.run()
+		}
+		if s.opts.OnListen != nil {
+			s.opts.OnListen(s.URL())
+		}
+	})
 }
 
 // adopt and drop are the one way in for the shard link and the admin

@@ -321,6 +321,38 @@ func TestMetricsResumeNoDoubleCounting(t *testing.T) {
 	}
 }
 
+// TestOnListenAnnouncesAttachedServer pins the one announce point: the
+// server is announced from the first SetControl, once the control plane
+// is stored, so whoever learns the URL reaches the run behind it — and
+// never from NewServer, a detach, or a later attach.
+func TestOnListenAnnouncesAttachedServer(t *testing.T) {
+	var srv *Server
+	var announced []ControlPlane
+	srv, err := NewServer(Options{OnListen: func(url string) {
+		if url != srv.URL() {
+			t.Errorf("announced %s, server is at %s", url, srv.URL())
+		}
+		announced = append(announced, srv.controlPlane())
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if len(announced) != 0 {
+		t.Fatal("server announced before a control plane was attached")
+	}
+	srv.SetControl(nil)
+	if len(announced) != 0 {
+		t.Fatal("a nil control plane announced the server")
+	}
+	cp := newFakeControl()
+	srv.SetControl(cp)
+	srv.SetControl(newFakeControl())
+	if len(announced) != 1 || announced[0] != ControlPlane(cp) {
+		t.Fatalf("announces saw control planes %v, want exactly one, the first attached", announced)
+	}
+}
+
 // TestAdminAuthAndValidation pins the admin surface's rejection paths:
 // the endpoints do not exist without a configured token, and with one,
 // auth is checked before anything else.

@@ -102,7 +102,8 @@ type Outcome struct {
 // result may wait in a worker's report buffer for batch-mates.
 const DefaultFlushInterval = 25 * time.Millisecond
 
-// Options configures a Server.
+// Options configures a Server. Its fields are asha.Remote's, in the
+// same order, so that the public struct converts to it whole.
 type Options struct {
 	// Listen is the TCP address to serve on (default "127.0.0.1:0").
 	Listen string
@@ -110,30 +111,6 @@ type Options struct {
 	// must present. It grants unscoped access: workers holding it may
 	// lease jobs of any tenant.
 	Token string
-	// TenantTokens maps tenant namespace -> worker token for multi-tenant
-	// fleets. A worker registering with a tenant's token is scoped to
-	// that tenant: it only ever receives jobs of experiments named
-	// "<tenant>/..." (see TenantOf), and its credential cannot drive
-	// another tenant's workers. Tenant names must be non-empty. When any
-	// tenant tokens are configured the server always authenticates, even
-	// if Token is empty.
-	TenantTokens map[string]string
-	// TenantAdminTokens maps tenant namespace -> admin token. A tenant
-	// admin token opens the /v1/admin API scoped to that tenant's
-	// experiments only (pause/resume/abort/status); fleet-wide commands
-	// (workers, drain, adopt) still require AdminToken.
-	TenantAdminTokens map[string]string
-	// ShardID, when non-empty, names this server's tuner shard in a
-	// federated deployment: it is exported on /metrics as
-	// asha_shard_info{shard="..."} and reported in admin status.
-	ShardID string
-	// Coordinator, when non-empty, makes this server federated shard
-	// ShardID: once a control plane is attached it registers with the
-	// coordinator at this host:port (":port" is loopback), heartbeats,
-	// and adopts and drops experiments through the control plane as each
-	// reply restates its assignment, self-fencing when the link is lost
-	// (shard.go). It presents AdminToken to the coordinator.
-	Coordinator string
 	// LeaseTTL is how long a granted lease stays valid without a
 	// heartbeat (default 15s).
 	LeaseTTL time.Duration
@@ -156,6 +133,9 @@ type Options struct {
 	// FlushInterval is advertised to workers at registration as the
 	// report-flush deadline (default DefaultFlushInterval).
 	FlushInterval time.Duration
+	// OnListen, if set, is called once with the server's base URL: by
+	// the first SetControl, the one place the server is announced.
+	OnListen func(url string)
 	// Metrics enables GET /metrics: the server's counters — and, when a
 	// ControlPlane is attached, per-experiment scheduler state — in
 	// Prometheus text format. The scrape reads lock-free atomics, never
@@ -182,6 +162,30 @@ type Options struct {
 	// event bus (default 3; requires Metrics for the distributions and
 	// Events for the bus).
 	StragglerK float64
+	// ShardID, when non-empty, names this server's tuner shard in a
+	// federated deployment: it is exported on /metrics as
+	// asha_shard_info{shard="..."} and reported in admin status.
+	ShardID string
+	// Coordinator, when non-empty, makes this server federated shard
+	// ShardID: once a control plane is attached it registers with the
+	// coordinator at this host:port (":port" is loopback), heartbeats,
+	// and adopts and drops experiments through the control plane as each
+	// reply restates its assignment, self-fencing when the link is lost
+	// (shard.go). It presents AdminToken to the coordinator.
+	Coordinator string
+	// TenantTokens maps tenant namespace -> worker token for multi-tenant
+	// fleets. A worker registering with a tenant's token is scoped to
+	// that tenant: it only ever receives jobs of experiments named
+	// "<tenant>/..." (see TenantOf), and its credential cannot drive
+	// another tenant's workers. Tenant names must be non-empty. When any
+	// tenant tokens are configured the server always authenticates, even
+	// if Token is empty.
+	TenantTokens map[string]string
+	// TenantAdminTokens maps tenant namespace -> admin token. A tenant
+	// admin token opens the /v1/admin API scoped to that tenant's
+	// experiments only (pause/resume/abort/status); fleet-wide commands
+	// (workers, drain, adopt) still require AdminToken.
+	TenantAdminTokens map[string]string
 }
 
 // task is one submitted job — the job's one record on the server:
@@ -320,6 +324,9 @@ type Server struct {
 	// shard is the coordinator link of a federated shard (shard.go), nil
 	// without Options.Coordinator: SetControl starts it, Close stops it.
 	shard *shardLink
+	// attached runs once, at the first SetControl: the shard link's
+	// start, then the OnListen announce.
+	attached sync.Once
 
 	sweepStop chan struct{}
 	sweepDone chan struct{}

@@ -19,7 +19,6 @@ import (
 	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -32,11 +31,10 @@ const registerRetry = 500 * time.Millisecond
 // adopt as applied rather than retrying it every beat.
 var ErrAlreadyActive = errors.New("already active on this node")
 
-// shardLink is a shard's coordinator link. Its fields past start are
+// shardLink is a shard's coordinator link. Its fields past cancel are
 // the loop goroutine's alone.
 type shardLink struct {
 	srv    *Server
-	start  sync.Once
 	ctx    context.Context
 	cancel context.CancelFunc
 

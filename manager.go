@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/remote"
 	"repro/internal/state"
@@ -44,7 +43,9 @@ type ExperimentProgress struct {
 type ManagerOption func(*Manager)
 
 // WithManagerWorkers sets the shared global worker budget (default 1):
-// the total number of training jobs in flight across all experiments.
+// the total number of training jobs in flight across all experiments —
+// the pool's goroutines, or under WithManagerRemote the fleet's lease
+// cap unless Remote.MaxLeases sets it.
 func WithManagerWorkers(n int) ManagerOption { return func(m *Manager) { m.workers = n } }
 
 // WithManagerProgress installs a callback invoked after every completed
@@ -62,18 +63,20 @@ func WithManagerStateDir(dir string) ManagerOption {
 	return func(m *Manager) { m.stateDir = dir }
 }
 
-// WithManagerRemote serves every experiment's training jobs to a
-// distributed worker fleet instead of the in-process pool: the manager
-// embeds one HTTP job-lease server (see the Remote backend), jobs carry
-// their experiment's name so a worker can route them to the right
-// objective (RemoteWorker.Objectives), and the shared worker budget
-// bounds the fleet's concurrently leased jobs. Experiment objectives
-// run worker-side and may be nil in the Experiment specs. A job lost to
-// a worker crash or lease expiry is reported Failed to its experiment's
-// scheduler, which requeues it. A Remote naming a Coordinator makes the
-// Manager a federated shard whose experiments all start dormant.
+// WithManagerRemote makes r the Manager's backend, in place of the
+// in-process pool: every experiment's training jobs go to a distributed
+// worker fleet through one embedded HTTP job-lease server (see Remote),
+// built and announced exactly as a Tuner's. Jobs carry their
+// experiment's name so a worker can route them to the right objective
+// (RemoteWorker.Objectives), and r.MaxLeases — the shared worker budget
+// when unset — is both the lease cap and the jobs in flight across all
+// experiments. Experiment objectives run worker-side and may be nil in
+// the Experiment specs. A job lost to a worker crash or lease expiry is
+// reported Failed to its experiment's scheduler, which requeues it. A
+// Remote naming a Coordinator makes the Manager a federated shard whose
+// experiments all start dormant.
 func WithManagerRemote(r Remote) ManagerOption {
-	return func(m *Manager) { m.remote, m.dormant = &r, r.Coordinator != "" }
+	return func(m *Manager) { m.backend, m.dormant = r, r.Coordinator != "" }
 }
 
 // WithManagerTenantQuotas turns the engine's fair share two-level: free
@@ -108,7 +111,7 @@ func WithManagerTenantQuotas(weights map[string]int) ManagerOption {
 type Manager struct {
 	workers      int
 	onProgress   func(ExperimentProgress)
-	remote       *Remote
+	backend      Backend // GoroutinePool, or a Remote under WithManagerRemote
 	stateDir     string
 	experiments  []Experiment
 	names        map[string]bool
@@ -122,7 +125,7 @@ type Manager struct {
 
 // NewManager assembles a Manager; add experiments with Add.
 func NewManager(opts ...ManagerOption) *Manager {
-	m := &Manager{workers: 1, names: make(map[string]bool)}
+	m := &Manager{workers: 1, names: make(map[string]bool), backend: GoroutinePool{}}
 	for _, o := range opts {
 		o(m)
 	}
@@ -141,7 +144,7 @@ func (m *Manager) Add(e Experiment) error {
 	if e.Space == nil || e.Space.Dim() == 0 {
 		return fmt.Errorf("asha: experiment %q needs a non-empty search space", e.Name)
 	}
-	if e.Objective == nil && m.remote == nil {
+	if _, fleet := m.backend.(Remote); e.Objective == nil && !fleet {
 		return fmt.Errorf("asha: experiment %q needs an objective", e.Name)
 	}
 	if e.Algorithm == nil {
@@ -183,10 +186,11 @@ type mgrRun struct {
 	m    *Manager // settings: the Manager's, or the one a Tuner keeps
 	eng  *backend.Engine
 	exps []*mgrExp
-	// root is the run's one executor: the Manager's pool or fleet, or what
-	// a Tuner's Backend built. view builds an experiment's lane view of it
-	// — its own trial table over the pool's goroutines or the fleet's
-	// server; a Tuner has none, and its one lane runs on root itself.
+	// root is the run's one executor, which Backend.build starts. view,
+	// if the executor has lanes, builds an experiment's view of it — its
+	// own trial table over the pool's goroutines or the fleet's server;
+	// a Subprocess or a Simulation has none, and its one lane runs on
+	// root itself.
 	root backend.Backend
 	view func(lane int, spec Experiment) backend.Backend
 	base backend.Options // what root budgets for every lane: the simulator's clock and resource cap
@@ -227,31 +231,14 @@ func (m *Manager) run(ctx context.Context, resume bool) (map[string]*Result, err
 	}
 	r := &mgrRun{m: m}
 	for i, spec := range m.experiments {
+		// The engine reads a budget of 0 or less as none at all.
+		if spec.MaxJobs < 0 {
+			return nil, fmt.Errorf("asha: experiment %q has a negative MaxJobs (%d)", spec.Name, spec.MaxJobs)
+		}
 		if spec.MaxJobs == 0 && ctx.Done() == nil {
 			return nil, fmt.Errorf("asha: experiment %q is unbounded; set MaxJobs or pass a cancellable context", spec.Name)
 		}
 		r.exps = append(r.exps, &mgrExp{spec: spec, rank: i, tenant: remote.TenantOf(spec.Name)})
-	}
-	if err := m.prepareStateDir(); err != nil {
-		return nil, err
-	}
-	// One executor serves every experiment. Fleet mode: one embedded
-	// lease server runs the jobs on remote workers and no local pool is
-	// started.
-	if m.remote != nil {
-		srv, _, err := m.remote.newServer(m.workers)
-		if err != nil {
-			return nil, err
-		}
-		fleet := remote.NewBackend(srv, m.workers)
-		r.root = fleet
-		r.view = func(lane int, spec Experiment) backend.Backend { return fleet.Lane(lane, spec.Name) }
-	} else {
-		pool := exec.NewPool(ctx, nil, m.workers)
-		r.root = pool
-		r.view = func(lane int, spec Experiment) backend.Backend {
-			return pool.Lane(lane, exec.Objective(spec.Objective))
-		}
 	}
 	errs := []error{r.run(ctx, resume)}
 	out := make(map[string]*Result, len(r.exps))
@@ -265,19 +252,24 @@ func (m *Manager) run(ctx context.Context, resume bool) (map[string]*Result, err
 	return out, errors.Join(errs...)
 }
 
-// run is the one run path of a Manager's experiments and a Tuner's one:
-// it activates each experiment (or leaves it dormant), attaches the
-// control plane to a fleet's lease server, drives the engine over root,
-// and finishes every lane, closing its journal and leaving its Result
-// or error on its mgrExp. It returns the executor's error. A failed
-// activation is left on its experiment and ends the run before it
-// starts, closing root and the journals opened before it.
+// run is the one run path of a Manager's experiments and a Tuner's one,
+// past their option checks: it prepares the state dir, builds the
+// executor through the Backend, activates each experiment (or leaves it
+// dormant), attaches the control plane to a fleet's lease server —
+// which announces the server — drives the engine over root, and
+// finishes every lane, closing its journal and leaving its Result or
+// error on its mgrExp. It returns the state dir's, the build's or the
+// executor's error. A failed activation is left on its experiment and
+// ends the run before it starts or is announced, closing root and the
+// journals opened before it.
 func (r *mgrRun) run(ctx context.Context, resume bool) error {
-	r.eng = backend.NewEngine(r.root, r.m.tenantQuotas)
-	fleet, _ := r.root.(*remote.Backend)
-	if fleet != nil {
-		r.bus = fleet.Server().EventBus()
+	if err := r.prepareStateDir(); err != nil {
+		return err
 	}
+	if err := r.m.backend.build(ctx, r); err != nil {
+		return err
+	}
+	r.eng = backend.NewEngine(r.root, r.m.tenantQuotas)
 	for _, e := range r.exps {
 		if r.m.dormant {
 			r.eng.Dormant++
@@ -293,9 +285,10 @@ func (r *mgrRun) run(ctx context.Context, resume bool) error {
 			return nil
 		}
 	}
-	if fleet != nil {
-		// A federated shard's coordinator link starts here: its adopts
-		// queue on the engine and run once Run below takes them.
+	if fleet, ok := r.root.(*remote.Backend); ok {
+		// The run is whole: a federated shard's coordinator link starts
+		// here and the server is announced, and the adopts and admin
+		// commands either sends queue on the engine until Run takes them.
 		fleet.Server().SetControl(r)
 	}
 
@@ -396,20 +389,21 @@ func journalFileName(name string) string {
 // and "exp_1"): two journals sharing a file would silently corrupt each
 // other. Dormant experiments are checked too — an adopt opens theirs
 // later. It runs before the executor starts, so a refusal starts nothing.
-func (m *Manager) prepareStateDir() error {
-	if m.stateDir == "" {
+func (r *mgrRun) prepareStateDir() error {
+	dir := r.m.stateDir
+	if dir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(m.stateDir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("asha: state dir: %w", err)
 	}
-	files := make(map[string]string, len(m.experiments))
-	for _, e := range m.experiments {
-		name := journalFileName(e.Name)
+	files := make(map[string]string, len(r.exps))
+	for _, e := range r.exps {
+		name := journalFileName(e.spec.Name)
 		if prev, dup := files[name]; dup {
-			return fmt.Errorf("asha: experiments %q and %q map to the same journal file %s; rename one", prev, e.Name, name)
+			return fmt.Errorf("asha: experiments %q and %q map to the same journal file %s; rename one", prev, e.spec.Name, name)
 		}
-		files[name] = e.Name
+		files[name] = e.spec.Name
 	}
 	return nil
 }

@@ -199,6 +199,23 @@ func TestManagerValidation(t *testing.T) {
 	if _, err := unbounded.Run(context.Background()); err == nil {
 		t.Fatal("unbounded manager run accepted")
 	}
+	negative := NewManager()
+	if err := negative.Add(Experiment{Name: "e", Space: managerSpace(), Objective: managerObjective(0), Algorithm: RandomSearch{MaxResource: 1}, MaxJobs: -1}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := negative.Run(context.Background())
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("negative MaxJobs accepted")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a manager with a negative MaxJobs is still running after 5s, want a refusal")
+	}
 }
 
 // TestManagerRemoteFleet runs two named experiments over a worker fleet

@@ -9,6 +9,7 @@ package asha
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -52,38 +53,56 @@ func waitForExpiredLease(base string, stop <-chan struct{}) {
 // fleetAdmin POSTs one admin command to the embedded server.
 func fleetAdmin(t *testing.T, base, token, cmd, body string) (int, map[string]interface{}) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, base+"/v1/admin/"+cmd, strings.NewReader(body))
+	status, out, err := postAdmin(base, token, cmd, body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return status, out
+}
+
+// postAdmin is fleetAdmin for goroutines other than the test's.
+func postAdmin(base, token, cmd, body string) (int, map[string]interface{}, error) {
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/admin/"+cmd, strings.NewReader(body))
+	if err != nil {
+		return 0, nil, err
 	}
 	req.Header.Set("Authorization", "Bearer "+token)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("POST /v1/admin/%s: %v", cmd, err)
+		return 0, nil, fmt.Errorf("POST /v1/admin/%s: %w", cmd, err)
 	}
 	defer resp.Body.Close()
 	out := make(map[string]interface{})
 	_ = json.NewDecoder(resp.Body).Decode(&out)
-	return resp.StatusCode, out
+	return resp.StatusCode, out, nil
 }
 
 func fleetStatus(t *testing.T, base, token string) remote.AdminStatus {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/admin/status", nil)
+	st, err := getStatus(base, token)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return st
+}
+
+// getStatus is fleetStatus for goroutines other than the test's.
+func getStatus(base, token string) (remote.AdminStatus, error) {
+	var st remote.AdminStatus
+	req, err := http.NewRequest(http.MethodGet, base+"/v1/admin/status", nil)
+	if err != nil {
+		return st, err
 	}
 	req.Header.Set("Authorization", "Bearer "+token)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("GET /v1/admin/status: %v", err)
+		return st, fmt.Errorf("GET /v1/admin/status: %w", err)
 	}
 	defer resp.Body.Close()
-	var st remote.AdminStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("decoding admin status: %v", err)
+		return st, fmt.Errorf("decoding admin status: %w", err)
 	}
-	return st
+	return st, nil
 }
 
 // TestRemoteAdminPauseStopsGrants is the admin plane's acceptance test:

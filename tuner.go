@@ -47,8 +47,8 @@ func WithMaxDuration(d time.Duration) Option { return func(t *Tuner) { t.maxDura
 func WithStateDir(dir string) Option { return func(t *Tuner) { t.m.stateDir = dir } }
 
 // WithProgress installs a callback invoked after every completed job
-// with the current incumbent. It runs on the executor's critical path;
-// keep it fast.
+// with the current incumbent. It runs on the engine goroutine; keep it
+// fast.
 func WithProgress(fn func(p Progress)) Option {
 	return func(t *Tuner) {
 		t.m.onProgress = nil
@@ -77,12 +77,10 @@ type Progress struct {
 
 // Tuner runs a tuning algorithm over an objective on a pluggable
 // execution backend (goroutine pool by default; see WithBackend).
-// It is a Manager of one unnamed experiment whose executor its Backend
-// builds.
+// It is a Manager of one unnamed experiment on any Backend.
 type Tuner struct {
-	m           Manager // workers, state dir and progress callback
+	m           Manager // workers, backend, state dir and progress callback
 	exp         Experiment
-	backend     Backend
 	maxDuration time.Duration
 }
 
@@ -91,9 +89,8 @@ type Tuner struct {
 // PBT, BOHB, GPOptimizer).
 func New(space *Space, objective Objective, algorithm Algorithm, opts ...Option) *Tuner {
 	t := &Tuner{
-		m:       Manager{workers: 1},
-		exp:     Experiment{Space: space, Objective: objective, Algorithm: algorithm, Seed: 1},
-		backend: GoroutinePool{},
+		m:   Manager{workers: 1, backend: GoroutinePool{}},
+		exp: Experiment{Space: space, Objective: objective, Algorithm: algorithm, Seed: 1},
 	}
 	for _, o := range opts {
 		o(t)
@@ -143,9 +140,8 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) { return t.run(ctx, fa
 // trial checkpoints are restored from the journal's snapshots.
 func (t *Tuner) Resume(ctx context.Context) (*Result, error) { return t.run(ctx, true) }
 
-// run is a Manager's run of its one experiment on the executor the
-// Backend builds: only the option checks, the build and the unwrapping
-// of the one result are the Tuner's own.
+// run is a Manager's run of its one experiment: only the option checks
+// and the unwrapping of the one result are the Tuner's own.
 func (t *Tuner) run(ctx context.Context, resume bool) (*Result, error) {
 	if t.exp.Space == nil || t.exp.Space.Dim() == 0 {
 		return nil, fmt.Errorf("asha: tuner requires a non-empty search space")
@@ -162,22 +158,21 @@ func (t *Tuner) run(ctx context.Context, resume bool) (*Result, error) {
 		defer cancel()
 	}
 	// Refused before the build: a built backend has already started its
-	// pool, its worker processes or its lease server. A Simulation's
-	// virtual-time limit bounds a run by itself.
-	sim, _ := t.backend.(Simulation)
+	// pool, its worker processes or its lease server. The engine reads a
+	// job budget of 0 or less as none; a Simulation's virtual-time limit
+	// bounds a run by itself.
+	if rem, ok := t.m.backend.(Remote); ok && rem.Coordinator != "" {
+		return nil, fmt.Errorf("asha: a Tuner cannot be a federation shard (Remote.Coordinator %q): its control plane cannot adopt; run a Manager", rem.Coordinator)
+	}
+	if t.exp.MaxJobs < 0 {
+		return nil, fmt.Errorf("asha: WithMaxJobs(%d) is negative", t.exp.MaxJobs)
+	}
+	sim, _ := t.m.backend.(Simulation)
 	if t.exp.MaxJobs == 0 && sim.MaxSimTime == 0 && ctx.Done() == nil {
 		return nil, fmt.Errorf("asha: unbounded run; set WithMaxJobs, WithMaxDuration, or a cancellable context")
 	}
 	e := &mgrExp{spec: t.exp}
-	r := &mgrRun{m: &t.m, exps: []*mgrExp{e}}
-	if err := t.m.prepareStateDir(); err != nil {
-		return nil, err
-	}
-	var err error
-	if r.root, r.base, err = t.backend.build(ctx, t); err != nil {
-		return nil, err
-	}
-	err = r.run(ctx, resume)
+	err := (&mgrRun{m: &t.m, exps: []*mgrExp{e}}).run(ctx, resume)
 	switch {
 	case e.err != nil: // the experiment's own failure outranks the executor's
 		return nil, e.err

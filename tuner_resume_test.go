@@ -460,6 +460,16 @@ func TestResumeRefusesForeignJournalAndLeavesItAlone(t *testing.T) {
 		_, err := resumeTuner(dir, 50).Resume(context.Background())
 		check(t, err, path)
 	})
+	t.Run("Tuner.Resume on a Remote", func(t *testing.T) {
+		dir, path := plant(t, tunerJournalName)
+		announced := false
+		rem := Remote{OnListen: func(string) { announced = true }}
+		_, err := resumeTuner(dir, 50, WithBackend(rem)).Resume(context.Background())
+		check(t, err, path)
+		if announced {
+			t.Error("a refused resume announced its lease server")
+		}
+	})
 	t.Run("Manager.Resume", func(t *testing.T) {
 		dir, path := plant(t, journalFileName("exp-b"))
 		_, err := managerForResume(dir, 50).Resume(context.Background())

@@ -141,10 +141,22 @@ func TestTunerValidation(t *testing.T) {
 		{"nil algorithm", New(testSpace(), obj, nil, WithMaxJobs(1))},
 		{"zero workers", New(testSpace(), obj, RandomSearch{MaxResource: 1}, WithMaxJobs(1), WithWorkers(0))},
 		{"unbounded", New(testSpace(), obj, RandomSearch{MaxResource: 1})},
+		{"negative MaxJobs", New(testSpace(), obj, RandomSearch{MaxResource: 1}, WithMaxJobs(-1))},
 	}
 	for _, c := range cases {
-		if _, err := c.tuner.Run(context.Background()); err == nil {
-			t.Fatalf("%s: expected error", c.name)
+		// A case the checks miss may run forever: bound each one.
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.tuner.Run(context.Background())
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("%s: expected error", c.name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: still running after 5s, want a refusal", c.name)
 		}
 	}
 }
