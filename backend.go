@@ -52,7 +52,7 @@ func (GoroutinePool) build(ctx context.Context, r *mgrRun) error {
 }
 
 // Subprocess runs every training job in an isolated OS worker process
-// speaking a small JSON protocol on stdin/stdout — true parallelism
+// speaking binary job frames on stdin/stdout — true parallelism
 // beyond the Go scheduler and crash isolation: a worker that dies loses
 // only its in-flight job, which the scheduler retries on a fresh
 // process. The worker program typically calls ServeWorker with its

@@ -28,7 +28,7 @@
 // Execution is pluggable: WithBackend swaps where jobs run without
 // touching the algorithm configuration. GoroutinePool (the default)
 // trains in-process; Subprocess isolates every job in an OS worker
-// process speaking a JSON protocol (see ServeWorker); Remote serves
+// process speaking binary job frames (see ServeWorker); Remote serves
 // jobs to an elastic distributed fleet over an embedded HTTP job-lease
 // server — workers join at any time via ServeRemoteWorker or
 // cmd/ashaworker, a worker lost mid-job has its lease expire and the

@@ -11,7 +11,7 @@
 //   - internal/exec.Pool        — a goroutine worker pool calling an
 //     in-process Go objective (the default for the public Tuner);
 //   - internal/exec.Subprocess  — a pool of OS worker processes speaking
-//     a JSON line protocol over stdin/stdout, giving crash isolation and
+//     the binary job codec over stdin/stdout, giving crash isolation and
 //     true parallelism for real workloads;
 //   - internal/remote.Backend   — a distributed fleet of elastic network
 //     workers leasing jobs from an embedded HTTP server, with

@@ -1,43 +1,25 @@
 package exec
 
-// The binary job wire. The JSON Request/Response pair (subprocess.go)
-// is the readable, debuggable job encoding; this file is its dense
-// twin for hot paths that move hundreds of thousands of jobs per
-// second. A binary job carries the same fields, but the configuration
-// travels as a bare []float64 vector aligned with a parameter-name
-// table both sides agreed on out of band (the remote wire negotiates
-// the table at registration; see internal/remote), so parameter names
-// never repeat on the wire, and the checkpoint travels as raw bytes
-// with no base64 or quoting. Integers are unsigned LEB128 varints
-// (encoding/binary), floats are their IEEE-754 bits little-endian —
-// bit-exact round trips, so a loss or config value is never perturbed
-// by a decimal representation. The primitives are internal/wire's,
-// shared with the journal codec; nothing here panics on arbitrary
-// input (see the fuzzers in internal/remote).
+// The job codec: the one encoding of a training job and its answer on
+// both transports that carry jobs between processes, the lease stream
+// of internal/remote and the subprocess pipe (subprocess.go). A config
+// is a bare []float64 vector aligned with a parameter-name table the
+// transport sent beforehand, and a checkpoint raw bytes. The primitives
+// and the frame are internal/wire's: varints, IEEE-754 floats bit for
+// bit, length-prefixed strings. Nothing here panics on arbitrary input
+// (see fuzz_test.go and the fuzzers in internal/remote).
 
 import (
-	"time"
+	"fmt"
 
 	"repro/internal/wire"
 )
 
-// BinWireVersion is the version of the binary job *payload* encoding —
-// BinRequest/BinResponse bodies. The stream protocol wrapping these
-// payloads (frame types, timing fields) versions separately as
-// remote.ProtocolVersion and is checked once, at registration (not
-// stamped per job, unlike the JSON wire's per-message "v" field), so
-// version checks cost nothing on the per-job path.
-const BinWireVersion = 1
-
-// DurationUs converts a worker-measured monotonic duration to the
-// microsecond count the timed wire shapes carry, clamping negatives to
-// zero so a clock anomaly can never encode as a huge unsigned value.
-func DurationUs(d time.Duration) int64 {
-	if d <= 0 {
-		return 0
-	}
-	return int64(d / time.Microsecond)
-}
+// WireVersion is the version of the job codec: BinRequest, BinResponse
+// and the pipe's frames. It is checked once per connection, never per
+// job: the subprocess pipe's hello frames carry it, and the lease
+// stream's remote.ProtocolVersion, checked at registration, covers it.
+const WireVersion = 1
 
 // WireReader is internal/wire's bounds-checked decode cursor under the
 // exec-qualified name the frozen bench/ module compiles against.
@@ -46,12 +28,12 @@ type WireReader = wire.Reader
 // NewWireReader returns a cursor over b.
 func NewWireReader(b []byte) *WireReader { return wire.NewReader(b) }
 
-// --- the job payload ---
-
-// BinRequest is the dense form of Request: the configuration is a bare
-// vector aligned with a parameter-name table negotiated out of band,
-// and the checkpoint is raw bytes. ID doubles as the remote wire's
-// lease ID, exactly as the JSON lease wire stamps Request.ID.
+// BinRequest asks a worker to advance one trial's training from
+// cumulative resource From to To, resuming from State (the trial's last
+// checkpoint, empty on its first job). The configuration is a bare
+// vector aligned with the connection's parameter-name table. ID
+// sequences a process's jobs on the pipe and is the lease ID on the
+// stream; the answer echoes it.
 type BinRequest struct {
 	ID    uint64
 	Trial int
@@ -87,23 +69,15 @@ func DecodeBinRequest(r *WireReader) BinRequest {
 	return q
 }
 
-// BinResponse is the dense form of Response. Exactly one of the loss
-// (IsErr false) or the error string (IsErr true) is meaningful,
-// mirroring how the lease server folds a Response into an Outcome.
+// BinResponse reports one finished job. Exactly one of the loss and
+// checkpoint (IsErr false) or the error string (IsErr true) is
+// meaningful; an error aborts the run (a training bug, not a crash).
 type BinResponse struct {
 	ID    uint64
 	IsErr bool
 	Loss  float64
 	State []byte
 	Err   string
-}
-
-// BinResponseOf converts a worker-produced Response for the wire.
-func BinResponseOf(leaseID uint64, resp Response) BinResponse {
-	if resp.Error != "" {
-		return BinResponse{ID: leaseID, IsErr: true, Err: resp.Error}
-	}
-	return BinResponse{ID: leaseID, Loss: resp.Loss, State: resp.State}
 }
 
 // AppendBinResponse appends the response's binary encoding.
@@ -134,4 +108,61 @@ func DecodeBinResponse(r *WireReader) BinResponse {
 		r.Failf("exec: binary response kind %d unknown", k)
 	}
 	return p
+}
+
+// Frame types on the subprocess pipe: parent-to-worker below 0x80,
+// worker-to-parent at or above it, the hello both ways.
+const (
+	frameHello  = 0x01 // both ways, first on the pipe: the sender's WireVersion
+	frameTable  = 0x02 // parent→worker: the parameter names the next jobs' vectors align with
+	frameJob    = 0x03 // parent→worker: one BinRequest
+	frameResult = 0x81 // worker→parent: one BinResponse, answering the job before it
+)
+
+// pipeFrame is one frame of the pipe; kind says which field it carries.
+type pipeFrame struct {
+	kind    byte
+	version uint64
+	names   []string
+	job     BinRequest
+	result  BinResponse
+}
+
+// appendPipeFrame appends f's body: its type byte, then its field.
+func appendPipeFrame(dst []byte, f *pipeFrame) []byte {
+	dst = append(dst, f.kind)
+	switch f.kind {
+	case frameHello:
+		return wire.AppendUvarint(dst, f.version)
+	case frameTable:
+		return wire.AppendStrings(dst, f.names)
+	case frameJob:
+		return AppendBinRequest(dst, f.job)
+	}
+	return AppendBinResponse(dst, f.result)
+}
+
+// decodePipeFrame decodes a frame body (as wire.ReadFrame returns it,
+// never empty) into f. A job's state and a result's state alias body,
+// and a job's vector reuses the previous one's array when it fits. A frame of an unknown type, truncated, with trailing
+// bytes or a count its bytes cannot hold is refused whole.
+func decodePipeFrame(body []byte, f *pipeFrame) error {
+	var r wire.Reader
+	r.Reset(body[1:])
+	f.kind = body[0]
+	switch f.kind {
+	case frameHello:
+		f.version = r.Uvarint()
+	case frameTable:
+		f.names = r.Strings()
+	case frameJob:
+		r.SetFloatSlab(f.job.Vec) // the last job's vector, done with: a worker runs one job at a time
+		f.job = DecodeBinRequest(&r)
+	case frameResult:
+		f.result = DecodeBinResponse(&r)
+	default:
+		return fmt.Errorf("exec: unknown pipe frame type 0x%02x", f.kind)
+	}
+	r.ExpectEOF()
+	return r.Err()
 }

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"bufio"
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -10,7 +12,7 @@ import (
 
 // TestBinRequestRoundTrip pins the dense job encoding: every field
 // survives, the vector resolves against the name table into the config
-// the JSON wire would carry, and NaN/Inf losses round-trip
+// the objective is handed, and NaN/Inf losses round-trip
 // bit-exactly (the varint+IEEE encoding never perturbs a value the way
 // a decimal representation could).
 func TestBinRequestRoundTrip(t *testing.T) {
@@ -100,5 +102,35 @@ func TestWireReaderRejects(t *testing.T) {
 	DecodeBinResponse(r)
 	if r.Err() == nil {
 		t.Fatal("unknown response kind accepted")
+	}
+}
+
+// TestPipeFrameRefusals: the pipe's reader refuses a truncated, empty
+// or oversized frame and its decoder a frame of an unknown type, with
+// trailing bytes, or with a name or value count its bytes cannot hold —
+// each whole, before allocating for the count.
+func TestPipeFrameRefusals(t *testing.T) {
+	job := pipeBytes(pipeFrame{kind: frameJob, job: BinRequest{ID: 1, To: 2, Vec: []float64{1}}})
+	for name, pipe := range map[string][]byte{
+		"truncated": job[:len(job)-1],
+		"empty":     {0},
+		"oversized": wire.AppendUvarint(nil, wire.MaxFrameBody+1),
+	} {
+		if body, err := wire.ReadFrame(bufio.NewReader(bytes.NewReader(pipe)), nil); err == nil {
+			t.Errorf("%s frame read as %x", name, body)
+		}
+	}
+	for name, body := range map[string][]byte{
+		"unknown type":       {0x7f},
+		"trailing bytes":     {frameHello, WireVersion, 0},
+		"hostile name count": wire.AppendUvarint([]byte{frameTable}, 1<<40),
+		"hostile vec count":  wire.AppendUvarint(append([]byte{frameJob, 1, 1}, make([]byte, 16)...), 1<<40),
+	} {
+		var f pipeFrame
+		if err := decodePipeFrame(body, &f); err == nil {
+			t.Errorf("%s decoded as %+v", name, f)
+		} else if f.names != nil || f.job.Vec != nil {
+			t.Errorf("%s allocated for its count", name)
+		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package exec provides the real-hardware execution backends: a pool of
 // goroutine workers training in-process Go objectives (Pool), and a pool
-// of OS worker processes speaking a JSON line protocol (Subprocess, in
-// subprocess.go). Both implement backend.Backend and are driven by the
-// shared engine in internal/backend, so they use the exact same
-// scheduler and metrics path as the discrete-event cluster simulator.
+// of OS worker processes speaking the binary job codec over their pipes
+// (Subprocess, in subprocess.go). Both implement backend.Backend and
+// are driven by the shared engine in internal/backend, so they use the
+// exact same scheduler and metrics path as the discrete-event cluster
+// simulator.
 package exec
 
 import (

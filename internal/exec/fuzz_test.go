@@ -1,18 +1,20 @@
 package exec
 
-// Native fuzz targets for the shared job wire (the subprocess protocol's
-// Request/Response, reused verbatim by the remote lease protocol and as
-// the encoding discipline of the state journal): arbitrary bytes must
-// never panic a decoder, and any message that decodes must re-encode and
-// re-decode to the identical message — otherwise a parent and a worker
-// could silently disagree about a job.
+// Native fuzz targets. FuzzPipeFrame holds the subprocess pipe's one
+// decoder: the bytes a peer writes, read frame by frame as Serve and
+// the parent read them, must never panic it, and every frame that
+// decodes must re-encode to the identical bytes — otherwise a parent
+// and a worker could silently disagree about a job. Truncated, empty,
+// oversized and hostile-count frames are among the seeds, and
+// TestPipeFrameRefusals pins that each is refused.
 //
 // Seed corpora live in testdata/fuzz/<FuzzName>/ (committed) plus the
 // f.Add calls below. Run with:
 //
-//	go test ./internal/exec -fuzz FuzzWireRequest -fuzztime 30s
+//	go test ./internal/exec -run '^$' -fuzz FuzzPipeFrame -fuzztime 30s
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"math"
@@ -21,77 +23,40 @@ import (
 	"repro/internal/wire"
 )
 
-func FuzzWireRequest(f *testing.F) {
-	add := func(req Request) {
-		blob, err := json.Marshal(&req)
-		if err != nil {
-			panic(err)
-		}
-		f.Add(blob)
+func FuzzPipeFrame(f *testing.F) {
+	job := pipeBytes(pipeFrame{kind: frameJob, job: BinRequest{ID: 5, Trial: 2, To: 4, Vec: []float64{1}}})
+	result := pipeBytes(pipeFrame{kind: frameResult, result: BinResponse{ID: 9, Loss: 1, State: []byte(`{"nested":{"a":[1]}}`)}})
+	for _, seed := range [][]byte{
+		pipeBytes(hello(WireVersion), pipeFrame{kind: frameTable, names: []string{"lr", "momentum"}},
+			pipeFrame{kind: frameJob, job: BinRequest{ID: 1, Trial: 3, To: 4, Vec: []float64{1e-3, 0.9}}}),
+		pipeBytes(pipeFrame{kind: frameTable, names: []string{"width"}},
+			pipeFrame{kind: frameJob, job: BinRequest{ID: 2, Trial: 7, From: 4, To: 16, Vec: []float64{256}, State: []byte(`{"loss":0.5,"w":[1,2,3]}`)}}),
+		pipeBytes(hello(WireVersion + 1)),
+		job[:len(job)-3], // truncated
+		[]byte("garbage"),
+		pipeBytes(pipeFrame{kind: frameResult, result: BinResponse{ID: 1, Loss: 0.25}}),
+		pipeBytes(pipeFrame{kind: frameResult, result: BinResponse{ID: 2, Loss: 1.5, State: []byte(`{"epoch":16}`)}}),
+		pipeBytes(pipeFrame{kind: frameResult, result: BinResponse{ID: 3, IsErr: true, Err: "objective exploded"}}),
+		result[:len(result)-5], // truncated
+		[]byte("[]"),
+		wire.AppendUvarint(nil, wire.MaxFrameBody+1),                          // oversized
+		{2, frameTable, 0x7f},                                                 // 127 names in no bytes
+		append([]byte{20, frameJob, 1, 1}, append(make([]byte, 16), 0x7f)...), // 127 values in no bytes
+		{0}, // empty
+	} {
+		f.Add(seed)
 	}
-	add(Request{Version: WireVersion, ID: 1, Trial: 3,
-		Config: map[string]float64{"lr": 1e-3, "momentum": 0.9}, From: 0, To: 4})
-	add(Request{Version: WireVersion, ID: 2, Trial: 7,
-		Config: map[string]float64{"width": 256}, From: 4, To: 16,
-		State: json.RawMessage(`{"loss":0.5,"w":[1,2,3]}`)})
-	add(Request{Version: WireVersion + 1})
-	f.Add([]byte(`{"v":1,"id":1,"trial":`)) // truncated
-	f.Add([]byte(`garbage`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req Request
-		if err := json.Unmarshal(data, &req); err != nil {
-			return
-		}
-		blob, err := json.Marshal(&req)
-		if err != nil {
-			t.Fatalf("decoded request failed to re-encode: %v", err)
-		}
-		var back Request
-		if err := json.Unmarshal(blob, &back); err != nil {
-			t.Fatalf("re-encoded request failed to decode: %v", err)
-		}
-		blob2, err := json.Marshal(&back)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(blob, blob2) {
-			t.Fatalf("request encoding not stable:\n %s\n %s", blob, blob2)
-		}
-	})
-}
-
-func FuzzWireResponse(f *testing.F) {
-	add := func(resp Response) {
-		blob, err := json.Marshal(&resp)
-		if err != nil {
-			panic(err)
-		}
-		f.Add(blob)
-	}
-	add(Response{Version: WireVersion, ID: 1, Loss: 0.25})
-	add(Response{Version: WireVersion, ID: 2, Loss: 1.5, State: json.RawMessage(`{"epoch":16}`)})
-	add(Response{Version: WireVersion, ID: 3, Error: "objective exploded"})
-	f.Add([]byte(`{"v":1,"id":9,"state":{"nested":{"a":[`)) // truncated
-	f.Add([]byte(`[]`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var resp Response
-		if err := json.Unmarshal(data, &resp); err != nil {
-			return
-		}
-		blob, err := json.Marshal(&resp)
-		if err != nil {
-			t.Fatalf("decoded response failed to re-encode: %v", err)
-		}
-		var back Response
-		if err := json.Unmarshal(blob, &back); err != nil {
-			t.Fatalf("re-encoded response failed to decode: %v", err)
-		}
-		blob2, err := json.Marshal(&back)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(blob, blob2) {
-			t.Fatalf("response encoding not stable:\n %s\n %s", blob, blob2)
+		br := bufio.NewReader(bytes.NewReader(data))
+		var fr pipeFrame
+		for {
+			body, err := wire.ReadFrame(br, nil)
+			if err != nil || decodePipeFrame(body, &fr) != nil {
+				return // the pipe is dead: both ends stop at the first bad frame
+			}
+			if again := appendPipeFrame(nil, &fr); !bytes.Equal(again, body) {
+				t.Fatalf("frame does not re-encode to its bytes:\n %x\n %x", body, again)
+			}
 		}
 	})
 }

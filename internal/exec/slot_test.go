@@ -87,9 +87,9 @@ func TestRunJobCheckpointBuffer(t *testing.T) {
 			}
 			return 1, st.v, nil
 		}
-		resp, err := s.RunJob(context.Background(), obj, Request{Version: WireVersion, ID: 1}, buf[:0])
-		if err != nil || resp.Error != "" {
-			t.Fatalf("%v: %v %s", st.v, err, resp.Error)
+		resp := s.RunJob(context.Background(), obj, nil, BinRequest{ID: 1}, buf[:0])
+		if resp.IsErr {
+			t.Fatalf("%v: %s", st.v, resp.Err)
 		}
 		want, _ := json.Marshal(st.v)
 		if string(resp.State) != string(want) {
@@ -98,15 +98,16 @@ func TestRunJobCheckpointBuffer(t *testing.T) {
 		if inline := &resp.State[0] == &buf[0]; inline != st.inline {
 			t.Fatalf("%v (%d bytes): in the caller's buffer = %v, want %v", st.v, len(want), inline, st.inline)
 		}
-		state := append(json.RawMessage(nil), resp.State...)
-		if _, err := s.RunJob(context.Background(), obj, Request{Version: WireVersion, ID: 2, State: state}, buf[:0]); err != nil {
-			t.Fatalf("%v: resuming: %v", st.v, err)
+		state := append([]byte(nil), resp.State...)
+		if resp := s.RunJob(context.Background(), obj, nil, BinRequest{ID: 2, State: state}, buf[:0]); resp.IsErr {
+			t.Fatalf("%v: resuming: %s", st.v, resp.Err)
 		}
 	}
 }
 
 // TestRunJobRefusesNearNumbers: a checkpoint strconv parses but JSON
-// refuses is refused with the error json.Unmarshal gives, never trained from.
+// refuses is answered with the error json.Unmarshal gives, never trained
+// from.
 func TestRunJobRefusesNearNumbers(t *testing.T) {
 	var s Slot
 	obj := func(_ context.Context, _ map[string]float64, _, _ float64, state interface{}) (float64, interface{}, error) {
@@ -116,8 +117,8 @@ func TestRunJobRefusesNearNumbers(t *testing.T) {
 	for _, raw := range nearNumbers {
 		var v interface{}
 		want := fmt.Sprintf("exec: worker failed to decode state: %v", json.Unmarshal([]byte(raw), &v))
-		if _, err := s.RunJob(context.Background(), obj, Request{Version: WireVersion, ID: 1, State: json.RawMessage(raw)}, nil); err == nil || err.Error() != want {
-			t.Errorf("%s: %v; want %s", raw, err, want)
+		if resp := s.RunJob(context.Background(), obj, nil, BinRequest{ID: 1, State: []byte(raw)}, nil); !resp.IsErr || resp.Err != want {
+			t.Errorf("%s: %+v; want the error %s", raw, resp, want)
 		}
 	}
 }

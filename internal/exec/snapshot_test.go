@@ -21,10 +21,12 @@ import (
 )
 
 // TestMain turns this test binary into a subprocess worker serving
-// lineageObjective when the Subprocess test below relaunches it.
+// lineageObjective (EXEC_TEST_WORKER=1), keysObjective (=keys) or
+// crashObjective (=crash) when a Subprocess test relaunches it.
 func TestMain(m *testing.M) {
-	if os.Getenv("EXEC_TEST_WORKER") == "1" {
-		if err := Serve(context.Background(), os.Stdin, os.Stdout, lineageObjective); err != nil {
+	obj := map[string]Objective{"1": lineageObjective, "keys": keysObjective, "crash": crashObjective}[os.Getenv("EXEC_TEST_WORKER")]
+	if obj != nil {
+		if err := Serve(context.Background(), os.Stdin, os.Stdout, obj); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
 		}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -17,103 +18,53 @@ import (
 	"repro/internal/wire"
 )
 
-// The subprocess wire protocol is JSON Lines over stdin/stdout: the
-// parent writes one Request per line and the worker answers with one
-// Response per line, in order. Training state round-trips through the
-// worker as opaque JSON, so the parent can checkpoint, resume and
-// inherit it without understanding it. A worker that exits or breaks the
-// protocol mid-job yields a Failed completion (the scheduler retries the
-// job) and is relaunched.
-//
-// The same Request/Response pair is the job payload of the distributed
-// lease protocol in internal/remote, so every execution substrate
-// shares one name-keyed, versioned job encoding.
+// The subprocess protocol: internal/wire frames of the job codec over a
+// worker's stdin and stdout. Each side first sends a hello with its
+// WireVersion, checked once per process. The parent sends a table of
+// parameter names whenever a job's names are not the last ones the
+// process got, then the job; the worker answers each job in order.
+// Training state round-trips through the worker as opaque JSON, so the
+// parent can checkpoint, resume and inherit it without understanding
+// it. A worker that exits or breaks the protocol mid-job costs a Failed
+// job (retried) and a relaunch; a worker of another version, or one
+// answering with a checkpoint that is not JSON, aborts the run.
 
-// WireVersion is the version of the JSON job wire shared by the
-// subprocess and remote protocols. Both sides of a connection must
-// speak the same version: a worker rejects any request carrying a
-// different one instead of silently misinterpreting fields.
-const WireVersion = 1
-
-// Request asks a worker process to advance one trial's training.
-type Request struct {
-	// Version is the wire protocol version (WireVersion). Workers
-	// reject requests whose version does not match their own.
-	Version int `json:"v"`
-	// ID sequences requests per worker; responses echo it.
-	ID int `json:"id"`
-	// Trial identifies the configuration's stateful training run.
-	Trial int `json:"trial"`
-	// Config is the name-keyed wire form of the configuration: the
-	// protocol stays name-keyed so workers never need the parent's
-	// parameter-index table.
-	Config map[string]float64 `json:"config"`
-	// From and To are cumulative resources: resume at From, train to To.
-	From float64 `json:"from"`
-	To   float64 `json:"to"`
-	// State is the worker-produced checkpoint from the trial's previous
-	// job (absent on the first).
-	State json.RawMessage `json:"state,omitempty"`
-}
-
-// Response reports one finished training job.
-type Response struct {
-	// Version echoes the wire protocol version the worker speaks.
-	Version int     `json:"v"`
-	ID      int     `json:"id"`
-	Loss    float64 `json:"loss"`
-	// State is the checkpoint to resume this trial from later.
-	State json.RawMessage `json:"state,omitempty"`
-	// Error aborts the whole run (a training bug, not a crash).
-	Error string `json:"error,omitempty"`
-}
-
-// RunJob executes one wire request against obj on the slot and builds
-// its response: decode the checkpoint state, invoke the objective (under
-// the slot's context, with the trial ID installed), re-encode the new
-// state. A float checkpoint — the common shape — is appended to ckpt, so
-// the response's State aliases the caller's buffer when it fits there;
-// the caller keeps the buffer untouched for as long as it keeps the
-// response. Protocol-level failures — a wire-version mismatch or
-// undecodable state — are returned as errors, and the transport decides
-// what they mean (the subprocess worker exits, so the parent sees a
-// crash and retries; the remote agent reports them as fatal job
-// errors). Objective errors travel inside the Response.
-func (s *Slot) RunJob(ctx context.Context, obj Objective, req Request, ckpt []byte) (Response, error) {
-	if req.Version != WireVersion {
-		return Response{}, fmt.Errorf("exec: peer speaks wire version %d, worker speaks %d", req.Version, WireVersion)
-	}
+// RunJob runs one job against obj on the slot: fill the slot's config
+// map from names and q.Vec, decode the checkpoint, invoke the objective
+// under the slot's context, re-encode the new state. A float checkpoint
+// — the common shape — is appended to ckpt, so the answer's State
+// aliases the caller's buffer when it fits there; the caller keeps the
+// buffer untouched for as long as it keeps the answer. A checkpoint that
+// does not decode, an objective error and a state that does not
+// serialize all come back as an error answer, which aborts the run.
+func (s *Slot) RunJob(ctx context.Context, obj Objective, names []string, q BinRequest, ckpt []byte) BinResponse {
 	var state interface{}
-	if len(req.State) > 0 {
-		if f, ok := parseNumberState(req.State); ok {
-			state = f
-		} else {
-			// Decoded into a branch-local: json.Unmarshal moves its target
-			// to the heap, and the number path above must not pay for that.
-			var decoded interface{}
-			if err := json.Unmarshal(req.State, &decoded); err != nil {
-				return Response{}, fmt.Errorf("exec: worker failed to decode state: %w", err)
-			}
-			state = decoded
+	if f, ok := parseNumberState(q.State); ok {
+		state = f
+	} else if len(q.State) > 0 {
+		// Decoded into a branch-local: json.Unmarshal moves its target to
+		// the heap, and the number path above must not pay for that.
+		var decoded interface{}
+		if err := json.Unmarshal(q.State, &decoded); err != nil {
+			return BinResponse{ID: q.ID, IsErr: true, Err: fmt.Sprintf("exec: worker failed to decode state: %v", err)}
 		}
+		state = decoded
 	}
-	resp := Response{Version: WireVersion, ID: req.ID}
-	loss, newState, err := obj(s.Context(ctx, req.Trial), req.Config, req.From, req.To, state)
+	loss, newState, err := obj(s.Context(ctx, q.Trial), s.Config(names, q.Vec), q.From, q.To, state)
 	if err != nil {
-		resp.Error = err.Error()
-		return resp, nil
+		return BinResponse{ID: q.ID, IsErr: true, Err: err.Error()}
 	}
-	resp.Loss = loss
+	resp := BinResponse{ID: q.ID, Loss: loss}
 	if newState != nil {
 		if f, ok := newState.(float64); ok && !math.IsNaN(f) && !math.IsInf(f, 0) {
 			resp.State = appendJSONFloat(ckpt[:0], f)
 		} else if raw, merr := json.Marshal(newState); merr != nil {
-			resp.Error = fmt.Sprintf("state not JSON-serializable: %v", merr)
+			return BinResponse{ID: q.ID, IsErr: true, Err: fmt.Sprintf("state not JSON-serializable: %v", merr)}
 		} else {
 			resp.State = raw
 		}
 	}
-	return resp, nil
+	return resp
 }
 
 // parseNumberState decodes a checkpoint that is a bare JSON number —
@@ -153,62 +104,99 @@ func appendJSONFloat(dst []byte, f float64) []byte {
 	return dst
 }
 
-// Serve implements the worker side of the protocol: it decodes requests
-// from r, invokes obj (with the trial ID available via
-// TrialIDFromContext and JSON-decoded state), and encodes responses to
-// w. It returns when r reaches EOF. Training state must be
-// JSON-serializable; it is handed to obj as decoded JSON (numbers are
-// float64, objects are map[string]interface{}).
+// Serve implements the worker side of the protocol: it sends its
+// hello, checks the parent's, then runs each job read from r against obj
+// and writes its result to w. It returns nil at EOF on r, and an error,
+// running nothing more, on a parent of another wire version or a frame
+// out of turn. obj gets the trial ID via TrialIDFromContext and the
+// state as decoded JSON (numbers are float64, objects are
+// map[string]interface{}), so training state must be JSON-serializable.
 func Serve(ctx context.Context, r io.Reader, w io.Writer, obj Objective) error {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	enc := json.NewEncoder(w)
-	// One job at a time, each response encoded before the next request
-	// is read: one slot and one checkpoint buffer serve the whole loop.
-	var slot Slot
-	ckpt := make([]byte, 0, 24)
+	p := pipe{bw: bufio.NewWriter(w), br: bufio.NewReader(r)}
+	if err := p.write(&pipeFrame{kind: frameHello, version: WireVersion}); err != nil {
+		return fmt.Errorf("exec: worker failed to send its hello: %w", err)
+	}
+	// One job at a time, its result written before the next frame is
+	// read: one slot, one frame buffer and one checkpoint buffer serve
+	// the whole loop.
+	var (
+		slot    Slot
+		f       pipeFrame
+		names   []string
+		greeted bool
+		ckpt    = make([]byte, 0, 24)
+	)
 	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			if err == io.EOF {
-				return nil
+		if err := p.read(&f); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return fmt.Errorf("exec: worker failed to read a frame: %w", err)
+		}
+		switch {
+		case !greeted && f.kind == frameHello:
+			if f.version != WireVersion {
+				return fmt.Errorf("exec: parent speaks wire version %d, worker speaks %d", f.version, WireVersion)
 			}
-			return fmt.Errorf("exec: worker failed to decode request: %w", err)
-		}
-		resp, err := slot.RunJob(ctx, obj, req, ckpt)
-		if err != nil {
-			// Answer with the worker's own version before exiting, so a
-			// version-skewed parent sees a deterministic protocol error
-			// and aborts — a silent exit would read as a crash and spin
-			// the relaunch/retry loop forever.
-			_ = enc.Encode(&Response{Version: WireVersion, ID: req.ID, Error: err.Error()})
-			return err
-		}
-		if err := enc.Encode(&resp); err != nil {
-			return fmt.Errorf("exec: worker failed to encode response: %w", err)
+			greeted = true
+		case greeted && f.kind == frameTable:
+			names = f.names
+		case greeted && f.kind == frameJob && len(f.job.Vec) == len(names):
+			if err := p.write(&pipeFrame{kind: frameResult, result: slot.RunJob(ctx, obj, names, f.job, ckpt)}); err != nil {
+				return fmt.Errorf("exec: worker failed to send a result: %w", err)
+			}
+		default:
+			return fmt.Errorf("exec: worker got a frame of type 0x%02x out of turn or unlike its table", f.kind)
 		}
 	}
 }
 
-// procWorker is one managed worker process.
+// pipe is one end of a worker's stdin and stdout: frames leave through
+// bw and arrive through br, each encoded or read into buf.
+type pipe struct {
+	bw  *bufio.Writer
+	br  *bufio.Reader
+	buf []byte
+}
+
+func (p *pipe) write(f *pipeFrame) error {
+	p.buf = appendPipeFrame(p.buf[:0], f)
+	return wire.WriteFrame(p.bw, p.buf)
+}
+
+// read decodes the next frame into f, its job or result aliasing the
+// buffer until the next read or write.
+func (p *pipe) read(f *pipeFrame) error {
+	body, err := wire.ReadFrame(p.br, p.buf)
+	if err == nil {
+		p.buf = body
+		err = decodePipeFrame(body, f)
+	}
+	return err
+}
+
+// procWorker is one managed worker process. Between spawn and its first
+// job only the engine goroutine touches it; after that, only the
+// goroutine running its current job.
 type procWorker struct {
-	cmd    *exec.Cmd
-	stdin  io.WriteCloser
-	enc    *json.Encoder
-	dec    *json.Decoder
-	nextID int
+	pipe
+	cmd     *exec.Cmd
+	stdin   io.WriteCloser
+	names   []string // the last table sent; a fresh worker holds the empty one
+	greeted bool     // the worker's hello has been read and matched
+	nextID  uint64
 }
 
 // procResult is a raw worker answer delivered to the engine goroutine.
 type procResult struct {
-	job        core.Job
-	resp       Response
-	crashed    bool // worker died or broke protocol; job is retryable
-	badVersion bool // worker answered with a mismatched wire version; fatal
-	worker     *procWorker
+	job     core.Job
+	resp    BinResponse
+	crashed bool  // worker died or broke protocol; job is retryable
+	err     error // a deterministic protocol failure; fatal
+	worker  *procWorker
 }
 
 // Subprocess is the process-pool backend: each training job runs in an
-// isolated OS worker process speaking the JSON protocol, giving true
+// isolated OS worker process speaking the pipe protocol, giving true
 // parallelism (no shared Go scheduler) and crash isolation — a worker
 // that dies loses only its in-flight job, which is reported Failed and
 // retried by the scheduler on a freshly launched worker.
@@ -231,31 +219,22 @@ type Subprocess struct {
 	closed  bool
 }
 
-// NewSubprocess launches workers copies of command speaking the JSON
+// NewSubprocess launches workers copies of command speaking the pipe
 // protocol on stdin/stdout. Worker stderr is inherited from the parent.
 // env, when non-nil, is appended to the parent's environment.
 func NewSubprocess(ctx context.Context, command string, args, env []string, workers int) (*Subprocess, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("exec: subprocess backend needs at least one worker")
 	}
-	s := &Subprocess{
-		ctx:     ctx,
-		command: command,
-		args:    args,
-		env:     env,
-		workers: workers,
-		idle:    make(chan *procWorker, workers),
-		results: make(chan procResult, workers),
-		start:   time.Now(),
-	}
-	for i := 0; i < workers; i++ {
+	s := &Subprocess{ctx: ctx, command: command, args: args, env: env, workers: workers,
+		idle: make(chan *procWorker, workers), results: make(chan procResult, workers), start: time.Now()}
+	for ; s.live < workers; s.live++ {
 		w, err := s.spawn()
 		if err != nil {
 			_ = s.Close()
 			return nil, err
 		}
 		s.idle <- w
-		s.live++
 	}
 	return s, nil
 }
@@ -277,12 +256,10 @@ func (s *Subprocess) spawn() (*procWorker, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("exec: launching worker %q: %w", s.command, err)
 	}
-	w := &procWorker{
-		cmd:   cmd,
-		stdin: stdin,
-		enc:   json.NewEncoder(stdin),
-		dec:   json.NewDecoder(bufio.NewReader(stdout)),
-	}
+	w := &procWorker{pipe: pipe{bw: bufio.NewWriter(stdin), br: bufio.NewReader(stdout)}, cmd: cmd, stdin: stdin}
+	// A failed write sticks in the writer: the first job's flush returns
+	// it, and the job is retried on a fresh process.
+	_ = w.write(&pipeFrame{kind: frameHello, version: WireVersion})
 	s.all = append(s.all, w)
 	return w, nil
 }
@@ -297,29 +274,47 @@ func (s *Subprocess) Launch(job core.Job) {
 	from, state, _ := s.Resolve(job.TrialID, job.InheritFrom)
 	w := <-s.idle
 	w.nextID++
-	req := Request{
-		Version: WireVersion,
-		ID:      w.nextID,
-		Trial:   job.TrialID,
-		Config:  job.Config.Map(),
-		From:    from,
-		To:      job.TargetResource,
-		State:   state,
-	}
+	q := BinRequest{ID: w.nextID, Trial: job.TrialID, From: from, To: job.TargetResource, Vec: job.Config.Values(), State: state}
+	names := job.Config.Names()
 	go func() {
 		r := procResult{job: job, worker: w}
-		if err := w.enc.Encode(&req); err != nil {
-			r.crashed = true
-		} else if err := w.dec.Decode(&r.resp); err != nil || r.resp.ID != req.ID {
-			r.crashed = true
-		} else if r.resp.Version != WireVersion {
-			// A coherent answer with the wrong version is a deterministic
-			// protocol mismatch, not a crash: retrying would relaunch the
-			// same binary and loop forever, so it aborts the run instead.
-			r.badVersion = true
-		}
+		r.resp, r.crashed, r.err = w.run(names, q)
 		s.results <- r
 	}()
+}
+
+// run takes one job through the worker's pipe: the worker's hello is
+// read and matched before the process's first job, and the names table
+// is sent when it is not the one the process last got — slice identity
+// is the test, one space's configurations sharing one slice. A result's
+// checkpoint is copied out of the frame buffer, and refused unless it is
+// JSON.
+func (w *procWorker) run(names []string, q BinRequest) (resp BinResponse, crashed bool, err error) {
+	var f pipeFrame
+	if !w.greeted {
+		if w.read(&f) != nil || f.kind != frameHello {
+			return resp, true, nil
+		}
+		if f.version != WireVersion {
+			return resp, false, fmt.Errorf("exec: worker speaks wire version %d, parent speaks %d", f.version, WireVersion)
+		}
+		w.greeted = true
+	}
+	if len(names) != len(w.names) || len(names) > 0 && &names[0] != &w.names[0] {
+		w.names = names
+		if w.write(&pipeFrame{kind: frameTable, names: names}) != nil {
+			return resp, true, nil
+		}
+	}
+	if w.write(&pipeFrame{kind: frameJob, job: q}) != nil || w.read(&f) != nil || f.kind != frameResult || f.result.ID != q.ID {
+		return resp, true, nil
+	}
+	resp = f.result
+	if len(resp.State) > 0 && !wire.ValidJSON(resp.State) {
+		return resp, false, fmt.Errorf("exec: trial %d's checkpoint is not valid JSON", q.Trial)
+	}
+	resp.State = bytes.Clone(resp.State)
+	return resp, false, nil
 }
 
 // Await blocks for one result then drains every other pending result.
@@ -333,6 +328,9 @@ func (s *Subprocess) Await(ctx context.Context) ([]backend.Completion, error) {
 // replacing the worker. Runs on the engine goroutine.
 func (s *Subprocess) apply(r procResult) backend.Completion {
 	c := backend.Completion{Job: r.job, Time: s.Now()}
+	if !r.crashed {
+		s.idle <- r.worker
+	}
 	switch {
 	case r.crashed:
 		// The worker died or broke protocol mid-job: the trial keeps its
@@ -340,7 +338,7 @@ func (s *Subprocess) apply(r procResult) backend.Completion {
 		// scheduler retries it), and the seat is refilled with a fresh
 		// process.
 		c.Failed = true
-		r.worker.kill()
+		go r.worker.stop(0)
 		if w, err := s.spawn(); err == nil {
 			s.idle <- w
 		} else {
@@ -348,14 +346,11 @@ func (s *Subprocess) apply(r procResult) backend.Completion {
 			c.Failed = false
 			c.Err = fmt.Errorf("exec: relaunching crashed worker: %w", err)
 		}
-	case r.badVersion:
-		s.idle <- r.worker
-		c.Err = fmt.Errorf("exec: worker speaks wire version %d, parent speaks %d", r.resp.Version, WireVersion)
-	case r.resp.Error != "":
-		s.idle <- r.worker
-		c.Err = fmt.Errorf("exec: objective failed for trial %d: %s", r.job.TrialID, r.resp.Error)
+	case r.err != nil:
+		c.Err = r.err
+	case r.resp.IsErr:
+		c.Err = fmt.Errorf("exec: objective failed for trial %d: %s", r.job.TrialID, r.resp.Err)
 	default:
-		s.idle <- r.worker
 		s.Commit(r.job.TrialID, r.job.TargetResource, r.resp.State)
 		c.Loss = r.resp.Loss
 		c.TrueLoss = r.resp.Loss
@@ -378,71 +373,41 @@ func (s *Subprocess) Close() error {
 	}
 	s.closed = true
 	if s.ctx.Err() != nil {
-		// Reader goroutines of killed workers deliver crashed results
-		// into the buffered channel and exit; the results are dropped.
-		// Reaping is synchronous so no zombies outlive Close.
+		// Goroutines of killed workers' jobs deliver crashed results into
+		// the buffered channel and exit; the results are dropped. The
+		// kills are waited for, so no zombies outlive Close.
 		for _, w := range s.all {
-			_ = w.stdin.Close()
-			if w.cmd.Process != nil {
-				_ = w.cmd.Process.Kill()
-			}
-		}
-		for _, w := range s.all {
-			w.reap()
+			w.stop(0)
 		}
 		return nil
 	}
 	// Workers still executing a job deliver their pending result before
 	// their seat returns to idle; collect all seats first so no process
 	// is shut down mid-request.
-	for seats := 0; seats < s.live; {
+	for seats := 0; seats < s.live; seats++ {
 		select {
 		case w := <-s.idle:
-			w.shutdown()
-			seats++
+			w.stop(5 * time.Second)
 		case r := <-s.results:
-			if !r.crashed && !r.badVersion && r.resp.Error == "" {
+			if !r.crashed && r.err == nil && !r.resp.IsErr {
 				s.Commit(r.job.TrialID, r.job.TargetResource, r.resp.State)
 			}
-			r.worker.shutdown()
-			seats++
+			r.worker.stop(5 * time.Second)
 		}
 	}
 	return nil
 }
 
-func (w *procWorker) shutdown() {
+// stop closes the worker's stdin — EOF ends Serve — and waits for the
+// process to exit, killing it once grace has passed.
+func (w *procWorker) stop(grace time.Duration) {
 	_ = w.stdin.Close()
-	if w.cmd.Process != nil {
-		done := make(chan struct{})
-		go func() { _ = w.cmd.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			_ = w.cmd.Process.Kill()
-			<-done
-		}
-	}
-}
-
-func (w *procWorker) kill() {
-	_ = w.stdin.Close()
-	if w.cmd.Process != nil {
-		_ = w.cmd.Process.Kill()
-		go func() { _ = w.cmd.Wait() }()
-	}
-}
-
-// reap waits (bounded) for a killed worker to be collected. A Wait
-// already in flight from kill() makes this return immediately.
-func (w *procWorker) reap() {
-	if w.cmd.Process == nil {
-		return
-	}
 	done := make(chan struct{})
 	go func() { _ = w.cmd.Wait(); close(done) }()
 	select {
 	case <-done:
-	case <-time.After(2 * time.Second):
+	case <-time.After(grace):
+		_ = w.cmd.Process.Kill()
+		<-done
 	}
 }

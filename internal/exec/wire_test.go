@@ -1,19 +1,25 @@
 package exec
 
-// Round-trip tests for the subprocess JSON boundary: the scheduler hot
-// path runs on vector-backed configurations, but the wire protocol must
-// stay name-keyed so worker processes never need the parent's
-// parameter-index table.
+// Tests of the subprocess pipe: the worker side (Serve) driven with
+// hand-built frames, the parent side (Subprocess) against fake workers
+// that answer with canned frames and against this test binary serving
+// a real objective.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
+	"io"
+	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/searchspace"
+	"repro/internal/wire"
 	"repro/internal/xrand"
 )
 
@@ -25,70 +31,56 @@ func wireSpace() *searchspace.Space {
 	)
 }
 
-// TestRequestConfigStaysNameKeyed pins the wire format: a Request's
-// config marshals as a JSON object keyed by parameter name, with values
-// bit-identical to the vector representation.
-func TestRequestConfigStaysNameKeyed(t *testing.T) {
-	space := wireSpace()
-	cfg := space.Sample(xrand.New(7))
-	req := Request{Version: WireVersion, ID: 3, Trial: 9, Config: cfg.Map(), From: 1, To: 4}
-	blob, err := json.Marshal(&req)
-	if err != nil {
-		t.Fatal(err)
+// pipeBytes is what a peer writes for frames, in order.
+func pipeBytes(frames ...pipeFrame) []byte {
+	var out bytes.Buffer
+	bw := bufio.NewWriter(&out)
+	for i := range frames {
+		_ = wire.WriteFrame(bw, appendPipeFrame(nil, &frames[i])) // a bytes.Buffer takes every write
 	}
-	if !strings.Contains(string(blob), `"lr":`) {
-		t.Fatalf("wire request lost name keys: %s", blob)
-	}
-	var back Request
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.Equal(space.FromMap(back.Config)) {
-		t.Fatalf("config round trip: got %v, want %v", back.Config, cfg)
-	}
-	if back.Version != WireVersion {
-		t.Fatalf("wire version round trip: got %d, want %d", back.Version, WireVersion)
+	return out.Bytes()
+}
+
+// readPipe decodes every frame in b.
+func readPipe(t *testing.T, b []byte) []pipeFrame {
+	t.Helper()
+	br := bufio.NewReader(bytes.NewReader(b))
+	var frames []pipeFrame
+	for {
+		body, err := wire.ReadFrame(br, nil)
+		if err != nil {
+			return frames
+		}
+		var f pipeFrame
+		if err := decodePipeFrame(body, &f); err != nil {
+			t.Fatalf("frame %d: %v", len(frames), err)
+		}
+		frames = append(frames, f)
 	}
 }
 
-// TestWireVersionRoundTrips pins the version field's JSON name: both
-// sides of the subprocess and remote protocols key it as "v", and a
-// response carries the worker's version back.
-func TestWireVersionRoundTrips(t *testing.T) {
-	blob, err := json.Marshal(&Request{Version: WireVersion, ID: 1})
+func hello(version uint64) pipeFrame { return pipeFrame{kind: frameHello, version: version} }
+
+// fakeWorker is a one-seat Subprocess whose worker writes frames, reads
+// whatever the parent sends and exits at EOF.
+func fakeWorker(t *testing.T, frames ...pipeFrame) *Subprocess {
+	t.Helper()
+	script := t.TempDir() + "/frames"
+	if err := os.WriteFile(script, pipeBytes(frames...), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSubprocess(context.Background(), "sh", []string{"-c", `cat "$0"; exec cat >/dev/null`, script}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(blob), `"v":1`) {
-		t.Fatalf(`wire request lost the "v" version field: %s`, blob)
-	}
-	resp, err := new(Slot).RunJob(context.Background(), func(context.Context, map[string]float64, float64, float64, interface{}) (float64, interface{}, error) {
-		return 0.5, nil, nil
-	}, Request{Version: WireVersion, ID: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Version != WireVersion {
-		t.Fatalf("response version %d, want %d", resp.Version, WireVersion)
-	}
+	t.Cleanup(func() { s.Close() })
+	return s
 }
 
-// TestSubprocessVersionMismatchAbortsRun pins the parent side of the
-// version handshake: a worker that answers coherently but with a
-// different wire version is a deterministic protocol mismatch, so the
-// job must come back with a fatal error (aborting the run) rather than
-// a retryable crash — retrying would relaunch the same binary forever.
-func TestSubprocessVersionMismatchAbortsRun(t *testing.T) {
-	// A fake worker that reads one request line and answers with a
-	// mismatched version but the right ID.
-	script := `read line; echo '{"v":99,"id":1,"loss":0.5}'; read rest`
-	s, err := NewSubprocess(context.Background(), "sh", []string{"-c", script}, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	space := wireSpace()
-	s.Launch(core.Job{TrialID: 1, Config: space.Sample(xrand.New(3)), TargetResource: 2, InheritFrom: -1})
+// awaitOne launches a job on trial 1 and returns its completion.
+func awaitOne(t *testing.T, s *Subprocess) backend.Completion {
+	t.Helper()
+	s.Launch(core.Job{TrialID: 1, Config: wireSpace().Sample(xrand.New(3)), TargetResource: 2, InheritFrom: -1})
 	batch, err := s.Await(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +88,19 @@ func TestSubprocessVersionMismatchAbortsRun(t *testing.T) {
 	if len(batch) != 1 {
 		t.Fatalf("got %d completions, want 1", len(batch))
 	}
-	c := batch[0]
+	return batch[0]
+}
+
+// TestSubprocessVersionMismatchAbortsRun pins the parent side of the
+// version handshake: a worker whose hello names another wire version is
+// a deterministic protocol mismatch, so the job must come back with a
+// fatal error (aborting the run) rather than a retryable crash —
+// retrying would relaunch the same binary forever. The fake worker
+// answers the job coherently after its hello, so only the hello check
+// can tell.
+func TestSubprocessVersionMismatchAbortsRun(t *testing.T) {
+	s := fakeWorker(t, hello(WireVersion+98), pipeFrame{kind: frameResult, result: BinResponse{ID: 1, Loss: 0.5}})
+	c := awaitOne(t, s)
 	if c.Failed {
 		t.Fatal("version mismatch was classified as a retryable crash")
 	}
@@ -105,76 +109,209 @@ func TestSubprocessVersionMismatchAbortsRun(t *testing.T) {
 	}
 }
 
-// TestWireVersionMismatchRejected proves a worker refuses to execute a
-// job from a peer speaking a different wire version, both through
-// RunJob (the remote agent's path) and through Serve (the subprocess
-// path, where the protocol error ends the worker so the parent sees a
-// crash instead of a silently misinterpreted job).
+// TestSubprocessCheckpointMustBeJSON: a worker answering with a
+// checkpoint that is not JSON fails the run, naming the trial, and the
+// trial keeps no such state — a retry would only meet the same bug.
+func TestSubprocessCheckpointMustBeJSON(t *testing.T) {
+	s := fakeWorker(t, hello(WireVersion), pipeFrame{kind: frameResult, result: BinResponse{ID: 1, Loss: 0.5, State: []byte("{oops")}})
+	c := awaitOne(t, s)
+	if c.Failed || c.Err == nil || !strings.Contains(c.Err.Error(), "trial 1") {
+		t.Fatalf("want a fatal error naming trial 1, got failed=%v err=%v", c.Failed, c.Err)
+	}
+	if _, st, _ := s.Resolve(1, -1); st != nil {
+		t.Fatalf("the trial committed the checkpoint %q", st)
+	}
+}
+
+// TestWireVersionMismatchRejected: a worker refuses a parent of another
+// wire version before running anything. It has sent its own hello by
+// then — the parent reads the skew from it and aborts the run instead
+// of relaunching a worker that would only exit again.
 func TestWireVersionMismatchRejected(t *testing.T) {
 	called := false
 	obj := func(context.Context, map[string]float64, float64, float64, interface{}) (float64, interface{}, error) {
 		called = true
 		return 0, nil, nil
 	}
-	if _, err := new(Slot).RunJob(context.Background(), obj, Request{Version: WireVersion + 1, ID: 1}, nil); err == nil {
-		t.Fatal("RunJob accepted a mismatched wire version")
-	}
-	var in, out bytes.Buffer
-	if err := json.NewEncoder(&in).Encode(Request{Version: WireVersion + 1, ID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	err := Serve(context.Background(), &in, &out, obj)
+	in := pipeBytes(hello(WireVersion+1),
+		pipeFrame{kind: frameTable, names: []string{"lr"}},
+		pipeFrame{kind: frameJob, job: BinRequest{ID: 1, Trial: 1, To: 2, Vec: []float64{0.1}}})
+	var out bytes.Buffer
+	err := Serve(context.Background(), bytes.NewReader(in), &out, obj)
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("Serve accepted a mismatched wire version: %v", err)
 	}
 	if called {
 		t.Fatal("objective ran despite the version mismatch")
 	}
-	// The worker must answer (with its own version and an error) before
-	// exiting: a silent exit would look like a crash to the parent and
-	// spin the relaunch/retry loop instead of aborting the run.
-	var resp Response
-	if err := json.NewDecoder(&out).Decode(&resp); err != nil {
-		t.Fatalf("worker exited without answering the mismatched request: %v", err)
-	}
-	if resp.ID != 1 || resp.Version != WireVersion || resp.Error == "" {
-		t.Fatalf("mismatch answer should carry the worker's version and an error: %+v", resp)
+	if got := readPipe(t, out.Bytes()); !reflect.DeepEqual(got, []pipeFrame{hello(WireVersion)}) {
+		t.Fatalf("worker wrote %+v, want its hello alone", got)
 	}
 }
 
 // TestServeRoundTripsVectorConfig drives the worker side of the protocol
-// in-memory: the objective must observe exactly the values the parent's
-// vector config held, and the response must carry the loss back.
+// in-memory: the objective must observe exactly the names of the last
+// table and the values of its job's vector — no key of an earlier table
+// — and each result must carry its job's ID and loss back.
 func TestServeRoundTripsVectorConfig(t *testing.T) {
 	space := wireSpace()
 	cfg := space.Sample(xrand.New(11))
-
-	var in bytes.Buffer
-	enc := json.NewEncoder(&in)
-	for id := 1; id <= 2; id++ {
-		if err := enc.Encode(Request{Version: WireVersion, ID: id, Trial: id, Config: cfg.Map(), From: 0, To: 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var out bytes.Buffer
-	obj := func(_ context.Context, got map[string]float64, from, to float64, state interface{}) (float64, interface{}, error) {
-		if !cfg.Equal(space.FromMap(got)) {
+	other := []string{"width", "lr"}
+	in := pipeBytes(hello(WireVersion),
+		pipeFrame{kind: frameTable, names: cfg.Names()},
+		pipeFrame{kind: frameJob, job: BinRequest{ID: 1, Trial: 1, To: 2, Vec: cfg.Values()}},
+		pipeFrame{kind: frameJob, job: BinRequest{ID: 2, Trial: 2, To: 2, Vec: cfg.Values()}},
+		pipeFrame{kind: frameTable, names: other},
+		pipeFrame{kind: frameJob, job: BinRequest{ID: 3, Trial: 3, To: 2, Vec: []float64{64, 0.5}}})
+	obj := func(ctx context.Context, got map[string]float64, from, to float64, state interface{}) (float64, interface{}, error) {
+		if id, _ := TrialIDFromContext(ctx); id == 3 {
+			if want := map[string]float64{"width": 64, "lr": 0.5}; !reflect.DeepEqual(got, want) {
+				t.Errorf("after the table changed the objective saw %v, want %v", got, want)
+			}
+		} else if !cfg.Equal(space.FromMap(got)) {
 			t.Errorf("objective saw %v, want %v", got, cfg)
 		}
 		return got["lr"] + got["momentum"], nil, nil
 	}
-	if err := Serve(context.Background(), &in, &out, obj); err != nil {
+	var out bytes.Buffer
+	if err := Serve(context.Background(), bytes.NewReader(in), &out, obj); err != nil {
 		t.Fatal(err)
 	}
-	dec := json.NewDecoder(&out)
-	want := cfg.Get("lr") + cfg.Get("momentum")
-	for id := 1; id <= 2; id++ {
-		var resp Response
-		if err := dec.Decode(&resp); err != nil {
+	got := readPipe(t, out.Bytes())
+	want := []pipeFrame{hello(WireVersion)}
+	for id, loss := range []float64{cfg.Get("lr") + cfg.Get("momentum"), cfg.Get("lr") + cfg.Get("momentum"), 0.5} {
+		want = append(want, pipeFrame{kind: frameResult, result: BinResponse{ID: uint64(id + 1), Loss: loss}})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("worker wrote %+v, want %+v", got, want)
+	}
+}
+
+// keysObjective checkpoints the sorted names of the config it was
+// handed: what the worker's table held when the job ran.
+func keysObjective(_ context.Context, cfg map[string]float64, _, _ float64, _ interface{}) (float64, interface{}, error) {
+	keys := make([]string, 0, len(cfg))
+	for k := range cfg {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return 1, keys, nil
+}
+
+// TestSubprocessSendsEachNewTable: one worker process runs jobs of two
+// spaces in turn, and each job is trained under its own space's names —
+// the parent sends a table whenever the names change, not only on a
+// process's first job.
+func TestSubprocessSendsEachNewTable(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSubprocess(context.Background(), exe, nil, []string{"EXEC_TEST_WORKER=keys"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	wide := searchspace.New(
+		searchspace.Param{Name: "depth", Type: searchspace.Uniform, Lo: 0, Hi: 1},
+		searchspace.Param{Name: "width", Type: searchspace.Uniform, Lo: 0, Hi: 1},
+	)
+	for trial, space := range []*searchspace.Space{wireSpace(), wide, wireSpace()} {
+		cfg := space.Sample(xrand.New(uint64(trial)))
+		s.Launch(core.Job{TrialID: trial, Config: cfg, TargetResource: 1, InheritFrom: -1})
+		batch, err := s.Await(context.Background())
+		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.ID != id || resp.Error != "" || resp.Loss != want {
-			t.Fatalf("response %d: %+v, want loss %v", id, resp, want)
+		if c := batch[0]; c.Failed || c.Err != nil {
+			t.Fatalf("trial %d: failed=%v err=%v", trial, c.Failed, c.Err)
 		}
+		names := slices.Clone(cfg.Names())
+		slices.Sort(names)
+		want := `["` + strings.Join(names, `","`) + `"]`
+		if _, st, _ := s.Resolve(trial, -1); string(st) != want {
+			t.Fatalf("trial %d trained under %s, want %s", trial, st, want)
+		}
+	}
+}
+
+// crashObjective kills its worker process on trial 1's job.
+func crashObjective(ctx context.Context, _ map[string]float64, _, _ float64, _ interface{}) (float64, interface{}, error) {
+	if id, _ := TrialIDFromContext(ctx); id == 1 {
+		os.Exit(3)
+	}
+	return 0.5, 0.5, nil
+}
+
+// TestSubprocessCrashCostsOneJob: a worker that dies mid-job costs that
+// job alone — reported Failed, for the scheduler to retry, with no
+// error — and its seat goes to a fresh process that runs the next job.
+func TestSubprocessCrashCostsOneJob(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSubprocess(context.Background(), exe, nil, []string{"EXEC_TEST_WORKER=crash"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if c := awaitOne(t, s); !c.Failed || c.Err != nil {
+		t.Fatalf("crashed job: failed=%v err=%v, want a retryable failure", c.Failed, c.Err)
+	}
+	s.Launch(core.Job{TrialID: 2, Config: wireSpace().Sample(xrand.New(4)), TargetResource: 2, InheritFrom: -1})
+	batch, err := s.Await(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := batch[0]; c.Failed || c.Err != nil || c.Loss != 0.5 {
+		t.Fatalf("job after the crash: %+v", c)
+	}
+	if _, st, _ := s.Resolve(2, -1); string(st) != "0.5" {
+		t.Fatalf("trial 2 committed %q, want 0.5", st)
+	}
+}
+
+// BenchmarkSubprocessPipe is one job's round trip through the
+// subprocess pipe, both ends in this process: the parent's side of a
+// worker (procWorker.run: table, job frame, result frame, checkpoint
+// check and copy) against Serve over a pair of io.Pipes, with an
+// objective whose state is a float — the shape of the fleet benchmarks.
+func BenchmarkSubprocessPipe(b *testing.B) {
+	toWorker, fromParent := io.Pipe()
+	toParent, fromWorker := io.Pipe()
+	obj := func(_ context.Context, cfg map[string]float64, _, to float64, st interface{}) (float64, interface{}, error) {
+		s, _ := st.(float64)
+		return cfg["lr"] * to, s + to, nil
+	}
+	done := make(chan error, 1)
+	go func() { done <- Serve(context.Background(), toWorker, fromWorker, obj) }()
+	w := &procWorker{pipe: pipe{bw: bufio.NewWriter(fromParent), br: bufio.NewReader(toParent)}}
+	// An io.Pipe holds nothing: read the worker's hello before sending
+	// the parent's, where an OS pipe would buffer both.
+	var f pipeFrame
+	if err := w.read(&f); err != nil || f.kind != frameHello {
+		b.Fatalf("worker hello: %+v, %v", f, err)
+	}
+	w.greeted = true
+	if err := w.write(&pipeFrame{kind: frameHello, version: WireVersion}); err != nil {
+		b.Fatal(err)
+	}
+	cfg := wireSpace().Sample(xrand.New(1))
+	var state []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w.nextID++
+		q := BinRequest{ID: w.nextID, Trial: 1, From: float64(i), To: float64(i + 1), Vec: cfg.Values(), State: state}
+		resp, crashed, err := w.run(cfg.Names(), q)
+		if crashed || err != nil || resp.IsErr {
+			b.Fatalf("job %d: crashed=%v err=%v %s", i, crashed, err, resp.Err)
+		}
+		state = resp.State
+	}
+	b.StopTimer()
+	_ = fromParent.Close()
+	if err := <-done; err != nil {
+		b.Fatal(err)
 	}
 }

@@ -86,7 +86,7 @@ type heldLease struct {
 	// (queue wait inside this worker) and exec are its worker-measured
 	// stage durations, so the job was done at recv+dwell+exec. ckpt
 	// backs resp.State when the checkpoint is a float.
-	resp  exec.Response
+	resp  exec.BinResponse
 	dwell time.Duration
 	exec  time.Duration
 	ckpt  [24]byte
@@ -726,13 +726,13 @@ func (a *agent) runOne(ctx context.Context, h *heldLease, sc *slotCtx) {
 	// one.
 	start := time.Now()
 	h.dwell = start.Sub(h.recv)
-	obj, err := a.o.Resolve(h.table.experiment)
-	if err == nil {
-		h.resp, err = sc.slot.RunJob(jobCtx, obj, exec.Request{
-			Version: exec.WireVersion, ID: int(job.ID), Trial: job.Trial,
-			Config: sc.slot.Config(h.table.params, job.Vec),
-			From:   job.From, To: job.To, State: job.State,
-		}, h.ckpt[:0])
+	if obj, err := a.o.Resolve(h.table.experiment); err != nil {
+		// An unresolvable experiment is deterministic: report it as a
+		// fatal job error so the run surfaces it instead of retrying
+		// forever.
+		h.resp = exec.BinResponse{ID: job.ID, IsErr: true, Err: err.Error()}
+	} else {
+		h.resp = sc.slot.RunJob(jobCtx, obj, h.table.params, *job, h.ckpt[:0])
 	}
 	h.exec = time.Since(start)
 	if jobCtx.Err() != nil && ctx.Err() == nil {
@@ -740,12 +740,6 @@ func (a *agent) runOne(ctx context.Context, h *heldLease, sc *slotCtx) {
 		// requeued the job, so there is nothing worth reporting.
 		a.release(job.ID, h)
 		return
-	}
-	if err != nil {
-		// A protocol-level failure (unresolvable experiment, undecodable
-		// state) is deterministic: report it as a fatal job error so the
-		// run surfaces it instead of retrying forever.
-		h.resp = exec.Response{Version: exec.WireVersion, ID: int(job.ID), Error: err.Error()}
 	}
 	a.mu.Lock()
 	h.cancel = nil
@@ -895,11 +889,11 @@ func (a *agent) flushReports(ctx context.Context, pending []*heldLease, bs *binS
 	reports, timings := a.repBin[:0], a.repTimings[:0]
 	for _, h := range pending {
 		if !h.expired && !h.gone {
-			reports = append(reports, exec.BinResponseOf(h.job.ID, h.resp))
+			reports = append(reports, h.resp)
 			timings = append(timings, JobTiming{
-				DwellUs: exec.DurationUs(h.dwell),
-				ExecUs:  exec.DurationUs(h.exec),
-				BufUs:   exec.DurationUs(now.Sub(h.recv) - h.dwell - h.exec),
+				DwellUs: durationUs(h.dwell),
+				ExecUs:  durationUs(h.exec),
+				BufUs:   durationUs(now.Sub(h.recv) - h.dwell - h.exec),
 			})
 		}
 	}

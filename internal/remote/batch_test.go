@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -194,6 +195,33 @@ func TestBatchReportRejectsMalformedBatches(t *testing.T) {
 	}
 }
 
+// TestReportedCheckpointMustBeJSON: a report whose checkpoint is not
+// JSON is accepted — the lease is settled — but its outcome is a fatal
+// error naming the trial, never a committed state: the next job of the
+// trial, on any worker, or the journal's next snapshot would fail on it.
+func TestReportedCheckpointMustBeJSON(t *testing.T) {
+	srv, err := NewServer(Options{LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	outcomes := make(chan Outcome, 1)
+	srv.Submit(JobPayload{Trial: 7, To: 2}, func(o Outcome) { outcomes <- o })
+	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion})
+	worker := reg["worker"].(string)
+	_, g := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 1, WaitMillis: 2000})
+	if len(g.Grants) != 1 {
+		t.Fatalf("worker got no lease: %+v", g)
+	}
+	frame := appendReports(nil, binReports{Reports: []exec.BinResponse{{ID: g.Grants[0].Job.ID, Loss: 0.5, State: []byte("{oops")}}})
+	if status, ack := postFrame(t, srv.URL(), "/v1/report", "", worker, frame); status != http.StatusOK || acceptedOne(ack) != true {
+		t.Fatalf("report: %d %v, want it accepted", status, ack)
+	}
+	if o := <-outcomes; !strings.Contains(o.Err, "trial 7") || o.State != nil {
+		t.Fatalf("a non-JSON checkpoint settled as %+v, want an error naming trial 7 and no state", o)
+	}
+}
+
 // TestReregistrationPurgesStalePrefetchedWork pins the server-restart
 // semantics of the prefetch pipeline: when the stream handshake answers
 // 410 (the server lost this worker's identity — it restarted), every
@@ -219,7 +247,7 @@ func TestReregistrationPurgesStalePrefetchedWork(t *testing.T) {
 		defer conn.Close()
 		polls := 0
 		for {
-			body, err := readFrame(br, nil)
+			body, err := wire.ReadFrame(br, nil)
 			if err != nil {
 				return
 			}

@@ -197,7 +197,7 @@ func (bs *binStream) close() {
 func (bs *binStream) send(body []byte) bool {
 	bs.wmu.Lock()
 	defer bs.wmu.Unlock()
-	if err := writeFrame(bs.bw, body); err != nil {
+	if err := wire.WriteFrame(bs.bw, body); err != nil {
 		bs.close()
 		return false
 	}
@@ -215,7 +215,7 @@ func (bs *binStream) reader() {
 	var g binGrants // every grants frame decodes into this one
 	vecTotal := 256 // float-slab sizing: floats the last grants frame carried
 	for {
-		body, err := readFrame(bs.br, buf)
+		body, err := wire.ReadFrame(bs.br, buf)
 		if err != nil {
 			return
 		}

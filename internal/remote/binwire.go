@@ -11,9 +11,10 @@ package remote
 // vectors aligned with a per-connection parameter-name table (sent once
 // per experiment, never per job), checkpoints as raw bytes.
 //
-// A frame is `uvarint(len(body)) || body`, body[0] the frame type.
-// Worker-to-server types sit below 0x80, server-to-worker types at or
-// above it. Lease polls and report batches carry a sequence number the
+// A frame is `uvarint(len(body)) || body`, body[0] the frame type: the
+// framing internal/wire defines for both job transports (the subprocess
+// pipe of internal/exec speaks it too). Worker-to-server types sit below
+// 0x80, server-to-worker types at or above it. Lease polls and report batches carry a sequence number the
 // answering frame echoes, so the single-outstanding-per-type client can
 // assert it never pairs an answer with the wrong request. Heartbeats
 // are fire-and-forget: the ack applies asynchronously.
@@ -30,20 +31,12 @@ package remote
 // memory.
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/exec"
 	"repro/internal/wire"
 )
-
-// maxFrameBody bounds one frame's body: far above any sane batch
-// (checkpoints are small JSON blobs), far below anything that could
-// exhaust memory on a hostile length prefix.
-const maxFrameBody = 16 << 20
 
 // Frame types. 0x02, 0x03 and 0x81 belonged to protocol version 1 and
 // stay unassigned: a frame carrying one is rejected like any unknown
@@ -57,45 +50,6 @@ const (
 	frameHeartbeatAck = 0x83 // server→worker: leases the worker no longer holds
 	frameGrants       = 0x84 // server→worker: grant batch (answers frameLease; Done ends the run)
 )
-
-// readFrame reads one length-prefixed frame body into buf (grown as
-// needed) and returns the filled prefix. Oversized frames are a
-// protocol error that kills the connection — there is no resync point
-// in a corrupted length-prefixed stream.
-func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("remote: binary frame with empty body")
-	}
-	if n > maxFrameBody {
-		return nil, fmt.Errorf("remote: binary frame of %d bytes exceeds the %d limit", n, maxFrameBody)
-	}
-	if uint64(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, fmt.Errorf("remote: binary frame truncated: %w", err)
-	}
-	return buf, nil
-}
-
-// writeFrame writes one frame — length prefix, body (type byte
-// included) — and flushes it: one socket write. The prefix goes out
-// byte-wise: a header array handed to Write escapes to the heap on every
-// frame. Callers hold the connection's write lock.
-func writeFrame(bw *bufio.Writer, body []byte) error {
-	n := uint64(len(body))
-	for ; n >= 0x80; n >>= 7 {
-		_ = bw.WriteByte(byte(n) | 0x80) // a failed write sticks: Flush returns it
-	}
-	_ = bw.WriteByte(byte(n))
-	_, _ = bw.Write(body)
-	return bw.Flush()
-}
 
 // newStoppedTimer returns a timer for rearm to set: each waiting
 // goroutine of the lease path keeps one instead of a NewTimer per frame.
@@ -169,11 +123,7 @@ func appendLeaseReq(dst []byte, q binLeaseReq) []byte {
 	dst = wire.AppendUvarint(dst, q.Seq)
 	dst = wire.AppendUvarint(dst, uint64(q.Max))
 	dst = wire.AppendUvarint(dst, uint64(q.WaitMillis))
-	dst = wire.AppendUvarint(dst, uint64(len(q.Experiments)))
-	for _, e := range q.Experiments {
-		dst = wire.AppendString(dst, e)
-	}
-	return dst
+	return wire.AppendStrings(dst, q.Experiments)
 }
 
 func decodeLeaseReq(r *wire.Reader) (binLeaseReq, error) {
@@ -181,18 +131,9 @@ func decodeLeaseReq(r *wire.Reader) (binLeaseReq, error) {
 	q.Seq = r.Uvarint()
 	q.Max = r.Int()
 	q.WaitMillis = int64(r.Int())
-	n := r.Int()
-	if r.Err() == nil && n > r.Remaining() { // each name costs >= 1 length byte
-		return q, fmt.Errorf("remote: lease frame declares %d experiments in %d bytes", n, r.Remaining())
-	}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		q.Experiments = append(q.Experiments, r.String())
-	}
+	q.Experiments = r.Strings()
 	r.ExpectEOF()
-	if err := r.Err(); err != nil {
-		return q, err
-	}
-	return q, nil
+	return q, r.Err()
 }
 
 // binTable defines one entry of a connection's experiment table: the
@@ -239,10 +180,7 @@ func appendGrants(dst []byte, g binGrants) []byte {
 	for _, t := range g.Tables {
 		dst = wire.AppendUvarint(dst, t.Index)
 		dst = wire.AppendString(dst, t.Experiment)
-		dst = wire.AppendUvarint(dst, uint64(len(t.Params)))
-		for _, p := range t.Params {
-			dst = wire.AppendString(dst, p)
-		}
+		dst = wire.AppendStrings(dst, t.Params)
 	}
 	dst = wire.AppendUvarint(dst, uint64(len(g.Grants)))
 	for _, gr := range g.Grants {
@@ -281,13 +219,7 @@ func (g *binGrants) decode(r *wire.Reader, tableLen func(idx uint64) (int, bool)
 		var t binTable
 		t.Index = r.Uvarint()
 		t.Experiment = r.String()
-		np := r.Int()
-		if r.Err() == nil && np > r.Remaining() {
-			return fmt.Errorf("remote: table %d declares %d params in %d bytes", t.Index, np, r.Remaining())
-		}
-		for j := 0; j < np && r.Err() == nil; j++ {
-			t.Params = append(t.Params, r.String())
-		}
+		t.Params = r.Strings()
 		if _, dup := frameTables[t.Index]; dup {
 			return fmt.Errorf("remote: grants frame defines table %d twice", t.Index)
 		}
@@ -352,6 +284,16 @@ type JobTiming struct {
 	ExecUs int64
 	// BufUs: result ready → report flush left the worker.
 	BufUs int64
+}
+
+// durationUs converts a worker-measured monotonic duration to a
+// JobTiming field, clamping negatives to zero so a clock anomaly can
+// never encode as a huge unsigned value.
+func durationUs(d time.Duration) int64 {
+	if d <= 0 {
+		return 0
+	}
+	return int64(d / time.Microsecond)
 }
 
 // binReports delivers a batch of finished jobs with one JobTiming per
@@ -450,14 +392,10 @@ func appendHeartbeat(dst []byte, hb binHeartbeat) []byte {
 }
 
 func decodeHeartbeat(r *wire.Reader) (binHeartbeat, error) {
-	var hb binHeartbeat
-	hb.RttUs = int64(r.Uvarint())
-	ids, err := decodeLeaseIDs(r)
-	if err != nil {
-		return hb, err
-	}
-	hb.Leases = ids
-	return hb, nil
+	hb := binHeartbeat{RttUs: int64(r.Uvarint())}
+	var err error
+	hb.Leases, err = decodeLeaseIDs(r)
+	return hb, err
 }
 
 // binReportAck answers a reports frame with per-entry acceptance,
@@ -505,10 +443,7 @@ func decodeReportAck(r *wire.Reader) (binReportAck, error) {
 		}
 	}
 	r.ExpectEOF()
-	if err := r.Err(); err != nil {
-		return a, err
-	}
-	return a, nil
+	return a, r.Err()
 }
 
 // appendHeartbeatAck answers a heartbeat with the subset of its leases
@@ -537,10 +472,7 @@ func decodeLeaseIDs(r *wire.Reader) ([]uint64, error) {
 		ids = append(ids, r.Uvarint())
 	}
 	r.ExpectEOF()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return ids, nil
+	return ids, r.Err()
 }
 
 // decodeAnyFrame decodes one frame body of any type — the fuzzers'

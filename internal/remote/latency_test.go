@@ -231,7 +231,7 @@ func streamLease(t *testing.T, base, worker string, q binLeaseReq) (int, binGran
 	q.Seq = 1
 	sendFrame(t, conn, appendLeaseReq(nil, q))
 	_ = conn.SetReadDeadline(time.Now().Add(time.Duration(q.WaitMillis)*time.Millisecond + 10*time.Second))
-	body, err := readFrame(br, nil)
+	body, err := wire.ReadFrame(br, nil)
 	if err != nil {
 		t.Fatalf("lease poll: %v", err)
 	}

@@ -734,34 +734,38 @@ func (s *Server) handleAdmin(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	switch cmd {
+	case "pause", "resume", "abort", "workers", "adopt", "drop":
+		if cp == nil {
+			// These act on the run: acknowledging one before the run has
+			// attached its control plane — while it opens or replays its
+			// journals — would lose it.
+			reject(w, http.StatusServiceUnavailable, fmt.Sprintf("%s: the run is not attached yet", cmd))
+			return
+		}
+	}
+	switch cmd {
 	case "pause":
 		// Server first: queued jobs freeze immediately, then the
 		// scheduler side stops granting. On a control-plane refusal
 		// (unknown experiment) the server-side pause is rolled back.
 		s.PauseExperiment(req.Experiment)
-		if cp != nil {
-			if err := cp.Pause(req.Experiment); err != nil {
-				s.ResumeExperiment(req.Experiment)
-				reject(w, http.StatusBadRequest, err.Error())
-				return
-			}
+		if err := cp.Pause(req.Experiment); err != nil {
+			s.ResumeExperiment(req.Experiment)
+			reject(w, http.StatusBadRequest, err.Error())
+			return
 		}
 		reply(w, adminResp{OK: true})
 	case "resume":
-		if cp != nil {
-			if err := cp.Resume(req.Experiment); err != nil {
-				reject(w, http.StatusBadRequest, err.Error())
-				return
-			}
+		if err := cp.Resume(req.Experiment); err != nil {
+			reject(w, http.StatusBadRequest, err.Error())
+			return
 		}
 		s.ResumeExperiment(req.Experiment)
 		reply(w, adminResp{OK: true})
 	case "abort":
-		if cp != nil {
-			if err := cp.Abort(req.Experiment); err != nil {
-				reject(w, http.StatusBadRequest, err.Error())
-				return
-			}
+		if err := cp.Abort(req.Experiment); err != nil {
+			reject(w, http.StatusBadRequest, err.Error())
+			return
 		}
 		// Scheduler side is down; now flush the queue so in-flight
 		// accounting drains without waiting for workers to train jobs
@@ -774,11 +778,9 @@ func (s *Server) handleAdmin(w http.ResponseWriter, r *http.Request) {
 			reject(w, http.StatusBadRequest, "workers must be >= 1")
 			return
 		}
-		if cp != nil {
-			if err := cp.SetWorkers(req.Workers); err != nil {
-				reject(w, http.StatusBadRequest, err.Error())
-				return
-			}
+		if err := cp.SetWorkers(req.Workers); err != nil {
+			reject(w, http.StatusBadRequest, err.Error())
+			return
 		}
 		s.SetMaxLeases(req.Workers)
 		reply(w, adminResp{OK: true})

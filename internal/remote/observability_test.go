@@ -372,6 +372,7 @@ func TestAdminAuthAndValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	srv.SetControl(newFakeControl())
 	if status, _ := adminPost(t, srv.URL(), "", "status", ""); status != http.StatusUnauthorized {
 		t.Fatalf("missing token: status %d, want 401", status)
 	}
@@ -415,6 +416,49 @@ func TestAdminAuthAndValidation(t *testing.T) {
 	}
 }
 
+// TestAdminRefusesBeforeControlPlane: until a run attaches its control
+// plane, every command that acts on the run answers 503 and changes
+// nothing — an abort acknowledged then would be lost — while status and
+// drain, which are the server's own, answer as usual.
+func TestAdminRefusesBeforeControlPlane(t *testing.T) {
+	srv, err := NewServer(Options{AdminToken: "tok"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	outcomes := make(chan Outcome, 1)
+	srv.Submit(JobPayload{Experiment: "exp-a", Trial: 1, From: 0, To: 2}, func(o Outcome) { outcomes <- o })
+	for _, c := range []struct{ cmd, body string }{
+		{"pause", `{"experiment":"exp-a"}`},
+		{"resume", `{"experiment":"exp-a"}`},
+		{"abort", `{"experiment":"exp-a"}`},
+		{"workers", `{"workers":4}`},
+		{"adopt", `{"experiment":"exp-a"}`},
+		{"drop", `{"experiment":"exp-a"}`},
+	} {
+		if status, body := adminPost(t, srv.URL(), "tok", c.cmd, c.body); status != http.StatusServiceUnavailable {
+			t.Errorf("%s before the control plane: status %d %v, want 503", c.cmd, status, body)
+		}
+	}
+	if got := srv.PausedExperiments(); len(got) != 0 {
+		t.Fatalf("a refused pause froze %v", got)
+	}
+	select {
+	case o := <-outcomes:
+		t.Fatalf("a refused abort settled the queued job: %+v", o)
+	default:
+	}
+	for _, cmd := range []string{"status", "drain"} {
+		if status, body := adminPost(t, srv.URL(), "tok", cmd, ""); status != http.StatusOK {
+			t.Errorf("%s before the control plane: status %d %v, want 200", cmd, status, body)
+		}
+	}
+	srv.SetControl(newFakeControl())
+	if status, body := adminPost(t, srv.URL(), "tok", "abort", `{"experiment":"exp-a"}`); status != http.StatusOK || body["canceled"].(float64) != 1 {
+		t.Fatalf("abort once attached: status %d %v, want 200 and 1 canceled", status, body)
+	}
+}
+
 // TestAdminPauseFreezesLeaseGrants proves a paused experiment's queued
 // jobs are withheld from lease grants while other experiments' jobs
 // keep flowing, and that resume releases them.
@@ -424,6 +468,7 @@ func TestAdminPauseFreezesLeaseGrants(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	srv.SetControl(newFakeControl())
 	outcomes := make(chan Outcome, 4)
 	srv.Submit(JobPayload{Experiment: "exp-a", Trial: 1, Names: []string{"x"}, Vec: []float64{1}, From: 0, To: 2},
 		func(o Outcome) { outcomes <- o })
@@ -477,6 +522,7 @@ func TestAdminAbortCancelsPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	srv.SetControl(newFakeControl())
 	outcomes := make(chan Outcome, 4)
 	for i, exp := range []string{"exp-a", "exp-a", "exp-b"} {
 		srv.Submit(JobPayload{Experiment: exp, Trial: i, From: 0, To: 2},
@@ -656,6 +702,7 @@ func FuzzAdminRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	defer srv.Close()
+	srv.SetControl(newFakeControl())
 	h := srv.Handler()
 
 	f.Fuzz(func(t *testing.T, cmd, auth string, body []byte) {

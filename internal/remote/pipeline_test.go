@@ -76,7 +76,7 @@ func (r *reporterRig) complete(leases ...uint64) {
 		h := &heldLease{
 			done: true, recv: time.Now(),
 			job:  exec.BinRequest{ID: id, Trial: int(id)},
-			resp: exec.Response{Version: exec.WireVersion, ID: int(id), Loss: float64(id)},
+			resp: exec.BinResponse{ID: id, Loss: float64(id)},
 		}
 		r.a.mu.Lock()
 		r.a.held[id] = h
@@ -114,7 +114,7 @@ func (r *reporterRig) nextReports(br *bufio.Reader) binReports {
 	r.t.Helper()
 	for {
 		_ = r.far.SetReadDeadline(time.Now().Add(10 * time.Second))
-		body, err := readFrame(br, nil)
+		body, err := wire.ReadFrame(br, nil)
 		if err != nil {
 			r.t.Fatalf("no reports frame: %v", err)
 		}
@@ -223,7 +223,7 @@ func TestSharedFramesCarryWhatIsReady(t *testing.T) {
 		nextPoll := func() binLeaseReq {
 			t.Helper()
 			_ = rig.far.SetReadDeadline(time.Now().Add(10 * time.Second))
-			body, err := readFrame(br, nil)
+			body, err := wire.ReadFrame(br, nil)
 			if err != nil || body[0] != frameLease {
 				t.Fatalf("no lease poll: %v", err)
 			}
@@ -430,7 +430,7 @@ func TestUnackedFramesSurviveTheStream(t *testing.T) {
 		go func() {
 			br := bufio.NewReader(rig.far)
 			for n := 0; ; {
-				body, err := readFrame(br, nil)
+				body, err := wire.ReadFrame(br, nil)
 				if err != nil {
 					return
 				}
@@ -448,7 +448,7 @@ func TestUnackedFramesSurviveTheStream(t *testing.T) {
 		}()
 		go func() {
 			for {
-				body, err := readFrame(sbr, nil)
+				body, err := wire.ReadFrame(sbr, nil)
 				if err != nil {
 					return
 				}
@@ -641,7 +641,7 @@ func TestFallbackSettlesLikeTheStream(t *testing.T) {
 		defer conn.Close()
 		sendFrame(t, conn, frame)
 		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		body, err := readFrame(br, nil)
+		body, err := wire.ReadFrame(br, nil)
 		if err != nil || body[0] != frameReportAck {
 			t.Fatalf("stream answered %x: %v", body, err)
 		}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/wire"
 )
 
 // TestFrameGolden pins one frame of every role to committed bytes. The
@@ -131,7 +132,7 @@ func TestEarlierGenerationsRefusedByName(t *testing.T) {
 	// The single-report body carries no frame.
 	status, body = rawPost(t, srv.URL(), "/v1/report", map[string]interface{}{
 		"v": ProtocolVersion, "worker": worker, "lease": id,
-		"response": map[string]interface{}{"v": exec.WireVersion, "id": id, "loss": 0.5},
+		"response": map[string]interface{}{"v": 1, "id": id, "loss": 0.5},
 	})
 	if msg, _ := body["error"].(string); status != http.StatusBadRequest || !strings.Contains(msg, "carries one frame") {
 		t.Fatalf("single-report body: %d %v, want 400 carries one frame", status, body)
@@ -150,7 +151,7 @@ func TestEarlierGenerationsRefusedByName(t *testing.T) {
 	sendFrame(t, conn, append([]byte{0x02, 0x01, 0x01},
 		exec.AppendBinResponse(nil, exec.BinResponse{ID: id, Loss: 0.5})...))
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if frame, err := readFrame(br, nil); err == nil {
+	if frame, err := wire.ReadFrame(br, nil); err == nil {
 		t.Fatalf("retired reports frame was answered with frame type 0x%02x", frame[0])
 	}
 

@@ -49,10 +49,11 @@ import (
 )
 
 // ProtocolVersion is the one version of the worker protocol: the JSON
-// envelopes and the frames they and /v1/stream carry. Server and
-// workers are built from one commit, so any other number is refused by
-// name at /v1/register (see check). The job payload inside a grant
-// versions separately as exec.WireVersion.
+// envelopes, the frames they and /v1/stream carry, and the job codec
+// inside those frames (exec.BinRequest and exec.BinResponse, which the
+// stream never versions on their own). Server and workers are built
+// from one commit, so any other number is refused by name at
+// /v1/register (see check).
 const ProtocolVersion = 2
 
 // JobPayload is one training job submitted to the fleet. The
@@ -685,11 +686,11 @@ type frameResp struct {
 
 // --- HTTP handlers ---
 
-// maxPostBody bounds a POST body: one frame of maxFrameBody bytes,
+// maxPostBody bounds a POST body: one frame of wire.MaxFrameBody bytes,
 // base64-encoded as a fallback envelope carries it, plus slack for the
 // envelope's other fields. The body is bounded before it is decoded, so
 // no client — authenticated or not — makes the server buffer more.
-const maxPostBody = (maxFrameBody+2)/3*4 + 64<<10
+const maxPostBody = (wire.MaxFrameBody+2)/3*4 + 64<<10
 
 // decodePost parses a POST body into v and enforces the wire version,
 // which version points at inside v. It writes the error response itself

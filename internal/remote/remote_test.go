@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/searchspace"
+	"repro/internal/wire"
 	"repro/internal/xrand"
 )
 
@@ -147,7 +148,7 @@ func TestOversizedBodiesRefused(t *testing.T) {
 	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion})
 	worker := reg["worker"].(string)
 	// A checkpoint just past what the limit's envelope slack absorbs.
-	frame := appendReports(nil, binReports{Reports: []exec.BinResponse{{ID: 1, State: make([]byte, maxFrameBody+64<<10)}}})
+	frame := appendReports(nil, binReports{Reports: []exec.BinResponse{{ID: 1, State: make([]byte, wire.MaxFrameBody+64<<10)}}})
 	if status, _ := postFrame(t, srv.URL(), "/v1/report", "", worker, frame); status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("report of a %d-byte frame: status %d, want 413", len(frame), status)
 	}

@@ -118,10 +118,9 @@ type controlCall struct {
 
 // fakeControl is the scheduler side of a shard: a set of active
 // experiments, a log of every Adopt and Drop, and adopts that fail on
-// demand.
+// demand. Status, pause, resume, abort and workers succeed and do
+// nothing, so the admin plane of a bare server runs against it too.
 type fakeControl struct {
-	ControlPlane // status, pause, resume, abort, workers: never called here
-
 	mu        sync.Mutex
 	active    map[string]bool
 	failAdopt map[string]int // adopts to fail before one succeeds
@@ -131,6 +130,12 @@ type fakeControl struct {
 func newFakeControl() *fakeControl {
 	return &fakeControl{active: map[string]bool{}, failAdopt: map[string]int{}}
 }
+
+func (f *fakeControl) Status() (Status, error) { return Status{}, nil }
+func (f *fakeControl) Pause(string) error      { return nil }
+func (f *fakeControl) Resume(string) error     { return nil }
+func (f *fakeControl) Abort(string) error      { return nil }
+func (f *fakeControl) SetWorkers(int) error    { return nil }
 
 func (f *fakeControl) Adopt(e string) error {
 	f.mu.Lock()

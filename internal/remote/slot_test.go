@@ -201,7 +201,7 @@ func TestSlotReuseAfterMidJobExpiry(t *testing.T) {
 		t.Fatal("the slot never ran the job behind the expired one")
 	}
 	<-slotDone
-	if h := <-a.reports; h != &leases[1] || h.resp.Loss != 2 || string(h.resp.State) != "0.5" || h.resp.Error != "" {
+	if h := <-a.reports; h != &leases[1] || h.resp.Loss != 2 || string(h.resp.State) != "0.5" || h.resp.IsErr {
 		t.Fatalf("reported %+v, want lease 2's own response", h.resp)
 	}
 	select {

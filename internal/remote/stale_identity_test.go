@@ -96,7 +96,7 @@ func TestStaleLeaseNumberReusedByFreshRegistration(t *testing.T) {
 	go func() {
 		br := bufio.NewReader(far)
 		for {
-			body, err := readFrame(br, nil)
+			body, err := wire.ReadFrame(br, nil)
 			if err != nil {
 				return
 			}

@@ -156,7 +156,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // goroutines unblock.
 func (sc *streamConn) writeFrame(body []byte) bool {
 	sc.wmu.Lock()
-	err := writeFrame(sc.bw, body)
+	err := wire.WriteFrame(sc.bw, body)
 	sc.wmu.Unlock()
 	if err != nil {
 		sc.close()
@@ -197,7 +197,7 @@ func (sc *streamConn) reader() {
 	// checkpoints copied out — before the next frame is read.
 	var rb binReports
 	for {
-		body, err := readFrame(sc.br, buf)
+		body, err := wire.ReadFrame(sc.br, buf)
 		if err != nil {
 			return
 		}
@@ -300,6 +300,10 @@ func (s *Server) settleReports(worker string, rb *binReports, enc []byte, ss *se
 		var out Outcome
 		if e := rb.Reports[i]; e.IsErr {
 			out.Err = e.Err
+		} else if len(e.State) > 0 && !wire.ValidJSON(e.State) {
+			// A worker bug a retry would repeat, which would break the
+			// trial's next job or the journal: the run ends here instead.
+			out.Err = fmt.Sprintf("trial %d's checkpoint is not valid JSON", t.payload.Trial)
 		} else {
 			out.Loss = e.Loss
 			if len(e.State) > 0 {

@@ -97,12 +97,7 @@ func (e *encoder) floats(vs ...float64) {
 }
 
 // strings appends a count and that many strings.
-func (e *encoder) strings(ss []string) {
-	e.ints(len(ss))
-	for _, s := range ss {
-		e.buf = wire.AppendString(e.buf, s)
-	}
-}
+func (e *encoder) strings(ss []string) { e.buf = wire.AppendStrings(e.buf, ss) }
 
 // meta opens the file: the magic, then the head record.
 func (e *encoder) meta(m *Meta) {

@@ -1,6 +1,8 @@
 // Package wire holds the binary codec primitives the job wire
 // (internal/exec, internal/remote) and the journal (internal/state)
-// share: append-style encoders and one bounds-checked decode cursor.
+// share: append-style encoders, one bounds-checked decode cursor, and
+// the length-prefixed frame both job transports — the lease stream and
+// the subprocess pipe — speak.
 // Integers are unsigned LEB128 varints, floats are their IEEE-754 bits
 // little-endian — bit-exact round trips, so a loss or config value is
 // never perturbed by a decimal representation — and byte strings are
@@ -11,9 +13,11 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -43,6 +47,15 @@ func AppendBytes(dst, b []byte) []byte {
 func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
+}
+
+// AppendStrings appends a count-prefixed list of strings.
+func AppendStrings(dst []byte, ss []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ss)))
+	for _, s := range ss {
+		dst = AppendString(dst, s)
+	}
+	return dst
 }
 
 // Reader is a bounds-checked decode cursor over one message body. The
@@ -176,6 +189,24 @@ func (r *Reader) Bytes() []byte {
 // String reads a length-prefixed string (copies out of the buffer).
 func (r *Reader) String() string { return string(r.Bytes()) }
 
+// Strings reads a count-prefixed list of strings; nil when empty. Every
+// string costs at least its length byte, so a count the bytes left
+// cannot hold is refused before anything is allocated.
+func (r *Reader) Strings() []string {
+	n := r.Uvarint()
+	if n > uint64(r.Remaining()) {
+		r.Failf("wire: %d strings in the %d bytes remaining", n, r.Remaining())
+	}
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = r.String()
+	}
+	return out
+}
+
 // Float64s reads a count-prefixed dense float vector; nil when empty.
 func (r *Reader) Float64s() []float64 {
 	n := r.Uvarint()
@@ -221,6 +252,47 @@ func (r *Reader) ExpectEOF() {
 	if r.err == nil && r.off != len(r.buf) {
 		r.Failf("wire: message has %d trailing bytes", len(r.buf)-r.off)
 	}
+}
+
+// MaxFrameBody bounds one frame's body: far above any sane batch, far
+// below what could exhaust memory on a hostile length prefix.
+const MaxFrameBody = 16 << 20
+
+// ReadFrame reads one frame — `uvarint(len(body)) || body`, body[0] the
+// frame type — into buf (grown as needed) and returns the filled prefix.
+// An empty or oversized frame is an error that kills the connection: a
+// corrupted length-prefixed stream has no resync point. A clean end of
+// input before a frame is io.EOF.
+func ReadFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 || n > MaxFrameBody {
+		return nil, fmt.Errorf("wire: frame of %d bytes: a frame holds 1 to %d", n, MaxFrameBody)
+	}
+	if uint64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(br, buf); err != nil {
+		return nil, fmt.Errorf("wire: frame truncated: %w", err)
+	}
+	return buf, nil
+}
+
+// WriteFrame writes one frame — length prefix, body (type byte
+// included) — and flushes it: one write to the connection or pipe. The
+// prefix goes out byte-wise: a header array handed to Write escapes to
+// the heap on every frame. Callers serialize writes to bw.
+func WriteFrame(bw *bufio.Writer, body []byte) error {
+	n := uint64(len(body))
+	for ; n >= 0x80; n >>= 7 {
+		_ = bw.WriteByte(byte(n) | 0x80) // a failed write sticks: Flush returns it
+	}
+	_ = bw.WriteByte(byte(n))
+	_, _ = bw.Write(body)
+	return bw.Flush()
 }
 
 // ValidJSON reports whether b is valid JSON, exactly as json.Valid does,

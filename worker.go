@@ -10,9 +10,11 @@ import (
 )
 
 // ServeWorker implements the worker side of the Subprocess backend's
-// JSON protocol on stdin/stdout: it reads training requests, invokes obj
-// for each, and writes responses until stdin closes. A worker executable
-// is typically nothing more than
+// protocol on stdin/stdout: it reads the binary job frames the parent
+// sends, invokes obj for each job, and writes each result until stdin
+// closes; a parent of another version, or a frame that breaks the
+// protocol, ends it with an error. A worker executable is typically
+// nothing more than
 //
 //	func main() {
 //		if err := asha.ServeWorker(context.Background(), objective); err != nil {
