@@ -1,17 +1,18 @@
 package exec
 
-// Native fuzz targets. FuzzPipeFrame holds the subprocess pipe's one
-// decoder: the bytes a peer writes, read frame by frame as Serve and
-// the parent read them, must never panic it, and every frame that
-// decodes must re-encode to the identical bytes — otherwise a parent
-// and a worker could silently disagree about a job. Truncated, empty,
-// oversized and hostile-count frames are among the seeds, and
-// TestPipeFrameRefusals pins that each is refused.
+// Native fuzz targets. FuzzWireRequest and FuzzWireResponse hold the
+// subprocess pipe's one decoder, fed what each end writes: a parent's
+// hello, table and job frames, and a worker's result frames. The bytes,
+// read frame by frame as Serve and the parent read them, must never
+// panic it, and every frame that decodes must re-encode to the identical
+// bytes — otherwise a parent and a worker could silently disagree about
+// a job. Truncated, empty, oversized and hostile-count frames are among
+// the seeds, and TestPipeFrameRefusals pins that each is refused.
 //
 // Seed corpora live in testdata/fuzz/<FuzzName>/ (committed) plus the
 // f.Add calls below. Run with:
 //
-//	go test ./internal/exec -run '^$' -fuzz FuzzPipeFrame -fuzztime 30s
+//	go test ./internal/exec -run '^$' -fuzz FuzzWireRequest -fuzztime 30s
 
 import (
 	"bufio"
@@ -23,27 +24,38 @@ import (
 	"repro/internal/wire"
 )
 
-func FuzzPipeFrame(f *testing.F) {
+func FuzzWireRequest(f *testing.F) {
 	job := pipeBytes(pipeFrame{kind: frameJob, job: BinRequest{ID: 5, Trial: 2, To: 4, Vec: []float64{1}}})
-	result := pipeBytes(pipeFrame{kind: frameResult, result: BinResponse{ID: 9, Loss: 1, State: []byte(`{"nested":{"a":[1]}}`)}})
-	for _, seed := range [][]byte{
+	fuzzPipe(f,
 		pipeBytes(hello(WireVersion), pipeFrame{kind: frameTable, names: []string{"lr", "momentum"}},
 			pipeFrame{kind: frameJob, job: BinRequest{ID: 1, Trial: 3, To: 4, Vec: []float64{1e-3, 0.9}}}),
 		pipeBytes(pipeFrame{kind: frameTable, names: []string{"width"}},
 			pipeFrame{kind: frameJob, job: BinRequest{ID: 2, Trial: 7, From: 4, To: 16, Vec: []float64{256}, State: []byte(`{"loss":0.5,"w":[1,2,3]}`)}}),
-		pipeBytes(hello(WireVersion + 1)),
+		pipeBytes(hello(WireVersion+1)),
 		job[:len(job)-3], // truncated
 		[]byte("garbage"),
+		wire.AppendUvarint(nil, wire.MaxFrameBody+1), // oversized
+		[]byte{2, frameTable, 0x7f},                  // 127 names in no bytes
+		append([]byte{20, frameJob, 1, 1}, append(make([]byte, 16), 0x7f)...), // 127 values in no bytes
+		[]byte{0}, // empty
+	)
+}
+
+func FuzzWireResponse(f *testing.F) {
+	result := pipeBytes(pipeFrame{kind: frameResult, result: BinResponse{ID: 9, Loss: 1, State: []byte(`{"nested":{"a":[1]}}`)}})
+	fuzzPipe(f,
 		pipeBytes(pipeFrame{kind: frameResult, result: BinResponse{ID: 1, Loss: 0.25}}),
 		pipeBytes(pipeFrame{kind: frameResult, result: BinResponse{ID: 2, Loss: 1.5, State: []byte(`{"epoch":16}`)}}),
 		pipeBytes(pipeFrame{kind: frameResult, result: BinResponse{ID: 3, IsErr: true, Err: "objective exploded"}}),
 		result[:len(result)-5], // truncated
 		[]byte("[]"),
-		wire.AppendUvarint(nil, wire.MaxFrameBody+1),                          // oversized
-		{2, frameTable, 0x7f},                                                 // 127 names in no bytes
-		append([]byte{20, frameJob, 1, 1}, append(make([]byte, 16), 0x7f)...), // 127 values in no bytes
-		{0}, // empty
-	} {
+	)
+}
+
+// fuzzPipe reads the fuzzed bytes as the pipe does, frame by frame, and
+// checks that each frame that decodes re-encodes to its own bytes.
+func fuzzPipe(f *testing.F, seeds ...[]byte) {
+	for _, seed := range seeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
