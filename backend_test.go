@@ -203,8 +203,8 @@ func sameRun(t *testing.T, name string, seq, gorSeq []jobRecord, res, gorRes *Re
 // guard to the two paths that leave the process: the same ASHA
 // configuration and seed must make bit-identical promotion decisions
 // whether jobs run on an in-process goroutine pool, in a worker process
-// over the JSON line protocol, or travel to a worker over loopback HTTP
-// — leases, JSON checkpoints and all. Each of the three fills the
+// over the binary pipe frames, or travel to a worker over the loopback
+// lease stream — leases, JSON checkpoints and all. Each of the three fills the
 // objective's context and config from a reused per-slot scratch, and
 // remoteParityObjective reports what it was handed.
 func TestRemoteBackendParityPromotionDecisions(t *testing.T) {

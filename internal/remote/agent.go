@@ -55,11 +55,17 @@ type AgentOptions struct {
 // identity as a flag: it is set, under a.mu, exactly when the record
 // stops being its ID's entry in held — at release, and when a fresh
 // grant of the same number supersedes it — so "!h.gone" answers what
-// "held[id] == h" would without the probe. Records are cut one slice
-// per grants frame and never reused: markExpired, the heartbeat and the
-// pipeline stages hold a *heldLease across lock drops (one live lease
-// keeps its frame's slice, its config slab and its frame buffer
-// reachable).
+// "held[id] == h" would without the probe.
+//
+// Records are recycled through the agent's free list (a.free, under
+// a.mu), and a record owns its bytes: the stream reader copies each
+// grant's config vector and checkpoint out of the frame into capacity
+// the record keeps. A record goes back on the list only at the one stage
+// that drops its last pointer — a slot dropping an expired, forfeited or
+// run-over job (release), the ack that trims unacked, or the fallback
+// POST (releaseAll) — and only there, once. One that is superseded or
+// marked expired flows on to its own last stage; a record that never
+// reaches one (the context ended) is left to the collector.
 //
 // The four flags are guarded by a.mu. The rest is the job and then its
 // result, each written by one stage before it sends the pointer on
@@ -71,13 +77,15 @@ type heldLease struct {
 	done    bool // completed, sitting in the report buffer
 	gone    bool // no longer this ID's entry in held: its accounting is settled
 
-	// job is the grant as the stream carried it (job.ID is the lease ID,
-	// job.Vec a cut of the frame's float slab, job.State a cut of the
-	// frame buffer) and table the experiment and parameter names its
-	// vector aligns with: the name-keyed config is resolved only when a
-	// slot runs the job, into the slot's own map.
+	// job is the grant as the stream carried it (job.ID is the lease ID;
+	// job.Vec and job.State are the record's own copies) and table the
+	// experiment and parameter names its vector aligns with: the
+	// name-keyed config is resolved only when a slot runs the job, into
+	// the slot's own map.
 	job   exec.BinRequest
 	table *clientTable
+	// next links the records of one grants frame, reader to fetcher.
+	next *heldLease
 	// recv is the local monotonic receive time of the grant; every stage
 	// duration is measured from it.
 	recv time.Time
@@ -167,6 +175,8 @@ type agent struct {
 
 	mu   sync.Mutex
 	held map[uint64]*heldLease
+	// free holds records whose last stage has passed (see heldLease).
+	free []*heldLease
 	// active counts held leases still owed work (queued or running;
 	// not yet done), maintained incrementally — the pipeline consults
 	// it on every transition, so iterating held would be O(capacity)
@@ -318,13 +328,54 @@ func (a *agent) activeLeases() int {
 	return a.active
 }
 
-// release drops a settled (or forfeited) lease and wakes the fetcher:
-// its capacity slot is free again.
+// release drops a job a slot will not report — forfeited, expired or
+// run over — and recycles its record, then wakes the fetcher: its
+// capacity slot is free again.
 func (a *agent) release(id uint64, h *heldLease) {
 	a.mu.Lock()
 	a.releaseLocked(id, h)
+	a.free = append(a.free, h)
 	a.mu.Unlock()
 	a.kickFetch()
+}
+
+// spare returns n records for one grants frame, linked through next:
+// recycled ones while the free list lasts, then new ones. A recycled
+// record comes back zeroed but for the capacity of its vector and
+// checkpoint.
+func (a *agent) spare(n int) *heldLease {
+	var first *heldLease
+	a.mu.Lock()
+	for ; n > 0 && len(a.free) > 0; n-- {
+		h := a.free[len(a.free)-1]
+		a.free = a.free[:len(a.free)-1]
+		*h = heldLease{next: first, job: exec.BinRequest{Vec: h.job.Vec[:0], State: h.job.State[:0]}}
+		first = h
+	}
+	a.mu.Unlock()
+	return newLeases(n, first)
+}
+
+// newLeases returns n new records cut from one slice, linked through
+// next ahead of first.
+func newLeases(n int, first *heldLease) *heldLease {
+	if n == 0 {
+		return first
+	}
+	fresh := make([]heldLease, n)
+	for i := range fresh {
+		fresh[i].next = first
+		first = &fresh[i]
+	}
+	return first
+}
+
+// hold makes h the record of grant job against table, copying the
+// vector and checkpoint, which alias the frame, into h's own capacity.
+func (h *heldLease) hold(job exec.BinRequest, table *clientTable) {
+	vec, state := append(h.job.Vec[:0], job.Vec...), append(h.job.State[:0], job.State...)
+	h.job, h.table = job, table
+	h.job.Vec, h.job.State = vec, state
 }
 
 // releaseLocked takes h out of held and settles its accounting, unless
@@ -554,18 +605,12 @@ func (a *agent) fetchLoop(ctx context.Context) error {
 			return nil
 		}
 		accepted = accepted[:0]
-		var dedup leaseDedup
 		recv := time.Now()
 		a.mu.Lock()
-		for i := range sb.leases {
-			h := &sb.leases[i]
+		// The decoder refused a frame granting one lease twice, so every
+		// record here is a distinct lease.
+		for h := sb.leases; h != nil; h = h.next {
 			id := h.job.ID
-			if dedup.repeats(id, len(accepted), func(i int) uint64 { return accepted[i].job.ID }) {
-				// A healthy server never grants one lease twice in a
-				// reply (the strict decoder contract); drop the duplicate
-				// rather than run the job twice.
-				continue
-			}
 			if old := a.held[id]; old != nil {
 				// A stale entry under the same number (a pre-restart
 				// lease): settle its accounting now — its queued job or
@@ -943,14 +988,17 @@ func (a *agent) redeliver(ctx context.Context) {
 	a.unacked = a.flushReports(ctx, a.unacked, nil)
 }
 
-// releaseAll drops a whole flush's settled leases under one lock hold
-// and wakes the fetcher once — the per-entry release was a lock round
-// trip per job at fleet batch sizes.
+// releaseAll drops a whole flush's settled leases and recycles their
+// records under one lock hold, and wakes the fetcher once — the
+// per-entry release was a lock round trip per job at fleet batch sizes.
+// Its callers are the records' last stages: the ack that trims unacked,
+// and the fallback POST.
 func (a *agent) releaseAll(pending []*heldLease) {
 	a.mu.Lock()
 	for _, h := range pending {
 		a.releaseLocked(h.job.ID, h)
 	}
+	a.free = append(a.free, pending...)
 	a.mu.Unlock()
 	a.kickFetch()
 }

@@ -40,11 +40,11 @@ type clientTable struct {
 }
 
 // streamBatch is one decoded grants frame as the pipeline's records,
-// one heldLease per grant, off the shared read buffer.
+// one heldLease per grant, linked through next.
 type streamBatch struct {
 	seq    uint64
 	done   bool
-	leases []heldLease
+	leases *heldLease
 }
 
 // binStream is one live upgraded connection.
@@ -72,6 +72,9 @@ type binStream struct {
 	// onExpired applies a heartbeat ack's expired-lease list; called
 	// from the reader goroutine.
 	onExpired func([]uint64)
+	// spare supplies the records of a grants frame (agent.spare); nil,
+	// every grant gets a new record.
+	spare func(n int) *heldLease
 
 	// tables indexes the server's table definitions; reader-only state.
 	tables map[uint64]*clientTable
@@ -137,7 +140,7 @@ func (a *agent) dialStream(ctx context.Context, wid string) (bs *binStream, done
 			tables: make(map[uint64]*clientTable),
 			dead:   make(chan struct{}),
 		}
-		bs.onExpired = a.markExpired
+		bs.onExpired, bs.spare = a.markExpired, a.spare
 		go bs.reader()
 		return bs, false, resp.StatusCode, nil
 	}
@@ -205,15 +208,16 @@ func (bs *binStream) send(body []byte) bool {
 }
 
 // reader dispatches server frames until the stream dies. A grants frame
-// becomes the pipeline's records here: each keeps its config vector (cut
-// from the frame's float slab) and its table, its checkpoint still
-// aliasing the frame buffer — the slot that runs the job resolves the
-// vector into its own map, so nothing name-keyed is built per grant.
+// becomes the pipeline's records here: each copies its config vector and
+// checkpoint out of the frame and keeps its table — the slot that runs
+// the job resolves the vector into its own map, so nothing name-keyed is
+// built per grant. The frame buffer and the float slab the vectors
+// decode into are the reader's, reused frame to frame.
 func (bs *binStream) reader() {
 	defer bs.close()
 	var buf []byte
 	var g binGrants // every grants frame decodes into this one
-	vecTotal := 256 // float-slab sizing: floats the last grants frame carried
+	var slab []float64
 	for {
 		body, err := wire.ReadFrame(bs.br, buf)
 		if err != nil {
@@ -223,34 +227,33 @@ func (bs *binStream) reader() {
 		r := wire.NewReader(body[1:])
 		switch body[0] {
 		case frameGrants:
-			// One fresh slab per frame backs every grant's config vector
-			// (the vectors outlive the frame, so the slab is handed over,
-			// not reused): sized from the last frame, and never past the
-			// len(body)/8 floats a frame of this length can hold.
-			r.SetFloatSlab(make([]float64, 0, min(vecTotal, len(body)/8)))
+			// Sized for the most floats a frame this long can hold, so
+			// no vector overflows into an allocation of its own.
+			if cap(slab) < len(body)/8 {
+				slab = make([]float64, 0, len(body)/8)
+			}
+			r.SetFloatSlab(slab)
 			if err := g.decode(r, bs.tableLen); err != nil {
 				return
 			}
-			vecTotal = max(256, r.FloatSlabUsed()*5/4)
 			for _, t := range g.Tables {
 				bs.tables[t.Index] = &clientTable{experiment: t.Experiment, params: t.Params}
 			}
 			sb := streamBatch{seq: g.Seq, done: g.Done}
-			if n := len(g.Grants); n > 0 {
-				sb.leases = make([]heldLease, n)
-				// The grants' checkpoints stay aliased to this frame's
-				// buffer: hand the buffer over to the batch and let the
-				// next read allocate a fresh one — one buffer per frame
-				// instead of one checkpoint copy per job.
-				buf = nil
+			if n := len(g.Grants); n > 0 && bs.spare != nil {
+				sb.leases = bs.spare(n)
+			} else {
+				sb.leases = newLeases(n, nil)
 			}
+			h := sb.leases
 			for i := range g.Grants {
 				gr := &g.Grants[i]
 				ct := bs.tables[gr.Table]
 				if ct == nil || len(ct.params) != len(gr.Job.Vec) {
 					return // the decoder checked both; a slot indexes one by the other
 				}
-				sb.leases[i].job, sb.leases[i].table = gr.Job, ct
+				h.hold(gr.Job, ct)
+				h = h.next
 			}
 			select {
 			case bs.grants <- sb:

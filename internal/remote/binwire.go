@@ -77,22 +77,31 @@ func rearm(t *time.Timer, d time.Duration) {
 // IDs strictly ascend none can repeat. The first ID that does not
 // ascend builds the set from the IDs accepted before it and the check
 // carries on against the set, so for any input the verdict is the one a
-// set probed from the first entry would give.
+// set probed from the first entry would give. A reader that decodes
+// frame after frame keeps one, reset between frames, and so one set.
 type leaseDedup struct {
 	last uint64
-	seen map[uint64]struct{} // nil while the IDs have ascended
+	seen map[uint64]struct{} // empty while the IDs have ascended
+}
+
+// reset readies d for the next frame, keeping its set's storage.
+func (d *leaseDedup) reset() {
+	clear(d.seen)
+	d.last = 0
 }
 
 // repeats reports whether id equals one of the n IDs this frame has
 // accepted so far, accepted(i) being the i-th; an id that does not is
 // accepted.
 func (d *leaseDedup) repeats(id uint64, n int, accepted func(i int) uint64) bool {
-	if d.seen == nil {
+	if len(d.seen) == 0 {
 		if n == 0 || id > d.last {
 			d.last = id
 			return false
 		}
-		d.seen = make(map[uint64]struct{}, 2*n)
+		if d.seen == nil {
+			d.seen = make(map[uint64]struct{}, 2*n)
+		}
 		for i := 0; i < n; i++ {
 			d.seen[accepted(i)] = struct{}{}
 		}
@@ -306,6 +315,7 @@ type binReports struct {
 	Seq     uint64
 	Reports []exec.BinResponse
 	Timings []JobTiming
+	dedup   leaseDedup // decode's, kept frame to frame
 }
 
 func appendReports(dst []byte, rb binReports) []byte {
@@ -335,10 +345,11 @@ func decodeReports(r *wire.Reader) (binReports, error) {
 }
 
 // decode is decodeReports into rb, reusing the capacity of its Reports
-// and Timings: a stream reader decodes every frame into one binReports
-// it is done with before it reads the next.
+// and Timings and its duplicate set: a stream reader decodes every frame
+// into one binReports it is done with before it reads the next.
 func (rb *binReports) decode(r *wire.Reader) error {
-	*rb = binReports{Seq: r.Uvarint(), Reports: rb.Reports[:0], Timings: rb.Timings[:0]}
+	*rb = binReports{Seq: r.Uvarint(), Reports: rb.Reports[:0], Timings: rb.Timings[:0], dedup: rb.dedup}
+	rb.dedup.reset()
 	n := r.Int()
 	if r.Err() == nil && n > r.Remaining() {
 		return fmt.Errorf("remote: reports frame declares %d entries in %d bytes", n, r.Remaining())
@@ -350,7 +361,6 @@ func (rb *binReports) decode(r *wire.Reader) error {
 		rb.Reports = make([]exec.BinResponse, 0, hint)
 		rb.Timings = make([]JobTiming, 0, hint)
 	}
-	var dedup leaseDedup
 	for i := 0; i < n && r.Err() == nil; i++ {
 		e := exec.DecodeBinResponse(r)
 		var tm JobTiming
@@ -360,7 +370,7 @@ func (rb *binReports) decode(r *wire.Reader) error {
 		if r.Err() != nil {
 			break
 		}
-		if dedup.repeats(e.ID, len(rb.Reports), func(i int) uint64 { return rb.Reports[i].ID }) {
+		if rb.dedup.repeats(e.ID, len(rb.Reports), func(i int) uint64 { return rb.Reports[i].ID }) {
 			return fmt.Errorf("remote: reports frame settles lease %d twice", e.ID)
 		}
 		rb.Reports = append(rb.Reports, e)

@@ -29,39 +29,51 @@ type leasePathCase struct {
 	agents  int
 	metrics bool
 	budget  float64 // heap objects per job
+	bytes   float64 // heap bytes per job
 }
 
 // What one job may allocate between being issued and its result being
 // ingested, everything in the process included. A closure, map, context
-// or record a job brings costs it at least one object.
+// or record a job brings costs it at least one object, and its bytes.
+// Neither the server's task nor the worker's lease record is among them:
+// both are recycled (DESIGN.md "Per-job records on the lease path"),
+// so a fresh one is made only while a run's pipeline first fills.
 const (
 	// ASHA, the engine, the lease server, both ends of the wire, the
-	// agent and the objective: measures 1.44 now that the config map, the
-	// trial context and the checkpoint bytes are the executor slot's
-	// (DESIGN.md "Per-job records on the lease path") — the objective's
-	// boxed float return (1), a boxed checkpoint handed in (0.25), and
-	// the per-frame slabs — plus 0.5 of slack.
-	leasePathAllocBudget = 1.44 + 0.5
+	// agent and the objective: measures 1.36 — the objective's boxed
+	// float return (1), a boxed checkpoint handed in (0.25), the rest the
+	// scheduler's and the first fill's — plus 0.5 of slack.
+	leasePathAllocBudget = 1.36 + 0.5
 	// The same over leasePathTables' lanes, interleaved on the same two
-	// slots: measures 1.48, plus the same slack. A slot that rebuilt its
-	// map whenever the table's slice changed — not its names — measures
-	// 3.48 here and 1.44 on the single-lane rows, which cannot see it.
-	leasePathTablesAllocBudget = 1.48 + 0.5
+	// slots: measures 1.41, plus the same slack. A slot that rebuilt its
+	// map whenever the table's slice changed — not its names — measured
+	// 3.48 here and no more on the single-lane rows, which cannot see it.
+	leasePathTablesAllocBudget = 1.41 + 0.5
 	// The same without scheduler or engine, over four agents, the
-	// caller's config vector included: measures 2.27, plus the same slack.
-	leaseContentionAllocBudget = 2.27 + 0.5
+	// caller's config vector included: measures 2.24, plus the same
+	// slack. All 20 000 jobs queue at once, so four pipelines of 1 024
+	// records fill, each record's vector and checkpoint once.
+	leaseContentionAllocBudget = 2.24 + 0.5
 	// The first lane with nothing configured (leasePathCase.unset), where
-	// a frame carries a job or two and so shows whole: measures 4.90 — the
-	// objective's 1.25 again, and per frame what the other rows spread
-	// over 256 jobs: a grants frame's record slice, float slab and
-	// handed-over read buffer, a reports frame's checkpoint arena, the
-	// boxed checkpoints that share no frame — plus the same slack. Put
-	// back, a time.NewTimer per poll measures 6.40 and the frame header
-	// through Write(hdr[:n]) 6.91; the parent measured 17.85.
-	leasePathDefaultsAllocBudget = 4.90 + 0.5
+	// a frame carries a job or two and so shows whole: measures 2.39 — the
+	// objective's 1.25 again and, per frame, a reports frame's checkpoint
+	// arena and the boxed checkpoints that share no frame — plus the same
+	// slack. Cutting each grants frame's records, float slab and read
+	// buffer afresh measured 4.89.
+	leasePathDefaultsAllocBudget = 2.39 + 0.5
 	// What the counters and histograms behind /metrics may add to a
 	// job: they are atomics and fixed arrays, and measure 0.00.
 	leasePathMetricsAllocSlack = 0.05
+
+	// The bytes behind those objects, measured beside them, each plus
+	// 100 B of slack: less than either record would cost a job again
+	// (a task is 296 B, a lease record 240). asha measures 420 B and
+	// 425 B with metrics; its tables 370 B; contention 606 B; defaults
+	// 336 B.
+	leasePathBytesBudget           = 425 + 100
+	leasePathTablesBytesBudget     = 370 + 100
+	leasePathContentionBytesBudget = 606 + 100
+	leasePathDefaultsBytesBudget   = 336 + 100
 )
 
 // leasePathCases: the fleet benchmark's lane with metrics off and on;
@@ -73,11 +85,11 @@ const (
 // nothing configured: 16 leases over four four-slot agents, a frame per
 // handful of jobs, so whatever a frame or a poll allocates shows whole.
 var leasePathCases = []leasePathCase{
-	{name: "asha", agents: 1, budget: leasePathAllocBudget},
-	{name: "asha-metrics", agents: 1, metrics: true, budget: leasePathAllocBudget},
-	{name: "asha-tables", tables: true, agents: 1, budget: leasePathTablesAllocBudget},
-	{name: "contention", direct: true, agents: 4, metrics: true, budget: leaseContentionAllocBudget},
-	{name: "defaults", unset: true, agents: 4, budget: leasePathDefaultsAllocBudget},
+	{name: "asha", agents: 1, budget: leasePathAllocBudget, bytes: leasePathBytesBudget},
+	{name: "asha-metrics", agents: 1, metrics: true, budget: leasePathAllocBudget, bytes: leasePathBytesBudget},
+	{name: "asha-tables", tables: true, agents: 1, budget: leasePathTablesAllocBudget, bytes: leasePathTablesBytesBudget},
+	{name: "contention", direct: true, agents: 4, metrics: true, budget: leaseContentionAllocBudget, bytes: leasePathContentionBytesBudget},
+	{name: "defaults", unset: true, agents: 4, budget: leasePathDefaultsAllocBudget, bytes: leasePathDefaultsBytesBudget},
 }
 
 // leasePathTables are the asha-tables lanes' parameter names. The first
@@ -195,10 +207,10 @@ func driveLeasePath(tb testing.TB, c leasePathCase, jobs int) (mallocs, bytes ui
 	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
-// TestLeasePathAllocsPerJob pins the per-job allocation budget of the
-// whole Submit → grant → run → report → settle → Await path, so a
-// closure, map or regrown buffer creeping back onto it fails tier-1 and
-// not only a benchmark someone has to read.
+// TestLeasePathAllocsPerJob pins the per-job allocation budget, objects
+// and bytes, of the whole Submit → grant → run → report → settle → Await
+// path, so a closure, map, record or regrown buffer creeping back onto
+// it fails tier-1 and not only a benchmark someone has to read.
 func TestLeasePathAllocsPerJob(t *testing.T) {
 	const jobs = 20_000
 	if raceEnabled {
@@ -212,11 +224,15 @@ func TestLeasePathAllocsPerJob(t *testing.T) {
 	perJob := make(map[string]float64)
 	for _, c := range leasePathCases {
 		t.Run(c.name, func(t *testing.T) {
-			mallocs, _ := driveLeasePath(t, c, jobs)
+			mallocs, bytes := driveLeasePath(t, c, jobs)
 			perJob[c.name] = float64(mallocs) / jobs
-			t.Logf("%.2f allocs/job", perJob[c.name])
+			bytesPerJob := float64(bytes) / jobs
+			t.Logf("%.2f allocs/job, %.0f B/job", perJob[c.name], bytesPerJob)
 			if perJob[c.name] > c.budget {
 				t.Fatalf("lease path allocates %.2f objects per job, budget %.2f", perJob[c.name], c.budget)
+			}
+			if bytesPerJob > c.bytes {
+				t.Fatalf("lease path allocates %.0f B per job, budget %.0f", bytesPerJob, c.bytes)
 			}
 		})
 	}

@@ -273,6 +273,7 @@ func (s *Server) CancelPending(experiment string) int {
 	for _, t := range canceled {
 		t.finish(Outcome{Failed: true})
 	}
+	s.recycle(canceled)
 	return len(canceled)
 }
 

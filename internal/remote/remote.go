@@ -191,11 +191,14 @@ type Options struct {
 
 // task is one submitted job — the job's one record on the server:
 // queued, then leased, then answered exactly once — by a worker's
-// report, by lease expiry, or by server shutdown. Whichever path removes
-// the task from the server's tables owns its finish call. Tasks are cut
-// from Server.slab and never recycled: the sweeper, Close and the settle
-// paths hold a *task across lock drops, so a record stays its job's
-// until the collector frees the whole chunk.
+// report, by lease expiry, by cancellation or by server shutdown. A
+// *task is read only under s.mu or its lease shard's lock, except by
+// its owner: the one path that took it out of the server's tables
+// (settleReports, sweep, CancelPending or Close), which calls finish.
+// The granter copies what it encodes while it still holds s.mu. Once
+// finish returns, the owner puts the task back on Server.free, the list
+// submit takes from before it cuts Server.slab (Close keeps nothing):
+// at steady state a job allocates no record of its own.
 type task struct {
 	payload JobPayload
 	// The completion sink, as data: a job launched by a Backend lane
@@ -226,10 +229,10 @@ func (t *task) finish(out Outcome) {
 	t.done(out)
 }
 
-// taskSlabLen is how many tasks Server.submit cuts from one allocation:
-// one malloc per 100 jobs instead of one per job, at the price that a
-// single live task keeps its whole chunk (just under 32 KB, the
-// allocator's largest size class) reachable.
+// taskSlabLen is how many tasks Server.submit cuts from one allocation
+// when the free list is empty — while a run's pipeline first fills — at
+// the price that a single live task keeps its whole chunk (just under
+// 32 KB, the allocator's largest size class) reachable.
 const taskSlabLen = 100
 
 // leaseShardCount is the number of hash shards the lease table is
@@ -269,7 +272,8 @@ type Server struct {
 	// pointers per grant).
 	pending     []*task
 	pendingHead int
-	slab        []task // the unused tail of the newest task chunk (see taskSlabLen)
+	slab        []task  // the unused tail of the newest task chunk (see taskSlabLen)
+	free        []*task // settled tasks, for submit to reuse (see task)
 	nextLease   uint64
 	nextWorker  int
 	workers     map[string]workerInfo // worker ID -> registration record
@@ -449,17 +453,43 @@ func (s *Server) submit(job *task) {
 		job.finish(Outcome{Failed: true})
 		return
 	}
-	if len(s.slab) == 0 {
-		s.slab = make([]task, taskSlabLen)
+	var t *task
+	if n := len(s.free); n > 0 {
+		t = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		if len(s.slab) == 0 {
+			s.slab = make([]task, taskSlabLen)
+		}
+		t = &s.slab[0]
+		s.slab = s.slab[1:]
 	}
-	t := &s.slab[0]
-	s.slab = s.slab[1:]
 	*t = *job
 	t.submitted = time.Now()
 	s.pending = append(s.pending, t)
 	s.submitted.Add(1)
 	s.pendingJobs.Add(1)
 	s.wakeLocked()
+	s.mu.Unlock()
+}
+
+// recycle puts tasks whose finish has returned on the free list,
+// skipping nil entries. Only a task's owner calls it (see task), once;
+// a closed server keeps nothing.
+func (s *Server) recycle(ts []*task) {
+	for _, t := range ts {
+		if t != nil {
+			*t = task{} // drop the job's lane, checkpoint and vectors
+		}
+	}
+	s.mu.Lock()
+	if !s.closed {
+		for _, t := range ts {
+			if t != nil {
+				s.free = append(s.free, t)
+			}
+		}
+	}
 	s.mu.Unlock()
 }
 
@@ -485,7 +515,7 @@ const closeGrace = 3 * time.Second
 // Close shuts the server down: streaming workers are told the run is
 // over, and every job still pending or leased is answered Failed so the
 // caller's accounting drains. The control plane is detached and the
-// task chunk dropped (its settled tasks still point at their lanes).
+// task chunk and free list dropped.
 // Close returns without waiting for the listener teardown (see
 // closeGrace) and is idempotent.
 func (s *Server) Close() error {
@@ -501,7 +531,7 @@ func (s *Server) Close() error {
 		s.shard.cancel()
 	}
 	orphans := append([]*task(nil), s.pending[s.pendingHead:]...)
-	s.pending, s.pendingHead, s.slab = nil, 0, nil
+	s.pending, s.pendingHead, s.slab, s.free = nil, 0, nil, nil
 	s.control.Store(controlBox{})
 	s.pendingJobs.Add(int64(-len(orphans)))
 	s.wakeLocked()
@@ -637,6 +667,9 @@ func (s *Server) sweep() {
 			s.sweeps.Add(1)
 			for _, t := range dead {
 				t.finish(Outcome{Failed: true})
+			}
+			if len(dead) > 0 {
+				s.recycle(dead)
 			}
 		}
 	}
@@ -833,12 +866,14 @@ const (
 // (stream.go's serveLease): under s.mu it matches up to
 // max pending jobs against the worker's experiment restriction and
 // the lease cap, stamps their leases and inserts them into their
-// shards. Grants are appended to the caller's (emptied) scratch slice
-// so a streaming granter allocates nothing per poll. When it grants
+// shards. What the granter encodes of each grant is copied into the
+// caller's (emptied) scratch slice while s.mu is held — once it drops,
+// the task is its settler's, which may recycle it (see task) — so a
+// streaming granter allocates nothing per poll. When it grants
 // nothing it returns an armed wake channel for the caller to sleep on
 // before retrying. The granted counter is updated here; the frame
 // counter is the caller's.
-func (s *Server) grantTasks(workerID string, max int, experiments []string, tasks []*task) ([]*task, grantState, <-chan struct{}) {
+func (s *Server) grantTasks(workerID string, max int, experiments []string, grants []grantedJob) ([]grantedJob, grantState, <-chan struct{}) {
 	s.mu.Lock()
 	if s.closed || s.draining {
 		s.mu.Unlock()
@@ -850,7 +885,7 @@ func (s *Server) grantTasks(workerID string, max int, experiments []string, task
 		return nil, grantGone, nil
 	}
 	now := time.Now()
-	for len(tasks) < max {
+	for len(grants) < max {
 		if s.maxLeases != 0 && int(s.activeLeases.Load()) >= s.maxLeases {
 			break
 		}
@@ -858,16 +893,24 @@ func (s *Server) grantTasks(workerID string, max int, experiments []string, task
 		if idx < 0 {
 			break
 		}
-		tasks = append(tasks, s.grantLocked(idx, workerID, now))
+		t := s.grantLocked(idx, workerID, now)
+		grants = append(grants, grantedJob{lease: t.leaseID, grantedAt: now, payload: t.payload})
 	}
 	var wake <-chan struct{}
-	if len(tasks) == 0 {
+	if len(grants) == 0 {
 		wake = s.wakeChanLocked()
 	} else {
-		s.granted.Add(int64(len(tasks)))
+		s.granted.Add(int64(len(grants)))
 	}
 	s.mu.Unlock()
-	return tasks, grantOK, wake
+	return grants, grantOK, wake
+}
+
+// grantedJob is what a grants frame carries of one granted task.
+type grantedJob struct {
+	lease     uint64
+	grantedAt time.Time
+	payload   JobPayload
 }
 
 // grantLocked leases pending[idx] to the worker and inserts it into

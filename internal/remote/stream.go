@@ -315,15 +315,18 @@ func (s *Server) settleReports(worker string, rb *binReports, enc []byte, ss *se
 		s.observeSettle(t, rb.Timings[i], &out)
 		t.finish(out)
 	}
+	if freed > 0 {
+		s.recycle(settled)
+	}
 	return appendReportAck(enc, binReportAck{Seq: rb.Seq, Accepted: accepted})
 }
 
 // granterScratch is the granter goroutine's reusable working memory:
-// one frame encode buffer, the grant-core task scratch and the grant
-// list, so a steady-state poll allocates nothing.
+// one frame encode buffer, the grant core's copies of the granted jobs
+// and the grant list, so a steady-state poll allocates nothing.
 type granterScratch struct {
 	enc    []byte
-	tasks  []*task
+	jobs   []grantedJob
 	grants []binGrant
 	timer  *time.Timer // the long-poll wait, rearmed pass to pass
 }
@@ -357,9 +360,9 @@ func (sc *streamConn) serveLease(q binLeaseReq, gs *granterScratch) bool {
 	max := s.grantCap(q.Max)
 	deadline := time.Now().Add(wait)
 	for {
-		tasks, state, wake := s.grantTasks(sc.worker, max, q.Experiments, gs.tasks[:0])
-		if tasks != nil {
-			gs.tasks = tasks[:0]
+		jobs, state, wake := s.grantTasks(sc.worker, max, q.Experiments, gs.jobs[:0])
+		if jobs != nil {
+			gs.jobs = jobs[:0]
 		}
 		switch state {
 		case grantDone:
@@ -375,22 +378,23 @@ func (sc *streamConn) serveLease(q binLeaseReq, gs *granterScratch) bool {
 			sc.close()
 			return false
 		}
-		if len(tasks) > 0 {
+		if len(jobs) > 0 {
 			s.grantFrames.Add(1)
 			g := binGrants{Seq: q.Seq, Grants: gs.grants[:0]}
-			for _, t := range tasks {
-				idx := sc.tableFor(&t.payload, &g)
+			for i := range jobs {
+				j := &jobs[i]
+				idx := sc.tableFor(&j.payload, &g)
 				g.Grants = append(g.Grants, binGrant{
 					Table: idx,
 					Job: exec.BinRequest{
-						ID:    t.leaseID,
-						Trial: t.payload.Trial,
-						From:  t.payload.From,
-						To:    t.payload.To,
-						Vec:   t.payload.Vec,
-						State: t.payload.State,
+						ID:    j.lease,
+						Trial: j.payload.Trial,
+						From:  j.payload.From,
+						To:    j.payload.To,
+						Vec:   j.payload.Vec,
+						State: j.payload.State,
 					},
-					GrantMs: t.grantedAt.UnixMilli(),
+					GrantMs: j.grantedAt.UnixMilli(),
 				})
 			}
 			gs.grants = g.Grants[:0]

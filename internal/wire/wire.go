@@ -80,15 +80,11 @@ func (r *Reader) Reset(b []byte) { r.buf, r.off, r.err = b, 0, nil }
 
 // SetFloatSlab arms the cursor with a shared backing array for
 // Float64s results: vectors are carved out of slab as capped subslices
-// while capacity lasts, so a batch decode pays one float allocation per
-// frame instead of one per job. Vectors that overflow the slab fall
-// back to their own allocation — never a reallocation that would move
-// earlier vectors.
+// while capacity lasts, so a batch decode allocates no vector of its
+// own, and a caller done with the vectors may arm the same slab again.
+// Vectors that overflow the slab fall back to their own allocation —
+// never a reallocation that would move earlier vectors.
 func (r *Reader) SetFloatSlab(slab []float64) { r.slab = slab[:0] }
-
-// FloatSlabUsed reports how many slab elements Float64s consumed —
-// the caller's sizing signal for the next frame's slab.
-func (r *Reader) FloatSlabUsed() int { return len(r.slab) }
 
 // Err returns the first decode error, or nil.
 func (r *Reader) Err() error { return r.err }
