@@ -210,13 +210,14 @@ func schedulerLoop() func(n int) {
 
 // What one get_job/report pair may allocate over 500 000 pairs: config
 // arena blocks, the trial table and the rungs' heaps and bitsets
-// doubling. Objects: 0.0037 measured, doubled for another Go release's
+// doubling. Objects: 0.0035 measured, doubled for another Go release's
 // slices; one object per call, or per new trial, reads 0.75 or more.
-// Bytes: 279 measured, plus 15%; a second heap slot per rung entry, as
-// the former rung's heap of every unpromoted entry was, reads 374.
+// Bytes: 151 measured, plus 15%. The trial table grown an entry at a
+// time, as append alone grows it past 256 entries, reads 247; all of the
+// tables so grown read 279.
 const (
 	schedulerAllocBudget = 0.01
-	schedulerBytesBudget = 320
+	schedulerBytesBudget = 174
 )
 
 // TestASHASchedulerAllocsPerOp keeps heap objects, and per-entry
@@ -285,7 +286,7 @@ func resumeLoop(tb testing.TB) func(n int) {
 }
 
 // resumeAllocBudget is what resuming one journaled job may allocate:
-// 0.071 measured over ten resumes of resumeJobs jobs — about 280 objects
+// 0.068 measured over ten resumes of resumeJobs jobs — about 270 objects
 // a resume, for the tuner, its pool and engine, the window the journal is
 // read through, the scheduler restored from the journal's last checkpoint
 // (its trials' arena slabs, one array per rung heap) and the tables that
@@ -294,12 +295,13 @@ func resumeLoop(tb testing.TB) func(n int) {
 // scheduler, and 0.078 while each checkpoint decoded its names afresh. A config map per issue reads 2.13, a record per report 1.13,
 // a pool record per restored trial 0.86.
 //
-// resumeBytesBudget is what it may allocate in bytes: 338 measured, plus
-// 12%. It read 438 while a resume read the journal whole, into a buffer
-// as large as the file.
+// resumeBytesBudget is what it may allocate in bytes: 305 measured, plus
+// 12%. It read 338 while the per-trial tables grew an entry at a time, and
+// 438 while a resume read the journal whole, into a buffer as large as
+// the file.
 const (
 	resumeAllocBudget = 0.2
-	resumeBytesBudget = 380
+	resumeBytesBudget = 342
 )
 
 // TestResumeAllocsPerJob keeps Tuner.Resume from building anything per

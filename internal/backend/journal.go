@@ -30,8 +30,8 @@ func (s *issuedSet) add(trial, rung int) (dup bool) {
 		dup, s.over[[2]int{trial, rung}] = s.over[[2]int{trial, rung}], true
 		return dup
 	}
-	for len(s.rungs) <= trial {
-		s.rungs = append(s.rungs, 0)
+	if trial >= len(s.rungs) {
+		s.rungs = growTo(s.rungs, trial+1)
 	}
 	dup = s.rungs[trial]&(1<<rung) != 0
 	s.rungs[trial] |= 1 << rung

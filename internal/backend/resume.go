@@ -383,8 +383,8 @@ func (p *pending) push(job core.Job) {
 // point indexes jobs[i] by its trial.
 func (p *pending) point(i int) {
 	t := p.jobs[i].TrialID
-	for len(p.at) <= t {
-		p.at = append(p.at, 0)
+	if t >= len(p.at) {
+		p.at = growTo(p.at, t+1)
 	}
 	p.multi = p.multi || p.at[t] != 0
 	p.at[t] = int32(i + 1)

@@ -1,6 +1,9 @@
 package backend
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"slices"
+)
 
 // trialRecord is one trial's committed state: the cumulative resource it
 // last finished a job at and the checkpoint that job left. The pair only
@@ -31,12 +34,19 @@ type Trials struct {
 	changed []int         // trials whose pair changed since SnapshotTrials last ran
 }
 
+// growTo returns s grown to length n, the new entries zero, doubling its
+// capacity when it must grow (core's growTo says why).
+func growTo[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = slices.Grow(s, max(n, 2*len(s))-len(s))
+	}
+	return append(s, make([]T, n-len(s))...)
+}
+
 // record returns the trial's record, creating it on first use.
 func (t *Trials) record(id int) *trialRecord {
 	if id >= len(t.byID) {
-		grown := make([]*trialRecord, id+1+len(t.byID)/2)
-		copy(grown, t.byID)
-		t.byID = grown
+		t.byID = growTo(t.byID, id+1)
 	}
 	r := t.byID[id]
 	if r == nil {

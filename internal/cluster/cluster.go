@@ -21,6 +21,7 @@ package cluster
 import (
 	"context"
 	"math"
+	"slices"
 
 	"repro/internal/backend"
 	"repro/internal/core"
@@ -168,12 +169,28 @@ func (q *eventQueue) heapify() {
 	}
 }
 
+// simTrial is one simulated trial: the surrogate and, while a job runs,
+// what that job needs undone or traced. The trial keeps the configuration
+// its scheduler issued, never a copy (core.Job.Config).
+type simTrial struct {
+	workload.Trial
+	// pre is the trial's state before its running job: restored when the
+	// job is dropped or cut off by the horizon, and what a PBT heir of a
+	// running donor inherits.
+	pre     workload.TrialState
+	running bool
+	// startAt and startFrom are the running job's launch time and
+	// starting resource, which the trace reads when RecordTrace is set.
+	startAt, startFrom float64
+}
+
 // Sim is the discrete-event simulation backend for one scheduler over
-// one benchmark. Trial state lives in dense slices indexed by trial ID
-// (schedulers allocate IDs sequentially), and run statistics are
-// maintained incrementally as resource is trained or rolled back, so
-// nothing on the per-event path hashes, boxes, or rescans; a new trial
-// is one slab record plus the surrogate's own math (ParamsFor).
+// one benchmark. Each trial is one simTrial record, cut from a slab and
+// indexed by trial ID (schedulers allocate IDs sequentially), and run
+// statistics are maintained incrementally as resource is trained or
+// rolled back, so nothing on the per-event path hashes, boxes, copies or
+// rescans; a new trial is one slab record plus the surrogate's own math
+// (ParamsFor).
 type Sim struct {
 	sched core.Scheduler
 	bench *workload.Benchmark
@@ -182,19 +199,13 @@ type Sim struct {
 
 	// trials is indexed by trial ID (nil = never started); nTrials
 	// counts distinct non-nil entries.
-	trials  []*workload.Trial
+	trials  []*simTrial
 	nTrials int
-	// slab is the unused tail of the current block of trial records,
-	// arena where their configurations are copied. Both are this run's,
-	// never the Benchmark's (concurrent runs share it), and pin nothing:
-	// trials keeps every trial until the run ends.
-	slab  []workload.Trial
-	arena *searchspace.Arena
-	// preJob holds each running trial's state before its in-flight job,
-	// for failure rollback and for PBT inherits from running donors.
-	// Indexed by trial ID, valid where hasPre is set.
-	preJob []workload.TrialState
-	hasPre []bool
+	// slab is the unused tail of the current block of trial records: the
+	// run's own, never the Benchmark's (concurrent runs share it), and
+	// it pins nothing, since trials keeps every record until the run
+	// ends.
+	slab []simTrial
 
 	events   calQueue
 	nextSeq  uint64
@@ -202,12 +213,6 @@ type Sim struct {
 	rawBatch []event              // reused same-instant event buffer
 	now      float64
 	trace    []JobEvent
-	// startAt/startFrom record each in-flight job's launch time and
-	// pre-job resource for the trace, indexed by trial ID and valid
-	// where hasPre is set. Dense slices like preJob/hasPre: the former
-	// map here was the last per-job map operation on the hot path.
-	startAt   []float64
-	startFrom []float64
 	// dropRate is the continuous-time drop hazard.
 	dropRate float64
 	closed   bool
@@ -230,7 +235,6 @@ func New(sched core.Scheduler, bench *workload.Benchmark, opt Options) *Sim {
 		bench: bench,
 		opt:   opt,
 		rng:   xrand.New(opt.Seed ^ 0xC10C_0000_0000_0001),
-		arena: bench.Space().NewArena(),
 		maxR:  bench.MaxResource(),
 	}
 	if opt.DropProb > 0 {
@@ -240,27 +244,23 @@ func New(sched core.Scheduler, bench *workload.Benchmark, opt Options) *Sim {
 }
 
 // trial returns the trial for id, or nil.
-func (s *Sim) trial(id int) *workload.Trial {
+func (s *Sim) trial(id int) *simTrial {
 	if id < 0 || id >= len(s.trials) {
 		return nil
 	}
 	return s.trials[id]
 }
 
-// trialSlabLen trial records fill a 24 KB size class almost exactly.
-const trialSlabLen = 128
+// trialSlabLen trial records fill a 32 KB size class almost exactly.
+const trialSlabLen = 141
 
-// ensureID grows the dense tables to cover trial id.
-func (s *Sim) ensureID(id int) {
-	for len(s.trials) <= id {
-		s.trials = append(s.trials, nil)
-		s.preJob = append(s.preJob, workload.TrialState{})
-		s.hasPre = append(s.hasPre, false)
-		if s.opt.RecordTrace {
-			s.startAt = append(s.startAt, 0)
-			s.startFrom = append(s.startFrom, 0)
-		}
+// growTo returns s grown to length n, the new entries zero, doubling its
+// capacity when it must grow (core's growTo says why).
+func growTo[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = slices.Grow(s, max(n, 2*len(s))-len(s))
 	}
+	return append(s, make([]T, n-len(s))...)
 }
 
 // noteResource folds one trial's resource change into the incremental
@@ -304,15 +304,16 @@ func (s *Sim) Capacity() int { return s.opt.Workers }
 // training) immediately and schedules its completion event at the
 // straggler-adjusted finish time.
 func (s *Sim) Launch(job core.Job) {
-	s.ensureID(job.TrialID)
+	if job.TrialID >= len(s.trials) {
+		s.trials = growTo(s.trials, job.TrialID+1)
+	}
 	t := s.trials[job.TrialID]
-	isNew := t == nil
-	if isNew {
+	if t == nil {
 		if len(s.slab) == 0 {
-			s.slab = make([]workload.Trial, trialSlabLen)
+			s.slab = make([]simTrial, trialSlabLen)
 		}
 		t, s.slab = &s.slab[0], s.slab[1:]
-		s.bench.InitTrial(t, job.TrialID, s.arena.Clone(job.Config))
+		s.bench.InitTrial(&t.Trial, job.TrialID, job.Config)
 		s.trials[job.TrialID] = t
 		s.nTrials++
 	}
@@ -321,22 +322,18 @@ func (s *Sim) Launch(job core.Job) {
 		if donor := s.trial(job.InheritFrom); donor != nil {
 			// A running donor's in-flight progress is not observable;
 			// inherit its last checkpoint instead.
-			if s.hasPre[job.InheritFrom] {
-				t.Restore(s.preJob[job.InheritFrom])
+			if donor.running {
+				t.Restore(donor.pre)
 			} else {
-				t.InheritFrom(donor)
+				t.InheritFrom(&donor.Trial)
 			}
 		}
 	}
 	if !t.Config().Equal(job.Config) {
 		t.SetConfig(job.Config)
 	}
-	s.preJob[job.TrialID] = t.Checkpoint()
-	s.hasPre[job.TrialID] = true
-	if s.opt.RecordTrace {
-		s.startAt[job.TrialID] = s.now
-		s.startFrom[job.TrialID] = t.Resource()
-	}
+	t.pre, t.running = t.Checkpoint(), true
+	t.startAt, t.startFrom = s.now, t.Resource()
 
 	dr := job.TargetResource - t.Resource()
 	if dr < 0 {
@@ -378,8 +375,12 @@ func (s *Sim) Launch(job core.Job) {
 // is discarded (rolled back — and, with RecordTrace, traced as
 // truncated — in Close). The returned slice is reused across calls.
 func (s *Sim) Await(ctx context.Context) ([]backend.Completion, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	// A non-blocking receive on Done takes no lock; ctx.Err would take
+	// the context's mutex once per event.
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	default:
 	}
 	if s.events.Len() == 0 {
 		return nil, nil
@@ -408,15 +409,12 @@ func (s *Sim) complete(ev event) backend.Completion {
 		// All progress from the dropped job is lost: roll back first so
 		// the trace records the resource the trial actually holds after
 		// the drop, not the target it never reached.
-		before := t.Resource()
-		t.Restore(s.preJob[ev.job.TrialID])
-		s.hasPre[ev.job.TrialID] = false
-		s.noteResource(before, t.Resource())
-		s.traceJob(ev.job.TrialID, ev.job.Rung, ev.time, t.Resource(), true)
+		s.rollback(t)
+		s.traceJob(t, ev.job.Rung, ev.time, true)
 		return backend.Completion{Job: ev.job, Time: s.now, Failed: true}
 	}
-	s.hasPre[ev.job.TrialID] = false
-	s.traceJob(ev.job.TrialID, ev.job.Rung, ev.time, t.Resource(), false)
+	t.running = false
+	s.traceJob(t, ev.job.Rung, ev.time, false)
 	return backend.Completion{
 		Job:      ev.job,
 		Loss:     ev.loss,
@@ -426,21 +424,30 @@ func (s *Sim) complete(ev event) backend.Completion {
 	}
 }
 
-// traceJob appends one job's trace event when RecordTrace is set. to is
-// the trial's resource after the job settled (post-rollback for failed
-// jobs), so Figure 2-style charts never show resource a trial does not
-// hold.
-func (s *Sim) traceJob(id, rung int, end, to float64, failed bool) {
+// rollback undoes a running trial's job: the trial returns to the state
+// it held before the job, and is running no more.
+func (s *Sim) rollback(t *simTrial) {
+	before := t.Resource()
+	t.Restore(t.pre)
+	t.running = false
+	s.noteResource(before, t.Resource())
+}
+
+// traceJob appends one job's trace event when RecordTrace is set. The
+// event ends at the trial's resource after the job settled (post-rollback
+// for failed jobs), so Figure 2-style charts never show resource a trial
+// does not hold.
+func (s *Sim) traceJob(t *simTrial, rung int, end float64, failed bool) {
 	if !s.opt.RecordTrace {
 		return
 	}
 	s.trace = append(s.trace, JobEvent{
-		TrialID: id,
+		TrialID: t.ID,
 		Rung:    rung,
-		Start:   s.startAt[id],
+		Start:   t.startAt,
 		End:     end,
-		From:    s.startFrom[id],
-		To:      to,
+		From:    t.startFrom,
+		To:      t.Resource(),
 		Failed:  failed,
 	})
 }
@@ -467,31 +474,21 @@ func (s *Sim) Close() error {
 	for s.events.Len() > 0 {
 		s.rawBatch = s.events.popBatch(s.rawBatch[:0])
 		for i := range s.rawBatch {
-			id := s.rawBatch[i].job.TrialID
-			rung := s.rawBatch[i].job.Rung
+			t, rung := s.trials[s.rawBatch[i].job.TrialID], s.rawBatch[i].job.Rung
 			s.rawBatch[i] = event{}
-			if !s.hasPre[id] {
+			if !t.running {
 				continue
 			}
-			t := s.trials[id]
-			before := t.Resource()
-			t.Restore(s.preJob[id])
-			s.hasPre[id] = false
-			s.noteResource(before, t.Resource())
-			s.traceJob(id, rung, horizon, t.Resource(), true)
+			s.rollback(t)
+			s.traceJob(t, rung, horizon, true)
 		}
 	}
 	// Defensive sweep: every in-flight job has exactly one queued event,
 	// but roll back any stragglers regardless.
-	for id, has := range s.hasPre {
-		if !has {
-			continue
+	for _, t := range s.trials {
+		if t != nil && t.running {
+			s.rollback(t)
 		}
-		t := s.trials[id]
-		before := t.Resource()
-		t.Restore(s.preJob[id])
-		s.hasPre[id] = false
-		s.noteResource(before, t.Resource())
 	}
 	return nil
 }
@@ -513,7 +510,7 @@ func (s *Sim) TrialsForTest() map[int]*workload.Trial {
 	out := make(map[int]*workload.Trial, s.nTrials)
 	for id, t := range s.trials {
 		if t != nil {
-			out[id] = t
+			out[id] = &t.Trial
 		}
 	}
 	return out

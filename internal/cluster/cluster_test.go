@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/searchspace"
 	"repro/internal/workload"
@@ -105,6 +107,54 @@ func TestSimFailureRollsBackTrialState(t *testing.T) {
 	}
 	if run.CompletedJobs != 0 && run.FailedJobs == 0 {
 		t.Fatal("expected failures under certain drops")
+	}
+}
+
+// inFlightCheck is a Sim that, after every batch it returns, holds its
+// trial records to the jobs in flight: a trial is running exactly while
+// one of its jobs is queued, so a dropped job's rollback must leave it
+// idle, or a PBT heir of the trial would later restore a stale state.
+type inFlightCheck struct {
+	*Sim
+	t *testing.T
+}
+
+func (c inFlightCheck) Await(ctx context.Context) ([]backend.Completion, error) {
+	batch, err := c.Sim.Await(ctx)
+	c.check("after a batch")
+	return batch, err
+}
+
+func (c inFlightCheck) check(when string) {
+	c.t.Helper()
+	running := 0
+	for _, tr := range c.trials {
+		if tr != nil && tr.running {
+			running++
+		}
+	}
+	if running != c.events.Len() {
+		c.t.Fatalf("%s: %d trials running, %d jobs in flight", when, running, c.events.Len())
+	}
+}
+
+func TestSimTrialRunsWhileItsJobIsInFlight(t *testing.T) {
+	bench := workload.CudaConvnet()
+	for _, sched := range []core.Scheduler{
+		newASHA(bench, 5, 4, bench.MaxResource()/256),
+		core.NewPBT(core.PBTConfig{Space: bench.Space(), RNG: xrand.New(5), Population: 8,
+			Step: bench.MaxResource() / 16, MaxResource: bench.MaxResource(), TruncationFrac: 0.25,
+			SpawnPopulations: true}),
+	} {
+		c := inFlightCheck{New(sched, bench, Options{Workers: 10, MaxTime: 200, Seed: 5, DropProb: 0.05}), t}
+		run, err := backend.Drive(context.Background(), sched, c, backend.Options{MaxTime: 200, MaxResource: bench.MaxResource()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.FailedJobs == 0 {
+			t.Fatalf("%T: no job was dropped", sched)
+		}
+		c.check("after Close")
 	}
 }
 

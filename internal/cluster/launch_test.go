@@ -37,10 +37,25 @@ func paperRun(bench *workload.Benchmark, seed uint64, jobs int) (completed int, 
 // three jobs in four start a trial and a trial is a slab record, so one
 // heap object per trial adds 0.7 or more to any of them.
 const (
-	simLaunchAllocBudget     = 0.037 + 0.06 // 2 224 objects over 60 000 jobs
-	simStragglersAllocBudget = 0.27 + 0.11  // 757 over the 2 828 jobs the horizon admits
-	sim10kAllocBudget        = 0.025 + 0.05 // 4 970 over 200 000 jobs, most sized by the worker count
-	sim100kAllocBudget       = 0.015 + 0.05 // 5 840 over 400 000 jobs
+	simLaunchAllocBudget     = 0.032 + 0.06 // 1 918 objects over 60 000 jobs
+	simStragglersAllocBudget = 0.25 + 0.11  // 706 over the 2 828 jobs the horizon admits
+	sim10kAllocBudget        = 0.020 + 0.05 // 4 088 over 200 000 jobs, most sized by the worker count
+	sim100kAllocBudget       = 0.010 + 0.05 // 4 126 over 400 000 jobs
+)
+
+// The bytes behind those objects, measured, plus slack. A per-trial table
+// grown an entry at a time rather than doubled allocates about five times
+// its final size: ASHA's configurations grown so read 416, 402, 511 and
+// 1 258 B, and the slack on the paper's and 10 000 workers' rows is less
+// than that table adds. A second copy of each new trial's configuration
+// costs about 70 B a job; with it, and a trial's state spread over five
+// tables grown an entry at a time, the rows measured 573, 499, 667 and
+// 1 469 B.
+const (
+	simLaunchBytesBudget     = 364 + 36  // 364.2 B a job
+	simStragglersBytesBudget = 384 + 60  // 384.3
+	sim10kBytesBudget        = 416 + 50  // 415.5
+	sim100kBytesBudget       = 1173 + 60 // 1 173
 )
 
 // simLaunchCases are the regimes whose allocations are gated, and that
@@ -54,12 +69,13 @@ var simLaunchCases = []struct {
 	bench  func() *workload.Benchmark
 	rDiv   float64 // r = R / rDiv
 	opt    Options
-	budget float64
+	budget float64 // heap objects per job
+	bytes  float64 // heap bytes per job
 }{
-	{"paper", workload.PTBLSTM, 64, Options{Workers: 500, MaxJobs: 60_000}, simLaunchAllocBudget},
-	{"stragglers", workload.CudaConvnet, 256, Options{Workers: 25, MaxTime: 100, StragglerSD: 0.5, DropProb: 0.01}, simStragglersAllocBudget},
-	{"10k-workers", workload.PTBLSTM, 64, Options{Workers: 10_000, MaxJobs: 200_000}, sim10kAllocBudget},
-	{"100k-workers", workload.CudaConvnet, 256, Options{Workers: 100_000, MaxJobs: 400_000}, sim100kAllocBudget},
+	{"paper", workload.PTBLSTM, 64, Options{Workers: 500, MaxJobs: 60_000}, simLaunchAllocBudget, simLaunchBytesBudget},
+	{"stragglers", workload.CudaConvnet, 256, Options{Workers: 25, MaxTime: 100, StragglerSD: 0.5, DropProb: 0.01}, simStragglersAllocBudget, simStragglersBytesBudget},
+	{"10k-workers", workload.PTBLSTM, 64, Options{Workers: 10_000, MaxJobs: 200_000}, sim10kAllocBudget, sim10kBytesBudget},
+	{"100k-workers", workload.CudaConvnet, 256, Options{Workers: 100_000, MaxJobs: 400_000}, sim100kAllocBudget, sim100kBytesBudget},
 }
 
 // measureSimRun returns the jobs one simRun completes and the heap
@@ -75,8 +91,9 @@ func measureSimRun(tb testing.TB, bench *workload.Benchmark, rDiv float64, opt O
 	return jobs, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
-// TestSimLaunchAllocsPerJob keeps per-trial heap objects from creeping
-// back onto Launch, in tier-1 rather than in a benchmark someone has to
+// TestSimLaunchAllocsPerJob keeps per-trial heap objects, copies and
+// tables that grow without doubling from creeping back onto Launch, in
+// tier-1 rather than in a benchmark someone has to
 // read. No warm-up run: the runtime's lazy set-up is a dozen objects,
 // under 0.005 a job in every regime.
 func TestSimLaunchAllocsPerJob(t *testing.T) {
@@ -86,11 +103,15 @@ func TestSimLaunchAllocsPerJob(t *testing.T) {
 	for _, c := range simLaunchCases {
 		t.Run(c.name, func(t *testing.T) {
 			bench := c.bench()
-			jobs, mallocs, _ := measureSimRun(t, bench, c.rDiv, c.opt)
+			jobs, mallocs, bytes := measureSimRun(t, bench, c.rDiv, c.opt)
 			perJob := float64(mallocs) / float64(jobs)
-			t.Logf("%.3f allocs/job over %d jobs", perJob, jobs)
+			bytesPerJob := float64(bytes) / float64(jobs)
+			t.Logf("%.3f allocs/job (%d objects), %.1f B/job over %d jobs", perJob, mallocs, bytesPerJob, jobs)
 			if perJob > c.budget {
-				t.Fatalf("a simulated job allocates %.3f objects, budget %.2f", perJob, c.budget)
+				t.Fatalf("a simulated job allocates %.3f objects, budget %.3f", perJob, c.budget)
+			}
+			if bytesPerJob > c.bytes {
+				t.Fatalf("a simulated job allocates %.1f B, budget %.0f", bytesPerJob, c.bytes)
 			}
 		})
 	}
@@ -121,8 +142,9 @@ func BenchmarkSimLaunch(b *testing.B) {
 
 // TestSimsShareBenchmarkConcurrently: the surfaces, their level tables,
 // the cost tables and the percentile index sit on the Benchmark every run
-// shares, the trial slab and config arena on each Sim. Four runs at once
-// must be the four runs one after another.
+// shares, the trial slab on each Sim, and each trial holds its own
+// scheduler's configuration. Four runs at once must be the four runs one
+// after another.
 func TestSimsShareBenchmarkConcurrently(t *testing.T) {
 	const runs, jobs = 4, 6_000
 	bench := workload.PTBLSTM()

@@ -114,8 +114,8 @@ func (ah *AsyncHyperband) Next() (Job, bool) {
 func (ah *AsyncHyperband) Report(res Result) {
 	bracket, local := ah.decodeID(res.TrialID)
 	if !res.Failed {
-		for len(ah.prevResource) <= res.TrialID {
-			ah.prevResource = append(ah.prevResource, 0)
+		if res.TrialID >= len(ah.prevResource) {
+			ah.prevResource = growTo(ah.prevResource, res.TrialID+1)
 		}
 		ah.prevResource[res.TrialID] = res.Resource
 		ah.inc.observe(res)

@@ -27,7 +27,10 @@ type Job struct {
 	// TrialID identifies the configuration's stateful training run.
 	// IDs are allocated by schedulers and are unique within a run.
 	TrialID int
-	// Config is the hyperparameter assignment to train.
+	// Config is the hyperparameter assignment to train. A scheduler
+	// never writes a configuration after issuing it (a new assignment
+	// is a new Config), so executors, the journal and the lease wire
+	// hold it as it is, without a copy.
 	Config searchspace.Config
 	// Rung is the rung index this job completes (schedulers that have
 	// no rung structure use 0).

@@ -32,6 +32,11 @@ package core
 //     the same decisions, bit for bit — what journal replay and every
 //     fixed-seed figure rest on.
 //
+//  6. Issued configurations are never written: the values a Job carries
+//     when Next returns it are its values at the end of the stream. The
+//     simulator's trials, the lease payload and the journal's
+//     checkpoints hold an issued configuration without a copy.
+//
 // The suite is table-driven: a new scheduler inherits every check by
 // adding one constructor entry.
 
@@ -39,6 +44,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -200,6 +206,8 @@ func driveInvariants(t *testing.T, sched Scheduler, c invariantCase, seed uint64
 	}
 
 	var inflight []Job
+	// issuedConfigs pairs every issued Job with a copy of its values.
+	var issuedConfigs []issuedConfig
 	issued := 0
 	clock := 0.0
 	for {
@@ -242,6 +250,7 @@ func driveInvariants(t *testing.T, sched Scheduler, c invariantCase, seed uint64
 			}
 			issuedRung[job.Rung][job.TrialID] = true
 			inflight = append(inflight, job)
+			issuedConfigs = append(issuedConfigs, issuedConfig{job, slices.Clone(job.Config.Values())})
 			issued++
 		}
 		if len(inflight) == 0 {
@@ -288,7 +297,27 @@ func driveInvariants(t *testing.T, sched Scheduler, c invariantCase, seed uint64
 	if issued == 0 {
 		t.Fatal("scheduler issued no jobs")
 	}
+	assertConfigsUnwritten(t, issuedConfigs)
 	return issuedRung, completedRung
+}
+
+// issuedConfig is one issued Job and its configuration's values as Next
+// returned them.
+type issuedConfig struct {
+	job  Job
+	vals []float64
+}
+
+// assertConfigsUnwritten checks that no issued configuration changed
+// after Next returned it.
+func assertConfigsUnwritten(t *testing.T, issued []issuedConfig) {
+	t.Helper()
+	for i, ic := range issued {
+		if now := ic.job.Config.Values(); !slices.Equal(now, ic.vals) {
+			t.Fatalf("issued job %d (trial %d, rung %d) carried config %v, written to %v since it was issued",
+				i, ic.job.TrialID, ic.job.Rung, ic.vals, now)
+		}
+	}
 }
 
 func maxJobsOf(c invariantCase) int { return c.maxJobs }

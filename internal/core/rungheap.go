@@ -1,9 +1,24 @@
 package core
 
 // The rung's building blocks: the entry order, a heap of entries and a
-// bitset over trial IDs. ashaRung (asha.go) composes them.
+// bitset over trial IDs. ashaRung (asha.go) composes them. growTo is how
+// they, and the package's other per-trial tables, grow.
 
-import "math"
+import (
+	"math"
+	"slices"
+)
+
+// growTo returns s grown to length n, the new entries zero. A table that
+// must grow doubles: past 256 entries append alone grows a slice by about
+// 1.25x, so a per-trial table grown an entry at a time would allocate
+// about five times its final size and copy itself about four times.
+func growTo[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = slices.Grow(s, max(n, 2*len(s))-len(s))
+	}
+	return append(s, make([]T, n-len(s))...)
+}
 
 // entryLess is the total order used by all rung bookkeeping: ascending
 // loss, NaN after +Inf (a diverged trial ranks worst), ties broken by
@@ -50,8 +65,9 @@ func (h *entryHeap) Peek() (entry, bool) {
 
 // Push inserts an entry.
 func (h *entryHeap) Push(e entry) {
-	h.items = append(h.items, e)
+	h.items = growTo(h.items, len(h.items)+1)
 	i := len(h.items) - 1
+	h.items[i] = e
 	for i > 0 {
 		parent := (i - 1) / 4
 		if !h.before(h.items[i], h.items[parent]) {
@@ -108,8 +124,8 @@ type bitset []uint64
 // add inserts i and reports whether it was already present.
 func (b *bitset) add(i int) bool {
 	w, bit := i>>6, uint64(1)<<(i&63)
-	for len(*b) <= w {
-		*b = append(*b, 0)
+	if w >= len(*b) {
+		*b = growTo(*b, w+1)
 	}
 	had := (*b)[w]&bit != 0
 	(*b)[w] |= bit

@@ -339,11 +339,12 @@ func (a *agent) release(id uint64, h *heldLease) {
 	a.kickFetch()
 }
 
-// spare returns n records for one grants frame, linked through next:
-// recycled ones while the free list lasts, then new ones. A recycled
-// record comes back zeroed but for the capacity of its vector and
-// checkpoint.
-func (a *agent) spare(n int) *heldLease {
+// spare returns the records for one grants frame, one per grant in
+// grant order, linked through next: recycled ones while the free list
+// lasts, linked after the new ones made for the rest. A recycled record
+// comes back zeroed but for the capacity of its vector and checkpoint.
+func (a *agent) spare(grants []binGrant) *heldLease {
+	n := len(grants)
 	var first *heldLease
 	a.mu.Lock()
 	for ; n > 0 && len(a.free) > 0; n-- {
@@ -353,19 +354,34 @@ func (a *agent) spare(n int) *heldLease {
 		first = h
 	}
 	a.mu.Unlock()
-	return newLeases(n, first)
+	return newLeases(grants[:n], first)
 }
 
-// newLeases returns n new records cut from one slice, linked through
-// next ahead of first.
-func newLeases(n int, first *heldLease) *heldLease {
-	if n == 0 {
+// newLeases returns a new record for each of grants, cut from one slice
+// and linked through next in grant order ahead of first. Each record's
+// vector and checkpoint capacity is its grant's, cut from one slab of
+// floats and one of bytes, so holding the grant allocates nothing.
+func newLeases(grants []binGrant, first *heldLease) *heldLease {
+	if len(grants) == 0 {
 		return first
 	}
-	fresh := make([]heldLease, n)
-	for i := range fresh {
-		fresh[i].next = first
-		first = &fresh[i]
+	floats, bytes := 0, 0
+	for i := range grants {
+		floats += len(grants[i].Job.Vec)
+		bytes += len(grants[i].Job.State)
+	}
+	vecs, states := make([]float64, floats), make([]byte, bytes)
+	fresh := make([]heldLease, len(grants))
+	for i := len(fresh) - 1; i >= 0; i-- {
+		h := &fresh[i]
+		if n := len(grants[i].Job.Vec); n > 0 {
+			h.job.Vec, vecs = vecs[:0:n], vecs[n:]
+		}
+		if n := len(grants[i].Job.State); n > 0 {
+			h.job.State, states = states[:0:n], states[n:]
+		}
+		h.next = first
+		first = h
 	}
 	return first
 }

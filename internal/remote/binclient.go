@@ -74,7 +74,7 @@ type binStream struct {
 	onExpired func([]uint64)
 	// spare supplies the records of a grants frame (agent.spare); nil,
 	// every grant gets a new record.
-	spare func(n int) *heldLease
+	spare func(grants []binGrant) *heldLease
 
 	// tables indexes the server's table definitions; reader-only state.
 	tables map[uint64]*clientTable
@@ -240,10 +240,10 @@ func (bs *binStream) reader() {
 				bs.tables[t.Index] = &clientTable{experiment: t.Experiment, params: t.Params}
 			}
 			sb := streamBatch{seq: g.Seq, done: g.Done}
-			if n := len(g.Grants); n > 0 && bs.spare != nil {
-				sb.leases = bs.spare(n)
+			if len(g.Grants) > 0 && bs.spare != nil {
+				sb.leases = bs.spare(g.Grants)
 			} else {
-				sb.leases = newLeases(n, nil)
+				sb.leases = newLeases(g.Grants, nil)
 			}
 			h := sb.leases
 			for i := range g.Grants {

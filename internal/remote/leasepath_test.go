@@ -40,20 +40,22 @@ type leasePathCase struct {
 // so a fresh one is made only while a run's pipeline first fills.
 const (
 	// ASHA, the engine, the lease server, both ends of the wire, the
-	// agent and the objective: measures 1.36 — the objective's boxed
+	// agent and the objective: measures 1.33 — the objective's boxed
 	// float return (1), a boxed checkpoint handed in (0.25), the rest the
 	// scheduler's and the first fill's — plus 0.5 of slack.
-	leasePathAllocBudget = 1.36 + 0.5
+	leasePathAllocBudget = 1.33 + 0.5
 	// The same over leasePathTables' lanes, interleaved on the same two
-	// slots: measures 1.41, plus the same slack. A slot that rebuilt its
+	// slots: measures 1.38, plus the same slack. A slot that rebuilt its
 	// map whenever the table's slice changed — not its names — measured
 	// 3.48 here and no more on the single-lane rows, which cannot see it.
-	leasePathTablesAllocBudget = 1.41 + 0.5
+	leasePathTablesAllocBudget = 1.38 + 0.5
 	// The same without scheduler or engine, over four agents, the
-	// caller's config vector included: measures 2.24, plus the same
+	// caller's config vector included: measures 2.14, plus the same
 	// slack. All 20 000 jobs queue at once, so four pipelines of 1 024
-	// records fill, each record's vector and checkpoint once.
-	leaseContentionAllocBudget = 2.24 + 0.5
+	// records fill, the new records of a grants frame with one slab for
+	// their vectors and one for their checkpoints; a vector and a
+	// checkpoint of each record's own measured 2.24.
+	leaseContentionAllocBudget = 2.14 + 0.5
 	// The first lane with nothing configured (leasePathCase.unset), where
 	// a frame carries a job or two and so shows whole: measures 2.39 — the
 	// objective's 1.25 again and, per frame, a reports frame's checkpoint
@@ -67,13 +69,14 @@ const (
 
 	// The bytes behind those objects, measured beside them, each plus
 	// 100 B of slack: less than either record would cost a job again
-	// (a task is 296 B, a lease record 240). asha measures 420 B and
-	// 425 B with metrics; its tables 370 B; contention 606 B; defaults
-	// 336 B.
-	leasePathBytesBudget           = 425 + 100
-	leasePathTablesBytesBudget     = 370 + 100
-	leasePathContentionBytesBudget = 606 + 100
-	leasePathDefaultsBytesBudget   = 336 + 100
+	// (a task is 296 B, a lease record 240). asha measures 340 B and
+	// 341 B with metrics; its tables 326 B; contention 608 B; defaults
+	// 264 B. The first three and the last read 420, 425, 370 and 336 B
+	// while the per-trial tables grew an entry at a time.
+	leasePathBytesBudget           = 341 + 100
+	leasePathTablesBytesBudget     = 326 + 100
+	leasePathContentionBytesBudget = 608 + 100
+	leasePathDefaultsBytesBudget   = 264 + 100
 )
 
 // leasePathCases: the fleet benchmark's lane with metrics off and on;

@@ -50,8 +50,15 @@ var (
 	magic      = append([]byte(magicPrefix), Version)
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 	kinds      = [...]string{"", KindSample, KindPromote, KindRetry} // by an issue frame's kind field
-	bit        = map[bool]int{true: 1}                               // a flag as a field
 )
+
+// bit is a flag as a field: 1 for true, 0 for false.
+func bit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // The encode side: encoder methods that append one record's frames to
 // buf — a Journal's own, or the buffer AppendCheckpoint is handed. A
@@ -143,14 +150,14 @@ func (j *Journal) issue(is *Issue, vals []float64) {
 
 func (e *encoder) report(r *Report) {
 	e.frame(typeReport, func() {
-		e.ints(r.Trial, r.Rung, bit[r.Failed])
+		e.ints(r.Trial, r.Rung, bit(r.Failed))
 		e.floats(r.Loss, r.TrueLoss, r.Resource, r.Time)
 	})
 }
 
 func (e *encoder) snapshot(s *Snapshot) {
 	e.frame(typeSnap, func() {
-		e.ints(s.Issued, s.Completed, s.Failed, bit[s.Final], len(s.Trials))
+		e.ints(s.Issued, s.Completed, s.Failed, bit(s.Final), len(s.Trials))
 		e.floats(s.Time)
 		for i := range s.Trials {
 			t := &s.Trials[i]

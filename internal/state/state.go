@@ -200,7 +200,7 @@ func (r *Record) Validate() error {
 	if r.V != Version {
 		return fmt.Errorf("state: record version %d, this reader speaks %d", r.V, Version)
 	}
-	n := bit[r.Meta != nil] + bit[r.Issue != nil] + bit[r.Report != nil] + bit[r.Snap != nil] + bit[r.Checkpoint != nil]
+	n := bit(r.Meta != nil) + bit(r.Issue != nil) + bit(r.Report != nil) + bit(r.Snap != nil) + bit(r.Checkpoint != nil)
 	if n != 1 {
 		return fmt.Errorf("state: record carries %d payloads, want exactly 1", n)
 	}

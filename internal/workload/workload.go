@@ -377,8 +377,10 @@ func (b *Benchmark) NewTrial(id int, cfg searchspace.Config) *Trial {
 }
 
 // InitTrial is NewTrial for a trial record the caller owns (the
-// simulator cuts them from a slab). The trial keeps cfg: the caller
-// passes a copy nothing else will write to.
+// simulator cuts them from a slab). The trial keeps cfg, not a copy: the
+// caller passes a configuration nothing will write to, such as one a
+// scheduler has issued (core.Job.Config), and concurrent runs may each
+// hold one of their own against the same Benchmark.
 func (b *Benchmark) InitTrial(t *Trial, id int, cfg searchspace.Config) {
 	t.ID, t.bench, t.cfg, t.handicap = id, b, cfg, 0
 	b.root.SplitIndexInto(&t.noise, "trial-noise", id)
