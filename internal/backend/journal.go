@@ -31,7 +31,7 @@ func (s *issuedSet) add(trial, rung int) (dup bool) {
 		return dup
 	}
 	if trial >= len(s.rungs) {
-		s.rungs = growTo(s.rungs, trial+1)
+		s.rungs = core.GrowTo(s.rungs, trial+1)
 	}
 	dup = s.rungs[trial]&(1<<rung) != 0
 	s.rungs[trial] |= 1 << rung

@@ -384,7 +384,7 @@ func (p *pending) push(job core.Job) {
 func (p *pending) point(i int) {
 	t := p.jobs[i].TrialID
 	if t >= len(p.at) {
-		p.at = growTo(p.at, t+1)
+		p.at = core.GrowTo(p.at, t+1)
 	}
 	p.multi = p.multi || p.at[t] != 0
 	p.at[t] = int32(i + 1)

@@ -2,7 +2,8 @@ package backend
 
 import (
 	"encoding/json"
-	"slices"
+
+	"repro/internal/core"
 )
 
 // trialRecord is one trial's committed state: the cumulative resource it
@@ -34,19 +35,10 @@ type Trials struct {
 	changed []int         // trials whose pair changed since SnapshotTrials last ran
 }
 
-// growTo returns s grown to length n, the new entries zero, doubling its
-// capacity when it must grow (core's growTo says why).
-func growTo[T any](s []T, n int) []T {
-	if n > cap(s) {
-		s = slices.Grow(s, max(n, 2*len(s))-len(s))
-	}
-	return append(s, make([]T, n-len(s))...)
-}
-
 // record returns the trial's record, creating it on first use.
 func (t *Trials) record(id int) *trialRecord {
 	if id >= len(t.byID) {
-		t.byID = growTo(t.byID, id+1)
+		t.byID = core.GrowTo(t.byID, id+1)
 	}
 	r := t.byID[id]
 	if r == nil {

@@ -21,7 +21,6 @@ package cluster
 import (
 	"context"
 	"math"
-	"slices"
 
 	"repro/internal/backend"
 	"repro/internal/core"
@@ -254,15 +253,6 @@ func (s *Sim) trial(id int) *simTrial {
 // trialSlabLen trial records fill a 32 KB size class almost exactly.
 const trialSlabLen = 141
 
-// growTo returns s grown to length n, the new entries zero, doubling its
-// capacity when it must grow (core's growTo says why).
-func growTo[T any](s []T, n int) []T {
-	if n > cap(s) {
-		s = slices.Grow(s, max(n, 2*len(s))-len(s))
-	}
-	return append(s, make([]T, n-len(s))...)
-}
-
 // noteResource folds one trial's resource change into the incremental
 // run statistics.
 func (s *Sim) noteResource(before, after float64) {
@@ -305,7 +295,7 @@ func (s *Sim) Capacity() int { return s.opt.Workers }
 // straggler-adjusted finish time.
 func (s *Sim) Launch(job core.Job) {
 	if job.TrialID >= len(s.trials) {
-		s.trials = growTo(s.trials, job.TrialID+1)
+		s.trials = core.GrowTo(s.trials, job.TrialID+1)
 	}
 	t := s.trials[job.TrialID]
 	if t == nil {

@@ -115,7 +115,7 @@ func (ah *AsyncHyperband) Report(res Result) {
 	bracket, local := ah.decodeID(res.TrialID)
 	if !res.Failed {
 		if res.TrialID >= len(ah.prevResource) {
-			ah.prevResource = growTo(ah.prevResource, res.TrialID+1)
+			ah.prevResource = GrowTo(ah.prevResource, res.TrialID+1)
 		}
 		ah.prevResource[res.TrialID] = res.Resource
 		ah.inc.observe(res)

@@ -249,7 +249,7 @@ func (a *ASHA) Next() (Job, bool) {
 	} else {
 		cfg = a.arena.Sample(a.cfg.RNG)
 	}
-	a.trials = growTo(a.trials, id+1)
+	a.trials = GrowTo(a.trials, id+1)
 	a.trials[id] = cfg
 	return Job{TrialID: id, Config: cfg, Rung: 0, TargetResource: a.rungResource(0), InheritFrom: -1}, true
 }

@@ -1,19 +1,21 @@
 package core
 
 // The rung's building blocks: the entry order, a heap of entries and a
-// bitset over trial IDs. ashaRung (asha.go) composes them. growTo is how
-// they, and the package's other per-trial tables, grow.
+// bitset over trial IDs. ashaRung (asha.go) composes them. GrowTo is how
+// they, and the other per-trial tables, grow.
 
 import (
 	"math"
 	"slices"
 )
 
-// growTo returns s grown to length n, the new entries zero. A table that
-// must grow doubles: past 256 entries append alone grows a slice by about
-// 1.25x, so a per-trial table grown an entry at a time would allocate
-// about five times its final size and copy itself about four times.
-func growTo[T any](s []T, n int) []T {
+// GrowTo returns s grown to length n, the new entries zero. Every dense
+// per-trial table grows through it, here and in backend and cluster. A
+// table that must grow doubles: past 256 entries append alone grows a
+// slice by about 1.25x, so a per-trial table grown an entry at a time
+// would allocate about five times its final size and copy itself about
+// four times.
+func GrowTo[T any](s []T, n int) []T {
 	if n > cap(s) {
 		s = slices.Grow(s, max(n, 2*len(s))-len(s))
 	}
@@ -65,7 +67,7 @@ func (h *entryHeap) Peek() (entry, bool) {
 
 // Push inserts an entry.
 func (h *entryHeap) Push(e entry) {
-	h.items = growTo(h.items, len(h.items)+1)
+	h.items = GrowTo(h.items, len(h.items)+1)
 	i := len(h.items) - 1
 	h.items[i] = e
 	for i > 0 {
@@ -125,7 +127,7 @@ type bitset []uint64
 func (b *bitset) add(i int) bool {
 	w, bit := i>>6, uint64(1)<<(i&63)
 	if w >= len(*b) {
-		*b = growTo(*b, w+1)
+		*b = GrowTo(*b, w+1)
 	}
 	had := (*b)[w]&bit != 0
 	(*b)[w] |= bit
