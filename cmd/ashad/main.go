@@ -95,9 +95,9 @@
 // `ashad -manifest m.json -shard <id>` per shard, all from the same
 // manifest. The coordinator assigns each experiment an owning shard by
 // rendezvous hashing, redirects registering workers to the right shard,
-// and — when a shard stops heartbeating — reassigns its experiments to
-// the survivors. A shard runs exactly what its own registration and
-// heartbeat replies say it owns, adopting from the journals (-state-dir
+// and — when a shard stops beating — reassigns its experiments to the
+// survivors. A shard runs exactly what its own beat replies say it
+// owns, adopting from the journals (-state-dir
 // on a shared directory makes the handoff lossless) and dropping what
 // moved away; a shard whose last successful beat was sent a full TTL
 // ago drops everything until contact resumes, before any survivor can

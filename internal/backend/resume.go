@@ -245,11 +245,11 @@ func (p *replayer) step(r *state.Record, vals []float64) error {
 	return nil
 }
 
-// issued marks a trial issued in the trial table, which grows by
-// doubling, in one step.
+// issued marks a trial issued in the trial table, where an entry no
+// issue has named yet holds Trial -1.
 func (p *replayer) issued(trial int) {
 	if n := len(p.table); trial >= n {
-		p.table = append(p.table, make([]state.TrialSnap, max(trial+1, 2*n)-n)...)
+		p.table = core.GrowTo(p.table, trial+1)
 		for ; n < len(p.table); n++ {
 			p.table[n].Trial = -1
 		}

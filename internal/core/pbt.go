@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/searchspace"
 	"repro/internal/xrand"
@@ -92,6 +93,7 @@ type PBT struct {
 	arena  *searchspace.Arena
 	nextID int
 	inc    incumbent
+	scored []*pbtMember // exploit's ranking, reused between calls
 }
 
 // NewPBT constructs a PBT scheduler. It panics on invalid configuration.
@@ -186,20 +188,26 @@ func (p *PBT) issueFrom(pop *pbtPopulation) (Job, bool) {
 // exploit returns a donor from the top truncation fraction if m ranks in
 // the bottom fraction of its population, else nil.
 func (p *PBT) exploit(pop *pbtPopulation, m *pbtMember) *pbtMember {
-	scored := make([]*pbtMember, 0, len(pop.members))
+	scored := p.scored[:0]
 	for _, mm := range pop.members {
 		if mm.hasLoss {
 			scored = append(scored, mm)
 		}
 	}
+	p.scored = scored
 	if len(scored) < 2 {
 		return nil
 	}
-	sort.Slice(scored, func(i, j int) bool {
-		if scored[i].loss != scored[j].loss {
-			return scored[i].loss < scored[j].loss
+	// Ascending (loss, trialID), negative only where that order's <
+	// holds: a NaN loss is never less, which fixes where it lands.
+	slices.SortFunc(scored, func(a, b *pbtMember) int {
+		if a.loss != b.loss {
+			if a.loss < b.loss {
+				return -1
+			}
+			return 1
 		}
-		return scored[i].trialID < scored[j].trialID
+		return cmp.Compare(a.trialID, b.trialID)
 	})
 	k := int(math.Ceil(p.cfg.TruncationFrac * float64(len(scored))))
 	if k < 1 {

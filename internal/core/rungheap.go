@@ -10,11 +10,11 @@ import (
 )
 
 // GrowTo returns s grown to length n, the new entries zero. Every dense
-// per-trial table grows through it, here and in backend and cluster. A
-// table that must grow doubles: past 256 entries append alone grows a
-// slice by about 1.25x, so a per-trial table grown an entry at a time
-// would allocate about five times its final size and copy itself about
-// four times.
+// per-trial table grows through it, here and in backend, cluster and
+// exec. A table that must grow doubles: past 256 entries append alone
+// grows a slice by about 1.25x, so a per-trial table grown an entry at
+// a time would allocate about five times its final size and copy itself
+// about four times.
 func GrowTo[T any](s []T, n int) []T {
 	if n > cap(s) {
 		s = slices.Grow(s, max(n, 2*len(s))-len(s))

@@ -156,7 +156,7 @@ type Pool struct {
 // at returns the trial's live-state slot.
 func (p *Pool) at(id int) *poolLive {
 	if id >= len(p.live) {
-		p.live = append(p.live, make([]poolLive, id+1-len(p.live))...)
+		p.live = core.GrowTo(p.live, id+1)
 	}
 	return &p.live[id]
 }

@@ -11,27 +11,27 @@ package remote
 // shard ID and the highest score wins, so removing one shard moves
 // only that shard's experiments and leaves every other assignment
 // untouched — exactly the property failover needs. The assignment map
-// is mutated only by failover; a shard that restarts after being
-// declared dead re-registers and receives whatever it still owns
-// (possibly nothing), never clawing experiments back mid-run.
+// is mutated only by failover; a shard that returns after being
+// declared dead receives whatever it still owns (possibly nothing),
+// never clawing experiments back mid-run.
 //
 // The coordinator speaks three small JSON surfaces:
 //
-//	/v1/register        — workers: answered with a redirect advert
-//	                      naming the owning shard's base URL; the
-//	                      agent re-registers there (agent.go)
-//	/v1/shard/register  — shards: announce {id, url}, learn their
-//	                      current experiment assignment and heartbeat
-//	                      cadence
-//	/v1/shard/heartbeat — shards: liveness, answered with the shard's
-//	                      assignment; a shard silent past the TTL is
-//	                      declared dead and failed over
-//	/v1/shards          — operators (ashactl): assignment + health
+//	/v1/register   — workers: answered with a redirect advert naming
+//	                 the owning shard's base URL; the agent
+//	                 re-registers there (agent.go)
+//	/v1/shard/beat — shards: {id, url} every TTL/3, answered with the
+//	                 shard's assignment and the beat cadence; a shard
+//	                 silent past the TTL is declared dead and failed
+//	                 over. The beat is idempotent: the first one
+//	                 announces the shard, and a restarted coordinator
+//	                 learns each shard again from its next one
+//	/v1/shards     — operators (ashactl): assignment + health
 //
 // plus the usual /metrics and /v1/events planes. The coordinator never
 // calls a shard: failover only rewrites the assignment table, and a
-// survivor learns it owns an experiment from its own next heartbeat
-// reply, at most TTL/3 after the death declaration (shard.go). It then
+// survivor learns it owns an experiment from its own next beat reply,
+// at most TTL/3 after the death declaration (shard.go). It then
 // recovers the experiment from its journal via the same replay
 // machinery a restart uses; exactly-once holds because the survivor's
 // lease generation is seeded past the dead shard's (remote.go,
@@ -49,7 +49,6 @@ package remote
 
 import (
 	"context"
-	"crypto/subtle"
 	"fmt"
 	"net"
 	"net/http"
@@ -64,9 +63,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// DefaultShardTTL is how long a shard may go without a heartbeat
-// before the coordinator declares it dead and fails its experiments
-// over (CoordinatorOptions.ShardTTL <= 0).
+// DefaultShardTTL is how long a shard may go without a beat before
+// the coordinator declares it dead and fails its experiments over
+// (CoordinatorOptions.ShardTTL <= 0).
 const DefaultShardTTL = 5 * time.Second
 
 // CoordinatorOptions configures a Coordinator.
@@ -79,12 +78,11 @@ type CoordinatorOptions struct {
 	// Experiments is the full experiment list of the deployment; each
 	// is assigned an owning shard by rendezvous hashing at startup.
 	Experiments []string
-	// ShardTTL is the heartbeat liveness window (default
-	// DefaultShardTTL).
+	// ShardTTL is the beat liveness window (default DefaultShardTTL).
 	ShardTTL time.Duration
-	// AdminToken authenticates shards registering and heartbeating with
-	// the coordinator and gates /v1/shards — the one fleet-internal
-	// secret, the same Options.AdminToken every shard presents.
+	// AdminToken authenticates the shards' beats and gates /v1/shards —
+	// the one fleet-internal secret, the same Options.AdminToken every
+	// shard presents.
 	AdminToken string
 	// Token and TenantTokens mirror the shards' worker credentials so
 	// the coordinator can reject a bad worker token at routing time
@@ -99,12 +97,11 @@ type CoordinatorOptions struct {
 
 // coordShard is one shard's live record.
 type coordShard struct {
-	id         string
-	url        string // base URL announced at registration ("" before)
-	registered bool
-	up         bool
-	lastBeat   time.Time
-	routed     int // unrestricted workers routed here (load balance)
+	id       string
+	url      string // base URL its beats announce ("" before the first)
+	up       bool
+	lastBeat time.Time
+	routed   int // unrestricted workers routed here (load balance)
 }
 
 // Coordinator is the federated control-plane tier. See the package
@@ -170,8 +167,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/register", c.handleWorkerRegister)
-	mux.HandleFunc("/v1/shard/register", c.handleShardRegister)
-	mux.HandleFunc("/v1/shard/heartbeat", c.handleShardHeartbeat)
+	mux.HandleFunc("/v1/shard/beat", c.handleShardBeat)
 	mux.HandleFunc("/v1/shards", c.handleShards)
 	mux.HandleFunc("/metrics", c.handleMetrics)
 	mux.HandleFunc("/v1/events", c.handleEvents)
@@ -245,30 +241,14 @@ func rendezvousOwner(experiment string, shards []string) string {
 
 // --- shard wire ---
 
-type shardRegisterReq struct {
+type shardBeatReq struct {
 	Version int    `json:"v"`
 	Token   string `json:"token,omitempty"`
 	ID      string `json:"id"`
 	URL     string `json:"url"`
 }
 
-type shardRegisterResp struct {
-	Version int `json:"v"`
-	// Experiments is the shard's current assignment: the experiments it
-	// should run (the rest of the manifest stays dormant on it).
-	Experiments []string `json:"experiments"`
-	// HeartbeatMillis is the cadence the shard should beat at (a third
-	// of the liveness TTL).
-	HeartbeatMillis int64 `json:"heartbeatMs"`
-}
-
-type shardHeartbeatReq struct {
-	Version int    `json:"v"`
-	Token   string `json:"token,omitempty"`
-	ID      string `json:"id"`
-}
-
-type shardHeartbeatResp struct {
+type shardBeatResp struct {
 	Version int `json:"v"`
 	// Experiments is the shard's current assignment, restated on every
 	// beat — the only way a shard learns what it owns. A survivor finds
@@ -276,6 +256,9 @@ type shardHeartbeatResp struct {
 	// dead while partitioned finds its lost experiments missing on its
 	// first beat back and must stop running them (drop).
 	Experiments []string `json:"experiments"`
+	// HeartbeatMillis is the cadence the shard should beat at (a third
+	// of the liveness TTL).
+	HeartbeatMillis int64 `json:"heartbeatMs"`
 }
 
 // ShardStatus is one shard's row in the /v1/shards answer.
@@ -284,8 +267,8 @@ type ShardStatus struct {
 	URL        string `json:"url,omitempty"`
 	Registered bool   `json:"registered"`
 	Up         bool   `json:"up"`
-	// AgeMillis is how long ago the last heartbeat arrived (-1 before
-	// the first one).
+	// AgeMillis is how long ago the last beat arrived (-1 before the
+	// first one).
 	AgeMillis   int64    `json:"ageMs"`
 	Experiments []string `json:"experiments,omitempty"`
 }
@@ -297,40 +280,16 @@ type ShardsStatus struct {
 	Failovers int64         `json:"failovers"`
 }
 
-// shardAuth enforces the fleet admin token on the shard-facing
-// endpoints. Comparison is constant-time, like remote.go's adminAuth —
-// these endpoints guard the same fleet-wide secret.
-func (c *Coordinator) shardAuth(w http.ResponseWriter, token string) bool {
-	if c.opts.AdminToken == "" || subtle.ConstantTimeCompare([]byte(token), []byte(c.opts.AdminToken)) == 1 {
-		return true
-	}
-	reject(w, http.StatusUnauthorized, "bad or missing shard token")
-	return false
-}
-
-// workerScope mirrors Server.tokenScope for routing-time validation,
-// including its constant-time comparisons.
-func (c *Coordinator) workerScope(token string) (tenant string, scoped, ok bool) {
-	if c.opts.Token == "" && len(c.opts.TenantTokens) == 0 {
-		return "", false, true
-	}
-	if c.opts.Token != "" && subtle.ConstantTimeCompare([]byte(token), []byte(c.opts.Token)) == 1 {
-		return "", false, true
-	}
-	for t, tok := range c.opts.TenantTokens {
-		if tok != "" && subtle.ConstantTimeCompare([]byte(token), []byte(tok)) == 1 {
-			return t, true, true
-		}
-	}
-	return "", false, false
-}
-
-func (c *Coordinator) handleShardRegister(w http.ResponseWriter, r *http.Request) {
-	var req shardRegisterReq
+// handleShardBeat records a shard's beat and restates its assignment.
+// A beat from a shard the coordinator has not heard from yet — at boot,
+// or after the coordinator restarted — is no different from any other.
+func (c *Coordinator) handleShardBeat(w http.ResponseWriter, r *http.Request) {
+	var req shardBeatReq
 	if !decodePost(w, r, &req.Version, &req) {
 		return
 	}
-	if !c.shardAuth(w, req.Token) {
+	if c.opts.AdminToken != "" && !tokenIs(req.Token, c.opts.AdminToken) {
+		reject(w, http.StatusUnauthorized, "bad or missing shard token")
 		return
 	}
 	u, err := url.Parse(req.URL)
@@ -346,12 +305,11 @@ func (c *Coordinator) handleShardRegister(w http.ResponseWriter, r *http.Request
 		return
 	}
 	sh.url = strings.TrimSuffix(req.URL, "/")
-	sh.registered = true
 	sh.up = true
 	sh.lastBeat = time.Now()
 	assigned := c.assignedLocked(req.ID)
 	c.mu.Unlock()
-	reply(w, shardRegisterResp{
+	reply(w, shardBeatResp{
 		Version:         ProtocolVersion,
 		Experiments:     assigned,
 		HeartbeatMillis: (c.opts.ShardTTL / 3).Milliseconds(),
@@ -371,29 +329,6 @@ func (c *Coordinator) assignedLocked(shardID string) []string {
 	return out
 }
 
-func (c *Coordinator) handleShardHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req shardHeartbeatReq
-	if !decodePost(w, r, &req.Version, &req) {
-		return
-	}
-	if !c.shardAuth(w, req.Token) {
-		return
-	}
-	c.mu.Lock()
-	sh, known := c.shards[req.ID]
-	if !known || !sh.registered {
-		c.mu.Unlock()
-		// 410 tells the shard to re-register, mirroring the worker wire.
-		reject(w, http.StatusGone, "unknown shard; register again")
-		return
-	}
-	sh.lastBeat = time.Now()
-	sh.up = true
-	assigned := c.assignedLocked(req.ID)
-	c.mu.Unlock()
-	reply(w, shardHeartbeatResp{Version: ProtocolVersion, Experiments: assigned})
-}
-
 // handleWorkerRegister answers a worker's registration with a redirect
 // advert naming the shard that owns its experiments: the agent
 // re-registers against the advertised URL (agent.go follows the
@@ -403,19 +338,8 @@ func (c *Coordinator) handleWorkerRegister(w http.ResponseWriter, r *http.Reques
 	if !decodePost(w, r, &req.Version, &req) {
 		return
 	}
-	tenant, scoped, ok := c.workerScope(req.Token)
-	if !ok {
-		reject(w, http.StatusUnauthorized, "bad or missing worker token")
+	if _, _, ok := admitWorker(w, &req, c.opts.Token, c.opts.TenantTokens); !ok {
 		return
-	}
-	if scoped {
-		for _, e := range req.Experiments {
-			if TenantOf(e) != tenant {
-				reject(w, http.StatusForbidden,
-					fmt.Sprintf("experiment %q is outside tenant %q", e, tenant))
-				return
-			}
-		}
 	}
 	c.mu.Lock()
 	target := c.routeLocked(req.Experiments)
@@ -488,7 +412,7 @@ func (c *Coordinator) handleShards(w http.ResponseWriter, r *http.Request) {
 	}
 	if c.opts.AdminToken != "" {
 		token, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-		if !ok || subtle.ConstantTimeCompare([]byte(token), []byte(c.opts.AdminToken)) != 1 {
+		if !ok || !tokenIs(token, c.opts.AdminToken) {
 			reject(w, http.StatusUnauthorized, "bad or missing admin token")
 			return
 		}
@@ -501,7 +425,7 @@ func (c *Coordinator) handleShards(w http.ResponseWriter, r *http.Request) {
 		row := ShardStatus{
 			ID:          id,
 			URL:         sh.url,
-			Registered:  sh.registered,
+			Registered:  sh.url != "",
 			Up:          sh.up,
 			AgeMillis:   -1,
 			Experiments: c.assignedLocked(id),
@@ -533,7 +457,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		rows = append(rows, shardRow{id: id, up: boolGauge(sh.up), own: len(c.assignedLocked(id))})
 	}
 	c.mu.Unlock()
-	obs.PromHeader(&b, "asha_coord_shard_up", "gauge", "1 while the shard is registered and heartbeating.")
+	obs.PromHeader(&b, "asha_coord_shard_up", "gauge", "1 while the shard beats within its TTL.")
 	for _, row := range rows {
 		obs.PromSample(&b, "asha_coord_shard_up", []obs.Label{{Name: "shard", Value: row.id}}, row.up)
 	}
@@ -555,10 +479,10 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	streamEvents(w, r, c.bus, nil)
 }
 
-// sweepShards is the liveness sweeper: a registered shard silent past
-// the TTL is declared dead and its experiments are reassigned to live
-// shards by the same rendezvous hash. Each survivor learns of its new
-// experiments from its own next heartbeat reply.
+// sweepShards is the liveness sweeper: a shard silent past the TTL is
+// declared dead and its experiments are reassigned to live shards by
+// the same rendezvous hash. Each survivor learns of its new experiments
+// from its own next beat reply.
 func (c *Coordinator) sweepShards() {
 	defer close(c.sweepDone)
 	interval := c.opts.ShardTTL / 4
@@ -583,7 +507,7 @@ func (c *Coordinator) sweepOnce(now time.Time) {
 	c.mu.Lock()
 	for _, id := range c.opts.Shards {
 		sh := c.shards[id]
-		if sh.up && sh.registered && now.Sub(sh.lastBeat) > c.opts.ShardTTL {
+		if sh.up && now.Sub(sh.lastBeat) > c.opts.ShardTTL {
 			sh.up = false
 			deadIDs = append(deadIDs, id)
 		}
@@ -591,7 +515,7 @@ func (c *Coordinator) sweepOnce(now time.Time) {
 	if len(deadIDs) > 0 {
 		var live []string
 		for _, id := range c.opts.Shards {
-			if sh := c.shards[id]; sh.up && sh.registered {
+			if c.shards[id].up {
 				live = append(live, id)
 			}
 		}

@@ -1,8 +1,8 @@
 package remote
 
-// Coordinator-tier tests: rendezvous assignment, the shard
-// register/heartbeat wire, worker routing redirects, kill-free failover
-// via sweepOnce, and the agent's redirect-loop guard.
+// Coordinator-tier tests: rendezvous assignment, the shard beat wire,
+// worker routing redirects, kill-free failover via sweepOnce, and the
+// agent's redirect-loop guard.
 
 import (
 	"bytes"
@@ -67,11 +67,21 @@ func TestRendezvousOwnerStability(t *testing.T) {
 	}
 }
 
-// TestShardRegisterHeartbeatWire covers the shard side of the wire:
-// registration returns the rendezvous assignment and heartbeat cadence,
-// unknown shards are refused, and a heartbeat from an unregistered
-// shard answers 410 / errShardUnknown.
-func TestShardRegisterHeartbeatWire(t *testing.T) {
+// beatShard sends one shard beat as shardLink.beat does and returns the
+// reply's assignment and cadence.
+func beatShard(ctx context.Context, coordURL, id, selfURL, token string) ([]string, time.Duration, error) {
+	var br shardBeatResp
+	_, err := postJSON(ctx, http.DefaultClient, coordURL, "/v1/shard/beat",
+		shardBeatReq{Version: ProtocolVersion, Token: token, ID: id, URL: selfURL}, &br)
+	return br.Experiments, time.Duration(br.HeartbeatMillis) * time.Millisecond, err
+}
+
+// TestShardBeatWire covers the shard side of the wire: a beat returns
+// the rendezvous assignment and the beat cadence, a second beat restates
+// the assignment, an unknown shard, a bad token and a bad URL are each
+// refused with their own status, and the retired register/heartbeat
+// paths are gone.
+func TestShardBeatWire(t *testing.T) {
 	exps := []string{"team-a/cifar", "team-a/mnist", "team-b/lm", "solo"}
 	c, err := NewCoordinator(CoordinatorOptions{
 		Shards:      []string{"s1", "s2"},
@@ -85,18 +95,12 @@ func TestShardRegisterHeartbeatWire(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 
-	// Heartbeat before registration: the shard is known but not
-	// registered, so it must be told to register.
-	if _, err := shardHeartbeat(ctx, c.URL(), "s1", "fed-secret"); err != errShardUnknown {
-		t.Fatalf("pre-registration heartbeat: want errShardUnknown, got %v", err)
-	}
-
-	assigned, beat, err := registerShard(ctx, c.URL(), "s1", "http://127.0.0.1:1", "fed-secret")
+	assigned, beat, err := beatShard(ctx, c.URL(), "s1", "http://127.0.0.1:1", "fed-secret")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if beat <= 0 || beat >= time.Hour {
-		t.Fatalf("heartbeat cadence %v not in (0, TTL)", beat)
+		t.Fatalf("beat cadence %v not in (0, TTL)", beat)
 	}
 	want := map[string]bool{}
 	for _, e := range exps {
@@ -112,25 +116,39 @@ func TestShardRegisterHeartbeatWire(t *testing.T) {
 			t.Fatalf("s1 was assigned %q which rendezvous-hashes to the other shard", e)
 		}
 	}
-	// The heartbeat reply restates the assignment — the fencing signal a
-	// revived shard reconciles against.
-	beatAssigned, err := shardHeartbeat(ctx, c.URL(), "s1", "fed-secret")
+	// The next beat's reply restates the assignment — the fencing signal
+	// a revived shard reconciles against.
+	again, _, err := beatShard(ctx, c.URL(), "s1", "http://127.0.0.1:1", "fed-secret")
 	if err != nil {
-		t.Fatalf("heartbeat after registration: %v", err)
+		t.Fatalf("second beat: %v", err)
 	}
-	if fmt.Sprint(beatAssigned) != fmt.Sprint(assigned) {
-		t.Fatalf("heartbeat reply restated assignment %v, want the registration's %v", beatAssigned, assigned)
+	if fmt.Sprint(again) != fmt.Sprint(assigned) {
+		t.Fatalf("second beat restated assignment %v, want the first's %v", again, assigned)
 	}
 
-	// Unknown shard ID and bad token are both refused.
-	if _, _, err := registerShard(ctx, c.URL(), "rogue", "http://127.0.0.1:1", "fed-secret"); err == nil {
-		t.Fatal("registering an unknown shard ID succeeded")
+	// Unknown shard ID, bad token and bad URL are each refused.
+	for _, tc := range []struct {
+		what           string
+		id, url, token string
+		status         int
+	}{
+		{"an unknown shard ID", "rogue", "http://127.0.0.1:1", "fed-secret", http.StatusForbidden},
+		{"a bad admin token", "s2", "http://127.0.0.1:1", "wrong", http.StatusUnauthorized},
+		{"a bad shard URL", "s2", "not a url", "fed-secret", http.StatusBadRequest},
+	} {
+		var br shardBeatResp
+		status, err := postJSON(ctx, http.DefaultClient, c.URL(), "/v1/shard/beat",
+			shardBeatReq{Version: ProtocolVersion, Token: tc.token, ID: tc.id, URL: tc.url}, &br)
+		if err == nil || status != tc.status {
+			t.Errorf("beat with %s: status %d (%v), want %d", tc.what, status, err, tc.status)
+		}
 	}
-	if _, _, err := registerShard(ctx, c.URL(), "s2", "http://127.0.0.1:1", "wrong"); err == nil {
-		t.Fatal("registering with a bad admin token succeeded")
-	}
-	if _, _, err := registerShard(ctx, c.URL(), "s2", "not a url", "fed-secret"); err == nil {
-		t.Fatal("registering with a bad shard URL succeeded")
+	for _, path := range []string{"/v1/shard/register", "/v1/shard/heartbeat"} {
+		var br shardBeatResp
+		if status, _ := postJSON(ctx, http.DefaultClient, c.URL(), path,
+			shardBeatReq{Version: ProtocolVersion, Token: "fed-secret", ID: "s2", URL: "http://127.0.0.1:1"}, &br); status != http.StatusNotFound {
+			t.Errorf("POST %s: status %d, want 404", path, status)
+		}
 	}
 }
 
@@ -179,7 +197,7 @@ func TestCoordinatorWorkerRouting(t *testing.T) {
 
 	urls := map[string]string{"s1": "http://shard-one.test", "s2": "http://shard-two.test"}
 	for id, u := range urls {
-		if _, _, err := registerShard(ctx, c.URL(), id, u, "fed-secret"); err != nil {
+		if _, _, err := beatShard(ctx, c.URL(), id, u, "fed-secret"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,7 +280,7 @@ func TestCoordinatorWorkerRouting(t *testing.T) {
 	}
 }
 
-// TestCoordinatorFailover kills a shard (by silencing its heartbeat) and
+// TestCoordinatorFailover kills a shard (by silencing its beats) and
 // asserts the sweep declares it down, reassigns its experiments to the
 // survivor — whose next beat reply is where it learns them — publishes
 // the shard_down/failover events, and re-routes workers to the survivor.
@@ -284,10 +302,10 @@ func TestCoordinatorFailover(t *testing.T) {
 	ctx := context.Background()
 	sub := c.EventBus().Subscribe()
 
-	if _, _, err := registerShard(ctx, c.URL(), "s1", survivorURL, "fed-secret"); err != nil {
+	if _, _, err := beatShard(ctx, c.URL(), "s1", survivorURL, "fed-secret"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := registerShard(ctx, c.URL(), "s2", "http://127.0.0.1:1", "fed-secret"); err != nil {
+	if _, _, err := beatShard(ctx, c.URL(), "s2", "http://127.0.0.1:1", "fed-secret"); err != nil {
 		t.Fatal(err)
 	}
 	victims := map[string]bool{}
@@ -306,17 +324,17 @@ func TestCoordinatorFailover(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("failover did not happen: %d/%d experiments reassigned", c.Failovers(), len(victims))
 		}
-		if _, err := shardHeartbeat(ctx, c.URL(), "s1", "fed-secret"); err != nil {
-			t.Fatalf("survivor heartbeat: %v", err)
+		if _, _, err := beatShard(ctx, c.URL(), "s1", survivorURL, "fed-secret"); err != nil {
+			t.Fatalf("survivor beat: %v", err)
 		}
 		time.Sleep(ttl / 5)
 	}
 
 	// The survivor's next beat reply names every experiment, victims
 	// included: that reply is the whole of the failover a shard sees.
-	owned, err := shardHeartbeat(ctx, c.URL(), "s1", "fed-secret")
+	owned, _, err := beatShard(ctx, c.URL(), "s1", survivorURL, "fed-secret")
 	if err != nil {
-		t.Fatalf("survivor heartbeat: %v", err)
+		t.Fatalf("survivor beat: %v", err)
 	}
 	if len(owned) != len(exps) {
 		t.Fatalf("survivor's beat reply lists %v, want all of %v", owned, exps)
@@ -393,12 +411,12 @@ func TestCoordinatorFailover(t *testing.T) {
 	// assignment so it drops the experiments the survivor adopted —
 	// without this signal both shards would schedule the same
 	// experiments and append to the same journals.
-	revived, err := shardHeartbeat(ctx, c.URL(), "s2", "fed-secret")
+	revived, _, err := beatShard(ctx, c.URL(), "s2", "http://127.0.0.1:1", "fed-secret")
 	if err != nil {
-		t.Fatalf("revived shard heartbeat: %v", err)
+		t.Fatalf("revived shard beat: %v", err)
 	}
 	if len(revived) != 0 {
-		t.Errorf("revived s2's heartbeat still assigns it %v; the failed-over experiments belong to s1", revived)
+		t.Errorf("revived s2's beat still assigns it %v; the failed-over experiments belong to s1", revived)
 	}
 }
 

@@ -14,7 +14,6 @@ package remote
 // Manager's dispatch loop.
 
 import (
-	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -595,14 +594,12 @@ type AdminStatus struct {
 // token gets that tenant's scope. The check runs before any body
 // parsing, so malformed bodies can never bypass token scoping.
 func (s *Server) adminAuth(w http.ResponseWriter, r *http.Request) (tenant string, scoped, ok bool) {
-	auth := r.Header.Get("Authorization")
-	token, found := strings.CutPrefix(auth, "Bearer ")
-	if found {
-		if s.opts.AdminToken != "" && subtle.ConstantTimeCompare([]byte(token), []byte(s.opts.AdminToken)) == 1 {
+	if token, found := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer "); found {
+		if tokenIs(token, s.opts.AdminToken) {
 			return "", false, true
 		}
 		for t, tok := range s.opts.TenantAdminTokens {
-			if tok != "" && subtle.ConstantTimeCompare([]byte(token), []byte(tok)) == 1 {
+			if tokenIs(token, tok) {
 				return t, true, true
 			}
 		}

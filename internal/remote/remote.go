@@ -168,11 +168,11 @@ type Options struct {
 	// asha_shard_info{shard="..."} and reported in admin status.
 	ShardID string
 	// Coordinator, when non-empty, makes this server federated shard
-	// ShardID: once a control plane is attached it registers with the
-	// coordinator at this host:port (":port" is loopback), heartbeats,
-	// and adopts and drops experiments through the control plane as each
-	// reply restates its assignment, self-fencing when the link is lost
-	// (shard.go). It presents AdminToken to the coordinator.
+	// ShardID: once a control plane is attached it beats to the
+	// coordinator at this host:port (":port" is loopback) and adopts and
+	// drops experiments through the control plane as each reply restates
+	// its assignment, self-fencing when the link is lost (shard.go). It
+	// presents AdminToken to the coordinator.
 	Coordinator string
 	// TenantTokens maps tenant namespace -> worker token for multi-tenant
 	// fleets. A worker registering with a tenant's token is scoped to
@@ -750,50 +750,71 @@ func decodePost(w http.ResponseWriter, r *http.Request, version *int, v interfac
 	return true
 }
 
-// decode is decodePost plus the worker token check.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, version *int, token *string, v interface{}) bool {
-	if !decodePost(w, r, version, v) {
+// decodeWorker is decodePost plus the credential check for a registered
+// worker's request: a bad token is a 401, and so is a token of another
+// scope than the worker registered under, so one tenant's credential
+// can never settle or extend another tenant's leases.
+func (s *Server) decodeWorker(w http.ResponseWriter, r *http.Request, req *streamReq) bool {
+	if !decodePost(w, r, &req.Version, req) {
 		return false
 	}
-	if _, _, ok := s.tokenScope(*token); !ok {
+	tenant, scoped, ok := tokenScope(req.Token, s.opts.Token, s.opts.TenantTokens)
+	if !ok {
 		reject(w, http.StatusUnauthorized, "bad or missing worker token")
+		return false
+	}
+	// An unknown worker passes: it fails the usual unknown-worker paths
+	// (410, lease-owner mismatch) downstream.
+	s.mu.Lock()
+	wi, known := s.workers[req.WorkerID]
+	s.mu.Unlock()
+	if known && (wi.scoped != scoped || wi.tenant != tenant) {
+		reject(w, http.StatusUnauthorized, "token scope does not match worker registration")
 		return false
 	}
 	return true
 }
 
-// tokenScope classifies a presented worker token: the fleet Token (or
-// an open server) grants unscoped access, a tenant token grants access
-// scoped to its tenant, anything else is rejected. Comparisons are
-// constant-time so token checking leaks no prefix information.
-func (s *Server) tokenScope(token string) (tenant string, scoped, ok bool) {
-	if s.opts.Token == "" && len(s.opts.TenantTokens) == 0 {
+// tokenIs reports, in constant time so a check leaks no prefix of the
+// secret, whether got is the credential want. An unset credential
+// (want == "") matches nothing.
+func tokenIs(got, want string) bool {
+	return want != "" && subtle.ConstantTimeCompare([]byte(got), []byte(want)) == 1
+}
+
+// tokenScope classifies a presented worker token against the fleet
+// token and the tenant tokens — a Server's, or a Coordinator's mirror
+// of them for routing: the fleet token (or no credential configured)
+// grants unscoped access, a tenant token access scoped to its tenant,
+// anything else is rejected.
+func tokenScope(token, fleet string, tenants map[string]string) (tenant string, scoped, ok bool) {
+	if fleet == "" && len(tenants) == 0 || tokenIs(token, fleet) {
 		return "", false, true
 	}
-	if s.opts.Token != "" && subtle.ConstantTimeCompare([]byte(token), []byte(s.opts.Token)) == 1 {
-		return "", false, true
-	}
-	for t, tok := range s.opts.TenantTokens {
-		if tok != "" && subtle.ConstantTimeCompare([]byte(token), []byte(tok)) == 1 {
+	for t, tok := range tenants {
+		if tokenIs(token, tok) {
 			return t, true, true
 		}
 	}
 	return "", false, false
 }
 
-// scopeOK reports whether a request presenting the given token scope
-// may drive workerID: the scope must match the one the worker
-// registered under, so one tenant's credential can never settle or
-// extend another tenant's leases. Unknown workers pass — they fail the
-// usual unknown-worker paths (410, lease-owner mismatch) downstream.
-func (s *Server) scopeOK(workerID, tenant string, scoped bool) bool {
-	s.mu.Lock()
-	wi, known := s.workers[workerID]
-	s.mu.Unlock()
-	if !known {
-		return true
+// admitWorker checks a registering worker's credentials, writing the
+// rejection itself: 401 for a bad token, 403 for a tenant-scoped worker
+// asking for another tenant's experiment — refused here, where it
+// would otherwise just starve.
+func admitWorker(w http.ResponseWriter, req *registerReq, fleet string, tenants map[string]string) (tenant string, scoped, ok bool) {
+	if tenant, scoped, ok = tokenScope(req.Token, fleet, tenants); !ok {
+		reject(w, http.StatusUnauthorized, "bad or missing worker token")
+		return "", false, false
 	}
-	return wi.scoped == scoped && wi.tenant == tenant
+	for _, e := range req.Experiments {
+		if scoped && TenantOf(e) != tenant {
+			reject(w, http.StatusForbidden, fmt.Sprintf("experiment %q is outside tenant %q", e, tenant))
+			return "", false, false
+		}
+	}
+	return tenant, scoped, true
 }
 
 func reject(w http.ResponseWriter, status int, msg string) {
@@ -809,20 +830,12 @@ func reply(w http.ResponseWriter, v interface{}) {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerReq
-	if !s.decode(w, r, &req.Version, &req.Token, &req) {
+	if !decodePost(w, r, &req.Version, &req) {
 		return
 	}
-	tenant, scoped, _ := s.tokenScope(req.Token)
-	if scoped {
-		// Fail fast at registration: a tenant-scoped worker asking for
-		// another tenant's experiments would otherwise just starve.
-		for _, e := range req.Experiments {
-			if TenantOf(e) != tenant {
-				reject(w, http.StatusForbidden,
-					fmt.Sprintf("experiment %q is outside tenant %q", e, tenant))
-				return
-			}
-		}
+	tenant, scoped, ok := admitWorker(w, &req, s.opts.Token, s.opts.TenantTokens)
+	if !ok {
+		return
 	}
 	s.mu.Lock()
 	s.nextWorker++
@@ -991,11 +1004,7 @@ func (s *Server) matchLocked(experiments []string, wi workerInfo) int {
 // is a 400 that settles nothing.
 func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	var req streamReq
-	if !s.decode(w, r, &req.Version, &req.Token, &req) {
-		return
-	}
-	if tenant, scoped, _ := s.tokenScope(req.Token); !s.scopeOK(req.WorkerID, tenant, scoped) {
-		reject(w, http.StatusUnauthorized, "token scope does not match worker registration")
+	if !s.decodeWorker(w, r, &req) {
 		return
 	}
 	want := byte(frameReports)

@@ -127,6 +127,40 @@ func TestRejectsBadTokenAndVersion(t *testing.T) {
 	}
 }
 
+// TestTenantOnlyCredentialsAuthenticate: with tenant credentials and no
+// fleet-wide one, the unset fleet credential matches nothing. A
+// stranger's worker token is refused by the server and the coordinator
+// alike, and a stranger's admin token by the admin plane; each tenant's
+// own credentials pass.
+func TestTenantOnlyCredentialsAuthenticate(t *testing.T) {
+	tenants := map[string]string{"team-a": "a-token"}
+	srv, err := NewServer(Options{TenantTokens: tenants, TenantAdminTokens: map[string]string{"team-a": "a-admin"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := NewCoordinator(CoordinatorOptions{Shards: []string{"s1"}, TenantTokens: tenants})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if status, _ := rawPost(t, srv.URL(), "/v1/register", registerReq{Version: ProtocolVersion, Token: "wrong"}); status != http.StatusUnauthorized {
+		t.Fatalf("server: a stranger's worker token: status %d, want 401", status)
+	}
+	if _, status := postWorkerRegister(t, c.URL(), registerReq{Version: ProtocolVersion, Token: "wrong"}); status != http.StatusUnauthorized {
+		t.Fatalf("coordinator: a stranger's worker token: status %d, want 401", status)
+	}
+	if status, _ := adminPost(t, srv.URL(), "wrong", "status", ""); status != http.StatusUnauthorized {
+		t.Fatalf("a stranger's admin token: status %d, want 401", status)
+	}
+	if status, _ := rawPost(t, srv.URL(), "/v1/register", registerReq{Version: ProtocolVersion, Token: "a-token"}); status != http.StatusOK {
+		t.Fatalf("team-a's worker token: status %d, want 200", status)
+	}
+	if status, _ := adminPost(t, srv.URL(), "a-admin", "status", ""); status != http.StatusOK {
+		t.Fatalf("team-a's admin token: status %d, want 200", status)
+	}
+}
+
 // TestOversizedBodiesRefused proves a POST body is bounded before it is
 // decoded: a registration whose name runs past maxPostBody, or a report
 // whose frame does, is refused 413 — and the refused registration

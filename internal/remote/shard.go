@@ -1,15 +1,17 @@
 package remote
 
 // A federated tuner shard's half of ownership (shard.go). A Server whose
-// Options name a Coordinator registers as ShardID once a control plane
-// is attached, then heartbeats every TTL/3. Each reply restates what the
-// shard owns, and the link converges the control plane on it in-process
-// — adopting what appeared, dropping what vanished. It is the only way a
-// shard gains or loses an experiment: at boot, after a failover, after a
-// self-fence. The fence is the holder's half of a lease (Gray &
-// Cheriton, SOSP '89): a successful beat sent at t holds the shard's
-// experiments until t+TTL, when a timer drops them unless a later beat
-// got through, and no call the link makes may outlast that deadline.
+// Options name a Coordinator beats as ShardID once a control plane is
+// attached: one idempotent message, {id, url}, every registerRetry
+// until a reply names the cadence, TTL/3, and at that cadence after.
+// Each reply restates what the shard owns, and the link converges the
+// control plane on it in-process — adopting what appeared, dropping
+// what vanished. It is the only way a shard gains or loses an
+// experiment: at boot, after a failover, after a self-fence. The fence
+// is the holder's half of a lease (Gray & Cheriton, SOSP '89): a
+// successful beat sent at t holds the shard's experiments until t+TTL,
+// when a timer drops them unless a later beat got through, and no call
+// the link makes may outlast that deadline.
 // DESIGN.md, "Fencing", has the timeline against the coordinator's.
 
 import (
@@ -22,8 +24,8 @@ import (
 	"time"
 )
 
-// registerRetry paces registration attempts until the coordinator has
-// answered one and named the heartbeat cadence.
+// registerRetry paces beats until a reply from the coordinator has
+// named the cadence.
 const registerRetry = 500 * time.Millisecond
 
 // ErrAlreadyActive is what a ControlPlane's Adopt wraps when the
@@ -39,7 +41,7 @@ type shardLink struct {
 	cancel context.CancelFunc
 
 	coord, self string          // coordinator and advertised base URLs
-	registered  bool            // the coordinator has answered a registration
+	every       time.Duration   // the beat cadence last applied; zero before
 	quiet       bool            // the link's failure is logged until a beat succeeds
 	ttl         time.Duration   // the lease one successful beat buys: three beats
 	fenceAt     time.Time       // when that lease lapses; zero once fenced
@@ -55,8 +57,8 @@ func baseURL(addr string) string {
 	return "http://" + addr
 }
 
-// run is the link's loop: register at once, then beat on every tick and
-// fence when the last successful beat's lease lapses.
+// run is the link's loop: beat at once, then on every tick, and fence
+// when the last successful beat's lease lapses.
 func (l *shardLink) run() {
 	// Advertise what ashad always has: the listen host on the bound port.
 	_, port, _ := net.SplitHostPort(l.srv.ln.Addr().String())
@@ -80,8 +82,10 @@ func (l *shardLink) run() {
 	}
 }
 
-// beat sends one heartbeat — or a registration, first and whenever the
-// coordinator has forgotten this shard — and applies the reply.
+// beat sends one beat and applies the reply. A coordinator that
+// restarted learns the shard again from it; the assignment it hands
+// back then is a fresh rendezvous over the full shard set, which may
+// disagree with post-failover reality.
 func (l *shardLink) beat(tick *time.Ticker) {
 	sent := time.Now()
 	deadline := sent.Add(l.ttl)
@@ -90,32 +94,24 @@ func (l *shardLink) beat(tick *time.Ticker) {
 	}
 	ctx, cancel := context.WithDeadline(l.ctx, deadline)
 	defer cancel()
-	id, token := l.srv.opts.ShardID, l.srv.opts.AdminToken
-	var assigned []string
-	err := errShardUnknown
-	if l.registered {
-		assigned, err = shardHeartbeat(ctx, l.coord, id, token)
-	}
-	if errors.Is(err, errShardUnknown) {
-		// First contact, or a restarted coordinator forgot us: the
-		// assignment it hands back is a fresh rendezvous over the full
-		// shard set, which may disagree with post-failover reality.
-		var every time.Duration
-		if assigned, every, err = registerShard(ctx, l.coord, id, l.self, token); err == nil {
-			l.registered, l.ttl = true, 3*every
-			tick.Reset(every)
-		}
-	}
+	var br shardBeatResp
+	_, err := postJSON(ctx, http.DefaultClient, l.coord, "/v1/shard/beat", shardBeatReq{
+		Version: ProtocolVersion, Token: l.srv.opts.AdminToken, ID: l.srv.opts.ShardID, URL: l.self,
+	}, &br)
 	if err != nil {
 		if !l.quiet && l.ctx.Err() == nil {
-			log.Printf("remote: shard %s: coordinator link: %v (retrying)", id, err)
+			log.Printf("remote: shard %s: coordinator link: %v (retrying)", l.srv.opts.ShardID, err)
 		}
 		l.quiet = true
 		return
 	}
 	l.quiet = false
+	if every := time.Duration(br.HeartbeatMillis) * time.Millisecond; every > 0 && every != l.every {
+		l.every, l.ttl = every, 3*every
+		tick.Reset(every)
+	}
 	l.arm(sent.Add(l.ttl))
-	l.reconcile(assigned)
+	l.reconcile(br.Experiments)
 }
 
 // arm (re)starts the fence timer for at.
@@ -174,36 +170,4 @@ func (l *shardLink) reconcile(target []string) {
 		log.Printf("remote: shard %s dropped %q (owned elsewhere now)", l.srv.opts.ShardID, e)
 	}
 	l.owned = owned
-}
-
-// errShardUnknown is shardHeartbeat's answer when the coordinator no
-// longer knows the shard (e.g. the coordinator restarted).
-var errShardUnknown = errors.New("remote: coordinator does not know this shard; register again")
-
-// registerShard announces a tuner shard to the coordinator and returns
-// the experiments it currently owns plus the heartbeat cadence.
-func registerShard(ctx context.Context, coordinatorURL, shardID, selfURL, adminToken string) ([]string, time.Duration, error) {
-	var sr shardRegisterResp
-	if _, err := postJSON(ctx, http.DefaultClient, coordinatorURL, "/v1/shard/register", shardRegisterReq{
-		Version: ProtocolVersion, Token: adminToken, ID: shardID, URL: selfURL,
-	}, &sr); err != nil {
-		return nil, 0, err
-	}
-	beat := time.Duration(sr.HeartbeatMillis) * time.Millisecond
-	if beat <= 0 {
-		beat = DefaultShardTTL / 3
-	}
-	return sr.Experiments, beat, nil
-}
-
-// shardHeartbeat sends one liveness beat and returns the shard's
-// current assignment as the coordinator restates it.
-func shardHeartbeat(ctx context.Context, coordinatorURL, shardID, adminToken string) ([]string, error) {
-	var hr shardHeartbeatResp
-	status, err := postJSON(ctx, http.DefaultClient, coordinatorURL, "/v1/shard/heartbeat",
-		shardHeartbeatReq{Version: ProtocolVersion, Token: adminToken, ID: shardID}, &hr)
-	if status == http.StatusGone {
-		return nil, errShardUnknown
-	}
-	return hr.Experiments, err
 }

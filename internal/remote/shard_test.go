@@ -243,8 +243,8 @@ func ownedBy(t *testing.T, exps, shards []string) map[string][]string {
 
 var linkExps = []string{"team-a/cifar", "team-a/mnist", "team-b/lm", "solo", "wide", "deep"}
 
-// TestShardBootAdoptsItsAssignment: the registration reply is enough —
-// the shard adopts its slice before its first heartbeat, once each, and
+// TestShardBootAdoptsItsAssignment: the first beat's reply is enough —
+// the shard adopts its slice before its second beat, once each, and
 // nothing else.
 func TestShardBootAdoptsItsAssignment(t *testing.T) {
 	own := ownedBy(t, linkExps, []string{"s1", "s2"})
@@ -258,7 +258,7 @@ func TestShardBootAdoptsItsAssignment(t *testing.T) {
 			t.Fatalf("%s adopted %d times, want once", e, len(got))
 		}
 		if d := got[0].at.Sub(start); d >= linkTTL/3 {
-			t.Errorf("%s adopted %v after start, later than the first heartbeat could be", e, d)
+			t.Errorf("%s adopted %v after start, later than the second beat could be", e, d)
 		}
 	}
 	time.Sleep(linkTTL) // three beats restating the same assignment
@@ -393,5 +393,52 @@ func TestShardFencesWhenTheLinkDies(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShardSurvivesCoordinatorRestart: a coordinator that restarts on
+// the same address knows no shard until it hears one; the shard's next
+// beat must make it up again with its URL, and the shard must keep its
+// assignment throughout — no drop, no re-adopt, no fence.
+func TestShardSurvivesCoordinatorRestart(t *testing.T) {
+	const ttl = 600 * time.Millisecond // room for the restart inside one lease
+	own := ownedBy(t, linkExps, []string{"s1", "s2"})["s1"]
+	opts := CoordinatorOptions{Shards: []string{"s1", "s2"}, Experiments: linkExps, ShardTTL: ttl, AdminToken: "fed"}
+	c, err := NewCoordinator(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := startShard(t, c, "s1", newFakeControl())
+	waitUntil(t, "boot adoption", func() bool { return len(sh.cp.calls(0, "adopt", "*")) == len(own) })
+	c.mu.Lock()
+	url := c.shards["s1"].url
+	c.mu.Unlock()
+	if url == "" {
+		t.Fatal("the first coordinator never recorded the shard's URL")
+	}
+
+	from := sh.cp.mark()
+	opts.Listen = c.ln.Addr().String()
+	c.Close()
+	c, err = NewCoordinator(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	waitUntil(t, "the restarted coordinator to hear s1", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.shards["s1"].up
+	})
+	c.mu.Lock()
+	got := c.shards["s1"].url
+	c.mu.Unlock()
+	if got != url {
+		t.Errorf("restarted coordinator has s1 at %q, want %q", got, url)
+	}
+	n, _ := sh.link.stats()
+	waitUntil(t, "three beats to the restarted coordinator", func() bool { m, _ := sh.link.stats(); return m >= n+3 })
+	if calls := append(sh.cp.calls(from, "adopt", "*"), sh.cp.calls(from, "drop", "*")...); len(calls) != 0 {
+		t.Fatalf("the shard changed its assignment across the restart: %v", calls)
 	}
 }

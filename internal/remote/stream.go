@@ -83,11 +83,7 @@ type streamConn struct {
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	var req streamReq
-	if !s.decode(w, r, &req.Version, &req.Token, &req) {
-		return
-	}
-	if tenant, scoped, _ := s.tokenScope(req.Token); !s.scopeOK(req.WorkerID, tenant, scoped) {
-		reject(w, http.StatusUnauthorized, "token scope does not match worker registration")
+	if !s.decodeWorker(w, r, &req) {
 		return
 	}
 	s.mu.Lock()

@@ -427,14 +427,15 @@ func (t *Trial) Restore(s TrialState) {
 // state, as PBT's explore step does after inheriting weights. Under a
 // benchmark with non-zero Plasticity, each mid-training switch degrades
 // the achievable asymptote in proportion to the resource already
-// consumed (see Calibration.Plasticity).
+// consumed (see Calibration.Plasticity). The trial keeps cfg, not a
+// copy, as InitTrial does.
 func (t *Trial) SetConfig(cfg searchspace.Config) {
 	cal := t.bench.cal
 	if cal.Plasticity > 0 && t.trainer.Resource() > 0 {
 		t.handicap += cal.Plasticity * (t.trainer.Resource() / t.bench.maxResource) *
 			(cal.WorstLoss - cal.BestLoss)
 	}
-	t.cfg = cfg.Clone()
+	t.cfg = cfg
 	p := t.bench.ParamsFor(cfg)
 	p.Asymptote += t.handicap
 	t.trainer.SetParams(p)
