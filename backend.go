@@ -93,7 +93,8 @@ type Remote struct {
 	// worker must present.
 	Token string
 	// LeaseTTL is how long a leased job survives without a worker
-	// heartbeat before it is requeued (default 15s).
+	// heartbeat before it is requeued (default 15s). Under 30ms is
+	// refused: workers beat every TTL/3, at least 10ms apart.
 	LeaseTTL time.Duration
 	// MaxLeases is the run's capacity, for a Tuner and a Manager alike:
 	// both the cap on concurrently leased jobs and the engine's in-flight
@@ -122,7 +123,8 @@ type Remote struct {
 	// advertised at registration: the longest a completed result waits
 	// in a worker's report buffer for batch-mates (default 25ms;
 	// workers also flush early on a full batch or an empty pipeline,
-	// and with no BatchSize set never wait).
+	// and with no BatchSize set never wait). It travels in whole
+	// milliseconds, so a positive value under 1ms is refused.
 	FlushInterval time.Duration
 	// OnListen, if set, is called once with the server's base URL (e.g.
 	// "http://127.0.0.1:8700") when the run is whole — every experiment

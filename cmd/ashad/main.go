@@ -157,7 +157,7 @@ type fedSpec struct {
 	Shards []shardSpec `json:"shards"`
 	// TTLMillis is the shard heartbeat liveness window in milliseconds
 	// (default 5000): a shard silent this long is declared dead and its
-	// experiments fail over to the survivors.
+	// experiments fail over to the survivors. Under 30 is refused.
 	TTLMillis int `json:"ttlMs,omitempty"`
 }
 
@@ -173,7 +173,8 @@ type remoteSpec struct {
 	Listen string `json:"listen"`
 	// Token is the shared worker-auth secret (optional).
 	Token string `json:"token,omitempty"`
-	// LeaseTTLMillis is the lease TTL in milliseconds (default 15000).
+	// LeaseTTLMillis is the lease TTL in milliseconds (default 15000;
+	// under 30 is refused).
 	LeaseTTLMillis int `json:"leaseTTLms,omitempty"`
 	// MaxLeases is both the lease cap and the engine's in-flight budget
 	// across all experiments (default: workers).
@@ -188,7 +189,8 @@ type remoteSpec struct {
 	// slots (default 0).
 	Prefetch int `json:"prefetch,omitempty"`
 	// FlushMillis is the fleet-wide report-flush deadline in
-	// milliseconds (default 25).
+	// milliseconds (default 25 when unset or 0). The wire carries whole
+	// milliseconds, so 1 is the least.
 	FlushMillis int `json:"flushMs,omitempty"`
 	// Metrics enables GET /metrics (Prometheus text format) on the
 	// embedded server.

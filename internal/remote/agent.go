@@ -117,11 +117,12 @@ type agent struct {
 	// survivor.
 	server atomic.Value
 	home   string
-	// regMu single-flights (re-)registration; worker and ttl are read
-	// under mu by the pipeline goroutines.
+	// regMu single-flights (re-)registration; worker is read under mu
+	// by the pipeline goroutines. beat is the heartbeat's ticker: each
+	// registration sets it to the cadence its lease TTL gives.
 	regMu  sync.Mutex
 	worker string
-	ttl    time.Duration
+	beat   *time.Ticker
 	// The fleet's batching parameters, as the server advertised them at
 	// the first registration (Options.BatchSize, Prefetch, FlushInterval):
 	// batch caps the jobs asked for per lease poll and is the report-flush
@@ -295,13 +296,6 @@ func (a *agent) workerID() string {
 	return a.worker
 }
 
-// leaseTTL returns the lease TTL of the current registration.
-func (a *agent) leaseTTL() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.ttl
-}
-
 // curStream returns the live binary stream, or nil if there is none
 // (never dialed, or the last one died — the fetcher will redial).
 func (a *agent) curStream() *binStream {
@@ -433,7 +427,6 @@ func (a *agent) register(ctx context.Context, staleID string) error {
 	}
 	deadline := time.Now().Add(a.o.RegisterTimeout)
 	origin := a.serverURL()
-	var lastErr error
 	hops := 0
 	for {
 		var resp registerResp
@@ -453,9 +446,10 @@ func (a *agent) register(ctx context.Context, staleID string) error {
 			continue
 		}
 		if err == nil {
-			ttl := time.Duration(resp.LeaseTTLMillis) * time.Millisecond
-			if ttl <= 0 {
-				ttl = 15 * time.Second
+			t, err := timingFor(time.Duration(resp.LeaseTTLMillis)*time.Millisecond, 0,
+				time.Duration(resp.FlushMillis)*time.Millisecond)
+			if err != nil {
+				return fmt.Errorf("remote: agent refuses the advert of %s: %w", a.serverURL(), err)
 			}
 			a.mu.Lock()
 			if staleID != "" {
@@ -473,13 +467,17 @@ func (a *agent) register(ctx context.Context, staleID string) error {
 				}
 			}
 			a.worker = resp.WorkerID
-			a.ttl = ttl
+			if a.beat == nil {
+				a.beat = time.NewTicker(t.leaseBeat)
+			} else {
+				a.beat.Reset(t.leaseBeat)
+			}
 			if staleID == "" {
 				// The first advert sizes the pipeline's queues, which a
 				// re-registration finds built and its stages reading these.
 				a.batch = max(resp.BatchSize, 0)
 				a.prefetch = max(resp.Prefetch, 0)
-				a.flushInt = max(time.Duration(resp.FlushMillis)*time.Millisecond, 0)
+				a.flushInt = t.flush
 			}
 			a.mu.Unlock()
 			return nil
@@ -490,12 +488,11 @@ func (a *agent) register(ctx context.Context, staleID string) error {
 			// immediately instead of after the full retry window.
 			return fmt.Errorf("remote: agent rejected by %s: %w", a.serverURL(), err)
 		}
-		lastErr = err
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("remote: agent failed to register with %s: %w", a.serverURL(), lastErr)
+			return fmt.Errorf("remote: agent failed to register with %s: %w", a.serverURL(), err)
 		}
 		// A dead hop — typically a coordinator advert for a shard that
 		// crashed and has not been failed over yet. Fall back to the
@@ -1020,15 +1017,11 @@ func (a *agent) releaseAll(pending []*heldLease) {
 }
 
 // heartbeatLoop extends every lease this worker holds — queued,
-// running, and completed-unflushed — at TTL/3 cadence.
+// running, and completed-unflushed — on a.beat, at the cadence
+// timingFor gives the current registration's lease TTL.
 func (a *agent) heartbeatLoop(ctx context.Context, stop, done chan struct{}) {
 	defer close(done)
-	interval := a.leaseTTL() / 3
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
+	defer a.beat.Stop()
 	var leases []uint64
 	var enc []byte
 	for {
@@ -1037,7 +1030,7 @@ func (a *agent) heartbeatLoop(ctx context.Context, stop, done chan struct{}) {
 			return
 		case <-ctx.Done():
 			return
-		case <-tick.C:
+		case <-a.beat.C:
 			a.mu.Lock()
 			leases = leases[:0]
 			for id := range a.held {

@@ -20,8 +20,9 @@ package remote
 //	/v1/register   — workers: answered with a redirect advert naming
 //	                 the owning shard's base URL; the agent
 //	                 re-registers there (agent.go)
-//	/v1/shard/beat — shards: {id, url} every TTL/3, answered with the
-//	                 shard's assignment and the beat cadence; a shard
+//	/v1/shard/beat — shards: {id, url}, answered with the shard's
+//	                 assignment and the TTL, from which the shard
+//	                 derives its cadence and fence (timingFor); a shard
 //	                 silent past the TTL is declared dead and failed
 //	                 over. The beat is idempotent: the first one
 //	                 announces the shard, and a restarted coordinator
@@ -31,9 +32,9 @@ package remote
 // plus the usual /metrics and /v1/events planes. The coordinator never
 // calls a shard: failover only rewrites the assignment table, and a
 // survivor learns it owns an experiment from its own next beat reply,
-// at most TTL/3 after the death declaration (shard.go). It then
-// recovers the experiment from its journal via the same replay
-// machinery a restart uses; exactly-once holds because the survivor's
+// at most one beat interval after the death declaration (shard.go,
+// timing.go). It then recovers the experiment from its journal via the
+// same replay machinery a restart uses; exactly-once holds because the survivor's
 // lease generation is seeded past the dead shard's (remote.go,
 // nextLease) and redirected workers re-register, purging stale leases.
 //
@@ -41,11 +42,12 @@ package remote
 // the old owner scheduling experiments a survivor has adopted, so
 // ownership is fenced from both ends: a revived shard drops what its
 // beat reply no longer lists, and a shard whose last successful beat
-// was *sent* at t drops everything at t+TTL unless another beat got
-// through (shard.go). The coordinator's clock starts when it *receives*
-// that beat, no earlier than t, and declares death no sooner than TTL
-// later, so the owner has stopped appending to the shared journal
-// before any survivor is told to adopt it.
+// was *sent* at t drops everything at t plus the TTL its reply named —
+// ShardTTL cut to whole milliseconds, so never later than t+ShardTTL —
+// unless another beat got through (shard.go). The coordinator's clock
+// starts when it *receives* that beat, no earlier than t, and declares
+// death no sooner than TTL later, so the owner has stopped appending to
+// the shared journal before any survivor is told to adopt it.
 
 import (
 	"context"
@@ -78,7 +80,8 @@ type CoordinatorOptions struct {
 	// Experiments is the full experiment list of the deployment; each
 	// is assigned an owning shard by rendezvous hashing at startup.
 	Experiments []string
-	// ShardTTL is the beat liveness window (default DefaultShardTTL).
+	// ShardTTL is the beat liveness window (default DefaultShardTTL;
+	// under 30ms is refused, see timingFor).
 	ShardTTL time.Duration
 	// AdminToken authenticates the shards' beats and gates /v1/shards —
 	// the one fleet-internal secret, the same Options.AdminToken every
@@ -107,22 +110,21 @@ type coordShard struct {
 // Coordinator is the federated control-plane tier. See the package
 // comment at the top of this file.
 type Coordinator struct {
-	opts CoordinatorOptions
-	ln   net.Listener
-	hs   *http.Server
-	bus  *obs.Bus
+	opts   CoordinatorOptions
+	timing timing // from opts.ShardTTL (timing.go)
+	ln     net.Listener
+	hs     *http.Server
+	bus    *obs.Bus
 
 	mu     sync.Mutex
 	shards map[string]*coordShard
 	assign map[string]string // experiment -> owning shard ID
-	closed bool
 
 	redirects  atomic.Int64 // workers routed to a shard
 	failovers  atomic.Int64 // experiments reassigned off dead shards
 	shardsDown atomic.Int64 // shard death declarations
 
-	sweepStop chan struct{}
-	sweepDone chan struct{}
+	stopSweep func() // stops the liveness sweeper (sweepEvery), once
 }
 
 // NewCoordinator starts a coordinator listening on opts.Listen.
@@ -130,8 +132,9 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if opts.Listen == "" {
 		opts.Listen = "127.0.0.1:0"
 	}
-	if opts.ShardTTL <= 0 {
-		opts.ShardTTL = DefaultShardTTL
+	timing, err := timingFor(0, opts.ShardTTL, 0)
+	if err != nil {
+		return nil, err
 	}
 	if len(opts.Shards) == 0 {
 		return nil, fmt.Errorf("remote: coordinator needs at least one shard")
@@ -151,13 +154,12 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		return nil, fmt.Errorf("remote: coordinator listen on %s: %w", opts.Listen, err)
 	}
 	c := &Coordinator{
-		opts:      opts,
-		ln:        ln,
-		bus:       obs.NewBus(opts.EventBuffer),
-		shards:    make(map[string]*coordShard, len(opts.Shards)),
-		assign:    make(map[string]string, len(opts.Experiments)),
-		sweepStop: make(chan struct{}),
-		sweepDone: make(chan struct{}),
+		opts:   opts,
+		timing: timing,
+		ln:     ln,
+		bus:    obs.NewBus(opts.EventBuffer),
+		shards: make(map[string]*coordShard, len(opts.Shards)),
+		assign: make(map[string]string, len(opts.Experiments)),
 	}
 	for _, id := range opts.Shards {
 		c.shards[id] = &coordShard{id: id}
@@ -173,7 +175,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	mux.HandleFunc("/v1/events", c.handleEvents)
 	c.hs = &http.Server{Handler: mux}
 	go func() { _ = c.hs.Serve(ln) }()
-	go c.sweepShards()
+	c.stopSweep = sweepEvery(timing.shardSweep, c.sweepOnce)
 	return c, nil
 }
 
@@ -193,17 +195,9 @@ func (c *Coordinator) EventBus() *obs.Bus { return c.bus }
 func (c *Coordinator) Failovers() int { return int(c.failovers.Load()) }
 
 // Close shuts the coordinator down: the sweeper stops and the listener
-// closes.
+// closes. It is idempotent.
 func (c *Coordinator) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	close(c.sweepStop)
-	<-c.sweepDone
+	c.stopSweep()
 	c.bus.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -256,9 +250,9 @@ type shardBeatResp struct {
 	// dead while partitioned finds its lost experiments missing on its
 	// first beat back and must stop running them (drop).
 	Experiments []string `json:"experiments"`
-	// HeartbeatMillis is the cadence the shard should beat at (a third
-	// of the liveness TTL).
-	HeartbeatMillis int64 `json:"heartbeatMs"`
+	// TTLMillis is the shard TTL in whole milliseconds: the shard runs
+	// timingFor on it for its beat cadence and its fence.
+	TTLMillis int64 `json:"ttlMs"`
 }
 
 // ShardStatus is one shard's row in the /v1/shards answer.
@@ -310,9 +304,9 @@ func (c *Coordinator) handleShardBeat(w http.ResponseWriter, r *http.Request) {
 	assigned := c.assignedLocked(req.ID)
 	c.mu.Unlock()
 	reply(w, shardBeatResp{
-		Version:         ProtocolVersion,
-		Experiments:     assigned,
-		HeartbeatMillis: (c.opts.ShardTTL / 3).Milliseconds(),
+		Version:     ProtocolVersion,
+		Experiments: assigned,
+		TTLMillis:   c.timing.shardTTL.Milliseconds(),
 	})
 }
 
@@ -446,25 +440,15 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	var b strings.Builder
 	c.mu.Lock()
-	type shardRow struct {
-		id  string
-		up  float64
-		own int
-	}
-	rows := make([]shardRow, 0, len(c.opts.Shards))
-	for _, id := range c.opts.Shards {
-		sh := c.shards[id]
-		rows = append(rows, shardRow{id: id, up: boolGauge(sh.up), own: len(c.assignedLocked(id))})
-	}
-	c.mu.Unlock()
 	obs.PromHeader(&b, "asha_coord_shard_up", "gauge", "1 while the shard beats within its TTL.")
-	for _, row := range rows {
-		obs.PromSample(&b, "asha_coord_shard_up", []obs.Label{{Name: "shard", Value: row.id}}, row.up)
+	for _, id := range c.opts.Shards {
+		obs.PromSample(&b, "asha_coord_shard_up", []obs.Label{{Name: "shard", Value: id}}, boolGauge(c.shards[id].up))
 	}
 	obs.PromHeader(&b, "asha_coord_shard_experiments", "gauge", "Experiments currently assigned to the shard.")
-	for _, row := range rows {
-		obs.PromSample(&b, "asha_coord_shard_experiments", []obs.Label{{Name: "shard", Value: row.id}}, float64(row.own))
+	for _, id := range c.opts.Shards {
+		obs.PromSample(&b, "asha_coord_shard_experiments", []obs.Label{{Name: "shard", Value: id}}, float64(len(c.assignedLocked(id))))
 	}
+	c.mu.Unlock()
 	obs.PromHeader(&b, "asha_coord_worker_redirects_total", "counter", "Workers routed to an owning shard.")
 	obs.PromSample(&b, "asha_coord_worker_redirects_total", nil, float64(c.redirects.Load()))
 	obs.PromHeader(&b, "asha_coord_failovers_total", "counter", "Experiments reassigned off dead shards.")
@@ -479,35 +463,16 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	streamEvents(w, r, c.bus, nil)
 }
 
-// sweepShards is the liveness sweeper: a shard silent past the TTL is
-// declared dead and its experiments are reassigned to live shards by
-// the same rendezvous hash. Each survivor learns of its new experiments
-// from its own next beat reply.
-func (c *Coordinator) sweepShards() {
-	defer close(c.sweepDone)
-	interval := c.opts.ShardTTL / 4
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.sweepStop:
-			return
-		case now := <-tick.C:
-			c.sweepOnce(now)
-		}
-	}
-}
-
-// sweepOnce runs one liveness pass (factored out for tests).
+// sweepOnce is one pass of the liveness sweeper: a shard silent past
+// the TTL is declared dead and its experiments are reassigned to live
+// shards by the same rendezvous hash. Each survivor learns of its new
+// experiments from its own next beat reply.
 func (c *Coordinator) sweepOnce(now time.Time) {
 	var deadIDs, moved []string
 	c.mu.Lock()
 	for _, id := range c.opts.Shards {
 		sh := c.shards[id]
-		if sh.up && now.Sub(sh.lastBeat) > c.opts.ShardTTL {
+		if sh.up && now.Sub(sh.lastBeat) > c.timing.shardTTL {
 			sh.up = false
 			deadIDs = append(deadIDs, id)
 		}

@@ -68,16 +68,16 @@ func TestRendezvousOwnerStability(t *testing.T) {
 }
 
 // beatShard sends one shard beat as shardLink.beat does and returns the
-// reply's assignment and cadence.
+// reply's assignment and TTL.
 func beatShard(ctx context.Context, coordURL, id, selfURL, token string) ([]string, time.Duration, error) {
 	var br shardBeatResp
 	_, err := postJSON(ctx, http.DefaultClient, coordURL, "/v1/shard/beat",
 		shardBeatReq{Version: ProtocolVersion, Token: token, ID: id, URL: selfURL}, &br)
-	return br.Experiments, time.Duration(br.HeartbeatMillis) * time.Millisecond, err
+	return br.Experiments, time.Duration(br.TTLMillis) * time.Millisecond, err
 }
 
 // TestShardBeatWire covers the shard side of the wire: a beat returns
-// the rendezvous assignment and the beat cadence, a second beat restates
+// the rendezvous assignment and the shard TTL, a second beat restates
 // the assignment, an unknown shard, a bad token and a bad URL are each
 // refused with their own status, and the retired register/heartbeat
 // paths are gone.
@@ -95,12 +95,12 @@ func TestShardBeatWire(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 
-	assigned, beat, err := beatShard(ctx, c.URL(), "s1", "http://127.0.0.1:1", "fed-secret")
+	assigned, ttl, err := beatShard(ctx, c.URL(), "s1", "http://127.0.0.1:1", "fed-secret")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if beat <= 0 || beat >= time.Hour {
-		t.Fatalf("beat cadence %v not in (0, TTL)", beat)
+	if ttl != time.Hour {
+		t.Fatalf("beat reply names TTL %v, want the configured %v", ttl, time.Hour)
 	}
 	want := map[string]bool{}
 	for _, e := range exps {

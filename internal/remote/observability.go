@@ -741,69 +741,50 @@ func (s *Server) handleAdmin(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// Each command answers 400 with the refusal it met, or ok.
+	var err error
+	canceled := 0
 	switch cmd {
 	case "pause":
 		// Server first: queued jobs freeze immediately, then the
 		// scheduler side stops granting. On a control-plane refusal
 		// (unknown experiment) the server-side pause is rolled back.
 		s.PauseExperiment(req.Experiment)
-		if err := cp.Pause(req.Experiment); err != nil {
+		if err = cp.Pause(req.Experiment); err != nil {
 			s.ResumeExperiment(req.Experiment)
-			reject(w, http.StatusBadRequest, err.Error())
-			return
 		}
-		reply(w, adminResp{OK: true})
 	case "resume":
-		if err := cp.Resume(req.Experiment); err != nil {
-			reject(w, http.StatusBadRequest, err.Error())
-			return
+		if err = cp.Resume(req.Experiment); err == nil {
+			s.ResumeExperiment(req.Experiment)
 		}
-		s.ResumeExperiment(req.Experiment)
-		reply(w, adminResp{OK: true})
 	case "abort":
-		if err := cp.Abort(req.Experiment); err != nil {
-			reject(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		// Scheduler side is down; now flush the queue so in-flight
+		// Scheduler side first; then flush the queue so in-flight
 		// accounting drains without waiting for workers to train jobs
 		// nobody wants. A stale pause must not outlive the experiment.
-		s.ResumeExperiment(req.Experiment)
-		n := s.CancelPending(req.Experiment)
-		reply(w, adminResp{OK: true, Canceled: n})
+		if err = cp.Abort(req.Experiment); err == nil {
+			s.ResumeExperiment(req.Experiment)
+			canceled = s.CancelPending(req.Experiment)
+		}
 	case "workers":
 		if req.Workers < 1 {
-			reject(w, http.StatusBadRequest, "workers must be >= 1")
-			return
+			err = errors.New("workers must be >= 1")
+		} else if err = cp.SetWorkers(req.Workers); err == nil {
+			s.SetMaxLeases(req.Workers)
 		}
-		if err := cp.SetWorkers(req.Workers); err != nil {
-			reject(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		s.SetMaxLeases(req.Workers)
-		reply(w, adminResp{OK: true})
 	case "drain":
-		drain := true
-		if req.Drain != nil {
-			drain = *req.Drain
-		}
-		s.SetDraining(drain)
-		reply(w, adminResp{OK: true})
+		s.SetDraining(req.Drain == nil || *req.Drain)
 	case "adopt":
 		// An operator takes an experiment over by hand, from its journal.
-		if err := s.adopt(req.Experiment); err != nil {
-			reject(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		reply(w, adminResp{OK: true})
+		err = s.adopt(req.Experiment)
 	case "drop":
-		n, err := s.drop(req.Experiment)
-		if err != nil {
-			reject(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		reply(w, adminResp{OK: true, Canceled: n})
+		canceled, err = s.drop(req.Experiment)
 	default:
 		reject(w, http.StatusNotFound, fmt.Sprintf("unknown admin command %q", cmd))
+		return
 	}
+	if err != nil {
+		reject(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	reply(w, adminResp{OK: true, Canceled: canceled})
 }

@@ -43,7 +43,6 @@ func newReporterRig(t *testing.T, url, worker string, batch int, ackWait time.Du
 		client:  &http.Client{},
 		home:    url,
 		worker:  worker,
-		ttl:     time.Minute,
 		batch:   batch,
 		ackWait: ackWait,
 		held:    make(map[uint64]*heldLease),

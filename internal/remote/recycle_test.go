@@ -135,8 +135,8 @@ func (r *recycleRig) leases(match func(*task) bool) []uint64 {
 	return ids
 }
 
-// expire moves the deadline of every lease matching into the past, for
-// the sweeper's next pass.
+// expire moves the deadline of every lease matching into the past and
+// runs a sweep pass: the sweeper's own runs every TTL/4, minutes here.
 func (r *recycleRig) expire(match func(*task) bool) {
 	for i := range r.srv.shards {
 		sh := &r.srv.shards[i]
@@ -148,6 +148,7 @@ func (r *recycleRig) expire(match func(*task) bool) {
 		}
 		sh.mu.Unlock()
 	}
+	r.srv.sweepOnce(time.Now())
 }
 
 // killStreams drops every live stream connection from the server's

@@ -113,7 +113,7 @@ type Options struct {
 	// lease jobs of any tenant.
 	Token string
 	// LeaseTTL is how long a granted lease stays valid without a
-	// heartbeat (default 15s).
+	// heartbeat (default 15s; under 30ms is refused, see timingFor).
 	LeaseTTL time.Duration
 	// MaxLeases caps the number of concurrently leased jobs
 	// (0 = unlimited; callers usually bound in-flight work themselves).
@@ -132,7 +132,7 @@ type Options struct {
 	// lease poll (default 0: no lookahead).
 	Prefetch int
 	// FlushInterval is advertised to workers at registration as the
-	// report-flush deadline (default DefaultFlushInterval).
+	// report-flush deadline (default DefaultFlushInterval; under 1ms: refused).
 	FlushInterval time.Duration
 	// OnListen, if set, is called once with the server's base URL: by
 	// the first SetControl, the one place the server is announced.
@@ -254,9 +254,10 @@ type leaseShard struct {
 
 // Server is the embedded HTTP job-lease server.
 type Server struct {
-	opts Options
-	ln   net.Listener
-	hs   *http.Server
+	opts   Options
+	timing timing // from opts.LeaseTTL and FlushInterval (timing.go)
+	ln     net.Listener
+	hs     *http.Server
 
 	mu   sync.Mutex
 	wake chan struct{} // closed and replaced on every state change
@@ -333,8 +334,7 @@ type Server struct {
 	// start, then the OnListen announce.
 	attached sync.Once
 
-	sweepStop chan struct{}
-	sweepDone chan struct{}
+	stopSweep func() // stops the expiry sweeper (sweepEvery)
 }
 
 // controlBox wraps a ControlPlane for atomic.Value, which requires a
@@ -356,17 +356,15 @@ func NewServer(opts Options) (*Server, error) {
 	if opts.Listen == "" {
 		opts.Listen = "127.0.0.1:0"
 	}
-	if opts.LeaseTTL <= 0 {
-		opts.LeaseTTL = 15 * time.Second
-	}
 	if opts.BatchSize < 0 {
 		opts.BatchSize = 0
 	}
 	if opts.Prefetch < 0 {
 		opts.Prefetch = 0
 	}
-	if opts.FlushInterval <= 0 {
-		opts.FlushInterval = DefaultFlushInterval
+	timing, err := timingFor(opts.LeaseTTL, 0, opts.FlushInterval)
+	if err != nil {
+		return nil, err
 	}
 	for tenant := range opts.TenantTokens {
 		if tenant == "" {
@@ -386,9 +384,10 @@ func NewServer(opts Options) (*Server, error) {
 		return nil, fmt.Errorf("remote: listen on %s: %w", opts.Listen, err)
 	}
 	s := &Server{
-		opts: opts,
-		ln:   ln,
-		wake: make(chan struct{}),
+		opts:   opts,
+		timing: timing,
+		ln:     ln,
+		wake:   make(chan struct{}),
 		// Lease IDs start at the server's start second shifted into the
 		// high bits (exact in a JSON float64 until year ~2242, with 2^20
 		// IDs per start second): two server generations never share
@@ -399,8 +398,6 @@ func NewServer(opts Options) (*Server, error) {
 		paused:    make(map[string]bool),
 		streams:   make(map[*streamConn]struct{}),
 		maxLeases: opts.MaxLeases,
-		sweepStop: make(chan struct{}),
-		sweepDone: make(chan struct{}),
 	}
 	for i := range s.shards {
 		s.shards[i].leases = make(map[uint64]*task)
@@ -409,7 +406,7 @@ func NewServer(opts Options) (*Server, error) {
 		s.bus = obs.NewBus(opts.EventBuffer)
 	}
 	if opts.Coordinator != "" {
-		s.shard = &shardLink{srv: s, ttl: DefaultShardTTL}
+		s.shard = &shardLink{srv: s}
 		s.shard.ctx, s.shard.cancel = context.WithCancel(context.Background())
 	}
 	mux := http.NewServeMux()
@@ -431,7 +428,7 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	s.hs = &http.Server{Handler: mux}
 	go func() { _ = s.hs.Serve(ln) }()
-	go s.sweep()
+	s.stopSweep = sweepEvery(timing.leaseSweep, s.sweepOnce)
 	return s, nil
 }
 
@@ -570,8 +567,7 @@ func (s *Server) Close() error {
 		s.bus.Close()
 	}
 
-	close(s.sweepStop)
-	<-s.sweepDone
+	s.stopSweep()
 	go func() {
 		time.Sleep(closeGrace)
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -620,58 +616,40 @@ func (s *Server) wakeIfPending() {
 	s.mu.Unlock()
 }
 
-// sweep is the heartbeat sweeper: it expires leases whose workers went
-// silent and reports their jobs Failed, feeding the scheduler's retry
-// path exactly as a subprocess crash does.
-func (s *Server) sweep() {
-	defer close(s.sweepDone)
-	interval := s.opts.LeaseTTL / 4
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	if interval > time.Second {
-		interval = time.Second
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.sweepStop:
-			return
-		case now := <-tick.C:
-			// One shard locked at a time: a sweep pass never stalls
-			// report ingestion on the other shards, and never touches
-			// s.mu unless it actually expired something.
-			var dead []*task
-			for i := range s.shards {
-				sh := &s.shards[i]
-				sh.mu.Lock()
-				for id, t := range sh.leases {
-					if now.After(t.deadline) {
-						delete(sh.leases, id)
-						dead = append(dead, t)
-					}
-				}
-				sh.mu.Unlock()
-			}
-			s.expired.Add(int64(len(dead)))
-			s.activeLeases.Add(int64(-len(dead)))
-			if len(dead) > 0 {
-				// Freed lease slots may unblock pollers waiting on the
-				// MaxLeases cap.
-				s.wakeIfPending()
-			}
-			// Count the pass after its expiries are visible: a test that
-			// saw sweeps advance past a lease's TTL may rely on that
-			// lease's expiry having been counted too.
-			s.sweeps.Add(1)
-			for _, t := range dead {
-				t.finish(Outcome{Failed: true})
-			}
-			if len(dead) > 0 {
-				s.recycle(dead)
+// sweepOnce is one pass of the heartbeat sweeper: it expires leases
+// whose workers went silent and reports their jobs Failed, feeding the
+// scheduler's retry path exactly as a subprocess crash does. One shard
+// is locked at a time: a pass never stalls report ingestion on the
+// other shards, and never touches s.mu unless it expired something.
+func (s *Server) sweepOnce(now time.Time) {
+	var dead []*task
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for id, t := range sh.leases {
+			if now.After(t.deadline) {
+				delete(sh.leases, id)
+				dead = append(dead, t)
 			}
 		}
+		sh.mu.Unlock()
+	}
+	s.expired.Add(int64(len(dead)))
+	s.activeLeases.Add(int64(-len(dead)))
+	if len(dead) > 0 {
+		// Freed lease slots may unblock pollers waiting on the
+		// MaxLeases cap.
+		s.wakeIfPending()
+	}
+	// Count the pass after its expiries are visible: a test that saw
+	// sweeps advance past a lease's TTL may rely on that lease's expiry
+	// having been counted too.
+	s.sweeps.Add(1)
+	for _, t := range dead {
+		t.finish(Outcome{Failed: true})
+	}
+	if len(dead) > 0 {
+		s.recycle(dead)
 	}
 }
 
@@ -846,10 +824,10 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	reply(w, registerResp{
 		Version:        ProtocolVersion,
 		WorkerID:       id,
-		LeaseTTLMillis: s.opts.LeaseTTL.Milliseconds(),
+		LeaseTTLMillis: s.timing.leaseTTL.Milliseconds(),
 		BatchSize:      s.opts.BatchSize,
 		Prefetch:       s.opts.Prefetch,
-		FlushMillis:    s.opts.FlushInterval.Milliseconds(),
+		FlushMillis:    s.timing.flush.Milliseconds(),
 	})
 }
 
@@ -948,7 +926,7 @@ func (s *Server) grantLocked(idx int, worker string, now time.Time) *task {
 	s.nextLease++
 	t.leaseID = s.nextLease
 	t.worker = worker
-	t.deadline = now.Add(s.opts.LeaseTTL)
+	t.deadline = now.Add(s.timing.leaseTTL)
 	t.grantedAt = now
 	if s.lat != nil {
 		s.lat.queueWait.Observe(now.Sub(t.submitted))
@@ -1061,7 +1039,7 @@ func (s *Server) takeLease(id uint64, worker string) *task {
 // worker still holds and returns the IDs it no longer does (expired
 // and requeued — the worker should abandon those runs).
 func (s *Server) extendLeases(worker string, ids []uint64) (expired []uint64) {
-	deadline := time.Now().Add(s.opts.LeaseTTL)
+	deadline := time.Now().Add(s.timing.leaseTTL)
 	for _, id := range ids {
 		sh := s.shardFor(id)
 		sh.mu.Lock()

@@ -3,18 +3,20 @@ package remote
 // A federated tuner shard's half of ownership (shard.go). A Server whose
 // Options name a Coordinator beats as ShardID once a control plane is
 // attached: one idempotent message, {id, url}, every registerRetry
-// until a reply names the cadence, TTL/3, and at that cadence after.
-// Each reply restates what the shard owns, and the link converges the
-// control plane on it in-process — adopting what appeared, dropping
-// what vanished. It is the only way a shard gains or loses an
-// experiment: at boot, after a failover, after a self-fence. The fence
-// is the holder's half of a lease (Gray & Cheriton, SOSP '89): a
-// successful beat sent at t holds the shard's experiments until t+TTL,
-// when a timer drops them unless a later beat got through, and no call
-// the link makes may outlast that deadline.
+// until a reply names the TTL, then at the cadence timingFor derives
+// from it. Each reply restates what the shard owns, and the link
+// converges the control plane on it in-process — adopting what
+// appeared, dropping what vanished. It is the only way a shard gains or
+// loses an experiment: at boot, after a failover, after a self-fence.
+// The fence is the holder's half of a lease (Gray & Cheriton, SOSP '89):
+// a successful beat sent at t holds the shard's experiments until t
+// plus the TTL its reply named, when a timer drops them unless a later
+// beat got through, and no call the link makes may outlast that
+// deadline.
 // DESIGN.md, "Fencing", has the timeline against the coordinator's.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"log"
@@ -25,7 +27,7 @@ import (
 )
 
 // registerRetry paces beats until a reply from the coordinator has
-// named the cadence.
+// named the TTL.
 const registerRetry = 500 * time.Millisecond
 
 // ErrAlreadyActive is what a ControlPlane's Adopt wraps when the
@@ -41,10 +43,9 @@ type shardLink struct {
 	cancel context.CancelFunc
 
 	coord, self string          // coordinator and advertised base URLs
-	every       time.Duration   // the beat cadence last applied; zero before
 	quiet       bool            // the link's failure is logged until a beat succeeds
-	ttl         time.Duration   // the lease one successful beat buys: three beats
-	fenceAt     time.Time       // when that lease lapses; zero once fenced
+	timing      timing          // from the TTL the last reply named; zero before
+	fenceAt     time.Time       // when the last successful beat's hold lapses; zero once fenced
 	fence       *time.Timer     // fires at fenceAt
 	owned       map[string]bool // the assignment last applied
 }
@@ -64,8 +65,7 @@ func (l *shardLink) run() {
 	_, port, _ := net.SplitHostPort(l.srv.ln.Addr().String())
 	host, _, _ := net.SplitHostPort(l.srv.opts.Listen)
 	l.coord, l.self = baseURL(l.srv.opts.Coordinator), baseURL(net.JoinHostPort(host, port))
-	l.fence = time.NewTimer(time.Hour)
-	l.fence.Stop()
+	l.fence = newStoppedTimer()
 	defer l.fence.Stop()
 	tick := time.NewTicker(registerRetry)
 	defer tick.Stop()
@@ -88,7 +88,7 @@ func (l *shardLink) run() {
 // disagree with post-failover reality.
 func (l *shardLink) beat(tick *time.Ticker) {
 	sent := time.Now()
-	deadline := sent.Add(l.ttl)
+	deadline := sent.Add(cmp.Or(l.timing.shardFence, DefaultShardTTL))
 	if !l.fenceAt.IsZero() && l.fenceAt.Before(deadline) {
 		deadline = l.fenceAt
 	}
@@ -98,6 +98,10 @@ func (l *shardLink) beat(tick *time.Ticker) {
 	_, err := postJSON(ctx, http.DefaultClient, l.coord, "/v1/shard/beat", shardBeatReq{
 		Version: ProtocolVersion, Token: l.srv.opts.AdminToken, ID: l.srv.opts.ShardID, URL: l.self,
 	}, &br)
+	var t timing
+	if err == nil {
+		t, err = timingFor(0, time.Duration(br.TTLMillis)*time.Millisecond, 0)
+	}
 	if err != nil {
 		if !l.quiet && l.ctx.Err() == nil {
 			log.Printf("remote: shard %s: coordinator link: %v (retrying)", l.srv.opts.ShardID, err)
@@ -106,24 +110,18 @@ func (l *shardLink) beat(tick *time.Ticker) {
 		return
 	}
 	l.quiet = false
-	if every := time.Duration(br.HeartbeatMillis) * time.Millisecond; every > 0 && every != l.every {
-		l.every, l.ttl = every, 3*every
-		tick.Reset(every)
+	if t != l.timing {
+		l.timing = t
+		tick.Reset(t.shardBeat)
 	}
-	l.arm(sent.Add(l.ttl))
+	l.arm(sent.Add(t.shardFence))
 	l.reconcile(br.Experiments)
 }
 
 // arm (re)starts the fence timer for at.
 func (l *shardLink) arm(at time.Time) {
-	if !l.fence.Stop() {
-		select {
-		case <-l.fence.C:
-		default:
-		}
-	}
 	l.fenceAt = at
-	l.fence.Reset(time.Until(at))
+	rearm(l.fence, time.Until(at))
 }
 
 // selfFence drops every experiment: the last successful beat's lease
@@ -132,12 +130,12 @@ func (l *shardLink) arm(at time.Time) {
 func (l *shardLink) selfFence() {
 	if _, err := l.srv.drop(""); err != nil {
 		log.Printf("remote: shard %s: self-fence: %v (retrying)", l.srv.opts.ShardID, err)
-		l.arm(time.Now().Add(l.ttl / 3))
+		l.arm(time.Now().Add(l.timing.shardBeat))
 		return
 	}
 	if len(l.owned) > 0 {
 		log.Printf("remote: shard %s lost the coordinator for %v; fenced (dropped %d experiments)",
-			l.srv.opts.ShardID, l.ttl, len(l.owned))
+			l.srv.opts.ShardID, l.timing.shardFence, len(l.owned))
 	}
 	l.fenceAt, l.owned = time.Time{}, nil
 }

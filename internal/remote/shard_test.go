@@ -34,9 +34,11 @@ const (
 // passes a request, refuses it (the connection closes under the request)
 // or hangs it (no answer until the caller gives up), and remembers when
 // the last request whose reply was delivered arrived — the last
-// successful beat's send time, less the loopback hop. holdThenCut holds
-// the next passed reply back before switching modes, so a fence clock
-// started at the reply rather than the send would show.
+// successful beat's send time, less the loopback hop. holdThenCut
+// delays the next passed request on its way to the coordinator and
+// holds its reply back, then switches modes: the delay puts the
+// coordinator's receipt late, the hold would show a fence clock started
+// at the reply rather than the send.
 type flakyLink struct {
 	target  string
 	srv     *httptest.Server
@@ -44,7 +46,8 @@ type flakyLink struct {
 	release chan struct{}
 
 	mu         sync.Mutex
-	hold       time.Duration // the next passed reply waits this long, then mode becomes cut
+	lag        time.Duration // the next passed request waits this long before it is forwarded
+	hold       time.Duration // and its reply this long, then mode becomes cut
 	cut        int32
 	passed     int
 	lastPassed time.Time
@@ -72,6 +75,10 @@ func (l *flakyLink) serve(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	l.mu.Lock()
+	lag, hold := l.lag, l.hold
+	l.mu.Unlock()
+	time.Sleep(lag)
 	req, _ := http.NewRequestWithContext(r.Context(), r.Method, l.target+r.URL.Path, r.Body)
 	req.Header = r.Header.Clone()
 	resp, err := http.DefaultClient.Do(req)
@@ -81,26 +88,25 @@ func (l *flakyLink) serve(w http.ResponseWriter, r *http.Request) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	l.mu.Lock()
-	hold := l.hold
-	l.mu.Unlock()
 	time.Sleep(hold)
-	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(body)
+	// Switch before the reply leaves: the shard's next beat may follow it
+	// at once.
 	l.mu.Lock()
 	l.passed++
 	l.lastPassed = arrived
-	if hold > 0 {
-		l.hold = 0
+	if lag > 0 || hold > 0 {
+		l.lag, l.hold = 0, 0
 		l.mode.Store(l.cut)
 	}
 	l.mu.Unlock()
+	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+	w.WriteHeader(resp.StatusCode)
+	_, _ = w.Write(body)
 }
 
-func (l *flakyLink) holdThenCut(hold time.Duration, mode int32) {
+func (l *flakyLink) holdThenCut(lag, hold time.Duration, mode int32) {
 	l.mu.Lock()
-	l.hold, l.cut = hold, mode
+	l.lag, l.hold, l.cut = lag, hold, mode
 	l.mu.Unlock()
 }
 
@@ -325,7 +331,7 @@ func TestShardDropsWhatMovedAway(t *testing.T) {
 func partition(t *testing.T, sh *testShard, mode int32) time.Time {
 	t.Helper()
 	from := sh.cp.mark()
-	sh.link.holdThenCut(linkTTL/2, mode)
+	sh.link.holdThenCut(0, linkTTL/2, mode)
 	waitUntil(t, sh.id+"'s self-fence", func() bool { return len(sh.cp.calls(from, "drop", "")) > 0 })
 	fence := sh.cp.calls(from, "drop", "")[0].at
 	_, last := sh.link.stats()

@@ -63,7 +63,6 @@ func TestStaleLeaseNumberReusedByFreshRegistration(t *testing.T) {
 		client:   &http.Client{},
 		home:     reg.URL,
 		worker:   "w1",
-		ttl:      time.Minute,
 		batch:    3,
 		prefetch: 8,
 		flushInt: time.Hour, // a completed job waits for batch-mates
