@@ -295,13 +295,15 @@ func resumeLoop(tb testing.TB) func(n int) {
 // scheduler, and 0.078 while each checkpoint decoded its names afresh. A config map per issue reads 2.13, a record per report 1.13,
 // a pool record per restored trial 0.86.
 //
-// resumeBytesBudget is what it may allocate in bytes: 305 measured, plus
-// 12%. It read 338 while the per-trial tables grew an entry at a time, and
-// 438 while a resume read the journal whole, into a buffer as large as
-// the file.
+// resumeBytesBudget is what it may allocate in bytes: 135 measured, plus
+// 12%. It read 309 while the replay built a trial table of its own, which
+// the executor then copied record by record, and each journal was read
+// through a window made afresh; 338 while the per-trial tables grew an
+// entry at a time, and 438 while a resume read the journal whole, into a
+// buffer as large as the file.
 const (
 	resumeAllocBudget = 0.2
-	resumeBytesBudget = 342
+	resumeBytesBudget = 152
 )
 
 // TestResumeAllocsPerJob keeps Tuner.Resume from building anything per

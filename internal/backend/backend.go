@@ -111,9 +111,11 @@ type Backend interface {
 // backends that keep JSON-serializable trial checkpoints (the goroutine
 // pool, the subprocess pool, the remote fleet) expose them for journal
 // snapshots and accept them back on resume. Trials is its one
-// implementation, which those three embed. The simulator does not
-// implement it — surrogate trials have no state worth persisting.
-// Both methods are called from the engine goroutine only.
+// implementation, which those three embed and a resume moves its table
+// into whole (AddLane); a wrapper that forwards to one is given it
+// through RestoreTrial. The simulator does not implement it — surrogate
+// trials have no state worth persisting. Both methods are called from
+// the engine goroutine only.
 type TrialCheckpointer interface {
 	// SnapshotTrials streams to fn the last committed cumulative resource
 	// and checkpoint of every trial for which either changed since the

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/state"
 )
 
 // Engine is the single execution engine: it drives any number of
@@ -41,7 +42,7 @@ type Engine struct {
 	dirty    []*Lane      // lanes the current batch touched
 	launches []launch     // the current fill, in issue order: launched once journaled
 	settled  []Completion // the current batch's completions to ingest once journaled
-	ckpt     []byte       // the lanes' one checkpoint buffer (spareCkpt): a lane's image is encoded and written at once
+	ckpt     []byte       // the lanes' one checkpoint buffer (state.TakeSpare): a lane's image is encoded and written at once
 	inflight int
 	live     int // lanes in order that have not ended
 
@@ -53,24 +54,6 @@ type Engine struct {
 	wakeMu   sync.Mutex      // guards wake
 	wake     context.CancelFunc
 }
-
-// spareCkpt hands the checkpoint buffer of an engine whose run ended to
-// the next one to start. A checkpoint is as large as its scheduler's
-// state — a third of a megabyte for a 15 000-job ASHA run — and a
-// process that runs one journaled experiment after another would
-// otherwise grow a buffer that size afresh for each, in steps of a
-// quarter as append grows large slices. A sync.Pool would drop it at
-// the next collection; this keeps the largest one up to spareCkptMax,
-// so that one large run does not pin its image for the life of the
-// process.
-var spareCkpt struct {
-	sync.Mutex
-	buf []byte
-}
-
-// spareCkptMax is the largest buffer spareCkpt keeps: the image of a
-// ~50 000-job ASHA run.
-const spareCkptMax = 1 << 20
 
 // NewEngine prepares an engine over root with a budget of
 // root.Capacity() jobs in flight. quotas, when non-empty, makes slot
@@ -203,10 +186,10 @@ func (e *Engine) AddLane(sched core.Scheduler, exec Backend, opt Options, rank i
 		l.clockOff = rs.TimeOffset
 		l.rungCompleted = rs.rungCompleted
 		l.jw.resume(rs)
-		if tc, ok := exec.(TrialCheckpointer); ok {
-			for _, t := range rs.Trials {
-				tc.RestoreTrial(t.Trial, t.Resource, t.State)
-			}
+		if tt, ok := exec.(interface{ takeTrials(*Trials) }); ok {
+			tt.takeTrials(&rs.Trials)
+		} else if tc, ok := exec.(TrialCheckpointer); ok {
+			rs.Trials.Each(tc.RestoreTrial)
 		}
 	}
 	if e.tenants != nil {
@@ -278,17 +261,8 @@ func (e *Engine) exhausted(l *Lane) bool {
 // lanes: a clean end journals a final snapshot.
 func (e *Engine) Run(ctx context.Context) error {
 	defer close(e.done)
-	spareCkpt.Lock()
-	e.ckpt, spareCkpt.buf = spareCkpt.buf, nil
-	spareCkpt.Unlock()
-	defer func() {
-		spareCkpt.Lock()
-		if cap(e.ckpt) > cap(spareCkpt.buf) && cap(e.ckpt) <= spareCkptMax {
-			spareCkpt.buf = e.ckpt[:0]
-		}
-		e.ckpt = nil
-		spareCkpt.Unlock()
-	}()
+	e.ckpt = state.TakeSpare(0)
+	defer func() { state.GiveSpare(e.ckpt); e.ckpt = nil }()
 	e.renewWake(ctx)
 	var runErr error
 	for {

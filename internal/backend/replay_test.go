@@ -93,7 +93,7 @@ func replayBoth(t *testing.T, image []byte, sched func() core.Scheduler) (*backe
 		!slices.EqualFunc(streamed.Relaunch, collected.Relaunch, func(a, b core.Job) bool {
 			return a.TrialID == b.TrialID && a.Rung == b.Rung && a.TargetResource == b.TargetResource
 		}) ||
-		!slices.EqualFunc(streamed.Trials, collected.Trials, func(a, b state.TrialSnap) bool {
+		!slices.EqualFunc(backend.TrialSnaps(&streamed.Trials), backend.TrialSnaps(&collected.Trials), func(a, b state.TrialSnap) bool {
 			return a.Trial == b.Trial && a.Resource == b.Resource && bytes.Equal(a.State, b.State)
 		}) {
 		t.Fatalf("streamed replay restored %+v, collected replay %+v", streamed, collected)

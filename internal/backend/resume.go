@@ -23,10 +23,11 @@ type ResumeState struct {
 	// in issue order. Drive relaunches them before consulting the
 	// scheduler, without new issue records.
 	Relaunch []core.Job
-	// Trials is the restored trial table, by trial: the union of the
-	// journal's snapshots, later over earlier, plus a zero-resource entry
-	// for every issued trial no snapshot names.
-	Trials []state.TrialSnap
+	// Trials is the restored trial table, none of it changed: the union
+	// of the journal's snapshots, later over earlier, plus a zero entry,
+	// retrained from scratch if relaunched, for every issued trial no
+	// snapshot names. AddLane moves it into the executor.
+	Trials Trials
 	// TimeOffset is the journal's maximum recorded time; the resumed
 	// run's clock continues from it so the incumbent series stays
 	// monotone.
@@ -137,12 +138,9 @@ func (c *collected) err() error { return nil }
 type replayer struct {
 	rs   *ResumeState
 	lane *Lane
-	n    int // the record being read
-	// The trial table, indexed by trial id; Trial is -1 where the journal
-	// has not issued that trial (yet).
-	table []state.TrialSnap
-	out   pending   // the issued, unreported jobs
-	vals  []float64 // scratch: a collected issue's Config as a vector
+	n    int       // the record being read
+	out  pending   // the issued, unreported jobs
+	vals []float64 // scratch: a collected issue's Config as a vector
 }
 
 func newReplayer(sched core.Scheduler, opt Options) *replayer {
@@ -203,7 +201,8 @@ func (p *replayer) run(recs records) (*ResumeState, error) {
 	if err := recs.err(); err != nil {
 		return nil, p.fail(err)
 	}
-	return p.finish(), nil
+	p.rs.Relaunch, p.rs.rungCompleted = p.out.list(), p.lane.rungCompleted
+	return p.rs, nil
 }
 
 func (p *replayer) fail(err error) error {
@@ -217,7 +216,7 @@ func (p *replayer) fail(err error) error {
 func (p *replayer) note(r *state.Record) error {
 	switch {
 	case r.Issue != nil:
-		p.issued(r.Issue.Trial)
+		p.rs.Trials.restore(r.Issue.Trial)
 		p.rs.issued.add(r.Issue.Trial, r.Issue.Rung)
 	case r.Report != nil:
 		if !r.Report.Failed {
@@ -245,18 +244,6 @@ func (p *replayer) step(r *state.Record, vals []float64) error {
 	return nil
 }
 
-// issued marks a trial issued in the trial table, where an entry no
-// issue has named yet holds Trial -1.
-func (p *replayer) issued(trial int) {
-	if n := len(p.table); trial >= n {
-		p.table = core.GrowTo(p.table, trial+1)
-		for ; n < len(p.table); n++ {
-			p.table[n].Trial = -1
-		}
-	}
-	p.table[trial].Trial = trial
-}
-
 func (p *replayer) issue(is *state.Issue, vals []float64) error {
 	job, ok := p.lane.sched.Next()
 	if !ok {
@@ -271,7 +258,7 @@ func (p *replayer) issue(is *state.Issue, vals []float64) error {
 	if err := matchIssue(job, is, vals); err != nil {
 		return err
 	}
-	p.issued(job.TrialID)
+	p.rs.Trials.restore(job.TrialID)
 	p.out.push(job)
 	p.rs.Run.IssuedJobs++
 	p.rs.issued.add(job.TrialID, job.Rung)
@@ -298,11 +285,12 @@ func (p *replayer) report(r *state.Report) error {
 }
 
 func (p *replayer) snap(s *state.Snapshot) error {
+	byID := p.rs.Trials.byID
 	for _, ts := range s.Trials {
-		if ts.Trial >= len(p.table) || p.table[ts.Trial].Trial < 0 {
+		if uint(ts.Trial) >= uint(len(byID)) || byID[ts.Trial] == nil {
 			return fmt.Errorf("snapshot of trial %d, which the journal never issued — corrupt journal", ts.Trial)
 		}
-		p.table[ts.Trial] = ts
+		byID[ts.Trial].resource, byID[ts.Trial].state = ts.Resource, ts.State
 	}
 	p.rs.TimeOffset = max(p.rs.TimeOffset, s.Time)
 	return nil
@@ -331,19 +319,6 @@ func clone[T any](s []T) []T {
 		return nil
 	}
 	return slices.Clone(s)
-}
-
-func (p *replayer) finish() *ResumeState {
-	rs := p.rs
-	rs.Relaunch, rs.rungCompleted = p.out.list(), p.lane.rungCompleted
-	// Restore the trial table: the checkpoints last snapshotted, and zero
-	// entries for trials no snapshot reached. Those trials' observations
-	// replayed into the scheduler above; only their training state is
-	// lost, and a zero entry makes them retrain from scratch if relaunched
-	// instead of vanishing from trial accounting — exactly the rollback
-	// semantics of a worker crash.
-	rs.Trials = slices.DeleteFunc(p.table, func(ts state.TrialSnap) bool { return ts.Trial < 0 })
-	return rs
 }
 
 // pending is a lane's issued, unreported jobs in issue order — the

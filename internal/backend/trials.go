@@ -78,8 +78,8 @@ func (t *Trials) Commit(id int, resource float64, state json.RawMessage) {
 }
 
 // set writes a trial's pair and lists the trial for the next snapshot.
-// Every writer goes through it except RestoreTrial: what that restores
-// is in the journal already.
+// Every writer goes through it except a restore (RestoreTrial, a replay):
+// what that restores is in the journal already.
 func (t *Trials) set(id int, r *trialRecord, resource float64, state json.RawMessage) {
 	r.resource, r.state = resource, state
 	if !r.changed {
@@ -100,14 +100,22 @@ func (t *Trials) SnapshotTrials(fn func(trial int, resource float64, state json.
 
 // RestoreTrial implements TrialCheckpointer.
 func (t *Trials) RestoreTrial(trial int, resource float64, state json.RawMessage) {
-	if len(t.slab) == 0 {
-		// A resume restores a whole table, a trial a call: its chunks
-		// double with the table, where a run's trials arrive over time.
-		t.slab = make([]trialRecord, min(max(slabLen, len(t.byID)), 1024))
-	}
-	r := t.record(trial)
+	r := t.restore(trial)
 	r.resource, r.state = resource, state
 }
+
+// restore is record for a table restored whole, a trial a call: its
+// chunks double with the table, where a run's trials arrive over time.
+func (t *Trials) restore(id int) *trialRecord {
+	if len(t.slab) == 0 {
+		t.slab = make([]trialRecord, min(max(slabLen, len(t.byID)), 1024))
+	}
+	return t.record(id)
+}
+
+// takeTrials moves src's table into t, an empty one such as a lane's
+// fresh executor view, and empties src (AddLane).
+func (t *Trials) takeTrials(src *Trials) { *t, *src = *src, Trials{} }
 
 // Each streams the whole table to fn in trial order.
 func (t *Trials) Each(fn func(trial int, resource float64, state json.RawMessage)) {

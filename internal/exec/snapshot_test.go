@@ -65,11 +65,16 @@ func (s *tableSpy) EnableCheckpointSnapshots() {
 
 func (s *tableSpy) SnapshotTrials(fn func(int, float64, json.RawMessage)) {
 	s.Backend.(backend.TrialCheckpointer).SnapshotTrials(fn)
-	var table []state.TrialSnap
-	s.table.Each(func(trial int, resource float64, st json.RawMessage) {
-		table = append(table, state.TrialSnap{Trial: trial, Resource: resource, State: st})
+	s.tables = append(s.tables, entries(s.table))
+}
+
+// entries lists a trial table entry by entry, through Each.
+func entries(table *backend.Trials) []state.TrialSnap {
+	var list []state.TrialSnap
+	table.Each(func(trial int, resource float64, st json.RawMessage) {
+		list = append(list, state.TrialSnap{Trial: trial, Resource: resource, State: st})
 	})
-	s.tables = append(s.tables, table)
+	return list
 }
 
 func (s *tableSpy) RestoreTrial(trial int, resource float64, st json.RawMessage) {
@@ -134,8 +139,8 @@ func TestSnapshotsAddUpToTheTrialTable(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: replay to snapshot %d: %v", name, snaps, err)
 			}
-			if want := spy.tables[snaps]; !equalTables(rs.Trials, want) {
-				t.Errorf("%s: resuming from snapshot %d restores\n %s\nthe run held\n %s", name, snaps, showTable(rs.Trials), showTable(want))
+			if got, want := entries(&rs.Trials), spy.tables[snaps]; !equalTables(got, want) {
+				t.Errorf("%s: resuming from snapshot %d restores\n %s\nthe run held\n %s", name, snaps, showTable(got), showTable(want))
 			}
 			snaps++
 		}

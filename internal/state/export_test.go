@@ -36,3 +36,10 @@ func ScanFileThrough(path string, wrap func(io.ReaderAt) io.ReaderAt) (*Scanner,
 
 // WindowCap is the capacity of the scanner's window.
 func (s *Scanner) WindowCap() int { return cap(s.win) }
+
+// SpareCap is the capacity of the spare buffer, 0 while it is lent.
+func SpareCap() int {
+	spare.Lock()
+	defer spare.Unlock()
+	return cap(spare.buf)
+}

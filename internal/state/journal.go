@@ -219,6 +219,38 @@ func (j *Journal) AppendCheckpoint(scratch *[]byte, c *Checkpoint, sched func([]
 	return size, j.err
 }
 
+// spare is the process's one spare buffer, which an engine encodes its
+// checkpoints into and a file scanner reads through, each handing it to
+// the next when done: a process that resumes or runs one journaled
+// experiment after another does not grow a third-of-a-megabyte buffer
+// afresh for each. A sync.Pool would drop it at the next collection; this
+// keeps the largest one up to 1 MiB, the image of a ~50 000-job ASHA
+// run, so that one large run does not pin its image for good.
+var spare struct {
+	sync.Mutex
+	buf []byte
+}
+
+// TakeSpare takes the spare, emptied, if it holds size bytes; nil if not,
+// or if it is lent. It is the taker's until GiveSpare.
+func TakeSpare(size int) (buf []byte) {
+	spare.Lock()
+	if cap(spare.buf) >= size {
+		buf, spare.buf = spare.buf[:0], nil
+	}
+	spare.Unlock()
+	return buf
+}
+
+// GiveSpare offers buf as the spare, kept if larger than the one held.
+func GiveSpare(buf []byte) {
+	spare.Lock()
+	if cap(buf) > cap(spare.buf) && cap(buf) <= 1<<20 {
+		spare.buf = buf[:0]
+	}
+	spare.Unlock()
+}
+
 // Err returns the journal's sticky error, if any.
 func (j *Journal) Err() error {
 	j.mu.Lock()

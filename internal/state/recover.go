@@ -94,6 +94,7 @@ type Scanner struct {
 	err    error       // the read that failed, which ends the scan for good
 	size   int         // the image's bytes, as of when the scanner was made
 	win    []byte      // the bytes at base: the whole image, or a window on it
+	buf    []byte      // what a file's window is cut from: the spare, or one made larger
 	base   int
 	window int // the bytes a read fills the window with, at most
 	off    int // just past the last frame read
@@ -176,8 +177,11 @@ func (s *Scanner) fill(off, n int) bool {
 	if off+n > s.size || s.err != nil {
 		return false
 	}
-	if cap(s.win) < n {
-		s.win = make([]byte, max(min(s.window, s.size), n))
+	if w := max(min(s.window, s.size), n); cap(s.win) < n {
+		if cap(s.buf) < w {
+			s.buf = make([]byte, w)
+		}
+		s.win = s.buf[:w:w]
 	}
 	s.win = s.win[:min(cap(s.win), s.size-off)]
 	if k, err := s.src.ReadAt(s.win, int64(off)); k < len(s.win) {
@@ -312,34 +316,39 @@ func Recover(data []byte) (*Recovered, error) {
 
 // ScanFile opens the journal at path and returns a scanner over the bytes
 // it holds, read through a window: windowSize bytes, or one frame when
-// that is larger, refilled from the frame the scan has reached. A read
+// that is larger, refilled from the frame the scan has reached, and cut
+// from the spare buffer (TakeSpare) when that is large enough. A read
 // that fails short of them is an error — ScanFile's, or Err's once Scan
-// stops — never a torn tail. Reopen or Close releases the file.
+// stops — never a torn tail. Reopen or Close releases the file and the
+// window, a failed ScanFile at once.
 func ScanFile(path string) (*Scanner, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("state: read journal: %w", err)
 	}
+	s := &Scanner{path: path, f: f, src: f, window: windowSize, buf: TakeSpare(windowSize)}
 	info, err := f.Stat()
-	var s *Scanner
 	if err == nil {
-		s, err = (&Scanner{src: f, size: int(info.Size()), window: windowSize}).head()
+		s.size = int(info.Size())
+		_, err = s.head()
 	}
 	if err != nil {
-		_ = f.Close()
+		_ = s.Close()
 		return nil, fmt.Errorf("state: %s: %w", path, err)
 	}
-	s.path, s.f = path, f
 	return s, nil
 }
 
-// Close releases the file ScanFile opened, if Reopen has not; a read after
-// it fails.
+// Close releases the file ScanFile opened, if Reopen has not, and gives
+// its window back (GiveSpare): a Scan after it fails.
 func (s *Scanner) Close() error {
 	f := s.f
-	if s.f = nil; f == nil {
+	if f == nil {
 		return nil
 	}
+	GiveSpare(s.buf)
+	s.f, s.buf, s.win = nil, nil, nil
+	s.err = cmp.Or(s.err, fmt.Errorf("state: read journal %s: %w", s.path, os.ErrClosed))
 	return f.Close()
 }
 
@@ -351,7 +360,7 @@ func (s *Scanner) Close() error {
 func (s *Scanner) Reopen() (*Journal, error) {
 	for s.Scan() {
 	}
-	if err := cmp.Or(s.err, s.Close()); err != nil {
+	if err := cmp.Or(s.Err(), s.Close()); err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
