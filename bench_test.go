@@ -209,15 +209,16 @@ func schedulerLoop() func(n int) {
 }
 
 // What one get_job/report pair may allocate over 500 000 pairs: config
-// arena blocks, the trial table and the rungs' heaps and bitsets
-// doubling. Objects: 0.0035 measured, doubled for another Go release's
-// slices; one object per call, or per new trial, reads 0.75 or more.
-// Bytes: 151 measured, plus 15%. The trial table grown an entry at a
-// time, as append alone grows it past 256 entries, reads 247; all of the
-// tables so grown read 279.
+// arena blocks, and the segments of the trial table and the rungs' heaps
+// and bitsets (core.Table). Objects: 0.0034 measured, doubled for
+// another Go release's slices; one object per call, or per new trial,
+// reads 0.75 or more. Bytes: 97 measured, plus 15%. The tables doubling
+// by copying read 151; the trial table grown an entry at a time, as
+// append alone grows it past 256 entries, 247, and all of the tables so
+// grown 279.
 const (
 	schedulerAllocBudget = 0.01
-	schedulerBytesBudget = 174
+	schedulerBytesBudget = 112
 )
 
 // TestASHASchedulerAllocsPerOp keeps heap objects, and per-entry
@@ -286,24 +287,25 @@ func resumeLoop(tb testing.TB) func(n int) {
 }
 
 // resumeAllocBudget is what resuming one journaled job may allocate:
-// 0.068 measured over ten resumes of resumeJobs jobs — about 270 objects
+// 0.061 measured over ten resumes of resumeJobs jobs — about 245 objects
 // a resume, for the tuner, its pool and engine, the window the journal is
 // read through, the scheduler restored from the journal's last checkpoint
-// (its trials' arena slabs, one array per rung heap) and the tables that
-// double as trials arrive — plus slack for another Go release's maps and
-// slices. It read 0.112 while a resume replayed every record into the
+// (its trials' arena slabs, one array per rung heap) and the segments
+// the tables grow by as trials arrive — plus slack for another Go
+// release's maps and slices. It read 0.068 while those tables doubled by
+// copying, 0.112 while a resume replayed every record into the
 // scheduler, and 0.078 while each checkpoint decoded its names afresh. A config map per issue reads 2.13, a record per report 1.13,
 // a pool record per restored trial 0.86.
 //
-// resumeBytesBudget is what it may allocate in bytes: 135 measured, plus
-// 12%. It read 309 while the replay built a trial table of its own, which
+// resumeBytesBudget is what it may allocate in bytes: 133 measured, plus
+// 12%. It read 135 while the tables doubled by copying, 309 while the replay built a trial table of its own, which
 // the executor then copied record by record, and each journal was read
 // through a window made afresh; 338 while the per-trial tables grew an
 // entry at a time, and 438 while a resume read the journal whole, into a
 // buffer as large as the file.
 const (
-	resumeAllocBudget = 0.2
-	resumeBytesBudget = 152
+	resumeAllocBudget = 0.18
+	resumeBytesBudget = 149
 )
 
 // TestResumeAllocsPerJob keeps Tuner.Resume from building anything per

@@ -17,7 +17,7 @@ func SeenKey(trial, rung int) int64 { return int64(trial)<<16 | int64(rung&0xfff
 // mask per trial holds rungs 0–63, and an exact map the rest (PBT's
 // rung is a step index without bound).
 type issuedSet struct {
-	rungs []uint64
+	rungs core.Table[uint64]
 	over  map[[2]int]bool
 }
 
@@ -30,11 +30,9 @@ func (s *issuedSet) add(trial, rung int) (dup bool) {
 		dup, s.over[[2]int{trial, rung}] = s.over[[2]int{trial, rung}], true
 		return dup
 	}
-	if trial >= len(s.rungs) {
-		s.rungs = core.GrowTo(s.rungs, trial+1)
-	}
-	dup = s.rungs[trial]&(1<<rung) != 0
-	s.rungs[trial] |= 1 << rung
+	m := s.rungs.Ensure(trial)
+	dup = *m&(1<<rung) != 0
+	*m |= 1 << rung
 	return dup
 }
 

@@ -43,7 +43,7 @@ func TestIssuedSetAgainstAMapOfPairs(t *testing.T) {
 			t.Fatalf("issue %d, trial %d rung %d: annotated %q, want %q", i, trial, rung, got, want)
 		}
 	}
-	if dups < 1000 || len(set.over) < 1000 || len(set.rungs) < 1000 {
-		t.Fatalf("%d repeats, %d pairs past the mask, %d trials in it; the stream lost its point", dups, len(set.over), len(set.rungs))
+	if dups < 1000 || len(set.over) < 1000 || set.rungs.Len() < 1000 {
+		t.Fatalf("%d repeats, %d pairs past the mask, %d trials in it; the stream lost its point", dups, len(set.over), set.rungs.Len())
 	}
 }

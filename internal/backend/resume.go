@@ -216,7 +216,7 @@ func (p *replayer) fail(err error) error {
 func (p *replayer) note(r *state.Record) error {
 	switch {
 	case r.Issue != nil:
-		p.rs.Trials.restore(r.Issue.Trial)
+		p.rs.Trials.record(r.Issue.Trial)
 		p.rs.issued.add(r.Issue.Trial, r.Issue.Rung)
 	case r.Report != nil:
 		if !r.Report.Failed {
@@ -258,7 +258,7 @@ func (p *replayer) issue(is *state.Issue, vals []float64) error {
 	if err := matchIssue(job, is, vals); err != nil {
 		return err
 	}
-	p.rs.Trials.restore(job.TrialID)
+	p.rs.Trials.record(job.TrialID)
 	p.out.push(job)
 	p.rs.Run.IssuedJobs++
 	p.rs.issued.add(job.TrialID, job.Rung)
@@ -285,12 +285,12 @@ func (p *replayer) report(r *state.Report) error {
 }
 
 func (p *replayer) snap(s *state.Snapshot) error {
-	byID := p.rs.Trials.byID
 	for _, ts := range s.Trials {
-		if uint(ts.Trial) >= uint(len(byID)) || byID[ts.Trial] == nil {
+		r := p.rs.Trials.lookup(ts.Trial)
+		if r == nil {
 			return fmt.Errorf("snapshot of trial %d, which the journal never issued — corrupt journal", ts.Trial)
 		}
-		byID[ts.Trial].resource, byID[ts.Trial].state = ts.Resource, ts.State
+		r.resource, r.state = ts.Resource, ts.State
 	}
 	p.rs.TimeOffset = max(p.rs.TimeOffset, s.Time)
 	return nil
@@ -331,9 +331,9 @@ func clone[T any](s []T) []T {
 // once, and a report costs the same however many it does.
 type pending struct {
 	// jobs, TrialID -1 once taken; by trial id, at holds one more than
-	// the index of the trial's latest job (0: none), nil while unbuilt.
+	// the index of the trial's latest job (0: none), empty while unbuilt.
 	jobs  []core.Job
-	at    []int32
+	at    core.Table[int32]
 	dead  int
 	multi bool
 }
@@ -344,7 +344,7 @@ const searchMax = 64
 func (p *pending) push(job core.Job) {
 	p.jobs = append(p.jobs, job)
 	switch {
-	case p.at != nil:
+	case p.at.Len() > 0:
 		p.point(len(p.jobs) - 1)
 	case len(p.jobs)-p.dead > searchMax:
 		for i, j := range p.jobs {
@@ -358,28 +358,26 @@ func (p *pending) push(job core.Job) {
 // point indexes jobs[i] by its trial.
 func (p *pending) point(i int) {
 	t := p.jobs[i].TrialID
-	if t >= len(p.at) {
-		p.at = core.GrowTo(p.at, t+1)
-	}
-	p.multi = p.multi || p.at[t] != 0
-	p.at[t] = int32(i + 1)
+	at := p.at.Ensure(t)
+	p.multi = p.multi || *at != 0
+	*at = int32(i + 1)
 }
 
 // take removes and returns the oldest job of (trial, rung).
 func (p *pending) take(trial, rung int) (core.Job, bool) {
 	k := -1
 	switch {
-	case p.at == nil || p.multi:
+	case p.at.Len() == 0 || p.multi:
 		k = slices.IndexFunc(p.jobs, func(j core.Job) bool { return j.TrialID == trial && j.Rung == rung })
-	case uint(trial) < uint(len(p.at)):
-		k = int(p.at[trial]) - 1
+	case uint(trial) < uint(p.at.Len()):
+		k = int(*p.at.At(trial)) - 1
 	}
 	if k < 0 || p.jobs[k].Rung != rung {
 		return core.Job{}, false
 	}
 	job := p.jobs[k]
-	if p.jobs[k] = (core.Job{TrialID: -1}); p.at != nil {
-		p.at[trial] = 0
+	if p.jobs[k] = (core.Job{TrialID: -1}); p.at.Len() > 0 {
+		*p.at.At(trial) = 0
 	}
 	// Compacting early keeps a search short and a narrow lane's list near
 	// its in-flight count, which a writer holds for the life of the run.
@@ -394,8 +392,8 @@ func (p *pending) compact() {
 	live := p.jobs[:0]
 	for _, j := range p.jobs {
 		if j.TrialID >= 0 {
-			if live = append(live, j); p.at != nil {
-				p.at[j.TrialID] = int32(len(live))
+			if live = append(live, j); p.at.Len() > 0 {
+				*p.at.At(j.TrialID) = int32(len(live))
 			}
 		}
 	}

@@ -13,13 +13,9 @@ import (
 type trialRecord struct {
 	resource float64
 	state    json.RawMessage
+	started  bool // the trial was launched, committed, restored or issued
 	changed  bool // listed in Trials.changed
 }
-
-// slabLen is how many records a table cuts from one allocation. A
-// trial's record lives as long as its table, so the chunking retains
-// nothing a per-trial allocation would have freed.
-const slabLen = 64
 
 // Trials is one lane's trial table, the single owner of every trial's
 // committed (resource, checkpoint) pair under the real executors: the
@@ -28,28 +24,26 @@ const slabLen = 64
 // Backend it belongs to the engine goroutine. The zero value is an empty
 // table.
 type Trials struct {
-	// byID is indexed by trial ID — schedulers issue dense IDs, so a
-	// slice beats a map on the per-job lookup path.
-	byID    []*trialRecord
-	slab    []trialRecord // the unused tail of the newest chunk of records
-	changed []int         // trials whose pair changed since SnapshotTrials last ran
+	// byID holds the records themselves, indexed by trial ID —
+	// schedulers issue dense IDs, so a table beats a map on the per-job
+	// lookup path; an entry not started is no trial's.
+	byID    core.Table[trialRecord]
+	changed []int // trials whose pair changed since SnapshotTrials last ran
 }
 
-// record returns the trial's record, creating it on first use.
+// record returns the trial's record, starting it on first use.
 func (t *Trials) record(id int) *trialRecord {
-	if id >= len(t.byID) {
-		t.byID = core.GrowTo(t.byID, id+1)
-	}
-	r := t.byID[id]
-	if r == nil {
-		if len(t.slab) == 0 {
-			t.slab = make([]trialRecord, slabLen)
-		}
-		r = &t.slab[0]
-		t.slab = t.slab[1:]
-		t.byID[id] = r
-	}
+	r := t.byID.Ensure(id)
+	r.started = true
 	return r
+}
+
+// lookup returns the trial's record, nil when it was never started.
+func (t *Trials) lookup(id int) *trialRecord {
+	if r := t.byID.Find(id); r != nil && r.started {
+		return r
+	}
+	return nil
 }
 
 // Resolve is Launch's view of a job's trial: the resource and checkpoint
@@ -60,11 +54,9 @@ func (t *Trials) record(id int) *trialRecord {
 // more than the pair per trial to carry that over too.
 func (t *Trials) Resolve(id, inheritFrom int) (from float64, state json.RawMessage, inherited bool) {
 	r := t.record(id)
-	if inheritFrom >= 0 && inheritFrom < len(t.byID) {
-		if donor := t.byID[inheritFrom]; donor != nil {
-			t.set(id, r, donor.resource, donor.state)
-			inherited = true
-		}
+	if donor := t.lookup(inheritFrom); donor != nil {
+		t.set(id, r, donor.resource, donor.state)
+		inherited = true
 	}
 	return r.resource, r.state, inherited
 }
@@ -91,7 +83,7 @@ func (t *Trials) set(id int, r *trialRecord, resource float64, state json.RawMes
 // SnapshotTrials implements TrialCheckpointer.
 func (t *Trials) SnapshotTrials(fn func(trial int, resource float64, state json.RawMessage)) {
 	for _, id := range t.changed {
-		r := t.byID[id]
+		r := t.byID.At(id)
 		r.changed = false
 		fn(id, r.resource, r.state)
 	}
@@ -100,17 +92,8 @@ func (t *Trials) SnapshotTrials(fn func(trial int, resource float64, state json.
 
 // RestoreTrial implements TrialCheckpointer.
 func (t *Trials) RestoreTrial(trial int, resource float64, state json.RawMessage) {
-	r := t.restore(trial)
+	r := t.record(trial)
 	r.resource, r.state = resource, state
-}
-
-// restore is record for a table restored whole, a trial a call: its
-// chunks double with the table, where a run's trials arrive over time.
-func (t *Trials) restore(id int) *trialRecord {
-	if len(t.slab) == 0 {
-		t.slab = make([]trialRecord, min(max(slabLen, len(t.byID)), 1024))
-	}
-	return t.record(id)
 }
 
 // takeTrials moves src's table into t, an empty one such as a lane's
@@ -119,11 +102,11 @@ func (t *Trials) takeTrials(src *Trials) { *t, *src = *src, Trials{} }
 
 // Each streams the whole table to fn in trial order.
 func (t *Trials) Each(fn func(trial int, resource float64, state json.RawMessage)) {
-	for id, r := range t.byID {
-		if r != nil {
+	t.byID.Each(func(id int, r *trialRecord) {
+		if r.started {
 			fn(id, r.resource, r.state)
 		}
-	}
+	})
 }
 
 // Stats implements Backend.Stats: the trials started and the resource

@@ -177,6 +177,7 @@ type simTrial struct {
 	// job is dropped or cut off by the horizon, and what a PBT heir of a
 	// running donor inherits.
 	pre     workload.TrialState
+	started bool // the record is a trial's: Launch initialized it
 	running bool
 	// startAt and startFrom are the running job's launch time and
 	// starting resource, which the trace reads when RecordTrace is set.
@@ -184,27 +185,22 @@ type simTrial struct {
 }
 
 // Sim is the discrete-event simulation backend for one scheduler over
-// one benchmark. Each trial is one simTrial record, cut from a slab and
-// indexed by trial ID (schedulers allocate IDs sequentially), and run
-// statistics are maintained incrementally as resource is trained or
-// rolled back, so nothing on the per-event path hashes, boxes, copies or
-// rescans; a new trial is one slab record plus the surrogate's own math
-// (ParamsFor).
+// one benchmark. Each trial is one simTrial record in a table indexed by
+// trial ID (schedulers allocate IDs sequentially), and run statistics
+// are maintained incrementally as resource is trained or rolled back, so
+// nothing on the per-event path hashes, boxes, copies or rescans; a new
+// trial is one table entry plus the surrogate's own math (ParamsFor).
 type Sim struct {
 	sched core.Scheduler
 	bench *workload.Benchmark
 	opt   Options
 	rng   *xrand.RNG
 
-	// trials is indexed by trial ID (nil = never started); nTrials
-	// counts distinct non-nil entries.
-	trials  []*simTrial
+	// trials holds the records themselves, indexed by trial ID: the
+	// run's own, never the Benchmark's (concurrent runs share it).
+	// nTrials counts the started ones.
+	trials  core.Table[simTrial]
 	nTrials int
-	// slab is the unused tail of the current block of trial records: the
-	// run's own, never the Benchmark's (concurrent runs share it), and
-	// it pins nothing, since trials keeps every record until the run
-	// ends.
-	slab []simTrial
 
 	events   calQueue
 	nextSeq  uint64
@@ -242,16 +238,13 @@ func New(sched core.Scheduler, bench *workload.Benchmark, opt Options) *Sim {
 	return s
 }
 
-// trial returns the trial for id, or nil.
+// trial returns the trial for id, or nil if it was never started.
 func (s *Sim) trial(id int) *simTrial {
-	if id < 0 || id >= len(s.trials) {
-		return nil
+	if t := s.trials.Find(id); t != nil && t.started {
+		return t
 	}
-	return s.trials[id]
+	return nil
 }
-
-// trialSlabLen trial records fill a 32 KB size class almost exactly.
-const trialSlabLen = 141
 
 // noteResource folds one trial's resource change into the incremental
 // run statistics.
@@ -294,17 +287,10 @@ func (s *Sim) Capacity() int { return s.opt.Workers }
 // training) immediately and schedules its completion event at the
 // straggler-adjusted finish time.
 func (s *Sim) Launch(job core.Job) {
-	if job.TrialID >= len(s.trials) {
-		s.trials = core.GrowTo(s.trials, job.TrialID+1)
-	}
-	t := s.trials[job.TrialID]
-	if t == nil {
-		if len(s.slab) == 0 {
-			s.slab = make([]simTrial, trialSlabLen)
-		}
-		t, s.slab = &s.slab[0], s.slab[1:]
+	t := s.trials.Ensure(job.TrialID)
+	if !t.started {
 		s.bench.InitTrial(&t.Trial, job.TrialID, job.Config)
-		s.trials[job.TrialID] = t
+		t.started = true
 		s.nTrials++
 	}
 	before := t.Resource()
@@ -394,7 +380,7 @@ func (s *Sim) Await(ctx context.Context) ([]backend.Completion, error) {
 // complete converts a finished event into a Completion, maintaining the
 // trace and rolling back dropped jobs.
 func (s *Sim) complete(ev event) backend.Completion {
-	t := s.trials[ev.job.TrialID]
+	t := s.trials.At(ev.job.TrialID)
 	if ev.failed {
 		// All progress from the dropped job is lost: roll back first so
 		// the trace records the resource the trial actually holds after
@@ -464,7 +450,7 @@ func (s *Sim) Close() error {
 	for s.events.Len() > 0 {
 		s.rawBatch = s.events.popBatch(s.rawBatch[:0])
 		for i := range s.rawBatch {
-			t, rung := s.trials[s.rawBatch[i].job.TrialID], s.rawBatch[i].job.Rung
+			t, rung := s.trials.At(s.rawBatch[i].job.TrialID), s.rawBatch[i].job.Rung
 			s.rawBatch[i] = event{}
 			if !t.running {
 				continue
@@ -475,11 +461,11 @@ func (s *Sim) Close() error {
 	}
 	// Defensive sweep: every in-flight job has exactly one queued event,
 	// but roll back any stragglers regardless.
-	for _, t := range s.trials {
-		if t != nil && t.running {
+	s.trials.Each(func(_ int, t *simTrial) {
+		if t.running {
 			s.rollback(t)
 		}
-	}
+	})
 	return nil
 }
 
@@ -498,11 +484,11 @@ func (s *Sim) Stats() backend.Stats {
 // diagnostics and calibration tooling.
 func (s *Sim) TrialsForTest() map[int]*workload.Trial {
 	out := make(map[int]*workload.Trial, s.nTrials)
-	for id, t := range s.trials {
-		if t != nil {
+	s.trials.Each(func(id int, t *simTrial) {
+		if t.started {
 			out[id] = &t.Trial
 		}
-	}
+	})
 	return out
 }
 

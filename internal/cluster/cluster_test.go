@@ -128,11 +128,11 @@ func (c inFlightCheck) Await(ctx context.Context) ([]backend.Completion, error) 
 func (c inFlightCheck) check(when string) {
 	c.t.Helper()
 	running := 0
-	for _, tr := range c.trials {
-		if tr != nil && tr.running {
+	c.trials.Each(func(_ int, tr *simTrial) {
+		if tr.running {
 			running++
 		}
-	}
+	})
 	if running != c.events.Len() {
 		c.t.Fatalf("%s: %d trials running, %d jobs in flight", when, running, c.events.Len())
 	}

@@ -32,30 +32,35 @@ func paperRun(bench *workload.Benchmark, seed uint64, jobs int) (completed int, 
 
 // What one simulated job may allocate, ASHA, the engine and the
 // simulator together, in each regime of simLaunchCases: what the run
-// measures (slabs, arena blocks and the dense tables doubling, none of it
-// per trial) plus slack for another Go release's maps and slices. About
-// three jobs in four start a trial and a trial is a slab record, so one
-// heap object per trial adds 0.7 or more to any of them.
+// measures (arena blocks and the segments of the per-trial and per-rung
+// tables, none of it per trial) plus slack for another Go release's maps
+// and slices. About three jobs in four start a trial and a trial is a
+// table entry, so one heap object per trial adds 0.7 or more to any of
+// them. With the tables doubling by copying and each trial cut from a
+// 141-record slab, the rows read 0.032, 0.25, 0.020 and 0.010.
 const (
-	simLaunchAllocBudget     = 0.032 + 0.06 // 1 918 objects over 60 000 jobs
-	simStragglersAllocBudget = 0.25 + 0.11  // 706 over the 2 828 jobs the horizon admits
-	sim10kAllocBudget        = 0.020 + 0.05 // 4 088 over 200 000 jobs, most sized by the worker count
-	sim100kAllocBudget       = 0.010 + 0.05 // 4 126 over 400 000 jobs
+	simLaunchAllocBudget     = 0.026 + 0.06 // 1 542 objects over 60 000 jobs
+	simStragglersAllocBudget = 0.208 + 0.11 // 588 over the 2 828 jobs the horizon admits
+	sim10kAllocBudget        = 0.016 + 0.05 // 3 139 over 200 000 jobs, most sized by the worker count
+	sim100kAllocBudget       = 0.005 + 0.05 // 2 155 over 400 000 jobs
 )
 
-// The bytes behind those objects, measured, plus slack. A per-trial table
-// grown an entry at a time rather than doubled allocates about five times
-// its final size: ASHA's configurations grown so read 416, 402, 511 and
-// 1 258 B, and the slack on the paper's and 10 000 workers' rows is less
-// than that table adds. A second copy of each new trial's configuration
-// costs about 70 B a job; with it, and a trial's state spread over five
-// tables grown an entry at a time, the rows measured 573, 499, 667 and
-// 1 469 B.
+// The bytes behind those objects, measured, plus slack. With the tables
+// doubling by copying the rows read 364.2, 384.3, 415.5 and 1 173 B.
+// The stragglers row's 2 052 trials pass the doubling segments of the
+// trial table (1 984 records) by 68, so a 1 024-record page of 237 KB
+// sits mostly empty, 84 B a job; its budget is the one it had. A per-trial
+// table grown an entry at a time allocates about five times its final
+// size: ASHA's configurations grown so read 416, 402, 511 and 1 258 B,
+// and the slack on the paper's and 10 000 workers' rows is less than
+// that table adds. A second copy of each new trial's configuration costs
+// about 70 B a job; with it, and a trial's state spread over five tables
+// grown an entry at a time, the rows measured 573, 499, 667 and 1 469 B.
 const (
-	simLaunchBytesBudget     = 364 + 36  // 364.2 B a job
-	simStragglersBytesBudget = 384 + 60  // 384.3
-	sim10kBytesBudget        = 416 + 50  // 415.5
-	sim100kBytesBudget       = 1173 + 60 // 1 173
+	simLaunchBytesBudget     = 293 + 36  // 292.6 B a job
+	simStragglersBytesBudget = 414 + 30  // 413.5
+	sim10kBytesBudget        = 348 + 50  // 347.6
+	sim100kBytesBudget       = 1108 + 60 // 1 107.9
 )
 
 // simLaunchCases are the regimes whose allocations are gated, and that
@@ -142,7 +147,7 @@ func BenchmarkSimLaunch(b *testing.B) {
 
 // TestSimsShareBenchmarkConcurrently: the surfaces, their level tables,
 // the cost tables and the percentile index sit on the Benchmark every run
-// shares, the trial slab on each Sim, and each trial holds its own
+// shares, the trial table on each Sim, and each trial holds its own
 // scheduler's configuration. Four runs at once must be the four runs one
 // after another.
 func TestSimsShareBenchmarkConcurrently(t *testing.T) {

@@ -39,7 +39,7 @@ type AsyncHyperband struct {
 	// by global trial ID, so job increments can be charged to bracket
 	// budgets. Global IDs interleave the brackets' sequential IDs by
 	// stride (encodeID), so the table is dense.
-	prevResource []float64
+	prevResource Table[float64]
 	inc          incumbent
 }
 
@@ -101,8 +101,8 @@ func (ah *AsyncHyperband) Next() (Job, bool) {
 	}
 	global := ah.encodeID(bracket, job.TrialID)
 	prev := 0.0
-	if global < len(ah.prevResource) {
-		prev = ah.prevResource[global]
+	if p := ah.prevResource.Find(global); p != nil {
+		prev = *p
 	}
 	ah.assigned[bracket] += math.Max(0, job.TargetResource-prev)
 	job.TrialID = global
@@ -114,10 +114,7 @@ func (ah *AsyncHyperband) Next() (Job, bool) {
 func (ah *AsyncHyperband) Report(res Result) {
 	bracket, local := ah.decodeID(res.TrialID)
 	if !res.Failed {
-		if res.TrialID >= len(ah.prevResource) {
-			ah.prevResource = GrowTo(ah.prevResource, res.TrialID+1)
-		}
-		ah.prevResource[res.TrialID] = res.Resource
+		*ah.prevResource.Ensure(res.TrialID) = res.Resource
 		ah.inc.observe(res)
 	}
 	res.TrialID = local

@@ -158,7 +158,7 @@ func (r *ashaRung) promote() (int, bool) {
 //
 // The get_job/report pair is the operation a 500-worker cluster performs
 // ~10^5 times per run, so its state is laid out to stay allocation-free:
-// trials live in a slice indexed by the (sequentially allocated) trial
+// trials live in a Table indexed by the (sequentially allocated) trial
 // ID, configurations come from a slab arena, rung resources are a
 // precomputed table instead of per-call math.Pow, the retry queue is a
 // head-indexed ring rather than a re-sliced slice, and a rung holds each
@@ -168,7 +168,7 @@ type ASHA struct {
 	topRung int // highest rung index (promotion target); -1 if unbounded
 	rungs   []*ashaRung
 	retry   retryQueue
-	trials  []searchspace.Config // indexed by trial ID
+	trials  Table[searchspace.Config] // indexed by trial ID
 	arena   *searchspace.Arena
 	// rungRes caches rungResource(k); rung k's resource never changes.
 	rungRes []float64
@@ -234,7 +234,7 @@ func (a *ASHA) Next() (Job, bool) {
 		a.ensureRung(k + 1)
 		return Job{
 			TrialID:        id,
-			Config:         a.trials[id],
+			Config:         *a.trials.At(id),
 			Rung:           k + 1,
 			TargetResource: a.rungResource(k + 1),
 			InheritFrom:    -1,
@@ -249,14 +249,13 @@ func (a *ASHA) Next() (Job, bool) {
 	} else {
 		cfg = a.arena.Sample(a.cfg.RNG)
 	}
-	a.trials = GrowTo(a.trials, id+1)
-	a.trials[id] = cfg
+	a.trials.Append(cfg)
 	return Job{TrialID: id, Config: cfg, Rung: 0, TargetResource: a.rungResource(0), InheritFrom: -1}, true
 }
 
 // retryJob is the job that re-runs a failed attempt at trial's rung.
 func (a *ASHA) retryJob(trial, rung int) Job {
-	return Job{TrialID: trial, Config: a.trials[trial], Rung: rung, TargetResource: a.rungResource(rung), InheritFrom: -1}
+	return Job{TrialID: trial, Config: *a.trials.At(trial), Rung: rung, TargetResource: a.rungResource(rung), InheritFrom: -1}
 }
 
 func (a *ASHA) ensureRung(k int) {

@@ -131,23 +131,46 @@ func appendList[T any](dst []byte, xs []T, put func([]byte, T) []byte) []byte {
 	return dst
 }
 
-// readList reads what appendList wrote, each element at least size
-// bytes: the count is checked against what is left before it sizes
-// anything.
-func readList[T any](r *wire.Reader, size int, get func() T) []T {
+// appendTable appends a count and each entry of t from from on.
+func appendTable[T any](dst []byte, t *Table[T], from int, put func([]byte, T) []byte) []byte {
+	dst = wire.AppendUvarint(dst, uint64(max(t.Len()-from, 0)))
+	for i := from; i < t.Len(); i++ {
+		dst = put(dst, *t.At(i))
+	}
+	return dst
+}
+
+// count reads a list's count, each element at least size bytes, and
+// checks it against what is left before anything is sized: 0 if it
+// does not fit.
+func count(r *wire.Reader, size int) int {
 	n := r.Int()
 	if n > r.Remaining()/size {
 		r.Failf("core: %d elements of %d bytes in %d", n, size, r.Remaining())
-		return nil
+		return 0
 	}
+	return n
+}
+
+// readList reads what appendList wrote, each element at least size
+// bytes.
+func readList[T any](r *wire.Reader, size int, get func() T) []T {
 	var xs []T
-	if n > 0 {
+	if n := count(r, size); n > 0 {
 		xs = make([]T, n)
 	}
 	for i := range xs {
 		xs[i] = get()
 	}
 	return xs
+}
+
+// readTable reads what appendTable wrote into t, allocated exactly.
+func readTable[T any](r *wire.Reader, size int, t *Table[T], get func() T) {
+	xs := t.Restore(count(r, size))
+	for i := range xs {
+		xs[i] = get()
+	}
 }
 
 func appendEntry(dst []byte, e entry) []byte {
@@ -178,12 +201,12 @@ func below(r *wire.Reader, n int, what string) int {
 // stream position, every trial's configuration, the retry queue (trial
 // and rung; the scheduler rebuilds the rest of each job) and the
 // incumbent (its configuration is its trial's).
-func appendState(dst []byte, rng *xrand.RNG, trials []searchspace.Config, retry *retryQueue, inc *incumbent) []byte {
+func appendState(dst []byte, rng *xrand.RNG, trials *Table[searchspace.Config], retry *retryQueue, inc *incumbent) []byte {
 	at := len(dst)
 	dst = append(dst, 0) // the length: one varint byte, PCG's state is 20
 	dst, _ = rng.AppendBinary(dst)
 	dst[at] = byte(len(dst) - at - 1)
-	return inc.appendTo(appendList(appendList(dst, trials, appendValues), retry.queued(), appendRetry))
+	return inc.appendTo(appendList(appendTable(dst, trials, 0, appendValues), retry.queued(), appendRetry))
 }
 
 func (in *incumbent) appendTo(dst []byte) []byte {
@@ -213,12 +236,12 @@ func readIncumbent(r *wire.Reader, trials int, config func(trial int) searchspac
 
 // restoreState reads what appendState wrote into the scheduler's own
 // fields; job rebuilds a queued retry.
-func restoreState(r *wire.Reader, rng *xrand.RNG, arena *searchspace.Arena, dim int, trials *[]searchspace.Config,
+func restoreState(r *wire.Reader, rng *xrand.RNG, arena *searchspace.Arena, dim int, trials *Table[searchspace.Config],
 	retry *retryQueue, rungs int, job func(trial, rung int) Job) {
 	if err := rng.UnmarshalBinary(r.Bytes()); err != nil && r.Err() == nil {
 		r.Failf("core: generator state: %v", err)
 	}
-	*trials = readList(r, max(8*dim, 1), func() searchspace.Config {
+	readTable(r, max(8*dim, 1), trials, func() searchspace.Config {
 		c := arena.New()
 		for k := 0; k < dim; k++ {
 			c.SetAt(k, r.Float64())
@@ -227,7 +250,7 @@ func restoreState(r *wire.Reader, rng *xrand.RNG, arena *searchspace.Arena, dim 
 	})
 	*retry = retryQueue{}
 	for _, p := range readList(r, 2, func() [2]int {
-		return [2]int{below(r, len(*trials), "retry of trial"), below(r, rungs, "retry at rung")}
+		return [2]int{below(r, trials.Len(), "retry of trial"), below(r, rungs, "retry at rung")}
 	}) {
 		if r.Err() == nil {
 			retry.push(job(p[0], p[1]))
@@ -246,8 +269,8 @@ func (a *ASHA) settings() [6]setting {
 		{"s", float64(a.cfg.EarlyStopRate)}, {"infinite horizon", horizon}, {"rung cap", float64(a.cfg.RungCap)}}
 }
 
-// AppendState implements StateCodec: the head, the rungs — heap arrays
-// as they stand, so that a restore copies instead of re-heapifying, and
+// AppendState implements StateCodec: the head, the rungs — heaps as
+// they stand, so that a restore copies instead of re-heapifying, and
 // bitsets — then appendState's part. ModelASHA inherits the method but
 // appends nothing: its sampler's model is fit to the whole history.
 func (a *ASHA) AppendState(dst []byte) []byte {
@@ -257,10 +280,12 @@ func (a *ASHA) AppendState(dst []byte) []byte {
 	head := a.settings()
 	dst = wire.AppendUvarint(appendHead(dst, "asha", a.cfg.Space, head[:]...), uint64(len(a.rungs)))
 	for _, g := range a.rungs {
-		dst = appendList(appendList(appendList(dst, g.lower.items, appendEntry), g.upper.items, appendEntry), g.cand.items, appendEntry)
-		dst = appendList(appendList(dst, g.recorded, wire.AppendUint64), g.nominated, wire.AppendUint64)
+		for _, h := range [...]*entryHeap{&g.lower, &g.upper, &g.cand} {
+			dst = appendTable(dst, &h.items, heapPad, appendEntry)
+		}
+		dst = appendTable(appendTable(dst, &g.recorded.words, 0, wire.AppendUint64), &g.nominated.words, 0, wire.AppendUint64)
 	}
-	return appendState(dst, a.cfg.RNG, a.trials, &a.retry, &a.inc)
+	return appendState(dst, a.cfg.RNG, &a.trials, &a.retry, &a.inc)
 }
 
 // RestoreState implements StateCodec.
@@ -297,14 +322,17 @@ func (a *ASHA) restore(r *wire.Reader) error {
 		return e
 	}
 	for _, g := range a.rungs {
-		g.lower.items, g.upper.items, g.cand.items = readList(r, 9, entry), readList(r, 9, entry), readList(r, 9, entry)
-		g.recorded, g.nominated = readList(r, 8, r.Uint64), readList(r, 8, r.Uint64)
+		for _, h := range [...]*entryHeap{&g.lower, &g.upper, &g.cand} {
+			h.restore(r, entry)
+		}
+		readTable(r, 8, &g.recorded.words, r.Uint64)
+		readTable(r, 8, &g.nominated.words, r.Uint64)
 	}
 	restoreState(r, a.cfg.RNG, a.arena, a.cfg.Space.Dim(), &a.trials, &a.retry, len(a.rungs), a.retryJob)
-	if a.nextID = len(a.trials); maxID >= a.nextID && r.Err() == nil {
+	if a.nextID = a.trials.Len(); maxID >= a.nextID && r.Err() == nil {
 		r.Failf("core: a rung entry of trial %d, beyond the %d trials", maxID, a.nextID)
 	}
-	a.inc = readIncumbent(r, len(a.trials), func(t int) searchspace.Config { return a.trials[t] })
+	a.inc = readIncumbent(r, a.trials.Len(), func(t int) searchspace.Config { return *a.trials.At(t) })
 	return r.Err()
 }
 
@@ -317,7 +345,7 @@ func (ah *AsyncHyperband) AppendState(dst []byte) []byte {
 		dst = b.AppendState(dst)
 	}
 	dst = appendList(appendList(dst, ah.assigned, wire.AppendFloat64), ah.quota, wire.AppendFloat64)
-	dst = appendList(wire.AppendUvarint(dst, uint64(ah.ptr)), ah.prevResource, wire.AppendFloat64)
+	dst = appendTable(wire.AppendUvarint(dst, uint64(ah.ptr)), &ah.prevResource, 0, wire.AppendFloat64)
 	return ah.inc.appendTo(dst)
 }
 
@@ -336,21 +364,22 @@ func (ah *AsyncHyperband) RestoreState(image []byte) error {
 		}
 	}
 	ah.assigned, ah.quota = readList(r, 8, r.Float64), readList(r, 8, r.Float64)
-	ah.ptr, ah.prevResource = below(r, n, "bracket"), readList(r, 8, r.Float64)
+	ah.ptr = below(r, n, "bracket")
+	readTable(r, 8, &ah.prevResource, r.Float64)
 	if r.Err() == nil && (len(ah.assigned) != n || len(ah.quota) != n) {
 		r.Failf("core: budgets of %d and %d brackets", len(ah.assigned), len(ah.quota))
 	}
 	trials := 0 // global ids below this have a bracket trial
 	for b, br := range ah.brackets {
-		trials = max(trials, ah.encodeID(b, len(br.trials)-1)+1)
+		trials = max(trials, ah.encodeID(b, br.trials.Len()-1)+1)
 	}
 	ah.inc = readIncumbent(r, trials, func(t int) searchspace.Config {
 		b, local := ah.decodeID(t)
-		if local >= len(ah.brackets[b].trials) {
+		if local >= ah.brackets[b].trials.Len() {
 			r.Failf("core: incumbent trial %d is not in the checkpoint", t)
 			return searchspace.Config{}
 		}
-		return ah.brackets[b].trials[local]
+		return *ah.brackets[b].trials.At(local)
 	})
 	r.ExpectEOF()
 	if r.Err() != nil {
@@ -361,7 +390,7 @@ func (ah *AsyncHyperband) RestoreState(image []byte) error {
 
 // AppendState implements StateCodec: the head, then appendState's part.
 func (r *RandomSearch) AppendState(dst []byte) []byte {
-	return appendState(appendHead(dst, "random", r.cfg.Space, setting{"R", r.cfg.MaxResource}), r.cfg.RNG, r.trials, &r.retry, &r.inc)
+	return appendState(appendHead(dst, "random", r.cfg.Space, setting{"R", r.cfg.MaxResource}), r.cfg.RNG, &r.trials, &r.retry, &r.inc)
 }
 
 // RestoreState implements StateCodec; only a refused head leaves the
@@ -372,7 +401,7 @@ func (r *RandomSearch) RestoreState(image []byte) error {
 		return err
 	}
 	restoreState(rd, r.cfg.RNG, r.arena, r.cfg.Space.Dim(), &r.trials, &r.retry, 1, func(trial, _ int) Job { return r.job(trial) })
-	r.inc = readIncumbent(rd, len(r.trials), func(t int) searchspace.Config { return r.trials[t] })
+	r.inc = readIncumbent(rd, r.trials.Len(), func(t int) searchspace.Config { return *r.trials.At(t) })
 	rd.ExpectEOF()
 	if rd.Err() != nil {
 		return fmt.Errorf("core: random checkpoint: %w", rd.Err())

@@ -19,7 +19,7 @@ type RandomSearchConfig struct {
 // an embarrassingly parallel fashion.
 type RandomSearch struct {
 	cfg    RandomSearchConfig
-	trials []searchspace.Config // indexed by trial ID, allocated sequentially
+	trials Table[searchspace.Config] // indexed by trial ID, allocated sequentially
 	arena  *searchspace.Arena
 	retry  retryQueue
 	inc    incumbent
@@ -42,13 +42,13 @@ func (r *RandomSearch) Next() (Job, bool) {
 	if job, ok := r.retry.pop(); ok {
 		return job, true
 	}
-	r.trials = append(r.trials, r.arena.Sample(r.cfg.RNG))
-	return r.job(len(r.trials) - 1), true
+	r.trials.Append(r.arena.Sample(r.cfg.RNG))
+	return r.job(r.trials.Len() - 1), true
 }
 
 // job is the one job random search runs per trial.
 func (r *RandomSearch) job(trial int) Job {
-	return Job{TrialID: trial, Config: r.trials[trial], Rung: 0, TargetResource: r.cfg.MaxResource, InheritFrom: -1}
+	return Job{TrialID: trial, Config: *r.trials.At(trial), Rung: 0, TargetResource: r.cfg.MaxResource, InheritFrom: -1}
 }
 
 // Report updates the incumbent; failed jobs are retried.

@@ -122,8 +122,8 @@ func TestTopKTrackerPartition(t *testing.T) {
 	}
 	// Exactly 50 entries at or below the threshold.
 	below := 0
-	for _, e := range tr.lower.items {
-		if entryLess(thr, e) {
+	for i := range tr.lower.Len() {
+		if e := *tr.lower.items.At(i + heapPad); entryLess(thr, e) {
 			t.Fatalf("lower heap holds entry above threshold: %+v > %+v", e, thr)
 		}
 		below++
@@ -131,8 +131,8 @@ func TestTopKTrackerPartition(t *testing.T) {
 	if below != 50 {
 		t.Fatalf("lower heap size %d, want 50", below)
 	}
-	for _, e := range tr.upper.items {
-		if entryLess(e, thr) {
+	for i := range tr.upper.Len() {
+		if entryLess(*tr.upper.items.At(i + heapPad), thr) {
 			t.Fatalf("upper heap holds entry below threshold")
 		}
 	}

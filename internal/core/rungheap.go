@@ -1,26 +1,14 @@
 package core
 
 // The rung's building blocks: the entry order, a heap of entries and a
-// bitset over trial IDs. ashaRung (asha.go) composes them. GrowTo is how
-// they, and the other per-trial tables, grow.
+// bitset over trial IDs. ashaRung (asha.go) composes them, each over a
+// Table.
 
 import (
 	"math"
-	"slices"
-)
 
-// GrowTo returns s grown to length n, the new entries zero. Every dense
-// per-trial table grows through it, here and in backend, cluster and
-// exec. A table that must grow doubles: past 256 entries append alone
-// grows a slice by about 1.25x, so a per-trial table grown an entry at
-// a time would allocate about five times its final size and copy itself
-// about four times.
-func GrowTo[T any](s []T, n int) []T {
-	if n > cap(s) {
-		s = slices.Grow(s, max(n, 2*len(s))-len(s))
-	}
-	return append(s, make([]T, n-len(s))...)
-}
+	"repro/internal/wire"
+)
 
 // entryLess is the total order used by all rung bookkeeping: ascending
 // loss, NaN after +Inf (a diverged trial ranks worst), ties broken by
@@ -42,13 +30,18 @@ func entryLess(a, b entry) bool {
 // entryHeap is a 4-ary heap of entries. When max is false the root is
 // the smallest entry under entryLess; when max is true, the largest.
 // A sift through rung 0's ~10^5 entries visits half the levels of a
-// binary heap's, and a level's four siblings sit side by side in memory.
+// binary heap's. Position i sits at index i+heapPad of the table, so
+// each group of four siblings, 4i+1..4i+4, starts at a multiple of four
+// and lies in one segment: a sift looks up one span a level.
 type entryHeap struct {
 	max   bool
-	items []entry
+	items Table[entry] // empty, or heapPad unused entries and the heap
 }
 
-func (h *entryHeap) Len() int { return len(h.items) }
+// heapPad is the unused entries before the root.
+const heapPad = 3
+
+func (h *entryHeap) Len() int { return max(h.items.Len()-heapPad, 0) }
 
 func (h *entryHeap) before(a, b entry) bool {
 	if h.max {
@@ -59,77 +52,92 @@ func (h *entryHeap) before(a, b entry) bool {
 
 // Peek returns the root without removing it; ok=false when empty.
 func (h *entryHeap) Peek() (entry, bool) {
-	if len(h.items) == 0 {
+	if h.Len() == 0 {
 		return entry{}, false
 	}
-	return h.items[0], true
+	return *h.items.At(heapPad), true
 }
 
 // Push inserts an entry.
 func (h *entryHeap) Push(e entry) {
-	h.items = GrowTo(h.items, len(h.items)+1)
-	i := len(h.items) - 1
-	h.items[i] = e
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !h.before(h.items[i], h.items[parent]) {
+	i := h.Len()
+	h.items.Grow(i + 1 + heapPad)
+	hole := h.items.At(i + heapPad)
+	for ; i > 0; i = (i - 1) / 4 {
+		p := h.items.At((i-1)/4 + heapPad)
+		if !h.before(e, *p) {
 			break
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
-		i = parent
+		*hole, hole = *p, p
 	}
+	*hole = e
 }
 
 // Pop removes and returns the root; ok=false when empty.
 func (h *entryHeap) Pop() (entry, bool) {
-	n := len(h.items)
+	n := h.Len()
 	if n == 0 {
 		return entry{}, false
 	}
-	root := h.items[0]
-	h.items[0] = h.items[n-1]
-	h.items = h.items[:n-1]
-	h.siftDown(0)
+	root, last := *h.items.At(heapPad), *h.items.At(n - 1 + heapPad)
+	if h.items.Truncate(n - 1 + heapPad); n > 1 {
+		h.siftDown(last)
+	}
 	return root, true
 }
 
 // Replace swaps e in for the root of a non-empty heap and returns the
 // old root: a Pop and a Push for one sift.
 func (h *entryHeap) Replace(e entry) entry {
-	root := h.items[0]
-	h.items[0] = e
-	h.siftDown(0)
+	root := *h.items.At(heapPad)
+	h.siftDown(e)
 	return root
 }
 
-func (h *entryHeap) siftDown(i int) {
-	n := len(h.items)
-	for {
-		best := i
-		for c := 4*i + 1; c <= 4*i+4 && c < n; c++ {
-			if h.before(h.items[c], h.items[best]) {
-				best = c
+// siftDown puts e in the root's place and moves it down to its own.
+func (h *entryHeap) siftDown(e entry) {
+	n, hole := h.Len(), h.items.At(heapPad)
+	for i := 0; 4*i+1 < n; {
+		kids := h.items.Span(4*i+1+heapPad, min(4, n-4*i-1))
+		best, c := e, -1
+		for k := range kids {
+			if h.before(kids[k], best) {
+				best, c = kids[k], k
 			}
 		}
-		if best == i {
-			return
+		if c < 0 {
+			break
 		}
-		h.items[i], h.items[best] = h.items[best], h.items[i]
-		i = best
+		*hole, hole = best, &kids[c]
+		i = 4*i + 1 + c
+	}
+	*hole = e
+}
+
+// restore reads what appendTable wrote of the heap's positions. The
+// table is allocated once, to a multiple of four, so that the groups of
+// siblings pushed after it stay in one segment.
+func (h *entryHeap) restore(r *wire.Reader, get func() entry) {
+	n := count(r, 9)
+	if n == 0 {
+		h.items.Restore(0)
+		return
+	}
+	xs := h.items.Restore((n + heapPad + 3) &^ 3)
+	h.items.Truncate(n + heapPad)
+	for i := range n {
+		xs[heapPad+i] = get()
 	}
 }
 
 // bitset is a dense set of non-negative ints. ASHA allocates trial IDs
 // sequentially, so a bit per issued trial replaces a hash set entry.
-type bitset []uint64
+type bitset struct{ words Table[uint64] }
 
 // add inserts i and reports whether it was already present.
 func (b *bitset) add(i int) bool {
-	w, bit := i>>6, uint64(1)<<(i&63)
-	if w >= len(*b) {
-		*b = GrowTo(*b, w+1)
-	}
-	had := (*b)[w]&bit != 0
-	(*b)[w] |= bit
+	p, bit := b.words.Ensure(i>>6), uint64(1)<<(i&63)
+	had := *p&bit != 0
+	*p |= bit
 	return had
 }

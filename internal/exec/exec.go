@@ -147,7 +147,7 @@ type Pool struct {
 	backend.Trials
 	lane int
 	obj  Objective
-	live []poolLive // by trial ID
+	live core.Table[poolLive] // by trial ID
 	// checkpoint enables commit-time JSON encoding of trial states for
 	// journal snapshots (set by the engine when the lane is journaled).
 	checkpoint bool
@@ -155,10 +155,7 @@ type Pool struct {
 
 // at returns the trial's live-state slot.
 func (p *Pool) at(id int) *poolLive {
-	if id >= len(p.live) {
-		p.live = core.GrowTo(p.live, id+1)
-	}
-	return &p.live[id]
+	return p.live.Ensure(id)
 }
 
 // state returns the trial's state object; ckpt is its committed

@@ -40,15 +40,17 @@ type leasePathCase struct {
 // so a fresh one is made only while a run's pipeline first fills.
 const (
 	// ASHA, the engine, the lease server, both ends of the wire, the
-	// agent and the objective: measures 1.33 — the objective's boxed
+	// agent and the objective: measures 1.31 — the objective's boxed
 	// float return (1), a boxed checkpoint handed in (0.25), the rest the
-	// scheduler's and the first fill's — plus 0.5 of slack.
-	leasePathAllocBudget = 1.33 + 0.5
+	// scheduler's and the first fill's — plus 0.5 of slack. It read 1.33
+	// while the per-trial tables doubled by copying.
+	leasePathAllocBudget = 1.31 + 0.5
 	// The same over leasePathTables' lanes, interleaved on the same two
-	// slots: measures 1.38, plus the same slack. A slot that rebuilt its
+	// slots: measures 1.35 (1.38 with doubling tables), plus the same
+	// slack. A slot that rebuilt its
 	// map whenever the table's slice changed — not its names — measured
 	// 3.48 here and no more on the single-lane rows, which cannot see it.
-	leasePathTablesAllocBudget = 1.38 + 0.5
+	leasePathTablesAllocBudget = 1.35 + 0.5
 	// The same without scheduler or engine, over four agents, the
 	// caller's config vector included: measures 2.14, plus the same
 	// slack. All 20 000 jobs queue at once, so four pipelines of 1 024
@@ -57,27 +59,28 @@ const (
 	// checkpoint of each record's own measured 2.24.
 	leaseContentionAllocBudget = 2.14 + 0.5
 	// The first lane with nothing configured (leasePathCase.unset), where
-	// a frame carries a job or two and so shows whole: measures 2.39 — the
+	// a frame carries a job or two and so shows whole: measures 2.37 — the
 	// objective's 1.25 again and, per frame, a reports frame's checkpoint
 	// arena and the boxed checkpoints that share no frame — plus the same
 	// slack. Cutting each grants frame's records, float slab and read
-	// buffer afresh measured 4.89.
-	leasePathDefaultsAllocBudget = 2.39 + 0.5
+	// buffer afresh measured 4.89, and doubling tables 2.39.
+	leasePathDefaultsAllocBudget = 2.37 + 0.5
 	// What the counters and histograms behind /metrics may add to a
 	// job: they are atomics and fixed arrays, and measure 0.00.
 	leasePathMetricsAllocSlack = 0.05
 
 	// The bytes behind those objects, measured beside them, each plus
 	// 100 B of slack: less than either record would cost a job again
-	// (a task is 296 B, a lease record 240). asha measures 340 B and
-	// 341 B with metrics; its tables 326 B; contention 608 B (its budget
-	// keeps the 606 B it was set from); defaults 264 B. The first three
-	// and the last read 420, 425, 370 and 336 B while the per-trial
-	// tables grew an entry at a time.
-	leasePathBytesBudget           = 341 + 100
-	leasePathTablesBytesBudget     = 326 + 100
+	// (a task is 296 B, a lease record 240). asha measures 248 B and
+	// 251 B with metrics; its tables 250 B; contention 606–608 B, which
+	// holds no per-trial table; defaults 175 B. The first three and the
+	// last read 340, 341, 326 and 264 B while the per-trial tables
+	// doubled by copying, and 420, 425, 370 and 336 B while they grew an
+	// entry at a time.
+	leasePathBytesBudget           = 251 + 100
+	leasePathTablesBytesBudget     = 250 + 100
 	leasePathContentionBytesBudget = 606 + 100
-	leasePathDefaultsBytesBudget   = 264 + 100
+	leasePathDefaultsBytesBudget   = 175 + 100
 )
 
 // leasePathCases: the fleet benchmark's lane with metrics off and on;
