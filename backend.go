@@ -136,8 +136,8 @@ type Remote struct {
 	OnListen func(url string)
 	// Metrics enables GET /metrics on the embedded server: engine and
 	// lease counters — granted/expired leases, batch sizes, rung
-	// occupancy, incumbent loss — in Prometheus text format. The scrape
-	// reads lock-free counters and never touches the grant path's lock.
+	// occupancy, incumbent loss — in Prometheus text format. Counters are
+	// atomics; the queue, lease, drain and cap gauges take one lock hold.
 	Metrics bool
 	// Events enables GET /v1/events: a streaming NDJSON feed of
 	// run-lifecycle events (trial issued/completed/promoted/failed,

@@ -62,11 +62,11 @@
 //
 // Fleet runs carry an opt-in observability-and-operations plane on the
 // embedded lease server, Remote{Metrics, Events, AdminToken}: GET
-// /metrics exports Prometheus counters and per-experiment rung
-// occupancy from lock-free atomics, GET /v1/events streams lifecycle
-// events (trial issued/completed/promoted, rung advances, new
-// incumbents) as NDJSON, and the token-scoped /v1/admin API —
-// cmd/ashactl is its CLI — pauses, resumes or aborts experiments,
+// /metrics exports Prometheus counters (atomics), gauges (one hold of
+// the server lock) and per-experiment rung occupancy, GET /v1/events
+// streams lifecycle events (trial issued/completed/promoted, rung
+// advances, new incumbents) as NDJSON, and the token-scoped /v1/admin
+// API — cmd/ashactl is its CLI — pauses, resumes or aborts experiments,
 // resizes the shared worker budget, and drains the fleet while the run
 // is live. Pausing stops lease grants while in-flight jobs finish;
 // a run paused to zero activity parks and continues on resume.

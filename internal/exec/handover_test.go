@@ -39,9 +39,7 @@ func TestResumeHandoverContinuesTheLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A race-detector build of a worker waits a second at exit unless told
-	// not to, and Run closes the pool.
-	procs, err := NewSubprocess(ctx, exe, nil, []string{"EXEC_TEST_WORKER=1", "GORACE=atexit_sleep_ms=0"}, 2)
+	procs, err := NewSubprocess(ctx, exe, nil, []string{"EXEC_TEST_WORKER=1"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,9 @@ import (
 
 // TestMain turns this test binary into a subprocess worker serving
 // lineageObjective (EXEC_TEST_WORKER=1), keysObjective (=keys) or
-// crashObjective (=crash) when a Subprocess test relaunches it.
+// crashObjective (=crash) when a Subprocess test relaunches it. Every
+// worker a test spawns inherits GORACE: a race-detector build otherwise
+// sleeps a second at exit.
 func TestMain(m *testing.M) {
 	obj := map[string]Objective{"1": lineageObjective, "keys": keysObjective, "crash": crashObjective}[os.Getenv("EXEC_TEST_WORKER")]
 	if obj != nil {
@@ -32,6 +34,7 @@ func TestMain(m *testing.M) {
 		}
 		os.Exit(0)
 	}
+	os.Setenv("GORACE", "atexit_sleep_ms=0")
 	os.Exit(m.Run())
 }
 

@@ -144,10 +144,9 @@ type agent struct {
 	reports chan *heldLease // slots -> reporter
 	kick    chan struct{}   // wakes the fetcher when lease capacity frees
 
-	// bsMu guards bs, the live binary stream (nil before the first dial
-	// and after a stream dies). The fetcher owns dialing and leaseSeq;
+	// bs is the live binary stream (nil before the first dial and after
+	// a stream dies), under mu. The fetcher owns dialing and leaseSeq;
 	// repSeq belongs to the reporter goroutine — neither needs a lock.
-	bsMu     sync.Mutex
 	bs       *binStream
 	leaseSeq uint64
 	repSeq   uint64
@@ -174,6 +173,8 @@ type agent struct {
 	// RTT any other way).
 	lastRTTUs atomic.Int64
 
+	// mu guards held, free and active, and with them worker, bs and
+	// every record's flags.
 	mu   sync.Mutex
 	held map[uint64]*heldLease
 	// free holds records whose last stage has passed (see heldLease).
@@ -299,8 +300,8 @@ func (a *agent) workerID() string {
 // curStream returns the live binary stream, or nil if there is none
 // (never dialed, or the last one died — the fetcher will redial).
 func (a *agent) curStream() *binStream {
-	a.bsMu.Lock()
-	defer a.bsMu.Unlock()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	if a.bs != nil && !a.bs.alive() {
 		a.bs = nil
 	}
@@ -308,9 +309,9 @@ func (a *agent) curStream() *binStream {
 }
 
 func (a *agent) setStream(bs *binStream) {
-	a.bsMu.Lock()
+	a.mu.Lock()
 	a.bs = bs
-	a.bsMu.Unlock()
+	a.mu.Unlock()
 }
 
 // activeLeases reports the leases still owed work — queued or running.

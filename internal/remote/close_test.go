@@ -1,10 +1,15 @@
 package remote
 
 import (
+	"context"
 	"net/http"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/exec"
 )
 
 // TestClosedServerLetsGoOfTheRun pins what closeGrace promises: for
@@ -62,5 +67,95 @@ func TestClosedServerLetsGoOfTheRun(t *testing.T) {
 	// handshake that the run is over.
 	if status, _ := streamLease(t, srv.URL(), "w1", binLeaseReq{Max: 1}); status != http.StatusNoContent {
 		t.Fatalf("closed server answered a stream handshake %d inside the grace window, want 204", status)
+	}
+}
+
+// TestCloseSettlesEveryJobOnce closes a server in the middle of a run:
+// agents are settling report frames and heartbeating their leases
+// (queued on the worker, running, finished and unflushed) while Close
+// flushes the queue and the lease table. Every 50th job holds its slot
+// until the test lets go, so some leases can only be answered by the
+// flush, and their reports arrive after it. Every job must be answered
+// exactly once, and the closed server's gauges must read empty.
+func TestCloseSettlesEveryJobOnce(t *testing.T) {
+	srv, err := NewServer(Options{LeaseTTL: 60 * time.Millisecond, Prefetch: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 600
+	var answers [jobs]atomic.Int32
+	var failed atomic.Int64
+	settled := make(chan struct{}, jobs)
+	for i := 0; i < jobs; i++ {
+		srv.Submit(JobPayload{Trial: i, Names: []string{"x"}, Vec: []float64{float64(i)}, To: 1}, func(o Outcome) {
+			if answers[i].Add(1) == 1 && o.Failed {
+				failed.Add(1)
+			}
+			settled <- struct{}{}
+		})
+	}
+	hold := make(chan struct{})
+	objective := func(ctx context.Context, cfg map[string]float64, from, to float64, state interface{}) (float64, interface{}, error) {
+		if int(cfg["x"])%50 == 49 {
+			select {
+			case <-hold:
+			case <-ctx.Done():
+			}
+		}
+		time.Sleep(time.Millisecond)
+		return cfg["x"], nil, nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var agents sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		agents.Add(1)
+		go func() {
+			defer agents.Done()
+			_ = ServeAgent(ctx, AgentOptions{
+				Server: srv.URL(), Slots: 2,
+				Resolve: func(string) (exec.Objective, error) { return objective, nil },
+			})
+		}()
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for c := srv.Counters(); c.Accepted < jobs/6; c = srv.Counters() {
+		// One snapshot reads the counters and the lease gauge together.
+		if c.Granted != c.Accepted+c.Expired+c.Leased {
+			t.Fatalf("%d granted, but %d accepted + %d expired + %d leased", c.Granted, c.Accepted, c.Expired, c.Leased)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("agents settled %d jobs in 20s", c.Accepted)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < jobs; n++ {
+		select {
+		case <-settled:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d jobs answered after Close", n, jobs)
+		}
+	}
+	close(hold)
+	agents.Wait() // every agent heard the run is over and reported what it held
+	select {
+	case <-settled:
+		t.Fatal("a job was answered twice")
+	case <-time.After(50 * time.Millisecond):
+	}
+	for i := range answers {
+		if n := answers[i].Load(); n != 1 {
+			t.Fatalf("job %d answered %d times", i, n)
+		}
+	}
+	c := srv.Counters()
+	if c.Pending != 0 || c.Leased != 0 {
+		t.Fatalf("closed server still counts %d pending and %d leased jobs", c.Pending, c.Leased)
+	}
+	if c.Submitted != jobs || c.Accepted+failed.Load() != jobs {
+		t.Fatalf("%d accepted + %d failed of %d submitted, want %d", c.Accepted, failed.Load(), c.Submitted, jobs)
 	}
 }

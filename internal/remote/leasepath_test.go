@@ -85,10 +85,9 @@ const (
 
 // leasePathCases: the fleet benchmark's lane with metrics off and on;
 // four lanes whose jobs interleave on one agent's slots, the way a
-// manager's experiments do; report ingestion across the sharded lease
-// table — four agents' grants and report batches against one server with
-// nothing else in the loop, the path the 16-way shard split
-// parallelizes; and the first lane again the way tune-paced runs it,
+// manager's experiments do; four agents settling against one server
+// lock — their grants, report batches and heartbeats against one server
+// with nothing else in the loop; and the first lane again the way tune-paced runs it,
 // nothing configured: 16 leases over four four-slot agents, a frame per
 // handful of jobs, so whatever a frame or a poll allocates shows whole.
 var leasePathCases = []leasePathCase{

@@ -1,11 +1,11 @@
 package remote
 
-// The server's observability-and-operations plane (PR 6): GET /metrics
-// exports the lock-free counter snapshot in Prometheus text format,
-// GET /v1/events streams run-lifecycle events as NDJSON from a bounded
-// ring, and the token-scoped POST /v1/admin/* endpoints let an operator
-// (cmd/ashactl) pause, resume, or abort experiments, adjust the worker
-// budget, and drain the fleet while the run is live.
+// The server's observability-and-operations plane: GET /metrics exports
+// the counter snapshot in Prometheus text format, GET /v1/events streams
+// run-lifecycle events as NDJSON from a bounded ring, and the
+// token-scoped POST /v1/admin/* endpoints let an operator (cmd/ashactl)
+// pause, resume, or abort experiments, adjust the worker budget, and
+// drain the fleet while the run is live.
 //
 // The server owns what it can decide alone — freezing queued jobs,
 // draining workers, canceling pending work, its own counters — and
@@ -98,7 +98,9 @@ type ControlPlane interface {
 // announces the server (Options.OnListen), the one place it is
 // announced: a run attaches its control plane once it is whole.
 func (s *Server) SetControl(cp ControlPlane) {
-	s.control.Store(controlBox{cp: cp})
+	s.mu.Lock()
+	s.control = cp
+	s.mu.Unlock()
 	if cp == nil {
 		return
 	}
@@ -137,10 +139,9 @@ func (s *Server) drop(experiment string) (int, error) {
 }
 
 func (s *Server) controlPlane() ControlPlane {
-	if box, ok := s.control.Load().(controlBox); ok {
-		return box.cp
-	}
-	return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.control
 }
 
 // EventBus returns the server's event ring, or nil when Options.Events
@@ -151,8 +152,8 @@ func (s *Server) EventBus() *obs.Bus { return s.bus }
 // admin fuzz target drives it without TCP round trips).
 func (s *Server) Handler() http.Handler { return s.hs.Handler }
 
-// CounterSnapshot is a point-in-time copy of the server's lock-free
-// counters — the same numbers /metrics exports.
+// CounterSnapshot is a point-in-time copy of the server's counters and
+// its queue and lease gauges — the same numbers /metrics exports.
 type CounterSnapshot struct {
 	Submitted      int64 `json:"submitted"`
 	Granted        int64 `json:"granted"`
@@ -171,10 +172,22 @@ type CounterSnapshot struct {
 	EventsDropped  int64 `json:"eventsDropped"`
 }
 
-// Counters snapshots the server's observability counters without
-// touching the lease tables' mutex.
+// Counters snapshots the server's observability counters. The
+// counters are atomics; the server lock is taken once, for the queue and
+// lease gauges, and the counters the grant, settle and expiry paths bump
+// under it are read in the same hold, so Granted is exactly Accepted +
+// Expired + Leased until Close flushes the leases.
 func (s *Server) Counters() CounterSnapshot {
-	c := CounterSnapshot{
+	c, _, _ := s.snapshot()
+	return c
+}
+
+// snapshot is Counters plus the drain flag and the lease cap, read in
+// the same one hold of s.mu: what /metrics and admin status show of the
+// server.
+func (s *Server) snapshot() (c CounterSnapshot, draining bool, leaseCap int) {
+	s.mu.Lock()
+	c = CounterSnapshot{
 		Submitted:      s.submitted.Load(),
 		Granted:        s.granted.Load(),
 		Expired:        s.expired.Load(),
@@ -187,13 +200,15 @@ func (s *Server) Counters() CounterSnapshot {
 		ReportFrames:   s.reportFrames.Load(),
 		Sweeps:         s.sweeps.Load(),
 		Registered:     s.registered.Load(),
-		Pending:        s.pendingJobs.Load(),
-		Leased:         s.activeLeases.Load(),
+		Pending:        int64(len(s.pending) - s.pendingHead),
+		Leased:         int64(len(s.leases)),
 	}
+	draining, leaseCap = s.draining, s.maxLeases
+	s.mu.Unlock()
 	if s.bus != nil {
 		c.EventsDropped = s.bus.Dropped()
 	}
-	return c
+	return c, draining, leaseCap
 }
 
 // PauseExperiment withholds the named experiment's queued jobs from
@@ -266,7 +281,6 @@ func (s *Server) CancelPending(experiment string) int {
 		s.pending[i] = nil
 	}
 	s.pending, s.pendingHead = kept, 0
-	s.pendingJobs.Add(int64(-len(canceled)))
 	s.canceled.Add(int64(len(canceled)))
 	s.mu.Unlock()
 	for _, t := range canceled {
@@ -300,7 +314,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var b strings.Builder
-	c := s.Counters()
+	c, draining, leaseCap := s.snapshot()
 	counter := func(name, help string, v int64) {
 		obs.PromHeader(&b, name, "counter", help)
 		obs.PromSample(&b, name, nil, float64(v))
@@ -327,8 +341,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("asha_events_dropped_total", "Events skipped past slow /v1/events consumers.", c.EventsDropped)
 		gauge("asha_event_subscribers", "Event-stream subscriptions handed out over the server lifetime.", float64(s.bus.Subscribers()))
 	}
-	gauge("asha_server_draining", "1 while lease polls are answered with done (drain mode).", boolGauge(s.Draining()))
-	gauge("asha_lease_cap", "Concurrent-lease cap (0 = unlimited).", float64(s.MaxLeases()))
+	gauge("asha_server_draining", "1 while lease polls are answered with done (drain mode).", boolGauge(draining))
+	gauge("asha_lease_cap", "Concurrent-lease cap (0 = unlimited).", float64(leaseCap))
 	if s.opts.ShardID != "" {
 		obs.PromHeader(&b, "asha_shard_info", "gauge", "Constant 1, labeled with this tuner shard's ID.")
 		obs.PromSample(&b, "asha_shard_info", []obs.Label{{Name: "shard", Value: s.opts.ShardID}}, 1)
@@ -672,14 +686,8 @@ func (s *Server) handleAdmin(w http.ResponseWriter, r *http.Request) {
 			reject(w, http.StatusMethodNotAllowed, "GET or POST")
 			return
 		}
-		st := AdminStatus{
-			OK:       true,
-			ShardID:  s.opts.ShardID,
-			Draining: s.Draining(),
-			LeaseCap: s.MaxLeases(),
-			Paused:   s.PausedExperiments(),
-			Counters: s.Counters(),
-		}
+		st := AdminStatus{OK: true, ShardID: s.opts.ShardID, Paused: s.PausedExperiments()}
+		st.Counters, st.Draining, st.LeaseCap = s.snapshot()
 		if cp != nil {
 			if cs, err := cp.Status(); err == nil {
 				st.Workers = cs.Workers

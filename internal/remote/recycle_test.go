@@ -122,44 +122,38 @@ func (r *recycleRig) answered(trials ...int) []Outcome {
 // leases returns the live leases whose tasks match, by lease ID.
 func (r *recycleRig) leases(match func(*task) bool) []uint64 {
 	var ids []uint64
-	for i := range r.srv.shards {
-		sh := &r.srv.shards[i]
-		sh.mu.Lock()
-		for id, t := range sh.leases {
-			if match(t) {
-				ids = append(ids, id)
-			}
+	r.srv.mu.Lock()
+	for id, t := range r.srv.leases {
+		if match(t) {
+			ids = append(ids, id)
 		}
-		sh.mu.Unlock()
 	}
+	r.srv.mu.Unlock()
 	return ids
 }
 
 // expire moves the deadline of every lease matching into the past and
 // runs a sweep pass: the sweeper's own runs every TTL/4, minutes here.
 func (r *recycleRig) expire(match func(*task) bool) {
-	for i := range r.srv.shards {
-		sh := &r.srv.shards[i]
-		sh.mu.Lock()
-		for _, t := range sh.leases {
-			if match(t) {
-				t.deadline = time.Time{}
-			}
+	r.srv.mu.Lock()
+	for _, t := range r.srv.leases {
+		if match(t) {
+			t.deadline = time.Time{}
 		}
-		sh.mu.Unlock()
 	}
+	r.srv.mu.Unlock()
 	r.srv.sweepOnce(time.Now())
 }
 
 // killStreams drops every live stream connection from the server's
 // side, with whatever frames and acks were in flight on it.
 func (r *recycleRig) killStreams() {
-	r.srv.streamMu.Lock()
+	r.srv.mu.Lock()
 	var conns []*streamConn
 	for sc := range r.srv.streams {
 		conns = append(conns, sc)
 	}
-	r.srv.streamMu.Unlock()
+	r.srv.mu.Unlock()
 	for _, sc := range conns {
 		sc.close()
 	}

@@ -139,8 +139,9 @@ type Options struct {
 	OnListen func(url string)
 	// Metrics enables GET /metrics: the server's counters — and, when a
 	// ControlPlane is attached, per-experiment scheduler state — in
-	// Prometheus text format. The scrape reads lock-free atomics, never
-	// the lease tables' mutex.
+	// Prometheus text format. The counters are atomics; the scrape takes
+	// the server's lock once, for the queue and lease gauges, the drain
+	// flag and the lease cap.
 	Metrics bool
 	// Events enables GET /v1/events: an NDJSON stream of run-lifecycle
 	// events from a bounded ring buffer (see EventBuffer); slow
@@ -192,13 +193,13 @@ type Options struct {
 // task is one submitted job — the job's one record on the server:
 // queued, then leased, then answered exactly once — by a worker's
 // report, by lease expiry, by cancellation or by server shutdown. A
-// *task is read only under s.mu or its lease shard's lock, except by
-// its owner: the one path that took it out of the server's tables
-// (settleReports, sweep, CancelPending or Close), which calls finish.
-// The granter copies what it encodes while it still holds s.mu. Once
-// finish returns, the owner puts the task back on Server.free, the list
-// submit takes from before it cuts Server.slab (Close keeps nothing):
-// at steady state a job allocates no record of its own.
+// *task is read only under s.mu, except by its owner: the one path that
+// took it out of the server's tables (settleReports, sweepOnce,
+// CancelPending or Close), which calls finish. The granter copies what
+// it encodes while it still holds s.mu. Once finish returns, the owner
+// puts the task back on Server.free, the list submit takes from before
+// it cuts Server.slab (Close keeps nothing): at steady state a job
+// allocates no record of its own.
 type task struct {
 	payload JobPayload
 	// The completion sink, as data: a job launched by a Backend lane
@@ -235,23 +236,6 @@ func (t *task) finish(out Outcome) {
 // 32 KB, the allocator's largest size class) reachable.
 const taskSlabLen = 100
 
-// leaseShardCount is the number of hash shards the lease table is
-// split across (a power of two so the shard pick is a mask). Sixteen
-// shards keep report ingestion, heartbeat extension and expiry
-// sweeping from serializing on one mutex across cores while staying
-// small enough that a sweep pass touching every shard is cheap.
-const leaseShardCount = 16
-
-// leaseShard is one shard of the lease table: the leases whose IDs
-// hash here, under their own mutex. Lock ordering: s.mu may be held
-// while taking a shard's mutex (the grant path inserts under both);
-// never the reverse — settle, heartbeat and sweep take only the shard
-// lock and re-acquire s.mu afterwards if they need to wake pollers.
-type leaseShard struct {
-	mu     sync.Mutex
-	leases map[uint64]*task
-}
-
 // Server is the embedded HTTP job-lease server.
 type Server struct {
 	opts   Options
@@ -259,6 +243,8 @@ type Server struct {
 	ln     net.Listener
 	hs     *http.Server
 
+	// mu is the server's one lock: it guards every field below up to
+	// the counters, and every *task (see task).
 	mu   sync.Mutex
 	wake chan struct{} // closed and replaced on every state change
 	// wakeArmed records that some poller captured wake and intends to
@@ -289,20 +275,18 @@ type Server struct {
 	// maxLeases is Options.MaxLeases, adjustable at runtime by the
 	// admin worker-budget command.
 	maxLeases int
-
-	// shards is the lease table, hash-sharded by lease ID so report
-	// ingestion and expiry sweeping scale across cores instead of
-	// serializing on s.mu.
-	shards [leaseShardCount]leaseShard
-
+	// leases is the lease table: every granted task by lease ID, until
+	// its report, its expiry or Close takes it out.
+	leases map[uint64]*task
 	// streams tracks the live binary stream connections, so Close can
-	// tell every connected worker the run is over (streams.go).
-	streamMu sync.Mutex
-	streams  map[*streamConn]struct{}
+	// tell every connected worker the run is over (stream.go).
+	streams map[*streamConn]struct{}
+	// control is the attached scheduler-side control plane, if any.
+	control ControlPlane
 
-	// Observability counters. All atomics so a /metrics scrape is
-	// lock-free: the scrape never contends with the grant path, and the
-	// grant path never pays for the scrape. Counters() copies them all.
+	// Observability counters: atomics, since some are bumped on paths
+	// that do not hold mu. Counters() copies them all in one hold of mu,
+	// with the queue and lease gauges.
 	granted        atomic.Int64 // leases granted, every one in a grants frame
 	expired        atomic.Int64 // leases expired by the sweeper
 	accepted       atomic.Int64 // report entries accepted
@@ -315,18 +299,14 @@ type Server struct {
 	registered     atomic.Int64 // workers registered over the lifetime
 	submitted      atomic.Int64 // jobs submitted to the queue
 	canceled       atomic.Int64 // queued jobs canceled by admin abort
-	pendingJobs    atomic.Int64 // gauge: jobs queued, not yet leased
-	activeLeases   atomic.Int64 // gauge: leases currently live
 
 	// lat is the per-job latency tracker behind the /metrics histogram
 	// families and /v1/trace (latency.go); nil unless
 	// Options.Metrics, and every hot-path hook checks for nil first.
 	lat *latencyTracker
 
-	// bus is the /v1/events ring (nil unless Options.Events); control
-	// is the attached scheduler-side control plane, if any.
-	bus     *obs.Bus
-	control atomic.Value // of controlBox
+	// bus is the /v1/events ring (nil unless Options.Events).
+	bus *obs.Bus
 	// shard is the coordinator link of a federated shard (shard.go), nil
 	// without Options.Coordinator: SetControl starts it, Close stops it.
 	shard *shardLink
@@ -336,10 +316,6 @@ type Server struct {
 
 	stopSweep func() // stops the expiry sweeper (sweepEvery)
 }
-
-// controlBox wraps a ControlPlane for atomic.Value, which requires a
-// consistent concrete type across stores.
-type controlBox struct{ cp ControlPlane }
 
 // workerInfo records one registered worker: the name it advertised and
 // the tenant scope of the token it presented. A worker registered with
@@ -396,11 +372,9 @@ func NewServer(opts Options) (*Server, error) {
 		nextLease: uint64(time.Now().Unix()) << 20,
 		workers:   make(map[string]workerInfo),
 		paused:    make(map[string]bool),
+		leases:    make(map[uint64]*task),
 		streams:   make(map[*streamConn]struct{}),
 		maxLeases: opts.MaxLeases,
-	}
-	for i := range s.shards {
-		s.shards[i].leases = make(map[uint64]*task)
 	}
 	if opts.Events {
 		s.bus = obs.NewBus(opts.EventBuffer)
@@ -465,7 +439,6 @@ func (s *Server) submit(job *task) {
 	t.submitted = time.Now()
 	s.pending = append(s.pending, t)
 	s.submitted.Add(1)
-	s.pendingJobs.Add(1)
 	s.wakeLocked()
 	s.mu.Unlock()
 }
@@ -488,11 +461,6 @@ func (s *Server) recycle(ts []*task) {
 		}
 	}
 	s.mu.Unlock()
-}
-
-// shardFor returns the shard owning lease id.
-func (s *Server) shardFor(id uint64) *leaseShard {
-	return &s.shards[id&(leaseShardCount-1)]
 }
 
 // ExpiredLeases reports how many leases have expired and been requeued
@@ -527,37 +495,23 @@ func (s *Server) Close() error {
 		// the engine closing this server answers only once Close returns.
 		s.shard.cancel()
 	}
+	// A report racing Close either settled before this hold or finds its
+	// lease gone and is rejected: each task settles exactly once.
 	orphans := append([]*task(nil), s.pending[s.pendingHead:]...)
-	s.pending, s.pendingHead, s.slab, s.free = nil, 0, nil, nil
-	s.control.Store(controlBox{})
-	s.pendingJobs.Add(int64(-len(orphans)))
-	s.wakeLocked()
-	s.mu.Unlock()
-	// Flush the lease shards after s.mu is released: a report racing
-	// Close either wins its shard's lock and settles normally, or finds
-	// the shard cleared and is rejected — each task settles exactly once
-	// either way, and the gauges stay additive (no Store(0) that a
-	// concurrent settle could race past).
-	leased := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for id, t := range sh.leases {
-			orphans = append(orphans, t)
-			delete(sh.leases, id)
-			leased++
-		}
-		sh.mu.Unlock()
+	for _, t := range s.leases {
+		orphans = append(orphans, t)
 	}
-	s.activeLeases.Add(int64(-leased))
-	// Tell every binary stream worker the run is over, exactly as a
-	// long-polling granter answers Done, then drop the connections.
-	s.streamMu.Lock()
+	clear(s.leases)
+	s.pending, s.pendingHead, s.slab, s.free = nil, 0, nil, nil
+	s.control = nil
 	streams := make([]*streamConn, 0, len(s.streams))
 	for sc := range s.streams {
 		streams = append(streams, sc)
 	}
-	s.streamMu.Unlock()
+	s.wakeLocked()
+	s.mu.Unlock()
+	// Tell every binary stream worker the run is over, exactly as a
+	// long-polling granter answers Done, then drop the connections.
 	for _, sc := range streams {
 		sc.shutdown()
 	}
@@ -605,42 +559,32 @@ func (s *Server) wakeChanLocked() <-chan struct{} {
 	return s.wake
 }
 
-// wakeIfPending wakes pollers when settles or expiries freed lease
-// capacity while jobs are still queued. Called off the shard paths,
-// which do not hold s.mu.
-func (s *Server) wakeIfPending() {
-	s.mu.Lock()
+// wakeIfPendingLocked wakes pollers when settles or expiries freed
+// lease capacity while jobs are still queued: they may have been held
+// by the MaxLeases cap. Callers hold s.mu.
+func (s *Server) wakeIfPendingLocked() {
 	if len(s.pending) > s.pendingHead {
 		s.wakeLocked()
 	}
-	s.mu.Unlock()
 }
 
 // sweepOnce is one pass of the heartbeat sweeper: it expires leases
 // whose workers went silent and reports their jobs Failed, feeding the
-// scheduler's retry path exactly as a subprocess crash does. One shard
-// is locked at a time: a pass never stalls report ingestion on the
-// other shards, and never touches s.mu unless it expired something.
+// scheduler's retry path exactly as a subprocess crash does.
 func (s *Server) sweepOnce(now time.Time) {
 	var dead []*task
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for id, t := range sh.leases {
-			if now.After(t.deadline) {
-				delete(sh.leases, id)
-				dead = append(dead, t)
-			}
+	s.mu.Lock()
+	for id, t := range s.leases {
+		if now.After(t.deadline) {
+			delete(s.leases, id)
+			dead = append(dead, t)
 		}
-		sh.mu.Unlock()
 	}
-	s.expired.Add(int64(len(dead)))
-	s.activeLeases.Add(int64(-len(dead)))
 	if len(dead) > 0 {
-		// Freed lease slots may unblock pollers waiting on the
-		// MaxLeases cap.
-		s.wakeIfPending()
+		s.expired.Add(int64(len(dead)))
+		s.wakeIfPendingLocked()
 	}
+	s.mu.Unlock()
 	// Count the pass after its expiries are visible: a test that saw
 	// sweeps advance past a lease's TTL may rely on that lease's expiry
 	// having been counted too.
@@ -856,8 +800,8 @@ const (
 // grantTasks is the lease-grant core behind the binary stream granter
 // (stream.go's serveLease): under s.mu it matches up to
 // max pending jobs against the worker's experiment restriction and
-// the lease cap, stamps their leases and inserts them into their
-// shards. What the granter encodes of each grant is copied into the
+// the lease cap, stamps their leases and inserts them into the lease
+// table. What the granter encodes of each grant is copied into the
 // caller's (emptied) scratch slice while s.mu is held — once it drops,
 // the task is its settler's, which may recycle it (see task) — so a
 // streaming granter allocates nothing per poll. When it grants
@@ -877,7 +821,7 @@ func (s *Server) grantTasks(workerID string, max int, experiments []string, gran
 	}
 	now := time.Now()
 	for len(grants) < max {
-		if s.maxLeases != 0 && int(s.activeLeases.Load()) >= s.maxLeases {
+		if s.maxLeases != 0 && len(s.leases) >= s.maxLeases {
 			break
 		}
 		idx := s.matchLocked(experiments, wi)
@@ -905,7 +849,7 @@ type grantedJob struct {
 }
 
 // grantLocked leases pending[idx] to the worker and inserts it into
-// its lease shard. Callers hold s.mu (the shard lock nests inside).
+// the lease table. Callers hold s.mu.
 func (s *Server) grantLocked(idx int, worker string, now time.Time) *task {
 	t := s.pending[idx]
 	// Head grants (no experiment restriction, nothing paused — the
@@ -931,12 +875,7 @@ func (s *Server) grantLocked(idx int, worker string, now time.Time) *task {
 	if s.lat != nil {
 		s.lat.queueWait.Observe(now.Sub(t.submitted))
 	}
-	sh := s.shardFor(t.leaseID)
-	sh.mu.Lock()
-	sh.leases[t.leaseID] = t
-	sh.mu.Unlock()
-	s.pendingJobs.Add(-1)
-	s.activeLeases.Add(1)
+	s.leases[t.leaseID] = t
 	return t
 }
 
@@ -1015,41 +954,20 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	reply(w, frameResp{Version: ProtocolVersion, Frame: ack})
 }
 
-// takeLease is settleReports' per-entry step: under the lease's shard
-// lock it checks that the worker owns the lease, then removes the lease
-// and returns its task. A report entry names its lease by the response's
-// own ID, so a response cannot be paired with another job's lease. nil
-// means the entry is rejected: expired (already requeued), never
-// granted, or another worker's lease. The caller owns the counters, the
-// wake, and the finish call.
-func (s *Server) takeLease(id uint64, worker string) *task {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	t, ok := sh.leases[id]
-	if !ok || t.worker != worker {
-		return nil
-	}
-	delete(sh.leases, id)
-	return t
-}
-
 // extendLeases is the heartbeat core shared by the stream reader and
 // /v1/heartbeat: it pushes out the deadline of each lease the
 // worker still holds and returns the IDs it no longer does (expired
 // and requeued — the worker should abandon those runs).
 func (s *Server) extendLeases(worker string, ids []uint64) (expired []uint64) {
 	deadline := time.Now().Add(s.timing.leaseTTL)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, id := range ids {
-		sh := s.shardFor(id)
-		sh.mu.Lock()
-		if t, ok := sh.leases[id]; ok && t.worker == worker {
+		if t, ok := s.leases[id]; ok && t.worker == worker {
 			t.deadline = deadline
-			sh.mu.Unlock()
-			continue
+		} else {
+			expired = append(expired, id)
 		}
-		sh.mu.Unlock()
-		expired = append(expired, id)
 	}
 	return expired
 }

@@ -129,15 +129,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		_ = conn.Close()
 		return
 	}
-	s.streamMu.Lock()
-	s.streams[sc] = struct{}{}
-	s.streamMu.Unlock()
-	// Re-check after publishing: a Close racing past the pre-upgrade
-	// check either finds the conn in s.streams (and shuts it down) or
-	// has already snapshotted without it — catch the latter here so the
-	// worker hears the run is over promptly, not on its next poll.
+	// A Close racing past the pre-upgrade check either finds the conn in
+	// s.streams (and shuts it down) or has already closed the server, and
+	// the worker hears the run is over here, not on its next poll.
 	s.mu.Lock()
 	closed := s.closed
+	if !closed {
+		s.streams[sc] = struct{}{}
+	}
 	s.mu.Unlock()
 	if closed {
 		sc.shutdown()
@@ -166,9 +165,9 @@ func (sc *streamConn) close() {
 	sc.closeOnce.Do(func() {
 		close(sc.done)
 		_ = sc.c.Close()
-		sc.s.streamMu.Lock()
+		sc.s.mu.Lock()
 		delete(sc.s.streams, sc)
-		sc.s.streamMu.Unlock()
+		sc.s.mu.Unlock()
 	})
 }
 
@@ -180,11 +179,11 @@ func (sc *streamConn) shutdown() {
 	sc.close()
 }
 
-// reader consumes worker frames: reports are settled and acked inline
-// (the shard locks make this scale across connections), heartbeats
-// extended and answered inline, lease polls handed to the granter. Any
-// read or protocol error kills the connection; the worker POSTs the
-// frames it still owes to /v1/report and /v1/heartbeat, and redials.
+// reader consumes worker frames: reports are settled and acked inline,
+// heartbeats extended and answered inline, lease polls handed to the
+// granter. Any read or protocol error kills the connection; the worker
+// POSTs the frames it still owes to /v1/report and /v1/heartbeat, and
+// redials.
 func (sc *streamConn) reader() {
 	defer sc.close()
 	var buf, enc []byte
@@ -250,13 +249,15 @@ type settleScratch struct {
 }
 
 // settleReports is the settle core of both report paths, the stream
-// reader and /v1/report: it settles one reports frame from worker
-// against the lease shards, finishes the tasks back to back — one
-// frame, one scheduler wakeup — and returns the acceptance ack appended
-// to enc, for the caller to send after the results reached the engine.
-// Entries settle independently: a lease that expired mid-flight (its job
-// already requeued by the sweeper) rejects only its own entry. Each path
-// counts the entries it carried itself.
+// reader and /v1/report: under one hold of s.mu it takes every entry's
+// lease out of the lease table, then finishes the tasks back to back —
+// one frame, one scheduler wakeup — and returns the acceptance ack
+// appended to enc, for the caller to send after the results reached the
+// engine. An entry names its lease by the response's own ID, so a
+// response cannot be paired with another job's lease; it is rejected
+// when that lease expired (its job already requeued by the sweeper),
+// was never granted, or is another worker's, and only its own entry is.
+// Each path counts the entries it carried itself.
 func (s *Server) settleReports(worker string, rb *binReports, enc []byte, ss *settleScratch) []byte {
 	n := len(rb.Reports)
 	if cap(ss.accepted) < n {
@@ -268,8 +269,10 @@ func (s *Server) settleReports(worker string, rb *binReports, enc []byte, ss *se
 	clear(settled)
 	freed := 0
 	stateBytes := 0
+	s.mu.Lock()
 	for i, e := range rb.Reports {
-		if t := s.takeLease(e.ID, worker); t != nil {
+		if t, ok := s.leases[e.ID]; ok && t.worker == worker {
+			delete(s.leases, e.ID)
 			accepted[i] = true
 			settled[i] = t
 			freed++
@@ -280,11 +283,10 @@ func (s *Server) settleReports(worker string, rb *binReports, enc []byte, ss *se
 	}
 	s.accepted.Add(int64(freed))
 	s.rejected.Add(int64(len(rb.Reports) - freed))
-	s.activeLeases.Add(int64(-freed))
 	if freed > 0 {
-		// Freed lease slots may unblock pollers waiting on MaxLeases.
-		s.wakeIfPending()
+		s.wakeIfPendingLocked()
 	}
+	s.mu.Unlock()
 	// A stream reuses the frame buffer on its next read, so accepted
 	// checkpoints must outlive it: copy them all into one arena (one
 	// allocation per frame, not per report) before the tasks finish.

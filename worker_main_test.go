@@ -34,6 +34,9 @@ func TestMain(m *testing.M) {
 		runTestShard()
 		os.Exit(0)
 	}
+	// Every worker and shard process a test spawns inherits this: a
+	// race-detector build otherwise sleeps a second at exit.
+	os.Setenv("GORACE", "atexit_sleep_ms=0")
 	os.Exit(m.Run())
 }
 
