@@ -85,11 +85,11 @@ const (
 
 // leasePathCases: the fleet benchmark's lane with metrics off and on;
 // four lanes whose jobs interleave on one agent's slots, the way a
-// manager's experiments do; four agents settling against one server
-// lock — their grants, report batches and heartbeats against one server
-// with nothing else in the loop; and the first lane again the way tune-paced runs it,
-// nothing configured: 16 leases over four four-slot agents, a frame per
-// handful of jobs, so whatever a frame or a poll allocates shows whole.
+// manager's experiments do; four agents' grants, report batches and
+// heartbeats settling against one server lock with nothing else in the
+// loop; and the first lane again the way tune-paced runs it, nothing
+// configured: 16 leases over four four-slot agents, a frame per handful
+// of jobs, so whatever a frame or a poll allocates shows whole.
 var leasePathCases = []leasePathCase{
 	{name: "asha", agents: 1, budget: leasePathAllocBudget, bytes: leasePathBytesBudget},
 	{name: "asha-metrics", agents: 1, metrics: true, budget: leasePathAllocBudget, bytes: leasePathBytesBudget},

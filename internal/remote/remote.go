@@ -140,8 +140,8 @@ type Options struct {
 	// Metrics enables GET /metrics: the server's counters — and, when a
 	// ControlPlane is attached, per-experiment scheduler state — in
 	// Prometheus text format. The counters are atomics; the scrape takes
-	// the server's lock once, for the queue and lease gauges, the drain
-	// flag and the lease cap.
+	// the server's lock once for the queue and lease gauges, the drain
+	// flag and the lease cap, and once more to find the ControlPlane.
 	Metrics bool
 	// Events enables GET /v1/events: an NDJSON stream of run-lifecycle
 	// events from a bounded ring buffer (see EventBuffer); slow
