@@ -202,18 +202,19 @@ func TestCommandsAgainstLiveServer(t *testing.T) {
 	}
 	ctl(t, "pause", "exp-a")
 	ctl(t, "resume", "exp-a")
+	// What an operator sees of each command: its gauge on /metrics.
+	gauge := func(t *testing.T, sample string) {
+		t.Helper()
+		if got := ctl(t, "metrics"); !strings.Contains(got, "\n"+sample+"\n") {
+			t.Errorf("metrics scrape has no %q line:\n%s", sample, got)
+		}
+	}
 	ctl(t, "workers", "9")
-	if got := srv.MaxLeases(); got != 9 {
-		t.Errorf("workers command: lease cap = %d, want 9", got)
-	}
+	gauge(t, "asha_lease_cap 9")
 	ctl(t, "drain")
-	if !srv.Draining() {
-		t.Error("drain command did not set the server draining")
-	}
+	gauge(t, "asha_server_draining 1")
 	ctl(t, "drain", "off")
-	if srv.Draining() {
-		t.Error("drain off did not lift the drain")
-	}
+	gauge(t, "asha_server_draining 0")
 	if got := ctl(t, "abort"); !strings.Contains(got, "aborted all experiments") {
 		t.Errorf("abort output: %q", got)
 	}
@@ -368,7 +369,7 @@ func TestJournalDumpCheckpoint(t *testing.T) {
 		sched.AppendState, &state.Snapshot{Issued: 2, Completed: 1, Time: 1.5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendReport(state.Report{Trial: 1, Loss: 0.25, TrueLoss: 0.25, Resource: 1, Time: 2}); err != nil {
+	if err := j.Append(state.Record{V: state.Version, Report: &state.Report{Trial: 1, Loss: 0.25, TrueLoss: 0.25, Resource: 1, Time: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

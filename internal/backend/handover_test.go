@@ -133,9 +133,9 @@ func scriptedJournal(t *testing.T, trials int) ([]core.Job, *state.Recovered) {
 	script := make([]core.Job, trials)
 	for i := range script {
 		script[i] = core.Job{TrialID: i, Config: cfg, TargetResource: 1, InheritFrom: -1}
-		err := journal.AppendIssue(state.Issue{Trial: i, Target: 1, Inherit: -1, Names: cfg.Names()}, cfg.Values())
+		err := journal.StageIssue(state.Issue{Trial: i, Target: 1, Inherit: -1, Names: cfg.Names()}, cfg.Values())
 		if err == nil {
-			err = journal.AppendReport(state.Report{Trial: i, Loss: 1, Resource: 1, Time: float64(i)})
+			err = journal.Append(state.Record{V: state.Version, Report: &state.Report{Trial: i, Loss: 1, Resource: 1, Time: float64(i)}})
 		}
 		if err != nil {
 			t.Fatal(err)

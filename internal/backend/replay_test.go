@@ -221,12 +221,12 @@ func TestReplayPairsAReportWithItsOldestIssue(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, j := range script {
-		if err := journal.AppendIssue(state.Issue{Trial: j.TrialID, Rung: j.Rung, Target: j.TargetResource, Inherit: -1, Names: cfg.Names()}, cfg.Values()); err != nil {
+		if err := journal.StageIssue(state.Issue{Trial: j.TrialID, Rung: j.Rung, Target: j.TargetResource, Inherit: -1, Names: cfg.Names()}, cfg.Values()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, r := range []state.Report{{Trial: 0, Rung: 1}, {Trial: 0, Rung: 0}, {Trial: 2, Rung: 0}} {
-		if err := journal.AppendReport(r); err != nil {
+		if err := journal.Append(state.Record{V: state.Version, Report: &r}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -116,9 +116,6 @@ func (g *GP) Fit(x [][]float64, y []float64) error {
 	return linalg.ErrNotPositiveDefinite
 }
 
-// N returns the number of training points.
-func (g *GP) N() int { return len(g.x) }
-
 // Predict returns the posterior mean and standard deviation at x, in the
 // original target units.
 func (g *GP) Predict(x []float64) (mu, sigma float64) {

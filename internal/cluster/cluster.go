@@ -108,9 +108,6 @@ func (q *eventQueue) less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// peekTime returns the earliest event time; the caller checks Len first.
-func (q *eventQueue) peekTime() float64 { return q.ev[0].time }
-
 func (q *eventQueue) push(e event) {
 	q.ev = append(q.ev, e)
 	i := len(q.ev) - 1
@@ -479,19 +476,3 @@ func (s *Sim) Stats() backend.Stats {
 		ConfigsToR:    s.configsToR,
 	}
 }
-
-// TrialsForTest exposes the simulator's trials keyed by ID for
-// diagnostics and calibration tooling.
-func (s *Sim) TrialsForTest() map[int]*workload.Trial {
-	out := make(map[int]*workload.Trial, s.nTrials)
-	s.trials.Each(func(id int, t *simTrial) {
-		if t.started {
-			out[id] = &t.Trial
-		}
-	})
-	return out
-}
-
-// Trace returns the per-job event log recorded when
-// Options.RecordTrace is set, in completion order.
-func (s *Sim) Trace() []JobEvent { return s.trace }

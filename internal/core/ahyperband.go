@@ -73,9 +73,6 @@ func NewAsyncHyperband(cfg AsyncHyperbandConfig) *AsyncHyperband {
 	return ah
 }
 
-// NumBrackets returns the number of ASHA brackets being looped.
-func (ah *AsyncHyperband) NumBrackets() int { return len(ah.brackets) }
-
 // encode/decode pack the bracket index into the trial ID so results
 // route back to the right ASHA instance.
 func (ah *AsyncHyperband) encodeID(bracket, id int) int {

@@ -130,6 +130,3 @@ func (h *Hyperband) Best() (Best, bool) { return h.inc.get() }
 // Done always reports false: Hyperband loops through brackets until the
 // executor's budget is exhausted.
 func (h *Hyperband) Done() bool { return false }
-
-// CurrentBracket returns the early-stopping rate of the active bracket.
-func (h *Hyperband) CurrentBracket() int { return h.bracket }

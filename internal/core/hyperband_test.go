@@ -36,14 +36,14 @@ func runHyperbandJobs(t *testing.T, h *Hyperband, n int, loss func(job Job) floa
 func TestHyperbandLoopsBrackets(t *testing.T) {
 	h := newTestHyperband(ByRung)
 	rng := xrand.New(2)
-	seen := []int{h.CurrentBracket()}
+	seen := []int{h.bracket}
 	for i := 0; i < 500; i++ {
 		job, ok := h.Next()
 		if !ok {
 			t.Fatal("sequential Hyperband should never stall with one worker")
 		}
 		h.Report(Result{TrialID: job.TrialID, Rung: job.Rung, Config: job.Config, Loss: rng.Float64(), Resource: job.TargetResource})
-		if b := h.CurrentBracket(); b != seen[len(seen)-1] {
+		if b := h.bracket; b != seen[len(seen)-1] {
 			seen = append(seen, b)
 		}
 	}
@@ -71,8 +71,8 @@ func TestHyperbandBracketSizing(t *testing.T) {
 		if !ok {
 			t.Fatal("stall")
 		}
-		if h.CurrentBracket() != bracket {
-			bracket = h.CurrentBracket()
+		if h.bracket != bracket {
+			bracket = h.bracket
 			if bracket == 0 {
 				break // wrapped around; one full loop measured
 			}
@@ -137,8 +137,8 @@ func TestAsyncHyperbandCyclesBrackets(t *testing.T) {
 		MaxResource: 8,
 		MaxBracket:  3,
 	})
-	if ah.NumBrackets() != 4 {
-		t.Fatalf("expected 4 brackets, got %d", ah.NumBrackets())
+	if len(ah.brackets) != 4 {
+		t.Fatalf("expected 4 brackets, got %d", len(ah.brackets))
 	}
 	rng := xrand.New(7)
 	baseResources := map[float64]bool{}

@@ -59,15 +59,9 @@ type Trainer struct {
 	state State
 }
 
-// NewTrainer creates a trainer at resource 0. rng drives observation
-// noise only; the underlying dynamics are deterministic given Params.
-func NewTrainer(p Params, rng *xrand.RNG) *Trainer {
-	t := new(Trainer)
-	t.Init(p, rng)
-	return t
-}
-
-// Init is NewTrainer in place, for a trainer inside a larger record.
+// Init starts t at resource 0 on p's curve, in place, for a trainer
+// inside a larger record. rng drives observation noise only; the
+// underlying dynamics are deterministic given Params.
 func (t *Trainer) Init(p Params, rng *xrand.RNG) {
 	*t = Trainer{p: p, rng: rng, state: State{Resource: 0, Loss: p.Initial}}
 }

@@ -8,12 +8,19 @@ import (
 	"repro/internal/xrand"
 )
 
+// newTrainer is a trainer at resource 0 on p's curve.
+func newTrainer(p Params, rng *xrand.RNG) *Trainer {
+	t := new(Trainer)
+	t.Init(p, rng)
+	return t
+}
+
 func testParams() Params {
 	return Params{Initial: 1.0, Asymptote: 0.2, Rate: 0.05, NoiseSD: 0, CostPerUnit: 1}
 }
 
 func TestLossDecaysMonotonically(t *testing.T) {
-	tr := NewTrainer(testParams(), xrand.New(1))
+	tr := newTrainer(testParams(), xrand.New(1))
 	prev := tr.TrueLoss()
 	for i := 0; i < 50; i++ {
 		tr.Train(1)
@@ -26,7 +33,7 @@ func TestLossDecaysMonotonically(t *testing.T) {
 
 func TestConvergesToAsymptote(t *testing.T) {
 	p := testParams()
-	tr := NewTrainer(p, xrand.New(1))
+	tr := newTrainer(p, xrand.New(1))
 	tr.Train(1000)
 	if math.Abs(tr.TrueLoss()-p.Asymptote) > 1e-6 {
 		t.Fatalf("loss %v did not converge to asymptote %v", tr.TrueLoss(), p.Asymptote)
@@ -41,11 +48,11 @@ func TestTrainingIsPathIndependentProperty(t *testing.T) {
 	f := func(splitsRaw uint8) bool {
 		p := testParams()
 		total := 20.0
-		one := NewTrainer(p, xrand.New(1))
+		one := newTrainer(p, xrand.New(1))
 		one.Train(total)
 
 		splits := int(splitsRaw%7) + 2
-		many := NewTrainer(p, xrand.New(2))
+		many := newTrainer(p, xrand.New(2))
 		for i := 0; i < splits; i++ {
 			many.Train(total / float64(splits))
 		}
@@ -58,7 +65,7 @@ func TestTrainingIsPathIndependentProperty(t *testing.T) {
 }
 
 func TestCheckpointRestoreExact(t *testing.T) {
-	tr := NewTrainer(testParams(), xrand.New(3))
+	tr := newTrainer(testParams(), xrand.New(3))
 	tr.Train(5)
 	cp := tr.Checkpoint()
 	lossAt5 := tr.TrueLoss()
@@ -69,7 +76,7 @@ func TestCheckpointRestoreExact(t *testing.T) {
 	}
 	// Resuming after restore matches an uninterrupted run.
 	tr.Train(10)
-	ref := NewTrainer(testParams(), xrand.New(4))
+	ref := newTrainer(testParams(), xrand.New(4))
 	ref.Train(15)
 	if math.Abs(tr.TrueLoss()-ref.TrueLoss()) > 1e-12 {
 		t.Fatal("resume after restore diverged from uninterrupted run")
@@ -77,9 +84,9 @@ func TestCheckpointRestoreExact(t *testing.T) {
 }
 
 func TestInheritCopiesState(t *testing.T) {
-	a := NewTrainer(testParams(), xrand.New(5))
+	a := newTrainer(testParams(), xrand.New(5))
 	a.Train(12)
-	b := NewTrainer(testParams(), xrand.New(6))
+	b := newTrainer(testParams(), xrand.New(6))
 	b.InheritFrom(a)
 	if b.TrueLoss() != a.TrueLoss() || b.Resource() != a.Resource() {
 		t.Fatal("inherit did not copy state")
@@ -93,7 +100,7 @@ func TestInheritCopiesState(t *testing.T) {
 }
 
 func TestSetParamsKeepsState(t *testing.T) {
-	tr := NewTrainer(testParams(), xrand.New(7))
+	tr := newTrainer(testParams(), xrand.New(7))
 	tr.Train(10)
 	loss := tr.TrueLoss()
 	p2 := testParams()
@@ -111,7 +118,7 @@ func TestSetParamsKeepsState(t *testing.T) {
 func TestObservationNoiseAveragesOut(t *testing.T) {
 	p := testParams()
 	p.NoiseSD = 0.05
-	tr := NewTrainer(p, xrand.New(8))
+	tr := newTrainer(p, xrand.New(8))
 	tr.Train(1000)
 	n := 5000
 	sum := 0.0
@@ -127,7 +134,7 @@ func TestDivergingCurveWorsens(t *testing.T) {
 	p := testParams()
 	p.Diverges = true
 	p.DivergeLevel = 100
-	tr := NewTrainer(p, xrand.New(9))
+	tr := newTrainer(p, xrand.New(9))
 	prev := tr.TrueLoss()
 	for i := 0; i < 20; i++ {
 		tr.Train(1)
@@ -144,7 +151,7 @@ func TestDivergingCurveWorsens(t *testing.T) {
 
 func TestExpectedLossAtMatchesTraining(t *testing.T) {
 	p := testParams()
-	tr := NewTrainer(p, xrand.New(10))
+	tr := newTrainer(p, xrand.New(10))
 	tr.Train(7.5)
 	if math.Abs(tr.TrueLoss()-p.ExpectedLossAt(7.5)) > 1e-12 {
 		t.Fatal("ExpectedLossAt disagrees with actual training")
@@ -157,7 +164,7 @@ func TestNegativeTrainPanics(t *testing.T) {
 			t.Fatal("expected panic for negative increment")
 		}
 	}()
-	NewTrainer(testParams(), xrand.New(11)).Train(-1)
+	newTrainer(testParams(), xrand.New(11)).Train(-1)
 }
 
 func TestSurfaceDeterministicAndBounded(t *testing.T) {

@@ -106,9 +106,6 @@ func NewSurface(rng *xrand.RNG, dim int) *Surface {
 	return s
 }
 
-// Dim returns the surface's input dimension.
-func (s *Surface) Dim() int { return s.dim }
-
 // wellTerm is dimension i's weighted well at xi, rounded explicitly so no
 // compiler fuses it into the sum: stored or computed, it is one float.
 func (s *Surface) wellTerm(i int, xi float64) float64 {

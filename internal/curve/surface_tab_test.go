@@ -84,7 +84,7 @@ func TestEvalMatchesQualityBitForBit(t *testing.T) {
 			}
 		}
 		rng := xrand.New(seed ^ 0xbeef)
-		x := make([]float64, ref.Dim())
+		x := make([]float64, ref.dim)
 		for n := 0; n < 10000; n++ {
 			for i := range x {
 				x[i] = rng.Float64()
@@ -124,7 +124,7 @@ func TestEvalMatchesQualityBitForBit(t *testing.T) {
 // whatever Quality gives.
 func TestEvalNonFinite(t *testing.T) {
 	ref, tab, _ := tabulated(9)
-	x := make([]float64, ref.Dim())
+	x := make([]float64, ref.dim)
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for i := range x {
 			for j := range x {
@@ -141,14 +141,14 @@ func TestEvalNonFinite(t *testing.T) {
 
 func TestTrainerInitMatchesNewTrainer(t *testing.T) {
 	p := testParams()
-	a := NewTrainer(p, xrand.New(5))
+	a := newTrainer(p, xrand.New(5))
 	var b Trainer
 	b.Init(Params{Initial: 9, Rate: 1}, xrand.New(1))
 	b.Train(3) // state an Init must wipe
 	b.Init(p, xrand.New(5))
 	for i := 0; i < 20; i++ {
 		if la, lb := a.Train(7), b.Train(7); !sameBits(la, lb) {
-			t.Fatalf("step %d: NewTrainer %v, Init %v", i, la, lb)
+			t.Fatalf("step %d: new trainer %v, Init again %v", i, la, lb)
 		}
 	}
 	if a.Checkpoint() != b.Checkpoint() {

@@ -38,23 +38,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// MulVec computes m * x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("linalg: MulVec dimension mismatch %d != %d", len(x), m.Cols))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // ErrNotPositiveDefinite is returned by Cholesky when the input matrix is
 // not (numerically) positive definite.
 var ErrNotPositiveDefinite = errors.New("linalg: matrix is not positive definite")
@@ -138,14 +121,4 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// LogDetFromChol returns log det(A) = 2 * sum(log diag(L)) given the
-// Cholesky factor L of A.
-func LogDetFromChol(l *Matrix) float64 {
-	s := 0.0
-	for i := 0; i < l.Rows; i++ {
-		s += math.Log(l.At(i, i))
-	}
-	return 2 * s
 }

@@ -82,7 +82,10 @@ func TestSolveProperty(t *testing.T) {
 		for i := range xTrue {
 			xTrue[i] = rng.Normal(0, 1)
 		}
-		b := a.MulVec(xTrue)
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = Dot(a.Data[i*n:(i+1)*n], xTrue)
+		}
 		l, err := Cholesky(a)
 		if err != nil {
 			return false
@@ -133,29 +136,7 @@ func TestTriangularSolvesInverse(t *testing.T) {
 	}
 }
 
-func TestLogDetFromChol(t *testing.T) {
-	// diag(4, 9): logdet = ln 36.
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 4)
-	a.Set(1, 1, 9)
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := LogDetFromChol(l); math.Abs(got-math.Log(36)) > 1e-12 {
-		t.Fatalf("logdet = %v", got)
-	}
-}
-
-func TestMulVecAndDot(t *testing.T) {
-	m := NewMatrix(2, 3)
-	for i, v := range []float64{1, 2, 3, 4, 5, 6} {
-		m.Data[i] = v
-	}
-	got := m.MulVec([]float64{1, 1, 1})
-	if got[0] != 6 || got[1] != 15 {
-		t.Fatalf("MulVec = %v", got)
-	}
+func TestDot(t *testing.T) {
 	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
 		t.Fatal("Dot wrong")
 	}

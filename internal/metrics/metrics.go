@@ -69,17 +69,6 @@ func (r *Run) FinalTestLoss() float64 {
 	return r.Series[len(r.Series)-1].TestLoss
 }
 
-// TimeToLoss returns the first time the incumbent test loss dropped to
-// target or below, or +Inf if it never did.
-func (r *Run) TimeToLoss(target float64) float64 {
-	for _, p := range r.Series {
-		if p.TestLoss <= target {
-			return p.Time
-		}
-	}
-	return math.Inf(1)
-}
-
 // AggSeries is the across-trials aggregate of incumbent test loss on a
 // shared time grid: the mean plus min/max and quartile envelopes the
 // paper's figures draw.

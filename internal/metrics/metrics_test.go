@@ -34,18 +34,6 @@ func TestTestLossAtStepFunction(t *testing.T) {
 	}
 }
 
-func TestTimeToLoss(t *testing.T) {
-	r := &Run{}
-	r.Record(10, 0.5, 0.5)
-	r.Record(20, 0.3, 0.3)
-	if v := r.TimeToLoss(0.4); v != 20 {
-		t.Fatalf("TimeToLoss(0.4) = %v", v)
-	}
-	if !math.IsInf(r.TimeToLoss(0.1), 1) {
-		t.Fatal("unreached target should be +Inf")
-	}
-}
-
 func TestFinalTestLoss(t *testing.T) {
 	r := &Run{}
 	if !math.IsNaN(r.FinalTestLoss()) {

@@ -69,19 +69,6 @@ func (h *Histogram) ObserveNanos(ns int64) {
 // Count returns the number of observations so far.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the total of all observed durations.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNs.Load()) }
-
-// Mean returns the average observed duration, or 0 before any
-// observation.
-func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sumNs.Load() / n)
-}
-
 // Quantile returns an estimate of the q-th quantile (0 ≤ q ≤ 1),
 // linearly interpolated within the containing bucket. Observations in
 // the overflow bucket report the finite range's upper bound. Returns 0

@@ -294,7 +294,7 @@ func (bs *binStream) reader() {
 	}
 }
 
-// tableLen resolves already-defined table indexes for decodeGrants.
+// tableLen resolves already-defined table indexes for binGrants.decode.
 func (bs *binStream) tableLen(idx uint64) (int, bool) {
 	ct := bs.tables[idx]
 	if ct == nil {

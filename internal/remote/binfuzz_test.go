@@ -18,6 +18,7 @@ package remote
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/exec"
@@ -241,4 +242,46 @@ func FuzzBinaryLeaseBatch(f *testing.F) {
 			t.Fatalf("grants encoding not stable:\n % x\n % x", enc, enc2)
 		}
 	})
+}
+
+// decodeGrants is binGrants.decode into a fresh value.
+func decodeGrants(r *wire.Reader, tableLen func(idx uint64) (int, bool)) (binGrants, error) {
+	var g binGrants
+	err := g.decode(r, tableLen)
+	return g, err
+}
+
+// decodeReports is binReports.decode into a fresh value.
+func decodeReports(r *wire.Reader) (binReports, error) {
+	var rb binReports
+	err := rb.decode(r)
+	return rb, err
+}
+
+// decodeAnyFrame decodes one frame body of any type — the fuzzers'
+// entry point, exercising every decoder through the same dispatch the
+// stream readers use. Server-side readers only accept worker→server
+// types and vice versa; this helper accepts both so one fuzz target
+// covers the full surface.
+func decodeAnyFrame(body []byte) (interface{}, error) {
+	if len(body) == 0 {
+		return nil, fmt.Errorf("remote: binary frame with empty body")
+	}
+	r := wire.NewReader(body[1:])
+	switch body[0] {
+	case frameLease:
+		return decodeLeaseReq(r)
+	case frameGrants:
+		return decodeGrants(r, nil)
+	case frameReports:
+		return decodeReports(r)
+	case frameReportAck:
+		return decodeReportAck(r)
+	case frameHeartbeat:
+		return decodeHeartbeat(r)
+	case frameHeartbeatAck:
+		return decodeLeaseIDs(r)
+	default:
+		return nil, fmt.Errorf("remote: unknown binary frame type 0x%02x", body[0])
+	}
 }

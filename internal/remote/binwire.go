@@ -200,23 +200,17 @@ func appendGrants(dst []byte, g binGrants) []byte {
 	return dst
 }
 
-// decodeGrants parses and validates one grants frame body (type byte
-// stripped). tableLen reports the parameter count of an already-known
-// table index (ok false for unknown): the frame's own tables extend
-// that set. Validation is structural: no lease granted twice (one
-// worker would run the same job twice), no grant against an undefined
-// table, every vector exactly as long as its table — a frame failing
-// any check is rejected whole.
-func decodeGrants(r *wire.Reader, tableLen func(idx uint64) (int, bool)) (binGrants, error) {
-	var g binGrants
-	err := g.decode(r, tableLen)
-	return g, err
-}
-
-// decode is decodeGrants into g, reusing the capacity of its Grants: a
-// stream reader decodes every frame into one binGrants it has converted
-// to held leases before it reads the next. (Entries past the new length
-// keep the last longer frame's vectors and checkpoints reachable.)
+// decode parses and validates one grants frame body (type byte
+// stripped) into g. tableLen reports the parameter count of an
+// already-known table index (ok false for unknown): the frame's own
+// tables extend that set. Validation is structural: no lease granted
+// twice (one worker would run the same job twice), no grant against an
+// undefined table, every vector exactly as long as its table — a frame
+// failing any check is rejected whole. It reuses the capacity of g's
+// Grants: a stream reader decodes every frame into one binGrants it has
+// converted to held leases before it reads the next. (Entries past the
+// new length keep the last longer frame's vectors and checkpoints
+// reachable.)
 func (g *binGrants) decode(r *wire.Reader, tableLen func(idx uint64) (int, bool)) error {
 	*g = binGrants{Seq: r.Uvarint(), Done: r.Byte() != 0, Grants: g.Grants[:0]}
 	nt := r.Int()
@@ -335,18 +329,12 @@ func appendReports(dst []byte, rb binReports) []byte {
 	return dst
 }
 
-// decodeReports parses and validates one reports frame body: non-empty,
-// and no lease settled twice — a duplicated entry could settle one lease
-// with two different results.
-func decodeReports(r *wire.Reader) (binReports, error) {
-	var rb binReports
-	err := rb.decode(r)
-	return rb, err
-}
-
-// decode is decodeReports into rb, reusing the capacity of its Reports
-// and Timings and its duplicate set: a stream reader decodes every frame
-// into one binReports it is done with before it reads the next.
+// decode parses and validates one reports frame body into rb:
+// non-empty, and no lease settled twice — a duplicated entry could
+// settle one lease with two different results. It reuses the capacity
+// of rb's Reports and Timings and its duplicate set: a stream reader
+// decodes every frame into one binReports it is done with before it
+// reads the next.
 func (rb *binReports) decode(r *wire.Reader) error {
 	*rb = binReports{Seq: r.Uvarint(), Reports: rb.Reports[:0], Timings: rb.Timings[:0], dedup: rb.dedup}
 	rb.dedup.reset()
@@ -483,32 +471,4 @@ func decodeLeaseIDs(r *wire.Reader) ([]uint64, error) {
 	}
 	r.ExpectEOF()
 	return ids, r.Err()
-}
-
-// decodeAnyFrame decodes one frame body of any type — the fuzzers'
-// entry point, exercising every decoder through the same dispatch the
-// stream readers use. Server-side readers only accept worker→server
-// types and vice versa; this helper accepts both so one fuzz target
-// covers the full surface.
-func decodeAnyFrame(body []byte) (interface{}, error) {
-	if len(body) == 0 {
-		return nil, fmt.Errorf("remote: binary frame with empty body")
-	}
-	r := wire.NewReader(body[1:])
-	switch body[0] {
-	case frameLease:
-		return decodeLeaseReq(r)
-	case frameGrants:
-		return decodeGrants(r, nil)
-	case frameReports:
-		return decodeReports(r)
-	case frameReportAck:
-		return decodeReportAck(r)
-	case frameHeartbeat:
-		return decodeHeartbeat(r)
-	case frameHeartbeatAck:
-		return decodeLeaseIDs(r)
-	default:
-		return nil, fmt.Errorf("remote: unknown binary frame type 0x%02x", body[0])
-	}
 }

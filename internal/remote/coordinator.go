@@ -182,14 +182,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 // URL is the coordinator's base URL ("http://host:port").
 func (c *Coordinator) URL() string { return "http://" + c.ln.Addr().String() }
 
-// Handler exposes the coordinator's HTTP handler for in-process tests
-// (the routing-wire fuzz target drives it without TCP round trips).
-func (c *Coordinator) Handler() http.Handler { return c.hs.Handler }
-
-// EventBus returns the coordinator's event ring (shard_down/failover
-// events for /v1/events).
-func (c *Coordinator) EventBus() *obs.Bus { return c.bus }
-
 // Failovers reports how many experiments have been reassigned off dead
 // shards over the coordinator's lifetime.
 func (c *Coordinator) Failovers() int { return int(c.failovers.Load()) }

@@ -52,7 +52,7 @@ func FuzzCoordinatorWire(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { _ = c.Close() })
-	h := c.Handler()
+	h := c.hs.Handler
 
 	f.Fuzz(func(t *testing.T, path string, body []byte) {
 		// http.NewRequest rejects unparsable targets; that is the edge of

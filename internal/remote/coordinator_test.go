@@ -300,7 +300,7 @@ func TestCoordinatorFailover(t *testing.T) {
 	}
 	defer c.Close()
 	ctx := context.Background()
-	sub := c.EventBus().Subscribe()
+	sub := c.bus.Subscribe()
 
 	if _, _, err := beatShard(ctx, c.URL(), "s1", survivorURL, "fed-secret"); err != nil {
 		t.Fatal(err)

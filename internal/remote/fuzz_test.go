@@ -55,7 +55,7 @@ func FuzzReportBatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { _ = srv.Close() })
-	h := srv.Handler()
+	h := srv.hs.Handler
 	for _, seed := range reportBatchSeeds() {
 		f.Add(seed)
 	}

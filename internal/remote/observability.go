@@ -148,10 +148,6 @@ func (s *Server) controlPlane() ControlPlane {
 // is off. The engine and manager publish their lifecycle events here.
 func (s *Server) EventBus() *obs.Bus { return s.bus }
 
-// Handler exposes the server's HTTP handler for in-process tests (the
-// admin fuzz target drives it without TCP round trips).
-func (s *Server) Handler() http.Handler { return s.hs.Handler }
-
 // CounterSnapshot is a point-in-time copy of the server's counters and
 // its queue and lease gauges — the same numbers /metrics exports.
 type CounterSnapshot struct {
@@ -172,19 +168,12 @@ type CounterSnapshot struct {
 	EventsDropped  int64 `json:"eventsDropped"`
 }
 
-// Counters snapshots the server's observability counters. The
-// counters are atomics; the server lock is taken once, for the queue and
-// lease gauges, and the counters the grant, settle and expiry paths bump
-// under it are read in the same hold, so Granted is exactly Accepted +
-// Expired + Leased until Close flushes the leases.
-func (s *Server) Counters() CounterSnapshot {
-	c, _, _ := s.snapshot()
-	return c
-}
-
-// snapshot is Counters plus the drain flag and the lease cap, read in
-// the same one hold of s.mu: what /metrics and admin status show of the
-// server.
+// snapshot copies the server's counters, its queue and lease gauges,
+// the drain flag and the lease cap: what /metrics and admin status show
+// of the server. The counters are atomics; the server lock is taken
+// once, and the counters the grant, settle and expiry paths bump under
+// it are read in the same hold, so Granted is exactly Accepted + Expired
+// + Leased until Close flushes the leases.
 func (s *Server) snapshot() (c CounterSnapshot, draining bool, leaseCap int) {
 	s.mu.Lock()
 	c = CounterSnapshot{
@@ -253,13 +242,6 @@ func (s *Server) SetDraining(v bool) {
 	s.mu.Unlock()
 }
 
-// Draining reports whether the server is draining workers.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // CancelPending settles the named experiment's queued (not yet leased)
 // jobs as Failed, returning how many were canceled. "" cancels every
 // queued job. In-flight leases are untouched: their workers report or
@@ -297,13 +279,6 @@ func (s *Server) SetMaxLeases(n int) {
 	s.maxLeases = n
 	s.wakeLocked()
 	s.mu.Unlock()
-}
-
-// MaxLeases reports the current concurrent-lease cap.
-func (s *Server) MaxLeases() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.maxLeases
 }
 
 // --- /metrics ---

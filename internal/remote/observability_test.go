@@ -703,7 +703,7 @@ func FuzzAdminRequest(f *testing.F) {
 	}
 	defer srv.Close()
 	srv.SetControl(newFakeControl())
-	h := srv.Handler()
+	h := srv.hs.Handler
 
 	f.Fuzz(func(t *testing.T, cmd, auth string, body []byte) {
 		if cmd == "." || cmd == ".." {
@@ -743,4 +743,11 @@ func FuzzAdminRequest(f *testing.F) {
 		srv.SetDraining(false)
 		srv.SetMaxLeases(0)
 	})
+}
+
+// Counters snapshots the server's counters and its queue and lease
+// gauges, read in one hold of the server lock.
+func (s *Server) Counters() CounterSnapshot {
+	c, _, _ := s.snapshot()
+	return c
 }

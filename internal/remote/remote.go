@@ -285,7 +285,7 @@ type Server struct {
 	control ControlPlane
 
 	// Observability counters: atomics, since some are bumped on paths
-	// that do not hold mu. Counters() copies them all in one hold of mu,
+	// that do not hold mu. snapshot copies them all in one hold of mu,
 	// with the queue and lease gauges.
 	granted        atomic.Int64 // leases granted, every one in a grants frame
 	expired        atomic.Int64 // leases expired by the sweeper

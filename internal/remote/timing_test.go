@@ -161,7 +161,7 @@ func TestTimingShardFencesBeforeDeclaredDead(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	downs := make(chan time.Time, 64)
-	sub := c.EventBus().Subscribe()
+	sub := c.bus.Subscribe()
 	go func() {
 		for {
 			evs, _, ok := sub.Next(ctx)

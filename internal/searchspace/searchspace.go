@@ -281,30 +281,11 @@ func (c Config) Lookup(name string) (float64, bool) {
 	return c.vals[i], true
 }
 
-// Set assigns the named parameter. It panics on a name the
-// configuration's table does not contain: a Config's parameter set is
-// fixed by its Space (unlike the former map, which silently grew).
-func (c Config) Set(name string, v float64) {
-	i, ok := c.table.index[name]
-	if !ok || i >= len(c.vals) {
-		panic(fmt.Sprintf("searchspace: Set of unknown parameter %q", name))
-	}
-	c.vals[i] = v
-}
-
 // At returns the value at table index i.
 func (c Config) At(i int) float64 { return c.vals[i] }
 
 // SetAt assigns the value at table index i.
 func (c Config) SetAt(i int, v float64) { c.vals[i] = v }
-
-// Each calls fn for every (name, value) pair in table order — the
-// deterministic replacement for ranging over the former map.
-func (c Config) Each(fn func(name string, v float64)) {
-	for i, v := range c.vals {
-		fn(c.table.names[i], v)
-	}
-}
 
 // Clone returns a deep copy of the configuration (values copied, name
 // table shared).

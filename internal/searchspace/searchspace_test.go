@@ -203,7 +203,7 @@ func TestNewPanicsOnDuplicate(t *testing.T) {
 func TestConfigClone(t *testing.T) {
 	c := FromMap(map[string]float64{"a": 1})
 	d := c.Clone()
-	d.Set("a", 2)
+	d.SetAt(0, 2)
 	if c.Get("a") != 1 {
 		t.Fatal("Clone is shallow")
 	}
@@ -218,12 +218,12 @@ func TestContainsRejectsWrongShape(t *testing.T) {
 		t.Fatal("Contains accepted missing parameter")
 	}
 	cfg := s.Sample(rng)
-	cfg.Set("lr", 1e9) // out of bounds
+	cfg.SetAt(s.IndexOf("lr"), 1e9) // out of bounds
 	if s.Contains(cfg) {
 		t.Fatal("Contains accepted out-of-bounds value")
 	}
 	cfg = s.Sample(rng)
-	cfg.Set("batch", 100) // not a choice
+	cfg.SetAt(s.IndexOf("batch"), 100) // not a choice
 	if s.Contains(cfg) {
 		t.Fatal("Contains accepted illegal choice")
 	}
@@ -314,32 +314,10 @@ func TestConfigAccessors(t *testing.T) {
 	if cfg.Get("ghost") != 0 {
 		t.Fatal("Get of missing parameter should be 0 (map semantics)")
 	}
-	// Set by name and by index.
-	cfg.Set("momentum", 0.25)
-	if cfg.Get("momentum") != 0.25 {
-		t.Fatal("Set by name failed")
-	}
 	cfg.SetAt(1, 0.75)
 	if cfg.Get("momentum") != 0.75 {
 		t.Fatal("SetAt failed")
 	}
-	// Each iterates in definition order.
-	var names []string
-	cfg.Each(func(name string, v float64) { names = append(names, name) })
-	for i, p := range s.Params() {
-		if names[i] != p.Name {
-			t.Fatalf("Each order: got %v", names)
-		}
-	}
-}
-
-func TestConfigSetUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for Set of unknown name")
-		}
-	}()
-	testSpace().Sample(xrand.New(1)).Set("ghost", 1)
 }
 
 func TestConfigEqual(t *testing.T) {
@@ -349,7 +327,7 @@ func TestConfigEqual(t *testing.T) {
 	if !a.Equal(b) || !b.Equal(a) {
 		t.Fatal("clone not Equal")
 	}
-	b.Set("momentum", b.Get("momentum")/2+0.001)
+	b.SetAt(s.IndexOf("momentum"), b.Get("momentum")/2+0.001)
 	if a.Equal(b) {
 		t.Fatal("Equal ignored a changed value")
 	}

@@ -43,3 +43,10 @@ func SpareCap() int {
 	defer spare.Unlock()
 	return cap(spare.buf)
 }
+
+// Err returns the journal's sticky error, if any.
+func (j *Journal) Err() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.err
+}

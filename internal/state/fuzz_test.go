@@ -48,9 +48,9 @@ func fuzzSeedJournal() []byte {
 	}
 	lr, wide := []string{"lr"}, []string{"width", "lr"}
 	_ = j.Append(Record{V: Version, Issue: &Issue{Trial: 0, Rung: 0, Target: 1, Inherit: -1, Kind: KindSample, Names: lr, Config: map[string]float64{"lr": 0.25}}})
-	_ = j.AppendReport(Report{Trial: 0, Rung: 0, Loss: 1.5, TrueLoss: 1.5, Resource: 1, Time: 0.5})
+	_ = j.Append(Record{V: Version, Report: &Report{Trial: 0, Rung: 0, Loss: 1.5, TrueLoss: 1.5, Resource: 1, Time: 0.5}})
 	_ = j.Append(Record{V: Version, Issue: &Issue{Trial: 0, Rung: 1, Target: 4, Inherit: -1, Kind: KindPromote, Names: lr, Config: map[string]float64{"lr": 0.25}}})
-	_ = j.AppendReport(Report{Trial: 0, Rung: 1, Failed: true, Time: 0.75})
+	_ = j.Append(Record{V: Version, Report: &Report{Trial: 0, Rung: 1, Failed: true, Time: 0.75}})
 	_ = j.Append(Record{V: Version, Issue: &Issue{Trial: 1, Rung: 0, Target: 1, Inherit: 0, Kind: KindSample, Names: wide, Config: map[string]float64{"lr": 0.5, "width": 64}}})
 	_ = j.AppendSnapshot(Snapshot{Issued: 3, Completed: 1, Failed: 1, Time: 0.75, Final: true,
 		Trials: []TrialSnap{{Trial: 0, Resource: 1, State: json.RawMessage(`{"w":[1,2]}`)}, {Trial: 1}}})
@@ -72,7 +72,7 @@ func fuzzCheckpointJournal() []byte {
 	lr := []string{"lr"}
 	_ = j.Append(Record{V: Version, Issue: &Issue{Trial: 0, Rung: 0, Target: 1, Inherit: -1, Kind: KindSample, Names: lr, Config: map[string]float64{"lr": 0.25}}})
 	_ = j.Append(Record{V: Version, Issue: &Issue{Trial: 1, Rung: 0, Target: 1, Inherit: -1, Kind: KindSample, Names: lr, Config: map[string]float64{"lr": 0.5}}})
-	_ = j.AppendReport(Report{Trial: 0, Rung: 0, Loss: 1.5, TrueLoss: 1.5, Resource: 1, Time: 0.5})
+	_ = j.Append(Record{V: Version, Report: &Report{Trial: 0, Rung: 0, Loss: 1.5, TrueLoss: 1.5, Resource: 1, Time: 0.5}})
 	var scratch []byte
 	_, _ = j.AppendCheckpoint(&scratch, &Checkpoint{Issued: 2, Completed: 1, RungCompleted: []int{1},
 		Series: []metrics.Point{{Time: 0.5, ValLoss: 1.5, TestLoss: 1.5}}, Names: lr, InFlight: []Pending{{Trial: 1, Target: 1, Inherit: -1, Vals: []float64{0.5}}}, Sched: []byte("an image")},
@@ -276,7 +276,9 @@ func checkScan(t *testing.T, data []byte, rec *Recovered) {
 				}
 			}
 			if is := s.Rec.Issue; is != nil {
-				err = j.AppendIssue(*is, s.Vals)
+				if err = j.StageIssue(*is, s.Vals); err == nil {
+					err = j.Flush()
+				}
 			} else {
 				err = j.Append(s.Rec)
 			}

@@ -89,20 +89,9 @@ func (j *Journal) Append(rec Record) error {
 	return j.Flush()
 }
 
-// AppendReport and AppendSnapshot wrap Append, AppendIssue StageIssue.
-func (j *Journal) AppendReport(rep Report) error {
-	return j.Append(Record{V: Version, Report: &rep})
-}
-
+// AppendSnapshot appends one snapshot record.
 func (j *Journal) AppendSnapshot(snap Snapshot) error {
 	return j.Append(Record{V: Version, Snap: &snap})
-}
-
-func (j *Journal) AppendIssue(is Issue, vals []float64) error {
-	if err := j.StageIssue(is, vals); err != nil {
-		return err
-	}
-	return j.Flush()
 }
 
 // Stage encodes one record for the next Flush. A record the format
@@ -249,13 +238,6 @@ func GiveSpare(buf []byte) {
 		spare.buf = buf[:0]
 	}
 	spare.Unlock()
-}
-
-// Err returns the journal's sticky error, if any.
-func (j *Journal) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
 }
 
 // Records returns the number of records committed — staged records count

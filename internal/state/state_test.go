@@ -287,7 +287,11 @@ func TestNamesTableFrames(t *testing.T) {
 	ab, xy := []string{"b", "a"}, []string{"x", "y", "z"}
 	mustAppend := func(j *Journal, is Issue, vals ...float64) {
 		t.Helper()
-		if err := j.AppendIssue(is, vals); err != nil {
+		err := j.StageIssue(is, vals)
+		if err == nil {
+			err = j.Flush()
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -435,7 +439,7 @@ func TestAppendRefusesWhatRecoverWould(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if err := j.AppendIssue(Issue{Inherit: -1, Names: []string{"a"}}, []float64{1, 2}); err == nil {
+	if err := j.StageIssue(Issue{Inherit: -1, Names: []string{"a"}}, []float64{1, 2}); err == nil {
 		t.Error("vector longer than its table accepted")
 	}
 	if buf.Len() != size {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/stats"
@@ -40,7 +41,7 @@ func fracBelow(xs []float64, th float64) float64 {
 
 func TestCudaConvnetCalibration(t *testing.T) {
 	asym, _ := sampleAsymptotes(CudaConvnet(), 30000)
-	if m := stats.Min(asym); m < 0.17 || m > 0.19 {
+	if m := slices.Min(asym); m < 0.17 || m > 0.19 {
 		t.Fatalf("best reachable error %v outside Figure 3/4's floor (~0.18)", m)
 	}
 	// Random search should plateau around 0.25 within ~60 full trainings
@@ -57,7 +58,7 @@ func TestCudaConvnetCalibration(t *testing.T) {
 func TestSmallCNNCIFARCalibration(t *testing.T) {
 	b := SmallCNNCIFAR()
 	asym, _ := sampleAsymptotes(b, 30000)
-	if m := stats.Min(asym); m < 0.185 || m > 0.21 {
+	if m := slices.Min(asym); m < 0.185 || m > 0.21 {
 		t.Fatalf("best reachable error %v outside Figure 4's floor (~0.20)", m)
 	}
 	// Section 4.2: test error below 0.23 takes ~700 sequential minutes,
@@ -115,7 +116,7 @@ func TestPTBCalibration(t *testing.T) {
 		t.Fatalf("diverging fraction %v, want a few percent", divFrac)
 	}
 	// Figure 5's y-range: best models reach perplexity ~76.6.
-	if m := stats.Min(asym); m < 75.8 || m > 78 {
+	if m := slices.Min(asym); m < 75.8 || m > 78 {
 		t.Fatalf("best perplexity %v, want ~76-77", m)
 	}
 	// Perplexity below 80 is the Figure 5 milestone ASHA reaches ~3x
@@ -130,7 +131,7 @@ func TestPTBCalibration(t *testing.T) {
 func TestDropConnectCalibration(t *testing.T) {
 	b := DropConnectLSTM()
 	asym, _ := sampleAsymptotes(b, 30000)
-	if m := stats.Min(asym); m < 60 || m > 61 {
+	if m := slices.Min(asym); m < 60 || m > 61 {
 		t.Fatalf("best validation perplexity %v, want ~60.2 (Figure 6)", m)
 	}
 	// Figure 6's y-range is 60-70: the bulk of configurations must land
@@ -146,21 +147,21 @@ func TestDropConnectCalibration(t *testing.T) {
 
 func TestSVMCalibrations(t *testing.T) {
 	va, _ := sampleAsymptotes(SVMVehicle(), 20000)
-	if m := stats.Min(va); m < 0.10 || m > 0.12 {
+	if m := slices.Min(va); m < 0.10 || m > 0.12 {
 		t.Fatalf("vehicle best error %v, want ~0.105 (Figure 9)", m)
 	}
 	if f := fracBelow(va, 0.12); f < 0.01 {
 		t.Fatalf("vehicle should be an easy 2-D task, P(<=0.12)=%v", f)
 	}
 	ma, _ := sampleAsymptotes(SVMMNIST(), 20000)
-	if m := stats.Min(ma); m < 0.014 || m > 0.03 {
+	if m := slices.Min(ma); m < 0.014 || m > 0.03 {
 		t.Fatalf("mnist best error %v, want ~0.02 (Figure 9)", m)
 	}
 }
 
 func TestSVHNCalibration(t *testing.T) {
 	asym, _ := sampleAsymptotes(SmallCNNSVHN(), 30000)
-	if m := stats.Min(asym); m < 0.022 || m > 0.035 {
+	if m := slices.Min(asym); m < 0.022 || m > 0.035 {
 		t.Fatalf("svhn best error %v, want ~0.023 (Figure 9)", m)
 	}
 	if f := fracBelow(asym, 0.05); f < 0.002 || f > 0.05 {

@@ -302,12 +302,6 @@ func (b *Benchmark) MaxResource() float64 { return b.maxResource }
 // configuration for the full resource R.
 func (b *Benchmark) MeanTimeR() float64 { return b.timeR }
 
-// Quality returns the benchmark's quality score in [0,1] for cfg.
-// Exposed for tests and calibration tooling.
-func (b *Benchmark) Quality(cfg searchspace.Config) float64 {
-	return b.quality.Quality(b.space.Encode(cfg))
-}
-
 // ParamsFor deterministically maps a configuration to its learning-curve
 // parameters. It runs at every trial creation and config switch (three
 // simulated jobs in four at 500 workers), so the encoding buffer lives

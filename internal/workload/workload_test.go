@@ -199,9 +199,10 @@ func TestCostSpreadProperty(t *testing.T) {
 
 func TestPTBDivergenceRule(t *testing.T) {
 	b := PTBLSTM()
-	cfg := b.Space().Sample(xrand.New(9))
-	cfg.Set("learning rate", 50)
-	cfg.Set("clip gradients", 1.5)
+	space := b.Space()
+	cfg := space.Sample(xrand.New(9))
+	cfg.SetAt(space.IndexOf("learning rate"), 50)
+	cfg.SetAt(space.IndexOf("clip gradients"), 1.5)
 	p := b.ParamsFor(cfg)
 	if !p.Diverges {
 		t.Fatal("high-lr low-clip configuration should diverge")
@@ -211,7 +212,7 @@ func TestPTBDivergenceRule(t *testing.T) {
 	if tr.TrueLoss() < 1000 {
 		t.Fatalf("diverged configuration has tame perplexity %v", tr.TrueLoss())
 	}
-	cfg.Set("learning rate", 1)
+	cfg.SetAt(space.IndexOf("learning rate"), 1)
 	if b.ParamsFor(cfg).Diverges {
 		t.Fatal("moderate learning rate should not diverge")
 	}

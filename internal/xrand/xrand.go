@@ -140,9 +140,6 @@ func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
 // Uint64 returns a uniform 64-bit value.
 func (r *RNG) Uint64() uint64 { return r.src.Uint64() }
 
-// NormFloat64 returns a standard normal sample.
-func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
-
 // Normal returns a normal sample with the given mean and standard
 // deviation. sd must be >= 0.
 func (r *RNG) Normal(mean, sd float64) float64 {
@@ -187,6 +184,3 @@ func (r *RNG) Bernoulli(p float64) bool {
 func (r *RNG) Exponential(mean float64) float64 {
 	return r.src.ExpFloat64() * mean
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }

@@ -197,18 +197,6 @@ func TestExponentialMean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(19)
-	p := r.Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 // streamDigest folds the first 64 draws of Float64, then of NormFloat64,
 // then of IntN into one hash.
 func streamDigest(r *RNG) uint64 {
@@ -217,7 +205,7 @@ func streamDigest(r *RNG) uint64 {
 		h.Uint64(math.Float64bits(r.Float64()))
 	}
 	for i := 0; i < 64; i++ {
-		h.Uint64(math.Float64bits(r.NormFloat64()))
+		h.Uint64(math.Float64bits(r.src.NormFloat64()))
 	}
 	for i := 0; i < 64; i++ {
 		h.Uint64(uint64(r.IntN(1_000_003)))
