@@ -136,8 +136,9 @@ type Remote struct {
 	OnListen func(url string)
 	// Metrics enables GET /metrics on the embedded server: engine and
 	// lease counters — granted/expired leases, batch sizes, rung
-	// occupancy, incumbent loss — in Prometheus text format. Counters are
-	// atomics; the queue, lease, drain and cap gauges take one lock hold.
+	// occupancy, incumbent loss — in Prometheus text format. Counters and
+	// the queue, lease, drain and cap gauges are plain fields read in the
+	// scrape's one hold of the server lock.
 	Metrics bool
 	// Events enables GET /v1/events: a streaming NDJSON feed of
 	// run-lifecycle events (trial issued/completed/promoted/failed,

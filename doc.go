@@ -62,13 +62,13 @@
 //
 // Fleet runs carry an opt-in observability-and-operations plane on the
 // embedded lease server, Remote{Metrics, Events, AdminToken}: GET
-// /metrics exports Prometheus counters (atomics), gauges (one hold of
-// the server lock) and per-experiment rung occupancy, GET /v1/events
-// streams lifecycle events (trial issued/completed/promoted, rung
-// advances, new incumbents) as NDJSON, and the token-scoped /v1/admin
-// API — cmd/ashactl is its CLI — pauses, resumes or aborts experiments,
-// resizes the shared worker budget, and drains the fleet while the run
-// is live. Pausing stops lease grants while in-flight jobs finish;
+// /metrics exports Prometheus counters and gauges (plain fields read in
+// the scrape's one hold of the server lock) and per-experiment rung
+// occupancy, GET /v1/events streams lifecycle events (trial
+// issued/completed/promoted, rung advances, new incumbents) as NDJSON,
+// and the token-scoped /v1/admin API — cmd/ashactl is its CLI —
+// pauses, resumes or aborts experiments, resizes the shared worker
+// budget, and drains the fleet while the run is live. Pausing stops lease grants while in-flight jobs finish;
 // a run paused to zero activity parks and continues on resume.
 //
 // With Metrics on, every settled job is stage-timed end to end: queue

@@ -159,3 +159,46 @@ func TestCloseSettlesEveryJobOnce(t *testing.T) {
 		t.Fatalf("%d accepted + %d failed of %d submitted, want %d", c.Accepted, failed.Load(), c.Submitted, jobs)
 	}
 }
+
+// TestExpiriesAndCloseAnswerInLeaseOrder pins the order a lost lease's
+// Failed reaches its scheduler: the leases one sweep expires, and the
+// leases Close flushes, are answered in lease-ID order — the order they
+// were granted in — not in the lease map's, so one sequence of calls
+// hands the schedulers their failures in one order.
+func TestExpiriesAndCloseAnswerInLeaseOrder(t *testing.T) {
+	srv, err := NewServer(Options{LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var order []int // sweepOnce and Close answer on the calling goroutine
+	for k := 1; k <= 16; k++ {
+		srv.Submit(JobPayload{Trial: k}, func(o Outcome) {
+			if !o.Failed {
+				t.Errorf("trial %d answered %+v", k, o)
+			}
+			order = append(order, k)
+		})
+	}
+	_, reg := rawPost(t, srv.URL(), "/v1/register", map[string]interface{}{"v": ProtocolVersion})
+	worker := reg["worker"].(string)
+	inOrder := func(what string, from int) {
+		t.Helper()
+		if _, g := streamLease(t, srv.URL(), worker, binLeaseReq{Max: 8, WaitMillis: 2000}); len(g.Grants) != 8 {
+			t.Fatalf("granted %d of 8 jobs", len(g.Grants))
+		}
+		order = order[:0]
+		if what == "expiry" {
+			srv.sweepOnce(time.Now().Add(time.Hour))
+		} else {
+			srv.Close()
+		}
+		for i, k := range order {
+			if k != from+i || len(order) != 8 {
+				t.Fatalf("%s answered trials %v, want %d to %d in lease order", what, order, from, from+7)
+			}
+		}
+	}
+	inOrder("expiry", 1)
+	inOrder("close", 9)
+}

@@ -324,7 +324,7 @@ func (c *Coordinator) handleWorkerRegister(w http.ResponseWriter, r *http.Reques
 	if !decodePost(w, r, &req.Version, &req) {
 		return
 	}
-	if _, _, ok := admitWorker(w, &req, c.opts.Token, c.opts.TenantTokens); !ok {
+	if _, ok := admitWorker(w, &req, c.opts.Token, c.opts.TenantTokens); !ok {
 		return
 	}
 	c.mu.Lock()

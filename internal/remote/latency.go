@@ -186,11 +186,7 @@ func (s *Server) observeSettle(t *task, tm JobTiming, out *Outcome) {
 	// flag it.
 	straggler := false
 	if rh.Count() >= stragglerMinSamples {
-		k := s.opts.StragglerK
-		if k <= 0 {
-			k = defaultStragglerK
-		}
-		if p95 := rh.Quantile(0.95); p95 > 0 && float64(execD) > k*float64(p95) {
+		if p95 := rh.Quantile(0.95); p95 > 0 && float64(execD) > s.opts.StragglerK*float64(p95) {
 			straggler = true
 		}
 	}

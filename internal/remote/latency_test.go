@@ -308,8 +308,8 @@ func TestTimedWireEndToEnd(t *testing.T) {
 		cancel()
 		<-agentDone
 
-		if n := srv.lat.execTime.Count(); n != srv.accepted.Load() {
-			t.Fatalf("exec histogram count %d != accepted reports %d", n, srv.accepted.Load())
+		if n, c := srv.lat.execTime.Count(), srv.Counters(); n != c.Accepted {
+			t.Fatalf("exec histogram count %d != accepted reports %d", n, c.Accepted)
 		}
 		if n := srv.lat.settleTime.Count(); n != jobs {
 			t.Fatalf("settle histogram count = %d, want %d timed settles", n, jobs)

@@ -169,30 +169,13 @@ type CounterSnapshot struct {
 }
 
 // snapshot copies the server's counters, its queue and lease gauges,
-// the drain flag and the lease cap: what /metrics and admin status show
-// of the server. The counters are atomics; the server lock is taken
-// once, and the counters the grant, settle and expiry paths bump under
-// it are read in the same hold, so Granted is exactly Accepted + Expired
-// + Leased until Close flushes the leases.
+// the drain flag and the lease cap in one hold of the server lock: what
+// /metrics and admin status show of the server (see
+// leaseTable.snapshot).
 func (s *Server) snapshot() (c CounterSnapshot, draining bool, leaseCap int) {
 	s.mu.Lock()
-	c = CounterSnapshot{
-		Submitted:      s.submitted.Load(),
-		Granted:        s.granted.Load(),
-		Expired:        s.expired.Load(),
-		Accepted:       s.accepted.Load(),
-		Rejected:       s.rejected.Load(),
-		Canceled:       s.canceled.Load(),
-		BatchedReports: s.batchedReports.Load(),
-		BinReports:     s.binReports.Load(),
-		GrantFrames:    s.grantFrames.Load(),
-		ReportFrames:   s.reportFrames.Load(),
-		Sweeps:         s.sweeps.Load(),
-		Registered:     s.registered.Load(),
-		Pending:        int64(len(s.pending) - s.pendingHead),
-		Leased:         int64(len(s.leases)),
-	}
-	draining, leaseCap = s.draining, s.maxLeases
+	c = s.tab.snapshot()
+	draining, leaseCap = s.tab.draining, s.tab.maxLeases
 	s.mu.Unlock()
 	if s.bus != nil {
 		c.EventsDropped = s.bus.Dropped()
@@ -204,15 +187,15 @@ func (s *Server) snapshot() (c CounterSnapshot, draining bool, leaseCap int) {
 // lease grants ("" withholds the whole queue).
 func (s *Server) PauseExperiment(name string) {
 	s.mu.Lock()
-	s.paused[name] = true
+	s.tab.paused[name] = true
 	s.mu.Unlock()
 }
 
 // ResumeExperiment lifts PauseExperiment.
 func (s *Server) ResumeExperiment(name string) {
 	s.mu.Lock()
-	delete(s.paused, name)
-	s.wakeLocked()
+	delete(s.tab.paused, name)
+	s.tab.wakeAll()
 	s.mu.Unlock()
 }
 
@@ -220,8 +203,8 @@ func (s *Server) ResumeExperiment(name string) {
 // sorted.
 func (s *Server) PausedExperiments() []string {
 	s.mu.Lock()
-	names := make([]string, 0, len(s.paused))
-	for name := range s.paused {
+	names := make([]string, 0, len(s.tab.paused))
+	for name := range s.tab.paused {
 		names = append(names, name)
 	}
 	s.mu.Unlock()
@@ -235,9 +218,9 @@ func (s *Server) PausedExperiments() []string {
 // fleet pick the queue back up.
 func (s *Server) SetDraining(v bool) {
 	s.mu.Lock()
-	s.draining = v
+	s.tab.draining = v
 	if !v {
-		s.wakeLocked()
+		s.tab.wakeAll()
 	}
 	s.mu.Unlock()
 }
@@ -248,27 +231,9 @@ func (s *Server) SetDraining(v bool) {
 // expire as usual.
 func (s *Server) CancelPending(experiment string) int {
 	s.mu.Lock()
-	var canceled []*task
-	// Only [pendingHead:] is live — the grant path nils consumed
-	// entries behind pendingHead rather than reslicing every grant.
-	kept := s.pending[:0]
-	for _, t := range s.pending[s.pendingHead:] {
-		if experiment == "" || t.payload.Experiment == experiment {
-			canceled = append(canceled, t)
-		} else {
-			kept = append(kept, t)
-		}
-	}
-	for i := len(kept); i < len(s.pending); i++ {
-		s.pending[i] = nil
-	}
-	s.pending, s.pendingHead = kept, 0
-	s.canceled.Add(int64(len(canceled)))
+	canceled := s.tab.cancel(experiment)
 	s.mu.Unlock()
-	for _, t := range canceled {
-		t.finish(Outcome{Failed: true})
-	}
-	s.recycle(canceled)
+	s.fail(canceled)
 	return len(canceled)
 }
 
@@ -276,8 +241,8 @@ func (s *Server) CancelPending(experiment string) int {
 // unlimited) — the server half of the admin worker-budget command.
 func (s *Server) SetMaxLeases(n int) {
 	s.mu.Lock()
-	s.maxLeases = n
-	s.wakeLocked()
+	s.tab.maxLeases = n
+	s.tab.wakeAll()
 	s.mu.Unlock()
 }
 

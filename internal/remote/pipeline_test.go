@@ -603,7 +603,7 @@ func TestFallbackSettlesLikeTheStream(t *testing.T) {
 		}
 		defer srv.Close()
 		srv.mu.Lock()
-		srv.nextLease = 1000 // both servers number their leases alike
+		srv.tab.firstLease, srv.tab.nextLease = 1000, 1000 // both servers number their leases alike
 		srv.mu.Unlock()
 		var mu sync.Mutex
 		got := settled{outcomes: make(map[int]Outcome), spans: make(map[int]JobSpan)}

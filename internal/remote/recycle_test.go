@@ -123,7 +123,7 @@ func (r *recycleRig) answered(trials ...int) []Outcome {
 func (r *recycleRig) leases(match func(*task) bool) []uint64 {
 	var ids []uint64
 	r.srv.mu.Lock()
-	for id, t := range r.srv.leases {
+	for id, t := range r.srv.tab.leases {
 		if match(t) {
 			ids = append(ids, id)
 		}
@@ -136,7 +136,7 @@ func (r *recycleRig) leases(match func(*task) bool) []uint64 {
 // runs a sweep pass: the sweeper's own runs every TTL/4, minutes here.
 func (r *recycleRig) expire(match func(*task) bool) {
 	r.srv.mu.Lock()
-	for _, t := range r.srv.leases {
+	for _, t := range r.srv.tab.leases {
 		if match(t) {
 			t.deadline = time.Time{}
 		}
@@ -203,7 +203,7 @@ func TestRecycledRecordsAnswerTheirOwnJobs(t *testing.T) {
 	// its leases to the restart below, which expires them.)
 	r.submit(200)
 	r.waitFor("a report frame re-delivered through /v1/report", func() bool {
-		if srv.batchedReports.Load() > 0 {
+		if srv.Counters().BatchedReports > 0 {
 			return true
 		}
 		r.killStreams()
@@ -219,10 +219,10 @@ func TestRecycledRecordsAnswerTheirOwnJobs(t *testing.T) {
 	if o := r.answered(late)[0]; !o.Failed {
 		t.Fatalf("expired trial %d answered %+v, want Failed", late, o)
 	}
-	rejected := srv.rejected.Load()
+	rejected := srv.Counters().Rejected
 	r.submit(40) // takes the expired task off the free list
 	release()
-	r.waitFor("the late report's rejection", func() bool { return srv.rejected.Load() > rejected })
+	r.waitFor("the late report's rejection", func() bool { return srv.Counters().Rejected > rejected })
 
 	// A restart of the worker's registration while trial stale runs:
 	// the agent re-registers and marks every lease it holds expired, the
@@ -236,13 +236,13 @@ func TestRecycledRecordsAnswerTheirOwnJobs(t *testing.T) {
 	srv.PauseExperiment("")
 	srv.mu.Lock()
 	var gone string
-	for id := range srv.workers {
+	for id := range srv.tab.workers {
 		gone = id
 	}
-	delete(srv.workers, gone)
+	delete(srv.tab.workers, gone)
 	srv.mu.Unlock()
 	r.killStreams()
-	r.waitFor("the agent's re-registration", func() bool { return srv.registered.Load() == 2 })
+	r.waitFor("the agent's re-registration", func() bool { return srv.Counters().Registered == 2 })
 	r.expire(func(t *task) bool { return t.worker == gone })
 	r.waitFor("the old registration's leases to expire", func() bool {
 		return len(r.leases(func(t *task) bool { return t.worker == gone })) == 0
@@ -258,7 +258,7 @@ func TestRecycledRecordsAnswerTheirOwnJobs(t *testing.T) {
 		}
 	}
 	srv.mu.Lock()
-	srv.nextLease = staleLease[0] - 1
+	srv.tab.nextLease = staleLease[0] - 1
 	srv.mu.Unlock()
 	fresh, releaseFresh := r.blocker(func() { srv.ResumeExperiment("") })
 	if got := r.leases(func(t *task) bool { return t.payload.Trial == fresh }); len(got) != 1 || got[0] != staleLease[0] {
@@ -274,9 +274,9 @@ func TestRecycledRecordsAnswerTheirOwnJobs(t *testing.T) {
 	}
 
 	// Close racing the settles of a busy fleet.
-	accepted := srv.accepted.Load()
+	accepted := srv.Counters().Accepted
 	r.submit(300)
-	r.waitFor("the fleet to be busy", func() bool { return srv.accepted.Load() > accepted+20 })
+	r.waitFor("the fleet to be busy", func() bool { return srv.Counters().Accepted > accepted+20 })
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -139,9 +138,9 @@ type Options struct {
 	OnListen func(url string)
 	// Metrics enables GET /metrics: the server's counters — and, when a
 	// ControlPlane is attached, per-experiment scheduler state — in
-	// Prometheus text format. The counters are atomics; the scrape takes
-	// the server's lock once for the queue and lease gauges, the drain
-	// flag and the lease cap, and once more to find the ControlPlane.
+	// Prometheus text format. Counters and gauges are plain fields read
+	// in the scrape's one hold of the server's lock; a second hold finds
+	// the ControlPlane.
 	Metrics bool
 	// Events enables GET /v1/events: an NDJSON stream of run-lifecycle
 	// events from a bounded ring buffer (see EventBuffer); slow
@@ -194,12 +193,12 @@ type Options struct {
 // queued, then leased, then answered exactly once — by a worker's
 // report, by lease expiry, by cancellation or by server shutdown. A
 // *task is read only under s.mu, except by its owner: the one path that
-// took it out of the server's tables (settleReports, sweepOnce,
+// took it out of the lease table (settleReports, sweepOnce,
 // CancelPending or Close), which calls finish. The granter copies what
 // it encodes while it still holds s.mu. Once finish returns, the owner
-// puts the task back on Server.free, the list submit takes from before
-// it cuts Server.slab (Close keeps nothing): at steady state a job
-// allocates no record of its own.
+// puts the task back on the table's free list, which submit takes from
+// before it cuts the table's slab (Close keeps nothing): at steady
+// state a job allocates no record of its own.
 type task struct {
 	payload JobPayload
 	// The completion sink, as data: a job launched by a Backend lane
@@ -243,62 +242,15 @@ type Server struct {
 	ln     net.Listener
 	hs     *http.Server
 
-	// mu is the server's one lock: it guards every field below up to
-	// the counters, and every *task (see task).
-	mu   sync.Mutex
-	wake chan struct{} // closed and replaced on every state change
-	// wakeArmed records that some poller captured wake and intends to
-	// sleep on it: wakeLocked only pays the close-and-reallocate when a
-	// waiter may be listening, so a Submit storm with every worker busy
-	// churns no channels.
-	wakeArmed bool
-	// pending[pendingHead:] is the FIFO job queue. The head index makes
-	// the common grant — the oldest matching job IS the oldest job — an
-	// O(1) pop instead of an O(queue) slice shift, which dominated the
-	// grant path at deep backlogs (a 1024-job pipeline shifted ~8KB of
-	// pointers per grant).
-	pending     []*task
-	pendingHead int
-	slab        []task  // the unused tail of the newest task chunk (see taskSlabLen)
-	free        []*task // settled tasks, for submit to reuse (see task)
-	nextLease   uint64
-	nextWorker  int
-	workers     map[string]workerInfo // worker ID -> registration record
-	closed      bool
-	// paused holds experiment names whose queued jobs are withheld from
-	// lease grants ("" pauses jobs of single-experiment runs — and, as
-	// the match loop treats it, the whole queue). draining tells every
-	// lease poll the run is over for its worker without failing queued
-	// jobs, so a fleet can be scaled to zero and later repopulated.
-	paused   map[string]bool
-	draining bool
-	// maxLeases is Options.MaxLeases, adjustable at runtime by the
-	// admin worker-budget command.
-	maxLeases int
-	// leases is the lease table: every granted task by lease ID, until
-	// its report, its expiry or Close takes it out.
-	leases map[uint64]*task
+	// mu is the server's one lock: it guards the lease table, every
+	// *task (see task), the stream set and the control plane.
+	mu  sync.Mutex
+	tab leaseTable // leasetable.go
 	// streams tracks the live binary stream connections, so Close can
 	// tell every connected worker the run is over (stream.go).
 	streams map[*streamConn]struct{}
 	// control is the attached scheduler-side control plane, if any.
 	control ControlPlane
-
-	// Observability counters: atomics, since some are bumped on paths
-	// that do not hold mu. snapshot copies them all in one hold of mu,
-	// with the queue and lease gauges.
-	granted        atomic.Int64 // leases granted, every one in a grants frame
-	expired        atomic.Int64 // leases expired by the sweeper
-	accepted       atomic.Int64 // report entries accepted
-	rejected       atomic.Int64 // report entries rejected (late, or not this worker's lease)
-	batchedReports atomic.Int64 // entries settled through frames POSTed to /v1/report
-	binReports     atomic.Int64 // entries settled through binary stream frames
-	grantFrames    atomic.Int64 // binary grants frames that carried those jobs
-	reportFrames   atomic.Int64 // binary reports frames that carried those entries
-	sweeps         atomic.Int64 // expiry-sweep passes completed
-	registered     atomic.Int64 // workers registered over the lifetime
-	submitted      atomic.Int64 // jobs submitted to the queue
-	canceled       atomic.Int64 // queued jobs canceled by admin abort
 
 	// lat is the per-job latency tracker behind the /metrics histogram
 	// families and /v1/trace (latency.go); nil unless
@@ -317,16 +269,6 @@ type Server struct {
 	stopSweep func() // stops the expiry sweeper (sweepEvery)
 }
 
-// workerInfo records one registered worker: the name it advertised and
-// the tenant scope of the token it presented. A worker registered with
-// a tenant token (scoped) only receives that tenant's jobs, and every
-// later request driving its ID must present the same scope.
-type workerInfo struct {
-	name   string
-	tenant string
-	scoped bool
-}
-
 // NewServer starts a job-lease server listening on opts.Listen.
 func NewServer(opts Options) (*Server, error) {
 	if opts.Listen == "" {
@@ -337,6 +279,9 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	if opts.Prefetch < 0 {
 		opts.Prefetch = 0
+	}
+	if opts.StragglerK <= 0 {
+		opts.StragglerK = defaultStragglerK
 	}
 	timing, err := timingFor(opts.LeaseTTL, 0, opts.FlushInterval)
 	if err != nil {
@@ -363,18 +308,13 @@ func NewServer(opts Options) (*Server, error) {
 		opts:   opts,
 		timing: timing,
 		ln:     ln,
-		wake:   make(chan struct{}),
 		// Lease IDs start at the server's start second shifted into the
 		// high bits (exact in a JSON float64 until year ~2242, with 2^20
 		// IDs per start second): two server generations never share
 		// lease IDs, so a worker's stale pre-restart report can never
 		// collide with — and settle — a fresh lease of the same number.
-		nextLease: uint64(time.Now().Unix()) << 20,
-		workers:   make(map[string]workerInfo),
-		paused:    make(map[string]bool),
-		leases:    make(map[uint64]*task),
-		streams:   make(map[*streamConn]struct{}),
-		maxLeases: opts.MaxLeases,
+		tab:     newLeaseTable(timing.leaseTTL, uint64(time.Now().Unix())<<20, opts.MaxLeases),
+		streams: make(map[*streamConn]struct{}),
 	}
 	if opts.Events {
 		s.bus = obs.NewBus(opts.EventBuffer)
@@ -416,31 +356,14 @@ func (s *Server) Submit(p JobPayload, done func(Outcome)) {
 }
 
 // submit queues a copy of *job, which carries the payload and the
-// completion sink; the caller's value is not retained.
+// completion sink, or answers it Failed if the server is closed.
 func (s *Server) submit(job *task) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		job.finish(Outcome{Failed: true})
-		return
-	}
-	var t *task
-	if n := len(s.free); n > 0 {
-		t = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		if len(s.slab) == 0 {
-			s.slab = make([]task, taskSlabLen)
-		}
-		t = &s.slab[0]
-		s.slab = s.slab[1:]
-	}
-	*t = *job
-	t.submitted = time.Now()
-	s.pending = append(s.pending, t)
-	s.submitted.Add(1)
-	s.wakeLocked()
+	queued := s.tab.submit(job, time.Now())
 	s.mu.Unlock()
+	if !queued {
+		job.finish(Outcome{Failed: true})
+	}
 }
 
 // recycle puts tasks whose finish has returned on the free list,
@@ -453,19 +376,16 @@ func (s *Server) recycle(ts []*task) {
 		}
 	}
 	s.mu.Lock()
-	if !s.closed {
-		for _, t := range ts {
-			if t != nil {
-				s.free = append(s.free, t)
-			}
-		}
-	}
+	s.tab.recycle(ts)
 	s.mu.Unlock()
 }
 
 // ExpiredLeases reports how many leases have expired and been requeued
 // over the server's lifetime.
-func (s *Server) ExpiredLeases() int { return int(s.expired.Load()) }
+func (s *Server) ExpiredLeases() int {
+	c, _, _ := s.snapshot()
+	return int(c.Expired)
+}
 
 // closeGrace is how long a closed server keeps answering HTTP after
 // Close: workers whose stream handshake or report lands just after
@@ -485,30 +405,21 @@ const closeGrace = 3 * time.Second
 // closeGrace) and is idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if s.closed {
+	if s.tab.closed {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true
+	orphans := s.tab.close()
 	if s.shard != nil {
 		// Not waited for: the link may be inside a control-plane call that
 		// the engine closing this server answers only once Close returns.
 		s.shard.cancel()
 	}
-	// A report racing Close either settled before this hold or finds its
-	// lease gone and is rejected: each task settles exactly once.
-	orphans := append([]*task(nil), s.pending[s.pendingHead:]...)
-	for _, t := range s.leases {
-		orphans = append(orphans, t)
-	}
-	clear(s.leases)
-	s.pending, s.pendingHead, s.slab, s.free = nil, 0, nil, nil
 	s.control = nil
 	streams := make([]*streamConn, 0, len(s.streams))
 	for sc := range s.streams {
 		streams = append(streams, sc)
 	}
-	s.wakeLocked()
 	s.mu.Unlock()
 	// Tell every binary stream worker the run is over, exactly as a
 	// long-polling granter answers Done, then drop the connections.
@@ -536,64 +447,24 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// wakeLocked broadcasts a state change to every long-polling stream
-// granter. Callers must hold s.mu. The close-and-reallocate only
-// happens while a poller is armed on the channel: a Submit burst with
-// every worker's pipeline full pays nothing, and a poller that arms
-// and then finds work before sleeping merely costs one spurious churn.
-func (s *Server) wakeLocked() {
-	if !s.wakeArmed {
-		return
-	}
-	s.wakeArmed = false
-	close(s.wake)
-	s.wake = make(chan struct{})
-}
-
-// wakeChanLocked returns the channel a grantless poller should sleep
-// on and arms it. Callers must hold s.mu; the poller must re-run the
-// grant loop after waking (the channel says "state changed", not
-// "there is work for you").
-func (s *Server) wakeChanLocked() <-chan struct{} {
-	s.wakeArmed = true
-	return s.wake
-}
-
-// wakeIfPendingLocked wakes pollers when settles or expiries freed
-// lease capacity while jobs are still queued: they may have been held
-// by the MaxLeases cap. Callers hold s.mu.
-func (s *Server) wakeIfPendingLocked() {
-	if len(s.pending) > s.pendingHead {
-		s.wakeLocked()
-	}
-}
-
 // sweepOnce is one pass of the heartbeat sweeper: it expires leases
 // whose workers went silent and reports their jobs Failed, feeding the
 // scheduler's retry path exactly as a subprocess crash does.
 func (s *Server) sweepOnce(now time.Time) {
-	var dead []*task
 	s.mu.Lock()
-	for id, t := range s.leases {
-		if now.After(t.deadline) {
-			delete(s.leases, id)
-			dead = append(dead, t)
-		}
-	}
-	if len(dead) > 0 {
-		s.expired.Add(int64(len(dead)))
-		s.wakeIfPendingLocked()
-	}
+	dead := s.tab.sweep(now)
 	s.mu.Unlock()
-	// Count the pass after its expiries are visible: a test that saw
-	// sweeps advance past a lease's TTL may rely on that lease's expiry
-	// having been counted too.
-	s.sweeps.Add(1)
-	for _, t := range dead {
+	s.fail(dead)
+}
+
+// fail answers tasks taken out of the table Failed, in order, then
+// recycles them.
+func (s *Server) fail(ts []*task) {
+	for _, t := range ts {
 		t.finish(Outcome{Failed: true})
 	}
-	if len(dead) > 0 {
-		s.recycle(dead)
+	if len(ts) > 0 {
+		s.recycle(ts)
 	}
 }
 
@@ -680,7 +551,7 @@ func (s *Server) decodeWorker(w http.ResponseWriter, r *http.Request, req *strea
 	if !decodePost(w, r, &req.Version, req) {
 		return false
 	}
-	tenant, scoped, ok := tokenScope(req.Token, s.opts.Token, s.opts.TenantTokens)
+	tenant, _, ok := tokenScope(req.Token, s.opts.Token, s.opts.TenantTokens)
 	if !ok {
 		reject(w, http.StatusUnauthorized, "bad or missing worker token")
 		return false
@@ -688,9 +559,9 @@ func (s *Server) decodeWorker(w http.ResponseWriter, r *http.Request, req *strea
 	// An unknown worker passes: it fails the usual unknown-worker paths
 	// (410, lease-owner mismatch) downstream.
 	s.mu.Lock()
-	wi, known := s.workers[req.WorkerID]
+	registered, known := s.tab.workers[req.WorkerID]
 	s.mu.Unlock()
-	if known && (wi.scoped != scoped || wi.tenant != tenant) {
+	if known && registered != tenant {
 		reject(w, http.StatusUnauthorized, "token scope does not match worker registration")
 		return false
 	}
@@ -725,18 +596,19 @@ func tokenScope(token, fleet string, tenants map[string]string) (tenant string, 
 // rejection itself: 401 for a bad token, 403 for a tenant-scoped worker
 // asking for another tenant's experiment — refused here, where it
 // would otherwise just starve.
-func admitWorker(w http.ResponseWriter, req *registerReq, fleet string, tenants map[string]string) (tenant string, scoped, ok bool) {
-	if tenant, scoped, ok = tokenScope(req.Token, fleet, tenants); !ok {
+func admitWorker(w http.ResponseWriter, req *registerReq, fleet string, tenants map[string]string) (tenant string, ok bool) {
+	tenant, scoped, ok := tokenScope(req.Token, fleet, tenants)
+	if !ok {
 		reject(w, http.StatusUnauthorized, "bad or missing worker token")
-		return "", false, false
+		return "", false
 	}
 	for _, e := range req.Experiments {
 		if scoped && TenantOf(e) != tenant {
 			reject(w, http.StatusForbidden, fmt.Sprintf("experiment %q is outside tenant %q", e, tenant))
-			return "", false, false
+			return "", false
 		}
 	}
-	return tenant, scoped, true
+	return tenant, true
 }
 
 func reject(w http.ResponseWriter, status int, msg string) {
@@ -755,16 +627,13 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if !decodePost(w, r, &req.Version, &req) {
 		return
 	}
-	tenant, scoped, ok := admitWorker(w, &req, s.opts.Token, s.opts.TenantTokens)
+	tenant, ok := admitWorker(w, &req, s.opts.Token, s.opts.TenantTokens)
 	if !ok {
 		return
 	}
 	s.mu.Lock()
-	s.nextWorker++
-	id := fmt.Sprintf("w%d", s.nextWorker)
-	s.workers[id] = workerInfo{name: req.Name, tenant: tenant, scoped: scoped}
+	id := s.tab.register(tenant)
 	s.mu.Unlock()
-	s.registered.Add(1)
 	reply(w, registerResp{
 		Version:        ProtocolVersion,
 		WorkerID:       id,
@@ -788,7 +657,7 @@ func (s *Server) grantCap(max int) int {
 	return max
 }
 
-// grantState classifies a grantTasks pass that handed out nothing.
+// grantState classifies a grant that handed out nothing.
 type grantState int
 
 const (
@@ -797,120 +666,12 @@ const (
 	grantGone                   // unknown worker: register again
 )
 
-// grantTasks is the lease-grant core behind the binary stream granter
-// (stream.go's serveLease): under s.mu it matches up to
-// max pending jobs against the worker's experiment restriction and
-// the lease cap, stamps their leases and inserts them into the lease
-// table. What the granter encodes of each grant is copied into the
-// caller's (emptied) scratch slice while s.mu is held — once it drops,
-// the task is its settler's, which may recycle it (see task) — so a
-// streaming granter allocates nothing per poll. When it grants
-// nothing it returns an armed wake channel for the caller to sleep on
-// before retrying. The granted counter is updated here; the frame
-// counter is the caller's.
-func (s *Server) grantTasks(workerID string, max int, experiments []string, grants []grantedJob) ([]grantedJob, grantState, <-chan struct{}) {
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		return nil, grantDone, nil
-	}
-	wi, known := s.workers[workerID]
-	if !known {
-		s.mu.Unlock()
-		return nil, grantGone, nil
-	}
-	now := time.Now()
-	for len(grants) < max {
-		if s.maxLeases != 0 && len(s.leases) >= s.maxLeases {
-			break
-		}
-		idx := s.matchLocked(experiments, wi)
-		if idx < 0 {
-			break
-		}
-		t := s.grantLocked(idx, workerID, now)
-		grants = append(grants, grantedJob{lease: t.leaseID, grantedAt: now, payload: t.payload})
-	}
-	var wake <-chan struct{}
-	if len(grants) == 0 {
-		wake = s.wakeChanLocked()
-	} else {
-		s.granted.Add(int64(len(grants)))
-	}
-	s.mu.Unlock()
-	return grants, grantOK, wake
-}
-
 // grantedJob is what a grants frame carries of one granted task.
 type grantedJob struct {
 	lease     uint64
 	grantedAt time.Time
+	queued    time.Duration // for the queue-wait histogram
 	payload   JobPayload
-}
-
-// grantLocked leases pending[idx] to the worker and inserts it into
-// the lease table. Callers hold s.mu.
-func (s *Server) grantLocked(idx int, worker string, now time.Time) *task {
-	t := s.pending[idx]
-	// Head grants (no experiment restriction, nothing paused — the
-	// common case) pop in O(1); a mid-queue match shifts only the short
-	// skipped-over head segment, not the whole backlog.
-	copy(s.pending[s.pendingHead+1:idx+1], s.pending[s.pendingHead:idx])
-	s.pending[s.pendingHead] = nil // release the task reference
-	s.pendingHead++
-	if s.pendingHead == len(s.pending) {
-		s.pending, s.pendingHead = s.pending[:0], 0
-	} else if s.pendingHead > 1024 && s.pendingHead*2 >= len(s.pending) {
-		// Compact once the dead prefix dominates so append can reuse the
-		// space instead of growing the backing array without bound.
-		n := copy(s.pending, s.pending[s.pendingHead:])
-		clear(s.pending[n:len(s.pending)])
-		s.pending, s.pendingHead = s.pending[:n], 0
-	}
-	s.nextLease++
-	t.leaseID = s.nextLease
-	t.worker = worker
-	t.deadline = now.Add(s.timing.leaseTTL)
-	t.grantedAt = now
-	if s.lat != nil {
-		s.lat.queueWait.Observe(now.Sub(t.submitted))
-	}
-	s.leases[t.leaseID] = t
-	return t
-}
-
-// matchLocked returns the index of the oldest pending job the worker's
-// experiment restriction allows (empty = any), or -1. Jobs of paused
-// experiments are withheld — a pause freezes the queue server-side on
-// top of stopping the scheduler's grants, so jobs submitted just before
-// the pause don't leak out to workers. A tenant-scoped worker only
-// matches its own tenant's jobs, whatever restriction it asked for.
-// Callers hold s.mu.
-func (s *Server) matchLocked(experiments []string, wi workerInfo) int {
-	if s.paused[""] {
-		// "" pauses the whole queue: single-experiment runs submit jobs
-		// with an empty experiment name, and a fleet-wide pause must
-		// hold every experiment's jobs.
-		return -1
-	}
-	for i := s.pendingHead; i < len(s.pending); i++ {
-		t := s.pending[i]
-		if s.paused[t.payload.Experiment] {
-			continue
-		}
-		if wi.scoped && TenantOf(t.payload.Experiment) != wi.tenant {
-			continue
-		}
-		if len(experiments) == 0 {
-			return i
-		}
-		for _, e := range experiments {
-			if t.payload.Experiment == e {
-				return i
-			}
-		}
-	}
-	return -1
 }
 
 // handleRecord serves /v1/report and /v1/heartbeat, the agent's
@@ -940,34 +701,27 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 			reject(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		s.batchedReports.Add(int64(len(rb.Reports)))
-		ack = s.settleReports(req.WorkerID, &rb, nil, new(settleScratch))
+		ack = s.settleReports(req.WorkerID, &rb, false, nil, new(settleScratch))
 	} else {
 		hb, err := decodeHeartbeat(body)
 		if err != nil {
 			reject(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		s.observeHeartbeatRTT(hb.RttUs)
-		ack = appendHeartbeatAck(nil, s.extendLeases(req.WorkerID, hb.Leases))
+		ack = s.heartbeat(req.WorkerID, hb, nil)
 	}
 	reply(w, frameResp{Version: ProtocolVersion, Frame: ack})
 }
 
-// extendLeases is the heartbeat core shared by the stream reader and
-// /v1/heartbeat: it pushes out the deadline of each lease the
-// worker still holds and returns the IDs it no longer does (expired
-// and requeued — the worker should abandon those runs).
-func (s *Server) extendLeases(worker string, ids []uint64) (expired []uint64) {
-	deadline := time.Now().Add(s.timing.leaseTTL)
+// heartbeat is the heartbeat core of the stream reader and
+// /v1/heartbeat: it extends the worker's leases and appends to enc the
+// ack naming those it no longer holds (expired and requeued — the
+// worker should abandon those runs).
+func (s *Server) heartbeat(worker string, hb binHeartbeat, enc []byte) []byte {
+	s.observeHeartbeatRTT(hb.RttUs)
+	now := time.Now()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, id := range ids {
-		if t, ok := s.leases[id]; ok && t.worker == worker {
-			t.deadline = deadline
-		} else {
-			expired = append(expired, id)
-		}
-	}
-	return expired
+	expired := s.tab.extend(worker, hb.Leases, now)
+	s.mu.Unlock()
+	return appendHeartbeatAck(enc, expired)
 }

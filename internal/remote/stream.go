@@ -87,14 +87,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	if s.closed || s.draining {
+	if s.tab.closed || s.tab.draining {
 		// The run is over (or draining for scale-down): say so without
 		// upgrading; the agent reads a bodiless 204 as Done.
 		s.mu.Unlock()
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	_, known := s.workers[req.WorkerID]
+	_, known := s.tab.workers[req.WorkerID]
 	s.mu.Unlock()
 	if !known {
 		reject(w, http.StatusGone, "unknown worker; register again")
@@ -133,7 +133,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// s.streams (and shuts it down) or has already closed the server, and
 	// the worker hears the run is over here, not on its next poll.
 	s.mu.Lock()
-	closed := s.closed
+	closed := s.tab.closed
 	if !closed {
 		s.streams[sc] = struct{}{}
 	}
@@ -218,9 +218,7 @@ func (sc *streamConn) reader() {
 			if err := rb.decode(r); err != nil {
 				return
 			}
-			sc.s.reportFrames.Add(1)
-			sc.s.binReports.Add(int64(len(rb.Reports)))
-			enc = sc.s.settleReports(sc.worker, &rb, enc[:0], &ss)
+			enc = sc.s.settleReports(sc.worker, &rb, true, enc[:0], &ss)
 			if !sc.writeFrame(enc) {
 				return
 			}
@@ -229,9 +227,7 @@ func (sc *streamConn) reader() {
 			if err != nil {
 				return
 			}
-			sc.s.observeHeartbeatRTT(hb.RttUs)
-			expired := sc.s.extendLeases(sc.worker, hb.Leases)
-			enc = appendHeartbeatAck(enc[:0], expired)
+			enc = sc.s.heartbeat(sc.worker, hb, enc[:0])
 			if !sc.writeFrame(enc) {
 				return
 			}
@@ -249,16 +245,13 @@ type settleScratch struct {
 }
 
 // settleReports is the settle core of both report paths, the stream
-// reader and /v1/report: under one hold of s.mu it takes every entry's
-// lease out of the lease table, then finishes the tasks back to back —
-// one frame, one scheduler wakeup — and returns the acceptance ack
-// appended to enc, for the caller to send after the results reached the
-// engine. An entry names its lease by the response's own ID, so a
-// response cannot be paired with another job's lease; it is rejected
-// when that lease expired (its job already requeued by the sweeper),
-// was never granted, or is another worker's, and only its own entry is.
-// Each path counts the entries it carried itself.
-func (s *Server) settleReports(worker string, rb *binReports, enc []byte, ss *settleScratch) []byte {
+// reader (stream) and /v1/report: the table's settle in one hold of
+// s.mu, then the tasks finish back to back — one frame, one scheduler
+// wakeup — and the acceptance ack is returned appended to enc, for the
+// caller to send after the results reached the engine. An entry names
+// its lease by the response's own ID, so a response cannot be paired
+// with another job's lease.
+func (s *Server) settleReports(worker string, rb *binReports, stream bool, enc []byte, ss *settleScratch) []byte {
 	n := len(rb.Reports)
 	if cap(ss.accepted) < n {
 		ss.accepted = make([]bool, n)
@@ -267,25 +260,8 @@ func (s *Server) settleReports(worker string, rb *binReports, enc []byte, ss *se
 	accepted, settled := ss.accepted[:n], ss.settled[:n]
 	clear(accepted)
 	clear(settled)
-	freed := 0
-	stateBytes := 0
 	s.mu.Lock()
-	for i, e := range rb.Reports {
-		if t, ok := s.leases[e.ID]; ok && t.worker == worker {
-			delete(s.leases, e.ID)
-			accepted[i] = true
-			settled[i] = t
-			freed++
-			if !e.IsErr {
-				stateBytes += len(e.State)
-			}
-		}
-	}
-	s.accepted.Add(int64(freed))
-	s.rejected.Add(int64(len(rb.Reports) - freed))
-	if freed > 0 {
-		s.wakeIfPendingLocked()
-	}
+	freed, stateBytes := s.tab.settle(worker, rb, stream, accepted, settled)
 	s.mu.Unlock()
 	// A stream reuses the frame buffer on its next read, so accepted
 	// checkpoints must outlive it: copy them all into one arena (one
@@ -358,7 +334,9 @@ func (sc *streamConn) serveLease(q binLeaseReq, gs *granterScratch) bool {
 	max := s.grantCap(q.Max)
 	deadline := time.Now().Add(wait)
 	for {
-		jobs, state, wake := s.grantTasks(sc.worker, max, q.Experiments, gs.jobs[:0])
+		s.mu.Lock()
+		jobs, state, wake := s.tab.grant(sc.worker, max, q.Experiments, time.Now(), gs.jobs[:0])
+		s.mu.Unlock()
 		if jobs != nil {
 			gs.jobs = jobs[:0]
 		}
@@ -377,10 +355,12 @@ func (sc *streamConn) serveLease(q binLeaseReq, gs *granterScratch) bool {
 			return false
 		}
 		if len(jobs) > 0 {
-			s.grantFrames.Add(1)
 			g := binGrants{Seq: q.Seq, Grants: gs.grants[:0]}
 			for i := range jobs {
 				j := &jobs[i]
+				if s.lat != nil {
+					s.lat.queueWait.Observe(j.queued)
+				}
 				idx := sc.tableFor(&j.payload, &g)
 				g.Grants = append(g.Grants, binGrant{
 					Table: idx,
